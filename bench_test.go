@@ -8,11 +8,14 @@ package hcsgc_test
 
 import (
 	"fmt"
+	"sort"
 	"testing"
+	"time"
 
 	"hcsgc"
 	"hcsgc/internal/bench"
 	"hcsgc/internal/graphgen"
+	"hcsgc/internal/stats"
 	"hcsgc/internal/workloads"
 )
 
@@ -61,230 +64,96 @@ func BenchmarkFig11Tradebeans(b *testing.B) { benchmarkFigure(b, "fig11") }
 func BenchmarkFig12H2(b *testing.B)         { benchmarkFigure(b, "fig12") }
 func BenchmarkFig13SPECjbb(b *testing.B)    { benchmarkFigure(b, "fig13") }
 
-// BenchmarkTelemetryOverhead measures the cost of the telemetry
-// instrumentation on a representative workload run: "off" is a nil sink
-// (every instrumentation site reduces to one predictable nil check, the
-// production default), "on" attaches a live recorder and registry. The
-// acceptance bar is "off" within 5% of the pre-telemetry baseline; "on"
-// quantifies the price of enabling observability.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	w, err := workloads.Get("fig4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	knobs := bench.KnobsFor(4)
-	for _, mode := range []struct {
-		name string
-		sink func() *hcsgc.TelemetrySink
-	}{
-		{"off", func() *hcsgc.TelemetrySink { return nil }},
-		{"on", hcsgc.NewTelemetrySink},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(workloads.RunConfig{
-					Knobs:     knobs,
-					Seed:      int64(i + 1),
-					Scale:     benchScale,
-					Telemetry: mode.sink(),
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+// planeModes lists every observation plane's priced setting: off switches
+// the plane off (a nil plane reduces each of its sites to one predictable
+// nil check; for the always-on planes that means setting their Disable
+// option), on switches it on. A nil func leaves the RunConfig alone.
+var planeModes = []struct {
+	name    string
+	off, on func(*workloads.RunConfig)
+}{
+	// A live recorder and registry against the production default, none.
+	{"telemetry", nil, func(rc *workloads.RunConfig) { rc.Telemetry = hcsgc.NewTelemetrySink() }},
+	// shift4 samples every access (the burst is clamped to the period, so
+	// shifts <= 8 are exhaustive); shift12 samples one 256-access burst per
+	// 4096 accesses (1/16), the low-overhead setting.
+	{"locality-shift4", nil, func(rc *workloads.RunConfig) {
+		rc.Locality = hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{SamplePeriodShift: 4})
+	}},
+	{"locality-shift12", nil, func(rc *workloads.RunConfig) {
+		rc.Locality = hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{SamplePeriodShift: 12})
+	}},
+	// armed-zero threads a live injector whose schedule never fires,
+	// pricing the per-point decision path; verify adds the STW heap
+	// verifier, a full heap walk per pause.
+	{"faultinject-armed-zero", nil, func(rc *workloads.RunConfig) {
+		rc.FaultInjector = hcsgc.NewFaultInjector(hcsgc.FaultConfig{})
+	}},
+	{"faultinject-verify", nil, func(rc *workloads.RunConfig) {
+		rc.FaultInjector = hcsgc.NewFaultInjector(hcsgc.FaultConfig{})
+		rc.Verifier = hcsgc.NewHeapVerifier()
+	}},
+	// The always-on planes: on is the production default, and the bar is
+	// "on within noise of off" — exact counters are single atomic adds,
+	// latencies are sampled, the rest runs at cycle boundaries. The micro
+	// cost of the contention wrapper is internal/contention's BenchmarkMutex.
+	{"latency", func(rc *workloads.RunConfig) { rc.DisableLatency = true }, nil},
+	{"signals", func(rc *workloads.RunConfig) { rc.DisableSignals = true }, nil},
+	{"contention", func(rc *workloads.RunConfig) { rc.DisableContention = true }, nil},
 }
 
-// BenchmarkLocalityOverhead measures the cost of the locality profiler on
-// a representative workload run: "off" is a nil profiler — every access
-// site reduces to one predictable nil check, the same discipline (and
-// therefore the same baseline) as BenchmarkTelemetryOverhead's "off" mode.
-// "shift4" attaches a live profiler sampling every access (the burst is
-// clamped to the period, so shifts <= 8 are exhaustive); "shift12" samples
-// one 256-access burst per 4096 accesses (1/16), the low-overhead setting.
-func BenchmarkLocalityOverhead(b *testing.B) {
+// BenchmarkPlaneOverhead prices each observation plane on a representative
+// workload run (fig4, config 4) as the ratio of host time with the plane on
+// to host time with it off. Each iteration is one pair of runs of the same
+// seed, back to back, alternating which side goes first, so drift of the
+// host lands on both sides alike; the ratio is taken per pair. Reported are
+// the median ratio and its quartiles over the pairs. A plane only adds
+// work, so unless the lower quartile is above 1 — and there are at least
+// three pairs — these runs cannot tell its cost from noise: the benchmark
+// then reports unresolved=1 and no on/off figure, rather than a number that
+// reads "off is slower". Use -benchtime 10x or more.
+func BenchmarkPlaneOverhead(b *testing.B) {
 	w, err := workloads.Get("fig4")
 	if err != nil {
 		b.Fatal(err)
 	}
 	knobs := bench.KnobsFor(4)
-	for _, mode := range []struct {
-		name string
-		prof func() *hcsgc.LocalityProfiler
-	}{
-		{"off", func() *hcsgc.LocalityProfiler { return nil }},
-		{"shift4", func() *hcsgc.LocalityProfiler {
-			return hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{SamplePeriodShift: 4})
-		}},
-		{"shift12", func() *hcsgc.LocalityProfiler {
-			return hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{SamplePeriodShift: 12})
-		}},
-	} {
+	timed := func(b *testing.B, seed int64, set func(*workloads.RunConfig)) float64 {
+		rc := workloads.RunConfig{Knobs: knobs, Seed: seed, Scale: benchScale}
+		if set != nil {
+			set(&rc)
+		}
+		start := time.Now()
+		if _, err := w.Run(rc); err != nil {
+			b.Fatal(err)
+		}
+		return float64(time.Since(start))
+	}
+	for _, mode := range planeModes {
 		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(workloads.RunConfig{
-					Knobs:    knobs,
-					Seed:     int64(i + 1),
-					Scale:    benchScale,
-					Locality: mode.prof(),
-				}); err != nil {
-					b.Fatal(err)
+			ratios := make([]float64, b.N)
+			var offNs float64
+			for i := range ratios {
+				seed := int64(i + 1)
+				var on, off float64
+				if i%2 == 0 {
+					off, on = timed(b, seed, mode.off), timed(b, seed, mode.on)
+				} else {
+					on, off = timed(b, seed, mode.on), timed(b, seed, mode.off)
 				}
+				ratios[i] = on / off
+				offNs += off
 			}
-		})
-	}
-}
-
-// BenchmarkFaultInjectOverhead measures the cost of the fault-injection
-// plane and the STW verifier on a representative workload run: "off" is a
-// nil injector — every injection point reduces to one predictable nil
-// check, the production default and the acceptance bar (within noise of
-// the pre-faultinject baseline). "armed-zero" threads a live injector
-// whose schedule never fires, pricing the per-point decision path;
-// "verify" additionally attaches the STW heap verifier, pricing a full
-// heap walk per pause.
-func BenchmarkFaultInjectOverhead(b *testing.B) {
-	w, err := workloads.Get("fig4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	knobs := bench.KnobsFor(4)
-	for _, mode := range []struct {
-		name string
-		inj  func() *hcsgc.FaultInjector
-		ver  func() *hcsgc.HeapVerifier
-	}{
-		{"off", func() *hcsgc.FaultInjector { return nil }, func() *hcsgc.HeapVerifier { return nil }},
-		{"armed-zero", func() *hcsgc.FaultInjector {
-			return hcsgc.NewFaultInjector(hcsgc.FaultConfig{})
-		}, func() *hcsgc.HeapVerifier { return nil }},
-		{"verify", func() *hcsgc.FaultInjector {
-			return hcsgc.NewFaultInjector(hcsgc.FaultConfig{})
-		}, hcsgc.NewHeapVerifier},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(workloads.RunConfig{
-					Knobs:         knobs,
-					Seed:          int64(i + 1),
-					Scale:         benchScale,
-					FaultInjector: mode.inj(),
-					Verifier:      mode.ver(),
-				}); err != nil {
-					b.Fatal(err)
-				}
+			sort.Float64s(ratios)
+			q1, q3 := stats.Quantile(ratios, 0.25), stats.Quantile(ratios, 0.75)
+			b.ReportMetric(offNs/float64(b.N)/1e6, "off-ms/run")
+			b.ReportMetric(q1, "on/off-q1")
+			b.ReportMetric(q3, "on/off-q3")
+			if b.N < 3 || q1 <= 1 {
+				b.ReportMetric(1, "unresolved")
+				return
 			}
-		})
-	}
-}
-
-// BenchmarkLatencyOverhead measures the cost of the latency attribution
-// plane on a representative workload run: "off" disables the tracker —
-// every recording site reduces to one predictable nil check — while
-// "always-on" is the production default, with HDR pause/phase recording,
-// MMU bookkeeping, barrier-hit counters and the flight-recorder ring all
-// live. The acceptance bar is "always-on" within noise of "off": exact
-// barrier hits are single atomic adds, latencies are 1-in-64 sampled, and
-// everything else runs at cycle boundaries.
-func BenchmarkLatencyOverhead(b *testing.B) {
-	w, err := workloads.Get("fig4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	knobs := bench.KnobsFor(4)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"off", true},
-		{"always-on", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(workloads.RunConfig{
-					Knobs:          knobs,
-					Seed:           int64(i + 1),
-					Scale:          benchScale,
-					DisableLatency: mode.disable,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkSignalsOverhead measures the cost of the unified signal plane
-// on a representative workload run: "off" disables the plane — the cycle
-// hook reduces to one predictable nil check and mutators skip the
-// allocation-byte ledger — while "always-on" is the production default,
-// snapshotting every cycle's CycleSignals record (flight record, heap and
-// locality signals, EWMA/trend derivations, anomaly flags) into the
-// bounded ring. The acceptance bar is "always-on" within noise of "off":
-// the per-allocation cost is one atomic add, and everything else runs
-// once per GC cycle.
-func BenchmarkSignalsOverhead(b *testing.B) {
-	w, err := workloads.Get("fig4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	knobs := bench.KnobsFor(4)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"off", true},
-		{"always-on", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(workloads.RunConfig{
-					Knobs:          knobs,
-					Seed:           int64(i + 1),
-					Scale:          benchScale,
-					DisableSignals: mode.disable,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkContentionOverhead measures the cost of the contention
-// attribution plane on a representative workload run: "off" disables the
-// plane — every instrumented Mutex reduces to a bare sync.Mutex behind
-// one predictable nil check, and the CAS sites to the same — while
-// "always-on" is the production default: each instrumented acquisition
-// is one TryLock plus one atomic add on the fast path (two more adds and
-// a wait-histogram record only when actually contended), and each CAS
-// site one atomic add per op. The acceptance bar is "always-on" within
-// noise of "off". The micro cost of the wrapper itself is priced in
-// internal/contention's BenchmarkMutex.
-func BenchmarkContentionOverhead(b *testing.B) {
-	w, err := workloads.Get("fig4")
-	if err != nil {
-		b.Fatal(err)
-	}
-	knobs := bench.KnobsFor(4)
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{
-		{"off", true},
-		{"always-on", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(workloads.RunConfig{
-					Knobs:             knobs,
-					Seed:              int64(i + 1),
-					Scale:             benchScale,
-					DisableContention: mode.disable,
-				}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			b.ReportMetric(stats.Quantile(ratios, 0.5), "on/off")
 		})
 	}
 }

@@ -9,7 +9,7 @@ import (
 // The collector's latency-attribution wiring. All hooks are one
 // predictable branch when no tracker is attached (c.lat == nil), matching
 // the telemetry/locality/faultinject discipline; the priced difference is
-// BenchmarkLatencyOverhead.
+// BenchmarkPlaneOverhead/latency.
 //
 // Time here is the virtual timeline in simulated cycles: the maximum
 // attached-mutator cycle ledger plus the accumulated STW pause cost.

@@ -11,7 +11,7 @@ import (
 // freshly drained interval, and the heap/allocation/relocation deltas
 // into one signals.CycleSignals record. One predictable branch when no
 // plane is attached (c.sig == nil); the priced difference is
-// BenchmarkSignalsOverhead.
+// BenchmarkPlaneOverhead/signals.
 
 // allocBytesTotal sums the attached mutators' allocation ledgers plus the
 // closed-mutator fold.

@@ -10,7 +10,7 @@
 // A nil *Injector accepts every call as a no-op costing one predictable
 // branch — the same discipline as the telemetry and locality hooks — so
 // production paths pay nothing when fault injection is off
-// (BenchmarkFaultInjectOverhead proves it).
+// (BenchmarkPlaneOverhead/faultinject-* proves it).
 //
 // Decisions are deterministic functions of (seed, point, per-point
 // sequence number): the i-th decision taken at a point is the same for a

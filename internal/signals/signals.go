@@ -17,7 +17,7 @@
 //
 // A nil *Plane accepts every call as a no-op costing one predictable
 // branch, matching the repo-wide instrumentation discipline; the priced
-// difference between nil and always-on is BenchmarkSignalsOverhead.
+// difference between nil and always-on is BenchmarkPlaneOverhead/signals.
 package signals
 
 import (

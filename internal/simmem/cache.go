@@ -27,11 +27,16 @@ type Cache struct {
 	sets    uint64 // number of sets, power of two
 	ways    int
 	setMask uint64
-	tags    []uint64 // sets*ways entries; 0 = invalid
-	lru     []uint32 // per-line LRU ticket
-	tick    uint32
+	// tags holds sets*ways line tags, 0 = invalid. Each set is kept in
+	// recency order, most recently used first, with its valid tags packed
+	// at the front: position is the LRU state, the victim is always the
+	// last way, and a set is ways*8 contiguous bytes (one or two host
+	// cache lines for the default geometries).
+	tags []uint64
 	// Counters are atomic so aggregate statistics can be snapshotted
-	// while the owning goroutine keeps simulating.
+	// while the owning goroutine keeps simulating. Only the standalone
+	// entry points (Access, Prefetch) count; a Core keeps its own ledger
+	// for its private levels.
 	hits     atomic.Uint64
 	misses   atomic.Uint64
 	prefills atomic.Uint64 // lines installed by prefetch rather than demand
@@ -63,7 +68,6 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		ways:    cfg.Ways,
 		setMask: sets - 1,
 		tags:    make([]uint64, sets*uint64(cfg.Ways)),
-		lru:     make([]uint32, sets*uint64(cfg.Ways)),
 	}, nil
 }
 
@@ -89,7 +93,7 @@ func (c *Cache) setOf(ln uint64) uint64 { return (ln - 1) & c.setMask }
 //
 //hcsgc:alloc-free
 func (c *Cache) Access(addr uint64) bool {
-	hit := c.touch(line(addr), false)
+	hit := c.touch(line(addr))
 	if hit {
 		c.hits.Add(1)
 	} else {
@@ -125,62 +129,41 @@ func (c *Cache) Contains(addr uint64) bool {
 //
 //hcsgc:alloc-free
 func (c *Cache) Prefetch(addr uint64) bool {
-	installed := !c.touch(line(addr), true)
+	installed := !c.touch(line(addr))
 	if installed {
 		c.prefills.Add(1)
 	}
 	return installed
 }
 
-// touch looks up ln; installs it on absence. Returns true if present.
-// When prefetch is true and the line is already present, LRU is still
-// refreshed (prefetchers re-prime lines).
-func (c *Cache) touch(ln uint64, prefetch bool) bool {
+// touch looks up ln and makes it the most recently used line of its set,
+// installing it over the least recently used one if absent. Returns true if
+// it was present. Demand accesses and prefetches age a set alike
+// (prefetchers re-prime lines). One pass does the lookup and the reordering:
+// every tag passed over moves one way towards the LRU end, so a hit at way w
+// rotates ways 0..w and a miss shifts the whole set, dropping the last tag.
+func (c *Cache) touch(ln uint64) bool {
 	base := c.setOf(ln) * uint64(c.ways)
-	c.tick++
-	victim := base
-	victimLRU := c.lru[base]
-	for w := 0; w < c.ways; w++ {
-		i := base + uint64(w)
-		if c.tags[i] == ln {
-			c.lru[i] = c.tick
+	set := c.tags[base : base+uint64(c.ways)]
+	prev := set[0]
+	if prev == ln {
+		return true
+	}
+	set[0] = ln
+	for w := 1; w < len(set) && prev != 0; w++ {
+		prev, set[w] = set[w], prev
+		if prev == ln {
 			return true
 		}
-		if c.tags[i] == 0 {
-			// Free way: install immediately.
-			c.tags[i] = ln
-			c.lru[i] = c.tick
-			return false
-		}
-		if c.lru[i] < victimLRU {
-			victim, victimLRU = i, c.lru[i]
-		}
 	}
-	c.tags[victim] = ln
-	c.lru[victim] = c.tick
 	return false
-}
-
-// Invalidate removes addr's line if present. Used when simulated pages are
-// recycled so stale lines do not alias new allocations.
-func (c *Cache) Invalidate(addr uint64) {
-	ln := line(addr)
-	base := c.setOf(ln) * uint64(c.ways)
-	for w := 0; w < c.ways; w++ {
-		if c.tags[base+uint64(w)] == ln {
-			c.tags[base+uint64(w)] = 0
-			return
-		}
-	}
 }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
 	for i := range c.tags {
 		c.tags[i] = 0
-		c.lru[i] = 0
 	}
-	c.tick = 0
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.prefills.Store(0)

@@ -140,17 +140,6 @@ func TestPrefetchInstallsWithoutDemandStats(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := MustNewCache(CacheConfig{Name: "t", Size: 64 * 8, Ways: 2})
-	c.Access(0x8000)
-	c.Invalidate(0x8000)
-	if c.Contains(0x8000) {
-		t.Fatal("line should be gone after Invalidate")
-	}
-	// Invalidating an absent line is a no-op.
-	c.Invalidate(0xffff000)
-}
-
 func TestReset(t *testing.T) {
 	c := MustNewCache(CacheConfig{Name: "t", Size: 64 * 8, Ways: 2})
 	for i := uint64(0); i < 32; i++ {

@@ -10,12 +10,15 @@ import (
 // TestConcurrentSnapshotConservation hammers a Hierarchy from several
 // goroutines (each with its own Core, as the runtime does) while another
 // goroutine continuously reads per-core and system snapshots. Run under
-// -race. At quiescence the counters must conserve:
+// -race. Cycles is derived from the miss ledger rather than counted, so
+// the reader also holds it to never decreasing, per core and system-wide.
+// At quiescence the counters must conserve:
 //
 //	loads + stores           == lines demanded
 //	LLCHits + LLCMisses      == Σ per-core L2Misses (every demand L2 miss
 //	                            consults the LLC exactly once; prefetch
 //	                            fills count as Prefills, not hits/misses)
+//	Cycles                   == Σ over levels of hits there × its latency
 func TestConcurrentSnapshotConservation(t *testing.T) {
 	cfg := smallConfig()
 	cfg.PrefetchDepth = 2 // exercise the prefetch path's shared-LLC locking
@@ -27,13 +30,19 @@ func TestConcurrentSnapshotConservation(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
+	var cores [goroutines]*Core
+	for g := range cores {
+		cores[g] = h.NewCore()
+	}
 
-	// Snapshot reader: system totals must never decrease between reads.
+	// Snapshot reader: neither the system totals nor any core's derived
+	// cycle count may decrease between reads.
 	var snapWG sync.WaitGroup
 	snapWG.Add(1)
 	go func() {
 		defer snapWG.Done()
 		var prev SystemStats
+		var prevCycles [goroutines]uint64
 		for {
 			select {
 			case <-stop:
@@ -41,12 +50,20 @@ func TestConcurrentSnapshotConservation(t *testing.T) {
 			default:
 			}
 			s := h.Stats()
-			if s.Loads < prev.Loads || s.Stores < prev.Stores ||
+			if s.Loads < prev.Loads || s.Stores < prev.Stores || s.Cycles < prev.Cycles ||
 				s.L2Misses < prev.L2Misses || s.LLCMisses < prev.LLCMisses {
 				t.Errorf("snapshot went backwards: %+v then %+v", prev, s)
 				return
 			}
 			prev = s
+			for g, core := range cores {
+				cyc := core.Cycles()
+				if cyc < prevCycles[g] {
+					t.Errorf("core %d Cycles went backwards: %d then %d", g, prevCycles[g], cyc)
+					return
+				}
+				prevCycles[g] = cyc
+			}
 		}
 	}()
 
@@ -55,7 +72,7 @@ func TestConcurrentSnapshotConservation(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			core := h.NewCore()
+			core := cores[g]
 			rng := rand.New(rand.NewSource(int64(g + 1)))
 			base := uint64(g+1) << 28
 			for i := 0; i < perG; i++ {
@@ -92,6 +109,19 @@ func TestConcurrentSnapshotConservation(t *testing.T) {
 	if got := s.LLCHits + s.LLCMisses; got != s.L2Misses {
 		t.Errorf("LLC conservation: hits(%d)+misses(%d)=%d != ΣL2Misses %d",
 			s.LLCHits, s.LLCMisses, got, s.L2Misses)
+	}
+	lat := cfg.Lat
+	wantCycles := (s.Loads+s.Stores-s.L1Misses)*lat.L1 + (s.L1Misses-s.L2Misses)*lat.L2 +
+		s.LLCHits*lat.LLC + s.LLCMisses*lat.Mem
+	if s.Cycles != wantCycles {
+		t.Errorf("cycle ledger: Cycles = %d, want Σ level hits × latency = %d (%+v)", s.Cycles, wantCycles, s)
+	}
+	var perCore uint64
+	for _, core := range cores {
+		perCore += core.Cycles()
+	}
+	if perCore != s.Cycles {
+		t.Errorf("Σ Core.Cycles() = %d, Hierarchy.Stats().Cycles = %d", perCore, s.Cycles)
 	}
 	if s.L1Misses < s.L2Misses {
 		t.Errorf("L2 saw more demand (%d) than L1 missed (%d)", s.L2Misses, s.L1Misses)

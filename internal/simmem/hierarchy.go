@@ -81,11 +81,18 @@ type Core struct {
 	pf  *Prefetcher
 	sys *Hierarchy
 	lat Latencies
-	// Counters are atomic so that Hierarchy.Stats can snapshot them while
-	// the owning goroutine keeps simulating.
-	loads  atomic.Uint64
-	stores atomic.Uint64
-	cycles atomic.Uint64
+	// The ledger: line accesses and the misses of each level they went on
+	// to. Everything else is derived from it — a level's hits are its
+	// accesses minus its misses, and since a line access costs exactly the
+	// latency of the level that served it, so is Cycles. An L1 hit
+	// therefore pays one atomic add. Counters are atomic so that
+	// Hierarchy.Stats can snapshot them while the owning goroutine keeps
+	// simulating.
+	loads   atomic.Uint64
+	stores  atomic.Uint64
+	l1miss  atomic.Uint64
+	l2miss  atomic.Uint64
+	llcmiss atomic.Uint64 // this core's share of the shared LLC's misses
 }
 
 // llcStripe is one independently locked shard of the shared LLC. Padding
@@ -225,7 +232,6 @@ func (c *Core) access(addr uint64, size int, store bool) uint64 {
 			break
 		}
 	}
-	c.cycles.Add(total)
 	return total
 }
 
@@ -235,8 +241,17 @@ func (c *Core) Loads() uint64 { return c.loads.Load() }
 // Stores returns the demand store count.
 func (c *Core) Stores() uint64 { return c.stores.Load() }
 
-// Cycles returns the accumulated memory-access cost in cycles.
-func (c *Core) Cycles() uint64 { return c.cycles.Load() }
+// Cycles returns the accumulated memory-access cost in cycles: every line
+// access at L1 cost, plus each level's miss penalty times its misses. With
+// latencies that do not fall from one level to the next every term is a
+// monotone counter times a non-negative step, so concurrent readers never
+// see Cycles go backwards.
+func (c *Core) Cycles() uint64 {
+	return (c.loads.Load()+c.stores.Load())*c.lat.L1 +
+		c.l1miss.Load()*(c.lat.L2-c.lat.L1) +
+		c.l2miss.Load()*(c.lat.LLC-c.lat.L2) +
+		c.llcmiss.Load()*(c.lat.Mem-c.lat.LLC)
+}
 
 // accessLine performs the lookup cascade L1 -> L2 -> LLC -> memory for one
 // line and returns the cycle cost.
@@ -246,52 +261,56 @@ func (c *Core) accessLine(addr uint64, store bool) uint64 {
 	} else {
 		c.loads.Add(1)
 	}
-	if c.l1.Access(addr) {
+	ln := line(addr)
+	if c.l1.touch(ln) {
 		return c.lat.L1
 	}
-	// L1 miss: consult the prefetcher on the demand-miss stream.
-	c.firePrefetch(addr)
-	if c.l2.Access(addr) {
-		return c.lat.L2
-	}
-	st := &c.sys.stripes[c.sys.stripeOf(addr)]
-	st.mu.Lock()
-	hit := st.c.Access(addr)
-	st.mu.Unlock()
-	if hit {
-		return c.lat.LLC
-	}
-	return c.lat.Mem
-}
-
-// firePrefetch asks the stream detector for prefetch targets and installs
-// them into L2 and the LLC (hardware prefetchers typically fill L2/LLC, and
-// our L1 refill path then finds them there at L2 cost).
-func (c *Core) firePrefetch(addr uint64) {
+	c.l1miss.Add(1)
+	// L1 miss: consult the prefetcher on the demand-miss stream. Its
+	// targets fill L2 and the LLC (hardware prefetchers typically fill
+	// L2/LLC, and our L1 refill path then finds them there at L2 cost)
+	// ahead of the demand lookup at each level. The private L2 goes first
+	// so that everything the shared LLC is asked — prefetch fills, then
+	// the demand access — happens in one go: consecutive lines share a
+	// stripe, so one acquisition covers each run of same-stripe work.
 	targets := c.pf.OnMiss(addr)
-	if len(targets) == 0 {
-		return
-	}
 	for _, t := range targets {
 		c.l2.Prefetch(t)
 	}
+	l2hit := c.l2.touch(ln)
+	var held *llcStripe
 	for _, t := range targets {
-		st := &c.sys.stripes[c.sys.stripeOf(t)]
-		st.mu.Lock()
-		st.c.Prefetch(t)
-		st.mu.Unlock()
+		held = c.sys.lockStripe(t, held)
+		held.c.Prefetch(t)
 	}
+	cost := c.lat.L2
+	if !l2hit {
+		c.l2miss.Add(1)
+		held = c.sys.lockStripe(addr, held)
+		cost = c.lat.LLC
+		if !held.c.Access(addr) {
+			c.llcmiss.Add(1)
+			cost = c.lat.Mem
+		}
+	}
+	if held != nil {
+		held.mu.Unlock()
+	}
+	return cost
 }
 
-// InvalidateRange drops all lines of [addr, addr+size) from this core's
-// private caches. The owning runtime calls it (plus Hierarchy.
-// InvalidateRangeLLC) when a simulated page is recycled.
-func (c *Core) InvalidateRange(addr uint64, size int) {
-	first := addr &^ uint64(LineSize-1)
-	for a := first; a < addr+uint64(size); a += LineSize {
-		c.l1.Invalidate(a)
-		c.l2.Invalidate(a)
+// lockStripe returns addr's LLC stripe, locked. held is the stripe the
+// caller already holds, if any: it is kept when addr maps to it and
+// released otherwise, so a caller never holds two stripes.
+func (h *Hierarchy) lockStripe(addr uint64, held *llcStripe) *llcStripe {
+	st := &h.stripes[h.stripeOf(addr)]
+	if st != held {
+		if held != nil {
+			held.mu.Unlock()
+		}
+		st.mu.Lock()
 	}
+	return st
 }
 
 // Stats returns a snapshot of this core's counters. Safe to call from any
@@ -300,9 +319,9 @@ func (c *Core) Stats() CoreStats {
 	return CoreStats{
 		Loads:      c.loads.Load(),
 		Stores:     c.stores.Load(),
-		L1Misses:   c.l1.Misses(),
-		L2Misses:   c.l2.Misses(),
-		Cycles:     c.cycles.Load(),
+		L1Misses:   c.l1miss.Load(),
+		L2Misses:   c.l2miss.Load(),
+		Cycles:     c.Cycles(),
 		PrefIssued: c.pf.Issued(),
 		L1Prefills: c.l1.Prefills(),
 		L2Prefills: c.l2.Prefills(),
@@ -316,7 +335,9 @@ func (c *Core) Reset() {
 	c.pf.Reset()
 	c.loads.Store(0)
 	c.stores.Store(0)
-	c.cycles.Store(0)
+	c.l1miss.Store(0)
+	c.l2miss.Store(0)
+	c.llcmiss.Store(0)
 }
 
 // CoreStats is a snapshot of one core's activity.
@@ -366,17 +387,6 @@ func (h *Hierarchy) Stats() SystemStats {
 		out.LLCHits += h.stripes[i].c.Hits()
 	}
 	return out
-}
-
-// InvalidateRangeLLC drops lines of a recycled page from the shared LLC.
-func (h *Hierarchy) InvalidateRangeLLC(addr uint64, size int) {
-	first := addr &^ uint64(LineSize-1)
-	for a := first; a < addr+uint64(size); a += LineSize {
-		st := &h.stripes[h.stripeOf(a)]
-		st.mu.Lock()
-		st.c.Invalidate(a)
-		st.mu.Unlock()
-	}
 }
 
 // Config returns the configuration the hierarchy was built with.

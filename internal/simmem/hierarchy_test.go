@@ -201,21 +201,6 @@ func TestConcurrentCoreAccessSafe(t *testing.T) {
 	}
 }
 
-func TestInvalidateRange(t *testing.T) {
-	h := MustNewHierarchy(smallConfig())
-	c := h.NewCore()
-	for a := uint64(0); a < 1024; a += 64 {
-		c.Load(a, 8)
-	}
-	c.InvalidateRange(0, 1024)
-	h.InvalidateRangeLLC(0, 1024)
-	before := c.Stats().L1Misses
-	c.Load(0, 8)
-	if c.Stats().L1Misses != before+1 {
-		t.Fatal("invalidated line should miss in L1")
-	}
-}
-
 func TestCoreReset(t *testing.T) {
 	h := MustNewHierarchy(smallConfig())
 	c := h.NewCore()

@@ -13,10 +13,17 @@ import "sync/atomic"
 // layout defeats it. A faithful stream detector is therefore load-bearing
 // for reproducing the evaluation's shape.
 type Prefetcher struct {
-	streams []stream
-	depth   int // lines prefetched ahead once a stream is confirmed
-	clock   uint64
-	issued  atomic.Uint64 // prefetch requests issued
+	// The tracker table, one slot per stream. Every demand miss compares
+	// itself against all of lastLine and, to have an eviction victim ready,
+	// reads all of lastUse; those two are dense arrays of their own so the
+	// scan stays within four host cache lines. streams holds the rest and
+	// is read only for a slot the miss lands near.
+	lastLine [maxStreams]int64  // line of the stream's latest miss
+	lastUse  [maxStreams]uint64 // clock of that miss; 0 = slot free
+	streams  [maxStreams]stream
+	depth    int // lines prefetched ahead once a stream is confirmed
+	clock    uint64
+	issued   atomic.Uint64 // prefetch requests issued
 	// buf is the reused OnMiss return buffer: OnMiss runs on every L1
 	// demand miss, so allocating the target slice per miss would put a
 	// Go allocation on the simulator's hottest path. The returned slice
@@ -24,13 +31,11 @@ type Prefetcher struct {
 	buf []uint64
 }
 
-// stream is one tracked miss stream.
+// stream is the stride state of one tracked miss stream. A stride is
+// only ever learnt inside the discovery window, so |stride| <= streamWindow.
 type stream struct {
-	lastLine int64
-	stride   int64
-	confid   int
-	lastUse  uint64
-	valid    bool
+	stride int64
+	confid int
 }
 
 // maxStreams bounds the tracker table like real hardware (Intel tracks
@@ -41,17 +46,18 @@ const maxStreams = 16
 // stream.
 const confirmThreshold = 2
 
+// streamWindow is the discovery window in lines: hardware streamers track
+// streams within a 4KB page (±64 lines); allocation noise between stream
+// elements is common, so the window must span it.
+const streamWindow = 64
+
 // NewPrefetcher returns a stream prefetcher that runs depth lines ahead.
 // depth <= 0 disables prefetching.
 func NewPrefetcher(depth int) *Prefetcher {
 	if depth < 0 {
 		depth = 0
 	}
-	return &Prefetcher{
-		streams: make([]stream, maxStreams),
-		depth:   depth,
-		buf:     make([]uint64, depth),
-	}
+	return &Prefetcher{depth: depth, buf: make([]uint64, depth)}
 }
 
 // Enabled reports whether the prefetcher issues any prefetches.
@@ -71,46 +77,49 @@ func (p *Prefetcher) OnMiss(addr uint64) []uint64 {
 	ln := int64(addr >> lineShift)
 
 	// Find a stream whose next expected line matches, or whose last line is
-	// within a small window (new stride discovery).
-	bestIdx := -1
-	for i := range p.streams {
-		s := &p.streams[i]
-		if !s.valid {
+	// within the discovery window (new stride discovery); the first slot in
+	// table order wins either way. The same pass picks the slot a new
+	// stream would claim: the first free one, else the least recently used
+	// (a free slot's lastUse of 0 is below every live one, and live ones
+	// are distinct).
+	best, victim, victimUse := -1, 0, ^uint64(0)
+	for i := range p.lastLine {
+		delta := ln - p.lastLine[i]
+		use := p.lastUse[i]
+		if use == 0 || delta < -streamWindow || delta > streamWindow {
+			if use < victimUse {
+				victim, victimUse = i, use
+			}
 			continue
 		}
-		delta := ln - s.lastLine
 		if delta == 0 {
 			// Same line missing again (conflict churn); just refresh.
-			s.lastUse = p.clock
+			p.lastUse[i] = p.clock
 			return nil
 		}
-		if s.confid >= confirmThreshold && delta == s.stride {
-			bestIdx = i
+		if s := &p.streams[i]; s.confid >= confirmThreshold && delta == s.stride {
+			best = i
 			break
 		}
-		// Within the discovery window: hardware streamers track streams
-		// within a 4KB page (±64 lines); allocation noise between stream
-		// elements is common, so the window must span it.
-		if delta >= -64 && delta <= 64 && bestIdx == -1 {
-			bestIdx = i
+		if best == -1 {
+			best = i
 		}
 	}
 
-	if bestIdx == -1 {
-		p.allocStream(ln)
+	if best == -1 {
+		p.lastLine[victim], p.lastUse[victim] = ln, p.clock
+		p.streams[victim] = stream{stride: 1}
 		return nil
 	}
 
-	s := &p.streams[bestIdx]
-	delta := ln - s.lastLine
-	if delta == s.stride {
+	s := &p.streams[best]
+	if delta := ln - p.lastLine[best]; delta == s.stride {
 		s.confid++
 	} else {
 		s.stride = delta
 		s.confid = 1
 	}
-	s.lastLine = ln
-	s.lastUse = p.clock
+	p.lastLine[best], p.lastUse[best] = ln, p.clock
 
 	if s.confid < confirmThreshold {
 		return nil
@@ -132,27 +141,9 @@ func (p *Prefetcher) OnMiss(addr uint64) []uint64 {
 // Issued returns the number of prefetch requests issued.
 func (p *Prefetcher) Issued() uint64 { return p.issued.Load() }
 
-// allocStream claims the least-recently-used tracker slot for a new stream.
-func (p *Prefetcher) allocStream(ln int64) {
-	victim := 0
-	var victimUse uint64 = ^uint64(0)
-	for i := range p.streams {
-		if !p.streams[i].valid {
-			victim = i
-			break
-		}
-		if p.streams[i].lastUse < victimUse {
-			victim, victimUse = i, p.streams[i].lastUse
-		}
-	}
-	p.streams[victim] = stream{lastLine: ln, stride: 1, confid: 0, lastUse: p.clock, valid: true}
-}
-
 // Reset clears tracker state and statistics.
 func (p *Prefetcher) Reset() {
-	for i := range p.streams {
-		p.streams[i] = stream{}
-	}
+	p.lastLine, p.lastUse, p.streams = [maxStreams]int64{}, [maxStreams]uint64{}, [maxStreams]stream{}
 	p.clock = 0
 	p.issued.Store(0)
 }

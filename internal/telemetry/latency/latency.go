@@ -13,7 +13,7 @@
 //
 // A nil *Tracker accepts every call as a no-op costing one predictable
 // branch, matching the repo-wide instrumentation discipline; the priced
-// difference between nil and always-on is BenchmarkLatencyOverhead.
+// difference between nil and always-on is BenchmarkPlaneOverhead/latency.
 package latency
 
 import (
