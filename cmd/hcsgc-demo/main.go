@@ -63,13 +63,19 @@ func run(w io.Writer, knobs hcsgc.Knobs, n int, order []int, show int) {
 		fmt.Fprintln(w)
 	}
 
+	// Runtime-wide counters come from what mutators have published; this
+	// goroutine owns m, so it publishes before each reading.
+	memStats := func() hcsgc.MemStats {
+		m.Publish()
+		return rt.MemStats()
+	}
 	dump("layout before GC")
 	m.RequestGC() // select EC; in lazy mode GC threads stand down
 
 	// Traverse in the shuffled access order: under HCSGC the mutator
 	// relocates each object as it touches it, into its TLAB, in exactly
 	// this order.
-	before := rt.MemStats()
+	before := memStats()
 	for _, idx := range order {
 		o := m.LoadRef(m.LoadRoot(0), idx)
 		_ = m.LoadField(o, 0)
@@ -77,12 +83,12 @@ func run(w io.Writer, knobs hcsgc.Knobs, n int, order []int, show int) {
 	dump("layout after 1st traversal")
 
 	// Second traversal: measure locality of the (possibly) new layout.
-	mid := rt.MemStats()
+	mid := memStats()
 	for _, idx := range order {
 		o := m.LoadRef(m.LoadRoot(0), idx)
 		_ = m.LoadField(o, 0)
 	}
-	after := rt.MemStats()
+	after := memStats()
 
 	fmt.Fprintf(w, "1st traversal: %d loads, %d LLC misses (includes relocation)\n",
 		mid.Loads-before.Loads, mid.LLCMisses-before.LLCMisses)

@@ -55,12 +55,18 @@ func main() {
 		m.StoreRef(node, fAdj, arr)
 	}
 
+	// Runtime-wide counters come from what mutators have published; this
+	// goroutine owns m, so it publishes before each reading.
+	memStats := func() hcsgc.MemStats {
+		m.Publish()
+		return rt.MemStats()
+	}
 	// Count triangles twice: the first traversal may reorganise the
 	// layout, the second enjoys it.
 	for pass := 1; pass <= 2; pass++ {
-		before := rt.MemStats()
+		before := memStats()
 		total := triangles(m, n)
-		after := rt.MemStats()
+		after := memStats()
 		fmt.Printf("pass %d: %d triangles, %d LLC misses\n",
 			pass, total, after.LLCMisses-before.LLCMisses)
 	}

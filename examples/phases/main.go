@@ -38,6 +38,12 @@ func main() {
 		m.StoreRef(m.LoadRoot(0), i, o)
 	}
 
+	// Runtime-wide counters come from what mutators have published; this
+	// goroutine owns m, so it publishes before each reading.
+	memStats := func() hcsgc.MemStats {
+		m.Publish()
+		return rt.MemStats()
+	}
 	for phase := 0; phase < 3; phase++ {
 		// Each phase has its own stable access order.
 		order := rand.New(rand.NewSource(int64(phase))).Perm(numObjects)
@@ -46,7 +52,7 @@ func main() {
 		// out in the new order.
 		m.RequestGC()
 		for pass := 0; pass < passes; pass++ {
-			before := rt.MemStats()
+			before := memStats()
 			for k, idx := range order {
 				o := m.LoadRef(m.LoadRoot(0), idx)
 				_ = m.LoadField(o, 0)
@@ -54,7 +60,7 @@ func main() {
 					m.Safepoint()
 				}
 			}
-			after := rt.MemStats()
+			after := memStats()
 			fmt.Printf("phase %d pass %d: %8d LLC misses\n",
 				phase, pass, after.LLCMisses-before.LLCMisses)
 		}

@@ -47,6 +47,9 @@ func main() {
 	}
 	fmt.Printf("sum over %d nodes: %d (want %d)\n", n, sum, uint64(n)*(n-1)/2)
 
+	// Runtime-wide numbers come from what mutators have published; this
+	// goroutine owns m and is still attached, so it publishes first.
+	m.Publish()
 	st := rt.Collector.Stats()
 	ms := rt.MemStats()
 	fmt.Printf("GC cycles: %d, pages relocated by mutator/GC: %d/%d objects\n",

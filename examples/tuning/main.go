@@ -77,5 +77,8 @@ func run(knobs hcsgc.Knobs) (execSeconds float64, llcMisses uint64) {
 			}
 		}
 	}
+	// Runtime-wide numbers come from what mutators have published; this
+	// goroutine owns m and is still attached, so it publishes first.
+	m.Publish()
 	return rt.ExecSeconds(), rt.MemStats().LLCMisses
 }

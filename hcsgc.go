@@ -491,7 +491,14 @@ func (rt *Runtime) Close() {
 }
 
 // Ledger assembles the machine-model input from every mutator ever
-// attached plus the collector's concurrent and pause work.
+// attached plus the collector's concurrent and pause work. Safe from any
+// goroutine: it reads what the owners have published (Mutator.Publish), not
+// their private ledgers. That is exact for a closed mutator, for one parked
+// or blocked, and for GC workers between phases, so a ledger taken after
+// the run is exact; a mutator still running is seen as of its last publish
+// (at most ~4k cycles plus one safepoint-poll interval ago). A
+// goroutine that reads the ledger mid-run for its own mutator publishes it
+// first.
 func (rt *Runtime) Ledger() machine.Ledger {
 	rt.mu.Lock()
 	muts := make([]*Mutator, len(rt.mutators))
@@ -499,7 +506,7 @@ func (rt *Runtime) Ledger() machine.Ledger {
 	rt.mu.Unlock()
 	l := machine.Ledger{}
 	for _, m := range muts {
-		l.MutatorCycles = append(l.MutatorCycles, m.Cycles())
+		l.MutatorCycles = append(l.MutatorCycles, m.PublishedCycles())
 	}
 	st := rt.Collector.Stats()
 	l.GCCycles = st.GCWorkerCycles
@@ -507,13 +514,15 @@ func (rt *Runtime) Ledger() machine.Ledger {
 	return l
 }
 
-// ExecSeconds returns the simulated wall-clock execution time so far.
+// ExecSeconds returns the simulated wall-clock execution time so far, from
+// the published ledgers (see Ledger).
 func (rt *Runtime) ExecSeconds() float64 {
 	return rt.Machine.ExecSeconds(rt.Ledger())
 }
 
-// MemStats snapshots the process-wide cache counters (perf analogue).
-// Returns the zero value when the memory model is disabled.
+// MemStats snapshots the process-wide cache counters (perf analogue), as
+// published by their owners (see Ledger). Returns the zero value when the
+// memory model is disabled.
 func (rt *Runtime) MemStats() MemStats {
 	if rt.Mem == nil {
 		return MemStats{}

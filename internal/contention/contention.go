@@ -8,8 +8,9 @@
 //     heap.mu, the simmem LLC/core registries, ...) are wrapped in
 //     contention.Mutex, which records per-site acquisition counts,
 //     contended-acquisition counts, and a wait-time HDR histogram. The
-//     uncontended fast path is one TryLock plus two atomic adds; only a
-//     lost TryLock pays for a clock read and a histogram record.
+//     uncontended fast path is one TryLock plus one atomic add, on the
+//     host line of the lock word itself; only a lost TryLock pays for a
+//     clock read and a histogram record.
 //
 //   - CAS retry loops. OpSite counters attach to the known shared-
 //     structure loops (forwarding-table install, page bump-pointer
@@ -38,13 +39,21 @@ import (
 	"hcsgc/internal/telemetry/latency"
 )
 
-// Site accumulates lock-contention statistics for one named mutex (or
-// one external source bridged via Plane.AddSource). All fields are
-// updated lock-free; a nil *Site accepts every call as a no-op.
+// Site accumulates lock-contention statistics for the mutexes registered
+// under one name (several may share a site: the LLC stripes do). A nil
+// *Site accepts every call as a no-op.
+//
+// Acquisitions are counted in each Mutex, beside its lock word, not here:
+// one counter per site would be one host cache line every acquirer of every
+// mutex of the site writes. The site sums its mutexes on read, and keeps
+// them reachable for as long as it is — a plane shared across runtimes
+// retains what their instrumented mutexes are embedded in.
 type Site struct {
-	name         string
-	acquisitions atomic.Uint64
-	contended    atomic.Uint64
+	name string
+	// mu guards mutexes; taken by Instrument and the readers only.
+	mu        sync.Mutex
+	mutexes   []*Mutex
+	contended atomic.Uint64
 	// wait records the wall-clock nanoseconds a contended Lock spent
 	// parked before acquiring.
 	wait latency.Hist
@@ -58,12 +67,19 @@ func (s *Site) Name() string {
 	return s.name
 }
 
-// Acquisitions returns the total Lock/TryLock acquisitions recorded.
+// Acquisitions returns the total Lock/TryLock acquisitions recorded by the
+// site's mutexes.
 func (s *Site) Acquisitions() uint64 {
 	if s == nil {
 		return 0
 	}
-	return s.acquisitions.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var total uint64
+	for _, m := range s.mutexes {
+		total += m.acquisitions.Load()
+	}
+	return total
 }
 
 // Contended returns the acquisitions that lost their TryLock and had to
@@ -92,15 +108,26 @@ func (s *Site) Wait() *latency.Hist {
 type Mutex struct {
 	inner sync.Mutex
 	site  *Site
+	// acquisitions shares the lock word's host line, which an acquirer is
+	// about to own anyway.
+	acquisitions atomic.Uint64
 }
 
-// Instrument attaches the attribution site. Must happen-before any
-// concurrent Lock (it is a plain store); called from constructors.
-func (m *Mutex) Instrument(s *Site) { m.site = s }
+// Instrument attaches the attribution site and registers the mutex with
+// it. Must happen-before any concurrent Lock (it is a plain store), and
+// once per mutex; called from constructors.
+func (m *Mutex) Instrument(s *Site) {
+	m.site = s
+	if s != nil {
+		s.mu.Lock()
+		s.mutexes = append(s.mutexes, m)
+		s.mu.Unlock()
+	}
+}
 
 // Lock acquires the mutex, attributing the acquisition to the site.
-// Uncontended cost over sync.Mutex: one failed-then-won TryLock plus one
-// atomic add. The clock is read only on the contended slow path.
+// Uncontended cost over sync.Mutex: one TryLock plus one atomic add to the
+// same host line. The clock is read only on the contended slow path.
 //
 //hcsgc:alloc-free
 func (m *Mutex) Lock() {
@@ -109,7 +136,7 @@ func (m *Mutex) Lock() {
 		m.inner.Lock()
 		return
 	}
-	s.acquisitions.Add(1)
+	m.acquisitions.Add(1)
 	if m.inner.TryLock() {
 		return
 	}
@@ -128,8 +155,8 @@ func (m *Mutex) TryLock() bool {
 	if !m.inner.TryLock() {
 		return false
 	}
-	if s := m.site; s != nil {
-		s.acquisitions.Add(1)
+	if m.site != nil {
+		m.acquisitions.Add(1)
 	}
 	return true
 }
@@ -165,6 +192,15 @@ func (o *OpSite) Op() {
 		return
 	}
 	o.ops.Add(1)
+}
+
+// Add counts n completed operations at once, for callers that tally their
+// own and fold them in at a publication point.
+func (o *OpSite) Add(n uint64) {
+	if o == nil {
+		return
+	}
+	o.ops.Add(n)
 }
 
 // Retry counts one failed attempt that had to loop.

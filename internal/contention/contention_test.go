@@ -14,9 +14,48 @@ import (
 	"hcsgc/internal/telemetry"
 )
 
+// addAcquisitions credits n acquisitions to s the way real ones arrive: on
+// a mutex registered with the site.
+func addAcquisitions(s *Site, n uint64) {
+	var mu Mutex
+	mu.Instrument(s)
+	mu.acquisitions.Add(n)
+}
+
+// TestSiteSumsItsMutexes: acquisitions are counted per mutex; a site shared
+// by several (the LLC stripes) reports their sum, in Acquisitions, in the
+// per-cycle delta and in the snapshot.
+func TestSiteSumsItsMutexes(t *testing.T) {
+	p := New()
+	s := p.NewSite("striped")
+	var mus [4]Mutex
+	for i := range mus {
+		mus[i].Instrument(s)
+		for j := 0; j <= i; j++ {
+			mus[i].Lock()
+			mus[i].Unlock()
+		}
+	}
+	if got := s.Acquisitions(); got != 10 {
+		t.Fatalf("site acquisitions = %d, want 1+2+3+4", got)
+	}
+	if d := p.OnCycle(1, nil); d.Acquisitions != 10 {
+		t.Fatalf("cycle delta acquisitions = %d, want 10", d.Acquisitions)
+	}
+	mus[0].Lock()
+	mus[0].Unlock()
+	if d := p.OnCycle(2, nil); d.Acquisitions != 1 {
+		t.Fatalf("second cycle delta = %d, want 1", d.Acquisitions)
+	}
+	if snap := p.Snapshot(); len(snap.Sites) != 1 || snap.Sites[0].Acquisitions != 11 {
+		t.Fatalf("snapshot = %+v, want one site with 11 acquisitions", snap.Sites)
+	}
+}
+
 // TestMutexUncontended: a single-threaded lock/unlock sequence counts
 // acquisitions only — the contended counter and the wait histogram stay
-// untouched, which is what makes the fast path two atomic ops.
+// untouched, which is what makes the fast path two atomic ops (the count
+// and the TryLock), both on the mutex's own line.
 func TestMutexUncontended(t *testing.T) {
 	p := New()
 	s := p.NewSite("test.mu")
@@ -210,14 +249,14 @@ func TestSnapshotRanking(t *testing.T) {
 	warm := p.NewSite("warm")
 	hot := p.NewSite("hot")
 	for i := 0; i < 10; i++ {
-		hot.acquisitions.Add(1)
+		addAcquisitions(hot, 1)
 		hot.contended.Add(1)
 	}
 	for i := 0; i < 3; i++ {
-		warm.acquisitions.Add(1)
+		addAcquisitions(warm, 1)
 	}
 	warm.contended.Add(2)
-	cold.acquisitions.Add(50)
+	addAcquisitions(cold, 50)
 
 	s := p.Snapshot()
 	want := []string{"hot", "warm", "cold"}
@@ -242,7 +281,7 @@ func TestOnCycleDeltas(t *testing.T) {
 	s := p.NewSite("mu")
 	o := p.NewOpSite("cas")
 
-	s.acquisitions.Add(10)
+	addAcquisitions(s, 10)
 	s.contended.Add(2)
 	o.ops.Add(100)
 	o.retries.Add(5)
@@ -254,7 +293,7 @@ func TestOnCycleDeltas(t *testing.T) {
 		t.Fatalf("contended frac = %g, want 0.2", d1.ContendedFrac)
 	}
 
-	s.acquisitions.Add(5)
+	addAcquisitions(s, 5)
 	d2 := p.OnCycle(2, nil)
 	if d2.Acquisitions != 5 || d2.Contended != 0 || d2.CASOps != 0 {
 		t.Fatalf("second delta not differenced: %+v", d2)
@@ -354,7 +393,7 @@ func TestBindTelemetry(t *testing.T) {
 	rec := telemetry.NewRecorder(1, 256)
 	p.BindTelemetry(reg, rec)
 
-	s.acquisitions.Add(7)
+	addAcquisitions(s, 7)
 	s.contended.Add(3)
 	s.wait.Record(1000)
 	o.ops.Add(20)
@@ -464,10 +503,10 @@ func TestContentionEndpoint(t *testing.T) {
 
 	p := New()
 	hot := p.NewSite("core.cycleMu")
-	hot.acquisitions.Add(10)
+	addAcquisitions(hot, 10)
 	hot.contended.Add(4)
 	cold := p.NewSite("heap.mu")
-	cold.acquisitions.Add(2)
+	addAcquisitions(cold, 2)
 	fwd := p.NewOpSite("heap.forwarding")
 	for i := 0; i < 2; i++ {
 		fwd.Op()

@@ -199,7 +199,7 @@ func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 
 	// Lock sites: per-cycle deltas of cumulative counters.
 	for i, s := range p.sites {
-		acq, con := s.acquisitions.Load(), s.contended.Load()
+		acq, con := s.Acquisitions(), s.contended.Load()
 		dAcq, dCon := acq-p.prev[i].acq, con-p.prev[i].contended
 		p.prev[i] = siteTotals{acq: acq, contended: con}
 		d.Acquisitions += dAcq
@@ -360,7 +360,7 @@ func (p *Plane) Snapshot() Snapshot {
 	for _, s := range p.sites {
 		ss := SiteSnapshot{
 			Name:         s.name,
-			Acquisitions: s.acquisitions.Load(),
+			Acquisitions: s.Acquisitions(),
 			Contended:    s.contended.Load(),
 			WaitP50NS:    s.wait.Quantile(0.50),
 			WaitP99NS:    s.wait.Quantile(0.99),

@@ -22,12 +22,12 @@ func TestSelfHealingSlot(t *testing.T) {
 
 	// First load heals; it must pay the slow-path cost once.
 	slowCost := c.cfg.Costs.BarrierSlow
-	before := m.extra.Load()
+	before := m.extra
 	p := m.LoadRoot(0)
 	m.LoadRef(p, 0)
-	afterFirst := m.extra.Load()
+	afterFirst := m.extra
 	m.LoadRef(p, 0)
-	afterSecond := m.extra.Load()
+	afterSecond := m.extra
 
 	paidFirst := afterFirst - before
 	paidSecond := afterSecond - afterFirst
@@ -49,9 +49,9 @@ func TestBarrierFastPathCost(t *testing.T) {
 	a := m.Alloc(node)
 	b := m.Alloc(node)
 	m.StoreRef(a, 0, b)
-	before := m.extra.Load()
+	before := m.extra
 	m.LoadRef(a, 0) // freshly stored good ref: fast path
-	paid := m.extra.Load() - before
+	paid := m.extra - before
 	if paid != c.cfg.Costs.BarrierFast {
 		t.Fatalf("fast path paid %d, want %d", paid, c.cfg.Costs.BarrierFast)
 	}
@@ -103,9 +103,9 @@ func TestRootHealingAtPauses(t *testing.T) {
 	if got := m.roots[0]; got.Color() != heap.ColorRemapped {
 		t.Fatalf("root color after cycle = %v, want R (healed at STW3)", got.Color())
 	}
-	before := m.extra.Load()
+	before := m.extra
 	m.LoadRoot(0)
-	if paid := m.extra.Load() - before; paid != c.cfg.Costs.BarrierFast {
+	if paid := m.extra - before; paid != c.cfg.Costs.BarrierFast {
 		t.Fatalf("healed root load paid %d, want fast path %d", paid, c.cfg.Costs.BarrierFast)
 	}
 }

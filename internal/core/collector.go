@@ -480,14 +480,18 @@ func (c *Collector) beginPauseAccounting() uint64 {
 	return base + c.pauseExtra
 }
 
-// endPauseAccounting returns the simulated cycles spent since base.
+// endPauseAccounting returns the simulated cycles spent since base, and
+// publishes the pause's ledgers (the goroutine driving the cycle owns them
+// for its duration) for Hierarchy.Stats and the contention plane.
 //
 //hcsgc:stw-only
 func (c *Collector) endPauseAccounting(base uint64) uint64 {
 	var cur uint64
 	if c.pauseCore != nil {
 		cur = c.pauseCore.Cycles()
+		c.pauseCore.Publish()
 	}
+	c.pauseCtx.foldForwardOps()
 	return cur + c.pauseExtra - base
 }
 

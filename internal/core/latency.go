@@ -17,6 +17,13 @@ import (
 // accrues while they are stopped, so the two sum to a clock that advances
 // through both regimes; the CAS-max keeps it monotone across concurrent
 // readers.
+//
+// The clock reads what mutators have published (Mutator.Publish), never
+// their private ledgers. Every mutator publishes before it parks, blocks or
+// stalls, so the clock is exact whenever the world is stopped — pause
+// starts and ends — and exact in the caller's own term when a stalling
+// mutator samples it; a mutator running concurrently with the reader is
+// seen up to publishEvery cycles plus one safepoint-poll interval late.
 
 // virtualNow returns the current virtual time. Zero when neither a
 // latency tracker nor a signal plane is attached (callers guard
@@ -36,7 +43,7 @@ func (c *Collector) VirtualCycles() uint64 {
 	var maxMut uint64
 	c.mutMu.Lock()
 	for m := range c.muts {
-		if v := m.Cycles(); v > maxMut {
+		if v := m.PublishedCycles(); v > maxMut {
 			maxMut = v
 		}
 	}

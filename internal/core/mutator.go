@@ -46,11 +46,14 @@ type Mutator struct {
 	probe *locality.Probe
 
 	// extra accumulates non-memory cycle costs (barrier checks, hotmap
-	// CASes, allocation bookkeeping). Atomic: the runtime ledger reads it
-	// while the mutator runs.
-	extra atomic.Uint64
-	// work accumulates application compute cycles reported via Work.
-	work atomic.Uint64
+	// CASes, allocation bookkeeping); work accumulates application compute
+	// cycles reported via Work. Like the core's ledger they are plain and
+	// the owner's alone: the hot paths execute no locked instruction for
+	// bookkeeping. Everyone else reads published (see Publish).
+	extra uint64
+	work  uint64
+	// published is Cycles() as of the last Publish.
+	published atomic.Uint64
 	// stallVirtual accumulates the virtual-cycle duration of this
 	// mutator's allocation stalls, net of STW pause cost (which
 	// VirtualCycles adds separately). While a mutator stalls its own
@@ -107,6 +110,7 @@ func (m *Mutator) Close() {
 	}
 	m.closed = true
 	m.flushMarkBuf()
+	m.Publish()
 	m.c.mutMu.Lock()
 	delete(m.c.muts, m)
 	m.c.allocBytesClosed += m.allocBytes.Load()
@@ -137,8 +141,45 @@ func (m *Mutator) Safepoint() {
 	if len(m.markBuf) > 0 && m.c.CurrentPhase() == PhaseMark {
 		m.flushMarkBuf()
 	}
-	m.c.sp.poll(m.tok)
+	// Publish before parking, so that the ledger the collector reads under
+	// stop-the-world is exact; otherwise only once enough has accumulated
+	// (a publish is a handful of atomic stores: on every poll it would
+	// cost an allocation-heavy mutator more than the plain ledger saves).
+	if m.c.sp.requested.Load() {
+		m.Publish()
+		m.c.sp.park(m.tok)
+	} else if m.Cycles()-m.published.Load() >= publishEvery {
+		m.Publish()
+	}
 }
+
+// publishEvery is how many cycles (about a thousand L1 hits) a running
+// mutator lets accumulate on its ledger before a safepoint poll publishes
+// it: the bound, plus one poll interval, on how far a concurrent reader of
+// the published view lags the owner.
+const publishEvery = 4096
+
+// Publish makes the mutator's exact ledger — its core's counters, its
+// cycle total, the forwarding inserts it tallied — visible to other
+// goroutines: Collector.VirtualCycles, the runtime ledger (ExecSeconds),
+// Hierarchy.Stats and the contention plane read only what was published.
+// Owner goroutine only. The runtime publishes wherever others are entitled
+// to an exact answer — before parking at a safepoint and before any blocked
+// section or allocation stall (so under stop-the-world every mutator's
+// published view is exact), and in Close — and every publishEvery cycles
+// in between. Harness code that reads runtime-wide numbers from a mutator's
+// own goroutine mid-run calls it first.
+func (m *Mutator) Publish() {
+	if m.core != nil {
+		m.core.Publish()
+	}
+	m.ctx.foldForwardOps()
+	m.published.Store(m.Cycles())
+}
+
+// PublishedCycles returns Cycles() as of the last Publish; safe from any
+// goroutine.
+func (m *Mutator) PublishedCycles() uint64 { return m.published.Load() }
 
 func (m *Mutator) flushMarkBuf() {
 	if len(m.markBuf) > 0 {
@@ -153,6 +194,7 @@ func (m *Mutator) flushMarkBuf() {
 // other safepoint.
 func (m *Mutator) RequestGC() {
 	m.flushMarkBuf()
+	m.Publish()
 	m.c.sp.beginBlocked(m.tok)
 	m.c.Collect("requested")
 	m.c.sp.endBlocked(m.tok)
@@ -170,22 +212,24 @@ func (m *Mutator) RequestGC() {
 // neither polls nor blocks deadlocks the next stop-the-world.
 func (m *Mutator) Blocked(fn func()) {
 	m.flushMarkBuf()
+	m.Publish()
 	m.c.sp.beginBlocked(m.tok)
 	fn()
 	m.c.sp.endBlocked(m.tok)
 }
 
 // Work charges n cycles of application compute to this mutator's ledger.
-func (m *Mutator) Work(n uint64) { m.work.Add(n) }
+func (m *Mutator) Work(n uint64) { m.work += n }
 
 // Cycles returns the mutator's accumulated cost: simulated memory access
-// cycles plus bookkeeping plus reported compute.
+// cycles plus bookkeeping plus reported compute. Owner view: exact, and
+// for the owning goroutine only; others read PublishedCycles.
 func (m *Mutator) Cycles() uint64 {
 	var mem uint64
 	if m.core != nil {
 		mem = m.core.Cycles()
 	}
-	return mem + m.extra.Load() + m.ctx.extra.Load() + m.work.Load()
+	return mem + m.extra + m.ctx.extra + m.work
 }
 
 // VirtualCycles returns this mutator's position on the virtual timeline:
@@ -196,7 +240,7 @@ func (m *Mutator) Cycles() uint64 {
 // latency against this clock, so GC pauses and allocation stalls are
 // charged to in-flight requests instead of vanishing. The pause and
 // stall components are only maintained while a latency tracker is
-// attached; without one this degrades to Cycles().
+// attached; without one this degrades to Cycles(). Owner view, like Cycles.
 func (m *Mutator) VirtualCycles() uint64 {
 	return m.Cycles() + m.c.pauseTotal.Load() + m.stallVirtual.Load()
 }
@@ -366,7 +410,7 @@ func (m *Mutator) allocWords(sizeWords int, typeID uint16) (heap.Ref, error) {
 //
 //hcsgc:alloc-free
 func (m *Mutator) noteAlloc(size uint64) {
-	m.extra.Add(m.c.cfg.Costs.Alloc)
+	m.extra += m.c.cfg.Costs.Alloc
 	if m.c.sig != nil {
 		m.allocBytes.Add(size)
 	}
@@ -444,6 +488,9 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 		m.c.stallCount.Add(1)
 		m.c.tm.allocStalls.Inc()
 		prev := m.c.cycles.Load()
+		// Published before the clock is sampled: the stall starts at this
+		// mutator's own latest access, not at its last safepoint poll.
+		m.Publish()
 		var stallStart, pauseBefore uint64
 		if m.c.lat != nil {
 			stallStart = m.c.virtualNow()
@@ -504,7 +551,7 @@ func (m *Mutator) SetRoot(i int, ref heap.Ref) { m.roots[i] = ref }
 // traffic is charged — only the barrier check.
 func (m *Mutator) LoadRoot(i int) heap.Ref {
 	raw := m.roots[i]
-	m.extra.Add(m.c.cfg.Costs.BarrierFast)
+	m.extra += m.c.cfg.Costs.BarrierFast
 	if raw.IsNull() || raw.Color() == m.c.Good() {
 		return raw
 	}
@@ -523,7 +570,7 @@ func (m *Mutator) LoadRef(obj heap.Ref, i int) heap.Ref {
 	slot := objmodel.FieldAddr(obj.Addr(), i)
 	m.probe.Access(slot)
 	raw := heap.Ref(m.c.heap.LoadWord(m.core, slot))
-	m.extra.Add(m.c.cfg.Costs.BarrierFast)
+	m.extra += m.c.cfg.Costs.BarrierFast
 	if raw.IsNull() || raw.Color() == m.c.Good() {
 		return raw
 	}
@@ -581,7 +628,7 @@ func (m *Mutator) ArrayLen(obj heap.Ref) int {
 func (m *Mutator) barrierSlow(raw heap.Ref) heap.Ref {
 	c := m.c
 	c.inj.At(faultinject.BarrierSlow, raw.Addr())
-	m.extra.Add(c.cfg.Costs.BarrierSlow)
+	m.extra += c.cfg.Costs.BarrierSlow
 	c.tm.barrierSlow.Inc()
 	// Latency attribution: exact per-path hit counters, plus a sampled
 	// latency measured as this mutator's cycle-ledger delta across the
@@ -609,7 +656,7 @@ func (m *Mutator) barrierSlow(raw heap.Ref) heap.Ref {
 			p = c.heap.PageOf(addr)
 		}
 		pushed, cost := c.markObject(m.core, addr, true)
-		m.extra.Add(cost)
+		m.extra += cost
 		if cost > 0 {
 			// markObject charges only for a won hotness CAS (§3.1.2).
 			lt.BarrierHit(latency.PathHotmapRecord)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/heap"
@@ -34,12 +33,26 @@ type relocCtx struct {
 	coldPage *heap.Page
 	// mutator is set for mutator contexts (TLAB destination).
 	mutator *Mutator
+	// The owner's plain tallies; the owner (mutator, GC worker, pause)
+	// hands them on where it publishes its other ledgers.
+	//
 	// extra accumulates non-memory cycle costs charged to this context.
-	// Atomic: aggregate statistics snapshot it while the owner works.
-	extra atomic.Uint64
+	extra uint64
 	// relocated counts forwarding races this context won, for the
 	// contention plane's worker-balance accounting.
-	relocated atomic.Uint64
+	relocated uint64
+	// fwdOps counts forwarding-table inserts this context completed, won or
+	// lost, since it last folded them into the heap.forwardTable site.
+	fwdOps uint64
+}
+
+// foldForwardOps credits the context's tallied forwarding inserts to the
+// contention plane's site. Owner only.
+func (ctx *relocCtx) foldForwardOps() {
+	if ctx.fwdOps != 0 {
+		ctx.c.heap.CountForwardOps(ctx.fwdOps)
+		ctx.fwdOps = 0
+	}
 }
 
 // relocTargetSmall returns a destination address for a small object of the
@@ -116,12 +129,13 @@ func (c *Collector) relocateObject(ctx *relocCtx, addr uint64, p *heap.Page) uin
 	// point widens it under chaos and lets tests force a loss via a hook.
 	c.inj.At(faultinject.RelocInsert, addr)
 	final, won := fwd.Insert(off, dst)
-	ctx.extra.Add(c.cfg.Costs.RelocSetup)
+	ctx.fwdOps++
+	ctx.extra += c.cfg.Costs.RelocSetup
 	if !won {
 		ctx.undoTarget(dst, size)
 		return final
 	}
-	ctx.relocated.Add(1)
+	ctx.relocated++
 	who := telemetry.RelocByGC
 	if ctx.byMutator {
 		c.stats.addMutatorReloc(size)
@@ -210,6 +224,7 @@ func (w *gcWorker) drainLoop(cs *CycleStats) {
 	tid := uint32(2 + w.id)
 	c.tm.rec.BeginSpan(telemetry.SpanRelocate, tid)
 	defer c.tm.rec.EndSpan(telemetry.SpanRelocate, tid)
+	defer w.publish()
 	if c.lat != nil {
 		vStart := c.virtualNow()
 		defer func() {

@@ -109,9 +109,16 @@ func (s *safepoints) unregister(tok *spToken) {
 // poll parks the caller if a stop-the-world is requested or active. This
 // is the safepoint check; the fast path is a single atomic load.
 func (s *safepoints) poll(tok *spToken) {
-	if !s.requested.Load() {
-		return
+	if s.requested.Load() {
+		s.park(tok)
 	}
+}
+
+// park is poll's slow path: it counts the caller as stopped until no pause
+// is requested or active. Mutators that have something to do before they
+// park (publish their ledgers) test requested themselves and call park, so
+// that one load decides both.
+func (s *safepoints) park(tok *spToken) {
 	s.mu.Lock()
 	for s.requested.Load() || s.stwActive {
 		s.stopped++

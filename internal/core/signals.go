@@ -117,17 +117,17 @@ func (c *Collector) recordSignals(cs *CycleStats, flight latency.CycleRecord) {
 }
 
 // workerTotals snapshots every GC worker's cumulative balance counters
-// for the contention plane.
+// for the contention plane, as of the phases the workers have finished.
 func (c *Collector) workerTotals() []contention.WorkerTotals {
 	totals := make([]contention.WorkerTotals, len(c.workers))
 	for i, w := range c.workers {
 		totals[i] = contention.WorkerTotals{
-			Scanned:   w.scanned.Load(),
-			Relocated: w.ctx.relocated.Load(),
-			Steals:    w.steals.Load(),
+			Scanned:   w.pub.scanned.Load(),
+			Relocated: w.pub.relocated.Load(),
+			Steals:    w.pub.steals.Load(),
 		}
 		if w.core != nil {
-			totals[i].BusyCycles = w.core.Cycles()
+			totals[i].BusyCycles = w.core.PublishedCycles()
 		}
 	}
 	return totals

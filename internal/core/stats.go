@@ -87,10 +87,7 @@ func (c *Collector) Stats() Stats {
 	}
 	var gcCycles uint64
 	for _, w := range c.workers {
-		if w.core != nil {
-			gcCycles += w.core.Cycles()
-		}
-		gcCycles += w.ctx.extra.Load()
+		gcCycles += w.publishedCycles()
 	}
 	return Stats{
 		Cycles:              cycles,

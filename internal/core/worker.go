@@ -21,10 +21,41 @@ type gcWorker struct {
 	// local is the thread-local gray stack.
 	local []uint64
 	// scanned/steals are cumulative balance counters for the contention
-	// plane (relocations are counted on ctx). Atomic: the plane snapshots
-	// them at cycle boundaries while lazy-mode drains may still run.
-	scanned atomic.Uint64
-	steals  atomic.Uint64
+	// plane (relocations are counted on ctx). Plain, like the cycle ledgers
+	// (core, ctx.extra): only the goroutine running the worker's current
+	// phase touches them.
+	scanned uint64
+	steals  uint64
+	// pub is what the worker last published, at the end of a mark or drain
+	// phase — all the collector's statistics and the contention plane ever
+	// read, so a drain still running at a cycle boundary is not raced, just
+	// not yet counted.
+	pub struct {
+		extra, scanned, steals, relocated atomic.Uint64
+	}
+}
+
+// publish makes the worker's ledgers as of now visible to other goroutines.
+// Owner only; runs as a phase ends.
+func (w *gcWorker) publish() {
+	if w.core != nil {
+		w.core.Publish()
+	}
+	w.ctx.foldForwardOps()
+	w.pub.extra.Store(w.ctx.extra)
+	w.pub.scanned.Store(w.scanned)
+	w.pub.steals.Store(w.steals)
+	w.pub.relocated.Store(w.ctx.relocated)
+}
+
+// publishedCycles is the worker's busy time as of its last publish: memory
+// cycles plus bookkeeping.
+func (w *gcWorker) publishedCycles() uint64 {
+	cyc := w.pub.extra.Load()
+	if w.core != nil {
+		cyc += w.core.PublishedCycles()
+	}
+	return cyc
 }
 
 // spillThreshold bounds the local gray stack before spilling half to the
@@ -45,12 +76,13 @@ func newGCWorker(c *Collector, id int) *gcWorker {
 
 // markLoop drains gray objects until the collector terminates marking.
 func (w *gcWorker) markLoop() {
+	defer w.publish()
 	for {
 		chunk := w.c.pool.get()
 		if chunk == nil {
 			return
 		}
-		w.steals.Add(1)
+		w.steals++
 		w.local = append(w.local, chunk...)
 		for len(w.local) > 0 {
 			addr := w.local[len(w.local)-1]
@@ -73,7 +105,7 @@ func (w *gcWorker) markLoop() {
 //
 //hcsgc:gc-thread
 func (w *gcWorker) scanObject(addr uint64) {
-	w.scanned.Add(1)
+	w.scanned++
 	c := w.c
 	header := c.heap.LoadWord(w.core, addr)
 	sizeWords, typeID := objmodel.DecodeHeader(header)
@@ -86,7 +118,7 @@ func (w *gcWorker) scanObject(addr uint64) {
 		}
 		newAddr, wasR := c.remapStale(w.core, raw)
 		pushed, cost := c.markObject(w.core, newAddr, wasR)
-		w.ctx.extra.Add(cost)
+		w.ctx.extra += cost
 		if pushed {
 			w.local = append(w.local, newAddr)
 		}

@@ -13,13 +13,21 @@ import (
 // §2.2 (RE) of the paper: whoever wins the CAS has relocated the object,
 // losers discard their copy and adopt the winner's address.
 type ForwardTable struct {
-	keys []atomic.Uint64 // offset+1; 0 = empty
-	vals []atomic.Uint64 // new address; 0 = claim in progress
-	mask uint64
-	used atomic.Int64
-	// cas attributes slot-claim races to the contention plane (nil when
-	// opted out).
+	// slots keeps each key beside its value, so a probe that finds its
+	// slot has the answer on the host cache line it just fetched.
+	slots []fwdSlot
+	mask  uint64
+	// cas attributes lost slot-claim races to the contention plane (nil
+	// when opted out). Completed inserts are counted by the callers, who
+	// tally them privately and fold them in (Heap.CountForwardOps): one
+	// shared counter bumped per relocated object is a line every
+	// relocating thread fights over.
 	cas *contention.OpSite
+}
+
+type fwdSlot struct {
+	key atomic.Uint64 // offset+1; 0 = empty
+	val atomic.Uint64 // new address; 0 = claim in progress
 }
 
 // NewForwardTable builds a table with capacity for at least n entries.
@@ -31,9 +39,8 @@ func NewForwardTable(n int) *ForwardTable {
 		capacity *= 2
 	}
 	return &ForwardTable{
-		keys: make([]atomic.Uint64, capacity),
-		vals: make([]atomic.Uint64, capacity),
-		mask: uint64(capacity - 1),
+		slots: make([]fwdSlot, capacity),
+		mask:  uint64(capacity - 1),
 	}
 }
 
@@ -47,21 +54,21 @@ func hashOffset(off uint64) uint64 {
 // Insert records that the object at word offset off now lives at newAddr.
 // It returns the address that ends up in the table and whether this caller
 // won the race (won=false means another thread already inserted; the
-// returned address is theirs and the caller must discard its copy).
+// returned address is theirs and the caller must discard its copy). Won or
+// lost, it is one completed operation of the heap.forwardTable site, which
+// the caller accounts for.
 func (t *ForwardTable) Insert(off uint64, newAddr uint64) (addr uint64, won bool) {
 	key := off + 1
 	i := hashOffset(off) & t.mask
 	for {
-		k := t.keys[i].Load()
+		sl := &t.slots[i]
+		k := sl.key.Load()
 		if k == key {
-			t.cas.Op()
-			return t.waitVal(i), false
+			return sl.waitVal(), false
 		}
 		if k == 0 {
-			if t.keys[i].CompareAndSwap(0, key) {
-				t.vals[i].Store(newAddr)
-				t.used.Add(1)
-				t.cas.Op()
+			if sl.key.CompareAndSwap(0, key) {
+				sl.val.Store(newAddr)
 				return newAddr, true
 			}
 			t.cas.Retry()
@@ -79,23 +86,24 @@ func (t *ForwardTable) Lookup(off uint64) uint64 {
 	key := off + 1
 	i := hashOffset(off) & t.mask
 	for {
-		k := t.keys[i].Load()
+		sl := &t.slots[i]
+		k := sl.key.Load()
 		if k == 0 {
 			return 0
 		}
 		if k == key {
-			return t.waitVal(i)
+			return sl.waitVal()
 		}
 		i = (i + 1) & t.mask
 	}
 }
 
-// waitVal spins until the claimant of slot i has published its value.
-// The publish follows the claim immediately, so the spin is bounded by one
+// waitVal spins until the slot's claimant has published its value. The
+// publish follows the claim immediately, so the spin is bounded by one
 // goroutine preemption in practice.
-func (t *ForwardTable) waitVal(i uint64) uint64 {
+func (sl *fwdSlot) waitVal() uint64 {
 	for {
-		if v := t.vals[i].Load(); v != 0 {
+		if v := sl.val.Load(); v != 0 {
 			return v
 		}
 	}
@@ -107,17 +115,21 @@ func (t *ForwardTable) waitVal(i uint64) uint64 {
 // the verifier walks tables — no claim can be in flight, so a zero there is
 // itself an anomaly worth reporting.
 func (t *ForwardTable) ForEach(fn func(off, addr uint64)) {
-	for i := range t.keys {
-		k := t.keys[i].Load()
+	for i := range t.slots {
+		k := t.slots[i].key.Load()
 		if k == 0 {
 			continue
 		}
-		fn(k-1, t.vals[i].Load())
+		fn(k-1, t.slots[i].val.Load())
 	}
 }
 
-// Len returns the number of inserted entries.
-func (t *ForwardTable) Len() int { return int(t.used.Load()) }
+// Len counts the inserted entries by scanning the table.
+func (t *ForwardTable) Len() int {
+	n := 0
+	t.ForEach(func(_, _ uint64) { n++ })
+	return n
+}
 
 // Cap returns the table's slot capacity.
-func (t *ForwardTable) Cap() int { return len(t.keys) }
+func (t *ForwardTable) Cap() int { return len(t.slots) }

@@ -115,6 +115,8 @@ func New(cfg Config, mem *simmem.Hierarchy) *Heap {
 	h.mu.Instrument(cfg.Contention.NewSite("heap.mu"))
 	h.casAlloc = cfg.Contention.NewOpSite("heap.pageBump")
 	h.casFwd = cfg.Contention.NewOpSite("heap.forwardTable")
+	// The pools recycle page backings. Everything in them is zero: New
+	// makes it so and DropPage scrubs what it puts back.
 	for _, cl := range []Class{ClassTiny, ClassSmall, ClassMedium} {
 		size := pageSizeOf(cl)
 		h.pools[cl] = &sync.Pool{New: func() any { return make([]uint64, size/WordSize) }}
@@ -156,9 +158,6 @@ func (h *Heap) AllocPage(class Class) (*Page, error) {
 	}
 	size := pageSizeOf(class)
 	backing := h.pools[class].Get().([]uint64)
-	for i := range backing {
-		backing[i] = 0
-	}
 	p, err := h.installPage(size, class, backing)
 	if err != nil {
 		h.pools[class].Put(backing)
@@ -176,9 +175,6 @@ func (h *Heap) AllocPageForced(class Class) (*Page, error) {
 	}
 	size := pageSizeOf(class)
 	backing := h.pools[class].Get().([]uint64)
-	for i := range backing {
-		backing[i] = 0
-	}
 	p, err := h.installPageForced(size, class, backing)
 	if err != nil {
 		h.pools[class].Put(backing)
@@ -249,13 +245,26 @@ func (h *Heap) FreePage(p *Page) {
 // pool) and its forwarding table. Only call when no stale pointers into
 // the page can remain, i.e. at the end of the mark following its
 // evacuation.
+//
+// The pools hold zeroed backings only (allocation writes just the object
+// header and relies on the rest reading as null), so the page is scrubbed
+// here, on its way in, and only as far as the bump pointer ever got:
+// nothing writes above top, and UndoAlloc zeroes what it gives back. A
+// backing fresh from the pool's New is already zero and costs nothing.
 func (h *Heap) DropPage(p *Page) {
 	words := p.words
+	used := p.UsedBytes() / WordSize
 	p.DropForwarding()
 	if words != nil && p.class != ClassLarge {
+		clear(words[:used])
 		h.pools[p.class].Put(words)
 	}
 }
+
+// CountForwardOps credits n completed ForwardTable.Insert calls to the
+// heap.forwardTable attribution site. Relocators tally their inserts
+// privately and fold them in where they publish their other ledgers.
+func (h *Heap) CountForwardOps(n uint64) { h.casFwd.Add(n) }
 
 // PageOf returns the page containing addr, or nil for addresses outside
 // any allocated page. Barrier fast path: alloc-free.

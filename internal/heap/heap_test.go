@@ -281,6 +281,60 @@ func TestBackingPoolReuse(t *testing.T) {
 	}
 }
 
+// TestRecycledBackingIsZero: pages are scrubbed when they are dropped, not
+// when they are allocated, and only up to the bump pointer. So a backing
+// must be all zero once DropPage has put it in the pool — after plain
+// allocation, after an UndoAlloc that gave the top of the extent back, and
+// after one that failed and left a discarded copy below top — and every page
+// allocated afterwards, from the pool or fresh, must read zero everywhere.
+func TestRecycledBackingIsZero(t *testing.T) {
+	for _, class := range []Class{ClassSmall, ClassMedium} {
+		h := New(Config{MaxBytes: 1 << 30}, nil)
+		p, err := h.AllocPage(class)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dirty := func(addr, size uint64) {
+			for a := addr; a < addr+size; a += WordSize {
+				h.StoreWord(nil, a, ^uint64(0))
+			}
+		}
+		first := p.AllocRaw(4096)
+		dirty(first, 4096)
+		stranded := p.AllocRaw(256) // a loser copy whose undo fails
+		dirty(stranded, 256)
+		far := p.AllocRaw(p.FreeBytes() / 2)
+		dirty(far, 64)
+		if p.UndoAlloc(stranded, 256) {
+			t.Fatal("UndoAlloc of a non-top allocation succeeded")
+		}
+		undone := p.AllocRaw(512) // a loser copy whose undo succeeds
+		dirty(undone, 512)
+		if !p.UndoAlloc(undone, 512) {
+			t.Fatal("UndoAlloc of the top allocation failed")
+		}
+		backing := p.words
+		h.FreePage(p)
+		h.DropPage(p)
+		for i, w := range backing {
+			if w != 0 {
+				t.Fatalf("%v page: word %d of the dropped backing = %#x, want 0", class, i, w)
+			}
+		}
+		for _, alloc := range []func(Class) (*Page, error){h.AllocPage, h.AllocPageForced} {
+			q, err := alloc(class)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range q.words {
+				if w != 0 {
+					t.Fatalf("%v page: word %d of a page allocated after the drop = %#x, want 0", class, i, w)
+				}
+			}
+		}
+	}
+}
+
 func TestConcurrentPageAllocation(t *testing.T) {
 	h := New(Config{MaxBytes: 1 << 30}, nil)
 	const goroutines = 8

@@ -61,7 +61,14 @@ func (c Class) String() string {
 // Page is one region of the simulated heap. Object data lives in words;
 // the page's simulated address range is [Start, Start+Size). Metadata
 // (livemap, hotmap, forwarding) mirrors ZGC's per-page structures.
+//
+// Fields are grouped by who writes them, each group on host cache lines of
+// its own (TestHotStructLayout pins it): every LoadWord reads start and
+// words, and must not take a miss because an allocator moved top or a GC
+// worker counted a live object.
 type Page struct {
+	// Written once by newPage (DropForwarding clears the slices when the
+	// page dies).
 	start uint64
 	size  uint64
 	class Class
@@ -70,29 +77,9 @@ type Page struct {
 	// ("allocated prior to STW1", §2.2).
 	Seq uint64
 
-	words []uint64
-	// top is the bump pointer: the next free simulated address.
-	top atomic.Uint64
-
+	words   []uint64
 	livemap *Bitmap
 	hotmap  *Bitmap
-	// liveBytes/hotBytes/liveObjects are accumulated during marking.
-	liveBytes   atomic.Uint64
-	hotBytes    atomic.Uint64
-	liveObjects atomic.Int64
-
-	// fwd is installed when the page is selected for evacuation.
-	fwd atomic.Pointer[ForwardTable]
-	// inEC marks the page as an evacuation candidate for the current
-	// relocation era.
-	inEC atomic.Bool
-	// remaining counts live objects not yet relocated; hitting zero allows
-	// the page to be recycled.
-	remaining atomic.Int64
-	// freed marks a recycled page (address space retired, backing kept
-	// until the forwarding registry is dropped at next mark end).
-	freed atomic.Bool
-
 	// inj is the heap's fault-injection plane (nil when disarmed), copied
 	// here so UndoAlloc's race window can be perturbed without a heap
 	// back-pointer.
@@ -102,6 +89,31 @@ type Page struct {
 	// plane is opted out).
 	casAlloc *contention.OpSite
 	casFwd   *contention.OpSite
+	_        [32]byte
+
+	// top is the bump pointer: the next free simulated address. Written by
+	// whoever allocates into the page.
+	top atomic.Uint64
+	_   [56]byte
+
+	// Written by markers and relocators.
+	//
+	// liveBytes/hotBytes/liveObjects are accumulated during marking.
+	liveBytes   atomic.Uint64
+	hotBytes    atomic.Uint64
+	liveObjects atomic.Int64
+	// remaining counts live objects not yet relocated; hitting zero allows
+	// the page to be recycled.
+	remaining atomic.Int64
+	// fwd is installed when the page is selected for evacuation.
+	fwd atomic.Pointer[ForwardTable]
+	// inEC marks the page as an evacuation candidate for the current
+	// relocation era.
+	inEC atomic.Bool
+	// freed marks a recycled page (address space retired, backing kept
+	// until the forwarding registry is dropped at next mark end).
+	freed atomic.Bool
+	_     [16]byte
 }
 
 // newPage wires a page over a fresh address range with a backing slice.

@@ -7,10 +7,7 @@
 // by the collector directly determine hit rates here.
 package simmem
 
-import (
-	"fmt"
-	"sync/atomic"
-)
+import "fmt"
 
 // LineSize is the cache line size in bytes. The paper assumes the common
 // 64-byte line (§3.4).
@@ -33,13 +30,13 @@ type Cache struct {
 	// last way, and a set is ways*8 contiguous bytes (one or two host
 	// cache lines for the default geometries).
 	tags []uint64
-	// Counters are atomic so aggregate statistics can be snapshotted
-	// while the owning goroutine keeps simulating. Only the standalone
-	// entry points (Access, Prefetch) count; a Core keeps its own ledger
-	// for its private levels.
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	prefills atomic.Uint64 // lines installed by prefetch rather than demand
+	// Counters are plain, like the rest of the cache: whoever owns it reads
+	// them. Only the standalone entry points (Access, Prefetch) count; a
+	// Core keeps its own demand ledger for its private levels and publishes
+	// their prefills, and the hierarchy derives the shared LLC's.
+	hits     uint64
+	misses   uint64
+	prefills uint64 // lines installed by prefetch rather than demand
 }
 
 // CacheConfig describes a cache level.
@@ -95,21 +92,21 @@ func (c *Cache) setOf(ln uint64) uint64 { return (ln - 1) & c.setMask }
 func (c *Cache) Access(addr uint64) bool {
 	hit := c.touch(line(addr))
 	if hit {
-		c.hits.Add(1)
+		c.hits++
 	} else {
-		c.misses.Add(1)
+		c.misses++
 	}
 	return hit
 }
 
 // Hits returns the demand hit count.
-func (c *Cache) Hits() uint64 { return c.hits.Load() }
+func (c *Cache) Hits() uint64 { return c.hits }
 
 // Misses returns the demand miss count.
-func (c *Cache) Misses() uint64 { return c.misses.Load() }
+func (c *Cache) Misses() uint64 { return c.misses }
 
 // Prefills returns the count of lines installed by prefetching.
-func (c *Cache) Prefills() uint64 { return c.prefills.Load() }
+func (c *Cache) Prefills() uint64 { return c.prefills }
 
 // Contains reports whether addr's line is present without altering LRU
 // state or statistics.
@@ -131,7 +128,7 @@ func (c *Cache) Contains(addr uint64) bool {
 func (c *Cache) Prefetch(addr uint64) bool {
 	installed := !c.touch(line(addr))
 	if installed {
-		c.prefills.Add(1)
+		c.prefills++
 	}
 	return installed
 }
@@ -164,9 +161,7 @@ func (c *Cache) Reset() {
 	for i := range c.tags {
 		c.tags[i] = 0
 	}
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.prefills.Store(0)
+	c.hits, c.misses, c.prefills = 0, 0, 0
 }
 
 // Name returns the configured display name.

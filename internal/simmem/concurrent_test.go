@@ -8,11 +8,16 @@ import (
 )
 
 // TestConcurrentSnapshotConservation hammers a Hierarchy from several
-// goroutines (each with its own Core, as the runtime does) while another
-// goroutine continuously reads per-core and system snapshots. Run under
-// -race. Cycles is derived from the miss ledger rather than counted, so
-// the reader also holds it to never decreasing, per core and system-wide.
-// At quiescence the counters must conserve:
+// goroutines (each with its own Core, as the runtime does, publishing its
+// ledger every so often) while another goroutine continuously reads the
+// published per-core and system views. Run under -race: the reader touches
+// nothing but the mirror, so a foreign read of an owner's plain ledger
+// fails the build here. Cycles is derived from the miss ledger rather than
+// counted, so the reader also holds it to never decreasing, per core and
+// system-wide, and each level's misses to never exceeding the accesses
+// that reached it even when a snapshot races a Publish. Once every owner
+// has published and stopped, the published view must equal the owners'
+// own, and the counters must conserve:
 //
 //	loads + stores           == lines demanded
 //	LLCHits + LLCMisses      == Σ per-core L2Misses (every demand L2 miss
@@ -55,9 +60,14 @@ func TestConcurrentSnapshotConservation(t *testing.T) {
 				t.Errorf("snapshot went backwards: %+v then %+v", prev, s)
 				return
 			}
+			if s.L1Misses > s.Loads+s.Stores || s.L2Misses > s.L1Misses || s.LLCMisses > s.L2Misses ||
+				s.LLCHits+s.LLCMisses != s.L2Misses {
+				t.Errorf("snapshot racing a publish is torn: %+v", s)
+				return
+			}
 			prev = s
 			for g, core := range cores {
-				cyc := core.Cycles()
+				cyc := core.PublishedCycles()
 				if cyc < prevCycles[g] {
 					t.Errorf("core %d Cycles went backwards: %d then %d", g, prevCycles[g], cyc)
 					return
@@ -73,6 +83,7 @@ func TestConcurrentSnapshotConservation(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			core := cores[g]
+			defer core.Publish()
 			rng := rand.New(rand.NewSource(int64(g + 1)))
 			base := uint64(g+1) << 28
 			for i := 0; i < perG; i++ {
@@ -93,6 +104,7 @@ func TestConcurrentSnapshotConservation(t *testing.T) {
 				}
 				if i%1000 == 0 {
 					core.Stats() // self-snapshot mid-run
+					core.Publish()
 				}
 			}
 		}(g)
@@ -116,12 +128,15 @@ func TestConcurrentSnapshotConservation(t *testing.T) {
 	if s.Cycles != wantCycles {
 		t.Errorf("cycle ledger: Cycles = %d, want Σ level hits × latency = %d (%+v)", s.Cycles, wantCycles, s)
 	}
-	var perCore uint64
+	var owners CoreStats
 	for _, core := range cores {
-		perCore += core.Cycles()
+		owners.Add(core.Stats())
+		if pub, own := core.PublishedCycles(), core.Cycles(); pub != own {
+			t.Errorf("published Cycles %d != owner's %d after its final Publish", pub, own)
+		}
 	}
-	if perCore != s.Cycles {
-		t.Errorf("Σ Core.Cycles() = %d, Hierarchy.Stats().Cycles = %d", perCore, s.Cycles)
+	if owners != s.CoreStats {
+		t.Errorf("Σ Core.Stats() = %+v, Hierarchy.Stats() = %+v", owners, s.CoreStats)
 	}
 	if s.L1Misses < s.L2Misses {
 		t.Errorf("L2 saw more demand (%d) than L1 missed (%d)", s.L2Misses, s.L1Misses)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync/atomic"
+	"unsafe"
 
 	"hcsgc/internal/contention"
 )
@@ -74,34 +75,66 @@ func ServerConfig() HierarchyConfig {
 // Core is the private part of the hierarchy belonging to one hardware
 // thread: L1, L2 and the stream prefetcher. Each mutator or GC worker owns
 // one Core. Core methods are not safe for concurrent use by multiple
-// goroutines; each goroutine must own its Core exclusively.
+// goroutines; each goroutine must own its Core exclusively. The exception
+// is the published mirror, which is all another goroutine ever reads (see
+// Publish).
+//
+// The struct is laid out by writer, one 64-byte host line each, so that a
+// neighbouring Core's counters never share a line with the pointers this
+// one reads on every access (TestHotStructLayout pins it).
 type Core struct {
+	// Read-mostly header, written by NewCore only.
 	l1  *Cache
 	l2  *Cache
 	pf  *Prefetcher
 	sys *Hierarchy
 	lat Latencies
-	// The ledger: line accesses and the misses of each level they went on
-	// to. Everything else is derived from it — a level's hits are its
-	// accesses minus its misses, and since a line access costs exactly the
-	// latency of the level that served it, so is Cycles. An L1 hit
-	// therefore pays one atomic add. Counters are atomic so that
-	// Hierarchy.Stats can snapshot them while the owning goroutine keeps
-	// simulating.
-	loads   atomic.Uint64
-	stores  atomic.Uint64
-	l1miss  atomic.Uint64
-	l2miss  atomic.Uint64
-	llcmiss atomic.Uint64 // this core's share of the shared LLC's misses
+
+	// The owner's ledger: plain counters only the owning goroutine touches,
+	// so a simulated access executes no locked instruction for bookkeeping.
+	led ledger
+	_   [64 - unsafe.Sizeof(ledger{})]byte
+
+	// The published mirror: what the owner last made visible. Written by
+	// Publish and Reset, read by Hierarchy.Stats and PublishedCycles.
+	pub struct {
+		loads, stores, l1miss, l2miss, llcmiss atomic.Uint64
+		pfIssued, l1Prefills, l2Prefills       atomic.Uint64
+	}
 }
 
-// llcStripe is one independently locked shard of the shared LLC. Padding
-// keeps neighbouring stripe locks off the same cache line (of the real
-// machine, not the simulated one).
+// ledger counts line accesses and the misses of each level they went on
+// to. Everything else is derived from it — a level's hits are its accesses
+// minus its misses, and since a line access costs exactly the latency of
+// the level that served it, so is the cycle total.
+type ledger struct {
+	loads   uint64
+	stores  uint64
+	l1miss  uint64
+	l2miss  uint64
+	llcmiss uint64 // this core's share of the shared LLC's misses
+}
+
+// cycles is the accumulated memory-access cost: every line access at L1
+// cost, plus each level's miss penalty times its misses. With latencies
+// that do not fall from one level to the next every term is a monotone
+// counter times a non-negative step, so a sequence of published ledgers
+// never shows cycles going backwards.
+func (l ledger) cycles(lat Latencies) uint64 {
+	return (l.loads+l.stores)*lat.L1 +
+		l.l1miss*(lat.L2-lat.L1) +
+		l.l2miss*(lat.LLC-lat.L2) +
+		l.llcmiss*(lat.Mem-lat.LLC)
+}
+
+// llcStripe is one independently locked shard of the shared LLC, padded to
+// two host lines so that neighbouring stripes' lock words (and the
+// acquisition counts beside them) never share one, adjacent-line prefetch
+// included.
 type llcStripe struct {
 	mu contention.Mutex
 	c  *Cache
-	_  [64]byte
+	_  [128 - unsafe.Sizeof(contention.Mutex{}) - 8]byte
 }
 
 // Hierarchy is the whole memory system: a shared LLC plus per-core private
@@ -208,6 +241,15 @@ func (h *Hierarchy) NewCore() *Core {
 //
 //hcsgc:alloc-free
 func (c *Core) Load(addr uint64, size int) uint64 {
+	// Word accesses (heap.LoadWord and friends) never straddle a line: go
+	// straight to the L1 lookup.
+	if addr&(LineSize-1)+uint64(size) <= LineSize {
+		c.led.loads++
+		if ln := line(addr); !c.l1.touch(ln) {
+			return c.missLine(addr, ln)
+		}
+		return c.lat.L1
+	}
 	return c.access(addr, size, false)
 }
 
@@ -216,9 +258,19 @@ func (c *Core) Load(addr uint64, size int) uint64 {
 //
 //hcsgc:alloc-free
 func (c *Core) Store(addr uint64, size int) uint64 {
+	if addr&(LineSize-1)+uint64(size) <= LineSize {
+		c.led.stores++
+		if ln := line(addr); !c.l1.touch(ln) {
+			return c.missLine(addr, ln)
+		}
+		return c.lat.L1
+	}
 	return c.access(addr, size, true)
 }
 
+// access is the path for ranges that straddle lines (object copies): one
+// single-line access per line of the range. A negative size wraps past the
+// fast path's check and counts, like zero, as one byte.
 func (c *Core) access(addr uint64, size int, store bool) uint64 {
 	if size <= 0 {
 		size = 1
@@ -227,7 +279,11 @@ func (c *Core) access(addr uint64, size int, store bool) uint64 {
 	first := addr &^ uint64(LineSize-1)
 	last := (addr + uint64(size) - 1) &^ uint64(LineSize-1)
 	for a := first; ; a += LineSize {
-		total += c.accessLine(a, store)
+		if store {
+			total += c.Store(a, 1)
+		} else {
+			total += c.Load(a, 1)
+		}
 		if a >= last {
 			break
 		}
@@ -235,44 +291,30 @@ func (c *Core) access(addr uint64, size int, store bool) uint64 {
 	return total
 }
 
-// Loads returns the demand load count.
-func (c *Core) Loads() uint64 { return c.loads.Load() }
+// Loads returns the demand load count. Owner view, like Stats.
+func (c *Core) Loads() uint64 { return c.led.loads }
 
-// Stores returns the demand store count.
-func (c *Core) Stores() uint64 { return c.stores.Load() }
+// Stores returns the demand store count. Owner view, like Stats.
+func (c *Core) Stores() uint64 { return c.led.stores }
 
-// Cycles returns the accumulated memory-access cost in cycles: every line
-// access at L1 cost, plus each level's miss penalty times its misses. With
-// latencies that do not fall from one level to the next every term is a
-// monotone counter times a non-negative step, so concurrent readers never
-// see Cycles go backwards.
-func (c *Core) Cycles() uint64 {
-	return (c.loads.Load()+c.stores.Load())*c.lat.L1 +
-		c.l1miss.Load()*(c.lat.L2-c.lat.L1) +
-		c.l2miss.Load()*(c.lat.LLC-c.lat.L2) +
-		c.llcmiss.Load()*(c.lat.Mem-c.lat.LLC)
-}
+// Cycles returns the accumulated memory-access cost in cycles. Owner view:
+// exact, and only for the owning goroutine (or one the owner has handed
+// the core to with a happens-before edge).
+func (c *Core) Cycles() uint64 { return c.led.cycles(c.lat) }
 
-// accessLine performs the lookup cascade L1 -> L2 -> LLC -> memory for one
-// line and returns the cycle cost.
-func (c *Core) accessLine(addr uint64, store bool) uint64 {
-	if store {
-		c.stores.Add(1)
-	} else {
-		c.loads.Add(1)
-	}
-	ln := line(addr)
-	if c.l1.touch(ln) {
-		return c.lat.L1
-	}
-	c.l1miss.Add(1)
-	// L1 miss: consult the prefetcher on the demand-miss stream. Its
-	// targets fill L2 and the LLC (hardware prefetchers typically fill
-	// L2/LLC, and our L1 refill path then finds them there at L2 cost)
-	// ahead of the demand lookup at each level. The private L2 goes first
-	// so that everything the shared LLC is asked — prefetch fills, then
-	// the demand access — happens in one go: consecutive lines share a
-	// stripe, so one acquisition covers each run of same-stripe work.
+// missLine continues an access whose line missed L1: L2 -> LLC -> memory.
+// It returns the cycle cost of the whole access.
+func (c *Core) missLine(addr, ln uint64) uint64 {
+	c.led.l1miss++
+	// Consult the prefetcher on the demand-miss stream. Its targets fill L2
+	// and the LLC (hardware prefetchers typically fill L2/LLC, and our L1
+	// refill path then finds them there at L2 cost) ahead of the demand
+	// lookup at each level. The private L2 goes first so that everything
+	// the shared LLC is asked — prefetch fills, then the demand access —
+	// happens in one go: consecutive lines share a stripe, so one
+	// acquisition covers each run of same-stripe work. The stripe caches
+	// are only touched; the LLC's demand counters are derived from the
+	// cores' ledgers (see Hierarchy.Stats).
 	targets := c.pf.OnMiss(addr)
 	for _, t := range targets {
 		c.l2.Prefetch(t)
@@ -281,15 +323,15 @@ func (c *Core) accessLine(addr uint64, store bool) uint64 {
 	var held *llcStripe
 	for _, t := range targets {
 		held = c.sys.lockStripe(t, held)
-		held.c.Prefetch(t)
+		held.c.touch(line(t))
 	}
 	cost := c.lat.L2
 	if !l2hit {
-		c.l2miss.Add(1)
+		c.led.l2miss++
 		held = c.sys.lockStripe(addr, held)
 		cost = c.lat.LLC
-		if !held.c.Access(addr) {
-			c.llcmiss.Add(1)
+		if !held.c.touch(ln) {
+			c.led.llcmiss++
 			cost = c.lat.Mem
 		}
 	}
@@ -313,31 +355,70 @@ func (h *Hierarchy) lockStripe(addr uint64, held *llcStripe) *llcStripe {
 	return st
 }
 
-// Stats returns a snapshot of this core's counters. Safe to call from any
-// goroutine; the snapshot is not atomic across counters.
+// Stats returns this core's counters. Owner view: exact, and only for the
+// owning goroutine; other goroutines read Hierarchy.Stats.
 func (c *Core) Stats() CoreStats {
+	return c.led.stats(c.lat, c.pf.issued, c.l1.prefills, c.l2.prefills)
+}
+
+func (l ledger) stats(lat Latencies, pfIssued, l1Prefills, l2Prefills uint64) CoreStats {
 	return CoreStats{
-		Loads:      c.loads.Load(),
-		Stores:     c.stores.Load(),
-		L1Misses:   c.l1miss.Load(),
-		L2Misses:   c.l2miss.Load(),
-		Cycles:     c.Cycles(),
-		PrefIssued: c.pf.Issued(),
-		L1Prefills: c.l1.Prefills(),
-		L2Prefills: c.l2.Prefills(),
+		Loads:      l.loads,
+		Stores:     l.stores,
+		L1Misses:   l.l1miss,
+		L2Misses:   l.l2miss,
+		Cycles:     l.cycles(lat),
+		PrefIssued: pfIssued,
+		L1Prefills: l1Prefills,
+		L2Prefills: l2Prefills,
 	}
 }
 
-// Reset clears the private levels and counters (not the shared LLC).
+// Publish copies the owner's ledger into the published mirror, the only
+// part of a Core another goroutine may read. Owner only. The contract for
+// readers of the mirror (Hierarchy.Stats, PublishedCycles): it is exact
+// whenever the owner is known to have published and not simulated since —
+// in the runtime that is under stop-the-world, after Mutator.Close and
+// after a GC worker phase — and otherwise lags the owner by whatever it has
+// simulated since its last Publish.
+//
+// Counters are stored outermost level first and read innermost first
+// (published), so a reader racing a Publish still sees each level's misses
+// no greater than the accesses that reached it.
+func (c *Core) Publish() {
+	c.pub.loads.Store(c.led.loads)
+	c.pub.stores.Store(c.led.stores)
+	c.pub.l1miss.Store(c.led.l1miss)
+	c.pub.l2miss.Store(c.led.l2miss)
+	c.pub.llcmiss.Store(c.led.llcmiss)
+	c.pub.pfIssued.Store(c.pf.issued)
+	c.pub.l1Prefills.Store(c.l1.prefills)
+	c.pub.l2Prefills.Store(c.l2.prefills)
+}
+
+// published reads the mirror's ledger; safe from any goroutine.
+func (c *Core) published() ledger {
+	var l ledger
+	l.llcmiss = c.pub.llcmiss.Load()
+	l.l2miss = c.pub.l2miss.Load()
+	l.l1miss = c.pub.l1miss.Load()
+	l.stores = c.pub.stores.Load()
+	l.loads = c.pub.loads.Load()
+	return l
+}
+
+// PublishedCycles returns Cycles as of the owner's last Publish; safe from
+// any goroutine, and monotone between Resets.
+func (c *Core) PublishedCycles() uint64 { return c.published().cycles(c.lat) }
+
+// Reset clears the private levels and counters (not the shared LLC), and
+// publishes the cleared ledger.
 func (c *Core) Reset() {
 	c.l1.Reset()
 	c.l2.Reset()
 	c.pf.Reset()
-	c.loads.Store(0)
-	c.stores.Store(0)
-	c.l1miss.Store(0)
-	c.l2miss.Store(0)
-	c.llcmiss.Store(0)
+	c.led = ledger{}
+	c.Publish()
 }
 
 // CoreStats is a snapshot of one core's activity.
@@ -372,7 +453,10 @@ type SystemStats struct {
 	LLCHits   uint64
 }
 
-// Stats sums all cores plus shared-LLC counters.
+// Stats sums what every core has published (see Core.Publish for when that
+// is exact). The shared LLC keeps no counters of its own: an access reaches
+// it exactly when it misses some core's L2, so its demand misses are the
+// sum of the cores' shares and its hits the rest of their L2 misses.
 func (h *Hierarchy) Stats() SystemStats {
 	var out SystemStats
 	h.coresMu.Lock()
@@ -380,11 +464,10 @@ func (h *Hierarchy) Stats() SystemStats {
 	copy(cores, h.cores)
 	h.coresMu.Unlock()
 	for _, c := range cores {
-		out.CoreStats.Add(c.Stats())
-	}
-	for i := range h.stripes {
-		out.LLCMisses += h.stripes[i].c.Misses()
-		out.LLCHits += h.stripes[i].c.Hits()
+		l := c.published()
+		out.CoreStats.Add(l.stats(c.lat, c.pub.pfIssued.Load(), c.pub.l1Prefills.Load(), c.pub.l2Prefills.Load()))
+		out.LLCMisses += l.llcmiss
+		out.LLCHits += l.l2miss - l.llcmiss
 	}
 	return out
 }

@@ -187,6 +187,7 @@ func TestConcurrentCoreAccessSafe(t *testing.T) {
 		wg.Add(1)
 		go func(c *Core, seed int64) {
 			defer wg.Done()
+			defer c.Publish()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 10000; i++ {
 				// 8-byte aligned so no access straddles a line.
@@ -218,6 +219,11 @@ func TestSystemStatsAggregation(t *testing.T) {
 	a.Load(0x1000, 8)
 	b.Load(0x2000, 8)
 	b.Store(0x3000, 8)
+	if st := h.Stats(); st != (SystemStats{}) {
+		t.Fatalf("nothing published yet, Stats = %+v", st)
+	}
+	a.Publish()
+	b.Publish()
 	st := h.Stats()
 	if st.Loads != 2 || st.Stores != 1 {
 		t.Fatalf("aggregate loads=%d stores=%d, want 2/1", st.Loads, st.Stores)

@@ -1,7 +1,5 @@
 package simmem
 
-import "sync/atomic"
-
 // Prefetcher models a hardware stream prefetcher of the kind found in the
 // paper's Intel and AMD test machines: it watches the demand-miss stream,
 // detects constant-stride streams (including the common +1-line stream),
@@ -23,7 +21,7 @@ type Prefetcher struct {
 	streams  [maxStreams]stream
 	depth    int // lines prefetched ahead once a stream is confirmed
 	clock    uint64
-	issued   atomic.Uint64 // prefetch requests issued
+	issued   uint64 // prefetch requests issued; the owning Core publishes it
 	// buf is the reused OnMiss return buffer: OnMiss runs on every L1
 	// demand miss, so allocating the target slice per miss would put a
 	// Go allocation on the simulator's hottest path. The returned slice
@@ -86,7 +84,8 @@ func (p *Prefetcher) OnMiss(addr uint64) []uint64 {
 	for i := range p.lastLine {
 		delta := ln - p.lastLine[i]
 		use := p.lastUse[i]
-		if use == 0 || delta < -streamWindow || delta > streamWindow {
+		// |delta| > streamWindow as one unsigned compare.
+		if use == 0 || uint64(delta+streamWindow) > 2*streamWindow {
 			if use < victimUse {
 				victim, victimUse = i, use
 			}
@@ -134,16 +133,16 @@ func (p *Prefetcher) OnMiss(addr uint64) []uint64 {
 		p.buf[n] = uint64(next) << lineShift
 		n++
 	}
-	p.issued.Add(uint64(n))
+	p.issued += uint64(n)
 	return p.buf[:n]
 }
 
 // Issued returns the number of prefetch requests issued.
-func (p *Prefetcher) Issued() uint64 { return p.issued.Load() }
+func (p *Prefetcher) Issued() uint64 { return p.issued }
 
 // Reset clears tracker state and statistics.
 func (p *Prefetcher) Reset() {
 	p.lastLine, p.lastUse, p.streams = [maxStreams]int64{}, [maxStreams]uint64{}, [maxStreams]stream{}
 	p.clock = 0
-	p.issued.Store(0)
+	p.issued = 0
 }

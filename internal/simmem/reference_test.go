@@ -289,6 +289,9 @@ func TestDifferentialAgainstReference(t *testing.T) {
 					}
 				}
 			}
+			for _, c := range cores {
+				c.Publish()
+			}
 			if got, want := h.Stats(), ref.stats(); got != want {
 				t.Fatalf("final stats differ:\n model     %+v\n reference %+v", got, want)
 			}

@@ -435,7 +435,7 @@ func KVServer() Workload {
 							}
 						}
 						if tid == 0 && r.Seq%2048 == 0 {
-							e.sampleHeap()
+							e.sampleHeapAs(m)
 						}
 					}
 					checks[tid] = check

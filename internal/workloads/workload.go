@@ -250,13 +250,23 @@ func (e *env) cleanup() {
 	e.rt.Close()
 }
 
-// markMeasured starts the measured portion (after warm-up).
+// markMeasured starts the measured portion (after warm-up). Called by the
+// main mutator's goroutine, which publishes its ledger first so the start
+// mark is exact.
 func (e *env) markMeasured() {
+	e.m.Publish()
 	e.execStart = e.rt.ExecSeconds()
 }
 
-// sampleHeap appends a heap-usage observation.
-func (e *env) sampleHeap() {
+// sampleHeap appends a heap-usage observation from the main mutator's
+// goroutine.
+func (e *env) sampleHeap() { e.sampleHeapAs(e.m) }
+
+// sampleHeapAs appends a heap-usage observation from the goroutine that
+// owns m, publishing m's ledger first so the sample's time is exact in the
+// caller's own term.
+func (e *env) sampleHeapAs(m *hcsgc.Mutator) {
+	m.Publish()
 	e.samples = append(e.samples, HeapSample{
 		Seconds: e.rt.ExecSeconds(),
 		UsedPct: e.rt.Heap.UsedPercent(),
