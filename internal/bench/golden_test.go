@@ -1,0 +1,215 @@
+package bench
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+
+	"hcsgc/internal/loadgen"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden from the fixtures")
+
+// The golden tests pin every report's text and JSON rendering byte for
+// byte. Real runs are schedule-dependent, so what is pinned is a fixture:
+// a value of each report type with every exported field it can reach set
+// to a distinct, deterministic value (so a dropped, renamed or reordered
+// JSON key changes the bytes), then shaped by hand where the text report
+// reads by name (pause/phase/barrier/op keys, traffic phase names, an MMU
+// ladder both sides share).
+
+// fixtureKeys names the keys of the string-keyed maps the reports index.
+var fixtureKeys = map[string][]string{
+	"Pauses":  latencyPauseOrder,
+	"Phases":  latencyPhaseOrder,
+	"Barrier": latencyBarrierOrder,
+	"Ops": {loadgen.OpGet.String(), loadgen.OpSet.String(),
+		loadgen.OpDelete.String(), loadgen.OpScan.String()},
+}
+
+// fixtureLens overrides the default slice length of 2 by field name.
+var fixtureLens = map[string]int{
+	"Phases":    len(loadgen.PhaseNames),
+	"TopK":      4, // one more than the tail report prints per side
+	"ReuseHist": 5,
+}
+
+// filler hands out the distinct values; n is the running counter.
+type filler struct{ n uint64 }
+
+func (f *filler) next() uint64 { f.n++; return f.n }
+
+// fill sets every exported field reachable from v. field is the name of
+// the struct field v was reached through ("" at the root).
+func (f *filler) fill(v reflect.Value, field string) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(true)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(f.next()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(f.next())
+	case reflect.Float32, reflect.Float64:
+		// Exactly representable, never integral: JSON and %f both stable.
+		v.SetFloat(float64(f.next()) + 0.125)
+	case reflect.String:
+		v.SetString(fmt.Sprintf("%s-%d", field, f.next()))
+	case reflect.Ptr:
+		v.Set(reflect.New(v.Type().Elem()))
+		f.fill(v.Elem(), field)
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if sf := v.Type().Field(i); sf.IsExported() {
+				f.fill(v.Field(i), sf.Name)
+			}
+		}
+	case reflect.Slice:
+		n := 2
+		if l, ok := fixtureLens[field]; ok {
+			n = l
+		}
+		v.Set(reflect.MakeSlice(v.Type(), n, n))
+		for i := 0; i < n; i++ {
+			f.fill(v.Index(i), field)
+		}
+	case reflect.Map:
+		keys, ok := fixtureKeys[field]
+		if !ok || v.Type().Key().Kind() != reflect.String {
+			panic(fmt.Sprintf("golden fixture: no keys declared for map field %q", field))
+		}
+		v.Set(reflect.MakeMap(v.Type()))
+		for _, k := range keys {
+			elem := reflect.New(v.Type().Elem()).Elem()
+			f.fill(elem, field)
+			v.SetMapIndex(reflect.ValueOf(k), elem)
+		}
+	default:
+		panic(fmt.Sprintf("golden fixture: field %q has unsupported kind %s", field, v.Kind()))
+	}
+}
+
+func fixture[T any]() *T {
+	v := new(T)
+	(&filler{}).fill(reflect.ValueOf(v).Elem(), "")
+	return v
+}
+
+func fixtureLocalityAB() *LocalityAB { return fixture[LocalityAB]() }
+
+func fixtureLatencyAB() *LatencyAB {
+	ab := fixture[LatencyAB]()
+	// The MMU table joins the two sides on the window width.
+	for i := range ab.Base.Report.MMU.Windows {
+		ab.Test.Report.MMU.Windows[i].WindowCycles = ab.Base.Report.MMU.Windows[i].WindowCycles
+	}
+	return ab
+}
+
+func fixtureKVAB() *KVAB {
+	ab := fixture[KVAB]()
+	for i, name := range loadgen.PhaseNames {
+		ab.Base.Report.Phases[i].Phase = name
+		ab.Test.Report.Phases[i].Phase = name
+	}
+	return ab
+}
+
+func fixtureTailAB() *TailAB {
+	ab := fixture[TailAB]()
+	for i, name := range loadgen.PhaseNames {
+		ab.Base.Report.Phases[i].Phase = name
+		ab.Test.Report.Phases[i].Phase = name
+	}
+	// A cause nobody hit is skipped by the text report.
+	ab.Test.Tail.ByCause[1].Count = 0
+	return ab
+}
+
+func fixtureOverloadAB() *OverloadAB {
+	ab := fixture[OverloadAB]()
+	for i, name := range loadgen.PhaseNames {
+		ab.Unprotected.Report.Phases[i].Phase = name
+		ab.Protected.Report.Phases[i].Phase = name
+	}
+	ab.Protected.Tail.ByCause[0].Count = 0
+	return ab
+}
+
+func fixtureScaleSweep() *ScaleSweep {
+	s := fixture[ScaleSweep]()
+	for i := range s.Series {
+		for j := range s.Series[i].Points {
+			s.Series[i].Points[j].Mutators = s.Mutators[j]
+		}
+	}
+	// One series with a fit (and no note), one where the fit failed.
+	s.Series[0].Workload, s.Series[0].FitNote = "fig4", ""
+	s.Series[1].Workload, s.Series[1].Fit = "kv", nil
+	return s
+}
+
+// pinned fixes the one artifact field that names the toolchain.
+func pinned(a Artifact) Artifact {
+	a.GoVersion = "go-golden"
+	return a
+}
+
+func TestGoldenReports(t *testing.T) {
+	loc, lat, kv := fixtureLocalityAB(), fixtureLatencyAB(), fixtureKVAB()
+	tail, ovl, sweep := fixtureTailAB(), fixtureOverloadAB(), fixtureScaleSweep()
+	cases := []struct {
+		name string
+		text func(io.Writer) // nil: the type has no text form
+		json func(io.Writer) error
+	}{
+		{"locality", func(w io.Writer) { WriteLocalityReport(w, loc) }, func(w io.Writer) error { return WriteLocalityJSON(w, loc) }},
+		{"latency", func(w io.Writer) { WriteLatencyReport(w, lat) }, func(w io.Writer) error { return WriteLatencyJSON(w, lat) }},
+		{"kv", func(w io.Writer) { WriteKVReport(w, kv) }, func(w io.Writer) error { return WriteKVJSON(w, kv) }},
+		{"tail", func(w io.Writer) { WriteTailReport(w, tail) }, func(w io.Writer) error { return WriteTailJSON(w, tail) }},
+		{"overload", func(w io.Writer) { WriteOverloadReport(w, ovl) }, func(w io.Writer) error { return WriteOverloadJSON(w, ovl) }},
+		{"scaling", func(w io.Writer) { WriteScalingReport(w, sweep) }, func(w io.Writer) error { return WriteScalingJSON(w, sweep) }},
+		{"artifact_kv", nil, func(w io.Writer) error { return WriteArtifact(w, pinned(KVArtifact(kv))) }},
+		{"artifact_overload", nil, func(w io.Writer) error { return WriteArtifact(w, pinned(OverloadArtifact(ovl))) }},
+		{"artifact_scaling", nil, func(w io.Writer) error { return WriteArtifact(w, pinned(ScalingArtifact(sweep))) }},
+	}
+	for _, tc := range cases {
+		if tc.text != nil {
+			var b bytes.Buffer
+			tc.text(&b)
+			compareGolden(t, tc.name+".txt", b.Bytes())
+		}
+		var b bytes.Buffer
+		if err := tc.json(&b); err != nil {
+			t.Errorf("%s: json: %v", tc.name, err)
+			continue
+		}
+		compareGolden(t, tc.name+".json", b.Bytes())
+	}
+}
+
+func compareGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", file)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Errorf("%v (run go test ./internal/bench -run TestGoldenReports -update)", err)
+		return
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from the golden file (-update regenerates):\n--- got\n%s\n--- want\n%s", file, got, want)
+	}
+}
