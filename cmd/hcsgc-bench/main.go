@@ -7,10 +7,15 @@
 //	hcsgc-bench -exp all                 # everything (takes a while)
 //	hcsgc-bench -exp fig9 -runs 30 -scale 0.06 -configs 0,2,3,4
 //	hcsgc-bench -exp fig4 -csv out.csv   # machine-readable output
-//	hcsgc-bench -chaos -chaos-runs 20    # fault-injection soak, verifier on
-//	hcsgc-bench -kv-report -kv-json kv.json  # KV serving SLO A/B (cfg 3 vs 4)
+//	hcsgc-bench -report chaos -runs 20   # fault-injection soak, verifier on
+//	hcsgc-bench -report kv -json kv.json # KV serving SLO A/B (cfg 3 vs 4)
 //
 // Results are printed as text reports following the paper's §4.2 layout.
+//
+// Adding a report mode is one row in the modes table below plus four
+// methods on the result type in internal/bench (Validate, WriteText,
+// WriteJSON, Artifact); -list, the flag checks and the output files
+// follow from the row.
 package main
 
 import (
@@ -18,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -25,163 +31,295 @@ import (
 	"hcsgc/internal/bench"
 )
 
-func main() {
-	var (
-		exp     = flag.String("exp", "", "experiment id: table1-3, fig4-13, or 'all'")
-		runs    = flag.Int("runs", 0, "runs per configuration (0 = experiment default)")
-		scale   = flag.Float64("scale", 0, "workload scale in (0,1]; 0 = default; 1 = paper scale")
-		seed    = flag.Int64("seed", 0, "base seed (0 = experiment default)")
-		configs = flag.String("configs", "", "comma-separated config ids (default: all 19)")
-		csvPath = flag.String("csv", "", "also write per-config CSV to this file")
-		quiet   = flag.Bool("q", false, "suppress progress output")
-		list    = flag.Bool("list", false, "list experiment ids and exit")
-		ablate  = flag.String("ablate", "", "run an ablation sweep instead: "+strings.Join(bench.AblationNames(), ", "))
-		telAddr = flag.String("telemetry-addr", "", "serve live telemetry on this address (/metrics, /metrics.json, /trace, /gclog, /locality)")
+// options is every flag of the command.
+type options struct {
+	exp, csv, ablate, telemetryAddr string
+	configs                         []int // nil = not given
+	runs                            int
+	scale                           float64
+	seed                            int64
+	quiet, list                     bool
 
-		locMode  = flag.Bool("locality", false, "run a locality A/B report instead of the timing sweep (-configs picks base,test; default 0,16)")
-		locShift = flag.Uint("locality-shift", 4, "locality sampling knob: one burst per 2^shift accesses")
-		locJSON  = flag.String("locality-json", "", "also write the locality A/B report as JSON to this file")
+	report, json, benchOut, benchCompare string
 
-		latMode = flag.Bool("latency-report", false, "run a latency A/B report instead: pause/phase HDR percentiles, MMU ladder, barrier profile (-configs picks base,test; default 3,4)")
-		latJSON = flag.String("latency-json", "", "also write the latency A/B report as JSON to this file")
+	// Flags only some report modes read (see mode.flags).
+	localityShift  uint
+	tailSLO        uint64
+	overloadFactor float64
+	sweepMutators  []int // nil = bench.ScalingMutators
+	chaosOut       string
+}
 
-		kvMode = flag.Bool("kv-report", false, "run the KV serving A/B report instead: open-loop load, per-phase request-latency percentiles and SLO curves (-configs picks base,test; default 3,4)")
-		kvJSON = flag.String("kv-json", "", "also write the KV serving A/B report as JSON to this file")
+// flagSet declares the command's flags over o.
+func (o *options) flagSet() *flag.FlagSet {
+	fs := flag.NewFlagSet("hcsgc-bench", flag.ContinueOnError)
+	fs.StringVar(&o.exp, "exp", "", "experiment id: table1-3, fig4-13, or 'all' (with -report: the workload, where the mode takes one)")
+	fs.IntVar(&o.runs, "runs", 0, "runs per configuration (0 = experiment or mode default)")
+	fs.Float64Var(&o.scale, "scale", 0, "workload scale in (0,1]; 0 = default; 1 = paper scale")
+	fs.Int64Var(&o.seed, "seed", 0, "base seed; run r uses seed+r (0 = experiment or mode default)")
+	intList(fs, &o.configs, "configs", "comma-separated config ids (default: all 19; with -report: the mode's pair, see -list)")
+	fs.StringVar(&o.csv, "csv", "", "also write per-config CSV to this file")
+	fs.BoolVar(&o.quiet, "q", false, "suppress progress output")
+	fs.BoolVar(&o.list, "list", false, "list experiment ids, report modes and ablations, and exit")
+	fs.StringVar(&o.ablate, "ablate", "", "run an ablation sweep instead: "+strings.Join(bench.AblationNames(), ", "))
+	fs.StringVar(&o.telemetryAddr, "telemetry-addr", "", "serve live telemetry on this address (endpoints are announced on stderr)")
 
-		tailMode = flag.Bool("tail-report", false, "run the KV tail-attribution A/B report instead: every SLO-violating request classified by cause (stw-pause/alloc-stall/queued-behind-stall/service) and linked to the responsible GC cycle (-configs picks base,test; default 3,4)")
-		tailJSON = flag.String("tail-json", "", "also write the tail-attribution A/B report as JSON to this file")
-		tailSLO  = flag.Uint64("tail-slo", 0, "SLO threshold in virtual cycles for -tail-report (0 = default 1000000)")
+	fs.StringVar(&o.report, "report", "", "run a report mode instead of the timing sweep: "+strings.Join(modeNames(), ", ")+" (see -list)")
+	fs.StringVar(&o.json, "json", "", "also write the -report result as JSON to this file")
+	fs.StringVar(&o.benchOut, "bench-out", "", "write the normalized benchmark artifact (BENCH_<exp>.json shape) to this file; -report kv, overload, scaling")
+	fs.StringVar(&o.benchCompare, "bench-compare", "", "compare the run against this committed baseline artifact; >10% regressions print warnings without failing")
 
-		overloadMode   = flag.Bool("overload-report", false, "run the overload-protection A/B instead: the KV workload past sustainable load (-overload-factor), unprotected vs with admission control + deadlines armed (-configs picks the single GC config; default 3)")
-		overloadJSON   = flag.String("overload-json", "", "also write the overload A/B report as JSON to this file")
-		overloadFactor = flag.Float64("overload-factor", 0, "arrival-rate multiplier past sustainable for -overload-report (0 = default 2)")
+	fs.UintVar(&o.localityShift, "locality-shift", 4, "-report locality: sampling knob, one burst per 2^shift accesses")
+	fs.Uint64Var(&o.tailSLO, "tail-slo", 0, "-report tail: SLO threshold in virtual cycles (0 = default 1000000)")
+	fs.Float64Var(&o.overloadFactor, "overload-factor", 0, "-report overload: arrival-rate multiplier past sustainable (0 = default 2)")
+	intList(fs, &o.sweepMutators, "sweep-mutators", "-report scaling: comma-separated mutator counts (default 1,2,4,8,16,64)")
+	fs.StringVar(&o.chaosOut, "chaos-out", "", "-report chaos: also write the soak report (and failed runs' gclogs) to this file")
+	return fs
+}
 
-		scaleSweep    = flag.Bool("scale-sweep", false, "run the many-core scaling sweep instead: fig4 + KV across -sweep-mutators with a fresh contention plane per run, USL fit (sigma = contention, kappa = crosstalk) and ranked contention tables")
-		sweepMutators = flag.String("sweep-mutators", "1,2,4,8,16,64", "comma-separated mutator counts for -scale-sweep")
-		scalingJSON   = flag.String("scaling-json", "", "also write the scaling sweep report as JSON to this file")
+// intList declares a flag holding comma-separated integers.
+func intList(fs *flag.FlagSet, dst *[]int, name, usage string) {
+	fs.Func(name, usage, func(s string) (err error) {
+		*dst, err = parseConfigs(s)
+		return err
+	})
+}
 
-		benchOut     = flag.String("bench-out", "", "write the normalized benchmark artifact (BENCH_<exp>.json shape) to this file; supported by -kv-report and -overload-report")
-		benchCompare = flag.String("bench-compare", "", "compare the run against this committed baseline artifact; >10% regressions print warnings without failing")
+// job is one invocation: the parsed flags — under -report with the mode's
+// defaults applied — plus what every mode runs against.
+type job struct {
+	options
+	stdout   io.Writer
+	stderr   io.Writer
+	sink     *hcsgc.TelemetrySink
+	progress bench.Progress
+}
 
-		chaosMode = flag.Bool("chaos", false, "run a chaos soak instead: seeded fault schedules with the STW heap verifier on")
-		chaosSeed = flag.Int64("chaos-seed", 1, "base seed; run r uses seed chaos-seed+r (replay a failure with its printed seed and -chaos-runs 1)")
-		chaosRuns = flag.Int("chaos-runs", 0, "soak runs (0 = 20)")
-		chaosOut  = flag.String("chaos-out", "", "also write the soak report (and failed runs' gclogs) to this file")
-	)
-	flag.Parse()
+// report is what a report mode produces; runReport drives it.
+type report interface {
+	// Validate is the mode's acceptance gate (the CI smoke steps rely on
+	// it failing the command).
+	Validate() error
+	WriteText(io.Writer)
+	WriteJSON(io.Writer) error
+	// Artifact is the normalized BENCH_<exp>.json view, if the mode has one.
+	Artifact() (bench.Artifact, bool)
+}
 
-	var sink *hcsgc.TelemetrySink
-	if *telAddr != "" {
-		sink = hcsgc.NewTelemetrySink()
-		srv, err := sink.Serve(*telAddr)
+// mode is one row of the -report table.
+type mode struct {
+	name, desc string
+	// exp is the default -exp; "" means the mode fixes its own workloads
+	// and rejects -exp.
+	exp string
+	// configs are the default -configs ids; -configs must give exactly as
+	// many, and a mode with none rejects -configs.
+	configs []int
+	seed    int64 // default -seed
+	// flags are the flags, beyond the common ones, that the mode reads;
+	// any of them given under another mode is an error.
+	flags []string
+	run   func(*job) error
+}
+
+var modes = []mode{
+	{
+		name: "locality", desc: "locality A/B: reuse distance, stream coverage, page entropy",
+		exp: "fig4", configs: []int{0, 16}, // ZGC baseline vs H+CP+cc1+lazy (COLDPAGE+LAZYRELOCATE)
+		flags: []string{"json", "locality-shift"},
+		run: reporting(func(j *job) (report, error) {
+			return bench.RunLocalityAB(j.exp, j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.localityShift, j.sink, j.progress)
+		}),
+	},
+	{
+		name: "latency", desc: "latency A/B: pause/phase HDR percentiles, MMU ladder, barrier profile",
+		exp: "fig4", configs: []int{3, 4}, // RelocateAllSmallPages vs +LazyRelocate (the shift story)
+		flags: []string{"json"},
+		run: reporting(func(j *job) (report, error) {
+			return bench.RunLatencyAB(j.exp, j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.sink, j.progress)
+		}),
+	},
+	{
+		name: "kv", desc: "KV serving A/B: open-loop request latency percentiles and SLO curves per traffic phase",
+		configs: []int{3, 4}, seed: 1,
+		flags: []string{"json", "bench-out", "bench-compare"},
+		run: reporting(func(j *job) (report, error) {
+			return bench.RunKVAB(j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.sink, j.progress)
+		}),
+	},
+	{
+		name: "tail", desc: "KV tail-attribution A/B: p99 violations by cause, linked to responsible GC cycles",
+		configs: []int{3, 4}, seed: 1,
+		flags: []string{"json", "tail-slo"},
+		run: reporting(func(j *job) (report, error) {
+			return bench.RunTailAB(j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.tailSLO, j.sink, j.progress)
+		}),
+	},
+	{
+		name: "overload", desc: "KV overload A/B: past-sustainable load, unprotected vs admission control + deadline shedding",
+		configs: []int{3}, seed: 1, // RelocateAllSmallPages: the serving-path default
+		flags: []string{"json", "bench-out", "bench-compare", "overload-factor"},
+		run: reporting(func(j *job) (report, error) {
+			return bench.RunOverloadAB(j.runs, j.scale, j.seed, j.configs[0], j.overloadFactor, j.sink, j.progress)
+		}),
+	},
+	{
+		name: "scaling", desc: "many-core scaling sweep: fig4 + KV across mutator counts, USL fit and ranked contention tables",
+		seed:  1,
+		flags: []string{"json", "bench-out", "bench-compare", "sweep-mutators"},
+		run: reporting(func(j *job) (report, error) {
+			return bench.RunScaleSweep(j.sweepMutators, j.scale, j.seed, j.sink, j.progress)
+		}),
+	},
+	{
+		name: "chaos", desc: "chaos soak: seeded fault schedules with the STW heap verifier",
+		exp: "fig4", seed: 1,
+		flags: []string{"chaos-out"},
+		run:   runChaosSoak,
+	},
+}
+
+func modeNames() []string {
+	names := make([]string, len(modes))
+	for i := range modes {
+		names[i] = modes[i].name
+	}
+	return names
+}
+
+// selectMode resolves -report against the table and applies the mode's
+// defaults to j. It is where misuse fails: an unknown mode, a flag the
+// mode does not read, a -configs list of the wrong length. given holds the
+// names of the flags on the command line, sorted. Without -report it
+// returns nil, having checked that no report-only flag was given.
+func selectMode(j *job, given []string) (*mode, error) {
+	var m *mode
+	readers := map[string][]string{} // mode-scoped flag -> the modes that read it
+	for i := range modes {
+		if modes[i].name == j.report {
+			m = &modes[i]
+		}
+		for _, f := range modes[i].flags {
+			readers[f] = append(readers[f], modes[i].name)
+		}
+	}
+	if m == nil && j.report != "" {
+		return nil, fmt.Errorf("unknown -report %q (have %s)", j.report, strings.Join(modeNames(), ", "))
+	}
+	for _, f := range given {
+		names, scoped := readers[f]
+		if !scoped || (m != nil && slices.Contains(names, m.name)) {
+			continue
+		}
+		if m == nil {
+			return nil, fmt.Errorf("-%s needs -report %s", f, strings.Join(names, "|"))
+		}
+		return nil, fmt.Errorf("-%s is not read by -report %s (only by -report %s)", f, m.name, strings.Join(names, "|"))
+	}
+	if m == nil {
+		return nil, nil
+	}
+	if j.ablate != "" {
+		return nil, fmt.Errorf("-ablate and -report select different modes; give one")
+	}
+	if m.exp == "" && slices.Contains(given, "exp") {
+		return nil, fmt.Errorf("-exp is not read by -report %s (the mode fixes its workloads)", m.name)
+	}
+	if j.exp == "" {
+		j.exp = m.exp
+	}
+	if j.seed == 0 {
+		j.seed = m.seed
+	}
+	switch {
+	case j.configs == nil:
+		j.configs = m.configs
+	case len(m.configs) == 0:
+		return nil, fmt.Errorf("-configs is not read by -report %s", m.name)
+	case len(j.configs) != len(m.configs):
+		return nil, fmt.Errorf("-report %s needs exactly %d config ids, got %d", m.name, len(m.configs), len(j.configs))
+	}
+	return m, nil
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: 0 on success, 1 when a run or its gate fails, 2 on
+// command-line misuse.
+func run(args []string, stdout, stderr io.Writer) int {
+	j := &job{stdout: stdout, stderr: stderr}
+	fs := j.flagSet()
+	fs.SetOutput(stderr)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintf(stderr, "hcsgc-bench: %v\n", err)
+		return code
+	}
+	var given []string // Visit goes in name order
+	fs.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+	m, err := selectMode(j, given)
+	if err != nil {
+		return fail(2, err)
+	}
+	if j.list {
+		writeList(stdout)
+		return 0
+	}
+
+	if j.telemetryAddr != "" {
+		j.sink = hcsgc.NewTelemetrySink()
+		srv, err := j.sink.Serve(j.telemetryAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: telemetry: %v\n", err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("telemetry: %w", err))
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "hcsgc-bench: telemetry on http://%s (/metrics /metrics.json /trace /gclog)\n", srv.Addr())
+		fmt.Fprintf(stderr, "hcsgc-bench: telemetry on http://%s (%s)\n", srv.Addr(), strings.Join(j.sink.Endpoints(), " "))
+	}
+	if !j.quiet {
+		j.progress = func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) }
 	}
 
-	if *list {
-		writeList(os.Stdout)
-		return
-	}
-	if *ablate != "" {
-		progress := bench.Progress(nil)
-		if !*quiet {
-			progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
+	switch {
+	case m != nil:
+		if err := m.run(j); err != nil {
+			return fail(1, fmt.Errorf("%s: %w", m.name, err))
 		}
-		res, err := bench.RunAblation(*ablate, *runs, *scale, *seed, progress)
+	case j.ablate != "":
+		res, err := bench.RunAblation(j.ablate, j.runs, j.scale, j.seed, j.progress)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: %v\n", err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		bench.WriteAblation(os.Stdout, &res)
-		return
-	}
-	if *locMode {
-		if err := runLocality(*exp, *runs, *scale, *seed, *configs, *locShift, *locJSON, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: locality: %v\n", err)
-			os.Exit(1)
+		bench.WriteAblation(stdout, &res)
+	case j.exp == "":
+		return fail(2, fmt.Errorf("-exp is required (see -list)"))
+	default:
+		ids := []string{j.exp}
+		if j.exp == "all" {
+			ids = bench.ExperimentIDs()
 		}
-		return
-	}
-	if *latMode {
-		if err := runLatency(*exp, *runs, *scale, *seed, *configs, *latJSON, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: latency: %v\n", err)
-			os.Exit(1)
+		var csv io.Writer
+		if j.csv != "" {
+			f, err := os.Create(j.csv)
+			if err != nil {
+				return fail(1, err)
+			}
+			defer f.Close()
+			csv = f
 		}
-		return
-	}
-	if *kvMode {
-		if err := runKV(*runs, *scale, *seed, *configs, *kvJSON, *benchOut, *benchCompare, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: kv: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *tailMode {
-		if err := runTail(*runs, *scale, *seed, *configs, *tailSLO, *tailJSON, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: tail: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *scaleSweep {
-		if err := runScaleSweep(*sweepMutators, *scale, *seed, *scalingJSON, *benchOut, *benchCompare, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: scaling: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *overloadMode {
-		if err := runOverload(*runs, *scale, *seed, *configs, *overloadFactor, *overloadJSON, *benchOut, *benchCompare, *quiet, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: overload: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *chaosMode {
-		failed, err := runChaosSoak(*exp, *chaosRuns, *scale, *chaosSeed, *chaosOut, *quiet)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: chaos: %v\n", err)
-			os.Exit(1)
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "" {
-		fmt.Fprintln(os.Stderr, "hcsgc-bench: -exp is required (see -list)")
-		os.Exit(2)
-	}
-
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = bench.ExperimentIDs()
-	}
-	var csvFile *os.File
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		csvFile = f
-	}
-
-	for _, id := range ids {
-		if err := runOne(id, *runs, *scale, *seed, *configs, *quiet, csvFile, sink); err != nil {
-			fmt.Fprintf(os.Stderr, "hcsgc-bench: %s: %v\n", id, err)
-			os.Exit(1)
+		for _, id := range ids {
+			if err := runOne(j, id, csv); err != nil {
+				return fail(1, fmt.Errorf("%s: %w", id, err))
+			}
 		}
 	}
+	return 0
 }
 
 // writeList enumerates the runnable experiment ids (id first, one-line
-// description after), then the report modes and ablation sweeps.
+// description after), then the report modes — from the modes table, with
+// the defaults a mode applies — and the ablation sweeps.
 func writeList(w io.Writer) {
 	tableTitles := map[string]string{
 		"table1": "ZGC page size classes",
@@ -197,18 +335,16 @@ func writeList(w io.Writer) {
 		}
 		fmt.Fprintf(w, "  %-8s %s\n", id, title)
 	}
-	fmt.Fprintln(w, "report modes:")
-	for _, m := range []struct{ flag, desc string }{
-		{"(default)", "per-config timing/cache/GC sweep over Table 2 (fig4-13)"},
-		{"-locality", "locality A/B: reuse distance, stream coverage, page entropy"},
-		{"-latency-report", "latency A/B: pause/phase HDR percentiles, MMU ladder, barrier profile"},
-		{"-kv-report", "KV serving A/B: open-loop request latency percentiles and SLO curves per traffic phase"},
-		{"-tail-report", "KV tail-attribution A/B: p99 violations by cause, linked to responsible GC cycles"},
-		{"-overload-report", "KV overload A/B: past-sustainable load, unprotected vs admission control + deadline shedding"},
-		{"-scale-sweep", "many-core scaling sweep: fig4 + KV across mutator counts, USL fit and ranked contention tables"},
-		{"-chaos", "chaos soak: seeded fault schedules with the STW heap verifier"},
-	} {
-		fmt.Fprintf(w, "  %-16s %s\n", m.flag, m.desc)
+	fmt.Fprintln(w, "report modes (-report; without it, -exp runs the per-config timing/cache/GC sweep over Table 2):")
+	for _, m := range modes {
+		fmt.Fprintf(w, "  %-8s %s", m.name, m.desc)
+		if m.exp != "" {
+			fmt.Fprintf(w, "; default -exp %s", m.exp)
+		}
+		if len(m.configs) > 0 {
+			fmt.Fprintf(w, "; default -configs %v", m.configs)
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "ablation sweeps (-ablate):")
 	for _, a := range bench.AblationNames() {
@@ -216,20 +352,20 @@ func writeList(w io.Writer) {
 	}
 }
 
-func runOne(id string, runs int, scale float64, seed int64, configs string, quiet bool, csvFile *os.File, sink *hcsgc.TelemetrySink) error {
+func runOne(j *job, id string, csv io.Writer) error {
 	switch id {
 	case "table1":
-		bench.WriteTable1(os.Stdout)
+		bench.WriteTable1(j.stdout)
 		return nil
 	case "table2":
-		bench.WriteTable2(os.Stdout)
+		bench.WriteTable2(j.stdout)
 		return nil
 	case "table3":
-		s := scale
+		s := j.scale
 		if s == 0 {
 			s = 0.1
 		}
-		bench.WriteTable3(os.Stdout, s)
+		bench.WriteTable3(j.stdout, s)
 		return nil
 	}
 
@@ -237,404 +373,111 @@ func runOne(id string, runs int, scale float64, seed int64, configs string, quie
 	if !ok {
 		return fmt.Errorf("unknown experiment (see -list)")
 	}
-	if runs > 0 {
-		spec.Runs = runs
+	if j.runs > 0 {
+		spec.Runs = j.runs
 	}
-	if scale > 0 {
-		spec.Scale = scale
+	if j.scale > 0 {
+		spec.Scale = j.scale
 	}
-	if seed != 0 {
-		spec.Seed = seed
+	if j.seed != 0 {
+		spec.Seed = j.seed
 	}
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		spec.Configs = ids
+	if j.configs != nil {
+		spec.Configs = j.configs
 	}
-	spec.Telemetry = sink
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		}
-	}
-	res, err := bench.Run(spec, progress)
+	spec.Telemetry = j.sink
+	res, err := bench.Run(spec, j.progress)
 	if err != nil {
 		return err
 	}
-	bench.WriteReport(os.Stdout, &res)
-	if csvFile != nil {
-		bench.WriteCSV(csvFile, &res)
+	bench.WriteReport(j.stdout, &res)
+	if csv != nil {
+		bench.WriteCSV(csv, &res)
 	}
 	return nil
 }
 
-// runLocality runs the -locality A/B mode: the experiment's workload under
-// a baseline and a test configuration with the sampling profiler attached,
-// printing the side-by-side report and optionally writing the JSON artifact.
-// With -telemetry-addr, the in-flight run's profiler serves on /locality.
-func runLocality(exp string, runs int, scale float64, seed int64, configs string, shift uint, jsonPath string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	if exp == "" || exp == "all" {
-		exp = "fig4"
-	}
-	base, test := 0, 16 // ZGC baseline vs H+CP+cc1+lazy (COLDPAGE+LAZYRELOCATE)
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 2 {
-			return fmt.Errorf("-locality needs exactly two config ids (base,test), got %d", len(ids))
-		}
-		base, test = ids[0], ids[1]
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	ab, err := bench.RunLocalityAB(exp, runs, scale, seed, base, test, shift, sink, progress)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidateLocalityAB(ab); err != nil {
-		return err
-	}
-	bench.WriteLocalityReport(os.Stdout, ab)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteLocalityJSON(f, ab); err != nil {
-			return err
-		}
-	}
-	return nil
+// reporting adapts a mode's runner to mode.run through runReport.
+func reporting(runner func(*job) (report, error)) func(*job) error {
+	return func(j *job) error { return runReport(j, runner) }
 }
 
-// runLatency runs the -latency-report A/B mode: the experiment's workload
-// under a baseline and a test configuration with a fresh latency tracker
-// per run, printing the side-by-side pause/phase/MMU/barrier report and
-// optionally writing the JSON artifact. With -telemetry-addr, in-flight
-// runs serve live on /mmu and /flightrecorder.
-func runLatency(exp string, runs int, scale float64, seed int64, configs string, jsonPath string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	if exp == "" || exp == "all" {
-		exp = "fig4"
-	}
-	base, test := 3, 4 // RelocateAllSmallPages vs +LazyRelocate (the shift story)
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 2 {
-			return fmt.Errorf("-latency-report needs exactly two config ids (base,test), got %d", len(ids))
-		}
-		base, test = ids[0], ids[1]
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	ab, err := bench.RunLatencyAB(exp, runs, scale, seed, base, test, sink, progress)
+// runReport is the one path every report mode takes after its flags are
+// resolved: run, gate, print, then the optional files — the -json report
+// and the normalized artifact with its baseline comparison. With
+// -telemetry-addr the in-flight runs serve their planes live.
+func runReport(j *job, runner func(*job) (report, error)) error {
+	rep, err := runner(j)
 	if err != nil {
 		return err
 	}
-	if err := bench.ValidateLatencyAB(ab); err != nil {
+	if err := rep.Validate(); err != nil {
 		return err
 	}
-	bench.WriteLatencyReport(os.Stdout, ab)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
+	rep.WriteText(j.stdout)
+	writeFile := func(path string, write func(io.Writer) error) error {
+		f, err := os.Create(path)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := bench.WriteLatencyJSON(f, ab); err != nil {
+		if err := write(f); err != nil {
+			f.Close()
 			return err
+		}
+		return f.Close()
+	}
+	if j.json != "" {
+		if err := writeFile(j.json, rep.WriteJSON); err != nil {
+			return err
+		}
+	}
+	if j.benchOut == "" && j.benchCompare == "" {
+		return nil
+	}
+	art, ok := rep.Artifact()
+	if !ok {
+		// selectMode admits these flags only for modes that list them; a
+		// listed mode without an artifact must not write nothing quietly.
+		return fmt.Errorf("-bench-out/-bench-compare: -report %s has no benchmark artifact", j.report)
+	}
+	if j.benchOut != "" {
+		if err := writeFile(j.benchOut, art.WriteJSON); err != nil {
+			return err
+		}
+	}
+	if j.benchCompare != "" {
+		baseline, err := bench.ReadArtifactFile(j.benchCompare)
+		if err != nil {
+			return err
+		}
+		warns := bench.CompareArtifacts(baseline, art, 0.10)
+		for _, w := range warns {
+			fmt.Fprintf(j.stderr, "hcsgc-bench: baseline warning: %s\n", w)
+		}
+		if len(warns) == 0 {
+			fmt.Fprintf(j.stderr, "hcsgc-bench: all metrics within 10%% of baseline %s\n", j.benchCompare)
 		}
 	}
 	return nil
 }
 
-// runKV runs the -kv-report A/B mode: the KV server workload under a
-// baseline and a test configuration with a shared per-side metrics
-// accumulator, printing the per-phase percentile and SLO-curve report and
-// optionally writing the JSON artifact. With -telemetry-addr, in-flight
-// runs export hcsgc_kv_* metrics and serve the merged report on /kv.
-func runKV(runs int, scale float64, seed int64, configs string, jsonPath, benchOut, benchCompare string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	base, test := 3, 4 // RelocateAllSmallPages vs +LazyRelocate
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 2 {
-			return fmt.Errorf("-kv-report needs exactly two config ids (base,test), got %d", len(ids))
-		}
-		base, test = ids[0], ids[1]
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	ab, err := bench.RunKVAB(runs, scale, seed, base, test, sink, progress)
+// runChaosSoak runs -report chaos: a seed sweep of randomized fault
+// schedules with the STW heap verifier attached to every run. It is not a
+// report: a failed soak's output is its result, so the text (which leads
+// each failure with the reproducer command line) and the -chaos-out
+// artifact (plus the failed runs' gclogs) are written before the failure
+// is returned. A seed fails on a verifier violation or an unexpected
+// error; graceful OOM is not a failure.
+func runChaosSoak(j *job) error {
+	res, err := bench.RunChaos(j.exp, j.runs, j.scale, j.seed, j.progress)
 	if err != nil {
 		return err
 	}
-	if err := bench.ValidateKVAB(ab); err != nil {
-		return err
-	}
-	bench.WriteKVReport(os.Stdout, ab)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
+	bench.WriteChaosReport(j.stdout, res)
+	if j.chaosOut != "" {
+		f, err := os.Create(j.chaosOut)
 		if err != nil {
 			return err
-		}
-		defer f.Close()
-		if err := bench.WriteKVJSON(f, ab); err != nil {
-			return err
-		}
-	}
-	if benchOut != "" || benchCompare != "" {
-		art := bench.KVArtifact(ab)
-		if benchOut != "" {
-			f, err := os.Create(benchOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteArtifact(f, art); err != nil {
-				return err
-			}
-		}
-		if benchCompare != "" {
-			baseline, err := bench.ReadArtifactFile(benchCompare)
-			if err != nil {
-				return err
-			}
-			warns := bench.CompareArtifacts(baseline, art, 0.10)
-			for _, w := range warns {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: baseline warning: %s\n", w)
-			}
-			if len(warns) == 0 {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: all metrics within 10%% of baseline %s\n", benchCompare)
-			}
-		}
-	}
-	return nil
-}
-
-// runTail runs the -tail-report mode: the KV serving A/B with request-
-// level tail attribution armed, printing the per-config "p99 violations
-// by cause" breakdown and optionally writing the JSON artifact CI uploads.
-func runTail(runs int, scale float64, seed int64, configs string, slo uint64, jsonPath string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	base, test := 3, 4 // RelocateAllSmallPages vs +LazyRelocate
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 2 {
-			return fmt.Errorf("-tail-report needs exactly two config ids (base,test), got %d", len(ids))
-		}
-		base, test = ids[0], ids[1]
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	ab, err := bench.RunTailAB(runs, scale, seed, base, test, slo, sink, progress)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidateTailAB(ab); err != nil {
-		return err
-	}
-	bench.WriteTailReport(os.Stdout, ab)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteTailJSON(f, ab); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runOverload runs the -overload-report mode: the KV server workload at a
-// load factor past the sustainable arrival rate, once unprotected and once
-// with the overload-protection plane armed, under one GC configuration.
-// The report leads with the goodput/shed/tail comparison; the validator
-// enforces the brownout acceptance gates. With -telemetry-addr, in-flight
-// runs export hcsgc_overload_* metrics and serve the accounting on
-// /overload.
-func runOverload(runs int, scale float64, seed int64, configs string, factor float64, jsonPath, benchOut, benchCompare string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	cfgID := 3 // RelocateAllSmallPages: the serving-path default
-	if configs != "" {
-		ids, err := parseConfigs(configs)
-		if err != nil {
-			return err
-		}
-		if len(ids) != 1 {
-			return fmt.Errorf("-overload-report needs exactly one config id, got %d", len(ids))
-		}
-		cfgID = ids[0]
-	}
-	if seed == 0 {
-		seed = 1
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	ab, err := bench.RunOverloadAB(runs, scale, seed, cfgID, factor, sink, progress)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidateOverloadAB(ab); err != nil {
-		return err
-	}
-	bench.WriteOverloadReport(os.Stdout, ab)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteOverloadJSON(f, ab); err != nil {
-			return err
-		}
-	}
-	if benchOut != "" || benchCompare != "" {
-		art := bench.OverloadArtifact(ab)
-		if benchOut != "" {
-			f, err := os.Create(benchOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteArtifact(f, art); err != nil {
-				return err
-			}
-		}
-		if benchCompare != "" {
-			baseline, err := bench.ReadArtifactFile(benchCompare)
-			if err != nil {
-				return err
-			}
-			warns := bench.CompareArtifacts(baseline, art, 0.10)
-			for _, w := range warns {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: baseline warning: %s\n", w)
-			}
-			if len(warns) == 0 {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: all metrics within 10%% of baseline %s\n", benchCompare)
-			}
-		}
-	}
-	return nil
-}
-
-// runScaleSweep runs the -scale-sweep mode: the scaling workloads across
-// the -sweep-mutators ladder with a fresh contention plane per run,
-// printing the throughput/speedup ladder, USL coefficients and ranked
-// contention tables, and optionally writing the JSON report and the
-// normalized BENCH_scaling.json artifact CI uploads.
-func runScaleSweep(mutators string, scale float64, seed int64, jsonPath, benchOut, benchCompare string, quiet bool, sink *hcsgc.TelemetrySink) error {
-	var muts []int
-	if mutators != "" {
-		ids, err := parseConfigs(mutators)
-		if err != nil {
-			return fmt.Errorf("-sweep-mutators: %w", err)
-		}
-		muts = ids
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	sweep, err := bench.RunScaleSweep(muts, scale, seed, sink, progress)
-	if err != nil {
-		return err
-	}
-	if err := bench.ValidateScaleSweep(sweep); err != nil {
-		return err
-	}
-	bench.WriteScalingReport(os.Stdout, sweep)
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := bench.WriteScalingJSON(f, sweep); err != nil {
-			return err
-		}
-	}
-	if benchOut != "" || benchCompare != "" {
-		art := bench.ScalingArtifact(sweep)
-		if benchOut != "" {
-			f, err := os.Create(benchOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := bench.WriteArtifact(f, art); err != nil {
-				return err
-			}
-		}
-		if benchCompare != "" {
-			baseline, err := bench.ReadArtifactFile(benchCompare)
-			if err != nil {
-				return err
-			}
-			warns := bench.CompareArtifacts(baseline, art, 0.10)
-			for _, w := range warns {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: baseline warning: %s\n", w)
-			}
-			if len(warns) == 0 {
-				fmt.Fprintf(os.Stderr, "hcsgc-bench: all metrics within 10%% of baseline %s\n", benchCompare)
-			}
-		}
-	}
-	return nil
-}
-
-// runChaosSoak runs the -chaos mode: a seed sweep of randomized fault
-// schedules with the STW heap verifier attached to every run. The report
-// leads each failure with the reproducer command line; gclogs of failed
-// runs go to the -chaos-out artifact. Returns failed=true when any seed
-// hit a verifier violation or an unexpected error (graceful OOM is not a
-// failure).
-func runChaosSoak(exp string, runs int, scale float64, baseSeed int64, outPath string, quiet bool) (failed bool, err error) {
-	if exp == "" || exp == "all" {
-		exp = "fig4"
-	}
-	progress := bench.Progress(nil)
-	if !quiet {
-		progress = func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) }
-	}
-	res, err := bench.RunChaos(exp, runs, scale, baseSeed, progress)
-	if err != nil {
-		return false, err
-	}
-	bench.WriteChaosReport(os.Stdout, res)
-	if outPath != "" {
-		f, err := os.Create(outPath)
-		if err != nil {
-			return false, err
 		}
 		defer f.Close()
 		bench.WriteChaosReport(f, res)
@@ -647,7 +490,10 @@ func runChaosSoak(exp string, runs int, scale float64, baseSeed int64, outPath s
 			}
 		}
 	}
-	return res.Failures > 0, nil
+	if res.Failures > 0 {
+		return fmt.Errorf("%d of %d seeds failed", res.Failures, len(res.Runs))
+	}
+	return nil
 }
 
 func parseConfigs(s string) ([]int, error) {

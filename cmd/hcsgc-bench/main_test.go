@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -26,22 +31,44 @@ func TestParseConfigs(t *testing.T) {
 	}
 }
 
+// quietJob is a job with the given flags set, as run builds it after
+// parsing, with output discarded, no progress lines, and an optional
+// telemetry sink attached.
+func quietJob(sink *hcsgc.TelemetrySink, o options) *job {
+	return &job{options: o, stdout: io.Discard, stderr: io.Discard, sink: sink}
+}
+
+// runMode resolves the job's -report against the table and runs it.
+func runMode(t *testing.T, j *job) error {
+	t.Helper()
+	m, err := selectMode(j, nil)
+	if err != nil {
+		return err
+	}
+	if m == nil {
+		t.Fatal("job selects no report mode")
+	}
+	return m.run(j)
+}
+
 func TestRunOneTables(t *testing.T) {
 	for _, id := range []string{"table1", "table2"} {
-		if err := runOne(id, 0, 0, 0, "", true, nil, nil); err != nil {
+		if err := runOne(quietJob(nil, options{}), id, nil); err != nil {
 			t.Errorf("%s: %v", id, err)
 		}
 	}
 }
 
 func TestRunOneUnknown(t *testing.T) {
-	if err := runOne("nonesuch", 0, 0, 0, "", true, nil, nil); err == nil {
+	if err := runOne(quietJob(nil, options{}), "nonesuch", nil); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 }
 
 func TestRunOneTinyFigure(t *testing.T) {
-	if err := runOne("fig13", 1, 0.01, 1, "0,5", true, nil, nil); err != nil {
+	j := quietJob(nil, options{runs: 1, scale: 0.01, seed: 1})
+	j.configs = []int{0, 5}
+	if err := runOne(j, "fig13", nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -51,7 +78,9 @@ func TestRunOneTinyFigure(t *testing.T) {
 // endpoint would serve the core schema afterwards.
 func TestRunOneWithTelemetry(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
-	if err := runOne("fig4", 1, 0.005, 1, "0,4", true, nil, sink); err != nil {
+	j := quietJob(sink, options{runs: 1, scale: 0.005, seed: 1})
+	j.configs = []int{0, 4}
+	if err := runOne(j, "fig4", nil); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
@@ -69,14 +98,15 @@ func TestRunOneWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunLatencyTiny drives the -latency-report mode end to end on a tiny
+// TestRunLatencyTiny drives -report latency end to end on a tiny
 // workload, with the telemetry sink attached so the HDR summaries and MMU
 // gauges land in the exposition.
 func TestRunLatencyTiny(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	// Scale 0.03 is the smallest fig4 that actually triggers GC cycles
-	// (ValidateLatencyAB requires recorded pauses).
-	if err := runLatency("fig4", 1, 0.03, 1, "3,4", "", true, sink); err != nil {
+	// (LatencyAB.Validate requires recorded pauses).
+	j := quietJob(sink, options{report: "latency", runs: 1, scale: 0.03, seed: 1})
+	if err := runMode(t, j); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder
@@ -96,19 +126,21 @@ func TestRunLatencyTiny(t *testing.T) {
 
 // TestRunLatencyBadConfigs rejects a malformed -configs pair.
 func TestRunLatencyBadConfigs(t *testing.T) {
-	if err := runLatency("fig4", 1, 0.005, 1, "3", "", true, nil); err == nil {
+	j := quietJob(nil, options{report: "latency", runs: 1, scale: 0.005, seed: 1})
+	j.configs = []int{3}
+	if err := runMode(t, j); err == nil {
 		t.Fatal("single config id must error")
 	}
 }
 
 // TestWriteList pins the -list output shape: every experiment id leads
 // its line with a one-line description after it, and every report mode
-// is enumerated.
+// of the table is enumerated the same way.
 func TestWriteList(t *testing.T) {
 	var b strings.Builder
 	writeList(&b)
 	out := b.String()
-	for _, id := range []string{"fig4", "fig13", "kv", "table2"} {
+	for _, id := range append([]string{"fig4", "fig13", "kv", "table2"}, modeNames()...) {
 		found := false
 		for _, line := range strings.Split(out, "\n") {
 			fields := strings.Fields(line)
@@ -121,22 +153,23 @@ func TestWriteList(t *testing.T) {
 			t.Errorf("-list output missing described entry for %q:\n%s", id, out)
 		}
 	}
-	for _, mode := range []string{"-locality", "-latency-report", "-kv-report", "-tail-report", "-chaos", "ablate:"} {
-		if !strings.Contains(out, mode) {
-			t.Errorf("-list output missing %q", mode)
+	for _, want := range []string{"(-report", "ablate:"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("-list output missing %q", want)
 		}
 	}
 }
 
-// TestRunKVTiny drives the -kv-report mode end to end at tiny scale with
-// the telemetry sink attached, writing the JSON artifact, and checks the
-// hcsgc_kv_* families land in the exposition.
+// TestRunKVTiny drives -report kv end to end at tiny scale with the
+// telemetry sink attached, writing the JSON report and the normalized
+// artifact, and checks the hcsgc_kv_* families land in the exposition.
 func TestRunKVTiny(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	dir := t.TempDir()
 	jsonPath := dir + "/kv-report.json"
 	benchOut := dir + "/BENCH_kv.json"
-	if err := runKV(1, 0.01, 1, "3,4", jsonPath, benchOut, "", true, sink); err != nil {
+	j := quietJob(sink, options{report: "kv", runs: 1, scale: 0.01, json: jsonPath, benchOut: benchOut})
+	if err := runMode(t, j); err != nil {
 		t.Fatal(err)
 	}
 	// The normalized artifact round-trips and compares clean against
@@ -147,6 +180,9 @@ func TestRunKVTiny(t *testing.T) {
 	}
 	if art.Experiment != "kv" || len(art.Metrics) == 0 {
 		t.Fatalf("bench artifact malformed: %+v", art)
+	}
+	if art.Seed != 1 {
+		t.Fatalf("artifact seed = %d, want the mode's default 1", art.Seed)
 	}
 	if warns := bench.CompareArtifacts(art, art, 0.10); len(warns) != 0 {
 		t.Fatalf("self-comparison produced warnings: %v", warns)
@@ -159,7 +195,7 @@ func TestRunKVTiny(t *testing.T) {
 	if err := json.Unmarshal(data, &ab); err != nil {
 		t.Fatalf("kv json artifact decode: %v", err)
 	}
-	if err := bench.ValidateKVAB(&ab); err != nil {
+	if err := ab.Validate(); err != nil {
 		t.Fatalf("kv json artifact invalid: %v", err)
 	}
 	var b strings.Builder
@@ -179,10 +215,103 @@ func TestRunKVTiny(t *testing.T) {
 
 // TestRunKVBadConfigs rejects a malformed -configs pair.
 func TestRunKVBadConfigs(t *testing.T) {
-	if err := runKV(1, 0.01, 1, "3,4,16", "", "", "", true, nil); err == nil {
-		t.Fatal("three config ids must error")
+	for _, name := range []string{"kv", "tail"} {
+		j := quietJob(nil, options{report: name, runs: 1, scale: 0.01})
+		j.configs = []int{3, 4, 16}
+		if err := runMode(t, j); err == nil {
+			t.Fatalf("three config ids must error for -report %s", name)
+		}
 	}
-	if err := runTail(1, 0.01, 1, "3,4,16", 0, "", true, nil); err == nil {
-		t.Fatal("three config ids must error for -tail-report too")
+}
+
+// TestMisuseFailsLoudly: a command line that names a mode or a flag the
+// selected mode would have ignored exits 2 before anything runs, with a
+// message naming the offender.
+func TestMisuseFailsLoudly(t *testing.T) {
+	cases := []struct {
+		args string
+		want []string // substrings of stderr
+	}{
+		{"-report nonesuch", append([]string{`"nonesuch"`}, modeNames()...)},
+		// The ISSUE 14 motivation: two modes' worth of flags used to run
+		// one mode, exit 0 and write neither file.
+		{"-report latency -bench-out x.json -json kv.json", []string{"-bench-out", "latency"}},
+		{"-report locality -bench-out x.json", []string{"-bench-out", "locality"}},
+		{"-report tail -bench-compare x.json", []string{"-bench-compare", "tail"}},
+		{"-report chaos -bench-out x.json", []string{"-bench-out", "chaos"}},
+		{"-report chaos -json x.json", []string{"-json", "chaos"}},
+		{"-report kv -locality-shift 3", []string{"-locality-shift", "kv"}},
+		{"-report kv -tail-slo 5", []string{"-tail-slo", "kv"}},
+		{"-report kv -overload-factor 3", []string{"-overload-factor", "kv"}},
+		{"-report kv -sweep-mutators 1,2", []string{"-sweep-mutators", "kv"}},
+		{"-report kv -chaos-out x.txt", []string{"-chaos-out", "kv"}},
+		{"-exp fig4 -json x.json", []string{"-json", "-report"}},
+		{"-report kv -exp fig4", []string{"-exp", "kv"}},
+		{"-report tail -exp kv", []string{"-exp", "tail"}},
+		{"-report overload -exp kv", []string{"-exp", "overload"}},
+		{"-report scaling -exp fig4", []string{"-exp", "scaling"}},
+		{"-report scaling -configs 3", []string{"-configs", "scaling"}},
+		{"-report overload -configs 3,4", []string{"overload", "exactly 1"}},
+		{"-report kv -ablate prefetch", []string{"-ablate", "-report"}},
+		{"-kv-report", []string{"-kv-report"}}, // the old spellings are gone, not aliased
+		{"-report kv -kv-json x.json", []string{"-kv-json"}},
+	}
+	for _, tc := range cases {
+		var stdout, stderr bytes.Buffer
+		if code := run(strings.Fields(tc.args), &stdout, &stderr); code != 2 {
+			t.Errorf("%q: exit %d, want 2 (stderr %q)", tc.args, code, stderr.String())
+			continue
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("%q: stderr %q does not name %q", tc.args, stderr.String(), want)
+			}
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("%q: printed a report before failing: %q", tc.args, stdout.String())
+		}
+	}
+}
+
+// TestFlagCount holds the line ISSUE 14 drew: the command had 32 flags
+// selecting among modes; one -report and one -json replaced thirteen.
+func TestFlagCount(t *testing.T) {
+	n := 0
+	new(options).flagSet().VisitAll(func(*flag.Flag) { n++ })
+	if n > 20 {
+		t.Errorf("hcsgc-bench defines %d flags, want <= 20", n)
+	}
+}
+
+var flagToken = regexp.MustCompile(`^-[a-z][a-z0-9-]*$`)
+
+// TestDocumentedFlagsExist is the doc/flag drift guard: every -flag on an
+// `hcsgc-bench …` command line in the docs and the CI workflow must be
+// one the real FlagSet defines.
+func TestDocumentedFlagsExist(t *testing.T) {
+	fs := new(options).flagSet()
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".github/workflows/ci.yml"} {
+		data, err := os.ReadFile(filepath.Join("..", "..", doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			_, cmdline, ok := strings.Cut(line, "hcsgc-bench ")
+			if !ok {
+				continue
+			}
+			for _, tok := range strings.Fields(cmdline) {
+				if strings.HasPrefix(tok, "#") {
+					break // trailing shell comment
+				}
+				name := strings.Trim(tok, "`'\"()[],.;:")
+				if flagToken.MatchString(name) && fs.Lookup(name[1:]) == nil {
+					t.Errorf("%s:%d documents `hcsgc-bench %s`, a flag that does not exist", doc, i+1, name)
+				}
+				if strings.Contains(tok, "`") && !strings.HasPrefix(tok, "`") {
+					break // the code span holding the command line closed
+				}
+			}
+		}
 	}
 }

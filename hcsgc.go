@@ -414,21 +414,20 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	if opts.Locality != nil && opts.Telemetry != nil {
 		opts.Locality.BindTelemetry(opts.Telemetry.Metrics(), opts.Telemetry.Recorder())
 		prof := opts.Locality
-		opts.Telemetry.SetLocality(func() any { return prof.Report() })
+		opts.Telemetry.SetEndpoint("locality", func() any { return prof.Report() })
 	}
 	if lat != nil && opts.Telemetry != nil {
 		lat.BindTelemetry(opts.Telemetry.Metrics(), opts.Telemetry.Recorder())
 		tracker := lat
-		opts.Telemetry.SetMMU(func() any { return tracker.MMUSnapshot() })
+		opts.Telemetry.SetEndpoint("mmu", func() any { return tracker.MMUSnapshot() })
 		opts.Telemetry.SetFlightRecorder(func(w io.Writer) error {
 			return tracker.WriteFlight(w, "on-demand")
-		})
-		opts.Telemetry.SetFlightRearm(tracker.Rearm)
+		}, tracker.Rearm)
 	}
 	if sig != nil && opts.Telemetry != nil {
 		sig.BindTelemetry(opts.Telemetry.Metrics(), opts.Telemetry.Recorder())
 		plane := sig
-		opts.Telemetry.SetSignals(func() any { return plane.Snapshot() })
+		opts.Telemetry.SetEndpoint("signals", func() any { return plane.Snapshot() })
 	}
 	if ctn != nil && opts.Telemetry != nil {
 		// The registry and recorder cannot adopt contention.Mutex (import
@@ -438,7 +437,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		ctn.AddSource("telemetry.recorderShards", func() (uint64, uint64) { return rec.MuStats() })
 		ctn.BindTelemetry(reg, rec)
 		cplane := ctn
-		opts.Telemetry.SetContention(func() any { return cplane.Snapshot() })
+		opts.Telemetry.SetEndpoint("contention", func() any { return cplane.Snapshot() })
 	}
 	mach := opts.Machine
 	if mach.Cores == 0 {

@@ -126,8 +126,8 @@ func register(reg *telemetry.Registry, suffix string) {
 	reg.Counter("hcsgc_worker_busy_cycles_total", "Busy virtual cycles per GC worker.", "worker", "0")
 	reg.Gauge("hcsgc_worker_imbalance", "Coefficient of variation of per-worker work.")
 
-	// The scaling-sweep families (internal/bench.RunScaleSweep): gauges
-	// keyed by workload and mutator count, plus per-workload USL fits.
+	// Gauge families keyed by two labels, and by one (the shape of the
+	// scaling sweep's former export; the cases outlive it).
 	reg.Gauge("hcsgc_scaling_throughput", "Sweep throughput.", "workload", "fig4", "mutators", "8")
 	reg.Gauge("hcsgc_scaling_throughput", "Sweep throughput.", "workload", "kv", "mutators", "8")
 	reg.Gauge("hcsgc_scaling_speedup", "Sweep speedup over one mutator.", "workload", "fig4", "mutators", "8")

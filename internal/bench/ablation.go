@@ -42,36 +42,96 @@ type AblationResult struct {
 	Points []AblationPoint
 }
 
+// ablationSetting is one sampled setting of a sweep.
+type ablationSetting struct {
+	label string
+	cfg   workloads.RunConfig
+}
+
+// ablations is the table of sweeps, in -list order: each fixes a
+// configuration and lists the settings of the one dimension it varies.
+var ablations = []struct {
+	name, desc string
+	settings   func() []ablationSetting
+}{
+	{"prefetch", "HCSGC config 4 under varying stream-prefetcher depth (0 = off)",
+		func() (out []ablationSetting) {
+			for _, depth := range []int{0, 1, 2, 4, 8, 16} {
+				mem := simmem.DefaultConfig()
+				mem.PrefetchDepth = depth
+				out = append(out, ablationSetting{fmt.Sprintf("depth=%d", depth),
+					workloads.RunConfig{Knobs: KnobsFor(4), MemConfig: &mem}})
+			}
+			return out
+		}},
+	{"ecthreshold", "baseline ZGC under varying evacuation live-ratio thresholds (paper: 0.75)",
+		func() (out []ablationSetting) {
+			for _, th := range []float64{0.25, 0.5, 0.75, 0.9} {
+				out = append(out, ablationSetting{fmt.Sprintf("threshold=%.2f", th),
+					workloads.RunConfig{Knobs: hcsgc.Knobs{}, EvacThreshold: th}})
+			}
+			return out
+		}},
+	{"tinypages", "config 16 with and without the cache-line-magnitude page class (paper §4.8 future work)",
+		func() (out []ablationSetting) {
+			for _, tiny := range []bool{false, true} {
+				k := KnobsFor(16)
+				k.TinyPages = tiny
+				out = append(out, ablationSetting{fmt.Sprintf("tiny=%v", tiny), workloads.RunConfig{Knobs: k}})
+			}
+			return out
+		}},
+	{"autotune", "fixed ColdConfidence settings vs the feedback loop (paper §4.8 future work)",
+		func() []ablationSetting {
+			tuned := KnobsFor(10)
+			tuned.AutoTune = true
+			return []ablationSetting{
+				{"fixed cc=0.5", workloads.RunConfig{Knobs: KnobsFor(9)}},
+				{"fixed cc=1.0", workloads.RunConfig{Knobs: KnobsFor(10)}},
+				{"autotune cc<=1.0", workloads.RunConfig{Knobs: tuned}},
+			}
+		}},
+	{"gcworkers", "config 3 (all pages, eager) under varying GC worker counts: more workers win more relocation races from the mutator",
+		func() (out []ablationSetting) {
+			for _, workers := range []int{1, 2, 4, 8} {
+				out = append(out, ablationSetting{fmt.Sprintf("workers=%d", workers),
+					workloads.RunConfig{Knobs: KnobsFor(3), GCWorkers: workers}})
+			}
+			return out
+		}},
+}
+
 // AblationNames lists the available ablations.
 func AblationNames() []string {
-	return []string{"prefetch", "ecthreshold", "tinypages", "autotune", "gcworkers"}
+	names := make([]string, len(ablations))
+	for i := range ablations {
+		names[i] = ablations[i].name
+	}
+	return names
 }
 
 // RunAblation executes one ablation by name.
 func RunAblation(name string, runs int, scale float64, seed int64, progress Progress) (AblationResult, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	if runs <= 0 {
 		runs = 5
 	}
 	if scale <= 0 {
 		scale = 0.04
 	}
-	switch name {
-	case "prefetch":
-		return ablatePrefetch(runs, scale, seed, progress), nil
-	case "ecthreshold":
-		return ablateECThreshold(runs, scale, seed, progress), nil
-	case "tinypages":
-		return ablateTinyPages(runs, scale, seed, progress), nil
-	case "autotune":
-		return ablateAutoTune(runs, scale, seed, progress), nil
-	case "gcworkers":
-		return ablateGCWorkers(runs, scale, seed, progress), nil
-	default:
-		return AblationResult{}, fmt.Errorf("bench: unknown ablation %q (have %v)", name, AblationNames())
+	for _, a := range ablations {
+		if a.name != name {
+			continue
+		}
+		res := AblationResult{Name: a.name, Desc: a.desc}
+		for _, s := range a.settings() {
+			p := sample(runs, scale, seed, s.cfg)
+			p.Label = s.label
+			res.Points = append(res.Points, p)
+			progress.printf("%s %s: %.4fs", a.name, p.Label, p.Boot.Mean)
+		}
+		return res, nil
 	}
+	return AblationResult{}, fmt.Errorf("bench: unknown ablation %q (have %v)", name, AblationNames())
 }
 
 // sample runs the fig4 workload `runs` times for one setting.
@@ -96,104 +156,6 @@ func sample(runs int, scale float64, seed int64, cfg workloads.RunConfig) Ablati
 		Boot:      stats.BootstrapMean(times, stats.DefaultResamples, seed),
 		LLCMisses: llc / float64(runs),
 	}
-}
-
-func ablatePrefetch(runs int, scale float64, seed int64, progress Progress) AblationResult {
-	res := AblationResult{
-		Name: "prefetch",
-		Desc: "HCSGC config 4 under varying stream-prefetcher depth (0 = off)",
-	}
-	for _, depth := range []int{0, 1, 2, 4, 8, 16} {
-		mem := simmem.DefaultConfig()
-		mem.PrefetchDepth = depth
-		// workloads construct their own runtime; pass the hierarchy via
-		// RunConfig? It has no such field — ablate through a dedicated
-		// field added below.
-		p := sample(runs, scale, seed, workloads.RunConfig{
-			Knobs:     KnobsFor(4),
-			MemConfig: &mem,
-		})
-		p.Label = fmt.Sprintf("depth=%d", depth)
-		res.Points = append(res.Points, p)
-		progress("prefetch %s: %.4fs", p.Label, p.Boot.Mean)
-	}
-	return res
-}
-
-func ablateECThreshold(runs int, scale float64, seed int64, progress Progress) AblationResult {
-	res := AblationResult{
-		Name: "ecthreshold",
-		Desc: "baseline ZGC under varying evacuation live-ratio thresholds (paper: 0.75)",
-	}
-	for _, th := range []float64{0.25, 0.5, 0.75, 0.9} {
-		p := sample(runs, scale, seed, workloads.RunConfig{
-			Knobs:         hcsgc.Knobs{},
-			EvacThreshold: th,
-		})
-		p.Label = fmt.Sprintf("threshold=%.2f", th)
-		res.Points = append(res.Points, p)
-		progress("ecthreshold %s: %.4fs", p.Label, p.Boot.Mean)
-	}
-	return res
-}
-
-func ablateTinyPages(runs int, scale float64, seed int64, progress Progress) AblationResult {
-	res := AblationResult{
-		Name: "tinypages",
-		Desc: "config 16 with and without the cache-line-magnitude page class (paper §4.8 future work)",
-	}
-	base := KnobsFor(16)
-	for _, tiny := range []bool{false, true} {
-		k := base
-		k.TinyPages = tiny
-		p := sample(runs, scale, seed, workloads.RunConfig{Knobs: k})
-		p.Label = fmt.Sprintf("tiny=%v", tiny)
-		res.Points = append(res.Points, p)
-		progress("tinypages %s: %.4fs", p.Label, p.Boot.Mean)
-	}
-	return res
-}
-
-func ablateAutoTune(runs int, scale float64, seed int64, progress Progress) AblationResult {
-	res := AblationResult{
-		Name: "autotune",
-		Desc: "fixed ColdConfidence settings vs the feedback loop (paper §4.8 future work)",
-	}
-	for _, pt := range []struct {
-		label string
-		knobs hcsgc.Knobs
-	}{
-		{"fixed cc=0.5", KnobsFor(9)},
-		{"fixed cc=1.0", KnobsFor(10)},
-		{"autotune cc<=1.0", func() hcsgc.Knobs {
-			k := KnobsFor(10)
-			k.AutoTune = true
-			return k
-		}()},
-	} {
-		p := sample(runs, scale, seed, workloads.RunConfig{Knobs: pt.knobs})
-		p.Label = pt.label
-		res.Points = append(res.Points, p)
-		progress("autotune %s: %.4fs", p.Label, p.Boot.Mean)
-	}
-	return res
-}
-
-func ablateGCWorkers(runs int, scale float64, seed int64, progress Progress) AblationResult {
-	res := AblationResult{
-		Name: "gcworkers",
-		Desc: "config 3 (all pages, eager) under varying GC worker counts: more workers win more relocation races from the mutator",
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		p := sample(runs, scale, seed, workloads.RunConfig{
-			Knobs:     KnobsFor(3),
-			GCWorkers: workers,
-		})
-		p.Label = fmt.Sprintf("workers=%d", workers)
-		res.Points = append(res.Points, p)
-		progress("gcworkers %s: %.4fs", p.Label, p.Boot.Mean)
-	}
-	return res
 }
 
 // WriteAblation renders one ablation sweep.

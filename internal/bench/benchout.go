@@ -9,7 +9,6 @@ import (
 	"runtime"
 
 	"hcsgc/internal/kvstore"
-	"hcsgc/internal/loadgen"
 )
 
 // BenchMetric is one normalized benchmark measurement.
@@ -39,33 +38,16 @@ type Artifact struct {
 	Metrics    []BenchMetric `json:"metrics"`
 }
 
-// KVArtifact normalizes a KV A/B result: per side, the steady/burst tail
-// quantiles, hit rate and mean execution time.
-func KVArtifact(ab *KVAB) Artifact {
-	a := Artifact{
-		Experiment: "kv",
-		Mode:       "kv-ab",
-		Runs:       ab.Runs,
-		Scale:      ab.Scale,
-		Seed:       ab.Seed,
+// newArtifact fills the run metadata every artifact carries.
+func newArtifact(experiment, mode string, runs int, scale float64, seed int64) Artifact {
+	return Artifact{
+		Experiment: experiment,
+		Mode:       mode,
+		Runs:       runs,
+		Scale:      scale,
+		Seed:       seed,
 		GoVersion:  runtime.Version(),
 	}
-	for _, s := range []struct {
-		name string
-		side *KVSide
-	}{{"base", &ab.Base}, {"test", &ab.Test}} {
-		steady := kvPhaseDist(s.side.Report, loadgen.PhaseNames[loadgen.PhaseSteady])
-		burst := kvPhaseDist(s.side.Report, loadgen.PhaseNames[loadgen.PhaseBurst])
-		a.Metrics = append(a.Metrics,
-			BenchMetric{s.name + "/p50-steady", steady.P50, "lower"},
-			BenchMetric{s.name + "/p99-steady", steady.P99, "lower"},
-			BenchMetric{s.name + "/p999-steady", steady.P999, "lower"},
-			BenchMetric{s.name + "/p999-burst", burst.P999, "lower"},
-			BenchMetric{s.name + "/hit-rate", hitRate(s.side.Report), "higher"},
-			BenchMetric{s.name + "/exec-seconds", s.side.MeanExecSeconds, "lower"},
-		)
-	}
-	return a
 }
 
 func kvPhaseDist(r kvstore.Report, phase string) kvstore.Dist {
@@ -77,11 +59,15 @@ func kvPhaseDist(r kvstore.Report, phase string) kvstore.Dist {
 	return kvstore.Dist{}
 }
 
-// WriteArtifact renders a as indented JSON.
-func WriteArtifact(w io.Writer, a Artifact) error {
+// WriteJSON renders a as indented JSON.
+func (a Artifact) WriteJSON(w io.Writer) error { return writeJSON(w, a) }
+
+// writeJSON is the one JSON rendering behind every report and artifact:
+// indented, the format the CI jobs upload.
+func writeJSON(w io.Writer, v any) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(a)
+	return enc.Encode(v)
 }
 
 // ReadArtifactFile loads a committed baseline artifact.

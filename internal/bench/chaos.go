@@ -84,9 +84,6 @@ type ChaosResult struct {
 // stops early: every seed is driven to a verdict so a sweep reports all
 // failures, not just the first.
 func RunChaos(expID string, runs int, scale float64, baseSeed int64, progress Progress) (ChaosResult, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	w, err := workloads.Get(expID)
 	if err != nil {
 		return ChaosResult{}, err
@@ -121,12 +118,12 @@ func RunChaos(expID string, runs int, scale float64, baseSeed int64, progress Pr
 		switch {
 		case run.Failed():
 			res.Failures++
-			progress("chaos %s seed %d: FAIL (%d violations, err=%v)", expID, seed, len(run.Violations), run.Err)
+			progress.printf("chaos %s seed %d: FAIL (%d violations, err=%v)", expID, seed, len(run.Violations), run.Err)
 		case run.OOM:
 			res.OOMs++
-			progress("chaos %s seed %d: oom (graceful, %d verifier passes)", expID, seed, run.VerifierRuns)
+			progress.printf("chaos %s seed %d: oom (graceful, %d verifier passes)", expID, seed, run.VerifierRuns)
 		default:
-			progress("chaos %s seed %d: ok (%d verifier passes)", expID, seed, run.VerifierRuns)
+			progress.printf("chaos %s seed %d: ok (%d verifier passes)", expID, seed, run.VerifierRuns)
 		}
 	}
 	return res, nil
@@ -254,7 +251,7 @@ func WriteChaosReport(out io.Writer, res ChaosResult) {
 			continue
 		}
 		fmt.Fprintf(out, "\nFAILED seed %d (config %d, faults: %s)\n", r.Seed, r.Config, r.Faults)
-		fmt.Fprintf(out, "reproduce: hcsgc-bench -chaos -exp %s -chaos-seed %d -chaos-runs 1\n", res.Experiment, r.Seed)
+		fmt.Fprintf(out, "reproduce: hcsgc-bench -report chaos -exp %s -seed %d -runs 1\n", res.Experiment, r.Seed)
 		if r.Err != nil {
 			fmt.Fprintf(out, "error: %v\n", r.Err)
 		}

@@ -88,7 +88,7 @@ func TestChaosReportCarriesReproducer(t *testing.T) {
 	var b strings.Builder
 	WriteChaosReport(&b, res)
 	out := b.String()
-	for _, want := range []string{"FAILED seed 42", "-chaos-seed 42", "stale-ref"} {
+	for _, want := range []string{"FAILED seed 42", "-report chaos -exp fig4 -seed 42 -runs 1", "stale-ref"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}

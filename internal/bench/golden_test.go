@@ -154,7 +154,7 @@ func fixtureScaleSweep() *ScaleSweep {
 }
 
 // pinned fixes the one artifact field that names the toolchain.
-func pinned(a Artifact) Artifact {
+func pinned(a Artifact, _ bool) Artifact {
 	a.GoVersion = "go-golden"
 	return a
 }
@@ -167,15 +167,15 @@ func TestGoldenReports(t *testing.T) {
 		text func(io.Writer) // nil: the type has no text form
 		json func(io.Writer) error
 	}{
-		{"locality", func(w io.Writer) { WriteLocalityReport(w, loc) }, func(w io.Writer) error { return WriteLocalityJSON(w, loc) }},
-		{"latency", func(w io.Writer) { WriteLatencyReport(w, lat) }, func(w io.Writer) error { return WriteLatencyJSON(w, lat) }},
-		{"kv", func(w io.Writer) { WriteKVReport(w, kv) }, func(w io.Writer) error { return WriteKVJSON(w, kv) }},
-		{"tail", func(w io.Writer) { WriteTailReport(w, tail) }, func(w io.Writer) error { return WriteTailJSON(w, tail) }},
-		{"overload", func(w io.Writer) { WriteOverloadReport(w, ovl) }, func(w io.Writer) error { return WriteOverloadJSON(w, ovl) }},
-		{"scaling", func(w io.Writer) { WriteScalingReport(w, sweep) }, func(w io.Writer) error { return WriteScalingJSON(w, sweep) }},
-		{"artifact_kv", nil, func(w io.Writer) error { return WriteArtifact(w, pinned(KVArtifact(kv))) }},
-		{"artifact_overload", nil, func(w io.Writer) error { return WriteArtifact(w, pinned(OverloadArtifact(ovl))) }},
-		{"artifact_scaling", nil, func(w io.Writer) error { return WriteArtifact(w, pinned(ScalingArtifact(sweep))) }},
+		{"locality", loc.WriteText, loc.WriteJSON},
+		{"latency", lat.WriteText, lat.WriteJSON},
+		{"kv", kv.WriteText, kv.WriteJSON},
+		{"tail", tail.WriteText, tail.WriteJSON},
+		{"overload", ovl.WriteText, ovl.WriteJSON},
+		{"scaling", sweep.WriteText, sweep.WriteJSON},
+		{"artifact_kv", nil, pinned(kv.Artifact()).WriteJSON},
+		{"artifact_overload", nil, pinned(ovl.Artifact()).WriteJSON},
+		{"artifact_scaling", nil, pinned(sweep.Artifact()).WriteJSON},
 	}
 	for _, tc := range cases {
 		if tc.text != nil {

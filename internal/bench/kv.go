@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -45,9 +44,6 @@ type KVAB struct {
 // times each with per-run seeds, merging every run's request metrics into
 // the side's accumulator.
 func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hcsgc.TelemetrySink, progress Progress) (*KVAB, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	w, err := workloads.Get("kv")
 	if err != nil {
 		return nil, err
@@ -64,53 +60,32 @@ func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hc
 	}
 	ab := &KVAB{Runs: runs, Scale: scale, Seed: seed}
 
-	checks := map[int]uint64{}
-	runSide := func(cfgID int) (KVSide, error) {
-		knobs := KnobsFor(cfgID)
-		side := KVSide{Config: cfgID, Knobs: knobs.String(), Runs: runs}
-		acc := kvstore.NewMetrics()
-		var exec float64
-		for run := 0; run < runs; run++ {
-			out, err := w.Run(workloads.RunConfig{
-				Knobs:     knobs,
-				Seed:      seed + int64(run),
-				Scale:     scale,
-				KV:        acc,
-				Telemetry: sink,
-			})
-			if err != nil {
-				return side, fmt.Errorf("kv: config %d run %d: %w", cfgID, run, err)
-			}
-			if prev, seen := checks[run]; seen && out.Check != prev {
-				return side, fmt.Errorf(
-					"kv: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-					cfgID, run, out.Check, prev)
-			}
-			checks[run] = out.Check
-			exec += out.ExecSeconds
-			side.GCCycles += out.GCCycleCount
-			progress("kv config %-2d run %d/%d", cfgID, run+1, runs)
+	accs := [2]*kvstore.Metrics{kvstore.NewMetrics(), kvstore.NewMetrics()}
+	sides, err := runSides("kv", w, []int{baseCfg, testCfg}, runs, scale, seed, sink, progress,
+		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
+			rc.KV = accs[side]
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for i, side := range []*KVSide{&ab.Base, &ab.Test} {
+		*side = KVSide{
+			Config: sides[i].config, Knobs: sides[i].knobs, Runs: runs,
+			Report:          accs[i].Report(nil),
+			MeanExecSeconds: sides[i].meanExecSeconds,
+			GCCycles:        sides[i].gcCycles,
 		}
-		side.MeanExecSeconds = exec / float64(runs)
-		side.Report = acc.Report(nil)
-		return side, nil
-	}
-
-	if ab.Base, err = runSide(baseCfg); err != nil {
-		return nil, err
-	}
-	if ab.Test, err = runSide(testCfg); err != nil {
-		return nil, err
 	}
 	return ab, nil
 }
 
-// ValidateKVAB checks a KV A/B report's well-formedness: both sides pass
-// the serving report's structural validation, every phase recorded
-// requests, and the two sides served identical request counts per phase
-// (the schedule is open-loop and seeded, so any divergence is a harness
-// bug). Used by the CI smoke step.
-func ValidateKVAB(ab *KVAB) error {
+// Validate checks a KV A/B report's well-formedness: both sides pass the
+// serving report's structural validation, every phase recorded requests,
+// and the two sides served identical request counts per phase (the
+// schedule is open-loop and seeded, so any divergence is a harness bug).
+// Used by the CI smoke step.
+func (ab *KVAB) Validate() error {
 	for _, s := range []struct {
 		name string
 		side *KVSide
@@ -135,10 +110,10 @@ func ValidateKVAB(ab *KVAB) error {
 	return nil
 }
 
-// WriteKVReport renders the A/B comparison as aligned text tables: the
+// WriteText renders the A/B comparison as aligned text tables: the
 // per-phase latency distributions, each phase's SLO curve side by side,
 // and the tail-latency headline.
-func WriteKVReport(w io.Writer, ab *KVAB) {
+func (ab *KVAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== KV serving A/B: open-loop load, %d runs, scale %g ===\n",
 		ab.Runs, ab.Scale)
 	fmt.Fprintf(w, "base: cfg %d (%s)   test: cfg %d (%s)\n",
@@ -192,10 +167,27 @@ func hitRate(r kvstore.Report) float64 {
 	return float64(r.Hits) / float64(r.Hits+r.Misses)
 }
 
-// WriteKVJSON renders the full A/B result as indented JSON, the artifact
-// format the CI job uploads.
-func WriteKVJSON(w io.Writer, ab *KVAB) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ab)
+// WriteJSON renders the full A/B result.
+func (ab *KVAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }
+
+// Artifact normalizes a KV A/B result: per side, the steady/burst tail
+// quantiles, hit rate and mean execution time.
+func (ab *KVAB) Artifact() (Artifact, bool) {
+	a := newArtifact("kv", "kv-ab", ab.Runs, ab.Scale, ab.Seed)
+	for _, s := range []struct {
+		name string
+		side *KVSide
+	}{{"base", &ab.Base}, {"test", &ab.Test}} {
+		steady := kvPhaseDist(s.side.Report, loadgen.PhaseNames[loadgen.PhaseSteady])
+		burst := kvPhaseDist(s.side.Report, loadgen.PhaseNames[loadgen.PhaseBurst])
+		a.Metrics = append(a.Metrics,
+			BenchMetric{s.name + "/p50-steady", steady.P50, "lower"},
+			BenchMetric{s.name + "/p99-steady", steady.P99, "lower"},
+			BenchMetric{s.name + "/p999-steady", steady.P999, "lower"},
+			BenchMetric{s.name + "/p999-burst", burst.P999, "lower"},
+			BenchMetric{s.name + "/hit-rate", hitRate(s.side.Report), "higher"},
+			BenchMetric{s.name + "/exec-seconds", s.side.MeanExecSeconds, "lower"},
+		)
+	}
+	return a, true
 }

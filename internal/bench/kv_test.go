@@ -12,7 +12,7 @@ func TestRunKVAB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateKVAB(ab); err != nil {
+	if err := ab.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if ab.Base.Config != 3 || ab.Test.Config != 4 {
@@ -32,7 +32,7 @@ func TestRunKVAB(t *testing.T) {
 	}
 
 	var text bytes.Buffer
-	WriteKVReport(&text, ab)
+	ab.WriteText(&text)
 	for _, want := range []string{
 		"KV serving A/B", "SLO curve, steady phase", "SLO curve, burst phase",
 		"SLO curve, shifted phase", "tail headline", "hit rate",
@@ -52,14 +52,14 @@ func TestKVJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteKVJSON(&buf, ab); err != nil {
+	if err := ab.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var rt KVAB
 	if err := json.Unmarshal(buf.Bytes(), &rt); err != nil {
 		t.Fatalf("decode artifact: %v", err)
 	}
-	if err := ValidateKVAB(&rt); err != nil {
+	if err := rt.Validate(); err != nil {
 		t.Fatalf("round-tripped report invalid: %v", err)
 	}
 	if rt.Base.Knobs != ab.Base.Knobs || rt.Test.Knobs != ab.Test.Knobs {
@@ -90,7 +90,7 @@ func TestKVABValidateRejectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	ab.Test.Report.Phases[1].Dist.Count++
-	if ValidateKVAB(ab) == nil {
+	if ab.Validate() == nil {
 		t.Fatal("ValidateKVAB accepted mismatched per-phase request counts")
 	}
 }

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -44,13 +43,10 @@ type LatencyAB struct {
 
 // RunLatencyAB runs the experiment's workload under two configurations
 // with a fresh latency tracker per run and aggregates the trackers.
-// baseCfg/testCfg are Table 2 config ids; the -latency default pair is
-// 3 (RelocateAllSmallPages) vs 4 (+LazyRelocate), the pair that shows
-// relocation shifting into mutator barriers.
+// baseCfg/testCfg are Table 2 config ids; the `-report latency` default
+// pair is 3 (RelocateAllSmallPages) vs 4 (+LazyRelocate), the pair that
+// shows relocation shifting into mutator barriers.
 func RunLatencyAB(expID string, runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hcsgc.TelemetrySink, progress Progress) (*LatencyAB, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	w, err := workloads.Get(expID)
 	if err != nil {
 		return nil, err
@@ -66,60 +62,39 @@ func RunLatencyAB(expID string, runs int, scale float64, seed int64, baseCfg, te
 		Seed:       seed,
 	}
 
-	checks := map[int]uint64{}
-	runSide := func(cfgID int) (LatencySide, error) {
-		knobs := KnobsFor(cfgID)
-		side := LatencySide{Config: cfgID, Knobs: knobs.String(), Runs: runs}
-		var exec float64
-		var trackers []*hcsgc.LatencyTracker
-		for run := 0; run < runs; run++ {
+	var trackers [2][]*hcsgc.LatencyTracker
+	sides, err := runSides("latency "+expID, w, []int{baseCfg, testCfg}, runs, scale, seed, sink, progress,
+		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
 			// Discard automatic dumps: a bench OOM already fails the run.
-			tracker := hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{DumpTo: io.Discard})
-			out, err := w.Run(workloads.RunConfig{
-				Knobs:     knobs,
-				Seed:      seed + int64(run),
-				Scale:     scale,
-				Latency:   tracker,
-				Telemetry: sink,
-			})
-			if err != nil {
-				return side, fmt.Errorf("latency %s: config %d run %d: %w", expID, cfgID, run, err)
-			}
-			if prev, seen := checks[run]; seen && out.Check != prev {
-				return side, fmt.Errorf(
-					"latency %s: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-					expID, cfgID, run, out.Check, prev)
-			}
-			checks[run] = out.Check
-			exec += out.ExecSeconds
-			trackers = append(trackers, tracker)
-			progress("%s latency config %-2d run %d/%d", expID, cfgID, run+1, runs)
+			rc.Latency = hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{DumpTo: io.Discard})
+			trackers[side] = append(trackers[side], rc.Latency)
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for i, side := range []*LatencySide{&ab.Base, &ab.Test} {
+		report := latency.Aggregate(trackers[i])
+		*side = LatencySide{
+			Config: sides[i].config, Knobs: sides[i].knobs, Runs: runs,
+			Report:          report,
+			MeanExecSeconds: sides[i].meanExecSeconds,
+			FlightCycles:    report.Cycles,
 		}
-		side.MeanExecSeconds = exec / float64(runs)
-		side.Report = latency.Aggregate(trackers)
-		side.FlightCycles = side.Report.Cycles
-		return side, nil
-	}
-
-	if ab.Base, err = runSide(baseCfg); err != nil {
-		return nil, err
-	}
-	if ab.Test, err = runSide(testCfg); err != nil {
-		return nil, err
 	}
 	return ab, nil
 }
 
-// ValidateLatencyAB sanity-checks a report's well-formedness: recorded
-// pauses on both sides, MMU values inside [0,1] at every window, and at
-// least one recorded GC cycle. Used by the CI smoke step.
-func ValidateLatencyAB(ab *LatencyAB) error {
+// Validate sanity-checks a report's well-formedness: recorded pauses on
+// both sides, MMU values inside [0,1] at every window, and at least one
+// recorded GC cycle. Used by the CI smoke step.
+func (ab *LatencyAB) Validate() error {
 	check := func(name string, s *LatencySide) error {
 		r := s.Report
 		if r == nil {
 			return fmt.Errorf("latency: %s side has no report", name)
 		}
-		for _, pause := range []string{"stw1", "stw2", "stw3"} {
+		for _, pause := range latencyPauseOrder {
 			if r.Pauses[pause].Count == 0 {
 				return fmt.Errorf("latency: %s side recorded no %s pauses", name, pause)
 			}
@@ -148,10 +123,10 @@ var (
 	latencyBarrierOrder = []string{"mark", "relocate", "remap", "hotmap_record"}
 )
 
-// WriteLatencyReport renders the A/B comparison as aligned text tables:
-// per-phase percentiles, the MMU ladder, and the barrier profile with the
+// WriteText renders the A/B comparison as aligned text tables: per-phase
+// percentiles, the MMU ladder, and the barrier profile with the
 // relocation-shift headline.
-func WriteLatencyReport(w io.Writer, ab *LatencyAB) {
+func (ab *LatencyAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== latency A/B: %s (%s), %d runs, scale %g ===\n",
 		ab.Experiment, ab.Workload, ab.Runs, ab.Scale)
 	fmt.Fprintf(w, "base: cfg %d (%s)   test: cfg %d (%s)\n",
@@ -207,10 +182,8 @@ func WriteLatencyReport(w io.Writer, ab *LatencyAB) {
 		ab.Base.FlightCycles, ab.Test.FlightCycles, b.FlightDumps, t.FlightDumps)
 }
 
-// WriteLatencyJSON renders the full A/B result as indented JSON, the
-// artifact format the CI job uploads.
-func WriteLatencyJSON(w io.Writer, ab *LatencyAB) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ab)
-}
+// WriteJSON renders the full A/B result.
+func (ab *LatencyAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }
+
+// Artifact: the latency A/B has no normalized benchmark artifact.
+func (*LatencyAB) Artifact() (Artifact, bool) { return Artifact{}, false }

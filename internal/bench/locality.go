@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -48,9 +47,6 @@ type LocalityAB struct {
 // power-of-two sampling knob (accesses per burst period). A non-nil sink
 // serves each in-flight run's profiler live on /locality.
 func RunLocalityAB(expID string, runs int, scale float64, seed int64, baseCfg, testCfg int, shift uint, sink *hcsgc.TelemetrySink, progress Progress) (*LocalityAB, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	w, err := workloads.Get(expID)
 	if err != nil {
 		return nil, err
@@ -70,51 +66,31 @@ func RunLocalityAB(expID string, runs int, scale float64, seed int64, baseCfg, t
 		Window:       profCfg.Window,
 	}
 
-	checks := map[int]uint64{}
-	runSide := func(cfgID int) (LocalitySide, error) {
-		knobs := KnobsFor(cfgID)
-		side := LocalitySide{Config: cfgID, Knobs: knobs.String(), Runs: runs}
-		var exec float64
-		for run := 0; run < runs; run++ {
+	var reports [2][]*hcsgc.LocalityReport
+	sides, err := runSides("locality "+expID, w, []int{baseCfg, testCfg}, runs, scale, seed, sink, progress,
+		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
 			prof := locality.New(locality.Config{SamplePeriodShift: shift})
-			out, err := w.Run(workloads.RunConfig{
-				Knobs:     knobs,
-				Seed:      seed + int64(run),
-				Scale:     scale,
-				Locality:  prof,
-				Telemetry: sink,
-			})
-			if err != nil {
-				return side, fmt.Errorf("locality %s: config %d run %d: %w", expID, cfgID, run, err)
-			}
-			if prev, seen := checks[run]; seen && out.Check != prev {
-				return side, fmt.Errorf(
-					"locality %s: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-					expID, cfgID, run, out.Check, prev)
-			}
-			checks[run] = out.Check
-			exec += out.ExecSeconds
-			side.Reports = append(side.Reports, prof.Report())
-			progress("%s locality config %-2d run %d/%d", expID, cfgID, run+1, runs)
+			rc.Locality = prof
+			return func(workloads.Result) { reports[side] = append(reports[side], prof.Report()) }
+		})
+	if err != nil {
+		return nil, err
+	}
+	for i, side := range []*LocalitySide{&ab.Base, &ab.Test} {
+		*side = LocalitySide{
+			Config: sides[i].config, Knobs: sides[i].knobs, Runs: runs,
+			Stats:           locality.Aggregate(reports[i]),
+			MeanExecSeconds: sides[i].meanExecSeconds,
+			Reports:         reports[i],
 		}
-		side.MeanExecSeconds = exec / float64(runs)
-		side.Stats = locality.Aggregate(side.Reports)
-		return side, nil
-	}
-
-	if ab.Base, err = runSide(baseCfg); err != nil {
-		return nil, err
-	}
-	if ab.Test, err = runSide(testCfg); err != nil {
-		return nil, err
 	}
 	return ab, nil
 }
 
-// ValidateLocalityAB sanity-checks a report's well-formedness: non-empty
-// reuse histograms on both sides and purity within [0,1]. Used by the CI
-// smoke step.
-func ValidateLocalityAB(ab *LocalityAB) error {
+// Validate sanity-checks a report's well-formedness: non-empty reuse
+// histograms on both sides and purity within [0,1]. Used by the CI smoke
+// step.
+func (ab *LocalityAB) Validate() error {
 	check := func(name string, s *hcsgc.LocalityStats) error {
 		if s.SampledAccesses == 0 {
 			return fmt.Errorf("locality: %s side sampled no accesses", name)
@@ -140,8 +116,8 @@ func ValidateLocalityAB(ab *LocalityAB) error {
 	return check("test", &ab.Test.Stats)
 }
 
-// WriteLocalityReport renders the A/B comparison as an aligned text table.
-func WriteLocalityReport(w io.Writer, ab *LocalityAB) {
+// WriteText renders the A/B comparison as an aligned text table.
+func (ab *LocalityAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== locality A/B: %s (%s), %d runs, scale %g ===\n",
 		ab.Experiment, ab.Workload, ab.Runs, ab.Scale)
 	fmt.Fprintf(w, "profiler: 1 burst of %d accesses per %d, reuse window %d\n\n",
@@ -174,10 +150,8 @@ func WriteLocalityReport(w io.Writer, ab *LocalityAB) {
 		b.SampledAccesses, t.SampledAccesses)
 }
 
-// WriteLocalityJSON renders the full A/B result (including per-run
-// reports) as indented JSON, the artifact format the CI job uploads.
-func WriteLocalityJSON(w io.Writer, ab *LocalityAB) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ab)
-}
+// WriteJSON renders the full A/B result, including the per-run reports.
+func (ab *LocalityAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }
+
+// Artifact: the locality A/B has no normalized benchmark artifact.
+func (*LocalityAB) Artifact() (Artifact, bool) { return Artifact{}, false }

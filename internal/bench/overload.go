@@ -1,10 +1,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 
 	"hcsgc"
 	"hcsgc/internal/kvstore"
@@ -73,9 +71,6 @@ type OverloadAB struct {
 // deadline knob consumes no RNG draws), so the comparison isolates the
 // protection plane.
 func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor float64, sink *hcsgc.TelemetrySink, progress Progress) (*OverloadAB, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	w, err := workloads.Get("kv")
 	if err != nil {
 		return nil, err
@@ -130,13 +125,13 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 				// it rather than fail the whole comparison — the validator
 				// decides whether aborts disqualify the result.
 				side.OOMAborts++
-				progress("overload %-11s run %d/%d ABORTED: %v", name, run+1, runs, err)
+				progress.printf("overload %-11s run %d/%d ABORTED: %v", name, run+1, runs, err)
 				continue
 			}
 			finished++
 			exec += out.ExecSeconds
 			side.GCCycles += out.GCCycleCount
-			progress("overload %-11s run %d/%d", name, run+1, runs)
+			progress.printf("overload %-11s run %d/%d", name, run+1, runs)
 		}
 		if finished > 0 {
 			side.MeanExecSeconds = exec / float64(finished)
@@ -156,7 +151,7 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 	return ab, nil
 }
 
-// ValidateOverloadAB is the acceptance gate for the overload comparison:
+// Validate is the acceptance gate for the overload comparison:
 //
 //   - structural validity of every per-side report, and no OOM-aborted
 //     runs on either side (heap exhaustion must degrade, not abort);
@@ -168,7 +163,7 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 //   - the protection bought something: the protected side's
 //     successful-request p999 is below the unprotected side's, and its
 //     goodput is no worse.
-func ValidateOverloadAB(ab *OverloadAB) error {
+func (ab *OverloadAB) Validate() error {
 	for _, s := range []struct {
 		name string
 		side *OverloadSide
@@ -224,10 +219,10 @@ func ValidateOverloadAB(ab *OverloadAB) error {
 	return nil
 }
 
-// WriteOverloadReport renders the comparison as aligned text: the goodput
-// headline, the outcome breakdown per side, and the successful-request
-// tails the protection bounded.
-func WriteOverloadReport(w io.Writer, ab *OverloadAB) {
+// WriteText renders the comparison as aligned text: the goodput headline,
+// the outcome breakdown per side, and the successful-request tails the
+// protection bounded.
+func (ab *OverloadAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== KV overload A/B: %d runs, scale %g, load factor %g, cfg %d (%s) ===\n",
 		ab.Runs, ab.Scale, ab.LoadFactor, ab.Config, ab.Knobs)
 	fmt.Fprintf(w, "SLO %d cycles, per-request deadline %d cycles\n\n",
@@ -276,31 +271,19 @@ func WriteOverloadReport(w io.Writer, ab *OverloadAB) {
 	}
 }
 
-// WriteOverloadJSON renders the full overload A/B result as indented JSON,
-// the artifact format the CI job uploads as overload-report.json.
-func WriteOverloadJSON(w io.Writer, ab *OverloadAB) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ab)
-}
+// WriteJSON renders the full overload A/B result (overload-report.json).
+func (ab *OverloadAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }
 
-// OverloadArtifact normalizes an overload A/B result for the committed
-// baseline comparison: per side, the goodput rate, shed rate, and the
+// Artifact normalizes an overload A/B result for the committed baseline
+// comparison: per side, the goodput rate, shed rate, and the
 // successful-request tail quantiles. Only the protected side's stable
 // gate metrics carry a comparison direction; the unprotected side is a
 // controlled meltdown whose numbers swing tens of percent run to run
 // (unbounded queues amplify scheduling noise), and the protected
 // failure/p99 split shifts with shed timing — those are recorded as
 // informational so the CI baseline compare does not cry wolf.
-func OverloadArtifact(ab *OverloadAB) Artifact {
-	a := Artifact{
-		Experiment: "overload",
-		Mode:       "overload-ab",
-		Runs:       ab.Runs,
-		Scale:      ab.Scale,
-		Seed:       ab.Seed,
-		GoVersion:  runtime.Version(),
-	}
+func (ab *OverloadAB) Artifact() (Artifact, bool) {
+	a := newArtifact("overload", "overload-ab", ab.Runs, ab.Scale, ab.Seed)
 	for _, s := range []struct {
 		name  string
 		side  *OverloadSide
@@ -323,5 +306,5 @@ func OverloadArtifact(ab *OverloadAB) Artifact {
 			BenchMetric{s.name + "/p99-steady", steady.P99, ""},
 		)
 	}
-	return a
+	return a, true
 }

@@ -26,7 +26,7 @@ func TestRunOverloadAB(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateOverloadAB(ab); err != nil {
+	if err := ab.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if ab.LoadFactor != 2 || ab.Config != 3 {
@@ -40,7 +40,7 @@ func TestRunOverloadAB(t *testing.T) {
 	}
 
 	var text bytes.Buffer
-	WriteOverloadReport(&text, ab)
+	ab.WriteText(&text)
 	for _, want := range []string{
 		"KV overload A/B", "goodput (within-SLO ok)", "shed (point / bulk)",
 		"deadline expiries", "success p999", "violation causes (protected side)",
@@ -61,21 +61,21 @@ func TestOverloadJSONRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteOverloadJSON(&buf, ab); err != nil {
+	if err := ab.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var rt OverloadAB
 	if err := json.Unmarshal(buf.Bytes(), &rt); err != nil {
 		t.Fatalf("decode artifact: %v", err)
 	}
-	if err := ValidateOverloadAB(&rt); err != nil {
+	if err := rt.Validate(); err != nil {
 		t.Fatalf("round-tripped report invalid: %v", err)
 	}
 	if rt.Protected.Overload.Success != ab.Protected.Overload.Success {
 		t.Fatal("success distribution changed in round trip")
 	}
 
-	art := OverloadArtifact(ab)
+	art, _ := ab.Artifact()
 	if art.Experiment != "overload" || art.Mode != "overload-ab" {
 		t.Fatalf("artifact identity: %s/%s", art.Experiment, art.Mode)
 	}
@@ -103,7 +103,7 @@ func TestValidateOverloadABRejectsCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateOverloadAB(ab); err != nil {
+	if err := ab.Validate(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,7 +130,7 @@ func TestValidateOverloadABRejectsCorruption(t *testing.T) {
 		})},
 	}
 	for _, tc := range cases {
-		if ValidateOverloadAB(tc.ab) == nil {
+		if tc.ab.Validate() == nil {
 			t.Errorf("gate accepted corrupted result: %s", tc.name)
 		}
 	}

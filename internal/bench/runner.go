@@ -74,11 +74,90 @@ type Result struct {
 // Progress receives runner progress messages (may be nil).
 type Progress func(format string, args ...any)
 
+func (p Progress) printf(format string, args ...any) {
+	if p != nil {
+		p(format, args...)
+	}
+}
+
+// runCore is the per-run core every config-vs-config experiment shares:
+// it completes the run's config (Table 2 knobs, seed+run so that every
+// configuration sees identical workload randomness per run index, scale,
+// telemetry sink), runs the workload, and cross-checks the checksum
+// against the first configuration that ran the same run index.
+type runCore struct {
+	label  string // error prefix, e.g. "latency fig4"
+	w      workloads.Workload
+	scale  float64
+	seed   int64
+	sink   *hcsgc.TelemetrySink
+	checks map[int]uint64 // run index -> checksum
+}
+
+func (c *runCore) run(cfgID, run int, rc workloads.RunConfig) (workloads.Result, error) {
+	rc.Knobs = KnobsFor(cfgID)
+	rc.Seed = c.seed + int64(run)
+	rc.Scale = c.scale
+	rc.Telemetry = c.sink
+	out, err := c.w.Run(rc)
+	if err != nil {
+		return out, fmt.Errorf("%s: config %d run %d: %w", c.label, cfgID, run, err)
+	}
+	if prev, seen := c.checks[run]; seen && out.Check != prev {
+		return out, fmt.Errorf(
+			"%s: config %d run %d checksum %d != expected %d — GC configuration changed program results",
+			c.label, cfgID, run, out.Check, prev)
+	}
+	c.checks[run] = out.Check
+	return out, nil
+}
+
+// abSide is what runSides measures about every side itself; the plane
+// reports are the caller's.
+type abSide struct {
+	config int
+	knobs  string
+	// meanExecSeconds is the mean simulated execution time; gcCycles
+	// counts collections across all runs.
+	meanExecSeconds float64
+	gcCycles        int
+}
+
+// runSides is the A/B loop: w under each configuration of cfgs, runs
+// times each, through one runCore. perRun is the caller's whole
+// contribution: called before every run with the side's index and the
+// run's config to attach its planes to, it returns what to do with the
+// finished run (nil = nothing).
+func runSides(label string, w workloads.Workload, cfgs []int, runs int, scale float64, seed int64,
+	sink *hcsgc.TelemetrySink, progress Progress,
+	perRun func(side int, rc *workloads.RunConfig) func(workloads.Result)) ([]abSide, error) {
+	core := runCore{label: label, w: w, scale: scale, seed: seed, sink: sink, checks: map[int]uint64{}}
+	sides := make([]abSide, len(cfgs))
+	for i, cfgID := range cfgs {
+		side := &sides[i]
+		side.config, side.knobs = cfgID, KnobsFor(cfgID).String()
+		var exec float64
+		for run := 0; run < runs; run++ {
+			var rc workloads.RunConfig
+			collect := perRun(i, &rc)
+			out, err := core.run(cfgID, run, rc)
+			if err != nil {
+				return nil, err
+			}
+			if collect != nil {
+				collect(out)
+			}
+			exec += out.ExecSeconds
+			side.gcCycles += out.GCCycleCount
+			progress.printf("%s config %-2d run %d/%d", label, cfgID, run+1, runs)
+		}
+		side.meanExecSeconds = exec / float64(runs)
+	}
+	return sides, nil
+}
+
 // Run executes the experiment.
 func Run(spec Spec, progress Progress) (Result, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	w, err := workloads.Get(spec.ID)
 	if err != nil {
 		return Result{}, err
@@ -91,6 +170,8 @@ func Run(spec Spec, progress Progress) (Result, error) {
 		configs = AllConfigs()
 	}
 	res := Result{Spec: spec, Workload: w.Name, Checks: map[int]uint64{}}
+	core := runCore{label: "bench " + spec.ID, w: w, scale: spec.Scale, seed: spec.Seed,
+		sink: spec.Telemetry, checks: res.Checks}
 
 	for _, cfgID := range configs {
 		knobs := KnobsFor(cfgID)
@@ -98,23 +179,9 @@ func Run(spec Spec, progress Progress) (Result, error) {
 		scoreSamples := map[string][]float64{}
 		var loads, l1, llc, cycles, medEC, mutReloc, gcReloc float64
 		for run := 0; run < spec.Runs; run++ {
-			out, err := w.Run(workloads.RunConfig{
-				Knobs:     knobs,
-				Seed:      spec.Seed + int64(run),
-				Scale:     spec.Scale,
-				Telemetry: spec.Telemetry,
-			})
+			out, err := core.run(cfgID, run, workloads.RunConfig{})
 			if err != nil {
-				return Result{}, fmt.Errorf("bench %s: config %d run %d: %w", spec.ID, cfgID, run, err)
-			}
-			if prev, seen := res.Checks[run]; seen {
-				if out.Check != prev {
-					return Result{}, fmt.Errorf(
-						"bench %s: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-						spec.ID, cfgID, run, out.Check, prev)
-				}
-			} else {
-				res.Checks[run] = out.Check
+				return Result{}, err
 			}
 			cr.Times = append(cr.Times, out.ExecSeconds)
 			loads += float64(out.Loads)
@@ -141,18 +208,11 @@ func Run(spec Spec, progress Progress) (Result, error) {
 			cr.ScoreBoots[k] = stats.BootstrapMean(sample, stats.DefaultResamples, spec.Seed+int64(cfgID))
 		}
 		res.PerConfig = append(res.PerConfig, cr)
-		progress("%s config %-2d  %-28s mean %.4fs", spec.ID, cfgID, knobs, cr.Boot.Mean)
+		progress.printf("%s config %-2d  %-28s mean %.4fs", spec.ID, cfgID, knobs, cr.Boot.Mean)
 	}
 
 	// Normalise against Config 0 when present.
-	var base *ConfigResult
-	for i := range res.PerConfig {
-		if res.PerConfig[i].Config == 0 {
-			base = &res.PerConfig[i]
-			break
-		}
-	}
-	if base != nil {
+	if base := res.Baseline(); base != nil {
 		for i := range res.PerConfig {
 			cr := &res.PerConfig[i]
 			cr.TimeVsBaseline = stats.NormalizedDelta(cr.Boot.Mean, base.Boot.Mean)

@@ -1,20 +1,17 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
-	"strconv"
 
 	"hcsgc"
 	"hcsgc/internal/contention"
 	"hcsgc/internal/workloads"
 )
 
-// The scaling sweep (`hcsgc-bench -scale-sweep`) answers the question the
+// The scaling sweep (`hcsgc-bench -report scaling`) answers the question the
 // per-site contention counters raise: which lock stops this collector
 // from scaling, and at what mutator count. It runs the shared-array
 // synthetic (fig4) and the sharded KV server across a ladder of mutator
@@ -194,7 +191,7 @@ type ScaleSeries struct {
 	FitNote string `json:"fit_note,omitempty"`
 }
 
-// ScaleSweep is the `-scale-sweep` result (scaling-report.json).
+// ScaleSweep is the `-report scaling` result (scaling-report.json).
 type ScaleSweep struct {
 	Scale    float64       `json:"scale"`
 	Seed     int64         `json:"seed"`
@@ -202,24 +199,10 @@ type ScaleSweep struct {
 	Series   []ScaleSeries `json:"series"`
 }
 
-// Help strings for the hcsgc_scaling_* gauges (constant so the
-// telemetrynames consistency check can see them).
-const (
-	helpScalingThroughput = "scale-sweep throughput in completed operations per simulated second"
-	helpScalingSpeedup    = "scale-sweep throughput relative to the smallest mutator count"
-	helpScalingSigma      = "USL contention (serialization) coefficient fitted to the sweep"
-	helpScalingKappa      = "USL crosstalk (coherency) coefficient fitted to the sweep"
-	helpScalingLambda     = "USL single-mutator throughput fitted to the sweep"
-)
-
 // RunScaleSweep runs every scaling workload across the mutator ladder,
 // one fresh contention plane per run, and fits the USL per workload.
-// muts nil/empty selects ScalingMutators. With a telemetry sink attached
-// the sweep exports its curve as hcsgc_scaling_* gauges.
+// muts nil/empty selects ScalingMutators.
 func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetrySink, progress Progress) (*ScaleSweep, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	if len(muts) == 0 {
 		muts = ScalingMutators
 	}
@@ -305,7 +288,7 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 			pt.Sites = snap.Sites
 			pt.CAS = snap.CAS
 			series.Points = append(series.Points, pt)
-			progress("scale %-4s x%-3d  %12.0f ops/s", name, n, pt.Throughput)
+			progress.printf("scale %-4s x%-3d  %12.0f ops/s", name, n, pt.Throughput)
 		}
 		if base := series.Points[0].Throughput; base > 0 {
 			for i := range series.Points {
@@ -326,35 +309,15 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 		sweep.Series = append(sweep.Series, series)
 	}
 
-	if sink != nil {
-		reg := sink.Metrics()
-		for _, s := range sweep.Series {
-			for _, pt := range s.Points {
-				m := strconv.Itoa(pt.Mutators)
-				reg.Gauge("hcsgc_scaling_throughput", helpScalingThroughput,
-					"workload", s.Workload, "mutators", m).Set(pt.Throughput)
-				reg.Gauge("hcsgc_scaling_speedup", helpScalingSpeedup,
-					"workload", s.Workload, "mutators", m).Set(pt.Speedup)
-			}
-			if s.Fit != nil {
-				reg.Gauge("hcsgc_scaling_usl_sigma", helpScalingSigma,
-					"workload", s.Workload).Set(s.Fit.Sigma)
-				reg.Gauge("hcsgc_scaling_usl_kappa", helpScalingKappa,
-					"workload", s.Workload).Set(s.Fit.Kappa)
-				reg.Gauge("hcsgc_scaling_usl_lambda", helpScalingLambda,
-					"workload", s.Workload).Set(s.Fit.Lambda)
-			}
-		}
-	}
 	return sweep, nil
 }
 
-// ValidateScaleSweep checks structural well-formedness: every series
+// Validate checks structural well-formedness: every series
 // covers the full ladder in ascending order with positive throughput,
 // each point's ranked contention table is monotone (most-contended
 // first), and a successful fit is physical (λ > 0, σ, κ ≥ 0). Used by
 // the CI smoke step.
-func ValidateScaleSweep(s *ScaleSweep) error {
+func (s *ScaleSweep) Validate() error {
 	if len(s.Series) == 0 {
 		return fmt.Errorf("bench: scale sweep has no series")
 	}
@@ -397,10 +360,10 @@ func ValidateScaleSweep(s *ScaleSweep) error {
 	return nil
 }
 
-// WriteScalingReport renders the sweep as text: per workload, the
+// WriteText renders the sweep as text: per workload, the
 // throughput/speedup ladder with the top contended site at each width,
 // the USL coefficients, and the full ranked table at the widest point.
-func WriteScalingReport(w io.Writer, s *ScaleSweep) {
+func (s *ScaleSweep) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== scaling sweep: mutators %v, scale %g, seed %d ===\n", s.Mutators, s.Scale, s.Seed)
 	for _, ser := range s.Series {
 		fmt.Fprintf(w, "\n--- %s ---\n", ser.Workload)
@@ -439,28 +402,16 @@ func WriteScalingReport(w io.Writer, s *ScaleSweep) {
 	}
 }
 
-// WriteScalingJSON renders the full sweep as indented JSON
-// (scaling-report.json, the artifact CI uploads).
-func WriteScalingJSON(w io.Writer, s *ScaleSweep) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
+// WriteJSON renders the full sweep (scaling-report.json).
+func (s *ScaleSweep) WriteJSON(w io.Writer) error { return writeJSON(w, s) }
 
-// ScalingArtifact normalizes the sweep into the BENCH_scaling.json shape:
+// Artifact normalizes the sweep into the BENCH_scaling.json shape:
 // throughput per (workload, width) plus the USL coefficients. The
 // coefficients are informational (no better-direction) — σ moving says
 // the contention structure changed, which is a thing to look at, not
 // automatically a regression.
-func ScalingArtifact(s *ScaleSweep) Artifact {
-	a := Artifact{
-		Experiment: "scaling",
-		Mode:       "scale-sweep",
-		Runs:       len(s.Mutators),
-		Scale:      s.Scale,
-		Seed:       s.Seed,
-		GoVersion:  runtime.Version(),
-	}
+func (s *ScaleSweep) Artifact() (Artifact, bool) {
+	a := newArtifact("scaling", "scale-sweep", len(s.Mutators), s.Scale, s.Seed)
 	for _, ser := range s.Series {
 		for _, pt := range ser.Points {
 			a.Metrics = append(a.Metrics, BenchMetric{
@@ -477,5 +428,5 @@ func ScalingArtifact(s *ScaleSweep) Artifact {
 			)
 		}
 	}
-	return a
+	return a, true
 }

@@ -97,7 +97,7 @@ func TestRunScaleSweepSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateScaleSweep(sweep); err != nil {
+	if err := sweep.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(sweep.Series) != 2 {
@@ -124,7 +124,7 @@ func TestRunScaleSweepSmall(t *testing.T) {
 	}
 
 	var b bytes.Buffer
-	WriteScalingReport(&b, sweep)
+	sweep.WriteText(&b)
 	out := b.String()
 	for _, want := range []string{"--- fig4 ---", "--- kv ---", "USL fit:", "ranked contention, 4 mutators:"} {
 		if !strings.Contains(out, want) {
@@ -132,7 +132,7 @@ func TestRunScaleSweepSmall(t *testing.T) {
 		}
 	}
 
-	art := ScalingArtifact(sweep)
+	art, _ := sweep.Artifact()
 	if art.Experiment != "scaling" || art.Mode != "scale-sweep" {
 		t.Errorf("artifact header = %q/%q", art.Experiment, art.Mode)
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -52,9 +51,6 @@ type TailAB struct {
 // request-level tail attribution armed, runs times each with per-run
 // seeds. One attributor per side accumulates across its runs.
 func RunTailAB(runs int, scale float64, seed int64, baseCfg, testCfg int, slo uint64, sink *hcsgc.TelemetrySink, progress Progress) (*TailAB, error) {
-	if progress == nil {
-		progress = func(string, ...any) {}
-	}
 	w, err := workloads.Get("kv")
 	if err != nil {
 		return nil, err
@@ -67,58 +63,40 @@ func RunTailAB(runs int, scale float64, seed int64, baseCfg, testCfg int, slo ui
 	}
 	ab := &TailAB{Runs: runs, Scale: scale, Seed: seed}
 
-	checks := map[int]uint64{}
-	runSide := func(cfgID int) (TailSide, error) {
-		knobs := KnobsFor(cfgID)
-		side := TailSide{Config: cfgID, Knobs: knobs.String(), Runs: runs}
-		acc := kvstore.NewMetrics()
-		tail := hcsgc.NewTailAttributor(hcsgc.TailConfig{SLOThresholdCycles: slo})
-		var exec float64
-		for run := 0; run < runs; run++ {
-			out, err := w.Run(workloads.RunConfig{
-				Knobs:     knobs,
-				Seed:      seed + int64(run),
-				Scale:     scale,
-				KV:        acc,
-				Tail:      tail,
-				Telemetry: sink,
-			})
-			if err != nil {
-				return side, fmt.Errorf("tail: config %d run %d: %w", cfgID, run, err)
-			}
-			if prev, seen := checks[run]; seen && out.Check != prev {
-				return side, fmt.Errorf(
-					"tail: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-					cfgID, run, out.Check, prev)
-			}
-			checks[run] = out.Check
-			exec += out.ExecSeconds
-			side.GCCycles += out.GCCycleCount
-			progress("tail config %-2d run %d/%d", cfgID, run+1, runs)
+	var accs [2]*kvstore.Metrics
+	var tails [2]*hcsgc.TailAttributor
+	for i := range accs {
+		accs[i] = kvstore.NewMetrics()
+		tails[i] = hcsgc.NewTailAttributor(hcsgc.TailConfig{SLOThresholdCycles: slo})
+	}
+	sides, err := runSides("tail", w, []int{baseCfg, testCfg}, runs, scale, seed, sink, progress,
+		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
+			rc.KV, rc.Tail = accs[side], tails[side]
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	for i, side := range []*TailSide{&ab.Base, &ab.Test} {
+		*side = TailSide{
+			Config: sides[i].config, Knobs: sides[i].knobs, Runs: runs,
+			Tail:            tails[i].Report(),
+			Report:          accs[i].Report(nil),
+			MeanExecSeconds: sides[i].meanExecSeconds,
+			GCCycles:        sides[i].gcCycles,
 		}
-		side.MeanExecSeconds = exec / float64(runs)
-		side.Report = acc.Report(nil)
-		side.Tail = tail.Report()
-		ab.SLOThresholdCycles = side.Tail.SLOThresholdCycles
-		return side, nil
 	}
-
-	if ab.Base, err = runSide(baseCfg); err != nil {
-		return nil, err
-	}
-	if ab.Test, err = runSide(testCfg); err != nil {
-		return nil, err
-	}
+	ab.SLOThresholdCycles = ab.Test.Tail.SLOThresholdCycles
 	return ab, nil
 }
 
-// ValidateTailAB checks a tail A/B report: both sides pass the serving
-// and attribution structural validations, both sides observed every
-// request the serving report counted, the comparison saw violations at
-// all (a run with none proves nothing), and — the acceptance gate — at
-// least 90% of each side's SLO-violating requests carry a concrete cause
-// and responsible cycle id.
-func ValidateTailAB(ab *TailAB) error {
+// Validate checks a tail A/B report: both sides pass the serving and
+// attribution structural validations, both sides observed every request
+// the serving report counted, the comparison saw violations at all (a run
+// with none proves nothing), and — the acceptance gate — at least 90% of
+// each side's SLO-violating requests carry a concrete cause and
+// responsible cycle id.
+func (ab *TailAB) Validate() error {
 	var violations uint64
 	for _, s := range []struct {
 		name string
@@ -151,10 +129,10 @@ func ValidateTailAB(ab *TailAB) error {
 	return nil
 }
 
-// WriteTailReport renders the attribution comparison as aligned text: the
+// WriteText renders the attribution comparison as aligned text: the
 // headline attributed fractions, the per-config "p99 violations by cause"
 // breakdown, and the slowest exemplars with their responsible cycles.
-func WriteTailReport(w io.Writer, ab *TailAB) {
+func (ab *TailAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== KV tail attribution A/B: %d runs, scale %g, SLO %d cycles ===\n",
 		ab.Runs, ab.Scale, ab.SLOThresholdCycles)
 	fmt.Fprintf(w, "base: cfg %d (%s)   test: cfg %d (%s)\n\n",
@@ -181,8 +159,8 @@ func WriteTailReport(w io.Writer, ab *TailAB) {
 	}
 
 	fmt.Fprintf(w, "serving tail for context (steady p99 / p999):\n")
-	bs := phaseDist(&ab.Base, "steady")
-	ts := phaseDist(&ab.Test, "steady")
+	bs := kvPhaseDist(ab.Base.Report, "steady")
+	ts := kvPhaseDist(ab.Test.Report, "steady")
 	fmt.Fprintf(w, "  base %9.0f / %9.0f   test %9.0f / %9.0f cycles\n",
 		bs.P99, bs.P999, ts.P99, ts.P999)
 
@@ -211,19 +189,8 @@ func pct(n, d uint64) float64 {
 	return 100 * float64(n) / float64(d)
 }
 
-func phaseDist(side *TailSide, phase string) kvstore.Dist {
-	for _, p := range side.Report.Phases {
-		if p.Phase == phase {
-			return p.Dist
-		}
-	}
-	return kvstore.Dist{}
-}
+// WriteJSON renders the full tail A/B result (tail-report.json).
+func (ab *TailAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }
 
-// WriteTailJSON renders the full tail A/B result as indented JSON, the
-// artifact format the CI job uploads as tail-report.json.
-func WriteTailJSON(w io.Writer, ab *TailAB) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(ab)
-}
+// Artifact: the tail A/B has no normalized benchmark artifact.
+func (*TailAB) Artifact() (Artifact, bool) { return Artifact{}, false }

@@ -44,7 +44,7 @@ func TestRunTailABTiny(t *testing.T) {
 	}
 
 	var text bytes.Buffer
-	WriteTailReport(&text, ab)
+	ab.WriteText(&text)
 	out := text.String()
 	for _, want := range []string{
 		"KV tail attribution A/B",
@@ -58,7 +58,7 @@ func TestRunTailABTiny(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := WriteTailJSON(&buf, ab); err != nil {
+	if err := ab.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var back TailAB
@@ -85,7 +85,7 @@ func TestTailABFullAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateTailAB(ab); err != nil {
+	if err := ab.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// The PR 6 finding must survive attribution: stall-driven causes

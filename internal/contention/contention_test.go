@@ -518,7 +518,7 @@ func TestContentionEndpoint(t *testing.T) {
 		{Scanned: 5, Relocated: 1, BusyCycles: 100},
 		{Scanned: 3, BusyCycles: 100},
 	})
-	sink.SetContention(func() any { return p.Snapshot() })
+	sink.SetEndpoint("contention", func() any { return p.Snapshot() })
 
 	var snap Snapshot
 	if err := json.Unmarshal([]byte(get()), &snap); err != nil {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strings"
 	"sync"
 )
 
@@ -19,15 +20,9 @@ type Sink struct {
 
 	mu          sync.Mutex
 	gclog       func(io.Writer)
-	locality    func() any
-	mmu         func() any
-	kv          func() any
 	flight      func(io.Writer) error
 	flightRearm func()
-	signals     func() any
-	tailattr    func() any
-	overload    func() any
-	contention  func() any
+	snapshots   map[string]func() any // one key per snapshotEndpoints name; nil = unset
 
 	// dropped mirrors the recorder's loss counters into the registry at
 	// scrape time so exporters can alert on telemetry loss.
@@ -38,9 +33,14 @@ type Sink struct {
 // NewSink builds a sink with default recorder sizing.
 func NewSink() *Sink {
 	reg := NewRegistry()
+	snapshots := map[string]func() any{}
+	for _, name := range snapshotEndpoints {
+		snapshots[name] = nil
+	}
 	return &Sink{
-		rec: NewRecorder(0, 0),
-		reg: reg,
+		rec:       NewRecorder(0, 0),
+		reg:       reg,
+		snapshots: snapshots,
 		droppedEvents: reg.Gauge("hcsgc_telemetry_dropped_events",
 			"Events lost to recorder shard contention."),
 		overwrittenEvents: reg.Gauge("hcsgc_telemetry_overwritten_events",
@@ -91,139 +91,65 @@ func (s *Sink) WriteGCLog(w io.Writer) {
 	}
 }
 
-// SetLocality installs the snapshot source behind the /locality endpoint
-// (typically a closure over locality.Profiler.Report). The returned value
-// is rendered as JSON. Nil-safe; the latest runtime wins.
-func (s *Sink) SetLocality(fn func() any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.locality = fn
-	s.mu.Unlock()
+// snapshotEndpoints is the fixed table of JSON snapshot endpoints. Each
+// serves what SetEndpoint last installed under its name, rendered as
+// indented JSON ("null" until something is installed).
+var snapshotEndpoints = []string{
+	"locality",   // locality-profiler report (locality.Profiler.Report)
+	"mmu",        // minimum-mutator-utilization curve (latency.Tracker.MMUSnapshot)
+	"kv",         // KV serving report (kvstore.Metrics.Report)
+	"signals",    // unified per-cycle signal plane (signals.Plane.Snapshot)
+	"contention", // ranked lock sites, CAS loops, worker balance (contention.Plane.Snapshot)
+	"tailattr",   // request-level tail attribution (signals.TailAttributor.Report)
+	"overload",   // admission-control and goodput accounting (overload.Controller.Report)
 }
 
-// SetMMU installs the snapshot source behind the /mmu endpoint (typically
-// a closure over latency.Tracker.MMUSnapshot). The returned value is
-// rendered as JSON. Nil-safe; the latest runtime wins.
-func (s *Sink) SetMMU(fn func() any) {
+// SetEndpoint installs the snapshot source behind the /name endpoint;
+// name must be one of snapshotEndpoints (anything else is a caller typo
+// and panics). Nil-safe; the latest runtime or workload wins when several
+// share the sink.
+func (s *Sink) SetEndpoint(name string, fn func() any) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.mmu = fn
-	s.mu.Unlock()
-}
-
-// SetKV installs the snapshot source behind the /kv endpoint (typically
-// a closure over kvstore.Metrics.Report). The returned value is rendered
-// as JSON. Nil-safe; the latest workload wins.
-func (s *Sink) SetKV(fn func() any) {
-	if s == nil {
-		return
+	_, known := s.snapshots[name]
+	if known {
+		s.snapshots[name] = fn
 	}
-	s.mu.Lock()
-	s.kv = fn
 	s.mu.Unlock()
+	if !known {
+		panic(fmt.Sprintf("telemetry: SetEndpoint(%q): not one of %v", name, snapshotEndpoints))
+	}
 }
 
 // SetFlightRecorder installs the dump renderer behind the /flightrecorder
-// endpoint (typically a closure over latency.Tracker.WriteFlight).
-// Nil-safe; the latest runtime wins.
-func (s *Sink) SetFlightRecorder(fn func(io.Writer) error) {
+// endpoint (typically a closure over latency.Tracker.WriteFlight) and the
+// dump-budget reset behind its ?rearm=1 parameter (typically
+// latency.Tracker.Rearm). Nil-safe; the latest runtime wins.
+func (s *Sink) SetFlightRecorder(dump func(io.Writer) error, rearm func()) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
-	s.flight = fn
+	s.flight, s.flightRearm = dump, rearm
 	s.mu.Unlock()
 }
 
-// SetFlightRearm installs the dump-budget reset behind the
-// /flightrecorder?rearm=1 parameter (typically latency.Tracker.Rearm).
-// Nil-safe; the latest runtime wins.
-func (s *Sink) SetFlightRearm(fn func()) {
-	if s == nil {
-		return
+// Endpoints lists every path the handler serves, in index order.
+func (s *Sink) Endpoints() []string {
+	paths := []string{"/metrics", "/metrics.json", "/trace", "/gclog", "/flightrecorder"}
+	for _, name := range snapshotEndpoints {
+		paths = append(paths, "/"+name)
 	}
-	s.mu.Lock()
-	s.flightRearm = fn
-	s.mu.Unlock()
-}
-
-// SetSignals installs the snapshot source behind the /signals endpoint
-// (typically a closure over signals.Plane.Snapshot). The returned value
-// is rendered as JSON. Nil-safe; the latest runtime wins.
-func (s *Sink) SetSignals(fn func() any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.signals = fn
-	s.mu.Unlock()
-}
-
-// SetContention installs the snapshot source behind the /contention
-// endpoint (typically a closure over contention.Plane.Snapshot). The
-// returned value is rendered as JSON. Nil-safe; the latest runtime wins.
-func (s *Sink) SetContention(fn func() any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.contention = fn
-	s.mu.Unlock()
-}
-
-// SetTailAttr installs the snapshot source behind the /tailattr endpoint
-// (typically a closure over signals.TailAttributor.Report). The returned
-// value is rendered as JSON. Nil-safe; the latest workload wins.
-func (s *Sink) SetTailAttr(fn func() any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.tailattr = fn
-	s.mu.Unlock()
-}
-
-// SetOverload installs the snapshot source behind the /overload endpoint
-// (typically a closure over overload.Controller.Report). The returned
-// value is rendered as JSON. Nil-safe; the latest workload wins.
-func (s *Sink) SetOverload(fn func() any) {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.overload = fn
-	s.mu.Unlock()
-}
-
-// WriteFlightRecorder renders the installed flight-recorder dump to w,
-// outside any HTTP request (the chaos soak captures failing runs with it).
-// A sink without an installed renderer writes nothing.
-func (s *Sink) WriteFlightRecorder(w io.Writer) error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	fn := s.flight
-	s.mu.Unlock()
-	if fn == nil {
-		return nil
-	}
-	return fn(w)
+	return paths
 }
 
 // Handler returns the HTTP mux serving /metrics (Prometheus text),
 // /metrics.json (JSON snapshot), /trace (Chrome trace_event JSON),
-// /gclog (ZGC-style text log), /locality (locality-profiler report),
-// /mmu (minimum-mutator-utilization curve), /kv (KV serving report),
-// /flightrecorder (latency flight-recorder dump; ?rearm=1 resets the
-// auto-dump budget), /signals (unified per-cycle signal plane),
-// /contention (contention attribution plane: ranked lock sites, CAS
-// loops, worker balance), /tailattr (request-level tail attribution
-// report) and /overload (admission-control and goodput accounting).
+// /gclog (ZGC-style text log), /flightrecorder (latency flight-recorder
+// dump; ?rearm=1 resets the auto-dump budget) and the JSON snapshot
+// endpoints of snapshotEndpoints.
 func (s *Sink) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -251,45 +177,6 @@ func (s *Sink) Handler() http.Handler {
 		}
 		fn(w)
 	})
-	mux.HandleFunc("/locality", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.locality
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
-	mux.HandleFunc("/mmu", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.mmu
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
-	mux.HandleFunc("/kv", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.kv
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
 	mux.HandleFunc("/flightrecorder", func(w http.ResponseWriter, r *http.Request) {
 		s.mu.Lock()
 		fn := s.flight
@@ -305,64 +192,27 @@ func (s *Sink) Handler() http.Handler {
 		}
 		fn(w)
 	})
-	mux.HandleFunc("/signals", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.signals
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
-	mux.HandleFunc("/contention", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.contention
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
-	mux.HandleFunc("/tailattr", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.tailattr
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
-	mux.HandleFunc("/overload", func(w http.ResponseWriter, _ *http.Request) {
-		s.mu.Lock()
-		fn := s.overload
-		s.mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		if fn == nil {
-			io.WriteString(w, "null\n")
-			return
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		enc.Encode(fn())
-	})
+	for _, name := range snapshotEndpoints {
+		mux.HandleFunc("/"+name, func(w http.ResponseWriter, _ *http.Request) {
+			s.mu.Lock()
+			fn := s.snapshots[name]
+			s.mu.Unlock()
+			w.Header().Set("Content-Type", "application/json")
+			if fn == nil {
+				io.WriteString(w, "null\n")
+				return
+			}
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			enc.Encode(fn())
+		})
+	}
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintln(w, "hcsgc telemetry: /metrics /metrics.json /trace /gclog /locality /mmu /kv /flightrecorder /signals /contention /tailattr /overload")
+		fmt.Fprintln(w, "hcsgc telemetry:", strings.Join(s.Endpoints(), " "))
 	})
 	return mux
 }

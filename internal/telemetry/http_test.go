@@ -15,6 +15,7 @@ func TestNilSinkIsSafe(t *testing.T) {
 		t.Error("nil sink must hand out nil components")
 	}
 	s.SetGCLog(func(io.Writer) {})
+	s.SetEndpoint("kv", func() any { return nil })
 	s.Recorder().Record(EvPageAlloc, 0, 0, 0)
 	s.Metrics().Counter("x", "").Inc()
 }
@@ -80,20 +81,48 @@ func TestSinkEndpoints(t *testing.T) {
 	if !strings.HasPrefix(kvType, "application/json") {
 		t.Errorf("/kv content type %q", kvType)
 	}
-	sink.SetKV(func() any { return map[string]int{"hits": 7} })
+	sink.SetEndpoint("kv", func() any { return map[string]int{"hits": 7} })
 	kvBody, _ := get("/kv")
 	var kv map[string]int
 	if err := json.Unmarshal([]byte(kvBody), &kv); err != nil || kv["hits"] != 7 {
 		t.Errorf("/kv = %q (err %v), want hits 7", kvBody, err)
 	}
 
+	// The index is generated from the endpoint table: every path it
+	// advertises answers, and an unset snapshot endpoint answers null.
 	index, _ := get("/")
-	if !strings.Contains(index, "/kv") {
-		t.Errorf("index missing /kv: %q", index)
+	for _, path := range strings.Fields("/metrics /metrics.json /trace /gclog /locality /mmu /kv /flightrecorder /signals /contention /tailattr /overload") {
+		if !strings.Contains(index, path) {
+			t.Errorf("index lost %s: %q", path, index)
+		}
 	}
-	if !strings.Contains(index, "/metrics") {
-		t.Errorf("index = %q", index)
+	for _, path := range sink.Endpoints() {
+		if !strings.Contains(index, path) {
+			t.Errorf("index missing %s: %q", path, index)
+		}
+		body, _ := get(path)
+		name := strings.TrimPrefix(path, "/")
+		if _, snapshot := sink.snapshots[name]; snapshot && name != "kv" && strings.TrimSpace(body) != "null" {
+			t.Errorf("%s without a source = %q, want null", path, body)
+		}
 	}
+
+	// The latest source installed under a name wins.
+	sink.SetEndpoint("kv", func() any { return map[string]int{"hits": 9} })
+	if body, _ := get("/kv"); !strings.Contains(body, "9") {
+		t.Errorf("/kv after a second SetEndpoint = %q, want hits 9", body)
+	}
+}
+
+// TestSetEndpointUnknownName: the endpoint table is fixed, so a name
+// outside it is a caller typo and must not install a source nothing serves.
+func TestSetEndpointUnknownName(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetEndpoint with a name outside the table must panic")
+		}
+	}()
+	NewSink().SetEndpoint("kvv", func() any { return nil })
 }
 
 func TestSinkServe(t *testing.T) {

@@ -123,12 +123,12 @@ func KVServer() Workload {
 				mx.BindTelemetry(cfg.Telemetry.Metrics())
 				// The /kv endpoint serves this run's live report (latest
 				// run wins, like the other per-runtime endpoints).
-				cfg.Telemetry.SetKV(func() any { return mx.Report(nil) })
+				cfg.Telemetry.SetEndpoint("kv", func() any { return mx.Report(nil) })
 			}
 			if cfg.Tail != nil && cfg.Telemetry != nil {
 				cfg.Tail.BindTelemetry(cfg.Telemetry.Metrics())
 				tail := cfg.Tail
-				cfg.Telemetry.SetTailAttr(func() any { return tail.Report() })
+				cfg.Telemetry.SetEndpoint("tailattr", func() any { return tail.Report() })
 			}
 
 			e := newEnv(cfg, kvHeapBytes, 2)
@@ -157,11 +157,11 @@ func KVServer() Workload {
 				if ctrl != nil {
 					c := ctrl
 					ctrl.BindTelemetry(reg)
-					cfg.Telemetry.SetOverload(func() any { return c.Report() })
+					cfg.Telemetry.SetEndpoint("overload", func() any { return c.Report() })
 				} else {
 					o, slo := ost, pol.GoodputSLOCycles
 					ost.BindTelemetry(reg)
-					cfg.Telemetry.SetOverload(func() any { return o.Report(slo) })
+					cfg.Telemetry.SetEndpoint("overload", func() any { return o.Report(slo) })
 				}
 			}
 
