@@ -478,7 +478,17 @@ func (rt *Runtime) NewMutator(rootSlots int) *Mutator {
 	return m
 }
 
-// Close stops the background driver. The runtime must not be used after.
+// Close shuts the runtime down and must come last: after the mutators'
+// Close and after the final read of anything in the heap. It stops the
+// background driver and waits for every goroutine the collector started —
+// including a relocation drain still running from the last cycle — so that
+// the statistics (GCStats, Ledger, ExecSeconds, MemStats) read afterwards
+// are exact and final. If every mutator has been closed it then releases
+// the heap's host memory for the next runtime in this process to reuse:
+// the heap's words cannot be read any more, while the statistics and
+// planes stay readable. With a mutator still attached nothing is released
+// (that memory falls to the Go collector with the runtime). The runtime
+// must not be used after.
 func (rt *Runtime) Close() {
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -486,7 +496,9 @@ func (rt *Runtime) Close() {
 		return
 	}
 	rt.closed = true
-	rt.Collector.StopDriver()
+	if rt.Collector.Stop() {
+		rt.Heap.Release()
+	}
 }
 
 // Ledger assembles the machine-model input from every mutator ever

@@ -121,3 +121,68 @@ func TestRuntimeExplicitGC(t *testing.T) {
 		t.Fatal("explicit GC must run a cycle")
 	}
 }
+
+// buildAndCollect gives the runtime something to release: a few thousand
+// linked objects, collected twice so that pages were evacuated, freed and
+// are waiting for their drop.
+func buildAndCollect(m *Mutator, node *Type) Ref {
+	const n = 3000
+	arr := m.AllocRefArray(n)
+	m.SetRoot(0, arr)
+	for i := 0; i < n; i++ {
+		obj := m.Alloc(node)
+		m.StoreField(obj, 1, uint64(i))
+		m.StoreRef(m.LoadRoot(0), i, obj)
+	}
+	m.RequestGC()
+	m.RequestGC()
+	return m.LoadRef(m.LoadRoot(0), 7)
+}
+
+// TestCloseWithAttachedMutatorReleasesNothing: a runtime closed while a
+// mutator is still attached cannot prove that nothing reaches the heap any
+// more, so it must keep its hands off it: the straggler goes on reading
+// what it wrote.
+func TestCloseWithAttachedMutatorReleasesNothing(t *testing.T) {
+	rt := MustNewRuntime(Options{
+		HeapMaxBytes: 64 << 20,
+		Knobs:        Knobs{RelocateAllSmallPages: true},
+		StartDriver:  true,
+	})
+	node := rt.Types.Register("node", 2, []int{0})
+	m := rt.NewMutator(4)
+	buildAndCollect(m, node)
+	rt.Close()
+	for i := 0; i < 3000; i += 97 {
+		if got := m.LoadField(m.LoadRef(m.LoadRoot(0), i), 1); got != uint64(i) {
+			t.Fatalf("object %d reads %d after Runtime.Close with its mutator attached", i, got)
+		}
+	}
+	m.AllocWordArray(100) // the heap still allocates, too
+	m.Close()
+}
+
+// TestCloseReleasesTheHeap pins the other half of the contract: once every
+// mutator is closed, Close hands the heap's memory on, and a read through a
+// reference kept across it fails loudly instead of seeing another
+// runtime's data. The statistics stay readable.
+func TestCloseReleasesTheHeap(t *testing.T) {
+	rt := MustNewRuntime(Options{HeapMaxBytes: 64 << 20, Knobs: Knobs{RelocateAllSmallPages: true}})
+	node := rt.Types.Register("node", 2, []int{0})
+	m := rt.NewMutator(4)
+	kept := buildAndCollect(m, node)
+	m.Close()
+	rt.Close()
+	if st := rt.Collector.Stats(); len(st.Cycles) != 2 || st.GCRelocObjects == 0 {
+		t.Errorf("statistics after Close: %d cycles, %d GC relocations", len(st.Cycles), st.GCRelocObjects)
+	}
+	if rt.ExecSeconds() <= 0 {
+		t.Error("ExecSeconds after Close must stay readable")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("read of a heap word after Close succeeded")
+		}
+	}()
+	rt.Heap.LoadWord(nil, kept.Addr())
+}

@@ -156,6 +156,7 @@ func New(h *heap.Heap, types *objmodel.Registry, cfg Config) (*Collector, error)
 	c.mutMu.Instrument(c.ctn.NewSite("core.mutMu"))
 	c.medMu.Instrument(c.ctn.NewSite("core.medMu"))
 	c.pool.ops = c.ctn.NewOpSite("core.markPool")
+	c.pool.heap = h
 	c.good.Store(uint64(heap.ColorRemapped))
 	c.phase.Store(uint32(PhaseRelocate))
 	c.setEffConf(cfg.Knobs.ColdConfidence)
@@ -165,7 +166,7 @@ func New(h *heap.Heap, types *objmodel.Registry, cfg Config) (*Collector, error)
 	if h.Mem() != nil {
 		c.pauseCore = h.Mem().NewCore()
 	}
-	c.pauseCtx = &relocCtx{c: c, core: c.pauseCore, byMutator: false}
+	c.pauseCtx = &relocCtx{c: c, core: c.pauseCore, who: telemetry.RelocByGC}
 	return c, nil
 }
 
@@ -258,13 +259,13 @@ func (c *Collector) runCycle(reason string) {
 			p.ResetMarks()
 		}
 	})
+	c.pool.setActive(len(c.workers))
 	var rootGrays []uint64
 	c.forEachMutator(func(m *Mutator) {
 		for i := range m.roots {
 			rootGrays = c.processRootMark(m, i, rootGrays)
 		}
 	})
-	c.pool.setActive(len(c.workers))
 	c.pool.put(rootGrays)
 	cs.Pause1 = c.endPauseAccounting(pause1)
 	c.recordPauseLatency(0, v1, cs.Pause1)
@@ -491,7 +492,7 @@ func (c *Collector) endPauseAccounting(base uint64) uint64 {
 		cur = c.pauseCore.Cycles()
 		c.pauseCore.Publish()
 	}
-	c.pauseCtx.foldForwardOps()
+	c.pauseCtx.fold()
 	return cur + c.pauseExtra - base
 }
 

@@ -99,15 +99,32 @@ func (c *Collector) RequestEmergencyGC() {
 	c.emergency.Store(true)
 }
 
-// StopDriver stops the background trigger and waits for it to exit.
-func (c *Collector) StopDriver() {
-	if c.driverStop == nil {
-		return
+// Stop winds the collector down: it stops the background trigger (if one
+// was started) and waits for everything the collector runs on goroutines
+// of its own to exit — the driver, and the relocation drain that a
+// non-lazy cycle leaves running on the GC workers when it returns. When
+// Stop returns the workers have published, so Stats is exact.
+//
+// It reports whether the collector is now quiet for good: with no mutator
+// attached nothing can start another cycle or touch the heap again, and
+// the caller may release the heap. A mutator still attached can (an
+// allocation stall runs a cycle), so then it reports false.
+func (c *Collector) Stop() (quiet bool) {
+	if c.driverStop != nil {
+		close(c.driverStop)
+		<-c.driverDone
+		c.driverStop = nil
+		c.driverDone = nil
 	}
-	close(c.driverStop)
-	<-c.driverDone
-	c.driverStop = nil
-	c.driverDone = nil
+	// Under cycleMu, like runCycle's own wait: no cycle can be adding to
+	// the group meanwhile.
+	c.cycleMu.Lock()
+	c.relocWG.Wait()
+	c.cycleMu.Unlock()
+	c.mutMu.Lock()
+	quiet = len(c.muts) == 0
+	c.mutMu.Unlock()
+	return quiet
 }
 
 // --- AutoTune extension (paper §4.8 future work) -------------------------

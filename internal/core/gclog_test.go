@@ -6,6 +6,7 @@ import (
 
 	"hcsgc/internal/heap"
 	"hcsgc/internal/objmodel"
+	"hcsgc/internal/telemetry"
 )
 
 func TestFmtBytes(t *testing.T) {
@@ -78,9 +79,8 @@ func TestWriteGCLogGolden(t *testing.T) {
 		HeapUsedBefore: 50.0, HeapUsedAfter: 25.0,
 	})
 	c.stats.append(&CycleStats{Seq: 2, Trigger: "allocation stall"})
-	c.stats.addMutatorReloc(4096)
-	c.stats.addMutatorReloc(4096)
-	c.stats.addGCReloc(8192)
+	c.stats.addReloc(telemetry.RelocByMutator, 2, 2*4096)
+	c.stats.addReloc(telemetry.RelocByGC, 1, 8192)
 
 	var b strings.Builder
 	c.WriteGCLog(&b)

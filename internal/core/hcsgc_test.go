@@ -176,6 +176,7 @@ func TestLazyRelocateMutatorLaysOutInAccessOrder(t *testing.T) {
 	if frac < 0.95 {
 		t.Fatalf("only %.1f%% of accesses landed in ascending address order; mutator-order relocation broken", 100*frac)
 	}
+	m.Publish() // relocation wins are tallied privately until published
 	st := c.Stats()
 	if st.MutatorRelocObjects < n {
 		t.Fatalf("mutator relocated %d objects, want >= %d", st.MutatorRelocObjects, n)
@@ -360,7 +361,7 @@ func TestConcurrentMutatorsWithDriver(t *testing.T) {
 	c := MustNew(h, types, Config{Knobs: Knobs{Hotness: true, ColdPage: true, ColdConfidence: 0.5, LazyRelocate: true}})
 	node := types.Register("node", 2, []int{0})
 	c.StartDriver()
-	defer c.StopDriver()
+	defer c.Stop()
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
 	for g := 0; g < 4; g++ {
@@ -402,7 +403,7 @@ func TestMutatorRequestGCConcurrentWithDriver(t *testing.T) {
 	c, types := testEnv(t, Knobs{LazyRelocate: true})
 	node := types.Register("node", 2, []int{0})
 	c.StartDriver()
-	defer c.StopDriver()
+	defer c.Stop()
 	m := c.NewMutator(4)
 	defer m.Close()
 	buildList(m, node, 100)

@@ -4,13 +4,24 @@ import (
 	"sync"
 
 	"hcsgc/internal/contention"
+	"hcsgc/internal/heap"
 )
+
+// markChunk is the capacity of a mark buffer, the unit in which gray
+// objects travel between mutators, the pool and the workers.
+const markChunk = 256
 
 // markPool is the shared gray-object pool for parallel marking. Workers
 // keep thread-local stacks and spill/steal chunks here; mutators flush
 // their thread-local mark buffers here (paper §2, footnote 2). The pool
 // also provides the quiescence signal used to attempt mark termination at
 // STW2.
+//
+// Gray objects travel in buffers of markChunk capacity that are never
+// copied: whoever fills one puts it, the worker that gets it consumes it in
+// place and recycles it, and the next filler takes it from the free list.
+// A mark phase therefore allocates only when more buffers are in flight at
+// once than ever before.
 type markPool struct {
 	// mu stays a plain sync.Mutex (the condition variable binds to it);
 	// the pool's serialization is attributed through the ops site
@@ -19,6 +30,10 @@ type markPool struct {
 	cond   *sync.Cond
 	ops    *contention.OpSite
 	chunks [][]uint64
+	// free holds empty buffers; heap supplies (and at Release reclaims)
+	// new ones. A pool without a heap (unit tests) makes its own.
+	free [][]uint64
+	heap *heap.Heap
 	// active counts workers currently holding local work; waiting counts
 	// workers parked in get.
 	active int
@@ -30,6 +45,47 @@ func newMarkPool() *markPool {
 	p := &markPool{}
 	p.cond = sync.NewCond(&p.mu)
 	return p
+}
+
+// buffer returns an empty mark buffer.
+func (p *markPool) buffer() []uint64 {
+	p.mu.Lock()
+	if n := len(p.free); n > 0 {
+		buf := p.free[n-1]
+		p.free = p.free[:n-1]
+		p.mu.Unlock()
+		return buf
+	}
+	p.mu.Unlock()
+	if p.heap == nil {
+		return make([]uint64, 0, markChunk)
+	}
+	return p.heap.Scratch(markChunk)[:0]
+}
+
+// recycle takes back a buffer its consumer has emptied.
+func (p *markPool) recycle(buf []uint64) {
+	if cap(buf) != markChunk {
+		return // not one of ours
+	}
+	p.mu.Lock()
+	p.free = append(p.free, buf[:0])
+	p.mu.Unlock()
+}
+
+// push appends a gray object to buf (nil: a fresh buffer) and hands the
+// buffer to the pool when that fills it. It returns the buffer to push into
+// next, nil after a hand-over.
+func (p *markPool) push(buf []uint64, addr uint64) []uint64 {
+	if buf == nil {
+		buf = p.buffer()
+	}
+	buf = append(buf, addr)
+	if len(buf) == markChunk {
+		p.put(buf)
+		return nil
+	}
+	return buf
 }
 
 // put contributes a chunk of gray object addresses and wakes a worker.
@@ -72,7 +128,7 @@ func (p *markPool) setActive(n int) {
 	p.mu.Lock()
 	p.active = n
 	p.terminated = false
-	p.chunks = nil
+	p.chunks = p.chunks[:0]
 	p.mu.Unlock()
 }
 

@@ -150,7 +150,7 @@ func TestShadowModelConcurrentMutators(t *testing.T) {
 	c, types := testEnv(t, Knobs{Hotness: true, ColdConfidence: 1.0, LazyRelocate: true})
 	node := types.Register("node", 3, []int{0, 1})
 	c.StartDriver()
-	defer c.StopDriver()
+	defer c.Stop()
 
 	run := func(seed int64, errc chan<- error) {
 		m := c.NewMutator(4)

@@ -11,6 +11,7 @@ import (
 	"hcsgc/internal/locality"
 	"hcsgc/internal/objmodel"
 	"hcsgc/internal/simmem"
+	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
 
@@ -37,7 +38,8 @@ type Mutator struct {
 	// relocated objects out in access order, §3.2).
 	tlab *heap.Page
 
-	// markBuf is the thread-local mark stack flushed to the GC (§2 fn 2).
+	// markBuf is the thread-local mark stack flushed to the GC (§2 fn 2):
+	// one of the pool's buffers while it holds something, nil otherwise.
 	markBuf []uint64
 
 	// probe is the locality profiler's per-mutator sampling front-end;
@@ -95,7 +97,7 @@ func (c *Collector) NewMutator(rootSlots int) *Mutator {
 		m.core = c.heap.Mem().NewCore()
 	}
 	m.probe = c.cfg.Locality.NewProbe()
-	m.ctx = &relocCtx{c: c, core: m.core, byMutator: true, mutator: m}
+	m.ctx = &relocCtx{c: c, core: m.core, who: telemetry.RelocByMutator, mutator: m}
 	m.tok = c.sp.register("")
 	c.mutMu.Lock()
 	c.muts[m] = struct{}{}
@@ -160,9 +162,10 @@ func (m *Mutator) Safepoint() {
 const publishEvery = 4096
 
 // Publish makes the mutator's exact ledger — its core's counters, its
-// cycle total, the forwarding inserts it tallied — visible to other
-// goroutines: Collector.VirtualCycles, the runtime ledger (ExecSeconds),
-// Hierarchy.Stats and the contention plane read only what was published.
+// cycle total, the forwarding inserts and relocation wins it tallied —
+// visible to other goroutines: Collector.VirtualCycles, the runtime ledger
+// (ExecSeconds), Hierarchy.Stats, Collector.Stats and the contention plane
+// read only what was published.
 // Owner goroutine only. The runtime publishes wherever others are entitled
 // to an exact answer — before parking at a safepoint and before any blocked
 // section or allocation stall (so under stop-the-world every mutator's
@@ -173,7 +176,7 @@ func (m *Mutator) Publish() {
 	if m.core != nil {
 		m.core.Publish()
 	}
-	m.ctx.foldForwardOps()
+	m.ctx.fold()
 	m.published.Store(m.Cycles())
 }
 
@@ -663,10 +666,7 @@ func (m *Mutator) barrierSlow(raw heap.Ref) heap.Ref {
 		}
 		lt.BarrierHit(latency.PathMark)
 		if pushed {
-			m.markBuf = append(m.markBuf, addr)
-			if len(m.markBuf) >= markChunk {
-				m.flushMarkBuf()
-			}
+			m.markBuf = c.pool.push(m.markBuf, addr)
 		}
 	case PhaseRelocate:
 		// Compete with GC threads to relocate (§2.2 RE, §3.2): if this

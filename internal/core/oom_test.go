@@ -180,7 +180,7 @@ func TestExhaustionLeavesNoGoroutines(t *testing.T) {
 		t.Fatalf("err = %v, want ErrOutOfMemory", err)
 	}
 	m.Close()
-	c.StopDriver()
+	c.Stop()
 	for i := 0; i < 100; i++ {
 		if runtime.NumGoroutine() <= before {
 			return

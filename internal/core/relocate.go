@@ -23,9 +23,10 @@ import (
 //     is enabled into separate hot/cold pages, segregating objects that
 //     were not touched since the last GC cycle.
 type relocCtx struct {
-	c         *Collector
-	core      *simmem.Core
-	byMutator bool
+	c    *Collector
+	core *simmem.Core
+	// who is telemetry.RelocByGC (workers, the pause) or RelocByMutator.
+	who uint32
 	// hotPage/coldPage are the small-page destinations. For a mutator
 	// context these are unused: the owning mutator's TLAB is used instead
 	// (see Mutator.relocTargetSmall).
@@ -41,17 +42,29 @@ type relocCtx struct {
 	// relocated counts forwarding races this context won, for the
 	// contention plane's worker-balance accounting.
 	relocated uint64
-	// fwdOps counts forwarding-table inserts this context completed, won or
-	// lost, since it last folded them into the heap.forwardTable site.
-	fwdOps uint64
+	// Since the last fold: forwarding-table inserts this context completed,
+	// won or lost, and the objects and bytes of the races it won.
+	fwdOps     uint64
+	wonObjects uint64
+	wonBytes   uint64
 }
 
-// foldForwardOps credits the context's tallied forwarding inserts to the
-// contention plane's site. Owner only.
-func (ctx *relocCtx) foldForwardOps() {
+// fold hands the context's tallies on to the shared counters: forwarding
+// inserts to the contention plane's heap.forwardTable site, relocation wins
+// to the collector's statistics and the telemetry counters. Owner only.
+// Relocating threads would otherwise all bump the same few counters once
+// per object; folding where the owner publishes keeps those counters exact
+// wherever the ledgers are (under STW, after a worker phase, after Close).
+func (ctx *relocCtx) fold() {
 	if ctx.fwdOps != 0 {
 		ctx.c.heap.CountForwardOps(ctx.fwdOps)
 		ctx.fwdOps = 0
+	}
+	if ctx.wonObjects != 0 {
+		ctx.c.stats.addReloc(ctx.who, ctx.wonObjects, ctx.wonBytes)
+		ctx.c.tm.relocObjects[ctx.who].Add(ctx.wonObjects)
+		ctx.c.tm.relocBytes[ctx.who].Add(ctx.wonBytes)
+		ctx.wonObjects, ctx.wonBytes = 0, 0
 	}
 }
 
@@ -136,20 +149,13 @@ func (c *Collector) relocateObject(ctx *relocCtx, addr uint64, p *heap.Page) uin
 		return final
 	}
 	ctx.relocated++
-	who := telemetry.RelocByGC
-	if ctx.byMutator {
-		c.stats.addMutatorReloc(size)
-		who = telemetry.RelocByMutator
-	} else {
-		c.stats.addGCReloc(size)
-	}
-	c.tm.relocObjects[who].Inc()
-	c.tm.relocBytes[who].Add(size)
+	ctx.wonObjects++
+	ctx.wonBytes += size
 	// Relocation wins arrive at millions per second; unsampled they would
-	// evict every phase span from the trace ring. The counters above stay
+	// evict every phase span from the trace ring. The tallies above stay
 	// exact; the trace gets 1 instant in every relocSampleMask+1 wins.
 	if c.tm.enabled && c.relocSample.Add(1)&relocSampleMask == 1 {
-		c.tm.rec.Record(telemetry.EvRelocWin, who, addr, size)
+		c.tm.rec.Record(telemetry.EvRelocWin, ctx.who, addr, size)
 	}
 	if p.ObjectRelocated() {
 		// Last live object gone: recycle the page now; its forwarding

@@ -4,7 +4,8 @@ import "hcsgc/internal/heap"
 
 // processRootMark handles one root slot during STW1: remap through any
 // previous-era forwarding, mark the object, and heal the slot with the new
-// mark color. Newly grayed objects are appended to grays.
+// mark color. Newly grayed objects are pushed to the mark pool through
+// grays.
 //
 //hcsgc:gc-thread
 //hcsgc:stw-only
@@ -18,7 +19,7 @@ func (c *Collector) processRootMark(m *Mutator, i int, grays []uint64) []uint64 
 	pushed, cost := c.markObject(c.pauseCore, addr, wasR)
 	c.pauseExtra += cost
 	if pushed {
-		grays = append(grays, addr)
+		grays = c.pool.push(grays, addr)
 	}
 	m.roots[i] = heap.MakeRef(addr, c.Good())
 	return grays

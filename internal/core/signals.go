@@ -42,8 +42,8 @@ func (c *Collector) recordSignals(cs *CycleStats, flight latency.CycleRecord) {
 	}
 
 	allocTotal := c.allocBytesTotal()
-	relocObjects := c.stats.mutatorRelocObjects.Load() + c.stats.gcRelocObjects.Load()
-	relocBytes := c.stats.mutatorRelocBytes.Load() + c.stats.gcRelocBytes.Load()
+	relocObjects := c.stats.relocObjects[0].Load() + c.stats.relocObjects[1].Load()
+	relocBytes := c.stats.relocBytes[0].Load() + c.stats.relocBytes[1].Load()
 	hs := signals.HeapSignals{
 		UsedBeforePct:    cs.HeapUsedBefore,
 		UsedAfterPct:     cs.HeapUsedAfter,

@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"hcsgc/internal/telemetry"
 )
 
 // CycleStats records one GC cycle, feeding the paper's "GC statistics"
@@ -42,10 +44,10 @@ type statsLog struct {
 	mu     sync.Mutex
 	cycles []CycleStats
 
-	mutatorRelocObjects atomic.Uint64
-	mutatorRelocBytes   atomic.Uint64
-	gcRelocObjects      atomic.Uint64
-	gcRelocBytes        atomic.Uint64
+	// Relocation wins as folded in by their relocators (relocCtx.fold),
+	// indexed by telemetry.RelocByGC/RelocByMutator.
+	relocObjects [2]atomic.Uint64
+	relocBytes   [2]atomic.Uint64
 }
 
 func (s *statsLog) append(cs *CycleStats) {
@@ -54,14 +56,9 @@ func (s *statsLog) append(cs *CycleStats) {
 	s.mu.Unlock()
 }
 
-func (s *statsLog) addMutatorReloc(bytes uint64) {
-	s.mutatorRelocObjects.Add(1)
-	s.mutatorRelocBytes.Add(bytes)
-}
-
-func (s *statsLog) addGCReloc(bytes uint64) {
-	s.gcRelocObjects.Add(1)
-	s.gcRelocBytes.Add(bytes)
+func (s *statsLog) addReloc(who uint32, objects, bytes uint64) {
+	s.relocObjects[who].Add(objects)
+	s.relocBytes[who].Add(bytes)
 }
 
 // Stats is a snapshot of collector activity for reporting.
@@ -91,10 +88,10 @@ func (c *Collector) Stats() Stats {
 	}
 	return Stats{
 		Cycles:              cycles,
-		MutatorRelocObjects: c.stats.mutatorRelocObjects.Load(),
-		MutatorRelocBytes:   c.stats.mutatorRelocBytes.Load(),
-		GCRelocObjects:      c.stats.gcRelocObjects.Load(),
-		GCRelocBytes:        c.stats.gcRelocBytes.Load(),
+		MutatorRelocObjects: c.stats.relocObjects[telemetry.RelocByMutator].Load(),
+		MutatorRelocBytes:   c.stats.relocBytes[telemetry.RelocByMutator].Load(),
+		GCRelocObjects:      c.stats.relocObjects[telemetry.RelocByGC].Load(),
+		GCRelocBytes:        c.stats.relocBytes[telemetry.RelocByGC].Load(),
 		TotalPauseCycles:    pauses,
 		GCWorkerCycles:      gcCycles,
 	}

@@ -6,6 +6,7 @@ import (
 	"hcsgc/internal/heap"
 	"hcsgc/internal/objmodel"
 	"hcsgc/internal/simmem"
+	"hcsgc/internal/telemetry"
 )
 
 // gcWorker is one parallel GC thread. It participates in concurrent
@@ -18,8 +19,10 @@ type gcWorker struct {
 	id   int
 	core *simmem.Core
 	ctx  *relocCtx
-	// local is the thread-local gray stack.
-	local []uint64
+	// The thread-local gray stack, in mark buffers: top is pushed to and
+	// popped from, local holds the full ones beneath it.
+	top   []uint64
+	local [][]uint64
 	// scanned/steals are cumulative balance counters for the contention
 	// plane (relocations are counted on ctx). Plain, like the cycle ledgers
 	// (core, ctx.extra): only the goroutine running the worker's current
@@ -41,7 +44,7 @@ func (w *gcWorker) publish() {
 	if w.core != nil {
 		w.core.Publish()
 	}
-	w.ctx.foldForwardOps()
+	w.ctx.fold()
 	w.pub.extra.Store(w.ctx.extra)
 	w.pub.scanned.Store(w.scanned)
 	w.pub.steals.Store(w.steals)
@@ -58,19 +61,16 @@ func (w *gcWorker) publishedCycles() uint64 {
 	return cyc
 }
 
-// spillThreshold bounds the local gray stack before spilling half to the
-// shared pool for other workers to steal.
-const spillThreshold = 1024
-
-// markChunk is the flush unit for gray objects.
-const markChunk = 256
+// spillChunks bounds the full buffers of the local gray stack before the
+// older half is spilled to the shared pool for other workers to steal.
+const spillChunks = 4
 
 func newGCWorker(c *Collector, id int) *gcWorker {
 	w := &gcWorker{c: c, id: id}
 	if c.heap.Mem() != nil {
 		w.core = c.heap.Mem().NewCore()
 	}
-	w.ctx = &relocCtx{c: c, core: w.core, byMutator: false}
+	w.ctx = &relocCtx{c: c, core: w.core, who: telemetry.RelocByGC}
 	return w
 }
 
@@ -83,21 +83,37 @@ func (w *gcWorker) markLoop() {
 			return
 		}
 		w.steals++
-		w.local = append(w.local, chunk...)
-		for len(w.local) > 0 {
-			addr := w.local[len(w.local)-1]
-			w.local = w.local[:len(w.local)-1]
-			w.scanObject(addr)
-			if len(w.local) >= spillThreshold {
-				half := len(w.local) / 2
-				spill := make([]uint64, half)
-				copy(spill, w.local[:half])
-				copy(w.local, w.local[half:])
-				w.local = w.local[:len(w.local)-half]
-				w.c.pool.put(spill)
+		w.top = chunk
+		for {
+			for len(w.top) > 0 {
+				addr := w.top[len(w.top)-1]
+				w.top = w.top[:len(w.top)-1]
+				w.scanObject(addr)
 			}
+			w.c.pool.recycle(w.top)
+			n := len(w.local)
+			if n == 0 {
+				w.top = nil
+				break
+			}
+			w.top, w.local = w.local[n-1], w.local[:n-1]
 		}
 	}
+}
+
+// pushGray pushes a newly marked object on the local gray stack.
+func (w *gcWorker) pushGray(addr uint64) {
+	if len(w.top) == cap(w.top) {
+		w.local = append(w.local, w.top)
+		if len(w.local) == spillChunks {
+			for _, chunk := range w.local[:spillChunks/2] {
+				w.c.pool.put(chunk)
+			}
+			w.local = w.local[:copy(w.local, w.local[spillChunks/2:])]
+		}
+		w.top = w.c.pool.buffer()
+	}
+	w.top = append(w.top, addr)
 }
 
 // scanObject traces one object's reference fields, remapping and healing
@@ -120,7 +136,7 @@ func (w *gcWorker) scanObject(addr uint64) {
 		pushed, cost := c.markObject(w.core, newAddr, wasR)
 		w.ctx.extra += cost
 		if pushed {
-			w.local = append(w.local, newAddr)
+			w.pushGray(newAddr)
 		}
 		healed := heap.MakeRef(newAddr, c.Good())
 		c.heap.CASWord(w.core, slot, uint64(raw), uint64(healed))

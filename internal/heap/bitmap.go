@@ -14,12 +14,20 @@ type Bitmap struct {
 	bits  int
 }
 
-// NewBitmap returns a bitmap capable of holding the given number of bits.
+// NewBitmap returns a bitmap capable of holding the given number of bits,
+// all clear. Its words come from the arena when it has that length.
 func NewBitmap(bits int) *Bitmap {
 	if bits < 0 {
 		bits = 0
 	}
-	return &Bitmap{words: make([]uint64, (bits+63)/64), bits: bits}
+	return &Bitmap{words: wordSlabs.get((bits + 63) / 64), bits: bits}
+}
+
+// release hands the bitmap's words to the arena; the bitmap is unusable
+// afterwards. No bit at or above dirtyBits was ever set.
+func (b *Bitmap) release(dirtyBits int) {
+	wordSlabs.put(b.words, (dirtyBits+63)/64)
+	b.words = nil
 }
 
 // Len returns the bitmap capacity in bits.

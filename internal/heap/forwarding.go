@@ -32,16 +32,24 @@ type fwdSlot struct {
 
 // NewForwardTable builds a table with capacity for at least n entries.
 // The table never resizes; callers size it from the page's live-object
-// count which is exact after marking.
+// count which is exact after marking. Its slots come from the arena when it
+// has that capacity.
 func NewForwardTable(n int) *ForwardTable {
 	capacity := 16
 	for capacity < n*2 {
 		capacity *= 2
 	}
 	return &ForwardTable{
-		slots: make([]fwdSlot, capacity),
+		slots: slotSlabs.get(capacity),
 		mask:  uint64(capacity - 1),
 	}
+}
+
+// release hands the table's slots to the arena; the table is unusable
+// afterwards. Which slots were claimed is not recorded, so all are scrubbed.
+func (t *ForwardTable) release() {
+	slotSlabs.put(t.slots, len(t.slots))
+	t.slots = nil
 }
 
 // hashOffset mixes a word offset into a probe start index.

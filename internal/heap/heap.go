@@ -3,7 +3,6 @@ package heap
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"hcsgc/internal/contention"
@@ -54,8 +53,9 @@ func (c *Config) withDefaults() Config {
 }
 
 // Heap is the simulated managed heap: a monotonic granule allocator, the
-// page table used by barriers to find an address's page, byte accounting
-// against MaxBytes, and a pool of recycled backing slices.
+// page table used by barriers to find an address's page, and byte
+// accounting against MaxBytes. The host memory behind its pages comes from,
+// and goes back to, the process-wide arena (see slabs).
 type Heap struct {
 	cfg Config
 	mem *simmem.Hierarchy
@@ -75,9 +75,10 @@ type Heap struct {
 	// hierarchy, never held while calling back out of the package.
 	//
 	//hcsgc:lock-order 40
-	mu    contention.Mutex
-	live  map[*Page]struct{} // active (non-freed) pages, for EC iteration
-	pools map[Class]*sync.Pool
+	mu   contention.Mutex
+	live map[*Page]struct{} // active (non-freed) pages, for EC iteration
+	// scratch is the collector working memory handed out by Scratch.
+	scratch [][]uint64
 
 	// casAlloc/casFwd attribute the heap-wide CAS loops; copied into
 	// each page so the hot loops need no heap back-pointer.
@@ -106,21 +107,14 @@ func New(cfg Config, mem *simmem.Hierarchy) *Heap {
 	h := &Heap{
 		cfg:       cfg,
 		mem:       mem,
-		pageTable: make([]atomic.Pointer[Page], granules),
+		pageTable: tableSlabs.get(int(granules)),
 		live:      make(map[*Page]struct{}),
-		pools:     make(map[Class]*sync.Pool),
 		inj:       cfg.Injector,
 	}
 	h.nextGranule.Store(1)
 	h.mu.Instrument(cfg.Contention.NewSite("heap.mu"))
 	h.casAlloc = cfg.Contention.NewOpSite("heap.pageBump")
 	h.casFwd = cfg.Contention.NewOpSite("heap.forwardTable")
-	// The pools recycle page backings. Everything in them is zero: New
-	// makes it so and DropPage scrubs what it puts back.
-	for _, cl := range []Class{ClassTiny, ClassSmall, ClassMedium} {
-		size := pageSizeOf(cl)
-		h.pools[cl] = &sync.Pool{New: func() any { return make([]uint64, size/WordSize) }}
-	}
 	return h
 }
 
@@ -156,13 +150,7 @@ func (h *Heap) AllocPage(class Class) (*Page, error) {
 	if class == ClassTiny && !h.cfg.EnableTinyClass {
 		return nil, errors.New("heap: tiny page class not enabled")
 	}
-	size := pageSizeOf(class)
-	backing := h.pools[class].Get().([]uint64)
-	p, err := h.installPage(size, class, backing)
-	if err != nil {
-		h.pools[class].Put(backing)
-	}
-	return p, err
+	return h.installPage(pageSizeOf(class), class)
 }
 
 // AllocPageForced commits a page of a fixed-size class, bypassing the
@@ -173,23 +161,17 @@ func (h *Heap) AllocPageForced(class Class) (*Page, error) {
 	if class == ClassLarge {
 		return nil, errors.New("heap: use AllocLargePage for large objects")
 	}
-	size := pageSizeOf(class)
-	backing := h.pools[class].Get().([]uint64)
-	p, err := h.installPageForced(size, class, backing)
-	if err != nil {
-		h.pools[class].Put(backing)
-	}
-	return p, err
+	return h.installPageForced(pageSizeOf(class), class)
 }
 
 // AllocLargePage commits a page for one object of objSize bytes
 // (> MediumObjectMax), rounded up to whole granules.
 func (h *Heap) AllocLargePage(objSize uint64) (*Page, error) {
 	size := (objSize + Granule - 1) / Granule * Granule
-	return h.installPage(size, ClassLarge, make([]uint64, size/WordSize))
+	return h.installPage(size, ClassLarge)
 }
 
-func (h *Heap) installPage(size uint64, class Class, backing []uint64) (*Page, error) {
+func (h *Heap) installPage(size uint64, class Class) (*Page, error) {
 	if h.inj.FailCommit() {
 		return nil, fmt.Errorf("heap: injected commit failure for %v page of %d bytes: %d of %d bytes committed: %w",
 			class, size, h.usedBytes.Load(), h.cfg.MaxBytes, ErrHeapFull)
@@ -198,16 +180,16 @@ func (h *Heap) installPage(size uint64, class Class, backing []uint64) (*Page, e
 		return nil, fmt.Errorf("heap: cannot commit %v page of %d bytes: %d of %d bytes committed (%.1f%%): %w",
 			class, size, used, h.cfg.MaxBytes, 100*float64(used)/float64(h.cfg.MaxBytes), ErrHeapFull)
 	}
-	return h.installPageForced(size, class, backing)
+	return h.installPageForced(size, class)
 }
 
-func (h *Heap) installPageForced(size uint64, class Class, backing []uint64) (*Page, error) {
+func (h *Heap) installPageForced(size uint64, class Class) (*Page, error) {
 	nGran := (size + Granule - 1) / Granule
 	g := h.nextGranule.Add(nGran) - nGran
 	if (g+nGran)*Granule > h.cfg.AddrSpaceBytes {
 		return nil, ErrAddressSpace
 	}
-	p := newPage(g*Granule, size, class, h.seq.Add(1), backing)
+	p := newPage(g*Granule, size, class, h.seq.Add(1))
 	p.inj = h.inj
 	p.casAlloc = h.casAlloc
 	p.casFwd = h.casFwd
@@ -241,24 +223,54 @@ func (h *Heap) FreePage(p *Page) {
 	h.rec.Record(telemetry.EvPageFreed, uint32(p.class), p.start, p.size)
 }
 
-// DropPage releases the page's backing store (recycling it through the
-// pool) and its forwarding table. Only call when no stale pointers into
-// the page can remain, i.e. at the end of the mark following its
-// evacuation.
-//
-// The pools hold zeroed backings only (allocation writes just the object
-// header and relies on the rest reading as null), so the page is scrubbed
-// here, on its way in, and only as far as the bump pointer ever got:
-// nothing writes above top, and UndoAlloc zeroes what it gives back. A
-// backing fresh from the pool's New is already zero and costs nothing.
-func (h *Heap) DropPage(p *Page) {
-	words := p.words
-	used := p.UsedBytes() / WordSize
-	p.DropForwarding()
-	if words != nil && p.class != ClassLarge {
-		clear(words[:used])
-		h.pools[p.class].Put(words)
+// DropPage releases the page's host memory — backing store, live and hot
+// bitmaps, forwarding table — to the arena. Only call when no stale
+// pointers into the page can remain, i.e. at the end of the mark following
+// its evacuation (the forwarding registry is dropped then, as in ZGC).
+func (h *Heap) DropPage(p *Page) { p.drop() }
+
+// Release drops every page that still holds host memory — live, or freed
+// and waiting for its drop — and takes back the scratch memory, so that the
+// next heap built in this process starts from what this one used instead of
+// from the Go allocator. The heap is dead afterwards: its words cannot be
+// read, nothing can be allocated from it. The caller guarantees that no
+// goroutine can still reach it (no mutator attached, no GC cycle or
+// relocation drain running); a heap that cannot be shown quiet is simply
+// never released and falls to the Go collector whole.
+func (h *Heap) Release() {
+	if h.pageTable == nil {
+		return // already released
 	}
+	end := min(h.nextGranule.Load(), uint64(len(h.pageTable)))
+	for g := uint64(1); g < end; g++ {
+		// A multi-granule page comes up once per granule; dropping is
+		// idempotent.
+		if p := h.pageTable[g].Load(); p != nil {
+			p.drop()
+		}
+	}
+	h.mu.Lock()
+	scratch := h.scratch
+	h.scratch = nil
+	h.mu.Unlock()
+	for _, s := range scratch {
+		wordSlabs.put(s, len(s))
+	}
+	// Last, the page table itself (2 MB for the default address space):
+	// every address is unmapped from here on.
+	tableSlabs.put(h.pageTable, int(end))
+	h.pageTable = nil
+}
+
+// Scratch returns n zeroed words of collector working memory (mark
+// buffers) owned by the heap: whoever asked keeps them for the heap's
+// lifetime, and Release takes them back along with the pages.
+func (h *Heap) Scratch(n int) []uint64 {
+	s := wordSlabs.get(n)
+	h.mu.Lock()
+	h.scratch = append(h.scratch, s)
+	h.mu.Unlock()
+	return s
 }
 
 // CountForwardOps credits n completed ForwardTable.Insert calls to the

@@ -67,7 +67,7 @@ func (c Class) String() string {
 // words, and must not take a miss because an allocator moved top or a GC
 // worker counted a live object.
 type Page struct {
-	// Written once by newPage (DropForwarding clears the slices when the
+	// Written once by newPage (drop clears the slices when the
 	// page dies).
 	start uint64
 	size  uint64
@@ -116,9 +116,17 @@ type Page struct {
 	_     [16]byte
 }
 
-// newPage wires a page over a fresh address range with a backing slice.
-func newPage(start, size uint64, class Class, seq uint64, backing []uint64) *Page {
-	p := &Page{start: start, size: size, class: class, Seq: seq, words: backing}
+// newPage wires a page over a fresh address range. Its backing and bitmaps
+// read zero: allocation writes just the object header and relies on the
+// rest reading as null. Large pages come in free-form sizes, which would
+// pile up in the arena unmatched, so their backing is the Go allocator's.
+func newPage(start, size uint64, class Class, seq uint64) *Page {
+	p := &Page{start: start, size: size, class: class, Seq: seq}
+	if class == ClassLarge {
+		p.words = make([]uint64, size/WordSize)
+	} else {
+		p.words = wordSlabs.get(int(size / WordSize))
+	}
 	p.top.Store(start)
 	bits := int(size / WordSize)
 	p.livemap = NewBitmap(bits)
@@ -327,15 +335,27 @@ func (p *Page) MarkFreed() { p.freed.Store(true) }
 // Freed reports whether the page has been recycled.
 func (p *Page) Freed() bool { return p.freed.Load() }
 
-// DropForwarding releases the forwarding table and backing store; called
-// when the forwarding registry is dropped at the end of the next mark, at
-// which point no stale pointers into this page can remain.
-func (p *Page) DropForwarding() {
-	p.fwd.Store(nil)
+// drop releases the page's host memory — forwarding table, backing store
+// and bitmaps — to the arena (Heap.DropPage, Heap.Release). Idempotent.
+//
+// The arena scrubs what it takes in, and only as far as the bump pointer
+// ever got: nothing is stored or marked above top, and UndoAlloc zeroes
+// what it gives back.
+func (p *Page) drop() {
+	if t := p.fwd.Swap(nil); t != nil {
+		t.release()
+	}
 	p.inEC.Store(false)
-	p.words = nil
-	p.livemap = nil
-	p.hotmap = nil
+	if p.words == nil {
+		return
+	}
+	if p.class != ClassLarge {
+		used := int(p.UsedBytes() / WordSize)
+		wordSlabs.put(p.words, used)
+		p.livemap.release(used)
+		p.hotmap.release(used)
+	}
+	p.words, p.livemap, p.hotmap = nil, nil, nil
 }
 
 // Livemap exposes the page's live bitmap for the relocation drain, which

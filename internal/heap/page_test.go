@@ -10,7 +10,7 @@ func testPage(class Class) *Page {
 	if class == ClassMedium {
 		size = MediumPageSize
 	}
-	return newPage(Granule, size, class, 1, make([]uint64, size/WordSize))
+	return newPage(Granule, size, class, 1)
 }
 
 func TestPageSizeClassesMatchTable1(t *testing.T) {
@@ -273,9 +273,9 @@ func TestDropForwarding(t *testing.T) {
 	a := p.AllocRaw(32)
 	p.MarkLive(a, 32)
 	p.SelectForEvacuation()
-	p.DropForwarding()
+	p.drop()
 	if p.Forwarding() != nil || p.InEC() {
-		t.Fatal("DropForwarding must clear table and EC flag")
+		t.Fatal("dropping a page must clear table and EC flag")
 	}
 }
 

@@ -109,7 +109,11 @@ func TestPropertyScanIsSorted(t *testing.T) {
 }
 
 // TestDBUnderEveryTable2Config runs the same insert/lookup program under
-// all 19 evaluation configurations; results must be identical.
+// all 19 evaluation configurations; results must be identical. It runs them
+// twice in one process, the second pass in reverse order, each run
+// releasing its heap to the process-wide arena as Runtime.Close does: a
+// run built on pages, bitmaps and forwarding tables another configuration
+// left behind must compute what a run on fresh memory computes.
 func TestDBUnderEveryTable2Config(t *testing.T) {
 	knobsFor := func(config int) core.Knobs {
 		k := core.Knobs{}
@@ -136,7 +140,11 @@ func TestDBUnderEveryTable2Config(t *testing.T) {
 		return k
 	}
 	var want uint64
-	for config := 0; config < 19; config++ {
+	for run := 0; run < 2*19; run++ {
+		config := run
+		if run >= 19 {
+			config = 2*19 - 1 - run
+		}
 		h := heap.New(heap.Config{MaxBytes: 64 << 20}, nil)
 		reg := objmodel.NewRegistry()
 		c := core.MustNew(h, reg, core.Config{Knobs: knobsFor(config)})
@@ -153,10 +161,14 @@ func TestDBUnderEveryTable2Config(t *testing.T) {
 		var sum uint64
 		db.Scan(m, 0, 10000, func(k, v uint64) { sum += k ^ v })
 		m.Close()
-		if config == 0 {
+		if !c.Stop() {
+			t.Fatalf("run %d: collector not quiet with its only mutator closed", run)
+		}
+		h.Release()
+		if run == 0 {
 			want = sum
 		} else if sum != want {
-			t.Fatalf("config %d: checksum %d != baseline %d", config, sum, want)
+			t.Fatalf("run %d, config %d: checksum %d != baseline %d", run, config, sum, want)
 		}
 	}
 }
