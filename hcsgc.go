@@ -46,8 +46,6 @@ import (
 type (
 	// Knobs are the HCSGC tuning knobs from Table 2 of the paper.
 	Knobs = core.Knobs
-	// CostModel holds abstract operation costs in cycles.
-	CostModel = core.CostModel
 	// Mutator is an application thread's handle onto the managed heap.
 	Mutator = core.Mutator
 	// Ref is a colored reference to a heap object.
@@ -264,8 +262,6 @@ type Options struct {
 	// DisableMemModel turns off cache simulation entirely (unit tests,
 	// functional runs).
 	DisableMemModel bool
-	// Costs overrides the abstract cost model; zero value = defaults.
-	Costs CostModel
 	// StartDriver launches the background occupancy-triggered GC driver.
 	StartDriver bool
 	// Telemetry attaches a live observability sink (nil = disabled; the
@@ -280,7 +276,9 @@ type Options struct {
 	// always-on unless DisableLatency is set.
 	Latency *LatencyTracker
 	// DisableLatency turns the latency-attribution plane off entirely
-	// (each instrumentation site then costs one predictable branch).
+	// (each instrumentation site then costs one predictable branch). Like
+	// the other two Disable switches it is set only by tests and by the
+	// "off" side of BenchmarkPlaneOverhead, which prices the plane.
 	DisableLatency bool
 	// Signals overrides the unified signal plane. Nil = the runtime
 	// builds one with default configuration; the plane is always-on
@@ -305,16 +303,14 @@ type Options struct {
 	Verifier *HeapVerifier
 	// StallRetries bounds the allocation-stall loop: after this many
 	// stall-and-collect attempts the allocator returns ErrOutOfMemory.
-	// 0 = 16.
+	// 0 = 16. Only tests set it: it is how they reach exhaustion in one
+	// stall instead of sixteen.
 	StallRetries int
-	// StallBackoff sleeps (attempt-1)*StallBackoff between stall retries.
-	StallBackoff time.Duration
-	// StallDeadline bounds the stall loop by wall clock; 0 = no deadline.
-	StallDeadline time.Duration
 	// STWWatchdog is the wall-clock deadline for mutators to reach a
 	// stop-the-world safepoint before the collector emits a diagnostic
 	// flight-recorder dump naming the stragglers. 0 = 30s; negative
-	// disables the watchdog.
+	// disables the watchdog. Only tests set it: nobody waits 30 s for a
+	// watchdog test.
 	STWWatchdog time.Duration
 }
 
@@ -392,7 +388,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	types := objmodel.NewRegistry()
 	col, err := core.New(h, types, core.Config{
 		Knobs:          opts.Knobs,
-		Costs:          opts.Costs,
 		GCWorkers:      opts.GCWorkers,
 		TriggerPercent: opts.TriggerPercent,
 		EvacThreshold:  opts.EvacThreshold,
@@ -403,8 +398,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		Contention:     ctn,
 		FaultInjector:  opts.FaultInjector,
 		StallRetries:   opts.StallRetries,
-		StallBackoff:   opts.StallBackoff,
-		StallDeadline:  opts.StallDeadline,
 		STWWatchdog:    opts.STWWatchdog,
 	})
 	if err != nil {

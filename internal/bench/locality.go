@@ -54,7 +54,7 @@ func RunLocalityAB(expID string, runs int, scale float64, seed int64, baseCfg, t
 	if runs <= 0 {
 		runs = 3
 	}
-	profCfg := locality.Config{SamplePeriodShift: shift}.WithDefaults()
+	profCfg := locality.Config{SamplePeriodShift: shift}
 	ab := &LocalityAB{
 		Experiment:   expID,
 		Workload:     w.Name,
@@ -62,14 +62,14 @@ func RunLocalityAB(expID string, runs int, scale float64, seed int64, baseCfg, t
 		Scale:        scale,
 		Seed:         seed,
 		SamplePeriod: 1 << profCfg.SamplePeriodShift,
-		BurstLen:     profCfg.BurstLen,
-		Window:       profCfg.Window,
+		BurstLen:     profCfg.BurstLen(),
+		Window:       locality.Window,
 	}
 
 	var reports [2][]*hcsgc.LocalityReport
 	sides, err := runSides("locality "+expID, w, []int{baseCfg, testCfg}, runs, scale, seed, sink, progress,
 		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
-			prof := locality.New(locality.Config{SamplePeriodShift: shift})
+			prof := locality.New(profCfg)
 			rc.Locality = prof
 			return func(workloads.Result) { reports[side] = append(reports[side], prof.Report()) }
 		})

@@ -84,20 +84,19 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 	if loadFactor <= 0 {
 		loadFactor = 2 // the acceptance point: twice the sustainable rate
 	}
-	pol := overload.Policy{Seed: seed}.WithDefaults()
 	knobs := KnobsFor(cfgID)
 	ab := &OverloadAB{
 		Runs: runs, Scale: scale, Seed: seed, Config: cfgID,
 		Knobs: knobs.String(), LoadFactor: loadFactor,
-		SLOThresholdCycles: pol.GoodputSLOCycles,
-		DeadlineCycles:     pol.DeadlineCycles,
+		SLOThresholdCycles: overload.GoodputSLOCycles,
+		DeadlineCycles:     overload.DeadlineCycles,
 	}
 
 	runSide := func(protected bool) (OverloadSide, error) {
 		side := OverloadSide{Protected: protected, Runs: runs}
 		acc := kvstore.NewMetrics()
 		ost := overload.NewStats()
-		tail := hcsgc.NewTailAttributor(hcsgc.TailConfig{SLOThresholdCycles: pol.GoodputSLOCycles})
+		tail := hcsgc.NewTailAttributor(hcsgc.TailConfig{SLOThresholdCycles: overload.GoodputSLOCycles})
 		name := "unprotected"
 		if protected {
 			name = "protected"
@@ -116,8 +115,7 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 				Telemetry:     sink,
 			}
 			if protected {
-				p := pol
-				cfg.Overload = &p
+				cfg.Overload = &overload.Policy{Seed: seed}
 			}
 			out, err := w.Run(cfg)
 			if err != nil {
@@ -137,7 +135,7 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 			side.MeanExecSeconds = exec / float64(finished)
 		}
 		side.Report = acc.Report(nil)
-		side.Overload = ost.Report(pol.GoodputSLOCycles)
+		side.Overload = ost.Report(overload.GoodputSLOCycles)
 		side.Tail = tail.Report()
 		return side, nil
 	}

@@ -21,7 +21,7 @@ func TestSelfHealingSlot(t *testing.T) {
 	m.RequestGC() // slot now holds a stale-colored ref (good changed M->R->...)
 
 	// First load heals; it must pay the slow-path cost once.
-	slowCost := c.cfg.Costs.BarrierSlow
+	slowCost := uint64(costBarrierSlow)
 	before := m.extra
 	p := m.LoadRoot(0)
 	m.LoadRef(p, 0)
@@ -52,8 +52,8 @@ func TestBarrierFastPathCost(t *testing.T) {
 	before := m.extra
 	m.LoadRef(a, 0) // freshly stored good ref: fast path
 	paid := m.extra - before
-	if paid != c.cfg.Costs.BarrierFast {
-		t.Fatalf("fast path paid %d, want %d", paid, c.cfg.Costs.BarrierFast)
+	if paid != costBarrierFast {
+		t.Fatalf("fast path paid %d, want %d", paid, costBarrierFast)
 	}
 }
 
@@ -105,8 +105,8 @@ func TestRootHealingAtPauses(t *testing.T) {
 	}
 	before := m.extra
 	m.LoadRoot(0)
-	if paid := m.extra - before; paid != c.cfg.Costs.BarrierFast {
-		t.Fatalf("healed root load paid %d, want fast path %d", paid, c.cfg.Costs.BarrierFast)
+	if paid := m.extra - before; paid != costBarrierFast {
+		t.Fatalf("healed root load paid %d, want fast path %d", paid, costBarrierFast)
 	}
 }
 

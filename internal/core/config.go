@@ -28,7 +28,7 @@ import (
 type Knobs struct {
 	// Hotness records object hotness in the hotmap (paper §3.1.2). The
 	// bookkeeping costs a CAS on the slow path (modelled via
-	// CostModel.HotmapCAS).
+	// costHotmapCAS).
 	Hotness bool
 	// ColdPage gives each GC worker a second thread-local relocation
 	// target page for cold objects (paper §3.3). Requires Hotness.
@@ -91,45 +91,31 @@ func (k Knobs) String() string {
 	return s
 }
 
-// CostModel holds the abstract cycle costs of collector operations that
-// are not plain memory accesses (those come from the cache model). The
-// values are small constants; their ratios, not absolute values, shape the
-// results.
-type CostModel struct {
-	// BarrierFast is charged on every reference load (the "no additional
-	// work" fast path is one test+branch).
-	BarrierFast uint64
-	// BarrierSlow is the slow-path dispatch overhead, excluding the memory
-	// traffic it causes (which the cache model charges).
-	BarrierSlow uint64
-	// HotmapCAS is the cost of recording hotness ("in its current
+// The abstract cycle costs of collector operations that are not plain
+// memory accesses (those come from the cache model). The values are small
+// constants; their ratios, not absolute values, shape the results.
+const (
+	// costBarrierFast is charged on every reference load (the "no
+	// additional work" fast path is one test+branch).
+	costBarrierFast = 1
+	// costBarrierSlow is the slow-path dispatch overhead, excluding the
+	// memory traffic it causes (which the cache model charges).
+	costBarrierSlow = 10
+	// costHotmapCAS is the cost of recording hotness ("in its current
 	// implementation involves a CAS operation", §4.1).
-	HotmapCAS uint64
-	// RelocSetup is the per-object overhead of relocating (forwarding
+	costHotmapCAS = 6
+	// costRelocSetup is the per-object overhead of relocating (forwarding
 	// insert, accounting), excluding the copy's memory traffic.
-	RelocSetup uint64
-	// RootProcess is the per-root STW cost.
-	RootProcess uint64
-	// Alloc is the bump-allocation cost.
-	Alloc uint64
-}
-
-// DefaultCosts returns the cost model used throughout the evaluation.
-func DefaultCosts() CostModel {
-	return CostModel{
-		BarrierFast: 1,
-		BarrierSlow: 10,
-		HotmapCAS:   6,
-		RelocSetup:  20,
-		RootProcess: 10,
-		Alloc:       4,
-	}
-}
+	costRelocSetup = 20
+	// costRootProcess is the per-root STW cost.
+	costRootProcess = 10
+	// costAlloc is the bump-allocation cost.
+	costAlloc = 4
+)
 
 // Config configures a collector instance.
 type Config struct {
 	Knobs Knobs
-	Costs CostModel
 	// GCWorkers is the number of concurrent GC threads (mark and
 	// relocate). Zero means 2, matching the 2-core laptop setup.
 	GCWorkers int
@@ -173,21 +159,16 @@ type Config struct {
 
 	// StallRetries bounds the allocation stalls (each triggering a GC
 	// cycle) before an allocation gives up with ErrOutOfMemory. Zero means
-	// 16.
+	// 16. Only tests set it: it is how they reach exhaustion in one stall
+	// instead of sixteen.
 	StallRetries int
-	// StallBackoff, when non-zero, sleeps attempt*StallBackoff before each
-	// stall-triggered collection after the first, giving concurrent
-	// mutators' in-flight frees a chance to land.
-	StallBackoff time.Duration
-	// StallDeadline, when non-zero, caps the wall-clock time one
-	// allocation may spend stalling regardless of retries left.
-	StallDeadline time.Duration
 	// STWWatchdog is the wall-clock deadline for every mutator to reach
 	// the safepoint once a stop-the-world begins; past it the collector
 	// emits a flight-recorder dump naming the mutators still running.
 	// Wall-clock deliberately: a mutator that never polls freezes the
 	// virtual timeline, so a virtual-cycle deadline could never fire.
-	// Zero means 30s; negative disables the watchdog.
+	// Zero means 30s; negative disables the watchdog. Only tests set it:
+	// nobody waits 30 s for a watchdog test.
 	STWWatchdog time.Duration
 }
 
@@ -200,9 +181,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TriggerPercent == 0 {
 		c.TriggerPercent = 70
-	}
-	if c.Costs == (CostModel{}) {
-		c.Costs = DefaultCosts()
 	}
 	if c.StallRetries <= 0 {
 		c.StallRetries = 16

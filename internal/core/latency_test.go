@@ -98,7 +98,7 @@ func TestLatencyCycleAttribution(t *testing.T) {
 // LAZYRELOCATE exists to expose: with the GC standing down, the mutator's
 // traversal relocates EC objects through the barrier slow path.
 func TestLatencyBarrierPathsUnderLazy(t *testing.T) {
-	c, types, tr, _, _ := latEnv(t, Knobs{Hotness: true, RelocateAllSmallPages: true, LazyRelocate: true}, 128<<20, Config{}, latency.Config{SampleShift: 1})
+	c, types, tr, _, _ := latEnv(t, Knobs{Hotness: true, RelocateAllSmallPages: true, LazyRelocate: true}, 128<<20, Config{}, latency.Config{})
 	node := types.Register("node", 2, []int{0})
 	m := c.NewMutator(1)
 	buildList(m, node, 2000)
@@ -112,7 +112,7 @@ func TestLatencyBarrierPathsUnderLazy(t *testing.T) {
 		t.Fatal("lazy traversal produced no relocate barrier hits")
 	}
 	if r.Barrier["relocate"].Sampled.Count == 0 {
-		t.Error("shift-1 sampling captured no relocate latencies")
+		t.Error("1-in-64 sampling captured no relocate latencies over 2000 relocations")
 	}
 	m.Close()
 }

@@ -264,9 +264,9 @@ func (m *Mutator) AllocatedBytes() uint64 { return m.allocBytes.Load() }
 // touch and again before each allocation stall), or once the budget has
 // absorbed maxStalls allocation stalls (0 = stalls bounded only by the
 // deadline and the global Config.StallRetries). This extends the global
-// StallRetries/StallDeadline machinery with a caller-supplied per-request
-// bound: instead of taking a seat in a stall convoy, an over-budget
-// request unwinds promptly and the caller sheds or retries it.
+// StallRetries bound with a caller-supplied per-request one: instead of
+// taking a seat in a stall convoy, an over-budget request unwinds promptly
+// and the caller sheds or retries it.
 //
 // The budget belongs to the owning goroutine, like the rest of the
 // mutator's allocation state. deadlineV of 0 disarms (see
@@ -413,7 +413,7 @@ func (m *Mutator) allocWords(sizeWords int, typeID uint16) (heap.Ref, error) {
 //
 //hcsgc:alloc-free
 func (m *Mutator) noteAlloc(size uint64) {
-	m.extra += m.c.cfg.Costs.Alloc
+	m.extra += costAlloc
 	if m.c.sig != nil {
 		m.allocBytes.Add(size)
 	}
@@ -438,12 +438,12 @@ func (m *Mutator) allocSmall(size uint64, class heap.Class) (uint64, error) {
 
 // allocStall runs the allocation, stalling for GC cycles while the heap is
 // full (the mutator counts as stopped during the stall). When the retry
-// budget (Config.StallRetries) or deadline (Config.StallDeadline) runs out
-// without progress, it returns a structured *OutOfMemoryError instead of
-// panicking, so heap exhaustion unwinds as an ordinary error. The stall
-// deadline and backoff are wall-clock by design: the stalled mutator is
-// waiting on the real collector threads to reclaim memory, and its own
-// virtual timeline is frozen for the duration of the stall.
+// budget (Config.StallRetries) runs out without progress, it returns a
+// structured *OutOfMemoryError instead of panicking, so heap exhaustion
+// unwinds as an ordinary error. OutOfMemoryError.Stalled is wall-clock by
+// design: the stalled mutator is waiting on the real collector threads to
+// reclaim memory, and its own virtual timeline is frozen for the duration
+// of the stall.
 //
 //hcsgc:wall-clock
 func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64, error) {
@@ -465,8 +465,7 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 		if start.IsZero() {
 			start = time.Now()
 		}
-		deadline := m.c.cfg.StallDeadline
-		if attempt > m.c.cfg.StallRetries || (deadline > 0 && time.Since(start) >= deadline) {
+		if attempt > m.c.cfg.StallRetries {
 			m.c.lat.AutoDump(fmt.Sprintf(
 				"oom: %d-byte allocation gave up after %d attempts", size, attempt))
 			return 0, &OutOfMemoryError{
@@ -500,9 +499,6 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 			pauseBefore = m.c.pauseTotal.Load()
 		}
 		m.c.sp.beginBlocked(m.tok)
-		if backoff := m.c.cfg.StallBackoff; backoff > 0 && attempt > 1 {
-			time.Sleep(time.Duration(attempt-1) * backoff)
-		}
 		m.c.collectIfDue(prev, "allocation stall")
 		m.c.sp.endBlocked(m.tok)
 		if m.c.lat != nil {
@@ -554,7 +550,7 @@ func (m *Mutator) SetRoot(i int, ref heap.Ref) { m.roots[i] = ref }
 // traffic is charged — only the barrier check.
 func (m *Mutator) LoadRoot(i int) heap.Ref {
 	raw := m.roots[i]
-	m.extra += m.c.cfg.Costs.BarrierFast
+	m.extra += costBarrierFast
 	if raw.IsNull() || raw.Color() == m.c.Good() {
 		return raw
 	}
@@ -573,7 +569,7 @@ func (m *Mutator) LoadRef(obj heap.Ref, i int) heap.Ref {
 	slot := objmodel.FieldAddr(obj.Addr(), i)
 	m.probe.Access(slot)
 	raw := heap.Ref(m.c.heap.LoadWord(m.core, slot))
-	m.extra += m.c.cfg.Costs.BarrierFast
+	m.extra += costBarrierFast
 	if raw.IsNull() || raw.Color() == m.c.Good() {
 		return raw
 	}
@@ -631,7 +627,7 @@ func (m *Mutator) ArrayLen(obj heap.Ref) int {
 func (m *Mutator) barrierSlow(raw heap.Ref) heap.Ref {
 	c := m.c
 	c.inj.At(faultinject.BarrierSlow, raw.Addr())
-	m.extra += c.cfg.Costs.BarrierSlow
+	m.extra += costBarrierSlow
 	c.tm.barrierSlow.Inc()
 	// Latency attribution: exact per-path hit counters, plus a sampled
 	// latency measured as this mutator's cycle-ledger delta across the

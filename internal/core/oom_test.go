@@ -101,39 +101,6 @@ func TestAllocExhaustionReturnsStructuredError(t *testing.T) {
 	m.Close()
 }
 
-// TestStallDeadline bounds the stall loop by wall clock instead of
-// retries.
-func TestStallDeadline(t *testing.T) {
-	c, _, _ := oomEnv(t, 4<<20, Config{
-		TriggerPercent: 101,
-		StallRetries:   1 << 20, // effectively unbounded: the deadline must fire
-		StallBackoff:   2 * time.Millisecond,
-		StallDeadline:  20 * time.Millisecond,
-	})
-	m := c.NewMutator(64)
-	start := time.Now()
-	var err error
-	for i := 0; i < 64 && err == nil; i++ {
-		var ref heap.Ref
-		ref, err = m.TryAllocWordArray(32 << 10)
-		if err == nil {
-			m.SetRoot(i, ref)
-		}
-	}
-	if !errors.Is(err, ErrOutOfMemory) {
-		t.Fatalf("err = %v, want ErrOutOfMemory", err)
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadline-bounded stall took %v", elapsed)
-	}
-	var oom *OutOfMemoryError
-	errors.As(err, &oom)
-	if oom.Stalled < 20*time.Millisecond {
-		t.Fatalf("Stalled = %v, deadline was 20ms", oom.Stalled)
-	}
-	m.Close()
-}
-
 // TestAllocPanicsCarryTypedError checks the panicking convenience wrappers
 // panic with the same *OutOfMemoryError value TryAlloc returns, so even
 // legacy callers can recover and inspect it.

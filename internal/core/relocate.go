@@ -143,7 +143,7 @@ func (c *Collector) relocateObject(ctx *relocCtx, addr uint64, p *heap.Page) uin
 	c.inj.At(faultinject.RelocInsert, addr)
 	final, won := fwd.Insert(off, dst)
 	ctx.fwdOps++
-	ctx.extra += c.cfg.Costs.RelocSetup
+	ctx.extra += costRelocSetup
 	if !won {
 		ctx.undoTarget(dst, size)
 		return final

@@ -14,7 +14,7 @@ func (c *Collector) processRootMark(m *Mutator, i int, grays []uint64) []uint64 
 	if raw.IsNull() {
 		return grays
 	}
-	c.pauseExtra += c.cfg.Costs.RootProcess
+	c.pauseExtra += costRootProcess
 	addr, wasR := c.remapStale(c.pauseCore, raw)
 	pushed, cost := c.markObject(c.pauseCore, addr, wasR)
 	c.pauseExtra += cost
@@ -37,7 +37,7 @@ func (c *Collector) processRootRelocate(m *Mutator, i int) {
 	if raw.IsNull() {
 		return
 	}
-	c.pauseExtra += c.cfg.Costs.RootProcess
+	c.pauseExtra += costRootProcess
 	addr := raw.Addr()
 	p := c.heap.PageOf(addr)
 	if p == nil {

@@ -190,7 +190,7 @@ func (c *Collector) markObject(core *simmem.Core, addr uint64, hot bool) (pushed
 	won := p.MarkLive(addr, size)
 	if hot && c.cfg.Knobs.Hotness && hotTrackable(p) {
 		if p.MarkHot(addr, size) {
-			cost = c.cfg.Costs.HotmapCAS
+			cost = costHotmapCAS
 		}
 	}
 	return won, cost

@@ -26,7 +26,9 @@ type Config struct {
 	// MaxBytes is the committed-heap limit (like -Xmx). Zero means 256 MB.
 	MaxBytes uint64
 	// AddrSpaceBytes bounds the monotonic simulated address space. Zero
-	// means 512 GB, far above what any benchmark run consumes.
+	// means 512 GB, far above what any benchmark run consumes — which is
+	// why it stays an option although only tests set it: exhaustion
+	// (ErrAddressSpace) is out of a test's reach at the default.
 	AddrSpaceBytes uint64
 	// EnableTinyClass turns on the cache-line-magnitude page class that the
 	// paper proposes as future work.

@@ -113,8 +113,10 @@ type PhaseInfo struct {
 	EndAt   uint64 `json:"end_at_cycles"`
 }
 
-// Config parameterises a schedule. The zero value is unusable; call
-// (Config).withDefaults via Generate, which fills every unset knob.
+// Config parameterises a schedule; Generate fills every unset knob. The
+// traffic's shape — skew, op mix, value sizes, burst and churn — is fixed
+// by the constants below, so a schedule is named by (Seed, Keys, Requests,
+// MeanGapCycles) alone.
 type Config struct {
 	// Seed drives the private splitmix64 stream.
 	Seed int64
@@ -123,41 +125,41 @@ type Config struct {
 	// Requests is the total request count across all three phases.
 	// Default 30_000.
 	Requests int
-	// ZipfTheta is the popularity skew (YCSB-style, 0 = uniform).
-	// Default 0.99.
-	ZipfTheta float64
 	// MeanGapCycles is the steady-phase mean interarrival gap in virtual
 	// cycles. Default 600.
 	MeanGapCycles float64
-	// BurstFactor multiplies the arrival rate during the burst phase
-	// (gaps divide by it). Default 4.
-	BurstFactor float64
-	// ShiftFraction rotates the hot set by this fraction of the keyspace
-	// in the shifted phase. Default 0.5.
-	ShiftFraction float64
-	// SetFraction / DeleteFraction / ScanFraction is the op mix; the
-	// remainder are gets. Defaults 0.25 / 0.02 / 0.03.
-	SetFraction    float64
-	DeleteFraction float64
-	ScanFraction   float64
-	// ScanLen is the keys-per-scan run length. Default 16.
-	ScanLen int
-	// ValueWordsMin/Max bound the mixed value sizes (8-byte words).
-	// Defaults 8 / 56.
-	ValueWordsMin int
-	ValueWordsMax int
-	// SessionEvery retires one session (a key range) every this many
-	// requests. 0 = Requests/12 (so each phase sees churn);
-	// negative = no churn.
-	SessionEvery int
-	// SessionSpan is the retired range size in slots. Default Keys/32.
-	SessionSpan int
 	// DeadlineCycles, when positive, stamps every request with an
 	// absolute deadline At + DeadlineCycles. Deadlines are derived, not
 	// drawn: arming them consumes no RNG stream, so schedules with and
 	// without deadlines have identical arrivals, keys, and op mixes.
 	DeadlineCycles uint64
 }
+
+const (
+	// zipfTheta is the popularity skew (YCSB-style, 0 = uniform).
+	zipfTheta = 0.99
+	// burstFactor multiplies the arrival rate during the burst phase (gaps
+	// divide by it).
+	burstFactor = 4
+	// shiftFraction rotates the hot set by this fraction of the keyspace
+	// in the shifted phase.
+	shiftFraction = 0.5
+	// setFraction / deleteFraction / scanFraction is the op mix; the
+	// remainder are gets.
+	setFraction    = 0.25
+	deleteFraction = 0.02
+	scanFraction   = 0.03
+	// scanLen is the keys-per-scan run length.
+	scanLen = 16
+	// ValueWordsMin/Max bound the mixed value sizes (8-byte words).
+	ValueWordsMin = 8
+	ValueWordsMax = 56
+	// sessionsPerRun is how many sessions (key ranges) a schedule retires:
+	// one every Requests/sessionsPerRun requests, so each phase sees churn.
+	sessionsPerRun = 12
+	// sessionSpanDiv sizes a retired range: Keys/sessionSpanDiv slots.
+	sessionSpanDiv = 32
+)
 
 func (c Config) withDefaults() Config {
 	if c.Keys <= 0 {
@@ -166,44 +168,8 @@ func (c Config) withDefaults() Config {
 	if c.Requests <= 0 {
 		c.Requests = 30_000
 	}
-	if c.ZipfTheta == 0 {
-		c.ZipfTheta = 0.99
-	}
 	if c.MeanGapCycles <= 0 {
 		c.MeanGapCycles = 600
-	}
-	if c.BurstFactor <= 0 {
-		c.BurstFactor = 4
-	}
-	if c.ShiftFraction <= 0 {
-		c.ShiftFraction = 0.5
-	}
-	if c.SetFraction <= 0 {
-		c.SetFraction = 0.25
-	}
-	if c.DeleteFraction <= 0 {
-		c.DeleteFraction = 0.02
-	}
-	if c.ScanFraction <= 0 {
-		c.ScanFraction = 0.03
-	}
-	if c.ScanLen <= 0 {
-		c.ScanLen = 16
-	}
-	if c.ValueWordsMin <= 0 {
-		c.ValueWordsMin = 8
-	}
-	if c.ValueWordsMax < c.ValueWordsMin {
-		c.ValueWordsMax = c.ValueWordsMin + 48
-	}
-	if c.SessionEvery == 0 {
-		c.SessionEvery = c.Requests / 12
-	}
-	if c.SessionSpan <= 0 {
-		c.SessionSpan = c.Keys / 32
-		if c.SessionSpan < 1 {
-			c.SessionSpan = 1
-		}
 	}
 	return c
 }
@@ -293,7 +259,7 @@ func (z *zipf) rank(u float64) int {
 func Generate(cfg Config) *Schedule {
 	cfg = cfg.withDefaults()
 	r := newRNG(cfg.Seed)
-	z := newZipf(cfg.Keys, cfg.ZipfTheta)
+	z := newZipf(cfg.Keys, zipfTheta)
 
 	// slotOf maps a popularity rank to a keyspace slot through a fixed
 	// multiplicative permutation, so the hot head is scattered across the
@@ -303,7 +269,7 @@ func Generate(cfg Config) *Schedule {
 	for gcd(mult, cfg.Keys) != 1 {
 		mult++
 	}
-	shift := int(cfg.ShiftFraction * float64(cfg.Keys))
+	shift := int(shiftFraction * float64(cfg.Keys))
 	slotOf := func(rank, phase int) int {
 		slot := (rank * mult) % cfg.Keys
 		if phase == PhaseShift {
@@ -326,8 +292,16 @@ func Generate(cfg Config) *Schedule {
 	nextSpan := 0              // rotating retired-span origin
 
 	valueWords := func() int {
-		return cfg.ValueWordsMin + r.intn(cfg.ValueWordsMax-cfg.ValueWordsMin+1)
+		return ValueWordsMin + r.intn(ValueWordsMax-ValueWordsMin+1)
 	}
+	// The op mix as cut points on the unit interval, accumulated in float64
+	// (a constant expression would round the sum once and move the last cut
+	// by an ulp).
+	setCut := float64(setFraction)
+	deleteCut := setCut + deleteFraction
+	scanCut := deleteCut + scanFraction
+	sessionEvery := cfg.Requests / sessionsPerRun
+	sessionSpan := max(cfg.Keys/sessionSpanDiv, 1)
 
 	for seq := 0; seq < cfg.Requests; seq++ {
 		phase := seq / perPhase
@@ -336,7 +310,7 @@ func Generate(cfg Config) *Schedule {
 		}
 		gap := cfg.MeanGapCycles
 		if phase == PhaseBurst {
-			gap /= cfg.BurstFactor
+			gap /= burstFactor
 		}
 		now += r.expGap(gap)
 
@@ -359,14 +333,14 @@ func Generate(cfg Config) *Schedule {
 			slot := slotOf(rank, phase)
 			req.Key = keyOf(slot)
 			switch {
-			case u < cfg.SetFraction:
+			case u < setCut:
 				req.Op = OpSet
 				req.ValueWords = valueWords()
-			case u < cfg.SetFraction+cfg.DeleteFraction:
+			case u < deleteCut:
 				req.Op = OpDelete
-			case u < cfg.SetFraction+cfg.DeleteFraction+cfg.ScanFraction:
+			case u < scanCut:
 				req.Op = OpScan
-				req.ScanLen = cfg.ScanLen
+				req.ScanLen = scanLen
 			default:
 				req.Op = OpGet
 				req.ValueWords = valueWords() // read-through fill size
@@ -376,14 +350,14 @@ func Generate(cfg Config) *Schedule {
 
 		// Session churn: retire the next key span — bump generations (so
 		// fresh traffic uses new keys) and queue teardown deletes.
-		if cfg.SessionEvery > 0 && (seq+1)%cfg.SessionEvery == 0 {
+		if sessionEvery > 0 && (seq+1)%sessionEvery == 0 {
 			start := nextSpan % cfg.Keys
-			for i := 0; i < cfg.SessionSpan; i++ {
+			for i := 0; i < sessionSpan; i++ {
 				slot := (start + i) % cfg.Keys
 				pendingRetire = append(pendingRetire, keyOf(slot))
 				gen[slot]++
 			}
-			nextSpan += cfg.SessionSpan
+			nextSpan += sessionSpan
 		}
 	}
 

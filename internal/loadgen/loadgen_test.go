@@ -31,9 +31,10 @@ func TestSameSeedIdenticalSchedule(t *testing.T) {
 func TestScheduleValid(t *testing.T) {
 	for _, cfg := range []Config{
 		testConfig(),
-		{Seed: 7, Keys: 128, Requests: 500, BurstFactor: 8},
-		{Seed: 1, Keys: 10_000, Requests: 9_001, SessionEvery: -1},
-		{Seed: 9, Keys: 33, Requests: 100, SessionEvery: 10, SessionSpan: 5},
+		{Seed: 7, Keys: 128, Requests: 500},
+		{Seed: 1, Keys: 10_000, Requests: 9_001},
+		{Seed: 9, Keys: 33, Requests: 100}, // a session every 8 requests, spans of 1
+		{Seed: 3, Keys: 8, Requests: 11},   // too short for churn
 	} {
 		s := Generate(cfg)
 		if err := s.Validate(); err != nil {
@@ -53,7 +54,7 @@ func TestGoldenZipfHead(t *testing.T) {
 		counts[r.Key%uint64(s.Config.Keys)]++
 	}
 	// Head rank 0 maps to slot 0 in steady/burst and — rotated by
-	// ShiftFraction*Keys = 500 — to slot 500 in the shifted phase.
+	// shiftFraction*Keys = 500 — to slot 500 in the shifted phase.
 	want := map[uint64]int{
 		0:   231, // rank 0, steady+burst
 		500: 108, // rank 0, shifted phase (rotated head)
@@ -68,7 +69,7 @@ func TestGoldenZipfHead(t *testing.T) {
 
 // TestGoldenArrivalsAndPhases pins the Poisson arrival stream's first
 // samples, the phase boundaries (seq and virtual-time), and the total
-// span. The burst phase must compress arrivals by ~BurstFactor.
+// span. The burst phase must compress arrivals by ~burstFactor.
 func TestGoldenArrivalsAndPhases(t *testing.T) {
 	s := Generate(testConfig())
 	if err := s.Validate(); err != nil {
@@ -125,11 +126,12 @@ func TestSessionChurn(t *testing.T) {
 		t.Fatal("no slot ever advanced a generation")
 	}
 
+	// A schedule shorter than sessionsPerRun requests has no churn.
 	noChurn := cfg
-	noChurn.SessionEvery = -1
+	noChurn.Requests = sessionsPerRun - 1
 	for _, r := range Generate(noChurn).Requests {
 		if r.SessionRetire || r.Key >= keys {
-			t.Fatal("SessionEvery<0 must disable churn")
+			t.Fatal("a schedule too short for a session must not churn")
 		}
 	}
 }
@@ -142,13 +144,13 @@ func TestOpMixAndSizes(t *testing.T) {
 		ops[r.Op]++
 		switch r.Op {
 		case OpGet, OpSet:
-			if r.ValueWords < s.Config.ValueWordsMin || r.ValueWords > s.Config.ValueWordsMax {
+			if r.ValueWords < ValueWordsMin || r.ValueWords > ValueWordsMax {
 				t.Fatalf("req %d value words %d outside [%d,%d]",
-					r.Seq, r.ValueWords, s.Config.ValueWordsMin, s.Config.ValueWordsMax)
+					r.Seq, r.ValueWords, ValueWordsMin, ValueWordsMax)
 			}
 		case OpScan:
-			if r.ScanLen != s.Config.ScanLen {
-				t.Fatalf("req %d scan len %d != %d", r.Seq, r.ScanLen, s.Config.ScanLen)
+			if r.ScanLen != scanLen {
+				t.Fatalf("req %d scan len %d != %d", r.Seq, r.ScanLen, scanLen)
 			}
 		}
 	}

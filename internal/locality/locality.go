@@ -15,7 +15,7 @@
 //     each cycle boundary (heap.SegregationStats).
 //
 // Sampling is burst-based: of every 2^SamplePeriodShift accesses a probe
-// feeds the first BurstLen to the trackers. Bursts preserve the local
+// feeds the first Config.BurstLen() to the trackers. Bursts preserve the local
 // patterns (strides, page transitions) that per-access subsampling would
 // destroy, while bounding overhead. A nil *Probe accepts Access calls as
 // a no-op costing one predictable branch, so the disabled profiler adds
@@ -53,40 +53,26 @@ type Config struct {
 	// SamplePeriodShift is the power-of-two sampling knob: one burst is
 	// profiled per 2^shift accesses. 0 profiles every access.
 	SamplePeriodShift uint
-	// BurstLen is the number of consecutive accesses profiled per period
-	// (clamped to the period). Default 256.
-	BurstLen int
-	// Window is the reuse-distance window in profiled accesses (rounded
-	// up to a power of two). Default 16384.
-	Window int
-	// MaxTransitions bounds the page-transition map; further distinct
-	// transitions are pooled into one overflow bucket. Default 4096.
-	MaxTransitions int
-	// CycleHistory is how many per-cycle snapshots Report retains.
-	// Default 64.
-	CycleHistory int
 }
 
-// WithDefaults returns the config with zero fields replaced by defaults.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
+const (
+	// burstLen is the number of consecutive accesses profiled per period
+	// (clamped to the period, see Config.BurstLen).
+	burstLen = 256
+	// Window is the reuse-distance window in profiled accesses (a power of
+	// two).
+	Window = 16384
+	// maxTransitions bounds a probe's page-transition map; further
+	// distinct transitions are pooled into one overflow bucket.
+	maxTransitions = 4096
+	// cycleHistory is how many per-cycle snapshots Report retains.
+	cycleHistory = 64
+)
 
-func (c Config) withDefaults() Config {
-	if c.BurstLen <= 0 {
-		c.BurstLen = 256
-	}
-	if period := 1 << c.SamplePeriodShift; c.BurstLen > period {
-		c.BurstLen = period
-	}
-	if c.Window <= 0 {
-		c.Window = 16384
-	}
-	if c.MaxTransitions <= 0 {
-		c.MaxTransitions = 4096
-	}
-	if c.CycleHistory <= 0 {
-		c.CycleHistory = 64
-	}
-	return c
+// BurstLen is the number of consecutive accesses profiled per sampling
+// period: burstLen, or the whole period when that is shorter.
+func (c Config) BurstLen() int {
+	return min(burstLen, 1<<c.SamplePeriodShift)
 }
 
 // Profiler owns the probes and the cumulative aggregates. Construct with
@@ -121,10 +107,10 @@ type Profiler struct {
 // New builds a profiler. A nil *Profiler is the disabled state: NewProbe
 // returns nil and OnCycle/Report are no-ops.
 func New(cfg Config) *Profiler {
-	return &Profiler{cfg: cfg.withDefaults()}
+	return &Profiler{cfg: cfg}
 }
 
-// Config returns the (defaulted) configuration.
+// Config returns the configuration.
 func (pf *Profiler) Config() Config { return pf.cfg }
 
 // reuseDistBuckets are the telemetry-histogram bucket bounds matching the
@@ -178,9 +164,8 @@ func (pf *Profiler) NewProbe() *Probe {
 	defer pf.mu.Unlock()
 	pr := &Probe{
 		mask:     uint64(1)<<pf.cfg.SamplePeriodShift - 1,
-		burst:    uint64(pf.cfg.BurstLen),
-		maxTrans: pf.cfg.MaxTransitions,
-		reuse:    newReuseTracker(uint64(pf.cfg.Window)),
+		burst:    uint64(pf.cfg.BurstLen()),
+		reuse:    newReuseTracker(Window),
 		trans:    make(map[uint64]uint64),
 		distHist: pf.distHist,
 		coldCtr:  pf.coldTotal,
@@ -253,7 +238,6 @@ type Probe struct {
 	sclock   uint64
 	trans    map[uint64]uint64
 	transOvf uint64
-	maxTrans int
 	lastPage uint64
 	havePage bool
 
@@ -306,7 +290,7 @@ func (pr *Probe) record(addr uint64) {
 		} else {
 			pr.ivl.Transitions++
 			key := pr.lastPage<<pageShift | page
-			if _, ok := pr.trans[key]; ok || len(pr.trans) < pr.maxTrans {
+			if _, ok := pr.trans[key]; ok || len(pr.trans) < maxTransitions {
 				pr.trans[key]++
 			} else {
 				pr.transOvf++
@@ -478,8 +462,8 @@ func (pf *Profiler) OnCycle(seq uint64, purity float64) {
 	cr := CycleReport{Cycle: seq, Interval: deriveStats(&ivl, pf.lastEntropy, pf.lastSamePage, purity)}
 	pf.lastCycle = cr
 	pf.history = append(pf.history, cr)
-	if len(pf.history) > pf.cfg.CycleHistory {
-		pf.history = pf.history[len(pf.history)-pf.cfg.CycleHistory:]
+	if len(pf.history) > cycleHistory {
+		pf.history = pf.history[len(pf.history)-cycleHistory:]
 	}
 
 	pf.sampledTotal.Add(ivl.Sampled)
@@ -550,8 +534,8 @@ func (pf *Profiler) Report() *Report {
 
 	r := &Report{
 		SamplePeriod: 1 << pf.cfg.SamplePeriodShift,
-		BurstLen:     pf.cfg.BurstLen,
-		Window:       pf.cfg.Window,
+		BurstLen:     pf.cfg.BurstLen(),
+		Window:       Window,
 		Cumulative:   deriveStats(&cum, entropy, samePage, pf.lastPurity),
 		LastCycle:    pf.lastCycle,
 		Cycles:       append([]CycleReport(nil), pf.history...),

@@ -146,17 +146,17 @@ func TestPageTransitionEntropy(t *testing.T) {
 }
 
 func TestBurstSampling(t *testing.T) {
-	pf := New(Config{SamplePeriodShift: 6, BurstLen: 16})
+	pf := New(Config{SamplePeriodShift: 10})
 	pr := pf.NewProbe()
-	const total = 64 * 100 // 100 full periods
+	const total = 1024 * 100 // 100 full periods
 	for i := 0; i < total; i++ {
 		pr.Access(uint64(i) * 8)
 	}
 	pf.OnCycle(1, 1)
 	st := pf.Report().Cumulative
-	want := uint64(16 * 100)
+	want := uint64(burstLen * 100)
 	if st.SampledAccesses != want {
-		t.Fatalf("sampled %d accesses, want %d (16 per 64)", st.SampledAccesses, want)
+		t.Fatalf("sampled %d accesses, want %d (%d per 1024)", st.SampledAccesses, want, burstLen)
 	}
 }
 
@@ -224,10 +224,10 @@ func TestAggregate(t *testing.T) {
 // profiler snapshots at simulated cycle boundaries; run under -race. The
 // final cumulative count must conserve every sampled access.
 func TestConcurrentProbes(t *testing.T) {
-	pf := New(Config{SamplePeriodShift: 2, BurstLen: 2})
+	pf := New(Config{SamplePeriodShift: 9})
 	const (
 		goroutines = 4
-		perG       = 20000
+		perG       = 40 * 512 // whole periods
 	)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -263,7 +263,7 @@ func TestConcurrentProbes(t *testing.T) {
 	snapWG.Wait()
 	pf.OnCycle(999, 0.5)
 	got := pf.Report().Cumulative.SampledAccesses
-	want := uint64(goroutines * perG / 2) // burst 2 of period 4
+	want := uint64(goroutines * perG / 2) // burst 256 of period 512
 	if got != want {
 		t.Fatalf("cumulative sampled = %d, want %d", got, want)
 	}

@@ -116,109 +116,70 @@ func (s State) String() string {
 	return fmt.Sprintf("State(%d)", int32(s))
 }
 
-// Policy is the tunable half of the overload plane: pure configuration a
-// bench harness can carry without touching the runtime. The zero value
-// means "defaults" field-by-field (see WithDefaults).
+// Policy is the part of the overload plane a bench harness carries without
+// touching the runtime: arming it (RunConfig.Overload != nil) turns
+// protection on. Everything else about the plane is a calibrated constant
+// below: the values are those of the acceptance run that gated the plane
+// (goodput/Mcycle 2604 -> 3712 at 2x sustainable load), and the thresholds
+// are what allocation-rate pacing (ROADMAP item 3) would derive instead.
 type Policy struct {
-	// DeadlineCycles is the per-request virtual-cycle budget propagated
-	// from the load generator and armed as the allocation budget.
-	DeadlineCycles uint64
-	// MaxStallsPerRequest bounds the allocation stalls one request may
-	// absorb before failing fast (0 = bounded only by the deadline).
-	MaxStallsPerRequest int
-	// MaxRetries is how many times the client retries a shed or expired
-	// request (with jittered backoff) before counting it failed.
-	// 0 = default (1); negative disables retries.
-	MaxRetries int
-	// RetryBackoffCycles is the base backoff charged before a retry; the
-	// jittered wait grows linearly with the attempt number. Kept small by
-	// default: in the sharded serving model the wait occupies the shard's
-	// thread, so a long backoff is itself head-of-line blocking.
-	RetryBackoffCycles uint64
-	// GoodputSLOCycles is the latency bound under which a successful
-	// request counts as goodput.
-	GoodputSLOCycles uint64
-
-	// BrownoutHeapPct / ShedHeapPct are live-occupancy escalation
-	// thresholds (percent of heap max).
-	BrownoutHeapPct float64
-	ShedHeapPct     float64
-	// StallEWMA escalates to at least Brownout when the signal plane's
-	// per-cycle stall EWMA reaches it.
-	StallEWMA float64
-	// ShedStallBurst escalates straight to Shed when at least this many
-	// allocation stalls landed since the previous poll (the live
-	// convoy-in-progress signal; cycle-record flags are too stale to
-	// de-escalate on convoy timescales). Default 3.
-	ShedStallBurst uint64
-	// ExitPolls is the hysteresis: consecutive calm polls required to
-	// step the state down one level. Escalation is immediate.
-	ExitPolls int
-	// ShedPointFrac is the fraction of point ops shed in StateShed
-	// (bulk work sheds fully there, and fully in Brownout).
-	ShedPointFrac float64
-	// BrownoutBulkFrac is the fraction of bulk ops shed in Brownout.
-	BrownoutBulkFrac float64
-	// EmergencyHeadroomBytes is the allocation headroom reserved while
-	// the controller is at Brownout or above with heap pressure.
-	EmergencyHeadroomBytes uint64
 	// Seed keys the deterministic per-request shed hash.
 	Seed int64
 }
 
-// WithDefaults fills zero fields with the defaults. NewController
-// applies it; serving harnesses call it to read effective knobs (the
-// deadline, retry budget, goodput SLO) off a possibly-zero policy.
-func (p Policy) WithDefaults() Policy {
-	if p.DeadlineCycles == 0 {
-		p.DeadlineCycles = 2_000_000
-	}
-	if p.MaxStallsPerRequest == 0 {
-		p.MaxStallsPerRequest = 2
-	}
-	switch {
-	case p.MaxRetries == 0:
-		p.MaxRetries = 1
-	case p.MaxRetries < 0:
-		p.MaxRetries = 0
-	}
-	if p.RetryBackoffCycles == 0 {
-		p.RetryBackoffCycles = 4_000
-	}
-	if p.GoodputSLOCycles == 0 {
-		p.GoodputSLOCycles = 1_000_000
-	}
-	// The occupancy thresholds sit above the trigger-to-cycle oscillation
-	// band (the KV heap swings 70–90% in healthy operation): occupancy
-	// alone escalates only when a cycle failed to reclaim, and the normal
-	// escalation path is the signal plane's heap_pressure / stall_spike
-	// flags, which fire on post-cycle state rather than instantaneous use.
-	if p.BrownoutHeapPct == 0 {
-		p.BrownoutHeapPct = 88
-	}
-	if p.ShedHeapPct == 0 {
-		p.ShedHeapPct = 97
-	}
-	if p.StallEWMA == 0 {
-		p.StallEWMA = 0.75
-	}
-	if p.ShedStallBurst == 0 {
-		p.ShedStallBurst = 3
-	}
-	if p.ExitPolls == 0 {
-		p.ExitPolls = 3
-	}
-	if p.ShedPointFrac == 0 {
-		p.ShedPointFrac = 0.25
-	}
-	if p.BrownoutBulkFrac == 0 {
-		p.BrownoutBulkFrac = 1
-	}
-	if p.EmergencyHeadroomBytes == 0 {
-		p.EmergencyHeadroomBytes = 512 << 10
-	}
-	return p
-}
+// What the serving harness reads: the request budget and the client's
+// retry behaviour.
+const (
+	// DeadlineCycles is the per-request virtual-cycle budget propagated
+	// from the load generator and armed as the allocation budget.
+	DeadlineCycles = 2_000_000
+	// MaxStallsPerRequest bounds the allocation stalls one request may
+	// absorb before failing fast.
+	MaxStallsPerRequest = 2
+	// MaxRetries is how many times the client retries a shed request (with
+	// jittered backoff) before counting it failed.
+	MaxRetries = 1
+	// RetryBackoffCycles is the base backoff charged before a retry; the
+	// jittered wait grows linearly with the attempt number. Small: in the
+	// sharded serving model the wait occupies the shard's thread, so a
+	// long backoff is itself head-of-line blocking.
+	RetryBackoffCycles = 4_000
+	// GoodputSLOCycles is the latency bound under which a successful
+	// request counts as goodput.
+	GoodputSLOCycles = 1_000_000
+)
+
+// The controller's thresholds.
+const (
+	// brownoutHeapPct / shedHeapPct are live-occupancy escalation
+	// thresholds (percent of heap max). They sit above the
+	// trigger-to-cycle oscillation band (the KV heap swings 70–90% in
+	// healthy operation): occupancy alone escalates only when a cycle
+	// failed to reclaim, and the normal escalation path is the signal
+	// plane's heap_pressure / stall_spike flags, which fire on post-cycle
+	// state rather than instantaneous use.
+	brownoutHeapPct = 88
+	shedHeapPct     = 97
+	// stallEWMA escalates to at least Brownout when the signal plane's
+	// per-cycle stall EWMA reaches it.
+	stallEWMA = 0.75
+	// shedStallBurst escalates straight to Shed when at least this many
+	// allocation stalls landed since the previous poll (the live
+	// convoy-in-progress signal; cycle-record flags are too stale to
+	// de-escalate on convoy timescales).
+	shedStallBurst = 3
+	// exitPolls is the hysteresis: consecutive calm polls required to
+	// step the state down one level. Escalation is immediate.
+	exitPolls = 3
+	// shedPointFrac is the fraction of point ops shed in StateShed (bulk
+	// work sheds fully there).
+	shedPointFrac = 0.25
+	// brownoutBulkFrac is the fraction of bulk ops shed in Brownout.
+	brownoutBulkFrac = 1
+	// emergencyHeadroomBytes is the allocation headroom reserved while the
+	// controller is at Brownout or above with heap pressure.
+	emergencyHeadroomBytes = 512 << 10
+)
 
 // Hooks are the controller's levers into the runtime, wired per run by
 // the serving harness. Any hook may be nil.
@@ -272,20 +233,11 @@ type Controller struct {
 // are recorded into stats (which may be shared across runs; nil means
 // "don't record").
 func NewController(pol Policy, plane *signals.Plane, hooks Hooks, inj *faultinject.Injector, stats *Stats) *Controller {
-	pol = pol.WithDefaults()
 	ctrl := &Controller{pol: pol, plane: plane, hooks: hooks, inj: inj, stats: stats}
-	ctrl.shedThresh[StateBrownout][PriorityBulk] = toThreshold(pol.BrownoutBulkFrac)
+	ctrl.shedThresh[StateBrownout][PriorityBulk] = toThreshold(brownoutBulkFrac)
 	ctrl.shedThresh[StateShed][PriorityBulk] = toThreshold(1)
-	ctrl.shedThresh[StateShed][PriorityPoint] = toThreshold(pol.ShedPointFrac)
+	ctrl.shedThresh[StateShed][PriorityPoint] = toThreshold(shedPointFrac)
 	return ctrl
-}
-
-// Policy returns the (defaulted) policy the controller runs.
-func (ctrl *Controller) Policy() Policy {
-	if ctrl == nil {
-		return Policy{}.WithDefaults()
-	}
-	return ctrl.pol
 }
 
 // State returns the current admission state.
@@ -311,7 +263,7 @@ func (ctrl *Controller) Poll() State {
 	if ctrl.hooks.HeapUsedPct != nil {
 		occ = ctrl.hooks.HeapUsedPct()
 	}
-	var stallEWMA float64
+	var stallAvg float64
 	var heapFlag, stallFlag bool
 	var seq uint64
 	if ctrl.plane != nil {
@@ -320,7 +272,7 @@ func (ctrl *Controller) Poll() State {
 			for _, d := range rec.Derived {
 				switch d.Name {
 				case signals.SigStalls:
-					stallEWMA = d.EWMA
+					stallAvg = d.EWMA
 				case signals.SigHeapUsed:
 					// Between cycles the live reading can lag a burst; take
 					// the worse of live and post-cycle EWMA.
@@ -358,12 +310,12 @@ func (ctrl *Controller) Poll() State {
 
 	desired := StateNormal
 	switch {
-	case stallDelta >= ctrl.pol.ShedStallBurst ||
+	case stallDelta >= shedStallBurst ||
 		(stallDelta > 0 && heapFlag) ||
-		occ >= ctrl.pol.ShedHeapPct:
+		occ >= shedHeapPct:
 		desired = StateShed
-	case stallDelta > 0 || occ >= ctrl.pol.BrownoutHeapPct ||
-		heapFlag || stallFlag || stallEWMA >= ctrl.pol.StallEWMA:
+	case stallDelta > 0 || occ >= brownoutHeapPct ||
+		heapFlag || stallFlag || stallAvg >= stallEWMA:
 		desired = StateBrownout
 	}
 
@@ -376,10 +328,10 @@ func (ctrl *Controller) Poll() State {
 		next = desired
 		ctrl.calmPolls = 0
 	case desired < cur:
-		// De-escalate one level at a time, only after ExitPolls calm
+		// De-escalate one level at a time, only after exitPolls calm
 		// observations (the hysteresis that prevents flapping).
 		ctrl.calmPolls++
-		if ctrl.calmPolls >= ctrl.pol.ExitPolls {
+		if ctrl.calmPolls >= exitPolls {
 			next = cur - 1
 			ctrl.calmPolls = 0
 		}
@@ -394,12 +346,12 @@ func (ctrl *Controller) Poll() State {
 
 	// Emergency headroom: reserved while degraded under heap pressure so
 	// the next cycle starts with slack; released when calm.
-	engage := next >= StateBrownout && (heapFlag || occ >= ctrl.pol.BrownoutHeapPct)
+	engage := next >= StateBrownout && (heapFlag || occ >= brownoutHeapPct)
 	if engage != ctrl.headroomOn {
 		ctrl.headroomOn = engage
 		if ctrl.hooks.SetHeadroom != nil {
 			if engage {
-				ctrl.hooks.SetHeadroom(ctrl.pol.EmergencyHeadroomBytes)
+				ctrl.hooks.SetHeadroom(emergencyHeadroomBytes)
 			} else {
 				ctrl.hooks.SetHeadroom(0)
 			}
@@ -480,7 +432,7 @@ func (ctrl *Controller) Report() Report {
 	if ctrl == nil {
 		return Report{State: StateNormal.String()}
 	}
-	r := ctrl.stats.Report(ctrl.pol.GoodputSLOCycles)
+	r := ctrl.stats.Report(GoodputSLOCycles)
 	r.State = State(ctrl.state.Load()).String()
 	return r
 }

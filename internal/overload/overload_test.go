@@ -20,9 +20,6 @@ func TestNilControllerAndStatsAreInert(t *testing.T) {
 	if rep := ctrl.Report(); rep.State != "normal" || rep.Admitted != 0 {
 		t.Fatalf("nil controller report: %+v", rep)
 	}
-	if pol := ctrl.Policy(); pol.DeadlineCycles == 0 {
-		t.Fatal("nil controller policy not defaulted")
-	}
 	ctrl.BindTelemetry(telemetry.NewRegistry())
 
 	var st *Stats
@@ -61,14 +58,14 @@ func TestControllerStallBurstEscalation(t *testing.T) {
 	if got := ctrl.Poll(); got != StateBrownout {
 		t.Fatalf("delta 1: %v, want brownout", got)
 	}
-	stalls += ctrl.Policy().ShedStallBurst
+	stalls += shedStallBurst
 	if got := ctrl.Poll(); got != StateShed {
 		t.Fatalf("stall burst: %v, want shed", got)
 	}
 
 	// Hysteresis: ExitPolls calm polls per downward step, one level at a
 	// time — never shed-to-normal in one hop.
-	exit := ctrl.Policy().ExitPolls
+	exit := exitPolls
 	for i := 0; i < exit-1; i++ {
 		if got := ctrl.Poll(); got != StateShed {
 			t.Fatalf("calm poll %d left shed early: %v", i+1, got)
@@ -103,14 +100,14 @@ func TestControllerOccupancyBackstop(t *testing.T) {
 	if got := ctrl.Poll(); got != StateNormal {
 		t.Fatalf("occ 50: %v", got)
 	}
-	occ = ctrl.Policy().BrownoutHeapPct + 1
+	occ = brownoutHeapPct + 1
 	if got := ctrl.Poll(); got != StateBrownout {
 		t.Fatalf("occ %v: %v, want brownout", occ, got)
 	}
-	if len(headroom) != 1 || headroom[0] != ctrl.Policy().EmergencyHeadroomBytes {
+	if len(headroom) != 1 || headroom[0] != emergencyHeadroomBytes {
 		t.Fatalf("headroom calls after brownout: %v", headroom)
 	}
-	occ = ctrl.Policy().ShedHeapPct + 1
+	occ = shedHeapPct + 1
 	if got := ctrl.Poll(); got != StateShed {
 		t.Fatalf("occ %v: %v, want shed (escalation is immediate)", occ, got)
 	}
@@ -252,7 +249,7 @@ func TestAdmitPriorityAndDeterminism(t *testing.T) {
 			pointSheds++
 		}
 	}
-	frac := ctrl.Policy().ShedPointFrac
+	frac := shedPointFrac
 	if lo, hi := int(2800*frac), int(5200*frac); pointSheds < lo || pointSheds > hi {
 		t.Fatalf("point sheds %d/4000, want roughly %v", pointSheds, frac)
 	}
@@ -284,20 +281,16 @@ func TestAdmitForcedShed(t *testing.T) {
 	}
 }
 
-func TestPolicyWithDefaults(t *testing.T) {
-	def := Policy{}.WithDefaults()
-	if def.DeadlineCycles == 0 || def.GoodputSLOCycles == 0 || def.ShedStallBurst == 0 ||
-		def.ExitPolls == 0 || def.ShedPointFrac == 0 || def.BrownoutHeapPct >= def.ShedHeapPct {
-		t.Fatalf("defaults incomplete: %+v", def)
+// TestPolicyConstants: the calibrated constants keep the orderings the
+// controller relies on (brownout before shed, a goodput bound inside the
+// deadline).
+func TestPolicyConstants(t *testing.T) {
+	if brownoutHeapPct >= shedHeapPct || GoodputSLOCycles >= DeadlineCycles ||
+		shedPointFrac <= 0 || shedPointFrac >= brownoutBulkFrac {
+		t.Fatal("overload constants out of order")
 	}
-	if def.MaxRetries != 1 {
-		t.Fatalf("MaxRetries default %d, want 1", def.MaxRetries)
-	}
-	if p := (Policy{MaxRetries: -1}).WithDefaults(); p.MaxRetries != 0 {
-		t.Fatalf("MaxRetries -1 → %d, want 0 (disabled)", p.MaxRetries)
-	}
-	if p := (Policy{MaxRetries: 4, DeadlineCycles: 9}).WithDefaults(); p.MaxRetries != 4 || p.DeadlineCycles != 9 {
-		t.Fatal("explicit knobs overwritten by defaults")
+	if MaxRetries != 1 {
+		t.Fatalf("MaxRetries = %d, want 1", MaxRetries)
 	}
 }
 

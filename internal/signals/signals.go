@@ -32,64 +32,38 @@ import (
 type Config struct {
 	// History bounds the retained CycleSignals ring. Default 256.
 	History int
-	// EWMAAlpha is the exponential-smoothing factor in (0,1] for the
-	// derived series. Default 0.3.
-	EWMAAlpha float64
-	// Thresholds configures the anomaly flags.
-	Thresholds Thresholds
 }
 
-// Thresholds are the anomaly-flag trip points. Zero values get defaults;
-// a negative value disables that flag.
-type Thresholds struct {
-	// MinUtilization flags "low_utilization" when the cycle-interval
-	// mutator utilization drops below it. Default 0.5.
-	MinUtilization float64
-	// StallSpike flags "stall_spike" when a cycle saw at least this many
-	// allocation stalls. Default 1 (any stall is an anomaly: PR 6 found
-	// stalls, not pauses, dominate the serving tail).
-	StallSpike uint64
-	// MaxPauseCycles flags "long_pause" when the cycle's worst STW pause
-	// meets it. Default 200_000 (~4x the calibrated pause p50).
-	MaxPauseCycles uint64
-	// MaxHeapUsedPct flags "heap_pressure" on post-cycle occupancy.
-	// Default 85 (the 70% trigger plus headroom: the cycle did not
-	// reclaim back below the trigger region).
-	MaxHeapUsedPct float64
-	// MinSegPurity flags "purity_drop" when segregation purity was
-	// measured (>= 0) and fell below it. Default 0.5.
-	MinSegPurity float64
-	// ContentionSpike flags "contention_spike" when the cycle's lock
-	// contended-acquisition fraction (contention plane attached) meets
-	// it. Default 0.25.
-	ContentionSpike float64
-}
+// ewmaAlpha is the exponential-smoothing factor of the derived series.
+const ewmaAlpha = 0.3
+
+// The anomaly-flag trip points.
+const (
+	// minUtilization flags "low_utilization" when the cycle-interval
+	// mutator utilization drops below it.
+	minUtilization = 0.5
+	// stallSpike flags "stall_spike" when a cycle saw at least this many
+	// allocation stalls: any stall is an anomaly (PR 6 found stalls, not
+	// pauses, dominate the serving tail).
+	stallSpike = 1
+	// maxPauseCycles flags "long_pause" when the cycle's worst STW pause
+	// meets it (~4x the calibrated pause p50).
+	maxPauseCycles = 200_000
+	// maxHeapUsedPct flags "heap_pressure" on post-cycle occupancy: the
+	// 70% trigger plus headroom, i.e. the cycle did not reclaim back below
+	// the trigger region.
+	maxHeapUsedPct = 85
+	// minSegPurity flags "purity_drop" when segregation purity was
+	// measured (>= 0) and fell below it.
+	minSegPurity = 0.5
+	// contentionSpike flags "contention_spike" when the cycle's lock
+	// contended-acquisition fraction (contention plane attached) meets it.
+	contentionSpike = 0.25
+)
 
 func (c Config) withDefaults() Config {
 	if c.History <= 0 {
 		c.History = 256
-	}
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		c.EWMAAlpha = 0.3
-	}
-	t := &c.Thresholds
-	if t.MinUtilization == 0 {
-		t.MinUtilization = 0.5
-	}
-	if t.StallSpike == 0 {
-		t.StallSpike = 1
-	}
-	if t.MaxPauseCycles == 0 {
-		t.MaxPauseCycles = 200_000
-	}
-	if t.MaxHeapUsedPct == 0 {
-		t.MaxHeapUsedPct = 85
-	}
-	if t.MinSegPurity == 0 {
-		t.MinSegPurity = 0.5
-	}
-	if t.ContentionSpike == 0 {
-		t.ContentionSpike = 0.25
 	}
 	return c
 }
@@ -349,34 +323,31 @@ func rawSignals(rec *CycleSignals) map[string]float64 {
 }
 
 // flags evaluates the anomaly thresholds against a record's raw values.
-func (p *Plane) flags(rec *CycleSignals, raw map[string]float64) []string {
-	th := p.cfg.Thresholds
+func flags(rec *CycleSignals, raw map[string]float64) []string {
 	var out []string
-	if th.MinUtilization > 0 && raw[SigUtilization] < th.MinUtilization {
+	if raw[SigUtilization] < minUtilization {
 		out = append(out, FlagLowUtilization)
 	}
-	if th.StallSpike > 0 && rec.Flight.Stalls >= th.StallSpike {
+	if rec.Flight.Stalls >= stallSpike {
 		out = append(out, FlagStallSpike)
 	}
-	if th.MaxPauseCycles > 0 && uint64(raw[SigMaxPause]) >= th.MaxPauseCycles {
+	if uint64(raw[SigMaxPause]) >= maxPauseCycles {
 		out = append(out, FlagLongPause)
 	}
-	if th.MaxHeapUsedPct > 0 && rec.Heap.UsedAfterPct >= th.MaxHeapUsedPct {
+	if rec.Heap.UsedAfterPct >= maxHeapUsedPct {
 		out = append(out, FlagHeapPressure)
 	}
-	if th.MinSegPurity > 0 {
-		if purity, ok := raw[SigSegPurity]; ok && purity >= 0 && purity < th.MinSegPurity {
-			out = append(out, FlagPurityDrop)
-		} else if !ok && rec.Flight.SegregationPurity >= 0 &&
-			rec.Flight.SegregationPurity < th.MinSegPurity {
-			// Purity is measured at mark end even without a locality
-			// profiler (telemetry computes it); use the flight record's
-			// copy so the flag works in both configurations.
-			out = append(out, FlagPurityDrop)
-		}
+	// Purity is measured at mark end even without a locality profiler
+	// (telemetry computes it); fall back to the flight record's copy so the
+	// flag works in both configurations.
+	purity, ok := raw[SigSegPurity]
+	if !ok {
+		purity = rec.Flight.SegregationPurity
 	}
-	if th.ContentionSpike > 0 && rec.Contention.Present &&
-		rec.Contention.ContendedFrac >= th.ContentionSpike {
+	if purity >= 0 && purity < minSegPurity {
+		out = append(out, FlagPurityDrop)
+	}
+	if rec.Contention.Present && rec.Contention.ContendedFrac >= contentionSpike {
 		out = append(out, FlagContentionSpike)
 	}
 	return out
@@ -393,7 +364,6 @@ func (p *Plane) OnCycle(rec CycleSignals) {
 	raw := rawSignals(&rec)
 
 	p.mu.Lock()
-	alpha := p.cfg.EWMAAlpha
 	rec.Derived = make([]DerivedSignal, 0, len(raw))
 	for _, name := range DerivedOrder {
 		v, ok := raw[name]
@@ -411,13 +381,13 @@ func (p *Plane) OnCycle(rec CycleSignals) {
 			st.init = true
 			prev = v
 		} else {
-			st.value = alpha*v + (1-alpha)*prev
+			st.value = ewmaAlpha*v + (1-ewmaAlpha)*prev
 		}
 		rec.Derived = append(rec.Derived, DerivedSignal{
 			Name: name, Value: v, EWMA: st.value, Trend: st.value - prev,
 		})
 	}
-	rec.Flags = p.flags(&rec, raw)
+	rec.Flags = flags(&rec, raw)
 
 	if cap(p.ring) > 0 {
 		if len(p.ring) < cap(p.ring) {
@@ -520,7 +490,7 @@ func (p *Plane) Snapshot() Snapshot {
 	s := Snapshot{
 		Cycles:  p.total,
 		History: p.cfg.History,
-		Alpha:   p.cfg.EWMAAlpha,
+		Alpha:   ewmaAlpha,
 		Records: make([]CycleSignals, 0, len(p.ring)),
 	}
 	s.Records = append(s.Records, p.ring[p.next:]...)

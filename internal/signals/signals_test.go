@@ -2,6 +2,7 @@ package signals
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -94,9 +95,9 @@ func TestPlaneRingBound(t *testing.T) {
 }
 
 // TestPlaneEWMAAndTrend pins the derivation: first observation seeds the
-// EWMA (trend 0), later ones smooth with alpha.
+// EWMA (trend 0), later ones smooth with ewmaAlpha.
 func TestPlaneEWMAAndTrend(t *testing.T) {
-	p := New(Config{EWMAAlpha: 0.5})
+	p := New(Config{})
 	p.OnCycle(synthRec(1, 1.0, 0))
 	p.OnCycle(synthRec(2, 0.0, 0))
 	latest, ok := p.Latest()
@@ -112,8 +113,10 @@ func TestPlaneEWMAAndTrend(t *testing.T) {
 	if util == nil {
 		t.Fatalf("derived %s missing; got %+v", SigUtilization, latest.Derived)
 	}
-	if util.Value != 0 || util.EWMA != 0.5 || util.Trend != -0.5 {
-		t.Fatalf("utilization derived = %+v, want value 0, ewma 0.5, trend -0.5", util)
+	// 1 then 0: the EWMA moves ewmaAlpha of the way from 1 towards 0.
+	const eps = 1e-12
+	if util.Value != 0 || math.Abs(util.EWMA-(1-ewmaAlpha)) > eps || math.Abs(util.Trend+ewmaAlpha) > eps {
+		t.Fatalf("utilization derived = %+v, want value 0, ewma %v, trend %v", util, 1-ewmaAlpha, -ewmaAlpha)
 	}
 	// Emission follows DerivedOrder.
 	pos := map[string]int{}

@@ -64,16 +64,14 @@ type TailConfig struct {
 	// 1_000_000 (the second-to-top rung of the KV report's SLO ladder:
 	// well above pause cost, well below stall cost).
 	SLOThresholdCycles uint64
-	// TopK bounds the slow-request exemplar store. Default 32.
-	TopK int
 }
+
+// maxExemplars bounds the slow-request exemplar store (TailReport.TopK).
+const maxExemplars = 32
 
 func (c TailConfig) withDefaults() TailConfig {
 	if c.SLOThresholdCycles == 0 {
 		c.SLOThresholdCycles = 1_000_000
-	}
-	if c.TopK <= 0 {
-		c.TopK = 32
 	}
 	return c
 }
@@ -316,7 +314,7 @@ func (t *TailAttributor) recordViolation(cause Cause, lat uint64, ex Exemplar, p
 		t.tAttr.Inc()
 	}
 	t.mu.Lock()
-	if len(t.topK) < t.cfg.TopK {
+	if len(t.topK) < maxExemplars {
 		t.attachSignals(&ex, plane)
 		heap.Push(&t.topK, ex)
 	} else if lat > t.topK[0].LatencyCycles {
@@ -355,7 +353,7 @@ func (t *TailAttributor) Merge(o *TailAttributor) {
 	o.mu.Unlock()
 	t.mu.Lock()
 	for _, ex := range exs {
-		if len(t.topK) < t.cfg.TopK {
+		if len(t.topK) < maxExemplars {
 			heap.Push(&t.topK, ex)
 		} else if ex.LatencyCycles > t.topK[0].LatencyCycles {
 			t.topK[0] = ex

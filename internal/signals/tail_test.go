@@ -185,18 +185,20 @@ func TestClassifierLinksPlane(t *testing.T) {
 // TestTailTopKBounded: the exemplar store keeps exactly the K slowest,
 // reported slowest-first.
 func TestTailTopKBounded(t *testing.T) {
-	ta := NewTailAttributor(TailConfig{SLOThresholdCycles: 100, TopK: 4})
+	ta := NewTailAttributor(TailConfig{SLOThresholdCycles: 100})
 	cl := ta.Classifier(nil)
-	// Latencies 101..120 at disjoint windows; the store must keep 117..120.
-	for i := uint64(0); i < 20; i++ {
+	// maxExemplars+8 latencies from 101 up at disjoint windows; the store must
+	// keep the maxExemplars largest.
+	const n = maxExemplars + 8
+	for i := uint64(0); i < n; i++ {
 		cl.Observe(obsAt(i, i*1_000, 101+i))
 	}
 	r := ta.Report()
-	if len(r.TopK) != 4 {
-		t.Fatalf("topK = %d exemplars, want 4", len(r.TopK))
+	if len(r.TopK) != maxExemplars {
+		t.Fatalf("topK = %d exemplars, want %d", len(r.TopK), maxExemplars)
 	}
-	for i, want := range []uint64{120, 119, 118, 117} {
-		if r.TopK[i].LatencyCycles != want {
+	for i := range r.TopK {
+		if want := uint64(100 + n - i); r.TopK[i].LatencyCycles != want {
 			t.Fatalf("topK[%d] latency = %d, want %d (slowest first)", i, r.TopK[i].LatencyCycles, want)
 		}
 	}
@@ -328,7 +330,7 @@ func TestTailNilSafe(t *testing.T) {
 	if r := ta.Report(); r.Requests != 0 {
 		t.Fatal("nil attributor recorded requests")
 	}
-	if c := ta.Config(); c.TopK != 0 {
+	if c := ta.Config(); c.SLOThresholdCycles != 0 {
 		t.Fatal("nil attributor config not zero")
 	}
 }

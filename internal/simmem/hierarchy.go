@@ -42,7 +42,8 @@ type HierarchyConfig struct {
 	// of two no larger than the LLC set count; 0 selects the default
 	// (8, clamped to the set count). 1 restores the single global lock —
 	// the configuration the contention plane measured before this knob
-	// existed.
+	// existed, and the reference side of TestLLCStripingEquivalence, which
+	// is why it stays an option although only tests set it.
 	LLCStripes int
 }
 

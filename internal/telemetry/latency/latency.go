@@ -98,49 +98,37 @@ func (k PhaseKind) String() string {
 var pauseNames = [3]string{"stw1", "stw2", "stw3"}
 
 // DefaultMMUWindows is the paper-style MMU window ladder in simulated
-// cycles: 1/5/20/100 kcycles.
-var DefaultMMUWindows = []uint64{1_000, 5_000, 20_000, 100_000}
+// cycles, ascending: 1/5/20/100 kcycles. One Perfetto counter track
+// (latency_mmu_1k…100k) exists per rung, hence the array.
+var DefaultMMUWindows = [4]uint64{1_000, 5_000, 20_000, 100_000}
+
+const (
+	// maxIntervals bounds the retained stop intervals; past it the oldest
+	// half is dropped and the MMU domain advances.
+	maxIntervals = 2048
+	// autoDumpLimit caps automatic dumps per tracker (until Rearm) so a
+	// violation storm cannot flood the output.
+	autoDumpLimit = 8
+	// sampleShift sets barrier-latency sampling to 1 in 2^6 slow-path
+	// entries. Hit counters are always exact.
+	sampleShift = 6
+)
 
 // Config tunes a Tracker. The zero value gets usable defaults.
 type Config struct {
-	// MMUWindows is the MMU window ladder in simulated cycles, ascending.
-	// Default DefaultMMUWindows.
-	MMUWindows []uint64
-	// MaxIntervals bounds the retained stop intervals; past it the oldest
-	// half is dropped and the MMU domain advances. Default 2048.
-	MaxIntervals int
 	// FlightRecords is the flight-recorder ring size. Default 64.
 	FlightRecords int
-	// AutoDumpLimit caps automatic dumps per tracker so a violation storm
-	// cannot flood the output. Default 8.
-	AutoDumpLimit int
 	// DumpTo receives automatic dumps as single-line JSON. Default
 	// os.Stderr.
 	DumpTo io.Writer
-	// SampleShift sets barrier-latency sampling to 1 in 2^shift slow-path
-	// entries. Default 6 (1 in 64); there is no exhaustive setting — use
-	// shift 1 for 1-in-2. Hit counters are always exact.
-	SampleShift uint
 }
 
 func (c Config) withDefaults() Config {
-	if len(c.MMUWindows) == 0 {
-		c.MMUWindows = DefaultMMUWindows
-	}
-	if c.MaxIntervals <= 0 {
-		c.MaxIntervals = 2048
-	}
 	if c.FlightRecords <= 0 {
 		c.FlightRecords = 64
 	}
-	if c.AutoDumpLimit <= 0 {
-		c.AutoDumpLimit = 8
-	}
 	if c.DumpTo == nil {
 		c.DumpTo = os.Stderr
-	}
-	if c.SampleShift == 0 {
-		c.SampleShift = 6
 	}
 	return c
 }
@@ -189,7 +177,7 @@ func New(cfg Config) *Tracker {
 	t := &Tracker{
 		cfg:   cfg,
 		stall: NewHist(),
-		mmu:   newMMUState(cfg.MMUWindows, cfg.MaxIntervals),
+		mmu:   newMMUState(DefaultMMUWindows[:], maxIntervals),
 		ring:  newFlightRing(cfg.FlightRecords),
 	}
 	for i := range t.pause {
@@ -262,13 +250,12 @@ func (t *Tracker) BarrierHit(p BarrierPath) {
 }
 
 // SampleBarrier reports whether this slow-path entry should measure its
-// latency (1 in 2^SampleShift).
+// latency (1 in 2^sampleShift).
 func (t *Tracker) SampleBarrier() bool {
 	if t == nil {
 		return false
 	}
-	mask := (uint64(1) << t.cfg.SampleShift) - 1
-	return t.sampleCtr.Add(1)&mask == 0
+	return t.sampleCtr.Add(1)&(1<<sampleShift-1) == 0
 }
 
 // RecordBarrierLatency records a sampled slow-path latency on path p.
@@ -344,9 +331,6 @@ func (t *Tracker) OnCycle(rec CycleRecord) CycleRecord {
 	}
 	if recd != nil {
 		for i, pt := range snap.Windows {
-			if i >= 4 {
-				break
-			}
 			recd.Record(telemetry.EvCounter, telemetry.CounterMMU1k+uint32(i),
 				math.Float64bits(pt.MMU), rec.Seq)
 		}
@@ -378,7 +362,7 @@ func (t *Tracker) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder
 		"Allocation-stall duration, in simulated cycles (HDR summary).",
 		t.stall)
 	var gauges []*telemetry.Gauge
-	for _, w := range t.cfg.MMUWindows {
+	for _, w := range DefaultMMUWindows {
 		gauges = append(gauges, reg.Gauge("hcsgc_mmu_ratio",
 			"Minimum mutator utilization over the labelled window, in simulated cycles.",
 			"window_cycles", fmt.Sprintf("%d", w)))
@@ -408,7 +392,7 @@ func (t *Tracker) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder
 	t.dumpsTotal = dumps
 	t.dumpsLeft = dumpsLeft
 	t.rec = rec
-	left := uint64(t.cfg.AutoDumpLimit)
+	left := uint64(autoDumpLimit)
 	if t.dumps < left {
 		left -= t.dumps
 	} else {
@@ -461,7 +445,7 @@ func (t *Tracker) MMUSnapshot() MMUReport {
 }
 
 // AutoDump writes one bounded single-line JSON flight dump to the
-// configured DumpTo, capped at AutoDumpLimit per tracker. The collector
+// configured DumpTo, capped at autoDumpLimit per tracker. The collector
 // calls it on new verifier violations; the allocator on ErrOutOfMemory.
 // Nil-safe.
 func (t *Tracker) AutoDump(reason string) {
@@ -469,21 +453,21 @@ func (t *Tracker) AutoDump(reason string) {
 		return
 	}
 	t.mu.Lock()
-	if t.dumps >= uint64(t.cfg.AutoDumpLimit) {
+	if t.dumps >= autoDumpLimit {
 		t.mu.Unlock()
 		return
 	}
 	t.dumps++
 	dumps := t.dumpsTotal
 	left := t.dumpsLeft
-	remaining := uint64(t.cfg.AutoDumpLimit) - t.dumps
+	remaining := autoDumpLimit - t.dumps
 	t.mu.Unlock()
 	dumps.Inc()
 	left.Set(float64(remaining))
 	writeDump(t.cfg.DumpTo, FlightDump{Reason: reason, Report: t.Report()}, false)
 }
 
-// Rearm resets the automatic-dump budget back to AutoDumpLimit (served by
+// Rearm resets the automatic-dump budget back to autoDumpLimit (served by
 // /flightrecorder?rearm=1), so an operator who has collected the capped
 // dumps can keep the recorder live without restarting. Nil-safe.
 func (t *Tracker) Rearm() {
@@ -494,7 +478,7 @@ func (t *Tracker) Rearm() {
 	t.dumps = 0
 	left := t.dumpsLeft
 	t.mu.Unlock()
-	left.Set(float64(t.cfg.AutoDumpLimit))
+	left.Set(autoDumpLimit)
 }
 
 // DumpsRemaining returns the automatic dumps left before the cap.
@@ -504,10 +488,10 @@ func (t *Tracker) DumpsRemaining() uint64 {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.dumps >= uint64(t.cfg.AutoDumpLimit) {
+	if t.dumps >= autoDumpLimit {
 		return 0
 	}
-	return uint64(t.cfg.AutoDumpLimit) - t.dumps
+	return autoDumpLimit - t.dumps
 }
 
 // StallDist summarizes the allocation-stall distribution (the signal
@@ -607,16 +591,10 @@ func Aggregate(trackers []*Tracker) *Report {
 		}
 	}
 	r.MMU = MMUReport{SpanCycles: span, Utilization: utilMin}
-	// Keep ladder order stable: iterate the first contributing tracker's
-	// window order.
-	for _, t := range trackers {
-		if t == nil {
-			continue
-		}
-		for _, w := range t.cfg.MMUWindows {
+	if mmuMin != nil {
+		for _, w := range DefaultMMUWindows {
 			r.MMU.Windows = append(r.MMU.Windows, MMUPoint{WindowCycles: w, MMU: mmuMin[w]})
 		}
-		break
 	}
 	return r
 }

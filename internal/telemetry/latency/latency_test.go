@@ -92,17 +92,17 @@ func TestFlightRingBounds(t *testing.T) {
 // TestAutoDumpLimit: automatic dumps are single-line JSON, capped.
 func TestAutoDumpLimit(t *testing.T) {
 	var buf strings.Builder
-	tr := New(Config{AutoDumpLimit: 2, DumpTo: &buf})
+	tr := New(Config{DumpTo: &buf})
 	feedCycles(tr, 1)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < autoDumpLimit+3; i++ {
 		tr.AutoDump("test reason")
 	}
-	if tr.Dumps() != 2 {
-		t.Fatalf("dumps = %d, want 2", tr.Dumps())
+	if tr.Dumps() != autoDumpLimit {
+		t.Fatalf("dumps = %d, want %d", tr.Dumps(), autoDumpLimit)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("wrote %d lines, want 2", len(lines))
+	if len(lines) != autoDumpLimit {
+		t.Fatalf("wrote %d lines, want %d", len(lines), autoDumpLimit)
 	}
 	var d FlightDump
 	if err := json.Unmarshal([]byte(lines[0]), &d); err != nil {
@@ -136,15 +136,15 @@ func TestWriteFlightShape(t *testing.T) {
 
 // TestSampleBarrier: the sampler fires exactly once per 2^shift entries.
 func TestSampleBarrier(t *testing.T) {
-	tr := New(Config{SampleShift: 3})
+	tr := New(Config{})
 	fired := 0
-	for i := 0; i < 64; i++ {
+	for i := 0; i < 8<<sampleShift; i++ {
 		if tr.SampleBarrier() {
 			fired++
 		}
 	}
 	if fired != 8 {
-		t.Fatalf("sampler fired %d/64, want 8 (shift 3)", fired)
+		t.Fatalf("sampler fired %d/%d, want 8 (shift %d)", fired, 8<<sampleShift, sampleShift)
 	}
 }
 

@@ -94,17 +94,9 @@ func KVServer() Workload {
 			if cfg.LoadFactor > 0 {
 				gap /= cfg.LoadFactor
 			}
-			pol := overload.Policy{}.WithDefaults()
-			if cfg.Overload != nil {
-				p := *cfg.Overload
-				if p.Seed == 0 {
-					p.Seed = cfg.Seed
-				}
-				pol = p.WithDefaults()
-			}
 			var deadlineCycles uint64
 			if cfg.Overload != nil {
-				deadlineCycles = pol.DeadlineCycles
+				deadlineCycles = overload.DeadlineCycles
 			}
 			sched := loadgen.Generate(loadgen.Config{
 				Seed:           cfg.Seed,
@@ -159,9 +151,9 @@ func KVServer() Workload {
 					ctrl.BindTelemetry(reg)
 					cfg.Telemetry.SetEndpoint("overload", func() any { return c.Report() })
 				} else {
-					o, slo := ost, pol.GoodputSLOCycles
+					o := ost
 					ost.BindTelemetry(reg)
-					cfg.Telemetry.SetEndpoint("overload", func() any { return o.Report(slo) })
+					cfg.Telemetry.SetEndpoint("overload", func() any { return o.Report(overload.GoodputSLOCycles) })
 				}
 			}
 
@@ -209,7 +201,7 @@ func KVServer() Workload {
 					// traffic degrades to misses, not to a dead run.
 					if st != nil {
 						for s := tid; s < keys; s += threads {
-							vw := lg.ValueWordsMin + s%(lg.ValueWordsMax-lg.ValueWordsMin+1)
+							vw := loadgen.ValueWordsMin + s%(loadgen.ValueWordsMax-loadgen.ValueWordsMin+1)
 							if _, err := st.TrySet(uint64(s), vw); err != nil {
 								if errors.Is(err, hcsgc.ErrOutOfMemory) {
 									break
@@ -292,9 +284,9 @@ func KVServer() Workload {
 						// request in that ramp becomes an SLO violation
 						// attributable to nothing but the queue itself.
 						if ctrl != nil {
-							guard := pol.GoodputSLOCycles / 16
+							const guard = overload.GoodputSLOCycles / 16
 							if now := m.VirtualCycles(); now > at &&
-								now-at+svcWorst[r.Op]+guard >= pol.GoodputSLOCycles {
+								now-at+svcWorst[r.Op]+guard >= overload.GoodputSLOCycles {
 								ost.RecordStaleShed(kvPriority(r.Op))
 								ost.RecordFailure()
 								// Like the deadline drop: the backlog has
@@ -334,7 +326,7 @@ func KVServer() Workload {
 								uint64(r.Seq)<<4|uint64(attempt&15))
 							if err == nil {
 								if deadlineAbs > 0 {
-									m.SetAllocBudget(deadlineAbs, pol.MaxStallsPerRequest)
+									m.SetAllocBudget(deadlineAbs, overload.MaxStallsPerRequest)
 								}
 								var delta uint64
 								delta, err = kvExecOp(st, mx, ctrl, r, keys, attempt)
@@ -369,10 +361,10 @@ func KVServer() Workload {
 							// effect is the gate: a client whose backoff
 							// would run past the deadline gives up instead
 							// of resubmitting.
-							retry := shed && attempt < pol.MaxRetries
+							retry := shed && attempt < overload.MaxRetries
 							if retry {
 								backoff := loadgen.RetryBackoff(lg.Seed,
-									uint64(r.Seq), attempt+1, pol.RetryBackoffCycles)
+									uint64(r.Seq), attempt+1, overload.RetryBackoffCycles)
 								if deadlineAbs > 0 &&
 									m.VirtualCycles()+backoff >= deadlineAbs {
 									retry = false
@@ -390,7 +382,7 @@ func KVServer() Workload {
 						if reqErr == nil {
 							lat := end - at
 							mx.RecordRequest(r.Phase, r.Op, lat)
-							ost.RecordSuccess(lat, lat <= pol.GoodputSLOCycles)
+							ost.RecordSuccess(lat, lat <= overload.GoodputSLOCycles)
 							if ctrl != nil {
 								// Update the clean-service worst case:
 								// slow decay so a one-off high does not
@@ -463,7 +455,7 @@ func KVServer() Workload {
 			ost.AddServeAllocBytes(serveAlloc.Load())
 
 			rep := mx.Report(nil)
-			orep := ost.Report(pol.GoodputSLOCycles)
+			orep := ost.Report(overload.GoodputSLOCycles)
 			var check uint64
 			for _, c := range checks {
 				check += c

@@ -11,7 +11,6 @@ package workloads
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"hcsgc"
 	"hcsgc/internal/kvstore"
@@ -95,7 +94,7 @@ type RunConfig struct {
 	// Overload arms the overload-protection plane on the KV serving path
 	// (nil = unprotected: no admission control, no per-request deadlines,
 	// no client retries — heap exhaustion still degrades to per-request
-	// failures). The policy's DeadlineCycles propagates into the load
+	// failures). overload.DeadlineCycles then propagates into the load
 	// generator's schedule.
 	Overload *overload.Policy
 	// OverloadStats accumulates the overload plane's outcome accounting
@@ -106,11 +105,9 @@ type RunConfig struct {
 	// gap divides by it; 0 or 1 = the workload's sustainable default).
 	// The overload bench sets >= 2 to push past the sustainable point.
 	LoadFactor float64
-	// StallRetries / StallBackoff / StallDeadline bound the
-	// allocation-stall loop (see hcsgc.Options).
-	StallRetries  int
-	StallBackoff  time.Duration
-	StallDeadline time.Duration
+	// StallRetries bounds the allocation-stall loop (see hcsgc.Options;
+	// only tests set it).
+	StallRetries int
 }
 
 func (c RunConfig) scale(def float64) float64 {
@@ -231,8 +228,6 @@ func newEnv(cfg RunConfig, heapDefault uint64, rootSlots int) *env {
 		FaultInjector:     cfg.FaultInjector,
 		Verifier:          cfg.Verifier,
 		StallRetries:      cfg.StallRetries,
-		StallBackoff:      cfg.StallBackoff,
-		StallDeadline:     cfg.StallDeadline,
 	})
 	return &env{rt: rt, m: rt.NewMutator(rootSlots), cfg: cfg}
 }
