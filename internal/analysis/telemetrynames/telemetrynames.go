@@ -1,6 +1,6 @@
 // Package telemetrynames keeps the metrics namespace coherent. Every
-// metric registered on a telemetry.Registry (Counter, Gauge, Histogram,
-// Summary) must be named `hcsgc_<snake_case>` — the exporters emit names
+// metric registered on a telemetry.Registry (Counter, Adopt, Gauge,
+// Histogram, Summary) must be named `hcsgc_<snake_case>` — the exporters emit names
 // verbatim, so a stray `HcsgcPauseNs` or `pause-ns` silently forks the
 // dashboard namespace.
 //
@@ -10,8 +10,8 @@
 // stay consistent across those sites, and what this pass checks:
 //
 //   - kind: the same name registered as Counter at one site and Gauge at
-//     another panics at runtime (Registry.family);
-//   - help: family() silently keeps the first help string, so divergent
+//     another panics at runtime (Registry.get);
+//   - help: get silently keeps the first help string, so divergent
 //     help text at a second site is dead and the dashboards lie;
 //   - labels come in key/value pairs: an odd argument count panics in
 //     labelKey at first use;
@@ -36,14 +36,19 @@ import (
 // telemetryPkg is the import path of the metrics registry.
 const telemetryPkg = "hcsgc/internal/telemetry"
 
-// registerMethods maps (*telemetry.Registry) constructor name -> index of
-// the first label argument (name and help precede it; Histogram also takes
-// bucket bounds, Summary a quantile source).
-var registerMethods = map[string]int{
-	"Counter":   2,
-	"Gauge":     2,
-	"Histogram": 3,
-	"Summary":   3,
+// registerMethods maps (*telemetry.Registry) constructor name -> the kind
+// of family it registers and the index of the first label argument (name
+// and help precede it; Adopt also takes the caller's counter cell,
+// Histogram bucket bounds, Summary a quantile source).
+var registerMethods = map[string]struct {
+	kind       string
+	labelStart int
+}{
+	"Counter":   {"Counter", 2},
+	"Adopt":     {"Counter", 3},
+	"Gauge":     {"Gauge", 2},
+	"Histogram": {"Histogram", 3},
+	"Summary":   {"Summary", 3},
 }
 
 // nameRE is the required shape of a metric name.
@@ -90,10 +95,11 @@ func run(pass *lintkit.Pass) error {
 		if f == nil {
 			return true
 		}
-		labelStart, isReg := registerMethods[f.Name()]
+		reg, isReg := registerMethods[f.Name()]
 		if !isReg || !lintkit.IsMethod(f, telemetryPkg, "Registry", f.Name()) {
 			return true
 		}
+		kind, labelStart := reg.kind, reg.labelStart
 
 		// Label pairs: statically countable unless spread with `labels...`.
 		if call.Ellipsis == token.NoPos && len(call.Args) > labelStart &&
@@ -129,23 +135,23 @@ func run(pass *lintkit.Pass) error {
 		}
 		prev, seen := first[name]
 		if !seen {
-			first[name] = familySite{pos: call.Args[0].Pos(), kind: f.Name(), help: help}
+			first[name] = familySite{pos: call.Args[0].Pos(), kind: kind, help: help}
 			// The _total convention is checked once, at the first site; a
 			// later kind flip is the family-consistency diagnostic instead.
-			if strings.HasSuffix(name, "_total") && f.Name() != "Counter" {
+			if strings.HasSuffix(name, "_total") && kind != "Counter" {
 				pass.Reportf(call.Args[0].Pos(),
 					"metric %q ends in _total but is registered as a %s: the "+
 						"_total suffix promises a monotonic counter to every "+
 						"Prometheus consumer",
-					name, f.Name())
+					name, kind)
 			}
 			return true
 		}
-		if prev.kind != f.Name() {
+		if prev.kind != kind {
 			pass.Reportf(call.Args[0].Pos(),
 				"metric %q registered as %s here but as %s at %s: "+
-					"Registry.family panics on kind mismatch at runtime",
-				name, f.Name(), prev.kind, pass.Fset.Position(prev.pos))
+					"Registry.get panics on kind mismatch at runtime",
+				name, kind, prev.kind, pass.Fset.Position(prev.pos))
 			return true
 		}
 		if prev.help != "" && help != "" && prev.help != help {

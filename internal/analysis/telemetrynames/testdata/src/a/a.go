@@ -14,8 +14,15 @@ func register(reg *telemetry.Registry, suffix string) {
 	reg.Counter("hcsgc_reloc_total", "Relocations.", "who", "gc")
 	reg.Counter("hcsgc_reloc_total", "Relocations.", "who", "mutator")
 
-	// Same name, different kind: panics in Registry.family at runtime.
+	// Same name, different kind: panics in Registry.get at runtime.
 	reg.Gauge("hcsgc_reloc_total", "Relocations.") // want `registered as Gauge here but as Counter`
+
+	// Adopt registers a counter series like Counter does, over the
+	// caller's cell; its labels start one argument later.
+	var cell telemetry.Counter
+	reg.Adopt("hcsgc_reloc_total", "Relocations.", &cell, "who", "other")
+	reg.Adopt("hcsgc_adopted", "No suffix needed.", &cell, "who") // want `odd number of label arguments`
+	reg.Gauge("hcsgc_adopted", "No suffix needed.")               // want `registered as Gauge here but as Counter`
 
 	// Same name, divergent help: the second string is silently dead.
 	reg.Counter("hcsgc_stalls_total", "Allocation stalls.")

@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
 
@@ -57,6 +58,8 @@ type Site struct {
 	// wait records the wall-clock nanoseconds a contended Lock spent
 	// parked before acquiring.
 	wait latency.Hist
+	// The plane's view as of the last cycle boundary (see advance).
+	seenAcq, seenContd telemetry.Counter
 }
 
 // Name returns the site's registration name.
@@ -174,6 +177,8 @@ type OpSite struct {
 	name    string
 	ops     atomic.Uint64
 	retries atomic.Uint64
+	// The plane's view as of the last cycle boundary (see advance).
+	seenOps, seenRetries telemetry.Counter
 }
 
 // Name returns the op site's registration name.

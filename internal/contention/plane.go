@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"hcsgc/internal/telemetry"
+	"hcsgc/internal/telemetry/latency"
 )
 
 // WorkerTotals is one GC worker's cumulative activity, reported by the
@@ -45,15 +46,28 @@ type CycleDelta struct {
 	RetryFrac     float64
 }
 
+// advance moves seen, a cumulative total as of the last cycle boundary, to
+// now and returns the step. The plane differentiates every live total
+// against such a cell, and the cell is what /metrics serves: each count is
+// stored once, and all of the plane's series move at cycle boundaries,
+// together.
+func advance(seen *telemetry.Counter, now uint64) uint64 {
+	d := now - seen.Value()
+	seen.Add(d)
+	return d
+}
+
 // source bridges a component whose locking cannot adopt contention.Mutex
 // (the telemetry registry/recorder would create an import cycle through
 // telemetry/latency) but that can report (attempts, contended) totals.
 type source struct {
-	name          string
-	probe         func() (ops, contended uint64)
-	prevOps       uint64
-	prevContended uint64
+	name               string
+	probe              func() (ops, contended uint64)
+	seenOps, seenContd telemetry.Counter
 }
+
+// workerSeen is one GC worker's WorkerTotals as of the last cycle.
+type workerSeen struct{ scanned, relocated, steals, busy telemetry.Counter }
 
 // Plane owns the registered sites and turns their cumulative counters
 // into per-cycle deltas, metrics, Perfetto counter tracks and the
@@ -67,22 +81,16 @@ type Plane struct {
 	//hcsgc:lock-order 70
 	mu      sync.Mutex
 	sites   []*Site
-	prev    []siteTotals
 	ops     []*OpSite
-	prevOps []opTotals
 	sources []*source
+	workers []*workerSeen
 
-	workersPrev []WorkerTotals
-	cycles      uint64
-	last        CycleDelta
+	cycles uint64
+	last   CycleDelta
 
 	reg *telemetry.Registry
 	rec *telemetry.Recorder
 }
-
-type siteTotals struct{ acq, contended uint64 }
-
-type opTotals struct{ ops, retries uint64 }
 
 // New builds an empty, enabled plane.
 func New() *Plane { return &Plane{} }
@@ -103,10 +111,7 @@ func (p *Plane) NewSite(name string) *Site {
 	}
 	s := &Site{name: name}
 	p.sites = append(p.sites, s)
-	p.prev = append(p.prev, siteTotals{})
-	if p.reg != nil {
-		p.bindSite(s)
-	}
+	p.bindLock(name, &s.wait, &s.seenAcq, &s.seenContd)
 	return s
 }
 
@@ -125,7 +130,7 @@ func (p *Plane) NewOpSite(name string) *OpSite {
 	}
 	o := &OpSite{name: name}
 	p.ops = append(p.ops, o)
-	p.prevOps = append(p.prevOps, opTotals{})
+	p.bindOp(o)
 	return o
 }
 
@@ -143,12 +148,15 @@ func (p *Plane) AddSource(name string, probe func() (ops, contended uint64)) {
 			return
 		}
 	}
-	p.sources = append(p.sources, &source{name: name, probe: probe})
+	src := &source{name: name, probe: probe}
+	p.sources = append(p.sources, src)
+	p.bindLock(name, nil, &src.seenOps, &src.seenContd)
 }
 
-// BindTelemetry attaches the metrics registry and event recorder. Wait
-// histograms are exported as summaries once per site; counters/gauges
-// are resolved lazily per cycle (registration is get-or-create).
+// BindTelemetry attaches the metrics registry and event recorder and has
+// the registry serve every site, source, CAS loop and worker known so far;
+// those registered later join as they arrive, so a series exists from the
+// moment its site does, whether or not it was ever contended.
 func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	if p == nil {
 		return
@@ -158,15 +166,43 @@ func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) 
 	p.reg = reg
 	p.rec = rec
 	for _, s := range p.sites {
-		p.bindSite(s)
+		p.bindLock(s.name, &s.wait, &s.seenAcq, &s.seenContd)
 	}
+	for _, src := range p.sources {
+		p.bindLock(src.name, nil, &src.seenOps, &src.seenContd)
+	}
+	for _, o := range p.ops {
+		p.bindOp(o)
+	}
+	for i, w := range p.workers {
+		p.bindWorker(i, w)
+	}
+	p.reg.Gauge("hcsgc_worker_imbalance", helpImbalance)
 }
 
-// bindSite registers the per-site wait summary. Caller holds p.mu.
-func (p *Plane) bindSite(s *Site) {
-	p.reg.Summary("hcsgc_contention_wait_ns",
-		"Wall-clock nanoseconds contended lock acquisitions waited.",
-		&s.wait, "site", s.name)
+// bindLock has the registry serve one lock site or source: its totals as
+// of the last cycle and, for a wrapped mutex, the live wait histogram.
+// Like bindOp and bindWorker: caller holds p.mu, a nil registry is a no-op.
+func (p *Plane) bindLock(name string, wait *latency.Hist, acq, contended *telemetry.Counter) {
+	if wait != nil {
+		p.reg.Summary("hcsgc_contention_wait_ns",
+			"Wall-clock nanoseconds contended lock acquisitions waited.", wait, "site", name)
+	}
+	p.reg.Adopt("hcsgc_contention_acquisitions_total", helpAcq, acq, "site", name)
+	p.reg.Adopt("hcsgc_contention_contended_total", helpContended, contended, "site", name)
+}
+
+func (p *Plane) bindOp(o *OpSite) {
+	p.reg.Adopt("hcsgc_contention_cas_ops_total", helpCASOps, &o.seenOps, "structure", o.name)
+	p.reg.Adopt("hcsgc_contention_cas_retries_total", helpCASRetry, &o.seenRetries, "structure", o.name)
+}
+
+func (p *Plane) bindWorker(i int, w *workerSeen) {
+	id := strconv.Itoa(i)
+	p.reg.Adopt("hcsgc_worker_scanned_total", helpScanned, &w.scanned, "worker", id)
+	p.reg.Adopt("hcsgc_worker_relocated_total", helpRelocated, &w.relocated, "worker", id)
+	p.reg.Adopt("hcsgc_worker_steals_total", helpSteals, &w.steals, "worker", id)
+	p.reg.Adopt("hcsgc_worker_busy_cycles_total", helpBusy, &w.busy, "worker", id)
 }
 
 // Metric family helps, shared with the telemetrynames fixtures.
@@ -196,64 +232,40 @@ func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 	p.cycles++
 
 	var d CycleDelta
-
-	// Lock sites: per-cycle deltas of cumulative counters.
-	for i, s := range p.sites {
-		acq, con := s.Acquisitions(), s.contended.Load()
-		dAcq, dCon := acq-p.prev[i].acq, con-p.prev[i].contended
-		p.prev[i] = siteTotals{acq: acq, contended: con}
-		d.Acquisitions += dAcq
-		d.Contended += dCon
-		if p.reg != nil && dAcq > 0 {
-			p.reg.Counter("hcsgc_contention_acquisitions_total", helpAcq, "site", s.name).Add(dAcq)
-			p.reg.Counter("hcsgc_contention_contended_total", helpContended, "site", s.name).Add(dCon)
-		}
+	for _, s := range p.sites {
+		d.Acquisitions += advance(&s.seenAcq, s.Acquisitions())
+		d.Contended += advance(&s.seenContd, s.contended.Load())
 	}
 	for _, src := range p.sources {
 		ops, con := src.probe()
-		dOps, dCon := ops-src.prevOps, con-src.prevContended
-		src.prevOps, src.prevContended = ops, con
-		d.Acquisitions += dOps
-		d.Contended += dCon
-		if p.reg != nil && dOps > 0 {
-			p.reg.Counter("hcsgc_contention_acquisitions_total", helpAcq, "site", src.name).Add(dOps)
-			p.reg.Counter("hcsgc_contention_contended_total", helpContended, "site", src.name).Add(dCon)
-		}
+		d.Acquisitions += advance(&src.seenOps, ops)
+		d.Contended += advance(&src.seenContd, con)
 	}
 	if d.Acquisitions > 0 {
 		d.ContendedFrac = float64(d.Contended) / float64(d.Acquisitions)
 	}
-
-	// CAS loops.
-	for i, o := range p.ops {
-		ops, ret := o.ops.Load(), o.retries.Load()
-		dOps, dRet := ops-p.prevOps[i].ops, ret-p.prevOps[i].retries
-		p.prevOps[i] = opTotals{ops: ops, retries: ret}
-		d.CASOps += dOps
-		d.CASRetries += dRet
-		if p.reg != nil && dOps+dRet > 0 {
-			p.reg.Counter("hcsgc_contention_cas_ops_total", helpCASOps, "structure", o.name).Add(dOps)
-			p.reg.Counter("hcsgc_contention_cas_retries_total", helpCASRetry, "structure", o.name).Add(dRet)
-		}
+	for _, o := range p.ops {
+		d.CASOps += advance(&o.seenOps, o.ops.Load())
+		d.CASRetries += advance(&o.seenRetries, o.retries.Load())
 	}
 	if d.CASOps > 0 {
 		d.RetryFrac = float64(d.CASRetries) / float64(d.CASOps)
 	}
 
 	// Worker balance.
-	if len(workers) > len(p.workersPrev) {
-		p.workersPrev = append(p.workersPrev, make([]WorkerTotals, len(workers)-len(p.workersPrev))...)
+	for i := len(p.workers); i < len(workers); i++ {
+		p.workers = append(p.workers, &workerSeen{})
+		p.bindWorker(i, p.workers[i])
 	}
 	d.Workers = len(workers)
 	work := make([]float64, len(workers))
 	for i, w := range workers {
-		pw := p.workersPrev[i]
-		dScan, dReloc := w.Scanned-pw.Scanned, w.Relocated-pw.Relocated
-		dSteal, dBusy := w.Steals-pw.Steals, w.BusyCycles-pw.BusyCycles
-		p.workersPrev[i] = w
+		ws := p.workers[i]
+		dScan, dReloc := advance(&ws.scanned, w.Scanned), advance(&ws.relocated, w.Relocated)
+		dBusy := advance(&ws.busy, w.BusyCycles)
 		d.Scanned += dScan
 		d.Relocated += dReloc
-		d.Steals += dSteal
+		d.Steals += advance(&ws.steals, w.Steals)
 		// Imbalance is computed over busy virtual cycles when the memory
 		// model runs; otherwise over scanned+relocated work units.
 		if dBusy > 0 {
@@ -261,18 +273,9 @@ func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 		} else {
 			work[i] = float64(dScan + dReloc)
 		}
-		if p.reg != nil {
-			id := strconv.Itoa(i)
-			p.reg.Counter("hcsgc_worker_scanned_total", helpScanned, "worker", id).Add(dScan)
-			p.reg.Counter("hcsgc_worker_relocated_total", helpRelocated, "worker", id).Add(dReloc)
-			p.reg.Counter("hcsgc_worker_steals_total", helpSteals, "worker", id).Add(dSteal)
-			p.reg.Counter("hcsgc_worker_busy_cycles_total", helpBusy, "worker", id).Add(dBusy)
-		}
 	}
 	d.Imbalance = imbalance(work)
-	if p.reg != nil {
-		p.reg.Gauge("hcsgc_worker_imbalance", helpImbalance).Set(d.Imbalance)
-	}
+	p.reg.Gauge("hcsgc_worker_imbalance", helpImbalance).Set(d.Imbalance)
 	if p.rec != nil {
 		p.rec.Record(telemetry.EvCounter, telemetry.CounterContentionContended,
 			math.Float64bits(float64(d.Contended)), seq)
@@ -403,10 +406,10 @@ func (p *Plane) Snapshot() Snapshot {
 		}
 		return a.Name < b.Name
 	})
-	for i, w := range p.workersPrev {
+	for i, w := range p.workers {
 		snap.Workers = append(snap.Workers, WorkerSnapshot{
-			ID: i, Scanned: w.Scanned, Relocated: w.Relocated,
-			Steals: w.Steals, BusyCycles: w.BusyCycles,
+			ID: i, Scanned: w.scanned.Value(), Relocated: w.relocated.Value(),
+			Steals: w.steals.Value(), BusyCycles: w.busy.Value(),
 		})
 	}
 	return snap

@@ -90,7 +90,7 @@ type Collector struct {
 	//
 	//hcsgc:lock-order 10
 	cycleMu contention.Mutex
-	cycles  atomic.Uint64
+	cycles  telemetry.Counter // completed cycles; hcsgc_gc_cycles_total
 
 	// ctn is the contention attribution plane (nil when opted out).
 	ctn *contention.Plane
@@ -112,7 +112,7 @@ type Collector struct {
 	pauseTotal atomic.Uint64
 	// stallCount counts allocation stalls runtime-wide; lastStalls /
 	// lastVerifyTotal are per-cycle watermarks (touched under cycleMu).
-	stallCount      atomic.Uint64
+	stallCount      telemetry.Counter
 	lastStalls      uint64
 	lastVerifyTotal uint64
 	inj             *faultinject.Injector
@@ -147,7 +147,7 @@ func New(h *heap.Heap, types *objmodel.Registry, cfg Config) (*Collector, error)
 		pool:  newMarkPool(),
 		muts:  make(map[*Mutator]struct{}),
 	}
-	c.tm = newColTelemetry(cfg.Telemetry)
+	c.tm = newColTelemetry(cfg.Telemetry, c)
 	c.lat = cfg.Latency
 	c.sig = cfg.Signals
 	c.inj = cfg.FaultInjector
@@ -195,7 +195,7 @@ func (c *Collector) Good() heap.Color { return heap.Color(c.good.Load()) }
 func (c *Collector) CurrentPhase() Phase { return Phase(c.phase.Load()) }
 
 // Cycles returns the number of completed GC cycles.
-func (c *Collector) Cycles() uint64 { return c.cycles.Load() }
+func (c *Collector) Cycles() uint64 { return c.cycles.Value() }
 
 // Collect runs one full GC cycle synchronously. It serializes with other
 // cycles; calling it concurrently is allowed (the loser simply runs the
@@ -211,7 +211,7 @@ func (c *Collector) Collect(reason string) {
 func (c *Collector) collectIfDue(prev uint64, reason string) {
 	c.cycleMu.Lock()
 	defer c.cycleMu.Unlock()
-	if c.cycles.Load() != prev {
+	if c.cycles.Value() != prev {
 		return
 	}
 	c.runCycle(reason)
@@ -222,7 +222,7 @@ func (c *Collector) collectIfDue(prev uint64, reason string) {
 // ZGC order:   STW1, M/R, STW2, EC, STW3, RE
 // HCSGC lazy:  RE (leftover from previous cycle), STW1, M/R, STW2, EC, STW3
 func (c *Collector) runCycle(reason string) {
-	cs := &CycleStats{Seq: c.cycles.Load() + 1, Trigger: reason,
+	cs := &CycleStats{Seq: c.cycles.Value() + 1, Trigger: reason,
 		HeapUsedBefore: c.heap.UsedPercent(), HotmapDensity: -1}
 	c.tm.rec.BeginSpan(telemetry.SpanCycle, collectorTID)
 	var vCycleStart uint64
@@ -374,7 +374,7 @@ func (c *Collector) runCycle(reason string) {
 	}
 
 	cs.HeapUsedAfter = c.heap.UsedPercent()
-	c.cycles.Add(1)
+	c.cycles.Inc()
 	c.stats.append(cs)
 	c.recordCycleEnd(cs)
 	flight := c.recordLatencyCycle(cs, vCycleStart)

@@ -71,7 +71,7 @@ func (c *Collector) PauseCycles() uint64 {
 // harnesses delta it across a request window to detect concurrent stalls
 // (the queued-behind-stall attribution signal).
 func (c *Collector) StallCount() uint64 {
-	return c.stallCount.Load()
+	return c.stallCount.Value()
 }
 
 // pauseStartClock samples the virtual clock at a pause start (world
@@ -119,7 +119,7 @@ func (c *Collector) recordLatencyCycle(cs *CycleStats, vStart uint64) latency.Cy
 	if c.lat == nil && c.sig == nil {
 		return latency.CycleRecord{}
 	}
-	stalls := c.stallCount.Load()
+	stalls := c.stallCount.Value()
 	runs, violations := c.heap.Verifier().Counts()
 	rec := latency.CycleRecord{
 		Seq:               cs.Seq,

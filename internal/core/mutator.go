@@ -487,9 +487,8 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 			m.budgetStalls++
 		}
 		m.Stalls++
-		m.c.stallCount.Add(1)
-		m.c.tm.allocStalls.Inc()
-		prev := m.c.cycles.Load()
+		m.c.stallCount.Inc()
+		prev := m.c.cycles.Value()
 		// Published before the clock is sampled: the stall starts at this
 		// mutator's own latest access, not at its last safepoint poll.
 		m.Publish()

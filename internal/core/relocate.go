@@ -51,7 +51,7 @@ type relocCtx struct {
 
 // fold hands the context's tallies on to the shared counters: forwarding
 // inserts to the contention plane's heap.forwardTable site, relocation wins
-// to the collector's statistics and the telemetry counters. Owner only.
+// to the collector's statistics (which /metrics serves). Owner only.
 // Relocating threads would otherwise all bump the same few counters once
 // per object; folding where the owner publishes keeps those counters exact
 // wherever the ledgers are (under STW, after a worker phase, after Close).
@@ -62,8 +62,6 @@ func (ctx *relocCtx) fold() {
 	}
 	if ctx.wonObjects != 0 {
 		ctx.c.stats.addReloc(ctx.who, ctx.wonObjects, ctx.wonBytes)
-		ctx.c.tm.relocObjects[ctx.who].Add(ctx.wonObjects)
-		ctx.c.tm.relocBytes[ctx.who].Add(ctx.wonBytes)
 		ctx.wonObjects, ctx.wonBytes = 0, 0
 	}
 }

@@ -42,8 +42,8 @@ func (c *Collector) recordSignals(cs *CycleStats, flight latency.CycleRecord) {
 	}
 
 	allocTotal := c.allocBytesTotal()
-	relocObjects := c.stats.relocObjects[0].Load() + c.stats.relocObjects[1].Load()
-	relocBytes := c.stats.relocBytes[0].Load() + c.stats.relocBytes[1].Load()
+	relocObjects := c.stats.relocObjects[0].Value() + c.stats.relocObjects[1].Value()
+	relocBytes := c.stats.relocBytes[0].Value() + c.stats.relocBytes[1].Value()
 	hs := signals.HeapSignals{
 		UsedBeforePct:    cs.HeapUsedBefore,
 		UsedAfterPct:     cs.HeapUsedAfter,

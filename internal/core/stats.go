@@ -3,7 +3,6 @@ package core
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"hcsgc/internal/telemetry"
 )
@@ -45,9 +44,10 @@ type statsLog struct {
 	cycles []CycleStats
 
 	// Relocation wins as folded in by their relocators (relocCtx.fold),
-	// indexed by telemetry.RelocByGC/RelocByMutator.
-	relocObjects [2]atomic.Uint64
-	relocBytes   [2]atomic.Uint64
+	// indexed by telemetry.RelocByGC/RelocByMutator; the cells behind
+	// hcsgc_reloc_objects_total / hcsgc_reloc_bytes_total.
+	relocObjects [2]telemetry.Counter
+	relocBytes   [2]telemetry.Counter
 }
 
 func (s *statsLog) append(cs *CycleStats) {
@@ -88,10 +88,10 @@ func (c *Collector) Stats() Stats {
 	}
 	return Stats{
 		Cycles:              cycles,
-		MutatorRelocObjects: c.stats.relocObjects[telemetry.RelocByMutator].Load(),
-		MutatorRelocBytes:   c.stats.relocBytes[telemetry.RelocByMutator].Load(),
-		GCRelocObjects:      c.stats.relocObjects[telemetry.RelocByGC].Load(),
-		GCRelocBytes:        c.stats.relocBytes[telemetry.RelocByGC].Load(),
+		MutatorRelocObjects: c.stats.relocObjects[telemetry.RelocByMutator].Value(),
+		MutatorRelocBytes:   c.stats.relocBytes[telemetry.RelocByMutator].Value(),
+		GCRelocObjects:      c.stats.relocObjects[telemetry.RelocByGC].Value(),
+		GCRelocBytes:        c.stats.relocBytes[telemetry.RelocByGC].Value(),
 		TotalPauseCycles:    pauses,
 		GCWorkerCycles:      gcCycles,
 	}

@@ -84,7 +84,7 @@ func TestRelocationTalliesFoldExactly(t *testing.T) {
 	for _, lazy := range []bool{false, true} {
 		sink := telemetry.NewSink()
 		c, types := testEnv(t, Knobs{RelocateAllSmallPages: true, LazyRelocate: lazy})
-		c.tm = newColTelemetry(sink)
+		c.tm = newColTelemetry(sink, c)
 		node := types.Register("node", 2, []int{0})
 		m := c.NewMutator(4)
 		const n = 8000
@@ -114,13 +114,14 @@ func TestRelocationTalliesFoldExactly(t *testing.T) {
 		if total := st.GCRelocObjects + st.MutatorRelocObjects; total < n {
 			t.Errorf("lazy=%v: %d objects relocated in total, want at least %d", lazy, total, n)
 		}
-		if got := c.tm.relocObjects[telemetry.RelocByGC].Value(); got != st.GCRelocObjects {
+		served := func(name, who string) uint64 { return sink.Metrics().Counter(name, "", "who", who).Value() }
+		if got := served("hcsgc_reloc_objects_total", "gc"); got != st.GCRelocObjects {
 			t.Errorf("lazy=%v: telemetry counts %d GC relocations, Stats %d", lazy, got, st.GCRelocObjects)
 		}
-		if got := c.tm.relocObjects[telemetry.RelocByMutator].Value(); got != st.MutatorRelocObjects {
+		if got := served("hcsgc_reloc_objects_total", "mutator"); got != st.MutatorRelocObjects {
 			t.Errorf("lazy=%v: telemetry counts %d mutator relocations, Stats %d", lazy, got, st.MutatorRelocObjects)
 		}
-		if got, want := c.tm.relocBytes[telemetry.RelocByGC].Value()+c.tm.relocBytes[telemetry.RelocByMutator].Value(),
+		if got, want := served("hcsgc_reloc_bytes_total", "gc")+served("hcsgc_reloc_bytes_total", "mutator"),
 			st.GCRelocBytes+st.MutatorRelocBytes; got != want || want == 0 {
 			t.Errorf("lazy=%v: telemetry counts %d relocated bytes, Stats %d", lazy, got, want)
 		}

@@ -14,16 +14,15 @@ import (
 // each instrumentation site then costs one predictable branch (the nil
 // check inside the telemetry method, or the `enabled` guard for sites
 // that would otherwise do real work like walking pages).
+//
+// Only what the collector does not count for itself has a handle here.
+// Cycles, allocation stalls and relocation wins are counted once, in
+// Collector.cycles, Collector.stallCount and statsLog, and the registry
+// serves those cells; pause-cost distributions (hcsgc_pause_cycles) live in
+// the latency tracker as HDR-backed summaries.
 type colTelemetry struct {
 	enabled bool
 	rec     *telemetry.Recorder
-
-	cycles *telemetry.Counter
-	// Pause-cost distributions (hcsgc_pause_cycles) live in the latency
-	// tracker as HDR-backed summaries, not here.
-	// relocObjects/relocBytes are indexed by telemetry.RelocByGC/Mutator.
-	relocObjects [2]*telemetry.Counter
-	relocBytes   [2]*telemetry.Counter
 
 	hotmapDensity   *telemetry.Gauge
 	markedBytes     *telemetry.Gauge
@@ -32,7 +31,6 @@ type colTelemetry struct {
 	ecPages         [2]*telemetry.Counter // small-ish, medium
 	pagesFreedEmpty *telemetry.Counter
 	barrierSlow     *telemetry.Counter
-	allocStalls     *telemetry.Counter
 	safepointWaitNS *telemetry.Histogram
 }
 
@@ -48,40 +46,40 @@ const relocSampleMask = 1023
 // Safepoint-wait histogram buckets, in wall nanoseconds: 1µs .. ~2s.
 var safepointWaitBuckets = telemetry.ExpBuckets(1e3, 8, 8)
 
-// newColTelemetry resolves all collector metrics against the sink's
-// registry. Every series is registered eagerly so exporters expose the
-// full schema (at zero) from the first scrape.
-func newColTelemetry(sink *telemetry.Sink) colTelemetry {
+// newColTelemetry has the sink's registry serve all of c's metrics. Every
+// series is registered eagerly so exporters expose the full schema (at
+// zero) from the first scrape, and every counter is a cell of this
+// collector — its own count, or one made here — so a collector attached to
+// a sink another one used starts its series afresh.
+func newColTelemetry(sink *telemetry.Sink, c *Collector) colTelemetry {
 	if sink == nil {
 		return colTelemetry{}
 	}
 	reg := sink.Metrics()
 	t := colTelemetry{enabled: true, rec: sink.Recorder()}
-	t.cycles = reg.Counter("hcsgc_gc_cycles_total", "Completed GC cycles.")
-	t.relocObjects[telemetry.RelocByGC] = reg.Counter("hcsgc_reloc_objects_total",
-		"Objects relocated, by relocation-race winner.", "who", "gc")
-	t.relocObjects[telemetry.RelocByMutator] = reg.Counter("hcsgc_reloc_objects_total",
-		"Objects relocated, by relocation-race winner.", "who", "mutator")
-	t.relocBytes[telemetry.RelocByGC] = reg.Counter("hcsgc_reloc_bytes_total",
-		"Bytes relocated, by relocation-race winner.", "who", "gc")
-	t.relocBytes[telemetry.RelocByMutator] = reg.Counter("hcsgc_reloc_bytes_total",
-		"Bytes relocated, by relocation-race winner.", "who", "mutator")
+	reg.Adopt("hcsgc_gc_cycles_total", "Completed GC cycles.", &c.cycles)
+	for who, label := range [2]string{telemetry.RelocByGC: "gc", telemetry.RelocByMutator: "mutator"} {
+		reg.Adopt("hcsgc_reloc_objects_total",
+			"Objects relocated, by relocation-race winner.", &c.stats.relocObjects[who], "who", label)
+		reg.Adopt("hcsgc_reloc_bytes_total",
+			"Bytes relocated, by relocation-race winner.", &c.stats.relocBytes[who], "who", label)
+	}
+	reg.Adopt("hcsgc_alloc_stalls_total",
+		"Allocation stalls waiting for a GC cycle.", &c.stallCount)
 	t.hotmapDensity = reg.Gauge("hcsgc_page_hotmap_density",
 		"Hot bytes over live bytes across hot-trackable pages at mark end.")
 	t.markedBytes = reg.Gauge("hcsgc_marked_bytes",
 		"Live bytes found by the latest mark.")
 	t.heapUsedPercent = reg.Gauge("hcsgc_heap_used_percent",
 		"Committed heap occupancy after the latest cycle.")
-	t.ecPages[0] = reg.Counter("hcsgc_ec_pages_total",
-		"Pages selected as evacuation candidates.", "class", "small")
-	t.ecPages[1] = reg.Counter("hcsgc_ec_pages_total",
-		"Pages selected as evacuation candidates.", "class", "medium")
-	t.pagesFreedEmpty = reg.Counter("hcsgc_pages_freed_empty_total",
-		"Pages reclaimed without relocation.")
-	t.barrierSlow = reg.Counter("hcsgc_barrier_slow_total",
-		"Load-barrier slow-path entries.")
-	t.allocStalls = reg.Counter("hcsgc_alloc_stalls_total",
-		"Allocation stalls waiting for a GC cycle.")
+	t.ecPages[0] = reg.Adopt("hcsgc_ec_pages_total",
+		"Pages selected as evacuation candidates.", new(telemetry.Counter), "class", "small")
+	t.ecPages[1] = reg.Adopt("hcsgc_ec_pages_total",
+		"Pages selected as evacuation candidates.", new(telemetry.Counter), "class", "medium")
+	t.pagesFreedEmpty = reg.Adopt("hcsgc_pages_freed_empty_total",
+		"Pages reclaimed without relocation.", new(telemetry.Counter))
+	t.barrierSlow = reg.Adopt("hcsgc_barrier_slow_total",
+		"Load-barrier slow-path entries.", new(telemetry.Counter))
 	t.safepointWaitNS = reg.Histogram("hcsgc_safepoint_wait_ns",
 		"Wall-clock stop-the-world handshake latency in nanoseconds.",
 		safepointWaitBuckets)
@@ -184,7 +182,6 @@ func (c *Collector) recordCycleEnd(cs *CycleStats) {
 	if !c.tm.enabled {
 		return
 	}
-	c.tm.cycles.Inc()
 	c.tm.ecPages[0].Add(uint64(cs.ECSmall))
 	c.tm.ecPages[1].Add(uint64(cs.ECMedium))
 	c.tm.pagesFreedEmpty.Add(uint64(cs.PagesFreedEmpty))

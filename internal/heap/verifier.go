@@ -65,40 +65,39 @@ const maxViolationDetails = 64
 // drives it under STW.
 type Verifier struct {
 	mu         sync.Mutex
-	runs       uint64
 	total      uint64
 	violations []Violation
 	perPage    map[uint64]uint64
-	perCheck   map[string]uint64
-
-	// telemetry handles; nil-safe when BindTelemetry was never called.
-	runsCtr  *telemetry.Counter
-	violCtrs map[string]*telemetry.Counter
+	// runs and perCheck (one cell per VerifyChecks name from the start) are
+	// written under mu and are the cells /metrics serves once bound.
+	runs     telemetry.Counter
+	perCheck map[string]*telemetry.Counter
 }
 
 // NewVerifier returns an empty verifier ready to attach via
 // Heap.SetVerifier.
 func NewVerifier() *Verifier {
-	return &Verifier{
+	v := &Verifier{
 		perPage:  make(map[uint64]uint64),
-		perCheck: make(map[string]uint64),
+		perCheck: make(map[string]*telemetry.Counter, len(VerifyChecks)),
 	}
+	for _, check := range VerifyChecks {
+		v.perCheck[check] = new(telemetry.Counter)
+	}
+	return v
 }
 
-// BindTelemetry registers the hcsgc_verify_* metric families on reg and
-// mirrors every subsequent Report/BeginRun into them.
+// BindTelemetry has reg serve the hcsgc_verify_* metric families from this
+// verifier's own counts.
 func (v *Verifier) BindTelemetry(reg *telemetry.Registry) {
 	if v == nil || reg == nil {
 		return
 	}
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.runsCtr = reg.Counter("hcsgc_verify_runs_total",
-		"STW heap verifier passes completed.")
-	v.violCtrs = make(map[string]*telemetry.Counter, len(VerifyChecks))
+	reg.Adopt("hcsgc_verify_runs_total",
+		"STW heap verifier passes completed.", &v.runs)
 	for _, check := range VerifyChecks {
-		v.violCtrs[check] = reg.Counter("hcsgc_verify_violations_total",
-			"Heap invariant violations found by the STW verifier.", "check", check)
+		reg.Adopt("hcsgc_verify_violations_total",
+			"Heap invariant violations found by the STW verifier.", v.perCheck[check], "check", check)
 	}
 }
 
@@ -108,10 +107,8 @@ func (v *Verifier) BeginRun() {
 		return
 	}
 	v.mu.Lock()
-	v.runs++
-	ctr := v.runsCtr
+	v.runs.Inc()
 	v.mu.Unlock()
-	ctr.Inc()
 }
 
 // Report records one violation.
@@ -121,7 +118,10 @@ func (v *Verifier) Report(check, phase string, pageStart, addr uint64, detail st
 	}
 	v.mu.Lock()
 	v.total++
-	v.perCheck[check]++
+	if v.perCheck[check] == nil { // a check VerifyChecks does not list
+		v.perCheck[check] = new(telemetry.Counter)
+	}
+	v.perCheck[check].Inc()
 	if pageStart != 0 {
 		v.perPage[pageStart]++
 	}
@@ -130,9 +130,7 @@ func (v *Verifier) Report(check, phase string, pageStart, addr uint64, detail st
 			Check: check, Phase: phase, PageStart: pageStart, Addr: addr, Detail: detail,
 		})
 	}
-	ctr := v.violCtrs[check]
 	v.mu.Unlock()
-	ctr.Inc()
 }
 
 // Runs returns the number of verifier passes.
@@ -142,7 +140,7 @@ func (v *Verifier) Runs() uint64 {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.runs
+	return v.runs.Value()
 }
 
 // Total returns the number of violations recorded (including those past
@@ -166,7 +164,7 @@ func (v *Verifier) Counts() (runs, violations uint64) {
 	}
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.runs, v.total
+	return v.runs.Value(), v.total
 }
 
 // Violations returns a copy of the retained violation records (at most
@@ -202,7 +200,9 @@ func (v *Verifier) ByCheck() map[string]uint64 {
 	defer v.mu.Unlock()
 	out := make(map[string]uint64, len(v.perCheck))
 	for k, n := range v.perCheck {
-		out[k] = n
+		if n.Value() > 0 {
+			out[k] = n.Value()
+		}
 	}
 	return out
 }

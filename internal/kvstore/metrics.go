@@ -3,7 +3,6 @@ package kvstore
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"hcsgc/internal/loadgen"
 	"hcsgc/internal/telemetry"
@@ -17,18 +16,13 @@ import (
 // threads and across A/B repeat runs (histograms add slot-wise, so the
 // merged quantiles are exact over the union of samples).
 type Metrics struct {
-	phase   [loadgen.NumPhases]*latency.Hist
-	ops     [loadgen.NumOps]atomic.Uint64
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	retired atomic.Uint64
-
-	// Live telemetry handles; nil until BindTelemetry (Counter is
-	// nil-safe, so recording never branches on bound-ness).
-	tOps  [loadgen.NumOps]*telemetry.Counter
-	tHit  *telemetry.Counter
-	tMiss *telemetry.Counter
-	tRet  *telemetry.Counter
+	phase [loadgen.NumPhases]*latency.Hist
+	// The counts are the cells /metrics serves once BindTelemetry has had a
+	// registry adopt them.
+	ops     [loadgen.NumOps]telemetry.Counter
+	hits    telemetry.Counter
+	misses  telemetry.Counter
+	retired telemetry.Counter
 }
 
 // NewMetrics returns an empty accumulator.
@@ -50,8 +44,7 @@ func (mx *Metrics) RecordRequest(phase int, op loadgen.Op, latV uint64) {
 		mx.phase[phase].Record(latV)
 	}
 	if op < loadgen.NumOps {
-		mx.ops[op].Add(1)
-		mx.tOps[op].Inc()
+		mx.ops[op].Inc()
 	}
 }
 
@@ -61,11 +54,9 @@ func (mx *Metrics) RecordLookup(hit bool) {
 		return
 	}
 	if hit {
-		mx.hits.Add(1)
-		mx.tHit.Inc()
+		mx.hits.Inc()
 	} else {
-		mx.misses.Add(1)
-		mx.tMiss.Inc()
+		mx.misses.Inc()
 	}
 }
 
@@ -74,12 +65,10 @@ func (mx *Metrics) RecordSessionRetired() {
 	if mx == nil {
 		return
 	}
-	mx.retired.Add(1)
-	mx.tRet.Inc()
+	mx.retired.Inc()
 }
 
 // Merge folds o into mx (histograms slot-wise, counters additively).
-// Telemetry handles are not merged; bind the destination instead.
 func (mx *Metrics) Merge(o *Metrics) {
 	if mx == nil || o == nil {
 		return
@@ -88,31 +77,31 @@ func (mx *Metrics) Merge(o *Metrics) {
 		mx.phase[i].Merge(o.phase[i])
 	}
 	for i := range mx.ops {
-		mx.ops[i].Add(o.ops[i].Load())
+		mx.ops[i].Add(o.ops[i].Value())
 	}
-	mx.hits.Add(o.hits.Load())
-	mx.misses.Add(o.misses.Load())
-	mx.retired.Add(o.retired.Load())
+	mx.hits.Add(o.hits.Value())
+	mx.misses.Add(o.misses.Value())
+	mx.retired.Add(o.retired.Value())
 }
 
-// BindTelemetry registers the hcsgc_kv_* metric families with a registry
-// and points the live counter handles at it. Per-phase latency summaries
-// are backed live by the HDR histograms, so scrapes see quantiles
-// without snapshotting.
+// BindTelemetry has reg serve the hcsgc_kv_* metric families from this
+// accumulator (re-pointing them if another was bound): the counters are its
+// own cells, the per-phase latency summaries its HDR histograms, so scrapes
+// see both live and over the same requests.
 func (mx *Metrics) BindTelemetry(reg *telemetry.Registry) {
 	if mx == nil || reg == nil {
 		return
 	}
 	for op := loadgen.Op(0); op < loadgen.NumOps; op++ {
-		mx.tOps[op] = reg.Counter("hcsgc_kv_requests_total",
-			"KV requests completed, by operation.", "op", op.String())
+		reg.Adopt("hcsgc_kv_requests_total",
+			"KV requests completed, by operation.", &mx.ops[op], "op", op.String())
 	}
-	mx.tHit = reg.Counter("hcsgc_kv_lookups_total",
-		"KV GET lookups, by outcome.", "result", "hit")
-	mx.tMiss = reg.Counter("hcsgc_kv_lookups_total",
-		"KV GET lookups, by outcome.", "result", "miss")
-	mx.tRet = reg.Counter("hcsgc_kv_sessions_retired_total",
-		"KV key-range sessions retired by churn.")
+	reg.Adopt("hcsgc_kv_lookups_total",
+		"KV GET lookups, by outcome.", &mx.hits, "result", "hit")
+	reg.Adopt("hcsgc_kv_lookups_total",
+		"KV GET lookups, by outcome.", &mx.misses, "result", "miss")
+	reg.Adopt("hcsgc_kv_sessions_retired_total",
+		"KV key-range sessions retired by churn.", &mx.retired)
 	for i, name := range loadgen.PhaseNames {
 		reg.Summary("hcsgc_kv_request_cycles",
 			"KV request latency in virtual cycles, by load phase.",
@@ -196,11 +185,11 @@ func (mx *Metrics) Report(thresholds []uint64) Report {
 		r.Phases = append(r.Phases, pr)
 	}
 	for op := loadgen.Op(0); op < loadgen.NumOps; op++ {
-		r.Ops[op.String()] = mx.ops[op].Load()
+		r.Ops[op.String()] = mx.ops[op].Value()
 	}
-	r.Hits = mx.hits.Load()
-	r.Misses = mx.misses.Load()
-	r.SessionsRetired = mx.retired.Load()
+	r.Hits = mx.hits.Value()
+	r.Misses = mx.misses.Value()
+	r.SessionsRetired = mx.retired.Value()
 	return r
 }
 

@@ -118,8 +118,10 @@ func (pf *Profiler) Config() Config { return pf.cfg }
 var reuseDistBuckets = telemetry.ExpBuckets(1, 2, distBuckets-1)
 
 // BindTelemetry registers the profiler's metric series in reg and enables
-// Perfetto counter-event emission through rec. Nil-safe in every argument;
-// safe to call again (re-binding resolves the same series).
+// Perfetto counter-event emission through rec. The two counters count from
+// now, in cells made here and fed at each cycle boundary from the drained
+// interval, like the gauges: a profiler attached to a registry another one
+// used starts them afresh. Nil-safe in every argument.
 func (pf *Profiler) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	if pf == nil {
 		return
@@ -129,10 +131,10 @@ func (pf *Profiler) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Record
 	pf.distHist = reg.Histogram("hcsgc_locality_reuse_distance_lines",
 		"Sampled mutator reuse distances, in distinct cache lines (bounded-window Mattson stack distance).",
 		reuseDistBuckets)
-	pf.coldTotal = reg.Counter("hcsgc_locality_cold_samples_total",
-		"Sampled accesses with no in-window reuse (first touches or reuse beyond the window).")
-	pf.sampledTotal = reg.Counter("hcsgc_locality_sampled_accesses_total",
-		"Mutator accesses fed to the locality profiler.")
+	pf.coldTotal = reg.Adopt("hcsgc_locality_cold_samples_total",
+		"Sampled accesses with no in-window reuse (first touches or reuse beyond the window).", new(telemetry.Counter))
+	pf.sampledTotal = reg.Adopt("hcsgc_locality_sampled_accesses_total",
+		"Mutator accesses fed to the locality profiler.", new(telemetry.Counter))
 	pf.gStream = reg.Gauge("hcsgc_locality_stream_coverage",
 		"Fraction of sampled accesses on a confirmed constant-stride stream, last cycle interval.")
 	pf.gSeqStream = reg.Gauge("hcsgc_locality_seq_stream_coverage",
@@ -146,10 +148,10 @@ func (pf *Profiler) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Record
 	pf.gPurity = reg.Gauge("hcsgc_locality_segregation_purity",
 		"Live-bytes-weighted hot/cold segregation purity of hot-trackable pages at mark end.")
 	pf.rec = rec
-	// Propagate the live-fed handles to existing probes.
+	// Propagate the live-fed handle to existing probes.
 	for _, pr := range pf.probes {
 		pr.mu.Lock()
-		pr.distHist, pr.coldCtr = pf.distHist, pf.coldTotal
+		pr.distHist = pf.distHist
 		pr.mu.Unlock()
 	}
 }
@@ -168,7 +170,6 @@ func (pf *Profiler) NewProbe() *Probe {
 		reuse:    newReuseTracker(Window),
 		trans:    make(map[uint64]uint64),
 		distHist: pf.distHist,
-		coldCtr:  pf.coldTotal,
 	}
 	pf.probes = append(pf.probes, pr)
 	return pr
@@ -242,7 +243,6 @@ type Probe struct {
 	havePage bool
 
 	distHist *telemetry.Histogram
-	coldCtr  *telemetry.Counter
 }
 
 // Access feeds one mutator heap access (a simulated byte address) to the
@@ -278,7 +278,6 @@ func (pr *Probe) record(addr uint64) {
 		pr.distHist.Observe(float64(dist))
 	} else {
 		pr.ivl.Cold++
-		pr.coldCtr.Inc()
 	}
 
 	pr.observeStream(int64(line))
@@ -467,6 +466,7 @@ func (pf *Profiler) OnCycle(seq uint64, purity float64) {
 	}
 
 	pf.sampledTotal.Add(ivl.Sampled)
+	pf.coldTotal.Add(ivl.Cold)
 	pf.gStream.Set(cr.Interval.StreamCoverage)
 	pf.gSeqStream.Set(cr.Interval.SeqStreamCoverage)
 	pf.gMeanLen.Set(cr.Interval.MeanStreamLen)

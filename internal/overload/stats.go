@@ -16,17 +16,7 @@ import (
 // across A/B repeat runs.
 type Stats struct {
 	admitted  atomic.Uint64
-	sheds     [NumPriorities]atomic.Uint64
-	stale     atomic.Uint64
-	forced    atomic.Uint64
-	deadline  atomic.Uint64
-	oom       atomic.Uint64
-	retries   atomic.Uint64
-	failures  atomic.Uint64
-	successes atomic.Uint64
 	withinSLO atomic.Uint64
-	trans     atomic.Uint64
-	emerg     atomic.Uint64
 	spanV     atomic.Uint64
 	// serveAllocBytes is the heap allocation volume performed by serving
 	// threads inside the serving window (only measured while a signal
@@ -34,22 +24,22 @@ type Stats struct {
 	// pins it to 0 under a forced-shed schedule.
 	serveAllocBytes atomic.Uint64
 
+	// The outcome counts /metrics serves: BindTelemetry has the registry
+	// adopt these cells, so each is stored once.
+	sheds     [NumPriorities]telemetry.Counter
+	stale     telemetry.Counter
+	forced    telemetry.Counter
+	deadline  telemetry.Counter
+	oom       telemetry.Counter
+	retries   telemetry.Counter
+	failures  telemetry.Counter
+	successes telemetry.Counter
+	trans     telemetry.Counter
+	emerg     telemetry.Counter
+
 	// success holds successful-request latencies (enqueue to final
 	// completion, retries included) across all phases.
 	success *latency.Hist
-
-	// Live telemetry handles; nil until BindTelemetry (Counter is
-	// nil-safe, so recording never branches on bound-ness).
-	tSheds    [NumPriorities]*telemetry.Counter
-	tStale    *telemetry.Counter
-	tForced   *telemetry.Counter
-	tDeadline *telemetry.Counter
-	tOOM      *telemetry.Counter
-	tRetries  *telemetry.Counter
-	tFailures *telemetry.Counter
-	tSuccess  *telemetry.Counter
-	tTrans    *telemetry.Counter
-	tEmerg    *telemetry.Counter
 }
 
 // NewStats returns an empty accumulator.
@@ -69,10 +59,8 @@ func (st *Stats) recordShed(pri Priority, forced bool) {
 		return
 	}
 	st.sheds[pri].Add(1)
-	st.tSheds[pri].Inc()
 	if forced {
 		st.forced.Add(1)
-		st.tForced.Inc()
 	}
 }
 
@@ -88,9 +76,7 @@ func (st *Stats) RecordStaleShed(pri Priority) {
 		return
 	}
 	st.sheds[pri].Add(1)
-	st.tSheds[pri].Inc()
 	st.stale.Add(1)
-	st.tStale.Inc()
 }
 
 func (st *Stats) recordTransition() {
@@ -98,7 +84,6 @@ func (st *Stats) recordTransition() {
 		return
 	}
 	st.trans.Add(1)
-	st.tTrans.Inc()
 }
 
 func (st *Stats) recordEmergency() {
@@ -106,7 +91,6 @@ func (st *Stats) recordEmergency() {
 		return
 	}
 	st.emerg.Add(1)
-	st.tEmerg.Inc()
 }
 
 // RecordDeadlineExceeded records one attempt failed fast by the
@@ -116,7 +100,6 @@ func (st *Stats) RecordDeadlineExceeded() {
 		return
 	}
 	st.deadline.Add(1)
-	st.tDeadline.Inc()
 }
 
 // RecordOOMFailure records one attempt failed by heap exhaustion
@@ -126,7 +109,6 @@ func (st *Stats) RecordOOMFailure() {
 		return
 	}
 	st.oom.Add(1)
-	st.tOOM.Inc()
 }
 
 // RecordRetry records one client retry (after jittered backoff).
@@ -135,7 +117,6 @@ func (st *Stats) RecordRetry() {
 		return
 	}
 	st.retries.Add(1)
-	st.tRetries.Inc()
 }
 
 // RecordFailure records one request that exhausted its retry budget
@@ -145,7 +126,6 @@ func (st *Stats) RecordFailure() {
 		return
 	}
 	st.failures.Add(1)
-	st.tFailures.Inc()
 }
 
 // RecordSuccess records one completed request: its enqueue-to-completion
@@ -156,7 +136,6 @@ func (st *Stats) RecordSuccess(latV uint64, withinSLO bool) {
 		return
 	}
 	st.successes.Add(1)
-	st.tSuccess.Inc()
 	st.success.Record(latV)
 	if withinSLO {
 		st.withinSLO.Add(1)
@@ -190,59 +169,58 @@ func (st *Stats) ServeAllocBytes() uint64 {
 }
 
 // Merge folds o into st (histograms slot-wise, counters additively).
-// Telemetry handles are not merged; bind the destination instead.
 func (st *Stats) Merge(o *Stats) {
 	if st == nil || o == nil {
 		return
 	}
 	st.admitted.Add(o.admitted.Load())
 	for i := range st.sheds {
-		st.sheds[i].Add(o.sheds[i].Load())
+		st.sheds[i].Add(o.sheds[i].Value())
 	}
-	st.stale.Add(o.stale.Load())
-	st.forced.Add(o.forced.Load())
-	st.deadline.Add(o.deadline.Load())
-	st.oom.Add(o.oom.Load())
-	st.retries.Add(o.retries.Load())
-	st.failures.Add(o.failures.Load())
-	st.successes.Add(o.successes.Load())
+	st.stale.Add(o.stale.Value())
+	st.forced.Add(o.forced.Value())
+	st.deadline.Add(o.deadline.Value())
+	st.oom.Add(o.oom.Value())
+	st.retries.Add(o.retries.Value())
+	st.failures.Add(o.failures.Value())
+	st.successes.Add(o.successes.Value())
 	st.withinSLO.Add(o.withinSLO.Load())
-	st.trans.Add(o.trans.Load())
-	st.emerg.Add(o.emerg.Load())
+	st.trans.Add(o.trans.Value())
+	st.emerg.Add(o.emerg.Value())
 	st.spanV.Add(o.spanV.Load())
 	st.serveAllocBytes.Add(o.serveAllocBytes.Load())
 	st.success.Merge(o.success)
 }
 
-// BindTelemetry registers the hcsgc_overload_* counter and summary
-// families with a registry and points the live handles at it.
+// BindTelemetry has reg serve the hcsgc_overload_* counter and summary
+// families from this accumulator (re-pointing them if another was bound).
 func (st *Stats) BindTelemetry(reg *telemetry.Registry) {
 	if st == nil || reg == nil {
 		return
 	}
 	for pri := Priority(0); pri < NumPriorities; pri++ {
-		st.tSheds[pri] = reg.Counter("hcsgc_overload_sheds_total",
+		reg.Adopt("hcsgc_overload_sheds_total",
 			"Requests rejected by admission control, by priority.",
-			"priority", pri.String())
+			&st.sheds[pri], "priority", pri.String())
 	}
-	st.tStale = reg.Counter("hcsgc_overload_stale_sheds_total",
-		"Requests shed at dequeue with their SLO budget already consumed by queueing delay.")
-	st.tForced = reg.Counter("hcsgc_overload_forced_sheds_total",
-		"Admission rejections forced by the fault injector.")
-	st.tDeadline = reg.Counter("hcsgc_overload_deadline_exceeded_total",
-		"Request attempts failed fast by the per-request allocation budget.")
-	st.tOOM = reg.Counter("hcsgc_overload_oom_failures_total",
-		"Request attempts failed by heap exhaustion (degraded, not aborted).")
-	st.tRetries = reg.Counter("hcsgc_overload_retries_total",
-		"Client retries after a shed or fast-failed attempt.")
-	st.tFailures = reg.Counter("hcsgc_overload_failures_total",
-		"Requests that exhausted their retry budget without completing.")
-	st.tSuccess = reg.Counter("hcsgc_overload_successes_total",
-		"Requests completed successfully (retries included).")
-	st.tTrans = reg.Counter("hcsgc_overload_transitions_total",
-		"Admission state transitions.")
-	st.tEmerg = reg.Counter("hcsgc_overload_emergency_gc_total",
-		"Early GC cycles forced by the overload controller.")
+	reg.Adopt("hcsgc_overload_stale_sheds_total",
+		"Requests shed at dequeue with their SLO budget already consumed by queueing delay.", &st.stale)
+	reg.Adopt("hcsgc_overload_forced_sheds_total",
+		"Admission rejections forced by the fault injector.", &st.forced)
+	reg.Adopt("hcsgc_overload_deadline_exceeded_total",
+		"Request attempts failed fast by the per-request allocation budget.", &st.deadline)
+	reg.Adopt("hcsgc_overload_oom_failures_total",
+		"Request attempts failed by heap exhaustion (degraded, not aborted).", &st.oom)
+	reg.Adopt("hcsgc_overload_retries_total",
+		"Client retries after a shed or fast-failed attempt.", &st.retries)
+	reg.Adopt("hcsgc_overload_failures_total",
+		"Requests that exhausted their retry budget without completing.", &st.failures)
+	reg.Adopt("hcsgc_overload_successes_total",
+		"Requests completed successfully (retries included).", &st.successes)
+	reg.Adopt("hcsgc_overload_transitions_total",
+		"Admission state transitions.", &st.trans)
+	reg.Adopt("hcsgc_overload_emergency_gc_total",
+		"Early GC cycles forced by the overload controller.", &st.emerg)
 	reg.Summary("hcsgc_overload_success_cycles",
 		"Successful-request latency in virtual cycles (retries included).",
 		st.success)
@@ -296,18 +274,18 @@ func (st *Stats) Report(sloCycles uint64) Report {
 	}
 	r := Report{
 		Admitted:           st.admitted.Load(),
-		ShedPoint:          st.sheds[PriorityPoint].Load(),
-		ShedBulk:           st.sheds[PriorityBulk].Load(),
-		StaleSheds:         st.stale.Load(),
-		ForcedSheds:        st.forced.Load(),
-		DeadlineExceeded:   st.deadline.Load(),
-		OOMFailures:        st.oom.Load(),
-		Retries:            st.retries.Load(),
-		Failures:           st.failures.Load(),
-		Successes:          st.successes.Load(),
+		ShedPoint:          st.sheds[PriorityPoint].Value(),
+		ShedBulk:           st.sheds[PriorityBulk].Value(),
+		StaleSheds:         st.stale.Value(),
+		ForcedSheds:        st.forced.Value(),
+		DeadlineExceeded:   st.deadline.Value(),
+		OOMFailures:        st.oom.Value(),
+		Retries:            st.retries.Value(),
+		Failures:           st.failures.Value(),
+		Successes:          st.successes.Value(),
 		Goodput:            st.withinSLO.Load(),
-		Transitions:        st.trans.Load(),
-		EmergencyGCs:       st.emerg.Load(),
+		Transitions:        st.trans.Value(),
+		EmergencyGCs:       st.emerg.Value(),
 		SLOThresholdCycles: sloCycles,
 		ServeSpanVCycles:   st.spanV.Load(),
 		Success:            st.success.Dist(),

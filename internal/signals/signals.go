@@ -245,7 +245,7 @@ type Plane struct {
 	mu     sync.Mutex
 	ring   []CycleSignals
 	next   int
-	total  uint64
+	total  telemetry.Counter // cycles recorded; hcsgc_signal_cycles_total once bound
 	latest CycleSignals
 	has    bool
 	ewma   map[string]*ewmaState
@@ -253,7 +253,6 @@ type Plane struct {
 	// Telemetry handles (nil until BindTelemetry; all nil-safe).
 	valueG, ewmaG, trendG map[string]*telemetry.Gauge
 	flagCtr               map[string]*telemetry.Counter
-	cyclesCtr             *telemetry.Counter
 	rec                   *telemetry.Recorder
 }
 
@@ -397,14 +396,13 @@ func (p *Plane) OnCycle(rec CycleSignals) {
 			p.next = (p.next + 1) % len(p.ring)
 		}
 	}
-	p.total++
+	p.total.Inc()
 	p.latest = rec
 	p.has = true
 	valueG, ewmaG, trendG := p.valueG, p.ewmaG, p.trendG
-	flagCtr, cyclesCtr, recd := p.flagCtr, p.cyclesCtr, p.rec
+	flagCtr, recd := p.flagCtr, p.rec
 	p.mu.Unlock()
 
-	cyclesCtr.Inc()
 	for _, d := range rec.Derived {
 		valueG[d.Name].Set(d.Value)
 		ewmaG[d.Name].Set(d.EWMA)
@@ -428,9 +426,9 @@ func (p *Plane) OnCycle(rec CycleSignals) {
 
 // BindTelemetry registers the hcsgc_signal_* metric families on reg
 // (value/EWMA/trend gauges per derived signal, the anomaly-flag counter
-// family, and the cycle counter) and enables Perfetto counter-track
-// emission through rec. Nil-safe in every argument; safe to call again
-// (latest runtime wins).
+// family counting from now, and the plane's own cycle count) and enables
+// Perfetto counter-track emission through rec. Nil-safe in every argument;
+// binding another plane re-points the series to it.
 func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	if p == nil || reg == nil {
 		return
@@ -451,17 +449,16 @@ func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) 
 	}
 	flagCtr := make(map[string]*telemetry.Counter, len(FlagNames))
 	for _, f := range FlagNames {
-		flagCtr[f] = reg.Counter("hcsgc_signal_flags_total",
+		flagCtr[f] = reg.Adopt("hcsgc_signal_flags_total",
 			"Cycles on which the signal plane raised the labelled anomaly flag.",
-			"flag", f)
+			new(telemetry.Counter), "flag", f)
 	}
-	cycles := reg.Counter("hcsgc_signal_cycles_total",
-		"GC cycles recorded by the signal plane.")
+	reg.Adopt("hcsgc_signal_cycles_total",
+		"GC cycles recorded by the signal plane.", &p.total)
 
 	p.mu.Lock()
 	p.valueG, p.ewmaG, p.trendG = valueG, ewmaG, trendG
 	p.flagCtr = flagCtr
-	p.cyclesCtr = cycles
 	p.rec = rec
 	p.mu.Unlock()
 }
@@ -488,7 +485,7 @@ func (p *Plane) Snapshot() Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := Snapshot{
-		Cycles:  p.total,
+		Cycles:  p.total.Value(),
 		History: p.cfg.History,
 		Alpha:   ewmaAlpha,
 		Records: make([]CycleSignals, 0, len(p.ring)),

@@ -127,19 +127,16 @@ func (h *exemplarHeap) Pop() any          { old := *h; n := len(old); x := old[n
 type TailAttributor struct {
 	cfg TailConfig
 
-	requests   atomic.Uint64
 	violations atomic.Uint64
-	attributed atomic.Uint64
-	causeCount [numCauses]atomic.Uint64
+	// requests, attributed and causeCount are the cells /metrics serves once
+	// BindTelemetry has had a registry adopt them.
+	requests   telemetry.Counter
+	attributed telemetry.Counter
+	causeCount [numCauses]telemetry.Counter
 	causeHist  [numCauses]*latency.Hist
 
 	mu   sync.Mutex
 	topK exemplarHeap
-
-	// Live telemetry handles; nil until BindTelemetry (nil-safe).
-	tReq  *telemetry.Counter
-	tViol [numCauses]*telemetry.Counter
-	tAttr *telemetry.Counter
 }
 
 // NewTailAttributor builds an attributor. A nil *TailAttributor is the
@@ -241,8 +238,7 @@ func (cl *Classifier) Observe(o Obs) {
 		return
 	}
 	t := cl.t
-	t.requests.Add(1)
-	t.tReq.Inc()
+	t.requests.Inc()
 	lat := o.EndV - o.ArrivalV
 	if lat > t.cfg.SLOThresholdCycles {
 		cause := CauseService
@@ -306,12 +302,10 @@ func (cl *Classifier) Observe(o Obs) {
 
 func (t *TailAttributor) recordViolation(cause Cause, lat uint64, ex Exemplar, plane *Plane) {
 	t.violations.Add(1)
-	t.causeCount[cause].Add(1)
+	t.causeCount[cause].Inc()
 	t.causeHist[cause].Record(lat)
-	t.tViol[cause].Inc()
 	if cause != CauseService && ex.Cycle != 0 {
-		t.attributed.Add(1)
-		t.tAttr.Inc()
+		t.attributed.Inc()
 	}
 	t.mu.Lock()
 	if len(t.topK) < maxExemplars {
@@ -335,17 +329,16 @@ func (t *TailAttributor) attachSignals(ex *Exemplar, plane *Plane) {
 }
 
 // Merge folds o into t (histograms slot-wise, counters additively, the
-// exemplar stores re-ranked into t's top-K). Telemetry handles are not
-// merged; bind the destination instead. Nil-safe in both arguments.
+// exemplar stores re-ranked into t's top-K). Nil-safe in both arguments.
 func (t *TailAttributor) Merge(o *TailAttributor) {
 	if t == nil || o == nil {
 		return
 	}
-	t.requests.Add(o.requests.Load())
+	t.requests.Add(o.requests.Value())
 	t.violations.Add(o.violations.Load())
-	t.attributed.Add(o.attributed.Load())
+	t.attributed.Add(o.attributed.Value())
 	for i := range t.causeCount {
-		t.causeCount[i].Add(o.causeCount[i].Load())
+		t.causeCount[i].Add(o.causeCount[i].Value())
 		t.causeHist[i].Merge(o.causeHist[i])
 	}
 	o.mu.Lock()
@@ -363,21 +356,22 @@ func (t *TailAttributor) Merge(o *TailAttributor) {
 	t.mu.Unlock()
 }
 
-// BindTelemetry registers the hcsgc_tail_* metric families on reg:
-// request/violation counters by cause, the attributed counter, and
-// per-cause violation-latency summaries backed live by the HDR
-// histograms. Nil-safe; safe to call again (latest runtime wins).
+// BindTelemetry has reg serve the hcsgc_tail_* metric families from this
+// attributor: request/violation counters by cause and the attributed
+// counter (its own cells), and per-cause violation-latency summaries backed
+// live by the HDR histograms. Nil-safe; binding another attributor
+// re-points the series to it.
 func (t *TailAttributor) BindTelemetry(reg *telemetry.Registry) {
 	if t == nil || reg == nil {
 		return
 	}
-	t.tReq = reg.Counter("hcsgc_tail_requests_total",
-		"Requests observed by the tail attributor.")
-	t.tAttr = reg.Counter("hcsgc_tail_attributed_total",
-		"SLO violations carrying a concrete GC cause and responsible cycle id.")
+	reg.Adopt("hcsgc_tail_requests_total",
+		"Requests observed by the tail attributor.", &t.requests)
+	reg.Adopt("hcsgc_tail_attributed_total",
+		"SLO violations carrying a concrete GC cause and responsible cycle id.", &t.attributed)
 	for _, c := range causeOrder {
-		t.tViol[c] = reg.Counter("hcsgc_tail_violations_total",
-			"SLO-violating requests, by attributed cause.", "cause", c.String())
+		reg.Adopt("hcsgc_tail_violations_total",
+			"SLO-violating requests, by attributed cause.", &t.causeCount[c], "cause", c.String())
 		reg.Summary("hcsgc_tail_cause_cycles",
 			"SLO-violating request latency in virtual cycles, by attributed cause (HDR summary).",
 			t.causeHist[c], "cause", c.String())
@@ -417,16 +411,16 @@ func (t *TailAttributor) Report() TailReport {
 	}
 	r := TailReport{
 		SLOThresholdCycles: t.cfg.SLOThresholdCycles,
-		Requests:           t.requests.Load(),
+		Requests:           t.requests.Value(),
 		Violations:         t.violations.Load(),
-		Attributed:         t.attributed.Load(),
+		Attributed:         t.attributed.Value(),
 		AttributedFraction: 1,
 	}
 	if r.Violations > 0 {
 		r.AttributedFraction = float64(r.Attributed) / float64(r.Violations)
 	}
 	for _, c := range causeOrder {
-		count := t.causeCount[c].Load()
+		count := t.causeCount[c].Value()
 		cr := CauseReport{Cause: c.String(), Count: count, Dist: t.causeHist[c].Dist()}
 		if r.Violations > 0 {
 			cr.Fraction = float64(count) / float64(r.Violations)

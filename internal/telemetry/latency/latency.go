@@ -145,7 +145,10 @@ type Tracker struct {
 	stall      *Hist
 	barrierLat [numPaths]*Hist
 
-	barrierHits [numPaths]atomic.Uint64
+	// barrierHits are exact, live, and the cells behind
+	// hcsgc_barrier_path_total once BindTelemetry has had a registry adopt
+	// them.
+	barrierHits [numPaths]telemetry.Counter
 	// curPhase accumulates this cycle's per-phase durations, swapped out
 	// at each OnCycle into the flight record.
 	curPhase  [numPhases]atomic.Uint64
@@ -154,20 +157,18 @@ type Tracker struct {
 	mmu *mmuState
 
 	mu sync.Mutex
-	// barrierSynced/ctrSynced are per-path watermarks for flight-record
-	// deltas and telemetry counter syncing (both advance at OnCycle).
+	// barrierSynced is the per-path total as of the last OnCycle: the
+	// flight record carries the difference.
 	barrierSynced [numPaths]uint64
-	ctrSynced     [numPaths]uint64
 	ring          *flightRing
-	dumps         uint64
+	dumps         uint64            // automatic dumps since the last Rearm
+	dumpsTotal    telemetry.Counter // automatic dumps ever (hcsgc_flight_dumps_total)
 
 	// Telemetry handles (nil until BindTelemetry; all nil-safe).
-	mmuGauges  []*telemetry.Gauge
-	utilGauge  *telemetry.Gauge
-	pathCtrs   [numPaths]*telemetry.Counter
-	dumpsTotal *telemetry.Counter
-	dumpsLeft  *telemetry.Gauge
-	rec        *telemetry.Recorder
+	mmuGauges []*telemetry.Gauge
+	utilGauge *telemetry.Gauge
+	dumpsLeft *telemetry.Gauge
+	rec       *telemetry.Recorder
 }
 
 // New builds a tracker. A nil *Tracker is the disabled state: every method
@@ -246,7 +247,7 @@ func (t *Tracker) BarrierHit(p BarrierPath) {
 	if t == nil || p >= numPaths {
 		return
 	}
-	t.barrierHits[p].Add(1)
+	t.barrierHits[p].Inc()
 }
 
 // SampleBarrier reports whether this slow-path entry should measure its
@@ -294,11 +295,11 @@ func (t *Tracker) OnCycle(rec CycleRecord) CycleRecord {
 	rec.Utilization = t.mmu.utilizationBetween(rec.VStart, rec.VEnd)
 
 	t.mu.Lock()
-	var hits, deltas [numPaths]uint64
+	var deltas [numPaths]uint64
 	for p := 0; p < numPaths; p++ {
-		hits[p] = t.barrierHits[p].Load()
-		deltas[p] = hits[p] - t.barrierSynced[p]
-		t.barrierSynced[p] = hits[p]
+		hits := t.barrierHits[p].Value()
+		deltas[p] = hits - t.barrierSynced[p]
+		t.barrierSynced[p] = hits
 	}
 	rec.Barrier = BarrierProfile{
 		Mark:         deltas[PathMark],
@@ -310,14 +311,6 @@ func (t *Tracker) OnCycle(rec CycleRecord) CycleRecord {
 	gauges := t.mmuGauges
 	utilG := t.utilGauge
 	recd := t.rec
-	var ctrAdd [numPaths]uint64
-	for p := 0; p < numPaths; p++ {
-		if t.pathCtrs[p] != nil {
-			ctrAdd[p] = hits[p] - t.ctrSynced[p]
-			t.ctrSynced[p] = hits[p]
-		}
-	}
-	ctrs := t.pathCtrs
 	t.mu.Unlock()
 
 	for i, g := range gauges {
@@ -326,9 +319,6 @@ func (t *Tracker) OnCycle(rec CycleRecord) CycleRecord {
 		}
 	}
 	utilG.Set(rec.Utilization)
-	for p := 0; p < numPaths; p++ {
-		ctrs[p].Add(ctrAdd[p])
-	}
 	if recd != nil {
 		for i, pt := range snap.Windows {
 			recd.Record(telemetry.EvCounter, telemetry.CounterMMU1k+uint32(i),
@@ -341,9 +331,10 @@ func (t *Tracker) OnCycle(rec CycleRecord) CycleRecord {
 }
 
 // BindTelemetry registers the hcsgc_pause/phase/stall/barrier/mmu metric
-// families on reg (summaries are backed live by the HDR histograms) and
-// enables Perfetto counter-track emission through rec. Nil-safe in every
-// argument; safe to call again (latest runtime wins).
+// families on reg (summaries are backed live by the HDR histograms, counters
+// by the tracker's own cells) and enables Perfetto counter-track emission
+// through rec. Nil-safe in every argument; binding another tracker
+// re-points the series to it (latest runtime wins).
 func (t *Tracker) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	if t == nil || reg == nil {
 		return
@@ -369,27 +360,22 @@ func (t *Tracker) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder
 	}
 	utilG := reg.Gauge("hcsgc_mutator_utilization_ratio",
 		"Mutator utilization over the last GC cycle interval.")
-	var ctrs [numPaths]*telemetry.Counter
 	for p := 0; p < numPaths; p++ {
 		path := BarrierPath(p).String()
 		reg.Summary("hcsgc_barrier_path_cycles",
 			"Sampled load-barrier slow-path latency by path, in simulated cycles (HDR summary).",
 			t.barrierLat[p], "path", path)
-		ctrs[p] = reg.Counter("hcsgc_barrier_path_total",
-			"Load-barrier slow-path entries by path (synced at cycle boundaries).",
-			"path", path)
+		reg.Adopt("hcsgc_barrier_path_total",
+			"Load-barrier slow-path entries by path.", &t.barrierHits[p], "path", path)
 	}
-	dumps := reg.Counter("hcsgc_flight_dumps_total",
-		"Automatic flight-recorder dumps (verifier failure, OOM).")
+	reg.Adopt("hcsgc_flight_dumps_total",
+		"Automatic flight-recorder dumps (verifier failure, OOM).", &t.dumpsTotal)
 	dumpsLeft := reg.Gauge("hcsgc_flight_dumps_remaining",
 		"Automatic flight-recorder dumps left before the cap (re-armable via /flightrecorder?rearm=1).")
 
 	t.mu.Lock()
 	t.mmuGauges = gauges
 	t.utilGauge = utilG
-	t.pathCtrs = ctrs
-	t.ctrSynced = [numPaths]uint64{}
-	t.dumpsTotal = dumps
 	t.dumpsLeft = dumpsLeft
 	t.rec = rec
 	left := uint64(autoDumpLimit)
@@ -423,7 +409,7 @@ func (t *Tracker) Report() *Report {
 	}
 	for p := 0; p < numPaths; p++ {
 		r.Barrier[BarrierPath(p).String()] = BarrierPathReport{
-			Hits:    t.barrierHits[p].Load(),
+			Hits:    t.barrierHits[p].Value(),
 			Sampled: distOf(t.barrierLat[p]),
 		}
 	}
@@ -458,11 +444,10 @@ func (t *Tracker) AutoDump(reason string) {
 		return
 	}
 	t.dumps++
-	dumps := t.dumpsTotal
 	left := t.dumpsLeft
 	remaining := autoDumpLimit - t.dumps
 	t.mu.Unlock()
-	dumps.Inc()
+	t.dumpsTotal.Inc()
 	left.Set(float64(remaining))
 	writeDump(t.cfg.DumpTo, FlightDump{Reason: reason, Report: t.Report()}, false)
 }
@@ -549,7 +534,7 @@ func Aggregate(trackers []*Tracker) *Report {
 		stall.Merge(t.stall)
 		for p := 0; p < numPaths; p++ {
 			barrierLat[p].Merge(t.barrierLat[p])
-			hits[p] += t.barrierHits[p].Load()
+			hits[p] += t.barrierHits[p].Value()
 		}
 		snap := t.mmu.snapshot()
 		if mmuMin == nil {

@@ -163,6 +163,7 @@ type family struct {
 	help   string
 	kind   metricKind
 	series map[string]*series
+	sorted []series // snapshots only: the series by label set
 }
 
 // Registry holds named metrics and renders them as Prometheus text
@@ -231,7 +232,9 @@ func labelKey(labels []string) string {
 	return b.String()
 }
 
-func (r *Registry) family(name, help string, kind metricKind) *family {
+// get returns (registering on first use) the series with the given name,
+// kind and label pairs. Caller holds r.mu.
+func (r *Registry) get(name, help string, kind metricKind, labels []string) *series {
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, series: make(map[string]*series)}
@@ -240,25 +243,45 @@ func (r *Registry) family(name, help string, kind metricKind) *family {
 	if f.kind != kind {
 		panic(fmt.Sprintf("telemetry: metric %q registered as %v and %v", name, f.kind, kind))
 	}
-	return f
+	key := labelKey(labels)
+	s, ok := f.series[key]
+	if !ok {
+		s = &series{labels: key}
+		f.series[key] = s
+	}
+	return s
 }
 
 // Counter returns (registering on first use) the counter with the given
-// name and label pairs. Nil-safe on a nil registry.
+// name and label pairs: a cell the registry owns, which therefore counts
+// for as long as the registry lives. Nil-safe on a nil registry.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
 	r.lock()
 	defer r.mu.Unlock()
-	f := r.family(name, help, kindCounter)
-	key := labelKey(labels)
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: key, c: &Counter{}}
-		f.series[key] = s
+	s := r.get(name, help, kindCounter, labels)
+	if s.c == nil {
+		s.c = &Counter{}
 	}
 	return s.c
+}
+
+// Adopt registers (or re-points) the counter series with the given name and
+// label pairs to cell, a counter its caller owns and counts in, and returns
+// cell. The series reports what its currently attached source holds: when a
+// second runtime attaches its planes to a shared registry the series
+// restarts with them, as Summary's do, so one scrape has one time base; a
+// source shared across runs keeps accumulating because it does. Nil-safe on
+// a nil registry.
+func (r *Registry) Adopt(name, help string, cell *Counter, labels ...string) *Counter {
+	if r != nil {
+		r.lock()
+		r.get(name, help, kindCounter, labels).c = cell
+		r.mu.Unlock()
+	}
+	return cell
 }
 
 // Gauge returns (registering on first use) the gauge with the given name
@@ -269,12 +292,9 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	}
 	r.lock()
 	defer r.mu.Unlock()
-	f := r.family(name, help, kindGauge)
-	key := labelKey(labels)
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: key, g: &Gauge{}}
-		f.series[key] = s
+	s := r.get(name, help, kindGauge, labels)
+	if s.g == nil {
+		s.g = &Gauge{}
 	}
 	return s.g
 }
@@ -288,14 +308,10 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 	}
 	r.lock()
 	defer r.mu.Unlock()
-	f := r.family(name, help, kindHistogram)
-	key := labelKey(labels)
-	s, ok := f.series[key]
-	if !ok {
-		h := &Histogram{bounds: append([]float64(nil), bounds...)}
-		h.counts = make([]atomic.Uint64, len(h.bounds)+1)
-		s = &series{labels: key, h: h}
-		f.series[key] = s
+	s := r.get(name, help, kindHistogram, labels)
+	if s.h == nil {
+		s.h = &Histogram{bounds: append([]float64(nil), bounds...)}
+		s.h.counts = make([]atomic.Uint64, len(s.h.bounds)+1)
 	}
 	return s.h
 }
@@ -303,43 +319,34 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...stri
 // Summary registers (or re-points) the summary series with the given
 // name and label pairs, backed live by src: the exporters read quantiles,
 // count and sum from src at scrape time. Re-registering the same series
-// replaces its source (latest runtime wins, like SetGCLog). Nil-safe on a
-// nil registry.
+// replaces its source (latest runtime wins, like Adopt and SetGCLog).
+// Nil-safe on a nil registry.
 func (r *Registry) Summary(name, help string, src QuantileSource, labels ...string) {
 	if r == nil {
 		return
 	}
 	r.lock()
-	defer r.mu.Unlock()
-	f := r.family(name, help, kindSummary)
-	key := labelKey(labels)
-	s, ok := f.series[key]
-	if !ok {
-		s = &series{labels: key}
-		f.series[key] = s
-	}
-	s.q = src
+	r.get(name, help, kindSummary, labels).q = src
+	r.mu.Unlock()
 }
 
-// sortedFamilies snapshots the family list sorted by name.
-func (r *Registry) sortedFamilies() []*family {
+// snapshot copies the families, sorted by name, each with its series sorted
+// by label set. The copies are what a scrape renders: a series re-pointed,
+// or a family that gains a series, while the scrape runs does not race it.
+func (r *Registry) snapshot() []family {
 	r.lock()
 	defer r.mu.Unlock()
-	fams := make([]*family, 0, len(r.families))
+	fams := make([]family, 0, len(r.families))
 	for _, f := range r.families {
-		fams = append(fams, f)
+		c := family{name: f.name, help: f.help, kind: f.kind}
+		for _, s := range f.series {
+			c.sorted = append(c.sorted, *s)
+		}
+		sort.Slice(c.sorted, func(i, j int) bool { return c.sorted[i].labels < c.sorted[j].labels })
+		fams = append(fams, c)
 	}
 	sort.Slice(fams, func(i, j int) bool { return fams[i].name < fams[j].name })
 	return fams
-}
-
-func (f *family) sortedSeries() []*series {
-	out := make([]*series, 0, len(f.series))
-	for _, s := range f.series {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].labels < out[j].labels })
-	return out
 }
 
 // fmtFloat renders a float the way Prometheus expects (no exponent for
@@ -381,12 +388,12 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	if r == nil {
 		return
 	}
-	for _, f := range r.sortedFamilies() {
+	for _, f := range r.snapshot() {
 		if f.help != "" {
 			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.kind)
-		for _, s := range f.sortedSeries() {
+		for _, s := range f.sorted {
 			switch f.kind {
 			case kindCounter:
 				fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels, s.c.Value())
@@ -443,9 +450,9 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 		return err
 	}
 	var out []jsonFamily
-	for _, f := range r.sortedFamilies() {
+	for _, f := range r.snapshot() {
 		jf := jsonFamily{Name: f.name, Type: f.kind.String(), Help: f.help}
-		for _, s := range f.sortedSeries() {
+		for _, s := range f.sorted {
 			js := jsonSeries{Labels: s.labels}
 			switch f.kind {
 			case kindCounter:

@@ -6,11 +6,15 @@ import (
 	"bytes"
 	"flag"
 	"os"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"hcsgc"
+	"hcsgc/internal/bench"
 	"hcsgc/internal/kvstore"
+	"hcsgc/internal/workloads"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
@@ -84,5 +88,127 @@ func TestMetricsSchema(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("/metrics schema differs from %s (run with -update if intended)\n--- got\n%s", golden, got)
+	}
+}
+
+// scrapeSum scrapes the sink and sums the samples named exactly name, over
+// every label set containing all of the given `k="v"` label pairs:
+// scrapeSum(t, sink, "hcsgc_kv_requests_total") adds up the per-op series.
+func scrapeSum(t *testing.T, sink *hcsgc.TelemetrySink, name string, labels ...string) uint64 {
+	t.Helper()
+	var buf bytes.Buffer
+	sink.Metrics().WritePrometheus(&buf)
+	var sum uint64
+next:
+	for _, line := range strings.Split(buf.String(), "\n") {
+		rest, ok := strings.CutPrefix(line, name)
+		if !ok || (rest[0] != ' ' && rest[0] != '{') {
+			continue
+		}
+		for _, l := range labels {
+			if !strings.Contains(rest, l) {
+				continue next
+			}
+		}
+		v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		sum += uint64(v)
+	}
+	return sum
+}
+
+// TestOneScrapeOneTimeBase: every series of one scrape covers the same
+// stretch of time. Two runs share a sink; after the second, the counters
+// must describe that run alone, as the summaries, gauges and JSON endpoints
+// re-pointed at it already do (a series reports what its currently attached
+// source holds).
+func TestOneScrapeOneTimeBase(t *testing.T) {
+	sink := hcsgc.NewTelemetrySink()
+	run := func(id string, seed int64, scale float64) (workloads.Result, *hcsgc.LatencyReport) {
+		w, err := workloads.Get(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat := hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{})
+		res, err := w.Run(workloads.RunConfig{
+			Knobs: bench.KnobsFor(16), Seed: seed, Scale: scale, Telemetry: sink, Latency: lat,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, lat.Report()
+	}
+
+	run("fig4", 1, 0.04)
+	res, lat := run("fig4", 2, 0.04)
+	if res.GCCycleCount < 2 {
+		t.Fatalf("fig4 ran %d GC cycles, the test needs >= 2", res.GCCycleCount)
+	}
+	want := uint64(res.GCCycleCount)
+	for _, series := range []struct{ name, label string }{
+		{"hcsgc_gc_cycles_total", ""},
+		{"hcsgc_pause_cycles_count", `phase="stw1"`},
+		{"hcsgc_signal_cycles_total", ""},
+	} {
+		if got := scrapeSum(t, sink, series.name, series.label); got != want {
+			t.Errorf("%s{%s} = %d after the second run, which ran %d cycles", series.name, series.label, got, want)
+		}
+	}
+	var hits uint64
+	for _, b := range lat.Barrier {
+		hits += b.Hits
+	}
+	if got := scrapeSum(t, sink, "hcsgc_barrier_path_total"); got != hits || hits == 0 {
+		t.Errorf("sum of hcsgc_barrier_path_total = %d, the second run's tracker counted %d slow-path entries", got, hits)
+	}
+
+	run("kv", 1, 0.05)
+	run("kv", 2, 0.05)
+	reqs, lats := scrapeSum(t, sink, "hcsgc_kv_requests_total"), scrapeSum(t, sink, "hcsgc_kv_request_cycles_count")
+	if reqs != lats || reqs == 0 {
+		t.Errorf("sum of hcsgc_kv_requests_total = %d, sum of hcsgc_kv_request_cycles_count = %d: one scrape, two time bases", reqs, lats)
+	}
+}
+
+// TestScrapeDuringRun scrapes both expositions in a loop while a KV run
+// serves: the registry reads cells that mutator and GC threads are writing,
+// and a run attaching its planes re-points series under the scraper. Run
+// under -race (CI does).
+func TestScrapeDuringRun(t *testing.T) {
+	sink := hcsgc.NewTelemetrySink()
+	w, err := workloads.Get("kv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var buf bytes.Buffer
+			sink.Metrics().WritePrometheus(&buf)
+			if err := sink.Metrics().WriteJSON(&buf); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for seed := int64(1); seed <= 2; seed++ {
+		if _, err := w.Run(workloads.RunConfig{Knobs: bench.KnobsFor(4), Seed: seed, Scale: 0.02, Telemetry: sink}); err != nil {
+			t.Error(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if scrapeSum(t, sink, "hcsgc_kv_requests_total") == 0 {
+		t.Error("no KV request reached the registry")
 	}
 }
