@@ -197,8 +197,12 @@ func RandomFaultConfig(seed int64) FaultConfig { return faultinject.Randomized(s
 func NewHeapVerifier() *HeapVerifier { return heap.NewVerifier() }
 
 // NewTelemetrySink builds an enabled telemetry sink. Pass it via
-// Options.Telemetry (several runtimes may share one sink; its metrics
-// then accumulate across them) and serve it with Sink.Serve.
+// Options.Telemetry and serve it with Sink.Serve. Several runtimes may share
+// one sink, one after another: every series, endpoint and the GC log then
+// report the runtime attached last (a series reports what its currently
+// attached source holds), so one scrape has one time base; accumulators
+// that are themselves shared across runs (RunConfig.KV, OverloadStats,
+// Tail, a shared ContentionPlane) accumulate because they do.
 func NewTelemetrySink() *TelemetrySink { return telemetry.NewSink() }
 
 // NewLocalityProfiler builds an enabled locality profiler. Pass it via

@@ -10,9 +10,12 @@ import (
 
 // sharedAB runs the calibrated A/B once and shares the result across the
 // overload tests: the run is the expensive part, and every test here wants
-// the same comparison point (full scale, 2x the sustainable load).
+// the same comparison point (full scale, 2x the sustainable load). Three
+// runs a side, not one: convoy formation is bursty and a single run is a
+// coin flip (RunOverloadAB's own default is six): a one-run gate fails
+// all three tests on an unlucky schedule.
 var sharedAB = sync.OnceValues(func() (*OverloadAB, error) {
-	return RunOverloadAB(1, 1, 1, 3, 2, nil, nil)
+	return RunOverloadAB(3, 1, 1, 3, 2, nil, nil)
 })
 
 // TestRunOverloadAB is the acceptance gate for the overload-protection

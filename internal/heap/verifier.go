@@ -118,10 +118,7 @@ func (v *Verifier) Report(check, phase string, pageStart, addr uint64, detail st
 	}
 	v.mu.Lock()
 	v.total++
-	if v.perCheck[check] == nil { // a check VerifyChecks does not list
-		v.perCheck[check] = new(telemetry.Counter)
-	}
-	v.perCheck[check].Inc()
+	v.perCheck[check].Inc() // check is one of VerifyChecks
 	if pageStart != 0 {
 		v.perPage[pageStart]++
 	}

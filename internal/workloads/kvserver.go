@@ -151,9 +151,8 @@ func KVServer() Workload {
 					ctrl.BindTelemetry(reg)
 					cfg.Telemetry.SetEndpoint("overload", func() any { return c.Report() })
 				} else {
-					o := ost
 					ost.BindTelemetry(reg)
-					cfg.Telemetry.SetEndpoint("overload", func() any { return o.Report(overload.GoodputSLOCycles) })
+					cfg.Telemetry.SetEndpoint("overload", func() any { return ost.Report(overload.GoodputSLOCycles) })
 				}
 			}
 

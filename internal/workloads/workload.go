@@ -44,7 +44,7 @@ type RunConfig struct {
 	// DisableMem turns the cache model off (functional tests only).
 	DisableMem bool
 	// Telemetry attaches a live observability sink to the run's runtime
-	// (nil = disabled). Shared across runs, its metrics accumulate.
+	// (nil = disabled). Shared across runs, it reports the latest run.
 	Telemetry *hcsgc.TelemetrySink
 	// Locality attaches a sampling locality profiler to the run's
 	// runtime (nil = disabled). The caller keeps the handle and reads

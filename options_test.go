@@ -124,9 +124,9 @@ func auditOptions(t *testing.T) optionAudit {
 			}
 		}
 	}
-	// audited resolves a type expression to the audited struct it names.
-	audited := func(f auditFile, e ast.Expr) string {
-		key := f.typeKey(e)
+	// audited resolves a "dir/Name" key, through an alias if it is one, to
+	// the audited struct it names ("" if none).
+	audited := func(key string) string {
 		if al, ok := aliases[key]; ok {
 			key = al
 		}
@@ -143,15 +143,9 @@ func auditOptions(t *testing.T) optionAudit {
 		}
 		switch e := e.(type) {
 		case *ast.CompositeLit:
-			return audited(f, e.Type)
+			return audited(f.typeKey(e.Type))
 		case *ast.CallExpr:
-			key := results[f.typeKey(e.Fun)]
-			if al, ok := aliases[key]; ok {
-				key = al
-			}
-			if a.called[key] != nil {
-				return key
-			}
+			return audited(results[f.typeKey(e.Fun)])
 		}
 		return ""
 	}
@@ -172,18 +166,18 @@ func auditOptions(t *testing.T) optionAudit {
 				switch n := n.(type) {
 				case *ast.Field:
 					for _, name := range n.Names {
-						vars[name.Name] = audited(f, n.Type)
+						vars[name.Name] = audited(f.typeKey(n.Type))
 					}
 				case *ast.ValueSpec:
 					for i, name := range n.Names {
 						if n.Type != nil {
-							vars[name.Name] = audited(f, n.Type)
+							vars[name.Name] = audited(f.typeKey(n.Type))
 						} else if i < len(n.Values) {
 							vars[name.Name] = valueType(f, n.Values[i])
 						}
 					}
 				case *ast.CompositeLit:
-					key := audited(f, n.Type)
+					key := audited(f.typeKey(n.Type))
 					for _, e := range n.Elts {
 						kv, ok := e.(*ast.KeyValueExpr)
 						if !ok || key == "" {
