@@ -1,14 +1,8 @@
-// Command hcsgc-lint runs the GC-core invariant checkers over the module.
-//
-// Standalone (the CI entry point; runs per-package and module-wide passes):
+// Command hcsgc-lint runs the GC-core invariant checkers over the module
+// (the CI entry point; every analyzer runs once, per package or
+// module-wide as it declares):
 //
 //	go run ./cmd/hcsgc-lint ./...
-//
-// As a vet tool (per-package passes only; integrates with go vet's build
-// cache and diagnostic formatting):
-//
-//	go build -o /tmp/hcsgc-lint ./cmd/hcsgc-lint
-//	go vet -vettool=/tmp/hcsgc-lint ./...
 //
 // Exit status: 0 clean, 1 operational error (load/typecheck failure),
 // 2 one or more invariant violations.
@@ -29,11 +23,6 @@ import (
 func main() {
 	analyzers := analysis.All()
 
-	// Under `go vet -vettool=` the go command drives us with the
-	// unit-checker protocol; MaybeRunVetTool exits the process in that
-	// case and falls through for plain invocations.
-	lintkit.MaybeRunVetTool(analyzers)
-
 	var list bool
 	var only, jsonPath string
 	flag.BoolVar(&list, "list", false, "list the analyzers and exit")
@@ -48,7 +37,6 @@ func main() {
 	flag.Parse()
 
 	if list {
-		sort.Slice(analyzers, func(i, j int) bool { return analyzers[i].Name < analyzers[j].Name })
 		for _, a := range analyzers {
 			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
 		}

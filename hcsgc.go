@@ -333,9 +333,9 @@ type Runtime struct {
 	// DisableContention.
 	Contention *ContentionPlane
 
-	mu       sync.Mutex
-	mutators []*Mutator
-	closed   bool
+	mu        sync.Mutex // guards mutators, nothing else
+	mutators  []*Mutator
+	closeOnce sync.Once
 }
 
 // NewRuntime builds a runtime from options.
@@ -486,16 +486,17 @@ func (rt *Runtime) NewMutator(rootSlots int) *Mutator {
 // planes stay readable. With a mutator still attached nothing is released
 // (that memory falls to the Go collector with the runtime). The runtime
 // must not be used after.
+//
+// Concurrent and repeated calls return when the first has finished. Close
+// holds no lock while it waits on the collector: a driver mid-cycle waits
+// in its stop-the-world for every attached mutator, and one of those may be
+// about to take the runtime's lock in Ledger or NewMutator.
 func (rt *Runtime) Close() {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.closed {
-		return
-	}
-	rt.closed = true
-	if rt.Collector.Stop() {
-		rt.Heap.Release()
-	}
+	rt.closeOnce.Do(func() {
+		if rt.Collector.Stop() {
+			rt.Heap.Release()
+		}
+	})
 }
 
 // Ledger assembles the machine-model input from every mutator ever

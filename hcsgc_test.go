@@ -1,7 +1,9 @@
 package hcsgc
 
 import (
+	"runtime"
 	"testing"
+	"time"
 )
 
 func TestRuntimeDefaults(t *testing.T) {
@@ -160,6 +162,58 @@ func TestCloseWithAttachedMutatorReleasesNothing(t *testing.T) {
 	}
 	m.AllocWordArray(100) // the heap still allocates, too
 	m.Close()
+}
+
+// TestCloseDoesNotDeadlockLedgerReaders closes a runtime while a mutator is
+// still attached and reading the ledger mid-run, as server and workload
+// threads do. Close waits for the driver, a driver mid-cycle waits in its
+// stop-the-world for that mutator, and the mutator takes the runtime's lock
+// in Ledger: Close must hold no lock while it waits or nobody moves.
+func TestCloseDoesNotDeadlockLedgerReaders(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		rt := MustNewRuntime(Options{HeapMaxBytes: 8 << 20, StartDriver: true, TriggerPercent: 5})
+		node := rt.Types.Register("node", 2, []int{0})
+		stop, exited := make(chan struct{}), make(chan struct{})
+		m := rt.NewMutator(1) // attached before Close can run: nothing is released
+		go func() {
+			defer close(exited)
+			defer m.Close()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if ref, err := m.TryAlloc(node); err == nil {
+					m.SetRoot(0, ref)
+				}
+				rt.ExecSeconds()
+				m.Safepoint()
+			}
+		}()
+		// Not a synchronisation: long enough for the driver to be inside a
+		// cycle when Close arrives, which is the window the deadlock needs.
+		time.Sleep(2 * time.Millisecond)
+		// Two closers: concurrent calls both return once the first is done.
+		closed := make(chan struct{}, 2)
+		for c := 0; c < 2; c++ {
+			go func() {
+				rt.Close()
+				closed <- struct{}{}
+			}()
+		}
+		for c := 0; c < 2; c++ {
+			select {
+			case <-closed:
+			case <-time.After(5 * time.Second):
+				buf := make([]byte, 1<<20)
+				t.Fatalf("iteration %d: Runtime.Close did not return within 5s\n%s",
+					i, buf[:runtime.Stack(buf, true)])
+			}
+		}
+		close(stop)
+		<-exited
+	}
 }
 
 // TestCloseReleasesTheHeap pins the other half of the contract: once every

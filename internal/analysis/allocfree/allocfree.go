@@ -25,12 +25,11 @@
 //   - a same-package callee that is itself //hcsgc:alloc-free is a
 //     proven boundary; an unannotated one is proven recursively, with
 //     the finding reported at the call site;
-//   - a cross-package callee must be //hcsgc:alloc-free or allowlisted —
-//     the per-package pass cannot see foreign bodies, so the module pass
-//     enforces the boundary and the callee's own package proves the
-//     body. This is what threads the annotation through heap, simmem
-//     and objmodel: every cross-package hop on a fast path must carry
-//     the contract explicitly.
+//   - a cross-package callee must be //hcsgc:alloc-free or allowlisted:
+//     the caller enforces the boundary and the callee's own annotation
+//     proves the body. This is what threads the annotation through heap,
+//     simmem and objmodel: every cross-package hop on a fast path must
+//     carry the contract explicitly.
 package allocfree
 
 import (
@@ -48,8 +47,7 @@ var Analyzer = &lintkit.Analyzer{
 	Doc: "functions annotated //hcsgc:alloc-free must be statically free of " +
 		"Go-runtime allocations (no make/append/closures/interface boxing/string " +
 		"concat); cross-package callees must carry the annotation too",
-	Run:       func(p *lintkit.Pass) error { return check([]*lintkit.Pass{p}, false) },
-	RunModule: func(m *lintkit.ModulePass) error { return check(m.Pkgs, true) },
+	RunModule: func(m *lintkit.ModulePass) error { return check(m.Pkgs) },
 }
 
 // allowedPkgs are fully trusted import paths: every function there is
@@ -61,8 +59,7 @@ var allowedPkgs = map[string]bool{
 
 // checker carries the per-invocation state.
 type checker struct {
-	passes    []*lintkit.Pass
-	crossOnly bool
+	passes []*lintkit.Pass
 	// annotated maps FuncKey to true for every //hcsgc:alloc-free
 	// declaration across all passes.
 	annotated map[string]bool
@@ -72,11 +69,6 @@ type checker struct {
 	// nil = clean, else the first reason it allocates.
 	verdicts map[string]*reason
 	proving  map[string]bool
-	// visited cuts cycles when the module pass recurses through
-	// unannotated same-package helpers.
-	visited map[string]bool
-	// reported dedups call-site findings across annotated roots.
-	reported map[token.Pos]bool
 }
 
 type declAt struct {
@@ -88,24 +80,24 @@ type reason struct {
 	pos  token.Pos
 	pass *lintkit.Pass
 	what string
+	// boundary marks an unannotated cross-package callee. It is a finding
+	// at that call wherever it sits on the alloc-free path: prove hands it
+	// through to the root's reporter instead of folding it into the
+	// verdict on the helper that makes the call.
+	boundary bool
 }
 
-func check(passes []*lintkit.Pass, crossOnly bool) error {
+func check(passes []*lintkit.Pass) error {
 	c := &checker{
 		passes:    passes,
-		crossOnly: crossOnly,
 		annotated: make(map[string]bool),
 		decls:     make(map[string]declAt),
 		verdicts:  make(map[string]*reason),
 		proving:   make(map[string]bool),
-		visited:   make(map[string]bool),
-		reported:  make(map[token.Pos]bool),
 	}
+	var roots []string // annotated keys in source order
 	for _, p := range passes {
 		for _, file := range p.Files {
-			if p.IsTestFile(file.Pos()) {
-				continue
-			}
 			for _, d := range file.Decls {
 				decl, ok := d.(*ast.FuncDecl)
 				if !ok || decl.Body == nil {
@@ -119,20 +111,17 @@ func check(passes []*lintkit.Pass, crossOnly bool) error {
 				c.decls[key] = declAt{decl, p}
 				if lintkit.HasDirective(decl, "alloc-free") {
 					c.annotated[key] = true
+					roots = append(roots, key)
 				}
 			}
 		}
 	}
-	if len(c.annotated) == 0 {
-		return nil
-	}
-	for key := range c.annotated {
+	// Every body is walked once, roots here and helpers under prove's
+	// memo, so no finding repeats; the order only decides which root a
+	// boundary finding inside a shared helper names.
+	for _, key := range roots {
 		da := c.decls[key]
-		c.walk(da.pass, da.decl, key, func(r reason) {
-			if c.reported[r.pos] {
-				return
-			}
-			c.reported[r.pos] = true
+		c.walk(da.pass, da.decl, func(r reason) {
 			r.pass.Reportf(r.pos, "//hcsgc:alloc-free function %s %s",
 				da.decl.Name.Name, r.what)
 		})
@@ -140,12 +129,9 @@ func check(passes []*lintkit.Pass, crossOnly bool) error {
 	return nil
 }
 
-// walk scans one function body for allocating constructs, recursing
-// through unannotated same-package callees (reported at the call site).
-// In per-package mode cross-package calls are ignored; in module mode
-// they are required to be annotated or allowlisted, and everything else
-// is left to the per-package pass.
-func (c *checker) walk(p *lintkit.Pass, decl *ast.FuncDecl, key string, report func(reason)) {
+// walk scans one function body for allocating constructs and checks its
+// calls by contract (checkCall).
+func (c *checker) walk(p *lintkit.Pass, decl *ast.FuncDecl, report func(reason)) {
 	var visit func(n ast.Node) bool
 	visit = func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -195,12 +181,7 @@ func (c *checker) walk(p *lintkit.Pass, decl *ast.FuncDecl, key string, report f
 
 // direct reports a construct-level finding.
 func (c *checker) direct(p *lintkit.Pass, pos token.Pos, what string, report func(reason)) {
-	// Construct findings belong to the per-package pass: the body being
-	// walked always lives in a source-checked package of this run.
-	if c.crossOnly {
-		return
-	}
-	report(reason{pos, p, what})
+	report(reason{pos: pos, pass: p, what: what})
 }
 
 // checkCall handles one call site. Returns false to prune the argument
@@ -243,47 +224,27 @@ func (c *checker) checkCall(p *lintkit.Pass, call *ast.CallExpr, report func(rea
 		return true
 	}
 	key := lintkit.FuncKey(callee)
-	samePkg := callee.Pkg() != nil && callee.Pkg().Path() == p.Pkg.Path()
-	if samePkg {
-		if c.crossOnly {
-			// The per-package pass proves same-package bodies, but the
-			// boundary contract must still reach cross-package calls
-			// made from *unannotated* same-package helpers on the
-			// alloc-free path — recurse for those alone.
-			if !c.annotated[key] && !c.visited[key] {
-				c.visited[key] = true
-				if da, ok := c.decls[key]; ok {
-					c.walk(da.pass, da.decl, key, report)
-				}
-			}
-			return true
-		}
-		if c.annotated[key] {
-			return true // proven boundary: its own check covers the body
-		}
-		if r := c.prove(key); r != nil {
-			report(reason{call.Pos(), p,
-				fmt.Sprintf("calls %s, which %s (%s)",
-					callee.Name(), r.what, r.pass.Fset.Position(r.pos))})
-		}
-		return true
-	}
-	// Cross-package: the boundary contract, module pass only.
-	if !c.crossOnly {
-		return true
-	}
 	if c.annotated[key] {
+		return true // proven boundary: its own check covers the body
+	}
+	if callee.Pkg().Path() != p.Pkg.Path() {
+		report(reason{pos: call.Pos(), pass: p, boundary: true,
+			what: fmt.Sprintf("calls %s.%s, which is neither //hcsgc:alloc-free nor on the "+
+				"allocation-free allowlist", callee.Pkg().Path(), callee.Name())})
 		return true
 	}
-	report(reason{call.Pos(), p,
-		fmt.Sprintf("calls %s.%s, which is neither //hcsgc:alloc-free nor on the "+
-			"allocation-free allowlist", callee.Pkg().Path(), callee.Name())})
+	if r := c.prove(key, report); r != nil {
+		report(reason{pos: call.Pos(), pass: p,
+			what: fmt.Sprintf("calls %s, which %s (%s)",
+				callee.Name(), r.what, r.pass.Fset.Position(r.pos))})
+	}
 	return true
 }
 
 // prove memoizes the allocation-freedom of an unannotated same-package
-// function, returning nil when clean or the first reason found.
-func (c *checker) prove(key string) *reason {
+// function, returning nil when clean or the first reason found. Boundary
+// findings in its body go to report, the caller's reporter, as they are.
+func (c *checker) prove(key string, report func(reason)) *reason {
 	if r, ok := c.verdicts[key]; ok {
 		return r
 	}
@@ -298,8 +259,10 @@ func (c *checker) prove(key string) *reason {
 	}
 	c.proving[key] = true
 	var first *reason
-	c.walk(da.pass, da.decl, key, func(r reason) {
-		if first == nil {
+	c.walk(da.pass, da.decl, func(r reason) {
+		if r.boundary {
+			report(r)
+		} else if first == nil {
 			first = &r
 		}
 	})

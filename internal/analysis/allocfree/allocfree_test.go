@@ -9,8 +9,8 @@ import (
 
 func TestAllocFree(t *testing.T) {
 	// Loading af pulls in dep (the cross-package boundary) and the
-	// sync/atomic stub; RunFixture covers both the per-package proofs
-	// and the module-pass boundary findings.
+	// sync/atomic stub; RunFixture covers both the same-package proofs
+	// and the boundary findings.
 	lintkit.RunFixture(t, "testdata", "af", allocfree.Analyzer)
 }
 

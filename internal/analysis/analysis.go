@@ -1,8 +1,8 @@
 // Package analysis aggregates the hcsgc-lint invariant checkers. Each
 // sub-package holds one analyzer; this package is the single registry the
-// driver (cmd/hcsgc-lint), the vet-tool mode and the regression tests all
-// share, so a new analyzer added to All is automatically wired into CI,
-// `go vet -vettool`, and the fixture harness.
+// driver (cmd/hcsgc-lint) and the regression tests share, so a new
+// analyzer added to All is automatically wired into CI and the mutant
+// guards.
 //
 // The checkers and the invariants they machine-check:
 //
@@ -38,7 +38,7 @@ import (
 	"hcsgc/internal/analysis/vtimepure"
 )
 
-// All returns the full analyzer suite in stable order.
+// All returns the full analyzer suite, sorted by name.
 func All() []*lintkit.Analyzer {
 	return []*lintkit.Analyzer{
 		allocfree.Analyzer,

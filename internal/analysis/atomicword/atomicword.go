@@ -73,7 +73,7 @@ func run(pass *lintkit.Pass) error {
 	}
 
 	// Phase 1: find atomic call sites and record their target fields.
-	lintkit.ForEachFuncNode(pass, true, func(decl *ast.FuncDecl, n ast.Node) bool {
+	lintkit.ForEachFuncNode(pass, func(decl *ast.FuncDecl, n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true
@@ -114,7 +114,7 @@ func run(pass *lintkit.Pass) error {
 	}
 
 	// Phase 2: flag plain accesses to the recorded fields.
-	lintkit.ForEachFuncNode(pass, true, func(decl *ast.FuncDecl, n ast.Node) bool {
+	lintkit.ForEachFuncNode(pass, func(decl *ast.FuncDecl, n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.IndexExpr:
 			if blessed[n] {

@@ -48,7 +48,7 @@ func run(pass *lintkit.Pass) error {
 	if pass.Pkg.Path() == heapPkg {
 		return nil // the accessor implementation itself
 	}
-	lintkit.ForEachFuncNode(pass, true, func(decl *ast.FuncDecl, n ast.Node) bool {
+	lintkit.ForEachFuncNode(pass, func(decl *ast.FuncDecl, n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true

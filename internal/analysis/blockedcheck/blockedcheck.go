@@ -26,9 +26,10 @@
 // re-enters context if it touches a Mutator itself, and detach ordering
 // follows RUNTIME order — defers unwind last-in-first-out, so the
 // canonical `defer rt.Close()` / `defer m.Close()` pair detaches the
-// mutator before the runtime teardown blocks. The per-package pass
-// propagates within one package; the module pass adds cross-package
-// reach and reports only what the per-package view could not see.
+// mutator before the runtime teardown blocks. Context, call edges and the
+// set of blocking locks are module-wide: a critical section that blocks
+// through a callee in another package makes its mutex a blocking lock for
+// every function that takes it.
 package blockedcheck
 
 import (
@@ -47,8 +48,7 @@ var Analyzer = &lintkit.Analyzer{
 		"must be wrapped in Mutator.Blocked() (or sit inside a " +
 		"beginBlocked/endBlocked bracket); //hcsgc:gc-thread and //hcsgc:stw-only " +
 		"code is exempt",
-	Run:       func(p *lintkit.Pass) error { return check([]*lintkit.Pass{p}, false) },
-	RunModule: func(m *lintkit.ModulePass) error { return check(m.Pkgs, true) },
+	RunModule: runModule,
 }
 
 // A blockOp is one potentially-blocking operation in a function body.
@@ -94,32 +94,15 @@ func (f *funcFacts) key(pos token.Pos) evKey {
 	return evKey{deferred: inRanges(f.defers, pos), pos: pos}
 }
 
-func check(passes []*lintkit.Pass, crossOnly bool) error {
-	graph := lintkit.BuildCallGraph(passes)
+func runModule(m *lintkit.ModulePass) error {
+	graph := lintkit.BuildCallGraph(m.Pkgs)
 	facts := make(map[string]*funcFacts, len(graph.Nodes))
 	blockingLocks := findBlockingLocks(graph)
 	for key, node := range graph.Nodes {
 		facts[key] = analyze(node, blockingLocks)
 	}
 
-	local := make(map[string]bool)
-	for _, p := range passes {
-		for k := range contextSet(graph, facts, p.Pkg.Path()) {
-			local[k] = true
-		}
-	}
-	target := local
-	if crossOnly {
-		global := contextSet(graph, facts, "")
-		target = make(map[string]bool)
-		for k := range global {
-			if !local[k] {
-				target[k] = true
-			}
-		}
-	}
-
-	for key := range target {
+	for key := range contextSet(graph, facts) {
 		f := facts[key]
 		if f == nil || f.exempt {
 			continue
@@ -135,12 +118,11 @@ func check(passes []*lintkit.Pass, crossOnly bool) error {
 }
 
 // contextSet computes the attached-mutator context: roots plus everything
-// reachable through unsanctioned call edges. pkgPath restricts both roots
-// and edges to one package (the per-package view); "" means module-wide.
-func contextSet(graph *lintkit.CallGraph, facts map[string]*funcFacts, pkgPath string) map[string]bool {
+// reachable through unsanctioned call edges.
+func contextSet(graph *lintkit.CallGraph, facts map[string]*funcFacts) map[string]bool {
 	var roots []string
 	for key, f := range facts {
-		if f.root && !f.exempt && (pkgPath == "" || f.node.Pass.Pkg.Path() == pkgPath) {
+		if f.root && !f.exempt {
 			roots = append(roots, key)
 		}
 	}
@@ -159,13 +141,7 @@ func contextSet(graph *lintkit.CallGraph, facts map[string]*funcFacts, pkgPath s
 			return false // after Mutator.Close: no attached mutator left
 		}
 		callee := facts[cs.CalleeKey]
-		if callee != nil && callee.exempt {
-			return false
-		}
-		if pkgPath != "" && (callee == nil || callee.node.Pass.Pkg.Path() != pkgPath) {
-			return false // per-package view stops at the import boundary
-		}
-		return true
+		return callee == nil || !callee.exempt
 	})
 }
 

@@ -40,9 +40,6 @@ var Analyzer = &lintkit.Analyzer{
 
 func run(pass *lintkit.Pass) error {
 	for _, file := range pass.Files {
-		if pass.IsTestFile(file.Pos()) {
-			continue
-		}
 		if pass.Pkg.Path() == heapPkg &&
 			filepath.Base(pass.Fset.Position(file.Pos()).Filename) == "ref.go" {
 			continue // the helper implementation itself

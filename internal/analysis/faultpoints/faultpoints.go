@@ -6,10 +6,8 @@
 // arm a delay probability for it, soak reports list it, and reproducer
 // seeds appear to cover a window that nothing actually exercises.
 //
-// The check is module-wide by construction — points are declared in
-// internal/faultinject and consumed in internal/heap and internal/core —
-// so it runs only under the standalone driver (cmd/hcsgc-lint), not under
-// go vet's per-package protocol.
+// The check is module-wide by construction: points are declared in
+// internal/faultinject and consumed in internal/heap and internal/core.
 package faultpoints
 
 import (
@@ -45,9 +43,6 @@ func runModule(m *lintkit.ModulePass) error {
 			continue
 		}
 		for _, file := range p.Files {
-			if p.IsTestFile(file.Pos()) {
-				continue
-			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				spec, ok := n.(*ast.ValueSpec)
 				if !ok {
@@ -77,9 +72,6 @@ func runModule(m *lintkit.ModulePass) error {
 	used := make(map[string]bool)
 	for _, p := range m.Pkgs {
 		for _, file := range p.Files {
-			if p.IsTestFile(file.Pos()) {
-				continue
-			}
 			ast.Inspect(file, func(n ast.Node) bool {
 				id, ok := n.(*ast.Ident)
 				if !ok {

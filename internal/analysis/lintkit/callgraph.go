@@ -2,20 +2,17 @@ package lintkit
 
 // This file is the shared module-wide call-graph and intraprocedural
 // region layer underneath the concurrency-discipline analyzers
-// (lockorder, blockedcheck, allocfree). It generalises the two tricks
-// stwonly pioneered: identifying functions across separately
-// type-checked packages by a stable string key (source-checked packages
-// and export-data packages produce distinct *types.Func objects for the
-// same function), and splitting reporting between a per-package pass and
-// a module pass so the two never double-report.
+// (lockorder, blockedcheck, allocfree). Functions are identified across
+// separately type-checked packages by a stable string key: source-checked
+// packages and export-data packages produce distinct *types.Func objects
+// for the same function.
 //
 // The "dataflow" here is deliberately source-order, not control-flow:
 // brackets (mu.Lock()..mu.Unlock(), beginBlocked()..endBlocked()) are
 // matched by position within one function body, with a deferred close
 // extending the bracket to the end of the body. That approximation is
 // exact for the straight-line critical sections this codebase writes,
-// and it keeps the analyzers deterministic and fast enough to run on
-// every package under go vet.
+// and it keeps the analyzers deterministic and fast.
 
 import (
 	"go/ast"
@@ -65,17 +62,13 @@ type CallGraph struct {
 	Nodes map[string]*FuncNode
 }
 
-// BuildCallGraph constructs the static call graph over the given passes,
-// skipping test files. Calls inside nested function literals are
-// attributed to the enclosing named declaration, matching how
-// annotations attach.
+// BuildCallGraph constructs the static call graph over the given passes.
+// Calls inside nested function literals are attributed to the enclosing
+// named declaration, matching how annotations attach.
 func BuildCallGraph(passes []*Pass) *CallGraph {
 	g := &CallGraph{Nodes: make(map[string]*FuncNode)}
 	for _, p := range passes {
 		for _, file := range p.Files {
-			if p.IsTestFile(file.Pos()) {
-				continue
-			}
 			for _, d := range file.Decls {
 				decl, ok := d.(*ast.FuncDecl)
 				if !ok || decl.Body == nil {

@@ -2,17 +2,18 @@
 // golang.org/x/tools/go/analysis surface that the hcsgc-lint analyzers
 // need. The repo deliberately carries no third-party modules, so the
 // framework is built on the standard library only: go/ast and go/types do
-// the heavy lifting, `go list -export` supplies package metadata and
-// export data (load.go), and the `go vet -vettool` unit-checker protocol
-// is spoken natively (vettool.go).
+// the heavy lifting, and `go list -export` supplies package metadata and
+// export data (load.go). There is one driver, RunAnalyzers, behind
+// cmd/hcsgc-lint and the fixture harness alike.
 //
-// Analyzers are per-package by default (Run); an analyzer may additionally
-// declare a module-wide pass (RunModule) that sees every loaded package at
-// once — used for invariants that span packages, like "every fault
-// injection point is wired to a site". Module passes only run under the
-// standalone driver (cmd/hcsgc-lint PATTERN...); the vet-tool protocol is
-// strictly per-package, mirroring how x/tools analyzers degrade without
-// facts.
+// An analyzer declares exactly one entry point. Run checks one package at
+// a time, for invariants that a package's own syntax and types decide.
+// RunModule sees every loaded package at once, for invariants that span
+// packages: one call graph, one lock graph, one annotation set, "every
+// fault injection point is wired to a site". Such an invariant has no
+// per-package half: one package's view knows fewer blocking locks and
+// fewer callees, and what it misses cannot be recovered by running both
+// views and subtracting.
 //
 // # Annotations
 //
@@ -46,11 +47,9 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph description shown by -help.
 	Doc string
-	// Run checks a single package. May be nil for module-only analyzers.
-	Run func(*Pass) error
-	// RunModule, when non-nil, checks the whole loaded package set at
-	// once. Only the standalone driver invokes it; the vet-tool protocol
-	// cannot (it hands the tool one package at a time).
+	// Run checks a single package; RunModule checks the whole loaded
+	// package set at once. Exactly one of the two is set.
+	Run       func(*Pass) error
 	RunModule func(*ModulePass) error
 }
 
@@ -102,13 +101,6 @@ func (m *ModulePass) Reportf(fset *token.FileSet, pos token.Pos, format string, 
 	})
 }
 
-// IsTestFile reports whether the file containing pos is a _test.go file.
-// The GC invariants are about production code paths; tests deliberately
-// poke raw memory and stale colors to assert on them.
-func (p *Pass) IsTestFile(pos token.Pos) bool {
-	return strings.HasSuffix(p.Fset.Position(pos).Filename, "_test.go")
-}
-
 // FileOf returns the *ast.File containing pos, or nil.
 func (p *Pass) FileOf(pos token.Pos) *ast.File {
 	for _, f := range p.Files {
@@ -154,15 +146,11 @@ func HasDirective(decl *ast.FuncDecl, name string) bool {
 }
 
 // ForEachFuncNode walks every top-level function declaration in the pass
-// (skipping test files when skipTests is set) and calls fn for every node
-// inside it, including nodes of nested function literals — the enclosing
-// *named* declaration is what carries annotations. Returning false from fn
-// prunes the subtree.
-func ForEachFuncNode(p *Pass, skipTests bool, fn func(decl *ast.FuncDecl, n ast.Node) bool) {
+// and calls fn for every node inside it, including nodes of nested
+// function literals — the enclosing *named* declaration is what carries
+// annotations. Returning false from fn prunes the subtree.
+func ForEachFuncNode(p *Pass, fn func(decl *ast.FuncDecl, n ast.Node) bool) {
 	for _, file := range p.Files {
-		if skipTests && p.IsTestFile(file.Pos()) {
-			continue
-		}
 		for _, d := range file.Decls {
 			decl, ok := d.(*ast.FuncDecl)
 			if !ok || decl.Body == nil {
@@ -237,9 +225,9 @@ func namedTypeName(t types.Type) string {
 
 // --- running ------------------------------------------------------------
 
-// RunAnalyzers applies the analyzers to the loaded packages: every
-// per-package Run over every package, then every RunModule once over the
-// whole set. Diagnostics come back sorted by position.
+// RunAnalyzers applies the analyzers to the loaded packages: a Run over
+// every package, a RunModule once over the whole set. Diagnostics come
+// back sorted by position.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	collect := func(d Diagnostic) { diags = append(diags, d) }

@@ -53,8 +53,7 @@ type listedPkg struct {
 // are parsed and type-checked from source so analyzers see full syntax.
 //
 // Test files are not loaded: the invariants guard production code paths,
-// and tests exercise raw memory on purpose. (The vet-tool mode does see
-// test files, so analyzers must still tolerate them; they skip _test.go.)
+// and tests exercise raw memory and stale colors on purpose.
 //
 // Dependencies inside the same module are loaded from source as DepOnly
 // packages: module-wide analyzers need their bodies and directive

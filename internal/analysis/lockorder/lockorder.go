@@ -25,8 +25,6 @@
 // Holding a lock across a safepoint boundary is reported unless the
 // function is //hcsgc:gc-thread, //hcsgc:stw-only, or owns the pause
 // (runCycle holding cycleMu across the STW is the designed exception).
-// The per-package pass reports what is derivable from one package alone;
-// the module pass adds findings that need cross-package call chains.
 package lockorder
 
 import (
@@ -45,8 +43,7 @@ var Analyzer = &lintkit.Analyzer{
 	Doc: "lock acquisitions must be consistently ordered (no inversions, " +
 		"//hcsgc:lock-order ranks respected) and no lock may be held across a " +
 		"safepoint boundary outside GC-side code",
-	Run:       func(p *lintkit.Pass) error { return run([]*lintkit.Pass{p}, false) },
-	RunModule: func(m *lintkit.ModulePass) error { return run(m.Pkgs, true) },
+	RunModule: runModule,
 }
 
 // boundaryNames are the safepoint-boundary callees: reaching one with a
@@ -66,7 +63,7 @@ type siteInfo struct {
 	via  string // callee name for transitive acquisitions, "" for direct
 }
 
-// analysisResult is everything derived from one set of passes.
+// analysisResult is everything derived from the module's passes.
 type analysisResult struct {
 	edges map[edge]siteInfo
 	// spSites are lock-held-across-safepoint findings keyed by position.
@@ -81,46 +78,21 @@ type spSite struct {
 	via  string
 }
 
-func run(passes []*lintkit.Pass, crossOnly bool) error {
-	full := build(passes)
-	reportEdge := func(e edge) bool { return true }
-	reportSP := func(pos token.Pos) bool { return true }
-	if crossOnly {
-		// Subtract everything a per-package run already reports. Edge
-		// findings are subtracted per *violation*, not per edge: a cycle
-		// that only materialises module-wide must still be reported on
-		// its locally-visible edges.
-		localViol := make(map[edge]bool)
-		localSP := make(map[token.Pos]bool)
-		for _, p := range passes {
-			local := build([]*lintkit.Pass{p})
-			for _, e := range violations(local) {
-				localViol[e] = true
-			}
-			for pos := range local.spSites {
-				localSP[pos] = true
-			}
-		}
-		reportEdge = func(e edge) bool { return !localViol[e] }
-		reportSP = func(pos token.Pos) bool { return !localSP[pos] }
-	}
-
-	viol := violations(full)
+func runModule(m *lintkit.ModulePass) error {
+	r := build(m.Pkgs)
+	viol := violations(r)
 	sort.Slice(viol, func(i, j int) bool {
-		a, b := full.edges[viol[i]], full.edges[viol[j]]
+		a, b := r.edges[viol[i]], r.edges[viol[j]]
 		return a.pos < b.pos
 	})
 	for _, e := range viol {
-		if !reportEdge(e) {
-			continue
-		}
-		si := full.edges[e]
+		si := r.edges[e]
 		how := ""
 		if si.via != "" {
 			how = " (via " + si.via + ")"
 		}
-		ra, okA := full.ranks[e.from]
-		rb, okB := full.ranks[e.to]
+		ra, okA := r.ranks[e.from]
+		rb, okB := r.ranks[e.to]
 		if okA && okB && ra >= rb {
 			si.pass.Reportf(si.pos,
 				"%s acquires %s (//hcsgc:lock-order %d) while holding %s "+
@@ -135,15 +107,12 @@ func run(passes []*lintkit.Pass, crossOnly bool) error {
 	}
 
 	var spPos []token.Pos
-	for pos := range full.spSites {
+	for pos := range r.spSites {
 		spPos = append(spPos, pos)
 	}
 	sort.Slice(spPos, func(i, j int) bool { return spPos[i] < spPos[j] })
 	for _, pos := range spPos {
-		if !reportSP(pos) {
-			continue
-		}
-		s := full.spSites[pos]
+		s := r.spSites[pos]
 		how := ""
 		if s.via != "" {
 			how = " via " + s.via
@@ -355,9 +324,6 @@ func collectRanks(passes []*lintkit.Pass) map[string]int {
 	ranks := make(map[string]int)
 	for _, p := range passes {
 		for _, file := range p.Files {
-			if p.IsTestFile(file.Pos()) {
-				continue
-			}
 			for _, d := range file.Decls {
 				gen, ok := d.(*ast.GenDecl)
 				if !ok {

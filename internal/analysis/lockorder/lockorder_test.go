@@ -8,9 +8,9 @@ import (
 )
 
 func TestLockOrder(t *testing.T) {
-	// Loading xk pulls in lk; RunFixture covers the per-package findings
-	// (lk's inversions, ranks, safepoint holds) and the module pass
-	// (xk's cross-package edge into lk).
+	// Loading xk pulls in lk; RunFixture covers lk's own findings
+	// (inversions, ranks, safepoint holds) and xk's cross-package edge
+	// into lk.
 	lintkit.RunFixture(t, "testdata", "xk", lockorder.Analyzer)
 }
 

@@ -14,10 +14,9 @@
 //     function), like the collector's runCycle. Code inside closures the
 //     owner passes into the pause inherits the owner's standing.
 //
-// The per-package pass checks calls to stw-only functions declared in the
-// same package; the module pass (standalone driver only) additionally
-// resolves cross-package calls, e.g. core's verifier invoking
-// heap.VerifyAccounting.
+// The annotation set is module-wide, so a call across a package boundary
+// (core's verifier invoking heap.VerifyAccounting) is checked like one
+// inside a package.
 package stwonly
 
 import (
@@ -33,22 +32,13 @@ var Analyzer = &lintkit.Analyzer{
 	Doc: "functions annotated //hcsgc:stw-only may only be called from other " +
 		"stw-only functions or from the pause owner (a function that both stops " +
 		"and resumes the world)",
-	Run:       func(p *lintkit.Pass) error { return check([]*lintkit.Pass{p}, false) },
-	RunModule: func(m *lintkit.ModulePass) error { return check(m.Pkgs, true) },
+	RunModule: runModule,
 }
 
-// check walks the given passes. With crossOnly set it reports only calls
-// whose callee lives in a different package than the caller (the module
-// pass), otherwise only same-package calls (the per-package pass) — the
-// split keeps the two passes from double-reporting under the standalone
-// driver, which runs both.
-func check(passes []*lintkit.Pass, crossOnly bool) error {
+func runModule(m *lintkit.ModulePass) error {
 	stw := make(map[string]bool)
-	for _, p := range passes {
+	for _, p := range m.Pkgs {
 		for _, file := range p.Files {
-			if p.IsTestFile(file.Pos()) {
-				continue
-			}
 			for _, d := range file.Decls {
 				decl, ok := d.(*ast.FuncDecl)
 				if !ok || !lintkit.HasDirective(decl, "stw-only") {
@@ -64,9 +54,8 @@ func check(passes []*lintkit.Pass, crossOnly bool) error {
 		return nil
 	}
 
-	for _, p := range passes {
-		p := p
-		lintkit.ForEachFuncNode(p, true, func(decl *ast.FuncDecl, n ast.Node) bool {
+	for _, p := range m.Pkgs {
+		lintkit.ForEachFuncNode(p, func(decl *ast.FuncDecl, n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -74,9 +63,6 @@ func check(passes []*lintkit.Pass, crossOnly bool) error {
 			callee := lintkit.FuncOf(p.TypesInfo, call.Fun)
 			if callee == nil || callee.Pkg() == nil || !stw[lintkit.FuncKey(callee)] {
 				return true
-			}
-			if crossOnly == (callee.Pkg().Path() == p.Pkg.Path()) {
-				return true // the other pass owns this call
 			}
 			if lintkit.HasDirective(decl, "stw-only") || lintkit.IsPauseOwner(decl) {
 				return true

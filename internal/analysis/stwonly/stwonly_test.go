@@ -8,8 +8,7 @@ import (
 )
 
 func TestSTWOnly(t *testing.T) {
-	// Loading b pulls in a; RunFixture analyzes both, so this covers the
-	// per-package pass (a's internal call sites) and the module pass (b's
-	// cross-package calls into a).
+	// Loading b pulls in a; RunFixture analyzes both, so this covers a's
+	// internal call sites and b's cross-package calls into a.
 	lintkit.RunFixture(t, "testdata", "b", stwonly.Analyzer)
 }

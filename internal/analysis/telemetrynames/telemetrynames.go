@@ -86,7 +86,7 @@ func run(pass *lintkit.Pass) error {
 		return constant.StringVal(tv.Value), true
 	}
 
-	lintkit.ForEachFuncNode(pass, true, func(decl *ast.FuncDecl, n ast.Node) bool {
+	lintkit.ForEachFuncNode(pass, func(decl *ast.FuncDecl, n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok || len(call.Args) == 0 {
 			return true

@@ -71,7 +71,7 @@ func run(p *lintkit.Pass) error {
 	if !targetPkgs[lastSegment(p.Pkg.Path())] {
 		return nil
 	}
-	lintkit.ForEachFuncNode(p, true, func(decl *ast.FuncDecl, n ast.Node) bool {
+	lintkit.ForEachFuncNode(p, func(decl *ast.FuncDecl, n ast.Node) bool {
 		if lintkit.HasDirective(decl, "wall-clock") {
 			return false
 		}

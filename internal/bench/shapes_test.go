@@ -22,12 +22,19 @@ func run3(t *testing.T, id string, config int, scale float64) float64 {
 // ones.
 func run3Seeded(t *testing.T, id string, config int, scale float64, seedBase int64) float64 {
 	t.Helper()
+	return runMean(t, id, config, scale, seedBase, 3)
+}
+
+// runMean runs a workload under a config with seeds seedBase..seedBase+runs-1
+// and returns the mean simulated execution time.
+func runMean(t *testing.T, id string, config int, scale float64, seedBase int64, runs int) float64 {
+	t.Helper()
 	w, err := workloads.Get(id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
-	for r := 0; r < 3; r++ {
+	for r := 0; r < runs; r++ {
 		res, err := w.Run(workloads.RunConfig{
 			Knobs: KnobsFor(config),
 			Seed:  seedBase + int64(r),
@@ -38,7 +45,7 @@ func run3Seeded(t *testing.T, id string, config int, scale float64, seedBase int
 		}
 		sum += res.ExecSeconds
 	}
-	return sum / 3
+	return sum / float64(runs)
 }
 
 // TestShapeFig4LazyLargeECWins: the paper's best synthetic family
@@ -48,10 +55,15 @@ func TestShapeFig4LazyLargeECWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape sweep")
 	}
-	const scale = 0.04
-	base := run3(t, "fig4", 0, scale)
-	cfg4 := run3(t, "fig4", 4, scale)
-	cfg2 := run3(t, "fig4", 2, scale)
+	// Six runs a side, one attempt: the cycle trigger reads the wall clock,
+	// so a mean over a handful of GC cycles moves with host load. Over 24
+	// full `go test ./...` runs the three-run ratio's worst case sat on the
+	// 5% line (0.9495), the six-run one two points inside it (0.9305);
+	// EXPERIMENTS.md "Shape-test tolerances" has the spread.
+	const scale, runs = 0.04, 6
+	base := runMean(t, "fig4", 0, scale, 1, runs)
+	cfg4 := runMean(t, "fig4", 4, scale, 1, runs)
+	cfg2 := runMean(t, "fig4", 2, scale, 1, runs)
 	if cfg4 >= base*0.95 {
 		t.Errorf("config 4 = %.4fs vs baseline %.4fs; want >=5%% win", cfg4, base)
 	}

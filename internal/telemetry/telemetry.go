@@ -89,73 +89,46 @@ const (
 	CounterMMU20k
 	CounterMMU100k
 	CounterUtilization
-	// The unified signal plane's per-cycle derived signals
-	// (CounterSignalAllocRate..CounterSignalColdFrac must stay
-	// contiguous).
+	// The unified signal plane's per-cycle derived signals.
 	CounterSignalAllocRate
 	CounterSignalStallP99
 	CounterSignalHeapUsed
 	CounterSignalColdFrac
-	// The contention plane's per-cycle counters
-	// (CounterContentionContended..CounterWorkerImbalance must stay
-	// contiguous).
+	// The contention plane's per-cycle counters.
 	CounterContentionContended
 	CounterContentionCASRetries
 	CounterWorkerImbalance
 )
 
-// CounterName renders a CounterID as its Perfetto track name.
-func CounterName(id uint32) string {
-	switch id {
-	case CounterStreamCoverage:
-		return "locality_stream_coverage"
-	case CounterSegPurity:
-		return "locality_seg_purity"
-	case CounterPageEntropy:
-		return "locality_page_entropy_bits"
-	case CounterReuseP50:
-		return "locality_reuse_p50_lines"
-	case CounterMMU1k:
-		return "latency_mmu_1k"
-	case CounterMMU5k:
-		return "latency_mmu_5k"
-	case CounterMMU20k:
-		return "latency_mmu_20k"
-	case CounterMMU100k:
-		return "latency_mmu_100k"
-	case CounterUtilization:
-		return "latency_mutator_utilization"
-	case CounterSignalAllocRate:
-		return "signal_alloc_kb_per_kcycle"
-	case CounterSignalStallP99:
-		return "signal_stall_p99_cycles"
-	case CounterSignalHeapUsed:
-		return "signal_heap_used_pct"
-	case CounterSignalColdFrac:
-		return "signal_cold_frac"
-	case CounterContentionContended:
-		return "contention_contended_acq"
-	case CounterContentionCASRetries:
-		return "contention_cas_retries"
-	case CounterWorkerImbalance:
-		return "contention_worker_imbalance"
-	default:
-		return "counter"
-	}
+// counterTracks holds each CounterID's Perfetto track name and trace
+// category; index 0 is what an id outside the table renders as.
+var counterTracks = [...]struct{ name, cat string }{
+	0:                           {"counter", "locality"},
+	CounterStreamCoverage:       {"locality_stream_coverage", "locality"},
+	CounterSegPurity:            {"locality_seg_purity", "locality"},
+	CounterPageEntropy:          {"locality_page_entropy_bits", "locality"},
+	CounterReuseP50:             {"locality_reuse_p50_lines", "locality"},
+	CounterMMU1k:                {"latency_mmu_1k", "latency"},
+	CounterMMU5k:                {"latency_mmu_5k", "latency"},
+	CounterMMU20k:               {"latency_mmu_20k", "latency"},
+	CounterMMU100k:              {"latency_mmu_100k", "latency"},
+	CounterUtilization:          {"latency_mutator_utilization", "latency"},
+	CounterSignalAllocRate:      {"signal_alloc_kb_per_kcycle", "signals"},
+	CounterSignalStallP99:       {"signal_stall_p99_cycles", "signals"},
+	CounterSignalHeapUsed:       {"signal_heap_used_pct", "signals"},
+	CounterSignalColdFrac:       {"signal_cold_frac", "signals"},
+	CounterContentionContended:  {"contention_contended_acq", "contention"},
+	CounterContentionCASRetries: {"contention_cas_retries", "contention"},
+	CounterWorkerImbalance:      {"contention_worker_imbalance", "contention"},
 }
 
-// counterCat is the trace category of an EvCounter series.
-func counterCat(id uint32) string {
-	if id >= CounterContentionContended && id <= CounterWorkerImbalance {
-		return "contention"
+// counterTrack returns the track name and trace category of an EvCounter
+// series.
+func counterTrack(id uint32) (name, cat string) {
+	if id >= uint32(len(counterTracks)) {
+		id = 0
 	}
-	if id >= CounterSignalAllocRate && id <= CounterSignalColdFrac {
-		return "signals"
-	}
-	if id >= CounterMMU1k && id <= CounterUtilization {
-		return "latency"
-	}
-	return "locality"
+	return counterTracks[id].name, counterTracks[id].cat
 }
 
 // Relocation-race winners (EvRelocWin Arg).

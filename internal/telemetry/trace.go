@@ -83,8 +83,9 @@ func BuildTrace(events []Event) TraceFile {
 		case EvCounter:
 			// Ph "C" renders a counter track; Perfetto plots the value
 			// over time. One sample per GC cycle per series.
+			name, cat := counterTrack(ev.Arg)
 			tf.TraceEvents = append(tf.TraceEvents, TraceEvent{
-				Name: CounterName(ev.Arg), Cat: counterCat(ev.Arg), Ph: "C",
+				Name: name, Cat: cat, Ph: "C",
 				TS: us(ev.TimeNS), PID: tracePID, TID: 1,
 				Args: map[string]any{"value": math.Float64frombits(ev.A)},
 			})
