@@ -2,12 +2,15 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"hcsgc/internal/loadgen"
@@ -189,7 +192,43 @@ func TestGoldenReports(t *testing.T) {
 			continue
 		}
 		compareGolden(t, tc.name+".json", b.Bytes())
+		// The filler's one running counter renumbers every later value when
+		// a field comes or goes; the key paths show what actually moved.
+		compareGolden(t, tc.name+".keys", keyPaths(t, b.Bytes()))
 	}
+}
+
+// keyPaths renders the sorted unique paths of doc's leaf values, one a
+// line, with every array index written "[]".
+func keyPaths(t *testing.T, doc []byte) []byte {
+	t.Helper()
+	var root any
+	if err := json.Unmarshal(doc, &root); err != nil {
+		t.Fatalf("key paths: %v", err)
+	}
+	seen := map[string]bool{}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, e := range v {
+				walk(strings.TrimPrefix(path+"."+k, "."), e)
+			}
+		case []any:
+			for _, e := range v {
+				walk(path+"[]", e)
+			}
+		default:
+			seen[path] = true
+		}
+	}
+	walk("", root)
+	paths := make([]string, 0, len(seen))
+	for p := range seen {
+		paths = append(paths, p)
+	}
+	sort.Strings(paths)
+	return []byte(strings.Join(paths, "\n") + "\n")
 }
 
 func compareGolden(t *testing.T, file string, got []byte) {
