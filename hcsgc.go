@@ -54,7 +54,9 @@ type (
 	Type = objmodel.Type
 	// GCStats is a snapshot of collector activity.
 	GCStats = core.Stats
-	// CycleStats records one GC cycle.
+	// CycleStats is the one record of a GC cycle, as GCStats lists it. It
+	// and FlightRecord are the same type: the flight recorder and the
+	// signal plane keep copies of the value the GC log holds.
 	CycleStats = core.CycleStats
 	// MemStats is the process-wide cache-model counter snapshot.
 	MemStats = simmem.SystemStats
@@ -98,7 +100,8 @@ type (
 	LatencyReport = latency.Report
 	// LatencyDist is one HDR distribution summary inside a LatencyReport.
 	LatencyDist = latency.Dist
-	// FlightRecord is one GC cycle's flight-recorder entry.
+	// FlightRecord is one GC cycle's flight-recorder entry: the cycle's
+	// one record, the same type as CycleStats.
 	FlightRecord = latency.CycleRecord
 	// MMUReport is the minimum-mutator-utilization curve snapshot.
 	MMUReport = latency.MMUReport
@@ -110,7 +113,8 @@ type (
 	SignalPlane = signals.Plane
 	// SignalsConfig tunes the signal plane.
 	SignalsConfig = signals.Config
-	// CycleSignals is one GC cycle's unified signal record.
+	// CycleSignals is one GC cycle's unified signal record: the cycle's
+	// FlightRecord, embedded, plus the other planes' sections.
 	CycleSignals = signals.CycleSignals
 	// SignalsSnapshot is the /signals endpoint payload.
 	SignalsSnapshot = signals.Snapshot
@@ -517,9 +521,8 @@ func (rt *Runtime) Ledger() machine.Ledger {
 	for _, m := range muts {
 		l.MutatorCycles = append(l.MutatorCycles, m.PublishedCycles())
 	}
-	st := rt.Collector.Stats()
-	l.GCCycles = st.GCWorkerCycles
-	l.PauseCycles = st.TotalPauseCycles
+	l.GCCycles = rt.Collector.GCWorkerCycles()
+	l.PauseCycles = rt.Collector.PauseCycles()
 	return l
 }
 

@@ -216,6 +216,50 @@ func TestCloseDoesNotDeadlockLedgerReaders(t *testing.T) {
 	}
 }
 
+// TestLedgerReadsTheOnePauseTotal: pause cost is counted once, with every
+// plane off too, and the ledger, a mutator's virtual clock and the GC log
+// agree on it; reading the ledger costs the same however long the cycle log
+// has grown (ExecSeconds is called mid-run by serving threads). Bytes, not
+// testing.AllocsPerRun: a copy of the log is one allocation at any length.
+func TestLedgerReadsTheOnePauseTotal(t *testing.T) {
+	rt := MustNewRuntime(Options{HeapMaxBytes: 8 << 20, DisableMemModel: true,
+		DisableLatency: true, DisableSignals: true})
+	defer rt.Close()
+	m := rt.NewMutator(1)
+	defer m.Close()
+	m.SetRoot(0, m.Alloc(rt.Types.Register("node", 2, nil)))
+	ledgerBytes := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			rt.ExecSeconds()
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	m.RequestGC()
+	m.RequestGC()
+	few := ledgerBytes()
+	for i := 0; i < 48; i++ {
+		m.RequestGC()
+	}
+	// The slack absorbs a stray allocation by an earlier test's goroutine; a
+	// copy of the 50-cycle log is two orders of magnitude above it.
+	if many := ledgerBytes(); many > few+4096 {
+		t.Errorf("100 ExecSeconds calls allocate %d bytes after 2 cycles and %d after 50", few, many)
+	}
+	var logged uint64
+	for _, cs := range rt.Collector.Stats().Cycles {
+		logged += cs.Pause1 + cs.Pause2 + cs.Pause3
+	}
+	if got := rt.Ledger().PauseCycles; got != logged || logged == 0 {
+		t.Errorf("Ledger().PauseCycles = %d, the GC log's pauses sum to %d", got, logged)
+	}
+	if got := m.VirtualCycles() - m.Cycles(); got != logged {
+		t.Errorf("the mutator's virtual clock carries %d pause cycles, want %d", got, logged)
+	}
+}
+
 // TestCloseReleasesTheHeap pins the other half of the contract: once every
 // mutator is closed, Close hands the heap's memory on, and a read through a
 // reference kept across it fails loudly instead of seeing another

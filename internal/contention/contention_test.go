@@ -39,12 +39,12 @@ func TestSiteSumsItsMutexes(t *testing.T) {
 	if got := s.Acquisitions(); got != 10 {
 		t.Fatalf("site acquisitions = %d, want 1+2+3+4", got)
 	}
-	if d := p.OnCycle(1, nil); d.Acquisitions != 10 {
+	if d := p.OnCycle(1, nil).Locks; d.Acquisitions != 10 {
 		t.Fatalf("cycle delta acquisitions = %d, want 10", d.Acquisitions)
 	}
 	mus[0].Lock()
 	mus[0].Unlock()
-	if d := p.OnCycle(2, nil); d.Acquisitions != 1 {
+	if d := p.OnCycle(2, nil).Locks; d.Acquisitions != 1 {
 		t.Fatalf("second cycle delta = %d, want 1", d.Acquisitions)
 	}
 	if snap := p.Snapshot(); len(snap.Sites) != 1 || snap.Sites[0].Acquisitions != 11 {
@@ -214,7 +214,7 @@ func TestPlaneNilSafe(t *testing.T) {
 	}
 	p.AddSource("x", func() (uint64, uint64) { return 0, 0 })
 	p.BindTelemetry(telemetry.NewRegistry(), nil)
-	if d := p.OnCycle(1, nil); d.Workers != 0 {
+	if d := p.OnCycle(1, nil); d != (CycleDelta{}) {
 		t.Fatal("nil plane OnCycle not zero")
 	}
 	if s := p.Snapshot(); len(s.Sites) != 0 || s.Cycles != 0 {
@@ -285,7 +285,7 @@ func TestOnCycleDeltas(t *testing.T) {
 	s.contended.Add(2)
 	o.ops.Add(100)
 	o.retries.Add(5)
-	d1 := p.OnCycle(1, nil)
+	d1 := p.OnCycle(1, nil).Locks
 	if d1.Acquisitions != 10 || d1.Contended != 2 || d1.CASOps != 100 || d1.CASRetries != 5 {
 		t.Fatalf("first delta = %+v", d1)
 	}
@@ -294,7 +294,7 @@ func TestOnCycleDeltas(t *testing.T) {
 	}
 
 	addAcquisitions(s, 5)
-	d2 := p.OnCycle(2, nil)
+	d2 := p.OnCycle(2, nil).Locks
 	if d2.Acquisitions != 5 || d2.Contended != 0 || d2.CASOps != 0 {
 		t.Fatalf("second delta not differenced: %+v", d2)
 	}
@@ -311,12 +311,12 @@ func TestOnCycleSources(t *testing.T) {
 	var ops, con uint64
 	p.AddSource("ext", func() (uint64, uint64) { return ops, con })
 	ops, con = 40, 4
-	d := p.OnCycle(1, nil)
+	d := p.OnCycle(1, nil).Locks
 	if d.Acquisitions != 40 || d.Contended != 4 {
 		t.Fatalf("source delta = %+v", d)
 	}
 	ops, con = 50, 4
-	d = p.OnCycle(2, nil)
+	d = p.OnCycle(2, nil).Locks
 	if d.Acquisitions != 10 || d.Contended != 0 {
 		t.Fatalf("source second delta = %+v", d)
 	}
@@ -342,7 +342,7 @@ func TestOnCycleWorkerBalance(t *testing.T) {
 	d := p.OnCycle(2, []WorkerTotals{
 		{Scanned: 30, BusyCycles: 300},
 		{Scanned: 10, BusyCycles: 100},
-	})
+	}).Workers
 	if d.Workers != 2 || d.Scanned != 40 {
 		t.Fatalf("delta = %+v", d)
 	}
@@ -355,7 +355,7 @@ func TestOnCycleWorkerBalance(t *testing.T) {
 	d = p.OnCycle(3, []WorkerTotals{
 		{Scanned: 40, BusyCycles: 500},
 		{Scanned: 20, BusyCycles: 300},
-	})
+	}).Workers
 	if d.Imbalance != 0 {
 		t.Fatalf("balanced imbalance = %g, want 0", d.Imbalance)
 	}
@@ -365,7 +365,7 @@ func TestOnCycleWorkerBalance(t *testing.T) {
 	d = p.OnCycle(4, []WorkerTotals{
 		{Scanned: 70, BusyCycles: 500},
 		{Scanned: 30, BusyCycles: 300},
-	})
+	}).Workers
 	// scanned deltas {30, 10} -> same 0.5 shape.
 	if math.Abs(d.Imbalance-0.5) > 1e-12 {
 		t.Fatalf("fallback imbalance = %g, want 0.5", d.Imbalance)

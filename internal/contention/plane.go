@@ -28,22 +28,38 @@ type WorkerTotals struct {
 	BusyCycles uint64
 }
 
-// CycleDelta summarizes one GC cycle's contention activity: per-cycle
-// differences of every cumulative counter the plane tracks, plus the
-// worker imbalance coefficient. The collector copies it into
-// signals.CycleSignals.
+// WorkerDelta is one GC cycle's worker-balance view: the cycle's share of
+// the workers' scanned/relocated/stolen counts and the imbalance
+// coefficient (stddev/mean of per-worker work; 0 = perfectly balanced).
+// It is the "workers" section of signals.CycleSignals; Present is false
+// (fields zero) when the plane is opted out.
+type WorkerDelta struct {
+	Present   bool    `json:"present"`
+	Workers   int     `json:"workers"`
+	Imbalance float64 `json:"imbalance"`
+	Scanned   uint64  `json:"scanned"`
+	Relocated uint64  `json:"relocated"`
+	Steals    uint64  `json:"steals"`
+}
+
+// LockDelta is one GC cycle's serialization view: the cycle's lock and
+// CAS-loop activity summed across sites. It is the "contention" section of
+// signals.CycleSignals; Present is false when the plane is opted out.
+type LockDelta struct {
+	Present       bool    `json:"present"`
+	Acquisitions  uint64  `json:"acquisitions"`
+	Contended     uint64  `json:"contended"`
+	ContendedFrac float64 `json:"contended_frac"`
+	CASOps        uint64  `json:"cas_ops"`
+	CASRetries    uint64  `json:"cas_retries"`
+	RetryFrac     float64 `json:"retry_frac"`
+}
+
+// CycleDelta is what OnCycle hands back: per-cycle differences of every
+// cumulative counter the plane tracks.
 type CycleDelta struct {
-	Workers       int
-	Imbalance     float64
-	Scanned       uint64
-	Relocated     uint64
-	Steals        uint64
-	Acquisitions  uint64
-	Contended     uint64
-	ContendedFrac float64
-	CASOps        uint64
-	CASRetries    uint64
-	RetryFrac     float64
+	Workers WorkerDelta
+	Locks   LockDelta
 }
 
 // advance moves seen, a cumulative total as of the last cycle boundary, to
@@ -85,8 +101,8 @@ type Plane struct {
 	sources []*source
 	workers []*workerSeen
 
-	cycles uint64
-	last   CycleDelta
+	cycles        uint64
+	lastImbalance float64
 
 	reg *telemetry.Registry
 	rec *telemetry.Recorder
@@ -220,9 +236,10 @@ const (
 
 // OnCycle ingests one GC cycle's worker totals, differentiates every
 // cumulative counter into this cycle's delta, updates metrics and
-// Perfetto counter tracks, and returns the delta for the signal plane.
-// Called once per cycle from the collector with seq the cycle sequence
-// number; nil-plane safe (returns the zero delta).
+// Perfetto counter tracks, and returns the delta: the two sections the
+// signal plane's record carries. Called once per cycle from the collector
+// with seq the cycle sequence number; nil-plane safe (returns the zero
+// delta, Present false).
 func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 	if p == nil {
 		return CycleDelta{}
@@ -231,25 +248,25 @@ func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 	defer p.mu.Unlock()
 	p.cycles++
 
-	var d CycleDelta
+	l := LockDelta{Present: true}
 	for _, s := range p.sites {
-		d.Acquisitions += advance(&s.seenAcq, s.Acquisitions())
-		d.Contended += advance(&s.seenContd, s.contended.Load())
+		l.Acquisitions += advance(&s.seenAcq, s.Acquisitions())
+		l.Contended += advance(&s.seenContd, s.contended.Load())
 	}
 	for _, src := range p.sources {
 		ops, con := src.probe()
-		d.Acquisitions += advance(&src.seenOps, ops)
-		d.Contended += advance(&src.seenContd, con)
+		l.Acquisitions += advance(&src.seenOps, ops)
+		l.Contended += advance(&src.seenContd, con)
 	}
-	if d.Acquisitions > 0 {
-		d.ContendedFrac = float64(d.Contended) / float64(d.Acquisitions)
+	if l.Acquisitions > 0 {
+		l.ContendedFrac = float64(l.Contended) / float64(l.Acquisitions)
 	}
 	for _, o := range p.ops {
-		d.CASOps += advance(&o.seenOps, o.ops.Load())
-		d.CASRetries += advance(&o.seenRetries, o.retries.Load())
+		l.CASOps += advance(&o.seenOps, o.ops.Load())
+		l.CASRetries += advance(&o.seenRetries, o.retries.Load())
 	}
-	if d.CASOps > 0 {
-		d.RetryFrac = float64(d.CASRetries) / float64(d.CASOps)
+	if l.CASOps > 0 {
+		l.RetryFrac = float64(l.CASRetries) / float64(l.CASOps)
 	}
 
 	// Worker balance.
@@ -257,15 +274,15 @@ func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 		p.workers = append(p.workers, &workerSeen{})
 		p.bindWorker(i, p.workers[i])
 	}
-	d.Workers = len(workers)
+	w := WorkerDelta{Present: true, Workers: len(workers)}
 	work := make([]float64, len(workers))
-	for i, w := range workers {
+	for i, t := range workers {
 		ws := p.workers[i]
-		dScan, dReloc := advance(&ws.scanned, w.Scanned), advance(&ws.relocated, w.Relocated)
-		dBusy := advance(&ws.busy, w.BusyCycles)
-		d.Scanned += dScan
-		d.Relocated += dReloc
-		d.Steals += advance(&ws.steals, w.Steals)
+		dScan, dReloc := advance(&ws.scanned, t.Scanned), advance(&ws.relocated, t.Relocated)
+		dBusy := advance(&ws.busy, t.BusyCycles)
+		w.Scanned += dScan
+		w.Relocated += dReloc
+		w.Steals += advance(&ws.steals, t.Steals)
 		// Imbalance is computed over busy virtual cycles when the memory
 		// model runs; otherwise over scanned+relocated work units.
 		if dBusy > 0 {
@@ -274,18 +291,13 @@ func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 			work[i] = float64(dScan + dReloc)
 		}
 	}
-	d.Imbalance = imbalance(work)
-	p.reg.Gauge("hcsgc_worker_imbalance", helpImbalance).Set(d.Imbalance)
-	if p.rec != nil {
-		p.rec.Record(telemetry.EvCounter, telemetry.CounterContentionContended,
-			math.Float64bits(float64(d.Contended)), seq)
-		p.rec.Record(telemetry.EvCounter, telemetry.CounterContentionCASRetries,
-			math.Float64bits(float64(d.CASRetries)), seq)
-		p.rec.Record(telemetry.EvCounter, telemetry.CounterWorkerImbalance,
-			math.Float64bits(d.Imbalance), seq)
-	}
-	p.last = d
-	return d
+	w.Imbalance = imbalance(work)
+	p.lastImbalance = w.Imbalance
+	p.reg.Gauge("hcsgc_worker_imbalance", helpImbalance).Set(w.Imbalance)
+	p.rec.Counter(telemetry.CounterContentionContended, float64(l.Contended), seq)
+	p.rec.Counter(telemetry.CounterContentionCASRetries, float64(l.CASRetries), seq)
+	p.rec.Counter(telemetry.CounterWorkerImbalance, w.Imbalance, seq)
+	return CycleDelta{Workers: w, Locks: l}
 }
 
 // imbalance is the coefficient of variation (stddev/mean) of per-worker
@@ -359,7 +371,7 @@ func (p *Plane) Snapshot() Snapshot {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	snap := Snapshot{Cycles: p.cycles, Imbalance: p.last.Imbalance}
+	snap := Snapshot{Cycles: p.cycles, Imbalance: p.lastImbalance}
 	for _, s := range p.sites {
 		ss := SiteSnapshot{
 			Name:         s.name,
@@ -413,15 +425,4 @@ func (p *Plane) Snapshot() Snapshot {
 		})
 	}
 	return snap
-}
-
-// Last returns the most recent cycle's delta (zero before the first
-// cycle). Nil-plane safe.
-func (p *Plane) Last() CycleDelta {
-	if p == nil {
-		return CycleDelta{}
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.last
 }

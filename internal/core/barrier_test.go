@@ -75,7 +75,7 @@ func TestHotnessOverheadOnlyWhenEnabled(t *testing.T) {
 		}
 		m.RequestGC()
 		c.Heap().LivePages(func(p *heap.Page) { hotBytes += p.HotBytes() })
-		return c.Stats().GCWorkerCycles, hotBytes
+		return c.GCWorkerCycles(), hotBytes
 	}
 	offCycles, offHot := run(Knobs{LazyRelocate: true})
 	onCycles, onHot := run(Knobs{Hotness: true, LazyRelocate: true})

@@ -99,26 +99,26 @@ type Collector struct {
 	tm    colTelemetry
 	lat   *latency.Tracker
 	sig   *signals.Plane
-	// Signal-plane per-cycle delta watermarks (touched under cycleMu).
+	// The cumulative totals as of the last cycle boundary: the cycle
+	// record carries the differences (touched under cycleMu).
 	lastAllocBytes   uint64
 	lastRelocObjects uint64
 	lastRelocBytes   uint64
+	lastStalls       uint64
+	lastVerifyTotal  uint64
 	// watchdogFired counts STW watchdog reports (the pause kept waiting).
 	watchdogFired atomic.Uint64
 	// vclock is the virtual-timeline high-water mark in simulated cycles:
-	// the max attached-mutator ledger plus accumulated pause cost. Only
-	// maintained when lat is attached.
+	// the max attached-mutator ledger plus pauseTotal, the accumulated STW
+	// pause cost (counted once, here, for every reader).
 	vclock     atomic.Uint64
 	pauseTotal atomic.Uint64
-	// stallCount counts allocation stalls runtime-wide; lastStalls /
-	// lastVerifyTotal are per-cycle watermarks (touched under cycleMu).
-	stallCount      telemetry.Counter
-	lastStalls      uint64
-	lastVerifyTotal uint64
-	inj             *faultinject.Injector
-	relocSample     atomic.Uint64 // sampling cursor for trace reloc_win instants
-	effConf         atomic.Uint64 // effective ColdConfidence (bits of float64), for AutoTune
-	lastTuneMiss    float64
+	// stallCount counts allocation stalls runtime-wide.
+	stallCount   telemetry.Counter
+	inj          *faultinject.Injector
+	relocSample  atomic.Uint64 // sampling cursor for trace reloc_win instants
+	effConf      atomic.Uint64 // effective ColdConfidence (bits of float64), for AutoTune
+	lastTuneMiss float64
 
 	// headroomBytes is the emergency allocation headroom reserved by the
 	// overload controller: the background driver triggers a cycle as if
@@ -222,19 +222,17 @@ func (c *Collector) collectIfDue(prev uint64, reason string) {
 // ZGC order:   STW1, M/R, STW2, EC, STW3, RE
 // HCSGC lazy:  RE (leftover from previous cycle), STW1, M/R, STW2, EC, STW3
 func (c *Collector) runCycle(reason string) {
-	cs := &CycleStats{Seq: c.cycles.Value() + 1, Trigger: reason,
-		HeapUsedBefore: c.heap.UsedPercent(), HotmapDensity: -1}
+	// The cycle's one record, filled in place from here on; the purity
+	// and cold fraction stay -1 unless the mark end measures them.
+	cs := &CycleStats{Seq: c.cycles.Value() + 1, Trigger: reason, VStart: c.VirtualCycles(),
+		HeapUsedBefore: c.heap.UsedPercent(), SegregationPurity: -1, ColdFrac: -1}
 	c.tm.rec.BeginSpan(telemetry.SpanCycle, collectorTID)
-	var vCycleStart uint64
-	if c.lat != nil || c.sig != nil {
-		vCycleStart = c.virtualNow()
-	}
 
 	// --- RE completion. In lazy mode the GC-thread share of relocation
 	// was deferred to now (paper Fig. 3: "a GC cycle starts with RE");
 	// otherwise just wait out any drain still running from last cycle.
 	if c.cfg.Knobs.LazyRelocate {
-		c.drainRelocation(cs)
+		c.drainRelocation()
 	}
 	c.relocWG.Wait()
 	c.finishRelocationEra()
@@ -276,7 +274,7 @@ func (c *Collector) runCycle(reason string) {
 	// --- M/R: concurrent parallel marking with mutator assistance.
 	var vMark uint64
 	if c.lat != nil {
-		vMark = c.virtualNow()
+		vMark = c.VirtualCycles()
 	}
 	c.tm.rec.BeginSpan(telemetry.SpanMark, collectorTID)
 	var markWG sync.WaitGroup
@@ -307,7 +305,7 @@ func (c *Collector) runCycle(reason string) {
 	}
 	c.tm.rec.EndSpan(telemetry.SpanMark, collectorTID)
 	if c.lat != nil {
-		c.lat.RecordPhase(latency.PhaseMark, vMark, c.virtualNow())
+		c.lat.RecordPhase(latency.PhaseMark, vMark, c.VirtualCycles())
 	}
 	c.tm.rec.BeginSpan(telemetry.SpanPause2, collectorTID)
 	pause2 := c.beginPauseAccounting()
@@ -332,13 +330,13 @@ func (c *Collector) runCycle(reason string) {
 	// --- EC selection (concurrent with mutators).
 	var vEC uint64
 	if c.lat != nil {
-		vEC = c.virtualNow()
+		vEC = c.VirtualCycles()
 	}
 	c.tm.rec.BeginSpan(telemetry.SpanECSelect, collectorTID)
 	c.selectEvacuationCandidates(cs)
 	c.tm.rec.EndSpan(telemetry.SpanECSelect, collectorTID)
 	if c.lat != nil {
-		c.lat.RecordPhase(latency.PhaseECSelect, vEC, c.virtualNow())
+		c.lat.RecordPhase(latency.PhaseECSelect, vEC, c.VirtualCycles())
 	}
 
 	// --- STW3: flip to R, relocate/heal all roots.
@@ -368,20 +366,20 @@ func (c *Collector) runCycle(reason string) {
 			c.relocWG.Add(1)
 			go func(w *gcWorker) {
 				defer c.relocWG.Done()
-				w.drainLoop(cs)
+				w.drainLoop()
 			}(w)
 		}
 	}
 
-	cs.HeapUsedAfter = c.heap.UsedPercent()
 	c.cycles.Inc()
-	c.stats.append(cs)
+	// Collector-owned fields first, then the tracker completes the record
+	// in place, and only then do the planes and the GC log copy it: the
+	// flight ring, the signal ring and Stats hold the same completed value.
+	c.closeCycleRecord(cs)
 	c.recordCycleEnd(cs)
-	flight := c.recordLatencyCycle(cs, vCycleStart)
-	c.cfg.Locality.OnCycle(cs.Seq, cs.SegregationPurity)
-	// The signal plane snapshots after Locality.OnCycle so the profiler's
-	// freshly drained per-cycle interval is what the record carries.
-	c.recordSignals(cs, flight)
+	c.recordLatencyCycle(cs)
+	c.recordSignals(cs)
+	c.stats.append(cs)
 	c.tm.rec.EndSpan(telemetry.SpanCycle, collectorTID)
 	if c.cfg.Knobs.AutoTune {
 		c.autoTune()
@@ -409,7 +407,7 @@ func (c *Collector) finishRelocationEra() {
 
 // drainRelocation relocates every remaining live object in the current
 // evacuation set using the GC workers (the lazy-mode cycle-start RE).
-func (c *Collector) drainRelocation(cs *CycleStats) {
+func (c *Collector) drainRelocation() {
 	if len(c.ecPages) == 0 {
 		return
 	}
@@ -419,7 +417,7 @@ func (c *Collector) drainRelocation(cs *CycleStats) {
 		wg.Add(1)
 		go func(w *gcWorker) {
 			defer wg.Done()
-			w.drainLoop(cs)
+			w.drainLoop()
 		}(w)
 	}
 	wg.Wait()

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"hcsgc/internal/telemetry/latency"
-)
+import "fmt"
 
 // The collector's latency-attribution wiring. All hooks are one
 // predictable branch when no tracker is attached (c.lat == nil), matching
@@ -25,20 +21,10 @@ import (
 // mutator samples it; a mutator running concurrently with the reader is
 // seen up to publishEvery cycles plus one safepoint-poll interval late.
 
-// virtualNow returns the current virtual time. Zero when neither a
-// latency tracker nor a signal plane is attached (callers guard
-// themselves to skip the mutator walk).
-func (c *Collector) virtualNow() uint64 {
-	if c.lat == nil && c.sig == nil {
-		return 0
-	}
-	return c.VirtualCycles()
-}
-
-// VirtualCycles computes the current virtual time unconditionally (the
-// latency tracker's presence only gates the cheap internal fast path, not
-// the clock itself). Serving-workload harnesses use it as the global
-// request clock; note the cost is one walk over the attached mutators.
+// VirtualCycles computes the current virtual time. The collector stamps
+// its cycle records and attribution samples with it, and serving-workload
+// harnesses use it as the global request clock; the cost is one walk over
+// the attached mutators.
 func (c *Collector) VirtualCycles() uint64 {
 	var maxMut uint64
 	c.mutMu.Lock()
@@ -61,8 +47,9 @@ func (c *Collector) VirtualCycles() uint64 {
 }
 
 // PauseCycles returns the accumulated STW pause cost on the virtual
-// timeline (only maintained while a latency tracker or signal plane is
-// attached).
+// timeline: the one pause total, which Runtime.Ledger, the virtual clock
+// and every mutator's VirtualCycles read, with or without a plane
+// attached. It counts a pause the moment it ends.
 func (c *Collector) PauseCycles() uint64 {
 	return c.pauseTotal.Load()
 }
@@ -75,24 +62,22 @@ func (c *Collector) StallCount() uint64 {
 }
 
 // pauseStartClock samples the virtual clock at a pause start (world
-// already stopped, so mutator ledgers are quiescent).
+// already stopped, so mutator ledgers are quiescent) for the tracker's MMU
+// timeline.
 //
 //hcsgc:stw-only
 func (c *Collector) pauseStartClock() uint64 {
-	if c.lat == nil && c.sig == nil {
+	if c.lat == nil {
 		return 0
 	}
-	return c.virtualNow()
+	return c.VirtualCycles()
 }
 
-// recordPauseLatency feeds one finished STW pause (0-based index) into
-// the tracker and advances the virtual clock past the pause cost.
+// recordPauseLatency advances the virtual clock past one finished STW
+// pause (0-based index) and feeds it into the tracker.
 //
 //hcsgc:stw-only
 func (c *Collector) recordPauseLatency(i int, startV, cost uint64) {
-	if c.lat == nil && c.sig == nil {
-		return
-	}
 	c.pauseTotal.Add(cost)
 	c.lat.RecordPause(i, startV, cost)
 }
@@ -109,44 +94,14 @@ func (c *Collector) mutatorStallWeight() float64 {
 	return 1 / float64(n)
 }
 
-// recordLatencyCycle completes the cycle's flight record and hands it to
-// the tracker, then auto-dumps if the heap verifier found new violations
-// during this cycle. Runs under cycleMu. The completed record (with the
-// tracker's phase/barrier/MMU fields filled in) is returned for the
-// signal plane; it is also built when only a signal plane is attached, so
-// the CycleSignals record carries the pause and stall fields either way.
-func (c *Collector) recordLatencyCycle(cs *CycleStats, vStart uint64) latency.CycleRecord {
-	if c.lat == nil && c.sig == nil {
-		return latency.CycleRecord{}
-	}
-	stalls := c.stallCount.Value()
-	runs, violations := c.heap.Verifier().Counts()
-	rec := latency.CycleRecord{
-		Seq:               cs.Seq,
-		Trigger:           cs.Trigger,
-		VStart:            vStart,
-		VEnd:              c.virtualNow(),
-		Pause1:            cs.Pause1,
-		Pause2:            cs.Pause2,
-		Pause3:            cs.Pause3,
-		ECSmall:           cs.ECSmall,
-		ECMedium:          cs.ECMedium,
-		ECSmallLiveBytes:  cs.ECSmallLiveBytes,
-		PagesFreedEmpty:   cs.PagesFreedEmpty,
-		MarkedBytes:       cs.MarkedBytes,
-		HeapUsedBefore:    cs.HeapUsedBefore,
-		HeapUsedAfter:     cs.HeapUsedAfter,
-		SegregationPurity: cs.SegregationPurity,
-		Stalls:            stalls - c.lastStalls,
-		VerifyRuns:        runs,
-		VerifyViolations:  violations,
-	}
-	c.lastStalls = stalls
-	rec = c.lat.OnCycle(rec)
-	if delta := violations - c.lastVerifyTotal; delta > 0 {
+// recordLatencyCycle hands the cycle's record to the tracker, which
+// completes its phase/barrier/MMU fields in place and rings a copy, then
+// auto-dumps if the heap verifier found new violations during this cycle.
+// Runs under cycleMu, after closeCycleRecord.
+func (c *Collector) recordLatencyCycle(cs *CycleStats) {
+	c.lat.OnCycle(cs)
+	if delta := since(&c.lastVerifyTotal, cs.VerifyViolations); delta > 0 {
 		c.lat.AutoDump(fmt.Sprintf(
 			"heap verifier reported %d new violation(s) during cycle %d", delta, cs.Seq))
 	}
-	c.lastVerifyTotal = violations
-	return rec
 }

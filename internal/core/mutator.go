@@ -241,9 +241,10 @@ func (m *Mutator) Cycles() uint64 {
 // (during which its ledger is frozen while other mutators and the
 // collector make progress). Open-loop serving harnesses measure request
 // latency against this clock, so GC pauses and allocation stalls are
-// charged to in-flight requests instead of vanishing. The pause and
-// stall components are only maintained while a latency tracker is
-// attached; without one this degrades to Cycles(). Owner view, like Cycles.
+// charged to in-flight requests instead of vanishing. The pause
+// component is the collector's one pause total (PauseCycles); the stall
+// component is only maintained while a latency tracker is attached. Owner
+// view, like Cycles.
 func (m *Mutator) VirtualCycles() uint64 {
 	return m.Cycles() + m.c.pauseTotal.Load() + m.stallVirtual.Load()
 }
@@ -494,14 +495,14 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 		m.Publish()
 		var stallStart, pauseBefore uint64
 		if m.c.lat != nil {
-			stallStart = m.c.virtualNow()
+			stallStart = m.c.VirtualCycles()
 			pauseBefore = m.c.pauseTotal.Load()
 		}
 		m.c.sp.beginBlocked(m.tok)
 		m.c.collectIfDue(prev, "allocation stall")
 		m.c.sp.endBlocked(m.tok)
 		if m.c.lat != nil {
-			stallEnd := m.c.virtualNow()
+			stallEnd := m.c.VirtualCycles()
 			// Charge the stall's elapsed virtual time to this mutator's
 			// VirtualCycles clock, net of the pause cost accrued inside
 			// the stall (the clock adds pauseTotal separately).

@@ -223,16 +223,16 @@ func (c *Collector) allocMedium(size uint64) (uint64, error) {
 
 // drainLoop is the GC worker's RE phase: claim EC pages and relocate every
 // remaining live object, walking the livemap in address order.
-func (w *gcWorker) drainLoop(cs *CycleStats) {
+func (w *gcWorker) drainLoop() {
 	c := w.c
 	tid := uint32(2 + w.id)
 	c.tm.rec.BeginSpan(telemetry.SpanRelocate, tid)
 	defer c.tm.rec.EndSpan(telemetry.SpanRelocate, tid)
 	defer w.publish()
 	if c.lat != nil {
-		vStart := c.virtualNow()
+		vStart := c.VirtualCycles()
 		defer func() {
-			c.lat.RecordPhase(latency.PhaseRelocDrain, vStart, c.virtualNow())
+			c.lat.RecordPhase(latency.PhaseRelocDrain, vStart, c.VirtualCycles())
 		}()
 	}
 	for {

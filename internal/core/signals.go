@@ -3,15 +3,20 @@ package core
 import (
 	"hcsgc/internal/contention"
 	"hcsgc/internal/signals"
-	"hcsgc/internal/telemetry/latency"
 )
 
-// The collector's signal-plane wiring: one hook at the cycle boundary
-// that folds the completed latency flight record, the locality profiler's
-// freshly drained interval, and the heap/allocation/relocation deltas
-// into one signals.CycleSignals record. One predictable branch when no
-// plane is attached (c.sig == nil); the priced difference is
-// BenchmarkPlaneOverhead/signals.
+// The collector's cycle-boundary wiring: closeCycleRecord fills the fields
+// of the cycle's record the collector owns, and recordSignals collects the
+// sections the other planes own into one signals.CycleSignals around it.
+// Every plane call is one predictable branch on a nil plane; the priced
+// difference is BenchmarkPlaneOverhead/signals.
+
+// since returns how far now is past *mark and moves the watermark to now.
+func since(mark *uint64, now uint64) uint64 {
+	d := now - *mark
+	*mark = now
+	return d
+}
 
 // allocBytesTotal sums the attached mutators' allocation ledgers plus the
 // closed-mutator fold.
@@ -25,95 +30,36 @@ func (c *Collector) allocBytesTotal() uint64 {
 	return total
 }
 
-// recordSignals assembles and publishes the cycle's unified signal
-// record. Runs under cycleMu, after Locality.OnCycle has drained the
-// profiler's per-cycle interval and after the latency tracker completed
-// the flight record.
-func (c *Collector) recordSignals(cs *CycleStats, flight latency.CycleRecord) {
-	// The contention plane ingests the cycle regardless of whether the
-	// signal plane consumes the delta: /contention and the metric
-	// families stay live even with signals opted out.
-	var ctnDelta contention.CycleDelta
-	if c.ctn != nil {
-		ctnDelta = c.ctn.OnCycle(cs.Seq, c.workerTotals())
+// closeCycleRecord fills what the collector knows only at the cycle's end:
+// the closing clock reading and the since-last-boundary deltas. It runs
+// before any plane sees the record, so the copies the planes keep are
+// complete. Under cycleMu.
+func (c *Collector) closeCycleRecord(cs *CycleStats) {
+	cs.HeapUsedAfter = c.heap.UsedPercent()
+	cs.VEnd = c.VirtualCycles()
+	cs.Stalls = since(&c.lastStalls, c.stallCount.Value())
+	cs.VerifyRuns, cs.VerifyViolations = c.heap.Verifier().Counts()
+	cs.AllocBytes = since(&c.lastAllocBytes, c.allocBytesTotal())
+	if span := cs.VEnd - cs.VStart; span > 0 {
+		cs.AllocPerKCycle = float64(cs.AllocBytes) / float64(span) * 1000
 	}
-	if c.sig == nil {
-		return
-	}
+	cs.RelocObjects = since(&c.lastRelocObjects,
+		c.stats.relocObjects[0].Value()+c.stats.relocObjects[1].Value())
+	cs.RelocBytes = since(&c.lastRelocBytes,
+		c.stats.relocBytes[0].Value()+c.stats.relocBytes[1].Value())
+}
 
-	allocTotal := c.allocBytesTotal()
-	relocObjects := c.stats.relocObjects[0].Value() + c.stats.relocObjects[1].Value()
-	relocBytes := c.stats.relocBytes[0].Value() + c.stats.relocBytes[1].Value()
-	hs := signals.HeapSignals{
-		UsedBeforePct:    cs.HeapUsedBefore,
-		UsedAfterPct:     cs.HeapUsedAfter,
-		AllocBytes:       allocTotal - c.lastAllocBytes,
-		MarkedBytes:      cs.MarkedBytes,
-		ECSmall:          cs.ECSmall,
-		ECMedium:         cs.ECMedium,
-		ECSmallLiveBytes: cs.ECSmallLiveBytes,
-		PagesFreedEmpty:  cs.PagesFreedEmpty,
-		RelocObjects:     relocObjects - c.lastRelocObjects,
-		RelocBytes:       relocBytes - c.lastRelocBytes,
-		ColdFrac:         -1,
-	}
-	if span := flight.VEnd - flight.VStart; span > 0 {
-		hs.AllocPerKCycle = float64(hs.AllocBytes) / float64(span) * 1000
-	}
-	if cs.HotmapDensity >= 0 {
-		hs.ColdFrac = 1 - cs.HotmapDensity
-	}
-	c.lastAllocBytes = allocTotal
-	c.lastRelocObjects = relocObjects
-	c.lastRelocBytes = relocBytes
-
-	var ls signals.LocalitySignals
-	if cr, ok := c.cfg.Locality.LastCycle(); ok {
-		ls = signals.LocalitySignals{
-			Present:           true,
-			ReuseP50:          cr.Interval.ReuseP50,
-			ReuseP90:          cr.Interval.ReuseP90,
-			StreamCoverage:    cr.Interval.StreamCoverage,
-			SeqStreamCoverage: cr.Interval.SeqStreamCoverage,
-			PageEntropyBits:   cr.Interval.PageEntropyBits,
-			SegPurity:         cr.Interval.SegPurity,
-		}
-	}
-
-	var ws signals.WorkerSignals
-	var cns signals.ContentionSignals
-	if c.ctn != nil {
-		ws = signals.WorkerSignals{
-			Present:   true,
-			Workers:   ctnDelta.Workers,
-			Imbalance: ctnDelta.Imbalance,
-			Scanned:   ctnDelta.Scanned,
-			Relocated: ctnDelta.Relocated,
-			Steals:    ctnDelta.Steals,
-		}
-		cns = signals.ContentionSignals{
-			Present:       true,
-			Acquisitions:  ctnDelta.Acquisitions,
-			Contended:     ctnDelta.Contended,
-			ContendedFrac: ctnDelta.ContendedFrac,
-			CASOps:        ctnDelta.CASOps,
-			CASRetries:    ctnDelta.CASRetries,
-			RetryFrac:     ctnDelta.RetryFrac,
-		}
-	}
-
-	c.sig.OnCycle(signals.CycleSignals{
-		Seq:        cs.Seq,
-		Trigger:    cs.Trigger,
-		VStart:     flight.VStart,
-		VEnd:       flight.VEnd,
-		Flight:     flight,
-		Heap:       hs,
-		Locality:   ls,
-		Workers:    ws,
-		Contention: cns,
-		StallDist:  c.lat.StallDist(),
-	})
+// recordSignals publishes the cycle's unified signal record: the cycle's
+// one record plus the sections their owners hand back. Runs under cycleMu
+// after the latency tracker completed the record; the locality profiler
+// and the contention plane ingest the cycle whether or not a signal plane
+// consumes their sections, so /locality, /contention and their metric
+// families stay live with signals opted out.
+func (c *Collector) recordSignals(cs *CycleStats) {
+	ls := c.cfg.Locality.OnCycle(cs.Seq, cs.SegregationPurity)
+	ctn := c.ctn.OnCycle(cs.Seq, c.workerTotals())
+	c.sig.OnCycle(signals.CycleSignals{CycleRecord: *cs, Locality: ls,
+		Workers: ctn.Workers, Contention: ctn.Locks, StallDist: c.lat.StallDist()})
 }
 
 // workerTotals snapshots every GC worker's cumulative balance counters

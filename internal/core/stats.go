@@ -5,38 +5,15 @@ import (
 	"sync"
 
 	"hcsgc/internal/telemetry"
+	"hcsgc/internal/telemetry/latency"
 )
 
-// CycleStats records one GC cycle, feeding the paper's "GC statistics"
-// plots (cycles per run, small pages relocated per cycle, heap usage).
-type CycleStats struct {
-	Seq     uint64
-	Trigger string
-	// ECSmall / ECMedium are the evacuation-candidate counts selected this
-	// cycle; ECSmallLiveBytes is the live data on the small EC pages.
-	ECSmall          int
-	ECMedium         int
-	ECSmallLiveBytes uint64
-	// PagesFreedEmpty counts pages reclaimed without relocation.
-	PagesFreedEmpty int
-	// MarkedBytes is the live data found by this mark.
-	MarkedBytes uint64
-	// Pause1/2/3 are the STW pause costs in cycles.
-	Pause1, Pause2, Pause3 uint64
-	// HeapUsedBefore/After are occupancy percentages around the cycle.
-	HeapUsedBefore, HeapUsedAfter float64
-	// SegregationPurity is the live-bytes-weighted hot/cold segregation
-	// purity over hot-trackable pages at mark end (-1 when not measured:
-	// neither telemetry nor the locality profiler was attached).
-	SegregationPurity float64
-	// SegregatedPages is the number of pages the purity was computed over.
-	SegregatedPages int
-	// HotmapDensity is hot bytes over live bytes across hot-trackable
-	// pages at mark end (-1 when not measured: neither telemetry nor the
-	// signal plane was attached, or hotness is off). The signal plane
-	// derives its cold_frac signal as 1 - HotmapDensity.
-	HotmapDensity float64
-}
+// CycleStats is the one record of a GC cycle, feeding the paper's "GC
+// statistics" plots (cycles per run, small pages relocated per cycle, heap
+// usage). runCycle fills one value in place and hands it to every plane;
+// the latency tracker's flight ring and the signal plane's history hold
+// copies of the same completed value (see latency.CycleRecord).
+type CycleStats = latency.CycleRecord
 
 // statsLog accumulates per-cycle records and global relocation counters.
 type statsLog struct {
@@ -68,8 +45,6 @@ type Stats struct {
 	MutatorRelocBytes   uint64
 	GCRelocObjects      uint64
 	GCRelocBytes        uint64
-	TotalPauseCycles    uint64
-	GCWorkerCycles      uint64
 }
 
 // Stats snapshots the collector's statistics.
@@ -78,23 +53,23 @@ func (c *Collector) Stats() Stats {
 	cycles := make([]CycleStats, len(c.stats.cycles))
 	copy(cycles, c.stats.cycles)
 	c.stats.mu.Unlock()
-	var pauses uint64
-	for _, cs := range cycles {
-		pauses += cs.Pause1 + cs.Pause2 + cs.Pause3
-	}
-	var gcCycles uint64
-	for _, w := range c.workers {
-		gcCycles += w.publishedCycles()
-	}
 	return Stats{
 		Cycles:              cycles,
 		MutatorRelocObjects: c.stats.relocObjects[telemetry.RelocByMutator].Value(),
 		MutatorRelocBytes:   c.stats.relocBytes[telemetry.RelocByMutator].Value(),
 		GCRelocObjects:      c.stats.relocObjects[telemetry.RelocByGC].Value(),
 		GCRelocBytes:        c.stats.relocBytes[telemetry.RelocByGC].Value(),
-		TotalPauseCycles:    pauses,
-		GCWorkerCycles:      gcCycles,
 	}
+}
+
+// GCWorkerCycles sums the GC workers' published cycle ledgers: the
+// concurrent GC work Runtime.Ledger charges, beside PauseCycles.
+func (c *Collector) GCWorkerCycles() uint64 {
+	var total uint64
+	for _, w := range c.workers {
+		total += w.publishedCycles()
+	}
+	return total
 }
 
 // MedianECSmall returns the median number of small pages selected for

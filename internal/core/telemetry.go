@@ -118,10 +118,12 @@ func (c *Collector) stwWatchdogReport(pause telemetry.SpanID) func(stuck []strin
 		return nil
 	}
 	return func(stuck []string, registered, stopped int) {
-		c.watchdogFired.Add(1)
 		c.lat.AutoDump(fmt.Sprintf(
 			"stw watchdog: pause %s exceeded %v with %d/%d mutators stopped; not at safepoint: %s",
 			pause, c.cfg.STWWatchdog, stopped, registered, strings.Join(stuck, ", ")))
+		// Counted once the dump is written: whoever sees the count can
+		// read the report.
+		c.watchdogFired.Add(1)
 	}
 }
 
@@ -133,7 +135,7 @@ func (c *Collector) WatchdogReports() uint64 {
 // recordMarkEnd publishes mark-end observations: marked live bytes and
 // the hotmap density over hot-trackable pages subject to this mark. Runs
 // inside STW2 (the page set is frozen) when telemetry or the signal
-// plane wants the density (the plane derives cold_frac from it).
+// plane wants the density (the record's cold_frac is one minus it).
 //
 //hcsgc:stw-only
 func (c *Collector) recordMarkEnd(cs *CycleStats) {
@@ -152,10 +154,10 @@ func (c *Collector) recordMarkEnd(cs *CycleStats) {
 	density := 0.0
 	if live > 0 {
 		density = float64(hot) / float64(live)
-		// Only a real measurement updates the stats record: with hotness
-		// off no page is hot-trackable and the -1 sentinel must survive
-		// so the signal plane reports cold_frac as unmeasured.
-		cs.HotmapDensity = density
+		// Only a real measurement updates the record: with hotness off no
+		// page is hot-trackable and the -1 sentinel must survive so the
+		// signal plane reports cold_frac as unmeasured.
+		cs.ColdFrac = 1 - density
 	}
 	c.tm.hotmapDensity.Set(density)
 	c.tm.markedBytes.Set(float64(cs.MarkedBytes))
@@ -169,15 +171,12 @@ func (c *Collector) recordMarkEnd(cs *CycleStats) {
 //hcsgc:stw-only
 func (c *Collector) recordSegregation(cs *CycleStats) {
 	if !c.tm.enabled && c.cfg.Locality == nil {
-		cs.SegregationPurity = -1
 		return
 	}
-	seg := c.heap.SegregationStats(c.startSeq.Load())
-	cs.SegregationPurity = seg.Purity()
-	cs.SegregatedPages = seg.Pages
+	cs.SegregationPurity = c.heap.SegregationStats(c.startSeq.Load()).Purity()
 }
 
-// recordCycleEnd publishes per-cycle counters after stats are appended.
+// recordCycleEnd publishes the closed record's per-cycle counters.
 func (c *Collector) recordCycleEnd(cs *CycleStats) {
 	if !c.tm.enabled {
 		return

@@ -431,11 +431,12 @@ func entropyBits(maps []map[uint64]uint64, ovfs []uint64) float64 {
 // OnCycle is the GC-cycle-boundary hook: the collector calls it at the end
 // of cycle `seq` with the mark's segregation purity. It drains every
 // probe's interval counters into a per-cycle snapshot, folds them into the
-// cumulative view, publishes gauges, and emits Perfetto counter events.
-// Nil-safe.
-func (pf *Profiler) OnCycle(seq uint64, purity float64) {
+// cumulative view, publishes gauges, emits Perfetto counter events, and
+// returns the interval as the signal plane's section. Nil-safe (the zero
+// section, Present false).
+func (pf *Profiler) OnCycle(seq uint64, purity float64) Signals {
 	if pf == nil {
-		return
+		return Signals{}
 	}
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
@@ -474,28 +475,19 @@ func (pf *Profiler) OnCycle(seq uint64, purity float64) {
 	pf.gSamePage.Set(pf.lastSamePage)
 	pf.gPurity.Set(purity)
 
-	if pf.rec != nil {
-		emit := func(id uint32, v float64) {
-			pf.rec.Record(telemetry.EvCounter, id, math.Float64bits(v), seq)
-		}
-		emit(telemetry.CounterStreamCoverage, cr.Interval.StreamCoverage)
-		emit(telemetry.CounterSegPurity, purity)
-		emit(telemetry.CounterPageEntropy, pf.lastEntropy)
-		emit(telemetry.CounterReuseP50, cr.Interval.ReuseP50)
+	pf.rec.Counter(telemetry.CounterStreamCoverage, cr.Interval.StreamCoverage, seq)
+	pf.rec.Counter(telemetry.CounterSegPurity, purity, seq)
+	pf.rec.Counter(telemetry.CounterPageEntropy, pf.lastEntropy, seq)
+	pf.rec.Counter(telemetry.CounterReuseP50, cr.Interval.ReuseP50, seq)
+	return Signals{
+		Present:           true,
+		ReuseP50:          cr.Interval.ReuseP50,
+		ReuseP90:          cr.Interval.ReuseP90,
+		StreamCoverage:    cr.Interval.StreamCoverage,
+		SeqStreamCoverage: cr.Interval.SeqStreamCoverage,
+		PageEntropyBits:   cr.Interval.PageEntropyBits,
+		SegPurity:         cr.Interval.SegPurity,
 	}
-}
-
-// LastCycle returns the most recently drained per-cycle interval report
-// (ok=false before the first OnCycle). Cheap — no probe folding or map
-// cloning — so the signal plane can call it at every cycle boundary.
-// Nil-safe.
-func (pf *Profiler) LastCycle() (CycleReport, bool) {
-	if pf == nil {
-		return CycleReport{}, false
-	}
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.lastCycle, pf.lastCycle.Cycle != 0
 }
 
 // Report snapshots the profiler: cumulative stats, the last cycle's

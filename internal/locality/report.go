@@ -60,6 +60,19 @@ type CycleReport struct {
 	Interval Stats  `json:"interval"`
 }
 
+// Signals is the "locality" section of signals.CycleSignals: the part of
+// one cycle's interval stats the signal plane derives series from. Present
+// is false (and the fields zero) when no profiler is attached.
+type Signals struct {
+	Present           bool    `json:"present"`
+	ReuseP50          float64 `json:"reuse_p50_lines"`
+	ReuseP90          float64 `json:"reuse_p90_lines"`
+	StreamCoverage    float64 `json:"stream_coverage"`
+	SeqStreamCoverage float64 `json:"seq_stream_coverage"`
+	PageEntropyBits   float64 `json:"page_entropy_bits"`
+	SegPurity         float64 `json:"seg_purity"`
+}
+
 // Report is a full profiler snapshot.
 type Report struct {
 	SamplePeriod int           `json:"sample_period"`

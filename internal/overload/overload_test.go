@@ -7,6 +7,7 @@ import (
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/signals"
 	"hcsgc/internal/telemetry"
+	"hcsgc/internal/telemetry/latency"
 )
 
 func TestNilControllerAndStatsAreInert(t *testing.T) {
@@ -137,10 +138,9 @@ func TestControllerPlaneFlagsAndEmergency(t *testing.T) {
 
 	// Post-cycle occupancy above the default 85% threshold raises
 	// heap_pressure; the flag alone is a Brownout-grade signal.
-	plane.OnCycle(signals.CycleSignals{
-		Seq: 1, VStart: 0, VEnd: 1000,
-		Heap: signals.HeapSignals{UsedAfterPct: 95, ColdFrac: -1},
-	})
+	plane.OnCycle(signals.CycleSignals{CycleRecord: latency.CycleRecord{
+		Seq: 1, VStart: 0, VEnd: 1000, HeapUsedAfter: 95, ColdFrac: -1,
+	}})
 	if got := ctrl.Poll(); got != StateBrownout {
 		t.Fatalf("heap_pressure flag: %v, want brownout", got)
 	}
@@ -164,10 +164,9 @@ func TestControllerPlaneFlagsAndEmergency(t *testing.T) {
 	}
 
 	// A new cycle record that still shows pressure re-arms the trigger.
-	plane.OnCycle(signals.CycleSignals{
-		Seq: 2, VStart: 1000, VEnd: 2000,
-		Heap: signals.HeapSignals{UsedAfterPct: 95, ColdFrac: -1},
-	})
+	plane.OnCycle(signals.CycleSignals{CycleRecord: latency.CycleRecord{
+		Seq: 2, VStart: 1000, VEnd: 2000, HeapUsedAfter: 95, ColdFrac: -1,
+	}})
 	stalls++
 	ctrl.Poll()
 	if emergencies != 2 {

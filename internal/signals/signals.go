@@ -1,12 +1,13 @@
 // Package signals is the unified per-cycle GC signal plane: at every
-// cycle boundary the collector folds everything the platform already
-// measures — the latency tracker's flight record (pauses, concurrent
-// phases, barrier slow-path deltas, MMU ladder, utilization), the
-// locality profiler's interval stats (reuse distance, stream coverage,
-// segregation purity), and the heap's occupancy/allocation/relocation
-// counters — into one immutable CycleSignals record. The plane keeps a
-// bounded history ring, derives EWMA and trend series over a fixed set
-// of scalar signals, and raises threshold-based anomaly flags.
+// cycle boundary the collector hands over the cycle's one record (pauses,
+// concurrent phases, barrier slow-path deltas, MMU ladder, utilization,
+// occupancy, allocation and relocation deltas — latency.CycleRecord)
+// together with the sections the other planes own — the locality
+// profiler's interval stats (reuse distance, stream coverage, segregation
+// purity) and the contention plane's worker and lock deltas — as one
+// immutable CycleSignals record. The plane keeps a bounded history ring,
+// derives EWMA and trend series over a fixed set of scalar signals, and
+// raises threshold-based anomaly flags.
 //
 // This record shape is the sensor bus ROADMAP items 3-4 consume: an
 // online controller reads Derived (level + direction per signal) and
@@ -21,9 +22,10 @@
 package signals
 
 import (
-	"math"
 	"sync"
 
+	"hcsgc/internal/contention"
+	"hcsgc/internal/locality"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
@@ -68,73 +70,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// HeapSignals is the heap section of a CycleSignals record.
-type HeapSignals struct {
-	// UsedBeforePct/UsedAfterPct bracket the cycle's occupancy.
-	UsedBeforePct float64 `json:"used_before_pct"`
-	UsedAfterPct  float64 `json:"used_after_pct"`
-	// AllocBytes is the mutator allocation volume since the previous
-	// cycle boundary; AllocPerKCycle normalizes it by the cycle's
-	// virtual-time span (bytes per 1000 virtual cycles).
-	AllocBytes     uint64  `json:"alloc_bytes"`
-	AllocPerKCycle float64 `json:"alloc_bytes_per_kcycle"`
-	// MarkedBytes is the live data found by this mark.
-	MarkedBytes uint64 `json:"marked_bytes"`
-	// EC selection outcome and empty-page reclaim.
-	ECSmall          int    `json:"ec_small"`
-	ECMedium         int    `json:"ec_medium"`
-	ECSmallLiveBytes uint64 `json:"ec_small_live_bytes"`
-	PagesFreedEmpty  int    `json:"pages_freed_empty"`
-	// RelocObjects/RelocBytes count relocation (GC + mutator) since the
-	// previous cycle boundary.
-	RelocObjects uint64 `json:"reloc_objects"`
-	RelocBytes   uint64 `json:"reloc_bytes"`
-	// ColdFrac is 1 - hotmap density over hot-trackable pages at mark
-	// end: the fraction of live bytes never touched by a mutator this
-	// era. -1 when not measured (hotness off).
-	ColdFrac float64 `json:"cold_frac"`
-}
-
-// LocalitySignals is the locality-profiler section of a CycleSignals
-// record: the profiler's per-cycle interval stats. Present is false (and
-// the fields zero) when no profiler is attached.
-type LocalitySignals struct {
-	Present           bool    `json:"present"`
-	ReuseP50          float64 `json:"reuse_p50_lines"`
-	ReuseP90          float64 `json:"reuse_p90_lines"`
-	StreamCoverage    float64 `json:"stream_coverage"`
-	SeqStreamCoverage float64 `json:"seq_stream_coverage"`
-	PageEntropyBits   float64 `json:"page_entropy_bits"`
-	SegPurity         float64 `json:"seg_purity"`
-}
-
-// WorkerSignals is the GC-worker balance section of a CycleSignals
-// record: the contention plane's per-cycle delta of the workers'
-// scanned/relocated/stolen counts and its imbalance coefficient
-// (stddev/mean of per-worker work; 0 = perfectly balanced). Present is
-// false (fields zero) when the contention plane is opted out.
-type WorkerSignals struct {
-	Present   bool    `json:"present"`
-	Workers   int     `json:"workers"`
-	Imbalance float64 `json:"imbalance"`
-	Scanned   uint64  `json:"scanned"`
-	Relocated uint64  `json:"relocated"`
-	Steals    uint64  `json:"steals"`
-}
-
-// ContentionSignals is the serialization section of a CycleSignals
-// record: the contention plane's per-cycle lock and CAS-loop deltas
-// summed across sites. Present is false when the plane is opted out.
-type ContentionSignals struct {
-	Present       bool    `json:"present"`
-	Acquisitions  uint64  `json:"acquisitions"`
-	Contended     uint64  `json:"contended"`
-	ContendedFrac float64 `json:"contended_frac"`
-	CASOps        uint64  `json:"cas_ops"`
-	CASRetries    uint64  `json:"cas_retries"`
-	RetryFrac     float64 `json:"retry_frac"`
-}
-
 // DerivedSignal is one scalar signal's derived view: the raw per-cycle
 // value, its EWMA level, and the trend (EWMA delta vs the previous
 // cycle; positive = rising). The controller input contract.
@@ -145,30 +80,22 @@ type DerivedSignal struct {
 	Trend float64 `json:"trend"`
 }
 
-// CycleSignals is one GC cycle's immutable unified snapshot: identity,
-// the latency tracker's completed flight record, the heap and locality
-// sections, the cumulative allocation-stall distribution, and the
-// derived series and anomaly flags computed by the plane. Records are
-// value types; once OnCycle stores one it is never mutated.
+// CycleSignals is one GC cycle's immutable unified snapshot: the cycle's
+// one record (identity, pauses, phases, heap, allocation and relocation
+// deltas — the same value the GC log and the flight ring hold), the
+// sections the locality profiler and the contention plane own, the
+// cumulative allocation-stall distribution, and the derived series and
+// anomaly flags computed by the plane. Records are value types; once
+// OnCycle stores one it is never mutated.
 type CycleSignals struct {
-	Seq     uint64 `json:"seq"`
-	Trigger string `json:"trigger"`
-	// VStart/VEnd bracket the cycle on the virtual timeline.
-	VStart uint64 `json:"vstart_cycles"`
-	VEnd   uint64 `json:"vend_cycles"`
+	latency.CycleRecord
 
-	// Flight is the latency tracker's completed per-cycle attribution
-	// record (pauses, phases, barrier deltas, stalls, MMU, utilization).
-	// Zero-valued when the latency plane is disabled.
-	Flight latency.CycleRecord `json:"flight"`
-
-	Heap     HeapSignals     `json:"heap"`
-	Locality LocalitySignals `json:"locality"`
-
-	// Workers and Contention are the contention plane's per-cycle view
-	// (zero-valued, Present=false, when the plane is opted out).
-	Workers    WorkerSignals     `json:"workers"`
-	Contention ContentionSignals `json:"contention"`
+	// Locality is the profiler's per-cycle interval view; Workers and
+	// Contention are the contention plane's per-cycle deltas. Each is
+	// zero-valued with Present=false when its plane is not attached.
+	Locality   locality.Signals       `json:"locality"`
+	Workers    contention.WorkerDelta `json:"workers"`
+	Contention contention.LockDelta   `json:"contention"`
 
 	// StallDist is the cumulative allocation-stall duration distribution
 	// as of this cycle end (the signal PR 6 found dominates the tail).
@@ -286,25 +213,25 @@ func rawSignals(rec *CycleSignals) map[string]float64 {
 		}
 		return float64(v) / float64(span) * 1000
 	}
-	maxPause := rec.Flight.Pause1
-	if rec.Flight.Pause2 > maxPause {
-		maxPause = rec.Flight.Pause2
+	maxPause := rec.Pause1
+	if rec.Pause2 > maxPause {
+		maxPause = rec.Pause2
 	}
-	if rec.Flight.Pause3 > maxPause {
-		maxPause = rec.Flight.Pause3
+	if rec.Pause3 > maxPause {
+		maxPause = rec.Pause3
 	}
-	barrierSlow := rec.Flight.Barrier.Mark + rec.Flight.Barrier.Relocate + rec.Flight.Barrier.Remap
+	barrierSlow := rec.Barrier.Mark + rec.Barrier.Relocate + rec.Barrier.Remap
 	out := map[string]float64{
-		SigUtilization:     rec.Flight.Utilization,
+		SigUtilization:     rec.Utilization,
 		SigMaxPause:        float64(maxPause),
-		SigStalls:          float64(rec.Flight.Stalls),
+		SigStalls:          float64(rec.Stalls),
 		SigStallP99:        rec.StallDist.P99,
-		SigAllocRate:       perK(rec.Heap.AllocBytes) / 1024,
-		SigHeapUsed:        rec.Heap.UsedAfterPct,
+		SigAllocRate:       perK(rec.AllocBytes) / 1024,
+		SigHeapUsed:        rec.HeapUsedAfter,
 		SigBarrierSlowRate: perK(barrierSlow),
 	}
-	if rec.Heap.ColdFrac >= 0 {
-		out[SigColdFrac] = rec.Heap.ColdFrac
+	if rec.ColdFrac >= 0 {
+		out[SigColdFrac] = rec.ColdFrac
 	}
 	if rec.Locality.Present {
 		out[SigReuseP50] = rec.Locality.ReuseP50
@@ -327,21 +254,21 @@ func flags(rec *CycleSignals, raw map[string]float64) []string {
 	if raw[SigUtilization] < minUtilization {
 		out = append(out, FlagLowUtilization)
 	}
-	if rec.Flight.Stalls >= stallSpike {
+	if rec.Stalls >= stallSpike {
 		out = append(out, FlagStallSpike)
 	}
 	if uint64(raw[SigMaxPause]) >= maxPauseCycles {
 		out = append(out, FlagLongPause)
 	}
-	if rec.Heap.UsedAfterPct >= maxHeapUsedPct {
+	if rec.HeapUsedAfter >= maxHeapUsedPct {
 		out = append(out, FlagHeapPressure)
 	}
 	// Purity is measured at mark end even without a locality profiler
-	// (telemetry computes it); fall back to the flight record's copy so the
-	// flag works in both configurations.
+	// (telemetry computes it); fall back to the cycle record's own value so
+	// the flag works in both configurations.
 	purity, ok := raw[SigSegPurity]
 	if !ok {
-		purity = rec.Flight.SegregationPurity
+		purity = rec.SegregationPurity
 	}
 	if purity >= 0 && purity < minSegPurity {
 		out = append(out, FlagPurityDrop)
@@ -411,16 +338,11 @@ func (p *Plane) OnCycle(rec CycleSignals) {
 	for _, f := range rec.Flags {
 		flagCtr[f].Inc()
 	}
-	if recd != nil {
-		emit := func(id uint32, v float64) {
-			recd.Record(telemetry.EvCounter, id, math.Float64bits(v), rec.Seq)
-		}
-		emit(telemetry.CounterSignalAllocRate, raw[SigAllocRate])
-		emit(telemetry.CounterSignalStallP99, raw[SigStallP99])
-		emit(telemetry.CounterSignalHeapUsed, raw[SigHeapUsed])
-		if v, ok := raw[SigColdFrac]; ok {
-			emit(telemetry.CounterSignalColdFrac, v)
-		}
+	recd.Counter(telemetry.CounterSignalAllocRate, raw[SigAllocRate], rec.Seq)
+	recd.Counter(telemetry.CounterSignalStallP99, raw[SigStallP99], rec.Seq)
+	recd.Counter(telemetry.CounterSignalHeapUsed, raw[SigHeapUsed], rec.Seq)
+	if v, ok := raw[SigColdFrac]; ok {
+		recd.Counter(telemetry.CounterSignalColdFrac, v, rec.Seq)
 	}
 }
 

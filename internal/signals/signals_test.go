@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"hcsgc/internal/contention"
+	"hcsgc/internal/locality"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
@@ -16,20 +18,17 @@ func synthRec(seq uint64, util float64, stalls uint64) CycleSignals {
 	vStart := (seq - 1) * 1_000_000
 	vEnd := seq * 1_000_000
 	return CycleSignals{
-		Seq: seq, Trigger: "test", VStart: vStart, VEnd: vEnd,
-		Flight: latency.CycleRecord{
+		CycleRecord: latency.CycleRecord{
 			Seq: seq, Trigger: "test", VStart: vStart, VEnd: vEnd,
 			Pause1: 50_000, Pause2: 20_000, Pause3: 30_000,
 			Stalls: stalls, Utilization: util,
 			SegregationPurity: 0.9,
 			Barrier:           latency.BarrierProfile{Mark: 100, Relocate: 50, Remap: 25},
-		},
-		Heap: HeapSignals{
-			UsedBeforePct: 60, UsedAfterPct: 40,
+			HeapUsedBefore:    60, HeapUsedAfter: 40,
 			AllocBytes: 1 << 20, AllocPerKCycle: float64(1<<20) / 1000,
 			MarkedBytes: 4 << 20, ColdFrac: 0.25,
 		},
-		Locality: LocalitySignals{
+		Locality: locality.Signals{
 			Present: true, ReuseP50: 12, ReuseP90: 80,
 			StreamCoverage: 0.4, SegPurity: 0.8,
 		},
@@ -137,8 +136,8 @@ func TestPlaneEWMAAndTrend(t *testing.T) {
 func TestPlaneSkipsUnmeasuredSignals(t *testing.T) {
 	p := New(Config{})
 	rec := synthRec(1, 0.9, 0)
-	rec.Heap.ColdFrac = -1
-	rec.Locality = LocalitySignals{}
+	rec.ColdFrac = -1
+	rec.Locality = locality.Signals{}
 	p.OnCycle(rec)
 	latest, _ := p.Latest()
 	for _, d := range latest.Derived {
@@ -154,10 +153,10 @@ func TestPlaneSkipsUnmeasuredSignals(t *testing.T) {
 func TestPlaneFlags(t *testing.T) {
 	p := New(Config{})
 	bad := synthRec(1, 0.1, 5) // low utilization, stall spike
-	bad.Flight.Pause2 = 300_000
-	bad.Heap.UsedAfterPct = 92
+	bad.Pause2 = 300_000
+	bad.HeapUsedAfter = 92
 	bad.Locality.SegPurity = 0.2
-	bad.Contention = ContentionSignals{
+	bad.Contention = contention.LockDelta{
 		Present: true, Acquisitions: 100, Contended: 40, ContendedFrac: 0.4,
 	}
 	p.OnCycle(bad)
@@ -177,13 +176,13 @@ func TestPlaneFlags(t *testing.T) {
 	}
 }
 
-// TestPlanePurityDropFallsBackToFlight: without a locality profiler the
-// purity flag reads the flight record's mark-end measurement.
-func TestPlanePurityDropFallsBackToFlight(t *testing.T) {
+// TestPlanePurityDropReadsMarkEndPurity: without a locality profiler the
+// purity flag reads the cycle record's own mark-end measurement.
+func TestPlanePurityDropReadsMarkEndPurity(t *testing.T) {
 	p := New(Config{})
 	rec := synthRec(1, 0.9, 0)
-	rec.Locality = LocalitySignals{}
-	rec.Flight.SegregationPurity = 0.1
+	rec.Locality = locality.Signals{}
+	rec.SegregationPurity = 0.1
 	p.OnCycle(rec)
 	latest, _ := p.Latest()
 	found := false
@@ -193,7 +192,7 @@ func TestPlanePurityDropFallsBackToFlight(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("purity_drop not raised from flight record; flags = %v", latest.Flags)
+		t.Fatalf("purity_drop not raised from the record's purity; flags = %v", latest.Flags)
 	}
 }
 

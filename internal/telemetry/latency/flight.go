@@ -22,10 +22,15 @@ type BarrierProfile struct {
 	HotmapRecord uint64 `json:"hotmap_record"`
 }
 
-// CycleRecord is one GC cycle's flight-recorder entry: phase durations and
-// pause costs in simulated cycles, the EC/WLB selection outcome, stall and
-// barrier activity attributed to the cycle, the verifier's cumulative
-// status, and the MMU curve as of cycle end.
+// CycleRecord is the one record of a GC cycle: the collector's GC log
+// (core.CycleStats is this type), the flight ring and the signal plane's
+// history all hold the same completed value. Durations and pause costs are
+// simulated cycles. A new per-cycle fact is one field here.
+//
+// The collector owns and always fills the fields down to the verifier
+// status; the tracker's OnCycle completes the rest, from MarkCycles on,
+// which stay zero with the latency plane off (DESIGN.md §5 "One per-cycle
+// record").
 type CycleRecord struct {
 	Seq     uint64 `json:"seq"`
 	Trigger string `json:"trigger"`
@@ -37,32 +42,53 @@ type CycleRecord struct {
 	Pause1 uint64 `json:"pause1_cycles"`
 	Pause2 uint64 `json:"pause2_cycles"`
 	Pause3 uint64 `json:"pause3_cycles"`
-	// Concurrent-phase durations (relocate sums the per-worker drains of
-	// the evacuation set this cycle started with).
-	MarkCycles     uint64 `json:"mark_cycles"`
-	ECSelectCycles uint64 `json:"ec_select_cycles"`
-	RelocateCycles uint64 `json:"relocate_cycles"`
 
-	// EC selection outcome (the WLB decision, paper §3.1).
+	// EC selection outcome (the WLB decision, paper §3.1): the candidate
+	// counts, the live data on the small candidates, and the pages
+	// reclaimed without relocation. MarkedBytes is the live data found by
+	// this mark.
 	ECSmall          int    `json:"ec_small"`
 	ECMedium         int    `json:"ec_medium"`
 	ECSmallLiveBytes uint64 `json:"ec_small_live_bytes"`
 	PagesFreedEmpty  int    `json:"pages_freed_empty"`
 	MarkedBytes      uint64 `json:"marked_bytes"`
 
-	HeapUsedBefore    float64 `json:"heap_used_before"`
-	HeapUsedAfter     float64 `json:"heap_used_after"`
+	// HeapUsedBefore/After are occupancy percentages around the cycle.
+	HeapUsedBefore float64 `json:"heap_used_before"`
+	HeapUsedAfter  float64 `json:"heap_used_after"`
+	// SegregationPurity is the live-bytes-weighted hot/cold segregation
+	// purity over hot-trackable pages at mark end; -1 when not measured
+	// (neither telemetry nor the locality profiler attached).
 	SegregationPurity float64 `json:"segregation_purity"`
+	// ColdFrac is 1 - hot bytes over live bytes across hot-trackable pages
+	// at mark end: the fraction of live bytes no mutator touched this era.
+	// -1 when not measured (hotness off, or neither telemetry nor the
+	// signal plane attached).
+	ColdFrac float64 `json:"cold_frac"`
+
+	// AllocBytes is the mutator allocation volume since the previous cycle
+	// boundary (counted only while a signal plane is attached);
+	// AllocPerKCycle normalizes it by the cycle's virtual-time span (bytes
+	// per 1000 virtual cycles). RelocObjects/RelocBytes count relocation
+	// (GC + mutator) since the previous boundary.
+	AllocBytes     uint64  `json:"alloc_bytes"`
+	AllocPerKCycle float64 `json:"alloc_bytes_per_kcycle"`
+	RelocObjects   uint64  `json:"reloc_objects"`
+	RelocBytes     uint64  `json:"reloc_bytes"`
 
 	// Stalls is the number of allocation stalls since the previous cycle.
 	Stalls uint64 `json:"stalls"`
-	// Barrier is the slow-path profile since the previous cycle.
-	Barrier BarrierProfile `json:"barrier"`
-
 	// Cumulative verifier status at cycle end (zero when detached).
 	VerifyRuns       uint64 `json:"verify_runs"`
 	VerifyViolations uint64 `json:"verify_violations"`
 
+	// Concurrent-phase durations (relocate sums the per-worker drains of
+	// the evacuation set this cycle started with).
+	MarkCycles     uint64 `json:"mark_cycles"`
+	ECSelectCycles uint64 `json:"ec_select_cycles"`
+	RelocateCycles uint64 `json:"relocate_cycles"`
+	// Barrier is the slow-path profile since the previous cycle.
+	Barrier BarrierProfile `json:"barrier"`
 	// MMU is the window ladder as of cycle end; Utilization is the
 	// mutator utilization over this cycle's [VStart, VEnd] interval.
 	MMU         []MMUPoint `json:"mmu"`

@@ -19,7 +19,6 @@ package latency
 import (
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -267,16 +266,14 @@ func (t *Tracker) RecordBarrierLatency(p BarrierPath, cycles uint64) {
 	t.barrierLat[p].Record(cycles)
 }
 
-// OnCycle is the cycle-boundary hook: the collector passes a record with
-// the identity, pause, EC and verifier fields filled in; the tracker
-// completes it (phase durations, barrier deltas, MMU and utilization),
-// appends it to the flight ring, and publishes gauges, counters and
-// Perfetto counter-track samples. The completed record is returned so the
-// signal plane can fold it into its CycleSignals snapshot without
-// re-deriving the attribution fields.
-func (t *Tracker) OnCycle(rec CycleRecord) CycleRecord {
+// OnCycle is the cycle-boundary hook: the collector passes the cycle's
+// record with every field it owns filled in; the tracker completes it in
+// place (phase durations, barrier deltas, MMU and utilization), appends a
+// copy to the flight ring, and publishes gauges, counters and Perfetto
+// counter-track samples. Nil-safe: the tracker's fields then stay zero.
+func (t *Tracker) OnCycle(rec *CycleRecord) {
 	if t == nil {
-		return rec
+		return
 	}
 	for k := 0; k < numPhases; k++ {
 		d := t.curPhase[k].Swap(0)
@@ -307,7 +304,7 @@ func (t *Tracker) OnCycle(rec CycleRecord) CycleRecord {
 		Remap:        deltas[PathRemap],
 		HotmapRecord: deltas[PathHotmapRecord],
 	}
-	t.ring.add(rec)
+	t.ring.add(*rec)
 	gauges := t.mmuGauges
 	utilG := t.utilGauge
 	recd := t.rec
@@ -319,15 +316,10 @@ func (t *Tracker) OnCycle(rec CycleRecord) CycleRecord {
 		}
 	}
 	utilG.Set(rec.Utilization)
-	if recd != nil {
-		for i, pt := range snap.Windows {
-			recd.Record(telemetry.EvCounter, telemetry.CounterMMU1k+uint32(i),
-				math.Float64bits(pt.MMU), rec.Seq)
-		}
-		recd.Record(telemetry.EvCounter, telemetry.CounterUtilization,
-			math.Float64bits(rec.Utilization), rec.Seq)
+	for i, pt := range snap.Windows {
+		recd.Counter(telemetry.CounterMMU1k+uint32(i), pt.MMU, rec.Seq)
 	}
-	return rec
+	recd.Counter(telemetry.CounterUtilization, rec.Utilization, rec.Seq)
 }
 
 // BindTelemetry registers the hcsgc_pause/phase/stall/barrier/mmu metric

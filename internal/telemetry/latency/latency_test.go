@@ -29,7 +29,7 @@ func feedCycles(t *Tracker, n int) {
 		t.BarrierHit(PathMark)
 		t.BarrierHit(PathRelocate)
 		t.RecordBarrierLatency(PathMark, 12)
-		t.OnCycle(CycleRecord{Seq: uint64(i + 1), Trigger: "test", VStart: v - 640, VEnd: v})
+		t.OnCycle(&CycleRecord{Seq: uint64(i + 1), Trigger: "test", VStart: v - 640, VEnd: v})
 	}
 }
 
@@ -229,7 +229,7 @@ func TestTrackerNilSafe(t *testing.T) {
 	tr.RecordStall(0, 10, 1)
 	tr.BarrierHit(PathMark)
 	tr.RecordBarrierLatency(PathMark, 1)
-	tr.OnCycle(CycleRecord{})
+	tr.OnCycle(&CycleRecord{})
 	tr.BindTelemetry(nil, nil)
 	tr.AutoDump("x")
 	if tr.SampleBarrier() {
@@ -296,7 +296,7 @@ func TestRecordPhaseZeroDuration(t *testing.T) {
 	}
 
 	// The flight record's accumulator saw 0 + 150 cycles.
-	tr.OnCycle(CycleRecord{Seq: 1, VStart: 100, VEnd: 260})
+	tr.OnCycle(&CycleRecord{Seq: 1, VStart: 100, VEnd: 260})
 	recs := tr.Report().Flight
 	if len(recs) != 1 || recs[0].MarkCycles != 150 {
 		t.Fatalf("flight mark cycles = %+v, want one record with 150", recs)

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -79,6 +80,12 @@ func (r *Recorder) Record(kind EventKind, arg uint32, a, b uint64) {
 	s.buf[s.next%uint64(len(s.buf))] = ev
 	s.next++
 	s.mu.Unlock()
+}
+
+// Counter records one sample of the EvCounter series id, taken at the
+// boundary of GC cycle seq.
+func (r *Recorder) Counter(id uint32, v float64, seq uint64) {
+	r.Record(EvCounter, id, math.Float64bits(v), seq)
 }
 
 // BeginSpan records the start of a named span on trace track tid.
