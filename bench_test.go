@@ -64,42 +64,36 @@ func BenchmarkFig11Tradebeans(b *testing.B) { benchmarkFigure(b, "fig11") }
 func BenchmarkFig12H2(b *testing.B)         { benchmarkFigure(b, "fig12") }
 func BenchmarkFig13SPECjbb(b *testing.B)    { benchmarkFigure(b, "fig13") }
 
-// planeModes lists every observation plane's priced setting: off switches
-// the plane off (a nil plane reduces each of its sites to one predictable
-// nil check; for the always-on planes that means setting their Disable
-// option), on switches it on. A nil func leaves the RunConfig alone.
+// planeModes lists every attachable observation plane's priced setting: on
+// attaches it, and the other side of the pair is the RunConfig left alone
+// (a nil plane reduces each of its sites to one predictable nil check). The
+// latency, signal and contention planes are part of every runtime and have
+// no row: their cost is planes.host_share in benchmark/.
 var planeModes = []struct {
-	name    string
-	off, on func(*workloads.RunConfig)
+	name string
+	on   func(*workloads.RunConfig)
 }{
 	// A live recorder and registry against the production default, none.
-	{"telemetry", nil, func(rc *workloads.RunConfig) { rc.Telemetry = hcsgc.NewTelemetrySink() }},
+	{"telemetry", func(rc *workloads.RunConfig) { rc.Telemetry = hcsgc.NewTelemetrySink() }},
 	// shift4 samples every access (the burst is clamped to the period, so
 	// shifts <= 8 are exhaustive); shift12 samples one 256-access burst per
 	// 4096 accesses (1/16), the low-overhead setting.
-	{"locality-shift4", nil, func(rc *workloads.RunConfig) {
+	{"locality-shift4", func(rc *workloads.RunConfig) {
 		rc.Locality = hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{SamplePeriodShift: 4})
 	}},
-	{"locality-shift12", nil, func(rc *workloads.RunConfig) {
+	{"locality-shift12", func(rc *workloads.RunConfig) {
 		rc.Locality = hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{SamplePeriodShift: 12})
 	}},
 	// armed-zero threads a live injector whose schedule never fires,
 	// pricing the per-point decision path; verify adds the STW heap
 	// verifier, a full heap walk per pause.
-	{"faultinject-armed-zero", nil, func(rc *workloads.RunConfig) {
+	{"faultinject-armed-zero", func(rc *workloads.RunConfig) {
 		rc.FaultInjector = hcsgc.NewFaultInjector(hcsgc.FaultConfig{})
 	}},
-	{"faultinject-verify", nil, func(rc *workloads.RunConfig) {
+	{"faultinject-verify", func(rc *workloads.RunConfig) {
 		rc.FaultInjector = hcsgc.NewFaultInjector(hcsgc.FaultConfig{})
 		rc.Verifier = hcsgc.NewHeapVerifier()
 	}},
-	// The always-on planes: on is the production default, and the bar is
-	// "on within noise of off" — exact counters are single atomic adds,
-	// latencies are sampled, the rest runs at cycle boundaries. The micro
-	// cost of the contention wrapper is internal/contention's BenchmarkMutex.
-	{"latency", func(rc *workloads.RunConfig) { rc.DisableLatency = true }, nil},
-	{"signals", func(rc *workloads.RunConfig) { rc.DisableSignals = true }, nil},
-	{"contention", func(rc *workloads.RunConfig) { rc.DisableContention = true }, nil},
 }
 
 // BenchmarkPlaneOverhead prices each observation plane on a representative
@@ -137,9 +131,9 @@ func BenchmarkPlaneOverhead(b *testing.B) {
 				seed := int64(i + 1)
 				var on, off float64
 				if i%2 == 0 {
-					off, on = timed(b, seed, mode.off), timed(b, seed, mode.on)
+					off, on = timed(b, seed, nil), timed(b, seed, mode.on)
 				} else {
-					on, off = timed(b, seed, mode.on), timed(b, seed, mode.off)
+					on, off = timed(b, seed, mode.on), timed(b, seed, nil)
 				}
 				ratios[i] = on / off
 				offNs += off

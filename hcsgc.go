@@ -91,8 +91,8 @@ type (
 	OutOfMemoryError = core.OutOfMemoryError
 	// LatencyTracker is the latency-attribution plane: HDR pause/phase/
 	// stall distributions, MMU curves, barrier slow-path profiling and the
-	// flight recorder (see internal/telemetry/latency). On by default;
-	// Options.DisableLatency turns it off.
+	// flight recorder (see internal/telemetry/latency). Every runtime has
+	// one (Runtime.Latency).
 	LatencyTracker = latency.Tracker
 	// LatencyConfig tunes the latency tracker.
 	LatencyConfig = latency.Config
@@ -107,9 +107,9 @@ type (
 	MMUReport = latency.MMUReport
 	// SignalPlane is the unified per-cycle GC signal plane: one immutable
 	// CycleSignals record per cycle boundary with EWMA/trend derivations
-	// and anomaly flags (see internal/signals). On by default;
-	// Options.DisableSignals turns it off. This record is the sensor bus
-	// the ROADMAP item 4 online controller consumes.
+	// and anomaly flags (see internal/signals). Every runtime has one
+	// (Runtime.Signals). This record is the sensor bus the overload
+	// controller reads and an allocation-rate pacing controller would.
 	SignalPlane = signals.Plane
 	// SignalsConfig tunes the signal plane.
 	SignalsConfig = signals.Config
@@ -121,9 +121,9 @@ type (
 	// ContentionPlane is the contention & scalability attribution plane:
 	// per-site lock acquisition/contended counts and wait histograms,
 	// CAS retry profiling, and GC-worker balance (see
-	// internal/contention). On by default; Options.DisableContention
-	// turns it off. Its ranked snapshot is the serialization list
-	// ROADMAP item 1's sharding work starts from.
+	// internal/contention). Every runtime has one (Runtime.Contention).
+	// Its ranked snapshot says where threads wait; read wait-for-GC
+	// convoys (core.cycleMu) apart from contended locks before acting on it.
 	ContentionPlane = contention.Plane
 	// ContentionSnapshot is the /contention endpoint payload.
 	ContentionSnapshot = contention.Snapshot
@@ -216,18 +216,18 @@ func NewTelemetrySink() *TelemetrySink { return telemetry.NewSink() }
 func NewLocalityProfiler(cfg LocalityConfig) *LocalityProfiler { return locality.New(cfg) }
 
 // NewLatencyTracker builds a latency tracker with a non-default
-// configuration. Pass it via Options.Latency; a runtime without one (and
-// without DisableLatency) creates a default tracker itself.
+// configuration. Pass it via Options.Latency; a runtime handed none builds
+// a default tracker itself.
 func NewLatencyTracker(cfg LatencyConfig) *LatencyTracker { return latency.New(cfg) }
 
 // NewSignalPlane builds a signal plane with a non-default configuration.
-// Pass it via Options.Signals; a runtime without one (and without
-// DisableSignals) creates a default plane itself.
+// Pass it via Options.Signals; a runtime handed none builds a default
+// plane itself.
 func NewSignalPlane(cfg SignalsConfig) *SignalPlane { return signals.New(cfg) }
 
 // NewContentionPlane builds a contention plane. Pass it via
-// Options.Contention to share one plane across runtimes; a runtime
-// without one (and without DisableContention) creates its own.
+// Options.Contention to share one plane across runtimes; a runtime handed
+// none builds its own.
 func NewContentionPlane() *ContentionPlane { return contention.New() }
 
 // NewTailAttributor builds a request-level tail attributor. Serving
@@ -280,29 +280,14 @@ type Options struct {
 	Locality *LocalityProfiler
 	// Latency overrides the latency tracker (HDR pause/phase/stall
 	// distributions, MMU, barrier profile, flight recorder). Nil = the
-	// runtime builds one with default configuration; the plane is
-	// always-on unless DisableLatency is set.
+	// runtime builds one with default configuration.
 	Latency *LatencyTracker
-	// DisableLatency turns the latency-attribution plane off entirely
-	// (each instrumentation site then costs one predictable branch). Like
-	// the other two Disable switches it is set only by tests and by the
-	// "off" side of BenchmarkPlaneOverhead, which prices the plane.
-	DisableLatency bool
 	// Signals overrides the unified signal plane. Nil = the runtime
-	// builds one with default configuration; the plane is always-on
-	// unless DisableSignals is set.
+	// builds one with default configuration.
 	Signals *SignalPlane
-	// DisableSignals turns the signal plane off entirely (the cycle
-	// boundary and each allocation then cost one predictable branch).
-	DisableSignals bool
 	// Contention overrides the contention attribution plane. Nil = the
-	// runtime builds one; the plane is always-on unless
-	// DisableContention is set.
+	// runtime builds one.
 	Contention *ContentionPlane
-	// DisableContention turns the contention plane off entirely (every
-	// instrumented lock then behaves as a bare sync.Mutex plus one
-	// predictable branch per operation).
-	DisableContention bool
 	// FaultInjector arms the fault-injection plane (nil = disarmed; each
 	// injection point then costs one predictable branch).
 	FaultInjector *FaultInjector
@@ -329,12 +314,10 @@ type Runtime struct {
 	Mem       *simmem.Hierarchy // nil when DisableMemModel
 	Types     *objmodel.Registry
 	Machine   Machine
-	// Latency is the runtime's latency tracker; nil when DisableLatency.
-	Latency *LatencyTracker
-	// Signals is the runtime's signal plane; nil when DisableSignals.
-	Signals *SignalPlane
-	// Contention is the runtime's contention attribution plane; nil when
-	// DisableContention.
+	// Latency, Signals and Contention are the runtime's three always-on
+	// planes: the ones Options named, or defaults. Never nil.
+	Latency    *LatencyTracker
+	Signals    *SignalPlane
 	Contention *ContentionPlane
 
 	mu        sync.Mutex // guards mutators, nothing else
@@ -344,12 +327,12 @@ type Runtime struct {
 
 // NewRuntime builds a runtime from options.
 func NewRuntime(opts Options) (*Runtime, error) {
+	// The heap and the memory model take their contention sites at
+	// construction, so this plane is built here; the collector builds the
+	// other two (core.Config) and they are read back from it below.
 	ctn := opts.Contention
-	if ctn == nil && !opts.DisableContention {
+	if ctn == nil {
 		ctn = contention.New()
-	}
-	if opts.DisableContention {
-		ctn = nil
 	}
 	var mem *simmem.Hierarchy
 	if !opts.DisableMemModel {
@@ -362,9 +345,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ctn != nil {
-			mem.SetContention(ctn)
-		}
+		mem.SetContention(ctn)
 	}
 	h := heap.New(heap.Config{
 		MaxBytes:        opts.HeapMaxBytes,
@@ -379,20 +360,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		}
 		h.SetVerifier(opts.Verifier)
 	}
-	lat := opts.Latency
-	if lat == nil && !opts.DisableLatency {
-		lat = latency.New(latency.Config{})
-	}
-	if opts.DisableLatency {
-		lat = nil
-	}
-	sig := opts.Signals
-	if sig == nil && !opts.DisableSignals {
-		sig = signals.New(signals.Config{})
-	}
-	if opts.DisableSignals {
-		sig = nil
-	}
 	types := objmodel.NewRegistry()
 	col, err := core.New(h, types, core.Config{
 		Knobs:          opts.Knobs,
@@ -401,8 +368,8 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		EvacThreshold:  opts.EvacThreshold,
 		Telemetry:      opts.Telemetry,
 		Locality:       opts.Locality,
-		Latency:        lat,
-		Signals:        sig,
+		Latency:        opts.Latency,
+		Signals:        opts.Signals,
 		Contention:     ctn,
 		FaultInjector:  opts.FaultInjector,
 		StallRetries:   opts.StallRetries,
@@ -411,34 +378,27 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts.Telemetry.SetGCLog(col.WriteGCLog)
-	if opts.Locality != nil && opts.Telemetry != nil {
-		opts.Locality.BindTelemetry(opts.Telemetry.Metrics(), opts.Telemetry.Recorder())
-		prof := opts.Locality
-		opts.Telemetry.SetEndpoint("locality", func() any { return prof.Report() })
-	}
-	if lat != nil && opts.Telemetry != nil {
-		lat.BindTelemetry(opts.Telemetry.Metrics(), opts.Telemetry.Recorder())
-		tracker := lat
-		opts.Telemetry.SetEndpoint("mmu", func() any { return tracker.MMUSnapshot() })
-		opts.Telemetry.SetFlightRecorder(func(w io.Writer) error {
-			return tracker.WriteFlight(w, "on-demand")
-		}, tracker.Rearm)
-	}
-	if sig != nil && opts.Telemetry != nil {
-		sig.BindTelemetry(opts.Telemetry.Metrics(), opts.Telemetry.Recorder())
-		plane := sig
-		opts.Telemetry.SetEndpoint("signals", func() any { return plane.Snapshot() })
-	}
-	if ctn != nil && opts.Telemetry != nil {
+	lat, sig := col.Config().Latency, col.Config().Signals
+	if sink := opts.Telemetry; sink != nil {
+		reg, rec := sink.Metrics(), sink.Recorder()
+		sink.SetGCLog(col.WriteGCLog)
+		if prof := opts.Locality; prof != nil {
+			prof.BindTelemetry(reg, rec)
+			sink.SetEndpoint("locality", func() any { return prof.Report() })
+		}
+		lat.BindTelemetry(reg, rec)
+		sink.SetEndpoint("mmu", func() any { return lat.MMUSnapshot() })
+		sink.SetFlightRecorder(func(w io.Writer) error {
+			return lat.WriteFlight(w, "on-demand")
+		}, lat.Rearm)
+		sig.BindTelemetry(reg, rec)
+		sink.SetEndpoint("signals", func() any { return sig.Snapshot() })
 		// The registry and recorder cannot adopt contention.Mutex (import
 		// cycle through telemetry/latency); they self-report as sources.
-		reg, rec := opts.Telemetry.Metrics(), opts.Telemetry.Recorder()
 		ctn.AddSource("telemetry.registryMu", func() (uint64, uint64) { return reg.MuStats() })
 		ctn.AddSource("telemetry.recorderShards", func() (uint64, uint64) { return rec.MuStats() })
 		ctn.BindTelemetry(reg, rec)
-		cplane := ctn
-		opts.Telemetry.SetEndpoint("contention", func() any { return cplane.Snapshot() })
+		sink.SetEndpoint("contention", func() any { return ctn.Snapshot() })
 	}
 	mach := opts.Machine
 	if mach.Cores == 0 {

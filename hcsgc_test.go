@@ -216,14 +216,13 @@ func TestCloseDoesNotDeadlockLedgerReaders(t *testing.T) {
 	}
 }
 
-// TestLedgerReadsTheOnePauseTotal: pause cost is counted once, with every
-// plane off too, and the ledger, a mutator's virtual clock and the GC log
-// agree on it; reading the ledger costs the same however long the cycle log
-// has grown (ExecSeconds is called mid-run by serving threads). Bytes, not
-// testing.AllocsPerRun: a copy of the log is one allocation at any length.
+// TestLedgerReadsTheOnePauseTotal: pause cost is counted once, and the
+// ledger, a mutator's virtual clock and the GC log agree on it; reading the
+// ledger costs the same however long the cycle log has grown (ExecSeconds is
+// called mid-run by serving threads). Bytes, not testing.AllocsPerRun: a
+// copy of the log is one allocation at any length.
 func TestLedgerReadsTheOnePauseTotal(t *testing.T) {
-	rt := MustNewRuntime(Options{HeapMaxBytes: 8 << 20, DisableMemModel: true,
-		DisableLatency: true, DisableSignals: true})
+	rt := MustNewRuntime(Options{HeapMaxBytes: 8 << 20, DisableMemModel: true})
 	defer rt.Close()
 	m := rt.NewMutator(1)
 	defer m.Close()

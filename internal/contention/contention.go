@@ -1,6 +1,7 @@
 // Package contention is the contention & scalability attribution plane:
-// it answers "where does the collector serialize?" so ROADMAP item 1's
-// sharding work starts from a ranked list instead of a hunch.
+// it answers "where do threads wait?" with a ranked list instead of a
+// hunch. A long wait is not yet a contended lock: core.cycleMu ranks first
+// because stalled mutators queue on it for a GC cycle to finish.
 //
 // Three kinds of serialization are attributed:
 //
@@ -23,12 +24,13 @@
 //     imbalance coefficient (coefficient of variation of per-worker
 //     work).
 //
-// Like the signal plane, the contention plane is always on unless opted
-// out; every recording primitive is nil-safe so a disabled plane costs
-// one predictable branch per site. Wait times are wall-clock nanoseconds
-// (the simulated clock does not advance while a goroutine is parked in
-// the Go scheduler), which is why this package — unlike core/signals —
-// is exempt from the vtimepure analyzer.
+// Every runtime has a contention plane. The heap, the memory model and a
+// collector built directly (tests, probes) work without one: every
+// recording primitive is nil-safe, and Mutex's zero value is the bare lock.
+// Wait times are wall-clock nanoseconds (the simulated clock does not
+// advance while a goroutine is parked in the Go scheduler), which is why
+// this package — unlike core/signals — is exempt from the vtimepure
+// analyzer.
 package contention
 
 import (

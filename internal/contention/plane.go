@@ -32,7 +32,7 @@ type WorkerTotals struct {
 // the workers' scanned/relocated/stolen counts and the imbalance
 // coefficient (stddev/mean of per-worker work; 0 = perfectly balanced).
 // It is the "workers" section of signals.CycleSignals; Present is false
-// (fields zero) when the plane is opted out.
+// (fields zero) for a collector built without a plane.
 type WorkerDelta struct {
 	Present   bool    `json:"present"`
 	Workers   int     `json:"workers"`
@@ -44,7 +44,8 @@ type WorkerDelta struct {
 
 // LockDelta is one GC cycle's serialization view: the cycle's lock and
 // CAS-loop activity summed across sites. It is the "contention" section of
-// signals.CycleSignals; Present is false when the plane is opted out.
+// signals.CycleSignals; Present is false for a collector built without a
+// plane.
 type LockDelta struct {
 	Present       bool    `json:"present"`
 	Acquisitions  uint64  `json:"acquisitions"`

@@ -92,7 +92,7 @@ type Collector struct {
 	cycleMu contention.Mutex
 	cycles  telemetry.Counter // completed cycles; hcsgc_gc_cycles_total
 
-	// ctn is the contention attribution plane (nil when opted out).
+	// ctn is the contention attribution plane (nil when Config has none).
 	ctn *contention.Plane
 
 	stats statsLog
@@ -242,7 +242,7 @@ func (c *Collector) runCycle(reason string) {
 	c.stopTheWorldTimed(telemetry.SpanPause1)
 	c.tm.rec.BeginSpan(telemetry.SpanPause1, collectorTID)
 	pause1 := c.beginPauseAccounting()
-	v1 := c.pauseStartClock()
+	v1 := c.VirtualCycles()
 	c.startSeq.Store(c.heap.CurrentSeq())
 	markColor := heap.ColorMarked0
 	if c.markColorM1 {
@@ -272,10 +272,7 @@ func (c *Collector) runCycle(reason string) {
 	c.sp.resumeTheWorld()
 
 	// --- M/R: concurrent parallel marking with mutator assistance.
-	var vMark uint64
-	if c.lat != nil {
-		vMark = c.VirtualCycles()
-	}
+	vMark := c.VirtualCycles()
 	c.tm.rec.BeginSpan(telemetry.SpanMark, collectorTID)
 	var markWG sync.WaitGroup
 	for _, w := range c.workers {
@@ -304,12 +301,10 @@ func (c *Collector) runCycle(reason string) {
 		c.sp.resumeTheWorld()
 	}
 	c.tm.rec.EndSpan(telemetry.SpanMark, collectorTID)
-	if c.lat != nil {
-		c.lat.RecordPhase(latency.PhaseMark, vMark, c.VirtualCycles())
-	}
+	c.lat.RecordPhase(latency.PhaseMark, vMark, c.VirtualCycles())
 	c.tm.rec.BeginSpan(telemetry.SpanPause2, collectorTID)
 	pause2 := c.beginPauseAccounting()
-	v2 := c.pauseStartClock()
+	v2 := c.VirtualCycles()
 	c.pool.terminate()
 	markWG.Wait()
 	// Mark end: no stale pointers remain in the heap, so the previous
@@ -328,22 +323,17 @@ func (c *Collector) runCycle(reason string) {
 	c.sp.resumeTheWorld()
 
 	// --- EC selection (concurrent with mutators).
-	var vEC uint64
-	if c.lat != nil {
-		vEC = c.VirtualCycles()
-	}
+	vEC := c.VirtualCycles()
 	c.tm.rec.BeginSpan(telemetry.SpanECSelect, collectorTID)
 	c.selectEvacuationCandidates(cs)
 	c.tm.rec.EndSpan(telemetry.SpanECSelect, collectorTID)
-	if c.lat != nil {
-		c.lat.RecordPhase(latency.PhaseECSelect, vEC, c.VirtualCycles())
-	}
+	c.lat.RecordPhase(latency.PhaseECSelect, vEC, c.VirtualCycles())
 
 	// --- STW3: flip to R, relocate/heal all roots.
 	c.stopTheWorldTimed(telemetry.SpanPause3)
 	c.tm.rec.BeginSpan(telemetry.SpanPause3, collectorTID)
 	pause3 := c.beginPauseAccounting()
-	v3 := c.pauseStartClock()
+	v3 := c.VirtualCycles()
 	c.good.Store(uint64(heap.ColorRemapped))
 	c.phase.Store(uint32(PhaseRelocate))
 	c.forEachMutator(func(m *Mutator) {

@@ -6,6 +6,7 @@ import (
 	"hcsgc/internal/heap"
 	"hcsgc/internal/objmodel"
 	"hcsgc/internal/simmem"
+	"hcsgc/internal/telemetry/latency"
 )
 
 // testEnv builds a collector over a small heap with a cache model.
@@ -345,5 +346,43 @@ func TestHeapUsageTracked(t *testing.T) {
 	m.AllocWordArray(100)
 	if c.Heap().UsedPercent() <= 0 {
 		t.Fatal("heap usage should be positive after allocation")
+	}
+}
+
+// TestCollectorBuildsItsPlanes: a collector handed no tracker and no signal
+// plane builds both, so the clocks, counters and record fields they complete
+// are maintained in every run — there is no configuration in which they read
+// zero. (Utilization, MarkCycles and StallVirtualCycles are legitimately 0
+// here: with one mutator the virtual clock moves only by pause cost while it
+// is blocked in RequestGC; see latency.Tracker.RecordPhase.)
+func TestCollectorBuildsItsPlanes(t *testing.T) {
+	types := objmodel.NewRegistry()
+	c, err := New(heap.New(heap.Config{MaxBytes: 16 << 20}, nil), types, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lat, sig := c.Config().Latency, c.Config().Signals
+	if lat == nil || sig == nil {
+		t.Fatalf("Config{} left the collector without a plane: Latency %v, Signals %v", lat, sig)
+	}
+	node := types.Register("node", 2, []int{0})
+	m := c.NewMutator(1)
+	defer m.Close()
+	for i := 0; i < 2; i++ {
+		buildList(m, node, 500)
+		m.RequestGC()
+	}
+	if got := lat.Report().Cycles; got != 2 {
+		t.Errorf("the tracker recorded %d cycles, want 2", got)
+	}
+	if got := sig.Snapshot().Cycles; got != 2 {
+		t.Errorf("the signal plane recorded %d cycles, want 2", got)
+	}
+	if rec := c.Stats().Cycles[1]; rec.AllocBytes == 0 || len(rec.MMU) != len(latency.DefaultMMUWindows) {
+		t.Errorf("cycle 2: AllocBytes %d, %d MMU windows, want > 0 and %d",
+			rec.AllocBytes, len(rec.MMU), len(latency.DefaultMMUWindows))
+	}
+	if m.AllocatedBytes() == 0 {
+		t.Error("AllocatedBytes() = 0 after allocating")
 	}
 }

@@ -132,23 +132,24 @@ type Config struct {
 	// when set, every mutator gets a probe and the collector snapshots
 	// the profiler at each cycle boundary.
 	Locality *locality.Profiler
-	// Latency is the optional latency-attribution tracker (HDR pause and
-	// phase distributions, MMU, barrier slow-path profile, flight
-	// recorder). Nil disables it: each instrumentation site reduces to
-	// one predictable branch.
+	// Latency is the latency-attribution tracker (HDR pause and phase
+	// distributions, MMU, barrier slow-path profile, flight recorder).
+	// Nil means one with the default configuration: a collector always
+	// has a tracker.
 	Latency *latency.Tracker
-	// Signals is the optional unified per-cycle signal plane: at every
-	// cycle boundary the collector snapshots the locality, latency and
-	// heap signals into one immutable CycleSignals record. Nil disables
-	// it (one predictable branch at the cycle boundary plus one per
-	// allocation for the alloc-rate ledger).
+	// Signals is the unified per-cycle signal plane: at every cycle
+	// boundary the collector hands it the cycle's record and the other
+	// planes' sections as one immutable CycleSignals record. Nil means one
+	// with the default configuration: a collector always has a plane.
 	Signals *signals.Plane
 	// Contention is the optional contention attribution plane: the
 	// collector's locks, CAS loops and GC workers report to it, and at
 	// every cycle boundary the collector folds its per-cycle delta into
-	// the signal record. Nil disables it (one predictable branch per
-	// site). Pass the same plane to the heap via heap.Config.Contention
-	// and to the hierarchy via Hierarchy.SetContention.
+	// the signal record. Nil leaves the collector's sites unattributed
+	// (one predictable branch per site); it has no default here because
+	// the heap (heap.Config.Contention) and the hierarchy
+	// (Hierarchy.SetContention) are built first and take the same plane —
+	// hcsgc.NewRuntime always passes one.
 	Contention *contention.Plane
 	// FaultInjector arms the fault-injection plane at the collector's
 	// injection points (relocation race, barrier slow path, safepoint
@@ -187,6 +188,12 @@ func (c Config) withDefaults() Config {
 	}
 	if c.STWWatchdog == 0 {
 		c.STWWatchdog = 30 * time.Second
+	}
+	if c.Latency == nil {
+		c.Latency = latency.New(latency.Config{})
+	}
+	if c.Signals == nil {
+		c.Signals = signals.New(signals.Config{})
 	}
 	return c
 }

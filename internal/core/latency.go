@@ -2,10 +2,9 @@ package core
 
 import "fmt"
 
-// The collector's latency-attribution wiring. All hooks are one
-// predictable branch when no tracker is attached (c.lat == nil), matching
-// the telemetry/locality/faultinject discipline; the priced difference is
-// BenchmarkPlaneOverhead/latency.
+// The collector's latency-attribution wiring: the virtual clock, and the
+// hooks that feed pauses, stalls and the closed cycle record to the tracker
+// every collector has (Config.Latency).
 //
 // Time here is the virtual timeline in simulated cycles: the maximum
 // attached-mutator cycle ledger plus the accumulated STW pause cost.
@@ -48,8 +47,8 @@ func (c *Collector) VirtualCycles() uint64 {
 
 // PauseCycles returns the accumulated STW pause cost on the virtual
 // timeline: the one pause total, which Runtime.Ledger, the virtual clock
-// and every mutator's VirtualCycles read, with or without a plane
-// attached. It counts a pause the moment it ends.
+// and every mutator's VirtualCycles read. It counts a pause the moment it
+// ends.
 func (c *Collector) PauseCycles() uint64 {
 	return c.pauseTotal.Load()
 }
@@ -61,20 +60,10 @@ func (c *Collector) StallCount() uint64 {
 	return c.stallCount.Value()
 }
 
-// pauseStartClock samples the virtual clock at a pause start (world
-// already stopped, so mutator ledgers are quiescent) for the tracker's MMU
-// timeline.
-//
-//hcsgc:stw-only
-func (c *Collector) pauseStartClock() uint64 {
-	if c.lat == nil {
-		return 0
-	}
-	return c.VirtualCycles()
-}
-
 // recordPauseLatency advances the virtual clock past one finished STW
-// pause (0-based index) and feeds it into the tracker.
+// pause (0-based index) and feeds it into the tracker. startV is the clock
+// sampled once the world had stopped (every mutator's published ledger is
+// exact then), the pause's start on the MMU timeline.
 //
 //hcsgc:stw-only
 func (c *Collector) recordPauseLatency(i int, startV, cost uint64) {

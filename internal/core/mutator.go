@@ -61,13 +61,11 @@ type Mutator struct {
 	// VirtualCycles adds separately). While a mutator stalls its own
 	// ledger is frozen but the world moves on; this counter carries that
 	// elapsed virtual time so the stall is visible on the mutator's
-	// clock. Only maintained while a latency tracker is attached.
+	// clock.
 	stallVirtual atomic.Uint64
 
-	// allocBytes is this mutator's cumulative allocation volume; only
-	// maintained while a signal plane is attached (it feeds the per-cycle
-	// alloc-rate signal), so the nil-plane cost stays one predictable
-	// branch per allocation.
+	// allocBytes is this mutator's cumulative allocation volume (it feeds
+	// the cycle record's AllocBytes and the alloc-rate signal).
 	allocBytes atomic.Uint64
 
 	// tok is this mutator's identity in the safepoint protocol; the STW
@@ -128,10 +126,9 @@ func (m *Mutator) SetName(name string) {
 }
 
 // StallVirtualCycles returns the cumulative virtual-cycle duration of
-// this mutator's allocation stalls, net of STW pause cost (only
-// maintained while a latency tracker is attached). Serving harnesses
-// delta it across a request to attribute the request's own stall
-// exposure.
+// this mutator's allocation stalls, net of STW pause cost. Serving
+// harnesses delta it across a request to attribute the request's own
+// stall exposure.
 func (m *Mutator) StallVirtualCycles() uint64 {
 	return m.stallVirtual.Load()
 }
@@ -242,9 +239,8 @@ func (m *Mutator) Cycles() uint64 {
 // collector make progress). Open-loop serving harnesses measure request
 // latency against this clock, so GC pauses and allocation stalls are
 // charged to in-flight requests instead of vanishing. The pause
-// component is the collector's one pause total (PauseCycles); the stall
-// component is only maintained while a latency tracker is attached. Owner
-// view, like Cycles.
+// component is the collector's one pause total (PauseCycles), the stall
+// component StallVirtualCycles. Owner view, like Cycles.
 func (m *Mutator) VirtualCycles() uint64 {
 	return m.Cycles() + m.c.pauseTotal.Load() + m.stallVirtual.Load()
 }
@@ -254,9 +250,8 @@ func (m *Mutator) VirtualCycles() uint64 {
 func (m *Mutator) Core() *simmem.Core { return m.core }
 
 // AllocatedBytes returns this mutator's cumulative allocation volume.
-// Only maintained while a signal plane is attached (see allocBytes);
-// without one it reads 0. Overload harnesses delta it across a request
-// to prove shed requests perform zero heap allocations.
+// Overload harnesses delta it across a request to prove shed requests
+// perform zero heap allocations.
 func (m *Mutator) AllocatedBytes() uint64 { return m.allocBytes.Load() }
 
 // SetAllocBudget arms a per-request allocation budget on this mutator:
@@ -415,9 +410,7 @@ func (m *Mutator) allocWords(sizeWords int, typeID uint16) (heap.Ref, error) {
 //hcsgc:alloc-free
 func (m *Mutator) noteAlloc(size uint64) {
 	m.extra += costAlloc
-	if m.c.sig != nil {
-		m.allocBytes.Add(size)
-	}
+	m.allocBytes.Add(size)
 }
 
 // allocSmall bump-allocates from the TLAB, refilling on demand.
@@ -493,25 +486,20 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 		// Published before the clock is sampled: the stall starts at this
 		// mutator's own latest access, not at its last safepoint poll.
 		m.Publish()
-		var stallStart, pauseBefore uint64
-		if m.c.lat != nil {
-			stallStart = m.c.VirtualCycles()
-			pauseBefore = m.c.pauseTotal.Load()
-		}
+		stallStart := m.c.VirtualCycles()
+		pauseBefore := m.c.pauseTotal.Load()
 		m.c.sp.beginBlocked(m.tok)
 		m.c.collectIfDue(prev, "allocation stall")
 		m.c.sp.endBlocked(m.tok)
-		if m.c.lat != nil {
-			stallEnd := m.c.VirtualCycles()
-			// Charge the stall's elapsed virtual time to this mutator's
-			// VirtualCycles clock, net of the pause cost accrued inside
-			// the stall (the clock adds pauseTotal separately).
-			pauseDelta := m.c.pauseTotal.Load() - pauseBefore
-			if d := stallEnd - stallStart; d > pauseDelta {
-				m.stallVirtual.Add(d - pauseDelta)
-			}
-			m.c.lat.RecordStall(stallStart, stallEnd, m.c.mutatorStallWeight())
+		stallEnd := m.c.VirtualCycles()
+		// Charge the stall's elapsed virtual time to this mutator's
+		// VirtualCycles clock, net of the pause cost accrued inside
+		// the stall (the clock adds pauseTotal separately).
+		pauseDelta := m.c.pauseTotal.Load() - pauseBefore
+		if d := stallEnd - stallStart; d > pauseDelta {
+			m.stallVirtual.Add(d - pauseDelta)
 		}
+		m.c.lat.RecordStall(stallStart, stallEnd, m.c.mutatorStallWeight())
 	}
 }
 
@@ -634,9 +622,8 @@ func (m *Mutator) barrierSlow(raw heap.Ref) heap.Ref {
 	// slow path and attributed to the primary dispatch outcome.
 	lt := c.lat
 	var sampleStart uint64
-	sampled := false
-	if lt != nil && lt.SampleBarrier() {
-		sampled = true
+	sampled := lt.SampleBarrier()
+	if sampled {
 		sampleStart = m.Cycles()
 	}
 	primary := latency.PathMark

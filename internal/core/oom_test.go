@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"io"
 	"runtime"
 	"testing"
 	"time"
@@ -9,14 +10,17 @@ import (
 	"hcsgc/internal/heap"
 	"hcsgc/internal/objmodel"
 	"hcsgc/internal/telemetry"
+	"hcsgc/internal/telemetry/latency"
 )
 
 // oomEnv builds a collector over a deliberately tiny heap with a telemetry
-// sink, so stall counters can be asserted.
+// sink, so stall counters can be asserted. Its users exhaust the heap on
+// purpose; the flight dumps that produces are discarded.
 func oomEnv(t *testing.T, maxBytes uint64, cfg Config) (*Collector, *objmodel.Registry, *telemetry.Sink) {
 	t.Helper()
 	sink := telemetry.NewSink()
 	cfg.Telemetry = sink
+	cfg.Latency = latency.New(latency.Config{DumpTo: io.Discard})
 	h := heap.New(heap.Config{MaxBytes: maxBytes}, nil)
 	types := objmodel.NewRegistry()
 	c, err := New(h, types, cfg)

@@ -229,12 +229,10 @@ func (w *gcWorker) drainLoop() {
 	c.tm.rec.BeginSpan(telemetry.SpanRelocate, tid)
 	defer c.tm.rec.EndSpan(telemetry.SpanRelocate, tid)
 	defer w.publish()
-	if c.lat != nil {
-		vStart := c.VirtualCycles()
-		defer func() {
-			c.lat.RecordPhase(latency.PhaseRelocDrain, vStart, c.VirtualCycles())
-		}()
-	}
+	vStart := c.VirtualCycles()
+	defer func() {
+		c.lat.RecordPhase(latency.PhaseRelocDrain, vStart, c.VirtualCycles())
+	}()
 	for {
 		i := c.ecCursor.Add(1) - 1
 		if int(i) >= len(c.ecPages) {

@@ -8,8 +8,9 @@ import (
 // The collector's cycle-boundary wiring: closeCycleRecord fills the fields
 // of the cycle's record the collector owns, and recordSignals collects the
 // sections the other planes own into one signals.CycleSignals around it.
-// Every plane call is one predictable branch on a nil plane; the priced
-// difference is BenchmarkPlaneOverhead/signals.
+// The locality profiler and the contention plane may be nil (their OnCycle
+// then returns a section with Present false); the tracker and the signal
+// plane never are.
 
 // since returns how far now is past *mark and moves the watermark to now.
 func since(mark *uint64, now uint64) uint64 {
@@ -51,10 +52,7 @@ func (c *Collector) closeCycleRecord(cs *CycleStats) {
 
 // recordSignals publishes the cycle's unified signal record: the cycle's
 // one record plus the sections their owners hand back. Runs under cycleMu
-// after the latency tracker completed the record; the locality profiler
-// and the contention plane ingest the cycle whether or not a signal plane
-// consumes their sections, so /locality, /contention and their metric
-// families stay live with signals opted out.
+// after the latency tracker completed the record.
 func (c *Collector) recordSignals(cs *CycleStats) {
 	ls := c.cfg.Locality.OnCycle(cs.Seq, cs.SegregationPurity)
 	ctn := c.ctn.OnCycle(cs.Seq, c.workerTotals())

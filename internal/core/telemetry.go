@@ -133,15 +133,12 @@ func (c *Collector) WatchdogReports() uint64 {
 }
 
 // recordMarkEnd publishes mark-end observations: marked live bytes and
-// the hotmap density over hot-trackable pages subject to this mark. Runs
-// inside STW2 (the page set is frozen) when telemetry or the signal
-// plane wants the density (the record's cold_frac is one minus it).
+// the hotmap density over hot-trackable pages subject to this mark (the
+// record's cold_frac is one minus it). Runs inside STW2, while the page set
+// is frozen.
 //
 //hcsgc:stw-only
 func (c *Collector) recordMarkEnd(cs *CycleStats) {
-	if !c.tm.enabled && c.sig == nil {
-		return
-	}
 	startSeq := c.startSeq.Load()
 	var hot, live uint64
 	c.heap.LivePages(func(p *heap.Page) {

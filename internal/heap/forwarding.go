@@ -18,7 +18,7 @@ type ForwardTable struct {
 	slots []fwdSlot
 	mask  uint64
 	// cas attributes lost slot-claim races to the contention plane (nil
-	// when opted out). Completed inserts are counted by the callers, who
+	// without one). Completed inserts are counted by the callers, who
 	// tally them privately and fold them in (Heap.CountForwardOps): one
 	// shared counter bumped per relocated object is a line every
 	// relocating thread fights over.

@@ -85,8 +85,8 @@ type Page struct {
 	// back-pointer.
 	inj *faultinject.Injector
 	// casAlloc/casFwd are the heap-wide CAS attribution sites for the
-	// bump-pointer and forwarding-table loops (nil when the contention
-	// plane is opted out).
+	// bump-pointer and forwarding-table loops (nil for a heap built
+	// without a contention plane).
 	casAlloc *contention.OpSite
 	casFwd   *contention.OpSite
 	_        [32]byte

@@ -121,7 +121,7 @@ func (s State) String() string {
 // protection on. Everything else about the plane is a calibrated constant
 // below: the values are those of the acceptance run that gated the plane
 // (goodput/Mcycle 2604 -> 3712 at 2x sustainable load), and the thresholds
-// are what allocation-rate pacing (ROADMAP item 3) would derive instead.
+// are what allocation-rate pacing of the GC trigger would derive instead.
 type Policy struct {
 	// Seed keys the deterministic per-request shed hash.
 	Seed int64

@@ -9,16 +9,17 @@
 // derives EWMA and trend series over a fixed set of scalar signals, and
 // raises threshold-based anomaly flags.
 //
-// This record shape is the sensor bus ROADMAP items 3-4 consume: an
-// online controller reads Derived (level + direction per signal) and
-// Flags, and the tail attributor (tail.go) links slow requests back to
+// This record shape is the sensor bus of online control: the overload
+// controller reads Derived (level + direction per signal) and Flags, an
+// allocation-rate pacing trigger would, and the tail attributor (tail.go) links slow requests back to
 // the responsible record. Exposition: the /signals endpoint serves
 // Snapshot, BindTelemetry registers the hcsgc_signal_* families, and
 // Perfetto counter tracks carry the per-cycle series.
 //
-// A nil *Plane accepts every call as a no-op costing one predictable
-// branch, matching the repo-wide instrumentation discipline; the priced
-// difference between nil and always-on is BenchmarkPlaneOverhead/signals.
+// The plane is part of a runtime, not an attachment: every collector has
+// one (core.Config builds a default when handed none), so a cycle always has
+// a CycleSignals record. What it costs is the planes' host share in
+// benchmark/ (planes.host_share).
 package signals
 
 import (
@@ -142,8 +143,8 @@ const (
 	FlagLongPause      = "long_pause"
 	FlagHeapPressure   = "heap_pressure"
 	FlagPurityDrop     = "purity_drop"
-	// FlagContentionSpike is the ROADMAP-4 controller's cue that the
-	// cycle serialized on locks rather than work.
+	// FlagContentionSpike is a controller's cue that the cycle serialized
+	// on locks rather than work.
 	FlagContentionSpike = "contention_spike"
 )
 
@@ -183,8 +184,7 @@ type Plane struct {
 	rec                   *telemetry.Recorder
 }
 
-// New builds a plane. A nil *Plane is the disabled state: every method
-// is a one-branch no-op.
+// New builds a plane.
 func New(cfg Config) *Plane {
 	cfg = cfg.withDefaults()
 	return &Plane{
@@ -192,14 +192,6 @@ func New(cfg Config) *Plane {
 		ring: make([]CycleSignals, 0, cfg.History),
 		ewma: make(map[string]*ewmaState, len(DerivedOrder)),
 	}
-}
-
-// Config returns the (defaulted) configuration.
-func (p *Plane) Config() Config {
-	if p == nil {
-		return Config{}
-	}
-	return p.cfg
 }
 
 // rawSignals extracts the scalar signal vector from a record. ok=false
@@ -282,11 +274,8 @@ func flags(rec *CycleSignals, raw map[string]float64) []string {
 // OnCycle completes rec (derived series, anomaly flags), appends it to
 // the history ring, and publishes gauges, counters and Perfetto counter
 // samples. The collector calls it at every cycle boundary, under its
-// cycle lock; rec must not be retained by the caller. Nil-safe.
+// cycle lock; rec must not be retained by the caller.
 func (p *Plane) OnCycle(rec CycleSignals) {
-	if p == nil {
-		return
-	}
 	raw := rawSignals(&rec)
 
 	p.mu.Lock()
@@ -349,10 +338,10 @@ func (p *Plane) OnCycle(rec CycleSignals) {
 // BindTelemetry registers the hcsgc_signal_* metric families on reg
 // (value/EWMA/trend gauges per derived signal, the anomaly-flag counter
 // family counting from now, and the plane's own cycle count) and enables
-// Perfetto counter-track emission through rec. Nil-safe in every argument;
-// binding another plane re-points the series to it.
+// Perfetto counter-track emission through rec. A nil reg (no sink) binds
+// nothing; binding another plane re-points the series to it.
 func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
-	if p == nil || reg == nil {
+	if reg == nil {
 		return
 	}
 	valueG := make(map[string]*telemetry.Gauge, len(DerivedOrder))
@@ -398,12 +387,8 @@ type Snapshot struct {
 	Records []CycleSignals `json:"records"`
 }
 
-// Snapshot copies the plane's state. Nil-safe (returns the zero
-// snapshot).
+// Snapshot copies the plane's state.
 func (p *Plane) Snapshot() Snapshot {
-	if p == nil {
-		return Snapshot{}
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	s := Snapshot{
@@ -421,18 +406,16 @@ func (p *Plane) Snapshot() Snapshot {
 	return s
 }
 
-// Latest returns the most recent record. Nil-safe (ok=false).
+// Latest returns the most recent record (ok=false before the first cycle).
 func (p *Plane) Latest() (CycleSignals, bool) {
-	if p == nil {
-		return CycleSignals{}, false
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.latest, p.has
 }
 
 // Lookup finds the retained record for cycle seq (the tail attributor's
-// responsible-cycle link). Nil-safe (ok=false).
+// responsible-cycle link). A nil plane finds nothing: a tail attributor
+// may classify without one (TailAttributor.Classifier(nil)).
 func (p *Plane) Lookup(seq uint64) (CycleSignals, bool) {
 	if p == nil || seq == 0 {
 		return CycleSignals{}, false

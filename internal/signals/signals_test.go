@@ -243,22 +243,3 @@ func TestPlaneTelemetry(t *testing.T) {
 		}
 	}
 }
-
-// TestPlaneNilSafe: the disabled plane accepts every call.
-func TestPlaneNilSafe(t *testing.T) {
-	var p *Plane
-	p.OnCycle(synthRec(1, 1, 0))
-	p.BindTelemetry(telemetry.NewRegistry(), nil)
-	if s := p.Snapshot(); s.Cycles != 0 {
-		t.Fatal("nil plane snapshot not zero")
-	}
-	if _, ok := p.Latest(); ok {
-		t.Fatal("nil plane has a latest record")
-	}
-	if _, ok := p.Lookup(1); ok {
-		t.Fatal("nil plane found a cycle")
-	}
-	if c := p.Config(); c.History != 0 {
-		t.Fatal("nil plane config not zero")
-	}
-}

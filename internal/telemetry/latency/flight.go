@@ -27,10 +27,9 @@ type BarrierProfile struct {
 // history all hold the same completed value. Durations and pause costs are
 // simulated cycles. A new per-cycle fact is one field here.
 //
-// The collector owns and always fills the fields down to the verifier
-// status; the tracker's OnCycle completes the rest, from MarkCycles on,
-// which stay zero with the latency plane off (DESIGN.md §5 "One per-cycle
-// record").
+// The collector owns and fills the fields down to the verifier status; the
+// tracker's OnCycle completes the rest, from MarkCycles on (DESIGN.md §5
+// "One per-cycle record").
 type CycleRecord struct {
 	Seq     uint64 `json:"seq"`
 	Trigger string `json:"trigger"`
@@ -62,15 +61,13 @@ type CycleRecord struct {
 	SegregationPurity float64 `json:"segregation_purity"`
 	// ColdFrac is 1 - hot bytes over live bytes across hot-trackable pages
 	// at mark end: the fraction of live bytes no mutator touched this era.
-	// -1 when not measured (hotness off, or neither telemetry nor the
-	// signal plane attached).
+	// -1 when not measured (hotness off).
 	ColdFrac float64 `json:"cold_frac"`
 
 	// AllocBytes is the mutator allocation volume since the previous cycle
-	// boundary (counted only while a signal plane is attached);
-	// AllocPerKCycle normalizes it by the cycle's virtual-time span (bytes
-	// per 1000 virtual cycles). RelocObjects/RelocBytes count relocation
-	// (GC + mutator) since the previous boundary.
+	// boundary; AllocPerKCycle normalizes it by the cycle's virtual-time
+	// span (bytes per 1000 virtual cycles). RelocObjects/RelocBytes count
+	// relocation (GC + mutator) since the previous boundary.
 	AllocBytes     uint64  `json:"alloc_bytes"`
 	AllocPerKCycle float64 `json:"alloc_bytes_per_kcycle"`
 	RelocObjects   uint64  `json:"reloc_objects"`

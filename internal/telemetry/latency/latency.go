@@ -11,9 +11,10 @@
 // comparable across runs and configurations, the way the paper's §4
 // evaluation compares them.
 //
-// A nil *Tracker accepts every call as a no-op costing one predictable
-// branch, matching the repo-wide instrumentation discipline; the priced
-// difference between nil and always-on is BenchmarkPlaneOverhead/latency.
+// The tracker is part of a runtime, not an attachment: every collector has
+// one (core.Config builds a default when handed none), so the clocks and
+// record fields it completes mean the same thing in every run. What it
+// costs is the planes' host share in benchmark/ (planes.host_share).
 package latency
 
 import (
@@ -170,8 +171,7 @@ type Tracker struct {
 	rec       *telemetry.Recorder
 }
 
-// New builds a tracker. A nil *Tracker is the disabled state: every method
-// is a one-branch no-op.
+// New builds a tracker.
 func New(cfg Config) *Tracker {
 	cfg = cfg.withDefaults()
 	t := &Tracker{
@@ -192,19 +192,11 @@ func New(cfg Config) *Tracker {
 	return t
 }
 
-// Config returns the (defaulted) configuration.
-func (t *Tracker) Config() Config {
-	if t == nil {
-		return Config{}
-	}
-	return t.cfg
-}
-
 // RecordPause records STW pause i (0-based: stw1..stw3) costing `cost`
 // cycles starting at virtual time startV. A pause stops every mutator
 // (MMU weight 1).
 func (t *Tracker) RecordPause(i int, startV, cost uint64) {
-	if t == nil || i < 0 || i >= len(t.pause) {
+	if i < 0 || i >= len(t.pause) {
 		return
 	}
 	t.pause[i].Record(cost)
@@ -223,7 +215,7 @@ func (t *Tracker) RecordPause(i int, startV, cost uint64) {
 // distribution's count. Only an inverted interval (endV < startV, a
 // caller bug) is dropped.
 func (t *Tracker) RecordPhase(k PhaseKind, startV, endV uint64) {
-	if t == nil || k >= numPhases || endV < startV {
+	if k >= numPhases || endV < startV {
 		return
 	}
 	d := endV - startV
@@ -234,7 +226,7 @@ func (t *Tracker) RecordPhase(k PhaseKind, startV, endV uint64) {
 // RecordStall records one allocation stall over virtual [startV, endV]
 // that stopped the weight-fraction of the mutators (1/numMutators).
 func (t *Tracker) RecordStall(startV, endV uint64, weight float64) {
-	if t == nil || endV <= startV {
+	if endV <= startV {
 		return
 	}
 	t.stall.Record(endV - startV)
@@ -243,7 +235,7 @@ func (t *Tracker) RecordStall(startV, endV uint64, weight float64) {
 
 // BarrierHit counts one slow-path event on path p. Exact (not sampled).
 func (t *Tracker) BarrierHit(p BarrierPath) {
-	if t == nil || p >= numPaths {
+	if p >= numPaths {
 		return
 	}
 	t.barrierHits[p].Inc()
@@ -252,15 +244,12 @@ func (t *Tracker) BarrierHit(p BarrierPath) {
 // SampleBarrier reports whether this slow-path entry should measure its
 // latency (1 in 2^sampleShift).
 func (t *Tracker) SampleBarrier() bool {
-	if t == nil {
-		return false
-	}
 	return t.sampleCtr.Add(1)&(1<<sampleShift-1) == 0
 }
 
 // RecordBarrierLatency records a sampled slow-path latency on path p.
 func (t *Tracker) RecordBarrierLatency(p BarrierPath, cycles uint64) {
-	if t == nil || p >= numPaths {
+	if p >= numPaths {
 		return
 	}
 	t.barrierLat[p].Record(cycles)
@@ -270,11 +259,8 @@ func (t *Tracker) RecordBarrierLatency(p BarrierPath, cycles uint64) {
 // record with every field it owns filled in; the tracker completes it in
 // place (phase durations, barrier deltas, MMU and utilization), appends a
 // copy to the flight ring, and publishes gauges, counters and Perfetto
-// counter-track samples. Nil-safe: the tracker's fields then stay zero.
+// counter-track samples.
 func (t *Tracker) OnCycle(rec *CycleRecord) {
-	if t == nil {
-		return
-	}
 	for k := 0; k < numPhases; k++ {
 		d := t.curPhase[k].Swap(0)
 		switch PhaseKind(k) {
@@ -325,10 +311,10 @@ func (t *Tracker) OnCycle(rec *CycleRecord) {
 // BindTelemetry registers the hcsgc_pause/phase/stall/barrier/mmu metric
 // families on reg (summaries are backed live by the HDR histograms, counters
 // by the tracker's own cells) and enables Perfetto counter-track emission
-// through rec. Nil-safe in every argument; binding another tracker
+// through rec. A nil reg (no sink) binds nothing; binding another tracker
 // re-points the series to it (latest runtime wins).
 func (t *Tracker) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
-	if t == nil || reg == nil {
+	if reg == nil {
 		return
 	}
 	for i, name := range pauseNames {
@@ -380,12 +366,8 @@ func (t *Tracker) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder
 	dumpsLeft.Set(float64(left))
 }
 
-// Report snapshots the full latency-attribution state. Nil-safe (returns
-// nil).
+// Report snapshots the full latency-attribution state.
 func (t *Tracker) Report() *Report {
-	if t == nil {
-		return nil
-	}
 	r := &Report{
 		Pauses:  make(map[string]Dist, 3),
 		Phases:  make(map[string]Dist, numPhases),
@@ -414,22 +396,14 @@ func (t *Tracker) Report() *Report {
 }
 
 // MMUSnapshot computes the current MMU report (the /mmu endpoint payload).
-// Nil-safe (returns the zero report).
 func (t *Tracker) MMUSnapshot() MMUReport {
-	if t == nil {
-		return MMUReport{}
-	}
 	return t.mmu.snapshot()
 }
 
 // AutoDump writes one bounded single-line JSON flight dump to the
 // configured DumpTo, capped at autoDumpLimit per tracker. The collector
 // calls it on new verifier violations; the allocator on ErrOutOfMemory.
-// Nil-safe.
 func (t *Tracker) AutoDump(reason string) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	if t.dumps >= autoDumpLimit {
 		t.mu.Unlock()
@@ -446,11 +420,8 @@ func (t *Tracker) AutoDump(reason string) {
 
 // Rearm resets the automatic-dump budget back to autoDumpLimit (served by
 // /flightrecorder?rearm=1), so an operator who has collected the capped
-// dumps can keep the recorder live without restarting. Nil-safe.
+// dumps can keep the recorder live without restarting.
 func (t *Tracker) Rearm() {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	t.dumps = 0
 	left := t.dumpsLeft
@@ -460,9 +431,6 @@ func (t *Tracker) Rearm() {
 
 // DumpsRemaining returns the automatic dumps left before the cap.
 func (t *Tracker) DumpsRemaining() uint64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.dumps >= autoDumpLimit {
@@ -472,26 +440,19 @@ func (t *Tracker) DumpsRemaining() uint64 {
 }
 
 // StallDist summarizes the allocation-stall distribution (the signal
-// plane's per-cycle stall view). Nil-safe (returns the zero Dist).
+// plane's per-cycle stall view).
 func (t *Tracker) StallDist() Dist {
-	if t == nil {
-		return Dist{}
-	}
 	return distOf(t.stall)
 }
 
 // WriteFlight renders an on-demand flight dump to w as indented JSON (the
-// /flightrecorder endpoint and -latency-report). Nil-safe: a nil tracker
-// writes a dump with a null report.
+// /flightrecorder endpoint and the chaos soak's failure report).
 func (t *Tracker) WriteFlight(w io.Writer, reason string) error {
 	return writeDump(w, FlightDump{Reason: reason, Report: t.Report()}, true)
 }
 
 // Dumps returns the automatic-dump count.
 func (t *Tracker) Dumps() uint64 {
-	if t == nil {
-		return 0
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dumps

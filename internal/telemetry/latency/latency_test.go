@@ -221,28 +221,6 @@ func TestCounterTrackEmission(t *testing.T) {
 	}
 }
 
-// TestTrackerNilSafe: every Tracker method is inert on nil.
-func TestTrackerNilSafe(t *testing.T) {
-	var tr *Tracker
-	tr.RecordPause(0, 0, 10)
-	tr.RecordPhase(PhaseMark, 0, 10)
-	tr.RecordStall(0, 10, 1)
-	tr.BarrierHit(PathMark)
-	tr.RecordBarrierLatency(PathMark, 1)
-	tr.OnCycle(&CycleRecord{})
-	tr.BindTelemetry(nil, nil)
-	tr.AutoDump("x")
-	if tr.SampleBarrier() {
-		t.Error("nil tracker must never sample")
-	}
-	if tr.Report() != nil || tr.Dumps() != 0 {
-		t.Error("nil tracker must report nil")
-	}
-	if r := tr.MMUSnapshot(); r.SpanCycles != 0 {
-		t.Error("nil MMU snapshot must be zero")
-	}
-}
-
 // TestAggregate: HDR distributions merge exactly, hits sum, MMU takes the
 // per-window minimum.
 func TestAggregate(t *testing.T) {

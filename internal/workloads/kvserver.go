@@ -67,8 +67,8 @@ func kvPriority(op loadgen.Op) overload.Priority {
 	return overload.PriorityPoint
 }
 
-// KVServer is the serving-latency benchmark behind `hcsgc-bench -kv-report`
-// and (with RunConfig.Overload armed) `hcsgc-bench -overload-report`.
+// KVServer is the serving-latency benchmark behind `hcsgc-bench -report kv`
+// and (with RunConfig.Overload armed) `hcsgc-bench -report overload`.
 func KVServer() Workload {
 	return Workload{
 		Name: "KV server under open-loop load (SLO latency)",
@@ -179,7 +179,7 @@ func KVServer() Workload {
 					// Per-thread tail classifier: nil when attribution is
 					// off, making every Observe a one-branch no-op. The
 					// classifier links exemplars against the runtime's
-					// signal plane (also nil-safe).
+					// signal plane.
 					col := e.rt.Collector
 					cl := cfg.Tail.Classifier(e.rt.Signals)
 					// A heap too exhausted to hold even the bucket array

@@ -51,26 +51,17 @@ type RunConfig struct {
 	// the report after the run.
 	Locality *hcsgc.LocalityProfiler
 	// Latency overrides the run's latency tracker (nil = the runtime
-	// builds a default one; the plane is always-on). The caller keeps
-	// the handle and reads the report after the run.
+	// builds a default one). The caller keeps the handle and reads the
+	// report after the run.
 	Latency *hcsgc.LatencyTracker
-	// DisableLatency turns the latency-attribution plane off for the
-	// run (overhead baselines).
-	DisableLatency bool
 	// Signals overrides the run's unified signal plane (nil = the
-	// runtime builds a default one; the plane is always-on). The caller
-	// keeps the handle and reads the snapshot after the run.
+	// runtime builds a default one). The caller keeps the handle and
+	// reads the snapshot after the run.
 	Signals *hcsgc.SignalPlane
-	// DisableSignals turns the signal plane off for the run (overhead
-	// baselines).
-	DisableSignals bool
 	// Contention overrides the run's contention attribution plane (nil =
-	// the runtime builds a default one; the plane is always-on). The
-	// caller keeps the handle and reads the snapshot after the run.
+	// the runtime builds a default one). The caller keeps the handle and
+	// reads the snapshot after the run.
 	Contention *hcsgc.ContentionPlane
-	// DisableContention turns the contention plane off for the run
-	// (overhead baselines).
-	DisableContention bool
 	// Mutators sets the number of mutator threads for workloads that
 	// scale across them (the fig4 synthetic and the KV server; 0 = the
 	// workload's default). Other workloads ignore it. The scaling sweep
@@ -208,26 +199,23 @@ func newEnv(cfg RunConfig, heapDefault uint64, rootSlots int) *env {
 		mach = machine.Laptop()
 	}
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
-		HeapMaxBytes:      heapBytes,
-		Knobs:             cfg.Knobs,
-		GCWorkers:         cfg.GCWorkers,
-		TriggerPercent:    cfg.TriggerPercent,
-		EvacThreshold:     cfg.EvacThreshold,
-		Machine:           mach,
-		MemConfig:         cfg.MemConfig,
-		DisableMemModel:   cfg.DisableMem,
-		StartDriver:       true,
-		Telemetry:         cfg.Telemetry,
-		Locality:          cfg.Locality,
-		Latency:           cfg.Latency,
-		DisableLatency:    cfg.DisableLatency,
-		Signals:           cfg.Signals,
-		DisableSignals:    cfg.DisableSignals,
-		Contention:        cfg.Contention,
-		DisableContention: cfg.DisableContention,
-		FaultInjector:     cfg.FaultInjector,
-		Verifier:          cfg.Verifier,
-		StallRetries:      cfg.StallRetries,
+		HeapMaxBytes:    heapBytes,
+		Knobs:           cfg.Knobs,
+		GCWorkers:       cfg.GCWorkers,
+		TriggerPercent:  cfg.TriggerPercent,
+		EvacThreshold:   cfg.EvacThreshold,
+		Machine:         mach,
+		MemConfig:       cfg.MemConfig,
+		DisableMemModel: cfg.DisableMem,
+		StartDriver:     true,
+		Telemetry:       cfg.Telemetry,
+		Locality:        cfg.Locality,
+		Latency:         cfg.Latency,
+		Signals:         cfg.Signals,
+		Contention:      cfg.Contention,
+		FaultInjector:   cfg.FaultInjector,
+		Verifier:        cfg.Verifier,
+		StallRetries:    cfg.StallRetries,
 	})
 	return &env{rt: rt, m: rt.NewMutator(rootSlots), cfg: cfg}
 }

@@ -148,25 +148,6 @@ func TestOneCycleRecord(t *testing.T) {
 	}
 }
 
-// TestSignalsDisabled: DisableSignals leaves the runtime without a plane
-// and the workload still runs.
-func TestSignalsDisabled(t *testing.T) {
-	rt := hcsgc.MustNewRuntime(hcsgc.Options{
-		HeapMaxBytes:    8 << 20,
-		DisableMemModel: true,
-		DisableSignals:  true,
-	})
-	defer rt.Close()
-	if rt.Signals != nil {
-		t.Fatal("DisableSignals left a live plane")
-	}
-	m := rt.NewMutator(1)
-	defer m.Close()
-	obj := rt.Types.Register("signals.off", 2, nil)
-	m.SetRoot(0, m.Alloc(obj))
-	m.RequestGC()
-}
-
 // TestTailAttrEndpointShape: the KV workload with an attributor attached
 // serves a well-formed /tailattr report whose violations carry causes.
 func TestTailAttrEndpointShape(t *testing.T) {
