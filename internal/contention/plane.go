@@ -217,8 +217,6 @@ func (p *Plane) bindOp(o *OpSite) {
 func (p *Plane) bindWorker(i int, w *workerSeen) {
 	id := strconv.Itoa(i)
 	p.reg.Adopt("hcsgc_worker_scanned_total", helpScanned, &w.scanned, "worker", id)
-	p.reg.Adopt("hcsgc_worker_relocated_total", helpRelocated, &w.relocated, "worker", id)
-	p.reg.Adopt("hcsgc_worker_steals_total", helpSteals, &w.steals, "worker", id)
 	p.reg.Adopt("hcsgc_worker_busy_cycles_total", helpBusy, &w.busy, "worker", id)
 }
 
@@ -229,8 +227,6 @@ const (
 	helpCASOps    = "Completed atomic-loop operations by structure."
 	helpCASRetry  = "Failed atomic-loop attempts that looped, by structure."
 	helpScanned   = "Objects scanned by GC worker."
-	helpRelocated = "Objects relocated by GC worker."
-	helpSteals    = "Work chunks fetched from the shared mark pool by GC worker."
 	helpBusy      = "Simulated busy cycles consumed by GC worker."
 	helpImbalance = "Per-cycle GC worker imbalance coefficient (stddev/mean of work)."
 )

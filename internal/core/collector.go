@@ -366,7 +366,8 @@ func (c *Collector) runCycle(reason string) {
 	// in place, and only then do the planes and the GC log copy it: the
 	// flight ring, the signal ring and Stats hold the same completed value.
 	c.closeCycleRecord(cs)
-	c.recordCycleEnd(cs)
+	c.tm.ecPages[0].Add(uint64(cs.ECSmall))
+	c.tm.ecPages[1].Add(uint64(cs.ECMedium))
 	c.recordLatencyCycle(cs)
 	c.recordSignals(cs)
 	c.stats.append(cs)

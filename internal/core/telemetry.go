@@ -25,11 +25,7 @@ type colTelemetry struct {
 	rec     *telemetry.Recorder
 
 	hotmapDensity   *telemetry.Gauge
-	markedBytes     *telemetry.Gauge
-	heapUsedPercent *telemetry.Gauge
-
 	ecPages         [2]*telemetry.Counter // small-ish, medium
-	pagesFreedEmpty *telemetry.Counter
 	barrierSlow     *telemetry.Counter
 	safepointWaitNS *telemetry.Histogram
 }
@@ -68,16 +64,10 @@ func newColTelemetry(sink *telemetry.Sink, c *Collector) colTelemetry {
 		"Allocation stalls waiting for a GC cycle.", &c.stallCount)
 	t.hotmapDensity = reg.Gauge("hcsgc_page_hotmap_density",
 		"Hot bytes over live bytes across hot-trackable pages at mark end.")
-	t.markedBytes = reg.Gauge("hcsgc_marked_bytes",
-		"Live bytes found by the latest mark.")
-	t.heapUsedPercent = reg.Gauge("hcsgc_heap_used_percent",
-		"Committed heap occupancy after the latest cycle.")
 	t.ecPages[0] = reg.Adopt("hcsgc_ec_pages_total",
 		"Pages selected as evacuation candidates.", new(telemetry.Counter), "class", "small")
 	t.ecPages[1] = reg.Adopt("hcsgc_ec_pages_total",
 		"Pages selected as evacuation candidates.", new(telemetry.Counter), "class", "medium")
-	t.pagesFreedEmpty = reg.Adopt("hcsgc_pages_freed_empty_total",
-		"Pages reclaimed without relocation.", new(telemetry.Counter))
 	t.barrierSlow = reg.Adopt("hcsgc_barrier_slow_total",
 		"Load-barrier slow-path entries.", new(telemetry.Counter))
 	t.safepointWaitNS = reg.Histogram("hcsgc_safepoint_wait_ns",
@@ -132,10 +122,9 @@ func (c *Collector) WatchdogReports() uint64 {
 	return c.watchdogFired.Load()
 }
 
-// recordMarkEnd publishes mark-end observations: marked live bytes and
-// the hotmap density over hot-trackable pages subject to this mark (the
-// record's cold_frac is one minus it). Runs inside STW2, while the page set
-// is frozen.
+// recordMarkEnd measures the hotmap density over hot-trackable pages
+// subject to this mark (the record's cold_frac is one minus it). Runs
+// inside STW2, while the page set is frozen.
 //
 //hcsgc:stw-only
 func (c *Collector) recordMarkEnd(cs *CycleStats) {
@@ -157,7 +146,6 @@ func (c *Collector) recordMarkEnd(cs *CycleStats) {
 		cs.ColdFrac = 1 - density
 	}
 	c.tm.hotmapDensity.Set(density)
-	c.tm.markedBytes.Set(float64(cs.MarkedBytes))
 }
 
 // recordSegregation computes the hot/cold segregation purity at mark end
@@ -171,15 +159,4 @@ func (c *Collector) recordSegregation(cs *CycleStats) {
 		return
 	}
 	cs.SegregationPurity = c.heap.SegregationStats(c.startSeq.Load()).Purity()
-}
-
-// recordCycleEnd publishes the closed record's per-cycle counters.
-func (c *Collector) recordCycleEnd(cs *CycleStats) {
-	if !c.tm.enabled {
-		return
-	}
-	c.tm.ecPages[0].Add(uint64(cs.ECSmall))
-	c.tm.ecPages[1].Add(uint64(cs.ECMedium))
-	c.tm.pagesFreedEmpty.Add(uint64(cs.PagesFreedEmpty))
-	c.tm.heapUsedPercent.Set(cs.HeapUsedAfter)
 }

@@ -93,13 +93,9 @@ type Profiler struct {
 
 	// Telemetry handles (nil until BindTelemetry; all nil-safe).
 	distHist     *telemetry.Histogram
-	coldTotal    *telemetry.Counter
 	sampledTotal *telemetry.Counter
 	gStream      *telemetry.Gauge
-	gSeqStream   *telemetry.Gauge
-	gMeanLen     *telemetry.Gauge
 	gEntropy     *telemetry.Gauge
-	gSamePage    *telemetry.Gauge
 	gPurity      *telemetry.Gauge
 	rec          *telemetry.Recorder
 }
@@ -118,10 +114,10 @@ func (pf *Profiler) Config() Config { return pf.cfg }
 var reuseDistBuckets = telemetry.ExpBuckets(1, 2, distBuckets-1)
 
 // BindTelemetry registers the profiler's metric series in reg and enables
-// Perfetto counter-event emission through rec. The two counters count from
-// now, in cells made here and fed at each cycle boundary from the drained
-// interval, like the gauges: a profiler attached to a registry another one
-// used starts them afresh. Nil-safe in every argument.
+// Perfetto counter-event emission through rec. The sampled-access counter
+// counts from now, in a cell made here and fed at each cycle boundary from
+// the drained interval, like the gauges: a profiler attached to a registry
+// another one used starts it afresh. Nil-safe in every argument.
 func (pf *Profiler) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	if pf == nil {
 		return
@@ -131,20 +127,12 @@ func (pf *Profiler) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Record
 	pf.distHist = reg.Histogram("hcsgc_locality_reuse_distance_lines",
 		"Sampled mutator reuse distances, in distinct cache lines (bounded-window Mattson stack distance).",
 		reuseDistBuckets)
-	pf.coldTotal = reg.Adopt("hcsgc_locality_cold_samples_total",
-		"Sampled accesses with no in-window reuse (first touches or reuse beyond the window).", new(telemetry.Counter))
 	pf.sampledTotal = reg.Adopt("hcsgc_locality_sampled_accesses_total",
 		"Mutator accesses fed to the locality profiler.", new(telemetry.Counter))
 	pf.gStream = reg.Gauge("hcsgc_locality_stream_coverage",
 		"Fraction of sampled accesses on a confirmed constant-stride stream, last cycle interval.")
-	pf.gSeqStream = reg.Gauge("hcsgc_locality_seq_stream_coverage",
-		"Fraction of sampled accesses on a confirmed +1-line stream, last cycle interval.")
-	pf.gMeanLen = reg.Gauge("hcsgc_locality_mean_stream_len",
-		"Mean confirmed-stream length in accesses, last cycle interval.")
 	pf.gEntropy = reg.Gauge("hcsgc_locality_page_entropy_bits",
 		"Shannon entropy of the sampled page-transition distribution, in bits.")
-	pf.gSamePage = reg.Gauge("hcsgc_locality_same_page_fraction",
-		"Fraction of consecutive sampled accesses staying on the same 2MB page.")
 	pf.gPurity = reg.Gauge("hcsgc_locality_segregation_purity",
 		"Live-bytes-weighted hot/cold segregation purity of hot-trackable pages at mark end.")
 	pf.rec = rec
@@ -467,12 +455,8 @@ func (pf *Profiler) OnCycle(seq uint64, purity float64) Signals {
 	}
 
 	pf.sampledTotal.Add(ivl.Sampled)
-	pf.coldTotal.Add(ivl.Cold)
 	pf.gStream.Set(cr.Interval.StreamCoverage)
-	pf.gSeqStream.Set(cr.Interval.SeqStreamCoverage)
-	pf.gMeanLen.Set(cr.Interval.MeanStreamLen)
 	pf.gEntropy.Set(pf.lastEntropy)
-	pf.gSamePage.Set(pf.lastSamePage)
 	pf.gPurity.Set(purity)
 
 	pf.rec.Counter(telemetry.CounterStreamCoverage, cr.Interval.StreamCoverage, seq)

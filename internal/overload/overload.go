@@ -37,7 +37,6 @@ import (
 
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/signals"
-	"hcsgc/internal/telemetry"
 )
 
 // ErrOverload is the sentinel for a request rejected by admission
@@ -225,7 +224,6 @@ type Controller struct {
 	stallsInit    bool
 	lastEmergency uint64 // plane seq of the last emergency trigger
 	firedOnce     bool   // an emergency fired before any plane record
-	tState        *telemetry.Gauge
 }
 
 // NewController builds a controller over the given policy, signal plane,
@@ -341,7 +339,6 @@ func (ctrl *Controller) Poll() State {
 	if next != cur {
 		ctrl.state.Store(int32(next))
 		ctrl.stats.recordTransition()
-		ctrl.tState.Set(float64(next))
 	}
 
 	// Emergency headroom: reserved while degraded under heap pressure so
@@ -411,20 +408,6 @@ func (ctrl *Controller) shedDecision(pri Priority, seq uint64) (st State, forced
 	}
 	th := ctrl.shedThresh[st][pri]
 	return st, false, th != 0 && mix(uint64(ctrl.pol.Seed), seq) < th
-}
-
-// BindTelemetry registers the controller's state gauge and delegates to
-// the stats accumulator's counters.
-func (ctrl *Controller) BindTelemetry(reg *telemetry.Registry) {
-	if ctrl == nil || reg == nil {
-		return
-	}
-	ctrl.mu.Lock()
-	ctrl.tState = reg.Gauge("hcsgc_overload_state",
-		"Admission state: 0 normal, 1 brownout, 2 shed.")
-	ctrl.tState.Set(float64(ctrl.state.Load()))
-	ctrl.mu.Unlock()
-	ctrl.stats.BindTelemetry(reg)
 }
 
 // Report snapshots the controller's state and its stats accumulator.

@@ -21,7 +21,6 @@ func TestNilControllerAndStatsAreInert(t *testing.T) {
 	if rep := ctrl.Report(); rep.State != "normal" || rep.Admitted != 0 {
 		t.Fatalf("nil controller report: %+v", rep)
 	}
-	ctrl.BindTelemetry(telemetry.NewRegistry())
 
 	var st *Stats
 	st.RecordDeadlineExceeded()
@@ -338,13 +337,13 @@ func TestStatsMergeReportValidate(t *testing.T) {
 	}
 }
 
-// TestTelemetryBinding: the hcsgc_overload_* families register cleanly and
-// the live handles count.
+// TestTelemetryBinding: the accumulator's family registers cleanly and the
+// live handles count.
 func TestTelemetryBinding(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	st := NewStats()
 	ctrl := NewController(Policy{Seed: 1}, nil, Hooks{}, nil, st)
-	ctrl.BindTelemetry(reg)
+	st.BindTelemetry(reg)
 	st.RecordSuccess(10, true)
 	st.RecordFailure()
 	ctrl.Admit(PriorityBulk, 1)

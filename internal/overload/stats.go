@@ -19,13 +19,12 @@ type Stats struct {
 	withinSLO atomic.Uint64
 	spanV     atomic.Uint64
 	// serveAllocBytes is the heap allocation volume performed by serving
-	// threads inside the serving window (only measured while a signal
-	// plane is attached). The zero-allocations-after-shed regression test
-	// pins it to 0 under a forced-shed schedule.
+	// threads inside the serving window. The zero-allocations-after-shed
+	// regression test pins it to 0 under a forced-shed schedule.
 	serveAllocBytes atomic.Uint64
 
-	// The outcome counts /metrics serves: BindTelemetry has the registry
-	// adopt these cells, so each is stored once.
+	// The outcome counts. BindTelemetry has the registry adopt stale, so it
+	// is stored once.
 	sheds     [NumPriorities]telemetry.Counter
 	stale     telemetry.Counter
 	forced    telemetry.Counter
@@ -192,38 +191,16 @@ func (st *Stats) Merge(o *Stats) {
 	st.success.Merge(o.success)
 }
 
-// BindTelemetry has reg serve the hcsgc_overload_* counter and summary
-// families from this accumulator (re-pointing them if another was bound).
+// BindTelemetry has reg serve the dequeue-side drop count from this
+// accumulator (re-pointing it if another was bound) — the one overload
+// series a diagnosis recipe reads (EXPERIMENTS.md). The rest of the
+// accounting is the /overload endpoint's Report.
 func (st *Stats) BindTelemetry(reg *telemetry.Registry) {
 	if st == nil || reg == nil {
 		return
 	}
-	for pri := Priority(0); pri < NumPriorities; pri++ {
-		reg.Adopt("hcsgc_overload_sheds_total",
-			"Requests rejected by admission control, by priority.",
-			&st.sheds[pri], "priority", pri.String())
-	}
 	reg.Adopt("hcsgc_overload_stale_sheds_total",
 		"Requests shed at dequeue with their SLO budget already consumed by queueing delay.", &st.stale)
-	reg.Adopt("hcsgc_overload_forced_sheds_total",
-		"Admission rejections forced by the fault injector.", &st.forced)
-	reg.Adopt("hcsgc_overload_deadline_exceeded_total",
-		"Request attempts failed fast by the per-request allocation budget.", &st.deadline)
-	reg.Adopt("hcsgc_overload_oom_failures_total",
-		"Request attempts failed by heap exhaustion (degraded, not aborted).", &st.oom)
-	reg.Adopt("hcsgc_overload_retries_total",
-		"Client retries after a shed or fast-failed attempt.", &st.retries)
-	reg.Adopt("hcsgc_overload_failures_total",
-		"Requests that exhausted their retry budget without completing.", &st.failures)
-	reg.Adopt("hcsgc_overload_successes_total",
-		"Requests completed successfully (retries included).", &st.successes)
-	reg.Adopt("hcsgc_overload_transitions_total",
-		"Admission state transitions.", &st.trans)
-	reg.Adopt("hcsgc_overload_emergency_gc_total",
-		"Early GC cycles forced by the overload controller.", &st.emerg)
-	reg.Summary("hcsgc_overload_success_cycles",
-		"Successful-request latency in virtual cycles (retries included).",
-		st.success)
 }
 
 // Report is the overload plane's accounting snapshot, JSON-shaped for

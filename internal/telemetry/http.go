@@ -24,10 +24,11 @@ type Sink struct {
 	flightRearm func()
 	snapshots   map[string]func() any // one key per snapshotEndpoints name; nil = unset
 
-	// dropped mirrors the recorder's loss counters into the registry at
-	// scrape time so exporters can alert on telemetry loss.
-	droppedEvents     *Gauge
-	overwrittenEvents *Gauge
+	// droppedEvents mirrors the recorder's contention-loss counter into the
+	// registry at scrape time so exporters can alert on telemetry loss
+	// (ring wrap-around is the recorder's Overwritten, not a series: a
+	// bounded ring overwrites by design).
+	droppedEvents *Gauge
 }
 
 // NewSink builds a sink with default recorder sizing.
@@ -43,8 +44,6 @@ func NewSink() *Sink {
 		snapshots: snapshots,
 		droppedEvents: reg.Gauge("hcsgc_telemetry_dropped_events",
 			"Events lost to recorder shard contention."),
-		overwrittenEvents: reg.Gauge("hcsgc_telemetry_overwritten_events",
-			"Events lost to ring-buffer wrap-around."),
 	}
 }
 
@@ -153,12 +152,12 @@ func (s *Sink) Endpoints() []string {
 func (s *Sink) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		s.syncLossGauges()
+		s.syncLossGauge()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.reg.WritePrometheus(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		s.syncLossGauges()
+		s.syncLossGauge()
 		w.Header().Set("Content-Type", "application/json")
 		s.reg.WriteJSON(w)
 	})
@@ -217,9 +216,8 @@ func (s *Sink) Handler() http.Handler {
 	return mux
 }
 
-func (s *Sink) syncLossGauges() {
+func (s *Sink) syncLossGauge() {
 	s.droppedEvents.Set(float64(s.rec.Dropped()))
-	s.overwrittenEvents.Set(float64(s.rec.Overwritten()))
 }
 
 // Server is a running telemetry HTTP server.

@@ -145,13 +145,11 @@ func KVServer() Workload {
 				}, cfg.FaultInjector, ost)
 			}
 			if cfg.Telemetry != nil {
-				reg := cfg.Telemetry.Metrics()
+				ost.BindTelemetry(cfg.Telemetry.Metrics())
 				if ctrl != nil {
 					c := ctrl
-					ctrl.BindTelemetry(reg)
 					cfg.Telemetry.SetEndpoint("overload", func() any { return c.Report() })
 				} else {
-					ost.BindTelemetry(reg)
 					cfg.Telemetry.SetEndpoint("overload", func() any { return ost.Report(overload.GoodputSLOCycles) })
 				}
 			}

@@ -35,6 +35,11 @@ func metricsSchema(exposition string) string {
 	return b.String()
 }
 
+// metricFamilyCount pins the number of /metrics families as optionCount pins
+// the options: a family needs a reader — a report, a gate, a documented
+// diagnosis recipe or a test other than the schema golden — and this number.
+const metricFamilyCount = 47
+
 // TestMetricsSchema pins the families, kinds and label sets /metrics serves
 // once every plane is attached: adding, renaming or dropping a series is a
 // visible edit of testdata/metrics_schema.golden (-update regenerates it).
@@ -53,8 +58,7 @@ func TestMetricsSchema(t *testing.T) {
 	})
 	kvstore.NewMetrics().BindTelemetry(reg)
 	hcsgc.NewTailAttributor(hcsgc.TailConfig{}).BindTelemetry(reg)
-	hcsgc.NewOverloadController(hcsgc.OverloadPolicy{}, rt.Signals, hcsgc.OverloadHooks{}, nil,
-		hcsgc.NewOverloadStats()).BindTelemetry(reg)
+	hcsgc.NewOverloadStats().BindTelemetry(reg)
 
 	obj := rt.Types.Register("schema.obj", 3, nil)
 	m := rt.NewMutator(2)
@@ -88,6 +92,10 @@ func TestMetricsSchema(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("/metrics schema differs from %s (run with -update if intended)\n--- got\n%s", golden, got)
+	}
+	if n := strings.Count(got, "# TYPE "); n != metricFamilyCount {
+		t.Errorf("/metrics serves %d families, want %d: a new family needs a reader and a deliberate edit of metricFamilyCount; a removed one lowers it",
+			n, metricFamilyCount)
 	}
 }
 
