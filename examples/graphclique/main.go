@@ -6,7 +6,10 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"math/rand"
+	"os"
+	"sort"
 
 	"hcsgc"
 )
@@ -17,7 +20,11 @@ const (
 	fID  = 1
 )
 
-func main() {
+func main() { run(os.Stdout) }
+
+// run builds the graph, collects once and counts triangles twice, printing
+// each pass's LLC misses to w.
+func run(w io.Writer) {
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
 		HeapMaxBytes: 64 << 20,
 		Knobs: hcsgc.Knobs{
@@ -26,6 +33,10 @@ func main() {
 			ColdConfidence: 1.0,
 			LazyRelocate:   true,
 		},
+		// One GC worker: two race for mark work, and the cache state they
+		// leave behind — so pass 1's miss count, by a few hundred — would
+		// depend on scheduling.
+		GCWorkers:   1,
 		StartDriver: true,
 	})
 	defer rt.Close()
@@ -35,7 +46,9 @@ func main() {
 
 	// Generate a clustered random graph (Go-side), then materialise it on
 	// the managed heap: node objects in id order, adjacency ref arrays.
-	const n = 4000
+	// 20,000 nodes are ~6 MB of objects: past the 4 MB LLC, so the layout
+	// shows in the miss count, and far below the 64 MB heap's trigger.
+	const n = 20000
 	adj := generate(n, 12, 3)
 
 	nodes := m.AllocRefArray(n)
@@ -54,6 +67,11 @@ func main() {
 		node := m.LoadRef(m.LoadRoot(0), v)
 		m.StoreRef(node, fAdj, arr)
 	}
+	// The build never reaches the occupancy trigger, so ask for the one
+	// cycle that selects the evacuation candidates: with LazyRelocate the
+	// first traversal then relocates what it touches, in the order it
+	// touches it.
+	m.RequestGC()
 
 	// Runtime-wide counters come from what mutators have published; this
 	// goroutine owns m, so it publishes before each reading.
@@ -61,16 +79,16 @@ func main() {
 		m.Publish()
 		return rt.MemStats()
 	}
-	// Count triangles twice: the first traversal may reorganise the
-	// layout, the second enjoys it.
+	// Count triangles twice: the first traversal reorganises the layout,
+	// the second enjoys it.
 	for pass := 1; pass <= 2; pass++ {
 		before := memStats()
 		total := triangles(m, n)
 		after := memStats()
-		fmt.Printf("pass %d: %d triangles, %d LLC misses\n",
+		fmt.Fprintf(w, "pass %d: %d triangles, %d LLC misses\n",
 			pass, total, after.LLCMisses-before.LLCMisses)
 	}
-	fmt.Printf("GC cycles: %d\n", rt.Collector.Cycles())
+	fmt.Fprintf(w, "GC cycles: %d\n", rt.Collector.Cycles())
 }
 
 // triangles counts each triangle three times and divides at the end,
@@ -106,7 +124,9 @@ func triangles(m *hcsgc.Mutator, n int) int {
 }
 
 // generate builds an undirected graph with deg random edges per node plus
-// tri triangle-closing edges for clustering.
+// tri triangle-closing edges for clustering. The same graph every time: a
+// neighbour set is sorted before the seeded RNG draws from it, because Go
+// randomises map iteration order.
 func generate(n, deg, tri int) [][]int {
 	rng := rand.New(rand.NewSource(7))
 	adjSet := make([]map[int]bool, n)
@@ -119,6 +139,14 @@ func generate(n, deg, tri int) [][]int {
 			adjSet[b][a] = true
 		}
 	}
+	neighbours := func(v int) []int {
+		ns := make([]int, 0, len(adjSet[v]))
+		for w := range adjSet[v] {
+			ns = append(ns, w)
+		}
+		sort.Ints(ns)
+		return ns
+	}
 	for v := 0; v < n; v++ {
 		for k := 0; k < deg; k++ {
 			add(v, rng.Intn(n))
@@ -126,19 +154,14 @@ func generate(n, deg, tri int) [][]int {
 	}
 	// Close triangles for clustering.
 	for v := 0; v < n; v++ {
-		var ns []int
-		for w := range adjSet[v] {
-			ns = append(ns, w)
-		}
+		ns := neighbours(v)
 		for k := 0; k < tri && len(ns) >= 2; k++ {
 			add(ns[rng.Intn(len(ns))], ns[rng.Intn(len(ns))])
 		}
 	}
 	out := make([][]int, n)
-	for v := range adjSet {
-		for w := range adjSet[v] {
-			out[v] = append(out[v], w)
-		}
+	for v := range out {
+		out[v] = neighbours(v)
 	}
 	return out
 }
