@@ -459,80 +459,45 @@ func (t *Tracker) Dumps() uint64 {
 }
 
 // Aggregate merges per-run trackers into one Report for A/B benching:
-// distributions merge exactly (HDR slot addition), barrier hits sum, and
-// MMU takes the worst (minimum) value per window across runs. Flight
-// records are not aggregated.
+// distributions merge exactly (HDR slot addition) and barrier hits sum —
+// into one fresh tracker, whose Report lays them out — and MMU takes the
+// worst (minimum) value per window across runs. Flight records are not
+// aggregated. Nil trackers are skipped.
 func Aggregate(trackers []*Tracker) *Report {
-	pause := [3]*Hist{NewHist(), NewHist(), NewHist()}
-	phase := [numPhases]*Hist{NewHist(), NewHist(), NewHist()}
-	stall := NewHist()
-	var barrierLat [numPaths]*Hist
-	for p := range barrierLat {
-		barrierLat[p] = NewHist()
-	}
-	var hits [numPaths]uint64
-	var mmuMin map[uint64]float64
-	var utilMin float64 = 1
-	var span, cycles, dumps uint64
+	sum := New(Config{})
+	worst := MMUReport{Utilization: 1}
+	var cycles, dumps uint64
 	for _, t := range trackers {
 		if t == nil {
 			continue
 		}
-		for i := range pause {
-			pause[i].Merge(t.pause[i])
+		for i := range sum.pause {
+			sum.pause[i].Merge(t.pause[i])
 		}
-		for k := range phase {
-			phase[k].Merge(t.phase[k])
+		for k := range sum.phase {
+			sum.phase[k].Merge(t.phase[k])
 		}
-		stall.Merge(t.stall)
-		for p := 0; p < numPaths; p++ {
-			barrierLat[p].Merge(t.barrierLat[p])
-			hits[p] += t.barrierHits[p].Value()
+		sum.stall.Merge(t.stall)
+		for p := range sum.barrierLat {
+			sum.barrierLat[p].Merge(t.barrierLat[p])
+			sum.barrierHits[p].Add(t.barrierHits[p].Value())
 		}
+		// Every snapshot carries the same ladder, DefaultMMUWindows.
 		snap := t.mmu.snapshot()
-		if mmuMin == nil {
-			mmuMin = make(map[uint64]float64)
+		if worst.Windows == nil {
+			worst.Windows = snap.Windows
 		}
-		for _, pt := range snap.Windows {
-			if cur, ok := mmuMin[pt.WindowCycles]; !ok || pt.MMU < cur {
-				mmuMin[pt.WindowCycles] = pt.MMU
-			}
+		for i, pt := range snap.Windows {
+			worst.Windows[i].MMU = min(worst.Windows[i].MMU, pt.MMU)
 		}
-		if snap.Utilization < utilMin {
-			utilMin = snap.Utilization
-		}
-		if snap.SpanCycles > span {
-			span = snap.SpanCycles
-		}
+		worst.Utilization = min(worst.Utilization, snap.Utilization)
+		worst.SpanCycles = max(worst.SpanCycles, snap.SpanCycles)
 		t.mu.Lock()
 		cycles += t.ring.total
 		dumps += t.dumps
 		t.mu.Unlock()
 	}
-	r := &Report{
-		Pauses:      make(map[string]Dist, 3),
-		Phases:      make(map[string]Dist, numPhases),
-		Barrier:     make(map[string]BarrierPathReport, numPaths),
-		Stall:       distOf(stall),
-		Cycles:      cycles,
-		FlightDumps: dumps,
-	}
-	for i, name := range pauseNames {
-		r.Pauses[name] = distOf(pause[i])
-	}
-	for k := 0; k < numPhases; k++ {
-		r.Phases[PhaseKind(k).String()] = distOf(phase[k])
-	}
-	for p := 0; p < numPaths; p++ {
-		r.Barrier[BarrierPath(p).String()] = BarrierPathReport{
-			Hits: hits[p], Sampled: distOf(barrierLat[p]),
-		}
-	}
-	r.MMU = MMUReport{SpanCycles: span, Utilization: utilMin}
-	if mmuMin != nil {
-		for _, w := range DefaultMMUWindows {
-			r.MMU.Windows = append(r.MMU.Windows, MMUPoint{WindowCycles: w, MMU: mmuMin[w]})
-		}
-	}
+	r := sum.Report()
+	r.MMU, r.Flight, r.Cycles, r.FlightDumps = worst, nil, cycles, dumps
 	return r
 }
