@@ -41,13 +41,37 @@ func TestNewValidatesKnobs(t *testing.T) {
 	}
 }
 
+// TestKnobsString: the 18 distinct knob sets of Table 2 (configs 0 and 1
+// are both the zero value), in config order, render as 18 distinct strings
+// with no space at either end — reports print them in parentheses and
+// carry them in JSON.
 func TestKnobsString(t *testing.T) {
-	if (Knobs{}).String() != "zgc" {
-		t.Error("zero knobs should render as zgc")
-	}
-	s := Knobs{Hotness: true, ColdPage: true, ColdConfidence: 0.5, LazyRelocate: true}.String()
-	if s == "" || s == "zgc" {
-		t.Errorf("knob string = %q", s)
+	for _, tc := range []struct {
+		knobs Knobs
+		want  string
+	}{
+		{Knobs{}, "zgc"},
+		{Knobs{LazyRelocate: true}, "lazy"},
+		{Knobs{RelocateAllSmallPages: true}, "all"},
+		{Knobs{RelocateAllSmallPages: true, LazyRelocate: true}, "all lazy"},
+		{Knobs{Hotness: true}, "H"},
+		{Knobs{Hotness: true, ColdConfidence: 0.5}, "H cc=0.5"},
+		{Knobs{Hotness: true, ColdConfidence: 1}, "H cc=1"},
+		{Knobs{Hotness: true, LazyRelocate: true}, "H lazy"},
+		{Knobs{Hotness: true, ColdConfidence: 0.5, LazyRelocate: true}, "H cc=0.5 lazy"},
+		{Knobs{Hotness: true, ColdConfidence: 1, LazyRelocate: true}, "H cc=1 lazy"},
+		{Knobs{Hotness: true, ColdPage: true}, "H+CP"},
+		{Knobs{Hotness: true, ColdPage: true, ColdConfidence: 0.5}, "H+CP cc=0.5"},
+		{Knobs{Hotness: true, ColdPage: true, ColdConfidence: 1}, "H+CP cc=1"},
+		{Knobs{Hotness: true, ColdPage: true, LazyRelocate: true}, "H+CP lazy"},
+		{Knobs{Hotness: true, ColdPage: true, ColdConfidence: 0.5, LazyRelocate: true}, "H+CP cc=0.5 lazy"},
+		{Knobs{Hotness: true, ColdPage: true, ColdConfidence: 1, LazyRelocate: true}, "H+CP cc=1 lazy"},
+		{Knobs{Hotness: true, RelocateAllSmallPages: true}, "H all"},
+		{Knobs{Hotness: true, RelocateAllSmallPages: true, LazyRelocate: true}, "H all lazy"},
+	} {
+		if got := tc.knobs.String(); got != tc.want {
+			t.Errorf("%+v renders as %q, want %q", tc.knobs, got, tc.want)
+		}
 	}
 }
 

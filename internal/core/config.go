@@ -12,6 +12,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"hcsgc/internal/contention"
@@ -86,9 +87,9 @@ func (k Knobs) String() string {
 		s += " lazy"
 	}
 	if s == "" {
-		s = "zgc"
+		return "zgc"
 	}
-	return s
+	return strings.TrimPrefix(s, " ") // Hotness off: the first part is a spaced one
 }
 
 // The abstract cycle costs of collector operations that are not plain
