@@ -137,7 +137,7 @@ func (s *Sink) SetFlightRecorder(dump func(io.Writer) error, rearm func()) {
 
 // Endpoints lists every path the handler serves, in index order.
 func (s *Sink) Endpoints() []string {
-	paths := []string{"/metrics", "/metrics.json", "/trace", "/gclog", "/flightrecorder"}
+	paths := []string{"/metrics", "/trace", "/gclog", "/flightrecorder"}
 	for _, name := range snapshotEndpoints {
 		paths = append(paths, "/"+name)
 	}
@@ -145,21 +145,15 @@ func (s *Sink) Endpoints() []string {
 }
 
 // Handler returns the HTTP mux serving /metrics (Prometheus text),
-// /metrics.json (JSON snapshot), /trace (Chrome trace_event JSON),
-// /gclog (ZGC-style text log), /flightrecorder (latency flight-recorder
-// dump; ?rearm=1 resets the auto-dump budget) and the JSON snapshot
-// endpoints of snapshotEndpoints.
+// /trace (Chrome trace_event JSON), /gclog (ZGC-style text log),
+// /flightrecorder (latency flight-recorder dump; ?rearm=1 resets the
+// auto-dump budget) and the JSON snapshot endpoints of snapshotEndpoints.
 func (s *Sink) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		s.syncLossGauge()
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		s.reg.WritePrometheus(w)
-	})
-	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
-		s.syncLossGauge()
-		w.Header().Set("Content-Type", "application/json")
-		s.reg.WriteJSON(w)
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")

@@ -54,12 +54,6 @@ func TestSinkEndpoints(t *testing.T) {
 		t.Errorf("/metrics content type %q", ctype)
 	}
 
-	jsonBody, _ := get("/metrics.json")
-	var fams []map[string]any
-	if err := json.Unmarshal([]byte(jsonBody), &fams); err != nil {
-		t.Errorf("/metrics.json does not parse: %v", err)
-	}
-
 	traceBody, _ := get("/trace")
 	var tf TraceFile
 	if err := json.Unmarshal([]byte(traceBody), &tf); err != nil {
@@ -91,7 +85,7 @@ func TestSinkEndpoints(t *testing.T) {
 	// The index is generated from the endpoint table: every path it
 	// advertises answers, and an unset snapshot endpoint answers null.
 	index, _ := get("/")
-	for _, path := range strings.Fields("/metrics /metrics.json /trace /gclog /locality /mmu /kv /flightrecorder /signals /contention /tailattr /overload") {
+	for _, path := range strings.Fields("/metrics /trace /gclog /locality /mmu /kv /flightrecorder /signals /contention /tailattr /overload") {
 		if !strings.Contains(index, path) {
 			t.Errorf("index lost %s: %q", path, index)
 		}

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -421,71 +420,4 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 			}
 		}
 	}
-}
-
-// jsonSeries is the JSON snapshot shape of one series.
-type jsonSeries struct {
-	Labels string `json:"labels,omitempty"`
-	Value  any    `json:"value,omitempty"`
-
-	Buckets   map[string]uint64  `json:"buckets,omitempty"`
-	Quantiles map[string]float64 `json:"quantiles,omitempty"`
-	Sum       *float64           `json:"sum,omitempty"`
-	Count     *uint64            `json:"count,omitempty"`
-}
-
-// jsonFamily is the JSON snapshot shape of one metric family.
-type jsonFamily struct {
-	Name   string       `json:"name"`
-	Type   string       `json:"type"`
-	Help   string       `json:"help,omitempty"`
-	Series []jsonSeries `json:"series"`
-}
-
-// WriteJSON renders the registry as a JSON snapshot: an array of metric
-// families with their series. Nil-safe on a nil registry (writes null).
-func (r *Registry) WriteJSON(w io.Writer) error {
-	if r == nil {
-		_, err := io.WriteString(w, "null\n")
-		return err
-	}
-	var out []jsonFamily
-	for _, f := range r.snapshot() {
-		jf := jsonFamily{Name: f.name, Type: f.kind.String(), Help: f.help}
-		for _, s := range f.sorted {
-			js := jsonSeries{Labels: s.labels}
-			switch f.kind {
-			case kindCounter:
-				js.Value = s.c.Value()
-			case kindGauge:
-				js.Value = s.g.Value()
-			case kindHistogram:
-				js.Buckets = make(map[string]uint64, len(s.h.bounds)+1)
-				var cum uint64
-				for i, bound := range s.h.bounds {
-					cum += s.h.counts[i].Load()
-					js.Buckets[fmtFloat(bound)] = cum
-				}
-				cum += s.h.counts[len(s.h.bounds)].Load()
-				js.Buckets["+Inf"] = cum
-				sum, count := s.h.Sum(), s.h.Count()
-				js.Sum, js.Count = &sum, &count
-			case kindSummary:
-				if s.q == nil {
-					continue
-				}
-				js.Quantiles = make(map[string]float64, len(summaryQuantiles))
-				for _, q := range summaryQuantiles {
-					js.Quantiles[fmt.Sprintf("%g", q)] = s.q.Quantile(q)
-				}
-				sum, count := s.q.Sum(), s.q.Count()
-				js.Sum, js.Count = &sum, &count
-			}
-			jf.Series = append(jf.Series, js)
-		}
-		out = append(out, jf)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }

@@ -203,10 +203,6 @@ func TestScrapeDuringRun(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			sink.Metrics().WritePrometheus(&buf)
-			if err := sink.Metrics().WriteJSON(&buf); err != nil {
-				t.Error(err)
-				return
-			}
 		}
 	}()
 	for seed := int64(1); seed <= 2; seed++ {

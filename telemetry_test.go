@@ -111,12 +111,6 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Errorf("hotmap density = %v, want in (0, 1]", d)
 	}
 
-	// --- /metrics.json parses.
-	var fams []map[string]any
-	if err := json.Unmarshal([]byte(get("/metrics.json")), &fams); err != nil {
-		t.Errorf("/metrics.json does not parse: %v", err)
-	}
-
 	// --- /trace: valid trace_event JSON with matched B/E pairs for the
 	// mark and relocate phases.
 	var tf telemetry.TraceFile
