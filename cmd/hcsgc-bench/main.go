@@ -8,7 +8,7 @@
 //	hcsgc-bench -exp fig9 -runs 30 -scale 0.06 -configs 0,2,3,4
 //	hcsgc-bench -exp fig4 -csv out.csv   # machine-readable output
 //	hcsgc-bench -report chaos -runs 20   # fault-injection soak, verifier on
-//	hcsgc-bench -report kv -json kv.json # KV serving SLO A/B (cfg 3 vs 4)
+//	hcsgc-bench -report kv -json kv.json # KV serving SLO A/B (cfg 3 vs 4), its tail explained
 //
 // Results are printed as text reports following the paper's §4.2 layout.
 //
@@ -66,11 +66,11 @@ func (o *options) flagSet() *flag.FlagSet {
 
 	fs.StringVar(&o.report, "report", "", "run a report mode instead of the timing sweep: "+strings.Join(modeNames(), ", ")+" (see -list)")
 	fs.StringVar(&o.json, "json", "", "also write the -report result as JSON to this file")
-	fs.StringVar(&o.benchOut, "bench-out", "", "write the normalized benchmark artifact (BENCH_<exp>.json shape) to this file; -report kv, overload, scaling")
+	fs.StringVar(&o.benchOut, "bench-out", "", "write the normalized benchmark artifact (BENCH_<exp>.json shape) to this file; -report overload, scaling")
 	fs.StringVar(&o.benchCompare, "bench-compare", "", "compare the run against this committed baseline artifact; >10% regressions print warnings without failing")
 
 	fs.UintVar(&o.localityShift, "locality-shift", 4, "-report locality: sampling knob, one burst per 2^shift accesses")
-	fs.Uint64Var(&o.tailSLO, "tail-slo", 0, "-report tail: SLO threshold in virtual cycles (0 = default 1000000)")
+	fs.Uint64Var(&o.tailSLO, "tail-slo", 0, "-report kv: SLO threshold in virtual cycles that violations are attributed against (0 = default 1000000)")
 	fs.Float64Var(&o.overloadFactor, "overload-factor", 0, "-report overload: arrival-rate multiplier past sustainable (0 = default 2)")
 	intList(fs, &o.sweepMutators, "sweep-mutators", "-report scaling: comma-separated mutator counts (default 1,2,4,8,16,64)")
 	fs.StringVar(&o.chaosOut, "chaos-out", "", "-report chaos: also write the soak report (and failed runs' gclogs) to this file")
@@ -140,19 +140,11 @@ var modes = []mode{
 		}),
 	},
 	{
-		name: "kv", desc: "KV serving A/B: open-loop request latency percentiles and SLO curves per traffic phase",
-		configs: []int{3, 4}, seed: 1,
-		flags: []string{"json", "bench-out", "bench-compare"},
-		run: reporting(func(j *job) (report, error) {
-			return bench.RunKVAB(j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.sink, j.progress)
-		}),
-	},
-	{
-		name: "tail", desc: "KV tail-attribution A/B: p99 violations by cause, linked to responsible GC cycles",
+		name: "kv", desc: "KV serving A/B: open-loop request latency percentiles and SLO curves per traffic phase, SLO violations by cause and GC cycle",
 		configs: []int{3, 4}, seed: 1,
 		flags: []string{"json", "tail-slo"},
 		run: reporting(func(j *job) (report, error) {
-			return bench.RunTailAB(j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.tailSLO, j.sink, j.progress)
+			return bench.RunKVAB(j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.tailSLO, j.sink, j.progress)
 		}),
 	},
 	{

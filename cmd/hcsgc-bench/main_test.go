@@ -161,31 +161,14 @@ func TestWriteList(t *testing.T) {
 }
 
 // TestRunKVTiny drives -report kv end to end at tiny scale with the
-// telemetry sink attached, writing the JSON report and the normalized
-// artifact, and checks the hcsgc_kv_* families land in the exposition.
+// telemetry sink attached, writing the JSON report, and checks the
+// hcsgc_kv_* families land in the exposition.
 func TestRunKVTiny(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
-	dir := t.TempDir()
-	jsonPath := dir + "/kv-report.json"
-	benchOut := dir + "/BENCH_kv.json"
-	j := quietJob(sink, options{report: "kv", runs: 1, scale: 0.01, json: jsonPath, benchOut: benchOut})
+	jsonPath := t.TempDir() + "/kv-report.json"
+	j := quietJob(sink, options{report: "kv", runs: 1, scale: 0.01, json: jsonPath})
 	if err := runMode(t, j); err != nil {
 		t.Fatal(err)
-	}
-	// The normalized artifact round-trips and compares clean against
-	// itself (the CI baseline-guard path).
-	art, err := bench.ReadArtifactFile(benchOut)
-	if err != nil {
-		t.Fatalf("bench artifact: %v", err)
-	}
-	if art.Experiment != "kv" || len(art.Metrics) == 0 {
-		t.Fatalf("bench artifact malformed: %+v", art)
-	}
-	if art.Seed != 1 {
-		t.Fatalf("artifact seed = %d, want the mode's default 1", art.Seed)
-	}
-	if warns := bench.CompareArtifacts(art, art, 0.10); len(warns) != 0 {
-		t.Fatalf("self-comparison produced warnings: %v", warns)
 	}
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
@@ -197,6 +180,9 @@ func TestRunKVTiny(t *testing.T) {
 	}
 	if err := ab.Validate(); err != nil {
 		t.Fatalf("kv json artifact invalid: %v", err)
+	}
+	if ab.Seed != 1 {
+		t.Fatalf("report seed = %d, want the mode's default 1", ab.Seed)
 	}
 	var b strings.Builder
 	sink.Metrics().WritePrometheus(&b)
@@ -213,14 +199,44 @@ func TestRunKVTiny(t *testing.T) {
 	}
 }
 
+// TestRunScalingTinyArtifact drives -bench-out and -bench-compare end to
+// end on the smallest sweep that passes the scaling gate: the run is
+// compared with the committed baseline (advisory: warnings or the
+// all-within line, exit 0 either way), and the normalized artifact
+// round-trips and compares clean against itself.
+func TestRunScalingTinyArtifact(t *testing.T) {
+	benchOut := t.TempDir() + "/BENCH_scaling.json"
+	j := quietJob(nil, options{report: "scaling", sweepMutators: []int{1, 2, 4}, scale: 0.02,
+		benchOut: benchOut, benchCompare: "../../results/BENCH_scaling.baseline.json"})
+	var stderr bytes.Buffer
+	j.stderr = &stderr
+	if err := runMode(t, j); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(stderr.String(), "baseline") {
+		t.Errorf("-bench-compare said nothing about the baseline: %q", stderr.String())
+	}
+	art, err := bench.ReadArtifactFile(benchOut)
+	if err != nil {
+		t.Fatalf("bench artifact: %v", err)
+	}
+	if art.Experiment != "scaling" || len(art.Metrics) == 0 {
+		t.Fatalf("bench artifact malformed: %+v", art)
+	}
+	if art.Seed != 1 {
+		t.Fatalf("artifact seed = %d, want the mode's default 1", art.Seed)
+	}
+	if warns := bench.CompareArtifacts(art, art, 0.10); len(warns) != 0 {
+		t.Fatalf("self-comparison produced warnings: %v", warns)
+	}
+}
+
 // TestRunKVBadConfigs rejects a malformed -configs pair.
 func TestRunKVBadConfigs(t *testing.T) {
-	for _, name := range []string{"kv", "tail"} {
-		j := quietJob(nil, options{report: name, runs: 1, scale: 0.01})
-		j.configs = []int{3, 4, 16}
-		if err := runMode(t, j); err == nil {
-			t.Fatalf("three config ids must error for -report %s", name)
-		}
+	j := quietJob(nil, options{report: "kv", runs: 1, scale: 0.01})
+	j.configs = []int{3, 4, 16}
+	if err := runMode(t, j); err == nil {
+		t.Fatal("three config ids must error for -report kv")
 	}
 }
 
@@ -233,21 +249,22 @@ func TestMisuseFailsLoudly(t *testing.T) {
 		want []string // substrings of stderr
 	}{
 		{"-report nonesuch", append([]string{`"nonesuch"`}, modeNames()...)},
+		// Folded into -report kv, not aliased: six modes.
+		{"-report tail", []string{`"tail"`, "locality, latency, kv, overload, scaling, chaos)"}},
 		// The ISSUE 14 motivation: two modes' worth of flags used to run
 		// one mode, exit 0 and write neither file.
 		{"-report latency -bench-out x.json -json kv.json", []string{"-bench-out", "latency"}},
 		{"-report locality -bench-out x.json", []string{"-bench-out", "locality"}},
-		{"-report tail -bench-compare x.json", []string{"-bench-compare", "tail"}},
+		{"-report kv -bench-compare x.json", []string{"-bench-compare", "kv"}},
 		{"-report chaos -bench-out x.json", []string{"-bench-out", "chaos"}},
 		{"-report chaos -json x.json", []string{"-json", "chaos"}},
 		{"-report kv -locality-shift 3", []string{"-locality-shift", "kv"}},
-		{"-report kv -tail-slo 5", []string{"-tail-slo", "kv"}},
+		{"-report overload -tail-slo 5", []string{"-tail-slo", "overload"}},
 		{"-report kv -overload-factor 3", []string{"-overload-factor", "kv"}},
 		{"-report kv -sweep-mutators 1,2", []string{"-sweep-mutators", "kv"}},
 		{"-report kv -chaos-out x.txt", []string{"-chaos-out", "kv"}},
 		{"-exp fig4 -json x.json", []string{"-json", "-report"}},
 		{"-report kv -exp fig4", []string{"-exp", "kv"}},
-		{"-report tail -exp kv", []string{"-exp", "tail"}},
 		{"-report overload -exp kv", []string{"-exp", "overload"}},
 		{"-report scaling -exp fig4", []string{"-exp", "scaling"}},
 		{"-report scaling -configs 3", []string{"-configs", "scaling"}},

@@ -38,7 +38,7 @@ var fixtureKeys = map[string][]string{
 // fixtureLens overrides the default slice length of 2 by field name.
 var fixtureLens = map[string]int{
 	"Phases":    len(loadgen.PhaseNames),
-	"TopK":      4, // one more than the tail report prints per side
+	"TopK":      4, // one more than the kv report prints per side
 	"ReuseHist": 5,
 }
 
@@ -119,15 +119,6 @@ func fixtureKVAB() *KVAB {
 		ab.Base.Report.Phases[i].Phase = name
 		ab.Test.Report.Phases[i].Phase = name
 	}
-	return ab
-}
-
-func fixtureTailAB() *TailAB {
-	ab := fixture[TailAB]()
-	for i, name := range loadgen.PhaseNames {
-		ab.Base.Report.Phases[i].Phase = name
-		ab.Test.Report.Phases[i].Phase = name
-	}
 	// A cause nobody hit is skipped by the text report.
 	ab.Test.Tail.ByCause[1].Count = 0
 	return ab
@@ -164,7 +155,7 @@ func pinned(a Artifact, _ bool) Artifact {
 
 func TestGoldenReports(t *testing.T) {
 	loc, lat, kv := fixtureLocalityAB(), fixtureLatencyAB(), fixtureKVAB()
-	tail, ovl, sweep := fixtureTailAB(), fixtureOverloadAB(), fixtureScaleSweep()
+	ovl, sweep := fixtureOverloadAB(), fixtureScaleSweep()
 	cases := []struct {
 		name string
 		text func(io.Writer) // nil: the type has no text form
@@ -173,10 +164,8 @@ func TestGoldenReports(t *testing.T) {
 		{"locality", loc.WriteText, loc.WriteJSON},
 		{"latency", lat.WriteText, lat.WriteJSON},
 		{"kv", kv.WriteText, kv.WriteJSON},
-		{"tail", tail.WriteText, tail.WriteJSON},
 		{"overload", ovl.WriteText, ovl.WriteJSON},
 		{"scaling", sweep.WriteText, sweep.WriteJSON},
-		{"artifact_kv", nil, pinned(kv.Artifact()).WriteJSON},
 		{"artifact_overload", nil, pinned(ovl.Artifact()).WriteJSON},
 		{"artifact_scaling", nil, pinned(sweep.Artifact()).WriteJSON},
 	}

@@ -13,11 +13,16 @@ import (
 // KVSide is one configuration's aggregated serving measurement in a KV
 // A/B comparison: every run's request-latency histograms merged slot-wise
 // into one accumulator, so the side's quantiles are exact over the union
-// of all runs' requests.
+// of all runs' requests. The attributor's per-cause histograms merge the
+// same way, over the same requests.
 type KVSide struct {
 	Config int    `json:"config"`
 	Knobs  string `json:"knobs"`
 	Runs   int    `json:"runs"`
+	// Tail explains Report's tail: every request past the SLO classified
+	// (stw-pause / alloc-stall / queued-behind-stall / service) and linked
+	// to the responsible GC cycle, plus the top-K slow-request exemplars.
+	Tail hcsgc.TailReport `json:"tail"`
 	// Report is the merged serving report (per-phase dists + SLO curves).
 	Report kvstore.Report `json:"report"`
 	// MeanExecSeconds is the mean simulated execution time, for context.
@@ -30,20 +35,27 @@ type KVSide struct {
 // on the KV server workload. The default pair (3 vs 4) isolates
 // LAZYRELOCATE: eager relocation concentrates cost in GC-adjacent
 // windows, lazy spreads it across mutator barriers — the report shows
-// which phases of traffic pay for each choice.
+// which phases of traffic pay for each choice, and which GC mechanism
+// makes the slow requests slow. Both are computed from the same runs: a
+// second A/B meets the wall-clock GC trigger differently, and its
+// explanation can disagree with the report about which side is worse.
 type KVAB struct {
 	Runs  int     `json:"runs"`
 	Scale float64 `json:"scale"`
 	Seed  int64   `json:"seed"`
+	// SLOThresholdCycles is the violation threshold both sides classify
+	// against.
+	SLOThresholdCycles uint64 `json:"slo_threshold_cycles"`
 
 	Base KVSide `json:"base"`
 	Test KVSide `json:"test"`
 }
 
 // RunKVAB runs the KV server workload under two configurations, runs
-// times each with per-run seeds, merging every run's request metrics into
-// the side's accumulator.
-func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hcsgc.TelemetrySink, progress Progress) (*KVAB, error) {
+// times each with per-run seeds, merging every run's request metrics and
+// tail attribution into the side's accumulators. slo is the violation
+// threshold in virtual cycles (0 = the attributor's default).
+func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, slo uint64, sink *hcsgc.TelemetrySink, progress Progress) (*KVAB, error) {
 	w, err := workloads.Get("kv")
 	if err != nil {
 		return nil, err
@@ -60,10 +72,15 @@ func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hc
 	}
 	ab := &KVAB{Runs: runs, Scale: scale, Seed: seed}
 
-	accs := [2]*kvstore.Metrics{kvstore.NewMetrics(), kvstore.NewMetrics()}
+	var accs [2]*kvstore.Metrics
+	var tails [2]*hcsgc.TailAttributor
+	for i := range accs {
+		accs[i] = kvstore.NewMetrics()
+		tails[i] = hcsgc.NewTailAttributor(hcsgc.TailConfig{SLOThresholdCycles: slo})
+	}
 	sides, err := runSides("kv", w, []int{baseCfg, testCfg}, runs, scale, seed, sink, progress,
 		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
-			rc.KV = accs[side]
+			rc.KV, rc.Tail = accs[side], tails[side]
 			return nil
 		})
 	if err != nil {
@@ -72,19 +89,25 @@ func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hc
 	for i, side := range []*KVSide{&ab.Base, &ab.Test} {
 		*side = KVSide{
 			Config: sides[i].config, Knobs: sides[i].knobs, Runs: runs,
+			Tail:            tails[i].Report(),
 			Report:          accs[i].Report(nil),
 			MeanExecSeconds: sides[i].meanExecSeconds,
 			GCCycles:        sides[i].gcCycles,
 		}
 	}
+	ab.SLOThresholdCycles = ab.Test.Tail.SLOThresholdCycles
 	return ab, nil
 }
 
-// Validate checks a KV A/B report's well-formedness: both sides pass the
-// serving report's structural validation, every phase recorded requests,
-// and the two sides served identical request counts per phase (the
-// schedule is open-loop and seeded, so any divergence is a harness bug).
-// Used by the CI smoke step.
+// Validate is the acceptance gate of a KV A/B report. The serving half:
+// both sides pass the serving report's structural validation, every phase
+// recorded requests, and the two sides served identical request counts
+// per phase (the schedule is open-loop and seeded, so any divergence is a
+// harness bug). The attribution half: both sides pass the tail report's
+// structural validation, the attributor observed exactly the requests the
+// serving report counted, and a side that has SLO violations attributes
+// at least 90% of them to a concrete cause and responsible cycle id. A
+// report with no violations passes: nothing past the SLO is a result.
 func (ab *KVAB) Validate() error {
 	for _, s := range []struct {
 		name string
@@ -93,10 +116,24 @@ func (ab *KVAB) Validate() error {
 		if err := s.side.Report.Validate(); err != nil {
 			return fmt.Errorf("kv: %s side: %w", s.name, err)
 		}
+		if err := s.side.Tail.Validate(); err != nil {
+			return fmt.Errorf("kv: %s side: %w", s.name, err)
+		}
+		var served uint64
 		for _, p := range s.side.Report.Phases {
 			if p.Dist.Count == 0 {
 				return fmt.Errorf("kv: %s side phase %q recorded no requests", s.name, p.Phase)
 			}
+			served += p.Dist.Count
+		}
+		t := s.side.Tail
+		if t.Requests != served {
+			return fmt.Errorf("kv: %s side attributor observed %d requests, serving report counted %d",
+				s.name, t.Requests, served)
+		}
+		if t.Violations > 0 && t.AttributedFraction < 0.9 {
+			return fmt.Errorf("kv: %s side attributed only %.1f%% of %d violations (want >= 90%%)",
+				s.name, 100*t.AttributedFraction, t.Violations)
 		}
 	}
 	for i := range ab.Base.Report.Phases {
@@ -112,7 +149,9 @@ func (ab *KVAB) Validate() error {
 
 // WriteText renders the A/B comparison as aligned text tables: the
 // per-phase latency distributions, each phase's SLO curve side by side,
-// and the tail-latency headline.
+// the tail-latency headline, and what explains it — per side, the SLO
+// violations by cause and the slowest exemplars with their responsible
+// cycles.
 func (ab *KVAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== KV serving A/B: open-loop load, %d runs, scale %g ===\n",
 		ab.Runs, ab.Scale)
@@ -151,6 +190,34 @@ func (ab *KVAB) WriteText(w io.Writer) {
 		fmt.Fprintf(w, "  %-8s %9.0f -> %9.0f cycles  %s\n",
 			bp.Phase, bp.Dist.P999, tp.Dist.P999, delta)
 	}
+
+	fmt.Fprintf(w, "\nSLO violations by cause (SLO %d cycles), and each side's slowest requests with the responsible GC cycle:\n",
+		ab.SLOThresholdCycles)
+	for _, s := range []struct {
+		name string
+		side *KVSide
+	}{{"base", &ab.Base}, {"test", &ab.Test}} {
+		t := s.side.Tail
+		share := 0.0
+		if t.Requests > 0 {
+			share = 100 * float64(t.Violations) / float64(t.Requests)
+		}
+		fmt.Fprintf(w, "%s (cfg %d): %d requests, %d violations (%.3f%%), %.1f%% attributed to a concrete cause+cycle\n",
+			s.name, s.side.Config, t.Requests, t.Violations, share, 100*t.AttributedFraction)
+		fmt.Fprintf(w, "  %-22s %9s %8s %12s %12s %12s\n", "cause", "count", "share", "p50", "p99", "max")
+		for _, c := range t.ByCause {
+			if c.Count == 0 {
+				continue
+			}
+			fmt.Fprintf(w, "  %-22s %9d %7.1f%% %12.0f %12.0f %12.0f\n",
+				c.Cause, c.Count, 100*c.Fraction, c.Dist.P50, c.Dist.P99, c.Dist.Max)
+		}
+		for _, ex := range t.TopK[:min(3, len(t.TopK))] {
+			fmt.Fprintf(w, "  slowest: seq %-8d %-6s %-8s %12d cycles  %-20s cycle %d\n",
+				ex.Seq, ex.Op, ex.Phase, ex.LatencyCycles, ex.Cause, ex.Cycle)
+		}
+	}
+	fmt.Fprintln(w)
 	b, t := ab.Base.Report, ab.Test.Report
 	fmt.Fprintf(w, "ops: get %d, set %d, delete %d, scan %d; hit rate: base %.4f, test %.4f; sessions retired: %d\n",
 		b.Ops[loadgen.OpGet.String()], b.Ops[loadgen.OpSet.String()],
@@ -170,24 +237,8 @@ func hitRate(r kvstore.Report) float64 {
 // WriteJSON renders the full A/B result.
 func (ab *KVAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }
 
-// Artifact normalizes a KV A/B result: per side, the steady/burst tail
-// quantiles, hit rate and mean execution time.
-func (ab *KVAB) Artifact() (Artifact, bool) {
-	a := newArtifact("kv", "kv-ab", ab.Runs, ab.Scale, ab.Seed)
-	for _, s := range []struct {
-		name string
-		side *KVSide
-	}{{"base", &ab.Base}, {"test", &ab.Test}} {
-		steady := kvPhaseDist(s.side.Report, loadgen.PhaseNames[loadgen.PhaseSteady])
-		burst := kvPhaseDist(s.side.Report, loadgen.PhaseNames[loadgen.PhaseBurst])
-		a.Metrics = append(a.Metrics,
-			BenchMetric{s.name + "/p50-steady", steady.P50, "lower"},
-			BenchMetric{s.name + "/p99-steady", steady.P99, "lower"},
-			BenchMetric{s.name + "/p999-steady", steady.P999, "lower"},
-			BenchMetric{s.name + "/p999-burst", burst.P999, "lower"},
-			BenchMetric{s.name + "/hit-rate", hitRate(s.side.Report), "higher"},
-			BenchMetric{s.name + "/exec-seconds", s.side.MeanExecSeconds, "lower"},
-		)
-	}
-	return a, true
-}
+// Artifact: the KV A/B has no normalized benchmark artifact. The serving
+// path's regression guard is benchmark/'s kv-serve workload, whose compare
+// knows the run-to-run spread; a 10% line on one invocation's p99 warned
+// on unchanged code every time.
+func (*KVAB) Artifact() (Artifact, bool) { return Artifact{}, false }

@@ -20,8 +20,8 @@ var sharedAB = sync.OnceValues(func() (*OverloadAB, error) {
 
 // TestRunOverloadAB is the acceptance gate for the overload-protection
 // plane, run at the calibrated comparison point (full scale, 2x the
-// sustainable load): ValidateOverloadAB enforces that the unprotected side
-// melted, the protected side shed AND fast-failed with >= 99% of its
+// sustainable load): (*OverloadAB).Validate enforces that the unprotected
+// side melted, the protected side shed AND fast-failed with >= 99% of its
 // violations attributed, and that protection bought a lower successful
 // p999 at no goodput cost.
 func TestRunOverloadAB(t *testing.T) {
