@@ -3,7 +3,6 @@ package contention
 import (
 	"math"
 	"sort"
-	"strconv"
 	"sync"
 
 	"hcsgc/internal/telemetry"
@@ -171,9 +170,10 @@ func (p *Plane) AddSource(name string, probe func() (ops, contended uint64)) {
 }
 
 // BindTelemetry attaches the metrics registry and event recorder and has
-// the registry serve every site, source, CAS loop and worker known so far;
-// those registered later join as they arrive, so a series exists from the
-// moment its site does, whether or not it was ever contended.
+// the registry serve every site, source and CAS loop known so far; those
+// registered later join as they arrive, so a series exists from the moment
+// its site does, whether or not it was ever contended. Per-worker totals
+// are the snapshot's worker table; the registry carries their imbalance.
 func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	if p == nil {
 		return
@@ -191,15 +191,12 @@ func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) 
 	for _, o := range p.ops {
 		p.bindOp(o)
 	}
-	for i, w := range p.workers {
-		p.bindWorker(i, w)
-	}
 	p.reg.Gauge("hcsgc_worker_imbalance", helpImbalance)
 }
 
 // bindLock has the registry serve one lock site or source: its totals as
 // of the last cycle and, for a wrapped mutex, the live wait histogram.
-// Like bindOp and bindWorker: caller holds p.mu, a nil registry is a no-op.
+// Like bindOp: caller holds p.mu, a nil registry is a no-op.
 func (p *Plane) bindLock(name string, wait *latency.Hist, acq, contended *telemetry.Counter) {
 	if wait != nil {
 		p.reg.Summary("hcsgc_contention_wait_ns",
@@ -214,20 +211,12 @@ func (p *Plane) bindOp(o *OpSite) {
 	p.reg.Adopt("hcsgc_contention_cas_retries_total", helpCASRetry, &o.seenRetries, "structure", o.name)
 }
 
-func (p *Plane) bindWorker(i int, w *workerSeen) {
-	id := strconv.Itoa(i)
-	p.reg.Adopt("hcsgc_worker_scanned_total", helpScanned, &w.scanned, "worker", id)
-	p.reg.Adopt("hcsgc_worker_busy_cycles_total", helpBusy, &w.busy, "worker", id)
-}
-
 // Metric family helps, shared with the telemetrynames fixtures.
 const (
 	helpAcq       = "Lock acquisitions by site."
 	helpContended = "Lock acquisitions that had to block, by site."
 	helpCASOps    = "Completed atomic-loop operations by structure."
 	helpCASRetry  = "Failed atomic-loop attempts that looped, by structure."
-	helpScanned   = "Objects scanned by GC worker."
-	helpBusy      = "Simulated busy cycles consumed by GC worker."
 	helpImbalance = "Per-cycle GC worker imbalance coefficient (stddev/mean of work)."
 )
 
@@ -269,7 +258,6 @@ func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 	// Worker balance.
 	for i := len(p.workers); i < len(workers); i++ {
 		p.workers = append(p.workers, &workerSeen{})
-		p.bindWorker(i, p.workers[i])
 	}
 	w := WorkerDelta{Present: true, Workers: len(workers)}
 	work := make([]float64, len(workers))

@@ -94,9 +94,7 @@ type Profiler struct {
 	// Telemetry handles (nil until BindTelemetry; all nil-safe).
 	distHist     *telemetry.Histogram
 	sampledTotal *telemetry.Counter
-	gStream      *telemetry.Gauge
 	gEntropy     *telemetry.Gauge
-	gPurity      *telemetry.Gauge
 	rec          *telemetry.Recorder
 }
 
@@ -129,12 +127,8 @@ func (pf *Profiler) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Record
 		reuseDistBuckets)
 	pf.sampledTotal = reg.Adopt("hcsgc_locality_sampled_accesses_total",
 		"Mutator accesses fed to the locality profiler.", new(telemetry.Counter))
-	pf.gStream = reg.Gauge("hcsgc_locality_stream_coverage",
-		"Fraction of sampled accesses on a confirmed constant-stride stream, last cycle interval.")
 	pf.gEntropy = reg.Gauge("hcsgc_locality_page_entropy_bits",
 		"Shannon entropy of the sampled page-transition distribution, in bits.")
-	pf.gPurity = reg.Gauge("hcsgc_locality_segregation_purity",
-		"Live-bytes-weighted hot/cold segregation purity of hot-trackable pages at mark end.")
 	pf.rec = rec
 	// Propagate the live-fed handle to existing probes.
 	for _, pr := range pf.probes {
@@ -455,9 +449,7 @@ func (pf *Profiler) OnCycle(seq uint64, purity float64) Signals {
 	}
 
 	pf.sampledTotal.Add(ivl.Sampled)
-	pf.gStream.Set(cr.Interval.StreamCoverage)
 	pf.gEntropy.Set(pf.lastEntropy)
-	pf.gPurity.Set(purity)
 
 	pf.rec.Counter(telemetry.CounterStreamCoverage, cr.Interval.StreamCoverage, seq)
 	pf.rec.Counter(telemetry.CounterSegPurity, purity, seq)

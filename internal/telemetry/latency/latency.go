@@ -161,12 +161,10 @@ type Tracker struct {
 	// flight record carries the difference.
 	barrierSynced [numPaths]uint64
 	ring          *flightRing
-	dumps         uint64            // automatic dumps since the last Rearm
-	dumpsTotal    telemetry.Counter // automatic dumps ever (hcsgc_flight_dumps_total)
+	dumps         uint64 // automatic dumps since the last Rearm
 
 	// Telemetry handles (nil until BindTelemetry; all nil-safe).
 	mmuGauges []*telemetry.Gauge
-	utilGauge *telemetry.Gauge
 	dumpsLeft *telemetry.Gauge
 	rec       *telemetry.Recorder
 }
@@ -292,7 +290,6 @@ func (t *Tracker) OnCycle(rec *CycleRecord) {
 	}
 	t.ring.add(*rec)
 	gauges := t.mmuGauges
-	utilG := t.utilGauge
 	recd := t.rec
 	t.mu.Unlock()
 
@@ -301,7 +298,6 @@ func (t *Tracker) OnCycle(rec *CycleRecord) {
 			g.Set(snap.Windows[i].MMU)
 		}
 	}
-	utilG.Set(rec.Utilization)
 	for i, pt := range snap.Windows {
 		recd.Counter(telemetry.CounterMMU1k+uint32(i), pt.MMU, rec.Seq)
 	}
@@ -336,8 +332,6 @@ func (t *Tracker) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder
 			"Minimum mutator utilization over the labelled window, in simulated cycles.",
 			"window_cycles", fmt.Sprintf("%d", w)))
 	}
-	utilG := reg.Gauge("hcsgc_mutator_utilization_ratio",
-		"Mutator utilization over the last GC cycle interval.")
 	for p := 0; p < numPaths; p++ {
 		path := BarrierPath(p).String()
 		reg.Summary("hcsgc_barrier_path_cycles",
@@ -346,14 +340,11 @@ func (t *Tracker) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder
 		reg.Adopt("hcsgc_barrier_path_total",
 			"Load-barrier slow-path entries by path.", &t.barrierHits[p], "path", path)
 	}
-	reg.Adopt("hcsgc_flight_dumps_total",
-		"Automatic flight-recorder dumps (verifier failure, OOM).", &t.dumpsTotal)
 	dumpsLeft := reg.Gauge("hcsgc_flight_dumps_remaining",
 		"Automatic flight-recorder dumps left before the cap (re-armable via /flightrecorder?rearm=1).")
 
 	t.mu.Lock()
 	t.mmuGauges = gauges
-	t.utilGauge = utilG
 	t.dumpsLeft = dumpsLeft
 	t.rec = rec
 	left := uint64(autoDumpLimit)
@@ -413,7 +404,6 @@ func (t *Tracker) AutoDump(reason string) {
 	left := t.dumpsLeft
 	remaining := autoDumpLimit - t.dumps
 	t.mu.Unlock()
-	t.dumpsTotal.Inc()
 	left.Set(float64(remaining))
 	writeDump(t.cfg.DumpTo, FlightDump{Reason: reason, Report: t.Report()}, false)
 }

@@ -169,8 +169,7 @@ func TestBindTelemetry(t *testing.T) {
 		`hcsgc_barrier_path_total{path="mark"} 4`,
 		`hcsgc_barrier_path_cycles{path="mark",quantile="0.5"} 12`,
 		`hcsgc_mmu_ratio{window_cycles="1000"}`,
-		"hcsgc_mutator_utilization_ratio",
-		"hcsgc_flight_dumps_total 0",
+		"hcsgc_flight_dumps_remaining 8",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)

@@ -89,8 +89,8 @@ func TestLocalityEndToEnd(t *testing.T) {
 	if v := reg.Counter("hcsgc_locality_sampled_accesses_total", "").Value(); v != cum.SampledAccesses {
 		t.Errorf("sampled counter = %d, report says %d", v, cum.SampledAccesses)
 	}
-	if v := reg.Gauge("hcsgc_locality_segregation_purity", "").Value(); v < 0 || v > 1 {
-		t.Errorf("purity gauge = %v outside [0,1]", v)
+	if v := reg.Gauge("hcsgc_signal_value", "", "signal", "seg_purity").Value(); v < 0 || v > 1 {
+		t.Errorf("seg_purity signal = %v outside [0,1]", v)
 	}
 
 	srv, err := sink.Serve("127.0.0.1:0")
@@ -125,8 +125,8 @@ func TestLocalityEndToEnd(t *testing.T) {
 	for _, want := range []string{
 		"hcsgc_locality_reuse_distance_lines_count",
 		"hcsgc_locality_sampled_accesses_total",
-		"hcsgc_locality_stream_coverage",
-		"hcsgc_locality_segregation_purity",
+		`hcsgc_signal_value{signal="stream_coverage"}`,
+		`hcsgc_signal_value{signal="seg_purity"}`,
 		"hcsgc_locality_page_entropy_bits",
 	} {
 		if !strings.Contains(metrics, want) {
