@@ -52,12 +52,6 @@ type (
 	Ref = heap.Ref
 	// Type describes an object layout.
 	Type = objmodel.Type
-	// GCStats is a snapshot of collector activity.
-	GCStats = core.Stats
-	// CycleStats is the one record of a GC cycle, as GCStats lists it. It
-	// and FlightRecord are the same type: the flight recorder and the
-	// signal plane keep copies of the value the GC log holds.
-	CycleStats = core.CycleStats
 	// MemStats is the process-wide cache-model counter snapshot.
 	MemStats = simmem.SystemStats
 	// Machine is the core-count/clock model used for execution time.
@@ -100,22 +94,16 @@ type (
 	LatencyReport = latency.Report
 	// LatencyDist is one HDR distribution summary inside a LatencyReport.
 	LatencyDist = latency.Dist
-	// FlightRecord is one GC cycle's flight-recorder entry: the cycle's
-	// one record, the same type as CycleStats.
-	FlightRecord = latency.CycleRecord
-	// MMUReport is the minimum-mutator-utilization curve snapshot.
-	MMUReport = latency.MMUReport
 	// SignalPlane is the unified per-cycle GC signal plane: one immutable
-	// CycleSignals record per cycle boundary with EWMA/trend derivations
-	// and anomaly flags (see internal/signals). Every runtime has one
-	// (Runtime.Signals). This record is the sensor bus the overload
-	// controller reads and an allocation-rate pacing controller would.
+	// signals.CycleSignals record per cycle boundary (the cycle's
+	// latency.CycleRecord, embedded, plus the other planes' sections) with
+	// EWMA/trend derivations and anomaly flags (see internal/signals).
+	// Every runtime has one (Runtime.Signals). This record is the sensor
+	// bus the overload controller reads and an allocation-rate pacing
+	// controller would.
 	SignalPlane = signals.Plane
 	// SignalsConfig tunes the signal plane.
 	SignalsConfig = signals.Config
-	// CycleSignals is one GC cycle's unified signal record: the cycle's
-	// FlightRecord, embedded, plus the other planes' sections.
-	CycleSignals = signals.CycleSignals
 	// SignalsSnapshot is the /signals endpoint payload.
 	SignalsSnapshot = signals.Snapshot
 	// ContentionPlane is the contention & scalability attribution plane:
@@ -125,8 +113,6 @@ type (
 	// Its ranked snapshot says where threads wait; read wait-for-GC
 	// convoys (core.cycleMu) apart from contended locks before acting on it.
 	ContentionPlane = contention.Plane
-	// ContentionSnapshot is the /contention endpoint payload.
-	ContentionSnapshot = contention.Snapshot
 	// TailAttributor classifies SLO-violating requests by cause
 	// (stw-pause / alloc-stall / queued-behind-stall / service) and links
 	// them to the responsible cycle's CycleSignals record.
@@ -135,56 +121,24 @@ type (
 	TailConfig = signals.TailConfig
 	// TailReport is a TailAttributor snapshot (the /tailattr payload).
 	TailReport = signals.TailReport
-	// TailClassifier is one serving thread's classification front-end.
-	TailClassifier = signals.Classifier
 	// TailObs is one completed request's raw attribution observation.
 	TailObs = signals.Obs
-	// DeadlineExceededError is the structured error returned when a
-	// per-request allocation budget (Mutator.SetAllocBudget) runs out:
-	// the request fails fast instead of joining a stall convoy.
-	DeadlineExceededError = core.DeadlineExceededError
-	// OverloadController is the serving path's admission-control state
-	// machine (Normal → Brownout → Shed with hysteresis), consuming the
-	// signal plane and live heap occupancy (see internal/overload).
-	OverloadController = overload.Controller
-	// OverloadPolicy is the overload plane's tunable configuration.
-	OverloadPolicy = overload.Policy
-	// OverloadHooks are the controller's levers into the runtime.
-	OverloadHooks = overload.Hooks
-	// OverloadStats accumulates the overload plane's request-outcome
-	// accounting (sheds, fast-fails, retries, goodput/badput).
-	OverloadStats = overload.Stats
 	// OverloadReport is an overload-plane accounting snapshot (the
 	// /overload payload).
 	OverloadReport = overload.Report
-	// OverloadError is one shed admission decision.
-	OverloadError = overload.Error
 )
 
 // Sentinel errors for errors.Is against allocation failures.
 var (
 	// ErrOutOfMemory is in the chain of every exhausted allocation.
 	ErrOutOfMemory = core.ErrOutOfMemory
-	// ErrHeapFull is the underlying page-commit failure cause.
-	ErrHeapFull = heap.ErrHeapFull
 	// ErrDeadlineExceeded is in the chain of every allocation aborted by
 	// a per-request budget (Mutator.SetAllocBudget).
 	ErrDeadlineExceeded = core.ErrDeadlineExceeded
-	// ErrOverload is in the chain of every request shed by admission
-	// control (OverloadController.Admit).
-	ErrOverload = overload.ErrOverload
 )
 
-// NewOverloadController builds the admission-control state machine over a
-// policy, a signal plane, runtime hooks, and an optional fault injector;
-// decisions and outcomes are recorded into stats (which may be shared
-// across runs; nil discards them). See internal/overload.
-func NewOverloadController(pol OverloadPolicy, plane *SignalPlane, hooks OverloadHooks, inj *FaultInjector, stats *OverloadStats) *OverloadController {
-	return overload.NewController(pol, plane, hooks, inj, stats)
-}
-
 // NewOverloadStats returns an empty overload accounting accumulator.
-func NewOverloadStats() *OverloadStats { return overload.NewStats() }
+func NewOverloadStats() *overload.Stats { return overload.NewStats() }
 
 // NewFaultInjector builds an armed injector from a fault configuration.
 // Pass it via Options.FaultInjector.
@@ -238,18 +192,8 @@ func NewTailAttributor(cfg TailConfig) *TailAttributor { return signals.NewTailA
 // NullRef is the null reference.
 const NullRef = heap.NullRef
 
-// Machine model presets (see internal/machine).
-var (
-	// LaptopMachine models the paper's 2-core/4-thread i7-4600U.
-	LaptopMachine = machine.Laptop()
-	// SingleCoreMachine models the taskset run of Fig. 6.
-	SingleCoreMachine = machine.SingleCore()
-	// ServerMachine models the 32-core Opteron used for SPECjbb.
-	ServerMachine = machine.Server()
-)
-
 // Options configures a Runtime. The zero value is a usable 256 MB heap
-// with original-ZGC behaviour on the laptop machine model.
+// with original-ZGC behaviour on the laptop machine model (machine.Laptop).
 type Options struct {
 	// HeapMaxBytes is the committed-heap limit (like -Xmx). 0 = 256 MB.
 	HeapMaxBytes uint64
@@ -262,7 +206,7 @@ type Options struct {
 	// EvacThreshold is the evacuation live-ratio threshold. 0 = 0.75
 	// (the paper's 75%).
 	EvacThreshold float64
-	// Machine is the execution-time model. Zero value = LaptopMachine.
+	// Machine is the execution-time model. Zero value = machine.Laptop().
 	Machine Machine
 	// MemConfig overrides the cache hierarchy; nil = the paper's laptop
 	// (32KB L1 / 256KB L2 / 4MB LLC, stream prefetcher).
@@ -402,7 +346,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	}
 	mach := opts.Machine
 	if mach.Cores == 0 {
-		mach = LaptopMachine
+		mach = machine.Laptop()
 	}
 	rt := &Runtime{
 		Heap:       h,
@@ -443,8 +387,8 @@ func (rt *Runtime) NewMutator(rootSlots int) *Mutator {
 // Close and after the final read of anything in the heap. It stops the
 // background driver and waits for every goroutine the collector started —
 // including a relocation drain still running from the last cycle — so that
-// the statistics (GCStats, Ledger, ExecSeconds, MemStats) read afterwards
-// are exact and final. If every mutator has been closed it then releases
+// the statistics (Collector.Stats, Ledger, ExecSeconds, MemStats) read
+// afterwards are exact and final. If every mutator has been closed it then releases
 // the heap's host memory for the next runtime in this process to reuse:
 // the heap's words cannot be read any more, while the statistics and
 // planes stay readable. With a mutator still attached nothing is released
