@@ -12,10 +12,10 @@
 //
 // Results are printed as text reports following the paper's §4.2 layout.
 //
-// Adding a report mode is one row in the modes table below plus four
+// Adding a report mode is one row in the modes table below plus three
 // methods on the result type in internal/bench (Validate, WriteText,
-// WriteJSON, Artifact); -list, the flag checks and the output files
-// follow from the row.
+// WriteJSON); -list, the flag checks and the -json file follow from the
+// row. The report modes diagnose; the regression guard is benchmark/.
 package main
 
 import (
@@ -40,7 +40,7 @@ type options struct {
 	seed                            int64
 	quiet, list                     bool
 
-	report, json, benchOut, benchCompare string
+	report, json string
 
 	// Flags only some report modes read (see mode.flags).
 	localityShift  uint
@@ -66,8 +66,6 @@ func (o *options) flagSet() *flag.FlagSet {
 
 	fs.StringVar(&o.report, "report", "", "run a report mode instead of the timing sweep: "+strings.Join(modeNames(), ", ")+" (see -list)")
 	fs.StringVar(&o.json, "json", "", "also write the -report result as JSON to this file")
-	fs.StringVar(&o.benchOut, "bench-out", "", "write the normalized benchmark artifact (BENCH_<exp>.json shape) to this file; -report overload, scaling")
-	fs.StringVar(&o.benchCompare, "bench-compare", "", "compare the run against this committed baseline artifact; >10% regressions print warnings without failing")
 
 	fs.UintVar(&o.localityShift, "locality-shift", 4, "-report locality: sampling knob, one burst per 2^shift accesses")
 	fs.Uint64Var(&o.tailSLO, "tail-slo", 0, "-report kv: SLO threshold in virtual cycles that violations are attributed against (0 = default 1000000)")
@@ -90,7 +88,6 @@ func intList(fs *flag.FlagSet, dst *[]int, name, usage string) {
 type job struct {
 	options
 	stdout   io.Writer
-	stderr   io.Writer
 	sink     *hcsgc.TelemetrySink
 	progress bench.Progress
 }
@@ -102,8 +99,6 @@ type report interface {
 	Validate() error
 	WriteText(io.Writer)
 	WriteJSON(io.Writer) error
-	// Artifact is the normalized BENCH_<exp>.json view, if the mode has one.
-	Artifact() (bench.Artifact, bool)
 }
 
 // mode is one row of the -report table.
@@ -150,7 +145,7 @@ var modes = []mode{
 	{
 		name: "overload", desc: "KV overload A/B: past-sustainable load, unprotected vs admission control + deadline shedding",
 		configs: []int{3}, seed: 1, // RelocateAllSmallPages: the serving-path default
-		flags: []string{"json", "bench-out", "bench-compare", "overload-factor"},
+		flags: []string{"json", "overload-factor"},
 		run: reporting(func(j *job) (report, error) {
 			return bench.RunOverloadAB(j.runs, j.scale, j.seed, j.configs[0], j.overloadFactor, j.sink, j.progress)
 		}),
@@ -158,7 +153,7 @@ var modes = []mode{
 	{
 		name: "scaling", desc: "many-core scaling sweep: fig4 + KV across mutator counts, USL fit and ranked contention tables",
 		seed:  1,
-		flags: []string{"json", "bench-out", "bench-compare", "sweep-mutators"},
+		flags: []string{"json", "sweep-mutators"},
 		run: reporting(func(j *job) (report, error) {
 			return bench.RunScaleSweep(j.sweepMutators, j.scale, j.seed, j.sink, j.progress)
 		}),
@@ -239,7 +234,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // run is the command: 0 on success, 1 when a run or its gate fails, 2 on
 // command-line misuse.
 func run(args []string, stdout, stderr io.Writer) int {
-	j := &job{stdout: stdout, stderr: stderr}
+	j := &job{stdout: stdout}
 	fs := j.flagSet()
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
@@ -395,8 +390,7 @@ func reporting(runner func(*job) (report, error)) func(*job) error {
 }
 
 // runReport is the one path every report mode takes after its flags are
-// resolved: run, gate, print, then the optional files — the -json report
-// and the normalized artifact with its baseline comparison. With
+// resolved: run, gate, print, then the optional -json file. With
 // -telemetry-addr the in-flight runs serve their planes live.
 func runReport(j *job, runner func(*job) (report, error)) error {
 	rep, err := runner(j)
@@ -407,50 +401,18 @@ func runReport(j *job, runner func(*job) (report, error)) error {
 		return err
 	}
 	rep.WriteText(j.stdout)
-	writeFile := func(path string, write func(io.Writer) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if j.json != "" {
-		if err := writeFile(j.json, rep.WriteJSON); err != nil {
-			return err
-		}
-	}
-	if j.benchOut == "" && j.benchCompare == "" {
+	if j.json == "" {
 		return nil
 	}
-	art, ok := rep.Artifact()
-	if !ok {
-		// selectMode admits these flags only for modes that list them; a
-		// listed mode without an artifact must not write nothing quietly.
-		return fmt.Errorf("-bench-out/-bench-compare: -report %s has no benchmark artifact", j.report)
+	f, err := os.Create(j.json)
+	if err != nil {
+		return err
 	}
-	if j.benchOut != "" {
-		if err := writeFile(j.benchOut, art.WriteJSON); err != nil {
-			return err
-		}
+	if err := rep.WriteJSON(f); err != nil {
+		f.Close()
+		return err
 	}
-	if j.benchCompare != "" {
-		baseline, err := bench.ReadArtifactFile(j.benchCompare)
-		if err != nil {
-			return err
-		}
-		warns := bench.CompareArtifacts(baseline, art, 0.10)
-		for _, w := range warns {
-			fmt.Fprintf(j.stderr, "hcsgc-bench: baseline warning: %s\n", w)
-		}
-		if len(warns) == 0 {
-			fmt.Fprintf(j.stderr, "hcsgc-bench: all metrics within 10%% of baseline %s\n", j.benchCompare)
-		}
-	}
-	return nil
+	return f.Close()
 }
 
 // runChaosSoak runs -report chaos: a seed sweep of randomized fault

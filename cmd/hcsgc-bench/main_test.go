@@ -35,7 +35,7 @@ func TestParseConfigs(t *testing.T) {
 // parsing, with output discarded, no progress lines, and an optional
 // telemetry sink attached.
 func quietJob(sink *hcsgc.TelemetrySink, o options) *job {
-	return &job{options: o, stdout: io.Discard, stderr: io.Discard, sink: sink}
+	return &job{options: o, stdout: io.Discard, sink: sink}
 }
 
 // runMode resolves the job's -report against the table and runs it.
@@ -199,35 +199,28 @@ func TestRunKVTiny(t *testing.T) {
 	}
 }
 
-// TestRunScalingTinyArtifact drives -bench-out and -bench-compare end to
-// end on the smallest sweep that passes the scaling gate: the run is
-// compared with the committed baseline (advisory: warnings or the
-// all-within line, exit 0 either way), and the normalized artifact
-// round-trips and compares clean against itself.
-func TestRunScalingTinyArtifact(t *testing.T) {
-	benchOut := t.TempDir() + "/BENCH_scaling.json"
-	j := quietJob(nil, options{report: "scaling", sweepMutators: []int{1, 2, 4}, scale: 0.02,
-		benchOut: benchOut, benchCompare: "../../results/BENCH_scaling.baseline.json"})
-	var stderr bytes.Buffer
-	j.stderr = &stderr
+// TestRunScalingTiny drives -report scaling end to end on the smallest
+// sweep that passes the scaling gate and reads the -json file back: a
+// sweep given no -seed runs on the mode's default.
+func TestRunScalingTiny(t *testing.T) {
+	path := t.TempDir() + "/scaling-report.json"
+	j := quietJob(nil, options{report: "scaling", sweepMutators: []int{1, 2, 4}, scale: 0.02, json: path})
 	if err := runMode(t, j); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(stderr.String(), "baseline") {
-		t.Errorf("-bench-compare said nothing about the baseline: %q", stderr.String())
-	}
-	art, err := bench.ReadArtifactFile(benchOut)
+	data, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("bench artifact: %v", err)
+		t.Fatal(err)
 	}
-	if art.Experiment != "scaling" || len(art.Metrics) == 0 {
-		t.Fatalf("bench artifact malformed: %+v", art)
+	var sweep bench.ScaleSweep
+	if err := json.Unmarshal(data, &sweep); err != nil {
+		t.Fatalf("scaling report: %v", err)
 	}
-	if art.Seed != 1 {
-		t.Fatalf("artifact seed = %d, want the mode's default 1", art.Seed)
+	if len(sweep.Series) == 0 {
+		t.Fatalf("scaling report malformed: %s", data)
 	}
-	if warns := bench.CompareArtifacts(art, art, 0.10); len(warns) != 0 {
-		t.Fatalf("self-comparison produced warnings: %v", warns)
+	if sweep.Seed != 1 {
+		t.Fatalf("report seed = %d, want the mode's default 1", sweep.Seed)
 	}
 }
 
@@ -251,12 +244,8 @@ func TestMisuseFailsLoudly(t *testing.T) {
 		{"-report nonesuch", append([]string{`"nonesuch"`}, modeNames()...)},
 		// Folded into -report kv, not aliased: six modes.
 		{"-report tail", []string{`"tail"`, "locality, latency, kv, overload, scaling, chaos)"}},
-		// The ISSUE 14 motivation: two modes' worth of flags used to run
-		// one mode, exit 0 and write neither file.
-		{"-report latency -bench-out x.json -json kv.json", []string{"-bench-out", "latency"}},
-		{"-report locality -bench-out x.json", []string{"-bench-out", "locality"}},
-		{"-report kv -bench-compare x.json", []string{"-bench-compare", "kv"}},
-		{"-report chaos -bench-out x.json", []string{"-bench-out", "chaos"}},
+		// The ISSUE 14 motivation: a flag of another mode used to be
+		// accepted, exit 0, and write no file.
 		{"-report chaos -json x.json", []string{"-json", "chaos"}},
 		{"-report kv -locality-shift 3", []string{"-locality-shift", "kv"}},
 		{"-report overload -tail-slo 5", []string{"-tail-slo", "overload"}},
@@ -295,8 +284,8 @@ func TestMisuseFailsLoudly(t *testing.T) {
 func TestFlagCount(t *testing.T) {
 	n := 0
 	new(options).flagSet().VisitAll(func(*flag.Flag) { n++ })
-	if n > 20 {
-		t.Errorf("hcsgc-bench defines %d flags, want <= 20", n)
+	if n != 17 {
+		t.Errorf("hcsgc-bench defines %d flags, want 17", n)
 	}
 }
 

@@ -236,9 +236,3 @@ func hitRate(r kvstore.Report) float64 {
 
 // WriteJSON renders the full A/B result.
 func (ab *KVAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }
-
-// Artifact: the KV A/B has no normalized benchmark artifact. The serving
-// path's regression guard is benchmark/'s kv-serve workload, whose compare
-// knows the run-to-run spread; a 10% line on one invocation's p99 warned
-// on unchanged code every time.
-func (*KVAB) Artifact() (Artifact, bool) { return Artifact{}, false }

@@ -184,6 +184,3 @@ func (ab *LatencyAB) WriteText(w io.Writer) {
 
 // WriteJSON renders the full A/B result.
 func (ab *LatencyAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }
-
-// Artifact: the latency A/B has no normalized benchmark artifact.
-func (*LatencyAB) Artifact() (Artifact, bool) { return Artifact{}, false }

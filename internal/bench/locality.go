@@ -152,6 +152,3 @@ func (ab *LocalityAB) WriteText(w io.Writer) {
 
 // WriteJSON renders the full A/B result, including the per-run reports.
 func (ab *LocalityAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }
-
-// Artifact: the locality A/B has no normalized benchmark artifact.
-func (*LocalityAB) Artifact() (Artifact, bool) { return Artifact{}, false }

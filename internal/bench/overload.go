@@ -6,7 +6,6 @@ import (
 
 	"hcsgc"
 	"hcsgc/internal/kvstore"
-	"hcsgc/internal/loadgen"
 	"hcsgc/internal/overload"
 	"hcsgc/internal/workloads"
 )
@@ -271,38 +270,3 @@ func (ab *OverloadAB) WriteText(w io.Writer) {
 
 // WriteJSON renders the full overload A/B result (overload-report.json).
 func (ab *OverloadAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }
-
-// Artifact normalizes an overload A/B result for the committed baseline
-// comparison: per side, the goodput rate, shed rate, and the
-// successful-request tail quantiles. Only the protected side's stable
-// gate metrics carry a comparison direction; the unprotected side is a
-// controlled meltdown whose numbers swing tens of percent run to run
-// (unbounded queues amplify scheduling noise), and the protected
-// failure/p99 split shifts with shed timing — those are recorded as
-// informational so the CI baseline compare does not cry wolf.
-func (ab *OverloadAB) Artifact() (Artifact, bool) {
-	a := newArtifact("overload", "overload-ab", ab.Runs, ab.Scale, ab.Seed)
-	for _, s := range []struct {
-		name  string
-		side  *OverloadSide
-		gated bool
-	}{{"unprotected", &ab.Unprotected, false}, {"protected", &ab.Protected, true}} {
-		o := &s.side.Overload
-		steady := kvPhaseDist(s.side.Report, loadgen.PhaseNames[loadgen.PhaseSteady])
-		dir := func(d string) string {
-			if !s.gated {
-				return ""
-			}
-			return d
-		}
-		a.Metrics = append(a.Metrics,
-			BenchMetric{s.name + "/goodput-per-mcycle", o.GoodputPerMcycle, dir("higher")},
-			BenchMetric{s.name + "/shed-rate", o.ShedRate, ""},
-			BenchMetric{s.name + "/failures", float64(o.Failures), ""},
-			BenchMetric{s.name + "/success-p99", o.Success.P99, dir("lower")},
-			BenchMetric{s.name + "/success-p999", o.Success.P999, dir("lower")},
-			BenchMetric{s.name + "/p99-steady", steady.P99, ""},
-		)
-	}
-	return a, true
-}

@@ -54,10 +54,8 @@ func TestRunOverloadAB(t *testing.T) {
 	}
 }
 
-// TestOverloadJSONRoundTrip pins the artifact shape: the JSON the CI job
-// uploads must decode back into an OverloadAB that still passes the
-// acceptance gate, and the normalized baseline artifact must carry both
-// sides' metrics.
+// TestOverloadJSONRoundTrip: the JSON the CI job uploads must decode back
+// into an OverloadAB that still passes the acceptance gate.
 func TestOverloadJSONRoundTrip(t *testing.T) {
 	ab, err := sharedAB()
 	if err != nil {
@@ -69,33 +67,13 @@ func TestOverloadJSONRoundTrip(t *testing.T) {
 	}
 	var rt OverloadAB
 	if err := json.Unmarshal(buf.Bytes(), &rt); err != nil {
-		t.Fatalf("decode artifact: %v", err)
+		t.Fatalf("decode report: %v", err)
 	}
 	if err := rt.Validate(); err != nil {
 		t.Fatalf("round-tripped report invalid: %v", err)
 	}
 	if rt.Protected.Overload.Success != ab.Protected.Overload.Success {
 		t.Fatal("success distribution changed in round trip")
-	}
-
-	art, _ := ab.Artifact()
-	if art.Experiment != "overload" || art.Mode != "overload-ab" {
-		t.Fatalf("artifact identity: %s/%s", art.Experiment, art.Mode)
-	}
-	want := map[string]bool{
-		"unprotected/goodput-per-mcycle": false, "protected/goodput-per-mcycle": false,
-		"unprotected/success-p999": false, "protected/success-p999": false,
-		"protected/shed-rate": false,
-	}
-	for _, m := range art.Metrics {
-		if _, ok := want[m.Name]; ok {
-			want[m.Name] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Fatalf("artifact missing metric %s", name)
-		}
 	}
 }
 

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
+	"io"
 
 	"hcsgc"
 	"hcsgc/internal/stats"
@@ -154,6 +156,14 @@ func runSides(label string, w workloads.Workload, cfgs []int, runs int, scale fl
 		side.meanExecSeconds = exec / float64(runs)
 	}
 	return sides, nil
+}
+
+// writeJSON is the one JSON rendering behind every report mode's -json
+// file: indented, the format the CI jobs upload.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(v)
 }
 
 // Run executes the experiment.

@@ -162,12 +162,16 @@ func FitUSL(ns []float64, xs []float64) (USLFit, error) {
 // contention attribution attached.
 type ScalePoint struct {
 	Mutators int `json:"mutators"`
-	// Throughput is completed operations per simulated second.
+	// Throughput is completed operations per simulated second: Ops less
+	// Failures, so a server that served nothing reads 0, not its
+	// arrival schedule.
 	Throughput float64 `json:"throughput"`
 	// Speedup is Throughput relative to the series' smallest mutator
 	// count.
-	Speedup     float64 `json:"speedup"`
-	Ops         uint64  `json:"ops"`
+	Speedup float64 `json:"speedup"`
+	Ops     uint64  `json:"ops"`
+	// Failures counts the KV requests among Ops that failed or were shed.
+	Failures    uint64  `json:"failures"`
 	ExecSeconds float64 `json:"exec_seconds"`
 	GCCycles    int     `json:"gc_cycles"`
 	Check       uint64  `json:"check"`
@@ -267,26 +271,7 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 				}
 				wantCheck, haveCheck = out.Check, true
 			}
-			snap := ctn.Snapshot()
-			pt := ScalePoint{
-				Mutators:    n,
-				Ops:         out.Ops,
-				ExecSeconds: out.ExecSeconds,
-				GCCycles:    out.GCCycleCount,
-				Check:       out.Check,
-				Imbalance:   snap.Imbalance,
-			}
-			if out.ExecSeconds > 0 {
-				pt.Throughput = float64(out.Ops) / out.ExecSeconds
-			}
-			if len(snap.Sites) > scalingTopSites {
-				snap.Sites = snap.Sites[:scalingTopSites]
-			}
-			if len(snap.CAS) > scalingTopCAS {
-				snap.CAS = snap.CAS[:scalingTopCAS]
-			}
-			pt.Sites = snap.Sites
-			pt.CAS = snap.CAS
+			pt := newScalePoint(n, out, ctn.Snapshot())
 			series.Points = append(series.Points, pt)
 			progress.printf("scale %-4s x%-3d  %12.0f ops/s", name, n, pt.Throughput)
 		}
@@ -310,6 +295,26 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 	}
 
 	return sweep, nil
+}
+
+// newScalePoint is the point a run at n mutators measured, with the top
+// of its contention snapshot attached.
+func newScalePoint(n int, out workloads.Result, snap contention.Snapshot) ScalePoint {
+	pt := ScalePoint{
+		Mutators:    n,
+		Ops:         out.Ops,
+		Failures:    uint64(out.Scores["kv-failures"]),
+		ExecSeconds: out.ExecSeconds,
+		GCCycles:    out.GCCycleCount,
+		Check:       out.Check,
+		Imbalance:   snap.Imbalance,
+		Sites:       snap.Sites[:min(len(snap.Sites), scalingTopSites)],
+		CAS:         snap.CAS[:min(len(snap.CAS), scalingTopCAS)],
+	}
+	if out.ExecSeconds > 0 {
+		pt.Throughput = float64(pt.Ops-pt.Failures) / out.ExecSeconds
+	}
+	return pt
 }
 
 // Validate checks structural well-formedness: every series
@@ -367,16 +372,16 @@ func (s *ScaleSweep) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== scaling sweep: mutators %v, scale %g, seed %d ===\n", s.Mutators, s.Scale, s.Seed)
 	for _, ser := range s.Series {
 		fmt.Fprintf(w, "\n--- %s ---\n", ser.Workload)
-		fmt.Fprintf(w, "%8s %14s %8s %8s %10s  %s\n",
-			"mutators", "ops/sec", "speedup", "gc", "imbalance", "top contended site")
+		fmt.Fprintf(w, "%8s %14s %8s %9s %8s %10s  %s\n",
+			"mutators", "ops/sec", "speedup", "failures", "gc", "imbalance", "top contended site")
 		for _, pt := range ser.Points {
 			top := "-"
 			if len(pt.Sites) > 0 && pt.Sites[0].Contended > 0 {
 				t := pt.Sites[0]
 				top = fmt.Sprintf("%s (%d/%d, %.1f%%)", t.Name, t.Contended, t.Acquisitions, 100*t.ContendedFrac)
 			}
-			fmt.Fprintf(w, "%8d %14.0f %8.2f %8d %10.3f  %s\n",
-				pt.Mutators, pt.Throughput, pt.Speedup, pt.GCCycles, pt.Imbalance, top)
+			fmt.Fprintf(w, "%8d %14.0f %8.2f %9d %8d %10.3f  %s\n",
+				pt.Mutators, pt.Throughput, pt.Speedup, pt.Failures, pt.GCCycles, pt.Imbalance, top)
 		}
 		if ser.Fit != nil {
 			f := ser.Fit
@@ -404,29 +409,3 @@ func (s *ScaleSweep) WriteText(w io.Writer) {
 
 // WriteJSON renders the full sweep (scaling-report.json).
 func (s *ScaleSweep) WriteJSON(w io.Writer) error { return writeJSON(w, s) }
-
-// Artifact normalizes the sweep into the BENCH_scaling.json shape:
-// throughput per (workload, width) plus the USL coefficients. The
-// coefficients are informational (no better-direction) — σ moving says
-// the contention structure changed, which is a thing to look at, not
-// automatically a regression.
-func (s *ScaleSweep) Artifact() (Artifact, bool) {
-	a := newArtifact("scaling", "scale-sweep", len(s.Mutators), s.Scale, s.Seed)
-	for _, ser := range s.Series {
-		for _, pt := range ser.Points {
-			a.Metrics = append(a.Metrics, BenchMetric{
-				Name:   fmt.Sprintf("%s/x%d/throughput", ser.Workload, pt.Mutators),
-				Value:  pt.Throughput,
-				Better: "higher",
-			})
-		}
-		if ser.Fit != nil {
-			a.Metrics = append(a.Metrics,
-				BenchMetric{Name: ser.Workload + "/usl-sigma", Value: ser.Fit.Sigma},
-				BenchMetric{Name: ser.Workload + "/usl-kappa", Value: ser.Fit.Kappa},
-				BenchMetric{Name: ser.Workload + "/usl-lambda", Value: ser.Fit.Lambda},
-			)
-		}
-	}
-	return a, true
-}

@@ -5,6 +5,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"hcsgc/internal/contention"
+	"hcsgc/internal/workloads"
 )
 
 // uslPoints evaluates the exact USL model on a ladder.
@@ -91,7 +94,7 @@ func TestFitUSLErrors(t *testing.T) {
 // TestRunScaleSweepSmall runs the real sweep on a tiny ladder and checks
 // the structural contract end to end: validation passes, the fig4
 // checksum is mutator-count invariant, the ranked tables are monotone,
-// the text report and the normalized artifact carry the curve.
+// the text report carries the curve.
 func TestRunScaleSweepSmall(t *testing.T) {
 	sweep, err := RunScaleSweep([]int{1, 2, 4}, 0.02, 7, nil, nil)
 	if err != nil {
@@ -132,29 +135,16 @@ func TestRunScaleSweepSmall(t *testing.T) {
 		}
 	}
 
-	art, _ := sweep.Artifact()
-	if art.Experiment != "scaling" || art.Mode != "scale-sweep" {
-		t.Errorf("artifact header = %q/%q", art.Experiment, art.Mode)
-	}
-	names := map[string]bool{}
-	for _, m := range art.Metrics {
-		names[m.Name] = true
-		if strings.HasSuffix(m.Name, "/throughput") {
-			if m.Better != "higher" {
-				t.Errorf("%s better = %q, want higher", m.Name, m.Better)
-			}
-			if m.Value <= 0 {
-				t.Errorf("%s = %g", m.Name, m.Value)
-			}
-		}
-	}
-	for _, want := range []string{
-		"fig4/x1/throughput", "fig4/x4/throughput", "kv/x2/throughput",
-		"fig4/usl-sigma", "kv/usl-lambda",
-	} {
-		if !names[want] {
-			t.Errorf("artifact missing metric %q (have %v)", want, names)
-		}
+	// A server that failed every request measured nothing: the gate's
+	// positive-throughput clause refuses the point.
+	kv := sweep.Series[1].Points
+	live := kv[0]
+	kv[0] = newScalePoint(1, workloads.Result{
+		Ops: live.Ops, ExecSeconds: live.ExecSeconds,
+		Scores: map[string]float64{"kv-failures": float64(live.Ops)},
+	}, contention.Snapshot{})
+	if err := sweep.Validate(); err == nil || !strings.Contains(err.Error(), "kv x1: non-positive throughput") {
+		t.Errorf("Validate accepted a dead width-1 KV server: %v", err)
 	}
 }
 

@@ -55,6 +55,14 @@ const (
 	// kvPollEvery is the admission controller's poll cadence in requests
 	// handled per thread.
 	kvPollEvery = 32
+	// kvMaxBuckets caps a shard's bucket array at the largest power of two
+	// that is still a small object (one header word + 8 bytes a bucket <=
+	// heap.SmallObjectMax). One more doubling is a medium object, whose
+	// 32 MB page does not fit kvHeapBytes: uncapped, the one shard of a
+	// single server thread at scale 1 (20,000 expected keys) cannot
+	// allocate its table and fails every request. Chains absorb the load
+	// factor above one; no shard of two or more threads reaches the cap.
+	kvMaxBuckets = 1 << 14
 )
 
 // kvPriority maps an op to its admission priority: scans are bulk work
@@ -185,7 +193,7 @@ func KVServer() Workload {
 					// its requests without heap work (a goroutine panic
 					// here would kill the whole process — guard() only
 					// covers the main goroutine).
-					st, stErr := kvstore.TryNew(m, types, 2*keys/threads)
+					st, stErr := kvstore.TryNew(m, types, min(2*keys/threads, kvMaxBuckets))
 					if stErr != nil && !errors.Is(stErr, hcsgc.ErrOutOfMemory) {
 						panic(stErr)
 					}

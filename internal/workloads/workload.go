@@ -133,10 +133,10 @@ type Result struct {
 	MutatorReloc, GCReloc uint64
 	// HeapSamples traces heap occupancy over time.
 	HeapSamples []HeapSample
-	// Ops counts the workload's completed operations in the measured
-	// portion (array accesses for the synthetics, requests for the KV
-	// server; 0 when a workload does not report it). Throughput for the
-	// scaling sweep is Ops / ExecSeconds.
+	// Ops counts the workload's operations in the measured portion: array
+	// accesses completed for the synthetics, requests scheduled for the
+	// KV server (the open-loop demand — Scores["kv-failures"] of them
+	// were not served); 0 when a workload does not report it.
 	Ops uint64
 	// Scores holds workload-specific metrics (SPECjbb throughput/latency).
 	Scores map[string]float64

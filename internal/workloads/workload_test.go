@@ -153,6 +153,20 @@ func TestKVServerMetricsAndScores(t *testing.T) {
 	}
 }
 
+// TestKVSingleServerThreadServes: at full scale one server thread owns
+// every key, and its bucket array must still fit the KV heap — the width-1
+// point every speedup of the scaling sweep is relative to.
+func TestKVSingleServerThreadServes(t *testing.T) {
+	w, _ := Get("kv")
+	res := mustRun(t, w, RunConfig{Seed: 1, Scale: 1, Mutators: 1})
+	if f := res.Scores["kv-failures"]; f != 0 {
+		t.Errorf("kv-failures = %v of %d requests, want 0", f, res.Ops)
+	}
+	if hr := res.Scores["kv-hit-rate"]; hr <= 0 {
+		t.Errorf("kv-hit-rate = %v, want > 0", hr)
+	}
+}
+
 func TestSyntheticTriggersGC(t *testing.T) {
 	// At moderate scale, the garbage allocation must trigger GC cycles.
 	w, _ := Get("fig4")
