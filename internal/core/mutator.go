@@ -159,10 +159,10 @@ func (m *Mutator) Safepoint() {
 const publishEvery = 4096
 
 // Publish makes the mutator's exact ledger — its core's counters, its
-// cycle total, the forwarding inserts and relocation wins it tallied —
-// visible to other goroutines: Collector.VirtualCycles, the runtime ledger
-// (ExecSeconds), Hierarchy.Stats, Collector.Stats and the contention plane
-// read only what was published.
+// cycle total, the page bumps, forwarding inserts and relocation wins it
+// tallied — visible to other goroutines: Collector.VirtualCycles, the
+// runtime ledger (ExecSeconds), Hierarchy.Stats, Collector.Stats and the
+// contention plane read only what was published.
 // Owner goroutine only. The runtime publishes wherever others are entitled
 // to an exact answer — before parking at a safepoint and before any blocked
 // section or allocation stall (so under stop-the-world every mutator's
@@ -402,14 +402,15 @@ func (m *Mutator) allocWords(sizeWords int, typeID uint16) (heap.Ref, error) {
 	return heap.MakeRef(addr, m.c.Good()), nil
 }
 
-// noteAlloc charges the fixed allocation cost and feeds the signal
-// plane's allocation-rate ledger. Split out of allocWords so the
-// accounting tail of the allocation fast path is provably
-// allocation-free.
+// noteAlloc charges the fixed allocation cost, tallies the one page bump
+// every allocation completes, and feeds the signal plane's allocation-rate
+// ledger. Split out of allocWords so the accounting tail of the allocation
+// fast path is provably allocation-free.
 //
 //hcsgc:alloc-free
 func (m *Mutator) noteAlloc(size uint64) {
 	m.extra += costAlloc
+	m.ctx.pageBumps++
 	m.allocBytes.Add(size)
 }
 

@@ -159,3 +159,41 @@ func TestForwardOpsFoldedExactly(t *testing.T) {
 		}
 	}
 }
+
+// TestPageBumpsFoldedExactly: page bumps are tallied by their owners and
+// folded into the heap.pageBump site where they publish, so once everyone
+// has, the site has counted one op per allocation plus one per relocation
+// copy (every forwarding insert, won or lost, follows exactly one copy).
+// Lost bump races stay counted at the site, as retries.
+func TestPageBumpsFoldedExactly(t *testing.T) {
+	plane := contention.New()
+	mem := simmem.MustNewHierarchy(simmem.DefaultConfig())
+	h := heap.New(heap.Config{MaxBytes: 128 << 20, Contention: plane}, mem)
+	types := objmodel.NewRegistry()
+	c, err := New(h, types, Config{Knobs: Knobs{RelocateAllSmallPages: true}, Contention: plane})
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := types.Register("node", 2, []int{0})
+	const n = 3000
+	m := c.NewMutator(4)
+	buildObjectArray(m, node, n) // the array and n nodes: n+1 allocations
+	m.RequestGC()
+	for i := 0; i < n; i += 2 {
+		touch(m, i)
+	}
+	m.RequestGC()
+	m.Close()
+	c.relocWG.Wait()
+	ops := map[string]uint64{}
+	for _, o := range plane.Snapshot().CAS {
+		ops[o.Name] = o.Ops
+	}
+	if ops["heap.forwardTable"] == 0 {
+		t.Fatal("nothing relocated; test too small to be meaningful")
+	}
+	if want := n + 1 + ops["heap.forwardTable"]; ops["heap.pageBump"] != want {
+		t.Errorf("heap.pageBump ops = %d, want %d allocations + %d relocation copies",
+			ops["heap.pageBump"], n+1, ops["heap.forwardTable"])
+	}
+}

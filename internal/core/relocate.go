@@ -42,20 +42,27 @@ type relocCtx struct {
 	// relocated counts forwarding races this context won, for the
 	// contention plane's worker-balance accounting.
 	relocated uint64
-	// Since the last fold: forwarding-table inserts this context completed,
-	// won or lost, and the objects and bytes of the races it won.
+	// Since the last fold: page bumps this context's owner completed
+	// (allocations and relocation copies), forwarding-table inserts it
+	// completed, won or lost, and the objects and bytes of the races it won.
+	pageBumps  uint64
 	fwdOps     uint64
 	wonObjects uint64
 	wonBytes   uint64
 }
 
-// fold hands the context's tallies on to the shared counters: forwarding
-// inserts to the contention plane's heap.forwardTable site, relocation wins
-// to the collector's statistics (which /metrics serves). Owner only.
-// Relocating threads would otherwise all bump the same few counters once
-// per object; folding where the owner publishes keeps those counters exact
-// wherever the ledgers are (under STW, after a worker phase, after Close).
+// fold hands the context's tallies on to the shared counters: page bumps and
+// forwarding inserts to the contention plane's heap.pageBump and
+// heap.forwardTable sites, relocation wins to the collector's statistics
+// (which /metrics serves). Owner only. Allocating and relocating threads
+// would otherwise all bump the same few counters once per object; folding
+// where the owner publishes keeps those counters exact wherever the ledgers
+// are (under STW, after a worker phase, after Close).
 func (ctx *relocCtx) fold() {
+	if ctx.pageBumps != 0 {
+		ctx.c.heap.CountPageBumps(ctx.pageBumps)
+		ctx.pageBumps = 0
+	}
 	if ctx.fwdOps != 0 {
 		ctx.c.heap.CountForwardOps(ctx.fwdOps)
 		ctx.fwdOps = 0
@@ -134,6 +141,7 @@ func (c *Collector) relocateObject(ctx *relocCtx, addr uint64, p *heap.Page) uin
 	} else {
 		dst = c.allocMediumForced(size)
 	}
+	ctx.pageBumps++
 	c.heap.CopyObject(ctx.core, addr, dst, size)
 	// The copy is done but not yet published: this is the racy window where
 	// another actor's Insert can win and strand this copy. The injection

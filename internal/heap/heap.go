@@ -280,6 +280,10 @@ func (h *Heap) Scratch(n int) []uint64 {
 // privately and fold them in where they publish their other ledgers.
 func (h *Heap) CountForwardOps(n uint64) { h.casFwd.Add(n) }
 
+// CountPageBumps credits n completed Page.AllocRaw calls to the
+// heap.pageBump attribution site, folded in the same way.
+func (h *Heap) CountPageBumps(n uint64) { h.casAlloc.Add(n) }
+
 // PageOf returns the page containing addr, or nil for addresses outside
 // any allocated page. Barrier fast path: alloc-free.
 //

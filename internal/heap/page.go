@@ -86,7 +86,8 @@ type Page struct {
 	inj *faultinject.Injector
 	// casAlloc/casFwd are the heap-wide CAS attribution sites for the
 	// bump-pointer and forwarding-table loops (nil for a heap built
-	// without a contention plane).
+	// without a contention plane). The pages count lost races there;
+	// completed operations are tallied by their callers (see AllocRaw).
 	casAlloc *contention.OpSite
 	casFwd   *contention.OpSite
 	_        [32]byte
@@ -157,7 +158,11 @@ func (p *Page) Contains(addr uint64) bool { return addr >= p.start && addr < p.E
 func (p *Page) WordIndex(addr uint64) uint64 { return (addr - p.start) / WordSize }
 
 // AllocRaw bump-allocates size bytes (word aligned), returning the object
-// address or 0 when the page is full. Safe for concurrent use.
+// address or 0 when the page is full. Safe for concurrent use. A lost race
+// counts as a retry of the heap.pageBump site; a completed bump is counted
+// by the caller, who tallies its own and folds them in (Heap.CountPageBumps):
+// one shared counter bumped per allocation and relocation copy is a line
+// every mutator and GC worker fights over.
 func (p *Page) AllocRaw(size uint64) uint64 {
 	size = (size + WordSize - 1) &^ uint64(WordSize-1)
 	for {
@@ -166,7 +171,6 @@ func (p *Page) AllocRaw(size uint64) uint64 {
 			return 0
 		}
 		if p.top.CompareAndSwap(old, old+size) {
-			p.casAlloc.Op()
 			return old
 		}
 		p.casAlloc.Retry()

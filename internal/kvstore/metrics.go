@@ -15,6 +15,12 @@ import (
 // retirements. All recording is lock-free; instances merge across server
 // threads and across A/B repeat runs (histograms add slot-wise, so the
 // merged quantiles are exact over the union of samples).
+//
+// Accounting is per thread: each KV server thread records into a Metrics
+// of its own and folds it into the run's (FoldInto) every 1024 requests it
+// handles and when it exits, so the run's accumulator — what /kv and
+// /metrics serve — lags each thread by at most 1024 requests and is exact
+// once the run ends.
 type Metrics struct {
 	phase [loadgen.NumPhases]*latency.Hist
 	// The counts are the cells /metrics serves once BindTelemetry has had a
@@ -36,6 +42,8 @@ func NewMetrics() *Metrics {
 
 // RecordRequest records one completed request: its phase, op, and
 // enqueue-to-completion latency in virtual cycles.
+//
+//hcsgc:alloc-free
 func (mx *Metrics) RecordRequest(phase int, op loadgen.Op, latV uint64) {
 	if mx == nil {
 		return
@@ -49,6 +57,8 @@ func (mx *Metrics) RecordRequest(phase int, op loadgen.Op, latV uint64) {
 }
 
 // RecordLookup records a GET hit or miss.
+//
+//hcsgc:alloc-free
 func (mx *Metrics) RecordLookup(hit bool) {
 	if mx == nil {
 		return
@@ -61,6 +71,8 @@ func (mx *Metrics) RecordLookup(hit bool) {
 }
 
 // RecordSessionRetired records one retired key-range session.
+//
+//hcsgc:alloc-free
 func (mx *Metrics) RecordSessionRetired() {
 	if mx == nil {
 		return
@@ -69,6 +81,8 @@ func (mx *Metrics) RecordSessionRetired() {
 }
 
 // Merge folds o into mx (histograms slot-wise, counters additively).
+//
+//hcsgc:alloc-free
 func (mx *Metrics) Merge(o *Metrics) {
 	if mx == nil || o == nil {
 		return
@@ -82,6 +96,22 @@ func (mx *Metrics) Merge(o *Metrics) {
 	mx.hits.Add(o.hits.Value())
 	mx.misses.Add(o.misses.Value())
 	mx.retired.Add(o.retired.Value())
+}
+
+// FoldInto moves what mx accumulated into dst and empties mx. Owner only:
+// a server thread folds its private Metrics into the run's, so the shared
+// cells take one write per fold instead of one per request.
+//
+//hcsgc:alloc-free
+func (mx *Metrics) FoldInto(dst *Metrics) {
+	if mx == nil {
+		return
+	}
+	dst.Merge(mx)
+	for _, h := range mx.phase {
+		h.Reset()
+	}
+	*mx = Metrics{phase: mx.phase}
 }
 
 // BindTelemetry has reg serve the hcsgc_kv_* metric families from this

@@ -1,13 +1,16 @@
 package loadgen
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestDeadlinesAreDerivedNotDrawn pins the overload plane's schedule
-// contract: arming DeadlineCycles stamps every request with At +
-// DeadlineCycles but consumes no RNG draws, so the arrivals, keys, ops,
-// and value sizes are bit-identical to the deadline-free schedule. The
-// protected and unprotected sides of the overload A/B depend on this to
-// serve the same offered load.
+// contract: arming DeadlineCycles gives every request the deadline At +
+// DeadlineCycles but consumes no RNG draws and changes no request, so the
+// arrivals, keys, ops, and value sizes are bit-identical to the
+// deadline-free schedule. The protected and unprotected sides of the
+// overload A/B depend on this to serve the same offered load.
 func TestDeadlinesAreDerivedNotDrawn(t *testing.T) {
 	base := Config{Seed: 11, Keys: 512, Requests: 2_000}
 	plain := Generate(base)
@@ -21,20 +24,16 @@ func TestDeadlinesAreDerivedNotDrawn(t *testing.T) {
 	if err := withDl.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.Requests) != len(withDl.Requests) {
-		t.Fatalf("request counts diverge: %d vs %d", len(plain.Requests), len(withDl.Requests))
+	if !reflect.DeepEqual(plain.Requests, withDl.Requests) {
+		t.Fatal("arming deadlines changed the request stream")
 	}
-	for i := range plain.Requests {
-		p, d := plain.Requests[i], withDl.Requests[i]
-		if p.Deadline != 0 {
-			t.Fatalf("request %d: deadline %d on an unarmed schedule", i, p.Deadline)
+	for i := range withDl.Requests {
+		r := &withDl.Requests[i]
+		if d := plain.Config.Deadline(r); d != 0 {
+			t.Fatalf("request %d: deadline %d on an unarmed schedule", i, d)
 		}
-		if d.Deadline != d.At+250_000 {
-			t.Fatalf("request %d: deadline %d, want At %d + 250000", i, d.Deadline, d.At)
-		}
-		d.Deadline = 0
-		if p != d {
-			t.Fatalf("request %d diverged beyond the deadline stamp:\n%+v\n%+v", i, p, d)
+		if d := withDl.Config.Deadline(r); d != r.At+250_000 {
+			t.Fatalf("request %d: deadline %d, want At %d + 250000", i, d, r.At)
 		}
 	}
 }
@@ -83,12 +82,12 @@ func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
 	}
 }
 
-// TestValidateCatchesDeadlineDrift: a mutated deadline fails schedule
-// validation.
-func TestValidateCatchesDeadlineDrift(t *testing.T) {
+// TestValidateCatchesSeqDrift: a request that does not carry its index
+// fails schedule validation.
+func TestValidateCatchesSeqDrift(t *testing.T) {
 	s := Generate(Config{Seed: 5, Keys: 256, Requests: 500, DeadlineCycles: 100_000})
-	s.Requests[17].Deadline++
+	s.Requests[17].Seq++
 	if s.Validate() == nil {
-		t.Fatal("Validate accepted a drifted deadline")
+		t.Fatal("Validate accepted a request out of sequence")
 	}
 }

@@ -75,30 +75,41 @@ const (
 // churn can retire a key range: Key = generation*Keys + slot, where slot
 // in [0, Keys) is the stable identity (and the sharding domain — Key mod
 // Keys is constant across generations of a slot).
+//
+// A schedule holds one Request per arrival, so its size is the harness's
+// host memory: 24 bytes, with every field at the width its values need.
+// What is derived is not stored: an OpScan reads ScanLen keys, and the
+// deadline is Config.Deadline.
 type Request struct {
-	// Seq is the request's index in the schedule.
-	Seq int
 	// At is the arrival time in virtual cycles (open-loop: fixed by the
 	// schedule, independent of server progress).
 	At uint64
-	// Op is the request kind.
-	Op Op
 	// Key is the full generation-qualified key.
 	Key uint64
-	// ValueWords sizes the value payload for sets and read-through fills.
-	ValueWords int
-	// ScanLen is the number of keys an OpScan reads.
-	ScanLen int
+	// Seq is the request's index in the schedule (so a schedule holds at
+	// most 2^32-1 requests).
+	Seq uint32
+	// Op is the request kind.
+	Op Op
+	// ValueWords sizes the value payload for sets and read-through fills,
+	// in [ValueWordsMin, ValueWordsMax]; 0 for the other ops.
+	ValueWords uint8
 	// Phase indexes PhaseNames.
-	Phase int
+	Phase uint8
 	// SessionRetire marks a churn-generated delete (session teardown)
 	// rather than a mix delete, for reporting.
 	SessionRetire bool
-	// Deadline is the absolute virtual-cycle deadline for the request
-	// (At + Config.DeadlineCycles), or 0 when the schedule carries no
-	// deadlines. The serving side arms it as a per-request allocation
-	// budget; the client side stops retrying past it.
-	Deadline uint64
+}
+
+// Deadline returns r's absolute virtual-cycle deadline, At +
+// DeadlineCycles, or 0 when the schedule carries no deadlines. The serving
+// side arms it as a per-request allocation budget; the client side stops
+// retrying past it.
+func (c Config) Deadline(r *Request) uint64 {
+	if c.DeadlineCycles == 0 {
+		return 0
+	}
+	return r.At + c.DeadlineCycles
 }
 
 // PhaseInfo describes one phase's slice of the schedule.
@@ -128,10 +139,11 @@ type Config struct {
 	// MeanGapCycles is the steady-phase mean interarrival gap in virtual
 	// cycles. Default 600.
 	MeanGapCycles float64
-	// DeadlineCycles, when positive, stamps every request with an
-	// absolute deadline At + DeadlineCycles. Deadlines are derived, not
-	// drawn: arming them consumes no RNG stream, so schedules with and
-	// without deadlines have identical arrivals, keys, and op mixes.
+	// DeadlineCycles, when positive, gives every request the absolute
+	// deadline At + DeadlineCycles (see Deadline). Deadlines are derived,
+	// not drawn: arming them consumes no RNG stream and changes no request,
+	// so schedules with and without deadlines have identical arrivals,
+	// keys, and op mixes.
 	DeadlineCycles uint64
 }
 
@@ -149,8 +161,8 @@ const (
 	setFraction    = 0.25
 	deleteFraction = 0.02
 	scanFraction   = 0.03
-	// scanLen is the keys-per-scan run length.
-	scanLen = 16
+	// ScanLen is the keys-per-scan run length of every OpScan.
+	ScanLen = 16
 	// ValueWordsMin/Max bound the mixed value sizes (8-byte words).
 	ValueWordsMin = 8
 	ValueWordsMax = 56
@@ -258,6 +270,9 @@ func (z *zipf) rank(u float64) int {
 // a deeply equal Schedule.
 func Generate(cfg Config) *Schedule {
 	cfg = cfg.withDefaults()
+	if uint64(cfg.Requests) > math.MaxUint32 {
+		panic(fmt.Sprintf("loadgen: %d requests overflow Request.Seq", cfg.Requests))
+	}
 	r := newRNG(cfg.Seed)
 	z := newZipf(cfg.Keys, zipfTheta)
 
@@ -291,8 +306,8 @@ func Generate(cfg Config) *Schedule {
 	var pendingRetire []uint64 // old-generation keys awaiting teardown
 	nextSpan := 0              // rotating retired-span origin
 
-	valueWords := func() int {
-		return ValueWordsMin + r.intn(ValueWordsMax-ValueWordsMin+1)
+	valueWords := func() uint8 {
+		return uint8(ValueWordsMin + r.intn(ValueWordsMax-ValueWordsMin+1))
 	}
 	// The op mix as cut points on the unit interval, accumulated in float64
 	// (a constant expression would round the sum once and move the last cut
@@ -314,10 +329,7 @@ func Generate(cfg Config) *Schedule {
 		}
 		now += r.expGap(gap)
 
-		req := Request{Seq: seq, At: now, Phase: phase}
-		if cfg.DeadlineCycles > 0 {
-			req.Deadline = now + cfg.DeadlineCycles
-		}
+		req := Request{Seq: uint32(seq), At: now, Phase: uint8(phase)}
 		switch {
 		case len(pendingRetire) > 0:
 			// Session teardown: deletes for the retired range drain at
@@ -340,7 +352,6 @@ func Generate(cfg Config) *Schedule {
 				req.Op = OpDelete
 			case u < scanCut:
 				req.Op = OpScan
-				req.ScanLen = scanLen
 			default:
 				req.Op = OpGet
 				req.ValueWords = valueWords() // read-through fill size
@@ -380,25 +391,18 @@ func Generate(cfg Config) *Schedule {
 	return s
 }
 
-// Validate sanity-checks a schedule: arrivals strictly increase, phases
-// tile the request range, keys stay generation-consistent.
+// Validate sanity-checks a schedule: requests carry their index, arrivals
+// strictly increase, and phases tile the request range.
 func (s *Schedule) Validate() error {
 	var prev uint64
 	for i, req := range s.Requests {
-		if req.Seq != i {
+		if int(req.Seq) != i {
 			return fmt.Errorf("loadgen: request %d carries seq %d", i, req.Seq)
 		}
 		if req.At <= prev && i > 0 {
 			return fmt.Errorf("loadgen: arrival %d not after its predecessor (%d <= %d)", i, req.At, prev)
 		}
 		prev = req.At
-		want := uint64(0)
-		if s.Config.DeadlineCycles > 0 {
-			want = req.At + s.Config.DeadlineCycles
-		}
-		if req.Deadline != want {
-			return fmt.Errorf("loadgen: request %d deadline %d, want %d", i, req.Deadline, want)
-		}
 	}
 	if len(s.Phases) != NumPhases {
 		return fmt.Errorf("loadgen: %d phases, want %d", len(s.Phases), NumPhases)

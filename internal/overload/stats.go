@@ -14,6 +14,14 @@ import (
 // goodput/badput split over successful requests. All recording is
 // lock-free and nil-safe; instances merge across server threads and
 // across A/B repeat runs.
+//
+// The request outcomes are accounted per thread: each KV server thread
+// records them into a Stats of its own and folds it into the run's
+// (FoldInto) every 1024 requests it handles and when it exits, so the run's
+// accumulator — what /overload serves — lags each thread by at most 1024
+// requests and is exact once the run ends. The Controller's admission
+// accounting (admitted, sheds at admission, transitions, emergencies) is
+// one state machine's and goes straight to the run's Stats.
 type Stats struct {
 	admitted  atomic.Uint64
 	withinSLO atomic.Uint64
@@ -120,6 +128,8 @@ func (st *Stats) RecordRetry() {
 
 // RecordFailure records one request that exhausted its retry budget
 // without completing.
+//
+//hcsgc:alloc-free
 func (st *Stats) RecordFailure() {
 	if st == nil {
 		return
@@ -130,6 +140,8 @@ func (st *Stats) RecordFailure() {
 // RecordSuccess records one completed request: its enqueue-to-completion
 // latency (virtual cycles, retries included) and whether it landed
 // within the goodput SLO.
+//
+//hcsgc:alloc-free
 func (st *Stats) RecordSuccess(latV uint64, withinSLO bool) {
 	if st == nil {
 		return
@@ -168,6 +180,8 @@ func (st *Stats) ServeAllocBytes() uint64 {
 }
 
 // Merge folds o into st (histograms slot-wise, counters additively).
+//
+//hcsgc:alloc-free
 func (st *Stats) Merge(o *Stats) {
 	if st == nil || o == nil {
 		return
@@ -189,6 +203,20 @@ func (st *Stats) Merge(o *Stats) {
 	st.spanV.Add(o.spanV.Load())
 	st.serveAllocBytes.Add(o.serveAllocBytes.Load())
 	st.success.Merge(o.success)
+}
+
+// FoldInto moves what st accumulated into dst and empties st. Owner only:
+// a server thread folds its private Stats into the run's, so the shared
+// cells take one write per fold instead of one per request.
+//
+//hcsgc:alloc-free
+func (st *Stats) FoldInto(dst *Stats) {
+	if st == nil {
+		return
+	}
+	dst.Merge(st)
+	st.success.Reset()
+	*st = Stats{success: st.success}
 }
 
 // BindTelemetry has reg serve the dequeue-side drop count from this

@@ -175,9 +175,23 @@ func (h *Hist) FractionLE(v uint64) float64 {
 	return float64(cum) / float64(total)
 }
 
+// Reset empties h. It is not atomic: only h's owner, with no Record in
+// flight, may call it (an owner-private histogram folding into a shared
+// one merges, then resets).
+//
+//hcsgc:alloc-free
+func (h *Hist) Reset() {
+	if h == nil {
+		return
+	}
+	*h = Hist{}
+}
+
 // Merge folds o's samples into h. Slot layouts are fixed, so this is
 // element-wise addition; quantiles of the result match a histogram fed
 // both sample streams.
+//
+//hcsgc:alloc-free
 func (h *Hist) Merge(o *Hist) {
 	if h == nil || o == nil {
 		return

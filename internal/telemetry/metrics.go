@@ -17,6 +17,8 @@ type Counter struct {
 }
 
 // Add increments the counter by n.
+//
+//hcsgc:alloc-free
 func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
@@ -25,9 +27,13 @@ func (c *Counter) Add(n uint64) {
 }
 
 // Inc increments the counter by one.
+//
+//hcsgc:alloc-free
 func (c *Counter) Inc() { c.Add(1) }
 
 // Value returns the current count.
+//
+//hcsgc:alloc-free
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0

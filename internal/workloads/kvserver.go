@@ -55,6 +55,10 @@ const (
 	// kvPollEvery is the admission controller's poll cadence in requests
 	// handled per thread.
 	kvPollEvery = 32
+	// kvFoldEvery is how many requests a server thread handles between
+	// folds of its private accounting into the run's: the bound on how far
+	// /kv, /metrics and /overload lag each thread mid-run.
+	kvFoldEvery = 1024
 	// kvMaxBuckets caps a shard's bucket array at the largest power of two
 	// that is still a small object (one header word + 8 bytes a bucket <=
 	// heap.SmallObjectMax). One more doubling is a medium object, whose
@@ -136,8 +140,8 @@ func KVServer() Workload {
 			types := kvstore.RegisterTypes(e.rt.Types)
 
 			// The overload controller is per-run (its state machine tracks
-			// this runtime's signal plane) but records into the shared
-			// accumulator via ost.
+			// this runtime's signal plane) and records admission straight
+			// into the run's accumulator ost.
 			var ctrl *overload.Controller
 			if cfg.Overload != nil {
 				p := *cfg.Overload
@@ -188,6 +192,12 @@ func KVServer() Workload {
 					// signal plane.
 					col := e.rt.Collector
 					cl := cfg.Tail.Classifier(e.rt.Signals)
+					// The thread's own accounting, folded into mx and ost
+					// every kvFoldEvery handled requests and on exit: the
+					// shared cells see one write per fold, not per request.
+					tmx, tst := kvstore.NewMetrics(), overload.NewStats()
+					defer tst.FoldInto(ost)
+					defer tmx.FoldInto(mx)
 					// A heap too exhausted to hold even the bucket array
 					// leaves the shard dead: the thread stays up and fails
 					// its requests without heap work (a goroutine panic
@@ -245,6 +255,10 @@ func KVServer() Workload {
 						if ctrl != nil && handled%kvPollEvery == 0 {
 							ctrl.Poll()
 						}
+						if handled%kvFoldEvery == 0 && handled > 0 {
+							tmx.FoldInto(mx)
+							tst.FoldInto(ost)
+						}
 						handled++
 						at := base + r.At
 						// Open-loop pacing: idle (but let virtual time
@@ -254,8 +268,8 @@ func KVServer() Workload {
 							m.Work(at - now)
 						}
 						var deadlineAbs uint64
-						if r.Deadline > 0 {
-							deadlineAbs = base + r.Deadline
+						if d := lg.Deadline(r); d > 0 {
+							deadlineAbs = base + d
 							// Deadline-aware shedding at dequeue: a request
 							// already past its deadline when the server
 							// reaches it (queued behind a stall convoy) is
@@ -266,8 +280,8 @@ func KVServer() Workload {
 							// admitted request can be at most DeadlineCycles
 							// old when service starts.
 							if now := m.VirtualCycles(); now >= deadlineAbs {
-								ost.RecordDeadlineExceeded()
-								ost.RecordFailure()
+								tst.RecordDeadlineExceeded()
+								tst.RecordFailure()
 								// The drop itself proves the queue has not
 								// drained: keep the convoy chain alive for
 								// the requests behind it.
@@ -292,8 +306,8 @@ func KVServer() Workload {
 							const guard = overload.GoodputSLOCycles / 16
 							if now := m.VirtualCycles(); now > at &&
 								now-at+svcWorst[r.Op]+guard >= overload.GoodputSLOCycles {
-								ost.RecordStaleShed(kvPriority(r.Op))
-								ost.RecordFailure()
+								tst.RecordStaleShed(kvPriority(r.Op))
+								tst.RecordFailure()
 								// Like the deadline drop: the backlog has
 								// not drained, keep the convoy chain alive.
 								cl.NoteDisruption(at, now, col.Cycles(), 0, 0)
@@ -303,8 +317,8 @@ func KVServer() Workload {
 						if st == nil {
 							// Dead shard (bucket array never fit): fail the
 							// request without touching the heap.
-							ost.RecordOOMFailure()
-							ost.RecordFailure()
+							tst.RecordOOMFailure()
+							tst.RecordFailure()
 							m.Work(kvWorkPerReq)
 							continue
 						}
@@ -334,7 +348,7 @@ func KVServer() Workload {
 									m.SetAllocBudget(deadlineAbs, overload.MaxStallsPerRequest)
 								}
 								var delta uint64
-								delta, err = kvExecOp(st, mx, ctrl, r, keys, attempt)
+								delta, err = kvExecOp(st, tmx, ctrl, r, keys, attempt)
 								if deadlineAbs > 0 {
 									m.ClearAllocBudget()
 								}
@@ -350,9 +364,9 @@ func KVServer() Workload {
 								// decision point.
 								shed = true
 							case errors.Is(err, hcsgc.ErrDeadlineExceeded):
-								ost.RecordDeadlineExceeded()
+								tst.RecordDeadlineExceeded()
 							case errors.Is(err, hcsgc.ErrOutOfMemory):
-								ost.RecordOOMFailure()
+								tst.RecordOOMFailure()
 							default:
 								panic(err)
 							}
@@ -374,7 +388,7 @@ func KVServer() Workload {
 									m.VirtualCycles()+backoff >= deadlineAbs {
 									retry = false
 								} else {
-									ost.RecordRetry()
+									tst.RecordRetry()
 								}
 							}
 							if !retry {
@@ -386,8 +400,8 @@ func KVServer() Workload {
 						end := m.VirtualCycles()
 						if reqErr == nil {
 							lat := end - at
-							mx.RecordRequest(r.Phase, r.Op, lat)
-							ost.RecordSuccess(lat, lat <= overload.GoodputSLOCycles)
+							tmx.RecordRequest(int(r.Phase), r.Op, lat)
+							tst.RecordSuccess(lat, lat <= overload.GoodputSLOCycles)
 							if ctrl != nil {
 								// Update the clean-service worst case:
 								// slow decay so a one-off high does not
@@ -419,7 +433,7 @@ func KVServer() Workload {
 								})
 							}
 						} else {
-							ost.RecordFailure()
+							tst.RecordFailure()
 							// A failed request can still be the convoy's
 							// seed (it stalled or sat through a pause) or
 							// part of its backlog: either way, tell the
@@ -514,14 +528,14 @@ func kvExecOp(st *kvstore.Store, mx *kvstore.Metrics, ctrl *overload.Controller,
 			// first thing to go.
 			if ferr := ctrl.Admit(overload.PriorityBulk,
 				uint64(r.Seq)<<4|uint64(attempt&15)|1<<63); ferr == nil {
-				if _, err := st.TrySet(r.Key, r.ValueWords); err != nil {
+				if _, err := st.TrySet(r.Key, int(r.ValueWords)); err != nil {
 					return 0, err
 				}
 			}
 		}
 		return sum, nil
 	case loadgen.OpSet:
-		return st.TrySet(r.Key, r.ValueWords)
+		return st.TrySet(r.Key, int(r.ValueWords))
 	case loadgen.OpDelete:
 		var delta uint64
 		if st.Delete(r.Key) {
@@ -532,7 +546,7 @@ func kvExecOp(st *kvstore.Store, mx *kvstore.Metrics, ctrl *overload.Controller,
 		}
 		return delta, nil
 	case loadgen.OpScan:
-		sum, _ := st.Scan(int(r.Key%uint64(keys)), r.ScanLen)
+		sum, _ := st.Scan(int(r.Key%uint64(keys)), loadgen.ScanLen)
 		return sum, nil
 	}
 	return 0, nil

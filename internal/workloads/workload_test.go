@@ -7,10 +7,12 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hcsgc"
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/kvstore"
+	"hcsgc/internal/loadgen"
 )
 
 // tinyCfg returns a fast functional-test configuration.
@@ -164,6 +166,35 @@ func TestKVSingleServerThreadServes(t *testing.T) {
 	}
 	if hr := res.Scores["kv-hit-rate"]; hr <= 0 {
 		t.Errorf("kv-hit-rate = %v, want > 0", hr)
+	}
+}
+
+// TestKVHostBytesPerRequest pins what one more scheduled request costs the
+// host: its 24-byte loadgen.Request and next to nothing else, since the
+// server threads account into private, pre-sized accumulators. Two runs
+// that differ in scale differ mainly in request count; the difference in
+// Go allocation over the difference in requests is the marginal cost. A
+// 72-byte Request, or a per-request allocation on the serving path, fails.
+func TestKVHostBytesPerRequest(t *testing.T) {
+	if size := unsafe.Sizeof(loadgen.Request{}); size > 24 {
+		t.Fatalf("loadgen.Request is %d bytes, want <= 24", size)
+	}
+	w := mustGet(t, "kv")
+	run := func(scale float64) (allocBytes, reqs int64) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := mustRun(t, w, RunConfig{Seed: 1, Scale: scale, Mutators: 2})
+		runtime.ReadMemStats(&after)
+		return int64(after.TotalAlloc - before.TotalAlloc), int64(res.Ops)
+	}
+	run(0.2) // fill the page arena, so neither measured run pays for it
+	smallB, smallN := run(0.05)
+	bigB, bigN := run(0.2)
+	if perReq := float64(bigB-smallB) / float64(bigN-smallN); perReq > 40 {
+		t.Errorf("%.1f host bytes per request (%d B for %d requests, %d B for %d), want <= 40",
+			perReq, smallB, smallN, bigB, bigN)
+	} else {
+		t.Logf("%.1f host bytes per request", perReq)
 	}
 }
 

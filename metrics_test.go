@@ -5,10 +5,12 @@ package hcsgc_test
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"hcsgc"
@@ -104,6 +106,15 @@ func TestMetricsSchema(t *testing.T) {
 // scrapeSum(t, sink, "hcsgc_kv_requests_total") adds up the per-op series.
 func scrapeSum(t *testing.T, sink *hcsgc.TelemetrySink, name string, labels ...string) uint64 {
 	t.Helper()
+	sum, err := scrapeSumErr(sink, name, labels...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sum
+}
+
+// scrapeSumErr is scrapeSum for goroutines other than the test's.
+func scrapeSumErr(sink *hcsgc.TelemetrySink, name string, labels ...string) (uint64, error) {
 	var buf bytes.Buffer
 	sink.Metrics().WritePrometheus(&buf)
 	var sum uint64
@@ -120,11 +131,11 @@ next:
 		}
 		v, err := strconv.ParseFloat(rest[strings.LastIndexByte(rest, ' ')+1:], 64)
 		if err != nil {
-			t.Fatalf("%q: %v", line, err)
+			return 0, fmt.Errorf("%q: %v", line, err)
 		}
 		sum += uint64(v)
 	}
-	return sum
+	return sum, nil
 }
 
 // TestOneScrapeOneTimeBase: every series of one scrape covers the same
@@ -183,13 +194,22 @@ func TestOneScrapeOneTimeBase(t *testing.T) {
 // TestScrapeDuringRun scrapes both expositions in a loop while a KV run
 // serves: the registry reads cells that mutator and GC threads are writing,
 // and a run attaching its planes re-points series under the scraper. Run
-// under -race (CI does).
+// under -race (CI does). The view must stay live although server threads
+// account privately and fold: mid-run scrapes see requests served before
+// the run's last fold, and the count never falls. The second run has one
+// server thread, so only a fold before its exit can show such a count.
 func TestScrapeDuringRun(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	w, err := workloads.Get("kv")
 	if err != nil {
 		t.Fatal(err)
 	}
+	// running is the seed of the run in progress, 0 between runs; a scrape
+	// that reads the same seed before and after was taken during that run.
+	var running atomic.Int64
+	var inRun [3][]uint64   // hcsgc_kv_requests_total of each in-run scrape, by seed
+	threads := [3]int{2: 1} // server threads by seed; 0 is the workload default, four
+	var scrapeErr error
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -201,18 +221,52 @@ func TestScrapeDuringRun(t *testing.T) {
 				return
 			default:
 			}
-			var buf bytes.Buffer
-			sink.Metrics().WritePrometheus(&buf)
+			seed := running.Load()
+			reqs, err := scrapeSumErr(sink, "hcsgc_kv_requests_total")
+			if err != nil {
+				scrapeErr = err
+				return
+			}
+			if seed != 0 && running.Load() == seed {
+				inRun[seed] = append(inRun[seed], reqs)
+			}
 		}
 	}()
+	var final [3]uint64 // the count each run left; final[0] is the empty registry's
 	for seed := int64(1); seed <= 2; seed++ {
-		if _, err := w.Run(workloads.RunConfig{Knobs: bench.KnobsFor(4), Seed: seed, Scale: 0.02, Telemetry: sink}); err != nil {
+		running.Store(seed)
+		if _, err := w.Run(workloads.RunConfig{Knobs: bench.KnobsFor(4), Seed: seed, Scale: 0.05,
+			Mutators: threads[seed], Telemetry: sink}); err != nil {
 			t.Error(err)
 		}
+		running.Store(0)
+		final[seed] = scrapeSum(t, sink, "hcsgc_kv_requests_total")
 	}
 	close(stop)
 	wg.Wait()
-	if scrapeSum(t, sink, "hcsgc_kv_requests_total") == 0 {
-		t.Error("no KV request reached the registry")
+	if scrapeErr != nil {
+		t.Fatal(scrapeErr)
+	}
+	for seed := 1; seed <= 2; seed++ {
+		if final[seed] == 0 {
+			t.Fatalf("run %d: no KV request reached the registry", seed)
+		}
+		// Until a run binds its accumulator, scrapes read the previous
+		// run's, which no longer moves.
+		seen := inRun[seed]
+		for len(seen) > 0 && seen[0] == final[seed-1] {
+			seen = seen[1:]
+		}
+		live := false
+		for i, reqs := range seen {
+			if i > 0 && reqs < seen[i-1] {
+				t.Errorf("run %d: hcsgc_kv_requests_total fell from %d to %d mid-run", seed, seen[i-1], reqs)
+			}
+			live = live || (reqs > 0 && reqs < final[seed])
+		}
+		if !live {
+			t.Errorf("run %d: no mid-run scrape saw a request served (%d in-run scrapes, %d requests at the end)",
+				seed, len(inRun[seed]), final[seed])
+		}
 	}
 }
