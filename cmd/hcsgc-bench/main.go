@@ -348,11 +348,7 @@ func runOne(j *job, id string, csv io.Writer) error {
 		bench.WriteTable2(j.stdout)
 		return nil
 	case "table3":
-		s := j.scale
-		if s == 0 {
-			s = 0.1
-		}
-		bench.WriteTable3(j.stdout, s)
+		bench.WriteTable3(j.stdout, j.scale)
 		return nil
 	}
 

@@ -2,10 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
 	"hcsgc"
+	"hcsgc/internal/workloads"
 )
 
 func TestKnobsForMatchesTable2(t *testing.T) {
@@ -164,6 +166,44 @@ func TestWriteTables(t *testing.T) {
 	WriteTable3(&buf, 0.02)
 	if !strings.Contains(buf.String(), "uk(CC)") || !strings.Contains(buf.String(), "900002") {
 		t.Errorf("table3 wrong:\n%s", buf.String())
+	}
+}
+
+// TestTable3RowsAreWorkloadInputs: every Table 3 row prints the graph and
+// heap its JGraphT workload runs at that scale, not a second sizing. At the
+// default scale fig9 runs uk(MC) density-preserved (14,955 edges, where
+// proportional scaling gives 59,823) and every input gets the 64 MB floor.
+func TestTable3RowsAreWorkloadInputs(t *testing.T) {
+	var buf bytes.Buffer
+	WriteTable3(&buf, 0)
+	lines := strings.Split(buf.String(), "\n")
+	if len(lines) < 6 || !strings.Contains(lines[0], "(scale 0.25)") {
+		t.Fatalf("table3 at the default scale:\n%s", buf.String())
+	}
+	row := 2
+	for _, dataset := range []string{"uk", "enwiki"} {
+		for _, mc := range []bool{false, true} {
+			in, err := workloads.JGraphTInput(dataset, mc, workloads.JGraphTScale)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var name string
+			var nodes, edges, genNodes, genEdges, heapMB int
+			if _, err := fmt.Sscan(lines[row], &name, &nodes, &edges, &genNodes, &genEdges, &heapMB); err != nil {
+				t.Fatalf("row %q: %v", lines[row], err)
+			}
+			row++
+			want := [6]any{in.Preset.Name, in.Preset.Nodes, in.Preset.Edges, in.Params.Nodes, in.Params.Edges, int(in.HeapBytes >> 20)}
+			if got := [6]any{name, nodes, edges, genNodes, genEdges, heapMB}; got != want {
+				t.Errorf("%s row = %v, its workload runs %v", in.Preset.Name, got, want)
+			}
+			if heapMB != 64 {
+				t.Errorf("%s heap = %d MB, want the 64 MB floor at scale 0.25", name, heapMB)
+			}
+			if name == "uk(MC)" && genEdges != 14955 {
+				t.Errorf("uk(MC) prints %d edges, fig9 runs 14955", genEdges)
+			}
+		}
 	}
 }
 

@@ -8,6 +8,8 @@
 package graphalg
 
 import (
+	"slices"
+
 	"hcsgc/internal/core"
 	"hcsgc/internal/graphgen"
 	"hcsgc/internal/heap"
@@ -52,7 +54,10 @@ func RegisterTypes(types *objmodel.Registry) Types {
 }
 
 // HeapGraph is a graph materialised on the managed heap. The node array
-// lives in the owning mutator's root slot, so the graph survives GC.
+// lives in the owning mutator's root slot, so the graph survives GC. The
+// host-side scratch of the traversals (the visited-mark version, the
+// Biconnectivity DFS stack and articulation marks) also lives here and is
+// reused by every later pass, so a repeated pass allocates no host memory.
 type HeapGraph struct {
 	types    Types
 	rootSlot int
@@ -60,6 +65,9 @@ type HeapGraph struct {
 	// runStamp versions the visited marks so repeated runs need no reset
 	// pass.
 	runStamp uint64
+	// dfsStack and isArt are Biconnectivity's scratch.
+	dfsStack []dfsFrame
+	isArt    []bool
 	// AllocSetGarbage makes BronKerbosch allocate a short-lived heap array
 	// per recursion, mirroring JGraphT's per-call candidate-set copies
 	// ("some allocation is done by the Bron-Kerbosch algorithm, which
@@ -87,26 +95,40 @@ func Load(m *core.Mutator, types Types, g *graphgen.Graph, rootSlot int) *HeapGr
 	if len(edges) == 0 {
 		edges = edgesFromAdj(g)
 	}
+	// Each node's incident edge indices, in edge order, as one CSR array:
+	// node v's are incident[start[v]:start[v+1]].
+	start := make([]int32, n+1)
+	for _, ed := range edges {
+		start[ed[0]+1]++
+		start[ed[1]+1]++
+	}
+	for v := 0; v < n; v++ {
+		start[v+1] += start[v]
+	}
+	incident := make([]int32, start[n])
+	next := slices.Clone(start[:n]) // each node's next free slot
 	// Edge objects in insertion order, pinned via a temporary edge array.
 	earr := m.AllocRefArray(len(edges))
 	m.SetRoot(rootSlot+1, earr)
-	incident := make([][]int32, n) // per-node edge indices
 	for k, ed := range edges {
 		e := m.Alloc(types.Edge)
 		nodes := m.LoadRoot(rootSlot)
 		m.StoreRef(e, eSrc, m.LoadRef(nodes, int(ed[0])))
 		m.StoreRef(e, eDst, m.LoadRef(nodes, int(ed[1])))
 		m.StoreRef(m.LoadRoot(rootSlot+1), k, e)
-		incident[ed[0]] = append(incident[ed[0]], int32(k))
-		incident[ed[1]] = append(incident[ed[1]], int32(k))
+		for _, v := range ed {
+			incident[next[v]] = int32(k)
+			next[v]++
+		}
 		if k%512 == 0 {
 			m.Safepoint()
 		}
 	}
 	for v := 0; v < n; v++ {
-		adj := m.AllocRefArray(len(incident[v]))
+		ks := incident[start[v]:start[v+1]]
+		adj := m.AllocRefArray(len(ks))
 		earr := m.LoadRoot(rootSlot + 1)
-		for i, k := range incident[v] {
+		for i, k := range ks {
 			m.StoreRef(adj, i, m.LoadRef(earr, int(k)))
 		}
 		node := m.LoadRef(m.LoadRoot(rootSlot), v)
@@ -118,7 +140,7 @@ func Load(m *core.Mutator, types Types, g *graphgen.Graph, rootSlot int) *HeapGr
 	// The temporary edge array dies here (JGraphT keeps edges reachable
 	// only through adjacency).
 	m.SetRoot(rootSlot+1, heap.NullRef)
-	return &HeapGraph{types: types, rootSlot: rootSlot, n: n}
+	return &HeapGraph{types: types, rootSlot: rootSlot, n: n, isArt: make([]bool, n)}
 }
 
 // edgesFromAdj recovers an edge list (ascending order) for graphs built
@@ -187,6 +209,14 @@ type BiconnectivityResult struct {
 	ArticulationPoints    int
 }
 
+// dfsFrame is one node on Biconnectivity's DFS stack.
+type dfsFrame struct {
+	v      int32
+	parent int32
+	next   int // next adjacency index to explore
+	ref    heap.Ref
+}
+
 // Biconnectivity runs the iterative Hopcroft–Tarjan DFS. Discovery and
 // low-link values live in the node objects themselves, so the pass reads
 // and writes the heap in DFS order.
@@ -194,14 +224,10 @@ func (hg *HeapGraph) Biconnectivity(m *core.Mutator) BiconnectivityResult {
 	hg.runStamp++
 	stamp := hg.runStamp
 	var res BiconnectivityResult
-	isArt := make([]bool, hg.n)
+	isArt := hg.isArt
+	clear(isArt)
+	stack := hg.dfsStack[:0]
 
-	type frame struct {
-		v      int32
-		parent int32
-		next   int // next adjacency index to explore
-		ref    heap.Ref
-	}
 	counter := uint64(0)
 	steps := 0 // safepoint pacing
 
@@ -216,7 +242,7 @@ func (hg *HeapGraph) Biconnectivity(m *core.Mutator) BiconnectivityResult {
 		m.StoreField(startRef, fMark, stamp)
 		m.StoreField(startRef, fDisc, counter)
 		m.StoreField(startRef, fLow, counter)
-		stack := []frame{{v: start, parent: -1, ref: startRef}}
+		stack = append(stack, dfsFrame{v: start, parent: -1, ref: startRef})
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			adj := m.LoadRef(f.ref, fAdj)
@@ -246,7 +272,7 @@ func (hg *HeapGraph) Biconnectivity(m *core.Mutator) BiconnectivityResult {
 				if f.v == start {
 					rootChildren++
 				}
-				stack = append(stack, frame{v: w, parent: f.v, ref: nb})
+				stack = append(stack, dfsFrame{v: w, parent: f.v, ref: nb})
 				advanced = true
 				break
 			}
@@ -288,6 +314,7 @@ func (hg *HeapGraph) Biconnectivity(m *core.Mutator) BiconnectivityResult {
 			res.BiconnectedComponents++
 		}
 	}
+	hg.dfsStack = stack
 	for _, a := range isArt {
 		if a {
 			res.ArticulationPoints++
@@ -346,7 +373,7 @@ type CliqueResult struct {
 // reading every neighbourhood from the heap. maxCliques > 0 bounds the
 // enumeration (0 = unbounded).
 func (hg *HeapGraph) BronKerbosch(m *core.Mutator, maxCliques int) CliqueResult {
-	bk := &bkState{hg: hg, m: m, limit: maxCliques}
+	bk := &bkState{hg: hg, m: m, limit: maxCliques, mark: make([]uint32, hg.n)}
 	p := make([]int32, hg.n)
 	for i := range p {
 		p[i] = int32(i)
@@ -361,13 +388,30 @@ type bkState struct {
 	res   CliqueResult
 	limit int
 	buf   []int32
-	depth int
+	// mark[v] == stamp makes v a member of the set markSet last stamped.
+	mark  []uint32
+	stamp uint32
 }
 
 // stop reports whether the clique bound was hit.
 func (b *bkState) stop() bool {
 	return b.limit > 0 && b.res.MaximalCliques >= b.limit
 }
+
+// markSet makes ids the set member tests until the next markSet.
+func (b *bkState) markSet(ids []int32) {
+	b.stamp++
+	if b.stamp == 0 { // wrapped: old stamps would alias
+		clear(b.mark)
+		b.stamp = 1
+	}
+	for _, w := range ids {
+		b.mark[w] = b.stamp
+	}
+}
+
+// member reports whether v is in the set markSet last stamped.
+func (b *bkState) member(v int32) bool { return b.mark[v] == b.stamp }
 
 // recurse is BronKerbosch(R-size, P, X) with Tomita pivoting: the pivot is
 // the vertex of P∪X with the largest heap-read degree, and only P \ N(pivot)
@@ -399,18 +443,13 @@ func (b *bkState) recurse(rsize int, p, x []int32) {
 			best, pivot = d, v
 		}
 	}
-	pivotAdj := map[int32]bool{}
-	if pivot >= 0 {
-		b.buf = b.hg.neighbors(b.m, pivot, b.buf)
-		for _, w := range b.buf {
-			pivotAdj[w] = true
-		}
-	}
+	b.buf = b.hg.neighbors(b.m, pivot, b.buf)
+	b.markSet(b.buf) // N(pivot)
 
 	// Candidates: P \ N(pivot), snapshotted because p mutates below.
 	var cands []int32
 	for _, v := range p {
-		if !pivotAdj[v] {
+		if !b.member(v) {
 			cands = append(cands, v)
 		}
 	}
@@ -419,18 +458,15 @@ func (b *bkState) recurse(rsize int, p, x []int32) {
 			return
 		}
 		b.buf = b.hg.neighbors(b.m, v, b.buf)
-		nv := map[int32]bool{}
-		for _, w := range b.buf {
-			nv[w] = true
-		}
+		b.markSet(b.buf) // N(v)
 		var np, nx []int32
 		for _, w := range p {
-			if nv[w] {
+			if b.member(w) {
 				np = append(np, w)
 			}
 		}
 		for _, w := range x {
-			if nv[w] {
+			if b.member(w) {
 				nx = append(nx, w)
 			}
 		}

@@ -11,6 +11,7 @@ package graphgen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 )
 
 // Graph is an undirected simple graph as adjacency lists over dense node
@@ -67,42 +68,41 @@ func Generate(p Params) (*Graph, error) {
 	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	n := p.Nodes
-	adjSet := make([]map[int32]struct{}, n)
-	// adjList mirrors adjSet in insertion order so neighbour sampling is
-	// deterministic (map iteration order is randomised in Go).
+	// adjList holds each node's neighbours in insertion order, so
+	// neighbour sampling is deterministic.
 	adjList := make([][]int32, n)
 	edges := make([][2]int32, 0, p.Edges)
-	for i := range adjSet {
-		adjSet[i] = make(map[int32]struct{})
-	}
-	// endpoints is the flattened edge endpoint list used for preferential
-	// attachment (probability proportional to degree).
-	endpoints := make([]int32, 0, 2*p.Edges)
-	edgeCount := 0
 
-	addEdge := func(a, b int32) bool {
+	// endpoint draws one of the 2·len(edges) edge endpoints uniformly:
+	// preferential attachment (probability proportional to degree).
+	// Endpoint k is edges[k>>1][k&1].
+	endpoint := func() int32 {
+		k := rng.Intn(2 * len(edges))
+		return edges[k>>1][k&1]
+	}
+	addEdge := func(a, b int32) {
 		if a == b {
-			return false
+			return
 		}
-		if _, dup := adjSet[a][b]; dup {
-			return false
+		// A duplicate shows in both lists; scan the shorter.
+		short, other := adjList[a], b
+		if len(adjList[b]) < len(short) {
+			short, other = adjList[b], a
 		}
-		adjSet[a][b] = struct{}{}
-		adjSet[b][a] = struct{}{}
+		if slices.Contains(short, other) {
+			return
+		}
 		adjList[a] = append(adjList[a], b)
 		adjList[b] = append(adjList[b], a)
 		edges = append(edges, [2]int32{a, b})
-		endpoints = append(endpoints, a, b)
-		edgeCount++
-		return true
 	}
 
 	// Spanning backbone: each node links to an earlier node, keeping the
 	// graph connected (the paper's CC inputs are connected components).
 	for v := 1; v < n; v++ {
 		var u int32
-		if len(endpoints) > 0 && rng.Float64() < 0.5 {
-			u = endpoints[rng.Intn(len(endpoints))] // preferential
+		if len(edges) > 0 && rng.Float64() < 0.5 {
+			u = endpoint() // preferential
 		} else {
 			u = int32(rng.Intn(v)) // uniform earlier node
 		}
@@ -114,11 +114,11 @@ func Generate(p Params) (*Graph, error) {
 
 	// Remaining edges via the copy model: pick a node, pick a prototype,
 	// copy one of its neighbours or attach preferentially.
-	for guard := 0; edgeCount < p.Edges && guard < p.Edges*50; guard++ {
+	for guard := 0; len(edges) < p.Edges && guard < p.Edges*50; guard++ {
 		v := int32(rng.Intn(n))
 		var u int32
 		if rng.Float64() < p.CopyProb {
-			proto := endpoints[rng.Intn(len(endpoints))]
+			proto := endpoint()
 			ns := adjList[proto]
 			if len(ns) == 0 {
 				continue
@@ -130,20 +130,20 @@ func Generate(p Params) (*Graph, error) {
 				u = proto
 			}
 		} else {
-			u = endpoints[rng.Intn(len(endpoints))]
+			u = endpoint()
 		}
 		addEdge(v, u)
 	}
 	// Top up with uniform random edges if the copy loop saturated.
-	for edgeCount < p.Edges {
+	for len(edges) < p.Edges {
 		addEdge(int32(rng.Intn(n)), int32(rng.Intn(n)))
 	}
 
-	g := &Graph{Name: p.Name, Adj: adjList, EdgeCount: edgeCount, Edges: edges}
-	for v := range g.Adj {
+	g := &Graph{Name: p.Name, Adj: adjList, EdgeCount: len(edges), Edges: edges}
+	for _, ns := range g.Adj {
 		// Deterministic order: sort ascending (as when loading a sorted
 		// dataset file).
-		sortInt32(g.Adj[v])
+		slices.Sort(ns)
 	}
 	return g, nil
 }
@@ -155,18 +155,6 @@ func MustGenerate(p Params) *Graph {
 		panic(err)
 	}
 	return g
-}
-
-func sortInt32(s []int32) {
-	// Insertion sort for short lists, shell gaps for longer; adjacency
-	// lists are small on average but heavy-tailed.
-	for gap := len(s) / 2; gap > 0; gap /= 2 {
-		for i := gap; i < len(s); i++ {
-			for j := i; j >= gap && s[j] < s[j-gap]; j -= gap {
-				s[j], s[j-gap] = s[j-gap], s[j]
-			}
-		}
-	}
 }
 
 // --- Table 3 presets ------------------------------------------------------

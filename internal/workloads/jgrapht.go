@@ -14,14 +14,11 @@ import (
 // order.
 //
 // The paper uses BiconnectivityInspector for CC and
-// BronKerboschCliqueFinder for MC, on the Table 3 inputs. Default scales
-// keep a 19-config sweep tractable; Scale = 1 reproduces Table 3 sizes.
+// BronKerboschCliqueFinder for MC, on the Table 3 inputs. The default scale
+// keeps a 19-config sweep tractable; Scale = 1 reproduces Table 3 sizes.
 const (
-	jgraphtCCScale = 0.25
-	// MC scaling preserves edge density (see graphgen.ScaledDensity):
-	// proportional scaling would make the small graph relatively denser
-	// and explode the number of maximal cliques.
-	jgraphtMCScale = 0.25
+	// JGraphTScale is the JGraphT workloads' default scale.
+	JGraphTScale = 0.25
 	// ccPasses repeats the inspector pass; JGraphT's inspector caches are
 	// queried repeatedly by the driver, and repeated stable traversals are
 	// the access pattern HCSGC rewards (§4.8).
@@ -43,20 +40,54 @@ func jgraphtPreset(dataset string, mc bool) (graphgen.Preset, error) {
 	return graphgen.Preset{}, fmt.Errorf("workloads: unknown dataset %q", dataset)
 }
 
+// GraphInput is what one JGraphT workload runs at a scale: its Table 3
+// preset, the generator parameters (before the per-run seed offset) and
+// the heap the run gets.
+type GraphInput struct {
+	Preset    graphgen.Preset
+	Params    graphgen.Params
+	HeapBytes uint64
+}
+
+// JGraphTInput sizes the JGraphT workload on dataset ("uk" or "enwiki"),
+// CC or MC, at scale in (0,1]. The workloads and the Table 3 report both
+// read it. CC shrinks the preset proportionally; MC preserves its edge
+// density (see graphgen.ScaledDensity), because proportional scaling would
+// make the small graph relatively denser and explode the number of maximal
+// cliques.
+func JGraphTInput(dataset string, mc bool, scale float64) (GraphInput, error) {
+	preset, err := jgraphtPreset(dataset, mc)
+	if err != nil {
+		return GraphInput{}, err
+	}
+	var params graphgen.Params
+	if mc {
+		params = preset.ScaledDensity(scale)
+	} else {
+		params = preset.Scaled(scale)
+	}
+	return GraphInput{Preset: preset, Params: params, HeapBytes: graphHeapBytes(params)}, nil
+}
+
+// runGraph generates the per-run graph of a JGraphT workload and builds
+// the runtime it runs in.
+func runGraph(cfg RunConfig, dataset string, mc bool) (*graphgen.Graph, *env) {
+	in, err := JGraphTInput(dataset, mc, cfg.scale(JGraphTScale))
+	if err != nil {
+		panic(err)
+	}
+	params := in.Params
+	params.Seed += cfg.Seed // per-run graph variation
+	return graphgen.MustGenerate(params), newEnv(cfg, in.HeapBytes, 2)
+}
+
 // JGraphTCC is the connected/biconnected components benchmark
 // (Fig. 7: uk, Fig. 8: enwiki).
 func JGraphTCC(dataset string) Workload {
 	return Workload{
 		Name: fmt.Sprintf("JGraphT CC %s", dataset),
 		Run: guard(func(cfg RunConfig) Result {
-			preset, err := jgraphtPreset(dataset, false)
-			if err != nil {
-				panic(err)
-			}
-			params := preset.Scaled(cfg.scale(jgraphtCCScale))
-			params.Seed += cfg.Seed // per-run graph variation
-			g := graphgen.MustGenerate(params)
-			e := newEnv(cfg, graphHeapBytes(g), 2)
+			g, e := runGraph(cfg, dataset, false)
 			defer e.cleanup()
 			gt := graphalg.RegisterTypes(e.rt.Types)
 			hg := graphalg.Load(e.m, gt, g, 0)
@@ -88,14 +119,7 @@ func JGraphTMC(dataset string) Workload {
 	return Workload{
 		Name: fmt.Sprintf("JGraphT MC %s", dataset),
 		Run: guard(func(cfg RunConfig) Result {
-			preset, err := jgraphtPreset(dataset, true)
-			if err != nil {
-				panic(err)
-			}
-			params := preset.ScaledDensity(cfg.scale(jgraphtMCScale))
-			params.Seed += cfg.Seed
-			g := graphgen.MustGenerate(params)
-			e := newEnv(cfg, graphHeapBytes(g), 2)
+			g, e := runGraph(cfg, dataset, true)
 			defer e.cleanup()
 			gt := graphalg.RegisterTypes(e.rt.Types)
 			hg := graphalg.Load(e.m, gt, g, 0)
@@ -115,11 +139,12 @@ func JGraphTMC(dataset string) Workload {
 	}
 }
 
-// graphHeapBytes sizes the heap for a graph: nodes (48B + array slots),
-// edge objects (24B each) and adjacency arrays (two slots per edge), with
-// headroom, echoing the paper's per-input heap sizes in Table 3.
-func graphHeapBytes(g *graphgen.Graph) uint64 {
-	bytes := uint64(g.Nodes())*80 + uint64(g.EdgeCount)*48
+// graphHeapBytes sizes the heap for the graph p generates: nodes (48B +
+// array slots), edge objects (24B each) and adjacency arrays (two slots per
+// edge), with headroom, echoing the paper's per-input heap sizes in Table 3.
+// The generator hits p's node and edge counts exactly.
+func graphHeapBytes(p graphgen.Params) uint64 {
+	bytes := uint64(p.Nodes)*80 + uint64(p.Edges)*48
 	heapBytes := bytes * 3
 	// Floor well above one medium page (32MB): loading allocates a
 	// medium-class temporary edge array. (The paper gives these inputs
