@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"hcsgc/internal/loadgen"
+	"hcsgc/internal/signals"
+	"hcsgc/internal/telemetry/latency"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the fixtures")
@@ -174,6 +176,23 @@ func TestGoldenReports(t *testing.T) {
 		// The filler's one running counter renumbers every later value when
 		// a field comes or goes; the key paths show what actually moved.
 		compareGolden(t, tc.name+".keys", keyPaths(t, b.Bytes()))
+	}
+}
+
+// TestGoldenPayloadKeys pins the key paths of the two per-cycle payloads a
+// live runtime serves: /signals (signals.Snapshot) and the flight dump
+// (/flightrecorder and the automatic dumps, latency.FlightDump). Their
+// values come from a run, so only the shape is pinned.
+func TestGoldenPayloadKeys(t *testing.T) {
+	for name, doc := range map[string]any{
+		"signals":    fixture[signals.Snapshot](),
+		"flightdump": fixture[latency.FlightDump](),
+	} {
+		b, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		compareGolden(t, name+".keys", keyPaths(t, b))
 	}
 }
 
