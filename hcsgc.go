@@ -84,9 +84,10 @@ type (
 	// budget is exhausted.
 	OutOfMemoryError = core.OutOfMemoryError
 	// LatencyTracker is the latency-attribution plane: HDR pause/phase/
-	// stall distributions, MMU curves, barrier slow-path profiling and the
-	// flight recorder (see internal/telemetry/latency). Every runtime has
-	// one (Runtime.Latency).
+	// stall distributions, MMU curves, barrier slow-path profiling, and the
+	// cycle log the GC log, the flight recorder and the signal plane read
+	// (see internal/telemetry/latency). Every runtime has one
+	// (Runtime.Latency).
 	LatencyTracker = latency.Tracker
 	// LatencyConfig tunes the latency tracker.
 	LatencyConfig = latency.Config
@@ -95,8 +96,8 @@ type (
 	// LatencyDist is one HDR distribution summary inside a LatencyReport.
 	LatencyDist = latency.Dist
 	// SignalPlane is the unified per-cycle GC signal plane: one immutable
-	// signals.CycleSignals record per cycle boundary (the cycle's
-	// latency.CycleRecord, embedded, plus the other planes' sections) with
+	// signals.CycleSignals record per cycle boundary (the cycle's logged
+	// latency.CycleRecord, shared, plus the other planes' sections) with
 	// EWMA/trend derivations and anomaly flags (see internal/signals).
 	// Every runtime has one (Runtime.Signals). This record is the sensor
 	// bus the overload controller reads and an allocation-rate pacing

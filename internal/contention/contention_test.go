@@ -382,10 +382,10 @@ func TestImbalanceEdgeCases(t *testing.T) {
 	}
 }
 
-// TestBindTelemetry: the hcsgc_contention_* families and the worker
-// imbalance land in the Prometheus exposition with per-site labels, the
-// per-worker totals in the snapshot's worker table, and the per-cycle
-// counter tracks reach the Perfetto trace.
+// TestBindTelemetry: the hcsgc_contention_* families land in the Prometheus
+// exposition with per-site labels, the per-worker totals and their
+// imbalance in the snapshot, and the per-cycle counter tracks reach the
+// Perfetto trace.
 func TestBindTelemetry(t *testing.T) {
 	p := New()
 	s := p.NewSite("core.cycleMu")
@@ -410,14 +410,15 @@ func TestBindTelemetry(t *testing.T) {
 		`hcsgc_contention_cas_ops_total{structure="heap.pageBump"} 20`,
 		`hcsgc_contention_cas_retries_total{structure="heap.pageBump"} 2`,
 		`hcsgc_contention_wait_ns{site="core.cycleMu",quantile="0.99"}`,
-		`hcsgc_worker_imbalance 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
 	}
-	if ws := p.Snapshot().Workers; len(ws) != 2 || ws[0].Scanned != 5 || ws[1].BusyCycles != 100 {
-		t.Errorf("worker table = %+v, want two workers, scanned 5 and busy 100", ws)
+	if snap := p.Snapshot(); len(snap.Workers) != 2 || snap.Workers[0].Scanned != 5 ||
+		snap.Workers[1].BusyCycles != 100 || snap.Imbalance != 0 {
+		t.Errorf("worker table = %+v, imbalance %v, want two workers, scanned 5 and busy 100, balanced",
+			snap.Workers, snap.Imbalance)
 	}
 
 	tf := telemetry.BuildTrace(rec.Snapshot())

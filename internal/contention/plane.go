@@ -173,7 +173,8 @@ func (p *Plane) AddSource(name string, probe func() (ops, contended uint64)) {
 // the registry serve every site, source and CAS loop known so far; those
 // registered later join as they arrive, so a series exists from the moment
 // its site does, whether or not it was ever contended. Per-worker totals
-// are the snapshot's worker table; the registry carries their imbalance.
+// are the snapshot's worker table; their per-cycle imbalance is the signal
+// plane's hcsgc_signal_value{signal="worker_imbalance"}.
 func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	if p == nil {
 		return
@@ -191,7 +192,6 @@ func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) 
 	for _, o := range p.ops {
 		p.bindOp(o)
 	}
-	p.reg.Gauge("hcsgc_worker_imbalance", helpImbalance)
 }
 
 // bindLock has the registry serve one lock site or source: its totals as
@@ -217,7 +217,6 @@ const (
 	helpContended = "Lock acquisitions that had to block, by site."
 	helpCASOps    = "Completed atomic-loop operations by structure."
 	helpCASRetry  = "Failed atomic-loop attempts that looped, by structure."
-	helpImbalance = "Per-cycle GC worker imbalance coefficient (stddev/mean of work)."
 )
 
 // OnCycle ingests one GC cycle's worker totals, differentiates every
@@ -278,7 +277,6 @@ func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 	}
 	w.Imbalance = imbalance(work)
 	p.lastImbalance = w.Imbalance
-	p.reg.Gauge("hcsgc_worker_imbalance", helpImbalance).Set(w.Imbalance)
 	p.rec.Counter(telemetry.CounterContentionContended, float64(l.Contended), seq)
 	p.rec.Counter(telemetry.CounterContentionCASRetries, float64(l.CASRetries), seq)
 	p.rec.Counter(telemetry.CounterWorkerImbalance, w.Imbalance, seq)

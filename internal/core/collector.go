@@ -363,14 +363,13 @@ func (c *Collector) runCycle(reason string) {
 
 	c.cycles.Inc()
 	// Collector-owned fields first, then the tracker completes the record
-	// in place, and only then do the planes and the GC log copy it: the
-	// flight ring, the signal ring and Stats hold the same completed value.
+	// in place and logs it, and only then does the signal plane link it:
+	// every reader sees the completed record, and nothing writes it again.
 	c.closeCycleRecord(cs)
 	c.tm.ecPages[0].Add(uint64(cs.ECSmall))
 	c.tm.ecPages[1].Add(uint64(cs.ECMedium))
 	c.recordLatencyCycle(cs)
 	c.recordSignals(cs)
-	c.stats.append(cs)
 	c.tm.rec.EndSpan(telemetry.SpanCycle, collectorTID)
 	if c.cfg.Knobs.AutoTune {
 		c.autoTune()

@@ -71,14 +71,14 @@ func TestWriteGCLogGolden(t *testing.T) {
 		Knobs:     Knobs{Hotness: true, LazyRelocate: true},
 		GCWorkers: 2,
 	})
-	c.stats.append(&CycleStats{
+	c.lat.OnCycle(&CycleStats{
 		Seq: 1, Trigger: "requested",
 		Pause1: 100, Pause2: 200, Pause3: 300,
 		MarkedBytes: 5 << 20, ECSmall: 3, ECSmallLiveBytes: 1 << 20,
 		ECMedium: 1, PagesFreedEmpty: 2,
 		HeapUsedBefore: 50.0, HeapUsedAfter: 25.0,
 	})
-	c.stats.append(&CycleStats{Seq: 2, Trigger: "allocation stall"})
+	c.lat.OnCycle(&CycleStats{Seq: 2, Trigger: "allocation stall"})
 	c.stats.addReloc(telemetry.RelocByMutator, 2, 2*4096)
 	c.stats.addReloc(telemetry.RelocByGC, 1, 8192)
 

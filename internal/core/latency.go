@@ -84,7 +84,7 @@ func (c *Collector) mutatorStallWeight() float64 {
 }
 
 // recordLatencyCycle hands the cycle's record to the tracker, which
-// completes its phase/barrier/MMU fields in place and rings a copy, then
+// completes its phase/barrier/MMU fields in place and logs it, then
 // auto-dumps if the heap verifier found new violations during this cycle.
 // Runs under cycleMu, after closeCycleRecord.
 func (c *Collector) recordLatencyCycle(cs *CycleStats) {

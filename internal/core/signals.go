@@ -33,7 +33,7 @@ func (c *Collector) allocBytesTotal() uint64 {
 
 // closeCycleRecord fills what the collector knows only at the cycle's end:
 // the closing clock reading and the since-last-boundary deltas. It runs
-// before any plane sees the record, so the copies the planes keep are
+// before any plane sees the record, so what the cycle log stores is
 // complete. Under cycleMu.
 func (c *Collector) closeCycleRecord(cs *CycleStats) {
 	cs.HeapUsedAfter = c.heap.UsedPercent()
@@ -50,13 +50,13 @@ func (c *Collector) closeCycleRecord(cs *CycleStats) {
 		c.stats.relocBytes[0].Value()+c.stats.relocBytes[1].Value())
 }
 
-// recordSignals publishes the cycle's unified signal record: the cycle's
-// one record plus the sections their owners hand back. Runs under cycleMu
-// after the latency tracker completed the record.
+// recordSignals publishes the cycle's unified signal record: a link to the
+// cycle's logged record plus the sections their owners hand back. Runs
+// under cycleMu after the latency tracker completed and logged the record.
 func (c *Collector) recordSignals(cs *CycleStats) {
 	ls := c.cfg.Locality.OnCycle(cs.Seq, cs.SegregationPurity)
 	ctn := c.ctn.OnCycle(cs.Seq, c.workerTotals())
-	c.sig.OnCycle(signals.CycleSignals{CycleRecord: *cs, Locality: ls,
+	c.sig.OnCycle(signals.CycleSignals{CycleRecord: cs, Locality: ls,
 		Workers: ctn.Workers, Contention: ctn.Locks, StallDist: c.lat.StallDist()})
 }
 

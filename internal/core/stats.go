@@ -2,7 +2,6 @@ package core
 
 import (
 	"sort"
-	"sync"
 
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
@@ -10,27 +9,18 @@ import (
 
 // CycleStats is the one record of a GC cycle, feeding the paper's "GC
 // statistics" plots (cycles per run, small pages relocated per cycle, heap
-// usage). runCycle fills one value in place and hands it to every plane;
-// the latency tracker's flight ring and the signal plane's history hold
-// copies of the same completed value (see latency.CycleRecord).
+// usage). runCycle fills a new one in place and hands it to the latency
+// tracker, whose cycle log stores it; Stats, the flight recorder and the
+// signal plane read it from there (see latency.CycleRecord).
 type CycleStats = latency.CycleRecord
 
-// statsLog accumulates per-cycle records and global relocation counters.
+// statsLog holds the global relocation counters.
 type statsLog struct {
-	mu     sync.Mutex
-	cycles []CycleStats
-
 	// Relocation wins as folded in by their relocators (relocCtx.fold),
 	// indexed by telemetry.RelocByGC/RelocByMutator; the cells behind
 	// hcsgc_reloc_objects_total / hcsgc_reloc_bytes_total.
 	relocObjects [2]telemetry.Counter
 	relocBytes   [2]telemetry.Counter
-}
-
-func (s *statsLog) append(cs *CycleStats) {
-	s.mu.Lock()
-	s.cycles = append(s.cycles, *cs)
-	s.mu.Unlock()
 }
 
 func (s *statsLog) addReloc(who uint32, objects, bytes uint64) {
@@ -40,6 +30,7 @@ func (s *statsLog) addReloc(who uint32, objects, bytes uint64) {
 
 // Stats is a snapshot of collector activity for reporting.
 type Stats struct {
+	// Cycles is the whole cycle log, oldest first.
 	Cycles              []CycleStats
 	MutatorRelocObjects uint64
 	MutatorRelocBytes   uint64
@@ -49,10 +40,11 @@ type Stats struct {
 
 // Stats snapshots the collector's statistics.
 func (c *Collector) Stats() Stats {
-	c.stats.mu.Lock()
-	cycles := make([]CycleStats, len(c.stats.cycles))
-	copy(cycles, c.stats.cycles)
-	c.stats.mu.Unlock()
+	log := c.lat.Log()
+	cycles := make([]CycleStats, len(log))
+	for i, rec := range log {
+		cycles[i] = *rec
+	}
 	return Stats{
 		Cycles:              cycles,
 		MutatorRelocObjects: c.stats.relocObjects[telemetry.RelocByMutator].Value(),

@@ -83,13 +83,10 @@ type Profiler struct {
 	mu     sync.Mutex
 	probes []*Probe
 	cum    counters
-	// entropy/purity are state metrics, not flows; the cumulative view
-	// keeps the latest cycle's values.
-	lastEntropy  float64
-	lastSamePage float64
-	lastPurity   float64
-	lastCycle    CycleReport
-	history      []CycleReport
+	// history is the last cycleHistory per-cycle snapshots, oldest first.
+	// Purity and the same-page fraction are state metrics, not flows: the
+	// cumulative view takes the newest entry's.
+	history []CycleReport
 
 	// Telemetry handles (nil until BindTelemetry; all nil-safe).
 	distHist     *telemetry.Histogram
@@ -433,27 +430,24 @@ func (pf *Profiler) OnCycle(seq uint64, purity float64) Signals {
 		ovfs = append(ovfs, o)
 	}
 	pf.cum.add(&ivl)
-	pf.lastEntropy = entropyBits(maps, ovfs)
-	pf.lastPurity = purity
-	total := float64(ivl.Transitions + ivl.SamePage)
-	pf.lastSamePage = 0
-	if total > 0 {
-		pf.lastSamePage = float64(ivl.SamePage) / total
+	entropy := entropyBits(maps, ovfs)
+	samePage := 0.0
+	if total := float64(ivl.Transitions + ivl.SamePage); total > 0 {
+		samePage = float64(ivl.SamePage) / total
 	}
 
-	cr := CycleReport{Cycle: seq, Interval: deriveStats(&ivl, pf.lastEntropy, pf.lastSamePage, purity)}
-	pf.lastCycle = cr
+	cr := CycleReport{Cycle: seq, Interval: deriveStats(&ivl, entropy, samePage, purity)}
 	pf.history = append(pf.history, cr)
 	if len(pf.history) > cycleHistory {
 		pf.history = pf.history[len(pf.history)-cycleHistory:]
 	}
 
 	pf.sampledTotal.Add(ivl.Sampled)
-	pf.gEntropy.Set(pf.lastEntropy)
+	pf.gEntropy.Set(entropy)
 
 	pf.rec.Counter(telemetry.CounterStreamCoverage, cr.Interval.StreamCoverage, seq)
 	pf.rec.Counter(telemetry.CounterSegPurity, purity, seq)
-	pf.rec.Counter(telemetry.CounterPageEntropy, pf.lastEntropy, seq)
+	pf.rec.Counter(telemetry.CounterPageEntropy, entropy, seq)
 	pf.rec.Counter(telemetry.CounterReuseP50, cr.Interval.ReuseP50, seq)
 	return Signals{
 		Present:           true,
@@ -494,20 +488,21 @@ func (pf *Profiler) Report() *Report {
 		pr.mu.Unlock()
 		cum.add(&c)
 	}
-	entropy := entropyBits(maps, ovfs)
-	samePage := pf.lastSamePage
-	if t := float64(cum.Transitions + cum.SamePage); t > 0 {
-		samePage = float64(cum.SamePage) / t
-	}
-
 	r := &Report{
 		SamplePeriod: 1 << pf.cfg.SamplePeriodShift,
 		BurstLen:     pf.cfg.BurstLen(),
 		Window:       Window,
-		Cumulative:   deriveStats(&cum, entropy, samePage, pf.lastPurity),
-		LastCycle:    pf.lastCycle,
 		Cycles:       append([]CycleReport(nil), pf.history...),
 	}
+	if n := len(pf.history); n > 0 {
+		r.LastCycle = pf.history[n-1]
+	}
+	last := r.LastCycle.Interval
+	samePage := last.SamePageFrac
+	if t := float64(cum.Transitions + cum.SamePage); t > 0 {
+		samePage = float64(cum.SamePage) / t
+	}
+	r.Cumulative = deriveStats(&cum, entropyBits(maps, ovfs), samePage, last.SegPurity)
 	return r
 }
 

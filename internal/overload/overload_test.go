@@ -137,7 +137,7 @@ func TestControllerPlaneFlagsAndEmergency(t *testing.T) {
 
 	// Post-cycle occupancy above the default 85% threshold raises
 	// heap_pressure; the flag alone is a Brownout-grade signal.
-	plane.OnCycle(signals.CycleSignals{CycleRecord: latency.CycleRecord{
+	plane.OnCycle(signals.CycleSignals{CycleRecord: &latency.CycleRecord{
 		Seq: 1, VStart: 0, VEnd: 1000, HeapUsedAfter: 95, ColdFrac: -1,
 	}})
 	if got := ctrl.Poll(); got != StateBrownout {
@@ -163,7 +163,7 @@ func TestControllerPlaneFlagsAndEmergency(t *testing.T) {
 	}
 
 	// A new cycle record that still shows pressure re-arms the trigger.
-	plane.OnCycle(signals.CycleSignals{CycleRecord: latency.CycleRecord{
+	plane.OnCycle(signals.CycleSignals{CycleRecord: &latency.CycleRecord{
 		Seq: 2, VStart: 1000, VEnd: 2000, HeapUsedAfter: 95, ColdFrac: -1,
 	}})
 	stalls++

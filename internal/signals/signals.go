@@ -1,13 +1,14 @@
 // Package signals is the unified per-cycle GC signal plane: at every
-// cycle boundary the collector hands over the cycle's one record (pauses,
-// concurrent phases, barrier slow-path deltas, MMU ladder, utilization,
-// occupancy, allocation and relocation deltas — latency.CycleRecord)
-// together with the sections the other planes own — the locality
-// profiler's interval stats (reuse distance, stream coverage, segregation
-// purity) and the contention plane's worker and lock deltas — as one
-// immutable CycleSignals record. The plane keeps a bounded history ring,
-// derives EWMA and trend series over a fixed set of scalar signals, and
-// raises threshold-based anomaly flags.
+// cycle boundary the collector hands over a link to the cycle's one record
+// (pauses, concurrent phases, barrier slow-path deltas, MMU ladder,
+// utilization, occupancy, allocation and relocation deltas — the
+// latency.CycleRecord the latency tracker's cycle log stores) together with
+// the sections the other planes own — the locality profiler's interval
+// stats (reuse distance, stream coverage, segregation purity) and the
+// contention plane's worker and lock deltas — as one immutable CycleSignals
+// record. The plane keeps a bounded history of them, derives EWMA and trend
+// series over a fixed set of scalar signals, and raises threshold-based
+// anomaly flags.
 //
 // This record shape is the sensor bus of online control: the overload
 // controller reads Derived (level + direction per signal) and Flags, an
@@ -33,7 +34,9 @@ import (
 
 // Config tunes a Plane. The zero value gets usable defaults.
 type Config struct {
-	// History bounds the retained CycleSignals ring. Default 256.
+	// History is the plane's window: how many of the newest CycleSignals
+	// it retains for Snapshot and Lookup. The cycle records they link stay
+	// in the latency tracker's log either way. Default 256.
 	History int
 }
 
@@ -83,13 +86,13 @@ type DerivedSignal struct {
 
 // CycleSignals is one GC cycle's immutable unified snapshot: the cycle's
 // one record (identity, pauses, phases, heap, allocation and relocation
-// deltas — the same value the GC log and the flight ring hold), the
-// sections the locality profiler and the contention plane own, the
-// cumulative allocation-stall distribution, and the derived series and
-// anomaly flags computed by the plane. Records are value types; once
-// OnCycle stores one it is never mutated.
+// deltas — shared with the cycle log, not copied; its fields render at the
+// top level of the JSON), the sections the locality profiler and the
+// contention plane own, the cumulative allocation-stall distribution, and
+// the derived series and anomaly flags computed by the plane. Once OnCycle
+// stores one, neither it nor the record it links is written again.
 type CycleSignals struct {
-	latency.CycleRecord
+	*latency.CycleRecord
 
 	// Locality is the profiler's per-cycle interval view; Workers and
 	// Contention are the contention plane's per-cycle deltas. Each is
@@ -166,17 +169,17 @@ type ewmaState struct {
 type Plane struct {
 	cfg Config
 
-	// mu guards the ring; taken from under the collector's cycle path
+	// mu guards the history; taken from under the collector's cycle path
 	// and the overload poller, so it ranks below every caller's lock.
 	//
 	//hcsgc:lock-order 60
-	mu     sync.Mutex
-	ring   []CycleSignals
-	next   int
-	total  telemetry.Counter // cycles recorded; hcsgc_signal_cycles_total once bound
-	latest CycleSignals
-	has    bool
-	ewma   map[string]*ewmaState
+	mu sync.Mutex
+	// history is the newest cfg.History records, oldest first: appended to
+	// and trimmed from the front, never written in place, so a reader may
+	// keep a slice of it taken under mu.
+	history []CycleSignals
+	cycles  uint64 // cycles recorded
+	ewma    map[string]*ewmaState
 
 	// Telemetry handles (nil until BindTelemetry; all nil-safe).
 	valueG, ewmaG, trendG map[string]*telemetry.Gauge
@@ -188,9 +191,9 @@ type Plane struct {
 func New(cfg Config) *Plane {
 	cfg = cfg.withDefaults()
 	return &Plane{
-		cfg:  cfg,
-		ring: make([]CycleSignals, 0, cfg.History),
-		ewma: make(map[string]*ewmaState, len(DerivedOrder)),
+		cfg:     cfg,
+		history: make([]CycleSignals, 0, cfg.History),
+		ewma:    make(map[string]*ewmaState, len(DerivedOrder)),
 	}
 }
 
@@ -272,9 +275,9 @@ func flags(rec *CycleSignals, raw map[string]float64) []string {
 }
 
 // OnCycle completes rec (derived series, anomaly flags), appends it to
-// the history ring, and publishes gauges, counters and Perfetto counter
+// the history, and publishes gauges, counters and Perfetto counter
 // samples. The collector calls it at every cycle boundary, under its
-// cycle lock; rec must not be retained by the caller.
+// cycle lock, with a completed, logged record that nothing writes again.
 func (p *Plane) OnCycle(rec CycleSignals) {
 	raw := rawSignals(&rec)
 
@@ -304,17 +307,11 @@ func (p *Plane) OnCycle(rec CycleSignals) {
 	}
 	rec.Flags = flags(&rec, raw)
 
-	if cap(p.ring) > 0 {
-		if len(p.ring) < cap(p.ring) {
-			p.ring = append(p.ring, rec)
-		} else {
-			p.ring[p.next] = rec
-			p.next = (p.next + 1) % len(p.ring)
-		}
+	p.history = append(p.history, rec)
+	if len(p.history) > p.cfg.History {
+		p.history = p.history[len(p.history)-p.cfg.History:]
 	}
-	p.total.Inc()
-	p.latest = rec
-	p.has = true
+	p.cycles++
 	valueG, ewmaG, trendG := p.valueG, p.ewmaG, p.trendG
 	flagCtr, recd := p.flagCtr, p.rec
 	p.mu.Unlock()
@@ -336,9 +333,10 @@ func (p *Plane) OnCycle(rec CycleSignals) {
 }
 
 // BindTelemetry registers the hcsgc_signal_* metric families on reg
-// (value/EWMA/trend gauges per derived signal, the anomaly-flag counter
-// family counting from now, and the plane's own cycle count) and enables
-// Perfetto counter-track emission through rec. A nil reg (no sink) binds
+// (value/EWMA/trend gauges per derived signal and the anomaly-flag counter
+// family counting from now; the cycle count is the collector's
+// hcsgc_gc_cycles_total) and enables Perfetto counter-track emission
+// through rec. A nil reg (no sink) binds
 // nothing; binding another plane re-points the series to it.
 func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	if reg == nil {
@@ -364,8 +362,6 @@ func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) 
 			"Cycles on which the signal plane raised the labelled anomaly flag.",
 			new(telemetry.Counter), "flag", f)
 	}
-	reg.Adopt("hcsgc_signal_cycles_total",
-		"GC cycles recorded by the signal plane.", &p.total)
 
 	p.mu.Lock()
 	p.valueG, p.ewmaG, p.trendG = valueG, ewmaG, trendG
@@ -387,21 +383,20 @@ type Snapshot struct {
 	Records []CycleSignals `json:"records"`
 }
 
-// Snapshot copies the plane's state.
+// Snapshot takes the plane's state. Its records are the history's own,
+// shared with every other reader.
 func (p *Plane) Snapshot() Snapshot {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	n := len(p.history)
 	s := Snapshot{
-		Cycles:  p.total.Value(),
+		Cycles:  p.cycles,
 		History: p.cfg.History,
 		Alpha:   ewmaAlpha,
-		Records: make([]CycleSignals, 0, len(p.ring)),
+		Records: p.history[:n:n],
 	}
-	s.Records = append(s.Records, p.ring[p.next:]...)
-	s.Records = append(s.Records, p.ring[:p.next]...)
-	if p.has {
-		latest := p.latest
-		s.Latest = &latest
+	if n > 0 {
+		s.Latest = &p.history[n-1]
 	}
 	return s
 }
@@ -410,7 +405,10 @@ func (p *Plane) Snapshot() Snapshot {
 func (p *Plane) Latest() (CycleSignals, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.latest, p.has
+	if n := len(p.history); n > 0 {
+		return p.history[n-1], true
+	}
+	return CycleSignals{}, false
 }
 
 // Lookup finds the retained record for cycle seq (the tail attributor's
@@ -422,9 +420,9 @@ func (p *Plane) Lookup(seq uint64) (CycleSignals, bool) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for i := range p.ring {
-		if p.ring[i].Seq == seq {
-			return p.ring[i], true
+	for _, cs := range p.history {
+		if cs.Seq == seq {
+			return cs, true
 		}
 	}
 	return CycleSignals{}, false

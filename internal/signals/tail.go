@@ -78,8 +78,8 @@ func (c TailConfig) withDefaults() TailConfig {
 
 // Exemplar is one retained slow request: its identity, timing
 // decomposition, assigned cause, and the responsible cycle's full
-// CycleSignals record (which embeds the flight-recorder attribution
-// record), captured at classification time.
+// CycleSignals record (which links the logged cycle record), captured at
+// classification time.
 type Exemplar struct {
 	Seq   uint64 `json:"seq"`
 	Op    string `json:"op"`
@@ -105,7 +105,7 @@ type Exemplar struct {
 	// identified).
 	Cycle uint64 `json:"cycle"`
 	// Signals is the responsible cycle's unified record, when it was
-	// still in the plane's history ring at classification time.
+	// still in the plane's history at classification time.
 	Signals *CycleSignals `json:"cycle_signals,omitempty"`
 }
 
@@ -319,9 +319,9 @@ func (t *TailAttributor) recordViolation(cause Cause, lat uint64, ex Exemplar, p
 	t.mu.Unlock()
 }
 
-// attachSignals links the responsible cycle's record, if it is still in
-// the plane's ring. Called only for exemplars that enter the top-K
-// store, so the copies stay bounded.
+// attachSignals links the responsible cycle's CycleSignals, if it is still
+// in the plane's history; the cycle record inside is the logged one,
+// shared, not copied. Called only for exemplars that enter the top-K store.
 func (t *TailAttributor) attachSignals(ex *Exemplar, plane *Plane) {
 	if cs, ok := plane.Lookup(ex.Cycle); ok {
 		ex.Signals = &cs

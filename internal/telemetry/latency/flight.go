@@ -22,14 +22,16 @@ type BarrierProfile struct {
 	HotmapRecord uint64 `json:"hotmap_record"`
 }
 
-// CycleRecord is the one record of a GC cycle: the collector's GC log
-// (core.CycleStats is this type), the flight ring and the signal plane's
-// history all hold the same completed value. Durations and pause costs are
-// simulated cycles. A new per-cycle fact is one field here.
+// CycleRecord is the one record of a GC cycle (core.CycleStats is this
+// type). It is stored once, in the tracker's cycle log: the GC log, the
+// flight recorder and the signal plane's history read it from there.
+// Durations and pause costs are simulated cycles. A new per-cycle fact is
+// one field here.
 //
 // The collector owns and fills the fields down to the verifier status; the
-// tracker's OnCycle completes the rest, from MarkCycles on (DESIGN.md §5
-// "One per-cycle record").
+// tracker's OnCycle completes the rest, from MarkCycles on, and logs it.
+// Nothing writes a logged record again (DESIGN.md §5 "One per-cycle
+// record").
 type CycleRecord struct {
 	Seq     uint64 `json:"seq"`
 	Trigger string `json:"trigger"`
@@ -92,38 +94,6 @@ type CycleRecord struct {
 	Utilization float64    `json:"utilization"`
 }
 
-// flightRing is a bounded ring of the last N cycle records.
-type flightRing struct {
-	buf   []CycleRecord
-	next  int
-	total uint64
-}
-
-func newFlightRing(n int) *flightRing {
-	return &flightRing{buf: make([]CycleRecord, 0, n)}
-}
-
-func (r *flightRing) add(rec CycleRecord) {
-	if cap(r.buf) == 0 {
-		return
-	}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[r.next] = rec
-		r.next = (r.next + 1) % len(r.buf)
-	}
-	r.total++
-}
-
-// records returns the retained records oldest-first.
-func (r *flightRing) records() []CycleRecord {
-	out := make([]CycleRecord, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
-	return out
-}
-
 // Dist summarizes one HDR histogram for reports.
 type Dist struct {
 	Count uint64  `json:"count"`
@@ -167,8 +137,8 @@ type Report struct {
 	Stall   Dist                         `json:"alloc_stall"`
 	Barrier map[string]BarrierPathReport `json:"barrier"`
 	MMU     MMUReport                    `json:"mmu"`
-	// Flight holds the retained per-cycle records, oldest first; Cycles
-	// counts every cycle ever recorded.
+	// Flight holds the newest Config.FlightRecords entries of the cycle
+	// log, oldest first; Cycles counts every cycle ever recorded.
 	Flight []CycleRecord `json:"flight,omitempty"`
 	Cycles uint64        `json:"cycles"`
 	// FlightDumps counts automatic dumps emitted (verifier failure, OOM).

@@ -1,10 +1,10 @@
 // Package latency is the HCSGC latency-attribution plane: mergeable HDR
 // histograms over every STW pause, concurrent-phase duration and
 // allocation stall; a minimum-mutator-utilization (MMU) tracker over the
-// virtual timeline; per-path load-barrier slow-path profiling; and an
-// always-on bounded flight recorder of per-cycle summaries that dumps
-// structured JSON when something goes wrong (heap-verifier violation,
-// ErrOutOfMemory) or on demand.
+// virtual timeline; per-path load-barrier slow-path profiling; and the
+// cycle log, the one store of every GC cycle's record, whose newest entries
+// the flight recorder dumps as structured JSON when something goes wrong
+// (heap-verifier violation, ErrOutOfMemory) or on demand.
 //
 // All durations are simulated cycles — the same deterministic clock the
 // rest of the runtime is judged on — so percentiles and MMU curves are
@@ -116,7 +116,9 @@ const (
 
 // Config tunes a Tracker. The zero value gets usable defaults.
 type Config struct {
-	// FlightRecords is the flight-recorder ring size. Default 64.
+	// FlightRecords is the flight recorder's window: how many of the cycle
+	// log's newest records a report or dump carries. The log itself keeps
+	// every cycle. Default 64.
 	FlightRecords int
 	// DumpTo receives automatic dumps as single-line JSON. Default
 	// os.Stderr.
@@ -135,8 +137,8 @@ func (c Config) withDefaults() Config {
 
 // Tracker is the latency-attribution instance for one runtime. The
 // collector feeds it pause/phase/stall intervals and barrier slow-path
-// events; it maintains the HDR distributions, the MMU state and the
-// flight recorder, and publishes to telemetry at each cycle boundary.
+// events; it maintains the HDR distributions, the MMU state and the cycle
+// log, and publishes to telemetry at each cycle boundary.
 type Tracker struct {
 	cfg Config
 
@@ -160,8 +162,10 @@ type Tracker struct {
 	// barrierSynced is the per-path total as of the last OnCycle: the
 	// flight record carries the difference.
 	barrierSynced [numPaths]uint64
-	ring          *flightRing
-	dumps         uint64 // automatic dumps since the last Rearm
+	// log is every completed cycle record, oldest first. It only grows, so
+	// a reader may keep a slice of it taken under mu.
+	log   []*CycleRecord
+	dumps uint64 // automatic dumps since the last Rearm
 
 	// Telemetry handles (nil until BindTelemetry; all nil-safe).
 	mmuGauges []*telemetry.Gauge
@@ -176,7 +180,6 @@ func New(cfg Config) *Tracker {
 		cfg:   cfg,
 		stall: NewHist(),
 		mmu:   newMMUState(DefaultMMUWindows[:], maxIntervals),
-		ring:  newFlightRing(cfg.FlightRecords),
 	}
 	for i := range t.pause {
 		t.pause[i] = NewHist()
@@ -255,9 +258,10 @@ func (t *Tracker) RecordBarrierLatency(p BarrierPath, cycles uint64) {
 
 // OnCycle is the cycle-boundary hook: the collector passes the cycle's
 // record with every field it owns filled in; the tracker completes it in
-// place (phase durations, barrier deltas, MMU and utilization), appends a
-// copy to the flight ring, and publishes gauges, counters and Perfetto
-// counter-track samples.
+// place (phase durations, barrier deltas, MMU and utilization), appends it
+// to the cycle log, and publishes gauges, counters and Perfetto
+// counter-track samples. The log keeps rec itself: neither the caller nor
+// the tracker writes it afterwards.
 func (t *Tracker) OnCycle(rec *CycleRecord) {
 	for k := 0; k < numPhases; k++ {
 		d := t.curPhase[k].Swap(0)
@@ -288,7 +292,7 @@ func (t *Tracker) OnCycle(rec *CycleRecord) {
 		Remap:        deltas[PathRemap],
 		HotmapRecord: deltas[PathHotmapRecord],
 	}
-	t.ring.add(*rec)
+	t.log = append(t.log, rec)
 	gauges := t.mmuGauges
 	recd := t.rec
 	t.mu.Unlock()
@@ -379,11 +383,23 @@ func (t *Tracker) Report() *Report {
 		}
 	}
 	t.mu.Lock()
-	r.Flight = t.ring.records()
-	r.Cycles = t.ring.total
+	log := t.log
 	r.FlightDumps = t.dumps
 	t.mu.Unlock()
+	r.Cycles = uint64(len(log))
+	for _, rec := range log[max(0, len(log)-t.cfg.FlightRecords):] {
+		r.Flight = append(r.Flight, *rec)
+	}
 	return r
+}
+
+// Log returns every completed cycle record, oldest first (the GC log's
+// source). The records are shared with every other reader: read them, never
+// write them.
+func (t *Tracker) Log() []*CycleRecord {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.log[:len(t.log):len(t.log)]
 }
 
 // MMUSnapshot computes the current MMU report (the /mmu endpoint payload).
@@ -483,7 +499,7 @@ func Aggregate(trackers []*Tracker) *Report {
 		worst.Utilization = min(worst.Utilization, snap.Utilization)
 		worst.SpanCycles = max(worst.SpanCycles, snap.SpanCycles)
 		t.mu.Lock()
-		cycles += t.ring.total
+		cycles += uint64(len(t.log))
 		dumps += t.dumps
 		t.mu.Unlock()
 	}

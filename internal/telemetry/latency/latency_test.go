@@ -70,14 +70,14 @@ func TestTrackerEndToEnd(t *testing.T) {
 	}
 }
 
-// TestFlightRingBounds: the ring keeps the last N records oldest-first
-// while the total keeps counting.
+// TestFlightRingBounds: the flight recorder carries the cycle log's last N
+// records oldest-first, while the log keeps every cycle.
 func TestFlightRingBounds(t *testing.T) {
 	tr := New(Config{FlightRecords: 4})
 	feedCycles(tr, 10)
 	r := tr.Report()
-	if r.Cycles != 10 {
-		t.Fatalf("cycles = %d", r.Cycles)
+	if r.Cycles != 10 || len(tr.Log()) != 10 {
+		t.Fatalf("cycles = %d, log holds %d", r.Cycles, len(tr.Log()))
 	}
 	if len(r.Flight) != 4 {
 		t.Fatalf("flight retains %d records, want 4", len(r.Flight))

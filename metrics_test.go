@@ -4,8 +4,10 @@ package hcsgc_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
@@ -40,7 +42,7 @@ func metricsSchema(exposition string) string {
 // metricFamilyCount pins the number of /metrics families as optionCount pins
 // the options: a family needs a reader — a report, a gate, a documented
 // diagnosis recipe or a test other than the schema golden — and this number.
-const metricFamilyCount = 41
+const metricFamilyCount = 39
 
 // TestMetricsSchema pins the families, kinds and label sets /metrics serves
 // once every plane is attached: adding, renaming or dropping a series is a
@@ -169,7 +171,6 @@ func TestOneScrapeOneTimeBase(t *testing.T) {
 	for _, series := range []struct{ name, label string }{
 		{"hcsgc_gc_cycles_total", ""},
 		{"hcsgc_pause_cycles_count", `phase="stw1"`},
-		{"hcsgc_signal_cycles_total", ""},
 	} {
 		if got := scrapeSum(t, sink, series.name, series.label); got != want {
 			t.Errorf("%s{%s} = %d after the second run, which ran %d cycles", series.name, series.label, got, want)
@@ -191,23 +192,36 @@ func TestOneScrapeOneTimeBase(t *testing.T) {
 	}
 }
 
-// TestScrapeDuringRun scrapes both expositions in a loop while a KV run
-// serves: the registry reads cells that mutator and GC threads are writing,
-// and a run attaching its planes re-points series under the scraper. Run
-// under -race (CI does). The view must stay live although server threads
-// account privately and fold: mid-run scrapes see requests served before
-// the run's last fold, and the count never falls. The second run has one
-// server thread, so only a fold before its exit can show such a count.
+// TestScrapeDuringRun scrapes /metrics, and renders /signals and
+// /flightrecorder, in a loop while a KV run serves: the registry reads cells
+// that mutator and GC threads are writing, the two JSON endpoints read
+// cycle records the collector's cycle path has just logged, and a run
+// attaching its planes re-points series under the scraper. Run under -race
+// (CI does). The view must stay live although server threads account
+// privately and fold: mid-run scrapes see requests served before the run's
+// last fold, and the count never falls. The second run has one server
+// thread, so only a fold before its exit can show such a count.
 func TestScrapeDuringRun(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	w, err := workloads.Get("kv")
 	if err != nil {
 		t.Fatal(err)
 	}
+	handler := sink.Handler()
+	// render serves path through the sink's handler and decodes its JSON.
+	render := func(path string, doc any) error {
+		rr := httptest.NewRecorder()
+		handler.ServeHTTP(rr, httptest.NewRequest("GET", path, nil))
+		if err := json.Unmarshal(rr.Body.Bytes(), doc); err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+		return nil
+	}
 	// running is the seed of the run in progress, 0 between runs; a scrape
 	// that reads the same seed before and after was taken during that run.
 	var running atomic.Int64
 	var inRun [3][]uint64   // hcsgc_kv_requests_total of each in-run scrape, by seed
+	var cycles uint64       // the most cycles both JSON endpoints showed in one in-run scrape
 	threads := [3]int{2: 1} // server threads by seed; 0 is the workload default, four
 	var scrapeErr error
 	stop := make(chan struct{})
@@ -223,20 +237,31 @@ func TestScrapeDuringRun(t *testing.T) {
 			}
 			seed := running.Load()
 			reqs, err := scrapeSumErr(sink, "hcsgc_kv_requests_total")
+			var sig struct{ Cycles uint64 }
+			var dump struct{ Report struct{ Cycles uint64 } }
+			if err == nil {
+				err = render("/signals", &sig)
+			}
+			if err == nil {
+				err = render("/flightrecorder", &dump)
+			}
 			if err != nil {
 				scrapeErr = err
 				return
 			}
 			if seed != 0 && running.Load() == seed {
 				inRun[seed] = append(inRun[seed], reqs)
+				cycles = max(cycles, min(sig.Cycles, dump.Report.Cycles))
 			}
 		}
 	}()
 	var final [3]uint64 // the count each run left; final[0] is the empty registry's
 	for seed := int64(1); seed <= 2; seed++ {
 		running.Store(seed)
+		// The first run allocates more than 6 MB, so it collects while it
+		// serves, whatever the driver's wall-clock ticker does.
 		if _, err := w.Run(workloads.RunConfig{Knobs: bench.KnobsFor(4), Seed: seed, Scale: 0.05,
-			Mutators: threads[seed], Telemetry: sink}); err != nil {
+			Mutators: threads[seed], HeapMaxBytes: 6 << 20, Telemetry: sink}); err != nil {
 			t.Error(err)
 		}
 		running.Store(0)
@@ -246,6 +271,9 @@ func TestScrapeDuringRun(t *testing.T) {
 	wg.Wait()
 	if scrapeErr != nil {
 		t.Fatal(scrapeErr)
+	}
+	if cycles == 0 {
+		t.Error("no mid-run /signals and /flightrecorder pair showed a recorded cycle")
 	}
 	for seed := 1; seed <= 2; seed++ {
 		if final[seed] == 0 {
