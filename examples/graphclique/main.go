@@ -36,8 +36,7 @@ func run(w io.Writer) {
 		// One GC worker: two race for mark work, and the cache state they
 		// leave behind — so pass 1's miss count, by a few hundred — would
 		// depend on scheduling.
-		GCWorkers:   1,
-		StartDriver: true,
+		GCWorkers: 1,
 	})
 	defer rt.Close()
 	nodeType := rt.Types.Register("gnode", 2, []int{fAdj})

@@ -51,7 +51,6 @@ func run(knobs hcsgc.Knobs) (execSeconds float64, llcMisses uint64) {
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
 		HeapMaxBytes: 96 << 20,
 		Knobs:        knobs,
-		StartDriver:  true,
 	})
 	defer rt.Close()
 	obj := rt.Types.Register("obj", 3, nil)

@@ -195,6 +195,9 @@ const NullRef = heap.NullRef
 
 // Options configures a Runtime. The zero value is a usable 256 MB heap
 // with original-ZGC behaviour on the laptop machine model (machine.Laptop).
+// A cycle starts when a mutator takes a page at TriggerPercent occupancy,
+// when an allocation stalls on a full heap, and on request (Runtime.GC,
+// Mutator.RequestGC).
 type Options struct {
 	// HeapMaxBytes is the committed-heap limit (like -Xmx). 0 = 256 MB.
 	HeapMaxBytes uint64
@@ -202,7 +205,8 @@ type Options struct {
 	Knobs Knobs
 	// GCWorkers is the concurrent GC thread count. 0 = 2.
 	GCWorkers int
-	// TriggerPercent is the occupancy that triggers a cycle. 0 = 70.
+	// TriggerPercent is the occupancy at which a page take starts a cycle.
+	// 0 = 70; 101 leaves collection to allocation stalls and requests.
 	TriggerPercent float64
 	// EvacThreshold is the evacuation live-ratio threshold. 0 = 0.75
 	// (the paper's 75%).
@@ -215,8 +219,6 @@ type Options struct {
 	// DisableMemModel turns off cache simulation entirely (unit tests,
 	// functional runs).
 	DisableMemModel bool
-	// StartDriver launches the background occupancy-triggered GC driver.
-	StartDriver bool
 	// Telemetry attaches a live observability sink (nil = disabled; the
 	// disabled instrumentation costs one predictable branch per site).
 	Telemetry *TelemetrySink
@@ -359,9 +361,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		Signals:    sig,
 		Contention: ctn,
 	}
-	if opts.StartDriver {
-		col.StartDriver()
-	}
 	return rt, nil
 }
 
@@ -385,9 +384,9 @@ func (rt *Runtime) NewMutator(rootSlots int) *Mutator {
 }
 
 // Close shuts the runtime down and must come last: after the mutators'
-// Close and after the final read of anything in the heap. It stops the
-// background driver and waits for every goroutine the collector started —
-// including a relocation drain still running from the last cycle — so that
+// Close and after the final read of anything in the heap. It waits for
+// every goroutine the collector started — a cycle the occupancy trigger
+// started, and a relocation drain still running from the last cycle — so that
 // the statistics (Collector.Stats, Ledger, ExecSeconds, MemStats) read
 // afterwards are exact and final. If every mutator has been closed it then releases
 // the heap's host memory for the next runtime in this process to reuse:
@@ -397,7 +396,7 @@ func (rt *Runtime) NewMutator(rootSlots int) *Mutator {
 // must not be used after.
 //
 // Concurrent and repeated calls return when the first has finished. Close
-// holds no lock while it waits on the collector: a driver mid-cycle waits
+// holds no lock while it waits on the collector: a cycle in progress waits
 // in its stop-the-world for every attached mutator, and one of those may be
 // about to take the runtime's lock in Ledger or NewMutator.
 func (rt *Runtime) Close() {

@@ -110,7 +110,7 @@ func TestRuntimeLedgerCollectsAllMutators(t *testing.T) {
 }
 
 func TestRuntimeDoubleCloseSafe(t *testing.T) {
-	rt := MustNewRuntime(Options{StartDriver: true})
+	rt := MustNewRuntime(Options{})
 	rt.Close()
 	rt.Close()
 }
@@ -149,7 +149,6 @@ func TestCloseWithAttachedMutatorReleasesNothing(t *testing.T) {
 	rt := MustNewRuntime(Options{
 		HeapMaxBytes: 64 << 20,
 		Knobs:        Knobs{RelocateAllSmallPages: true},
-		StartDriver:  true,
 	})
 	node := rt.Types.Register("node", 2, []int{0})
 	m := rt.NewMutator(4)
@@ -166,13 +165,12 @@ func TestCloseWithAttachedMutatorReleasesNothing(t *testing.T) {
 
 // TestCloseDoesNotDeadlockLedgerReaders closes a runtime while a mutator is
 // still attached and reading the ledger mid-run, as server and workload
-// threads do. Close waits for the driver, a driver mid-cycle waits in its
-// stop-the-world for that mutator, and the mutator takes the runtime's lock
+// threads do. Close waits for a triggered cycle, that cycle waits in its
+// stop-the-world for the mutator, and the mutator takes the runtime's lock
 // in Ledger: Close must hold no lock while it waits or nobody moves.
 func TestCloseDoesNotDeadlockLedgerReaders(t *testing.T) {
 	for i := 0; i < 200; i++ {
-		rt := MustNewRuntime(Options{HeapMaxBytes: 8 << 20, StartDriver: true, TriggerPercent: 5})
-		node := rt.Types.Register("node", 2, []int{0})
+		rt := MustNewRuntime(Options{HeapMaxBytes: 8 << 20, TriggerPercent: 5})
 		stop, exited := make(chan struct{}), make(chan struct{})
 		m := rt.NewMutator(1) // attached before Close can run: nothing is released
 		go func() {
@@ -184,15 +182,17 @@ func TestCloseDoesNotDeadlockLedgerReaders(t *testing.T) {
 					return
 				default:
 				}
-				if ref, err := m.TryAlloc(node); err == nil {
+				// 32 KB: every few dozen allocations take a page, and every
+				// page take past 5 % occupancy triggers a cycle.
+				if ref, err := m.TryAllocWordArray(4 << 10); err == nil {
 					m.SetRoot(0, ref)
 				}
 				rt.ExecSeconds()
 				m.Safepoint()
 			}
 		}()
-		// Not a synchronisation: long enough for the driver to be inside a
-		// cycle when Close arrives, which is the window the deadlock needs.
+		// Not a synchronisation: long enough for a triggered cycle to be
+		// running when Close arrives, which is the window the deadlock needs.
 		time.Sleep(2 * time.Millisecond)
 		// Two closers: concurrent calls both return once the first is done.
 		closed := make(chan struct{}, 2)

@@ -105,7 +105,7 @@ func RunChaos(expID string, runs int, scale float64, baseSeed int64, progress Pr
 		// The default soak scale: enough cumulative allocation (~7.7 MB of
 		// garbage for fig4) that every schedule overflows the tight chaos
 		// heap and collects — through stalls when the schedule suppresses
-		// the driver — while the element array stays below SmallObjectMax
+		// the occupancy trigger — while the element array stays below SmallObjectMax
 		// (larger scales need a 32 MB medium page the chaos heap cannot
 		// commit) and the live set keeps relocation headroom.
 		scale = 0.016
@@ -167,7 +167,7 @@ func chaosRun(w workloads.Workload, config int, scale float64, seed int64, kv bo
 		ost = overload.NewStats()
 	}
 	// The KV soak halves the chaos heap: the serving workload's churn at
-	// soak scale does not overflow 8 MB, so a driver-suppressed schedule
+	// soak scale does not overflow 8 MB, so a trigger-suppressed schedule
 	// would never collect (zero verifier passes). At 4 MB every schedule
 	// reaches the limit and collects through stalls — and the overload
 	// plane turns the resulting exhaustion into sheds and per-request
@@ -186,7 +186,7 @@ func chaosRun(w workloads.Workload, config int, scale float64, seed int64, kv bo
 		// A deliberately tight heap and an eager trigger: chaos wants many
 		// cycles (each one is a verifier pass and a fresh relocation era),
 		// not a leisurely stroll to 70% of 64 MB. Tight enough that even a
-		// driver-suppressed schedule reaches the limit and collects through
+		// trigger-suppressed schedule reaches the limit and collects through
 		// allocation stalls — but 4 small pages, not 3: a lazy relocation
 		// era parks the live set across two GC target pages plus the
 		// retired TLAB, and with only 3 pages of budget every stall retry

@@ -121,16 +121,15 @@ type Collector struct {
 	lastTuneMiss float64
 
 	// headroomBytes is the emergency allocation headroom reserved by the
-	// overload controller: the background driver triggers a cycle as if
-	// this many extra bytes were already allocated, so the collector never
-	// enters a cycle with zero slack. emergency is a one-shot request for
-	// an immediate driver-run cycle (reason "emergency"). Both are posted
-	// from serving threads and consumed by the driver goroutine.
+	// overload controller: the occupancy trigger fires as if this many
+	// extra bytes were already allocated, so the collector never enters a
+	// cycle with zero slack. Posted from serving threads.
 	headroomBytes atomic.Uint64
-	emergency     atomic.Bool
-
-	driverStop chan struct{}
-	driverDone chan struct{}
+	// triggered holds one token while a cycle that trigger decided on is
+	// pending or running (capacity 1); missed records a trigger that found
+	// it taken, for that cycle's end.
+	triggered chan struct{}
+	missed    atomic.Bool
 }
 
 // New creates a collector for the given heap and type registry.
@@ -140,12 +139,13 @@ func New(h *heap.Heap, types *objmodel.Registry, cfg Config) (*Collector, error)
 		return nil, err
 	}
 	c := &Collector{
-		heap:  h,
-		types: types,
-		cfg:   cfg,
-		sp:    newSafepoints(),
-		pool:  newMarkPool(),
-		muts:  make(map[*Mutator]struct{}),
+		heap:      h,
+		types:     types,
+		cfg:       cfg,
+		sp:        newSafepoints(),
+		pool:      newMarkPool(),
+		muts:      make(map[*Mutator]struct{}),
+		triggered: make(chan struct{}, 1),
 	}
 	c.tm = newColTelemetry(cfg.Telemetry, c)
 	c.lat = cfg.Latency

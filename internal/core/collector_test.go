@@ -348,7 +348,7 @@ func TestAllocationStallTriggersGC(t *testing.T) {
 	mem := simmem.MustNewHierarchy(simmem.DefaultConfig())
 	h := heap.New(heap.Config{MaxBytes: 16 << 20}, mem)
 	types := objmodel.NewRegistry()
-	c := MustNew(h, types, Config{})
+	c := MustNew(h, types, Config{TriggerPercent: 101}) // no occupancy cycles
 	m := c.NewMutator(4)
 	defer m.Close()
 	// Allocate 64MB of garbage through a 16MB heap: must stall and recover.

@@ -154,7 +154,7 @@ type Config struct {
 	Contention *contention.Plane
 	// FaultInjector arms the fault-injection plane at the collector's
 	// injection points (relocation race, barrier slow path, safepoint
-	// entry, page retire, driver trigger). Nil — the default — costs one
+	// entry, page retire, occupancy trigger). Nil — the default — costs one
 	// predictable branch per site. Pass the same injector to the heap via
 	// heap.Config.Injector to arm its sites too.
 	FaultInjector *faultinject.Injector

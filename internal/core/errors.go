@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 )
 
 // ErrOutOfMemory is the sentinel for allocation failure after the stall
@@ -22,8 +21,9 @@ type OutOfMemoryError struct {
 	Size uint64
 	// Attempts is the number of allocation attempts made (stalls + 1).
 	Attempts int
-	// Stalled is the wall-clock time spent in the stall loop.
-	Stalled time.Duration
+	// StalledCycles is the virtual time this allocation spent stalled, net
+	// of STW pauses: what it added to Mutator.StallVirtualCycles.
+	StalledCycles uint64
 	// UsedBytes/MaxBytes snapshot heap occupancy at the moment of failure.
 	UsedBytes, MaxBytes uint64
 	// Cause is the last commit failure observed.
@@ -31,8 +31,8 @@ type OutOfMemoryError struct {
 }
 
 func (e *OutOfMemoryError) Error() string {
-	return fmt.Sprintf("core: out of memory: %d-byte allocation failed after %d attempts (%v stalled): heap %d/%d bytes (%.1f%%)",
-		e.Size, e.Attempts, e.Stalled.Round(time.Millisecond), e.UsedBytes, e.MaxBytes,
+	return fmt.Sprintf("core: out of memory: %d-byte allocation failed after %d attempts (%d virtual cycles stalled): heap %d/%d bytes (%.1f%%)",
+		e.Size, e.Attempts, e.StalledCycles, e.UsedBytes, e.MaxBytes,
 		100*float64(e.UsedBytes)/float64(e.MaxBytes))
 }
 

@@ -351,16 +351,15 @@ func TestEvacuatedPagesFreedAndDropped(t *testing.T) {
 	}
 }
 
-func TestConcurrentMutatorsWithDriver(t *testing.T) {
-	// End-to-end stress: several mutators churn linked lists while the
-	// background driver triggers cycles. Data integrity must hold. A small
-	// heap guarantees the occupancy trigger fires.
+func TestConcurrentMutatorsWithOccupancyTrigger(t *testing.T) {
+	// End-to-end stress: several mutators churn linked lists while their
+	// page takes trigger cycles. Data integrity must hold. A small heap
+	// guarantees the occupancy trigger fires.
 	mem := simmem.MustNewHierarchy(simmem.DefaultConfig())
 	h := heap.New(heap.Config{MaxBytes: 16 << 20}, mem)
 	types := objmodel.NewRegistry()
 	c := MustNew(h, types, Config{Knobs: Knobs{Hotness: true, ColdPage: true, ColdConfidence: 0.5, LazyRelocate: true}})
 	node := types.Register("node", 2, []int{0})
-	c.StartDriver()
 	defer c.Stop()
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -395,19 +394,25 @@ func TestConcurrentMutatorsWithDriver(t *testing.T) {
 		t.Fatal(e)
 	}
 	if c.Cycles() == 0 {
-		t.Fatal("driver never triggered a cycle under pressure")
+		t.Fatal("no cycle triggered under pressure")
 	}
 }
 
-func TestMutatorRequestGCConcurrentWithDriver(t *testing.T) {
-	c, types := testEnv(t, Knobs{LazyRelocate: true})
+func TestMutatorRequestGCConcurrentWithTrigger(t *testing.T) {
+	// Requested cycles interleave with triggered ones: past 5 % occupancy
+	// every page take starts a cycle of its own.
+	h := heap.New(heap.Config{MaxBytes: 32 << 20}, nil)
+	types := objmodel.NewRegistry()
+	c := MustNew(h, types, Config{Knobs: Knobs{LazyRelocate: true}, TriggerPercent: 5})
 	node := types.Register("node", 2, []int{0})
-	c.StartDriver()
 	defer c.Stop()
 	m := c.NewMutator(4)
 	defer m.Close()
 	buildList(m, node, 100)
 	for i := 0; i < 5; i++ {
+		for j := 0; j < 64; j++ {
+			m.AllocWordArray(4 << 10) // 32 KB of garbage: a page take every ~60
+		}
 		m.RequestGC()
 		walkList(t, m, 100)
 	}

@@ -266,10 +266,11 @@ func TestVirtualCyclesClock(t *testing.T) {
 // vanishing out of open-loop request latency.
 func TestVirtualCyclesChargesStalls(t *testing.T) {
 	// Heap small enough that garbage churn must stall into GC: 8 MB with
-	// a default 70% trigger.
-	c, types, tr, _, _ := latEnv(t, Knobs{}, 8<<20, Config{StallRetries: 64}, latency.Config{})
+	// the occupancy trigger off.
+	c, types, tr, _, _ := latEnv(t, Knobs{}, 8<<20, Config{StallRetries: 64, TriggerPercent: 101}, latency.Config{})
 	node := types.Register("snode", 2, []int{0})
 	m := c.NewMutator(2)
+	defer m.Close()
 	// A second mutator that keeps the virtual clock moving while m
 	// stalls (in a serving system, other server threads keep working).
 	w := c.NewMutator(1)
@@ -277,6 +278,7 @@ func TestVirtualCyclesChargesStalls(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
+		defer w.Close()
 		for {
 			select {
 			case <-stop:

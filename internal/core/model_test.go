@@ -144,12 +144,11 @@ func randomKnobs(rng *rand.Rand) Knobs {
 }
 
 // TestShadowModelConcurrentMutators runs two mutators sharing one object
-// population with the driver enabled; each owns a disjoint index range so
-// the shadow models stay race-free, while relocation races are shared.
+// population; each owns a disjoint index range so the shadow models stay
+// race-free, while relocation races are shared.
 func TestShadowModelConcurrentMutators(t *testing.T) {
 	c, types := testEnv(t, Knobs{Hotness: true, ColdConfidence: 1.0, LazyRelocate: true})
 	node := types.Register("node", 3, []int{0, 1})
-	c.StartDriver()
 	defer c.Stop()
 
 	run := func(seed int64, errc chan<- error) {

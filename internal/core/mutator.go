@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/heap"
@@ -435,21 +434,18 @@ func (m *Mutator) allocSmall(size uint64, class heap.Class) (uint64, error) {
 // full (the mutator counts as stopped during the stall). When the retry
 // budget (Config.StallRetries) runs out without progress, it returns a
 // structured *OutOfMemoryError instead of panicking, so heap exhaustion
-// unwinds as an ordinary error. OutOfMemoryError.Stalled is wall-clock by
-// design: the stalled mutator is waiting on the real collector threads to
-// reclaim memory, and its own virtual timeline is frozen for the duration
-// of the stall.
-//
-//hcsgc:wall-clock
+// unwinds as an ordinary error. A successful allocation may have taken a
+// page, so it asks the occupancy trigger.
 func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64, error) {
-	var start time.Time
 	var lastErr error
+	var stalled uint64
 	for attempt := 1; ; attempt++ {
 		addr, err := alloc()
 		if err == nil {
 			if addr == 0 {
 				panic("core: allocation returned null address without error")
 			}
+			m.c.trigger("occupancy")
 			return addr, nil
 		}
 		if !errors.Is(err, heap.ErrHeapFull) {
@@ -457,19 +453,16 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 			return 0, err
 		}
 		lastErr = err
-		if start.IsZero() {
-			start = time.Now()
-		}
 		if attempt > m.c.cfg.StallRetries {
 			m.c.lat.AutoDump(fmt.Sprintf(
 				"oom: %d-byte allocation gave up after %d attempts", size, attempt))
 			return 0, &OutOfMemoryError{
-				Size:      size,
-				Attempts:  attempt,
-				Stalled:   time.Since(start),
-				UsedBytes: m.c.heap.UsedBytes(),
-				MaxBytes:  m.c.heap.MaxBytes(),
-				Cause:     lastErr,
+				Size:          size,
+				Attempts:      attempt,
+				StalledCycles: stalled,
+				UsedBytes:     m.c.heap.UsedBytes(),
+				MaxBytes:      m.c.heap.MaxBytes(),
+				Cause:         lastErr,
 			}
 		}
 		// Per-request budget: prefer failing this request promptly over
@@ -499,6 +492,7 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 		pauseDelta := m.c.pauseTotal.Load() - pauseBefore
 		if d := stallEnd - stallStart; d > pauseDelta {
 			m.stallVirtual.Add(d - pauseDelta)
+			stalled += d - pauseDelta
 		}
 		m.c.lat.RecordStall(stallStart, stallEnd, m.c.mutatorStallWeight())
 	}
@@ -506,7 +500,8 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 
 // relocTargetSmall allocates relocation destination space in the TLAB so
 // relocated objects are laid out in this mutator's access order. Refills
-// bypass the heap budget: relocation must not stall.
+// bypass the heap budget (relocation must not stall) and, being page takes,
+// ask the occupancy trigger.
 func (m *Mutator) relocTargetSmall(size uint64) uint64 {
 	if m.tlab != nil {
 		if addr := m.tlab.AllocRaw(size); addr != 0 {
@@ -518,6 +513,7 @@ func (m *Mutator) relocTargetSmall(size uint64) uint64 {
 		panic(fmt.Sprintf("core: cannot allocate mutator relocation target: %v", err))
 	}
 	m.tlab = p
+	m.c.trigger("occupancy")
 	addr := p.AllocRaw(size)
 	if addr == 0 {
 		panic("core: fresh TLAB cannot satisfy small object")

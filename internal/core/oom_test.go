@@ -32,7 +32,8 @@ func oomEnv(t *testing.T, maxBytes uint64, cfg Config) (*Collector, *objmodel.Re
 
 // TestAllocStallRecovers fills the heap with garbage: every TLAB refill
 // past the budget stalls, the stall-triggered cycle reclaims the garbage,
-// and allocation proceeds — no driver involved, no error, stalls counted.
+// and allocation proceeds — no occupancy trigger involved, no error,
+// stalls counted.
 func TestAllocStallRecovers(t *testing.T) {
 	// 8 MB heap = 4 small pages; each iteration allocates ~1 MB garbage.
 	c, _, sink := oomEnv(t, 8<<20, Config{TriggerPercent: 101})
@@ -58,10 +59,29 @@ func TestAllocStallRecovers(t *testing.T) {
 
 // TestAllocExhaustionReturnsStructuredError keeps everything live so the
 // stall-triggered cycles cannot reclaim anything: the retry budget runs
-// out and TryAlloc returns ErrOutOfMemory with an occupancy snapshot, no
-// panic anywhere.
+// out and TryAlloc returns ErrOutOfMemory with an occupancy snapshot and
+// the virtual time it stalled, no panic anywhere.
 func TestAllocExhaustionReturnsStructuredError(t *testing.T) {
 	c, _, _ := oomEnv(t, 4<<20, Config{TriggerPercent: 101, StallRetries: 3})
+	// A second mutator works on while the first stalls: every stall's
+	// stop-the-world waits for it to publish more work, so the virtual
+	// clock moves on by more than the pauses.
+	stop, done := make(chan struct{}), make(chan struct{})
+	busy := c.NewMutator(0)
+	go func() {
+		defer close(done)
+		defer busy.Close()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			busy.Work(publishEvery)
+			busy.Safepoint()
+		}
+	}()
+	defer func() { close(stop); <-done }()
 	m := c.NewMutator(64)
 	var err error
 	for i := 0; i < 64; i++ {
@@ -93,6 +113,10 @@ func TestAllocExhaustionReturnsStructuredError(t *testing.T) {
 	}
 	if m.Stalls == 0 {
 		t.Fatal("no stalls recorded before OOM")
+	}
+	// Only the failing allocation stalled, so it accrued all the stall time.
+	if oom.StalledCycles == 0 || oom.StalledCycles != m.StallVirtualCycles() {
+		t.Fatalf("StalledCycles = %d, want the mutator's %d stalled virtual cycles, > 0", oom.StalledCycles, m.StallVirtualCycles())
 	}
 	// The heap remains usable: dropping roots and collecting recovers.
 	for i := 0; i < 64; i++ {
@@ -130,14 +154,13 @@ func TestAllocPanicsCarryTypedError(t *testing.T) {
 	t.Fatal("unreachable")
 }
 
-// TestExhaustionLeavesNoGoroutines drives the driver-suppressed OOM path
-// end to end and checks the collector winds down leak-free: the workload
-// runner depends on this to survive OOM without leaking a driver or
+// TestExhaustionLeavesNoGoroutines drives the OOM path with the occupancy
+// trigger on end to end and checks the collector winds down leak-free: the
+// workload runner depends on this to survive OOM without leaking a cycle or
 // worker goroutine per failed run.
 func TestExhaustionLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c, _, _ := oomEnv(t, 4<<20, Config{TriggerPercent: 70, StallRetries: 2})
-	c.StartDriver()
 	m := c.NewMutator(64)
 	var err error
 	for i := 0; i < 64 && err == nil; i++ {

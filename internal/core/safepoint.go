@@ -32,9 +32,10 @@ type safepoints struct {
 	cond      *sync.Cond
 	stwActive bool
 	// registered is the number of attached mutators; stopped counts those
-	// currently parked or blocked.
+	// currently parked or blocked, blocked those inside a blocked section.
 	registered int
 	stopped    int
+	blocked    int
 	// epoch increments on every resume so parked mutators distinguish
 	// consecutive pauses.
 	epoch uint64
@@ -140,6 +141,7 @@ func (s *safepoints) park(tok *spToken) {
 func (s *safepoints) beginBlocked(tok *spToken) {
 	s.mu.Lock()
 	s.stopped++
+	s.blocked++
 	tok.stopped = true
 	s.cond.Broadcast()
 	s.mu.Unlock()
@@ -152,8 +154,17 @@ func (s *safepoints) endBlocked(tok *spToken) {
 		s.cond.Wait()
 	}
 	s.stopped--
+	s.blocked--
 	tok.stopped = false
 	s.mu.Unlock()
+}
+
+// running reports whether an attached mutator is outside a blocked section
+// (one parked at a safepoint runs on when the pause ends).
+func (s *safepoints) running() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.blocked < s.registered
 }
 
 // stuckLocked names the registered mutators not at the safepoint, sorted.

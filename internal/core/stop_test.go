@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"hcsgc/internal/heap"
+	"hcsgc/internal/objmodel"
 	"hcsgc/internal/telemetry"
 )
 
@@ -58,13 +60,33 @@ func TestStopWaitsForRelocationDrain(t *testing.T) {
 	}
 }
 
+// TestStopWaitsForTriggeredCycle: a cycle the occupancy trigger starts
+// runs on a goroutine of its own. A mutator that triggers one and detaches
+// at once leaves the collector quiet, and the runtime releases the heap
+// right after Stop: Stop must not return before that cycle has.
+func TestStopWaitsForTriggeredCycle(t *testing.T) {
+	h := heap.New(heap.Config{MaxBytes: 16 << 20}, nil)
+	c := MustNew(h, objmodel.NewRegistry(), Config{TriggerPercent: 1})
+	m := c.NewMutator(1)
+	m.SetRoot(0, m.AllocWordArray(16)) // the TLAB refill takes 2 of 16 MB
+	m.Close()
+	if !c.Stop() {
+		t.Fatal("collector not quiet with its only mutator closed")
+	}
+	if got := c.Cycles(); got != 1 {
+		t.Fatalf("%d cycles when Stop returned, want the 1 the page take triggered", got)
+	}
+	if left := collectorFrames(); len(left) != 0 {
+		t.Fatalf("%d collector goroutines still running after Stop:\n%s", len(left), strings.Join(left, "\n\n"))
+	}
+}
+
 // TestStopWithAttachedMutatorIsNotQuiet: a mutator still attached can
-// start another cycle (an allocation stall runs one), so the collector
-// must not report itself quiet.
+// start another cycle (its page takes trigger one, an allocation stall
+// runs one), so the collector must not report itself quiet.
 func TestStopWithAttachedMutatorIsNotQuiet(t *testing.T) {
 	c, _ := testEnv(t, Knobs{})
 	m := c.NewMutator(1)
-	c.StartDriver()
 	if c.Stop() {
 		t.Fatal("Stop reported quiet with a mutator attached")
 	}

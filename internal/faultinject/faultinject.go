@@ -2,9 +2,9 @@
 // the collector's racy windows. The collector and heap thread named
 // injection points through their hot paths (the forwarding-table CAS, the
 // barrier slow path, safepoint entry, the UndoAlloc scrub, page
-// commit/retire/free, the background GC trigger); an armed Injector
-// perturbs scheduling at those points, injects spurious commit failures,
-// or suppresses the GC driver, so races that the scheduler only loses
+// commit/retire/free, the occupancy trigger); an armed Injector perturbs
+// scheduling at those points, injects spurious commit failures, or
+// suppresses the occupancy trigger, so races that the scheduler only loses
 // under heavy load are forced on demand.
 //
 // A nil *Injector accepts every call as a no-op costing one predictable
@@ -57,9 +57,9 @@ const (
 	PageRetire
 	// PageFree fires at entry to Heap.FreePage.
 	PageFree
-	// DriverTrigger is consulted by the background GC driver; while
-	// suppressed the occupancy trigger never fires, forcing allocation
-	// stalls to drive collection.
+	// DriverTrigger is consulted by the occupancy trigger; while
+	// suppressed it never starts a cycle (nor does an emergency request),
+	// forcing allocation stalls to drive collection.
 	DriverTrigger
 	// OverloadShed fires at the overload controller's admission decision;
 	// Config.ForceShed can force the decision to reject (see
@@ -69,7 +69,7 @@ const (
 	// check; Config.ForceDeadline can force the budget to report expiry
 	// before the first heap touch (see Injector.ForceDeadline).
 	DeadlineExpire
-	// EmergencyTrigger fires when the GC driver consumes an emergency
+	// EmergencyTrigger fires when the collector receives an emergency
 	// collection request posted by the overload controller;
 	// Config.ForceEmergency makes the controller post such requests
 	// spuriously (see Injector.ForceEmergency).
@@ -114,8 +114,9 @@ type Config struct {
 	// ForceEmergency is the probability that an overload-controller poll
 	// posts a spurious emergency GC request.
 	ForceEmergency float64
-	// SuppressDriver, while set, makes the background GC driver skip its
-	// occupancy trigger so that only allocation stalls start cycles.
+	// SuppressDriver, while set, vetoes every cycle the occupancy trigger
+	// would start, emergency requests included, so that only allocation
+	// stalls and explicit requests start cycles.
 	SuppressDriver bool
 }
 
@@ -147,7 +148,7 @@ func (c Config) String() string {
 
 // Randomized derives a chaos-mode fault schedule from a seed: moderate
 // delay probabilities at every scheduling point, a small spurious
-// commit-failure rate, and (for some seeds) driver suppression. The same
+// commit-failure rate, and (for some seeds) trigger suppression. The same
 // seed always yields the same schedule — it is the reproducer token the
 // chaos soak prints on a violation.
 func Randomized(seed int64) Config {
@@ -322,8 +323,8 @@ func (inj *Injector) ForceEmergency() bool {
 	return inj.roll(EmergencyTrigger, inj.forceEmergency)
 }
 
-// DriverSuppressed reports whether the background GC trigger is
-// suppressed; each suppressed tick is counted against DriverTrigger.
+// DriverSuppressed reports whether the occupancy trigger is suppressed;
+// each suppressed trigger is counted against DriverTrigger.
 func (inj *Injector) DriverSuppressed() bool {
 	if inj == nil || !inj.cfg.SuppressDriver {
 		return false
@@ -349,7 +350,7 @@ func (inj *Injector) SetHook(p Point, fn func(arg uint64)) {
 }
 
 // Fired returns how many injections (delays, spurious failures,
-// suppressed ticks) have fired at p.
+// suppressed triggers) have fired at p.
 func (inj *Injector) Fired(p Point) uint64 {
 	if inj == nil {
 		return 0

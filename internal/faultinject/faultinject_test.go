@@ -14,7 +14,7 @@ func TestNilInjectorIsInert(t *testing.T) {
 		t.Fatal("nil injector failed a commit")
 	}
 	if inj.DriverSuppressed() {
-		t.Fatal("nil injector suppressed the driver")
+		t.Fatal("nil injector suppressed the occupancy trigger")
 	}
 	if inj.Fired(RelocInsert) != 0 || inj.FiredTotal() != 0 {
 		t.Fatal("nil injector reported fires")
@@ -112,7 +112,7 @@ func TestDriverSuppression(t *testing.T) {
 		t.Fatal("suppression not reported")
 	}
 	if inj.Fired(DriverTrigger) != 2 {
-		t.Fatalf("suppressed ticks = %d, want 2", inj.Fired(DriverTrigger))
+		t.Fatalf("suppressed triggers = %d, want 2", inj.Fired(DriverTrigger))
 	}
 	if New(Config{}).DriverSuppressed() {
 		t.Fatal("unsuppressed injector reported suppression")
@@ -143,7 +143,7 @@ func TestRandomizedIsDeterministicAndBounded(t *testing.T) {
 		}
 	}
 	if !sawSuppress {
-		t.Fatal("no seed in [0,64) suppresses the driver")
+		t.Fatal("no seed in [0,64) suppresses the occupancy trigger")
 	}
 }
 

@@ -119,7 +119,7 @@ func TestKVTinyHeapDegradesGracefully(t *testing.T) {
 		t.Fatal("non-positive execution time")
 	}
 
-	// No goroutine leak: the driver, workers, and server threads all wind
+	// No goroutine leak: triggered cycles, workers, and server threads all wind
 	// down (retry briefly; goroutine exits are asynchronous).
 	for i := 0; i < 100; i++ {
 		if runtime.NumGoroutine() <= before {

@@ -158,8 +158,8 @@ type Workload struct {
 // allocation fast paths panic with a structured *hcsgc.OutOfMemoryError
 // when the stall budget is exhausted, and guard converts exactly that
 // panic into an error return. Any other panic is a real bug and
-// propagates. The body must defer env.cleanup() so the runtime's driver
-// is stopped on the abandoned path too.
+// propagates. The body must defer env.cleanup() so the runtime is closed
+// on the abandoned path too.
 func guard(body func(RunConfig) Result) func(RunConfig) (Result, error) {
 	return func(cfg RunConfig) (res Result, err error) {
 		defer func() {
@@ -207,7 +207,6 @@ func newEnv(cfg RunConfig, heapDefault uint64, rootSlots int) *env {
 		Machine:         mach,
 		MemConfig:       cfg.MemConfig,
 		DisableMemModel: cfg.DisableMem,
-		StartDriver:     true,
 		Telemetry:       cfg.Telemetry,
 		Locality:        cfg.Locality,
 		Latency:         cfg.Latency,
@@ -222,7 +221,7 @@ func newEnv(cfg RunConfig, heapDefault uint64, rootSlots int) *env {
 
 // cleanup winds the runtime down exactly once: it runs both on the normal
 // finish path and — via the workload body's defer — when an out-of-memory
-// panic abandons the run, so no driver or worker goroutine outlives a
+// panic abandons the run, so no cycle or worker goroutine outlives a
 // failed run.
 func (e *env) cleanup() {
 	if e.done {

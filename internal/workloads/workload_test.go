@@ -313,7 +313,7 @@ func TestDeterministicChecksumAcrossSeeds(t *testing.T) {
 }
 
 // TestWorkloadOOMPropagatesAsError drives a workload into genuine heap
-// exhaustion — a heap far below the live set, the driver trigger
+// exhaustion — a heap far below the live set, the occupancy trigger
 // suppressed by the injector, and a tight stall budget — and checks the
 // failure surfaces as an error from Run (ErrOutOfMemory in the chain)
 // rather than a panic, and that the abandoned run leaks no goroutine.
@@ -331,7 +331,7 @@ func TestWorkloadOOMPropagatesAsError(t *testing.T) {
 		StallRetries:  2,
 	})
 	if err == nil {
-		t.Fatal("fig4 in a 4MB heap with the driver suppressed did not fail")
+		t.Fatal("fig4 in a 4MB heap with the occupancy trigger suppressed did not fail")
 	}
 	if !errors.Is(err, hcsgc.ErrOutOfMemory) {
 		t.Fatalf("err = %v, want ErrOutOfMemory in chain", err)
@@ -372,7 +372,7 @@ func TestNoCollectorGoroutineOutlivesRun(t *testing.T) {
 			for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
 				// A GC worker in a mark or drain loop, or a cycle in
 				// progress. (A goroutine on its way out of the closure that
-				// signalled its exit — the driver's deferred close, a
+				// signalled its exit — a triggered cycle's token release, a
 				// worker's wg.Done — is not a finding.)
 				if strings.Contains(g, "hcsgc/internal/core.(*gcWorker)") ||
 					strings.Contains(g, "hcsgc/internal/core.(*Collector).runCycle(") {

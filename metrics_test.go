@@ -47,8 +47,8 @@ const metricFamilyCount = 39
 // TestMetricsSchema pins the families, kinds and label sets /metrics serves
 // once every plane is attached: adding, renaming or dropping a series is a
 // visible edit of testdata/metrics_schema.golden (-update regenerates it).
-// The run is single-threaded with the driver and the memory model off, so
-// the schema does not depend on scheduling.
+// The run is single-threaded, stays under the occupancy trigger and has the
+// memory model off, so the schema does not depend on scheduling.
 func TestMetricsSchema(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	reg := sink.Metrics()
@@ -258,8 +258,8 @@ func TestScrapeDuringRun(t *testing.T) {
 	var final [3]uint64 // the count each run left; final[0] is the empty registry's
 	for seed := int64(1); seed <= 2; seed++ {
 		running.Store(seed)
-		// The first run allocates more than 6 MB, so it collects while it
-		// serves, whatever the driver's wall-clock ticker does.
+		// The first run allocates more than 6 MB, so its page takes start
+		// cycles while it serves.
 		if _, err := w.Run(workloads.RunConfig{Knobs: bench.KnobsFor(4), Seed: seed, Scale: 0.05,
 			Mutators: threads[seed], HeapMaxBytes: 6 << 20, Telemetry: sink}); err != nil {
 			t.Error(err)
