@@ -143,7 +143,7 @@ var modes = []mode{
 		}),
 	},
 	{
-		name: "overload", desc: "KV overload A/B: past-sustainable load, unprotected vs admission control + deadline shedding",
+		name: "overload", desc: "KV overload A/B: past-sustainable load, unprotected vs deadline fast-fail + stale shedding",
 		configs: []int{3}, seed: 1, // RelocateAllSmallPages: the serving-path default
 		flags: []string{"json", "overload-factor"},
 		run: reporting(func(j *job) (report, error) {

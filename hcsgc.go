@@ -100,8 +100,7 @@ type (
 	// latency.CycleRecord, shared, plus the other planes' sections) with
 	// EWMA/trend derivations and anomaly flags (see internal/signals).
 	// Every runtime has one (Runtime.Signals). This record is the sensor
-	// bus the overload controller reads and an allocation-rate pacing
-	// controller would.
+	// bus an allocation-rate pacing controller would read.
 	SignalPlane = signals.Plane
 	// SignalsConfig tunes the signal plane.
 	SignalsConfig = signals.Config
@@ -124,8 +123,8 @@ type (
 	TailReport = signals.TailReport
 	// TailObs is one completed request's raw attribution observation.
 	TailObs = signals.Obs
-	// OverloadReport is an overload-plane accounting snapshot (the
-	// /overload payload).
+	// OverloadReport is a KV serving outcome snapshot (the /overload
+	// payload).
 	OverloadReport = overload.Report
 )
 
@@ -138,7 +137,7 @@ var (
 	ErrDeadlineExceeded = core.ErrDeadlineExceeded
 )
 
-// NewOverloadStats returns an empty overload accounting accumulator.
+// NewOverloadStats returns an empty KV outcome accumulator.
 func NewOverloadStats() *overload.Stats { return overload.NewStats() }
 
 // NewFaultInjector builds an armed injector from a fault configuration.

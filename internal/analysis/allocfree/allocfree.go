@@ -1,10 +1,10 @@
 // Package allocfree statically proves that functions annotated
 // //hcsgc:alloc-free perform no Go-runtime allocation on any path. The
 // annotated set is the code that runs on every load barrier and every
-// admission decision — markObject, the hotness bitmap updates, the
-// overload shed decision, the per-alloc signals ledger — where PR 8's
-// AllocCount regression test showed a single stray allocation costs more
-// than the entire fast path. The dynamic test catches a regression only
+// served request — markObject, the hotness bitmap updates, the
+// per-request outcome accounting, the per-alloc signals ledger — where
+// the AllocCount regression test showed a single stray allocation costs
+// more than the entire fast path. The dynamic test catches a regression only
 // on the interleaving it happens to execute; this pass rejects the
 // allocation at compile time.
 //

@@ -13,7 +13,7 @@
 //     loads) is the only clock the deterministic paths may read.
 //   - randomness: any use of math/rand, math/rand/v2 or crypto/rand.
 //     The sanctioned generator is the splitmix64 stream (loadgen.rng,
-//     overload.mix), which is seed-stable across runs and Go releases.
+//     faultinject.mix), which is seed-stable across runs and Go releases.
 //   - map iteration: a range over a map whose body is not a pure
 //     accumulation (commutative numeric reduction, key/value copy into
 //     another map, collecting keys for a later sort, or deletion).

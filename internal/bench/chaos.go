@@ -41,16 +41,14 @@ type ChaosRun struct {
 	VerifierRuns uint64
 	// Fired counts injected faults by point name.
 	Fired map[string]uint64
-	// Sheds counts overload-plane rejections (admission plus stale-dequeue
-	// drops; KV soak only, where the overload plane is armed). Under
-	// injected faults nonzero sheds with a nil Err is the graceful
-	// degradation the soak wants: requests fail individually, the run
-	// survives.
+	// Sheds counts stale-shed drops at dequeue (KV soak only, where
+	// overload protection is armed). Under injected faults nonzero sheds
+	// with a nil Err is the graceful degradation the soak wants: requests
+	// fail individually, the run survives.
 	Sheds uint64
-	// OverloadFailures counts per-request fast failures recorded by the
-	// overload plane (deadline expiries plus per-request OOMs; KV soak
-	// only) — heap exhaustion surfacing as failed requests instead of an
-	// aborted run.
+	// OverloadFailures counts per-request fast failures (deadline expiries
+	// plus per-request OOMs; KV soak only) — heap exhaustion surfacing as
+	// failed requests instead of an aborted run.
 	OverloadFailures uint64
 	// GCLog is the run's gclog snapshot, captured only for failed runs as
 	// the diagnostic artifact.
@@ -91,12 +89,12 @@ func RunChaos(expID string, runs int, scale float64, baseSeed int64, progress Pr
 	if runs <= 0 {
 		runs = 20
 	}
-	// The KV soak arms the overload plane: the randomized schedules force
-	// sheds, deadline expiries, and emergency GC on top of the usual
-	// allocation faults, and the serving path must degrade per-request
-	// (sheds, fast-fails, dead shards) rather than abort. It also sizes
-	// differently — the open-loop schedule needs enough requests to
-	// exercise the admission path under the tight chaos heap.
+	// The KV soak serves protected: the randomized schedules force
+	// deadline expiries on top of the usual allocation faults, and the
+	// serving path must degrade per-request (sheds, fast-fails, dead
+	// shards) rather than abort. It also sizes differently — the open-loop
+	// schedule needs enough requests to exercise the dequeue-side drops
+	// under the tight chaos heap.
 	kv := expID == "kv"
 	if scale <= 0 && kv {
 		scale = 0.12
@@ -160,24 +158,22 @@ func chaosRun(w workloads.Workload, config int, scale float64, seed int64, kv bo
 	tracker := hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{DumpTo: dumpBuf})
 	run := ChaosRun{Seed: seed, Config: config, Faults: faults.String()}
 
-	var pol *overload.Policy
 	var ost *overload.Stats
 	if kv {
-		pol = &overload.Policy{Seed: seed}
 		ost = overload.NewStats()
 	}
 	// The KV soak halves the chaos heap: the serving workload's churn at
 	// soak scale does not overflow 8 MB, so a trigger-suppressed schedule
 	// would never collect (zero verifier passes). At 4 MB every schedule
-	// reaches the limit and collects through stalls — and the overload
-	// plane turns the resulting exhaustion into sheds and per-request
-	// fast-fails instead of an aborted run.
+	// reaches the limit and collects through stalls — and the protected
+	// serving path turns the resulting exhaustion into sheds and
+	// per-request fast-fails instead of an aborted run.
 	heapMax := uint64(8 << 20)
 	if kv {
 		heapMax = 4 << 20
 	}
 	_, err := w.Run(workloads.RunConfig{
-		Overload:      pol,
+		Overload:      kv,
 		OverloadStats: ost,
 		Knobs:         KnobsFor(config),
 		Seed:          seed,
@@ -211,7 +207,7 @@ func chaosRun(w workloads.Workload, config int, scale float64, seed int64, kv bo
 	run.Fired = inj.FiredByPoint()
 	if ost != nil {
 		orep := ost.Report(0)
-		run.Sheds = orep.ShedPoint + orep.ShedBulk
+		run.Sheds = orep.Sheds
 		run.OverloadFailures = orep.DeadlineExceeded + orep.OOMFailures
 	}
 	if run.Failed() || run.OOM {

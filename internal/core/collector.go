@@ -120,11 +120,6 @@ type Collector struct {
 	effConf      atomic.Uint64 // effective ColdConfidence (bits of float64), for AutoTune
 	lastTuneMiss float64
 
-	// headroomBytes is the emergency allocation headroom reserved by the
-	// overload controller: the occupancy trigger fires as if this many
-	// extra bytes were already allocated, so the collector never enters a
-	// cycle with zero slack. Posted from serving threads.
-	headroomBytes atomic.Uint64
 	// triggered holds one token while a cycle that trigger decided on is
 	// pending or running (capacity 1); missed records a trigger that found
 	// it taken, for that cycle's end.

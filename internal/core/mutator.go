@@ -445,7 +445,7 @@ func (m *Mutator) allocStall(size uint64, alloc func() (uint64, error)) (uint64,
 			if addr == 0 {
 				panic("core: allocation returned null address without error")
 			}
-			m.c.trigger("occupancy")
+			m.c.trigger()
 			return addr, nil
 		}
 		if !errors.Is(err, heap.ErrHeapFull) {
@@ -513,7 +513,7 @@ func (m *Mutator) relocTargetSmall(size uint64) uint64 {
 		panic(fmt.Sprintf("core: cannot allocate mutator relocation target: %v", err))
 	}
 	m.tlab = p
-	m.c.trigger("occupancy")
+	m.c.trigger()
 	addr := p.AllocRaw(size)
 	if addr == 0 {
 		panic("core: fresh TLAB cannot satisfy small object")

@@ -1,45 +1,27 @@
 package core
 
-import (
-	"math"
+import "math"
 
-	"hcsgc/internal/faultinject"
-)
-
-// triggerDue reports whether the occupancy trigger should fire, counting
-// any emergency headroom reserved by the overload controller as already
-// allocated: with headroom h, the cycle starts h bytes earlier, so the
-// collector never enters one with zero slack.
+// triggerDue reports whether the occupancy trigger should fire.
 func (c *Collector) triggerDue() bool {
-	if c.heap.UsedPercent() >= c.cfg.TriggerPercent {
-		return true
-	}
-	hr := c.headroomBytes.Load()
-	if hr == 0 {
-		return false
-	}
-	max := c.heap.MaxBytes()
-	if max == 0 {
-		return false
-	}
-	return 100*float64(c.heap.UsedBytes()+hr)/float64(max) >= c.cfg.TriggerPercent
+	return c.heap.UsedPercent() >= c.cfg.TriggerPercent
 }
 
-// trigger starts a cycle on a goroutine of its own: an "occupancy" cycle
-// when triggerDue holds, an "emergency" one regardless. Occupancy rises
-// only where a mutator takes a page, so mutators call it there (allocStall's
-// success path, relocation-target refills); GC workers' refills do not, or
-// a non-lazy drain would restart cycles on an idle heap. It never waits.
-// The cycle's goroutine holds the token in c.triggered from this decision
-// to the cycle's end, so Stop can wait for it, and skips the cycle if
-// another one holds cycleMu (that one satisfies the trigger).
+// trigger starts an "occupancy" cycle on a goroutine of its own when
+// triggerDue holds. Occupancy rises only where a mutator takes a page, so
+// mutators call it there (allocStall's success path, relocation-target
+// refills); GC workers' refills do not, or a non-lazy drain would restart
+// cycles on an idle heap. It never waits. The cycle's goroutine holds the
+// token in c.triggered from this decision to the cycle's end, so Stop can
+// wait for it, and skips the cycle if another one holds cycleMu (that one
+// satisfies the trigger).
 //
 // A trigger that finds the token taken took a page after the running
 // cycle's STW1 snapshot, which that cycle cannot collect: it is honoured
 // when the cycle ends if a mutator is still running (an idle heap has
 // nothing new to find, and the next page take triggers anyway).
-func (c *Collector) trigger(reason string) {
-	if reason == "occupancy" && !c.triggerDue() || c.inj.DriverSuppressed() {
+func (c *Collector) trigger() {
+	if !c.triggerDue() || c.inj.DriverSuppressed() {
 		return
 	}
 	select {
@@ -50,39 +32,16 @@ func (c *Collector) trigger(reason string) {
 	}
 	go func() {
 		if c.cycleMu.TryLock() {
-			if reason != "occupancy" || c.triggerDue() {
-				c.runCycle(reason)
+			if c.triggerDue() {
+				c.runCycle("occupancy")
 			}
 			c.cycleMu.Unlock()
 		}
 		<-c.triggered
 		if c.missed.Swap(false) && c.sp.running() {
-			c.trigger("occupancy")
+			c.trigger()
 		}
 	}()
-}
-
-// SetEmergencyHeadroom reserves (or, with 0, releases) emergency
-// allocation headroom: the occupancy trigger treats the reservation as
-// already-allocated bytes. Posted by the overload controller under heap
-// pressure; safe from any goroutine.
-func (c *Collector) SetEmergencyHeadroom(bytes uint64) {
-	c.headroomBytes.Store(bytes)
-}
-
-// EmergencyHeadroom returns the currently reserved emergency headroom.
-func (c *Collector) EmergencyHeadroom() uint64 {
-	return c.headroomBytes.Load()
-}
-
-// RequestEmergencyGC starts a cycle now regardless of occupancy (reason
-// "emergency"). Non-blocking and safe from serving threads: unlike Collect
-// it never waits on the cycle lock, and a request arriving while a cycle
-// is already running is considered satisfied by it. Like an allocation, it
-// must not come after the runtime is closed.
-func (c *Collector) RequestEmergencyGC() {
-	c.inj.At(faultinject.EmergencyTrigger, 0)
-	c.trigger("emergency")
 }
 
 // Stop winds the collector down: it waits for a cycle a trigger started

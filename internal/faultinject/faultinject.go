@@ -58,22 +58,13 @@ const (
 	// PageFree fires at entry to Heap.FreePage.
 	PageFree
 	// DriverTrigger is consulted by the occupancy trigger; while
-	// suppressed it never starts a cycle (nor does an emergency request),
-	// forcing allocation stalls to drive collection.
+	// suppressed it never starts a cycle, forcing allocation stalls to
+	// drive collection.
 	DriverTrigger
-	// OverloadShed fires at the overload controller's admission decision;
-	// Config.ForceShed can force the decision to reject (see
-	// Injector.ForceShed), proving shed requests never touch the heap.
-	OverloadShed
 	// DeadlineExpire fires at the mutator's per-request allocation-budget
 	// check; Config.ForceDeadline can force the budget to report expiry
 	// before the first heap touch (see Injector.ForceDeadline).
 	DeadlineExpire
-	// EmergencyTrigger fires when the collector receives an emergency
-	// collection request posted by the overload controller;
-	// Config.ForceEmergency makes the controller post such requests
-	// spuriously (see Injector.ForceEmergency).
-	EmergencyTrigger
 	// NumPoints is the number of injection points.
 	NumPoints
 )
@@ -81,7 +72,7 @@ const (
 var pointNames = [NumPoints]string{
 	"reloc-insert", "barrier-slow", "safepoint-entry", "undo-alloc-pre",
 	"undo-alloc-post", "page-commit", "page-retire", "page-free",
-	"driver-trigger", "overload-shed", "deadline-expire", "emergency-trigger",
+	"driver-trigger", "deadline-expire",
 }
 
 // String names the point, e.g. "reloc-insert".
@@ -105,18 +96,12 @@ type Config struct {
 	// FailCommit is the probability that a page commit reports a spurious
 	// ErrHeapFull even though the budget has room.
 	FailCommit float64
-	// ForceShed is the probability that the overload controller's
-	// admission decision is forced to reject regardless of state.
-	ForceShed float64
 	// ForceDeadline is the probability that an armed per-request
 	// allocation budget reports expiry before the first heap touch.
 	ForceDeadline float64
-	// ForceEmergency is the probability that an overload-controller poll
-	// posts a spurious emergency GC request.
-	ForceEmergency float64
 	// SuppressDriver, while set, vetoes every cycle the occupancy trigger
-	// would start, emergency requests included, so that only allocation
-	// stalls and explicit requests start cycles.
+	// would start, so that only allocation stalls and explicit requests
+	// start cycles.
 	SuppressDriver bool
 }
 
@@ -131,14 +116,8 @@ func (c Config) String() string {
 	if c.FailCommit > 0 {
 		s += fmt.Sprintf(" fail-commit=%.3f", c.FailCommit)
 	}
-	if c.ForceShed > 0 {
-		s += fmt.Sprintf(" force-shed=%.3f", c.ForceShed)
-	}
 	if c.ForceDeadline > 0 {
 		s += fmt.Sprintf(" force-deadline=%.3f", c.ForceDeadline)
-	}
-	if c.ForceEmergency > 0 {
-		s += fmt.Sprintf(" force-emergency=%.3f", c.ForceEmergency)
 	}
 	if c.SuppressDriver {
 		s += " suppress-driver"
@@ -159,12 +138,10 @@ func Randomized(seed int64) Config {
 		cfg.Delay[p] = 0.3 * unit(uint64(seed), 200+uint64(p))
 	}
 	cfg.FailCommit = 0.02 * unit(uint64(seed), 300)
-	// Overload-path forcings: no-ops unless the workload arms the overload
-	// plane, where they force shed/deadline/emergency decisions at a low
-	// rate to keep those paths under chaos coverage.
-	cfg.ForceShed = 0.05 * unit(uint64(seed), 310)
+	// The deadline forcing is a no-op unless the workload arms per-request
+	// deadlines, where it forces expiries at a low rate to keep the
+	// fast-fail path under chaos coverage.
 	cfg.ForceDeadline = 0.05 * unit(uint64(seed), 320)
-	cfg.ForceEmergency = 0.02 * unit(uint64(seed), 330)
 	cfg.SuppressDriver = mix(uint64(seed), 400)%4 == 0
 	return cfg
 }
@@ -180,11 +157,9 @@ type Injector struct {
 	yields int
 	// thresholds holds Delay (and FailCommit) as 64-bit fixed-point
 	// compare targets so the hot path is one integer compare.
-	thresholds     [NumPoints]uint64
-	failCommit     uint64
-	forceShed      uint64
-	forceDeadline  uint64
-	forceEmergency uint64
+	thresholds    [NumPoints]uint64
+	failCommit    uint64
+	forceDeadline uint64
 	// seq[p] numbers decisions per point; decision i at point p is a pure
 	// function of (seed, p, i).
 	seq   [NumPoints]atomic.Uint64
@@ -202,9 +177,7 @@ func New(cfg Config) *Injector {
 		inj.thresholds[p] = toThreshold(cfg.Delay[p])
 	}
 	inj.failCommit = toThreshold(cfg.FailCommit)
-	inj.forceShed = toThreshold(cfg.ForceShed)
 	inj.forceDeadline = toThreshold(cfg.ForceDeadline)
-	inj.forceEmergency = toThreshold(cfg.ForceEmergency)
 	return inj
 }
 
@@ -276,8 +249,7 @@ func (inj *Injector) FailCommit() bool {
 }
 
 // roll takes a seeded per-point decision against a fixed-point threshold,
-// counting fires; the shared body behind FailCommit and the Force*
-// overload decisions.
+// counting fires; the shared body behind FailCommit and ForceDeadline.
 func (inj *Injector) roll(p Point, threshold uint64) bool {
 	if threshold == 0 {
 		return false
@@ -290,18 +262,6 @@ func (inj *Injector) roll(p Point, threshold uint64) bool {
 	return false
 }
 
-// ForceShed reports whether the overload controller's next admission
-// decision should be forced to reject. A nil injector never forces.
-// Sits on the admit fast path: alloc-free.
-//
-//hcsgc:alloc-free
-func (inj *Injector) ForceShed() bool {
-	if inj == nil {
-		return false
-	}
-	return inj.roll(OverloadShed, inj.forceShed)
-}
-
 // ForceDeadline reports whether an armed per-request allocation budget
 // should report expiry before touching the heap. A nil injector never
 // forces. Sits on the allocation fast path: alloc-free.
@@ -312,15 +272,6 @@ func (inj *Injector) ForceDeadline() bool {
 		return false
 	}
 	return inj.roll(DeadlineExpire, inj.forceDeadline)
-}
-
-// ForceEmergency reports whether an overload-controller poll should post
-// a spurious emergency GC request. A nil injector never forces.
-func (inj *Injector) ForceEmergency() bool {
-	if inj == nil {
-		return false
-	}
-	return inj.roll(EmergencyTrigger, inj.forceEmergency)
 }
 
 // DriverSuppressed reports whether the occupancy trigger is suppressed;

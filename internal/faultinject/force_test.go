@@ -2,35 +2,28 @@ package faultinject
 
 import "testing"
 
-// TestForcePointsEndpointsAndCounting: the overload-plane force points
-// (shed / deadline / emergency) obey p=0 / p=1 endpoints, count their
-// fires at the matching injection points, and stay independent.
+// TestForcePointsEndpointsAndCounting: the deadline force point obeys the
+// p=0 / p=1 endpoints, counts its fires at its own injection point, and
+// leaves the others alone.
 func TestForcePointsEndpointsAndCounting(t *testing.T) {
-	always := New(Config{Seed: 7, ForceShed: 1, ForceDeadline: 1, ForceEmergency: 1})
+	always := New(Config{Seed: 7, ForceDeadline: 1})
 	never := New(Config{Seed: 7})
 	for i := 0; i < 100; i++ {
-		if !always.ForceShed() || !always.ForceDeadline() || !always.ForceEmergency() {
+		if !always.ForceDeadline() {
 			t.Fatal("p=1 force point declined")
 		}
-		if never.ForceShed() || never.ForceDeadline() || never.ForceEmergency() {
+		if never.ForceDeadline() {
 			t.Fatal("p=0 force point fired")
 		}
 	}
-	if always.Fired(OverloadShed) != 100 || always.Fired(DeadlineExpire) != 100 ||
-		always.Fired(EmergencyTrigger) != 100 {
-		t.Fatalf("forced fires miscounted: shed %d deadline %d emergency %d",
-			always.Fired(OverloadShed), always.Fired(DeadlineExpire), always.Fired(EmergencyTrigger))
+	if always.Fired(DeadlineExpire) != 100 {
+		t.Fatalf("forced fires miscounted: deadline %d", always.Fired(DeadlineExpire))
+	}
+	if n := always.FiredTotal(); n != 100 {
+		t.Fatalf("forced deadlines fired %d times across all points, want 100", n)
 	}
 	if n := never.FiredTotal(); n != 0 {
 		t.Fatalf("p=0 injector recorded %d fires", n)
-	}
-
-	// Only the configured point fires.
-	shedOnly := New(Config{Seed: 7, ForceShed: 1})
-	shedOnly.ForceShed()
-	shedOnly.ForceDeadline()
-	if shedOnly.Fired(OverloadShed) != 1 || shedOnly.Fired(DeadlineExpire) != 0 {
-		t.Fatal("force points not independent")
 	}
 }
 
@@ -38,9 +31,9 @@ func TestForcePointsEndpointsAndCounting(t *testing.T) {
 // the same decision sequence for the same seed, and a calibrated rate.
 func TestForcePointsSeedDeterministic(t *testing.T) {
 	run := func(seed int64) (out []bool) {
-		inj := New(Config{Seed: seed, ForceShed: 0.3})
+		inj := New(Config{Seed: seed, ForceDeadline: 0.3})
 		for i := 0; i < 400; i++ {
-			out = append(out, inj.ForceShed())
+			out = append(out, inj.ForceDeadline())
 		}
 		return
 	}
@@ -55,7 +48,7 @@ func TestForcePointsSeedDeterministic(t *testing.T) {
 		}
 	}
 	if fires < 70 || fires > 170 {
-		t.Fatalf("ForceShed=0.3 fired %d/400", fires)
+		t.Fatalf("ForceDeadline=0.3 fired %d/400", fires)
 	}
 	c := run(100)
 	diff := false
@@ -73,32 +66,24 @@ func TestForcePointsSeedDeterministic(t *testing.T) {
 // TestNilInjectorForcePoints: the nil injector never forces anything.
 func TestNilInjectorForcePoints(t *testing.T) {
 	var inj *Injector
-	if inj.ForceShed() || inj.ForceDeadline() || inj.ForceEmergency() {
-		t.Fatal("nil injector forced an overload fault")
+	if inj.ForceDeadline() {
+		t.Fatal("nil injector forced a deadline expiry")
 	}
 }
 
-// TestRandomizedCoversOverloadPoints: chaos configs keep the overload
-// force rates small and bounded (sheds and deadline expiries are request
-// failures; a chaos soak must degrade, not zero out, the workload).
+// TestRandomizedCoversOverloadPoints: chaos configs keep the forced
+// deadline rate small and bounded (an expiry is a request failure; a chaos
+// soak must degrade, not zero out, the workload), and some seeds arm it.
 func TestRandomizedCoversOverloadPoints(t *testing.T) {
-	sawShed, sawDeadline, sawEmergency := false, false, false
+	sawDeadline := false
 	for seed := int64(0); seed < 64; seed++ {
 		cfg := Randomized(seed)
-		if cfg.ForceShed < 0 || cfg.ForceShed > 0.05 {
-			t.Fatalf("seed %d: ForceShed=%v out of [0,0.05]", seed, cfg.ForceShed)
-		}
 		if cfg.ForceDeadline < 0 || cfg.ForceDeadline > 0.05 {
 			t.Fatalf("seed %d: ForceDeadline=%v out of [0,0.05]", seed, cfg.ForceDeadline)
 		}
-		if cfg.ForceEmergency < 0 || cfg.ForceEmergency > 0.02 {
-			t.Fatalf("seed %d: ForceEmergency=%v out of [0,0.02]", seed, cfg.ForceEmergency)
-		}
-		sawShed = sawShed || cfg.ForceShed > 0
 		sawDeadline = sawDeadline || cfg.ForceDeadline > 0
-		sawEmergency = sawEmergency || cfg.ForceEmergency > 0
 	}
-	if !sawShed || !sawDeadline || !sawEmergency {
-		t.Fatal("no seed in [0,64) arms the overload force points")
+	if !sawDeadline {
+		t.Fatal("no seed in [0,64) arms the deadline force point")
 	}
 }

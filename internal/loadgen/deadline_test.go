@@ -38,50 +38,6 @@ func TestDeadlinesAreDerivedNotDrawn(t *testing.T) {
 	}
 }
 
-// TestRetryBackoffDeterministicAndBounded: the jittered backoff is a pure
-// function of (seed, seq, attempt) with jitter in [0.5, 1.5) around
-// base x attempt, and degenerate inputs cost nothing.
-func TestRetryBackoffDeterministicAndBounded(t *testing.T) {
-	if RetryBackoff(1, 10, 1, 0) != 0 {
-		t.Fatal("zero base must mean zero backoff")
-	}
-	if RetryBackoff(1, 10, 0, 1000) != 0 || RetryBackoff(1, 10, -1, 1000) != 0 {
-		t.Fatal("non-positive attempt must mean zero backoff")
-	}
-
-	const base = 4_000
-	for seq := uint64(0); seq < 500; seq++ {
-		for attempt := 1; attempt <= 3; attempt++ {
-			got := RetryBackoff(42, seq, attempt, base)
-			if got != RetryBackoff(42, seq, attempt, base) {
-				t.Fatalf("backoff(42, %d, %d) not deterministic", seq, attempt)
-			}
-			lo := uint64(0.5 * float64(base) * float64(attempt))
-			hi := uint64(1.5 * float64(base) * float64(attempt))
-			if got < lo || got >= hi {
-				t.Fatalf("backoff(42, %d, %d) = %d outside [%d, %d)", seq, attempt, got, lo, hi)
-			}
-		}
-	}
-
-	// Different seeds decorrelate clients; different seqs decorrelate
-	// requests (no thundering herd of identical waits).
-	same, distinct := 0, map[uint64]bool{}
-	for seq := uint64(0); seq < 200; seq++ {
-		a, b := RetryBackoff(1, seq, 1, base), RetryBackoff(2, seq, 1, base)
-		if a == b {
-			same++
-		}
-		distinct[a] = true
-	}
-	if same > 10 {
-		t.Fatalf("seeds 1 and 2 agree on %d/200 backoffs", same)
-	}
-	if len(distinct) < 100 {
-		t.Fatalf("only %d distinct backoffs across 200 seqs", len(distinct))
-	}
-}
-
 // TestValidateCatchesSeqDrift: a request that does not carry its index
 // fails schedule validation.
 func TestValidateCatchesSeqDrift(t *testing.T) {

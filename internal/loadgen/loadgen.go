@@ -103,8 +103,8 @@ type Request struct {
 
 // Deadline returns r's absolute virtual-cycle deadline, At +
 // DeadlineCycles, or 0 when the schedule carries no deadlines. The serving
-// side arms it as a per-request allocation budget; the client side stops
-// retrying past it.
+// side arms it as a per-request allocation budget and drops a request
+// still queued past it.
 func (c Config) Deadline(r *Request) uint64 {
 	if c.DeadlineCycles == 0 {
 		return 0
@@ -425,22 +425,4 @@ func gcd(a, b int) int {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// RetryBackoff returns the jittered backoff, in virtual cycles, a client
-// waits before retry attempt (1-based) of request seq: base × attempt,
-// scaled by a deterministic jitter in [0.5, 1.5) keyed by (seed, seq,
-// attempt). A pure function — retrying clients stay reproducible and
-// never synchronize their retries into a thundering herd.
-func RetryBackoff(seed int64, seq uint64, attempt int, base uint64) uint64 {
-	if base == 0 || attempt <= 0 {
-		return 0
-	}
-	h := seq<<8 | uint64(attempt&0xff)
-	h = h*0x9e3779b97f4a7c15 + uint64(seed)
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
-	jitter := 0.5 + float64(h>>11)/(1<<53)
-	return uint64(float64(base) * float64(attempt) * jitter)
 }

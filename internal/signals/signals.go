@@ -10,10 +10,10 @@
 // series over a fixed set of scalar signals, and raises threshold-based
 // anomaly flags.
 //
-// This record shape is the sensor bus of online control: the overload
-// controller reads Derived (level + direction per signal) and Flags, an
-// allocation-rate pacing trigger would, and the tail attributor (tail.go) links slow requests back to
-// the responsible record. Exposition: the /signals endpoint serves
+// This record shape is the sensor bus of online control: an
+// allocation-rate pacing trigger would read Derived (level + direction per
+// signal) and Flags, and the tail attributor (tail.go) links slow requests
+// back to the responsible record. Exposition: the /signals endpoint serves
 // Snapshot, BindTelemetry registers the hcsgc_signal_* families, and
 // Perfetto counter tracks carry the per-cycle series.
 //

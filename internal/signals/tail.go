@@ -203,7 +203,7 @@ func (t *TailAttributor) Classifier(plane *Plane) *Classifier {
 }
 
 // NoteDisruption maintains the convoy chain across requests Observe never
-// sees — failed or dropped ones (deadline-expired, shed mid-retry, OOM).
+// sees — failed or dropped ones (deadline-expired, shed, OOM).
 // A failed request that stalled or sat through a pause seeds the
 // disruption window exactly as a successful one would; a failed request
 // that merely arrived mid-backlog extends it (the queue has not drained).

@@ -100,7 +100,7 @@ var snapshotEndpoints = []string{
 	"signals",    // unified per-cycle signal plane (signals.Plane.Snapshot)
 	"contention", // ranked lock sites, CAS loops, worker balance (contention.Plane.Snapshot)
 	"tailattr",   // request-level tail attribution (signals.TailAttributor.Report)
-	"overload",   // admission-control and goodput accounting (overload.Controller.Report)
+	"overload",   // KV request outcomes and goodput accounting (overload.Stats.Report)
 }
 
 // SetEndpoint installs the snapshot source behind the /name endpoint;

@@ -28,12 +28,12 @@ import (
 // is deterministic for a seed even though threads interleave freely with
 // the collector.
 //
-// With RunConfig.Overload set, the serving loop runs protected: an
-// admission controller sheds requests under pressure, each request's
-// deadline is armed as a per-request allocation budget, shed/expired
-// requests retry with jittered backoff, and heap exhaustion degrades to
-// per-request failures. Unprotected runs skip all of that except the OOM
-// degradation — a full heap fails individual requests, never the run.
+// With RunConfig.Overload set, the serving loop runs protected: a request
+// still queued past its deadline, or whose queueing delay has consumed its
+// SLO budget, is dropped at dequeue, and each served request's deadline is
+// armed as its allocation budget. Every request runs once. Unprotected
+// runs skip all of that except the OOM degradation — a full heap fails
+// individual requests, never the run.
 const (
 	kvThreads      = 4
 	kvDefaultScale = 1.0
@@ -52,9 +52,6 @@ const (
 	// slack above the trigger that allocation stalls stay an occasional
 	// tail event instead of a permanent overload.
 	kvHeapBytes = 18 << 20
-	// kvPollEvery is the admission controller's poll cadence in requests
-	// handled per thread.
-	kvPollEvery = 32
 	// kvFoldEvery is how many requests a server thread handles between
 	// folds of its private accounting into the run's: the bound on how far
 	// /kv, /metrics and /overload lag each thread mid-run.
@@ -68,16 +65,6 @@ const (
 	// factor above one; no shard of two or more threads reaches the cap.
 	kvMaxBuckets = 1 << 14
 )
-
-// kvPriority maps an op to its admission priority: scans are bulk work
-// (shed first); point ops shed last. Read-through fills are gated
-// separately at PriorityBulk inside the GET path.
-func kvPriority(op loadgen.Op) overload.Priority {
-	if op == loadgen.OpScan {
-		return overload.PriorityBulk
-	}
-	return overload.PriorityPoint
-}
 
 // KVServer is the serving-latency benchmark behind `hcsgc-bench -report kv`
 // and (with RunConfig.Overload armed) `hcsgc-bench -report overload`.
@@ -107,7 +94,7 @@ func KVServer() Workload {
 				gap /= cfg.LoadFactor
 			}
 			var deadlineCycles uint64
-			if cfg.Overload != nil {
+			if cfg.Overload {
 				deadlineCycles = overload.DeadlineCycles
 			}
 			sched := loadgen.Generate(loadgen.Config{
@@ -139,31 +126,9 @@ func KVServer() Workload {
 			defer e.cleanup()
 			types := kvstore.RegisterTypes(e.rt.Types)
 
-			// The overload controller is per-run (its state machine tracks
-			// this runtime's signal plane) and records admission straight
-			// into the run's accumulator ost.
-			var ctrl *overload.Controller
-			if cfg.Overload != nil {
-				p := *cfg.Overload
-				if p.Seed == 0 {
-					p.Seed = cfg.Seed
-				}
-				col := e.rt.Collector
-				ctrl = overload.NewController(p, e.rt.Signals, overload.Hooks{
-					HeapUsedPct: e.rt.Heap.UsedPercent,
-					Stalls:      col.StallCount,
-					SetHeadroom: col.SetEmergencyHeadroom,
-					EmergencyGC: col.RequestEmergencyGC,
-				}, cfg.FaultInjector, ost)
-			}
 			if cfg.Telemetry != nil {
 				ost.BindTelemetry(cfg.Telemetry.Metrics())
-				if ctrl != nil {
-					c := ctrl
-					cfg.Telemetry.SetEndpoint("overload", func() any { return c.Report() })
-				} else {
-					cfg.Telemetry.SetEndpoint("overload", func() any { return ost.Report(overload.GoodputSLOCycles) })
-				}
+				cfg.Telemetry.SetEndpoint("overload", func() any { return ost.Report(overload.GoodputSLOCycles) })
 			}
 
 			lg := sched.Config
@@ -238,7 +203,7 @@ func KVServer() Workload {
 					// Per-op decayed maximum of clean (stall- and
 					// pause-free) service cycles, feeding the
 					// SLO-staleness shed below. A worst-case estimate,
-					// not a mean: admission must guarantee the slowest
+					// not a mean: serving must guarantee the slowest
 					// clean instance of the op still fits the remaining
 					// SLO budget, or near-boundary requests violate by a
 					// hair and the violation is attributable to nothing.
@@ -251,9 +216,6 @@ func KVServer() Workload {
 						}
 						if r.Seq%64 == 0 {
 							m.Safepoint()
-						}
-						if ctrl != nil && handled%kvPollEvery == 0 {
-							ctrl.Poll()
 						}
 						if handled%kvFoldEvery == 0 && handled > 0 {
 							tmx.FoldInto(mx)
@@ -276,9 +238,9 @@ func KVServer() Workload {
 							// dropped for the cost of one clock read — the
 							// client gave up long ago, and serving it only
 							// delays every request behind it. This is what
-							// bounds the successful-request tail: an
-							// admitted request can be at most DeadlineCycles
-							// old when service starts.
+							// bounds the successful-request tail: a served
+							// request can be at most DeadlineCycles old when
+							// service starts.
 							if now := m.VirtualCycles(); now >= deadlineAbs {
 								tst.RecordDeadlineExceeded()
 								tst.RecordFailure()
@@ -296,17 +258,16 @@ func KVServer() Workload {
 						// serving it would spend capacity manufacturing
 						// badput and push every request behind it further
 						// past its own budget. This bounds the
-						// pure-overload queueing ramp the GC-signal
-						// controller cannot see: admitted load above
-						// capacity grows the queue without a single stall
-						// or heap flag, and without this check every
-						// request in that ramp becomes an SLO violation
-						// attributable to nothing but the queue itself.
-						if ctrl != nil {
+						// pure-overload queueing ramp: load above capacity
+						// grows the queue without a single stall, and
+						// without this check every request in that ramp
+						// becomes an SLO violation attributable to nothing
+						// but the queue itself.
+						if cfg.Overload {
 							const guard = overload.GoodputSLOCycles / 16
 							if now := m.VirtualCycles(); now > at &&
 								now-at+svcWorst[r.Op]+guard >= overload.GoodputSLOCycles {
-								tst.RecordStaleShed(kvPriority(r.Op))
+								tst.RecordShed()
 								tst.RecordFailure()
 								// Like the deadline drop: the backlog has
 								// not drained, keep the convoy chain alive.
@@ -323,10 +284,10 @@ func KVServer() Workload {
 							continue
 						}
 						// Snapshot the attribution counters around the
-						// execution window (service start to completion,
-						// retries included): the deltas say whether this
-						// request stalled, sat through a pause, or ran
-						// while another thread stalled.
+						// execution window (service start to completion):
+						// the deltas say whether this request stalled, sat
+						// through a pause, or ran while another thread
+						// stalled.
 						var tailStall0, tailPause0, tailGStalls0, tailCyc0 uint64
 						if cl != nil {
 							tailStall0 = m.StallVirtualCycles()
@@ -337,64 +298,22 @@ func KVServer() Workload {
 						svcStart := m.VirtualCycles()
 						svcStall0 := m.StallVirtualCycles()
 						svcPause0 := col.PauseCycles()
-						var reqErr error
-						for attempt := 0; ; attempt++ {
-							// Admission first: a shed request performs no
-							// heap work after this decision point.
-							err := ctrl.Admit(kvPriority(r.Op),
-								uint64(r.Seq)<<4|uint64(attempt&15))
-							if err == nil {
-								if deadlineAbs > 0 {
-									m.SetAllocBudget(deadlineAbs, overload.MaxStallsPerRequest)
-								}
-								var delta uint64
-								delta, err = kvExecOp(st, tmx, ctrl, r, keys, attempt)
-								if deadlineAbs > 0 {
-									m.ClearAllocBudget()
-								}
-								if err == nil {
-									check += delta
-									break
-								}
-							}
-							shed := false
-							switch {
-							case errors.Is(err, overload.ErrOverload):
-								// Recorded by the controller at the
-								// decision point.
-								shed = true
-							case errors.Is(err, hcsgc.ErrDeadlineExceeded):
-								tst.RecordDeadlineExceeded()
-							case errors.Is(err, hcsgc.ErrOutOfMemory):
-								tst.RecordOOMFailure()
-							default:
-								panic(err)
-							}
-							// Client retry with jittered backoff, only for
-							// shed requests (an expired deadline will not
-							// un-expire). The backoff is client-side wait:
-							// it does not occupy the shard's thread (a
-							// blocking wait here would convert every
-							// client's patience into head-of-line delay
-							// for the whole shard). Its server-visible
-							// effect is the gate: a client whose backoff
-							// would run past the deadline gives up instead
-							// of resubmitting.
-							retry := shed && attempt < overload.MaxRetries
-							if retry {
-								backoff := loadgen.RetryBackoff(lg.Seed,
-									uint64(r.Seq), attempt+1, overload.RetryBackoffCycles)
-								if deadlineAbs > 0 &&
-									m.VirtualCycles()+backoff >= deadlineAbs {
-									retry = false
-								} else {
-									tst.RecordRetry()
-								}
-							}
-							if !retry {
-								reqErr = err
-								break
-							}
+						if deadlineAbs > 0 {
+							m.SetAllocBudget(deadlineAbs, overload.MaxStallsPerRequest)
+						}
+						delta, reqErr := kvExecOp(st, tmx, r, keys)
+						if deadlineAbs > 0 {
+							m.ClearAllocBudget()
+						}
+						switch {
+						case reqErr == nil:
+							check += delta
+						case errors.Is(reqErr, hcsgc.ErrDeadlineExceeded):
+							tst.RecordDeadlineExceeded()
+						case errors.Is(reqErr, hcsgc.ErrOutOfMemory):
+							tst.RecordOOMFailure()
+						default:
+							panic(reqErr)
 						}
 						m.Work(kvWorkPerReq)
 						end := m.VirtualCycles()
@@ -402,7 +321,7 @@ func KVServer() Workload {
 							lat := end - at
 							tmx.RecordRequest(int(r.Phase), r.Op, lat)
 							tst.RecordSuccess(lat, lat <= overload.GoodputSLOCycles)
-							if ctrl != nil {
+							if cfg.Overload {
 								// Update the clean-service worst case:
 								// slow decay so a one-off high does not
 								// over-shed forever, and only stall- and
@@ -498,7 +417,7 @@ func KVServer() Workload {
 				"kv-p999-steady": steady.P999,
 				"kv-p999-burst":  burst.P999,
 				"kv-hit-rate":    hitRate,
-				"kv-sheds":       float64(orep.ShedPoint + orep.ShedBulk),
+				"kv-sheds":       float64(orep.Sheds),
 				"kv-failures":    float64(orep.Failures),
 				"kv-goodput":     float64(orep.Goodput),
 			}
@@ -507,30 +426,20 @@ func KVServer() Workload {
 	}
 }
 
-// kvExecOp executes one request attempt against the thread's shard,
-// returning the checksum delta. Only SET and read-through fills allocate
-// (GET/SCAN/DELETE are allocation-free), so only they can fail — with
-// ErrOutOfMemory or, under an armed allocation budget,
-// ErrDeadlineExceeded. A failed attempt never mutates the index (see
-// kvstore.TrySet), so retries are safe.
-func kvExecOp(st *kvstore.Store, mx *kvstore.Metrics, ctrl *overload.Controller,
-	r *loadgen.Request, keys int, attempt int) (uint64, error) {
+// kvExecOp executes one request against the thread's shard, returning the
+// checksum delta. Only SET and read-through fills allocate (GET/SCAN/DELETE
+// are allocation-free), so only they can fail — with ErrOutOfMemory or,
+// under an armed allocation budget, ErrDeadlineExceeded. A failed request
+// never mutates the index (see kvstore.TrySet).
+func kvExecOp(st *kvstore.Store, mx *kvstore.Metrics, r *loadgen.Request, keys int) (uint64, error) {
 	switch r.Op {
 	case loadgen.OpGet:
 		sum, hit := st.Get(r.Key)
-		if attempt == 0 {
-			mx.RecordLookup(hit)
-		}
+		mx.RecordLookup(hit)
 		if !hit {
-			// Read-through fill, object-cache style. The fill is bulk
-			// work: under brownout the controller sheds it and the GET
-			// still serves as a miss — deferrable heap traffic is the
-			// first thing to go.
-			if ferr := ctrl.Admit(overload.PriorityBulk,
-				uint64(r.Seq)<<4|uint64(attempt&15)|1<<63); ferr == nil {
-				if _, err := st.TrySet(r.Key, int(r.ValueWords)); err != nil {
-					return 0, err
-				}
+			// Read-through fill, object-cache style.
+			if _, err := st.TrySet(r.Key, int(r.ValueWords)); err != nil {
+				return 0, err
 			}
 		}
 		return sum, nil

@@ -10,60 +10,22 @@ import (
 )
 
 // kvOverloadCfg is the protected tiny KV configuration the overload tests
-// share: small scale, overload plane armed with the default policy.
+// share: small scale, deadlines and the stale shed armed.
 func kvOverloadCfg(seed int64) (RunConfig, *overload.Stats) {
 	ost := overload.NewStats()
 	return RunConfig{
 		Seed:          seed,
 		Scale:         0.02,
-		Overload:      &overload.Policy{},
+		Overload:      true,
 		OverloadStats: ost,
 	}, ost
 }
 
-// TestKVForcedShedTouchesNoHeap is the zero-allocations-after-decision
-// regression test: with the injector forcing every admission decision to
-// reject, the serving window performs zero heap allocations — shedding
-// happens before the request touches the heap, on every attempt including
-// retries and read-through fills. The control run proves the measurement
-// has teeth.
-func TestKVForcedShedTouchesNoHeap(t *testing.T) {
-	w, err := Get("kv")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg, ost := kvOverloadCfg(42)
-	cfg.FaultInjector = hcsgc.NewFaultInjector(hcsgc.FaultConfig{Seed: 42, ForceShed: 1})
-	if _, err := w.Run(cfg); err != nil {
-		t.Fatal(err)
-	}
-	rep := ost.Report(0)
-	if rep.ForcedSheds == 0 {
-		t.Fatal("injector never forced a shed")
-	}
-	if rep.Successes != 0 {
-		t.Fatalf("%d requests succeeded under ForceShed=1", rep.Successes)
-	}
-	if got := ost.ServeAllocBytes(); got != 0 {
-		t.Fatalf("shed serving window allocated %d bytes, want 0", got)
-	}
-
-	// Control: the identical run without forced sheds must show the
-	// serving window allocating (SETs, fills) — the counter is live.
-	ctl, ostCtl := kvOverloadCfg(42)
-	if _, err := w.Run(ctl); err != nil {
-		t.Fatal(err)
-	}
-	if ostCtl.ServeAllocBytes() == 0 {
-		t.Fatal("control run recorded zero serving allocations; the measurement is dead")
-	}
-}
-
 // TestKVForcedDeadlineFailsFast: with every armed allocation budget forced
 // to report expiry, allocating ops (SETs, fills) fail fast with zero heap
-// work while allocation-free ops still serve. The serving window again
-// allocates nothing: expiry fires pre-flight, before the first heap touch.
+// work while allocation-free ops still serve. The serving window allocates
+// nothing: expiry fires pre-flight, before the first heap touch. The
+// control run proves the measurement has teeth.
 func TestKVForcedDeadlineFailsFast(t *testing.T) {
 	w, err := Get("kv")
 	if err != nil {
@@ -87,6 +49,16 @@ func TestKVForcedDeadlineFailsFast(t *testing.T) {
 	if got := ost.ServeAllocBytes(); got != 0 {
 		t.Fatalf("forced-expiry serving window allocated %d bytes, want 0", got)
 	}
+
+	// Control: the identical run without forced expiries must show the
+	// serving window allocating (SETs, fills) — the counter is live.
+	ctl, ostCtl := kvOverloadCfg(42)
+	if _, err := w.Run(ctl); err != nil {
+		t.Fatal(err)
+	}
+	if ostCtl.ServeAllocBytes() == 0 {
+		t.Fatal("control run recorded zero serving allocations; the measurement is dead")
+	}
 }
 
 // TestKVTinyHeapDegradesGracefully squeezes the protected KV workload into
@@ -108,12 +80,12 @@ func TestKVTinyHeapDegradesGracefully(t *testing.T) {
 		t.Fatalf("tiny-heap run aborted instead of degrading: %v", err)
 	}
 	rep := ost.Report(0)
-	degraded := rep.ShedPoint + rep.ShedBulk + rep.DeadlineExceeded + rep.OOMFailures
+	degraded := rep.Sheds + rep.DeadlineExceeded + rep.OOMFailures
 	if degraded == 0 {
 		t.Fatal("tiny heap produced no sheds, expiries, or OOM failures — not actually under pressure")
 	}
 	if rep.Successes == 0 {
-		t.Fatal("brownout must keep serving some requests, not zero out")
+		t.Fatal("degradation must keep serving some requests, not zero out")
 	}
 	if res.ExecSeconds <= 0 {
 		t.Fatal("non-positive execution time")
@@ -131,9 +103,9 @@ func TestKVTinyHeapDegradesGracefully(t *testing.T) {
 }
 
 // TestKVProtectedChecksumUnaffectedWhenCalm: at tiny scale with no load
-// multiplier the heap never reaches pressure, the controller stays in
-// Normal, and the protected run must produce the identical checksum to
-// the unprotected one — protection must be invisible until it is needed.
+// multiplier no request expires or goes stale, and the protected run must
+// produce the identical checksum to the unprotected one — protection must
+// be invisible until it is needed.
 func TestKVProtectedChecksumUnaffectedWhenCalm(t *testing.T) {
 	w, err := Get("kv")
 	if err != nil {
@@ -144,9 +116,9 @@ func TestKVProtectedChecksumUnaffectedWhenCalm(t *testing.T) {
 	cfg.Scale = 0.01
 	prot := mustRun(t, w, cfg)
 	rep := ost.Report(0)
-	if rep.ShedPoint+rep.ShedBulk+rep.DeadlineExceeded != 0 {
+	if rep.Sheds+rep.DeadlineExceeded != 0 {
 		t.Skipf("calm run saw pressure (%d sheds, %d expiries); checksum comparison void",
-			rep.ShedPoint+rep.ShedBulk, rep.DeadlineExceeded)
+			rep.Sheds, rep.DeadlineExceeded)
 	}
 	if plain.Check != prot.Check {
 		t.Fatalf("calm protected run changed the checksum: %d vs %d", prot.Check, plain.Check)

@@ -82,13 +82,13 @@ type RunConfig struct {
 	// (nil = per-run metrics are discarded after Scores are derived).
 	// Shared across runs, it merges their request distributions.
 	KV *kvstore.Metrics
-	// Overload arms the overload-protection plane on the KV serving path
-	// (nil = unprotected: no admission control, no per-request deadlines,
-	// no client retries — heap exhaustion still degrades to per-request
-	// failures). overload.DeadlineCycles then propagates into the load
-	// generator's schedule.
-	Overload *overload.Policy
-	// OverloadStats accumulates the overload plane's outcome accounting
+	// Overload protects the KV serving path: per-request deadlines
+	// (overload.DeadlineCycles, propagated into the load generator's
+	// schedule and armed as allocation budgets) and the stale shed at
+	// dequeue. Unprotected, heap exhaustion still degrades to per-request
+	// failures.
+	Overload bool
+	// OverloadStats accumulates the KV requests' outcome accounting
 	// (nil = per-run stats are discarded after Scores are derived).
 	// Shared across runs, it merges their counters and distributions.
 	OverloadStats *overload.Stats

@@ -22,14 +22,13 @@ var auditedStructs = []string{
 	"./Options", "internal/core/Config", "internal/core/Knobs",
 	"internal/workloads/RunConfig", "internal/telemetry/latency/Config",
 	"internal/signals/Config", "internal/signals/TailConfig",
-	"internal/locality/Config", "internal/overload/Policy",
-	"internal/simmem/HierarchyConfig", "internal/simmem/CacheConfig",
+	"internal/locality/Config", "internal/simmem/HierarchyConfig", "internal/simmem/CacheConfig",
 	"internal/heap/Config", "internal/faultinject/Config", "internal/loadgen/Config",
 }
 
 // optionCount pins the number of settable values: a new knob is a
 // deliberate act (it needs a non-test caller, and this number).
-const optionCount = 93
+const optionCount = 90
 
 // testOnlyOptions are the options only tests set, each with the reason a
 // test could not reach the behaviour if the value were a constant.
