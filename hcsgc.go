@@ -35,7 +35,6 @@ import (
 	"hcsgc/internal/locality"
 	"hcsgc/internal/machine"
 	"hcsgc/internal/objmodel"
-	"hcsgc/internal/overload"
 	"hcsgc/internal/signals"
 	"hcsgc/internal/simmem"
 	"hcsgc/internal/telemetry"
@@ -123,9 +122,6 @@ type (
 	TailReport = signals.TailReport
 	// TailObs is one completed request's raw attribution observation.
 	TailObs = signals.Obs
-	// OverloadReport is a KV serving outcome snapshot (the /overload
-	// payload).
-	OverloadReport = overload.Report
 )
 
 // Sentinel errors for errors.Is against allocation failures.
@@ -136,9 +132,6 @@ var (
 	// a per-request budget (Mutator.SetAllocBudget).
 	ErrDeadlineExceeded = core.ErrDeadlineExceeded
 )
-
-// NewOverloadStats returns an empty KV outcome accumulator.
-func NewOverloadStats() *overload.Stats { return overload.NewStats() }
 
 // NewFaultInjector builds an armed injector from a fault configuration.
 // Pass it via Options.FaultInjector.
@@ -159,8 +152,8 @@ func NewHeapVerifier() *HeapVerifier { return heap.NewVerifier() }
 // one sink, one after another: every series, endpoint and the GC log then
 // report the runtime attached last (a series reports what its currently
 // attached source holds), so one scrape has one time base; accumulators
-// that are themselves shared across runs (RunConfig.KV, OverloadStats,
-// Tail, a shared ContentionPlane) accumulate because they do.
+// that are themselves shared across runs (RunConfig.KV, the KV serving
+// ledger; Tail; a shared ContentionPlane) accumulate because they do.
 func NewTelemetrySink() *TelemetrySink { return telemetry.NewSink() }
 
 // NewLocalityProfiler builds an enabled locality profiler. Pass it via

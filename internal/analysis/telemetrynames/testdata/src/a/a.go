@@ -94,10 +94,10 @@ func register(reg *telemetry.Registry, suffix string) {
 	reg.Gauge("hcsgc_tail_exemplars_total", "Not a counter.")                     // want `_total suffix promises a monotonic counter`
 	reg.Summary("hcsgc_tail_cause_bucket", "Reserved.", nil)                      // want `reserved suffix "_bucket"`
 
-	// The overload-plane families (internal/overload.Stats.BindTelemetry
-	// and Controller.BindTelemetry): outcome counters — sheds by priority,
-	// fast-fail causes, client retries, state transitions — plus the
-	// admission-state gauge and the successful-request latency summary.
+	// Overload-plane families, as an admission controller registers them:
+	// outcome counters — sheds by priority, fast-fail causes, client
+	// retries, state transitions — plus the admission-state gauge and the
+	// successful-request latency summary.
 	reg.Counter("hcsgc_overload_sheds_total", "Requests rejected by admission control.", "priority", "point")
 	reg.Counter("hcsgc_overload_sheds_total", "Requests rejected by admission control.", "priority", "bulk")
 	reg.Counter("hcsgc_overload_stale_sheds_total", "Requests shed at dequeue past their SLO budget.")

@@ -9,7 +9,7 @@ import (
 	"sync"
 
 	"hcsgc"
-	"hcsgc/internal/overload"
+	"hcsgc/internal/kvstore"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/workloads"
 )
@@ -41,15 +41,11 @@ type ChaosRun struct {
 	VerifierRuns uint64
 	// Fired counts injected faults by point name.
 	Fired map[string]uint64
-	// Sheds counts stale-shed drops at dequeue (KV soak only, where
-	// overload protection is armed). Under injected faults nonzero sheds
-	// with a nil Err is the graceful degradation the soak wants: requests
-	// fail individually, the run survives.
-	Sheds uint64
-	// OverloadFailures counts per-request fast failures (deadline expiries
-	// plus per-request OOMs; KV soak only) — heap exhaustion surfacing as
-	// failed requests instead of an aborted run.
-	OverloadFailures uint64
+	// KV is the KV soak's request outcomes (zero for other workloads).
+	// Under injected faults, stale sheds and per-request fast failures with
+	// a nil Err are the graceful degradation the soak wants: requests fail
+	// individually, the run survives.
+	KV kvstore.Outcomes
 	// GCLog is the run's gclog snapshot, captured only for failed runs as
 	// the diagnostic artifact.
 	GCLog string
@@ -158,10 +154,8 @@ func chaosRun(w workloads.Workload, config int, scale float64, seed int64, kv bo
 	tracker := hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{DumpTo: dumpBuf})
 	run := ChaosRun{Seed: seed, Config: config, Faults: faults.String()}
 
-	var ost *overload.Stats
-	if kv {
-		ost = overload.NewStats()
-	}
+	// Other workloads leave the KV serving ledger empty.
+	kvm := kvstore.NewMetrics()
 	// The KV soak halves the chaos heap: the serving workload's churn at
 	// soak scale does not overflow 8 MB, so a trigger-suppressed schedule
 	// would never collect (zero verifier passes). At 4 MB every schedule
@@ -173,12 +167,12 @@ func chaosRun(w workloads.Workload, config int, scale float64, seed int64, kv bo
 		heapMax = 4 << 20
 	}
 	_, err := w.Run(workloads.RunConfig{
-		Overload:      kv,
-		OverloadStats: ost,
-		Knobs:         KnobsFor(config),
-		Seed:          seed,
-		Scale:         scale,
-		Latency:       tracker,
+		Overload: kv,
+		KV:       kvm,
+		Knobs:    KnobsFor(config),
+		Seed:     seed,
+		Scale:    scale,
+		Latency:  tracker,
 		// A deliberately tight heap and an eager trigger: chaos wants many
 		// cycles (each one is a verifier pass and a fresh relocation era),
 		// not a leisurely stroll to 70% of 64 MB. Tight enough that even a
@@ -205,11 +199,7 @@ func chaosRun(w workloads.Workload, config int, scale float64, seed int64, kv bo
 	run.Violations = v.Violations()
 	run.VerifierRuns = v.Runs()
 	run.Fired = inj.FiredByPoint()
-	if ost != nil {
-		orep := ost.Report(0)
-		run.Sheds = orep.Sheds
-		run.OverloadFailures = orep.DeadlineExceeded + orep.OOMFailures
-	}
+	run.KV = kvm.Outcomes(0)
 	if run.Failed() || run.OOM {
 		run.FlightDump = dumpBuf.String()
 		if run.FlightDump == "" {
@@ -236,8 +226,8 @@ func WriteChaosReport(out io.Writer, res ChaosResult) {
 		res.Experiment, res.Workload, len(res.Runs), res.Failures, res.OOMs)
 	var sheds, ofails uint64
 	for _, r := range res.Runs {
-		sheds += r.Sheds
-		ofails += r.OverloadFailures
+		sheds += r.KV.Sheds
+		ofails += r.KV.DeadlineExceeded + r.KV.OOMFailures
 	}
 	if sheds+ofails > 0 {
 		fmt.Fprintf(out, "overload plane: %d sheds, %d per-request fast-fails across the soak\n", sheds, ofails)

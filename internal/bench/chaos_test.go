@@ -53,7 +53,7 @@ func TestChaosKVSoakShort(t *testing.T) {
 		if r.Failed() {
 			t.Errorf("seed %d failed: err=%v violations=%v\ngclog:\n%s", r.Seed, r.Err, r.Violations, r.GCLog)
 		}
-		degraded += r.Sheds + r.OverloadFailures
+		degraded += r.KV.Failures
 	}
 	if res.Failures != 0 {
 		t.Fatalf("failures = %d", res.Failures)

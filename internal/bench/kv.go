@@ -36,9 +36,10 @@ type KVSide struct {
 // LAZYRELOCATE: eager relocation concentrates cost in GC-adjacent
 // windows, lazy spreads it across mutator barriers — the report shows
 // which phases of traffic pay for each choice, and which GC mechanism
-// makes the slow requests slow. Both are computed from the same runs: a
-// second A/B meets the wall-clock GC trigger differently, and its
-// explanation can disagree with the report about which side is worse.
+// makes the slow requests slow. Both are computed from the same runs: the
+// concurrent collector races the server threads on the host scheduler, so
+// a second A/B's explanation can disagree with the report about which side
+// is worse.
 type KVAB struct {
 	Runs  int     `json:"runs"`
 	Scale float64 `json:"scale"`
@@ -56,10 +57,6 @@ type KVAB struct {
 // tail attribution into the side's accumulators. slo is the violation
 // threshold in virtual cycles (0 = the attributor's default).
 func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, slo uint64, sink *hcsgc.TelemetrySink, progress Progress) (*KVAB, error) {
-	w, err := workloads.Get("kv")
-	if err != nil {
-		return nil, err
-	}
 	if runs <= 0 {
 		// The KV tail is dominated by rare, large stall/pause convoys;
 		// single runs are a coin flip over where they land. Ten runs
@@ -70,33 +67,74 @@ func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, slo uint
 	if scale <= 0 {
 		scale = 1 // the workload's default benchmarking scale
 	}
-	ab := &KVAB{Runs: runs, Scale: scale, Seed: seed}
-
-	var accs [2]*kvstore.Metrics
-	var tails [2]*hcsgc.TailAttributor
-	for i := range accs {
-		accs[i] = kvstore.NewMetrics()
-		tails[i] = hcsgc.NewTailAttributor(hcsgc.TailConfig{SLOThresholdCycles: slo})
-	}
-	sides, err := runSides("kv", w, []int{baseCfg, testCfg}, runs, scale, seed, sink, progress,
-		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
-			rc.KV, rc.Tail = accs[side], tails[side]
-			return nil
-		})
+	sides, _, err := runKVSides("kv", []int{baseCfg, testCfg}, runs, scale, seed, slo, sink, progress, nil)
 	if err != nil {
 		return nil, err
 	}
-	for i, side := range []*KVSide{&ab.Base, &ab.Test} {
-		*side = KVSide{
-			Config: sides[i].config, Knobs: sides[i].knobs, Runs: runs,
+	return &KVAB{Runs: runs, Scale: scale, Seed: seed,
+		SLOThresholdCycles: sides[1].Tail.SLOThresholdCycles, Base: sides[0], Test: sides[1]}, nil
+}
+
+// runKVSides runs the KV server workload under each configuration of cfgs
+// through runSides, merging every side's runs into one serving ledger and
+// one tail attributor (violation threshold slo, 0 = the attributor's
+// default). setup, when not nil, adds a side's own settings to each of its
+// runs' config. It returns the sides and their ledgers.
+func runKVSides(label string, cfgs []int, runs int, scale float64, seed int64, slo uint64,
+	sink *hcsgc.TelemetrySink, progress Progress,
+	setup func(side int, rc *workloads.RunConfig)) ([]KVSide, []*kvstore.Metrics, error) {
+	w, err := workloads.Get("kv")
+	if err != nil {
+		return nil, nil, err
+	}
+	accs := make([]*kvstore.Metrics, len(cfgs))
+	tails := make([]*hcsgc.TailAttributor, len(cfgs))
+	for i := range cfgs {
+		accs[i] = kvstore.NewMetrics()
+		tails[i] = hcsgc.NewTailAttributor(hcsgc.TailConfig{SLOThresholdCycles: slo})
+	}
+	sides, err := runSides(label, w, cfgs, runs, scale, seed, sink, progress,
+		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
+			rc.KV, rc.Tail = accs[side], tails[side]
+			if setup != nil {
+				setup(side, rc)
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([]KVSide, len(sides))
+	for i, s := range sides {
+		out[i] = KVSide{
+			Config: s.config, Knobs: s.knobs, Runs: runs,
 			Tail:            tails[i].Report(),
 			Report:          accs[i].Report(nil),
-			MeanExecSeconds: sides[i].meanExecSeconds,
-			GCCycles:        sides[i].gcCycles,
+			MeanExecSeconds: s.meanExecSeconds,
+			GCCycles:        s.gcCycles,
 		}
 	}
-	ab.SLOThresholdCycles = ab.Test.Tail.SLOThresholdCycles
-	return ab, nil
+	return out, accs, nil
+}
+
+// validate checks what holds on any KV side: its serving and tail reports
+// are well-formed, and the attributor observed exactly the requests the
+// serving report counted. It returns that count and the slowest of them.
+func (s *KVSide) validate() (served, slowest uint64, err error) {
+	if err := s.Report.Validate(); err != nil {
+		return 0, 0, err
+	}
+	if err := s.Tail.Validate(); err != nil {
+		return 0, 0, err
+	}
+	for _, p := range s.Report.Phases {
+		served += p.Dist.Count
+		slowest = max(slowest, p.Dist.Max)
+	}
+	if s.Tail.Requests != served {
+		return 0, 0, fmt.Errorf("attributor observed %d requests, serving report counted %d", s.Tail.Requests, served)
+	}
+	return served, slowest, nil
 }
 
 // Validate is the acceptance gate of a KV A/B report. The serving half:
@@ -113,25 +151,15 @@ func (ab *KVAB) Validate() error {
 		name string
 		side *KVSide
 	}{{"base", &ab.Base}, {"test", &ab.Test}} {
-		if err := s.side.Report.Validate(); err != nil {
+		if _, _, err := s.side.validate(); err != nil {
 			return fmt.Errorf("kv: %s side: %w", s.name, err)
 		}
-		if err := s.side.Tail.Validate(); err != nil {
-			return fmt.Errorf("kv: %s side: %w", s.name, err)
-		}
-		var served uint64
 		for _, p := range s.side.Report.Phases {
 			if p.Dist.Count == 0 {
 				return fmt.Errorf("kv: %s side phase %q recorded no requests", s.name, p.Phase)
 			}
-			served += p.Dist.Count
 		}
-		t := s.side.Tail
-		if t.Requests != served {
-			return fmt.Errorf("kv: %s side attributor observed %d requests, serving report counted %d",
-				s.name, t.Requests, served)
-		}
-		if t.Violations > 0 && t.AttributedFraction < 0.9 {
+		if t := s.side.Tail; t.Violations > 0 && t.AttributedFraction < 0.9 {
 			return fmt.Errorf("kv: %s side attributed only %.1f%% of %d violations (want >= 90%%)",
 				s.name, 100*t.AttributedFraction, t.Violations)
 		}

@@ -86,7 +86,9 @@ func (p Progress) printf(format string, args ...any) {
 // it completes the run's config (Table 2 knobs, seed+run so that every
 // configuration sees identical workload randomness per run index, scale,
 // telemetry sink), runs the workload, and cross-checks the checksum
-// against the first configuration that ran the same run index.
+// against the first configuration that ran the same run index. A protected
+// KV run (RunConfig.Overload) is not cross-checked: shedding changes which
+// operations execute, so its checksum legitimately differs.
 type runCore struct {
 	label  string // error prefix, e.g. "latency fig4"
 	w      workloads.Workload
@@ -104,6 +106,9 @@ func (c *runCore) run(cfgID, run int, rc workloads.RunConfig) (workloads.Result,
 	out, err := c.w.Run(rc)
 	if err != nil {
 		return out, fmt.Errorf("%s: config %d run %d: %w", c.label, cfgID, run, err)
+	}
+	if rc.Overload {
+		return out, nil
 	}
 	if prev, seen := c.checks[run]; seen && out.Check != prev {
 		return out, fmt.Errorf(

@@ -9,18 +9,21 @@ import (
 	"hcsgc/internal/telemetry/latency"
 )
 
-// Metrics accumulates the serving-side measurements of a KV run:
-// per-phase request-latency HDR histograms on the virtual-cycle
-// timeline, per-op counters, lookup hit/miss counters and session
-// retirements. All recording is lock-free; instances merge across server
-// threads and across A/B repeat runs (histograms add slot-wise, so the
-// merged quantiles are exact over the union of samples).
+// Metrics is the KV serving ledger: every measurement a KV run makes of its
+// requests. A successful request lands in its phase's request-latency HDR
+// histogram on the virtual-cycle timeline and in its op's counter; a failed
+// one in the count of its one cause. Beside them: lookup hit/miss counters,
+// session retirements, the successes within the goodput SLO, and the
+// serving window's span and allocation volume. All recording is lock-free;
+// instances merge across server threads and across A/B repeat runs
+// (histograms add slot-wise, so the merged quantiles are exact over the
+// union of samples).
 //
 // Accounting is per thread: each KV server thread records into a Metrics
 // of its own and folds it into the run's (FoldInto) every 1024 requests it
-// handles and when it exits, so the run's accumulator — what /kv and
-// /metrics serve — lags each thread by at most 1024 requests and is exact
-// once the run ends.
+// handles and when it exits, so the run's accumulator — what /kv, /overload
+// and /metrics serve — lags each thread by at most 1024 requests and is
+// exact once the run ends.
 type Metrics struct {
 	phase [loadgen.NumPhases]*latency.Hist
 	// The counts are the cells /metrics serves once BindTelemetry has had a
@@ -29,7 +32,31 @@ type Metrics struct {
 	hits    telemetry.Counter
 	misses  telemetry.Counter
 	retired telemetry.Counter
+	failed  [numFailures]telemetry.Counter
+	// goodput counts the successes within the goodput SLO.
+	goodput telemetry.Counter
+	// spanV and allocBytes sum the runs' serving spans (virtual cycles) and
+	// the heap bytes their server threads allocated while serving.
+	spanV      telemetry.Counter
+	allocBytes telemetry.Counter
 }
+
+// Failure is why a request ended without completing; each failed request
+// has exactly one.
+type Failure int
+
+const (
+	// Shed: dropped at dequeue because queueing delay had already consumed
+	// its SLO budget.
+	Shed Failure = iota
+	// DeadlineExceeded: dropped at dequeue past its deadline, or unwound by
+	// its allocation budget.
+	DeadlineExceeded
+	// OOM: failed by heap exhaustion (a per-request failure, not an
+	// aborted run).
+	OOM
+	numFailures
+)
 
 // NewMetrics returns an empty accumulator.
 func NewMetrics() *Metrics {
@@ -40,11 +67,12 @@ func NewMetrics() *Metrics {
 	return mx
 }
 
-// RecordRequest records one completed request: its phase, op, and
-// enqueue-to-completion latency in virtual cycles.
+// RecordRequest records one completed request: its phase, op,
+// enqueue-to-completion latency in virtual cycles, and whether that
+// latency met the goodput SLO.
 //
 //hcsgc:alloc-free
-func (mx *Metrics) RecordRequest(phase int, op loadgen.Op, latV uint64) {
+func (mx *Metrics) RecordRequest(phase int, op loadgen.Op, latV uint64, withinSLO bool) {
 	if mx == nil {
 		return
 	}
@@ -54,6 +82,19 @@ func (mx *Metrics) RecordRequest(phase int, op loadgen.Op, latV uint64) {
 	if op < loadgen.NumOps {
 		mx.ops[op].Inc()
 	}
+	if withinSLO {
+		mx.goodput.Inc()
+	}
+}
+
+// RecordFailure records one request that ended without completing.
+//
+//hcsgc:alloc-free
+func (mx *Metrics) RecordFailure(why Failure) {
+	if mx == nil {
+		return
+	}
+	mx.failed[why].Inc()
 }
 
 // RecordLookup records a GET hit or miss.
@@ -80,6 +121,25 @@ func (mx *Metrics) RecordSessionRetired() {
 	mx.retired.Inc()
 }
 
+// AddServe accumulates one run's serving span (virtual cycles; the goodput
+// rate is normalized against it) and the heap bytes its server threads
+// allocated inside that window.
+func (mx *Metrics) AddServe(spanV, allocBytes uint64) {
+	if mx == nil {
+		return
+	}
+	mx.spanV.Add(spanV)
+	mx.allocBytes.Add(allocBytes)
+}
+
+// ServeAllocBytes returns the accumulated serving-window allocation volume.
+func (mx *Metrics) ServeAllocBytes() uint64 {
+	if mx == nil {
+		return 0
+	}
+	return mx.allocBytes.Value()
+}
+
 // Merge folds o into mx (histograms slot-wise, counters additively).
 //
 //hcsgc:alloc-free
@@ -93,9 +153,15 @@ func (mx *Metrics) Merge(o *Metrics) {
 	for i := range mx.ops {
 		mx.ops[i].Add(o.ops[i].Value())
 	}
+	for i := range mx.failed {
+		mx.failed[i].Add(o.failed[i].Value())
+	}
 	mx.hits.Add(o.hits.Value())
 	mx.misses.Add(o.misses.Value())
 	mx.retired.Add(o.retired.Value())
+	mx.goodput.Add(o.goodput.Value())
+	mx.spanV.Add(o.spanV.Value())
+	mx.allocBytes.Add(o.allocBytes.Value())
 }
 
 // FoldInto moves what mx accumulated into dst and empties mx. Owner only:
@@ -114,10 +180,11 @@ func (mx *Metrics) FoldInto(dst *Metrics) {
 	*mx = Metrics{phase: mx.phase}
 }
 
-// BindTelemetry has reg serve the hcsgc_kv_* metric families from this
-// accumulator (re-pointing them if another was bound): the counters are its
-// own cells, the per-phase latency summaries its HDR histograms, so scrapes
-// see both live and over the same requests.
+// BindTelemetry has reg serve the hcsgc_kv_* metric families and the
+// stale-shed count from this accumulator (re-pointing them if another was
+// bound): the counters are its own cells, the per-phase latency summaries
+// its HDR histograms, so scrapes see both live and over the same requests.
+// The rest of the outcome accounting is the /overload endpoint's Outcomes.
 func (mx *Metrics) BindTelemetry(reg *telemetry.Registry) {
 	if mx == nil || reg == nil {
 		return
@@ -137,6 +204,8 @@ func (mx *Metrics) BindTelemetry(reg *telemetry.Registry) {
 			"KV request latency in virtual cycles, by load phase.",
 			mx.phase[i], "phase", name)
 	}
+	reg.Adopt("hcsgc_overload_stale_sheds_total",
+		"Requests shed at dequeue with their SLO budget already consumed by queueing delay.", &mx.failed[Shed])
 }
 
 // Dist is one phase's latency distribution summary. Quantiles carry the
@@ -259,6 +328,91 @@ func (r Report) Validate() error {
 	}
 	if r.Hits+r.Misses > 0 && r.Ops[loadgen.OpGet.String()] == 0 {
 		return fmt.Errorf("kvstore: lookups recorded without GET ops")
+	}
+	return nil
+}
+
+// Outcomes is the request-outcome section of the ledger, JSON-shaped for
+// the /overload endpoint and the overload report: every request ends
+// exactly once, as a success or a failure.
+type Outcomes struct {
+	// Sheds counts requests dropped at dequeue because queueing delay had
+	// already consumed the SLO budget.
+	Sheds uint64 `json:"sheds"`
+
+	// Failures partition into Sheds, DeadlineExceeded and OOMFailures.
+	DeadlineExceeded uint64 `json:"deadline_exceeded"`
+	OOMFailures      uint64 `json:"oom_failures"`
+	Failures         uint64 `json:"failures"`
+
+	Successes uint64 `json:"successes"`
+	// Goodput/Badput split completed work: successes within the SLO vs
+	// over-SLO successes plus definitive failures.
+	Goodput uint64 `json:"goodput"`
+	Badput  uint64 `json:"badput"`
+	// GoodputPerMcycle normalizes goodput against the serving span.
+	GoodputPerMcycle float64 `json:"goodput_per_mcycle"`
+	// ShedRate is sheds over offered (successes + failures) requests.
+	ShedRate float64 `json:"shed_rate"`
+
+	SLOThresholdCycles uint64 `json:"slo_threshold_cycles"`
+	ServeSpanVCycles   uint64 `json:"serve_span_vcycles"`
+
+	// Success is the successful-request latency distribution (virtual
+	// cycles): the three phase histograms merged, which is exact.
+	Success latency.Dist `json:"success"`
+}
+
+// Outcomes snapshots the outcome accounting. sloCycles is the goodput SLO
+// the recorder judged successes against.
+func (mx *Metrics) Outcomes(sloCycles uint64) Outcomes {
+	success := latency.NewHist()
+	for _, h := range mx.phase {
+		success.Merge(h)
+	}
+	o := Outcomes{
+		Sheds:              mx.failed[Shed].Value(),
+		DeadlineExceeded:   mx.failed[DeadlineExceeded].Value(),
+		OOMFailures:        mx.failed[OOM].Value(),
+		Goodput:            mx.goodput.Value(),
+		SLOThresholdCycles: sloCycles,
+		ServeSpanVCycles:   mx.spanV.Value(),
+		Success:            success.Dist(),
+	}
+	o.Successes = o.Success.Count
+	o.Failures = o.Sheds + o.DeadlineExceeded + o.OOMFailures
+	o.Badput = (o.Successes - o.Goodput) + o.Failures
+	if offered := o.Successes + o.Failures; offered > 0 {
+		o.ShedRate = float64(o.Sheds) / float64(offered)
+	}
+	if o.ServeSpanVCycles > 0 {
+		o.GoodputPerMcycle = float64(o.Goodput) / (float64(o.ServeSpanVCycles) / 1e6)
+	}
+	return o
+}
+
+// Validate checks the outcome section's structural invariants: the goodput
+// split must partition successes, the failure causes must partition
+// failures, and the shed rate must be a fraction.
+func (o Outcomes) Validate() error {
+	if o.Goodput > o.Successes {
+		return fmt.Errorf("kvstore: goodput %d exceeds successes %d", o.Goodput, o.Successes)
+	}
+	if o.Badput != (o.Successes-o.Goodput)+o.Failures {
+		return fmt.Errorf("kvstore: badput %d does not partition successes/failures", o.Badput)
+	}
+	if causes := o.Sheds + o.DeadlineExceeded + o.OOMFailures; causes != o.Failures {
+		return fmt.Errorf("kvstore: %d sheds + %d deadline expiries + %d OOM failures != %d failures",
+			o.Sheds, o.DeadlineExceeded, o.OOMFailures, o.Failures)
+	}
+	if o.ShedRate < 0 || o.ShedRate > 1 {
+		return fmt.Errorf("kvstore: shed rate %v out of [0,1]", o.ShedRate)
+	}
+	if d := o.Success; d.Count > 0 && (d.P50 > d.P99 || d.P99 > d.P999 || d.P999 > d.Max) {
+		return fmt.Errorf("kvstore: success quantiles not monotone")
+	}
+	if d := o.Success; d.Count != o.Successes {
+		return fmt.Errorf("kvstore: success histogram count %d != successes %d", d.Count, o.Successes)
 	}
 	return nil
 }

@@ -169,8 +169,8 @@ type ewmaState struct {
 type Plane struct {
 	cfg Config
 
-	// mu guards the history; taken from under the collector's cycle path
-	// and the overload poller, so it ranks below every caller's lock.
+	// mu guards the history; taken from under the collector's cycle path and
+	// the tail attributor's exemplar lock, so it ranks below every caller's.
 	//
 	//hcsgc:lock-order 60
 	mu sync.Mutex

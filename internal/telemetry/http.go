@@ -100,7 +100,7 @@ var snapshotEndpoints = []string{
 	"signals",    // unified per-cycle signal plane (signals.Plane.Snapshot)
 	"contention", // ranked lock sites, CAS loops, worker balance (contention.Plane.Snapshot)
 	"tailattr",   // request-level tail attribution (signals.TailAttributor.Report)
-	"overload",   // KV request outcomes and goodput accounting (overload.Stats.Report)
+	"overload",   // KV request outcomes and goodput accounting (kvstore.Metrics.Outcomes)
 }
 
 // SetEndpoint installs the snapshot source behind the /name endpoint;

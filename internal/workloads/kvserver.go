@@ -3,13 +3,13 @@ package workloads
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"hcsgc"
 	"hcsgc/internal/kvstore"
 	"hcsgc/internal/loadgen"
-	"hcsgc/internal/overload"
 )
 
 // KVServer models a memcached-style serving system: server threads
@@ -31,9 +31,22 @@ import (
 // With RunConfig.Overload set, the serving loop runs protected: a request
 // still queued past its deadline, or whose queueing delay has consumed its
 // SLO budget, is dropped at dequeue, and each served request's deadline is
-// armed as its allocation budget. Every request runs once. Unprotected
-// runs skip all of that except the OOM degradation — a full heap fails
-// individual requests, never the run.
+// armed as its allocation budget (so a would-be convoy seat unwinds as
+// ErrDeadlineExceeded instead of stalling through the global retry budget).
+// Every request runs once. Unprotected runs skip all of that except the OOM
+// degradation — a full heap fails individual requests, never the run.
+const (
+	// DeadlineCycles is a protected request's virtual-cycle budget from
+	// arrival, propagated into the load generator's schedule.
+	DeadlineCycles = 2_000_000
+	// MaxStallsPerRequest bounds the allocation stalls one protected request
+	// may absorb before failing fast.
+	MaxStallsPerRequest = 2
+	// GoodputSLOCycles is the latency bound under which a successful
+	// request counts as goodput, and the budget the stale shed enforces.
+	GoodputSLOCycles = 1_000_000
+)
+
 const (
 	kvThreads      = 4
 	kvDefaultScale = 1.0
@@ -95,7 +108,7 @@ func KVServer() Workload {
 			}
 			var deadlineCycles uint64
 			if cfg.Overload {
-				deadlineCycles = overload.DeadlineCycles
+				deadlineCycles = DeadlineCycles
 			}
 			sched := loadgen.Generate(loadgen.Config{
 				Seed:           cfg.Seed,
@@ -105,16 +118,16 @@ func KVServer() Workload {
 				DeadlineCycles: deadlineCycles,
 			})
 
-			// Per-run metrics; merged into the caller's accumulators (the
-			// bench A/B aggregates across repeats) at the end. mx holds
-			// only successful requests; ost holds the outcome accounting.
+			// The run's ledger; merged into the caller's (the bench A/B
+			// aggregates across repeats) at the end.
 			mx := kvstore.NewMetrics()
-			ost := overload.NewStats()
 			if cfg.Telemetry != nil {
 				mx.BindTelemetry(cfg.Telemetry.Metrics())
-				// The /kv endpoint serves this run's live report (latest
-				// run wins, like the other per-runtime endpoints).
+				// The /kv and /overload endpoints serve this run's live
+				// ledger (latest run wins, like the other per-runtime
+				// endpoints).
 				cfg.Telemetry.SetEndpoint("kv", func() any { return mx.Report(nil) })
+				cfg.Telemetry.SetEndpoint("overload", func() any { return mx.Outcomes(GoodputSLOCycles) })
 			}
 			if cfg.Tail != nil && cfg.Telemetry != nil {
 				cfg.Tail.BindTelemetry(cfg.Telemetry.Metrics())
@@ -125,11 +138,6 @@ func KVServer() Workload {
 			e := newEnv(cfg, kvHeapBytes, 2)
 			defer e.cleanup()
 			types := kvstore.RegisterTypes(e.rt.Types)
-
-			if cfg.Telemetry != nil {
-				ost.BindTelemetry(cfg.Telemetry.Metrics())
-				cfg.Telemetry.SetEndpoint("overload", func() any { return ost.Report(overload.GoodputSLOCycles) })
-			}
 
 			lg := sched.Config
 			var (
@@ -157,11 +165,10 @@ func KVServer() Workload {
 					// signal plane.
 					col := e.rt.Collector
 					cl := cfg.Tail.Classifier(e.rt.Signals)
-					// The thread's own accounting, folded into mx and ost
-					// every kvFoldEvery handled requests and on exit: the
-					// shared cells see one write per fold, not per request.
-					tmx, tst := kvstore.NewMetrics(), overload.NewStats()
-					defer tst.FoldInto(ost)
+					// The thread's own ledger, folded into mx every
+					// kvFoldEvery handled requests and on exit: the shared
+					// cells see one write per fold, not per request.
+					tmx := kvstore.NewMetrics()
 					defer tmx.FoldInto(mx)
 					// A heap too exhausted to hold even the bucket array
 					// leaves the shard dead: the thread stays up and fails
@@ -219,7 +226,6 @@ func KVServer() Workload {
 						}
 						if handled%kvFoldEvery == 0 && handled > 0 {
 							tmx.FoldInto(mx)
-							tst.FoldInto(ost)
 						}
 						handled++
 						at := base + r.At
@@ -242,8 +248,7 @@ func KVServer() Workload {
 							// request can be at most DeadlineCycles old when
 							// service starts.
 							if now := m.VirtualCycles(); now >= deadlineAbs {
-								tst.RecordDeadlineExceeded()
-								tst.RecordFailure()
+								tmx.RecordFailure(kvstore.DeadlineExceeded)
 								// The drop itself proves the queue has not
 								// drained: keep the convoy chain alive for
 								// the requests behind it.
@@ -264,11 +269,10 @@ func KVServer() Workload {
 						// becomes an SLO violation attributable to nothing
 						// but the queue itself.
 						if cfg.Overload {
-							const guard = overload.GoodputSLOCycles / 16
+							const guard = GoodputSLOCycles / 16
 							if now := m.VirtualCycles(); now > at &&
-								now-at+svcWorst[r.Op]+guard >= overload.GoodputSLOCycles {
-								tst.RecordShed()
-								tst.RecordFailure()
+								now-at+svcWorst[r.Op]+guard >= GoodputSLOCycles {
+								tmx.RecordFailure(kvstore.Shed)
 								// Like the deadline drop: the backlog has
 								// not drained, keep the convoy chain alive.
 								cl.NoteDisruption(at, now, col.Cycles(), 0, 0)
@@ -278,28 +282,23 @@ func KVServer() Workload {
 						if st == nil {
 							// Dead shard (bucket array never fit): fail the
 							// request without touching the heap.
-							tst.RecordOOMFailure()
-							tst.RecordFailure()
+							tmx.RecordFailure(kvstore.OOM)
 							m.Work(kvWorkPerReq)
 							continue
 						}
-						// Snapshot the attribution counters around the
-						// execution window (service start to completion):
-						// the deltas say whether this request stalled, sat
-						// through a pause, or ran while another thread
+						// Snapshot the counters around the execution window
+						// (service start to completion): the deltas say
+						// whether this request stalled, sat through a pause,
+						// or (for the classifier) ran while another thread
 						// stalled.
-						var tailStall0, tailPause0, tailGStalls0, tailCyc0 uint64
-						if cl != nil {
-							tailStall0 = m.StallVirtualCycles()
-							tailPause0 = col.PauseCycles()
-							tailGStalls0 = col.StallCount()
-							tailCyc0 = col.Cycles()
-						}
 						svcStart := m.VirtualCycles()
-						svcStall0 := m.StallVirtualCycles()
-						svcPause0 := col.PauseCycles()
+						stall0, pause0 := m.StallVirtualCycles(), col.PauseCycles()
+						var gStalls0, cyc0 uint64
+						if cl != nil {
+							gStalls0, cyc0 = col.StallCount(), col.Cycles()
+						}
 						if deadlineAbs > 0 {
-							m.SetAllocBudget(deadlineAbs, overload.MaxStallsPerRequest)
+							m.SetAllocBudget(deadlineAbs, MaxStallsPerRequest)
 						}
 						delta, reqErr := kvExecOp(st, tmx, r, keys)
 						if deadlineAbs > 0 {
@@ -309,9 +308,9 @@ func KVServer() Workload {
 						case reqErr == nil:
 							check += delta
 						case errors.Is(reqErr, hcsgc.ErrDeadlineExceeded):
-							tst.RecordDeadlineExceeded()
+							tmx.RecordFailure(kvstore.DeadlineExceeded)
 						case errors.Is(reqErr, hcsgc.ErrOutOfMemory):
-							tst.RecordOOMFailure()
+							tmx.RecordFailure(kvstore.OOM)
 						default:
 							panic(reqErr)
 						}
@@ -319,8 +318,7 @@ func KVServer() Workload {
 						end := m.VirtualCycles()
 						if reqErr == nil {
 							lat := end - at
-							tmx.RecordRequest(int(r.Phase), r.Op, lat)
-							tst.RecordSuccess(lat, lat <= overload.GoodputSLOCycles)
+							tmx.RecordRequest(int(r.Phase), r.Op, lat, lat <= GoodputSLOCycles)
 							if cfg.Overload {
 								// Update the clean-service worst case:
 								// slow decay so a one-off high does not
@@ -330,8 +328,8 @@ func KVServer() Workload {
 								// disruption, not the op).
 								w := svcWorst[r.Op] - svcWorst[r.Op]/64
 								if svc := end - svcStart; svc > w &&
-									m.StallVirtualCycles() == svcStall0 &&
-									col.PauseCycles() == svcPause0 {
+									m.StallVirtualCycles() == stall0 &&
+									col.PauseCycles() == pause0 {
 									w = svc
 								}
 								svcWorst[r.Op] = w
@@ -344,15 +342,14 @@ func KVServer() Workload {
 									ArrivalV:     at,
 									StartV:       svcStart,
 									EndV:         end,
-									OwnStallV:    m.StallVirtualCycles() - tailStall0,
-									PauseV:       col.PauseCycles() - tailPause0,
-									GlobalStalls: col.StallCount() - tailGStalls0,
-									CycleBefore:  tailCyc0,
+									OwnStallV:    m.StallVirtualCycles() - stall0,
+									PauseV:       col.PauseCycles() - pause0,
+									GlobalStalls: col.StallCount() - gStalls0,
+									CycleBefore:  cyc0,
 									CycleAfter:   col.Cycles(),
 								})
 							}
 						} else {
-							tst.RecordFailure()
 							// A failed request can still be the convoy's
 							// seed (it stalled or sat through a pause) or
 							// part of its backlog: either way, tell the
@@ -360,8 +357,8 @@ func KVServer() Workload {
 							// stays attributable.
 							if cl != nil {
 								cl.NoteDisruption(at, end, col.Cycles(),
-									m.StallVirtualCycles()-tailStall0,
-									col.PauseCycles()-tailPause0)
+									m.StallVirtualCycles()-stall0,
+									col.PauseCycles()-pause0)
 							}
 						}
 						if tid == 0 && r.Seq%2048 == 0 {
@@ -383,27 +380,15 @@ func KVServer() Workload {
 			e.m.Blocked(func() { wg.Wait() })
 			e.sampleHeap()
 
-			var span uint64
-			for _, s := range spans {
-				if s > span {
-					span = s
-				}
-			}
-			ost.AddServeSpan(span)
-			ost.AddServeAllocBytes(serveAlloc.Load())
+			mx.AddServe(slices.Max(spans), serveAlloc.Load())
 
 			rep := mx.Report(nil)
-			orep := ost.Report(overload.GoodputSLOCycles)
+			out := mx.Outcomes(GoodputSLOCycles)
 			var check uint64
 			for _, c := range checks {
 				check += c
 			}
-			if cfg.KV != nil {
-				cfg.KV.Merge(mx)
-			}
-			if cfg.OverloadStats != nil {
-				cfg.OverloadStats.Merge(ost)
-			}
+			cfg.KV.Merge(mx)
 			res := e.finish(check)
 			res.Ops = uint64(reqs)
 			steady := rep.Phases[loadgen.PhaseSteady].Dist
@@ -417,9 +402,9 @@ func KVServer() Workload {
 				"kv-p999-steady": steady.P999,
 				"kv-p999-burst":  burst.P999,
 				"kv-hit-rate":    hitRate,
-				"kv-sheds":       float64(orep.Sheds),
-				"kv-failures":    float64(orep.Failures),
-				"kv-goodput":     float64(orep.Goodput),
+				"kv-sheds":       float64(out.Sheds),
+				"kv-failures":    float64(out.Failures),
+				"kv-goodput":     float64(out.Goodput),
 			}
 			return res
 		}),

@@ -6,19 +6,23 @@ import (
 	"time"
 
 	"hcsgc"
-	"hcsgc/internal/overload"
+	"hcsgc/internal/kvstore"
 )
+
+// TestProtectionConstants: the goodput bound sits inside the deadline (a
+// request that meets its SLO never expires), and a request may absorb at
+// least one allocation stall before failing fast.
+func TestProtectionConstants(t *testing.T) {
+	if GoodputSLOCycles >= DeadlineCycles || MaxStallsPerRequest < 1 {
+		t.Fatal("protection constants out of order")
+	}
+}
 
 // kvOverloadCfg is the protected tiny KV configuration the overload tests
 // share: small scale, deadlines and the stale shed armed.
-func kvOverloadCfg(seed int64) (RunConfig, *overload.Stats) {
-	ost := overload.NewStats()
-	return RunConfig{
-		Seed:          seed,
-		Scale:         0.02,
-		Overload:      true,
-		OverloadStats: ost,
-	}, ost
+func kvOverloadCfg(seed int64) (RunConfig, *kvstore.Metrics) {
+	kv := kvstore.NewMetrics()
+	return RunConfig{Seed: seed, Scale: 0.02, Overload: true, KV: kv}, kv
 }
 
 // TestKVForcedDeadlineFailsFast: with every armed allocation budget forced
@@ -36,7 +40,7 @@ func TestKVForcedDeadlineFailsFast(t *testing.T) {
 	if _, err := w.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	rep := ost.Report(0)
+	rep := ost.Outcomes(0)
 	if rep.DeadlineExceeded == 0 {
 		t.Fatal("injector never forced a deadline expiry")
 	}
@@ -79,7 +83,7 @@ func TestKVTinyHeapDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tiny-heap run aborted instead of degrading: %v", err)
 	}
-	rep := ost.Report(0)
+	rep := ost.Outcomes(0)
 	degraded := rep.Sheds + rep.DeadlineExceeded + rep.OOMFailures
 	if degraded == 0 {
 		t.Fatal("tiny heap produced no sheds, expiries, or OOM failures — not actually under pressure")
@@ -115,7 +119,7 @@ func TestKVProtectedChecksumUnaffectedWhenCalm(t *testing.T) {
 	cfg, ost := kvOverloadCfg(42)
 	cfg.Scale = 0.01
 	prot := mustRun(t, w, cfg)
-	rep := ost.Report(0)
+	rep := ost.Outcomes(0)
 	if rep.Sheds+rep.DeadlineExceeded != 0 {
 		t.Skipf("calm run saw pressure (%d sheds, %d expiries); checksum comparison void",
 			rep.Sheds, rep.DeadlineExceeded)

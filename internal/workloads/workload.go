@@ -15,7 +15,6 @@ import (
 	"hcsgc"
 	"hcsgc/internal/kvstore"
 	"hcsgc/internal/machine"
-	"hcsgc/internal/overload"
 	"hcsgc/internal/simmem"
 )
 
@@ -78,20 +77,15 @@ type RunConfig struct {
 	// (nil = detached). The caller keeps the handle and inspects the
 	// violations after the run.
 	Verifier *hcsgc.HeapVerifier
-	// KV is the serving-metrics accumulator for the KV server workload
-	// (nil = per-run metrics are discarded after Scores are derived).
-	// Shared across runs, it merges their request distributions.
+	// KV is the serving ledger for the KV server workload: request
+	// latencies and outcomes (nil = the per-run ledger is discarded after
+	// Scores are derived). Shared across runs, it merges them.
 	KV *kvstore.Metrics
 	// Overload protects the KV serving path: per-request deadlines
-	// (overload.DeadlineCycles, propagated into the load generator's
-	// schedule and armed as allocation budgets) and the stale shed at
-	// dequeue. Unprotected, heap exhaustion still degrades to per-request
-	// failures.
+	// (DeadlineCycles, propagated into the load generator's schedule and
+	// armed as allocation budgets) and the stale shed at dequeue.
+	// Unprotected, heap exhaustion still degrades to per-request failures.
 	Overload bool
-	// OverloadStats accumulates the KV requests' outcome accounting
-	// (nil = per-run stats are discarded after Scores are derived).
-	// Shared across runs, it merges their counters and distributions.
-	OverloadStats *overload.Stats
 	// LoadFactor multiplies the KV arrival rate (the mean interarrival
 	// gap divides by it; 0 or 1 = the workload's sustainable default).
 	// The overload bench sets >= 2 to push past the sustainable point.

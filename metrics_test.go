@@ -62,7 +62,6 @@ func TestMetricsSchema(t *testing.T) {
 	})
 	kvstore.NewMetrics().BindTelemetry(reg)
 	hcsgc.NewTailAttributor(hcsgc.TailConfig{}).BindTelemetry(reg)
-	hcsgc.NewOverloadStats().BindTelemetry(reg)
 
 	obj := rt.Types.Register("schema.obj", 3, nil)
 	m := rt.NewMutator(2)
@@ -192,15 +191,17 @@ func TestOneScrapeOneTimeBase(t *testing.T) {
 	}
 }
 
-// TestScrapeDuringRun scrapes /metrics, and renders /signals and
-// /flightrecorder, in a loop while a KV run serves: the registry reads cells
-// that mutator and GC threads are writing, the two JSON endpoints read
-// cycle records the collector's cycle path has just logged, and a run
-// attaching its planes re-points series under the scraper. Run under -race
-// (CI does). The view must stay live although server threads account
-// privately and fold: mid-run scrapes see requests served before the run's
-// last fold, and the count never falls. The second run has one server
-// thread, so only a fold before its exit can show such a count.
+// TestScrapeDuringRun scrapes /metrics, and renders /signals,
+// /flightrecorder and /overload, in a loop while a KV run serves: the
+// registry and /overload read ledger cells that server threads fold into,
+// the other two JSON endpoints read cycle records the collector's cycle
+// path has just logged, and a run attaching its planes re-points series
+// under the scraper. Run under -race (CI does). The view must stay live
+// although server threads account privately and fold: mid-run scrapes see
+// requests served before the run's last fold, and the count never falls.
+// The second run has one server thread, so only a fold before its exit can
+// show such a count. Once a run returns, /overload's successes are exactly
+// the requests /metrics counted.
 func TestScrapeDuringRun(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	w, err := workloads.Get("kv")
@@ -239,11 +240,15 @@ func TestScrapeDuringRun(t *testing.T) {
 			reqs, err := scrapeSumErr(sink, "hcsgc_kv_requests_total")
 			var sig struct{ Cycles uint64 }
 			var dump struct{ Report struct{ Cycles uint64 } }
+			var ovl struct{ Successes uint64 }
 			if err == nil {
 				err = render("/signals", &sig)
 			}
 			if err == nil {
 				err = render("/flightrecorder", &dump)
+			}
+			if err == nil {
+				err = render("/overload", &ovl)
 			}
 			if err != nil {
 				scrapeErr = err
@@ -266,6 +271,13 @@ func TestScrapeDuringRun(t *testing.T) {
 		}
 		running.Store(0)
 		final[seed] = scrapeSum(t, sink, "hcsgc_kv_requests_total")
+		var ovl struct{ Successes uint64 }
+		if err := render("/overload", &ovl); err != nil {
+			t.Fatal(err)
+		}
+		if ovl.Successes != final[seed] {
+			t.Errorf("run %d: /overload counted %d successes, /metrics %d requests", seed, ovl.Successes, final[seed])
+		}
 	}
 	close(stop)
 	wg.Wait()
