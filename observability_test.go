@@ -104,11 +104,13 @@ func TestSignalsEndpointShape(t *testing.T) {
 // stored once, in the latency tracker's cycle log; the signal plane's
 // history, Latest and Lookup link that same record, and the GC log and the
 // flight recorder read it. The collector has set its end-of-cycle fields
-// (closing clock, allocation and relocation deltas) before anyone reads it.
+// (closing clock, allocation and relocation deltas) before anyone reads it,
+// and every record carries the locality, worker and contention sections.
 func TestOneCycleLog(t *testing.T) {
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
 		HeapMaxBytes: 64 << 20,
 		Knobs:        hcsgc.Knobs{Hotness: true, RelocateAllSmallPages: true, LazyRelocate: true},
+		Locality:     hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{}),
 	})
 	defer rt.Close()
 	obj := rt.Types.Register("onerecord.obj", 3, nil)
@@ -142,6 +144,10 @@ func TestOneCycleLog(t *testing.T) {
 	for i, rec := range log {
 		if history[i].CycleRecord != rec {
 			t.Errorf("cycle %d: the signal history holds a record other than the logged one", rec.Seq)
+		}
+		if h := history[i]; !h.Locality.Present || !h.Workers.Present || !h.Contention.Present {
+			t.Errorf("cycle %d: /signals sections present: locality %v, workers %v, contention %v",
+				rec.Seq, h.Locality.Present, h.Workers.Present, h.Contention.Present)
 		}
 		if cs, ok := rt.Signals.Lookup(rec.Seq); !ok || cs.CycleRecord != rec {
 			t.Errorf("cycle %d: Lookup does not carry the logged record (found %v)", rec.Seq, ok)
