@@ -94,12 +94,11 @@ type (
 	LatencyReport = latency.Report
 	// LatencyDist is one HDR distribution summary inside a LatencyReport.
 	LatencyDist = latency.Dist
-	// SignalPlane is the unified per-cycle GC signal plane: one immutable
-	// signals.CycleSignals record per cycle boundary (the cycle's logged
-	// latency.CycleRecord, shared, plus the other planes' sections) with
-	// EWMA/trend derivations and anomaly flags (see internal/signals).
-	// Every runtime has one (Runtime.Signals). This record is the sensor
-	// bus an allocation-rate pacing controller would read.
+	// SignalPlane is the per-cycle GC signal plane: a window onto the
+	// latency tracker's cycle log (/signals), the per-cycle
+	// hcsgc_signal_value gauges, and the cycle-number lookup the tail
+	// attributor links exemplars with (see internal/signals). Every
+	// runtime has one (Runtime.Signals).
 	SignalPlane = signals.Plane
 	// SignalsConfig tunes the signal plane.
 	SignalsConfig = signals.Config
@@ -114,7 +113,7 @@ type (
 	ContentionPlane = contention.Plane
 	// TailAttributor classifies SLO-violating requests by cause
 	// (stw-pause / alloc-stall / queued-behind-stall / service) and links
-	// them to the responsible cycle's CycleSignals record.
+	// them to the responsible cycle's logged record.
 	TailAttributor = signals.TailAttributor
 	// TailConfig tunes a TailAttributor.
 	TailConfig = signals.TailConfig

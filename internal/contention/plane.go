@@ -27,39 +27,12 @@ type WorkerTotals struct {
 	BusyCycles uint64
 }
 
-// WorkerDelta is one GC cycle's worker-balance view: the cycle's share of
-// the workers' scanned/relocated/stolen counts and the imbalance
-// coefficient (stddev/mean of per-worker work; 0 = perfectly balanced).
-// It is the "workers" section of signals.CycleSignals; Present is false
-// (fields zero) for a collector built without a plane.
-type WorkerDelta struct {
-	Present   bool    `json:"present"`
-	Workers   int     `json:"workers"`
-	Imbalance float64 `json:"imbalance"`
-	Scanned   uint64  `json:"scanned"`
-	Relocated uint64  `json:"relocated"`
-	Steals    uint64  `json:"steals"`
-}
-
-// LockDelta is one GC cycle's serialization view: the cycle's lock and
-// CAS-loop activity summed across sites. It is the "contention" section of
-// signals.CycleSignals; Present is false for a collector built without a
-// plane.
-type LockDelta struct {
-	Present       bool    `json:"present"`
-	Acquisitions  uint64  `json:"acquisitions"`
-	Contended     uint64  `json:"contended"`
-	ContendedFrac float64 `json:"contended_frac"`
-	CASOps        uint64  `json:"cas_ops"`
-	CASRetries    uint64  `json:"cas_retries"`
-	RetryFrac     float64 `json:"retry_frac"`
-}
-
 // CycleDelta is what OnCycle hands back: per-cycle differences of every
-// cumulative counter the plane tracks.
+// cumulative counter the plane tracks, as the cycle record's "workers" and
+// "contention" sections.
 type CycleDelta struct {
-	Workers WorkerDelta
-	Locks   LockDelta
+	Workers latency.WorkerDelta
+	Locks   latency.LockDelta
 }
 
 // advance moves seen, a cumulative total as of the last cycle boundary, to
@@ -222,7 +195,7 @@ const (
 // OnCycle ingests one GC cycle's worker totals, differentiates every
 // cumulative counter into this cycle's delta, updates metrics and
 // Perfetto counter tracks, and returns the delta: the two sections the
-// signal plane's record carries. Called once per cycle from the collector
+// cycle record carries. Called once per cycle from the collector
 // with seq the cycle sequence number; nil-plane safe (returns the zero
 // delta, Present false).
 func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
@@ -233,7 +206,7 @@ func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 	defer p.mu.Unlock()
 	p.cycles++
 
-	l := LockDelta{Present: true}
+	l := latency.LockDelta{Present: true}
 	for _, s := range p.sites {
 		l.Acquisitions += advance(&s.seenAcq, s.Acquisitions())
 		l.Contended += advance(&s.seenContd, s.contended.Load())
@@ -258,7 +231,7 @@ func (p *Plane) OnCycle(seq uint64, workers []WorkerTotals) CycleDelta {
 	for i := len(p.workers); i < len(workers); i++ {
 		p.workers = append(p.workers, &workerSeen{})
 	}
-	w := WorkerDelta{Present: true, Workers: len(workers)}
+	w := latency.WorkerDelta{Present: true, Workers: len(workers)}
 	work := make([]float64, len(workers))
 	for i, t := range workers {
 		ws := p.workers[i]

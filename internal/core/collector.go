@@ -145,6 +145,7 @@ func New(h *heap.Heap, types *objmodel.Registry, cfg Config) (*Collector, error)
 	c.tm = newColTelemetry(cfg.Telemetry, c)
 	c.lat = cfg.Latency
 	c.sig = cfg.Signals
+	c.sig.Attach(c.lat)
 	c.inj = cfg.FaultInjector
 	c.ctn = cfg.Contention
 	c.cycleMu.Instrument(c.ctn.NewSite("core.cycleMu"))
@@ -358,13 +359,13 @@ func (c *Collector) runCycle(reason string) {
 
 	c.cycles.Inc()
 	// Collector-owned fields first, then the tracker completes the record
-	// in place and logs it, and only then does the signal plane link it:
+	// in place and logs it, and only then does the signal plane publish it:
 	// every reader sees the completed record, and nothing writes it again.
 	c.closeCycleRecord(cs)
 	c.tm.ecPages[0].Add(uint64(cs.ECSmall))
 	c.tm.ecPages[1].Add(uint64(cs.ECMedium))
 	c.recordLatencyCycle(cs)
-	c.recordSignals(cs)
+	c.sig.OnCycle(cs)
 	c.tm.rec.EndSpan(telemetry.SpanCycle, collectorTID)
 	if c.cfg.Knobs.AutoTune {
 		c.autoTune()

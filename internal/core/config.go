@@ -138,15 +138,15 @@ type Config struct {
 	// Nil means one with the default configuration: a collector always
 	// has a tracker.
 	Latency *latency.Tracker
-	// Signals is the unified per-cycle signal plane: at every cycle
-	// boundary the collector hands it the cycle's record and the other
-	// planes' sections as one immutable CycleSignals record. Nil means one
-	// with the default configuration: a collector always has a plane.
+	// Signals is the per-cycle signal plane, a view of Latency's cycle
+	// log: the collector attaches the tracker to it and hands it each
+	// logged record. Nil means one with the default configuration: a
+	// collector always has a plane.
 	Signals *signals.Plane
 	// Contention is the optional contention attribution plane: the
 	// collector's locks, CAS loops and GC workers report to it, and at
 	// every cycle boundary the collector folds its per-cycle delta into
-	// the signal record. Nil leaves the collector's sites unattributed
+	// the cycle record. Nil leaves the collector's sites unattributed
 	// (one predictable branch per site); it has no default here because
 	// the heap (heap.Config.Contention) and the hierarchy
 	// (Hierarchy.SetContention) are built first and take the same plane —

@@ -1,16 +1,12 @@
 package core
 
-import (
-	"hcsgc/internal/contention"
-	"hcsgc/internal/signals"
-)
+import "hcsgc/internal/contention"
 
 // The collector's cycle-boundary wiring: closeCycleRecord fills the fields
-// of the cycle's record the collector owns, and recordSignals collects the
-// sections the other planes own into one signals.CycleSignals around it.
-// The locality profiler and the contention plane may be nil (their OnCycle
-// then returns a section with Present false); the tracker and the signal
-// plane never are.
+// of the cycle's record the collector owns, including the sections the
+// other planes hand back, before the tracker logs it. The locality profiler
+// and the contention plane may be nil (their OnCycle then returns a section
+// with Present false); the tracker and the signal plane never are.
 
 // since returns how far now is past *mark and moves the watermark to now.
 func since(mark *uint64, now uint64) uint64 {
@@ -32,9 +28,10 @@ func (c *Collector) allocBytesTotal() uint64 {
 }
 
 // closeCycleRecord fills what the collector knows only at the cycle's end:
-// the closing clock reading and the since-last-boundary deltas. It runs
-// before any plane sees the record, so what the cycle log stores is
-// complete. Under cycleMu.
+// the closing clock reading, the since-last-boundary deltas, and the
+// locality profiler's and contention plane's sections. It runs before the
+// tracker logs the record, so what the cycle log stores is complete. Under
+// cycleMu.
 func (c *Collector) closeCycleRecord(cs *CycleStats) {
 	cs.HeapUsedAfter = c.heap.UsedPercent()
 	cs.VEnd = c.VirtualCycles()
@@ -48,16 +45,9 @@ func (c *Collector) closeCycleRecord(cs *CycleStats) {
 		c.stats.relocObjects[0].Value()+c.stats.relocObjects[1].Value())
 	cs.RelocBytes = since(&c.lastRelocBytes,
 		c.stats.relocBytes[0].Value()+c.stats.relocBytes[1].Value())
-}
-
-// recordSignals publishes the cycle's unified signal record: a link to the
-// cycle's logged record plus the sections their owners hand back. Runs
-// under cycleMu after the latency tracker completed and logged the record.
-func (c *Collector) recordSignals(cs *CycleStats) {
-	ls := c.cfg.Locality.OnCycle(cs.Seq, cs.SegregationPurity)
+	cs.Locality = c.cfg.Locality.OnCycle(cs.Seq, cs.SegregationPurity)
 	ctn := c.ctn.OnCycle(cs.Seq, c.workerTotals())
-	c.sig.OnCycle(signals.CycleSignals{CycleRecord: cs, Locality: ls,
-		Workers: ctn.Workers, Contention: ctn.Locks, StallDist: c.lat.StallDist()})
+	cs.Workers, cs.Contention = ctn.Workers, ctn.Locks
 }
 
 // workerTotals snapshots every GC worker's cumulative balance counters

@@ -411,8 +411,8 @@ func entropyBits(maps []map[uint64]uint64, ovfs []uint64) float64 {
 // of cycle `seq` with the mark's segregation purity. It drains every
 // probe's interval counters into a per-cycle snapshot, folds them into the
 // cumulative view, publishes gauges, emits Perfetto counter events, and
-// returns the interval as the signal plane's section. Nil-safe (the zero
-// section, Present false).
+// returns the interval as the cycle record's "locality" section. Nil-safe
+// (the zero section, Present false).
 func (pf *Profiler) OnCycle(seq uint64, purity float64) Signals {
 	if pf == nil {
 		return Signals{}

@@ -60,9 +60,10 @@ type CycleReport struct {
 	Interval Stats  `json:"interval"`
 }
 
-// Signals is the "locality" section of signals.CycleSignals: the part of
-// one cycle's interval stats the signal plane derives series from. Present
-// is false (and the fields zero) when no profiler is attached.
+// Signals is the "locality" section of the cycle record
+// (latency.CycleRecord): the part of one cycle's interval stats the signal
+// plane publishes. Present is false (and the fields zero) when no profiler
+// is attached.
 type Signals struct {
 	Present           bool    `json:"present"`
 	ReuseP50          float64 `json:"reuse_p50_lines"`

@@ -1,71 +1,36 @@
-// Package signals is the unified per-cycle GC signal plane: at every
-// cycle boundary the collector hands over a link to the cycle's one record
-// (pauses, concurrent phases, barrier slow-path deltas, MMU ladder,
-// utilization, occupancy, allocation and relocation deltas — the
-// latency.CycleRecord the latency tracker's cycle log stores) together with
-// the sections the other planes own — the locality profiler's interval
-// stats (reuse distance, stream coverage, segregation purity) and the
-// contention plane's worker and lock deltas — as one immutable CycleSignals
-// record. The plane keeps a bounded history of them, derives EWMA and trend
-// series over a fixed set of scalar signals, and raises threshold-based
-// anomaly flags.
-//
-// This record shape is the sensor bus of online control: an
-// allocation-rate pacing trigger would read Derived (level + direction per
-// signal) and Flags, and the tail attributor (tail.go) links slow requests
-// back to the responsible record. Exposition: the /signals endpoint serves
-// Snapshot, BindTelemetry registers the hcsgc_signal_* families, and
-// Perfetto counter tracks carry the per-cycle series.
+// Package signals is the per-cycle GC signal plane: a view of the latency
+// tracker's cycle log. Each logged latency.CycleRecord carries the cycle's
+// pauses, concurrent phases, barrier slow-path deltas, MMU ladder,
+// utilization, occupancy, allocation and relocation deltas, the stall
+// distribution, and the sections the other planes own (the locality
+// profiler's interval stats, the contention plane's worker and lock
+// deltas). The plane serves the newest of those records (Snapshot, the
+// /signals payload), resolves a cycle number to its record for the tail
+// attributor (Lookup; tail.go), and publishes a fixed set of scalar signals
+// per cycle as hcsgc_signal_value gauges and Perfetto counter tracks. It
+// stores no record and derives no series of its own: analysis belongs to
+// whoever reads the log.
 //
 // The plane is part of a runtime, not an attachment: every collector has
-// one (core.Config builds a default when handed none), so a cycle always has
-// a CycleSignals record. What it costs is the planes' host share in
-// benchmark/ (planes.host_share).
+// one (core.Config builds a default when handed none) and attaches its
+// tracker to it. What it costs is the planes' host share in benchmark/
+// (planes.host_share).
 package signals
 
 import (
-	"sync"
+	"sync/atomic"
 
-	"hcsgc/internal/contention"
-	"hcsgc/internal/locality"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
 
 // Config tunes a Plane. The zero value gets usable defaults.
 type Config struct {
-	// History is the plane's window: how many of the newest CycleSignals
-	// it retains for Snapshot and Lookup. The cycle records they link stay
-	// in the latency tracker's log either way. Default 256.
+	// History is the plane's window: how many of the cycle log's newest
+	// records Snapshot and Lookup reach. The log itself keeps every cycle.
+	// Default 256.
 	History int
 }
-
-// ewmaAlpha is the exponential-smoothing factor of the derived series.
-const ewmaAlpha = 0.3
-
-// The anomaly-flag trip points.
-const (
-	// minUtilization flags "low_utilization" when the cycle-interval
-	// mutator utilization drops below it.
-	minUtilization = 0.5
-	// stallSpike flags "stall_spike" when a cycle saw at least this many
-	// allocation stalls: any stall is an anomaly (PR 6 found stalls, not
-	// pauses, dominate the serving tail).
-	stallSpike = 1
-	// maxPauseCycles flags "long_pause" when the cycle's worst STW pause
-	// meets it (~4x the calibrated pause p50).
-	maxPauseCycles = 200_000
-	// maxHeapUsedPct flags "heap_pressure" on post-cycle occupancy: the
-	// 70% trigger plus headroom, i.e. the cycle did not reclaim back below
-	// the trigger region.
-	maxHeapUsedPct = 85
-	// minSegPurity flags "purity_drop" when segregation purity was
-	// measured (>= 0) and fell below it.
-	minSegPurity = 0.5
-	// contentionSpike flags "contention_spike" when the cycle's lock
-	// contended-acquisition fraction (contention plane attached) meets it.
-	contentionSpike = 0.25
-)
 
 func (c Config) withDefaults() Config {
 	if c.History <= 0 {
@@ -74,45 +39,9 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// DerivedSignal is one scalar signal's derived view: the raw per-cycle
-// value, its EWMA level, and the trend (EWMA delta vs the previous
-// cycle; positive = rising). The controller input contract.
-type DerivedSignal struct {
-	Name  string  `json:"name"`
-	Value float64 `json:"value"`
-	EWMA  float64 `json:"ewma"`
-	Trend float64 `json:"trend"`
-}
-
-// CycleSignals is one GC cycle's immutable unified snapshot: the cycle's
-// one record (identity, pauses, phases, heap, allocation and relocation
-// deltas — shared with the cycle log, not copied; its fields render at the
-// top level of the JSON), the sections the locality profiler and the
-// contention plane own, the cumulative allocation-stall distribution, and
-// the derived series and anomaly flags computed by the plane. Once OnCycle
-// stores one, neither it nor the record it links is written again.
-type CycleSignals struct {
-	*latency.CycleRecord
-
-	// Locality is the profiler's per-cycle interval view; Workers and
-	// Contention are the contention plane's per-cycle deltas. Each is
-	// zero-valued with Present=false when its plane is not attached.
-	Locality   locality.Signals       `json:"locality"`
-	Workers    contention.WorkerDelta `json:"workers"`
-	Contention contention.LockDelta   `json:"contention"`
-
-	// StallDist is the cumulative allocation-stall duration distribution
-	// as of this cycle end (the signal PR 6 found dominates the tail).
-	StallDist latency.Dist `json:"stall_dist"`
-
-	// Derived and Flags are filled by Plane.OnCycle.
-	Derived []DerivedSignal `json:"derived"`
-	Flags   []string        `json:"flags,omitempty"`
-}
-
-// The fixed derived-signal names, in report order. Locality-sourced
-// signals are only emitted when a profiler is attached; cold_frac only
-// when hotness measured it.
+// The scalar signal names (the label values of hcsgc_signal_value).
+// Locality-sourced signals are only published when a profiler is attached;
+// cold_frac only when hotness measured it.
 const (
 	SigUtilization     = "utilization"
 	SigMaxPause        = "max_pause_cycles"
@@ -130,77 +59,55 @@ const (
 	SigCASRetryRate    = "cas_retry_frac"
 )
 
-// DerivedOrder is the deterministic emission order of the derived
-// signals (and the full label set of the hcsgc_signal_* gauge families).
-var DerivedOrder = []string{
+// signalOrder is the full label set of hcsgc_signal_value, in registration
+// order.
+var signalOrder = []string{
 	SigUtilization, SigMaxPause, SigStalls, SigStallP99,
 	SigAllocRate, SigHeapUsed, SigColdFrac, SigBarrierSlowRate,
 	SigReuseP50, SigStreamCoverage, SigSegPurity,
 	SigWorkerImbalance, SigLockContention, SigCASRetryRate,
 }
 
-// The anomaly flags, in report order.
-const (
-	FlagLowUtilization = "low_utilization"
-	FlagStallSpike     = "stall_spike"
-	FlagLongPause      = "long_pause"
-	FlagHeapPressure   = "heap_pressure"
-	FlagPurityDrop     = "purity_drop"
-	// FlagContentionSpike is a controller's cue that the cycle serialized
-	// on locks rather than work.
-	FlagContentionSpike = "contention_spike"
-)
-
-// FlagNames is the full flag set (the label set of
-// hcsgc_signal_flags_total).
-var FlagNames = []string{
-	FlagLowUtilization, FlagStallSpike, FlagLongPause,
-	FlagHeapPressure, FlagPurityDrop, FlagContentionSpike,
+// outputs are the telemetry handles BindTelemetry hands the plane.
+type outputs struct {
+	value map[string]*telemetry.Gauge
+	rec   *telemetry.Recorder
 }
 
-type ewmaState struct {
-	value float64
-	init  bool
-}
-
-// Plane is the per-runtime signal plane. The collector calls OnCycle at
-// every cycle boundary; readers take Snapshot (the /signals payload) or
-// Lookup (the tail attributor's cycle link).
+// Plane is the per-runtime signal plane. The collector attaches its
+// tracker once and calls OnCycle at every cycle boundary; readers take
+// Snapshot (the /signals payload) or Lookup (the tail attributor's cycle
+// link). It holds no lock: both handles are swapped whole.
 type Plane struct {
 	cfg Config
-
-	// mu guards the history; taken from under the collector's cycle path and
-	// the tail attributor's exemplar lock, so it ranks below every caller's.
-	//
-	//hcsgc:lock-order 60
-	mu sync.Mutex
-	// history is the newest cfg.History records, oldest first: appended to
-	// and trimmed from the front, never written in place, so a reader may
-	// keep a slice of it taken under mu.
-	history []CycleSignals
-	cycles  uint64 // cycles recorded
-	ewma    map[string]*ewmaState
-
-	// Telemetry handles (nil until BindTelemetry; all nil-safe).
-	valueG, ewmaG, trendG map[string]*telemetry.Gauge
-	flagCtr               map[string]*telemetry.Counter
-	rec                   *telemetry.Recorder
+	// lat is the tracker whose cycle log the plane views (nil until Attach).
+	lat atomic.Pointer[latency.Tracker]
+	// out is the telemetry binding (nil until BindTelemetry).
+	out atomic.Pointer[outputs]
 }
 
 // New builds a plane.
 func New(cfg Config) *Plane {
-	cfg = cfg.withDefaults()
-	return &Plane{
-		cfg:     cfg,
-		history: make([]CycleSignals, 0, cfg.History),
-		ewma:    make(map[string]*ewmaState, len(DerivedOrder)),
-	}
+	return &Plane{cfg: cfg.withDefaults()}
 }
 
-// rawSignals extracts the scalar signal vector from a record. ok=false
-// signals are skipped entirely (no EWMA update, no gauge publish), so an
-// absent profiler never pollutes the series with zeros.
-func rawSignals(rec *CycleSignals) map[string]float64 {
+// Attach makes the plane a view of t's cycle log. The collector attaches
+// its tracker when it is built; attaching another re-points the plane to it
+// (latest runtime wins, as with every shared plane).
+func (p *Plane) Attach(t *latency.Tracker) { p.lat.Store(t) }
+
+// log is the attached tracker's cycle log (nil before Attach).
+func (p *Plane) log() []*latency.CycleRecord {
+	if t := p.lat.Load(); t != nil {
+		return t.Log()
+	}
+	return nil
+}
+
+// rawSignals extracts the scalar signal vector from a record. Signals the
+// record did not measure are absent, so an absent profiler never publishes
+// zeros.
+func rawSignals(rec *latency.CycleRecord) map[string]float64 {
 	span := rec.VEnd - rec.VStart
 	perK := func(v uint64) float64 {
 		if span == 0 {
@@ -208,17 +115,10 @@ func rawSignals(rec *CycleSignals) map[string]float64 {
 		}
 		return float64(v) / float64(span) * 1000
 	}
-	maxPause := rec.Pause1
-	if rec.Pause2 > maxPause {
-		maxPause = rec.Pause2
-	}
-	if rec.Pause3 > maxPause {
-		maxPause = rec.Pause3
-	}
 	barrierSlow := rec.Barrier.Mark + rec.Barrier.Relocate + rec.Barrier.Remap
 	out := map[string]float64{
 		SigUtilization:     rec.Utilization,
-		SigMaxPause:        float64(maxPause),
+		SigMaxPause:        float64(max(rec.Pause1, rec.Pause2, rec.Pause3)),
 		SigStalls:          float64(rec.Stalls),
 		SigStallP99:        rec.StallDist.P99,
 		SigAllocRate:       perK(rec.AllocBytes) / 1024,
@@ -243,187 +143,91 @@ func rawSignals(rec *CycleSignals) map[string]float64 {
 	return out
 }
 
-// flags evaluates the anomaly thresholds against a record's raw values.
-func flags(rec *CycleSignals, raw map[string]float64) []string {
-	var out []string
-	if raw[SigUtilization] < minUtilization {
-		out = append(out, FlagLowUtilization)
+// OnCycle publishes a logged cycle record's scalar signals as gauges and
+// Perfetto counter samples. The collector calls it at every cycle
+// boundary, after the tracker logged rec; without a telemetry binding it
+// does nothing.
+func (p *Plane) OnCycle(rec *latency.CycleRecord) {
+	out := p.out.Load()
+	if out == nil {
+		return
 	}
-	if rec.Stalls >= stallSpike {
-		out = append(out, FlagStallSpike)
-	}
-	if uint64(raw[SigMaxPause]) >= maxPauseCycles {
-		out = append(out, FlagLongPause)
-	}
-	if rec.HeapUsedAfter >= maxHeapUsedPct {
-		out = append(out, FlagHeapPressure)
-	}
-	// Purity is measured at mark end even without a locality profiler
-	// (telemetry computes it); fall back to the cycle record's own value so
-	// the flag works in both configurations.
-	purity, ok := raw[SigSegPurity]
-	if !ok {
-		purity = rec.SegregationPurity
-	}
-	if purity >= 0 && purity < minSegPurity {
-		out = append(out, FlagPurityDrop)
-	}
-	if rec.Contention.Present && rec.Contention.ContendedFrac >= contentionSpike {
-		out = append(out, FlagContentionSpike)
-	}
-	return out
-}
-
-// OnCycle completes rec (derived series, anomaly flags), appends it to
-// the history, and publishes gauges, counters and Perfetto counter
-// samples. The collector calls it at every cycle boundary, under its
-// cycle lock, with a completed, logged record that nothing writes again.
-func (p *Plane) OnCycle(rec CycleSignals) {
-	raw := rawSignals(&rec)
-
-	p.mu.Lock()
-	rec.Derived = make([]DerivedSignal, 0, len(raw))
-	for _, name := range DerivedOrder {
-		v, ok := raw[name]
-		if !ok {
-			continue
+	raw := rawSignals(rec)
+	for _, name := range signalOrder {
+		if v, ok := raw[name]; ok {
+			out.value[name].Set(v)
 		}
-		st := p.ewma[name]
-		if st == nil {
-			st = &ewmaState{}
-			p.ewma[name] = st
-		}
-		prev := st.value
-		if !st.init {
-			st.value = v
-			st.init = true
-			prev = v
-		} else {
-			st.value = ewmaAlpha*v + (1-ewmaAlpha)*prev
-		}
-		rec.Derived = append(rec.Derived, DerivedSignal{
-			Name: name, Value: v, EWMA: st.value, Trend: st.value - prev,
-		})
 	}
-	rec.Flags = flags(&rec, raw)
-
-	p.history = append(p.history, rec)
-	if len(p.history) > p.cfg.History {
-		p.history = p.history[len(p.history)-p.cfg.History:]
-	}
-	p.cycles++
-	valueG, ewmaG, trendG := p.valueG, p.ewmaG, p.trendG
-	flagCtr, recd := p.flagCtr, p.rec
-	p.mu.Unlock()
-
-	for _, d := range rec.Derived {
-		valueG[d.Name].Set(d.Value)
-		ewmaG[d.Name].Set(d.EWMA)
-		trendG[d.Name].Set(d.Trend)
-	}
-	for _, f := range rec.Flags {
-		flagCtr[f].Inc()
-	}
-	recd.Counter(telemetry.CounterSignalAllocRate, raw[SigAllocRate], rec.Seq)
-	recd.Counter(telemetry.CounterSignalStallP99, raw[SigStallP99], rec.Seq)
-	recd.Counter(telemetry.CounterSignalHeapUsed, raw[SigHeapUsed], rec.Seq)
+	out.rec.Counter(telemetry.CounterSignalAllocRate, raw[SigAllocRate], rec.Seq)
+	out.rec.Counter(telemetry.CounterSignalStallP99, raw[SigStallP99], rec.Seq)
+	out.rec.Counter(telemetry.CounterSignalHeapUsed, raw[SigHeapUsed], rec.Seq)
 	if v, ok := raw[SigColdFrac]; ok {
-		recd.Counter(telemetry.CounterSignalColdFrac, v, rec.Seq)
+		out.rec.Counter(telemetry.CounterSignalColdFrac, v, rec.Seq)
 	}
 }
 
-// BindTelemetry registers the hcsgc_signal_* metric families on reg
-// (value/EWMA/trend gauges per derived signal and the anomaly-flag counter
-// family counting from now; the cycle count is the collector's
+// BindTelemetry registers the hcsgc_signal_value gauge family on reg (one
+// series per signal; the cycle count is the collector's
 // hcsgc_gc_cycles_total) and enables Perfetto counter-track emission
-// through rec. A nil reg (no sink) binds
-// nothing; binding another plane re-points the series to it.
+// through rec. A nil reg (no sink) binds nothing; binding another plane
+// re-points the series to it.
 func (p *Plane) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
 	if reg == nil {
 		return
 	}
-	valueG := make(map[string]*telemetry.Gauge, len(DerivedOrder))
-	ewmaG := make(map[string]*telemetry.Gauge, len(DerivedOrder))
-	trendG := make(map[string]*telemetry.Gauge, len(DerivedOrder))
-	for _, name := range DerivedOrder {
-		valueG[name] = reg.Gauge("hcsgc_signal_value",
+	value := make(map[string]*telemetry.Gauge, len(signalOrder))
+	for _, name := range signalOrder {
+		value[name] = reg.Gauge("hcsgc_signal_value",
 			"Unified signal-plane raw value at the latest GC cycle boundary.",
 			"signal", name)
-		ewmaG[name] = reg.Gauge("hcsgc_signal_ewma",
-			"Unified signal-plane EWMA level at the latest GC cycle boundary.",
-			"signal", name)
-		trendG[name] = reg.Gauge("hcsgc_signal_trend",
-			"Unified signal-plane EWMA trend (positive = rising) at the latest GC cycle boundary.",
-			"signal", name)
 	}
-	flagCtr := make(map[string]*telemetry.Counter, len(FlagNames))
-	for _, f := range FlagNames {
-		flagCtr[f] = reg.Adopt("hcsgc_signal_flags_total",
-			"Cycles on which the signal plane raised the labelled anomaly flag.",
-			new(telemetry.Counter), "flag", f)
-	}
-
-	p.mu.Lock()
-	p.valueG, p.ewmaG, p.trendG = valueG, ewmaG, trendG
-	p.flagCtr = flagCtr
-	p.rec = rec
-	p.mu.Unlock()
+	p.out.Store(&outputs{value: value, rec: rec})
 }
 
 // Snapshot is the /signals endpoint payload.
 type Snapshot struct {
-	// Cycles counts every cycle ever recorded; History retains the last
-	// Config.History of them, oldest first.
-	Cycles  uint64  `json:"cycles"`
-	History int     `json:"history_capacity"`
-	Alpha   float64 `json:"ewma_alpha"`
+	// Cycles counts every cycle in the log; History is the window Records
+	// covers.
+	Cycles  uint64 `json:"cycles"`
+	History int    `json:"history_capacity"`
 	// Latest is the most recent record (nil before the first cycle).
-	Latest *CycleSignals `json:"latest,omitempty"`
-	// Records is the retained history, oldest first.
-	Records []CycleSignals `json:"records"`
+	Latest *latency.CycleRecord `json:"latest,omitempty"`
+	// Records is the window, oldest first.
+	Records []*latency.CycleRecord `json:"records"`
 }
 
-// Snapshot takes the plane's state. Its records are the history's own,
-// shared with every other reader.
+// Snapshot takes the newest Config.History records of the cycle log. They
+// are the log's own, shared with every other reader.
 func (p *Plane) Snapshot() Snapshot {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	n := len(p.history)
+	log := p.log()
+	n := len(log)
 	s := Snapshot{
-		Cycles:  p.cycles,
+		Cycles:  uint64(n),
 		History: p.cfg.History,
-		Alpha:   ewmaAlpha,
-		Records: p.history[:n:n],
+		Records: append([]*latency.CycleRecord{}, log[max(0, n-p.cfg.History):]...),
 	}
 	if n > 0 {
-		s.Latest = &p.history[n-1]
+		s.Latest = log[n-1]
 	}
 	return s
 }
 
-// Latest returns the most recent record (ok=false before the first cycle).
-func (p *Plane) Latest() (CycleSignals, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.history); n > 0 {
-		return p.history[n-1], true
-	}
-	return CycleSignals{}, false
-}
-
-// Lookup finds the retained record for cycle seq (the tail attributor's
-// responsible-cycle link). A nil plane finds nothing: a tail attributor
-// may classify without one (TailAttributor.Classifier(nil)).
-func (p *Plane) Lookup(seq uint64) (CycleSignals, bool) {
+// Lookup returns the logged record of cycle seq when it is inside the
+// window (the tail attributor's responsible-cycle link), else nil. Seq
+// numbers a runtime's cycles densely from 1, so it is an index into the
+// log. A nil plane finds nothing: a tail attributor may classify without
+// one (TailAttributor.Classifier(nil)).
+func (p *Plane) Lookup(seq uint64) *latency.CycleRecord {
 	if p == nil || seq == 0 {
-		return CycleSignals{}, false
+		return nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, cs := range p.history {
-		if cs.Seq == seq {
-			return cs, true
-		}
+	log := p.log()
+	n := uint64(len(log))
+	if seq > n || seq+uint64(p.cfg.History) <= n {
+		return nil
 	}
-	return CycleSignals{}, false
+	if rec := log[seq-1]; rec.Seq == seq {
+		return rec
+	}
+	return nil
 }

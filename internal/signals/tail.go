@@ -77,9 +77,8 @@ func (c TailConfig) withDefaults() TailConfig {
 }
 
 // Exemplar is one retained slow request: its identity, timing
-// decomposition, assigned cause, and the responsible cycle's full
-// CycleSignals record (which links the logged cycle record), captured at
-// classification time.
+// decomposition, assigned cause, and a link to the responsible cycle's
+// logged record, taken at classification time.
 type Exemplar struct {
 	Seq   uint64 `json:"seq"`
 	Op    string `json:"op"`
@@ -104,9 +103,9 @@ type Exemplar struct {
 	// Cycle is the responsible GC cycle's sequence number (0 = none
 	// identified).
 	Cycle uint64 `json:"cycle"`
-	// Signals is the responsible cycle's unified record, when it was
-	// still in the plane's history at classification time.
-	Signals *CycleSignals `json:"cycle_signals,omitempty"`
+	// Record is the responsible cycle's logged record, when it was still
+	// inside the signal plane's window at classification time.
+	Record *latency.CycleRecord `json:"cycle_signals,omitempty"`
 }
 
 // exemplarHeap is a min-heap on LatencyCycles, so the store keeps the
@@ -122,8 +121,7 @@ func (h *exemplarHeap) Pop() any          { old := *h; n := len(old); x := old[n
 // TailAttributor accumulates request-level slowness attribution: per-
 // cause HDR latency histograms over the SLO-violating requests, the
 // attributed fraction, and the bounded top-K exemplar store. Recording
-// is concurrency-safe; instances merge across runs (histograms add
-// slot-wise, so merged quantiles are exact over the union).
+// is concurrency-safe, so one attributor may span several runs.
 type TailAttributor struct {
 	cfg TailConfig
 
@@ -147,14 +145,6 @@ func NewTailAttributor(cfg TailConfig) *TailAttributor {
 		t.causeHist[i] = latency.NewHist()
 	}
 	return t
-}
-
-// Config returns the (defaulted) configuration.
-func (t *TailAttributor) Config() TailConfig {
-	if t == nil {
-		return TailConfig{}
-	}
-	return t.cfg
 }
 
 // Obs is one completed request's raw observation, as the serving path
@@ -309,49 +299,12 @@ func (t *TailAttributor) recordViolation(cause Cause, lat uint64, ex Exemplar, p
 	}
 	t.mu.Lock()
 	if len(t.topK) < maxExemplars {
-		t.attachSignals(&ex, plane)
+		ex.Record = plane.Lookup(ex.Cycle)
 		heap.Push(&t.topK, ex)
 	} else if lat > t.topK[0].LatencyCycles {
-		t.attachSignals(&ex, plane)
+		ex.Record = plane.Lookup(ex.Cycle)
 		t.topK[0] = ex
 		heap.Fix(&t.topK, 0)
-	}
-	t.mu.Unlock()
-}
-
-// attachSignals links the responsible cycle's CycleSignals, if it is still
-// in the plane's history; the cycle record inside is the logged one,
-// shared, not copied. Called only for exemplars that enter the top-K store.
-func (t *TailAttributor) attachSignals(ex *Exemplar, plane *Plane) {
-	if cs, ok := plane.Lookup(ex.Cycle); ok {
-		ex.Signals = &cs
-	}
-}
-
-// Merge folds o into t (histograms slot-wise, counters additively, the
-// exemplar stores re-ranked into t's top-K). Nil-safe in both arguments.
-func (t *TailAttributor) Merge(o *TailAttributor) {
-	if t == nil || o == nil {
-		return
-	}
-	t.requests.Add(o.requests.Value())
-	t.violations.Add(o.violations.Load())
-	t.attributed.Add(o.attributed.Value())
-	for i := range t.causeCount {
-		t.causeCount[i].Add(o.causeCount[i].Value())
-		t.causeHist[i].Merge(o.causeHist[i])
-	}
-	o.mu.Lock()
-	exs := append([]Exemplar(nil), o.topK...)
-	o.mu.Unlock()
-	t.mu.Lock()
-	for _, ex := range exs {
-		if len(t.topK) < maxExemplars {
-			heap.Push(&t.topK, ex)
-		} else if ex.LatencyCycles > t.topK[0].LatencyCycles {
-			t.topK[0] = ex
-			heap.Fix(&t.topK, 0)
-		}
 	}
 	t.mu.Unlock()
 }

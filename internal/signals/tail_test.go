@@ -1,7 +1,6 @@
 package signals
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -165,11 +164,11 @@ func TestClassifierConvoyChain(t *testing.T) {
 	}
 }
 
-// TestClassifierLinksPlane: exemplars entering the top-K store carry the
-// responsible cycle's CycleSignals record when it is still retained.
+// TestClassifierLinksPlane: exemplars entering the top-K store link the
+// responsible cycle's logged record when it is inside the plane's window.
 func TestClassifierLinksPlane(t *testing.T) {
 	p := New(Config{})
-	p.OnCycle(synthRec(7, 0.5, 1))
+	log := logCycles(p, 7)
 	ta := NewTailAttributor(TailConfig{SLOThresholdCycles: 1_000_000})
 	cl := ta.Classifier(p)
 	o := obsAt(1, 0, 5_000_000)
@@ -177,8 +176,8 @@ func TestClassifierLinksPlane(t *testing.T) {
 	o.CycleAfter = 7
 	cl.Observe(o)
 	r := ta.Report()
-	if len(r.TopK) != 1 || r.TopK[0].Signals == nil || r.TopK[0].Signals.Seq != 7 {
-		t.Fatalf("exemplar not linked to cycle 7's record: %+v", r.TopK)
+	if len(r.TopK) != 1 || r.TopK[0].Record != log[6] {
+		t.Fatalf("exemplar not linked to cycle 7's logged record: %+v", r.TopK)
 	}
 }
 
@@ -201,56 +200,6 @@ func TestTailTopKBounded(t *testing.T) {
 		if want := uint64(100 + n - i); r.TopK[i].LatencyCycles != want {
 			t.Fatalf("topK[%d] latency = %d, want %d (slowest first)", i, r.TopK[i].LatencyCycles, want)
 		}
-	}
-}
-
-// TestTailMergeHDRProperty: merging two attributors must yield exactly
-// the per-cause distributions of one attributor that saw the union of
-// both observation streams — the HDR histograms add slot-wise, so merged
-// quantiles are exact, not approximations.
-func TestTailMergeHDRProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	a := NewTailAttributor(TailConfig{})
-	b := NewTailAttributor(TailConfig{})
-	u := NewTailAttributor(TailConfig{})
-	clA, clB, clU := a.Classifier(nil), b.Classifier(nil), u.Classifier(nil)
-
-	for i := 0; i < 2_000; i++ {
-		lat := 1_000_001 + uint64(rng.Int63n(80_000_000))
-		// Disjoint windows so the disruption memory never couples samples.
-		o := obsAt(uint64(i), uint64(i)*100_000_000, lat)
-		switch i % 3 {
-		case 0:
-			o.OwnStallV = lat / 2
-			o.CycleAfter = uint64(i + 1)
-		case 1:
-			o.PauseV = 50_000
-			o.CycleAfter = uint64(i + 1)
-		}
-		if i%2 == 0 {
-			clA.Observe(o)
-		} else {
-			clB.Observe(o)
-		}
-		clU.Observe(o)
-	}
-
-	a.Merge(b)
-	got, want := a.Report(), u.Report()
-	if got.Requests != want.Requests || got.Violations != want.Violations || got.Attributed != want.Attributed {
-		t.Fatalf("merged counts %d/%d/%d, union %d/%d/%d",
-			got.Requests, got.Violations, got.Attributed,
-			want.Requests, want.Violations, want.Attributed)
-	}
-	for i := range got.ByCause {
-		g, w := got.ByCause[i], want.ByCause[i]
-		if g.Cause != w.Cause || g.Count != w.Count || g.Dist != w.Dist {
-			t.Fatalf("cause %q merged dist %+v != union dist %+v (count %d vs %d)",
-				g.Cause, g.Dist, w.Dist, g.Count, w.Count)
-		}
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("merged report invalid: %v", err)
 	}
 }
 
@@ -325,12 +274,8 @@ func TestTailNilSafe(t *testing.T) {
 	var ta *TailAttributor
 	cl := ta.Classifier(nil)
 	cl.Observe(obsAt(1, 0, 10_000_000))
-	ta.Merge(NewTailAttributor(TailConfig{}))
 	ta.BindTelemetry(telemetry.NewRegistry())
 	if r := ta.Report(); r.Requests != 0 {
 		t.Fatal("nil attributor recorded requests")
-	}
-	if c := ta.Config(); c.SLOThresholdCycles != 0 {
-		t.Fatal("nil attributor config not zero")
 	}
 }

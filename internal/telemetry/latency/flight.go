@@ -3,6 +3,8 @@ package latency
 import (
 	"encoding/json"
 	"io"
+
+	"hcsgc/internal/locality"
 )
 
 // BarrierProfile counts load-barrier slow-path work by path for one cycle
@@ -22,16 +24,42 @@ type BarrierProfile struct {
 	HotmapRecord uint64 `json:"hotmap_record"`
 }
 
+// WorkerDelta is one GC cycle's worker-balance view: the cycle's share of
+// the workers' scanned/relocated/stolen counts and the imbalance
+// coefficient (stddev/mean of per-worker work; 0 = perfectly balanced).
+// The contention plane computes it; Present is false (fields zero) for a
+// collector built without that plane.
+type WorkerDelta struct {
+	Present   bool    `json:"present"`
+	Workers   int     `json:"workers"`
+	Imbalance float64 `json:"imbalance"`
+	Scanned   uint64  `json:"scanned"`
+	Relocated uint64  `json:"relocated"`
+	Steals    uint64  `json:"steals"`
+}
+
+// LockDelta is one GC cycle's serialization view: the cycle's lock and
+// CAS-loop activity summed across sites. The contention plane computes it;
+// Present is false for a collector built without that plane.
+type LockDelta struct {
+	Present       bool    `json:"present"`
+	Acquisitions  uint64  `json:"acquisitions"`
+	Contended     uint64  `json:"contended"`
+	ContendedFrac float64 `json:"contended_frac"`
+	CASOps        uint64  `json:"cas_ops"`
+	CASRetries    uint64  `json:"cas_retries"`
+	RetryFrac     float64 `json:"retry_frac"`
+}
+
 // CycleRecord is the one record of a GC cycle (core.CycleStats is this
 // type). It is stored once, in the tracker's cycle log: the GC log, the
-// flight recorder and the signal plane's history read it from there.
-// Durations and pause costs are simulated cycles. A new per-cycle fact is
-// one field here.
+// flight recorder and the signal plane read it from there. Durations and
+// pause costs are simulated cycles. A new per-cycle fact is one field here.
 //
-// The collector owns and fills the fields down to the verifier status; the
-// tracker's OnCycle completes the rest, from MarkCycles on, and logs it.
-// Nothing writes a logged record again (DESIGN.md §5 "One per-cycle
-// record").
+// The collector fills every field except those the tracker's OnCycle
+// completes (MarkCycles through Utilization, and StallDist) just before it
+// logs the record. Nothing writes a logged record again (DESIGN.md §5 "One
+// per-cycle record").
 type CycleRecord struct {
 	Seq     uint64 `json:"seq"`
 	Trigger string `json:"trigger"`
@@ -92,6 +120,16 @@ type CycleRecord struct {
 	// mutator utilization over this cycle's [VStart, VEnd] interval.
 	MMU         []MMUPoint `json:"mmu"`
 	Utilization float64    `json:"utilization"`
+
+	// Locality is the locality profiler's interval view of the cycle;
+	// Workers and Contention are the contention plane's deltas. Each is
+	// zero-valued with Present false when its plane is not attached.
+	Locality   locality.Signals `json:"locality"`
+	Workers    WorkerDelta      `json:"workers"`
+	Contention LockDelta        `json:"contention"`
+	// StallDist is the cumulative allocation-stall duration distribution
+	// as of this cycle's end.
+	StallDist Dist `json:"stall_dist"`
 }
 
 // Dist summarizes one HDR histogram for reports.

@@ -258,10 +258,10 @@ func (t *Tracker) RecordBarrierLatency(p BarrierPath, cycles uint64) {
 
 // OnCycle is the cycle-boundary hook: the collector passes the cycle's
 // record with every field it owns filled in; the tracker completes it in
-// place (phase durations, barrier deltas, MMU and utilization), appends it
-// to the cycle log, and publishes gauges, counters and Perfetto
-// counter-track samples. The log keeps rec itself: neither the caller nor
-// the tracker writes it afterwards.
+// place (phase durations, barrier deltas, MMU, utilization and the stall
+// distribution), appends it to the cycle log, and publishes gauges,
+// counters and Perfetto counter-track samples. The log keeps rec itself:
+// neither the caller nor the tracker writes it afterwards.
 func (t *Tracker) OnCycle(rec *CycleRecord) {
 	for k := 0; k < numPhases; k++ {
 		d := t.curPhase[k].Swap(0)
@@ -278,6 +278,7 @@ func (t *Tracker) OnCycle(rec *CycleRecord) {
 	snap := t.mmu.snapshot()
 	rec.MMU = snap.Windows
 	rec.Utilization = t.mmu.utilizationBetween(rec.VStart, rec.VEnd)
+	rec.StallDist = distOf(t.stall)
 
 	t.mu.Lock()
 	var deltas [numPaths]uint64
@@ -443,12 +444,6 @@ func (t *Tracker) DumpsRemaining() uint64 {
 		return 0
 	}
 	return autoDumpLimit - t.dumps
-}
-
-// StallDist summarizes the allocation-stall distribution (the signal
-// plane's per-cycle stall view).
-func (t *Tracker) StallDist() Dist {
-	return distOf(t.stall)
 }
 
 // WriteFlight renders an on-demand flight dump to w as indented JSON (the

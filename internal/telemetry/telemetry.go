@@ -89,7 +89,7 @@ const (
 	CounterMMU20k
 	CounterMMU100k
 	CounterUtilization
-	// The unified signal plane's per-cycle derived signals.
+	// The signal plane's per-cycle scalar signals.
 	CounterSignalAllocRate
 	CounterSignalStallP99
 	CounterSignalHeapUsed

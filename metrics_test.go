@@ -42,7 +42,7 @@ func metricsSchema(exposition string) string {
 // metricFamilyCount pins the number of /metrics families as optionCount pins
 // the options: a family needs a reader — a report, a gate, a documented
 // diagnosis recipe or a test other than the schema golden — and this number.
-const metricFamilyCount = 39
+const metricFamilyCount = 36
 
 // TestMetricsSchema pins the families, kinds and label sets /metrics serves
 // once every plane is attached: adding, renaming or dropping a series is a

@@ -35,7 +35,7 @@ func httpGet(t *testing.T, addr, path string) string {
 
 // TestSignalsEndpointShape: a runtime with the default (always-on)
 // signal plane serves a well-formed /signals snapshot covering every GC
-// cycle, and the hcsgc_signal_* families land in /metrics.
+// cycle, and the hcsgc_signal_value family lands in /metrics.
 func TestSignalsEndpointShape(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	runTelemetryWorkload(t, sink)
@@ -66,26 +66,14 @@ func TestSignalsEndpointShape(t *testing.T) {
 		if rec.MarkedBytes == 0 {
 			t.Errorf("cycle %d: marked bytes 0 on a live heap", rec.Seq)
 		}
-		if len(rec.Derived) == 0 {
-			t.Errorf("cycle %d: no derived signals", rec.Seq)
-		}
-		derived := map[string]bool{}
-		for _, d := range rec.Derived {
-			derived[d.Name] = true
-		}
-		for _, name := range []string{"utilization", "max_pause_cycles", "heap_used_pct", "cold_frac"} {
-			if !derived[name] {
-				t.Errorf("cycle %d: derived signal %q missing (have %v)", rec.Seq, name, rec.Derived)
-			}
-		}
 	}
 
 	metrics := httpGet(t, srv.Addr(), "/metrics")
 	for _, want := range []string{
 		`hcsgc_signal_value{signal="utilization"}`,
-		`hcsgc_signal_ewma{signal="heap_used_pct"}`,
-		`hcsgc_signal_trend{signal="max_pause_cycles"}`,
-		`hcsgc_signal_flags_total{flag="stall_spike"}`,
+		`hcsgc_signal_value{signal="heap_used_pct"}`,
+		`hcsgc_signal_value{signal="max_pause_cycles"}`,
+		`hcsgc_signal_value{signal="cold_frac"}`,
 		`hcsgc_signal_value{signal="worker_imbalance"}`,
 		"hcsgc_gc_cycles_total 2",
 	} {
@@ -102,10 +90,10 @@ func TestSignalsEndpointShape(t *testing.T) {
 
 // TestOneCycleLog: every reader sees the one log. A GC cycle's record is
 // stored once, in the latency tracker's cycle log; the signal plane's
-// history, Latest and Lookup link that same record, and the GC log and the
-// flight recorder read it. The collector has set its end-of-cycle fields
-// (closing clock, allocation and relocation deltas) before anyone reads it,
-// and every record carries the locality, worker and contention sections.
+// window, latest record and Lookup are that same record, and the GC log and
+// the flight recorder read it. The collector has set its end-of-cycle
+// fields (closing clock, allocation and relocation deltas, the locality,
+// worker and contention sections) before anyone reads it.
 func TestOneCycleLog(t *testing.T) {
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
 		HeapMaxBytes: 64 << 20,
@@ -132,25 +120,29 @@ func TestOneCycleLog(t *testing.T) {
 	log := rt.Latency.Log()
 	gclog := rt.Collector.Stats().Cycles
 	flight := rt.Latency.Report().Flight
-	history := rt.Signals.Snapshot().Records
+	snap := rt.Signals.Snapshot()
+	history := snap.Records
 	if len(log) != cycles || len(gclog) != cycles || len(flight) != cycles || len(history) != cycles {
-		t.Fatalf("cycles: log %d, GC log %d, flight recorder %d, signal history %d, want %d each",
+		t.Fatalf("cycles: log %d, GC log %d, flight recorder %d, signal window %d, want %d each",
 			len(log), len(gclog), len(flight), len(history), cycles)
 	}
-	latest, ok := rt.Signals.Latest()
-	if !ok || latest.CycleRecord != log[cycles-1] || history[cycles-1].CycleRecord != log[cycles-1] {
-		t.Errorf("Latest and the newest /signals record do not carry the logged record of cycle %d", cycles)
+	if snap.Latest != log[cycles-1] {
+		t.Errorf("the latest /signals record is not the logged record of cycle %d", cycles)
 	}
 	for i, rec := range log {
-		if history[i].CycleRecord != rec {
-			t.Errorf("cycle %d: the signal history holds a record other than the logged one", rec.Seq)
+		if history[i] != rec {
+			t.Errorf("cycle %d: the signal window holds a record other than the logged one", rec.Seq)
 		}
 		if h := history[i]; !h.Locality.Present || !h.Workers.Present || !h.Contention.Present {
 			t.Errorf("cycle %d: /signals sections present: locality %v, workers %v, contention %v",
 				rec.Seq, h.Locality.Present, h.Workers.Present, h.Contention.Present)
 		}
-		if cs, ok := rt.Signals.Lookup(rec.Seq); !ok || cs.CycleRecord != rec {
-			t.Errorf("cycle %d: Lookup does not carry the logged record (found %v)", rec.Seq, ok)
+		if f := flight[i]; !f.Locality.Present || !f.Workers.Present || !f.Contention.Present {
+			t.Errorf("cycle %d: flight record sections present: locality %v, workers %v, contention %v",
+				rec.Seq, f.Locality.Present, f.Workers.Present, f.Contention.Present)
+		}
+		if got := rt.Signals.Lookup(rec.Seq); got != rec {
+			t.Errorf("cycle %d: Lookup is not the logged record (found %v)", rec.Seq, got != nil)
 		}
 		if !reflect.DeepEqual(*rec, gclog[i]) {
 			t.Errorf("cycle %d: the GC log differs from the cycle log:\n%+v\n%+v", rec.Seq, gclog[i], *rec)
@@ -167,7 +159,7 @@ func TestOneCycleLog(t *testing.T) {
 	}
 }
 
-// TestCycleLogWindows: the flight recorder and the signal plane retain
+// TestCycleLogWindows: the flight recorder and the signal plane reach
 // windows smaller than the run, while the GC log keeps every cycle.
 func TestCycleLogWindows(t *testing.T) {
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
@@ -196,11 +188,14 @@ func TestCycleLogWindows(t *testing.T) {
 	if snap.Cycles != cycles || len(snap.Records) != 2 || snap.Records[0].Seq != 3 || snap.Records[1].Seq != 4 {
 		t.Errorf("signal plane: %d cycles, %d retained, want %d and the last 2", snap.Cycles, len(snap.Records), cycles)
 	}
-	if latest, ok := rt.Signals.Latest(); !ok || latest.Seq != cycles {
-		t.Errorf("Latest = cycle %d (ok %v), want cycle %d", latest.Seq, ok, cycles)
+	if snap.Latest == nil || snap.Latest.Seq != cycles {
+		t.Errorf("Latest = %+v, want cycle %d", snap.Latest, cycles)
 	}
-	if _, ok := rt.Signals.Lookup(1); ok {
-		t.Error("Lookup(1) found a cycle outside the signal plane's window")
+	if rt.Signals.Lookup(3) == nil || rt.Signals.Lookup(4) == nil {
+		t.Error("Lookup missed a cycle inside the signal plane's window")
+	}
+	if rt.Signals.Lookup(2) != nil {
+		t.Error("Lookup(2) found a cycle outside the signal plane's window")
 	}
 }
 
