@@ -43,8 +43,8 @@ import (
 )
 
 // Site accumulates lock-contention statistics for the mutexes registered
-// under one name (several may share a site: the LLC stripes do). A nil
-// *Site accepts every call as a no-op.
+// under one name (several may share a site: the LLC set-group locks do).
+// A nil *Site accepts every call as a no-op.
 //
 // Acquisitions are counted in each Mutex, beside its lock word, not here:
 // one counter per site would be one host cache line every acquirer of every

@@ -23,7 +23,7 @@ func addAcquisitions(s *Site, n uint64) {
 }
 
 // TestSiteSumsItsMutexes: acquisitions are counted per mutex; a site shared
-// by several (the LLC stripes) reports their sum, in Acquisitions, in the
+// by several (the LLC set-group locks) reports their sum, in Acquisitions, in the
 // per-cycle delta and in the snapshot.
 func TestSiteSumsItsMutexes(t *testing.T) {
 	p := New()
@@ -227,7 +227,7 @@ func TestPlaneNilSafe(t *testing.T) {
 }
 
 // TestPlaneSiteIdempotent: registering the same name twice returns the
-// same site, so several stripes (or several runtimes' constructors) can
+// same site, so several locks (or several runtimes' constructors) can
 // share one attribution bucket.
 func TestPlaneSiteIdempotent(t *testing.T) {
 	p := New()

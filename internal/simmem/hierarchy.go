@@ -2,7 +2,6 @@ package simmem
 
 import (
 	"fmt"
-	"math/bits"
 	"sync/atomic"
 	"unsafe"
 
@@ -35,16 +34,6 @@ type HierarchyConfig struct {
 	// PrefetchDepth is how many lines ahead the per-core stream prefetcher
 	// runs; 0 disables prefetching.
 	PrefetchDepth int
-	// LLCStripes shards the shared LLC lock: the LLC is split into this
-	// many independently locked sub-caches, partitioned by set index so
-	// hit/miss behaviour is identical to the monolithic cache (high set
-	// bits pick the stripe, low bits the set within it). Must be a power
-	// of two no larger than the LLC set count; 0 selects the default
-	// (8, clamped to the set count). 1 restores the single global lock —
-	// the configuration the contention plane measured before this knob
-	// existed, and the reference side of TestLLCStripingEquivalence, which
-	// is why it stays an option although only tests set it.
-	LLCStripes int
 }
 
 // DefaultConfig models the laptop used for all benchmarks except SPECjbb:
@@ -61,7 +50,7 @@ func DefaultConfig() HierarchyConfig {
 
 // ServerConfig models the AMD Opteron 6276 used for SPECjbb: 16KB L1d,
 // 2MB L2. The paper's machine has a 6MB LLC; the model requires a
-// power-of-two set count, so we use 6MB with 24 ways (256 sets), keeping
+// power-of-two set count, so we use 6MB with 24 ways (4096 sets), keeping
 // capacity exact.
 func ServerConfig() HierarchyConfig {
 	return HierarchyConfig{
@@ -128,88 +117,60 @@ func (l ledger) cycles(lat Latencies) uint64 {
 		l.llcmiss*(lat.Mem-lat.LLC)
 }
 
-// llcStripe is one independently locked shard of the shared LLC, padded to
-// two host lines so that neighbouring stripes' lock words (and the
-// acquisition counts beside them) never share one, adjacent-line prefetch
-// included.
-type llcStripe struct {
+// llcLock guards one group of llcLockSets consecutive LLC sets, padded to
+// two host lines so that neighbouring locks' words (and the acquisition
+// counts beside them) never share one, adjacent-line prefetch included.
+type llcLock struct {
 	mu contention.Mutex
-	c  *Cache
-	_  [128 - unsafe.Sizeof(contention.Mutex{}) - 8]byte
+	_  [128 - unsafe.Sizeof(contention.Mutex{})]byte
 }
 
+// llcLockSets is how many consecutive LLC sets one lock covers: 64 locks
+// for both default geometries' 4096 sets, one for an LLC of 64 sets or
+// fewer. Fewer locks collide more often; more split prefetch runs (which
+// walk consecutive sets under one acquisition) across groups more often
+// (EXPERIMENTS.md "The simmem.llcMu stripe fix").
+const llcLockSets = 64
+
 // Hierarchy is the whole memory system: a shared LLC plus per-core private
-// levels. The LLC is striped: each stripe owns a contiguous range of set
-// indices behind its own lock (see HierarchyConfig.LLCStripes); private
-// levels are lock-free by ownership.
+// levels. The LLC is one cache over all its sets; each group of
+// llcLockSets consecutive sets has its own lock, which only decides who
+// may touch those sets at a given moment, never what the model computes.
+// Private levels are lock-free by ownership.
 type Hierarchy struct {
-	cfg HierarchyConfig
-	// stripes partition the LLC sets; setMask/stripeShift map an address
-	// to (stripe, set): setIdx = (line-1) & setMask, stripe = setIdx >>
-	// stripeShift.
-	stripes     []llcStripe
-	setMask     uint64
-	stripeShift uint
+	cfg   HierarchyConfig
+	llc   *Cache
+	locks []llcLock
 
 	coresMu contention.Mutex
 	cores   []*Core
 }
 
-// defaultLLCStripes is the stripe count when HierarchyConfig leaves it 0.
-const defaultLLCStripes = 8
-
 // NewHierarchy validates cfg and builds the shared levels.
 func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	if _, err := NewCache(cfg.LLC); err != nil {
+	llc, err := NewCache(cfg.LLC)
+	if err != nil {
 		return nil, err
-	}
-	sets := uint64(cfg.LLC.Size / (cfg.LLC.Ways * LineSize))
-	stripes := cfg.LLCStripes
-	if stripes == 0 {
-		stripes = defaultLLCStripes
-		for uint64(stripes) > sets {
-			stripes /= 2
-		}
-	}
-	if stripes < 1 || stripes&(stripes-1) != 0 || uint64(stripes) > sets {
-		return nil, fmt.Errorf("simmem: LLC stripes %d must be a power of two no larger than the %d sets", cfg.LLCStripes, sets)
 	}
 	if cfg.Lat == (Latencies{}) {
 		cfg.Lat = DefaultLatencies()
 	}
-	h := &Hierarchy{
-		cfg:         cfg,
-		stripes:     make([]llcStripe, stripes),
-		setMask:     sets - 1,
-		stripeShift: uint(bits.TrailingZeros64(sets / uint64(stripes))),
-	}
-	sub := cfg.LLC
-	sub.Size = cfg.LLC.Size / stripes
-	for i := range h.stripes {
-		h.stripes[i].c = MustNewCache(sub)
-	}
-	return h, nil
+	return &Hierarchy{
+		cfg:   cfg,
+		llc:   llc,
+		locks: make([]llcLock, (llc.sets+llcLockSets-1)/llcLockSets),
+	}, nil
 }
 
 // SetContention attributes the hierarchy's shared locks to the plane.
-// All stripes share one "simmem.llcMu" site so contended counts stay
-// comparable across stripe configurations. Call before any core exists.
+// All LLC locks share one "simmem.llcMu" site. Call before any core
+// exists.
 func (h *Hierarchy) SetContention(p *contention.Plane) {
 	llc := p.NewSite("simmem.llcMu")
-	for i := range h.stripes {
-		h.stripes[i].mu.Instrument(llc)
+	for i := range h.locks {
+		h.locks[i].mu.Instrument(llc)
 	}
 	h.coresMu.Instrument(p.NewSite("simmem.coresMu"))
-}
-
-// stripeOf maps an address to its LLC stripe index. The set partition
-// matches the monolithic cache exactly: the full set index is the low
-// bits of the line number; its high bits select the stripe and the low
-// bits the set inside the stripe cache.
-//
-//hcsgc:alloc-free
-func (h *Hierarchy) stripeOf(addr uint64) uint64 {
-	return ((line(addr) - 1) & h.setMask) >> h.stripeShift
 }
 
 // MustNewHierarchy is NewHierarchy but panics on error.
@@ -312,26 +273,27 @@ func (c *Core) missLine(addr, ln uint64) uint64 {
 	// refill path then finds them there at L2 cost) ahead of the demand
 	// lookup at each level. The private L2 goes first so that everything
 	// the shared LLC is asked — prefetch fills, then the demand access —
-	// happens in one go: consecutive lines share a stripe, so one
-	// acquisition covers each run of same-stripe work. The stripe caches
-	// are only touched; the LLC's demand counters are derived from the
-	// cores' ledgers (see Hierarchy.Stats).
+	// happens in one go: consecutive lines fall in one lock's set group, so
+	// one acquisition covers each run of same-group work. The LLC is only
+	// touched; its demand counters are derived from the cores' ledgers
+	// (see Hierarchy.Stats).
 	targets := c.pf.OnMiss(addr)
 	for _, t := range targets {
 		c.l2.Prefetch(t)
 	}
 	l2hit := c.l2.touch(ln)
-	var held *llcStripe
+	llc := c.sys.llc
+	var held *llcLock
 	for _, t := range targets {
-		held = c.sys.lockStripe(t, held)
-		held.c.touch(line(t))
+		held = c.sys.lockLLC(t, held)
+		llc.touch(line(t))
 	}
 	cost := c.lat.L2
 	if !l2hit {
 		c.led.l2miss++
-		held = c.sys.lockStripe(addr, held)
+		held = c.sys.lockLLC(addr, held)
 		cost = c.lat.LLC
-		if !held.c.touch(ln) {
+		if !llc.touch(ln) {
 			c.led.llcmiss++
 			cost = c.lat.Mem
 		}
@@ -342,18 +304,18 @@ func (c *Core) missLine(addr, ln uint64) uint64 {
 	return cost
 }
 
-// lockStripe returns addr's LLC stripe, locked. held is the stripe the
-// caller already holds, if any: it is kept when addr maps to it and
-// released otherwise, so a caller never holds two stripes.
-func (h *Hierarchy) lockStripe(addr uint64, held *llcStripe) *llcStripe {
-	st := &h.stripes[h.stripeOf(addr)]
-	if st != held {
+// lockLLC returns the lock of addr's LLC set group, locked. held is the
+// lock the caller already holds, if any: it is kept when addr maps to it
+// and released otherwise, so a caller never holds two.
+func (h *Hierarchy) lockLLC(addr uint64, held *llcLock) *llcLock {
+	l := &h.locks[h.llc.setOf(line(addr))/llcLockSets]
+	if l != held {
 		if held != nil {
 			held.mu.Unlock()
 		}
-		st.mu.Lock()
+		l.mu.Lock()
 	}
-	return st
+	return l
 }
 
 // Stats returns this core's counters. Owner view: exact, and only for the

@@ -251,31 +251,46 @@ func TestLatenciesDefaultApplied(t *testing.T) {
 	}
 }
 
-// TestLLCStripingEquivalence: sharding the LLC lock must not change what
-// the cache model computes — stripes partition the set index space, so a
-// single-threaded access sequence sees identical hits, misses, and
-// cycles at any stripe count.
-func TestLLCStripingEquivalence(t *testing.T) {
-	run := func(stripes int) SystemStats {
-		cfg := smallConfig()
-		cfg.LLCStripes = stripes
-		h := MustNewHierarchy(cfg)
-		c := h.NewCore()
-		rng := rand.New(rand.NewSource(9))
-		for i := 0; i < 4096; i++ {
-			addr := uint64(rng.Intn(1 << 20))
-			if i%3 == 0 {
-				c.Store(addr, 8)
-			} else {
-				c.Load(addr, 8)
-			}
-		}
-		return h.Stats()
-	}
-	base := run(1)
-	for _, stripes := range []int{2, 8} {
-		if got := run(stripes); got != base {
-			t.Errorf("stats diverge at %d stripes:\n1: %+v\n%d: %+v", stripes, base, stripes, got)
+// TestLLCLockGroups pins how the shared LLC's sets map to locks: one lock
+// per 64 consecutive sets, a single lock for an LLC of 64 sets or fewer,
+// and a caller that moves to another group gives up the one it held.
+func TestLLCLockGroups(t *testing.T) {
+	tiny := smallConfig()
+	tiny.LLC.Size = 16 << 10 // 32 sets
+	for _, tc := range []struct {
+		name        string
+		cfg         HierarchyConfig
+		sets, locks int
+	}{
+		{"default", DefaultConfig(), 4096, 64},
+		{"server", ServerConfig(), 4096, 64},
+		{"small", smallConfig(), 512, 8},
+		{"tiny", tiny, 32, 1},
+	} {
+		h := MustNewHierarchy(tc.cfg)
+		if h.llc.Sets() != tc.sets || len(h.locks) != tc.locks {
+			t.Errorf("%s: %d LLC locks for %d sets, want %d for %d", tc.name, len(h.locks), h.llc.Sets(), tc.locks, tc.sets)
 		}
 	}
+
+	h := MustNewHierarchy(DefaultConfig())
+	sets := uint64(h.llc.Sets())
+	addrOfSet := func(set uint64) uint64 { return (5*sets + set) << lineShift }
+	first := h.lockLLC(addrOfSet(64), nil)
+	if again := h.lockLLC(addrOfSet(65), first); again != first {
+		t.Error("sets 64 and 65 map to different locks, want one group")
+	}
+	next := h.lockLLC(addrOfSet(128), first)
+	if next == first {
+		t.Error("set 128 maps to set 64's lock, want the next group's")
+	}
+	if !first.mu.TryLock() {
+		t.Error("lockLLC kept the previous group's lock when it moved on")
+	} else {
+		first.mu.Unlock()
+	}
+	if next.mu.TryLock() {
+		t.Error("lockLLC returned the new group's lock unlocked")
+	}
+	next.mu.Unlock()
 }

@@ -30,13 +30,9 @@ func TestHotStructLayout(t *testing.T) {
 		t.Errorf("Core is %d bytes, want a multiple of %d", size, hostLine)
 	}
 
-	// Two lines per stripe: adjacent-line prefetch pairs lines, so one line
-	// of padding would still couple neighbouring locks.
-	var st llcStripe
-	if size := unsafe.Sizeof(st); size != 2*hostLine {
-		t.Errorf("llcStripe is %d bytes, want %d", size, 2*hostLine)
-	}
-	if end := unsafe.Offsetof(st.c) + unsafe.Sizeof(st.c); end > hostLine {
-		t.Errorf("llcStripe's lock and cache pointer end at %d, want within one line", end)
+	// Two lines per LLC lock: adjacent-line prefetch pairs lines, so one
+	// line of padding would still couple neighbouring locks.
+	if size := unsafe.Sizeof(llcLock{}); size != 2*hostLine {
+		t.Errorf("llcLock is %d bytes, want %d", size, 2*hostLine)
 	}
 }

@@ -9,8 +9,8 @@ import (
 // was rebuilt for host speed: ticket-LRU sets, a two-pass stream table and
 // a counted cycle ledger. It is deliberately the slow, obvious version —
 // the oracle TestDifferentialAgainstReference holds the fast one to, access
-// by access. It is single-threaded, so the LLC is one unstriped cache
-// (TestLLCStripingEquivalence covers striping).
+// by access. It is single-threaded, so the LLC's locks play no part
+// (TestLLCDisjointSetsConcurrent covers locking).
 
 type refCache struct {
 	ways     int

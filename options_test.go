@@ -28,18 +28,17 @@ var auditedStructs = []string{
 
 // optionCount pins the number of settable values: a new knob is a
 // deliberate act (it needs a non-test caller, and this number).
-const optionCount = 89
+const optionCount = 88
 
 // testOnlyOptions are the options only tests set, each with the reason a
 // test could not reach the behaviour if the value were a constant.
 var testOnlyOptions = map[string]string{
-	"./Options.STWWatchdog":                      "nobody waits the default 30 s for a watchdog test",
-	"internal/core/Config.STWWatchdog":           "carries Options.STWWatchdog",
-	"./Options.StallRetries":                     "the seam the OOM and budget tests use to exhaust in one stall instead of sixteen",
-	"internal/core/Config.StallRetries":          "carries Options.StallRetries",
-	"internal/workloads/RunConfig.StallRetries":  "carries Options.StallRetries",
-	"internal/heap/Config.AddrSpaceBytes":        "address-space exhaustion is out of a test's reach at the default 512 GB",
-	"internal/simmem/HierarchyConfig.LLCStripes": "the one-stripe reference side of TestLLCStripingEquivalence",
+	"./Options.STWWatchdog":                     "nobody waits the default 30 s for a watchdog test",
+	"internal/core/Config.STWWatchdog":          "carries Options.STWWatchdog",
+	"./Options.StallRetries":                    "the seam the OOM and budget tests use to exhaust in one stall instead of sixteen",
+	"internal/core/Config.StallRetries":         "carries Options.StallRetries",
+	"internal/workloads/RunConfig.StallRetries": "carries Options.StallRetries",
+	"internal/heap/Config.AddrSpaceBytes":       "address-space exhaustion is out of a test's reach at the default 512 GB",
 }
 
 // optionAudit is what parsing the repository's non-test, non-example
