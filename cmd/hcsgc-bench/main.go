@@ -67,7 +67,7 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.StringVar(&o.report, "report", "", "run a report mode instead of the timing sweep: "+strings.Join(modeNames(), ", ")+" (see -list)")
 	fs.StringVar(&o.json, "json", "", "also write the -report result as JSON to this file")
 
-	fs.UintVar(&o.localityShift, "locality-shift", 4, "-report locality: sampling knob, one burst per 2^shift accesses")
+	fs.UintVar(&o.localityShift, "locality-shift", 4, "-report explain: sampling knob, one burst per 2^shift accesses (at most 62)")
 	fs.Uint64Var(&o.tailSLO, "tail-slo", 0, "-report kv: SLO threshold in virtual cycles that violations are attributed against (0 = default 1000000)")
 	fs.Float64Var(&o.overloadFactor, "overload-factor", 0, "-report overload: arrival-rate multiplier past sustainable (0 = default 2)")
 	intList(fs, &o.sweepMutators, "sweep-mutators", "-report scaling: comma-separated mutator counts (default 1,2,4,8,16,64)")
@@ -119,19 +119,11 @@ type mode struct {
 
 var modes = []mode{
 	{
-		name: "locality", desc: "locality A/B: reuse distance, stream coverage, page entropy",
+		name: "explain", desc: "explanation A/B from the same runs: reuse distance, stream coverage, page entropy; pause/phase HDR percentiles, MMU ladder, barrier profile",
 		exp: "fig4", configs: []int{0, 16}, // ZGC baseline vs H+CP+cc1+lazy (COLDPAGE+LAZYRELOCATE)
 		flags: []string{"json", "locality-shift"},
 		run: reporting(func(j *job) (report, error) {
-			return bench.RunLocalityAB(j.exp, j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.localityShift, j.sink, j.progress)
-		}),
-	},
-	{
-		name: "latency", desc: "latency A/B: pause/phase HDR percentiles, MMU ladder, barrier profile",
-		exp: "fig4", configs: []int{3, 4}, // RelocateAllSmallPages vs +LazyRelocate (the shift story)
-		flags: []string{"json"},
-		run: reporting(func(j *job) (report, error) {
-			return bench.RunLatencyAB(j.exp, j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.sink, j.progress)
+			return bench.RunExplainAB(j.exp, j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.localityShift, j.sink, j.progress)
 		}),
 	},
 	{
@@ -202,6 +194,9 @@ func selectMode(j *job, given []string) (*mode, error) {
 			return nil, fmt.Errorf("-%s needs -report %s", f, strings.Join(names, "|"))
 		}
 		return nil, fmt.Errorf("-%s is not read by -report %s (only by -report %s)", f, m.name, strings.Join(names, "|"))
+	}
+	if j.localityShift > 62 { // the sample period 1<<shift is an int
+		return nil, fmt.Errorf("-locality-shift %d overflows the sample period (at most 62)", j.localityShift)
 	}
 	if m == nil {
 		return nil, nil

@@ -98,14 +98,14 @@ func TestRunOneWithTelemetry(t *testing.T) {
 	}
 }
 
-// TestRunLatencyTiny drives -report latency end to end on a tiny
-// workload, with the telemetry sink attached so the HDR summaries and MMU
-// gauges land in the exposition.
+// TestRunLatencyTiny drives -report explain end to end on a tiny
+// workload, with the telemetry sink attached so the latency tracker's HDR
+// summaries and MMU gauges land in the exposition.
 func TestRunLatencyTiny(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	// Scale 0.03 is the smallest fig4 that actually triggers GC cycles
-	// (LatencyAB.Validate requires recorded pauses).
-	j := quietJob(sink, options{report: "latency", runs: 1, scale: 0.03, seed: 1})
+	// (ExplainAB.Validate requires recorded pauses).
+	j := quietJob(sink, options{report: "explain", runs: 1, scale: 0.03, seed: 1, localityShift: 4})
 	if err := runMode(t, j); err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRunLatencyTiny(t *testing.T) {
 
 // TestRunLatencyBadConfigs rejects a malformed -configs pair.
 func TestRunLatencyBadConfigs(t *testing.T) {
-	j := quietJob(nil, options{report: "latency", runs: 1, scale: 0.005, seed: 1})
+	j := quietJob(nil, options{report: "explain", runs: 1, scale: 0.005, seed: 1})
 	j.configs = []int{3}
 	if err := runMode(t, j); err == nil {
 		t.Fatal("single config id must error")
@@ -242,12 +242,14 @@ func TestMisuseFailsLoudly(t *testing.T) {
 		want []string // substrings of stderr
 	}{
 		{"-report nonesuch", append([]string{`"nonesuch"`}, modeNames()...)},
-		// Folded into -report kv, not aliased: six modes.
-		{"-report tail", []string{`"tail"`, "locality, latency, kv, overload, scaling, chaos)"}},
+		// Folded into -report kv, not aliased: five modes.
+		{"-report tail", []string{`"tail"`, "explain, kv, overload, scaling, chaos)"}},
 		// The ISSUE 14 motivation: a flag of another mode used to be
 		// accepted, exit 0, and write no file.
 		{"-report chaos -json x.json", []string{"-json", "chaos"}},
 		{"-report kv -locality-shift 3", []string{"-locality-shift", "kv"}},
+		// 1<<63 overflows the sample period.
+		{"-report explain -locality-shift 63", []string{"-locality-shift"}},
 		{"-report overload -tail-slo 5", []string{"-tail-slo", "overload"}},
 		{"-report kv -overload-factor 3", []string{"-overload-factor", "kv"}},
 		{"-report kv -sweep-mutators 1,2", []string{"-sweep-mutators", "kv"}},

@@ -104,10 +104,8 @@ func fixture[T any]() *T {
 	return v
 }
 
-func fixtureLocalityAB() *LocalityAB { return fixture[LocalityAB]() }
-
-func fixtureLatencyAB() *LatencyAB {
-	ab := fixture[LatencyAB]()
+func fixtureExplainAB() *ExplainAB {
+	ab := fixture[ExplainAB]()
 	// The MMU table joins the two sides on the window width.
 	for i := range ab.Base.Report.MMU.Windows {
 		ab.Test.Report.MMU.Windows[i].WindowCycles = ab.Base.Report.MMU.Windows[i].WindowCycles
@@ -150,15 +148,14 @@ func fixtureScaleSweep() *ScaleSweep {
 }
 
 func TestGoldenReports(t *testing.T) {
-	loc, lat, kv := fixtureLocalityAB(), fixtureLatencyAB(), fixtureKVAB()
+	explain, kv := fixtureExplainAB(), fixtureKVAB()
 	ovl, sweep := fixtureOverloadAB(), fixtureScaleSweep()
 	cases := []struct {
 		name string
 		text func(io.Writer)
 		json func(io.Writer) error
 	}{
-		{"locality", loc.WriteText, loc.WriteJSON},
-		{"latency", lat.WriteText, lat.WriteJSON},
+		{"explain", explain.WriteText, explain.WriteJSON},
 		{"kv", kv.WriteText, kv.WriteJSON},
 		{"overload", ovl.WriteText, ovl.WriteJSON},
 		{"scaling", sweep.WriteText, sweep.WriteJSON},
