@@ -44,7 +44,6 @@ type options struct {
 
 	// Flags only some report modes read (see mode.flags).
 	localityShift  uint
-	tailSLO        uint64
 	overloadFactor float64
 	sweepMutators  []int // nil = bench.ScalingMutators
 	chaosOut       string
@@ -68,7 +67,6 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.StringVar(&o.json, "json", "", "also write the -report result as JSON to this file")
 
 	fs.UintVar(&o.localityShift, "locality-shift", 4, "-report explain: sampling knob, one burst per 2^shift accesses (at most 62)")
-	fs.Uint64Var(&o.tailSLO, "tail-slo", 0, "-report kv: SLO threshold in virtual cycles that violations are attributed against (0 = default 1000000)")
 	fs.Float64Var(&o.overloadFactor, "overload-factor", 0, "-report overload: arrival-rate multiplier past sustainable (0 = default 2)")
 	intList(fs, &o.sweepMutators, "sweep-mutators", "-report scaling: comma-separated mutator counts (default 1,2,4,8,16,64)")
 	fs.StringVar(&o.chaosOut, "chaos-out", "", "-report chaos: also write the soak report (and failed runs' gclogs) to this file")
@@ -129,9 +127,9 @@ var modes = []mode{
 	{
 		name: "kv", desc: "KV serving A/B: open-loop request latency percentiles and SLO curves per traffic phase, SLO violations by cause and GC cycle",
 		configs: []int{3, 4}, seed: 1,
-		flags: []string{"json", "tail-slo"},
+		flags: []string{"json"},
 		run: reporting(func(j *job) (report, error) {
-			return bench.RunKVAB(j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.tailSLO, j.sink, j.progress)
+			return bench.RunKVAB(j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.sink, j.progress)
 		}),
 	},
 	{

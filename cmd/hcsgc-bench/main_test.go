@@ -250,7 +250,6 @@ func TestMisuseFailsLoudly(t *testing.T) {
 		{"-report kv -locality-shift 3", []string{"-locality-shift", "kv"}},
 		// 1<<63 overflows the sample period.
 		{"-report explain -locality-shift 63", []string{"-locality-shift"}},
-		{"-report overload -tail-slo 5", []string{"-tail-slo", "overload"}},
 		{"-report kv -overload-factor 3", []string{"-overload-factor", "kv"}},
 		{"-report kv -sweep-mutators 1,2", []string{"-sweep-mutators", "kv"}},
 		{"-report kv -chaos-out x.txt", []string{"-chaos-out", "kv"}},
@@ -286,8 +285,8 @@ func TestMisuseFailsLoudly(t *testing.T) {
 func TestFlagCount(t *testing.T) {
 	n := 0
 	new(options).flagSet().VisitAll(func(*flag.Flag) { n++ })
-	if n != 17 {
-		t.Errorf("hcsgc-bench defines %d flags, want 17", n)
+	if n != 16 {
+		t.Errorf("hcsgc-bench defines %d flags, want 16", n)
 	}
 }
 

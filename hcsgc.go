@@ -96,9 +96,9 @@ type (
 	LatencyDist = latency.Dist
 	// SignalPlane is the per-cycle GC signal plane: a window onto the
 	// latency tracker's cycle log (/signals), the per-cycle
-	// hcsgc_signal_value gauges, and the cycle-number lookup the tail
-	// attributor links exemplars with (see internal/signals). Every
-	// runtime has one (Runtime.Signals).
+	// hcsgc_signal_value gauges, and the cycle-number lookup the KV
+	// ledger's tail section links exemplars with (see internal/signals).
+	// Every runtime has one (Runtime.Signals).
 	SignalPlane = signals.Plane
 	// SignalsConfig tunes the signal plane.
 	SignalsConfig = signals.Config
@@ -111,16 +111,6 @@ type (
 	// Its ranked snapshot says where threads wait; read wait-for-GC
 	// convoys (core.cycleMu) apart from contended locks before acting on it.
 	ContentionPlane = contention.Plane
-	// TailAttributor classifies SLO-violating requests by cause
-	// (stw-pause / alloc-stall / queued-behind-stall / service) and links
-	// them to the responsible cycle's logged record.
-	TailAttributor = signals.TailAttributor
-	// TailConfig tunes a TailAttributor.
-	TailConfig = signals.TailConfig
-	// TailReport is a TailAttributor snapshot (the /tailattr payload).
-	TailReport = signals.TailReport
-	// TailObs is one completed request's raw attribution observation.
-	TailObs = signals.Obs
 )
 
 // Sentinel errors for errors.Is against allocation failures.
@@ -152,7 +142,7 @@ func NewHeapVerifier() *HeapVerifier { return heap.NewVerifier() }
 // report the runtime attached last (a series reports what its currently
 // attached source holds), so one scrape has one time base; accumulators
 // that are themselves shared across runs (RunConfig.KV, the KV serving
-// ledger; Tail; a shared ContentionPlane) accumulate because they do.
+// ledger; a shared ContentionPlane) accumulate because they do.
 func NewTelemetrySink() *TelemetrySink { return telemetry.NewSink() }
 
 // NewLocalityProfiler builds an enabled locality profiler. Pass it via
@@ -175,11 +165,6 @@ func NewSignalPlane(cfg SignalsConfig) *SignalPlane { return signals.New(cfg) }
 // Options.Contention to share one plane across runtimes; a runtime handed
 // none builds its own.
 func NewContentionPlane() *ContentionPlane { return contention.New() }
-
-// NewTailAttributor builds a request-level tail attributor. Serving
-// harnesses create per-thread classifiers from it via
-// TailAttributor.Classifier(rt.Signals).
-func NewTailAttributor(cfg TailConfig) *TailAttributor { return signals.NewTailAttributor(cfg) }
 
 // NullRef is the null reference.
 const NullRef = heap.NullRef

@@ -81,9 +81,9 @@ func register(reg *telemetry.Registry, suffix string) {
 	reg.Gauge("hcsgc_signal_count", "Reserved.")                                               // want `reserved suffix "_count"`
 	reg.Counter("hcsgc_signal_sum", "Reserved.")                                               // want `reserved suffix "_sum"`
 
-	// The tail-attribution families (internal/signals.TailAttributor):
-	// violation counters and per-cause latency summaries keyed by cause.
-	reg.Counter("hcsgc_tail_requests_total", "Requests observed.")
+	// The tail-attribution families (the KV serving ledger's tail
+	// section): violation counters and per-cause latency summaries keyed
+	// by cause.
 	reg.Counter("hcsgc_tail_attributed_total", "Violations attributed.")
 	reg.Counter("hcsgc_tail_violations_total", "SLO violations by cause.", "cause", "alloc-stall")
 	reg.Counter("hcsgc_tail_violations_total", "SLO violations by cause.", "cause", "stw-pause")

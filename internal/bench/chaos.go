@@ -199,7 +199,7 @@ func chaosRun(w workloads.Workload, config int, scale float64, seed int64, kv bo
 	run.Violations = v.Violations()
 	run.VerifierRuns = v.Runs()
 	run.Fired = inj.FiredByPoint()
-	run.KV = kvm.Outcomes(0)
+	run.KV = kvm.Outcomes()
 	if run.Failed() || run.OOM {
 		run.FlightDump = dumpBuf.String()
 		if run.FlightDump == "" {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hcsgc"
+	"hcsgc/internal/kvstore"
 )
 
 // TestChaosSoakShort is a miniature of the CI chaos job: a few seeds of
@@ -39,7 +40,8 @@ func TestChaosSoakShort(t *testing.T) {
 // TestChaosKVSoakShort soaks the protected KV serving path: randomized
 // schedules (which force deadline expiries on top of allocation faults)
 // must degrade per-request — no aborted runs, no verifier violations — and
-// at least one seed must actually shed or fast-fail a request.
+// at least one seed must actually shed or fast-fail a request. Every run's
+// outcomes are labelled with the SLO the ledger judged them by.
 func TestChaosKVSoakShort(t *testing.T) {
 	res, err := RunChaos("kv", 3, 0, 100, t.Logf)
 	if err != nil {
@@ -54,6 +56,9 @@ func TestChaosKVSoakShort(t *testing.T) {
 			t.Errorf("seed %d failed: err=%v violations=%v\ngclog:\n%s", r.Seed, r.Err, r.Violations, r.GCLog)
 		}
 		degraded += r.KV.Failures
+		if r.KV.SLOThresholdCycles != kvstore.SLOCycles {
+			t.Errorf("seed %d: outcomes labelled SLO %d, judged at %d", r.Seed, r.KV.SLOThresholdCycles, kvstore.SLOCycles)
+		}
 	}
 	if res.Failures != 0 {
 		t.Fatalf("failures = %d", res.Failures)

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"hcsgc/internal/kvstore"
 	"hcsgc/internal/loadgen"
 	"hcsgc/internal/signals"
 	"hcsgc/internal/telemetry/latency"
@@ -36,6 +37,12 @@ var fixtureKeys = map[string][]string{
 	"Ops": {loadgen.OpGet.String(), loadgen.OpSet.String(),
 		loadgen.OpDelete.String(), loadgen.OpScan.String()},
 }
+
+// fixtureDerived names, as "Type.Field", the fields a report derives from
+// others, which the filler leaves for the fixture to derive the same way:
+// a tail report's cycles[] and each exemplar's index into it are written
+// from the exemplars' records (linkCycles).
+var fixtureDerived = map[string]bool{"TailReport.Cycles": true, "Exemplar.CycleIndex": true}
 
 // fixtureLens overrides the default slice length of 2 by field name.
 var fixtureLens = map[string]int{
@@ -69,7 +76,7 @@ func (f *filler) fill(v reflect.Value, field string) {
 		f.fill(v.Elem(), field)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			if sf := v.Type().Field(i); sf.IsExported() {
+			if sf := v.Type().Field(i); sf.IsExported() && !fixtureDerived[v.Type().Name()+"."+sf.Name] {
 				f.fill(v.Field(i), sf.Name)
 			}
 		}
@@ -113,6 +120,16 @@ func fixtureExplainAB() *ExplainAB {
 	return ab
 }
 
+// linkCycles derives a filled tail's cycle links as the ledger's Tail
+// does: every exemplar's record once in cycles[] (the filler made them
+// distinct), each exemplar indexing its own.
+func linkCycles(tail *kvstore.TailReport) {
+	for i := range tail.TopK {
+		tail.Cycles = append(tail.Cycles, tail.TopK[i].Record)
+		tail.TopK[i].CycleIndex = i
+	}
+}
+
 func fixtureKVAB() *KVAB {
 	ab := fixture[KVAB]()
 	for i, name := range loadgen.PhaseNames {
@@ -121,6 +138,8 @@ func fixtureKVAB() *KVAB {
 	}
 	// A cause nobody hit is skipped by the text report.
 	ab.Test.Tail.ByCause[1].Count = 0
+	linkCycles(&ab.Base.Tail)
+	linkCycles(&ab.Test.Tail)
 	return ab
 }
 
@@ -131,6 +150,8 @@ func fixtureOverloadAB() *OverloadAB {
 		ab.Protected.Report.Phases[i].Phase = name
 	}
 	ab.Protected.Tail.ByCause[0].Count = 0
+	linkCycles(&ab.Unprotected.Tail)
+	linkCycles(&ab.Protected.Tail)
 	return ab
 }
 

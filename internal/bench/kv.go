@@ -11,10 +11,10 @@ import (
 )
 
 // KVSide is one configuration's aggregated serving measurement in a KV
-// A/B comparison: every run's request-latency histograms merged slot-wise
-// into one accumulator, so the side's quantiles are exact over the union
-// of all runs' requests. The attributor's per-cause histograms merge the
-// same way, over the same requests.
+// A/B comparison: every run's serving ledger merged into one, histograms
+// slot-wise, so the side's quantiles are exact over the union of all runs'
+// requests. Report and Tail are two sections of that one ledger, over the
+// same requests.
 type KVSide struct {
 	Config int    `json:"config"`
 	Knobs  string `json:"knobs"`
@@ -22,7 +22,7 @@ type KVSide struct {
 	// Tail explains Report's tail: every request past the SLO classified
 	// (stw-pause / alloc-stall / queued-behind-stall / service) and linked
 	// to the responsible GC cycle, plus the top-K slow-request exemplars.
-	Tail hcsgc.TailReport `json:"tail"`
+	Tail kvstore.TailReport `json:"tail"`
 	// Report is the merged serving report (per-phase dists + SLO curves).
 	Report kvstore.Report `json:"report"`
 	// MeanExecSeconds is the mean simulated execution time, for context.
@@ -45,7 +45,7 @@ type KVAB struct {
 	Scale float64 `json:"scale"`
 	Seed  int64   `json:"seed"`
 	// SLOThresholdCycles is the violation threshold both sides classify
-	// against.
+	// against (kvstore.SLOCycles).
 	SLOThresholdCycles uint64 `json:"slo_threshold_cycles"`
 
 	Base KVSide `json:"base"`
@@ -53,10 +53,9 @@ type KVAB struct {
 }
 
 // RunKVAB runs the KV server workload under two configurations, runs
-// times each with per-run seeds, merging every run's request metrics and
-// tail attribution into the side's accumulators. slo is the violation
-// threshold in virtual cycles (0 = the attributor's default).
-func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, slo uint64, sink *hcsgc.TelemetrySink, progress Progress) (*KVAB, error) {
+// times each with per-run seeds, merging every run's serving ledger into
+// the side's.
+func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hcsgc.TelemetrySink, progress Progress) (*KVAB, error) {
 	if runs <= 0 {
 		// The KV tail is dominated by rare, large stall/pause convoys;
 		// single runs are a coin flip over where they land. Ten runs
@@ -67,20 +66,19 @@ func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, slo uint
 	if scale <= 0 {
 		scale = 1 // the workload's default benchmarking scale
 	}
-	sides, _, err := runKVSides("kv", []int{baseCfg, testCfg}, runs, scale, seed, slo, sink, progress, nil)
+	sides, _, err := runKVSides("kv", []int{baseCfg, testCfg}, runs, scale, seed, sink, progress, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &KVAB{Runs: runs, Scale: scale, Seed: seed,
-		SLOThresholdCycles: sides[1].Tail.SLOThresholdCycles, Base: sides[0], Test: sides[1]}, nil
+		SLOThresholdCycles: kvstore.SLOCycles, Base: sides[0], Test: sides[1]}, nil
 }
 
 // runKVSides runs the KV server workload under each configuration of cfgs
-// through runSides, merging every side's runs into one serving ledger and
-// one tail attributor (violation threshold slo, 0 = the attributor's
-// default). setup, when not nil, adds a side's own settings to each of its
-// runs' config. It returns the sides and their ledgers.
-func runKVSides(label string, cfgs []int, runs int, scale float64, seed int64, slo uint64,
+// through runSides, merging every side's runs into one serving ledger.
+// setup, when not nil, adds a side's own settings to each of its runs'
+// config. It returns the sides and their ledgers.
+func runKVSides(label string, cfgs []int, runs int, scale float64, seed int64,
 	sink *hcsgc.TelemetrySink, progress Progress,
 	setup func(side int, rc *workloads.RunConfig)) ([]KVSide, []*kvstore.Metrics, error) {
 	w, err := workloads.Get("kv")
@@ -88,14 +86,12 @@ func runKVSides(label string, cfgs []int, runs int, scale float64, seed int64, s
 		return nil, nil, err
 	}
 	accs := make([]*kvstore.Metrics, len(cfgs))
-	tails := make([]*hcsgc.TailAttributor, len(cfgs))
 	for i := range cfgs {
 		accs[i] = kvstore.NewMetrics()
-		tails[i] = hcsgc.NewTailAttributor(hcsgc.TailConfig{SLOThresholdCycles: slo})
 	}
 	sides, err := runSides(label, w, cfgs, runs, scale, seed, sink, progress,
 		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
-			rc.KV, rc.Tail = accs[side], tails[side]
+			rc.KV = accs[side]
 			if setup != nil {
 				setup(side, rc)
 			}
@@ -108,7 +104,7 @@ func runKVSides(label string, cfgs []int, runs int, scale float64, seed int64, s
 	for i, s := range sides {
 		out[i] = KVSide{
 			Config: s.config, Knobs: s.knobs, Runs: runs,
-			Tail:            tails[i].Report(),
+			Tail:            accs[i].Tail(),
 			Report:          accs[i].Report(nil),
 			MeanExecSeconds: s.meanExecSeconds,
 			GCCycles:        s.gcCycles,
@@ -118,8 +114,8 @@ func runKVSides(label string, cfgs []int, runs int, scale float64, seed int64, s
 }
 
 // validate checks what holds on any KV side: its serving and tail reports
-// are well-formed, and the attributor observed exactly the requests the
-// serving report counted. It returns that count and the slowest of them.
+// are well-formed. It returns the requests the serving report counted and
+// the slowest of them.
 func (s *KVSide) validate() (served, slowest uint64, err error) {
 	if err := s.Report.Validate(); err != nil {
 		return 0, 0, err
@@ -131,9 +127,6 @@ func (s *KVSide) validate() (served, slowest uint64, err error) {
 		served += p.Dist.Count
 		slowest = max(slowest, p.Dist.Max)
 	}
-	if s.Tail.Requests != served {
-		return 0, 0, fmt.Errorf("attributor observed %d requests, serving report counted %d", s.Tail.Requests, served)
-	}
 	return served, slowest, nil
 }
 
@@ -142,10 +135,10 @@ func (s *KVSide) validate() (served, slowest uint64, err error) {
 // recorded requests, and the two sides served identical request counts
 // per phase (the schedule is open-loop and seeded, so any divergence is a
 // harness bug). The attribution half: both sides pass the tail report's
-// structural validation, the attributor observed exactly the requests the
-// serving report counted, and a side that has SLO violations attributes
-// at least 90% of them to a concrete cause and responsible cycle id. A
-// report with no violations passes: nothing past the SLO is a result.
+// structural validation (each exemplar's cycle link included), and a side
+// that has SLO violations attributes at least 90% of them to a concrete
+// cause and responsible cycle id. A report with no violations passes:
+// nothing past the SLO is a result.
 func (ab *KVAB) Validate() error {
 	for _, s := range []struct {
 		name string

@@ -40,8 +40,8 @@ type OverloadAB struct {
 	Config     int     `json:"config"`
 	Knobs      string  `json:"knobs"`
 	LoadFactor float64 `json:"load_factor"`
-	// SLOThresholdCycles is the goodput SLO both sides account against
-	// (and the tail attributor's violation threshold).
+	// SLOThresholdCycles is the SLO both sides account goodput and
+	// violations against (kvstore.SLOCycles).
 	SLOThresholdCycles uint64 `json:"slo_threshold_cycles"`
 	// DeadlineCycles is the per-request deadline the protected side arms.
 	DeadlineCycles uint64 `json:"deadline_cycles"`
@@ -67,8 +67,7 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 	if loadFactor <= 0 {
 		loadFactor = 2 // the acceptance point: twice the sustainable rate
 	}
-	sides, ledgers, err := runKVSides("overload", []int{cfgID, cfgID}, runs, scale, seed,
-		workloads.GoodputSLOCycles, sink, progress,
+	sides, ledgers, err := runKVSides("overload", []int{cfgID, cfgID}, runs, scale, seed, sink, progress,
 		func(side int, rc *workloads.RunConfig) { rc.LoadFactor, rc.Overload = loadFactor, side == 1 })
 	if err != nil {
 		return nil, err
@@ -76,20 +75,19 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 	ab := &OverloadAB{
 		Runs: runs, Scale: scale, Seed: seed, Config: cfgID,
 		Knobs: sides[0].Knobs, LoadFactor: loadFactor,
-		SLOThresholdCycles: workloads.GoodputSLOCycles,
+		SLOThresholdCycles: kvstore.SLOCycles,
 		DeadlineCycles:     workloads.DeadlineCycles,
 	}
 	for i, side := range []*OverloadSide{&ab.Unprotected, &ab.Protected} {
 		*side = OverloadSide{KVSide: sides[i], Protected: i == 1,
-			Overload: ledgers[i].Outcomes(workloads.GoodputSLOCycles)}
+			Overload: ledgers[i].Outcomes()}
 	}
 	return ab, nil
 }
 
 // Validate is the acceptance gate for the overload comparison:
 //
-//   - structural validity of every per-side report, and the attributor
-//     observed exactly the requests the serving report counted;
+//   - structural validity of every per-side report;
 //   - on each side, the outcome accounting and the serving report count
 //     the same successful requests: successes = Σ phase counts, and the
 //     success max is the largest phase max;

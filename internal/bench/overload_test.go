@@ -8,9 +8,7 @@ import (
 	"sync"
 	"testing"
 
-	"hcsgc"
 	"hcsgc/internal/kvstore"
-	"hcsgc/internal/signals"
 	"hcsgc/internal/workloads"
 )
 
@@ -96,8 +94,8 @@ func TestValidateOverloadABRejectsCorruption(t *testing.T) {
 
 	// withViolations sets a side's violation count, keeping the by-cause
 	// counts summing to it (on a copy: the shared result stays intact).
-	withViolations := func(tr *hcsgc.TailReport, v uint64) {
-		tr.ByCause = append([]signals.CauseReport(nil), tr.ByCause...)
+	withViolations := func(tr *kvstore.TailReport, v uint64) {
+		tr.ByCause = append([]kvstore.CauseReport(nil), tr.ByCause...)
 		tr.ByCause[0].Count += v - tr.Violations
 		tr.Violations = v
 	}
@@ -113,8 +111,9 @@ func TestValidateOverloadABRejectsCorruption(t *testing.T) {
 			c.Protected.Overload.Badput--
 			c.Protected.Overload.DeadlineExceeded--
 		}},
-		// A success the serving report lost: the attributor disagrees.
-		{"attributor observed", func(c *OverloadAB) {
+		// A success the serving report lost: the outcome accounting
+		// disagrees.
+		{"serving report counted", func(c *OverloadAB) {
 			c.Protected.Report.Phases = append([]kvstore.PhaseReport(nil), c.Protected.Report.Phases...)
 			c.Protected.Report.Phases[0].Dist.Count--
 		}},

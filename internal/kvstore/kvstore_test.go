@@ -102,8 +102,8 @@ func TestStoreSurvivesGC(t *testing.T) {
 func TestMetricsReportAndMerge(t *testing.T) {
 	a, b := NewMetrics(), NewMetrics()
 	for i := uint64(1); i <= 100; i++ {
-		a.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, i*100, true)
-		b.RecordRequest(loadgen.PhaseBurst, loadgen.OpSet, i*1000, false)
+		a.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, i*100)
+		b.RecordRequest(loadgen.PhaseBurst, loadgen.OpSet, i*1000)
 	}
 	a.RecordLookup(true)
 	a.RecordLookup(false)
@@ -157,7 +157,7 @@ func TestMergedPhasesEqualDirectHist(t *testing.T) {
 	mx, direct := NewMetrics(), latency.NewHist()
 	for i := uint64(1); i <= 3000; i++ {
 		lat := i * i % 1_000_003 // spread over several HDR ranges
-		mx.RecordRequest(int(i%loadgen.NumPhases), loadgen.OpGet, lat, false)
+		mx.RecordRequest(int(i%loadgen.NumPhases), loadgen.OpGet, lat)
 		direct.Record(lat)
 	}
 	for _, p := range mx.Report(nil).Phases {
@@ -165,7 +165,7 @@ func TestMergedPhasesEqualDirectHist(t *testing.T) {
 			t.Fatal("a phase recorded nothing; the merge is not exercised")
 		}
 	}
-	if got, want := mx.Outcomes(0).Success, direct.Dist(); got != want {
+	if got, want := mx.Outcomes().Success, direct.Dist(); got != want {
 		t.Fatalf("merged-phase dist %+v != direct dist %+v", got, want)
 	}
 }
@@ -173,7 +173,7 @@ func TestMergedPhasesEqualDirectHist(t *testing.T) {
 // TestNilMetricsIsInert: a nil ledger accepts every recording call.
 func TestNilMetricsIsInert(t *testing.T) {
 	var mx *Metrics
-	mx.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, 10, true)
+	mx.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, 10)
 	mx.RecordFailure(Shed)
 	mx.RecordLookup(true)
 	mx.RecordSessionRetired()
@@ -190,20 +190,20 @@ func TestNilMetricsIsInert(t *testing.T) {
 // cross-thread fold and merge, and the outcome invariants hold.
 func TestOutcomesMergeReportValidate(t *testing.T) {
 	a, b, run := NewMetrics(), NewMetrics(), NewMetrics()
-	a.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, 100, true)
-	a.RecordRequest(loadgen.PhaseBurst, loadgen.OpSet, 5_000_000, false)
+	a.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, 100)
+	a.RecordRequest(loadgen.PhaseBurst, loadgen.OpSet, 5_000_000)
 	a.RecordFailure(Shed)
 	a.AddServe(1_000_000, 4096)
-	b.RecordRequest(loadgen.PhaseShift, loadgen.OpGet, 200, true)
+	b.RecordRequest(loadgen.PhaseShift, loadgen.OpGet, 200)
 	b.RecordFailure(DeadlineExceeded)
 	b.RecordFailure(OOM)
 	a.FoldInto(run)
 	run.Merge(b)
-	if a.Outcomes(0).Successes != 0 || a.ServeAllocBytes() != 0 {
+	if a.Outcomes().Successes != 0 || a.ServeAllocBytes() != 0 {
 		t.Fatal("FoldInto left counts behind")
 	}
 
-	o := run.Outcomes(1_000_000)
+	o := run.Outcomes()
 	if err := o.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestMetricsBindTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	mx := NewMetrics()
 	mx.BindTelemetry(reg)
-	mx.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, 500, true)
+	mx.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, 500)
 	mx.RecordLookup(true)
 	mx.RecordSessionRetired()
 	mx.RecordFailure(Shed)
@@ -278,10 +278,10 @@ func TestOutcomesSurviveTelemetryBinding(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	mx := NewMetrics()
 	mx.BindTelemetry(reg)
-	mx.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, 10, true)
+	mx.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, 10)
 	mx.RecordFailure(Shed)
 	mx.RecordFailure(DeadlineExceeded)
-	if o := mx.Outcomes(100); o.Successes != 1 || o.Failures != 2 || o.Sheds != 1 || o.DeadlineExceeded != 1 {
+	if o := mx.Outcomes(); o.Successes != 1 || o.Failures != 2 || o.Sheds != 1 || o.DeadlineExceeded != 1 {
 		t.Fatalf("recording broke after binding: %+v", o)
 	}
 

@@ -3,27 +3,36 @@ package kvstore
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"hcsgc/internal/loadgen"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
 
+// SLOCycles is the serving SLO in virtual cycles, the one bound every part
+// of the ledger judges by: a success within it is goodput, one over it is a
+// violation the tail section classifies, and the protected serving path's
+// stale shed enforces it as a budget. Well above pause cost, well below
+// stall cost (the second-to-top rung of DefaultSLOThresholds).
+const SLOCycles = 1_000_000
+
 // Metrics is the KV serving ledger: every measurement a KV run makes of its
 // requests. A successful request lands in its phase's request-latency HDR
 // histogram on the virtual-cycle timeline and in its op's counter; a failed
 // one in the count of its one cause. Beside them: lookup hit/miss counters,
-// session retirements, the successes within the goodput SLO, and the
-// serving window's span and allocation volume. All recording is lock-free;
-// instances merge across server threads and across A/B repeat runs
-// (histograms add slot-wise, so the merged quantiles are exact over the
-// union of samples).
+// session retirements, the successes within the SLO, the serving window's
+// span and allocation volume, and the tail section (tail.go): the
+// successes over the SLO by cause, and the slowest of them. Counters and
+// histograms are lock-free; instances merge across server threads and
+// across A/B repeat runs (histograms add slot-wise, so the merged quantiles
+// are exact over the union of samples).
 //
 // Accounting is per thread: each KV server thread records into a Metrics
-// of its own and folds it into the run's (FoldInto) every 1024 requests it
-// handles and when it exits, so the run's accumulator — what /kv, /overload
-// and /metrics serve — lags each thread by at most 1024 requests and is
-// exact once the run ends.
+// of its own (through its Classifier) and folds it into the run's
+// (FoldInto) every 1024 requests it handles and when it exits, so the run's
+// accumulator — what /kv, /overload, /tailattr and /metrics serve — lags
+// each thread by at most 1024 requests and is exact once the run ends.
 type Metrics struct {
 	phase [loadgen.NumPhases]*latency.Hist
 	// The counts are the cells /metrics serves once BindTelemetry has had a
@@ -33,12 +42,24 @@ type Metrics struct {
 	misses  telemetry.Counter
 	retired telemetry.Counter
 	failed  [numFailures]telemetry.Counter
-	// goodput counts the successes within the goodput SLO.
+	// goodput counts the successes within SLOCycles.
 	goodput telemetry.Counter
 	// spanV and allocBytes sum the runs' serving spans (virtual cycles) and
 	// the heap bytes their server threads allocated while serving.
 	spanV      telemetry.Counter
 	allocBytes telemetry.Counter
+
+	// The tail section: the successes over SLOCycles by cause (a count and
+	// a latency histogram each) and how many of them name a concrete cause
+	// and cycle.
+	causeCount [numCauses]telemetry.Counter
+	causeHist  [numCauses]*latency.Hist
+	attributed telemetry.Counter
+	// ex keeps the slowest violations. Its owner classifies into it
+	// without a lock; exMu guards it where other goroutines meet: Merge
+	// into it, and Tail reading it.
+	exMu sync.Mutex
+	ex   exemplars
 }
 
 // Failure is why a request ended without completing; each failed request
@@ -64,17 +85,21 @@ func NewMetrics() *Metrics {
 	for i := range mx.phase {
 		mx.phase[i] = latency.NewHist()
 	}
+	for i := range mx.causeHist {
+		mx.causeHist[i] = latency.NewHist()
+	}
 	return mx
 }
 
-// RecordRequest records one completed request: its phase, op,
-// enqueue-to-completion latency in virtual cycles, and whether that
-// latency met the goodput SLO.
+// RecordRequest records one completed request: its phase, op and
+// enqueue-to-completion latency in virtual cycles, counting it as goodput
+// when that is within SLOCycles. It reports whether the request violated
+// the SLO; Classifier.Observe classifies the ones that did.
 //
 //hcsgc:alloc-free
-func (mx *Metrics) RecordRequest(phase int, op loadgen.Op, latV uint64, withinSLO bool) {
+func (mx *Metrics) RecordRequest(phase int, op loadgen.Op, latV uint64) (violated bool) {
 	if mx == nil {
-		return
+		return false
 	}
 	if phase >= 0 && phase < len(mx.phase) {
 		mx.phase[phase].Record(latV)
@@ -82,9 +107,11 @@ func (mx *Metrics) RecordRequest(phase int, op loadgen.Op, latV uint64, withinSL
 	if op < loadgen.NumOps {
 		mx.ops[op].Inc()
 	}
-	if withinSLO {
-		mx.goodput.Inc()
+	if latV > SLOCycles {
+		return true
 	}
+	mx.goodput.Inc()
+	return false
 }
 
 // RecordFailure records one request that ended without completing.
@@ -140,7 +167,11 @@ func (mx *Metrics) ServeAllocBytes() uint64 {
 	return mx.allocBytes.Value()
 }
 
-// Merge folds o into mx (histograms slot-wise, counters additively).
+// Merge folds o into mx (histograms slot-wise, counters additively,
+// exemplar stores to the slowest of both). o must have no writer: a
+// thread's own ledger folding, or a run's after the run. Phases go before
+// cause counts, cause counts before the attributed count: Tail reads them
+// in the reverse order.
 //
 //hcsgc:alloc-free
 func (mx *Metrics) Merge(o *Metrics) {
@@ -150,6 +181,16 @@ func (mx *Metrics) Merge(o *Metrics) {
 	for i := range mx.phase {
 		mx.phase[i].Merge(o.phase[i])
 	}
+	for i := range mx.causeHist {
+		mx.causeHist[i].Merge(o.causeHist[i])
+		mx.causeCount[i].Add(o.causeCount[i].Value())
+	}
+	mx.attributed.Add(o.attributed.Value())
+	mx.exMu.Lock()
+	for i := 0; i < o.ex.n; i++ {
+		mx.ex.add(&o.ex.h[i])
+	}
+	mx.exMu.Unlock()
 	for i := range mx.ops {
 		mx.ops[i].Add(o.ops[i].Value())
 	}
@@ -177,14 +218,18 @@ func (mx *Metrics) FoldInto(dst *Metrics) {
 	for _, h := range mx.phase {
 		h.Reset()
 	}
-	*mx = Metrics{phase: mx.phase}
+	for _, h := range mx.causeHist {
+		h.Reset()
+	}
+	*mx = Metrics{phase: mx.phase, causeHist: mx.causeHist}
 }
 
-// BindTelemetry has reg serve the hcsgc_kv_* metric families and the
-// stale-shed count from this accumulator (re-pointing them if another was
-// bound): the counters are its own cells, the per-phase latency summaries
-// its HDR histograms, so scrapes see both live and over the same requests.
-// The rest of the outcome accounting is the /overload endpoint's Outcomes.
+// BindTelemetry has reg serve the hcsgc_kv_* and hcsgc_tail_* metric
+// families and the stale-shed count from this accumulator (re-pointing
+// them if another was bound): the counters are its own cells, the
+// per-phase and per-cause latency summaries its HDR histograms, so scrapes
+// see them live and over the same requests. The rest of the outcome
+// accounting is the /overload endpoint's Outcomes.
 func (mx *Metrics) BindTelemetry(reg *telemetry.Registry) {
 	if mx == nil || reg == nil {
 		return
@@ -206,6 +251,15 @@ func (mx *Metrics) BindTelemetry(reg *telemetry.Registry) {
 	}
 	reg.Adopt("hcsgc_overload_stale_sheds_total",
 		"Requests shed at dequeue with their SLO budget already consumed by queueing delay.", &mx.failed[Shed])
+	reg.Adopt("hcsgc_tail_attributed_total",
+		"SLO violations carrying a concrete GC cause and responsible cycle id.", &mx.attributed)
+	for _, c := range causeOrder {
+		reg.Adopt("hcsgc_tail_violations_total",
+			"SLO-violating requests, by attributed cause.", &mx.causeCount[c], "cause", c.String())
+		reg.Summary("hcsgc_tail_cause_cycles",
+			"SLO-violating request latency in virtual cycles, by attributed cause (HDR summary).",
+			mx.causeHist[c], "cause", c.String())
+	}
 }
 
 // Dist is one phase's latency distribution summary. Quantiles carry the
@@ -363,9 +417,8 @@ type Outcomes struct {
 	Success latency.Dist `json:"success"`
 }
 
-// Outcomes snapshots the outcome accounting. sloCycles is the goodput SLO
-// the recorder judged successes against.
-func (mx *Metrics) Outcomes(sloCycles uint64) Outcomes {
+// Outcomes snapshots the outcome accounting.
+func (mx *Metrics) Outcomes() Outcomes {
 	success := latency.NewHist()
 	for _, h := range mx.phase {
 		success.Merge(h)
@@ -375,7 +428,7 @@ func (mx *Metrics) Outcomes(sloCycles uint64) Outcomes {
 		DeadlineExceeded:   mx.failed[DeadlineExceeded].Value(),
 		OOMFailures:        mx.failed[OOM].Value(),
 		Goodput:            mx.goodput.Value(),
-		SLOThresholdCycles: sloCycles,
+		SLOThresholdCycles: SLOCycles,
 		ServeSpanVCycles:   mx.spanV.Value(),
 		Success:            success.Dist(),
 	}

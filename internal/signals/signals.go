@@ -5,9 +5,10 @@
 // distribution, and the sections the other planes own (the locality
 // profiler's interval stats, the contention plane's worker and lock
 // deltas). The plane serves the newest of those records (Snapshot, the
-// /signals payload), resolves a cycle number to its record for the tail
-// attributor (Lookup; tail.go), and publishes a fixed set of scalar signals
-// per cycle as hcsgc_signal_value gauges and Perfetto counter tracks. It
+// /signals payload), resolves a cycle number to its record for the KV
+// serving ledger's tail section (Lookup; internal/kvstore), and publishes a
+// fixed set of scalar signals per cycle as hcsgc_signal_value gauges and
+// Perfetto counter tracks. It
 // stores no record and derives no series of its own: analysis belongs to
 // whoever reads the log.
 //
@@ -76,8 +77,7 @@ type outputs struct {
 
 // Plane is the per-runtime signal plane. The collector attaches its
 // tracker once and calls OnCycle at every cycle boundary; readers take
-// Snapshot (the /signals payload) or Lookup (the tail attributor's cycle
-// link). It holds no lock: both handles are swapped whole.
+// Snapshot (the /signals payload) or Lookup (the KV ledger's cycle link). It holds no lock: both handles are swapped whole.
 type Plane struct {
 	cfg Config
 	// lat is the tracker whose cycle log the plane views (nil until Attach).
@@ -213,10 +213,10 @@ func (p *Plane) Snapshot() Snapshot {
 }
 
 // Lookup returns the logged record of cycle seq when it is inside the
-// window (the tail attributor's responsible-cycle link), else nil. Seq
-// numbers a runtime's cycles densely from 1, so it is an index into the
-// log. A nil plane finds nothing: a tail attributor may classify without
-// one (TailAttributor.Classifier(nil)).
+// window (the KV ledger's responsible-cycle link), else nil. Seq numbers a
+// runtime's cycles densely from 1, so it is an index into the log. A nil
+// plane finds nothing: a KV classifier may run without one
+// (kvstore.Metrics.Classifier(nil)).
 func (p *Plane) Lookup(seq uint64) *latency.CycleRecord {
 	if p == nil || seq == 0 {
 		return nil

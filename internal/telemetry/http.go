@@ -99,7 +99,7 @@ var snapshotEndpoints = []string{
 	"kv",         // KV serving report (kvstore.Metrics.Report)
 	"signals",    // unified per-cycle signal plane (signals.Plane.Snapshot)
 	"contention", // ranked lock sites, CAS loops, worker balance (contention.Plane.Snapshot)
-	"tailattr",   // request-level tail attribution (signals.TailAttributor.Report)
+	"tailattr",   // request-level tail attribution (kvstore.Metrics.Tail)
 	"overload",   // KV request outcomes and goodput accounting (kvstore.Metrics.Outcomes)
 }
 

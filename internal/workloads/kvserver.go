@@ -42,9 +42,6 @@ const (
 	// MaxStallsPerRequest bounds the allocation stalls one protected request
 	// may absorb before failing fast.
 	MaxStallsPerRequest = 2
-	// GoodputSLOCycles is the latency bound under which a successful
-	// request counts as goodput, and the budget the stale shed enforces.
-	GoodputSLOCycles = 1_000_000
 )
 
 const (
@@ -127,12 +124,8 @@ func KVServer() Workload {
 				// ledger (latest run wins, like the other per-runtime
 				// endpoints).
 				cfg.Telemetry.SetEndpoint("kv", func() any { return mx.Report(nil) })
-				cfg.Telemetry.SetEndpoint("overload", func() any { return mx.Outcomes(GoodputSLOCycles) })
-			}
-			if cfg.Tail != nil && cfg.Telemetry != nil {
-				cfg.Tail.BindTelemetry(cfg.Telemetry.Metrics())
-				tail := cfg.Tail
-				cfg.Telemetry.SetEndpoint("tailattr", func() any { return tail.Report() })
+				cfg.Telemetry.SetEndpoint("overload", func() any { return mx.Outcomes() })
+				cfg.Telemetry.SetEndpoint("tailattr", func() any { return mx.Tail() })
 			}
 
 			e := newEnv(cfg, kvHeapBytes, 2)
@@ -159,17 +152,16 @@ func KVServer() Workload {
 					m := e.rt.NewMutator(kvstore.RootSlots)
 					defer m.Close()
 					m.SetName(fmt.Sprintf("kv-server-%d", tid))
-					// Per-thread tail classifier: nil when attribution is
-					// off, making every Observe a one-branch no-op. The
-					// classifier links exemplars against the runtime's
-					// signal plane.
-					col := e.rt.Collector
-					cl := cfg.Tail.Classifier(e.rt.Signals)
 					// The thread's own ledger, folded into mx every
 					// kvFoldEvery handled requests and on exit: the shared
-					// cells see one write per fold, not per request.
+					// cells see one write per fold, not per request. Its
+					// classifier records the successes into it, classifies
+					// the ones over the SLO and links their exemplars
+					// against the runtime's signal plane.
+					col := e.rt.Collector
 					tmx := kvstore.NewMetrics()
 					defer tmx.FoldInto(mx)
+					cl := tmx.Classifier(e.rt.Signals)
 					// A heap too exhausted to hold even the bucket array
 					// leaves the shard dead: the thread stays up and fails
 					// its requests without heap work (a goroutine panic
@@ -269,9 +261,9 @@ func KVServer() Workload {
 						// becomes an SLO violation attributable to nothing
 						// but the queue itself.
 						if cfg.Overload {
-							const guard = GoodputSLOCycles / 16
+							const guard = kvstore.SLOCycles / 16
 							if now := m.VirtualCycles(); now > at &&
-								now-at+svcWorst[r.Op]+guard >= GoodputSLOCycles {
+								now-at+svcWorst[r.Op]+guard >= kvstore.SLOCycles {
 								tmx.RecordFailure(kvstore.Shed)
 								// Like the deadline drop: the backlog has
 								// not drained, keep the convoy chain alive.
@@ -293,10 +285,7 @@ func KVServer() Workload {
 						// stalled.
 						svcStart := m.VirtualCycles()
 						stall0, pause0 := m.StallVirtualCycles(), col.PauseCycles()
-						var gStalls0, cyc0 uint64
-						if cl != nil {
-							gStalls0, cyc0 = col.StallCount(), col.Cycles()
-						}
+						gStalls0 := col.StallCount()
 						if deadlineAbs > 0 {
 							m.SetAllocBudget(deadlineAbs, MaxStallsPerRequest)
 						}
@@ -317,8 +306,18 @@ func KVServer() Workload {
 						m.Work(kvWorkPerReq)
 						end := m.VirtualCycles()
 						if reqErr == nil {
-							lat := end - at
-							tmx.RecordRequest(int(r.Phase), r.Op, lat, lat <= GoodputSLOCycles)
+							cl.Observe(kvstore.Obs{
+								Seq:          uint64(r.Seq),
+								Op:           r.Op,
+								Phase:        int(r.Phase),
+								ArrivalV:     at,
+								StartV:       svcStart,
+								EndV:         end,
+								OwnStallV:    m.StallVirtualCycles() - stall0,
+								PauseV:       col.PauseCycles() - pause0,
+								GlobalStalls: col.StallCount() - gStalls0,
+								CycleAfter:   col.Cycles(),
+							})
 							if cfg.Overload {
 								// Update the clean-service worst case:
 								// slow decay so a one-off high does not
@@ -334,32 +333,15 @@ func KVServer() Workload {
 								}
 								svcWorst[r.Op] = w
 							}
-							if cl != nil {
-								cl.Observe(hcsgc.TailObs{
-									Seq:          uint64(r.Seq),
-									Op:           r.Op.String(),
-									Phase:        loadgen.PhaseNames[r.Phase],
-									ArrivalV:     at,
-									StartV:       svcStart,
-									EndV:         end,
-									OwnStallV:    m.StallVirtualCycles() - stall0,
-									PauseV:       col.PauseCycles() - pause0,
-									GlobalStalls: col.StallCount() - gStalls0,
-									CycleBefore:  cyc0,
-									CycleAfter:   col.Cycles(),
-								})
-							}
 						} else {
 							// A failed request can still be the convoy's
 							// seed (it stalled or sat through a pause) or
 							// part of its backlog: either way, tell the
 							// classifier so its successors' queueing delay
 							// stays attributable.
-							if cl != nil {
-								cl.NoteDisruption(at, end, col.Cycles(),
-									m.StallVirtualCycles()-stall0,
-									col.PauseCycles()-pause0)
-							}
+							cl.NoteDisruption(at, end, col.Cycles(),
+								m.StallVirtualCycles()-stall0,
+								col.PauseCycles()-pause0)
 						}
 						if tid == 0 && r.Seq%2048 == 0 {
 							e.sampleHeapAs(m)
@@ -383,7 +365,7 @@ func KVServer() Workload {
 			mx.AddServe(slices.Max(spans), serveAlloc.Load())
 
 			rep := mx.Report(nil)
-			out := mx.Outcomes(GoodputSLOCycles)
+			out := mx.Outcomes()
 			var check uint64
 			for _, c := range checks {
 				check += c

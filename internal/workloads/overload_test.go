@@ -13,7 +13,7 @@ import (
 // request that meets its SLO never expires), and a request may absorb at
 // least one allocation stall before failing fast.
 func TestProtectionConstants(t *testing.T) {
-	if GoodputSLOCycles >= DeadlineCycles || MaxStallsPerRequest < 1 {
+	if kvstore.SLOCycles >= DeadlineCycles || MaxStallsPerRequest < 1 {
 		t.Fatal("protection constants out of order")
 	}
 }
@@ -40,7 +40,7 @@ func TestKVForcedDeadlineFailsFast(t *testing.T) {
 	if _, err := w.Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	rep := ost.Outcomes(0)
+	rep := ost.Outcomes()
 	if rep.DeadlineExceeded == 0 {
 		t.Fatal("injector never forced a deadline expiry")
 	}
@@ -83,7 +83,7 @@ func TestKVTinyHeapDegradesGracefully(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tiny-heap run aborted instead of degrading: %v", err)
 	}
-	rep := ost.Outcomes(0)
+	rep := ost.Outcomes()
 	degraded := rep.Sheds + rep.DeadlineExceeded + rep.OOMFailures
 	if degraded == 0 {
 		t.Fatal("tiny heap produced no sheds, expiries, or OOM failures — not actually under pressure")
@@ -119,7 +119,7 @@ func TestKVProtectedChecksumUnaffectedWhenCalm(t *testing.T) {
 	cfg, ost := kvOverloadCfg(42)
 	cfg.Scale = 0.01
 	prot := mustRun(t, w, cfg)
-	rep := ost.Outcomes(0)
+	rep := ost.Outcomes()
 	if rep.Sheds+rep.DeadlineExceeded != 0 {
 		t.Skipf("calm run saw pressure (%d sheds, %d expiries); checksum comparison void",
 			rep.Sheds, rep.DeadlineExceeded)

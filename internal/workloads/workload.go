@@ -66,10 +66,6 @@ type RunConfig struct {
 	// workload's default). Other workloads ignore it. The scaling sweep
 	// drives this.
 	Mutators int
-	// Tail attaches request-level tail attribution to the KV serving
-	// path (nil = disabled). Shared across runs, it merges their
-	// violation classifications.
-	Tail *hcsgc.TailAttributor
 	// FaultInjector arms the run's fault-injection plane (nil =
 	// disarmed). Used by the chaos soak.
 	FaultInjector *hcsgc.FaultInjector
@@ -78,8 +74,9 @@ type RunConfig struct {
 	// violations after the run.
 	Verifier *hcsgc.HeapVerifier
 	// KV is the serving ledger for the KV server workload: request
-	// latencies and outcomes (nil = the per-run ledger is discarded after
-	// Scores are derived). Shared across runs, it merges them.
+	// latencies, outcomes and the tail's attribution (nil = the per-run
+	// ledger is discarded after Scores are derived). Shared across runs, it
+	// merges them.
 	KV *kvstore.Metrics
 	// Overload protects the KV serving path: per-request deadlines
 	// (DeadlineCycles, propagated into the load generator's schedule and

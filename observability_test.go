@@ -16,6 +16,7 @@ import (
 
 	"hcsgc"
 	"hcsgc/internal/bench"
+	"hcsgc/internal/kvstore"
 	"hcsgc/internal/workloads"
 )
 
@@ -199,15 +200,12 @@ func TestCycleLogWindows(t *testing.T) {
 	}
 }
 
-// TestTailAttrEndpointShape: the KV workload with an attributor attached
-// serves a well-formed /tailattr report whose violations carry causes.
+// TestTailAttrEndpointShape: the KV workload serves a well-formed
+// /tailattr report from its ledger, whose violations carry causes and whose
+// exemplars link the cycles they blame. Scale 1 is the smallest where
+// serving violates the SLO.
 func TestTailAttrEndpointShape(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
-	// At tiny scale the GC never disrupts serving, so violations against
-	// a micro SLO are service-caused — the endpoint shape is what is
-	// under test here; cause coverage is TestClassifierCauses and the
-	// full-scale A/B.
-	ta := hcsgc.NewTailAttributor(hcsgc.TailConfig{SLOThresholdCycles: 500})
 	w, err := workloads.Get("kv")
 	if err != nil {
 		t.Fatal(err)
@@ -215,8 +213,7 @@ func TestTailAttrEndpointShape(t *testing.T) {
 	if _, err := w.Run(workloads.RunConfig{
 		Knobs:     bench.KnobsFor(4),
 		Seed:      1,
-		Scale:     0.01,
-		Tail:      ta,
+		Scale:     1,
 		Telemetry: sink,
 	}); err != nil {
 		t.Fatal(err)
@@ -228,7 +225,7 @@ func TestTailAttrEndpointShape(t *testing.T) {
 	}
 	defer srv.Close()
 
-	var rep hcsgc.TailReport
+	var rep kvstore.TailReport
 	if err := json.Unmarshal([]byte(httpGet(t, srv.Addr(), "/tailattr")), &rep); err != nil {
 		t.Fatalf("/tailattr does not parse: %v", err)
 	}
@@ -238,13 +235,16 @@ func TestTailAttrEndpointShape(t *testing.T) {
 	if rep.Requests == 0 || rep.Violations == 0 {
 		t.Fatalf("requests=%d violations=%d, want both > 0", rep.Requests, rep.Violations)
 	}
-	if len(rep.TopK) == 0 {
-		t.Fatal("no exemplars retained")
+	if len(rep.TopK) == 0 || len(rep.Cycles) == 0 {
+		t.Fatalf("%d exemplars linking %d cycles, want both > 0", len(rep.TopK), len(rep.Cycles))
+	}
+	if got := scrapeSum(t, sink, "hcsgc_kv_requests_total"); got != rep.Requests {
+		t.Errorf("/tailattr counts %d requests, hcsgc_kv_requests_total %d", rep.Requests, got)
 	}
 
 	metrics := httpGet(t, srv.Addr(), "/metrics")
 	for _, want := range []string{
-		"hcsgc_tail_requests_total",
+		"hcsgc_tail_attributed_total",
 		`hcsgc_tail_violations_total{cause="service"}`,
 		`hcsgc_tail_cause_cycles{cause="alloc-stall",quantile="0.99"}`,
 	} {
