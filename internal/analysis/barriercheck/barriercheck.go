@@ -31,6 +31,8 @@ const heapPkg = "hcsgc/internal/heap"
 var rawAccessors = map[string]bool{
 	"LoadWord":   true,
 	"StoreWord":  true,
+	"LoadWords":  true,
+	"StoreWords": true,
 	"CASWord":    true,
 	"CopyObject": true,
 }

@@ -20,6 +20,13 @@ func badStoreInClosure(addr uint64) func() {
 	}
 }
 
+// badWordRun reads and writes a run of heap words without standing: the
+// run accessors bypass the barrier like the single-word ones.
+func badWordRun(addr uint64, buf []uint64) {
+	h.LoadWords(nil, addr, buf)  // want `raw heap word access heap\.\(\*Heap\)\.LoadWords`
+	h.StoreWords(nil, addr, buf) // want `raw heap word access heap\.\(\*Heap\)\.StoreWords`
+}
+
 // goodGCThread is allowlisted as GC-thread code.
 //
 //hcsgc:gc-thread

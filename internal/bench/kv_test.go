@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hcsgc/internal/kvstore"
+	"hcsgc/internal/workloads"
 )
 
 func TestRunKVAB(t *testing.T) {
@@ -43,6 +44,19 @@ func TestRunKVAB(t *testing.T) {
 		if !strings.Contains(text.String(), want) {
 			t.Fatalf("text report missing %q:\n%s", want, text.String())
 		}
+	}
+}
+
+// TestRunKVABSharesSchedules: the A/B runs both sides of a run index
+// back to back, so a 2-run comparison generates two KV schedules (one per
+// seed), not one per side and run.
+func TestRunKVABSharesSchedules(t *testing.T) {
+	built := workloads.KVSchedulesBuilt()
+	if _, err := RunKVAB(2, 0.01, 91, 3, 4, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := workloads.KVSchedulesBuilt() - built; n != 2 {
+		t.Fatalf("a 2-run KV A/B built %d schedules, want 2", n)
 	}
 }
 

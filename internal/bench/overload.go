@@ -52,8 +52,8 @@ type OverloadAB struct {
 
 // RunOverloadAB runs the KV server workload at loadFactor times the
 // sustainable arrival rate under one GC configuration, runs times per
-// side with per-run seeds: first unprotected, then protected. The load
-// generator's schedule is identical across sides (the deadline knob
+// side with per-run seeds: each run index unprotected, then protected. The
+// load generator's schedule is identical across sides (the deadline knob
 // consumes no RNG draws), so the comparison isolates the protection. A run
 // that fails (heap exhaustion must degrade per request, not abort) fails
 // the comparison.

@@ -131,20 +131,23 @@ type abSide struct {
 }
 
 // runSides is the A/B loop: w under each configuration of cfgs, runs
-// times each, through one runCore. perRun is the caller's whole
-// contribution: called before every run with the side's index and the
-// run's config to attach its planes to, it returns what to do with the
-// finished run (nil = nothing).
+// times each, through one runCore. Every side runs run index r before any
+// side starts r+1, so the sides of one run index follow each other: they
+// share the seed, and with it the workload's cached inputs (a KV
+// schedule), and host drift over the comparison lands on every side alike.
+// perRun is the caller's whole contribution: called before every run with
+// the side's index and the run's config to attach its planes to, it
+// returns what to do with the finished run (nil = nothing).
 func runSides(label string, w workloads.Workload, cfgs []int, runs int, scale float64, seed int64,
 	sink *hcsgc.TelemetrySink, progress Progress,
 	perRun func(side int, rc *workloads.RunConfig) func(workloads.Result)) ([]abSide, error) {
 	core := runCore{label: label, w: w, scale: scale, seed: seed, sink: sink, checks: map[int]uint64{}}
 	sides := make([]abSide, len(cfgs))
 	for i, cfgID := range cfgs {
-		side := &sides[i]
-		side.config, side.knobs = cfgID, KnobsFor(cfgID).String()
-		var exec float64
-		for run := 0; run < runs; run++ {
+		sides[i].config, sides[i].knobs = cfgID, KnobsFor(cfgID).String()
+	}
+	for run := 0; run < runs; run++ {
+		for i, cfgID := range cfgs {
 			var rc workloads.RunConfig
 			collect := perRun(i, &rc)
 			out, err := core.run(cfgID, run, rc)
@@ -154,11 +157,13 @@ func runSides(label string, w workloads.Workload, cfgs []int, runs int, scale fl
 			if collect != nil {
 				collect(out)
 			}
-			exec += out.ExecSeconds
-			side.gcCycles += out.GCCycleCount
+			sides[i].meanExecSeconds += out.ExecSeconds // summed; divided below
+			sides[i].gcCycles += out.GCCycleCount
 			progress.printf("%s config %-2d run %d/%d", label, cfgID, run+1, runs)
 		}
-		side.meanExecSeconds = exec / float64(runs)
+	}
+	for i := range sides {
+		sides[i].meanExecSeconds /= float64(runs)
 	}
 	return sides, nil
 }

@@ -595,6 +595,37 @@ func (m *Mutator) StoreField(obj heap.Ref, i int, v uint64) {
 	m.c.heap.StoreWord(m.core, slot, v)
 }
 
+// LoadFields loads the len(dst) data words of obj from field i on into
+// dst: LoadField for each, as one heap word run (heap.LoadWords). The
+// profiler still sees one access per word.
+//
+//hcsgc:barrier-impl
+func (m *Mutator) LoadFields(obj heap.Ref, i int, dst []uint64) {
+	slot := objmodel.FieldAddr(obj.Addr(), i)
+	m.probeRun(slot, len(dst))
+	m.c.heap.LoadWords(m.core, slot, dst)
+}
+
+// StoreFields stores src into the len(src) data fields of obj from field i
+// on: StoreField for each, as one heap word run (heap.StoreWords).
+//
+//hcsgc:barrier-impl
+func (m *Mutator) StoreFields(obj heap.Ref, i int, src []uint64) {
+	slot := objmodel.FieldAddr(obj.Addr(), i)
+	m.probeRun(slot, len(src))
+	m.c.heap.StoreWords(m.core, slot, src)
+}
+
+// probeRun feeds the n words from addr on to the profiler, one access each.
+func (m *Mutator) probeRun(addr uint64, n int) {
+	if m.probe == nil {
+		return
+	}
+	for j := 0; j < n; j++ {
+		m.probe.Access(addr + uint64(j)*heap.WordSize)
+	}
+}
+
 // ArrayLen returns the element count of the array obj. The header word
 // is read raw: array lengths are immutable after allocation, so the slot
 // can never hold a stale reference for the barrier to heal.

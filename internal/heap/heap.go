@@ -388,6 +388,49 @@ func (h *Heap) StoreWord(c *simmem.Core, addr uint64, v uint64) {
 	p.storeWord(p.WordIndex(addr), v)
 }
 
+// LoadWords reads the len(dst) consecutive words from addr on into dst:
+// LoadWord for each, priced as one word run (simmem.Core.LoadRun), with
+// one page lookup for the run. Each word is still read atomically. The run
+// must lie in one page, as an object's words do.
+//
+//hcsgc:alloc-free
+func (h *Heap) LoadWords(c *simmem.Core, addr uint64, dst []uint64) {
+	p := h.runPage(addr, len(dst), "load")
+	if c != nil {
+		c.LoadRun(addr, len(dst))
+	}
+	idx := p.WordIndex(addr)
+	for i := range dst {
+		dst[i] = p.loadWord(idx + uint64(i))
+	}
+}
+
+// StoreWords writes src to the len(src) consecutive words from addr on:
+// StoreWord for each, priced as one word run (simmem.Core.StoreRun), with
+// one page lookup for the run. Each word is still written atomically.
+//
+//hcsgc:alloc-free
+func (h *Heap) StoreWords(c *simmem.Core, addr uint64, src []uint64) {
+	p := h.runPage(addr, len(src), "store")
+	if c != nil {
+		c.StoreRun(addr, len(src))
+	}
+	idx := p.WordIndex(addr)
+	for i, v := range src {
+		p.storeWord(idx+uint64(i), v)
+	}
+}
+
+// runPage returns the page holding the n-word run from addr, panicking
+// like LoadWord when the run starts outside any page or leaves its page.
+func (h *Heap) runPage(addr uint64, n int, op string) *Page {
+	p := h.PageOf(addr)
+	if p == nil || addr+uint64(n)*WordSize > p.End() {
+		panic(fmt.Sprintf("heap: %d-word %s at %#x leaves the mapped pages", n, op, addr))
+	}
+	return p
+}
+
 // CASWord atomically replaces old with new at addr; used by the load
 // barrier's self-healing store. The cache cost is that of a store.
 func (h *Heap) CASWord(c *simmem.Core, addr uint64, old, new uint64) bool {

@@ -196,6 +196,38 @@ func TestLoadStoreWord(t *testing.T) {
 	}
 }
 
+// TestLoadStoreWords: a word run reads and writes what the per-word calls
+// do, charges the core the same counts, and refuses to leave its page.
+func TestLoadStoreWords(t *testing.T) {
+	mem := simmem.MustNewHierarchy(simmem.DefaultConfig())
+	runs, words := mem.NewCore(), mem.NewCore()
+	h := New(Config{MaxBytes: 64 << 20}, mem)
+	p, _ := h.AllocPage(ClassSmall)
+	a := p.AllocRaw(40*WordSize) + 3*WordSize
+	src := make([]uint64, 30)
+	for i := range src {
+		src[i] = uint64(i) * 7
+	}
+	h.StoreWords(runs, a, src)
+	dst := make([]uint64, len(src))
+	h.LoadWords(runs, a, dst)
+	for i := range src {
+		if got := h.LoadWord(words, a+uint64(i)*WordSize); got != src[i] || dst[i] != src[i] {
+			t.Fatalf("word %d: LoadWord %d, LoadWords %d, want %d", i, got, dst[i], src[i])
+		}
+		h.StoreWord(words, a+uint64(i)*WordSize, src[i])
+	}
+	if r, w := runs.Stats(), words.Stats(); r.Loads != w.Loads || r.Stores != w.Stores || r.Loads != 30 {
+		t.Fatalf("runs charged loads/stores %d/%d, words %d/%d", r.Loads, r.Stores, w.Loads, w.Stores)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a run past its page's end must panic")
+		}
+	}()
+	h.LoadWords(nil, p.End()-WordSize, dst[:2])
+}
+
 func TestCASWord(t *testing.T) {
 	h := testHeap()
 	p, _ := h.AllocPage(ClassSmall)

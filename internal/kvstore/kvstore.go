@@ -61,7 +61,14 @@ type Store struct {
 	types Types
 	mask  uint64 // bucket count - 1 (power of two)
 	size  int    // live entries
+	// buf carries a value between the heap and Get's sum or TrySet's
+	// fill, one word run of up to len(buf) words at a time.
+	buf [valueChunk]uint64
 }
+
+// valueChunk is the words a value moves in one word run: every value the
+// load generator draws fits in one.
+const valueChunk = 64
 
 // New builds a store over m, sized for about expectKeys entries. The
 // bucket array is allocated immediately and pinned at root slot
@@ -154,10 +161,25 @@ func (s *Store) Get(key uint64) (sum uint64, hit bool) {
 	m := s.m
 	val := m.LoadRef(e, fValue)
 	n := m.ArrayLen(val)
-	for i := 0; i < n; i++ {
-		sum += m.LoadField(val, i)
+	for i := 0; i < n; i += valueChunk {
+		chunk := s.buf[:min(n-i, valueChunk)]
+		m.LoadFields(val, i, chunk)
+		for _, w := range chunk {
+			sum += w
+		}
 	}
 	return sum, true
+}
+
+// fill writes the words-long payload of (key, version) into val.
+func (s *Store) fill(val hcsgc.Ref, key, version uint64, words int) {
+	for i := 0; i < words; i += valueChunk {
+		chunk := s.buf[:min(words-i, valueChunk)]
+		for j := range chunk {
+			chunk[j] = valueWord(key, version, i+j)
+		}
+		s.m.StoreFields(val, i, chunk)
+	}
 }
 
 // Version returns key's current version, 0 if absent.
@@ -201,9 +223,7 @@ func (s *Store) TrySet(key uint64, words int) (uint64, error) {
 			m.SetRoot(rootPinA, 0)
 			return 0, err
 		}
-		for i := 0; i < words; i++ {
-			m.StoreField(val, i, valueWord(key, version, i))
-		}
+		s.fill(val, key, version, words)
 		e = m.LoadRoot(rootPinA)
 		m.StoreField(e, fVersion, version)
 		m.StoreRef(e, fValue, val)
@@ -216,9 +236,7 @@ func (s *Store) TrySet(key uint64, words int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	for i := 0; i < words; i++ {
-		m.StoreField(val, i, valueWord(key, version, i))
-	}
+	s.fill(val, key, version, words)
 	m.SetRoot(rootPinA, val)
 	e, err = m.TryAlloc(s.types.Entry) // safepoint: val is stale now
 	if err != nil {

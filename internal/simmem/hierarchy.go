@@ -230,6 +230,59 @@ func (c *Core) Store(addr uint64, size int) uint64 {
 	return c.access(addr, size, true)
 }
 
+// wordSize is the width of one access of a word run (LoadRun, StoreRun).
+const wordSize = 8
+
+// LoadRun simulates demand loads of the n consecutive 8-byte words from
+// addr on and returns their summed cost: exactly what n calls of
+// Load(addr+8i, 8) would do. The first word of each line takes the full
+// Load path; that leaves the line most recently used in its L1 set, where
+// a further Load would only count itself (a hit on a set's first way moves
+// nothing, and the prefetcher sees only misses), so the line's other words
+// are one counter bump. Alloc-free, like Load.
+//
+//hcsgc:alloc-free
+func (c *Core) LoadRun(addr uint64, n int) uint64 {
+	return c.run(addr, n, false)
+}
+
+// StoreRun is LoadRun for demand stores: n calls of Store(addr+8i, 8).
+//
+//hcsgc:alloc-free
+func (c *Core) StoreRun(addr uint64, n int) uint64 {
+	return c.run(addr, n, true)
+}
+
+func (c *Core) run(addr uint64, n int, store bool) uint64 {
+	var total uint64
+	if addr&(wordSize-1) != 0 {
+		// A misaligned run has words that straddle lines: word by word.
+		for ; n > 0; n, addr = n-1, addr+wordSize {
+			if store {
+				total += c.Store(addr, wordSize)
+			} else {
+				total += c.Load(addr, wordSize)
+			}
+		}
+		return total
+	}
+	for n > 0 {
+		k := min(n, int((LineSize-addr&(LineSize-1))/wordSize))
+		rest := uint64(k - 1)
+		if store {
+			total += c.Store(addr, wordSize)
+			c.led.stores += rest
+		} else {
+			total += c.Load(addr, wordSize)
+			c.led.loads += rest
+		}
+		total += rest * c.lat.L1
+		n -= k
+		addr += uint64(k) * wordSize
+	}
+	return total
+}
+
 // access is the path for ranges that straddle lines (object copies): one
 // single-line access per line of the range. A negative size wraps past the
 // fast path's check and counts, like zero, as one byte.

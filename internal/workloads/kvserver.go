@@ -87,33 +87,8 @@ func KVServer() Workload {
 			if threads <= 0 {
 				threads = kvThreads
 			}
-			keys := int(float64(kvBaseKeys) * scale)
-			if keys < 64*threads {
-				keys = 64 * threads
-			}
-			reqs := int(float64(kvBaseRequests) * scale)
-			if reqs < 1_000 {
-				reqs = 1_000
-			}
-			// The protected and unprotected sides of an overload A/B must
-			// face identical traffic: the mean gap and deadline knobs are
-			// RNG-free, so the arrivals, keys, and op mix depend only on
-			// (seed, keys, reqs).
-			gap := 600.0
-			if cfg.LoadFactor > 0 {
-				gap /= cfg.LoadFactor
-			}
-			var deadlineCycles uint64
-			if cfg.Overload {
-				deadlineCycles = DeadlineCycles
-			}
-			sched := loadgen.Generate(loadgen.Config{
-				Seed:           cfg.Seed,
-				Keys:           keys,
-				Requests:       reqs,
-				MeanGapCycles:  gap,
-				DeadlineCycles: deadlineCycles,
-			})
+			sched := kvSchedule(cfg, scale, threads)
+			keys, reqs := sched.Config.Keys, sched.Config.Requests
 
 			// The run's ledger; merged into the caller's (the bench A/B
 			// aggregates across repeats) at the end.
@@ -391,6 +366,63 @@ func KVServer() Workload {
 			return res
 		}),
 	}
+}
+
+// kvSchedule returns the request schedule of a KV run: the shared cached
+// schedule of its (seed, keys, requests, mean gap), on a shallow copy that
+// carries the run's own deadline knob.
+func kvSchedule(cfg RunConfig, scale float64, threads int) *loadgen.Schedule {
+	keys := int(float64(kvBaseKeys) * scale)
+	if keys < 64*threads {
+		keys = 64 * threads
+	}
+	reqs := int(float64(kvBaseRequests) * scale)
+	if reqs < 1_000 {
+		reqs = 1_000
+	}
+	// The protected and unprotected sides of an overload A/B must face
+	// identical traffic: the mean gap and deadline knobs are RNG-free, so
+	// the arrivals, keys, and op mix depend only on (seed, keys, reqs).
+	gap := 600.0
+	if cfg.LoadFactor > 0 {
+		gap /= cfg.LoadFactor
+	}
+	var deadline uint64
+	if cfg.Overload {
+		deadline = DeadlineCycles
+	}
+	lg := loadgen.Config{Seed: cfg.Seed, Keys: keys, Requests: reqs, MeanGapCycles: gap,
+		DeadlineCycles: deadline}
+	key := lg
+	key.DeadlineCycles = 0
+	kvSched.mu.Lock()
+	if kvSched.s == nil || kvSched.s.Config != key {
+		kvSched.s = loadgen.Generate(key)
+		kvSched.builds++
+	}
+	s := *kvSched.s
+	kvSched.mu.Unlock()
+	s.Config = lg
+	return &s
+}
+
+// kvSched is a one-entry cache of the last KV schedule built (7.2 MB at
+// scale 1): every repeat of one seed — an A/B's sides of one run index, a
+// benchmark's reps — reads the same schedule instead of regenerating it.
+// The schedule is shared read-only; deadlines draw no randomness, so they
+// live on each run's copy of the Config (see kvSchedule).
+var kvSched struct {
+	mu     sync.Mutex
+	s      *loadgen.Schedule
+	builds uint64
+}
+
+// KVSchedulesBuilt returns how many KV schedules the process has generated:
+// runs that reuse the cached one do not count.
+func KVSchedulesBuilt() uint64 {
+	kvSched.mu.Lock()
+	defer kvSched.mu.Unlock()
+	return kvSched.builds
 }
 
 // kvExecOp executes one request against the thread's shard, returning the
