@@ -79,7 +79,7 @@ func heapmap(w io.Writer, n, hotFrac, cycles int, coldpage, every, verify bool) 
 }
 
 // writeMap prints the ASCII map plus the segregation-purity metric over
-// the hot-trackable (small/tiny) live pages.
+// the hot-trackable (small) live pages.
 func writeMap(w io.Writer, rt *hcsgc.Runtime) {
 	rt.Heap.WriteHeapMap(w)
 	seg := rt.Heap.SegregationStats(^uint64(0))

@@ -271,10 +271,9 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		mem.SetContention(ctn)
 	}
 	h := heap.New(heap.Config{
-		MaxBytes:        opts.HeapMaxBytes,
-		EnableTinyClass: opts.Knobs.TinyPages,
-		Injector:        opts.FaultInjector,
-		Contention:      ctn,
+		MaxBytes:   opts.HeapMaxBytes,
+		Injector:   opts.FaultInjector,
+		Contention: ctn,
 	}, mem)
 	h.SetRecorder(opts.Telemetry.Recorder())
 	if opts.Verifier != nil {

@@ -18,7 +18,6 @@ import (
 //     turning the prefetcher off quantifies that claim).
 //   - ecthreshold: sensitivity of baseline EC selection to the 75%
 //     live-ratio threshold.
-//   - tinypages: the paper's future-work cache-line-magnitude page class.
 //   - autotune: the paper's future-work feedback loop, compared against
 //     fixed ColdConfidence settings.
 //   - gcworkers: relocation bandwidth vs mutator-won races.
@@ -69,15 +68,6 @@ var ablations = []struct {
 			for _, th := range []float64{0.25, 0.5, 0.75, 0.9} {
 				out = append(out, ablationSetting{fmt.Sprintf("threshold=%.2f", th),
 					workloads.RunConfig{Knobs: hcsgc.Knobs{}, EvacThreshold: th}})
-			}
-			return out
-		}},
-	{"tinypages", "config 16 with and without the cache-line-magnitude page class (paper §4.8 future work)",
-		func() (out []ablationSetting) {
-			for _, tiny := range []bool{false, true} {
-				k := KnobsFor(16)
-				k.TinyPages = tiny
-				out = append(out, ablationSetting{fmt.Sprintf("tiny=%v", tiny), workloads.RunConfig{Knobs: k}})
 			}
 			return out
 		}},

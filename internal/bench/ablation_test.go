@@ -8,7 +8,7 @@ import (
 
 func TestAblationNames(t *testing.T) {
 	names := AblationNames()
-	if len(names) != 5 {
+	if len(names) != 4 {
 		t.Fatalf("ablations = %v", names)
 	}
 	for _, n := range names {

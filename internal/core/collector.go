@@ -518,7 +518,7 @@ func (c *Collector) selectEvacuationCandidates(cs *CycleStats) {
 			} else if p.LiveRatio() < c.cfg.EvacThreshold {
 				cands = append(cands, cand{p, p.LiveBytes()})
 			}
-		case heap.ClassSmall, heap.ClassTiny:
+		case heap.ClassSmall:
 			if p.LiveObjects() == 0 {
 				c.heap.FreePage(p)
 				c.heap.DropPage(p)

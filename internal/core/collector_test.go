@@ -13,7 +13,7 @@ import (
 func testEnv(t *testing.T, knobs Knobs) (*Collector, *objmodel.Registry) {
 	t.Helper()
 	mem := simmem.MustNewHierarchy(simmem.DefaultConfig())
-	h := heap.New(heap.Config{MaxBytes: 128 << 20, EnableTinyClass: knobs.TinyPages}, mem)
+	h := heap.New(heap.Config{MaxBytes: 128 << 20}, mem)
 	types := objmodel.NewRegistry()
 	c, err := New(h, types, Config{Knobs: knobs})
 	if err != nil {

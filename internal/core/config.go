@@ -45,9 +45,6 @@ type Knobs struct {
 	// cycle so mutators win relocation races (paper §3.2, Fig. 3).
 	LazyRelocate bool
 
-	// TinyPages enables the future-work cache-line-magnitude page class
-	// (paper §3.4/§4.8 extension; off in all paper configurations).
-	TinyPages bool
 	// AutoTune enables the future-work feedback loop that backs
 	// ColdConfidence off when relocation shows no miss-rate improvement
 	// (paper §4.8 extension; off in all paper configurations).

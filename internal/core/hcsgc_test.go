@@ -432,23 +432,6 @@ func TestStatsMedianECSmall(t *testing.T) {
 	}
 }
 
-func TestTinyPagesExtension(t *testing.T) {
-	c, types := testEnv(t, Knobs{TinyPages: true})
-	node := types.Register("node", 2, []int{0})
-	m := c.NewMutator(4)
-	defer m.Close()
-	obj := m.Alloc(node) // 32B <= TinyObjectMax
-	if got := c.Heap().PageOf(obj.Addr()).Class(); got != heap.ClassTiny {
-		t.Fatalf("32B object on %v page, want tiny", got)
-	}
-	m.SetRoot(0, obj)
-	m.StoreField(obj, 1, 5)
-	m.RequestGC()
-	if got := m.LoadField(m.LoadRoot(0), 1); got != 5 {
-		t.Fatal("tiny object corrupted by GC")
-	}
-}
-
 func TestAutoTuneAdjustsConfidence(t *testing.T) {
 	c, types := testEnv(t, Knobs{Hotness: true, ColdConfidence: 1.0, AutoTune: true})
 	node := types.Register("node", 2, []int{0})

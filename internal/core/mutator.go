@@ -378,10 +378,9 @@ func (m *Mutator) allocWords(sizeWords int, typeID uint16) (heap.Ref, error) {
 	}
 	var addr uint64
 	var err error
-	class := heap.ClassFor(size, m.c.cfg.Knobs.TinyPages && m.c.heap.Config().EnableTinyClass)
-	switch class {
-	case heap.ClassSmall, heap.ClassTiny:
-		addr, err = m.allocSmall(size, class)
+	switch heap.ClassFor(size) {
+	case heap.ClassSmall:
+		addr, err = m.allocSmall(size)
 	case heap.ClassMedium:
 		addr, err = m.allocStall(size, func() (uint64, error) { return m.c.allocMedium(size) })
 	case heap.ClassLarge:
@@ -414,14 +413,14 @@ func (m *Mutator) noteAlloc(size uint64) {
 }
 
 // allocSmall bump-allocates from the TLAB, refilling on demand.
-func (m *Mutator) allocSmall(size uint64, class heap.Class) (uint64, error) {
-	if m.tlab != nil && m.tlab.Class() == class {
+func (m *Mutator) allocSmall(size uint64) (uint64, error) {
+	if m.tlab != nil {
 		if addr := m.tlab.AllocRaw(size); addr != 0 {
 			return addr, nil
 		}
 	}
 	return m.allocStall(size, func() (uint64, error) {
-		p, err := m.c.heap.AllocPage(class)
+		p, err := m.c.heap.AllocPage(heap.ClassSmall)
 		if err != nil {
 			return 0, err
 		}
@@ -508,7 +507,7 @@ func (m *Mutator) relocTargetSmall(size uint64) uint64 {
 			return addr
 		}
 	}
-	p, err := m.c.heap.AllocPageForced(smallishClass(m.c, size))
+	p, err := m.c.heap.AllocPageForced(heap.ClassSmall)
 	if err != nil {
 		panic(fmt.Sprintf("core: cannot allocate mutator relocation target: %v", err))
 	}

@@ -89,7 +89,7 @@ func (ctx *relocCtx) relocTargetSmall(size uint64, hot bool) uint64 {
 			return addr
 		}
 	}
-	p, err := ctx.c.heap.AllocPageForced(smallishClass(ctx.c, size))
+	p, err := ctx.c.heap.AllocPageForced(heap.ClassSmall)
 	if err != nil {
 		panic(fmt.Sprintf("core: cannot allocate relocation target: %v", err))
 	}
@@ -107,12 +107,6 @@ func (ctx *relocCtx) undoTarget(addr, size uint64) {
 	if p != nil {
 		p.UndoAlloc(addr, size)
 	}
-}
-
-// smallishClass picks the page class for a small-page object, honouring
-// the tiny-class extension.
-func smallishClass(c *Collector, size uint64) heap.Class {
-	return heap.ClassFor(size, c.cfg.Knobs.TinyPages && c.heap.Config().EnableTinyClass)
 }
 
 // relocateObject ensures the live object at addr on EC page p has been

@@ -197,8 +197,7 @@ func (c *Collector) markObject(core *simmem.Core, addr uint64, hot bool) (pushed
 }
 
 // hotTrackable reports whether hotness is recorded for objects on p.
-// Per §3.4 the paper tracks hotness only for small pages (and this
-// reproduction's optional tiny pages).
+// Per §3.4 the paper tracks hotness only for small pages.
 func hotTrackable(p *heap.Page) bool {
-	return p.Class() == heap.ClassSmall || p.Class() == heap.ClassTiny
+	return p.Class() == heap.ClassSmall
 }

@@ -92,7 +92,7 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := &arenaModel{t: t, inUse: make(map[any]string)}
 		newHeap := func() *Heap {
-			h := New(Config{MaxBytes: 1 << 30, EnableTinyClass: true}, nil)
+			h := New(Config{MaxBytes: 1 << 30}, nil)
 			for g := range h.pageTable {
 				if h.pageTable[g].Load() != nil {
 					t.Fatalf("new heap: granule %d of the page table already mapped", g)
@@ -131,16 +131,20 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 			}
 		}
 		live := func(mp *modelPage) bool { return !mp.freed }
+		// taken counts commits per class: the arena keys its free lists
+		// by length, so every seed must mix two page lengths.
+		taken := map[Class]int{}
 
 		for step := 0; step < 600; step++ {
 			hi := rng.Intn(2)
 			h := heaps[hi]
 			switch op := rng.Intn(20); {
 			case op < 4: // commit a page
-				class := []Class{ClassTiny, ClassTiny, ClassSmall, ClassSmall, ClassSmall, ClassMedium}[rng.Intn(6)]
-				if class == ClassMedium && rng.Intn(4) != 0 {
-					class = ClassSmall // medium pages are 32 MB of checking each
+				class := ClassSmall
+				if rng.Intn(6) == 0 && rng.Intn(4) == 0 {
+					class = ClassMedium // medium pages are 32 MB of checking each
 				}
+				taken[class]++
 				alloc := h.AllocPage
 				if rng.Intn(2) == 0 {
 					alloc = h.AllocPageForced
@@ -238,6 +242,9 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 				}
 				scratch[hi] = append(scratch[hi], s)
 			}
+		}
+		if taken[ClassSmall] == 0 || taken[ClassMedium] == 0 {
+			t.Fatalf("seed %d committed %v: want both small and medium pages", seed, taken)
 		}
 	}
 }

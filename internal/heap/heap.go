@@ -30,9 +30,6 @@ type Config struct {
 	// why it stays an option although only tests set it: exhaustion
 	// (ErrAddressSpace) is out of a test's reach at the default.
 	AddrSpaceBytes uint64
-	// EnableTinyClass turns on the cache-line-magnitude page class that the
-	// paper proposes as future work.
-	EnableTinyClass bool
 	// Injector, when non-nil, arms the fault-injection plane at the heap's
 	// injection points (page commit/free, UndoAlloc). Nil costs one branch
 	// per site.
@@ -123,8 +120,6 @@ func New(cfg Config, mem *simmem.Hierarchy) *Heap {
 // pageSizeOf returns the fixed page size of non-large classes.
 func pageSizeOf(c Class) uint64 {
 	switch c {
-	case ClassTiny:
-		return TinyPageSize
 	case ClassSmall:
 		return SmallPageSize
 	case ClassMedium:
@@ -148,9 +143,6 @@ func (h *Heap) Mem() *simmem.Hierarchy { return h.mem }
 func (h *Heap) AllocPage(class Class) (*Page, error) {
 	if class == ClassLarge {
 		return nil, errors.New("heap: use AllocLargePage for large objects")
-	}
-	if class == ClassTiny && !h.cfg.EnableTinyClass {
-		return nil, errors.New("heap: tiny page class not enabled")
 	}
 	return h.installPage(pageSizeOf(class), class)
 }

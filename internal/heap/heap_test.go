@@ -85,21 +85,6 @@ func TestAllocPageRejectsLargeClass(t *testing.T) {
 	}
 }
 
-func TestTinyClassGated(t *testing.T) {
-	h := testHeap()
-	if _, err := h.AllocPage(ClassTiny); err == nil {
-		t.Fatal("tiny class must be rejected when disabled")
-	}
-	h2 := New(Config{MaxBytes: 64 << 20, EnableTinyClass: true}, nil)
-	p, err := h2.AllocPage(ClassTiny)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Size() != TinyPageSize {
-		t.Fatalf("tiny page size = %d", p.Size())
-	}
-}
-
 func TestHeapFull(t *testing.T) {
 	h := New(Config{MaxBytes: 4 << 20}, nil)
 	if _, err := h.AllocPage(ClassSmall); err != nil {

@@ -8,9 +8,7 @@ import (
 	"hcsgc/internal/faultinject"
 )
 
-// Page size classes per Table 1 of the paper, plus the "cache-line
-// magnitude" Tiny class the paper proposes as future work (§3.4, §4.8),
-// which this reproduction implements as an optional extension.
+// Page size classes per Table 1 of the paper.
 const (
 	// SmallPageSize is 2 MB; small pages hold objects of (0, 256] KB.
 	SmallPageSize = 2 << 20
@@ -23,21 +21,15 @@ const (
 	// Granule is the unit of heap address allocation; large pages are a
 	// multiple of it ("N x 2 (> 4) Mb" in Table 1).
 	Granule = 2 << 20
-
-	// TinyPageSize and TinyObjectMax define the extension class: a page
-	// whose max object size is of cache-line magnitude, enabling
-	// fine-grained relocation. Disabled unless Config.EnableTinyClass.
-	TinyPageSize  = 64 << 10
-	TinyObjectMax = 256
 )
 
 // Class identifies the size class of a page.
 type Class uint8
 
-// The page classes. ClassTiny participates only when the extension is on.
+// The page classes. Page events carry the class number, so the values are
+// fixed: 1, 2 and 3, and a zero Class names no class.
 const (
-	ClassTiny Class = iota
-	ClassSmall
+	ClassSmall Class = iota + 1
 	ClassMedium
 	ClassLarge
 )
@@ -45,8 +37,6 @@ const (
 // String names the class.
 func (c Class) String() string {
 	switch c {
-	case ClassTiny:
-		return "tiny"
 	case ClassSmall:
 		return "small"
 	case ClassMedium:
@@ -376,12 +366,9 @@ func (p *Page) String() string {
 		p.class, p.start, p.size>>10, p.LiveBytes(), p.HotBytes())
 }
 
-// ClassFor returns the page class for an object of the given byte size,
-// honouring the optional tiny class.
-func ClassFor(size uint64, tinyEnabled bool) Class {
+// ClassFor returns the page class for an object of the given byte size.
+func ClassFor(size uint64) Class {
 	switch {
-	case tinyEnabled && size <= TinyObjectMax:
-		return ClassTiny
 	case size <= SmallObjectMax:
 		return ClassSmall
 	case size <= MediumObjectMax:

@@ -35,22 +35,18 @@ func TestPageSizeClassesMatchTable1(t *testing.T) {
 func TestClassFor(t *testing.T) {
 	cases := []struct {
 		size uint64
-		tiny bool
 		want Class
 	}{
-		{8, false, ClassSmall},
-		{SmallObjectMax, false, ClassSmall},
-		{SmallObjectMax + 1, false, ClassMedium},
-		{MediumObjectMax, false, ClassMedium},
-		{MediumObjectMax + 1, false, ClassLarge},
-		{64 << 20, false, ClassLarge},
-		{8, true, ClassTiny},
-		{TinyObjectMax, true, ClassTiny},
-		{TinyObjectMax + 1, true, ClassSmall},
+		{8, ClassSmall},
+		{SmallObjectMax, ClassSmall},
+		{SmallObjectMax + 1, ClassMedium},
+		{MediumObjectMax, ClassMedium},
+		{MediumObjectMax + 1, ClassLarge},
+		{64 << 20, ClassLarge},
 	}
 	for _, tc := range cases {
-		if got := ClassFor(tc.size, tc.tiny); got != tc.want {
-			t.Errorf("ClassFor(%d, tiny=%v) = %v, want %v", tc.size, tc.tiny, got, tc.want)
+		if got := ClassFor(tc.size); got != tc.want {
+			t.Errorf("ClassFor(%d) = %v, want %v", tc.size, got, tc.want)
 		}
 	}
 }
@@ -291,7 +287,7 @@ func TestPageContainsAndWordIndex(t *testing.T) {
 
 func TestClassString(t *testing.T) {
 	for c, want := range map[Class]string{
-		ClassTiny: "tiny", ClassSmall: "small", ClassMedium: "medium", ClassLarge: "large",
+		ClassSmall: "small", ClassMedium: "medium", ClassLarge: "large",
 	} {
 		if c.String() != want {
 			t.Errorf("Class %d String = %q, want %q", c, c.String(), want)

@@ -1,10 +1,9 @@
 package heap
 
 // SegregationStats quantifies how well hot and cold objects are separated
-// onto distinct pages after a mark: for each hot-trackable page (small or
-// tiny class) the majority bytes are max(hot, cold); purity is the
-// live-bytes-weighted fraction of bytes matching their page's majority
-// hotness. 1.0 means every page holds only hot or only cold objects; a
+// onto distinct pages after a mark: for each hot-trackable (small) page
+// the majority bytes are max(hot, cold); purity is the live-bytes-weighted
+// fraction of bytes matching their page's majority hotness. 1.0 means every page holds only hot or only cold objects; a
 // well-mixed heap sits near 0.5 under a ~50% hot ratio.
 type SegregationStats struct {
 	// Pages is the number of hot-trackable pages with live data counted.
@@ -26,7 +25,7 @@ func (s SegregationStats) Purity() float64 {
 }
 
 // SegregationStats computes hot/cold segregation purity over live small
-// and tiny pages with Seq <= maxSeq (pass ^uint64(0) for all pages). Call
+// pages with Seq <= maxSeq (pass ^uint64(0) for all pages). Call
 // after a mark while livemap/hotmap are populated; mid-mark values are
 // partial but safe.
 func (h *Heap) SegregationStats(maxSeq uint64) SegregationStats {
@@ -35,7 +34,7 @@ func (h *Heap) SegregationStats(maxSeq uint64) SegregationStats {
 		if p.Seq > maxSeq || p.Freed() {
 			return
 		}
-		if p.Class() != ClassSmall && p.Class() != ClassTiny {
+		if p.Class() != ClassSmall {
 			return
 		}
 		live := p.LiveBytes()

@@ -29,11 +29,12 @@ type TraceFile struct {
 }
 
 // classNames mirrors heap.Class for trace annotations without importing
-// the heap package (telemetry stays a leaf dependency).
-var classNames = [...]string{"tiny", "small", "medium", "large"}
+// the heap package (telemetry stays a leaf dependency). Class 0 names no
+// class.
+var classNames = [...]string{1: "small", 2: "medium", 3: "large"}
 
 func className(arg uint32) string {
-	if int(arg) < len(classNames) {
+	if int(arg) < len(classNames) && classNames[arg] != "" {
 		return classNames[arg]
 	}
 	return fmt.Sprintf("class%d", arg)
