@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -183,4 +184,110 @@ func TestTelemetryEndToEnd(t *testing.T) {
 // panics, no events, no metrics.
 func TestTelemetryDisabledIsInert(t *testing.T) {
 	runTelemetryWorkload(t, nil)
+}
+
+// TestSignalGaugesFollowTheLog pins the per-cycle signal publication
+// against a live runtime: after several cycles every hcsgc_signal_value
+// series holds the value derived from the last logged cycle record, and
+// each signal_* Perfetto counter track carries one sample per cycle.
+func TestSignalGaugesFollowTheLog(t *testing.T) {
+	sink := hcsgc.NewTelemetrySink()
+	rt := hcsgc.MustNewRuntime(hcsgc.Options{
+		HeapMaxBytes: 64 << 20,
+		Knobs:        hcsgc.Knobs{Hotness: true, RelocateAllSmallPages: true, LazyRelocate: true},
+		Locality:     hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{}),
+		Telemetry:    sink,
+	})
+	defer rt.Close()
+	obj := rt.Types.Register("signalpin.obj", 3, nil)
+	m := rt.NewMutator(1)
+	defer m.Close()
+
+	const n, cycles = 6000, 3
+	m.SetRoot(0, m.AllocRefArray(n))
+	for cyc := 0; cyc < cycles; cyc++ {
+		for i := cyc % 3; i < n; i += 3 {
+			m.StoreRef(m.LoadRoot(0), i, m.Alloc(obj))
+			m.LoadRef(m.LoadRoot(0), (i+1)%n)
+		}
+		m.RequestGC()
+	}
+
+	log := rt.Latency.Log()
+	if len(log) != cycles {
+		t.Fatalf("cycle log holds %d records, want %d", len(log), cycles)
+	}
+	last := log[len(log)-1]
+	span := float64(last.VEnd - last.VStart)
+	perK := func(v uint64) float64 { return float64(v) / span * 1000 }
+	want := map[string]float64{
+		"utilization":             last.Utilization,
+		"max_pause_cycles":        float64(max(last.Pause1, last.Pause2, last.Pause3)),
+		"stalls":                  float64(last.Stalls),
+		"stall_p99_cycles":        last.StallDist.P99,
+		"alloc_kb_per_kcycle":     perK(last.AllocBytes) / 1024,
+		"heap_used_pct":           last.HeapUsedAfter,
+		"cold_frac":               last.ColdFrac,
+		"barrier_slow_per_kcycle": perK(last.Barrier.Mark + last.Barrier.Relocate + last.Barrier.Remap),
+		"reuse_p50_lines":         last.Locality.ReuseP50,
+		"stream_coverage":         last.Locality.StreamCoverage,
+		"seg_purity":              last.Locality.SegPurity,
+		"worker_imbalance":        last.Workers.Imbalance,
+		"lock_contended_frac":     last.Contention.ContendedFrac,
+		"cas_retry_frac":          last.Contention.RetryFrac,
+	}
+	if span == 0 || last.ColdFrac < 0 || !last.Locality.Present || !last.Workers.Present || !last.Contention.Present {
+		t.Fatalf("cycle %d did not measure every signal: span %v, cold_frac %v, locality %v, workers %v, contention %v",
+			last.Seq, span, last.ColdFrac, last.Locality.Present, last.Workers.Present, last.Contention.Present)
+	}
+
+	var b strings.Builder
+	sink.Metrics().WritePrometheus(&b)
+	seen := map[string]bool{}
+	for _, line := range strings.Split(b.String(), "\n") {
+		const prefix = `hcsgc_signal_value{signal="`
+		if !strings.HasPrefix(line, prefix) {
+			continue
+		}
+		name, value, ok := strings.Cut(strings.TrimPrefix(line, prefix), `"} `)
+		if !ok {
+			t.Fatalf("malformed exposition line %q", line)
+		}
+		got, err := strconv.ParseFloat(value, 64)
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		w, known := want[name]
+		if !known {
+			t.Errorf("unexpected signal %q", name)
+			continue
+		}
+		seen[name] = true
+		if got != w {
+			t.Errorf("hcsgc_signal_value{signal=%q} = %v, want %v from cycle %d's record", name, got, w, last.Seq)
+		}
+	}
+	for name := range want {
+		if !seen[name] {
+			t.Errorf("exposition has no hcsgc_signal_value{signal=%q}", name)
+		}
+	}
+
+	samples := map[string]int{}
+	for _, ev := range telemetry.BuildTrace(sink.Recorder().Snapshot()).TraceEvents {
+		if ev.Ph == "C" && strings.HasPrefix(ev.Name, "signal_") {
+			samples[ev.Name]++
+		}
+	}
+	for _, name := range []string{
+		"signal_alloc_kb_per_kcycle", "signal_stall_p99_cycles",
+		"signal_heap_used_pct", "signal_cold_frac",
+	} {
+		if samples[name] != cycles {
+			t.Errorf("counter track %q has %d samples, want one per cycle (%d)", name, samples[name], cycles)
+		}
+	}
+	if len(samples) != 4 {
+		t.Errorf("signal counter tracks = %v, want the four signal_* tracks", samples)
+	}
 }
