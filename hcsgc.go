@@ -35,7 +35,6 @@ import (
 	"hcsgc/internal/locality"
 	"hcsgc/internal/machine"
 	"hcsgc/internal/objmodel"
-	"hcsgc/internal/signals"
 	"hcsgc/internal/simmem"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
@@ -84,9 +83,10 @@ type (
 	OutOfMemoryError = core.OutOfMemoryError
 	// LatencyTracker is the latency-attribution plane: HDR pause/phase/
 	// stall distributions, MMU curves, barrier slow-path profiling, and the
-	// cycle log the GC log, the flight recorder and the signal plane read
-	// (see internal/telemetry/latency). Every runtime has one
-	// (Runtime.Latency).
+	// cycle log every per-cycle reader reads — the GC log, the flight
+	// recorder and /signals (Window), the hcsgc_signal_value gauges, and
+	// the KV ledger's cycle link (Lookup) (see internal/telemetry/latency).
+	// Every runtime has one (Runtime.Latency).
 	LatencyTracker = latency.Tracker
 	// LatencyConfig tunes the latency tracker.
 	LatencyConfig = latency.Config
@@ -94,16 +94,9 @@ type (
 	LatencyReport = latency.Report
 	// LatencyDist is one HDR distribution summary inside a LatencyReport.
 	LatencyDist = latency.Dist
-	// SignalPlane is the per-cycle GC signal plane: a window onto the
-	// latency tracker's cycle log (/signals), the per-cycle
-	// hcsgc_signal_value gauges, and the cycle-number lookup the KV
-	// ledger's tail section links exemplars with (see internal/signals).
-	// Every runtime has one (Runtime.Signals).
-	SignalPlane = signals.Plane
-	// SignalsConfig tunes the signal plane.
-	SignalsConfig = signals.Config
-	// SignalsSnapshot is the /signals endpoint payload.
-	SignalsSnapshot = signals.Snapshot
+	// LatencyWindow is the /signals endpoint payload: the flight window of
+	// the cycle log (LatencyTracker.Window).
+	LatencyWindow = latency.Window
 	// ContentionPlane is the contention & scalability attribution plane:
 	// per-site lock acquisition/contended counts and wait histograms,
 	// CAS retry profiling, and GC-worker balance (see
@@ -156,10 +149,35 @@ func NewLocalityProfiler(cfg LocalityConfig) *LocalityProfiler { return locality
 // a default tracker itself.
 func NewLatencyTracker(cfg LatencyConfig) *LatencyTracker { return latency.New(cfg) }
 
-// NewSignalPlane builds a signal plane with a non-default configuration.
-// Pass it via Options.Signals; a runtime handed none builds a default
-// plane itself.
-func NewSignalPlane(cfg SignalsConfig) *SignalPlane { return signals.New(cfg) }
+// SignalsConfig is a compatibility view for the benchmark harness, which
+// still reads the cycle log the way the deleted signal plane served it:
+// Snapshot returns the newest History records. Pass it via
+// Options.Signals; NewRuntime binds it to the runtime's tracker. Every
+// other reader uses LatencyTracker.Window. The benchmark change ROADMAP
+// item 7 lists deletes it.
+type SignalsConfig struct {
+	// History is how many of the cycle log's newest records Snapshot
+	// returns.
+	History int
+	lat     *latency.Tracker
+}
+
+// SignalPlane is the name the benchmark harness builds SignalsConfig by.
+type SignalPlane = SignalsConfig
+
+// NewSignalPlane returns cfg for Options.Signals.
+func NewSignalPlane(cfg SignalsConfig) *SignalPlane { return &cfg }
+
+// Snapshot returns the newest History records of the bound runtime's cycle
+// log, oldest first, in the /signals payload's shape.
+func (p *SignalPlane) Snapshot() LatencyWindow {
+	log := p.lat.Log()
+	w := LatencyWindow{Cycles: uint64(len(log)), History: p.History, Records: log[max(0, len(log)-p.History):]}
+	if len(log) > 0 {
+		w.Latest = log[len(log)-1]
+	}
+	return w
+}
 
 // NewContentionPlane builds a contention plane. Pass it via
 // Options.Contention to share one plane across runtimes; a runtime handed
@@ -205,8 +223,8 @@ type Options struct {
 	// distributions, MMU, barrier profile, flight recorder). Nil = the
 	// runtime builds one with default configuration.
 	Latency *LatencyTracker
-	// Signals overrides the unified signal plane. Nil = the runtime
-	// builds one with default configuration.
+	// Signals, when set, is bound to the runtime's latency tracker (see
+	// SignalsConfig).
 	Signals *SignalPlane
 	// Contention overrides the contention attribution plane. Nil = the
 	// runtime builds one.
@@ -237,10 +255,9 @@ type Runtime struct {
 	Mem       *simmem.Hierarchy // nil when DisableMemModel
 	Types     *objmodel.Registry
 	Machine   Machine
-	// Latency, Signals and Contention are the runtime's three always-on
-	// planes: the ones Options named, or defaults. Never nil.
+	// Latency and Contention are the runtime's always-on planes: the ones
+	// Options named, or defaults. Never nil.
 	Latency    *LatencyTracker
-	Signals    *SignalPlane
 	Contention *ContentionPlane
 
 	mu        sync.Mutex // guards mutators, nothing else
@@ -291,7 +308,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		Telemetry:      opts.Telemetry,
 		Locality:       opts.Locality,
 		Latency:        opts.Latency,
-		Signals:        opts.Signals,
 		Contention:     ctn,
 		FaultInjector:  opts.FaultInjector,
 		StallRetries:   opts.StallRetries,
@@ -300,7 +316,10 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	lat, sig := col.Config().Latency, col.Config().Signals
+	lat := col.Config().Latency
+	if opts.Signals != nil {
+		opts.Signals.lat = lat
+	}
 	if sink := opts.Telemetry; sink != nil {
 		reg, rec := sink.Metrics(), sink.Recorder()
 		sink.SetGCLog(col.WriteGCLog)
@@ -313,8 +332,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		sink.SetFlightRecorder(func(w io.Writer) error {
 			return lat.WriteFlight(w, "on-demand")
 		}, lat.Rearm)
-		sig.BindTelemetry(reg, rec)
-		sink.SetEndpoint("signals", func() any { return sig.Snapshot() })
+		sink.SetEndpoint("signals", func() any { return lat.Window() })
 		// The registry and recorder cannot adopt contention.Mutex (import
 		// cycle through telemetry/latency); they self-report as sources.
 		ctn.AddSource("telemetry.registryMu", func() (uint64, uint64) { return reg.MuStats() })
@@ -333,7 +351,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		Types:      types,
 		Machine:    mach,
 		Latency:    lat,
-		Signals:    sig,
 		Contention: ctn,
 	}
 	return rt, nil

@@ -20,7 +20,7 @@
 //     lower one violates the declaration even before a second path
 //     exists. The collector's hierarchy is declared as
 //     cycleMu(10) < mutMu(20) < medMu(30) < heap.mu(40), with the
-//     signal plane (60) and the contention plane (70) above those.
+//     contention plane (70) above those.
 //
 // Holding a lock across a safepoint boundary is reported unless the
 // function is //hcsgc:gc-thread, //hcsgc:stw-only, or owns the pause

@@ -65,7 +65,7 @@ func register(reg *telemetry.Registry, suffix string) {
 	reg.Gauge("hcsgc_kv_request_cycles", "KV request latency.")        // want `registered as Gauge here but as Summary`
 	reg.Summary("hcsgc_kv_hits_total", "Not a counter.", nil)          // want `_total suffix promises a monotonic counter`
 
-	// The signal-plane families (internal/signals.Plane.BindTelemetry):
+	// The signal families (latency.Tracker.BindTelemetry):
 	// one gauge family per derived series keyed by the signal label, and
 	// labelled counters for the anomaly flags — legal multi-site
 	// registration with shared help across label values.

@@ -1,5 +1,5 @@
 // Package vtimepure enforces the virtual-time discipline: the packages
-// that must replay deterministically — loadgen, faultinject, signals,
+// that must replay deterministically — loadgen, faultinject, latency,
 // bench and the GC core itself — may not consult the wall clock, draw
 // from non-splitmix randomness, or iterate a Go map into ordered output.
 // Every experiment in EXPERIMENTS.md leans on bit-identical replay under
@@ -37,7 +37,7 @@ import (
 // Analyzer is the vtimepure pass.
 var Analyzer = &lintkit.Analyzer{
 	Name: "vtimepure",
-	Doc: "deterministic-replay packages (core, loadgen, faultinject, signals, bench) " +
+	Doc: "deterministic-replay packages (core, loadgen, faultinject, latency, bench) " +
 		"must not read the wall clock, use non-splitmix randomness, or iterate maps " +
 		"into ordered output; //hcsgc:wall-clock exempts a function",
 	Run: run,
@@ -49,7 +49,7 @@ var targetPkgs = map[string]bool{
 	"core":        true,
 	"loadgen":     true,
 	"faultinject": true,
-	"signals":     true,
+	"latency":     true,
 	"bench":       true,
 }
 

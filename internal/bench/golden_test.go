@@ -15,7 +15,6 @@ import (
 
 	"hcsgc/internal/kvstore"
 	"hcsgc/internal/loadgen"
-	"hcsgc/internal/signals"
 	"hcsgc/internal/telemetry/latency"
 )
 
@@ -198,12 +197,12 @@ func TestGoldenReports(t *testing.T) {
 }
 
 // TestGoldenPayloadKeys pins the key paths of the two per-cycle payloads a
-// live runtime serves: /signals (signals.Snapshot) and the flight dump
+// live runtime serves: /signals (latency.Window) and the flight dump
 // (/flightrecorder and the automatic dumps, latency.FlightDump). Their
 // values come from a run, so only the shape is pinned.
 func TestGoldenPayloadKeys(t *testing.T) {
 	for name, doc := range map[string]any{
-		"signals":    fixture[signals.Snapshot](),
+		"signals":    fixture[latency.Window](),
 		"flightdump": fixture[latency.FlightDump](),
 	} {
 		b, err := json.Marshal(doc)

@@ -29,7 +29,7 @@
 // recording primitive is nil-safe, and Mutex's zero value is the bare lock.
 // Wait times are wall-clock nanoseconds (the simulated clock does not
 // advance while a goroutine is parked in the Go scheduler), which is why
-// this package — unlike core/signals — is exempt from the vtimepure
+// this package — unlike core and latency — is exempt from the vtimepure
 // analyzer.
 package contention
 

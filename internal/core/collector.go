@@ -11,7 +11,6 @@ import (
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/heap"
 	"hcsgc/internal/objmodel"
-	"hcsgc/internal/signals"
 	"hcsgc/internal/simmem"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
@@ -64,7 +63,7 @@ type Collector struct {
 	mutMu contention.Mutex
 	muts  map[*Mutator]struct{}
 	// allocBytesClosed folds closed mutators' allocation ledgers so the
-	// signal plane's alloc-rate delta survives mutator churn. Under mutMu.
+	// cycle record's allocation delta survives mutator churn. Under mutMu.
 	allocBytesClosed uint64
 
 	// Shared medium-page allocation (mutators and relocation); leaf-side
@@ -91,6 +90,9 @@ type Collector struct {
 	//hcsgc:lock-order 10
 	cycleMu contention.Mutex
 	cycles  telemetry.Counter // completed cycles; hcsgc_gc_cycles_total
+	// started is the Seq of the latest cycle started (0 before the first):
+	// ahead of cycles while a cycle runs.
+	started atomic.Uint64
 
 	// ctn is the contention attribution plane (nil when Config has none).
 	ctn *contention.Plane
@@ -98,7 +100,6 @@ type Collector struct {
 	stats statsLog
 	tm    colTelemetry
 	lat   *latency.Tracker
-	sig   *signals.Plane
 	// The cumulative totals as of the last cycle boundary: the cycle
 	// record carries the differences (touched under cycleMu).
 	lastAllocBytes   uint64
@@ -144,8 +145,6 @@ func New(h *heap.Heap, types *objmodel.Registry, cfg Config) (*Collector, error)
 	}
 	c.tm = newColTelemetry(cfg.Telemetry, c)
 	c.lat = cfg.Latency
-	c.sig = cfg.Signals
-	c.sig.Attach(c.lat)
 	c.inj = cfg.FaultInjector
 	c.ctn = cfg.Contention
 	c.cycleMu.Instrument(c.ctn.NewSite("core.cycleMu"))
@@ -193,6 +192,11 @@ func (c *Collector) CurrentPhase() Phase { return Phase(c.phase.Load()) }
 // Cycles returns the number of completed GC cycles.
 func (c *Collector) Cycles() uint64 { return c.cycles.Value() }
 
+// CyclesStarted returns the Seq of the latest cycle started: Cycles() + 1
+// while a cycle runs, else Cycles(). A pause belongs to that cycle, which
+// is logged only once it completes.
+func (c *Collector) CyclesStarted() uint64 { return c.started.Load() }
+
 // Collect runs one full GC cycle synchronously. It serializes with other
 // cycles; calling it concurrently is allowed (the loser simply runs the
 // next cycle after the winner finishes).
@@ -222,6 +226,7 @@ func (c *Collector) runCycle(reason string) {
 	// and cold fraction stay -1 unless the mark end measures them.
 	cs := &CycleStats{Seq: c.cycles.Value() + 1, Trigger: reason, VStart: c.VirtualCycles(),
 		HeapUsedBefore: c.heap.UsedPercent(), SegregationPurity: -1, ColdFrac: -1}
+	c.started.Store(cs.Seq)
 	c.tm.rec.BeginSpan(telemetry.SpanCycle, collectorTID)
 
 	// --- RE completion. In lazy mode the GC-thread share of relocation
@@ -359,13 +364,12 @@ func (c *Collector) runCycle(reason string) {
 
 	c.cycles.Inc()
 	// Collector-owned fields first, then the tracker completes the record
-	// in place and logs it, and only then does the signal plane publish it:
-	// every reader sees the completed record, and nothing writes it again.
+	// in place, logs it and publishes it: every reader sees the completed
+	// record, and nothing writes it again.
 	c.closeCycleRecord(cs)
 	c.tm.ecPages[0].Add(uint64(cs.ECSmall))
 	c.tm.ecPages[1].Add(uint64(cs.ECMedium))
 	c.recordLatencyCycle(cs)
-	c.sig.OnCycle(cs)
 	c.tm.rec.EndSpan(telemetry.SpanCycle, collectorTID)
 	if c.cfg.Knobs.AutoTune {
 		c.autoTune()

@@ -373,21 +373,20 @@ func TestHeapUsageTracked(t *testing.T) {
 	}
 }
 
-// TestCollectorBuildsItsPlanes: a collector handed no tracker and no signal
-// plane builds both, so the clocks, counters and record fields they complete
-// are maintained in every run — there is no configuration in which they read
-// zero. (Utilization, MarkCycles and StallVirtualCycles are legitimately 0
+// TestCollectorBuildsItsTracker: a collector handed no tracker builds one,
+// so the clocks, counters and record fields it completes are maintained in
+// every run — there is no configuration in which they read zero. (Utilization, MarkCycles and StallVirtualCycles are legitimately 0
 // here: with one mutator the virtual clock moves only by pause cost while it
 // is blocked in RequestGC; see latency.Tracker.RecordPhase.)
-func TestCollectorBuildsItsPlanes(t *testing.T) {
+func TestCollectorBuildsItsTracker(t *testing.T) {
 	types := objmodel.NewRegistry()
 	c, err := New(heap.New(heap.Config{MaxBytes: 16 << 20}, nil), types, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, sig := c.Config().Latency, c.Config().Signals
-	if lat == nil || sig == nil {
-		t.Fatalf("Config{} left the collector without a plane: Latency %v, Signals %v", lat, sig)
+	lat := c.Config().Latency
+	if lat == nil {
+		t.Fatal("Config{} left the collector without a latency tracker")
 	}
 	node := types.Register("node", 2, []int{0})
 	m := c.NewMutator(1)
@@ -399,8 +398,8 @@ func TestCollectorBuildsItsPlanes(t *testing.T) {
 	if got := lat.Report().Cycles; got != 2 {
 		t.Errorf("the tracker recorded %d cycles, want 2", got)
 	}
-	if got := sig.Snapshot().Cycles; got != 2 {
-		t.Errorf("the signal plane recorded %d cycles, want 2", got)
+	if got := lat.Window().Cycles; got != 2 {
+		t.Errorf("the /signals window covers %d cycles, want 2", got)
 	}
 	if rec := c.Stats().Cycles[1]; rec.AllocBytes == 0 || len(rec.MMU) != len(latency.DefaultMMUWindows) {
 		t.Errorf("cycle 2: AllocBytes %d, %d MMU windows, want > 0 and %d",

@@ -18,7 +18,6 @@ import (
 	"hcsgc/internal/contention"
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/locality"
-	"hcsgc/internal/signals"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
@@ -135,11 +134,6 @@ type Config struct {
 	// Nil means one with the default configuration: a collector always
 	// has a tracker.
 	Latency *latency.Tracker
-	// Signals is the per-cycle signal plane, a view of Latency's cycle
-	// log: the collector attaches the tracker to it and hands it each
-	// logged record. Nil means one with the default configuration: a
-	// collector always has a plane.
-	Signals *signals.Plane
 	// Contention is the optional contention attribution plane: the
 	// collector's locks, CAS loops and GC workers report to it, and at
 	// every cycle boundary the collector folds its per-cycle delta into
@@ -189,9 +183,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Latency == nil {
 		c.Latency = latency.New(latency.Config{})
-	}
-	if c.Signals == nil {
-		c.Signals = signals.New(signals.Config{})
 	}
 	return c
 }

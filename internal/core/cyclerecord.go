@@ -6,7 +6,7 @@ import "hcsgc/internal/contention"
 // of the cycle's record the collector owns, including the sections the
 // other planes hand back, before the tracker logs it. The locality profiler
 // and the contention plane may be nil (their OnCycle then returns a section
-// with Present false); the tracker and the signal plane never are.
+// with Present false); the tracker never is.
 
 // since returns how far now is past *mark and moves the watermark to now.
 func since(mark *uint64, now uint64) uint64 {

@@ -401,7 +401,7 @@ func (m *Mutator) allocWords(sizeWords int, typeID uint16) (heap.Ref, error) {
 }
 
 // noteAlloc charges the fixed allocation cost, tallies the one page bump
-// every allocation completes, and feeds the signal plane's allocation-rate
+// every allocation completes, and feeds the cycle record's allocation
 // ledger. Split out of allocWords so the accounting tail of the allocation
 // fast path is provably allocation-free.
 //

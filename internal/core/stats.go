@@ -11,7 +11,7 @@ import (
 // statistics" plots (cycles per run, small pages relocated per cycle, heap
 // usage). runCycle fills a new one in place and hands it to the latency
 // tracker, whose cycle log stores it; Stats, the flight recorder and the
-// signal plane read it from there (see latency.CycleRecord).
+// /signals window read it from there (see latency.CycleRecord).
 type CycleStats = latency.CycleRecord
 
 // statsLog holds the global relocation counters.

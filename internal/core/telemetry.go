@@ -142,7 +142,7 @@ func (c *Collector) recordMarkEnd(cs *CycleStats) {
 		density = float64(hot) / float64(live)
 		// Only a real measurement updates the record: with hotness off no
 		// page is hot-trackable and the -1 sentinel must survive so the
-		// signal plane reports cold_frac as unmeasured.
+		// cold_frac signal reads as unmeasured.
 		cs.ColdFrac = 1 - density
 	}
 	c.tm.hotmapDensity.Set(density)

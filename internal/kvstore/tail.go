@@ -7,7 +7,6 @@ import (
 	"slices"
 
 	"hcsgc/internal/loadgen"
-	"hcsgc/internal/signals"
 	"hcsgc/internal/telemetry/latency"
 )
 
@@ -61,8 +60,8 @@ var causeOrder = []Cause{CauseSTWPause, CauseAllocStall, CauseQueuedBehindStall,
 const maxExemplars = 32
 
 // Exemplar is one retained slow request: its identity, timing
-// decomposition, assigned cause, and a link to the responsible cycle's
-// logged record, taken at classification time.
+// decomposition, assigned cause, and the responsible cycle, whose logged
+// record Tail links.
 type Exemplar struct {
 	Seq   uint64 `json:"seq"`
 	Op    string `json:"op"`
@@ -88,12 +87,15 @@ type Exemplar struct {
 	// identified). Seq numbers restart with every runtime, so across the
 	// runs a ledger merges it does not name a record: CycleIndex does.
 	Cycle uint64 `json:"cycle"`
-	// Record is the responsible cycle's logged record, when it was still
-	// inside the signal plane's window at classification time. A report
-	// writes each record once, in TailReport.Cycles.
+	// Record is Cycle's logged record, which Tail looks up in the serving
+	// runtime's cycle log: a pause's cycle may still be running when the
+	// request is classified. Nil when no cycle is named or it was not
+	// logged yet. A report writes each record once, in TailReport.Cycles.
 	Record *latency.CycleRecord `json:"-"`
 	// CycleIndex is Record's position in TailReport.Cycles, -1 without one.
 	CycleIndex int `json:"cycle_index"`
+	// lat is the serving runtime's tracker, whose log Cycle indexes.
+	lat *latency.Tracker
 }
 
 // exemplars is the fixed-size top-K store: h[:n] holds the maxExemplars
@@ -146,8 +148,20 @@ type Obs struct {
 	// runtime-wide stall-count delta.
 	OwnStallV, PauseV uint64
 	GlobalStalls      uint64
-	// CycleAfter is the completed-GC-cycle count at completion.
-	CycleAfter uint64
+	// CycleAfter is the completed-GC-cycle count at completion: a stall
+	// waits for its cycle to finish. CycleStarted is the Seq of the latest
+	// cycle started by completion: a pause belongs to a cycle that may
+	// still be running.
+	CycleAfter, CycleStarted uint64
+}
+
+// blame names what disrupted a request that stalled or sat through a
+// pause, and the cycle responsible.
+func (o *Obs) blame() (Cause, uint64) {
+	if o.OwnStallV >= o.PauseV {
+		return CauseAllocStall, o.CycleAfter
+	}
+	return CauseSTWPause, o.CycleStarted
 }
 
 // Classifier is one server thread's front end to its ledger: it records
@@ -157,8 +171,8 @@ type Obs struct {
 // The memory is the classifier's, not the ledger's, so it survives the
 // ledger's folds. Not concurrency-safe; create one per serving thread.
 type Classifier struct {
-	mx    *Metrics
-	plane *signals.Plane
+	mx  *Metrics
+	lat *latency.Tracker
 
 	lastDisruptEnd   uint64
 	lastDisruptCycle uint64
@@ -166,24 +180,20 @@ type Classifier struct {
 }
 
 // Classifier creates a per-thread classifier recording into mx (the
-// thread's own ledger), linking exemplars against plane (nil links none).
-func (mx *Metrics) Classifier(plane *signals.Plane) *Classifier {
-	return &Classifier{mx: mx, plane: plane}
+// thread's own ledger), linking exemplars against lat's cycle log (nil
+// links none).
+func (mx *Metrics) Classifier(lat *latency.Tracker) *Classifier {
+	return &Classifier{mx: mx, lat: lat}
 }
 
 // noteDisrupted seeds the disruption window with a request that stalled
-// or sat through a pause and ended at endV.
-func (cl *Classifier) noteDisrupted(endV, cycle, ownStallV, pauseV uint64) {
-	if endV <= cl.lastDisruptEnd {
+// or sat through a pause.
+func (cl *Classifier) noteDisrupted(o *Obs) {
+	if o.EndV <= cl.lastDisruptEnd {
 		return
 	}
-	cl.lastDisruptEnd = endV
-	cl.lastDisruptCycle = cycle
-	if ownStallV >= pauseV {
-		cl.lastDisruptCause = CauseAllocStall
-	} else {
-		cl.lastDisruptCause = CauseSTWPause
-	}
+	cl.lastDisruptEnd = o.EndV
+	cl.lastDisruptCause, cl.lastDisruptCycle = o.blame()
 }
 
 // NoteDisruption maintains the convoy chain across requests Observe never
@@ -193,14 +203,15 @@ func (cl *Classifier) noteDisrupted(endV, cycle, ownStallV, pauseV uint64) {
 // that merely arrived mid-backlog extends it (the queue has not drained).
 // Without this the chain breaks at every failure: its successors queue
 // behind a disruption the classifier never learned about and misclassify
-// as plain service time.
-func (cl *Classifier) NoteDisruption(arrivalV, endV, cycleAfter, ownStallV, pauseV uint64) {
-	if ownStallV > 0 || pauseV > 0 {
-		cl.noteDisrupted(endV, cycleAfter, ownStallV, pauseV)
+// as plain service time. o carries what the failed request measured; one
+// dropped before service has only ArrivalV and EndV.
+func (cl *Classifier) NoteDisruption(o Obs) {
+	if o.OwnStallV > 0 || o.PauseV > 0 {
+		cl.noteDisrupted(&o)
 		return
 	}
-	if arrivalV < cl.lastDisruptEnd && endV > cl.lastDisruptEnd {
-		cl.lastDisruptEnd = endV
+	if o.ArrivalV < cl.lastDisruptEnd && o.EndV > cl.lastDisruptEnd {
+		cl.lastDisruptEnd = o.EndV
 	}
 }
 
@@ -213,14 +224,11 @@ func (cl *Classifier) Observe(o Obs) {
 		respCycle := uint64(0)
 		behind := ""
 		switch {
-		case o.OwnStallV > 0 && o.OwnStallV >= o.PauseV:
-			// The request's own allocation stalled; the stall triggered
-			// (or waited out) the cycle that completed during it.
-			cause = CauseAllocStall
-			respCycle = o.CycleAfter
-		case o.PauseV > 0:
-			cause = CauseSTWPause
-			respCycle = o.CycleAfter
+		case o.OwnStallV > 0 || o.PauseV > 0:
+			// The request's own allocation stalled (the stall triggered or
+			// waited out the cycle that completed during it), or it sat
+			// through a pause of the cycle running at its end.
+			cause, respCycle = o.blame()
 		case o.ArrivalV < cl.lastDisruptEnd:
 			// The request arrived while this thread was still draining
 			// the backlog behind an earlier stall/pause: blame that
@@ -248,7 +256,7 @@ func (cl *Classifier) Observe(o Obs) {
 				LatencyCycles: lat, QueueCycles: o.StartV - o.ArrivalV,
 				StallCycles: o.OwnStallV, PauseCycles: o.PauseV,
 				Cause: cause.String(), BehindCause: behind, Cycle: respCycle,
-				Record: cl.plane.Lookup(respCycle),
+				lat: cl.lat,
 			})
 		}
 	}
@@ -256,7 +264,7 @@ func (cl *Classifier) Observe(o Obs) {
 	// that itself stalled is alloc-stall and only its successors queue
 	// behind it.
 	if o.OwnStallV > 0 || o.PauseV > 0 {
-		cl.noteDisrupted(o.EndV, o.CycleAfter, o.OwnStallV, o.PauseV)
+		cl.noteDisrupted(&o)
 	} else if o.ArrivalV < cl.lastDisruptEnd && o.StartV > o.ArrivalV && o.EndV > cl.lastDisruptEnd {
 		// The convoy outlives the disrupting request: this request arrived
 		// mid-disruption and still found a queue, so the backlog it is
@@ -339,6 +347,7 @@ func (mx *Metrics) Tail() TailReport {
 	for i := range r.TopK {
 		ex := &r.TopK[i]
 		ex.CycleIndex = -1
+		ex.Record = ex.lat.Lookup(ex.Cycle)
 		if ex.Record == nil {
 			continue
 		}

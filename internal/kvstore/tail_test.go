@@ -7,31 +7,32 @@ import (
 	"testing"
 
 	"hcsgc/internal/loadgen"
-	"hcsgc/internal/signals"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
 
 // obsAt builds a clean observation of the given latency arriving at a
-// point on the virtual timeline.
+// point on the virtual timeline, with no cycle running at its end.
 func obsAt(seq, arrival, lat uint64) Obs {
 	return Obs{
 		Seq: seq, Op: loadgen.OpGet, Phase: loadgen.PhaseSteady,
 		ArrivalV: arrival, StartV: arrival, EndV: arrival + lat,
-		CycleAfter: 1,
+		CycleAfter: 1, CycleStarted: 1,
 	}
 }
 
-// loggedPlane is a signal plane viewing a cycle log of n records, as a
-// collector would have logged them.
-func loggedPlane(n uint64) (*signals.Plane, []*latency.CycleRecord) {
-	p := signals.New(signals.Config{})
+// logCycle logs cycle seq through tr, as a collector would at its end.
+func logCycle(tr *latency.Tracker, seq uint64) {
+	tr.OnCycle(&latency.CycleRecord{Seq: seq, VStart: (seq - 1) * 1_000_000, VEnd: seq * 1_000_000})
+}
+
+// loggedTracker is a tracker whose cycle log holds n records.
+func loggedTracker(n uint64) (*latency.Tracker, []*latency.CycleRecord) {
 	tr := latency.New(latency.Config{})
-	p.Attach(tr)
 	for seq := uint64(1); seq <= n; seq++ {
-		tr.OnCycle(&latency.CycleRecord{Seq: seq, VStart: (seq - 1) * 1_000_000, VEnd: seq * 1_000_000})
+		logCycle(tr, seq)
 	}
-	return p, tr.Log()
+	return tr, tr.Log()
 }
 
 // TestClassifierCauses pins the classification of each cause in
@@ -44,9 +45,14 @@ func TestClassifierCauses(t *testing.T) {
 		cycle  uint64
 		behind string
 	}{
-		{"own-stall", func(o *Obs) { o.OwnStallV = 2_000_000; o.CycleAfter = 7 }, "alloc-stall", 7, ""},
-		{"stw-pause", func(o *Obs) { o.PauseV = 50_000; o.CycleAfter = 7 }, "stw-pause", 7, ""},
-		{"stall-dominates-pause", func(o *Obs) { o.OwnStallV = 2_000_000; o.PauseV = 50_000; o.CycleAfter = 7 }, "alloc-stall", 7, ""},
+		// A stall waits for its cycle to finish; a pause belongs to the
+		// cycle still running at the request's end.
+		{"own-stall", func(o *Obs) { o.OwnStallV = 2_000_000; o.CycleAfter, o.CycleStarted = 7, 8 }, "alloc-stall", 7, ""},
+		{"stw-pause", func(o *Obs) { o.PauseV = 50_000; o.CycleAfter, o.CycleStarted = 6, 7 }, "stw-pause", 7, ""},
+		{"stall-dominates-pause", func(o *Obs) {
+			o.OwnStallV, o.PauseV = 2_000_000, 50_000
+			o.CycleAfter, o.CycleStarted = 7, 8
+		}, "alloc-stall", 7, ""},
 		{"concurrent-stall", func(o *Obs) { o.GlobalStalls = 1; o.CycleAfter = 7 }, "queued-behind-stall", 7, "concurrent-stall"},
 		{"service", func(o *Obs) {}, "service", 0, ""},
 	}
@@ -181,13 +187,13 @@ func TestClassifierConvoyChain(t *testing.T) {
 	}
 }
 
-// TestClassifierLinksPlane: exemplars entering the top-K store link the
-// responsible cycle's logged record when it is inside the plane's window,
-// and the report writes that record once for every exemplar naming it.
-func TestClassifierLinksPlane(t *testing.T) {
-	p, log := loggedPlane(7)
+// TestClassifierLinksTracker: exemplars entering the top-K store link the
+// responsible cycle's logged record, and the report writes that record
+// once for every exemplar naming it.
+func TestClassifierLinksTracker(t *testing.T) {
+	tr, log := loggedTracker(7)
 	mx := NewMetrics()
-	cl := mx.Classifier(p)
+	cl := mx.Classifier(tr)
 	for seq := uint64(1); seq <= 2; seq++ {
 		o := obsAt(seq, seq*10_000_000, 5_000_000+seq)
 		o.OwnStallV = 4_000_000
@@ -201,6 +207,63 @@ func TestClassifierLinksPlane(t *testing.T) {
 	if len(r.Cycles) != 1 || r.Cycles[0] != log[6] || r.TopK[0].CycleIndex != 0 || r.TopK[1].CycleIndex != 0 {
 		t.Fatalf("cycle 7's record not written once: %d cycles, indexes %d/%d",
 			len(r.Cycles), r.TopK[0].CycleIndex, r.TopK[1].CycleIndex)
+	}
+}
+
+// TestPauseBlamesTheRunningCycle: a request that sat through a pause of
+// cycle n, and ended while n was still running (the log holds n-1), blames
+// n, as does a request queued behind it. The exemplar links no record
+// until n is logged, and n's record once it is.
+func TestPauseBlamesTheRunningCycle(t *testing.T) {
+	tr, _ := loggedTracker(6)
+	mx := NewMetrics()
+	cl := mx.Classifier(tr)
+	paused := obsAt(1, 0, 5_000_000)
+	paused.PauseV = 3_000_000
+	paused.CycleAfter, paused.CycleStarted = 6, 7
+	cl.Observe(paused)
+	queued := obsAt(2, 1_000_000, 6_000_000)
+	queued.CycleAfter, queued.CycleStarted = 6, 7
+	cl.Observe(queued)
+
+	blames := func(r TailReport) {
+		t.Helper()
+		if len(r.TopK) != 2 {
+			t.Fatalf("%d exemplars, want 2", len(r.TopK))
+		}
+		want := map[uint64][2]string{1: {"stw-pause", ""}, 2: {"queued-behind-stall", "stw-pause"}}
+		for _, ex := range r.TopK {
+			if w := want[ex.Seq]; ex.Cause != w[0] || ex.BehindCause != w[1] || ex.Cycle != 7 {
+				t.Fatalf("request %d = %s (behind %q) at cycle %d, want %s (behind %q) at cycle 7",
+					ex.Seq, ex.Cause, ex.BehindCause, ex.Cycle, w[0], w[1])
+			}
+		}
+	}
+	r := mx.Tail()
+	blames(r)
+	for _, ex := range r.TopK {
+		if ex.Record != nil || ex.CycleIndex != -1 {
+			t.Fatalf("request %d links cycle %d's record before it is logged", ex.Seq, ex.Cycle)
+		}
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	logCycle(tr, 7)
+	r = mx.Tail()
+	blames(r)
+	rec := tr.Lookup(7)
+	if rec == nil || len(r.Cycles) != 1 || r.Cycles[0] != rec {
+		t.Fatalf("cycles = %v, want cycle 7's logged record once", r.Cycles)
+	}
+	for _, ex := range r.TopK {
+		if ex.Record != rec || ex.CycleIndex != 0 {
+			t.Fatalf("request %d links index %d, want cycle 7's record at 0", ex.Seq, ex.CycleIndex)
+		}
+	}
+	if err := r.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -231,9 +294,9 @@ func TestTailTopKBounded(t *testing.T) {
 
 // TestTailReportValidate rejects structural corruption.
 func TestTailReportValidate(t *testing.T) {
-	p, _ := loggedPlane(3)
+	tr, _ := loggedTracker(3)
 	mx := NewMetrics()
-	cl := mx.Classifier(p)
+	cl := mx.Classifier(tr)
 	for seq := uint64(1); seq <= 2; seq++ {
 		o := obsAt(seq, seq*10_000_000, 5_000_000)
 		o.OwnStallV = 4_000_000

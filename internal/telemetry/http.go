@@ -97,7 +97,7 @@ var snapshotEndpoints = []string{
 	"locality",   // locality-profiler report (locality.Profiler.Report)
 	"mmu",        // minimum-mutator-utilization curve (latency.Tracker.MMUSnapshot)
 	"kv",         // KV serving report (kvstore.Metrics.Report)
-	"signals",    // unified per-cycle signal plane (signals.Plane.Snapshot)
+	"signals",    // flight window of the cycle log (latency.Tracker.Window)
 	"contention", // ranked lock sites, CAS loops, worker balance (contention.Plane.Snapshot)
 	"tailattr",   // request-level tail attribution (kvstore.Metrics.Tail)
 	"overload",   // KV request outcomes and goodput accounting (kvstore.Metrics.Outcomes)

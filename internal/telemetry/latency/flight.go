@@ -53,7 +53,8 @@ type LockDelta struct {
 
 // CycleRecord is the one record of a GC cycle (core.CycleStats is this
 // type). It is stored once, in the tracker's cycle log: the GC log, the
-// flight recorder and the signal plane read it from there. Durations and
+// flight recorder, the /signals window and the signal gauges read it from
+// there. Durations and
 // pause costs are simulated cycles. A new per-cycle fact is one field here.
 //
 // The collector fills every field except those the tracker's OnCycle
@@ -176,9 +177,10 @@ type Report struct {
 	Barrier map[string]BarrierPathReport `json:"barrier"`
 	MMU     MMUReport                    `json:"mmu"`
 	// Flight holds the newest Config.FlightRecords entries of the cycle
-	// log, oldest first; Cycles counts every cycle ever recorded.
-	Flight []CycleRecord `json:"flight,omitempty"`
-	Cycles uint64        `json:"cycles"`
+	// log, oldest first (the log's own records, as in Window); Cycles
+	// counts every cycle ever recorded.
+	Flight []*CycleRecord `json:"flight,omitempty"`
+	Cycles uint64         `json:"cycles"`
 	// FlightDumps counts automatic dumps emitted (verifier failure, OOM).
 	FlightDumps uint64 `json:"flight_dumps"`
 }

@@ -2,9 +2,13 @@
 // histograms over every STW pause, concurrent-phase duration and
 // allocation stall; a minimum-mutator-utilization (MMU) tracker over the
 // virtual timeline; per-path load-barrier slow-path profiling; and the
-// cycle log, the one store of every GC cycle's record, whose newest entries
-// the flight recorder dumps as structured JSON when something goes wrong
-// (heap-verifier violation, ErrOutOfMemory) or on demand.
+// cycle log, the one store of every GC cycle's record. Every reader of the
+// log goes through the tracker: the flight recorder dumps its newest
+// entries as structured JSON when something goes wrong (heap-verifier
+// violation, ErrOutOfMemory) or on demand, /signals serves the same window
+// (Window), the KV ledger links a cycle number to its record (Lookup), and
+// each logged record's scalar signals are published as hcsgc_signal_value
+// gauges and Perfetto counter tracks.
 //
 // All durations are simulated cycles — the same deterministic clock the
 // rest of the runtime is judged on — so percentiles and MMU curves are
@@ -169,6 +173,7 @@ type Tracker struct {
 
 	// Telemetry handles (nil until BindTelemetry; all nil-safe).
 	mmuGauges []*telemetry.Gauge
+	sigGauges []*telemetry.Gauge // indexed like signals
 	dumpsLeft *telemetry.Gauge
 	rec       *telemetry.Recorder
 }
@@ -260,8 +265,9 @@ func (t *Tracker) RecordBarrierLatency(p BarrierPath, cycles uint64) {
 // record with every field it owns filled in; the tracker completes it in
 // place (phase durations, barrier deltas, MMU, utilization and the stall
 // distribution), appends it to the cycle log, and publishes gauges,
-// counters and Perfetto counter-track samples. The log keeps rec itself:
-// neither the caller nor the tracker writes it afterwards.
+// counters and Perfetto counter-track samples, the per-cycle signals among
+// them. The log keeps rec itself: neither the caller nor the tracker writes
+// it afterwards.
 func (t *Tracker) OnCycle(rec *CycleRecord) {
 	for k := 0; k < numPhases; k++ {
 		d := t.curPhase[k].Swap(0)
@@ -294,7 +300,7 @@ func (t *Tracker) OnCycle(rec *CycleRecord) {
 		HotmapRecord: deltas[PathHotmapRecord],
 	}
 	t.log = append(t.log, rec)
-	gauges := t.mmuGauges
+	gauges, sigGauges := t.mmuGauges, t.sigGauges
 	recd := t.rec
 	t.mu.Unlock()
 
@@ -307,10 +313,13 @@ func (t *Tracker) OnCycle(rec *CycleRecord) {
 		recd.Counter(telemetry.CounterMMU1k+uint32(i), pt.MMU, rec.Seq)
 	}
 	recd.Counter(telemetry.CounterUtilization, rec.Utilization, rec.Seq)
+	if sigGauges != nil {
+		publishSignals(rec, sigGauges, recd)
+	}
 }
 
-// BindTelemetry registers the hcsgc_pause/phase/stall/barrier/mmu metric
-// families on reg (summaries are backed live by the HDR histograms, counters
+// BindTelemetry registers the hcsgc_pause/phase/stall/barrier/mmu and
+// hcsgc_signal_value metric families on reg (summaries are backed live by the HDR histograms, counters
 // by the tracker's own cells) and enables Perfetto counter-track emission
 // through rec. A nil reg (no sink) binds nothing; binding another tracker
 // re-points the series to it (latest runtime wins).
@@ -347,9 +356,11 @@ func (t *Tracker) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder
 	}
 	dumpsLeft := reg.Gauge("hcsgc_flight_dumps_remaining",
 		"Automatic flight-recorder dumps left before the cap (re-armable via /flightrecorder?rearm=1).")
+	sigGauges := bindSignals(reg)
 
 	t.mu.Lock()
 	t.mmuGauges = gauges
+	t.sigGauges = sigGauges
 	t.dumpsLeft = dumpsLeft
 	t.rec = rec
 	left := uint64(autoDumpLimit)
@@ -388,9 +399,7 @@ func (t *Tracker) Report() *Report {
 	r.FlightDumps = t.dumps
 	t.mu.Unlock()
 	r.Cycles = uint64(len(log))
-	for _, rec := range log[max(0, len(log)-t.cfg.FlightRecords):] {
-		r.Flight = append(r.Flight, *rec)
-	}
+	r.Flight = t.flight(log)
 	return r
 }
 

@@ -89,7 +89,7 @@ const (
 	CounterMMU20k
 	CounterMMU100k
 	CounterUtilization
-	// The signal plane's per-cycle scalar signals.
+	// The latency tracker's per-cycle scalar signals (hcsgc_signal_value).
 	CounterSignalAllocRate
 	CounterSignalStallP99
 	CounterSignalHeapUsed

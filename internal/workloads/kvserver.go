@@ -132,11 +132,11 @@ func KVServer() Workload {
 					// cells see one write per fold, not per request. Its
 					// classifier records the successes into it, classifies
 					// the ones over the SLO and links their exemplars
-					// against the runtime's signal plane.
+					// against the runtime's cycle log.
 					col := e.rt.Collector
 					tmx := kvstore.NewMetrics()
 					defer tmx.FoldInto(mx)
-					cl := tmx.Classifier(e.rt.Signals)
+					cl := tmx.Classifier(e.rt.Latency)
 					// A heap too exhausted to hold even the bucket array
 					// leaves the shard dead: the thread stays up and fails
 					// its requests without heap work (a goroutine panic
@@ -219,7 +219,7 @@ func KVServer() Workload {
 								// The drop itself proves the queue has not
 								// drained: keep the convoy chain alive for
 								// the requests behind it.
-								cl.NoteDisruption(at, now, col.Cycles(), 0, 0)
+								cl.NoteDisruption(kvstore.Obs{ArrivalV: at, EndV: now})
 								continue
 							}
 						}
@@ -242,7 +242,7 @@ func KVServer() Workload {
 								tmx.RecordFailure(kvstore.Shed)
 								// Like the deadline drop: the backlog has
 								// not drained, keep the convoy chain alive.
-								cl.NoteDisruption(at, now, col.Cycles(), 0, 0)
+								cl.NoteDisruption(kvstore.Obs{ArrivalV: at, EndV: now})
 								continue
 							}
 						}
@@ -280,19 +280,21 @@ func KVServer() Workload {
 						}
 						m.Work(kvWorkPerReq)
 						end := m.VirtualCycles()
+						o := kvstore.Obs{
+							Seq:          uint64(r.Seq),
+							Op:           r.Op,
+							Phase:        int(r.Phase),
+							ArrivalV:     at,
+							StartV:       svcStart,
+							EndV:         end,
+							OwnStallV:    m.StallVirtualCycles() - stall0,
+							PauseV:       col.PauseCycles() - pause0,
+							GlobalStalls: col.StallCount() - gStalls0,
+							CycleAfter:   col.Cycles(),
+							CycleStarted: col.CyclesStarted(),
+						}
 						if reqErr == nil {
-							cl.Observe(kvstore.Obs{
-								Seq:          uint64(r.Seq),
-								Op:           r.Op,
-								Phase:        int(r.Phase),
-								ArrivalV:     at,
-								StartV:       svcStart,
-								EndV:         end,
-								OwnStallV:    m.StallVirtualCycles() - stall0,
-								PauseV:       col.PauseCycles() - pause0,
-								GlobalStalls: col.StallCount() - gStalls0,
-								CycleAfter:   col.Cycles(),
-							})
+							cl.Observe(o)
 							if cfg.Overload {
 								// Update the clean-service worst case:
 								// slow decay so a one-off high does not
@@ -302,8 +304,7 @@ func KVServer() Workload {
 								// disruption, not the op).
 								w := svcWorst[r.Op] - svcWorst[r.Op]/64
 								if svc := end - svcStart; svc > w &&
-									m.StallVirtualCycles() == stall0 &&
-									col.PauseCycles() == pause0 {
+									o.OwnStallV == 0 && o.PauseV == 0 {
 									w = svc
 								}
 								svcWorst[r.Op] = w
@@ -314,9 +315,7 @@ func KVServer() Workload {
 							// part of its backlog: either way, tell the
 							// classifier so its successors' queueing delay
 							// stays attributable.
-							cl.NoteDisruption(at, end, col.Cycles(),
-								m.StallVirtualCycles()-stall0,
-								col.PauseCycles()-pause0)
+							cl.NoteDisruption(o)
 						}
 						if tid == 0 && r.Seq%2048 == 0 {
 							e.sampleHeapAs(m)

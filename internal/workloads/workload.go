@@ -53,9 +53,9 @@ type RunConfig struct {
 	// builds a default one). The caller keeps the handle and reads the
 	// report after the run.
 	Latency *hcsgc.LatencyTracker
-	// Signals overrides the run's unified signal plane (nil = the
-	// runtime builds a default one). The caller keeps the handle and
-	// reads the snapshot after the run.
+	// Signals, when set, is bound to the run's latency tracker (see
+	// hcsgc.SignalsConfig). The caller keeps the handle and reads the
+	// snapshot after the run.
 	Signals *hcsgc.SignalPlane
 	// Contention overrides the run's contention attribution plane (nil =
 	// the runtime builds a default one). The caller keeps the handle and

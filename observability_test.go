@@ -34,9 +34,9 @@ func httpGet(t *testing.T, addr, path string) string {
 	return string(body)
 }
 
-// TestSignalsEndpointShape: a runtime with the default (always-on)
-// signal plane serves a well-formed /signals snapshot covering every GC
-// cycle, and the hcsgc_signal_value family lands in /metrics.
+// TestSignalsEndpointShape: a runtime serves a well-formed /signals window
+// of its latency tracker's cycle log covering every GC cycle, and the
+// hcsgc_signal_value family lands in /metrics.
 func TestSignalsEndpointShape(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	runTelemetryWorkload(t, sink)
@@ -47,7 +47,7 @@ func TestSignalsEndpointShape(t *testing.T) {
 	}
 	defer srv.Close()
 
-	var snap hcsgc.SignalsSnapshot
+	var snap hcsgc.LatencyWindow
 	if err := json.Unmarshal([]byte(httpGet(t, srv.Addr(), "/signals")), &snap); err != nil {
 		t.Fatalf("/signals does not parse: %v", err)
 	}
@@ -90,9 +90,9 @@ func TestSignalsEndpointShape(t *testing.T) {
 }
 
 // TestOneCycleLog: every reader sees the one log. A GC cycle's record is
-// stored once, in the latency tracker's cycle log; the signal plane's
-// window, latest record and Lookup are that same record, and the GC log and
-// the flight recorder read it. The collector has set its end-of-cycle
+// stored once, in the latency tracker's cycle log; the /signals window,
+// its latest record, the flight recorder and Lookup are that same record,
+// and the GC log reads it. The collector has set its end-of-cycle
 // fields (closing clock, allocation and relocation deltas, the locality,
 // worker and contention sections) before anyone reads it.
 func TestOneCycleLog(t *testing.T) {
@@ -121,7 +121,7 @@ func TestOneCycleLog(t *testing.T) {
 	log := rt.Latency.Log()
 	gclog := rt.Collector.Stats().Cycles
 	flight := rt.Latency.Report().Flight
-	snap := rt.Signals.Snapshot()
+	snap := rt.Latency.Window()
 	history := snap.Records
 	if len(log) != cycles || len(gclog) != cycles || len(flight) != cycles || len(history) != cycles {
 		t.Fatalf("cycles: log %d, GC log %d, flight recorder %d, signal window %d, want %d each",
@@ -142,14 +142,14 @@ func TestOneCycleLog(t *testing.T) {
 			t.Errorf("cycle %d: flight record sections present: locality %v, workers %v, contention %v",
 				rec.Seq, f.Locality.Present, f.Workers.Present, f.Contention.Present)
 		}
-		if got := rt.Signals.Lookup(rec.Seq); got != rec {
+		if got := rt.Latency.Lookup(rec.Seq); got != rec {
 			t.Errorf("cycle %d: Lookup is not the logged record (found %v)", rec.Seq, got != nil)
 		}
 		if !reflect.DeepEqual(*rec, gclog[i]) {
 			t.Errorf("cycle %d: the GC log differs from the cycle log:\n%+v\n%+v", rec.Seq, gclog[i], *rec)
 		}
-		if !reflect.DeepEqual(*rec, flight[i]) {
-			t.Errorf("cycle %d: the flight recorder differs from the cycle log:\n%+v\n%+v", rec.Seq, flight[i], *rec)
+		if flight[i] != rec {
+			t.Errorf("cycle %d: the flight recorder holds a record other than the logged one", rec.Seq)
 		}
 		if rec.VEnd <= rec.VStart || rec.MarkedBytes == 0 {
 			t.Errorf("cycle %d: VStart %d, VEnd %d, marked %d bytes", rec.Seq, rec.VStart, rec.VEnd, rec.MarkedBytes)
@@ -160,14 +160,16 @@ func TestOneCycleLog(t *testing.T) {
 	}
 }
 
-// TestCycleLogWindows: the flight recorder and the signal plane reach
-// windows smaller than the run, while the GC log keeps every cycle.
+// TestCycleLogWindows: the flight recorder and the /signals window reach
+// a window smaller than the run, while the GC log and Lookup reach every
+// cycle. Options.Signals reaches its own History.
 func TestCycleLogWindows(t *testing.T) {
+	sig := hcsgc.NewSignalPlane(hcsgc.SignalsConfig{History: 3})
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
 		HeapMaxBytes:    16 << 20,
 		DisableMemModel: true,
 		Latency:         hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{FlightRecords: 2}),
-		Signals:         hcsgc.NewSignalPlane(hcsgc.SignalsConfig{History: 2}),
+		Signals:         sig,
 	})
 	defer rt.Close()
 	m := rt.NewMutator(1)
@@ -185,18 +187,97 @@ func TestCycleLogWindows(t *testing.T) {
 	if rep.Cycles != cycles || len(rep.Flight) != 2 || rep.Flight[0].Seq != 3 || rep.Flight[1].Seq != 4 {
 		t.Errorf("flight recorder: %d cycles, %d retained, want %d and the last 2", rep.Cycles, len(rep.Flight), cycles)
 	}
-	snap := rt.Signals.Snapshot()
+	snap := rt.Latency.Window()
 	if snap.Cycles != cycles || len(snap.Records) != 2 || snap.Records[0].Seq != 3 || snap.Records[1].Seq != 4 {
-		t.Errorf("signal plane: %d cycles, %d retained, want %d and the last 2", snap.Cycles, len(snap.Records), cycles)
+		t.Errorf("/signals window: %d cycles, %d retained, want %d and the last 2", snap.Cycles, len(snap.Records), cycles)
 	}
 	if snap.Latest == nil || snap.Latest.Seq != cycles {
 		t.Errorf("Latest = %+v, want cycle %d", snap.Latest, cycles)
 	}
-	if rt.Signals.Lookup(3) == nil || rt.Signals.Lookup(4) == nil {
-		t.Error("Lookup missed a cycle inside the signal plane's window")
+	if rt.Latency.Lookup(3) == nil || rt.Latency.Lookup(4) == nil {
+		t.Error("Lookup missed a cycle inside the window")
 	}
-	if rt.Signals.Lookup(2) != nil {
-		t.Error("Lookup(2) found a cycle outside the signal plane's window")
+	if rec := rt.Latency.Lookup(2); rec == nil || rec != rt.Latency.Log()[1] {
+		t.Error("Lookup(2) is not the logged record of a cycle outside the window")
+	}
+	if old := sig.Snapshot(); len(old.Records) != 3 || old.Records[0].Seq != 2 || old.Latest.Seq != cycles {
+		t.Errorf("Options.Signals: %d records, want the last 3", len(old.Records))
+	}
+}
+
+// TestRuntimesSeeOnlyTheirOwnCycles: two runtimes live in one process,
+// with different cycle counts, each serve only their own cycle log — through
+// the tracker's window, their /signals endpoint, and a KV classifier linking
+// exemplars against their tracker, also once both ledgers fold into one.
+func TestRuntimesSeeOnlyTheirOwnCycles(t *testing.T) {
+	type side struct {
+		rt     *hcsgc.Runtime
+		addr   string
+		cycles int
+	}
+	var sides []side
+	for _, cycles := range []int{2, 3} {
+		sink := hcsgc.NewTelemetrySink()
+		rt := hcsgc.MustNewRuntime(hcsgc.Options{HeapMaxBytes: 16 << 20, DisableMemModel: true, Telemetry: sink})
+		defer rt.Close()
+		m := rt.NewMutator(1)
+		defer m.Close()
+		m.SetRoot(0, m.AllocRefArray(1000))
+		for i := 0; i < cycles; i++ {
+			m.RequestGC()
+		}
+		srv, err := sink.Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		sides = append(sides, side{rt, srv.Addr(), cycles})
+	}
+
+	run := kvstore.NewMetrics()
+	for _, s := range sides {
+		log := s.rt.Latency.Log()
+		if len(log) != s.cycles {
+			t.Fatalf("runtime with %d cycles logged %d", s.cycles, len(log))
+		}
+		w := s.rt.Latency.Window()
+		if w.Cycles != uint64(s.cycles) || len(w.Records) != s.cycles || w.Latest != log[s.cycles-1] {
+			t.Errorf("runtime with %d cycles: window of %d cycles, %d records", s.cycles, w.Cycles, len(w.Records))
+		}
+		for i, rec := range w.Records {
+			if rec != log[i] {
+				t.Errorf("runtime with %d cycles: window record %d is not its own", s.cycles, i)
+			}
+		}
+		var served hcsgc.LatencyWindow
+		if err := json.Unmarshal([]byte(httpGet(t, s.addr, "/signals")), &served); err != nil {
+			t.Fatal(err)
+		}
+		if served.Cycles != uint64(s.cycles) || len(served.Records) != s.cycles ||
+			!reflect.DeepEqual(served.Records[s.cycles-1], log[s.cycles-1]) {
+			t.Errorf("runtime with %d cycles: /signals serves %d cycles, %d records", s.cycles, served.Cycles, len(served.Records))
+		}
+
+		// A pause of each runtime's last cycle, classified on its tracker.
+		mx := kvstore.NewMetrics()
+		o := kvstore.Obs{EndV: kvstore.SLOCycles + 1, PauseV: 1, CycleAfter: uint64(s.cycles), CycleStarted: uint64(s.cycles)}
+		mx.Classifier(s.rt.Latency).Observe(o)
+		tail := mx.Tail()
+		if len(tail.Cycles) != 1 || tail.Cycles[0] != log[s.cycles-1] {
+			t.Errorf("runtime with %d cycles: the classifier linked %v, want its own last record", s.cycles, tail.Cycles)
+		}
+		mx.FoldInto(run)
+	}
+	tail := run.Tail()
+	if len(tail.Cycles) != 2 {
+		t.Fatalf("merged ledger links %d records, want one per runtime", len(tail.Cycles))
+	}
+	for _, ex := range tail.TopK {
+		// Each exemplar blames its runtime's last cycle: 2 on the first, 3
+		// on the second.
+		if want := sides[ex.Cycle-2].rt.Latency.Log()[ex.Cycle-1]; ex.Record != want {
+			t.Errorf("merged exemplar blaming cycle %d links another runtime's record", ex.Cycle)
+		}
 	}
 }
 

@@ -21,14 +21,14 @@ import (
 var auditedStructs = []string{
 	"./Options", "internal/core/Config", "internal/core/Knobs",
 	"internal/workloads/RunConfig", "internal/telemetry/latency/Config",
-	"internal/signals/Config",
+	"./SignalsConfig",
 	"internal/locality/Config", "internal/simmem/HierarchyConfig", "internal/simmem/CacheConfig",
 	"internal/heap/Config", "internal/faultinject/Config", "internal/loadgen/Config",
 }
 
 // optionCount pins the number of settable values: a new knob is a
 // deliberate act (it needs a non-test caller, and this number).
-const optionCount = 84
+const optionCount = 83
 
 // testOnlyOptions are the options only tests set, each with the reason a
 // test could not reach the behaviour if the value were a constant.
