@@ -373,12 +373,12 @@ func TestHeapUsageTracked(t *testing.T) {
 	}
 }
 
-// TestCollectorBuildsItsTracker: a collector handed no tracker builds one,
+// TestCollectorBuildsItsPlanes: a collector handed no tracker builds one,
 // so the clocks, counters and record fields it completes are maintained in
 // every run — there is no configuration in which they read zero. (Utilization, MarkCycles and StallVirtualCycles are legitimately 0
 // here: with one mutator the virtual clock moves only by pause cost while it
 // is blocked in RequestGC; see latency.Tracker.RecordPhase.)
-func TestCollectorBuildsItsTracker(t *testing.T) {
+func TestCollectorBuildsItsPlanes(t *testing.T) {
 	types := objmodel.NewRegistry()
 	c, err := New(heap.New(heap.Config{MaxBytes: 16 << 20}, nil), types, Config{})
 	if err != nil {

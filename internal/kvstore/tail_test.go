@@ -187,10 +187,10 @@ func TestClassifierConvoyChain(t *testing.T) {
 	}
 }
 
-// TestClassifierLinksTracker: exemplars entering the top-K store link the
+// TestClassifierLinksPlane: exemplars entering the top-K store link the
 // responsible cycle's logged record, and the report writes that record
 // once for every exemplar naming it.
-func TestClassifierLinksTracker(t *testing.T) {
+func TestClassifierLinksPlane(t *testing.T) {
 	tr, log := loggedTracker(7)
 	mx := NewMetrics()
 	cl := mx.Classifier(tr)
