@@ -107,6 +107,7 @@ type Collector struct {
 	lastRelocBytes   uint64
 	lastStalls       uint64
 	lastVerifyTotal  uint64
+	lastMem          simmem.CoreStats // the prefetch counts of Mem().Stats()
 	// watchdogFired counts STW watchdog reports (the pause kept waiting).
 	watchdogFired atomic.Uint64
 	// vclock is the virtual-timeline high-water mark in simulated cycles:
@@ -223,9 +224,11 @@ func (c *Collector) collectIfDue(prev uint64, reason string) {
 // HCSGC lazy:  RE (leftover from previous cycle), STW1, M/R, STW2, EC, STW3
 func (c *Collector) runCycle(reason string) {
 	// The cycle's one record, filled in place from here on; the purity
-	// and cold fraction stay -1 unless the mark end measures them.
+	// and cold fraction stay -1 unless the mark end measures them, the
+	// prefetch ratios unless the cycle's end does.
 	cs := &CycleStats{Seq: c.cycles.Value() + 1, Trigger: reason, VStart: c.VirtualCycles(),
-		HeapUsedBefore: c.heap.UsedPercent(), SegregationPurity: -1, ColdFrac: -1}
+		HeapUsedBefore: c.heap.UsedPercent(), SegregationPurity: -1, ColdFrac: -1,
+		PrefetchAccuracy: -1, PrefetchCoverage: -1}
 	c.started.Store(cs.Seq)
 	c.tm.rec.BeginSpan(telemetry.SpanCycle, collectorTID)
 

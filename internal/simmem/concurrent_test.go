@@ -15,7 +15,9 @@ import (
 // fails the build here. Cycles is derived from the miss ledger rather than
 // counted, so the reader also holds it to never decreasing, per core and
 // system-wide, and each level's misses to never exceeding the accesses
-// that reached it even when a snapshot races a Publish. Once every owner
+// that reached it even when a snapshot races a Publish. The prefetch counts
+// too never go backwards, and useful prefetches never exceed prefills.
+// Once every owner
 // has published and stopped, the published view must equal the owners'
 // own, and the counters must conserve:
 //
@@ -56,12 +58,13 @@ func TestConcurrentSnapshotConservation(t *testing.T) {
 			}
 			s := h.Stats()
 			if s.Loads < prev.Loads || s.Stores < prev.Stores || s.Cycles < prev.Cycles ||
-				s.L2Misses < prev.L2Misses || s.LLCMisses < prev.LLCMisses {
+				s.L2Misses < prev.L2Misses || s.LLCMisses < prev.LLCMisses ||
+				s.L2Prefills < prev.L2Prefills || s.PrefUseful < prev.PrefUseful {
 				t.Errorf("snapshot went backwards: %+v then %+v", prev, s)
 				return
 			}
 			if s.L1Misses > s.Loads+s.Stores || s.L2Misses > s.L1Misses || s.LLCMisses > s.L2Misses ||
-				s.LLCHits+s.LLCMisses != s.L2Misses {
+				s.LLCHits+s.LLCMisses != s.L2Misses || s.PrefUseful > s.L2Prefills {
 				t.Errorf("snapshot racing a publish is torn: %+v", s)
 				return
 			}
@@ -141,8 +144,8 @@ func TestConcurrentSnapshotConservation(t *testing.T) {
 	if s.L1Misses < s.L2Misses {
 		t.Errorf("L2 saw more demand (%d) than L1 missed (%d)", s.L2Misses, s.L1Misses)
 	}
-	if s.LLCMisses == 0 {
-		t.Error("workload never reached memory; test too small to be meaningful")
+	if s.LLCMisses == 0 || s.PrefUseful == 0 {
+		t.Errorf("workload never reached memory or used a prefetch; test too small to be meaningful (%+v)", s)
 	}
 }
 

@@ -222,3 +222,69 @@ func TestOnMissBufferReuse(t *testing.T) {
 		t.Fatal("OnMiss stopped reusing its buffer; update the aliasing contract docs")
 	}
 }
+
+// TestPrefetchUsefulness reads the model's count of useful prefetches on
+// DefaultConfig. A walk the prefetcher follows, sequential words or a
+// 3-line stride, uses nearly every line it prefetched and finds nearly
+// every L2 miss covered. A uniform random walk over 64 MB installs no
+// prefetch, so both ratios are undefined (-1). With PrefetchDepth 0
+// nothing is counted.
+func TestPrefetchUsefulness(t *testing.T) {
+	const base = 1 << 32
+	walk := func(cfg HierarchyConfig, n int, addr func(i int) uint64) CoreStats {
+		c := MustNewHierarchy(cfg).NewCore()
+		for i := 0; i < n; i++ {
+			c.Load(addr(i), 8)
+		}
+		return c.Stats()
+	}
+	words := func(i int) uint64 { return base + uint64(i)*8 }
+	for _, tc := range []struct {
+		name string
+		addr func(i int) uint64
+	}{
+		{"sequential words", words},
+		{"3-line stride", func(i int) uint64 { return base + uint64(i)*3*LineSize }},
+	} {
+		s := walk(DefaultConfig(), 1<<18, tc.addr)
+		if acc, cov := s.PrefetchAccuracy(), s.PrefetchCoverage(); acc < 0.99 || cov < 0.99 {
+			t.Errorf("%s: accuracy %.4f, coverage %.4f, want both >= 0.99 (%+v)", tc.name, acc, cov, s)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(3))
+	s := walk(DefaultConfig(), 1<<17, func(int) uint64 { return base + uint64(rng.Int63n(64<<20))&^7 })
+	if s.L2Prefills != 0 || s.PrefUseful != 0 || s.PrefetchAccuracy() != -1 || s.PrefetchCoverage() != -1 {
+		t.Errorf("random walk: %d prefills, %d useful, accuracy %v, coverage %v; want none and -1",
+			s.L2Prefills, s.PrefUseful, s.PrefetchAccuracy(), s.PrefetchCoverage())
+	}
+
+	off := DefaultConfig()
+	off.PrefetchDepth = 0
+	if s := walk(off, 1<<16, words); s.PrefIssued != 0 || s.L2Prefills != 0 || s.PrefUseful != 0 {
+		t.Errorf("depth 0: issued %d, prefilled %d, useful %d; want 0", s.PrefIssued, s.L2Prefills, s.PrefUseful)
+	}
+}
+
+// TestMarkedL2HitZeroAllocations pins the alloc-free contract on the path
+// the prefetch mark adds to: a Core.Load that misses L1 and hits a line the
+// prefetcher installed in L2, counting it useful.
+func TestMarkedL2HitZeroAllocations(t *testing.T) {
+	c := MustNewHierarchy(DefaultConfig()).NewCore()
+	addr := uint64(1 << 32)
+	for i := 0; i < 8; i++ { // confirm a +1-line stream
+		c.Load(addr, 8)
+		addr += LineSize
+	}
+	before := c.Stats().PrefUseful
+	allocs := testing.AllocsPerRun(100, func() {
+		c.Load(addr, 8)
+		addr += LineSize
+	})
+	if allocs != 0 {
+		t.Fatalf("Core.Load allocated %.1f objects per marked L2 hit; want 0", allocs)
+	}
+	if used := c.Stats().PrefUseful - before; used < 100 {
+		t.Fatalf("%d of the measured loads hit a prefetched line, want all", used)
+	}
+}

@@ -7,7 +7,8 @@ import (
 
 // This file freezes the model simmem implemented before its access path
 // was rebuilt for host speed: ticket-LRU sets, a two-pass stream table and
-// a counted cycle ledger. It is deliberately the slow, obvious version —
+// a counted cycle ledger, and a per-way flag for a line a prefetch
+// installed that no demand access has hit yet. It is deliberately the slow, obvious version —
 // the oracle TestDifferentialAgainstReference holds the fast one to, access
 // by access. It is single-threaded, so the LLC's locks play no part
 // (TestLLCDisjointSetsConcurrent covers locking).
@@ -17,10 +18,12 @@ type refCache struct {
 	setMask  uint64
 	tags     []uint64 // 0 = invalid
 	lru      []uint64 // per-way ticket of the last touch
+	pf       []bool   // per-way: installed by prefetch, not yet demanded
 	tick     uint64
 	hits     uint64
 	misses   uint64
 	prefills uint64
+	useful   uint64
 }
 
 func newRefCache(cfg CacheConfig) *refCache {
@@ -30,18 +33,25 @@ func newRefCache(cfg CacheConfig) *refCache {
 		setMask: uint64(sets - 1),
 		tags:    make([]uint64, sets*cfg.Ways),
 		lru:     make([]uint64, sets*cfg.Ways),
+		pf:      make([]bool, sets*cfg.Ways),
 	}
 }
 
 // touch reports whether ln is resident; if not it installs ln into the
-// first free way, or else over the way with the oldest ticket.
-func (c *refCache) touch(ln uint64) bool {
+// first free way, or else over the way with the oldest ticket, flagged
+// when a prefetch installs it. A demand hit on a flagged way counts one
+// useful prefetch and clears the flag.
+func (c *refCache) touch(ln uint64, prefetch bool) bool {
 	base := int((ln-1)&c.setMask) * c.ways
 	c.tick++
 	victim := base
 	for i := base; i < base+c.ways; i++ {
 		if c.tags[i] == ln {
 			c.lru[i] = c.tick
+			if c.pf[i] && !prefetch {
+				c.pf[i] = false
+				c.useful++
+			}
 			return true
 		}
 		if c.tags[i] == 0 {
@@ -54,11 +64,12 @@ func (c *refCache) touch(ln uint64) bool {
 	}
 	c.tags[victim] = ln
 	c.lru[victim] = c.tick
+	c.pf[victim] = prefetch
 	return false
 }
 
 func (c *refCache) access(addr uint64) bool {
-	hit := c.touch(line(addr))
+	hit := c.touch(line(addr), false)
 	if hit {
 		c.hits++
 	} else {
@@ -68,7 +79,7 @@ func (c *refCache) access(addr uint64) bool {
 }
 
 func (c *refCache) prefetch(addr uint64) {
-	if !c.touch(line(addr)) {
+	if !c.touch(line(addr), true) {
 		c.prefills++
 	}
 }
@@ -226,7 +237,7 @@ func (h *refHierarchy) stats() SystemStats {
 			Loads: c.loads, Stores: c.stores,
 			L1Misses: c.l1.misses, L2Misses: c.l2.misses,
 			Cycles: c.cycles, PrefIssued: c.pf.issued,
-			L1Prefills: c.l1.prefills, L2Prefills: c.l2.prefills,
+			L2Prefills: c.l2.prefills, PrefUseful: c.l2.useful,
 		})
 	}
 	return out
@@ -237,7 +248,8 @@ func (h *refHierarchy) stats() SystemStats {
 // sets that sit in L1/L2, in the LLC and in DRAM, strided walks the
 // prefetcher confirms, accesses spanning several lines, loads and stores —
 // on two cores of one hierarchy, interleaved from this goroutine. Every
-// access must cost the same in both, and the final statistics must match.
+// access must cost the same in both, and the final statistics, useful
+// prefetches included, must match.
 func TestDifferentialAgainstReference(t *testing.T) {
 	const steps = 60000
 	for _, tc := range []struct {
@@ -294,6 +306,9 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			}
 			if got, want := h.Stats(), ref.stats(); got != want {
 				t.Fatalf("final stats differ:\n model     %+v\n reference %+v", got, want)
+			}
+			if ref.stats().PrefUseful == 0 {
+				t.Fatal("no prefetch was used; the streams no longer exercise the mark")
 			}
 		})
 	}
