@@ -6,18 +6,25 @@ import (
 
 	"hcsgc"
 	"hcsgc/internal/locality"
+	"hcsgc/internal/simmem"
 	"hcsgc/internal/telemetry/latency"
 	"hcsgc/internal/workloads"
 )
 
 // ExplainSide is one configuration's aggregated measurement in an
-// explanation A/B: the locality profile and the latency report of the same
-// runs.
+// explanation A/B: the locality profile, the cache model's prefetch ratios
+// and the latency report of the same runs.
 type ExplainSide struct {
 	Config int                 `json:"config"`
 	Knobs  string              `json:"knobs"`
 	Runs   int                 `json:"runs"`
 	Stats  hcsgc.LocalityStats `json:"stats"`
+	// PrefetchAccuracy and PrefetchCoverage are the cache model's prefetch
+	// ratios over the runs' whole-process counts, summed
+	// (simmem.CoreStats.PrefetchAccuracy, PrefetchCoverage); -1 when the
+	// runs prefetched nothing.
+	PrefetchAccuracy float64 `json:"prefetch_accuracy"`
+	PrefetchCoverage float64 `json:"prefetch_coverage"`
 	// MeanExecSeconds is the mean simulated execution time, for context.
 	MeanExecSeconds float64 `json:"mean_exec_seconds"`
 	// Reports holds each run's full profiler snapshot.
@@ -30,8 +37,9 @@ type ExplainSide struct {
 
 // ExplainAB explains one configuration against another on one workload
 // from one set of runs: the evidence layer behind the paper's perf-counter
-// columns (reuse distance ~ cache pressure, stream coverage ~ prefetch
-// friendliness, segregation purity ~ hot/cold layout quality) beside
+// columns (reuse distance ~ cache pressure, the cache model's prefetch
+// accuracy and coverage ~ prefetch friendliness, segregation purity ~
+// hot/cold layout quality) beside
 // pause/phase/stall percentiles, the MMU window ladder and the per-path
 // barrier profile, where LAZYRELOCATE shows as relocation work leaving the
 // GC drain and reappearing as mutator barrier relocate hits.
@@ -78,6 +86,7 @@ func RunExplainAB(expID string, runs int, scale float64, seed int64, baseCfg, te
 
 	var reports [2][]*hcsgc.LocalityReport
 	var trackers [2][]*hcsgc.LatencyTracker
+	var mem [2]simmem.CoreStats
 	sides, err := runSides("explain "+expID, w, []int{baseCfg, testCfg}, runs, scale, seed, sink, progress,
 		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
 			prof := locality.New(profCfg)
@@ -85,7 +94,10 @@ func RunExplainAB(expID string, runs int, scale float64, seed int64, baseCfg, te
 			// Discard automatic dumps: a bench OOM already fails the run.
 			rc.Latency = hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{DumpTo: io.Discard})
 			trackers[side] = append(trackers[side], rc.Latency)
-			return func(workloads.Result) { reports[side] = append(reports[side], prof.Report()) }
+			return func(r workloads.Result) {
+				reports[side] = append(reports[side], prof.Report())
+				mem[side].Add(simmem.CoreStats{PrefUseful: r.PrefUseful, L2Prefills: r.L2Prefills, L2Misses: r.L2Misses})
+			}
 		})
 	if err != nil {
 		return nil, err
@@ -93,18 +105,20 @@ func RunExplainAB(expID string, runs int, scale float64, seed int64, baseCfg, te
 	for i, side := range []*ExplainSide{&ab.Base, &ab.Test} {
 		*side = ExplainSide{
 			Config: sides[i].config, Knobs: sides[i].knobs, Runs: runs,
-			Stats:           locality.Aggregate(reports[i]),
-			MeanExecSeconds: sides[i].meanExecSeconds,
-			Reports:         reports[i],
-			Report:          latency.Aggregate(trackers[i]),
+			Stats:            locality.Aggregate(reports[i]),
+			PrefetchAccuracy: mem[i].PrefetchAccuracy(),
+			PrefetchCoverage: mem[i].PrefetchCoverage(),
+			MeanExecSeconds:  sides[i].meanExecSeconds,
+			Reports:          reports[i],
+			Report:           latency.Aggregate(trackers[i]),
 		}
 	}
 	return ab, nil
 }
 
 // Validate sanity-checks a report's well-formedness on both sides:
-// sampled accesses, a non-empty reuse histogram, purity and stream
-// coverage within [0,1]; a latency report with pauses of every STW phase,
+// sampled accesses, a non-empty reuse histogram, purity and the cache
+// model's prefetch coverage within [0,1]; a latency report with pauses of every STW phase,
 // MMU values inside [0,1] at every window, and at least one recorded GC
 // cycle. Used by the CI smoke step.
 func (ab *ExplainAB) Validate() error {
@@ -123,8 +137,8 @@ func (ab *ExplainAB) Validate() error {
 		if s.SegPurity < 0 || s.SegPurity > 1 {
 			return fmt.Errorf("explain: %s side purity %v outside [0,1]", name, s.SegPurity)
 		}
-		if s.StreamCoverage < 0 || s.StreamCoverage > 1 {
-			return fmt.Errorf("explain: %s side stream coverage %v outside [0,1]", name, s.StreamCoverage)
+		if c := side.PrefetchCoverage; c < 0 || c > 1 {
+			return fmt.Errorf("explain: %s side prefetch coverage %v outside [0,1]", name, c)
 		}
 		r := side.Report
 		if r == nil {
@@ -160,7 +174,7 @@ var (
 )
 
 // WriteText renders the A/B comparison as aligned text tables under one
-// header: the locality metrics, then per-phase percentiles, the MMU ladder,
+// header: the locality metrics and prefetch ratios, then per-phase percentiles, the MMU ladder,
 // and the barrier profile with the relocation-shift headline.
 func (ab *ExplainAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== explain A/B: %s (%s), %d runs, scale %g ===\n",
@@ -190,9 +204,8 @@ func (ab *ExplainAB) WriteText(w io.Writer) {
 	row("reuse p90 (lines)", bs.ReuseP90, ts.ReuseP90, "%.0f")
 	row("reuse p99 (lines)", bs.ReuseP99, ts.ReuseP99, "%.0f")
 	row("cold sample frac", bs.ColdFrac, ts.ColdFrac, "%.4f")
-	row("stream coverage", bs.StreamCoverage, ts.StreamCoverage, "%.4f")
-	row("+1-line coverage", bs.SeqStreamCoverage, ts.SeqStreamCoverage, "%.4f")
-	row("mean stream length", bs.MeanStreamLen, ts.MeanStreamLen, "%.2f")
+	row("prefetch accuracy", ab.Base.PrefetchAccuracy, ab.Test.PrefetchAccuracy, "%.4f")
+	row("prefetch coverage", ab.Base.PrefetchCoverage, ab.Test.PrefetchCoverage, "%.4f")
 	row("page entropy (bits)", bs.PageEntropyBits, ts.PageEntropyBits, "%.3f")
 	row("same-page fraction", bs.SamePageFrac, ts.SamePageFrac, "%.4f")
 	row("segregation purity", bs.SegPurity, ts.SegPurity, "%.4f")

@@ -26,6 +26,9 @@ func TestExplainPairPassesBothGates(t *testing.T) {
 		if s.Stats.SampledAccesses == 0 {
 			t.Errorf("%s: sampled no accesses", side)
 		}
+		if s.PrefetchAccuracy <= 0 || s.PrefetchAccuracy > 1 || s.PrefetchCoverage <= 0 {
+			t.Errorf("%s: prefetch accuracy %v, coverage %v; want both measured and above 0", side, s.PrefetchAccuracy, s.PrefetchCoverage)
+		}
 		r := s.Report
 		if r.Pauses["stw1"].Count == 0 || r.Pauses["stw1"].Max == 0 {
 			t.Errorf("%s: stw1 distribution empty: %+v", side, r.Pauses["stw1"])
@@ -46,7 +49,7 @@ func TestExplainPairPassesBothGates(t *testing.T) {
 	var txt strings.Builder
 	ab.WriteText(&txt)
 	for _, want := range []string{
-		"explain A/B: fig4", "profiler: 1 burst", "reuse p50 (lines)", "stream coverage",
+		"explain A/B: fig4", "profiler: 1 burst", "reuse p50 (lines)", "prefetch accuracy", "prefetch coverage",
 		"segregation purity", "sampled accesses", "pause stw1", "phase mark", "MMU(1000)",
 		"hotmap_record", "relocation shift",
 	} {
@@ -71,7 +74,7 @@ func TestExplainPairPassesBothGates(t *testing.T) {
 func validExplainAB() *ExplainAB {
 	ab := fixtureExplainAB()
 	for _, s := range []*ExplainSide{&ab.Base, &ab.Test} {
-		s.Stats.SegPurity, s.Stats.StreamCoverage = 0.5, 0.25
+		s.Stats.SegPurity, s.PrefetchCoverage = 0.5, 0.25
 		for i := range s.Report.MMU.Windows {
 			s.Report.MMU.Windows[i].MMU = 0.75
 		}
@@ -80,7 +83,7 @@ func validExplainAB() *ExplainAB {
 }
 
 // TestValidateExplainABRejectsCorruption: each of the gate's eight clauses
-// (four locality, four latency) rejects the result it exists for. Each case
+// (three locality, one prefetch, four latency) rejects the result it exists for. Each case
 // corrupts one field of a valid fixture and is named by a phrase of the
 // rejecting clause's message.
 func TestValidateExplainABRejectsCorruption(t *testing.T) {
@@ -97,7 +100,7 @@ func TestValidateExplainABRejectsCorruption(t *testing.T) {
 			c.Test.Stats.ColdSamples = 0
 		}},
 		{"purity", func(c *ExplainAB) { c.Test.Stats.SegPurity = 1.5 }},
-		{"stream coverage", func(c *ExplainAB) { c.Base.Stats.StreamCoverage = -0.25 }},
+		{"prefetch coverage", func(c *ExplainAB) { c.Base.PrefetchCoverage = -1 }},
 		{"no latency report", func(c *ExplainAB) { c.Test.Report = nil }},
 		{"no stw2 pauses", func(c *ExplainAB) { c.Base.Report.Pauses["stw2"] = hcsgc.LatencyDist{} }},
 		{"MMU(", func(c *ExplainAB) { c.Test.Report.MMU.Windows[1].MMU = 1.5 }},

@@ -21,9 +21,9 @@ func synthRec(seq uint64, stalls uint64) *CycleRecord {
 		HeapUsedBefore: 60, HeapUsedAfter: 40,
 		AllocBytes: 1 << 20, AllocPerKCycle: float64(1<<20) / 1000,
 		MarkedBytes: 4 << 20, ColdFrac: 0.25,
+		PrefetchAccuracy: 0.9, PrefetchCoverage: 0.4,
 		Locality: locality.Signals{
-			Present: true, ReuseP50: 12, ReuseP90: 80,
-			StreamCoverage: 0.4, SegPurity: 0.8,
+			Present: true, ReuseP50: 12, ReuseP90: 80, SegPurity: 0.8,
 		},
 	}
 }
@@ -112,9 +112,10 @@ func TestWindowRingBound(t *testing.T) {
 	}
 }
 
-// TestSignalsSkipUnmeasured: cold_frac and the locality signals keep
-// their last measured hcsgc_signal_value when a cycle did not measure them
-// (no zero pollution).
+// TestSignalsSkipUnmeasured: cold_frac, stream_coverage (the prefetch
+// coverage) and the locality signals keep their last measured
+// hcsgc_signal_value when a cycle did not measure them (no zero
+// pollution).
 func TestSignalsSkipUnmeasured(t *testing.T) {
 	tr := New(Config{})
 	reg := telemetry.NewRegistry()
@@ -122,6 +123,7 @@ func TestSignalsSkipUnmeasured(t *testing.T) {
 	tr.OnCycle(synthRec(1, 0))
 	rec := synthRec(2, 0)
 	rec.ColdFrac = -1
+	rec.PrefetchAccuracy, rec.PrefetchCoverage = -1, -1
 	rec.Locality = locality.Signals{}
 	tr.OnCycle(rec)
 
@@ -183,5 +185,17 @@ func TestSignalTelemetry(t *testing.T) {
 		if counts[name] != 3 {
 			t.Errorf("counter track %q has %d samples, want 3", name, counts[name])
 		}
+	}
+	coverage := 0
+	for _, ev := range tf.TraceEvents {
+		if ev.Ph == "C" && ev.Name == "locality_stream_coverage" {
+			coverage++
+			if ev.Cat != "locality" || ev.Args["value"] != 0.4 {
+				t.Errorf("prefetch coverage sample %+v, want category locality and the record's 0.4", ev)
+			}
+		}
+	}
+	if coverage != 3 {
+		t.Errorf("locality_stream_coverage has %d samples, want 3", coverage)
 	}
 }

@@ -77,6 +77,8 @@ func (k EventKind) String() string {
 // CounterID names an EvCounter series. The locality profiler and the
 // latency tracker each emit one sample per counter per GC cycle.
 const (
+	// CounterStreamCoverage is the cache model's prefetch coverage, which
+	// the latency tracker emits; the track keeps its locality name.
 	CounterStreamCoverage uint32 = iota + 1
 	CounterSegPurity
 	CounterPageEntropy

@@ -113,8 +113,11 @@ type Result struct {
 	// measured portion.
 	ExecSeconds float64
 	// Loads / L1Misses / LLCMisses are whole-process cache counters for
-	// the complete run (as perf reports them).
-	Loads, L1Misses, LLCMisses uint64
+	// the complete run (as perf reports them); PrefUseful / L2Prefills /
+	// L2Misses are the same run's prefetch counts, for the cache model's
+	// prefetch ratios (simmem.CoreStats.PrefetchAccuracy, PrefetchCoverage).
+	Loads, L1Misses, LLCMisses       uint64
+	PrefUseful, L2Prefills, L2Misses uint64
 	// GCCycleCount is the number of GC cycles.
 	GCCycleCount int
 	// MedianECSmall is the median number of small pages selected for
@@ -256,6 +259,9 @@ func (e *env) finish(check uint64) Result {
 		Loads:         ms.Loads,
 		L1Misses:      ms.L1Misses,
 		LLCMisses:     ms.LLCMisses,
+		PrefUseful:    ms.PrefUseful,
+		L2Prefills:    ms.L2Prefills,
+		L2Misses:      ms.L2Misses,
 		GCCycleCount:  len(st.Cycles),
 		MedianECSmall: st.MedianECSmall(),
 		MutatorReloc:  st.MutatorRelocObjects,

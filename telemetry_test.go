@@ -189,7 +189,8 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 // TestSignalGaugesFollowTheLog pins the per-cycle signal publication
 // against a live runtime: after several cycles every hcsgc_signal_value
 // series holds the value derived from the last logged cycle record, and
-// each signal_* Perfetto counter track carries one sample per cycle.
+// each signal_* Perfetto counter track carries one sample per cycle, as
+// does the prefetch coverage's locality_stream_coverage track.
 func TestSignalGaugesFollowTheLog(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
@@ -230,15 +231,15 @@ func TestSignalGaugesFollowTheLog(t *testing.T) {
 		"cold_frac":               last.ColdFrac,
 		"barrier_slow_per_kcycle": perK(last.Barrier.Mark + last.Barrier.Relocate + last.Barrier.Remap),
 		"reuse_p50_lines":         last.Locality.ReuseP50,
-		"stream_coverage":         last.Locality.StreamCoverage,
+		"stream_coverage":         last.PrefetchCoverage,
 		"seg_purity":              last.Locality.SegPurity,
 		"worker_imbalance":        last.Workers.Imbalance,
 		"lock_contended_frac":     last.Contention.ContendedFrac,
 		"cas_retry_frac":          last.Contention.RetryFrac,
 	}
-	if span == 0 || last.ColdFrac < 0 || !last.Locality.Present || !last.Workers.Present || !last.Contention.Present {
-		t.Fatalf("cycle %d did not measure every signal: span %v, cold_frac %v, locality %v, workers %v, contention %v",
-			last.Seq, span, last.ColdFrac, last.Locality.Present, last.Workers.Present, last.Contention.Present)
+	if span == 0 || last.ColdFrac < 0 || last.PrefetchCoverage < 0 || !last.Locality.Present || !last.Workers.Present || !last.Contention.Present {
+		t.Fatalf("cycle %d did not measure every signal: span %v, cold_frac %v, prefetch coverage %v, locality %v, workers %v, contention %v",
+			last.Seq, span, last.ColdFrac, last.PrefetchCoverage, last.Locality.Present, last.Workers.Present, last.Contention.Present)
 	}
 
 	var b strings.Builder
@@ -273,11 +274,17 @@ func TestSignalGaugesFollowTheLog(t *testing.T) {
 		}
 	}
 
-	samples := map[string]int{}
+	samples, coverage := map[string]int{}, 0
 	for _, ev := range telemetry.BuildTrace(sink.Recorder().Snapshot()).TraceEvents {
 		if ev.Ph == "C" && strings.HasPrefix(ev.Name, "signal_") {
 			samples[ev.Name]++
 		}
+		if ev.Ph == "C" && ev.Name == "locality_stream_coverage" {
+			coverage++
+		}
+	}
+	if coverage != cycles {
+		t.Errorf("locality_stream_coverage has %d samples, want one per measured cycle (%d)", coverage, cycles)
 	}
 	for _, name := range []string{
 		"signal_alloc_kb_per_kcycle", "signal_stall_p99_cycles",
