@@ -117,7 +117,7 @@ type mode struct {
 
 var modes = []mode{
 	{
-		name: "explain", desc: "explanation A/B from the same runs: reuse distance, stream coverage, page entropy; pause/phase HDR percentiles, MMU ladder, barrier profile",
+		name: "explain", desc: "explanation A/B from the same runs: reuse distance, prefetch accuracy and coverage, page entropy; pause/phase HDR percentiles, MMU ladder, barrier profile",
 		exp: "fig4", configs: []int{0, 16}, // ZGC baseline vs H+CP+cc1+lazy (COLDPAGE+LAZYRELOCATE)
 		flags: []string{"json", "locality-shift"},
 		run: reporting(func(j *job) (report, error) {

@@ -58,8 +58,9 @@ type (
 	// metrics registry, and HTTP exporters (see internal/telemetry).
 	TelemetrySink = telemetry.Sink
 	// LocalityProfiler samples the mutator access stream for reuse
-	// distance, stream coverage, page entropy and segregation purity
-	// (see internal/locality).
+	// distance, page entropy and segregation purity (see
+	// internal/locality); prefetch friendliness is the cache model's
+	// count (MemStats.PrefUseful).
 	LocalityProfiler = locality.Profiler
 	// LocalityConfig tunes the locality profiler.
 	LocalityConfig = locality.Config
