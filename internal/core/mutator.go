@@ -643,13 +643,12 @@ func (m *Mutator) barrierSlow(raw heap.Ref) heap.Ref {
 	c := m.c
 	c.inj.At(faultinject.BarrierSlow, raw.Addr())
 	m.extra += costBarrierSlow
-	c.tm.barrierSlow.Inc()
-	// Latency attribution: exact per-path hit counters, plus a sampled
-	// latency measured as this mutator's cycle-ledger delta across the
-	// slow path and attributed to the primary dispatch outcome.
+	// Latency attribution: exact entry and per-path hit counters, plus a
+	// sampled latency measured as this mutator's cycle-ledger delta across
+	// the slow path and attributed to the primary dispatch outcome.
 	lt := c.lat
 	var sampleStart uint64
-	sampled := lt.SampleBarrier()
+	sampled := lt.EnterBarrier()
 	if sampled {
 		sampleStart = m.Cycles()
 	}

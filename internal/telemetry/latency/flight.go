@@ -9,7 +9,8 @@ import (
 
 // BarrierProfile counts load-barrier slow-path work by path for one cycle
 // (or cumulatively in Report). Remap and hotmap-record are sub-steps that
-// can occur inside a mark-path entry, so the fields are not disjoint.
+// can occur inside a mark-path entry, so the path fields are not disjoint:
+// Entries counts each slow-path entry once.
 type BarrierProfile struct {
 	// Mark counts mark-phase slow-path entries (mark/queue the object).
 	Mark uint64 `json:"mark"`
@@ -22,6 +23,8 @@ type BarrierProfile struct {
 	Remap uint64 `json:"remap"`
 	// HotmapRecord counts successful hotness CASes (§3.1.2).
 	HotmapRecord uint64 `json:"hotmap_record"`
+	// Entries counts slow-path entries, whatever paths each took.
+	Entries uint64 `json:"entries"`
 }
 
 // WorkerDelta is one GC cycle's worker-balance view: the cycle's share of

@@ -139,12 +139,36 @@ func TestSampleBarrier(t *testing.T) {
 	tr := New(Config{})
 	fired := 0
 	for i := 0; i < 8<<sampleShift; i++ {
-		if tr.SampleBarrier() {
+		if tr.EnterBarrier() {
 			fired++
 		}
 	}
 	if fired != 8 {
 		t.Fatalf("sampler fired %d/%d, want 8 (shift %d)", fired, 8<<sampleShift, sampleShift)
+	}
+}
+
+// TestBarrierEntryCountsOnce: a mark-phase entry that resolves forwarding
+// hits the remap and mark paths, and reads as one slow-path entry in the
+// record, the barrier_slow_per_kcycle signal and hcsgc_barrier_slow_total.
+func TestBarrierEntryCountsOnce(t *testing.T) {
+	tr := New(Config{})
+	reg := telemetry.NewRegistry()
+	tr.BindTelemetry(reg, nil)
+	tr.EnterBarrier()
+	tr.BarrierHit(PathRemap)
+	tr.BarrierHit(PathMark)
+	rec := &CycleRecord{Seq: 1, VStart: 0, VEnd: 1000}
+	tr.OnCycle(rec)
+
+	if rec.Barrier.Entries != 1 || rec.Barrier.Mark != 1 || rec.Barrier.Remap != 1 {
+		t.Errorf("barrier profile = %+v, want one entry taking the mark and remap paths", rec.Barrier)
+	}
+	if got := reg.Gauge("hcsgc_signal_value", "", "signal", "barrier_slow_per_kcycle").Value(); got != 1 {
+		t.Errorf("barrier_slow_per_kcycle = %v, want 1 (one entry in 1000 cycles)", got)
+	}
+	if got := reg.Counter("hcsgc_barrier_slow_total", "").Value(); got != 1 {
+		t.Errorf("hcsgc_barrier_slow_total = %d, want 1", got)
 	}
 }
 
