@@ -90,7 +90,7 @@ func TestRunOneWithTelemetry(t *testing.T) {
 		"hcsgc_gc_cycles_total",
 		`hcsgc_reloc_objects_total{who="gc"}`,
 		`hcsgc_reloc_objects_total{who="mutator"}`,
-		"hcsgc_page_hotmap_density",
+		`hcsgc_signal_value{signal="cold_frac"}`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics missing %q", want)

@@ -325,7 +325,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		reg, rec := sink.Metrics(), sink.Recorder()
 		sink.SetGCLog(col.WriteGCLog)
 		if prof := opts.Locality; prof != nil {
-			prof.BindTelemetry(reg, rec)
+			prof.BindTelemetry(reg)
 			sink.SetEndpoint("locality", func() any { return prof.Report() })
 		}
 		lat.BindTelemetry(reg, rec)
@@ -338,7 +338,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		// cycle through telemetry/latency); they self-report as sources.
 		ctn.AddSource("telemetry.registryMu", func() (uint64, uint64) { return reg.MuStats() })
 		ctn.AddSource("telemetry.recorderShards", func() (uint64, uint64) { return rec.MuStats() })
-		ctn.BindTelemetry(reg, rec)
+		ctn.BindTelemetry(reg)
 		sink.SetEndpoint("contention", func() any { return ctn.Snapshot() })
 	}
 	mach := opts.Machine

@@ -1,6 +1,6 @@
 // Package telemetrynames keeps the metrics namespace coherent. Every
 // metric registered on a telemetry.Registry (Counter, Adopt, Gauge,
-// Histogram, Summary) must be named `hcsgc_<snake_case>` — the exporters emit names
+// Summary) must be named `hcsgc_<snake_case>` — the exporters emit names
 // verbatim, so a stray `HcsgcPauseNs` or `pause-ns` silently forks the
 // dashboard namespace.
 //
@@ -39,16 +39,15 @@ const telemetryPkg = "hcsgc/internal/telemetry"
 // registerMethods maps (*telemetry.Registry) constructor name -> the kind
 // of family it registers and the index of the first label argument (name
 // and help precede it; Adopt also takes the caller's counter cell,
-// Histogram bucket bounds, Summary a quantile source).
+// Summary a quantile source).
 var registerMethods = map[string]struct {
 	kind       string
 	labelStart int
 }{
-	"Counter":   {"Counter", 2},
-	"Adopt":     {"Counter", 3},
-	"Gauge":     {"Gauge", 2},
-	"Histogram": {"Histogram", 3},
-	"Summary":   {"Summary", 3},
+	"Counter": {"Counter", 2},
+	"Adopt":   {"Counter", 3},
+	"Gauge":   {"Gauge", 2},
+	"Summary": {"Summary", 3},
 }
 
 // nameRE is the required shape of a metric name.

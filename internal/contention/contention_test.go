@@ -39,12 +39,12 @@ func TestSiteSumsItsMutexes(t *testing.T) {
 	if got := s.Acquisitions(); got != 10 {
 		t.Fatalf("site acquisitions = %d, want 1+2+3+4", got)
 	}
-	if d := p.OnCycle(1, nil).Locks; d.Acquisitions != 10 {
+	if d := p.OnCycle(nil).Locks; d.Acquisitions != 10 {
 		t.Fatalf("cycle delta acquisitions = %d, want 10", d.Acquisitions)
 	}
 	mus[0].Lock()
 	mus[0].Unlock()
-	if d := p.OnCycle(2, nil).Locks; d.Acquisitions != 1 {
+	if d := p.OnCycle(nil).Locks; d.Acquisitions != 1 {
 		t.Fatalf("second cycle delta = %d, want 1", d.Acquisitions)
 	}
 	if snap := p.Snapshot(); len(snap.Sites) != 1 || snap.Sites[0].Acquisitions != 11 {
@@ -213,8 +213,8 @@ func TestPlaneNilSafe(t *testing.T) {
 		t.Fatal("nil plane returned a live op site")
 	}
 	p.AddSource("x", func() (uint64, uint64) { return 0, 0 })
-	p.BindTelemetry(telemetry.NewRegistry(), nil)
-	if d := p.OnCycle(1, nil); d != (CycleDelta{}) {
+	p.BindTelemetry(telemetry.NewRegistry())
+	if d := p.OnCycle(nil); d != (CycleDelta{}) {
 		t.Fatal("nil plane OnCycle not zero")
 	}
 	if s := p.Snapshot(); len(s.Sites) != 0 || s.Cycles != 0 {
@@ -285,7 +285,7 @@ func TestOnCycleDeltas(t *testing.T) {
 	s.contended.Add(2)
 	o.ops.Add(100)
 	o.retries.Add(5)
-	d1 := p.OnCycle(1, nil).Locks
+	d1 := p.OnCycle(nil).Locks
 	if d1.Acquisitions != 10 || d1.Contended != 2 || d1.CASOps != 100 || d1.CASRetries != 5 {
 		t.Fatalf("first delta = %+v", d1)
 	}
@@ -294,7 +294,7 @@ func TestOnCycleDeltas(t *testing.T) {
 	}
 
 	addAcquisitions(s, 5)
-	d2 := p.OnCycle(2, nil).Locks
+	d2 := p.OnCycle(nil).Locks
 	if d2.Acquisitions != 5 || d2.Contended != 0 || d2.CASOps != 0 {
 		t.Fatalf("second delta not differenced: %+v", d2)
 	}
@@ -311,12 +311,12 @@ func TestOnCycleSources(t *testing.T) {
 	var ops, con uint64
 	p.AddSource("ext", func() (uint64, uint64) { return ops, con })
 	ops, con = 40, 4
-	d := p.OnCycle(1, nil).Locks
+	d := p.OnCycle(nil).Locks
 	if d.Acquisitions != 40 || d.Contended != 4 {
 		t.Fatalf("source delta = %+v", d)
 	}
 	ops, con = 50, 4
-	d = p.OnCycle(2, nil).Locks
+	d = p.OnCycle(nil).Locks
 	if d.Acquisitions != 10 || d.Contended != 0 {
 		t.Fatalf("source second delta = %+v", d)
 	}
@@ -337,9 +337,9 @@ func TestOnCycleSources(t *testing.T) {
 // the per-worker shares (0 = perfectly balanced).
 func TestOnCycleWorkerBalance(t *testing.T) {
 	p := New()
-	p.OnCycle(1, []WorkerTotals{{BusyCycles: 0}, {BusyCycles: 0}})
+	p.OnCycle([]WorkerTotals{{BusyCycles: 0}, {BusyCycles: 0}})
 	// Cycle 2: worker 0 did 300 cycles of work, worker 1 did 100.
-	d := p.OnCycle(2, []WorkerTotals{
+	d := p.OnCycle([]WorkerTotals{
 		{Scanned: 30, BusyCycles: 300},
 		{Scanned: 10, BusyCycles: 100},
 	}).Workers
@@ -352,7 +352,7 @@ func TestOnCycleWorkerBalance(t *testing.T) {
 	}
 
 	// Balanced cycle: both advance equally -> 0.
-	d = p.OnCycle(3, []WorkerTotals{
+	d = p.OnCycle([]WorkerTotals{
 		{Scanned: 40, BusyCycles: 500},
 		{Scanned: 20, BusyCycles: 300},
 	}).Workers
@@ -362,7 +362,7 @@ func TestOnCycleWorkerBalance(t *testing.T) {
 
 	// No memory model (BusyCycles flat): falls back to scanned+relocated
 	// work units.
-	d = p.OnCycle(4, []WorkerTotals{
+	d = p.OnCycle([]WorkerTotals{
 		{Scanned: 70, BusyCycles: 500},
 		{Scanned: 30, BusyCycles: 300},
 	}).Workers
@@ -383,23 +383,21 @@ func TestImbalanceEdgeCases(t *testing.T) {
 }
 
 // TestBindTelemetry: the hcsgc_contention_* families land in the Prometheus
-// exposition with per-site labels, the per-worker totals and their
-// imbalance in the snapshot, and the per-cycle counter tracks reach the
-// Perfetto trace.
+// exposition with per-site labels, and the per-worker totals and their
+// imbalance in the snapshot.
 func TestBindTelemetry(t *testing.T) {
 	p := New()
 	s := p.NewSite("core.cycleMu")
 	o := p.NewOpSite("heap.pageBump")
 	reg := telemetry.NewRegistry()
-	rec := telemetry.NewRecorder(1, 256)
-	p.BindTelemetry(reg, rec)
+	p.BindTelemetry(reg)
 
 	addAcquisitions(s, 7)
 	s.contended.Add(3)
 	s.wait.Record(1000)
 	o.ops.Add(20)
 	o.retries.Add(2)
-	p.OnCycle(1, []WorkerTotals{{Scanned: 5, BusyCycles: 100}, {Scanned: 5, BusyCycles: 100}})
+	p.OnCycle([]WorkerTotals{{Scanned: 5, BusyCycles: 100}, {Scanned: 5, BusyCycles: 100}})
 
 	var b strings.Builder
 	reg.WritePrometheus(&b)
@@ -419,24 +417,6 @@ func TestBindTelemetry(t *testing.T) {
 		snap.Workers[1].BusyCycles != 100 || snap.Imbalance != 0 {
 		t.Errorf("worker table = %+v, imbalance %v, want two workers, scanned 5 and busy 100, balanced",
 			snap.Workers, snap.Imbalance)
-	}
-
-	tf := telemetry.BuildTrace(rec.Snapshot())
-	seen := map[string]bool{}
-	for _, ev := range tf.TraceEvents {
-		if ev.Ph == "C" {
-			seen[ev.Name] = true
-			if ev.Cat != "contention" {
-				t.Errorf("counter %q category = %q, want contention", ev.Name, ev.Cat)
-			}
-		}
-	}
-	for _, name := range []string{
-		"contention_contended_acq", "contention_cas_retries", "contention_worker_imbalance",
-	} {
-		if !seen[name] {
-			t.Errorf("Perfetto counter track %q missing (got %v)", name, seen)
-		}
 	}
 }
 
@@ -517,7 +497,7 @@ func TestContentionEndpoint(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		fwd.Retry()
 	}
-	p.OnCycle(1, []WorkerTotals{
+	p.OnCycle([]WorkerTotals{
 		{Scanned: 5, Relocated: 1, BusyCycles: 100},
 		{Scanned: 3, BusyCycles: 100},
 	})

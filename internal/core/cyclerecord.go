@@ -57,8 +57,8 @@ func (c *Collector) closeCycleRecord(cs *CycleStats) {
 		}
 		cs.PrefetchAccuracy, cs.PrefetchCoverage = d.PrefetchAccuracy(), d.PrefetchCoverage()
 	}
-	cs.Locality = c.cfg.Locality.OnCycle(cs.Seq, cs.SegregationPurity)
-	ctn := c.ctn.OnCycle(cs.Seq, c.workerTotals())
+	cs.Locality = c.cfg.Locality.OnCycle(cs.SegregationPurity)
+	ctn := c.ctn.OnCycle(c.workerTotals())
 	cs.Workers, cs.Contention = ctn.Workers, ctn.Locks
 }
 

@@ -84,11 +84,8 @@ type Profiler struct {
 	// a flow, so the cumulative view takes the newest.
 	purity float64
 
-	// Telemetry handles (nil until BindTelemetry; all nil-safe).
-	distHist     *telemetry.Histogram
+	// sampledTotal is nil until BindTelemetry (nil-safe).
 	sampledTotal *telemetry.Counter
-	gEntropy     *telemetry.Gauge
-	rec          *telemetry.Recorder
 }
 
 // New builds a profiler. A nil *Profiler is the disabled state: NewProbe
@@ -100,36 +97,39 @@ func New(cfg Config) *Profiler {
 // Config returns the configuration.
 func (pf *Profiler) Config() Config { return pf.cfg }
 
-// reuseDistBuckets are the telemetry-histogram bucket bounds matching the
-// internal power-of-two histogram, in lines.
-var reuseDistBuckets = telemetry.ExpBuckets(1, 2, distBuckets-1)
-
-// BindTelemetry registers the profiler's metric series in reg and enables
-// Perfetto counter-event emission through rec. The sampled-access counter
-// counts from now, in a cell made here and fed at each cycle boundary from
-// the drained interval, like the gauges: a profiler attached to a registry
-// another one used starts it afresh. Nil-safe in every argument.
-func (pf *Profiler) BindTelemetry(reg *telemetry.Registry, rec *telemetry.Recorder) {
+// BindTelemetry registers the profiler's metric series in reg: the reuse
+// distances as a summary read live from the profiler's own counts, and the
+// sampled-access counter, which counts from now in a cell made here and fed
+// at each cycle boundary from the drained interval: a profiler attached to
+// a registry another one used starts it afresh. The per-cycle values are
+// the cycle record's locality section, which the latency tracker
+// publishes. Nil-safe in every argument.
+func (pf *Profiler) BindTelemetry(reg *telemetry.Registry) {
 	if pf == nil {
 		return
 	}
+	reg.Summary("hcsgc_locality_reuse_distance_lines",
+		"Sampled mutator reuse distances, in distinct cache lines (bounded-window Mattson stack distance).",
+		reuseSummary{pf})
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
-	pf.distHist = reg.Histogram("hcsgc_locality_reuse_distance_lines",
-		"Sampled mutator reuse distances, in distinct cache lines (bounded-window Mattson stack distance).",
-		reuseDistBuckets)
 	pf.sampledTotal = reg.Adopt("hcsgc_locality_sampled_accesses_total",
 		"Mutator accesses fed to the locality profiler.", new(telemetry.Counter))
-	pf.gEntropy = reg.Gauge("hcsgc_locality_page_entropy_bits",
-		"Shannon entropy of the sampled page-transition distribution, in bits.")
-	pf.rec = rec
-	// Propagate the live-fed handle to existing probes.
-	for _, pr := range pf.probes {
-		pr.mu.Lock()
-		pr.distHist = pf.distHist
-		pr.mu.Unlock()
-	}
 }
+
+// reuseSummary serves the reuse-distance summary from the power-of-two
+// counts, the live intervals included; a quantile is its bucket's upper
+// bound, as in the reports.
+type reuseSummary struct{ pf *Profiler }
+
+func (s reuseSummary) Quantile(q float64) float64 {
+	c := s.pf.live()
+	return max(0, histPercentile(c.DistHist[:], c.Reuses, q))
+}
+
+func (s reuseSummary) Count() uint64 { return s.pf.live().Reuses }
+
+func (s reuseSummary) Sum() float64 { return float64(s.pf.live().DistSum) }
 
 // NewProbe attaches a new per-mutator probe. Nil-safe: a nil profiler
 // returns a nil probe, whose Access method is a one-branch no-op.
@@ -140,11 +140,10 @@ func (pf *Profiler) NewProbe() *Probe {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 	pr := &Probe{
-		mask:     uint64(1)<<pf.cfg.SamplePeriodShift - 1,
-		burst:    uint64(pf.cfg.BurstLen()),
-		reuse:    newReuseTracker(Window),
-		trans:    make(map[uint64]uint64),
-		distHist: pf.distHist,
+		mask:  uint64(1)<<pf.cfg.SamplePeriodShift - 1,
+		burst: uint64(pf.cfg.BurstLen()),
+		reuse: newReuseTracker(Window),
+		trans: make(map[uint64]uint64),
 	}
 	pf.probes = append(pf.probes, pr)
 	return pr
@@ -157,6 +156,7 @@ type counters struct {
 	Sampled  uint64
 	DistHist [distBuckets]uint64
 	Reuses   uint64 // sum of DistHist
+	DistSum  uint64 // sum of the distances DistHist counts
 	Cold     uint64
 
 	Transitions uint64 // page switches
@@ -169,6 +169,7 @@ func (a *counters) add(b *counters) {
 		a.DistHist[i] += b.DistHist[i]
 	}
 	a.Reuses += b.Reuses
+	a.DistSum += b.DistSum
 	a.Cold += b.Cold
 	a.Transitions += b.Transitions
 	a.SamePage += b.SamePage
@@ -188,8 +189,6 @@ type Probe struct {
 	transOvf uint64
 	lastPage uint64
 	havePage bool
-
-	distHist *telemetry.Histogram
 }
 
 // Access feeds one mutator heap access (a simulated byte address) to the
@@ -222,7 +221,7 @@ func (pr *Probe) record(addr uint64) {
 		}
 		pr.ivl.DistHist[b]++
 		pr.ivl.Reuses++
-		pr.distHist.Observe(float64(dist))
+		pr.ivl.DistSum += dist
 	} else {
 		pr.ivl.Cold++
 	}
@@ -291,12 +290,11 @@ func entropyBits(maps []map[uint64]uint64, ovfs []uint64) float64 {
 }
 
 // OnCycle is the GC-cycle-boundary hook: the collector calls it at the end
-// of cycle `seq` with the mark's segregation purity. It drains every
-// probe's interval counters, folds them into the cumulative view,
-// publishes gauges, emits Perfetto counter events, and returns the
+// of a cycle with the mark's segregation purity. It drains every probe's
+// interval counters, folds them into the cumulative view, and returns the
 // interval as the cycle record's "locality" section, which is where each
 // cycle's interval is kept. Nil-safe (the zero section, Present false).
-func (pf *Profiler) OnCycle(seq uint64, purity float64) Signals {
+func (pf *Profiler) OnCycle(purity float64) Signals {
 	if pf == nil {
 		return Signals{}
 	}
@@ -314,21 +312,15 @@ func (pf *Profiler) OnCycle(seq uint64, purity float64) Signals {
 	}
 	pf.cum.add(&ivl)
 	pf.purity = purity
-	entropy := entropyBits(maps, ovfs)
 	sig := Signals{
 		Present:         true,
 		ReuseP50:        histPercentile(ivl.DistHist[:], ivl.Reuses, 0.50),
 		ReuseP90:        histPercentile(ivl.DistHist[:], ivl.Reuses, 0.90),
-		PageEntropyBits: entropy,
+		PageEntropyBits: entropyBits(maps, ovfs),
 		SegPurity:       purity,
 	}
 
 	pf.sampledTotal.Add(ivl.Sampled)
-	pf.gEntropy.Set(entropy)
-
-	pf.rec.Counter(telemetry.CounterSegPurity, purity, seq)
-	pf.rec.Counter(telemetry.CounterPageEntropy, entropy, seq)
-	pf.rec.Counter(telemetry.CounterReuseP50, sig.ReuseP50, seq)
 	return sig
 }
 
@@ -341,18 +333,14 @@ func (pf *Profiler) Report() *Report {
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
 
-	// Fold not-yet-drained probe intervals into the cumulative view
-	// without resetting them (Report may be called mid-cycle).
-	cum := pf.cum
+	cum := pf.liveLocked()
 	var maps []map[uint64]uint64
 	var ovfs []uint64
 	for _, pr := range pf.probes {
 		pr.mu.Lock()
-		c := pr.ivl
 		maps = append(maps, cloneMap(pr.trans))
 		ovfs = append(ovfs, pr.transOvf)
 		pr.mu.Unlock()
-		cum.add(&c)
 	}
 	r := &Report{
 		SamplePeriod: 1 << pf.cfg.SamplePeriodShift,
@@ -365,6 +353,26 @@ func (pf *Profiler) Report() *Report {
 	}
 	r.Cumulative = deriveStats(&cum, entropyBits(maps, ovfs), samePage, pf.purity)
 	return r
+}
+
+// live is the cumulative view with the probes' not-yet-drained intervals
+// folded in, without resetting them (it is read mid-cycle).
+func (pf *Profiler) live() counters {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	return pf.liveLocked()
+}
+
+// liveLocked is live for a caller that holds pf.mu.
+func (pf *Profiler) liveLocked() counters {
+	cum := pf.cum
+	for _, pr := range pf.probes {
+		pr.mu.Lock()
+		c := pr.ivl
+		pr.mu.Unlock()
+		cum.add(&c)
+	}
+	return cum
 }
 
 func cloneMap(m map[uint64]uint64) map[uint64]uint64 {

@@ -2,8 +2,11 @@ package locality
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
+
+	"hcsgc/internal/telemetry"
 )
 
 // naiveStack computes LRU stack distances by brute force: the distance of
@@ -90,7 +93,7 @@ func TestPageTransitionEntropy(t *testing.T) {
 			pr.Access(pageB)
 		}
 	}
-	pf.OnCycle(1, 1)
+	pf.OnCycle(1)
 	st := pf.Report().Cumulative
 	// Two equiprobable transitions (A->B, B->A): 1 bit.
 	if st.PageEntropyBits < 0.99 || st.PageEntropyBits > 1.01 {
@@ -106,7 +109,7 @@ func TestPageTransitionEntropy(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		pr2.Access(uint64(i%10) * 8)
 	}
-	pf2.OnCycle(1, 1)
+	pf2.OnCycle(1)
 	st2 := pf2.Report().Cumulative
 	if st2.PageEntropyBits != 0 || st2.SamePageFrac != 1 {
 		t.Fatalf("single page: entropy %.3f same-page %.3f, want 0 and 1",
@@ -121,7 +124,7 @@ func TestBurstSampling(t *testing.T) {
 	for i := 0; i < total; i++ {
 		pr.Access(uint64(i) * 8)
 	}
-	pf.OnCycle(1, 1)
+	pf.OnCycle(1)
 	st := pf.Report().Cumulative
 	want := uint64(burstLen * 100)
 	if st.SampledAccesses != want {
@@ -133,7 +136,7 @@ func TestDisabledProbeIsNoop(t *testing.T) {
 	var pf *Profiler
 	pr := pf.NewProbe() // nil
 	pr.Access(42)       // must not panic
-	pf.OnCycle(1, 1)
+	pf.OnCycle(1)
 	if r := pf.Report(); r != nil {
 		t.Fatalf("nil profiler must report nil, got %+v", r)
 	}
@@ -145,13 +148,13 @@ func TestOnCycleIntervalsAndCumulative(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		pr.Access(i * 64)
 	}
-	first := pf.OnCycle(1, 0.8)
+	first := pf.OnCycle(0.8)
 	// Each line again: 99 distinct lines since its last touch, so every
 	// reuse falls in the [64, 128) bucket.
 	for i := uint64(0); i < 50; i++ {
 		pr.Access(i * 64)
 	}
-	second := pf.OnCycle(2, 0.9)
+	second := pf.OnCycle(0.9)
 	if !first.Present || first.ReuseP50 != -1 || first.SegPurity != 0.8 {
 		t.Fatalf("first interval (all cold): %+v", first)
 	}
@@ -167,6 +170,36 @@ func TestOnCycleIntervalsAndCumulative(t *testing.T) {
 	}
 }
 
+// TestReuseSummary: hcsgc_locality_reuse_distance_lines reads the
+// profiler's own counts, the undrained interval included: count and sum
+// of the reuse distances, quantiles as bucket upper bounds.
+func TestReuseSummary(t *testing.T) {
+	pf := New(Config{})
+	reg := telemetry.NewRegistry()
+	pf.BindTelemetry(reg)
+	pr := pf.NewProbe()
+	for i := uint64(0); i < 100; i++ {
+		pr.Access(i * 64)
+	}
+	pf.OnCycle(1)
+	// Each of 50 lines again, 99 distinct lines since its last touch.
+	for i := uint64(0); i < 50; i++ {
+		pr.Access(i * 64)
+	}
+	var b strings.Builder
+	reg.WritePrometheus(&b)
+	for _, want := range []string{
+		"# TYPE hcsgc_locality_reuse_distance_lines summary",
+		`hcsgc_locality_reuse_distance_lines{quantile="0.5"} 128`,
+		"hcsgc_locality_reuse_distance_lines_sum 4950",
+		"hcsgc_locality_reuse_distance_lines_count 50",
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition missing %q:\n%s", want, b.String())
+		}
+	}
+}
+
 func TestAggregate(t *testing.T) {
 	mk := func(n uint64) *Report {
 		pf := New(Config{})
@@ -174,7 +207,7 @@ func TestAggregate(t *testing.T) {
 		for i := uint64(0); i < n; i++ {
 			pr.Access((i % 32) * 64)
 		}
-		pf.OnCycle(1, 0.5)
+		pf.OnCycle(0.5)
 		return pf.Report()
 	}
 	a, b := mk(200), mk(400)
@@ -206,15 +239,13 @@ func TestConcurrentProbes(t *testing.T) {
 	snapWG.Add(1)
 	go func() {
 		defer snapWG.Done()
-		seq := uint64(1)
 		for {
 			select {
 			case <-stop:
 				return
 			default:
-				pf.OnCycle(seq, 0.5)
+				pf.OnCycle(0.5)
 				pf.Report()
-				seq++
 			}
 		}
 	}()
@@ -232,7 +263,7 @@ func TestConcurrentProbes(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	snapWG.Wait()
-	pf.OnCycle(999, 0.5)
+	pf.OnCycle(0.5)
 	got := pf.Report().Cumulative.SampledAccesses
 	want := uint64(goroutines * perG / 2) // burst 256 of period 512
 	if got != want {

@@ -63,68 +63,12 @@ func (g *Gauge) Value() float64 {
 	return math.Float64frombits(g.bits.Load())
 }
 
-// Histogram is a fixed-bucket cumulative histogram. Bounds are the
-// inclusive upper edges; an implicit +Inf bucket catches the rest. A nil
-// *Histogram accepts all calls as no-ops.
-type Histogram struct {
-	bounds  []float64
-	counts  []atomic.Uint64 // len(bounds)+1, last is +Inf
-	total   atomic.Uint64
-	sumBits atomic.Uint64
-}
-
-// Observe records one sample.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.counts[i].Add(1)
-	h.total.Add(1)
-	for {
-		old := h.sumBits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if h.sumBits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.total.Load()
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(h.sumBits.Load())
-}
-
-// ExpBuckets returns n exponentially growing bucket bounds starting at
-// start and multiplying by factor.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	return out
-}
-
 // metricKind tags a registry family.
 type metricKind uint8
 
 const (
 	kindCounter metricKind = iota
 	kindGauge
-	kindHistogram
 	kindSummary
 )
 
@@ -134,10 +78,8 @@ func (k metricKind) String() string {
 		return "counter"
 	case kindGauge:
 		return "gauge"
-	case kindSummary:
-		return "summary"
 	default:
-		return "histogram"
+		return "summary"
 	}
 }
 
@@ -158,7 +100,6 @@ type series struct {
 	labels string // rendered `{k="v",...}` or ""
 	c      *Counter
 	g      *Gauge
-	h      *Histogram
 	q      QuantileSource
 }
 
@@ -174,7 +115,8 @@ type family struct {
 // Registry holds named metrics and renders them as Prometheus text
 // exposition (version 0.0.4) or a JSON snapshot. Lookups are intended
 // for instrumentation setup, not hot paths: callers resolve *Counter /
-// *Gauge / *Histogram handles once and update those lock-free.
+// *Gauge handles once and update those lock-free; a distribution is a
+// summary over a QuantileSource its caller records into.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -304,23 +246,6 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	return s.g
 }
 
-// Histogram returns (registering on first use) the histogram with the
-// given name, bucket upper bounds and label pairs. Nil-safe on a nil
-// registry.
-func (r *Registry) Histogram(name, help string, bounds []float64, labels ...string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	r.lock()
-	defer r.mu.Unlock()
-	s := r.get(name, help, kindHistogram, labels)
-	if s.h == nil {
-		s.h = &Histogram{bounds: append([]float64(nil), bounds...)}
-		s.h.counts = make([]atomic.Uint64, len(s.h.bounds)+1)
-	}
-	return s.h
-}
-
 // Summary registers (or re-points) the summary series with the given
 // name and label pairs, backed live by src: the exporters read quantiles,
 // count and sum from src at scrape time. Re-registering the same series
@@ -366,15 +291,6 @@ func fmtFloat(v float64) string {
 	return fmt.Sprintf("%g", v)
 }
 
-// histLabels merges the le label into an existing label set.
-func histLabels(base string, le float64) string {
-	entry := fmt.Sprintf("le=%q", fmtFloat(le))
-	if base == "" {
-		return "{" + entry + "}"
-	}
-	return base[:len(base)-1] + "," + entry + "}"
-}
-
 // summaryQuantiles are the quantiles every summary family exposes.
 var summaryQuantiles = []float64{0.5, 0.9, 0.99, 0.999}
 
@@ -404,16 +320,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "%s%s %d\n", f.name, s.labels, s.c.Value())
 			case kindGauge:
 				fmt.Fprintf(w, "%s%s %s\n", f.name, s.labels, fmtFloat(s.g.Value()))
-			case kindHistogram:
-				var cum uint64
-				for i, bound := range s.h.bounds {
-					cum += s.h.counts[i].Load()
-					fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, histLabels(s.labels, bound), cum)
-				}
-				cum += s.h.counts[len(s.h.bounds)].Load()
-				fmt.Fprintf(w, "%s_bucket%s %d\n", f.name, histLabels(s.labels, math.Inf(1)), cum)
-				fmt.Fprintf(w, "%s_sum%s %s\n", f.name, s.labels, fmtFloat(s.h.Sum()))
-				fmt.Fprintf(w, "%s_count%s %d\n", f.name, s.labels, s.h.Count())
 			case kindSummary:
 				if s.q == nil {
 					continue

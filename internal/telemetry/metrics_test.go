@@ -8,22 +8,20 @@ import (
 func TestNilMetricsAreSafe(t *testing.T) {
 	var c *Counter
 	var g *Gauge
-	var h *Histogram
 	var r *Registry
 	c.Add(5)
 	c.Inc()
 	g.Set(1.5)
-	h.Observe(3)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
+	if c.Value() != 0 || g.Value() != 0 {
 		t.Error("nil metrics must read as zero")
 	}
-	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil || r.Histogram("x", "", nil) != nil {
+	if r.Counter("x", "") != nil || r.Gauge("x", "") != nil {
 		t.Error("nil registry must hand out nil metrics")
 	}
 	r.WritePrometheus(&strings.Builder{})
 }
 
-func TestCounterGaugeHistogram(t *testing.T) {
+func TestCounterGauge(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("hcsgc_test_total", "help", "who", "gc")
 	c.Add(3)
@@ -39,13 +37,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	if g.Value() != 0.25 {
 		t.Fatalf("gauge = %v", g.Value())
 	}
-	h := reg.Histogram("hcsgc_test_hist", "help", []float64{1, 10, 100})
-	for _, v := range []float64{0.5, 1, 5, 50, 500} {
-		h.Observe(v)
-	}
-	if h.Count() != 5 || h.Sum() != 556.5 {
-		t.Fatalf("hist count=%d sum=%v", h.Count(), h.Sum())
-	}
 }
 
 func TestWritePrometheus(t *testing.T) {
@@ -53,10 +44,6 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Counter("hcsgc_objs_total", "Objects.", "who", "mutator").Add(7)
 	reg.Counter("hcsgc_objs_total", "Objects.", "who", "gc").Add(2)
 	reg.Gauge("hcsgc_density", "Density.").Set(0.5)
-	h := reg.Histogram("hcsgc_pause", "Pauses.", []float64{10, 100}, "phase", "stw1")
-	h.Observe(5)
-	h.Observe(50)
-	h.Observe(5000)
 
 	var b strings.Builder
 	reg.WritePrometheus(&b)
@@ -67,12 +54,6 @@ func TestWritePrometheus(t *testing.T) {
 		`hcsgc_objs_total{who="mutator"} 7`,
 		"# TYPE hcsgc_density gauge",
 		"hcsgc_density 0.5",
-		"# TYPE hcsgc_pause histogram",
-		`hcsgc_pause_bucket{phase="stw1",le="10"} 1`,
-		`hcsgc_pause_bucket{phase="stw1",le="100"} 2`,
-		`hcsgc_pause_bucket{phase="stw1",le="+Inf"} 3`,
-		`hcsgc_pause_sum{phase="stw1"} 5055`,
-		`hcsgc_pause_count{phase="stw1"} 3`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -134,16 +115,6 @@ func TestSummaryReRegisterAndJSON(t *testing.T) {
 	for _, want := range []string{`hcsgc_sumx{quantile="0.5"} 3`, "hcsgc_sumx_sum 7", "hcsgc_sumx_count 2"} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("latest source must win, exposition missing %q:\n%s", want, b.String())
-		}
-	}
-}
-
-func TestExpBuckets(t *testing.T) {
-	got := ExpBuckets(100, 10, 3)
-	want := []float64{100, 1000, 10000}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ExpBuckets = %v, want %v", got, want)
 		}
 	}
 }

@@ -8,10 +8,9 @@
 // phase timings: GC phase begin/end, STW pause enter/exit, page
 // lifecycle, relocation-race outcomes, and safepoint-wait latencies.
 //
-// Everything is nil-safe by design: a nil *Recorder, *Counter, *Gauge or
-// *Histogram accepts all method calls as cheap no-ops (a single
-// predictable branch), so instrumentation sites never need their own
-// enabled checks.
+// Everything is nil-safe by design: a nil *Recorder, *Counter or *Gauge
+// accepts all method calls as cheap no-ops (a single predictable branch),
+// so instrumentation sites never need their own enabled checks.
 package telemetry
 
 // EventKind discriminates ring-buffer events.
@@ -74,24 +73,26 @@ func (k EventKind) String() string {
 	}
 }
 
-// CounterID names an EvCounter series. The locality profiler and the
-// latency tracker each emit one sample per counter per GC cycle.
+// CounterID names an EvCounter series. Each is a value of the logged
+// cycle record, and the latency tracker emits every one, one sample per GC
+// cycle, from its signals table; the track names keep the plane that
+// measures the value.
 const (
-	// CounterStreamCoverage is the cache model's prefetch coverage, which
-	// the latency tracker emits; the track keeps its locality name.
+	// CounterStreamCoverage is the cache model's prefetch coverage; the
+	// track keeps its locality name.
 	CounterStreamCoverage uint32 = iota + 1
 	CounterSegPurity
 	CounterPageEntropy
 	CounterReuseP50
-	// The latency tracker's MMU ladder (default windows 1/5/20/100
-	// kcycles; CounterMMU1k..CounterMMU100k must stay contiguous) and the
-	// per-cycle mutator-utilization timeline.
+	// The MMU ladder (default windows 1/5/20/100 kcycles;
+	// CounterMMU1k..CounterMMU100k must stay contiguous) and the per-cycle
+	// mutator-utilization timeline.
 	CounterMMU1k
 	CounterMMU5k
 	CounterMMU20k
 	CounterMMU100k
 	CounterUtilization
-	// The latency tracker's per-cycle scalar signals (hcsgc_signal_value).
+	// Per-cycle scalar signals (hcsgc_signal_value).
 	CounterSignalAllocRate
 	CounterSignalStallP99
 	CounterSignalHeapUsed
