@@ -55,8 +55,9 @@ func TestShapeFig4LazyLargeECWins(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape sweep")
 	}
-	// Six runs a side, one attempt: the cycle trigger reads the wall clock,
-	// so a mean over a handful of GC cycles moves with host load. Over 24
+	// Six runs a side, one attempt: the concurrent GC phases race the
+	// mutators on the host scheduler (ROADMAP item 1), so a mean over a
+	// handful of GC cycles moves with host load. Over 24
 	// full `go test ./...` runs the three-run ratio's worst case sat on the
 	// 5% line (0.9495), the six-run one two points inside it (0.9305);
 	// EXPERIMENTS.md "Shape-test tolerances" has the spread.
