@@ -8,6 +8,8 @@ import (
 	"hcsgc/internal/heap"
 	"hcsgc/internal/objmodel"
 	"hcsgc/internal/simmem"
+	"hcsgc/internal/telemetry"
+	"hcsgc/internal/telemetry/latency"
 )
 
 // buildObjectArray allocates an array of n small objects (payload tagged
@@ -81,6 +83,52 @@ func TestHotnessDisabledRecordsNothing(t *testing.T) {
 	})
 	if hot != 0 {
 		t.Fatalf("hot bytes = %d with HOTNESS off, want 0", hot)
+	}
+}
+
+// TestColdFracMeasuredOnlyWithHotness: cold_frac is one minus the hotmap
+// density, so with hotness off there is nothing to measure. Such a cycle
+// logs the -1 sentinel and publishes neither the cold_frac gauge nor a
+// sample on its track; with hotness on both carry the logged value.
+func TestColdFracMeasuredOnlyWithHotness(t *testing.T) {
+	for _, knobs := range []Knobs{{}, {Hotness: true}} {
+		t.Run(knobs.String(), func(t *testing.T) {
+			sink := telemetry.NewSink()
+			tr := latency.New(latency.Config{})
+			tr.BindTelemetry(sink.Metrics(), sink.Recorder())
+			h := heap.New(heap.Config{MaxBytes: 128 << 20}, simmem.MustNewHierarchy(simmem.DefaultConfig()))
+			types := objmodel.NewRegistry()
+			c := MustNew(h, types, Config{Knobs: knobs, Telemetry: sink, Latency: tr})
+			node := types.Register("node", 2, []int{0})
+			m := c.NewMutator(4)
+			defer m.Close()
+			buildObjectArray(m, node, 2000)
+			m.RequestGC()
+			for i := 0; i < 1000; i++ {
+				touch(m, i)
+			}
+			m.RequestGC()
+
+			var samples int
+			for _, ev := range sink.Recorder().Snapshot() {
+				if ev.Kind == telemetry.EvCounter && ev.Arg == telemetry.CounterSignalColdFrac {
+					samples++
+				}
+			}
+			gauge := sink.Metrics().Gauge("hcsgc_signal_value", "", "signal", "cold_frac").Value()
+			last := c.Stats().Cycles[1]
+			if !knobs.Hotness {
+				if last.ColdFrac != -1 || samples != 0 || gauge != 0 {
+					t.Fatalf("hotness off: cold_frac logged %v, published %v with %d track samples; want -1, unpublished",
+						last.ColdFrac, gauge, samples)
+				}
+				return
+			}
+			if last.ColdFrac <= 0 || last.ColdFrac >= 1 || samples != 2 || gauge != last.ColdFrac {
+				t.Fatalf("hotness on: cold_frac logged %v, published %v with %d track samples; want a fraction in (0,1) on both cycles",
+					last.ColdFrac, gauge, samples)
+			}
+		})
 	}
 }
 
