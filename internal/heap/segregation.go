@@ -24,6 +24,24 @@ func (s SegregationStats) Purity() float64 {
 	return float64(s.MajorityBytes) / float64(s.LiveBytes)
 }
 
+// Add counts p if it is a live small page with live data; pages of other
+// classes carry no hotness (§3.4). Call after a mark, while its livemap
+// and hotmap are populated.
+func (s *SegregationStats) Add(p *Page) {
+	if p.Freed() || p.Class() != ClassSmall {
+		return
+	}
+	live := p.LiveBytes()
+	if live == 0 {
+		return
+	}
+	hot, cold := p.HotBytes(), p.ColdBytes()
+	s.Pages++
+	s.LiveBytes += live
+	s.HotBytes += hot
+	s.MajorityBytes += max(hot, cold)
+}
+
 // SegregationStats computes hot/cold segregation purity over live small
 // pages with Seq <= maxSeq (pass ^uint64(0) for all pages). Call
 // after a mark while livemap/hotmap are populated; mid-mark values are
@@ -31,25 +49,9 @@ func (s SegregationStats) Purity() float64 {
 func (h *Heap) SegregationStats(maxSeq uint64) SegregationStats {
 	var s SegregationStats
 	h.LivePages(func(p *Page) {
-		if p.Seq > maxSeq || p.Freed() {
-			return
+		if p.Seq <= maxSeq {
+			s.Add(p)
 		}
-		if p.Class() != ClassSmall {
-			return
-		}
-		live := p.LiveBytes()
-		if live == 0 {
-			return
-		}
-		hot, cold := p.HotBytes(), p.ColdBytes()
-		maj := hot
-		if cold > maj {
-			maj = cold
-		}
-		s.Pages++
-		s.LiveBytes += live
-		s.HotBytes += hot
-		s.MajorityBytes += maj
 	})
 	return s
 }

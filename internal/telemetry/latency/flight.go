@@ -90,12 +90,13 @@ type CycleRecord struct {
 	HeapUsedBefore float64 `json:"heap_used_before"`
 	HeapUsedAfter  float64 `json:"heap_used_after"`
 	// SegregationPurity is the live-bytes-weighted hot/cold segregation
-	// purity over hot-trackable pages at mark end; -1 when not measured
-	// (neither telemetry nor the locality profiler attached).
+	// purity over hot-trackable pages at mark end (heap.SegregationStats),
+	// measured every cycle; 1 when no such page holds live data, and with
+	// hotness off, where every object counts as cold.
 	SegregationPurity float64 `json:"segregation_purity"`
 	// ColdFrac is 1 - hot bytes over live bytes across hot-trackable pages
 	// at mark end: the fraction of live bytes no mutator touched this era.
-	// -1 when not measured (hotness off).
+	// -1 when not measured: hotness off, or no such page holds live data.
 	ColdFrac float64 `json:"cold_frac"`
 
 	// AllocBytes is the mutator allocation volume since the previous cycle
