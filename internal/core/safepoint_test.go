@@ -1,10 +1,13 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"hcsgc/internal/heap"
 )
 
 func TestSafepointFastPathNoSTW(t *testing.T) {
@@ -340,4 +343,81 @@ func TestBlockedWaitsOutActivePause(t *testing.T) {
 		t.Fatal("endBlocked never returned after resume")
 	}
 	close(pollerStop)
+}
+
+// TestEveryStopPathFlushesMarkBuf: STW2 ends marking once the pool is
+// quiescent with the world stopped, which is sound only if a mutator hands
+// its mark buffer to the pool before it counts as stopped, whichever way
+// it stops. Each case starts a mutator during a mark with grays in its
+// buffer and stops the world once it is parked or blocked: its buffer must
+// be empty by then, and its grays in the pool. The test holds cycleMu, so
+// RequestGC and the stall stop inside the collector's entry, before a
+// cycle can run.
+func TestEveryStopPathFlushesMarkBuf(t *testing.T) {
+	paths := []struct {
+		name string
+		stop func(m *Mutator, release <-chan struct{})
+	}{
+		{"safepoint", func(m *Mutator, release <-chan struct{}) {
+			for {
+				select {
+				case <-release:
+					return
+				default:
+					m.Safepoint()
+				}
+			}
+		}},
+		{"blocked", func(m *Mutator, release <-chan struct{}) { m.Blocked(func() { <-release }) }},
+		{"request-gc", func(m *Mutator, _ <-chan struct{}) { m.RequestGC() }},
+		{"alloc-stall", func(m *Mutator, _ <-chan struct{}) {
+			full := true
+			m.allocStall(24, func() (uint64, error) {
+				if full {
+					full = false
+					return 0, heap.ErrHeapFull
+				}
+				return 8, nil // never dereferenced
+			})
+		}},
+	}
+	for _, path := range paths {
+		t.Run(path.name, func(t *testing.T) {
+			c, types := testEnv(t, Knobs{})
+			node := types.Register("node", 2, []int{0})
+			m := c.NewMutator(1)
+			var grays []uint64
+			for i := 0; i < 3; i++ {
+				obj := m.Alloc(node)
+				grays = append(grays, obj.Addr())
+				m.markBuf = c.pool.push(m.markBuf, obj.Addr())
+			}
+			c.phase.Store(uint32(PhaseMark))
+
+			c.cycleMu.Lock()
+			release, done := make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(done)
+				path.stop(m, release)
+			}()
+			c.sp.stopTheWorld(0, nil)
+			left := len(m.markBuf)
+			c.pool.mu.Lock()
+			pooled := slices.ContainsFunc(c.pool.chunks, func(ch []uint64) bool { return slices.Equal(ch, grays) })
+			c.pool.mu.Unlock()
+			c.sp.resumeTheWorld()
+
+			// Back to the relocation era the collector left, so the cycle
+			// RequestGC or the stall runs once released starts cleanly.
+			c.pool.setActive(0)
+			c.phase.Store(uint32(PhaseRelocate))
+			c.cycleMu.Unlock()
+			close(release)
+			<-done
+			m.Close()
+			if left != 0 || !pooled {
+				t.Fatalf("stopped mutator kept %d grays in its mark buffer; its grays in the pool: %v", left, pooled)
+			}
+		})
+	}
 }
