@@ -244,47 +244,50 @@ func (pr *Probe) record(addr uint64) {
 	pr.mu.Unlock()
 }
 
-// drain takes and resets the probe's interval counters and returns its
-// transition-entropy inputs (the map is kept; entropy is computed over the
-// running distribution, a state metric).
-func (pr *Probe) drain() (ivl counters, trans map[uint64]uint64, ovf uint64) {
+// drain takes and resets the probe's interval counters.
+func (pr *Probe) drain() counters {
 	pr.mu.Lock()
 	defer pr.mu.Unlock()
-	ivl = pr.ivl
+	ivl := pr.ivl
 	pr.ivl = counters{}
-	return ivl, pr.trans, pr.transOvf
+	return ivl
 }
 
-// entropyBits computes the Shannon entropy, in bits, of the transition
-// counts (overflowed transitions pooled as one outcome, slightly
-// underestimating true entropy).
-func entropyBits(maps []map[uint64]uint64, ovfs []uint64) float64 {
-	var total float64
-	for _, m := range maps {
-		for _, c := range m {
-			total += float64(c)
+// transitions gathers every probe's transition-entropy inputs, each under
+// its probe's lock (the owning mutator keeps recording into the map): the
+// count of each distinct page transition, and per probe its overflowed
+// transitions pooled as one outcome. Entropy is computed over the running
+// distribution, a state metric, so the maps are kept. Caller holds pf.mu.
+func (pf *Profiler) transitions() []uint64 {
+	var counts []uint64
+	for _, pr := range pf.probes {
+		pr.mu.Lock()
+		for _, c := range pr.trans {
+			counts = append(counts, c)
 		}
+		counts = append(counts, pr.transOvf)
+		pr.mu.Unlock()
 	}
-	for _, o := range ovfs {
-		total += float64(o)
+	return counts
+}
+
+// entropyBits computes the Shannon entropy, in bits, of the outcome counts
+// (pooling overflowed transitions as one outcome slightly underestimates
+// the true entropy).
+func entropyBits(counts []uint64) float64 {
+	var total float64
+	for _, c := range counts {
+		total += float64(c)
 	}
 	if total == 0 {
 		return 0
 	}
 	var h float64
-	acc := func(c float64) {
+	for _, c := range counts {
 		if c > 0 {
-			p := c / total
+			p := float64(c) / total
 			h -= p * math.Log2(p)
 		}
-	}
-	for _, m := range maps {
-		for _, c := range m {
-			acc(float64(c))
-		}
-	}
-	for _, o := range ovfs {
-		acc(float64(o))
 	}
 	return h
 }
@@ -302,13 +305,9 @@ func (pf *Profiler) OnCycle(purity float64) Signals {
 	defer pf.mu.Unlock()
 
 	var ivl counters
-	var maps []map[uint64]uint64
-	var ovfs []uint64
 	for _, pr := range pf.probes {
-		c, m, o := pr.drain()
+		c := pr.drain()
 		ivl.add(&c)
-		maps = append(maps, m)
-		ovfs = append(ovfs, o)
 	}
 	pf.cum.add(&ivl)
 	pf.purity = purity
@@ -316,7 +315,7 @@ func (pf *Profiler) OnCycle(purity float64) Signals {
 		Present:         true,
 		ReuseP50:        histPercentile(ivl.DistHist[:], ivl.Reuses, 0.50),
 		ReuseP90:        histPercentile(ivl.DistHist[:], ivl.Reuses, 0.90),
-		PageEntropyBits: entropyBits(maps, ovfs),
+		PageEntropyBits: entropyBits(pf.transitions()),
 		SegPurity:       purity,
 	}
 
@@ -334,14 +333,6 @@ func (pf *Profiler) Report() *Report {
 	defer pf.mu.Unlock()
 
 	cum := pf.liveLocked()
-	var maps []map[uint64]uint64
-	var ovfs []uint64
-	for _, pr := range pf.probes {
-		pr.mu.Lock()
-		maps = append(maps, cloneMap(pr.trans))
-		ovfs = append(ovfs, pr.transOvf)
-		pr.mu.Unlock()
-	}
 	r := &Report{
 		SamplePeriod: 1 << pf.cfg.SamplePeriodShift,
 		BurstLen:     pf.cfg.BurstLen(),
@@ -351,7 +342,7 @@ func (pf *Profiler) Report() *Report {
 	if t := float64(cum.Transitions + cum.SamePage); t > 0 {
 		samePage = float64(cum.SamePage) / t
 	}
-	r.Cumulative = deriveStats(&cum, entropyBits(maps, ovfs), samePage, pf.purity)
+	r.Cumulative = deriveStats(&cum, entropyBits(pf.transitions()), samePage, pf.purity)
 	return r
 }
 
@@ -373,12 +364,4 @@ func (pf *Profiler) liveLocked() counters {
 		cum.add(&c)
 	}
 	return cum
-}
-
-func cloneMap(m map[uint64]uint64) map[uint64]uint64 {
-	out := make(map[uint64]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
 }

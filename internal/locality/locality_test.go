@@ -270,3 +270,33 @@ func TestConcurrentProbes(t *testing.T) {
 		t.Fatalf("cumulative sampled = %d, want %d", got, want)
 	}
 }
+
+// TestProbeRecordsDuringOnCycle: a probe's transition map grows while its
+// mutator records, so the cycle boundary and Report must read it under the
+// probe's lock. One goroutine records page switches (a new transition on
+// almost every sampled access) while another calls OnCycle and Report; run
+// under -race, an unlocked read of the map is a race report.
+func TestProbeRecordsDuringOnCycle(t *testing.T) {
+	pf := New(Config{SamplePeriodShift: 1})
+	pr := pf.NewProbe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := uint64(0); i < 20000; i++ {
+			pr.Access((i * 7919 % 512) << pageShift)
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			pf.OnCycle(1)
+			if bits := pf.Report().Cumulative.PageEntropyBits; bits <= 0 {
+				t.Fatalf("entropy %v bits after switching among 512 pages, want > 0", bits)
+			}
+			return
+		default:
+			pf.OnCycle(1)
+			pf.Report()
+		}
+	}
+}
