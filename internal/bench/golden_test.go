@@ -15,7 +15,9 @@ import (
 
 	"hcsgc/internal/kvstore"
 	"hcsgc/internal/loadgen"
+	"hcsgc/internal/stats"
 	"hcsgc/internal/telemetry/latency"
+	"hcsgc/internal/workloads"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata/golden from the fixtures")
@@ -193,6 +195,75 @@ func TestGoldenReports(t *testing.T) {
 		// The filler's one running counter renumbers every later value when
 		// a field comes or goes; the key paths show what actually moved.
 		compareGolden(t, tc.name+".keys", keyPaths(t, b.Bytes()))
+	}
+}
+
+// fixtureResult is a figure sweep over configs 0, 4 and 16 with every
+// value the figure report and its CSV print drawn from one running
+// counter. Each value is set by field name, not by the reflective filler,
+// so the same value lands in the same field however the per-config
+// aggregate is laid out. Config 16's CI overlaps config 0's and config
+// 4's does not, so the report marks one config significant and not the
+// other. scoreMetrics, when given, selects the score layout (SPECjbb).
+func fixtureResult(scoreMetrics ...string) *Result {
+	f := &filler{}
+	num := func() float64 { return float64(f.next()) + 0.125 }
+	r := &Result{Workload: "workload-name", Spec: Spec{ID: "fig4", Title: "figure title",
+		Runs: 3, Scale: 0.25, Seed: 7, ScoreMetrics: scoreMetrics}}
+	for _, cfg := range []int{0, 4, 16} {
+		var cr ConfigResult
+		cr.Config = cfg
+		cr.Box.Median, cr.Box.Q1, cr.Box.Q3 = num(), num(), num()
+		cr.Boot.Mean, cr.Boot.CILow, cr.Boot.CIHigh = num(), num(), num()
+		cr.TimeVsBaseline = num() / 100
+		cr.Loads, cr.L1Misses, cr.LLCMisses = num(), num(), num()
+		cr.LoadsVsBase, cr.L1VsBase, cr.LLCVsBase = num()/100, num()/100, num()/100
+		cr.GCCycles, cr.MedianECSmall, cr.MutatorReloc, cr.GCReloc = num(), num(), num(), num()
+		cr.ScoreBoots = map[string]stats.Bootstrap{}
+		for _, m := range scoreMetrics {
+			cr.ScoreBoots[m] = stats.Bootstrap{Mean: num(), CILow: num(), CIHigh: num()}
+		}
+		r.PerConfig = append(r.PerConfig, cr)
+	}
+	r.PerConfig[2].Boot.CILow = r.PerConfig[0].Boot.CIHigh
+	for i := 0; i < 2; i++ {
+		r.HeapSeries = append(r.HeapSeries, workloads.HeapSample{Seconds: num() / 1000, UsedPct: 20 * float64(i+1)})
+	}
+	return r
+}
+
+// fixtureAblation is an ablation sweep of three settings, set by field
+// name as fixtureResult is.
+func fixtureAblation() *AblationResult {
+	f := &filler{}
+	num := func() float64 { return float64(f.next()) + 0.125 }
+	r := &AblationResult{Name: "ablation-name", Desc: "what the ablation varies"}
+	for _, label := range []string{"depth=0", "threshold=0.75", "autotune cc<=1.0"} {
+		var p AblationPoint
+		p.Label = label
+		p.Boot.Mean, p.Boot.CILow, p.Boot.CIHigh = num(), num(), num()
+		p.LLCMisses = num() * 1000
+		r.Points = append(r.Points, p)
+	}
+	return r
+}
+
+// TestGoldenSweepReports pins the figure report (both layouts), its CSV
+// and the ablation table byte for byte.
+func TestGoldenSweepReports(t *testing.T) {
+	timed, scored, ablation := fixtureResult(), fixtureResult("max-jOPS", "critical-jOPS"), fixtureAblation()
+	for _, tc := range []struct {
+		file  string
+		write func(io.Writer)
+	}{
+		{"figure.txt", func(w io.Writer) { WriteReport(w, timed) }},
+		{"figure-scores.txt", func(w io.Writer) { WriteReport(w, scored) }},
+		{"figure.csv", func(w io.Writer) { WriteCSV(w, timed) }},
+		{"ablation.txt", func(w io.Writer) { WriteAblation(w, ablation) }},
+	} {
+		var b bytes.Buffer
+		tc.write(&b)
+		compareGolden(t, tc.file, b.Bytes())
 	}
 }
 
