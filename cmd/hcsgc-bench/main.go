@@ -168,7 +168,8 @@ func modeNames() []string {
 // defaults to j. It is where misuse fails: an unknown mode, a flag the
 // mode does not read, a -configs list of the wrong length. given holds the
 // names of the flags on the command line, sorted. Without -report it
-// returns nil, having checked that no report-only flag was given.
+// returns nil, having checked that no report-only flag was given and, under
+// -ablate, no flag of the -exp sweep.
 func selectMode(j *job, given []string) (*mode, error) {
 	var m *mode
 	readers := map[string][]string{} // mode-scoped flag -> the modes that read it
@@ -196,11 +197,19 @@ func selectMode(j *job, given []string) (*mode, error) {
 	if j.localityShift > 62 { // the sample period 1<<shift is an int
 		return nil, fmt.Errorf("-locality-shift %d overflows the sample period (at most 62)", j.localityShift)
 	}
+	if j.ablate != "" {
+		if m != nil {
+			return nil, fmt.Errorf("-ablate and -report select different modes; give one")
+		}
+		// An ablation fixes its workload and its settings, and prints no CSV.
+		for _, f := range []string{"exp", "configs", "csv"} {
+			if slices.Contains(given, f) {
+				return nil, fmt.Errorf("-%s is not read by -ablate", f)
+			}
+		}
+	}
 	if m == nil {
 		return nil, nil
-	}
-	if j.ablate != "" {
-		return nil, fmt.Errorf("-ablate and -report select different modes; give one")
 	}
 	if m.exp == "" && slices.Contains(given, "exp") {
 		return nil, fmt.Errorf("-exp is not read by -report %s (the mode fixes its workloads)", m.name)
@@ -267,7 +276,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(1, fmt.Errorf("%s: %w", m.name, err))
 		}
 	case j.ablate != "":
-		res, err := bench.RunAblation(j.ablate, j.runs, j.scale, j.seed, j.progress)
+		res, err := bench.RunAblation(j.ablate, j.runs, j.scale, j.seed, j.sink, j.progress)
 		if err != nil {
 			return fail(1, err)
 		}

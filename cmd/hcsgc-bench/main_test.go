@@ -260,6 +260,11 @@ func TestMisuseFailsLoudly(t *testing.T) {
 		{"-report scaling -configs 3", []string{"-configs", "scaling"}},
 		{"-report overload -configs 3,4", []string{"overload", "exactly 1"}},
 		{"-report kv -ablate prefetch", []string{"-ablate", "-report"}},
+		// An ablation fixes its workload and settings: these used to run
+		// fig4, write no CSV and exit 0.
+		{"-ablate ecthreshold -exp fig7", []string{"-exp", "-ablate"}},
+		{"-ablate ecthreshold -configs 1,2", []string{"-configs", "-ablate"}},
+		{"-ablate ecthreshold -csv x.csv", []string{"-csv", "-ablate"}},
 		{"-kv-report", []string{"-kv-report"}}, // the old spellings are gone, not aliased
 		{"-report kv -kv-json x.json", []string{"-kv-json"}},
 	}

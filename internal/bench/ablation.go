@@ -6,7 +6,6 @@ import (
 
 	"hcsgc"
 	"hcsgc/internal/simmem"
-	"hcsgc/internal/stats"
 	"hcsgc/internal/workloads"
 )
 
@@ -25,13 +24,12 @@ import (
 // Each ablation runs the synthetic single-phase workload (fig4) under a
 // fixed HCSGC configuration while varying one dimension.
 
-// AblationPoint is one sampled setting.
+// AblationPoint is one sampled setting: its label and what its runs
+// measured (the table prints the mean execution seconds with their 95% CI
+// and the mean process LLC miss count).
 type AblationPoint struct {
 	Label string
-	// Mean execution seconds with 95% CI.
-	Boot stats.Bootstrap
-	// LLCMisses is the mean process LLC miss count.
-	LLCMisses float64
+	SideStats
 }
 
 // AblationResult is one ablation sweep.
@@ -41,50 +39,45 @@ type AblationResult struct {
 	Points []AblationPoint
 }
 
-// ablationSetting is one sampled setting of a sweep.
-type ablationSetting struct {
-	label string
-	cfg   workloads.RunConfig
-}
-
 // ablations is the table of sweeps, in -list order: each fixes a
-// configuration and lists the settings of the one dimension it varies.
+// configuration and lists the settings of the one dimension it varies, one
+// side each.
 var ablations = []struct {
 	name, desc string
-	settings   func() []ablationSetting
+	sides      func() []side
 }{
 	{"prefetch", "HCSGC config 4 under varying stream-prefetcher depth (0 = off)",
-		func() (out []ablationSetting) {
+		func() (out []side) {
 			for _, depth := range []int{0, 1, 2, 4, 8, 16} {
 				mem := simmem.DefaultConfig()
 				mem.PrefetchDepth = depth
-				out = append(out, ablationSetting{fmt.Sprintf("depth=%d", depth),
+				out = append(out, side{fmt.Sprintf("depth=%d", depth),
 					workloads.RunConfig{Knobs: KnobsFor(4), MemConfig: &mem}})
 			}
 			return out
 		}},
 	{"ecthreshold", "baseline ZGC under varying evacuation live-ratio thresholds (paper: 0.75)",
-		func() (out []ablationSetting) {
+		func() (out []side) {
 			for _, th := range []float64{0.25, 0.5, 0.75, 0.9} {
-				out = append(out, ablationSetting{fmt.Sprintf("threshold=%.2f", th),
+				out = append(out, side{fmt.Sprintf("threshold=%.2f", th),
 					workloads.RunConfig{Knobs: hcsgc.Knobs{}, EvacThreshold: th}})
 			}
 			return out
 		}},
 	{"autotune", "fixed ColdConfidence settings vs the feedback loop (paper §4.8 future work)",
-		func() []ablationSetting {
+		func() []side {
 			tuned := KnobsFor(10)
 			tuned.AutoTune = true
-			return []ablationSetting{
+			return []side{
 				{"fixed cc=0.5", workloads.RunConfig{Knobs: KnobsFor(9)}},
 				{"fixed cc=1.0", workloads.RunConfig{Knobs: KnobsFor(10)}},
 				{"autotune cc<=1.0", workloads.RunConfig{Knobs: tuned}},
 			}
 		}},
 	{"gcworkers", "config 3 (all pages, eager) under varying GC worker counts: more workers win more relocation races from the mutator",
-		func() (out []ablationSetting) {
+		func() (out []side) {
 			for _, workers := range []int{1, 2, 4, 8} {
-				out = append(out, ablationSetting{fmt.Sprintf("workers=%d", workers),
+				out = append(out, side{fmt.Sprintf("workers=%d", workers),
 					workloads.RunConfig{Knobs: KnobsFor(3), GCWorkers: workers}})
 			}
 			return out
@@ -100,52 +93,36 @@ func AblationNames() []string {
 	return names
 }
 
-// RunAblation executes one ablation by name.
-func RunAblation(name string, runs int, scale float64, seed int64, progress Progress) (AblationResult, error) {
+// RunAblation executes one ablation by name: its settings are the sides
+// of one fig4 sweep. A non-nil sink serves each in-flight run's planes
+// live.
+func RunAblation(name string, runs int, scale float64, seed int64, sink *hcsgc.TelemetrySink, progress Progress) (AblationResult, error) {
 	if runs <= 0 {
 		runs = 5
 	}
 	if scale <= 0 {
 		scale = 0.04
 	}
+	w, err := workloads.Get("fig4")
+	if err != nil {
+		return AblationResult{}, err
+	}
 	for _, a := range ablations {
 		if a.name != name {
 			continue
 		}
+		sides := a.sides()
+		measured, err := runSides("ablate "+a.name, w, sides, runs, scale, seed, sink, progress, nil)
+		if err != nil {
+			return AblationResult{}, err
+		}
 		res := AblationResult{Name: a.name, Desc: a.desc}
-		for _, s := range a.settings() {
-			p := sample(runs, scale, seed, s.cfg)
-			p.Label = s.label
-			res.Points = append(res.Points, p)
-			progress.printf("%s %s: %.4fs", a.name, p.Label, p.Boot.Mean)
+		for i, s := range measured {
+			res.Points = append(res.Points, AblationPoint{Label: sides[i].label, SideStats: s})
 		}
 		return res, nil
 	}
 	return AblationResult{}, fmt.Errorf("bench: unknown ablation %q (have %v)", name, AblationNames())
-}
-
-// sample runs the fig4 workload `runs` times for one setting.
-func sample(runs int, scale float64, seed int64, cfg workloads.RunConfig) AblationPoint {
-	w, _ := workloads.Get("fig4")
-	var times []float64
-	var llc float64
-	for r := 0; r < runs; r++ {
-		c := cfg
-		c.Seed = seed + int64(r)
-		c.Scale = scale
-		res, err := w.Run(c)
-		if err != nil {
-			// Ablation points are advisory: an exhausted run contributes no
-			// sample rather than aborting the whole sweep.
-			continue
-		}
-		times = append(times, res.ExecSeconds)
-		llc += float64(res.LLCMisses)
-	}
-	return AblationPoint{
-		Boot:      stats.BootstrapMean(times, stats.DefaultResamples, seed),
-		LLCMisses: llc / float64(runs),
-	}
 }
 
 // WriteAblation renders one ablation sweep.

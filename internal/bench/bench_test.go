@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"fmt"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -101,8 +103,47 @@ func TestRunSmallExperiment(t *testing.T) {
 	if len(res.HeapSeries) == 0 {
 		t.Fatal("heap series missing")
 	}
-	if len(res.Checks) != 3 {
-		t.Fatal("per-run checksums missing")
+}
+
+// TestRunInterleavesConfigs: the figure sweep runs run index r on every
+// config before it starts r+1, read from the order of its progress lines.
+func TestRunInterleavesConfigs(t *testing.T) {
+	line := regexp.MustCompile(`config (\d+) run (\d+)/`)
+	var got []string
+	progress := func(format string, args ...any) {
+		if m := line.FindStringSubmatch(fmt.Sprintf(format, args...)); m != nil {
+			got = append(got, m[1]+"/"+m[2])
+		}
+	}
+	if _, err := Run(Spec{ID: "fig4", Runs: 2, Scale: 0.005, Configs: []int{0, 4}, Seed: 1}, progress); err != nil {
+		t.Fatal(err)
+	}
+	// config/run, run counted from 1.
+	if want := []string{"0/1", "4/1", "0/2", "4/2"}; !slices.Equal(got, want) {
+		t.Fatalf("runs went config/run %v, want %v", got, want)
+	}
+}
+
+// TestRunSidesCrossChecksChecksums: a side whose program result differs
+// from an earlier side's at the same run index fails the sweep, while a
+// side at another offered load serves another schedule and is compared
+// with nothing.
+func TestRunSidesCrossChecksChecksums(t *testing.T) {
+	w := workloads.Workload{Name: "fake", Run: func(rc workloads.RunConfig) (workloads.Result, error) {
+		return workloads.Result{Check: uint64(rc.Seed) + uint64(rc.LoadFactor) + uint64(rc.GCWorkers)}, nil
+	}}
+	sides := configSides(0, 4)
+	if _, err := runSides("fake", w, sides, 2, 1, 1, nil, nil, nil); err != nil {
+		t.Fatalf("agreeing sides: %v", err)
+	}
+	sides[1].rc.LoadFactor = 2
+	if _, err := runSides("fake", w, sides, 2, 1, 1, nil, nil, nil); err != nil {
+		t.Fatalf("a side at another offered load was cross-checked: %v", err)
+	}
+	sides[1].rc.LoadFactor, sides[1].rc.GCWorkers = 0, 2
+	if _, err := runSides("fake", w, sides, 2, 1, 1, nil, nil, nil); err == nil ||
+		!strings.Contains(err.Error(), "config 4 run 0 checksum 3 != expected 1") {
+		t.Fatalf("a changed program result passed: %v", err)
 	}
 }
 

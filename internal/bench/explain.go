@@ -7,6 +7,7 @@ import (
 	"hcsgc"
 	"hcsgc/internal/locality"
 	"hcsgc/internal/simmem"
+	"hcsgc/internal/stats"
 	"hcsgc/internal/telemetry/latency"
 	"hcsgc/internal/workloads"
 )
@@ -87,7 +88,8 @@ func RunExplainAB(expID string, runs int, scale float64, seed int64, baseCfg, te
 	var reports [2][]*hcsgc.LocalityReport
 	var trackers [2][]*hcsgc.LatencyTracker
 	var mem [2]simmem.CoreStats
-	sides, err := runSides("explain "+expID, w, []int{baseCfg, testCfg}, runs, scale, seed, sink, progress,
+	cfgs := []int{baseCfg, testCfg}
+	sides, err := runSides("explain "+expID, w, configSides(cfgs...), runs, scale, seed, sink, progress,
 		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
 			prof := locality.New(profCfg)
 			rc.Locality = prof
@@ -104,11 +106,11 @@ func RunExplainAB(expID string, runs int, scale float64, seed int64, baseCfg, te
 	}
 	for i, side := range []*ExplainSide{&ab.Base, &ab.Test} {
 		*side = ExplainSide{
-			Config: sides[i].config, Knobs: sides[i].knobs, Runs: runs,
+			Config: cfgs[i], Knobs: KnobsFor(cfgs[i]).String(), Runs: runs,
 			Stats:            locality.Aggregate(reports[i]),
 			PrefetchAccuracy: mem[i].PrefetchAccuracy(),
 			PrefetchCoverage: mem[i].PrefetchCoverage(),
-			MeanExecSeconds:  sides[i].meanExecSeconds,
+			MeanExecSeconds:  stats.Mean(sides[i].Times),
 			Reports:          reports[i],
 			Report:           latency.Aggregate(trackers[i]),
 		}

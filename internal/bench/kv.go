@@ -3,10 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"hcsgc"
 	"hcsgc/internal/kvstore"
 	"hcsgc/internal/loadgen"
+	"hcsgc/internal/stats"
 	"hcsgc/internal/workloads"
 )
 
@@ -66,48 +68,45 @@ func RunKVAB(runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hc
 	if scale <= 0 {
 		scale = 1 // the workload's default benchmarking scale
 	}
-	sides, _, err := runKVSides("kv", []int{baseCfg, testCfg}, runs, scale, seed, sink, progress, nil)
+	sides, _, err := runKVSides("kv", configSides(baseCfg, testCfg), runs, scale, seed, sink, progress)
 	if err != nil {
 		return nil, err
 	}
+	sides[0].Config, sides[1].Config = baseCfg, testCfg
 	return &KVAB{Runs: runs, Scale: scale, Seed: seed,
 		SLOThresholdCycles: kvstore.SLOCycles, Base: sides[0], Test: sides[1]}, nil
 }
 
-// runKVSides runs the KV server workload under each configuration of cfgs
-// through runSides, merging every side's runs into one serving ledger.
-// setup, when not nil, adds a side's own settings to each of its runs'
-// config. It returns the sides and their ledgers.
-func runKVSides(label string, cfgs []int, runs int, scale float64, seed int64,
-	sink *hcsgc.TelemetrySink, progress Progress,
-	setup func(side int, rc *workloads.RunConfig)) ([]KVSide, []*kvstore.Metrics, error) {
+// runKVSides runs the KV server workload under each side through
+// runSides, merging every side's runs into one serving ledger. It returns
+// the sides, their Config left to the caller, and their ledgers.
+func runKVSides(label string, sides []side, runs int, scale float64, seed int64,
+	sink *hcsgc.TelemetrySink, progress Progress) ([]KVSide, []*kvstore.Metrics, error) {
 	w, err := workloads.Get("kv")
 	if err != nil {
 		return nil, nil, err
 	}
-	accs := make([]*kvstore.Metrics, len(cfgs))
-	for i := range cfgs {
+	accs := make([]*kvstore.Metrics, len(sides))
+	for i := range sides {
 		accs[i] = kvstore.NewMetrics()
 	}
-	sides, err := runSides(label, w, cfgs, runs, scale, seed, sink, progress,
-		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
-			rc.KV = accs[side]
-			if setup != nil {
-				setup(side, rc)
-			}
+	measured, err := runSides(label, w, sides, runs, scale, seed, sink, progress,
+		func(i int, rc *workloads.RunConfig) func(workloads.Result) {
+			rc.KV = accs[i]
 			return nil
 		})
 	if err != nil {
 		return nil, nil, err
 	}
 	out := make([]KVSide, len(sides))
-	for i, s := range sides {
+	for i, s := range measured {
 		out[i] = KVSide{
-			Config: s.config, Knobs: s.knobs, Runs: runs,
+			Knobs: sides[i].rc.Knobs.String(), Runs: runs,
 			Tail:            accs[i].Tail(),
 			Report:          accs[i].Report(nil),
-			MeanExecSeconds: s.meanExecSeconds,
-			GCCycles:        s.gcCycles,
+			MeanExecSeconds: stats.Mean(s.Times),
+			// The per-run mean back to the runs' total.
+			GCCycles: int(math.Round(s.GCCycles * float64(runs))),
 		}
 	}
 	return out, accs, nil

@@ -239,11 +239,13 @@ func TestKVABExplainsItsOwnTail(t *testing.T) {
 // attributed violations; and every exemplar links the one record of the
 // cycle it names.
 func TestTailViolationsAreOverSLOSuccesses(t *testing.T) {
-	sides, ledgers, err := runKVSides("kv", []int{3, 4}, 1, 1, 1, nil, nil, nil)
+	cfgs := []int{3, 4}
+	sides, ledgers, err := runKVSides("kv", configSides(cfgs...), 1, 1, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range sides {
+		s.Config = cfgs[i]
 		o := ledgers[i].Outcomes()
 		if v := s.Tail.Violations; v == 0 || o.Successes-o.Goodput != v {
 			t.Errorf("cfg %d: successes %d - goodput %d != %d violations (want > 0)",

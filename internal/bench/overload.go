@@ -67,8 +67,12 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 	if loadFactor <= 0 {
 		loadFactor = 2 // the acceptance point: twice the sustainable rate
 	}
-	sides, ledgers, err := runKVSides("overload", []int{cfgID, cfgID}, runs, scale, seed, sink, progress,
-		func(side int, rc *workloads.RunConfig) { rc.LoadFactor, rc.Overload = loadFactor, side == 1 })
+	arms := configSides(cfgID, cfgID)
+	for i, label := range []string{"unprotected", "protected"} {
+		arms[i].label = label
+		arms[i].rc.LoadFactor, arms[i].rc.Overload = loadFactor, i == 1
+	}
+	sides, ledgers, err := runKVSides("overload", arms, runs, scale, seed, sink, progress)
 	if err != nil {
 		return nil, err
 	}
@@ -81,6 +85,7 @@ func RunOverloadAB(runs int, scale float64, seed int64, cfgID int, loadFactor fl
 	for i, side := range []*OverloadSide{&ab.Unprotected, &ab.Protected} {
 		*side = OverloadSide{KVSide: sides[i], Protected: i == 1,
 			Overload: ledgers[i].Outcomes()}
+		side.Config = cfgID
 	}
 	return ab, nil
 }

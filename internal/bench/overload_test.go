@@ -184,15 +184,13 @@ func TestRunSidesProtectedRuns(t *testing.T) {
 		}
 		return workloads.Result{Check: 2}, nil
 	}}
-	protect := func(side int, rc *workloads.RunConfig) func(workloads.Result) {
-		rc.Overload = side == 1
-		return nil
-	}
-	if _, err := runSides("overload", w, []int{3, 3}, 2, 1, 1, nil, nil, protect); err != nil {
+	sides := configSides(3, 3)
+	sides[1].rc.Overload = true
+	if _, err := runSides("overload", w, sides, 2, 1, 1, nil, nil, nil); err != nil {
 		t.Fatalf("a protected run's checksum was cross-checked: %v", err)
 	}
 	abort = true
-	if _, err := runSides("overload", w, []int{3, 3}, 2, 1, 1, nil, nil, protect); err == nil ||
+	if _, err := runSides("overload", w, sides, 2, 1, 1, nil, nil, nil); err == nil ||
 		!strings.Contains(err.Error(), "abandoned") {
 		t.Fatalf("an aborted protected run did not fail the comparison: %v", err)
 	}

@@ -38,23 +38,15 @@ type Spec struct {
 type ConfigResult struct {
 	Config int
 	Knobs  hcsgc.Knobs
-
-	// Times are per-run execution seconds (simulated).
-	Times []float64
-	Box   stats.BoxPlot
-	Boot  stats.Bootstrap
+	// SideStats holds the per-run execution seconds, their bootstrap, and
+	// the means of the cache and GC counters.
+	SideStats
+	Box stats.BoxPlot
 	// TimeVsBaseline is the normalised mean delta against Config 0
 	// (negative = speedup).
 	TimeVsBaseline float64
-
-	// Cache statistics: per-run means and deltas vs Config 0.
-	Loads, L1Misses, LLCMisses       float64
+	// Cache statistics: deltas of the per-run means vs Config 0.
 	LoadsVsBase, L1VsBase, LLCVsBase float64
-	// GC statistics.
-	GCCycles      float64
-	MedianECSmall float64
-	MutatorReloc  float64
-	GCReloc       float64
 
 	// ScoreBoots holds bootstrap estimates for workload scores (SPECjbb).
 	ScoreBoots map[string]stats.Bootstrap
@@ -68,9 +60,6 @@ type Result struct {
 	// HeapSeries is the heap-usage-over-time trace of one Config 0 run
 	// (the rightmost plot of each figure).
 	HeapSeries []workloads.HeapSample
-	// Checks maps run index -> workload checksum; the runner verifies all
-	// configs agree per run index.
-	Checks map[int]uint64
 }
 
 // Progress receives runner progress messages (may be nil).
@@ -82,90 +71,118 @@ func (p Progress) printf(format string, args ...any) {
 	}
 }
 
-// runCore is the per-run core every config-vs-config experiment shares:
-// it completes the run's config (Table 2 knobs, seed+run so that every
-// configuration sees identical workload randomness per run index, scale,
-// telemetry sink), runs the workload, and cross-checks the checksum
-// against the first configuration that ran the same run index. A protected
-// KV run (RunConfig.Overload) is not cross-checked: shedding changes which
-// operations execute, so its checksum legitimately differs.
-type runCore struct {
-	label  string // error prefix, e.g. "latency fig4"
-	w      workloads.Workload
-	scale  float64
-	seed   int64
-	sink   *hcsgc.TelemetrySink
-	checks map[int]uint64 // run index -> checksum
+// side is one arm of a sweep: the label its progress lines and errors
+// name it by, and the run config every one of its runs starts from,
+// knobs included.
+type side struct {
+	label string
+	rc    workloads.RunConfig
 }
 
-func (c *runCore) run(cfgID, run int, rc workloads.RunConfig) (workloads.Result, error) {
-	rc.Knobs = KnobsFor(cfgID)
-	rc.Seed = c.seed + int64(run)
-	rc.Scale = c.scale
-	rc.Telemetry = c.sink
-	out, err := c.w.Run(rc)
-	if err != nil {
-		return out, fmt.Errorf("%s: config %d run %d: %w", c.label, cfgID, run, err)
+// configSides is one side per Table 2 config id.
+func configSides(cfgs ...int) []side {
+	sides := make([]side, len(cfgs))
+	for i, c := range cfgs {
+		sides[i] = side{fmt.Sprintf("config %d", c), workloads.RunConfig{Knobs: KnobsFor(c)}}
 	}
-	if rc.Overload {
-		return out, nil
-	}
-	if prev, seen := c.checks[run]; seen && out.Check != prev {
-		return out, fmt.Errorf(
-			"%s: config %d run %d checksum %d != expected %d — GC configuration changed program results",
-			c.label, cfgID, run, out.Check, prev)
-	}
-	c.checks[run] = out.Check
-	return out, nil
+	return sides
 }
 
-// abSide is what runSides measures about every side itself; the plane
-// reports are the caller's.
-type abSide struct {
-	config int
-	knobs  string
-	// meanExecSeconds is the mean simulated execution time; gcCycles
-	// counts collections across all runs.
-	meanExecSeconds float64
-	gcCycles        int
+// SideStats is what runSides measures about every side over its runs. The
+// figure table, the ablation table and the A/B reports all read it.
+type SideStats struct {
+	// Times are the per-run simulated execution seconds; Boot is their
+	// bootstrap mean with its 95% CI.
+	Times []float64
+	Boot  stats.Bootstrap
+	// Per-run means of the whole-process cache counters and of the GC
+	// counters.
+	Loads, L1Misses, LLCMisses                     float64
+	GCCycles, MedianECSmall, MutatorReloc, GCReloc float64
 }
 
-// runSides is the A/B loop: w under each configuration of cfgs, runs
-// times each, through one runCore. Every side runs run index r before any
-// side starts r+1, so the sides of one run index follow each other: they
-// share the seed, and with it the workload's cached inputs (a KV
-// schedule), and host drift over the comparison lands on every side alike.
-// perRun is the caller's whole contribution: called before every run with
-// the side's index and the run's config to attach its planes to, it
-// returns what to do with the finished run (nil = nothing).
-func runSides(label string, w workloads.Workload, cfgs []int, runs int, scale float64, seed int64,
+// add folds one run into the side; the counters stay sums until finish.
+func (s *SideStats) add(r workloads.Result) {
+	s.Times = append(s.Times, r.ExecSeconds)
+	s.Loads += float64(r.Loads)
+	s.L1Misses += float64(r.L1Misses)
+	s.LLCMisses += float64(r.LLCMisses)
+	s.GCCycles += float64(r.GCCycleCount)
+	s.MedianECSmall += r.MedianECSmall
+	s.MutatorReloc += float64(r.MutatorReloc)
+	s.GCReloc += float64(r.GCReloc)
+}
+
+// finish turns the sums into per-run means and bootstraps the times,
+// resampling with seed.
+func (s *SideStats) finish(seed int64) {
+	n := float64(len(s.Times))
+	for _, v := range []*float64{&s.Loads, &s.L1Misses, &s.LLCMisses,
+		&s.GCCycles, &s.MedianECSmall, &s.MutatorReloc, &s.GCReloc} {
+		*v /= n
+	}
+	s.Boot = stats.BootstrapMean(s.Times, stats.DefaultResamples, seed)
+}
+
+// runSides is the one loop that runs a workload for a sweep: w under each
+// side, runs times each. Run r of every side uses seed+r, so every side
+// sees identical workload randomness per run index, and every side runs
+// run index r before any side starts r+1: the sides of one run index
+// follow each other, share the workload's cached inputs (a KV schedule),
+// and host drift over the sweep lands on every side alike. A failed run
+// fails the sweep.
+//
+// A GC configuration must never change program results: each run's
+// checksum must equal that of every earlier run with the same run index
+// and the same offered load (LoadFactor sets the KV schedule). A protected
+// KV run (RunConfig.Overload) is not checked: shedding changes which
+// operations execute.
+//
+// perRun, when not nil, is called before every run with the side's index
+// and the run's config to attach its planes to; it returns what to do
+// with the finished run (nil = nothing). Side i bootstraps its times with
+// seed+i.
+func runSides(label string, w workloads.Workload, sides []side, runs int, scale float64, seed int64,
 	sink *hcsgc.TelemetrySink, progress Progress,
-	perRun func(side int, rc *workloads.RunConfig) func(workloads.Result)) ([]abSide, error) {
-	core := runCore{label: label, w: w, scale: scale, seed: seed, sink: sink, checks: map[int]uint64{}}
-	sides := make([]abSide, len(cfgs))
-	for i, cfgID := range cfgs {
-		sides[i].config, sides[i].knobs = cfgID, KnobsFor(cfgID).String()
+	perRun func(side int, rc *workloads.RunConfig) func(workloads.Result)) ([]SideStats, error) {
+	type checkKey struct {
+		run  int
+		load float64
 	}
+	checks := map[checkKey]uint64{}
+	out := make([]SideStats, len(sides))
 	for run := 0; run < runs; run++ {
-		for i, cfgID := range cfgs {
-			var rc workloads.RunConfig
-			collect := perRun(i, &rc)
-			out, err := core.run(cfgID, run, rc)
+		for i, s := range sides {
+			rc := s.rc
+			rc.Seed, rc.Scale, rc.Telemetry = seed+int64(run), scale, sink
+			var collect func(workloads.Result)
+			if perRun != nil {
+				collect = perRun(i, &rc)
+			}
+			res, err := w.Run(rc)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s: %s run %d: %w", label, s.label, run, err)
+			}
+			if !rc.Overload {
+				key := checkKey{run, rc.LoadFactor}
+				if prev, seen := checks[key]; seen && res.Check != prev {
+					return nil, fmt.Errorf(
+						"%s: %s run %d checksum %d != expected %d — GC configuration changed program results",
+						label, s.label, run, res.Check, prev)
+				}
+				checks[key] = res.Check
 			}
 			if collect != nil {
-				collect(out)
+				collect(res)
 			}
-			sides[i].meanExecSeconds += out.ExecSeconds // summed; divided below
-			sides[i].gcCycles += out.GCCycleCount
-			progress.printf("%s config %-2d run %d/%d", label, cfgID, run+1, runs)
+			out[i].add(res)
+			progress.printf("%s %s run %d/%d", label, s.label, run+1, runs)
 		}
 	}
-	for i := range sides {
-		sides[i].meanExecSeconds /= float64(runs)
+	for i := range out {
+		out[i].finish(seed + int64(i))
 	}
-	return sides, nil
+	return out, nil
 }
 
 // writeJSON is the one JSON rendering behind every report mode's -json
@@ -176,7 +193,8 @@ func writeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// Run executes the experiment.
+// Run executes the experiment: every configuration of the spec is a side
+// of one sweep.
 func Run(spec Spec, progress Progress) (Result, error) {
 	w, err := workloads.Get(spec.ID)
 	if err != nil {
@@ -189,46 +207,32 @@ func Run(spec Spec, progress Progress) (Result, error) {
 	if len(configs) == 0 {
 		configs = AllConfigs()
 	}
-	res := Result{Spec: spec, Workload: w.Name, Checks: map[int]uint64{}}
-	core := runCore{label: "bench " + spec.ID, w: w, scale: spec.Scale, seed: spec.Seed,
-		sink: spec.Telemetry, checks: res.Checks}
-
-	for _, cfgID := range configs {
-		knobs := KnobsFor(cfgID)
-		cr := ConfigResult{Config: cfgID, Knobs: knobs, ScoreBoots: map[string]stats.Bootstrap{}}
-		scoreSamples := map[string][]float64{}
-		var loads, l1, llc, cycles, medEC, mutReloc, gcReloc float64
-		for run := 0; run < spec.Runs; run++ {
-			out, err := core.run(cfgID, run, workloads.RunConfig{})
-			if err != nil {
-				return Result{}, err
+	res := Result{Spec: spec, Workload: w.Name}
+	scores := make([]map[string][]float64, len(configs))
+	sides, err := runSides("bench "+spec.ID, w, configSides(configs...), spec.Runs, spec.Scale, spec.Seed,
+		spec.Telemetry, progress, func(i int, _ *workloads.RunConfig) func(workloads.Result) {
+			return func(out workloads.Result) {
+				if scores[i] == nil {
+					scores[i] = map[string][]float64{}
+				}
+				for k, v := range out.Scores {
+					scores[i][k] = append(scores[i][k], v)
+				}
+				if configs[i] == 0 && res.HeapSeries == nil {
+					res.HeapSeries = out.HeapSamples
+				}
 			}
-			cr.Times = append(cr.Times, out.ExecSeconds)
-			loads += float64(out.Loads)
-			l1 += float64(out.L1Misses)
-			llc += float64(out.LLCMisses)
-			cycles += float64(out.GCCycleCount)
-			medEC += out.MedianECSmall
-			mutReloc += float64(out.MutatorReloc)
-			gcReloc += float64(out.GCReloc)
-			for k, v := range out.Scores {
-				scoreSamples[k] = append(scoreSamples[k], v)
-			}
-			if cfgID == 0 && run == 0 {
-				res.HeapSeries = out.HeapSamples
-			}
-		}
-		n := float64(spec.Runs)
-		cr.Loads, cr.L1Misses, cr.LLCMisses = loads/n, l1/n, llc/n
-		cr.GCCycles, cr.MedianECSmall = cycles/n, medEC/n
-		cr.MutatorReloc, cr.GCReloc = mutReloc/n, gcReloc/n
-		cr.Box = stats.NewBoxPlot(cr.Times)
-		cr.Boot = stats.BootstrapMean(cr.Times, stats.DefaultResamples, spec.Seed+int64(cfgID))
-		for k, sample := range scoreSamples {
-			cr.ScoreBoots[k] = stats.BootstrapMean(sample, stats.DefaultResamples, spec.Seed+int64(cfgID))
+		})
+	if err != nil {
+		return Result{}, err
+	}
+	for i, s := range sides {
+		cr := ConfigResult{Config: configs[i], Knobs: KnobsFor(configs[i]), SideStats: s,
+			Box: stats.NewBoxPlot(s.Times), ScoreBoots: map[string]stats.Bootstrap{}}
+		for k, sample := range scores[i] {
+			cr.ScoreBoots[k] = stats.BootstrapMean(sample, stats.DefaultResamples, spec.Seed+int64(i))
 		}
 		res.PerConfig = append(res.PerConfig, cr)
-		progress.printf("%s config %-2d  %-28s mean %.4fs", spec.ID, cfgID, knobs, cr.Boot.Mean)
 	}
 
 	// Normalise against Config 0 when present.

@@ -233,47 +233,36 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 		if err != nil {
 			return nil, err
 		}
-		series := ScaleSeries{Workload: name}
-		// The shared-array synthetic's checksum is mutator-count invariant
-		// by construction; enforce it so a partitioning bug cannot
-		// masquerade as a scaling result.
-		enforceCheck := name == "fig4"
-		var wantCheck uint64
-		haveCheck := false
-		for _, n := range ladder {
-			ctn := hcsgc.NewContentionPlane()
-			cfg := workloads.RunConfig{
-				Knobs:      knobs,
-				Seed:       seed,
-				Scale:      scale,
-				Mutators:   n,
-				Contention: ctn,
-				Telemetry:  sink,
-			}
+		// One side per width, all on the same seed: fig4's checksum is
+		// mutator-count invariant by construction, so runSides' cross-check
+		// keeps a partitioning bug from masquerading as a scaling result.
+		widths := make([]side, len(ladder))
+		for i, n := range ladder {
+			rc := workloads.RunConfig{Knobs: knobs, Mutators: n}
 			if name == "kv" {
 				// Open-loop arrivals: a fixed rate makes every width report
 				// the schedule, not the server. Scale the offered load with
 				// the thread count so the series measures whether the
 				// runtime tracks N× the load with N× the servers —
 				// per-thread load is constant, runtime pressure (alloc
-				// rate, GC frequency, lock traffic) grows with N.
-				cfg.LoadFactor = float64(n)
+				// rate, GC frequency, lock traffic) grows with N. Each
+				// width then serves its own schedule, so its checksum is
+				// its own.
+				rc.LoadFactor = float64(n)
 			}
-			out, err := w.Run(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("bench: scale sweep: %s x%d: %w", name, n, err)
-			}
-			if enforceCheck {
-				if haveCheck && out.Check != wantCheck {
-					return nil, fmt.Errorf(
-						"bench: scale sweep: %s checksum %d at %d mutators != %d — mutator partitioning changed program results",
-						name, out.Check, n, wantCheck)
+			widths[i] = side{fmt.Sprintf("x%d", n), rc}
+		}
+		series := ScaleSeries{Workload: name, Points: make([]ScalePoint, len(ladder))}
+		_, err = runSides("scale "+name, w, widths, 1, scale, seed, sink, progress,
+			func(i int, rc *workloads.RunConfig) func(workloads.Result) {
+				ctn := hcsgc.NewContentionPlane()
+				rc.Contention = ctn
+				return func(out workloads.Result) {
+					series.Points[i] = newScalePoint(ladder[i], out, ctn.Snapshot())
 				}
-				wantCheck, haveCheck = out.Check, true
-			}
-			pt := newScalePoint(n, out, ctn.Snapshot())
-			series.Points = append(series.Points, pt)
-			progress.printf("scale %-4s x%-3d  %12.0f ops/s", name, n, pt.Throughput)
+			})
+		if err != nil {
+			return nil, fmt.Errorf("bench: scale sweep: %w", err)
 		}
 		if base := series.Points[0].Throughput; base > 0 {
 			for i := range series.Points {
