@@ -211,6 +211,9 @@ func selectMode(j *job, given []string) (*mode, error) {
 	if m == nil {
 		return nil, nil
 	}
+	if slices.Contains(given, "csv") {
+		return nil, fmt.Errorf("-csv is not read by -report %s (only the -exp sweep writes a CSV)", m.name)
+	}
 	if m.exp == "" && slices.Contains(given, "exp") {
 		return nil, fmt.Errorf("-exp is not read by -report %s (the mode fixes its workloads)", m.name)
 	}

@@ -265,6 +265,10 @@ func TestMisuseFailsLoudly(t *testing.T) {
 		{"-ablate ecthreshold -exp fig7", []string{"-exp", "-ablate"}},
 		{"-ablate ecthreshold -configs 1,2", []string{"-configs", "-ablate"}},
 		{"-ablate ecthreshold -csv x.csv", []string{"-csv", "-ablate"}},
+		// No report mode writes a CSV: these used to run the report, write
+		// no CSV and exit 0.
+		{"-report kv -csv x.csv", []string{"-csv", "kv"}},
+		{"-report chaos -csv x.csv", []string{"-csv", "chaos"}},
 		{"-kv-report", []string{"-kv-report"}}, // the old spellings are gone, not aliased
 		{"-report kv -kv-json x.json", []string{"-kv-json"}},
 	}

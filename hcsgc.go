@@ -381,12 +381,13 @@ func (rt *Runtime) NewMutator(rootSlots int) *Mutator {
 // every goroutine the collector started — a cycle the occupancy trigger
 // started, and a relocation drain still running from the last cycle — so that
 // the statistics (Collector.Stats, Ledger, ExecSeconds, MemStats) read
-// afterwards are exact and final. If every mutator has been closed it then releases
-// the heap's host memory for the next runtime in this process to reuse:
-// the heap's words cannot be read any more, while the statistics and
-// planes stay readable. With a mutator still attached nothing is released
-// (that memory falls to the Go collector with the runtime). The runtime
-// must not be used after.
+// afterwards are exact and final. If every mutator has been closed it then
+// releases the host memory of the heap and of the memory model's caches for
+// the next runtime in this process to reuse: the heap's words cannot be read
+// nor its caches accessed any more, while the statistics and planes stay
+// readable. With a mutator still attached nothing is released (that memory
+// falls to the Go collector with the runtime). The runtime must not be used
+// after.
 //
 // Concurrent and repeated calls return when the first has finished. Close
 // holds no lock while it waits on the collector: a cycle in progress waits
@@ -396,6 +397,9 @@ func (rt *Runtime) Close() {
 	rt.closeOnce.Do(func() {
 		if rt.Collector.Stop() {
 			rt.Heap.Release()
+			if rt.Mem != nil {
+				rt.Mem.Release()
+			}
 		}
 	})
 }

@@ -124,6 +124,19 @@ func TestRunInterleavesConfigs(t *testing.T) {
 	}
 }
 
+// TestRunSharesGraphs: the figure sweep runs every config of a run index
+// on one seed back to back, so a 2-config, 2-run fig7 sweep generates two
+// graphs (one per seed), not one per config and run.
+func TestRunSharesGraphs(t *testing.T) {
+	built := workloads.GraphsBuilt()
+	if _, err := Run(Spec{ID: "fig7", Runs: 2, Scale: 0.01, Configs: []int{0, 16}, Seed: 91}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := workloads.GraphsBuilt() - built; n != 2 {
+		t.Fatalf("a 2-run fig7 sweep built %d graphs, want 2", n)
+	}
+}
+
 // TestRunSidesCrossChecksChecksums: a side whose program result differs
 // from an earlier side's at the same run index fails the sweep, while a
 // side at another offered load serves another schedule and is compared

@@ -75,28 +75,23 @@ type HeapGraph struct {
 	AllocSetGarbage bool
 }
 
-// Load allocates the graph on the heap the way the paper's JGraphT driver
-// builds it: all node objects first (in id order), then one edge object
-// per edge in global insertion order, then per-node adjacency arrays of
-// edge references. A node's incident edge objects are therefore scattered
-// across the edge population — the baseline layout whose traversal
-// locality HCSGC improves. The node array ref lives in the mutator's
-// rootSlot; rootSlot+1 is used temporarily during loading.
-func Load(m *core.Mutator, types Types, g *graphgen.Graph, rootSlot int) *HeapGraph {
+// Input is a graph prepared for Load: its edges in insertion order and
+// each node's incident edge indices, in edge order, as one CSR array — node
+// v's are Incident[Start[v]:Start[v+1]]. Load only reads it, so one Input
+// serves any number of loads, concurrent ones included.
+type Input struct {
+	Edges           [][2]int32
+	Start, Incident []int32
+}
+
+// Prepare builds g's Input. The edges are g.Edges when listed (the
+// generator's insertion order), else recovered from the adjacency lists.
+func Prepare(g *graphgen.Graph) *Input {
 	n := g.Nodes()
-	arr := m.AllocRefArray(n)
-	m.SetRoot(rootSlot, arr)
-	for v := 0; v < n; v++ {
-		obj := m.Alloc(types.Node)
-		m.StoreField(obj, fID, uint64(v))
-		m.StoreRef(m.LoadRoot(rootSlot), v, obj)
-	}
 	edges := g.Edges
 	if len(edges) == 0 {
 		edges = edgesFromAdj(g)
 	}
-	// Each node's incident edge indices, in edge order, as one CSR array:
-	// node v's are incident[start[v]:start[v+1]].
 	start := make([]int32, n+1)
 	for _, ed := range edges {
 		start[ed[0]+1]++
@@ -107,25 +102,51 @@ func Load(m *core.Mutator, types Types, g *graphgen.Graph, rootSlot int) *HeapGr
 	}
 	incident := make([]int32, start[n])
 	next := slices.Clone(start[:n]) // each node's next free slot
-	// Edge objects in insertion order, pinned via a temporary edge array.
-	earr := m.AllocRefArray(len(edges))
-	m.SetRoot(rootSlot+1, earr)
 	for k, ed := range edges {
+		for _, v := range ed {
+			incident[next[v]] = int32(k)
+			next[v]++
+		}
+	}
+	return &Input{Edges: edges, Start: start, Incident: incident}
+}
+
+// Load allocates g on the heap (see Input.Load), preparing it first.
+func Load(m *core.Mutator, types Types, g *graphgen.Graph, rootSlot int) *HeapGraph {
+	return Prepare(g).Load(m, types, rootSlot)
+}
+
+// Load allocates the graph on the heap the way the paper's JGraphT driver
+// builds it: all node objects first (in id order), then one edge object
+// per edge in global insertion order, then per-node adjacency arrays of
+// edge references. A node's incident edge objects are therefore scattered
+// across the edge population — the baseline layout whose traversal
+// locality HCSGC improves. The node array ref lives in the mutator's
+// rootSlot; rootSlot+1 is used temporarily during loading.
+func (in *Input) Load(m *core.Mutator, types Types, rootSlot int) *HeapGraph {
+	n := len(in.Start) - 1
+	arr := m.AllocRefArray(n)
+	m.SetRoot(rootSlot, arr)
+	for v := 0; v < n; v++ {
+		obj := m.Alloc(types.Node)
+		m.StoreField(obj, fID, uint64(v))
+		m.StoreRef(m.LoadRoot(rootSlot), v, obj)
+	}
+	// Edge objects in insertion order, pinned via a temporary edge array.
+	earr := m.AllocRefArray(len(in.Edges))
+	m.SetRoot(rootSlot+1, earr)
+	for k, ed := range in.Edges {
 		e := m.Alloc(types.Edge)
 		nodes := m.LoadRoot(rootSlot)
 		m.StoreRef(e, eSrc, m.LoadRef(nodes, int(ed[0])))
 		m.StoreRef(e, eDst, m.LoadRef(nodes, int(ed[1])))
 		m.StoreRef(m.LoadRoot(rootSlot+1), k, e)
-		for _, v := range ed {
-			incident[next[v]] = int32(k)
-			next[v]++
-		}
 		if k%512 == 0 {
 			m.Safepoint()
 		}
 	}
 	for v := 0; v < n; v++ {
-		ks := incident[start[v]:start[v+1]]
+		ks := in.Incident[in.Start[v]:in.Start[v+1]]
 		adj := m.AllocRefArray(len(ks))
 		earr := m.LoadRoot(rootSlot + 1)
 		for i, k := range ks {

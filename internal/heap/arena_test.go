@@ -2,7 +2,12 @@ package heap
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
+
+	"hcsgc/internal/arena"
+	"hcsgc/internal/simmem"
 )
 
 // arenaModel follows every slab the arena has handed to a page, table or
@@ -80,19 +85,49 @@ func (m *arenaModel) tookTable(t *ForwardTable, owner string) {
 	m.inUse[&t.slots[0]] = owner
 }
 
-// TestArenaHandsOutZeroedUnsharedSlabs drives two heaps that share the
-// arena through random page lifecycles — allocation, stores, undone
-// allocations, marking, evacuation set-up, forwarding inserts, free, drop
-// and whole-heap release — and checks the two things everything built on the
+// cacheTags returns the tag arrays of a hierarchy's shared LLC and of each
+// core's L1 and L2: the word slabs it draws from the arena. They are
+// unexported, so the test reads them by reflection.
+func cacheTags(mem *simmem.Hierarchy) [][]uint64 {
+	v := reflect.ValueOf(mem).Elem()
+	caches := []reflect.Value{v.FieldByName("llc")}
+	for cores, i := v.FieldByName("cores"), 0; i < cores.Len(); i++ {
+		c := cores.Index(i).Elem()
+		caches = append(caches, c.FieldByName("l1"), c.FieldByName("l2"))
+	}
+	var out [][]uint64
+	for _, c := range caches {
+		tags := c.Elem().FieldByName("tags")
+		out = append(out, unsafe.Slice((*uint64)(tags.UnsafePointer()), tags.Len()))
+	}
+	return out
+}
+
+// TestArenaHandsOutZeroedUnsharedSlabs drives two runtimes' heaps and
+// memory hierarchies, all sharing the arena, through random lifecycles —
+// allocation, stores priced by a core, undone allocations, marking,
+// evacuation set-up, forwarding inserts, free, drop, cores joining and
+// whole-run release — and checks the two things everything built on the
 // arena assumes: whatever it hands out reads zero, and it never hands out
-// memory somebody still holds.
+// memory somebody still holds. Heaps and hierarchies take slabs of the
+// same lengths: an L2's tags and a small page's bitmap are 4,096 words, the
+// LLC's tags and a medium page's bitmap 65,536.
 func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		ResetArena()
 		rng := rand.New(rand.NewSource(seed))
 		m := &arenaModel{t: t, inUse: make(map[any]string)}
-		newHeap := func() *Heap {
-			h := New(Config{MaxBytes: 1 << 30}, nil)
+		newCore := func(mem *simmem.Hierarchy) *simmem.Core {
+			c := mem.NewCore()
+			tags := cacheTags(mem)
+			took(m, tags[len(tags)-2], "a core's L1 tags")
+			took(m, tags[len(tags)-1], "a core's L2 tags")
+			return c
+		}
+		newHeap := func() (*Heap, []*simmem.Core) {
+			mem := simmem.MustNewHierarchy(simmem.DefaultConfig())
+			took(m, cacheTags(mem)[0], "an LLC's tags")
+			h := New(Config{MaxBytes: 1 << 30}, mem)
 			for g := range h.pageTable {
 				if h.pageTable[g].Load() != nil {
 					t.Fatalf("new heap: granule %d of the page table already mapped", g)
@@ -102,9 +137,13 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 				t.Fatalf("new heap was handed a page table still held by %s", prev)
 			}
 			m.inUse[&h.pageTable[0]] = "a heap's page table"
-			return h
+			return h, []*simmem.Core{newCore(mem)}
 		}
-		heaps := [2]*Heap{newHeap(), newHeap()}
+		var heaps [2]*Heap
+		var cores [2][]*simmem.Core
+		for i := range heaps {
+			heaps[i], cores[i] = newHeap()
+		}
 		pages := [2][]*modelPage{}
 		scratch := [2][][]uint64{}
 
@@ -138,7 +177,8 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 		for step := 0; step < 600; step++ {
 			hi := rng.Intn(2)
 			h := heaps[hi]
-			switch op := rng.Intn(20); {
+			core := cores[hi][step%len(cores[hi])]
+			switch op := rng.Intn(21); {
 			case op < 4: // commit a page
 				class := ClassSmall
 				if rng.Intn(6) == 0 && rng.Intn(4) == 0 {
@@ -167,7 +207,7 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 						break
 					}
 					for off := uint64(0); off < modelObjBytes; off += WordSize {
-						h.StoreWord(nil, addr+off, rng.Uint64()|1)
+						h.StoreWord(core, addr+off, rng.Uint64()|1)
 					}
 					mp.objs = append(mp.objs, addr)
 				}
@@ -179,7 +219,7 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 				size := uint64(8 + 8*rng.Intn(64))
 				if addr := mp.p.AllocRaw(size); addr != 0 {
 					for off := uint64(0); off < size; off += WordSize {
-						h.StoreWord(nil, addr+off, ^uint64(0))
+						h.StoreWord(core, addr+off, ^uint64(0))
 					}
 					if !mp.p.UndoAlloc(addr, size) {
 						t.Fatal("UndoAlloc of the top allocation failed")
@@ -223,6 +263,10 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 				if mp != nil {
 					drop(hi, mp)
 				}
+			case op < 20: // a thread attaches: one more core
+				if len(cores[hi]) < 4 {
+					cores[hi] = append(cores[hi], newCore(h.Mem()))
+				}
 			case rng.Intn(4) == 0: // the run ends: release everything, start the next
 				for _, mp := range pages[hi] {
 					m.gavePage(mp)
@@ -231,9 +275,13 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 					gave(m, s)
 				}
 				gave(m, h.pageTable)
+				for _, tags := range cacheTags(h.Mem()) {
+					gave(m, tags)
+				}
 				h.Release()
+				h.Mem().Release()
 				pages[hi], scratch[hi] = nil, nil
-				heaps[hi] = newHeap()
+				heaps[hi], cores[hi] = newHeap()
 			default: // collector scratch
 				s := h.Scratch(256)
 				took(m, s, "scratch")
@@ -267,20 +315,18 @@ func TestReleaseIsIdempotentAndLeavesLargePagesOut(t *testing.T) {
 	h.Release()
 	h.DropPage(small)
 	h.DropPage(large)
-	wordSlabs.mu.Lock()
-	defer wordSlabs.mu.Unlock()
-	for n, list := range wordSlabs.free {
+	for n, held := range arena.Words.Held() {
 		switch n {
 		case SmallPageSize / WordSize: // the backing
-			if len(list) != 1 {
-				t.Errorf("%d small backings in the arena, want 1", len(list))
+			if held != 1 {
+				t.Errorf("%d small backings in the arena, want 1", held)
 			}
 		case SmallPageSize / WordSize / 64: // livemap and hotmap
-			if len(list) != 2 {
-				t.Errorf("%d small-page bitmaps in the arena, want 2", len(list))
+			if held != 2 {
+				t.Errorf("%d small-page bitmaps in the arena, want 2", held)
 			}
 		default:
-			t.Errorf("arena holds %d slabs of %d words; only the small page's may be there", len(list), n)
+			t.Errorf("arena holds %d slabs of %d words; only the small page's may be there", held, n)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package heap
 import (
 	"math/bits"
 	"sync/atomic"
+
+	"hcsgc/internal/arena"
 )
 
 // Bitmap is an atomic bitmap with one bit per heap word. It backs both the
@@ -20,13 +22,13 @@ func NewBitmap(bits int) *Bitmap {
 	if bits < 0 {
 		bits = 0
 	}
-	return &Bitmap{words: wordSlabs.get((bits + 63) / 64), bits: bits}
+	return &Bitmap{words: arena.Words.Get((bits + 63) / 64), bits: bits}
 }
 
 // release hands the bitmap's words to the arena; the bitmap is unusable
 // afterwards. No bit at or above dirtyBits was ever set.
 func (b *Bitmap) release(dirtyBits int) {
-	wordSlabs.put(b.words, (dirtyBits+63)/64)
+	arena.Words.Put(b.words, (dirtyBits+63)/64)
 	b.words = nil
 }
 

@@ -40,7 +40,7 @@ func NewForwardTable(n int) *ForwardTable {
 		capacity *= 2
 	}
 	return &ForwardTable{
-		slots: slotSlabs.get(capacity),
+		slots: slotSlabs.Get(capacity),
 		mask:  uint64(capacity - 1),
 	}
 }
@@ -48,7 +48,7 @@ func NewForwardTable(n int) *ForwardTable {
 // release hands the table's slots to the arena; the table is unusable
 // afterwards. Which slots were claimed is not recorded, so all are scrubbed.
 func (t *ForwardTable) release() {
-	slotSlabs.put(t.slots, len(t.slots))
+	slotSlabs.Put(t.slots, len(t.slots))
 	t.slots = nil
 }
 

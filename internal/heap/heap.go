@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"hcsgc/internal/arena"
 	"hcsgc/internal/contention"
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/simmem"
@@ -54,7 +55,7 @@ func (c *Config) withDefaults() Config {
 // Heap is the simulated managed heap: a monotonic granule allocator, the
 // page table used by barriers to find an address's page, and byte
 // accounting against MaxBytes. The host memory behind its pages comes from,
-// and goes back to, the process-wide arena (see slabs).
+// and goes back to, the process-wide arena (see internal/arena).
 type Heap struct {
 	cfg Config
 	mem *simmem.Hierarchy
@@ -106,7 +107,7 @@ func New(cfg Config, mem *simmem.Hierarchy) *Heap {
 	h := &Heap{
 		cfg:       cfg,
 		mem:       mem,
-		pageTable: tableSlabs.get(int(granules)),
+		pageTable: tableSlabs.Get(int(granules)),
 		live:      make(map[*Page]struct{}),
 		inj:       cfg.Injector,
 	}
@@ -248,11 +249,11 @@ func (h *Heap) Release() {
 	h.scratch = nil
 	h.mu.Unlock()
 	for _, s := range scratch {
-		wordSlabs.put(s, len(s))
+		arena.Words.Put(s, len(s))
 	}
 	// Last, the page table itself (2 MB for the default address space):
 	// every address is unmapped from here on.
-	tableSlabs.put(h.pageTable, int(end))
+	tableSlabs.Put(h.pageTable, int(end))
 	h.pageTable = nil
 }
 
@@ -260,7 +261,7 @@ func (h *Heap) Release() {
 // buffers) owned by the heap: whoever asked keeps them for the heap's
 // lifetime, and Release takes them back along with the pages.
 func (h *Heap) Scratch(n int) []uint64 {
-	s := wordSlabs.get(n)
+	s := arena.Words.Get(n)
 	h.mu.Lock()
 	h.scratch = append(h.scratch, s)
 	h.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"hcsgc/internal/arena"
 	"hcsgc/internal/contention"
 	"hcsgc/internal/faultinject"
 )
@@ -116,7 +117,7 @@ func newPage(start, size uint64, class Class, seq uint64) *Page {
 	if class == ClassLarge {
 		p.words = make([]uint64, size/WordSize)
 	} else {
-		p.words = wordSlabs.get(int(size / WordSize))
+		p.words = arena.Words.Get(int(size / WordSize))
 	}
 	p.top.Store(start)
 	bits := int(size / WordSize)
@@ -345,7 +346,7 @@ func (p *Page) drop() {
 	}
 	if p.class != ClassLarge {
 		used := int(p.UsedBytes() / WordSize)
-		wordSlabs.put(p.words, used)
+		arena.Words.Put(p.words, used)
 		p.livemap.release(used)
 		p.hotmap.release(used)
 	}

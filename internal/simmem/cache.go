@@ -7,7 +7,11 @@
 // by the collector directly determine hit rates here.
 package simmem
 
-import "fmt"
+import (
+	"fmt"
+
+	"hcsgc/internal/arena"
+)
 
 // LineSize is the cache line size in bytes. The paper assumes the common
 // 64-byte line (§3.4).
@@ -55,7 +59,9 @@ type CacheConfig struct {
 }
 
 // NewCache builds a cache from a config. Size must be a multiple of
-// Ways*LineSize and the resulting set count must be a power of two.
+// Ways*LineSize and the resulting set count must be a power of two. Its
+// tags come from the process-wide arena (internal/arena), to which a
+// hierarchy's Release hands them back.
 func NewCache(cfg CacheConfig) (*Cache, error) {
 	if cfg.Ways <= 0 {
 		return nil, fmt.Errorf("simmem: cache %q: ways must be positive, got %d", cfg.Name, cfg.Ways)
@@ -72,7 +78,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		sets:    sets,
 		ways:    cfg.Ways,
 		setMask: sets - 1,
-		tags:    make([]uint64, sets*uint64(cfg.Ways)),
+		tags:    arena.Words.Get(int(sets) * cfg.Ways),
 	}, nil
 }
 
@@ -202,6 +208,15 @@ func (c *Cache) lookup(ln, fill uint64) uint64 {
 		}
 	}
 	return 0
+}
+
+// release hands the tags back to the arena; the cache holds no lines
+// afterwards and must not be accessed again. Its counters stay readable.
+func (c *Cache) release() {
+	if c.tags != nil {
+		arena.Words.Put(c.tags, len(c.tags))
+		c.tags = nil
+	}
 }
 
 // Reset clears contents and statistics.

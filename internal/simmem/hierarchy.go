@@ -517,6 +517,24 @@ func (h *Hierarchy) Stats() SystemStats {
 	return out
 }
 
+// Release hands the tag arrays of the shared LLC and of every core back to
+// the process-wide arena, so that the next hierarchy built in this process
+// starts from them (cold: the arena scrubs what it takes back). The caller
+// guarantees that no core will simulate another access — every owner has
+// closed, no GC worker runs — as Runtime.Close does before releasing the
+// heap. An access after Release panics; Stats, every core's counters and
+// its published mirror stay readable. A second Release does nothing.
+func (h *Hierarchy) Release() {
+	h.coresMu.Lock()
+	cores := h.cores
+	h.coresMu.Unlock()
+	for _, c := range cores {
+		c.l1.release()
+		c.l2.release()
+	}
+	h.llc.release()
+}
+
 // Config returns the configuration the hierarchy was built with.
 func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
 

@@ -1,9 +1,12 @@
 package simmem
 
 import (
+	"maps"
 	"math/rand"
 	"sync"
 	"testing"
+
+	"hcsgc/internal/arena"
 )
 
 func smallConfig() HierarchyConfig {
@@ -293,4 +296,53 @@ func TestLLCLockGroups(t *testing.T) {
 		t.Error("lockLLC returned the new group's lock unlocked")
 	}
 	next.mu.Unlock()
+}
+
+// TestReleasedTagsStartCold: a hierarchy built from the tags another one
+// released (the arena scrubs them) simulates a seeded access stream exactly
+// as one built on fresh memory, and the released one's statistics stay
+// readable.
+func TestReleasedTagsStartCold(t *testing.T) {
+	stream := func(h *Hierarchy) SystemStats {
+		rng := rand.New(rand.NewSource(7))
+		cores := []*Core{h.NewCore(), h.NewCore()}
+		for i := 0; i < 200_000; i++ {
+			c := cores[rng.Intn(len(cores))]
+			addr := uint64(rng.Intn(64<<20)) &^ 7
+			if i%4096 < 512 { // a sequential burst now and then, for the prefetcher
+				addr = uint64(i%4096) * LineSize
+			}
+			if rng.Intn(4) == 0 {
+				c.Store(addr, 8)
+			} else {
+				c.Load(addr, 8)
+			}
+		}
+		for _, c := range cores {
+			c.Publish()
+		}
+		return h.Stats()
+	}
+	arena.Words.Reset()
+	fresh := stream(MustNewHierarchy(DefaultConfig())) // never released: its tags stay out of the arena
+
+	used := MustNewHierarchy(DefaultConfig())
+	usedStats := stream(used)
+	used.Release()
+	used.Release() // a second Release hands nothing over twice
+	if got := used.Stats(); got != usedStats {
+		t.Fatalf("Stats after Release = %+v, before %+v", got, usedStats)
+	}
+	cfg := DefaultConfig()
+	llcWords, l2Words, l1Words := cfg.LLC.Size/LineSize, cfg.L2.Size/LineSize, cfg.L1.Size/LineSize
+	want := map[int]int{llcWords: 1, l2Words: 2, l1Words: 2}
+	if held := arena.Words.Held(); !maps.Equal(held, want) {
+		t.Fatalf("arena holds %v slabs by length after Release, want %v", held, want)
+	}
+	if got := stream(MustNewHierarchy(DefaultConfig())); got != fresh {
+		t.Fatalf("on released tags: %+v\non fresh tags:    %+v", got, fresh)
+	}
+	if held := arena.Words.Held(); len(held) != 0 {
+		t.Fatalf("a second hierarchy left %v slabs in the arena; it should have taken them all", held)
+	}
 }

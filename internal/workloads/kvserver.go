@@ -394,35 +394,19 @@ func kvSchedule(cfg RunConfig, scale float64, threads int) *loadgen.Schedule {
 		DeadlineCycles: deadline}
 	key := lg
 	key.DeadlineCycles = 0
-	kvSched.mu.Lock()
-	if kvSched.s == nil || kvSched.s.Config != key {
-		kvSched.s = loadgen.Generate(key)
-		kvSched.builds++
-	}
-	s := *kvSched.s
-	kvSched.mu.Unlock()
+	s := *kvSchedules.get(key, loadgen.Generate)
 	s.Config = lg
 	return &s
 }
 
-// kvSched is a one-entry cache of the last KV schedule built (7.2 MB at
-// scale 1): every repeat of one seed — an A/B's sides of one run index, a
-// benchmark's reps — reads the same schedule instead of regenerating it.
-// The schedule is shared read-only; deadlines draw no randomness, so they
-// live on each run's copy of the Config (see kvSchedule).
-var kvSched struct {
-	mu     sync.Mutex
-	s      *loadgen.Schedule
-	builds uint64
-}
+// kvSchedules holds the last KV schedule built (7.2 MB at scale 1). The
+// schedule is shared read-only; deadlines draw no randomness, so they live
+// on each run's copy of the Config (see kvSchedule).
+var kvSchedules inputCache[loadgen.Config, *loadgen.Schedule]
 
 // KVSchedulesBuilt returns how many KV schedules the process has generated:
 // runs that reuse the cached one do not count.
-func KVSchedulesBuilt() uint64 {
-	kvSched.mu.Lock()
-	defer kvSched.mu.Unlock()
-	return kvSched.builds
-}
+func KVSchedulesBuilt() uint64 { return kvSchedules.built() }
 
 // kvExecOp executes one request against the thread's shard, returning the
 // checksum delta. Only SET and read-through fills allocate (GET/SCAN/DELETE

@@ -2,7 +2,7 @@ package workloads
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"hcsgc/internal/machine"
 )
@@ -94,13 +94,14 @@ func SPECjbb() Workload {
 				return m.Cycles() - start
 			}
 
-			// Unloaded latency baseline for the SLA.
-			lat := make([]float64, 0, 4096)
+			// Unloaded latency baseline for the SLA. lat holds one
+			// epoch's latencies, sized once for the largest epoch; the
+			// quantiles sort it in place, and each epoch starts it over.
+			lat := make([]float64, 0, max(200, baseTxns*sjEpochs/2))
 			for i := 0; i < 200; i++ {
 				lat = append(lat, float64(txn()))
 			}
-			slaMedian := median(lat)
-			sla := slaMedian * sjLatencySLAMul
+			sla := quantile(lat, 0.5) * sjLatencySLAMul
 
 			e.markMeasured()
 			cps := cfg.Machine.CyclesPerSecond
@@ -129,7 +130,7 @@ func SPECjbb() Workload {
 				if throughput > maxJOPS {
 					maxJOPS = throughput
 				}
-				if p99(lat) <= sla {
+				if quantile(lat, 0.99) <= sla {
 					critJOPS = throughput
 				}
 				e.sampleHeap()
@@ -144,21 +145,12 @@ func SPECjbb() Workload {
 	}
 }
 
-func median(xs []float64) float64 {
-	return quantileCopy(xs, 0.5)
-}
-
-func p99(xs []float64) float64 {
-	return quantileCopy(xs, 0.99)
-}
-
-// quantileCopy computes a quantile without mutating xs.
-func quantileCopy(xs []float64, q float64) float64 {
+// quantile returns the q-quantile of xs (the element at rank
+// q*(len-1), rounded down), sorting xs in place.
+func quantile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	idx := int(q * float64(len(s)-1))
-	return s[idx]
+	slices.Sort(xs)
+	return xs[int(q*float64(len(xs)-1))]
 }

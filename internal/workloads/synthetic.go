@@ -81,8 +81,9 @@ func synAccess(e *env, idx int) uint64 {
 func synRunPhase(e *env, p synParams, seed int64) uint64 {
 	var check uint64
 	ops := 0
+	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < p.outer; i++ {
-		rng := rand.New(rand.NewSource(seed)) // same sequence every outer loop
+		rng.Seed(seed) // same sequence every outer loop
 		for j := 0; j < p.inner; j++ {
 			idx := rng.Intn(p.elems)
 			check += synAccess(e, idx)
@@ -120,8 +121,9 @@ func synRunPhaseParallel(e *env, p synParams, seed int64, mutators int) uint64 {
 			m.SetRoot(0, arr)
 			var check uint64
 			ops := 0
+			rng := rand.New(rand.NewSource(seed))
 			for i := tid; i < p.outer; i += mutators {
-				rng := rand.New(rand.NewSource(seed)) // same sequence every outer loop
+				rng.Seed(seed) // same sequence every outer loop
 				for j := 0; j < p.inner; j++ {
 					idx := rng.Intn(p.elems)
 					obj := m.LoadRef(m.LoadRoot(0), idx)

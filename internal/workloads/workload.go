@@ -11,6 +11,7 @@ package workloads
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"hcsgc"
 	"hcsgc/internal/kvstore"
@@ -269,6 +270,36 @@ func (e *env) finish(check uint64) Result {
 		HeapSamples:   e.samples,
 		Check:         check,
 	}
+}
+
+// inputCache is a one-entry cache of the last input a workload built, keyed
+// by everything the input is a function of: every repeat of one seed — an
+// A/B's sides of one run index, a benchmark's reps — reads the same input
+// instead of building it again. Cached inputs are shared read-only, by
+// concurrent runs too. The entry lives until a different key replaces it.
+type inputCache[K comparable, V any] struct {
+	mu     sync.Mutex
+	key    K
+	val    V
+	builds uint64 // 0 = empty
+}
+
+// get returns the input of key, building it when the entry holds another.
+func (c *inputCache[K, V]) get(key K, build func(K) V) V {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.builds == 0 || c.key != key {
+		c.key, c.val = key, build(key)
+		c.builds++
+	}
+	return c.val
+}
+
+// built returns how many inputs the cache has built.
+func (c *inputCache[K, V]) built() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.builds
 }
 
 // All returns every workload keyed by the experiment it reproduces.
