@@ -181,8 +181,9 @@ func (p *SignalPlane) Snapshot() LatencyWindow {
 }
 
 // NewContentionPlane builds a contention plane. Pass it via
-// Options.Contention to share one plane across runtimes; a runtime handed
-// none builds its own.
+// Options.Contention to share one plane across runtimes, or to read it after
+// Close; a runtime handed none builds its own or reuses the last one a
+// closed runtime built (see Runtime.Close).
 func NewContentionPlane() *ContentionPlane { return contention.New() }
 
 // NullRef is the null reference.
@@ -228,7 +229,7 @@ type Options struct {
 	// SignalsConfig).
 	Signals *SignalPlane
 	// Contention overrides the contention attribution plane. Nil = the
-	// runtime builds one.
+	// runtime builds one, or reuses one a closed runtime built (Close).
 	Contention *ContentionPlane
 	// FaultInjector arms the fault-injection plane (nil = disarmed; each
 	// injection point then costs one predictable branch).
@@ -264,6 +265,30 @@ type Runtime struct {
 	mu        sync.Mutex // guards mutators, nothing else
 	mutators  []*Mutator
 	closeOnce sync.Once
+	// recyclePlane: Contention was built by NewRuntime and never bound to
+	// a registry, so Close may hand it to the next runtime (sparePlane).
+	recyclePlane bool
+}
+
+// sparePlane holds the contention plane of the last runtime Close released
+// that had built its own, for the next NewRuntime that builds one: reset,
+// its sites keep the memory of their wait histograms.
+var sparePlane struct {
+	mu sync.Mutex
+	p  *contention.Plane
+}
+
+// newPlane returns the spare plane, reset, or a new one.
+func newPlane() *contention.Plane {
+	sparePlane.mu.Lock()
+	p := sparePlane.p
+	sparePlane.p = nil
+	sparePlane.mu.Unlock()
+	if p == nil {
+		return contention.New()
+	}
+	p.Reset()
+	return p
 }
 
 // NewRuntime builds a runtime from options.
@@ -273,7 +298,7 @@ func NewRuntime(opts Options) (*Runtime, error) {
 	// other two (core.Config) and they are read back from it below.
 	ctn := opts.Contention
 	if ctn == nil {
-		ctn = contention.New()
+		ctn = newPlane()
 	}
 	var mem *simmem.Hierarchy
 	if !opts.DisableMemModel {
@@ -353,6 +378,9 @@ func NewRuntime(opts Options) (*Runtime, error) {
 		Machine:    mach,
 		Latency:    lat,
 		Contention: ctn,
+		// A sink's registry serves a plane's cells, so a bound plane is
+		// never reset, nor one the caller passed in.
+		recyclePlane: opts.Contention == nil && opts.Telemetry == nil,
 	}
 	return rt, nil
 }
@@ -385,9 +413,12 @@ func (rt *Runtime) NewMutator(rootSlots int) *Mutator {
 // releases the host memory of the heap and of the memory model's caches for
 // the next runtime in this process to reuse: the heap's words cannot be read
 // nor its caches accessed any more, while the statistics and planes stay
-// readable. With a mutator still attached nothing is released (that memory
-// falls to the Go collector with the runtime). The runtime must not be used
-// after.
+// readable. A contention plane the runtime built itself (Options.Contention
+// nil) and never served to a telemetry sink is released with them: it stays
+// readable until the next NewRuntime, which takes it over reset. A caller
+// that keeps reading a plane passes its own in Options.Contention. With a
+// mutator still attached nothing is released (that memory falls to the Go
+// collector with the runtime). The runtime must not be used after.
 //
 // Concurrent and repeated calls return when the first has finished. Close
 // holds no lock while it waits on the collector: a cycle in progress waits
@@ -399,6 +430,11 @@ func (rt *Runtime) Close() {
 			rt.Heap.Release()
 			if rt.Mem != nil {
 				rt.Mem.Release()
+			}
+			if rt.recyclePlane {
+				sparePlane.mu.Lock()
+				sparePlane.p = rt.Contention
+				sparePlane.mu.Unlock()
 			}
 		}
 	})

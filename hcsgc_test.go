@@ -1,6 +1,7 @@
 package hcsgc
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -282,4 +283,41 @@ func TestCloseReleasesTheHeap(t *testing.T) {
 		}
 	}()
 	rt.Heap.LoadWord(nil, kept.Addr())
+}
+
+// TestClosedRuntimePlaneIsReused: the contention plane a runtime built for
+// itself goes, on Close, to the next runtime that builds one, which finds
+// it as a new plane would be after the same construction. A plane a
+// telemetry sink serves, or one the caller passed in, is never handed on.
+func TestClosedRuntimePlaneIsReused(t *testing.T) {
+	opts := Options{HeapMaxBytes: 16 << 20}
+	first := MustNewRuntime(opts)
+	first.Close()
+	reused := MustNewRuntime(opts)
+	defer reused.Close()
+	if reused.Contention != first.Contention {
+		t.Fatal("the next runtime built a new contention plane")
+	}
+	own := opts
+	own.Contention = NewContentionPlane()
+	fresh := MustNewRuntime(own)
+	if got, want := reused.Contention.Snapshot(), fresh.Contention.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Errorf("reused plane snapshots %+v, a new one %+v", got, want)
+	}
+	fresh.Close()
+	if next := MustNewRuntime(opts); next.Contention == own.Contention {
+		t.Error("a plane passed in Options.Contention was handed to the next runtime")
+	} else {
+		next.Close()
+	}
+
+	bound := opts
+	bound.Telemetry = NewTelemetrySink()
+	served := MustNewRuntime(bound)
+	served.Close()
+	if next := MustNewRuntime(opts); next.Contention == served.Contention {
+		t.Error("a plane bound to a telemetry registry was handed to the next runtime")
+	} else {
+		next.Close()
+	}
 }

@@ -208,8 +208,8 @@ func TestGoldenReports(t *testing.T) {
 func fixtureResult(scoreMetrics ...string) *Result {
 	f := &filler{}
 	num := func() float64 { return float64(f.next()) + 0.125 }
-	r := &Result{Workload: "workload-name", Spec: Spec{ID: "fig4", Title: "figure title",
-		Runs: 3, Scale: 0.25, Seed: 7, ScoreMetrics: scoreMetrics}}
+	r := &Result{Workload: "workload-name", Scale: 0.25, Spec: Spec{ID: "fig4", Title: "figure title",
+		Runs: 3, Seed: 7, ScoreMetrics: scoreMetrics}}
 	for _, cfg := range []int{0, 4, 16} {
 		var cr ConfigResult
 		cr.Config = cfg
@@ -264,6 +264,22 @@ func TestGoldenSweepReports(t *testing.T) {
 		var b bytes.Buffer
 		tc.write(&b)
 		compareGolden(t, tc.file, b.Bytes())
+	}
+}
+
+// TestFigureHeaderPrintsEffectiveScale: a figure run that leaves the scale
+// 0 runs at the workload's default, and its header says which (0.35,
+// SPECjbb's default), not the 0 it was asked for.
+func TestFigureHeaderPrintsEffectiveScale(t *testing.T) {
+	res, err := Run(Spec{ID: "fig13", Runs: 1, Configs: []int{0}, Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var b bytes.Buffer
+	WriteReport(&b, &res)
+	header, _, _ := strings.Cut(strings.SplitN(b.String(), "\n", 3)[1], "| seed")
+	if want := "scale: 0.35 "; !strings.HasSuffix(header, want) {
+		t.Fatalf("header %q, want it to end in %q", header, want)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func WriteReport(w io.Writer, r *Result) {
 	fmt.Fprintf(w, "== %s: %s ==\n", strings.ToUpper(r.Spec.ID), r.Spec.Title)
 	fmt.Fprintf(w, "workload: %s | runs/config: %d | scale: %g | seed: %d\n\n",
-		r.Workload, r.Spec.Runs, r.Spec.Scale, r.Spec.Seed)
+		r.Workload, r.Spec.Runs, r.Scale, r.Spec.Seed)
 
 	if len(r.Spec.ScoreMetrics) > 0 {
 		writeScoreReport(w, r)

@@ -54,8 +54,11 @@ type ConfigResult struct {
 
 // Result is a full experiment.
 type Result struct {
-	Spec      Spec
-	Workload  string
+	Spec     Spec
+	Workload string
+	// Scale is the scale the runs used: Spec.Scale, or the workload's
+	// default where that is 0.
+	Scale     float64
 	PerConfig []ConfigResult
 	// HeapSeries is the heap-usage-over-time trace of one Config 0 run
 	// (the rightmost plot of each figure).
@@ -212,6 +215,7 @@ func Run(spec Spec, progress Progress) (Result, error) {
 	sides, err := runSides("bench "+spec.ID, w, configSides(configs...), spec.Runs, spec.Scale, spec.Seed,
 		spec.Telemetry, progress, func(i int, _ *workloads.RunConfig) func(workloads.Result) {
 			return func(out workloads.Result) {
+				res.Scale = out.Scale
 				if scores[i] == nil {
 					scores[i] = map[string][]float64{}
 				}

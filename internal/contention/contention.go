@@ -64,6 +64,18 @@ type Site struct {
 	seenAcq, seenContd telemetry.Counter
 }
 
+// reset empties the site for Plane.Reset: it forgets its mutexes and
+// zeroes its counts.
+func (s *Site) reset() {
+	s.mu.Lock()
+	clear(s.mutexes)
+	s.mutexes = s.mutexes[:0]
+	s.mu.Unlock()
+	s.contended.Store(0)
+	s.wait.Reset()
+	s.seenAcq, s.seenContd = telemetry.Counter{}, telemetry.Counter{}
+}
+
 // Name returns the site's registration name.
 func (s *Site) Name() string {
 	if s == nil {

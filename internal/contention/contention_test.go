@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -521,5 +522,49 @@ func TestContentionEndpoint(t *testing.T) {
 	}
 	if len(snap.Workers) != 2 || snap.Workers[0].Scanned != 5 {
 		t.Errorf("workers = %+v", snap.Workers)
+	}
+}
+
+// TestResetPlaneIsLikeANewOne: a reset plane snapshots like a new one, the
+// same registrations and cycles then snapshot alike on both, and the reset
+// plane hands its old sites back out by name instead of building new ones.
+func TestResetPlaneIsLikeANewOne(t *testing.T) {
+	// Each plane's instrumented mutex; the sites outlive them.
+	var mu, freshMu Mutex
+	use := func(p *Plane, mu *Mutex) (*Site, *OpSite) {
+		s := p.NewSite("heap.mu")
+		mu.Instrument(s)
+		mu.Lock()
+		mu.Unlock()
+		o := p.NewOpSite("heap.pageBump")
+		o.Op()
+		o.Retry()
+		p.OnCycle([]WorkerTotals{{Scanned: 5, BusyCycles: 10}, {Scanned: 7, BusyCycles: 30}})
+		return s, o
+	}
+	p := New()
+	s, o := use(p, &mu)
+	p.AddSource("telemetry.registryMu", func() (uint64, uint64) { return 3, 1 })
+	s.wait.Record(1000)
+	s.contended.Add(1)
+	p.Reset()
+	if got, want := p.Snapshot(), New().Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reset plane snapshots %+v, a new one %+v", got, want)
+	}
+	fresh := New()
+	mu = Mutex{}
+	s2, o2 := use(p, &mu)
+	use(fresh, &freshMu)
+	if got, want := p.Snapshot(), fresh.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("after the same use, reset plane snapshots %+v, a new one %+v", got, want)
+	}
+	if s2 != s || o2 != o {
+		t.Error("the reset plane built new sites for names it had")
+	}
+	if allocs := testing.AllocsPerRun(5, func() {
+		p.Reset()
+		use(p, &mu)
+	}); allocs != 0 {
+		t.Errorf("reset and reuse made %v host allocations, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package contention
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -71,7 +72,13 @@ type Plane struct {
 	sites   []*Site
 	ops     []*OpSite
 	sources []*source
-	workers []*workerSeen
+	workers []workerSeen
+	// work is OnCycle's per-worker scratch.
+	work []float64
+	// idleSites and idleOps are the sites the plane had before Reset,
+	// emptied; NewSite and NewOpSite take theirs back by name.
+	idleSites []*Site
+	idleOps   []*OpSite
 
 	cycles        uint64
 	lastImbalance float64
@@ -81,6 +88,49 @@ type Plane struct {
 
 // New builds an empty, enabled plane.
 func New() *Plane { return &Plane{} }
+
+// Reset returns the plane to what New builds, keeping the memory it has: a
+// runtime that built its plane hands it to the next one (hcsgc.Runtime.Close),
+// and the sites, whose wait histograms are most of a plane's size, are
+// emptied and set aside for NewSite and NewOpSite to hand out again under
+// their names. Sources and worker totals are dropped.
+//
+// The plane must never have been bound to a registry (it serves the sites'
+// cells), and no mutex instrumented with one of its sites may be in use: a
+// site forgets its mutexes, and whatever an old mutex still records lands
+// in the site's next life.
+func (p *Plane) Reset() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, s := range p.sites {
+		s.reset()
+	}
+	for _, o := range p.ops {
+		*o = OpSite{name: o.name}
+	}
+	p.idleSites = append(p.idleSites, p.sites...)
+	p.idleOps = append(p.idleOps, p.ops...)
+	clear(p.sites)
+	clear(p.ops)
+	clear(p.sources)
+	clear(p.workers)
+	p.sites, p.ops, p.sources, p.workers = p.sites[:0], p.ops[:0], p.sources[:0], p.workers[:0]
+	p.cycles, p.lastImbalance = 0, 0
+}
+
+// takeIdle removes and returns the element of idle that name picks, or nil.
+func takeIdle[T any](idle *[]*T, name func(*T) string, want string) *T {
+	for i, x := range *idle {
+		if name(x) == want {
+			last := len(*idle) - 1
+			(*idle)[i] = (*idle)[last]
+			(*idle)[last] = nil
+			*idle = (*idle)[:last]
+			return x
+		}
+	}
+	return nil
+}
 
 // NewSite registers a named lock site. Returns nil (the no-op site) on a
 // nil plane. If the name is already registered the existing site is
@@ -96,7 +146,10 @@ func (p *Plane) NewSite(name string) *Site {
 			return s
 		}
 	}
-	s := &Site{name: name}
+	s := takeIdle(&p.idleSites, (*Site).Name, name)
+	if s == nil {
+		s = &Site{name: name}
+	}
 	p.sites = append(p.sites, s)
 	p.bindLock(name, &s.wait, &s.seenAcq, &s.seenContd)
 	return s
@@ -115,7 +168,10 @@ func (p *Plane) NewOpSite(name string) *OpSite {
 			return o
 		}
 	}
-	o := &OpSite{name: name}
+	o := takeIdle(&p.idleOps, (*OpSite).Name, name)
+	if o == nil {
+		o = &OpSite{name: name}
+	}
 	p.ops = append(p.ops, o)
 	p.bindOp(o)
 	return o
@@ -223,14 +279,17 @@ func (p *Plane) OnCycle(workers []WorkerTotals) CycleDelta {
 		l.RetryFrac = float64(l.CASRetries) / float64(l.CASOps)
 	}
 
-	// Worker balance.
-	for i := len(p.workers); i < len(workers); i++ {
-		p.workers = append(p.workers, &workerSeen{})
+	// Worker balance. Reset leaves the cells past len(p.workers) zero.
+	if n := len(workers); n > len(p.workers) {
+		p.workers = slices.Grow(p.workers, n-len(p.workers))[:n]
 	}
 	w := latency.WorkerDelta{Present: true, Workers: len(workers)}
-	work := make([]float64, len(workers))
+	if cap(p.work) < len(workers) {
+		p.work = make([]float64, len(workers))
+	}
+	work := p.work[:len(workers)]
 	for i, t := range workers {
-		ws := p.workers[i]
+		ws := &p.workers[i]
 		dScan, dReloc := advance(&ws.scanned, t.Scanned), advance(&ws.relocated, t.Relocated)
 		dBusy := advance(&ws.busy, t.BusyCycles)
 		w.Scanned += dScan
@@ -367,7 +426,8 @@ func (p *Plane) Snapshot() Snapshot {
 		}
 		return a.Name < b.Name
 	})
-	for i, w := range p.workers {
+	for i := range p.workers {
+		w := &p.workers[i]
 		snap.Workers = append(snap.Workers, WorkerSnapshot{
 			ID: i, Scanned: w.scanned.Value(), Relocated: w.relocated.Value(),
 			Steals: w.steals.Value(), BusyCycles: w.busy.Value(),

@@ -10,6 +10,7 @@ package graphalg
 import (
 	"slices"
 
+	"hcsgc/internal/arena"
 	"hcsgc/internal/core"
 	"hcsgc/internal/graphgen"
 	"hcsgc/internal/heap"
@@ -54,10 +55,7 @@ func RegisterTypes(types *objmodel.Registry) Types {
 }
 
 // HeapGraph is a graph materialised on the managed heap. The node array
-// lives in the owning mutator's root slot, so the graph survives GC. The
-// host-side scratch of the traversals (the visited-mark version, the
-// Biconnectivity DFS stack and articulation marks) also lives here and is
-// reused by every later pass, so a repeated pass allocates no host memory.
+// lives in the owning mutator's root slot, so the graph survives GC.
 type HeapGraph struct {
 	types    Types
 	rootSlot int
@@ -65,9 +63,6 @@ type HeapGraph struct {
 	// runStamp versions the visited marks so repeated runs need no reset
 	// pass.
 	runStamp uint64
-	// dfsStack and isArt are Biconnectivity's scratch.
-	dfsStack []dfsFrame
-	isArt    []bool
 	// AllocSetGarbage makes BronKerbosch allocate a short-lived heap array
 	// per recursion, mirroring JGraphT's per-call candidate-set copies
 	// ("some allocation is done by the Bron-Kerbosch algorithm, which
@@ -161,7 +156,7 @@ func (in *Input) Load(m *core.Mutator, types Types, rootSlot int) *HeapGraph {
 	// The temporary edge array dies here (JGraphT keeps edges reachable
 	// only through adjacency).
 	m.SetRoot(rootSlot+1, heap.NullRef)
-	return &HeapGraph{types: types, rootSlot: rootSlot, n: n, isArt: make([]bool, n)}
+	return &HeapGraph{types: types, rootSlot: rootSlot, n: n}
 }
 
 // edgesFromAdj recovers an edge list (ascending order) for graphs built
@@ -238,6 +233,16 @@ type dfsFrame struct {
 	ref    heap.Ref
 }
 
+// Biconnectivity's host scratch, keyed by node count: the DFS stack (it
+// holds each node at most once, so n frames never regrow) and the
+// articulation marks. A pass takes both at entry and hands them back at
+// exit, so the passes of every later graph of the same size, in this run
+// or the next one in the process, allocate nothing.
+var (
+	dfsStacks arena.Slabs[dfsFrame]
+	artMarks  arena.Slabs[bool]
+)
+
 // Biconnectivity runs the iterative Hopcroft–Tarjan DFS. Discovery and
 // low-link values live in the node objects themselves, so the pass reads
 // and writes the heap in DFS order.
@@ -245,9 +250,10 @@ func (hg *HeapGraph) Biconnectivity(m *core.Mutator) BiconnectivityResult {
 	hg.runStamp++
 	stamp := hg.runStamp
 	var res BiconnectivityResult
-	isArt := hg.isArt
-	clear(isArt)
-	stack := hg.dfsStack[:0]
+	isArt := artMarks.Get(hg.n)
+	frames := dfsStacks.Get(hg.n)
+	stack := frames[:0]
+	depth := 0 // the deepest the stack went: the frames to scrub
 
 	counter := uint64(0)
 	steps := 0 // safepoint pacing
@@ -264,6 +270,7 @@ func (hg *HeapGraph) Biconnectivity(m *core.Mutator) BiconnectivityResult {
 		m.StoreField(startRef, fDisc, counter)
 		m.StoreField(startRef, fLow, counter)
 		stack = append(stack, dfsFrame{v: start, parent: -1, ref: startRef})
+		depth = max(depth, 1)
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
 			adj := m.LoadRef(f.ref, fAdj)
@@ -294,6 +301,7 @@ func (hg *HeapGraph) Biconnectivity(m *core.Mutator) BiconnectivityResult {
 					rootChildren++
 				}
 				stack = append(stack, dfsFrame{v: w, parent: f.v, ref: nb})
+				depth = max(depth, len(stack))
 				advanced = true
 				break
 			}
@@ -335,12 +343,13 @@ func (hg *HeapGraph) Biconnectivity(m *core.Mutator) BiconnectivityResult {
 			res.BiconnectedComponents++
 		}
 	}
-	hg.dfsStack = stack
 	for _, a := range isArt {
 		if a {
 			res.ArticulationPoints++
 		}
 	}
+	dfsStacks.Put(frames, depth)
+	artMarks.Put(isArt, len(isArt))
 	return res
 }
 

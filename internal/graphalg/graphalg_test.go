@@ -358,19 +358,37 @@ func TestGoldenAccessCounts(t *testing.T) {
 	}
 }
 
-// TestBiconnectivityReusesScratch: a pass after the first allocates no host
-// memory, because the DFS stack and the articulation marks belong to the
-// HeapGraph (the workload runs ten passes on one graph).
+// TestBiconnectivityReusesScratch: after a first pass, a Biconnectivity
+// pass allocates no host memory, whether it runs on the same graph again
+// (the workload runs ten passes on one) or on a fresh HeapGraph of the same
+// node count (the next run's graph): the DFS stack and the articulation
+// marks come from free lists keyed by node count.
 func TestBiconnectivityReusesScratch(t *testing.T) {
 	g := graphgen.MustGenerate(graphgen.Params{Nodes: 2000, Edges: 6000, CopyProb: 0.4, Seed: 41})
-	hg, m := load(t, g, core.Knobs{})
-	want := hg.Biconnectivity(m)
+	c, gt := newEnv(t, core.Knobs{})
+	m := c.NewMutator(8)
+	t.Cleanup(m.Close)
+	in := Prepare(g)
+	var graphs [4]*HeapGraph
+	for i := range graphs {
+		graphs[i] = in.Load(m, gt, 2*i)
+	}
+	want := graphs[0].Biconnectivity(m)
 	if allocs := testing.AllocsPerRun(5, func() {
-		if got := hg.Biconnectivity(m); got != want {
+		if got := graphs[0].Biconnectivity(m); got != want {
 			t.Fatalf("pass = %+v, want %+v", got, want)
 		}
 	}); allocs != 0 {
 		t.Errorf("a repeated Biconnectivity pass made %v host allocations, want 0", allocs)
+	}
+	fresh := graphs[1:]
+	if allocs := testing.AllocsPerRun(len(fresh)-1, func() {
+		if got := fresh[0].Biconnectivity(m); got != want {
+			t.Fatalf("pass on a fresh graph = %+v, want %+v", got, want)
+		}
+		fresh = fresh[1:]
+	}); allocs != 0 {
+		t.Errorf("a first Biconnectivity pass on a fresh graph made %v host allocations, want 0", allocs)
 	}
 }
 

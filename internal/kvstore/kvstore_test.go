@@ -246,6 +246,54 @@ func TestOutcomesMergeReportValidate(t *testing.T) {
 	}
 }
 
+// TestThreadLedgerRecycles: a server thread's ledger taken, recorded into,
+// folded and given back allocates nothing once one has been given back, and
+// the next thread takes it empty.
+func TestThreadLedgerRecycles(t *testing.T) {
+	run := NewMetrics()
+	thread := func() {
+		tmx := TakeMetrics()
+		tmx.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, 100)
+		tmx.RecordRequest(loadgen.PhaseBurst, loadgen.OpSet, 2*SLOCycles)
+		tmx.RecordFailure(Shed)
+		tmx.FoldInto(run)
+		tmx.Release()
+	}
+	if allocs := testing.AllocsPerRun(10, thread); allocs != 0 {
+		t.Errorf("a recycled thread ledger made %v host allocations, want 0", allocs)
+	}
+	if o := run.Outcomes(); o.Successes != 22 || o.Sheds != 11 {
+		t.Errorf("run ledger holds %d successes and %d sheds, want 22 and 11", o.Successes, o.Sheds)
+	}
+	tmx := TakeMetrics()
+	defer tmx.Release()
+	if got, want := tmx.Outcomes(), NewMetrics().Outcomes(); got != want {
+		t.Errorf("a recycled ledger starts at %+v, want %+v", got, want)
+	}
+	if got, want := tmx.Tail().Violations, uint64(0); got != want {
+		t.Errorf("a recycled ledger starts with %d violations", got)
+	}
+}
+
+// TestOutcomesAllocatesNothing: an outcome snapshot merges the phase
+// histograms without a histogram of its own.
+func TestOutcomesAllocatesNothing(t *testing.T) {
+	mx := NewMetrics()
+	mx.RecordRequest(loadgen.PhaseSteady, loadgen.OpGet, 100)
+	mx.RecordRequest(loadgen.PhaseShift, loadgen.OpGet, 300)
+	want := mx.Outcomes()
+	if allocs := testing.AllocsPerRun(10, func() {
+		if got := mx.Outcomes(); got != want {
+			t.Fatalf("Outcomes = %+v, then %+v", want, got)
+		}
+	}); allocs != 0 {
+		t.Errorf("Outcomes made %v host allocations, want 0", allocs)
+	}
+	if want.Success.Count != 2 || want.Success.Max != 300 {
+		t.Errorf("success dist %+v, want both requests", want.Success)
+	}
+}
+
 func TestMetricsBindTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	mx := NewMetrics()

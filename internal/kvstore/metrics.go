@@ -91,6 +91,41 @@ func NewMetrics() *Metrics {
 	return mx
 }
 
+// spareLedgers holds the thread ledgers handed back by Release, for the
+// next TakeMetrics: a server thread's ledger lives as long as the thread,
+// and the threads of the next run in the process reuse its histograms.
+var spareLedgers struct {
+	mu   sync.Mutex
+	list []*Metrics
+}
+
+// TakeMetrics returns an empty accumulator, reusing one that Release
+// handed back if there is one.
+func TakeMetrics() *Metrics {
+	spareLedgers.mu.Lock()
+	defer spareLedgers.mu.Unlock()
+	n := len(spareLedgers.list)
+	if n == 0 {
+		return NewMetrics()
+	}
+	mx := spareLedgers.list[n-1]
+	spareLedgers.list[n-1] = nil
+	spareLedgers.list = spareLedgers.list[:n-1]
+	return mx
+}
+
+// Release hands an empty accumulator back for TakeMetrics to reuse. A
+// thread ledger is empty right after its last FoldInto; nothing may use
+// it, or a Classifier recording into it, afterwards.
+func (mx *Metrics) Release() {
+	if mx == nil {
+		return
+	}
+	spareLedgers.mu.Lock()
+	spareLedgers.list = append(spareLedgers.list, mx)
+	spareLedgers.mu.Unlock()
+}
+
 // RecordRequest records one completed request: its phase, op and
 // enqueue-to-completion latency in virtual cycles, counting it as goodput
 // when that is within SLOCycles. It reports whether the request violated
@@ -417,12 +452,23 @@ type Outcomes struct {
 	Success latency.Dist `json:"success"`
 }
 
+// successScratch is where Outcomes merges the phase histograms: one for the
+// process, under its lock, so a snapshot allocates nothing.
+var successScratch struct {
+	mu sync.Mutex
+	h  latency.Hist
+}
+
 // Outcomes snapshots the outcome accounting.
 func (mx *Metrics) Outcomes() Outcomes {
-	success := latency.NewHist()
+	successScratch.mu.Lock()
+	success := &successScratch.h
+	success.Reset()
 	for _, h := range mx.phase {
 		success.Merge(h)
 	}
+	dist := success.Dist()
+	successScratch.mu.Unlock()
 	o := Outcomes{
 		Sheds:              mx.failed[Shed].Value(),
 		DeadlineExceeded:   mx.failed[DeadlineExceeded].Value(),
@@ -430,7 +476,7 @@ func (mx *Metrics) Outcomes() Outcomes {
 		Goodput:            mx.goodput.Value(),
 		SLOThresholdCycles: SLOCycles,
 		ServeSpanVCycles:   mx.spanV.Value(),
-		Success:            success.Dist(),
+		Success:            dist,
 	}
 	o.Successes = o.Success.Count
 	o.Failures = o.Sheds + o.DeadlineExceeded + o.OOMFailures

@@ -1,6 +1,8 @@
 package latency
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -30,12 +32,17 @@ type stopInterval struct {
 // mmuState accumulates stop intervals. The interval list is bounded: past
 // maxIv intervals the oldest half is dropped and the window domain
 // advances past them, keeping cost amortized O(1) per add.
+//
+// Every read computes W(x) from the intervals under mu, into the edge and
+// breakpoint buffers it keeps, so a read allocates only what it reports.
 type mmuState struct {
 	mu      sync.Mutex
 	windows []uint64
 	maxIv   int
 	iv      []stopInterval
 	lo, hi  uint64
+	edges   []wedge
+	wf      wfunc
 }
 
 func newMMUState(windows []uint64, maxIv int) *mmuState {
@@ -74,9 +81,9 @@ func (m *mmuState) advance(now uint64) {
 // trimLocked drops the oldest half of the intervals and advances lo past
 // them, so windows never span a region whose stops were forgotten.
 func (m *mmuState) trimLocked() {
-	sort.Slice(m.iv, func(i, j int) bool { return m.iv[i].start < m.iv[j].start })
+	slices.SortFunc(m.iv, func(a, b stopInterval) int { return cmp.Compare(a.start, b.start) })
 	drop := len(m.iv) / 2
-	m.iv = append(m.iv[:0:0], m.iv[drop:]...)
+	m.iv = m.iv[:copy(m.iv, m.iv[drop:])]
 	if len(m.iv) > 0 {
 		if m.iv[0].start > m.lo {
 			m.lo = m.iv[0].start
@@ -95,13 +102,19 @@ type wfunc struct {
 	slope []float64
 }
 
-func buildWFunc(iv []stopInterval, lo, hi uint64) wfunc {
-	type edge struct {
-		pos uint64
-		d   float64
-	}
-	edges := make([]edge, 0, 2*len(iv))
-	for _, s := range iv {
+// wedge is one step of W's slope: +weight where a stop interval starts,
+// -weight where it ends.
+type wedge struct {
+	pos uint64
+	d   float64
+}
+
+// buildWFuncLocked rebuilds m.wf from the retained intervals, clipped to
+// [lo, hi], reusing the buffers of the last build.
+func (m *mmuState) buildWFuncLocked() {
+	lo, hi := m.lo, m.hi
+	edges := m.edges[:0]
+	for _, s := range m.iv {
 		start, end := s.start, s.end
 		if start < lo {
 			start = lo
@@ -112,10 +125,11 @@ func buildWFunc(iv []stopInterval, lo, hi uint64) wfunc {
 		if end <= start {
 			continue
 		}
-		edges = append(edges, edge{start, s.weight}, edge{end, -s.weight})
+		edges = append(edges, wedge{start, s.weight}, wedge{end, -s.weight})
 	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].pos < edges[j].pos })
-	var wf wfunc
+	slices.SortFunc(edges, func(a, b wedge) int { return cmp.Compare(a.pos, b.pos) })
+	m.edges = edges
+	wf := wfunc{pos: m.wf.pos[:0], cum: m.wf.cum[:0], slope: m.wf.slope[:0]}
 	var cum, slope float64
 	for i := 0; i < len(edges); {
 		p := edges[i].pos
@@ -133,7 +147,7 @@ func buildWFunc(iv []stopInterval, lo, hi uint64) wfunc {
 		wf.cum = append(wf.cum, cum)
 		wf.slope = append(wf.slope, slope)
 	}
-	return wf
+	m.wf = wf
 }
 
 // eval returns W(x).
@@ -212,18 +226,16 @@ func (m *mmuState) snapshot() MMUReport {
 		return MMUReport{}
 	}
 	m.mu.Lock()
-	iv := append([]stopInterval(nil), m.iv...)
+	defer m.mu.Unlock()
 	lo, hi := m.lo, m.hi
-	windows := m.windows
-	m.mu.Unlock()
-
-	r := MMUReport{SpanCycles: hi - lo, StopIntervals: len(iv), Utilization: 1}
-	wf := buildWFunc(iv, lo, hi)
+	r := MMUReport{SpanCycles: hi - lo, StopIntervals: len(m.iv), Utilization: 1}
+	m.buildWFuncLocked()
+	wf := m.wf
 	span := hi - lo
 	if span > 0 {
 		r.Utilization = clamp01(1 - wf.eval(hi)/float64(span))
 	}
-	for _, w := range windows {
+	for _, w := range m.windows {
 		mmu := r.Utilization
 		if w > 0 && w <= span {
 			mmu = clamp01(1 - wf.maxStop(w, lo, hi)/float64(w))
@@ -240,20 +252,13 @@ func (m *mmuState) utilizationBetween(a, b uint64) float64 {
 		return 1
 	}
 	m.mu.Lock()
-	iv := append([]stopInterval(nil), m.iv...)
-	lo, hi := m.lo, m.hi
-	m.mu.Unlock()
-	if a < lo {
-		a = lo
-	}
-	if b > hi {
-		b = hi
-	}
+	defer m.mu.Unlock()
+	a, b = max(a, m.lo), min(b, m.hi)
 	if b <= a {
 		return 1
 	}
-	wf := buildWFunc(iv, lo, hi)
-	return clamp01(1 - (wf.eval(b)-wf.eval(a))/float64(b-a))
+	m.buildWFuncLocked()
+	return clamp01(1 - (m.wf.eval(b)-m.wf.eval(a))/float64(b-a))
 }
 
 func clamp01(v float64) float64 {

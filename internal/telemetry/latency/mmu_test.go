@@ -164,3 +164,21 @@ func TestMMUNilSafe(t *testing.T) {
 		t.Errorf("nil utilization = %v, want 1", u)
 	}
 }
+
+// TestUtilizationBetweenAllocatesNothing: the per-cycle utilization read
+// builds W(x) in the buffers the last read left, with no copy of the
+// intervals.
+func TestUtilizationBetweenAllocatesNothing(t *testing.T) {
+	m := newMMUState([]uint64{100, 1000}, 2048)
+	for i := uint64(0); i < 500; i++ {
+		m.addStop(i*1000, i*1000+100, 1)
+	}
+	m.utilizationBetween(0, 500_000) // sizes the buffers
+	if allocs := testing.AllocsPerRun(10, func() {
+		if u := m.utilizationBetween(1000, 401_000); u != 0.9 {
+			t.Fatalf("utilizationBetween = %v, want 0.9", u)
+		}
+	}); allocs != 0 {
+		t.Errorf("utilizationBetween made %v host allocations, want 0", allocs)
+	}
+}

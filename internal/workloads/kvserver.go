@@ -132,10 +132,15 @@ func KVServer() Workload {
 					// cells see one write per fold, not per request. Its
 					// classifier records the successes into it, classifies
 					// the ones over the SLO and links their exemplars
-					// against the runtime's cycle log.
+					// against the runtime's cycle log. The last fold leaves
+					// it empty, and it goes back for the next run's
+					// threads.
 					col := e.rt.Collector
-					tmx := kvstore.NewMetrics()
-					defer tmx.FoldInto(mx)
+					tmx := kvstore.TakeMetrics()
+					defer func() {
+						tmx.FoldInto(mx)
+						tmx.Release()
+					}()
 					cl := tmx.Classifier(e.rt.Latency)
 					// A heap too exhausted to hold even the bucket array
 					// leaves the shard dead: the thread stays up and fails

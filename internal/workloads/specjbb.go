@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 
+	"hcsgc/internal/arena"
 	"hcsgc/internal/machine"
 )
 
@@ -21,6 +22,9 @@ const (
 	sjDefaultScale  = 0.35
 	sjLatencySLAMul = 4 // p99 SLA = multiplier on the unloaded median
 )
+
+// sjLatencies recycles the per-epoch latency buffer, keyed by its length.
+var sjLatencies arena.Slabs[float64]
 
 // Product fields (long-lived catalog).
 const (
@@ -95,9 +99,12 @@ func SPECjbb() Workload {
 			}
 
 			// Unloaded latency baseline for the SLA. lat holds one
-			// epoch's latencies, sized once for the largest epoch; the
-			// quantiles sort it in place, and each epoch starts it over.
-			lat := make([]float64, 0, max(200, baseTxns*sjEpochs/2))
+			// epoch's latencies, sized once for the largest epoch and
+			// recycled across runs of one scale; the quantiles sort it in
+			// place, and each epoch starts it over.
+			latBuf := sjLatencies.Get(max(200, baseTxns*sjEpochs/2))
+			defer sjLatencies.Put(latBuf, len(latBuf))
+			lat := latBuf[:0]
 			for i := 0; i < 200; i++ {
 				lat = append(lat, float64(txn()))
 			}

@@ -93,11 +93,13 @@ type RunConfig struct {
 	StallRetries int
 }
 
-func (c RunConfig) scale(def float64) float64 {
-	if c.Scale > 0 {
-		return c.Scale
+// scale resolves the run's scale: Scale, or def when that is 0. It keeps the
+// answer in c.Scale, for the Result to report.
+func (c *RunConfig) scale(def float64) float64 {
+	if c.Scale <= 0 {
+		c.Scale = def
 	}
-	return def
+	return c.Scale
 }
 
 // HeapSample is one point of the heap-usage-over-time series (the
@@ -138,6 +140,9 @@ type Result struct {
 	// Check is a workload-defined checksum; identical across
 	// configurations for the same seed, or the run is wrong.
 	Check uint64
+	// Scale is the scale the run used: RunConfig.Scale, or the workload's
+	// default where that was 0.
+	Scale float64
 }
 
 // Workload is one runnable benchmark. Run returns an error instead of a
@@ -269,6 +274,7 @@ func (e *env) finish(check uint64) Result {
 		GCReloc:       st.GCRelocObjects,
 		HeapSamples:   e.samples,
 		Check:         check,
+		Scale:         e.cfg.Scale,
 	}
 }
 
