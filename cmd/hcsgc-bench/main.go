@@ -165,11 +165,11 @@ func modeNames() []string {
 }
 
 // selectMode resolves -report against the table and applies the mode's
-// defaults to j. It is where misuse fails: an unknown mode, a flag the
-// mode does not read, a -configs list of the wrong length. given holds the
-// names of the flags on the command line, sorted. Without -report it
-// returns nil, having checked that no report-only flag was given and, under
-// -ablate, no flag of the -exp sweep.
+// defaults to j. It is where misuse fails: an unknown mode or -ablate
+// sweep, a flag the mode does not read, a -configs list of the wrong
+// length. given holds the names of the flags on the command line, sorted.
+// Without -report it returns nil, having checked that no report-only flag
+// was given and, under -ablate, no flag of the -exp sweep.
 func selectMode(j *job, given []string) (*mode, error) {
 	var m *mode
 	readers := map[string][]string{} // mode-scoped flag -> the modes that read it
@@ -200,6 +200,9 @@ func selectMode(j *job, given []string) (*mode, error) {
 	if j.ablate != "" {
 		if m != nil {
 			return nil, fmt.Errorf("-ablate and -report select different modes; give one")
+		}
+		if names := bench.AblationNames(); !slices.Contains(names, j.ablate) {
+			return nil, fmt.Errorf("unknown -ablate %q (have %s)", j.ablate, strings.Join(names, ", "))
 		}
 		// An ablation fixes its workload and its settings, and prints no CSV.
 		for _, f := range []string{"exp", "configs", "csv"} {

@@ -260,6 +260,9 @@ func TestMisuseFailsLoudly(t *testing.T) {
 		{"-report scaling -configs 3", []string{"-configs", "scaling"}},
 		{"-report overload -configs 3,4", []string{"overload", "exactly 1"}},
 		{"-report kv -ablate prefetch", []string{"-ablate", "-report"}},
+		// The deleted feedback-loop sweep is a usage error, like an unknown
+		// -report, not a run-time failure.
+		{"-ablate autotune", []string{`"autotune"`, "prefetch, ecthreshold, gcworkers)"}},
 		// An ablation fixes its workload and settings: these used to run
 		// fig4, write no CSV and exit 0.
 		{"-ablate ecthreshold -exp fig7", []string{"-exp", "-ablate"}},

@@ -17,9 +17,10 @@ import (
 //     turning the prefetcher off quantifies that claim).
 //   - ecthreshold: sensitivity of baseline EC selection to the 75%
 //     live-ratio threshold.
-//   - autotune: the paper's future-work feedback loop, compared against
-//     fixed ColdConfidence settings.
 //   - gcworkers: relocation bandwidth vs mutator-won races.
+//
+// (A sweep of a feedback loop on ColdConfidence went with the loop, which
+// no run told apart from a fixed setting: DESIGN.md §6.)
 //
 // Each ablation runs the synthetic single-phase workload (fig4) under a
 // fixed HCSGC configuration while varying one dimension.
@@ -63,16 +64,6 @@ var ablations = []struct {
 					workloads.RunConfig{Knobs: hcsgc.Knobs{}, EvacThreshold: th}})
 			}
 			return out
-		}},
-	{"autotune", "fixed ColdConfidence settings vs the feedback loop (paper §4.8 future work)",
-		func() []side {
-			tuned := KnobsFor(10)
-			tuned.AutoTune = true
-			return []side{
-				{"fixed cc=0.5", workloads.RunConfig{Knobs: KnobsFor(9)}},
-				{"fixed cc=1.0", workloads.RunConfig{Knobs: KnobsFor(10)}},
-				{"autotune cc<=1.0", workloads.RunConfig{Knobs: tuned}},
-			}
 		}},
 	{"gcworkers", "config 3 (all pages, eager) under varying GC worker counts: more workers win more relocation races from the mutator",
 		func() (out []side) {

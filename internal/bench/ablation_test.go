@@ -12,7 +12,7 @@ import (
 
 func TestAblationNames(t *testing.T) {
 	names := AblationNames()
-	if len(names) != 4 {
+	if len(names) != 3 {
 		t.Fatalf("ablations = %v", names)
 	}
 	for _, n := range names {
@@ -40,7 +40,7 @@ func TestAblationNames(t *testing.T) {
 // (hcsgc-bench -ablate NAME -telemetry-addr) like any sweep's.
 func TestRunAblationServesTelemetry(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
-	if _, err := RunAblation("autotune", 1, 0.005, 1, sink, nil); err != nil {
+	if _, err := RunAblation("ecthreshold", 1, 0.005, 1, sink, nil); err != nil {
 		t.Fatal(err)
 	}
 	var b strings.Builder

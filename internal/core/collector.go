@@ -116,11 +116,9 @@ type Collector struct {
 	vclock     atomic.Uint64
 	pauseTotal atomic.Uint64
 	// stallCount counts allocation stalls runtime-wide.
-	stallCount   telemetry.Counter
-	inj          *faultinject.Injector
-	relocSample  atomic.Uint64 // sampling cursor for trace reloc_win instants
-	effConf      atomic.Uint64 // effective ColdConfidence (bits of float64), for AutoTune
-	lastTuneMiss float64
+	stallCount  telemetry.Counter
+	inj         *faultinject.Injector
+	relocSample atomic.Uint64 // sampling cursor for trace reloc_win instants
 
 	// triggered holds one token while a cycle that trigger decided on is
 	// pending or running (capacity 1); missed records a trigger that found
@@ -155,7 +153,6 @@ func New(h *heap.Heap, types *objmodel.Registry, cfg Config) (*Collector, error)
 	c.pool.heap = h
 	c.good.Store(uint64(heap.ColorRemapped))
 	c.phase.Store(uint32(PhaseRelocate))
-	c.setEffConf(cfg.Knobs.ColdConfidence)
 	for i := 0; i < cfg.GCWorkers; i++ {
 		c.workers = append(c.workers, newGCWorker(c, i))
 	}
@@ -353,9 +350,6 @@ func (c *Collector) runCycle(reason string) {
 	c.tm.ecPages[1].Add(uint64(cs.ECMedium))
 	c.recordLatencyCycle(cs)
 	c.tm.rec.EndSpan(telemetry.SpanCycle, collectorTID)
-	if c.cfg.Knobs.AutoTune {
-		c.autoTune()
-	}
 }
 
 // finishRelocationEra moves the fully drained evacuation set into
@@ -466,10 +460,7 @@ func (c *Collector) endPauseAccounting(base uint64) uint64 {
 func (c *Collector) selectEvacuationCandidates(cs *CycleStats) {
 	startSeq := c.startSeq.Load()
 	knobs := c.cfg.Knobs
-	conf := 0.0
-	if knobs.Hotness {
-		conf = c.effectiveConf()
-	}
+	conf := knobs.ColdConfidence // 0 without Hotness (Knobs.Validate)
 	type cand struct {
 		p   *heap.Page
 		wlb uint64

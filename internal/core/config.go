@@ -22,9 +22,12 @@ import (
 	"hcsgc/internal/telemetry/latency"
 )
 
-// Knobs are the five HCSGC tuning knobs of Table 2 plus the extension
-// options the paper lists as future work. The zero value is the original
-// ZGC behaviour (Config 0/1).
+// Knobs are exactly the five HCSGC tuning knobs of Table 2. The zero value
+// is the original ZGC behaviour (Config 0/1). ColdConfidence is fixed for
+// a run: a feedback loop that tuned it from the process LLC miss rate
+// (paper §4.8 future work) was deleted because no measurement told it
+// apart from a fixed setting, and that rate does not measure
+// misclassification (DESIGN.md §6).
 type Knobs struct {
 	// Hotness records object hotness in the hotmap (paper §3.1.2). The
 	// bookkeeping costs a CAS on the slow path (modelled via
@@ -43,11 +46,6 @@ type Knobs struct {
 	// LazyRelocate defers GC-thread relocation to the start of the next
 	// cycle so mutators win relocation races (paper §3.2, Fig. 3).
 	LazyRelocate bool
-
-	// AutoTune enables the future-work feedback loop that backs
-	// ColdConfidence off when relocation shows no miss-rate improvement
-	// (paper §4.8 extension; off in all paper configurations).
-	AutoTune bool
 }
 
 // Validate reports knob combinations the paper forbids.

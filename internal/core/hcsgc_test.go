@@ -110,8 +110,8 @@ func TestColdFracMeasuredOnlyWithHotness(t *testing.T) {
 			m.RequestGC()
 
 			var samples int
-			for _, ev := range sink.Recorder().Snapshot() {
-				if ev.Kind == telemetry.EvCounter && ev.Arg == telemetry.CounterSignalColdFrac {
+			for _, ev := range telemetry.BuildTrace(sink.Recorder().Snapshot()).TraceEvents {
+				if ev.Ph == "C" && ev.Name == "signal_cold_frac" {
 					samples++
 				}
 			}
@@ -477,23 +477,5 @@ func TestStatsMedianECSmall(t *testing.T) {
 	}
 	if (Stats{}).MedianECSmall() != 0 {
 		t.Fatal("empty median must be 0")
-	}
-}
-
-func TestAutoTuneAdjustsConfidence(t *testing.T) {
-	c, types := testEnv(t, Knobs{Hotness: true, ColdConfidence: 1.0, AutoTune: true})
-	node := types.Register("node", 2, []int{0})
-	m := c.NewMutator(4)
-	defer m.Close()
-	buildObjectArray(m, node, 5000)
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 5000; j += 7 {
-			touch(m, j)
-		}
-		m.RequestGC()
-	}
-	got := c.effectiveConf()
-	if got < 0 || got > 1 {
-		t.Fatalf("effective confidence %v escaped [0,1]", got)
 	}
 }

@@ -1,7 +1,5 @@
 package core
 
-import "math"
-
 // triggerDue reports whether the occupancy trigger should fire.
 func (c *Collector) triggerDue() bool {
 	return c.heap.UsedPercent() >= c.cfg.TriggerPercent
@@ -65,46 +63,4 @@ func (c *Collector) Stop() (quiet bool) {
 	c.cycleMu.Unlock()
 	<-c.triggered
 	return quiet
-}
-
-// --- AutoTune extension (paper §4.8 future work) -------------------------
-
-// setEffConf stores the effective cold confidence.
-func (c *Collector) setEffConf(v float64) {
-	c.effConf.Store(math.Float64bits(v))
-}
-
-// effectiveConf returns the cold confidence currently in force: the
-// configured value, or the auto-tuned one when AutoTune is enabled.
-func (c *Collector) effectiveConf() float64 {
-	return math.Float64frombits(c.effConf.Load())
-}
-
-// autoTune implements the feedback loop the paper sketches as future work:
-// observe the process LLC miss rate; if segregation helped (miss rate
-// fell), push cold confidence towards the configured maximum for more
-// aggressive segregation, otherwise back off by half.
-func (c *Collector) autoTune() {
-	mem := c.heap.Mem()
-	if mem == nil {
-		return
-	}
-	st := mem.Stats()
-	if st.Loads == 0 {
-		return
-	}
-	missRate := float64(st.LLCMisses) / float64(st.Loads)
-	prev := c.lastTuneMiss
-	c.lastTuneMiss = missRate
-	if prev == 0 {
-		return // first observation: no delta yet
-	}
-	cur := c.effectiveConf()
-	max := c.cfg.Knobs.ColdConfidence
-	if missRate < prev {
-		// Improvement: move towards the configured aggressiveness.
-		c.setEffConf(math.Min(max, cur+0.25*max))
-	} else {
-		c.setEffConf(cur / 2)
-	}
 }

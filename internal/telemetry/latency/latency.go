@@ -281,8 +281,7 @@ func (t *Tracker) OnCycle(rec *CycleRecord) {
 		}
 	}
 	t.mmu.advance(rec.VEnd)
-	rec.MMU = t.mmu.snapshot().Windows
-	rec.Utilization = t.mmu.utilizationBetween(rec.VStart, rec.VEnd)
+	rec.MMU, rec.Utilization = t.mmu.readCycle(rec.VStart, rec.VEnd)
 	rec.StallDist = distOf(t.stall)
 
 	t.mu.Lock()

@@ -227,38 +227,46 @@ func (m *mmuState) snapshot() MMUReport {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	lo, hi := m.lo, m.hi
-	r := MMUReport{SpanCycles: hi - lo, StopIntervals: len(m.iv), Utilization: 1}
-	m.buildWFuncLocked()
-	wf := m.wf
-	span := hi - lo
-	if span > 0 {
-		r.Utilization = clamp01(1 - wf.eval(hi)/float64(span))
-	}
-	for _, w := range m.windows {
-		mmu := r.Utilization
-		if w > 0 && w <= span {
-			mmu = clamp01(1 - wf.maxStop(w, lo, hi)/float64(w))
-		}
-		r.Windows = append(r.Windows, MMUPoint{WindowCycles: w, MMU: mmu})
-	}
+	r := MMUReport{SpanCycles: m.hi - m.lo, StopIntervals: len(m.iv)}
+	r.Windows, r.Utilization = m.readLocked(m.lo, m.hi)
 	return r
 }
 
-// utilizationBetween returns the mutator utilization over [a, b] of the
-// retained timeline (the per-cycle utilization timeline samples).
-func (m *mmuState) utilizationBetween(a, b uint64) float64 {
+// readCycle is a cycle record's two reads: the MMU ladder and the mutator
+// utilization over [a, b] of the retained timeline.
+func (m *mmuState) readCycle(a, b uint64) ([]MMUPoint, float64) {
 	if m == nil {
-		return 1
+		return nil, 1
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	a, b = max(a, m.lo), min(b, m.hi)
-	if b <= a {
-		return 1
-	}
+	return m.readLocked(a, b)
+}
+
+// readLocked builds W(x) once and returns the MMU of every window (a
+// window wider than the span reads the whole-span utilization) with the
+// utilization over [a, b] clipped to the span, 1 if that is empty. The
+// ladder is all it allocates.
+func (m *mmuState) readLocked(a, b uint64) ([]MMUPoint, float64) {
 	m.buildWFuncLocked()
-	return clamp01(1 - (m.wf.eval(b)-m.wf.eval(a))/float64(b-a))
+	lo, hi := m.lo, m.hi
+	util := func(a, b uint64) float64 {
+		a, b = max(a, lo), min(b, hi)
+		if b <= a {
+			return 1
+		}
+		return clamp01(1 - (m.wf.eval(b)-m.wf.eval(a))/float64(b-a))
+	}
+	whole := util(lo, hi)
+	ladder := make([]MMUPoint, 0, len(m.windows))
+	for _, w := range m.windows {
+		mmu := whole
+		if w > 0 && w <= hi-lo {
+			mmu = clamp01(1 - m.wf.maxStop(w, lo, hi)/float64(w))
+		}
+		ladder = append(ladder, MMUPoint{WindowCycles: w, MMU: mmu})
+	}
+	return ladder, util(a, b)
 }
 
 func clamp01(v float64) float64 {

@@ -1,7 +1,10 @@
 package latency
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -132,22 +135,28 @@ func TestMMUTrim(t *testing.T) {
 	}
 }
 
+// utilizationBetween is readCycle's utilization over [a, b].
+func utilizationBetween(m *mmuState, a, b uint64) float64 {
+	_, u := m.readCycle(a, b)
+	return u
+}
+
 // TestMMUUtilizationBetween: per-cycle utilization over a sub-interval.
 func TestMMUUtilizationBetween(t *testing.T) {
 	m := newMMUState([]uint64{100}, 2048)
 	m.addStop(100, 200, 1)
 	m.advance(1000)
-	if got := m.utilizationBetween(0, 1000); got != 0.9 {
-		t.Errorf("utilizationBetween(0,1000) = %v, want 0.9", got)
+	if got := utilizationBetween(m, 0, 1000); got != 0.9 {
+		t.Errorf("utilization over [0,1000] = %v, want 0.9", got)
 	}
-	if got := m.utilizationBetween(100, 200); got != 0 {
-		t.Errorf("utilizationBetween(100,200) = %v, want 0", got)
+	if got := utilizationBetween(m, 100, 200); got != 0 {
+		t.Errorf("utilization over [100,200] = %v, want 0", got)
 	}
-	if got := m.utilizationBetween(500, 1000); got != 1 {
-		t.Errorf("utilizationBetween(500,1000) = %v, want 1", got)
+	if got := utilizationBetween(m, 500, 1000); got != 1 {
+		t.Errorf("utilization over [500,1000] = %v, want 1", got)
 	}
 	// Degenerate interval reads as fully utilized.
-	if got := m.utilizationBetween(300, 300); got != 1 {
+	if got := utilizationBetween(m, 300, 300); got != 1 {
 		t.Errorf("empty interval utilization = %v", got)
 	}
 }
@@ -160,25 +169,112 @@ func TestMMUNilSafe(t *testing.T) {
 	if r := m.snapshot(); r.SpanCycles != 0 {
 		t.Error("nil snapshot must be zero")
 	}
-	if u := m.utilizationBetween(0, 10); u != 1 {
-		t.Errorf("nil utilization = %v, want 1", u)
+	if ladder, u := m.readCycle(0, 10); ladder != nil || u != 1 {
+		t.Errorf("nil readCycle = %v, %v, want no ladder and 1", ladder, u)
 	}
 }
 
-// TestUtilizationBetweenAllocatesNothing: the per-cycle utilization read
-// builds W(x) in the buffers the last read left, with no copy of the
-// intervals.
-func TestUtilizationBetweenAllocatesNothing(t *testing.T) {
+// TestReadCycleAllocatesOnlyTheLadder: the per-cycle read builds W(x) in
+// the buffers the last read left, with no copy of the intervals; the one
+// allocation is the ladder the cycle record keeps.
+func TestReadCycleAllocatesOnlyTheLadder(t *testing.T) {
 	m := newMMUState([]uint64{100, 1000}, 2048)
 	for i := uint64(0); i < 500; i++ {
 		m.addStop(i*1000, i*1000+100, 1)
 	}
-	m.utilizationBetween(0, 500_000) // sizes the buffers
+	m.readCycle(0, 500_000) // sizes the buffers
 	if allocs := testing.AllocsPerRun(10, func() {
-		if u := m.utilizationBetween(1000, 401_000); u != 0.9 {
-			t.Fatalf("utilizationBetween = %v, want 0.9", u)
+		ladder, u := m.readCycle(1000, 401_000)
+		if u != 0.9 || len(ladder) != 2 || ladder[1].MMU != 0.9 {
+			t.Fatalf("readCycle = %v, %v, want utilization 0.9 and MMU(1000) 0.9", ladder, u)
 		}
-	}); allocs != 0 {
-		t.Errorf("utilizationBetween made %v host allocations, want 0", allocs)
+	}); allocs != 1 {
+		t.Errorf("readCycle made %v host allocations, want 1 (the ladder)", allocs)
+	}
+}
+
+// TestMMUAgainstBruteForce is the oracle for maxStop's exactness claim:
+// overlapping weighted stops (full pauses and 1/n stalls, in random
+// order) on a few thousand cycles, the last one past the interval cap so
+// the oldest half is trimmed. Stop endpoints are whole cycles, so W(x) is
+// linear between whole cycles and the worst window of width w starts on
+// one: summing each cycle's stop weight and sliding every window across
+// the retained timeline is exact too.
+func TestMMUAgainstBruteForce(t *testing.T) {
+	const span, maxIv = 4000, 64
+	windows := []uint64{1, 7, 50, 120, 333, 1000, 1900, 10000}
+	rng := rand.New(rand.NewSource(47))
+	for trial := 0; trial < 50; trial++ {
+		m := newMMUState(windows, maxIv)
+		// Distinct starts, so which half the trim keeps is well defined.
+		starts := rng.Perm(span - 100)[:maxIv+1]
+		ivs := make([]stopInterval, len(starts))
+		var hi uint64
+		for i, st := range starts {
+			weight := 1.0
+			if rng.Intn(4) != 0 {
+				weight = 1.0 / float64(2+rng.Intn(7))
+			}
+			iv := stopInterval{uint64(st), uint64(st + 1 + rng.Intn(100)), weight}
+			ivs[i] = iv
+			hi = max(hi, iv.end)
+			m.addStop(iv.start, iv.end, iv.weight)
+		}
+		m.advance(span)
+		hi = max(hi, span)
+
+		// The trim keeps the later half by start and starts the timeline
+		// at the earliest start it kept.
+		slices.SortFunc(ivs, func(a, b stopInterval) int { return cmp.Compare(a.start, b.start) })
+		ivs = ivs[len(ivs)/2:]
+		lo := ivs[0].start
+		stop := make([]float64, hi) // stop weight in cycle [c, c+1)
+		for _, iv := range ivs {
+			for c := iv.start; c < iv.end; c++ {
+				stop[c] += iv.weight
+			}
+		}
+		prefix := make([]float64, hi+1) // W(x)
+		for c := lo; c < hi; c++ {
+			prefix[c+1] = prefix[c] + stop[c]
+		}
+		util := func(a, b uint64) float64 {
+			a, b = max(a, lo), min(b, hi)
+			if b <= a {
+				return 1
+			}
+			return clamp01(1 - (prefix[b]-prefix[a])/float64(b-a))
+		}
+
+		r := m.snapshot()
+		if r.SpanCycles != hi-lo || r.StopIntervals != len(ivs) {
+			t.Fatalf("trial %d: span %d with %d intervals, want %d with %d",
+				trial, r.SpanCycles, r.StopIntervals, hi-lo, len(ivs))
+		}
+		a := uint64(rng.Intn(span))
+		b := a + uint64(rng.Intn(span))
+		ladder, sub := m.readCycle(a, b)
+		if !slices.Equal(ladder, r.Windows) {
+			t.Fatalf("trial %d: readCycle ladder %v, snapshot %v", trial, ladder, r.Windows)
+		}
+		if want := util(a, b); math.Abs(sub-want) > 1e-9 {
+			t.Errorf("trial %d: utilization over [%d,%d] = %v, brute force %v", trial, a, b, sub, want)
+		}
+		if want := util(lo, hi); math.Abs(r.Utilization-want) > 1e-9 {
+			t.Errorf("trial %d: utilization = %v, brute force %v", trial, r.Utilization, want)
+		}
+		for i, w := range windows {
+			want := util(lo, hi)
+			if w <= hi-lo {
+				worst := 0.0
+				for s := lo; s+w <= hi; s++ {
+					worst = max(worst, prefix[s+w]-prefix[s])
+				}
+				want = clamp01(1 - min(worst, float64(w))/float64(w))
+			}
+			if got := r.Windows[i].MMU; math.Abs(got-want) > 1e-9 {
+				t.Errorf("trial %d: MMU(%d) = %v, brute force %v", trial, w, got, want)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package latency
 
 import (
+	"fmt"
 	"strconv"
 
 	"hcsgc/internal/telemetry"
@@ -56,35 +57,36 @@ func (t *Tracker) Lookup(seq uint64) *CycleRecord {
 
 // signals is every per-cycle value the tracker publishes from a logged
 // record: its getter over the record, its gauge (family and label value),
-// and its Perfetto counter track. A new per-cycle signal is one row here.
+// and its Perfetto counter track (name and trace category, declared here
+// and nowhere else). A new per-cycle signal is one row here.
 // A value whose section the record did not measure (ok false: no locality
 // profiler, hotness off, nothing prefetched) is not published: its gauge
 // keeps its last value and its track gets no sample, so an absent plane
 // never publishes zeros. stream_coverage is the cache model's
 // PrefetchCoverage, under the name scrapers already know.
 var signals = [...]signal{
-	{signalGauge, "utilization", telemetry.CounterUtilization, func(r *CycleRecord) (float64, bool) { return r.Utilization, true }},
+	{signalGauge, "utilization", telemetry.NewCounterTrack("latency_mutator_utilization", "latency"), func(r *CycleRecord) (float64, bool) { return r.Utilization, true }},
 	{signalGauge, "max_pause_cycles", 0, func(r *CycleRecord) (float64, bool) { return float64(max(r.Pause1, r.Pause2, r.Pause3)), true }},
 	{signalGauge, "stalls", 0, func(r *CycleRecord) (float64, bool) { return float64(r.Stalls), true }},
-	{signalGauge, "stall_p99_cycles", telemetry.CounterSignalStallP99, func(r *CycleRecord) (float64, bool) { return r.StallDist.P99, true }},
-	{signalGauge, "alloc_kb_per_kcycle", telemetry.CounterSignalAllocRate, func(r *CycleRecord) (float64, bool) { return perKCycle(r, r.AllocBytes) / 1024, true }},
-	{signalGauge, "heap_used_pct", telemetry.CounterSignalHeapUsed, func(r *CycleRecord) (float64, bool) { return r.HeapUsedAfter, true }},
-	{signalGauge, "cold_frac", telemetry.CounterSignalColdFrac, func(r *CycleRecord) (float64, bool) { return r.ColdFrac, r.ColdFrac >= 0 }},
+	{signalGauge, "stall_p99_cycles", telemetry.NewCounterTrack("signal_stall_p99_cycles", "signals"), func(r *CycleRecord) (float64, bool) { return r.StallDist.P99, true }},
+	{signalGauge, "alloc_kb_per_kcycle", telemetry.NewCounterTrack("signal_alloc_kb_per_kcycle", "signals"), func(r *CycleRecord) (float64, bool) { return perKCycle(r, r.AllocBytes) / 1024, true }},
+	{signalGauge, "heap_used_pct", telemetry.NewCounterTrack("signal_heap_used_pct", "signals"), func(r *CycleRecord) (float64, bool) { return r.HeapUsedAfter, true }},
+	{signalGauge, "cold_frac", telemetry.NewCounterTrack("signal_cold_frac", "signals"), func(r *CycleRecord) (float64, bool) { return r.ColdFrac, r.ColdFrac >= 0 }},
 	{signalGauge, "barrier_slow_per_kcycle", 0, func(r *CycleRecord) (float64, bool) { return perKCycle(r, r.Barrier.Entries), true }},
-	{signalGauge, "reuse_p50_lines", telemetry.CounterReuseP50, func(r *CycleRecord) (float64, bool) { return r.Locality.ReuseP50, r.Locality.Present }},
-	{signalGauge, "stream_coverage", telemetry.CounterStreamCoverage, func(r *CycleRecord) (float64, bool) { return r.PrefetchCoverage, r.PrefetchCoverage >= 0 }},
-	{signalGauge, "seg_purity", telemetry.CounterSegPurity, func(r *CycleRecord) (float64, bool) { return r.Locality.SegPurity, r.Locality.Present }},
-	{signalGauge, "worker_imbalance", telemetry.CounterWorkerImbalance, func(r *CycleRecord) (float64, bool) { return r.Workers.Imbalance, r.Workers.Present }},
+	{signalGauge, "reuse_p50_lines", telemetry.NewCounterTrack("locality_reuse_p50_lines", "locality"), func(r *CycleRecord) (float64, bool) { return r.Locality.ReuseP50, r.Locality.Present }},
+	{signalGauge, "stream_coverage", telemetry.NewCounterTrack("locality_stream_coverage", "locality"), func(r *CycleRecord) (float64, bool) { return r.PrefetchCoverage, r.PrefetchCoverage >= 0 }},
+	{signalGauge, "seg_purity", telemetry.NewCounterTrack("locality_seg_purity", "locality"), func(r *CycleRecord) (float64, bool) { return r.Locality.SegPurity, r.Locality.Present }},
+	{signalGauge, "worker_imbalance", telemetry.NewCounterTrack("contention_worker_imbalance", "contention"), func(r *CycleRecord) (float64, bool) { return r.Workers.Imbalance, r.Workers.Present }},
 	{signalGauge, "lock_contended_frac", 0, func(r *CycleRecord) (float64, bool) { return r.Contention.ContendedFrac, r.Contention.Present }},
 	{signalGauge, "cas_retry_frac", 0, func(r *CycleRecord) (float64, bool) { return r.Contention.RetryFrac, r.Contention.Present }},
 	mmuSignal(0), mmuSignal(1), mmuSignal(2), mmuSignal(3),
-	{entropyGauge, "", telemetry.CounterPageEntropy, func(r *CycleRecord) (float64, bool) { return r.Locality.PageEntropyBits, r.Locality.Present }},
-	{noGauge, "", telemetry.CounterContentionContended, func(r *CycleRecord) (float64, bool) { return float64(r.Contention.Contended), r.Contention.Present }},
-	{noGauge, "", telemetry.CounterContentionCASRetries, func(r *CycleRecord) (float64, bool) { return float64(r.Contention.CASRetries), r.Contention.Present }},
+	{entropyGauge, "", telemetry.NewCounterTrack("locality_page_entropy_bits", "locality"), func(r *CycleRecord) (float64, bool) { return r.Locality.PageEntropyBits, r.Locality.Present }},
+	{noGauge, "", telemetry.NewCounterTrack("contention_contended_acq", "contention"), func(r *CycleRecord) (float64, bool) { return float64(r.Contention.Contended), r.Contention.Present }},
+	{noGauge, "", telemetry.NewCounterTrack("contention_cas_retries", "contention"), func(r *CycleRecord) (float64, bool) { return float64(r.Contention.CASRetries), r.Contention.Present }},
 }
 
-// signal is one row of the signals table. track is a telemetry.Counter*
-// id, 0 for a value without a track.
+// signal is one row of the signals table. track is the EvCounter id
+// telemetry.NewCounterTrack returned, 0 for a value without a track.
 type signal struct {
 	gauge gaugeFamily
 	label string
@@ -94,7 +96,8 @@ type signal struct {
 
 // mmuSignal is rung i of the MMU ladder (DefaultMMUWindows[i]).
 func mmuSignal(i int) signal {
-	return signal{mmuGauge, strconv.FormatUint(DefaultMMUWindows[i], 10), telemetry.CounterMMU1k + uint32(i),
+	w := DefaultMMUWindows[i]
+	return signal{mmuGauge, strconv.FormatUint(w, 10), telemetry.NewCounterTrack(fmt.Sprintf("latency_mmu_%dk", w/1000), "latency"),
 		func(r *CycleRecord) (float64, bool) {
 			if i >= len(r.MMU) {
 				return 0, false

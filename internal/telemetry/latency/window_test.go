@@ -3,6 +3,7 @@ package latency
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,5 +198,40 @@ func TestSignalTelemetry(t *testing.T) {
 	}
 	if coverage != 3 {
 		t.Errorf("locality_stream_coverage has %d samples, want 3", coverage)
+	}
+}
+
+// TestSignalTracks pins the Perfetto track name and trace category of
+// every signals row that has a track, in table order: a trace renders
+// these names, so a renamed track breaks its readers.
+func TestSignalTracks(t *testing.T) {
+	want := [][2]string{
+		{"latency_mutator_utilization", "latency"},
+		{"signal_stall_p99_cycles", "signals"},
+		{"signal_alloc_kb_per_kcycle", "signals"},
+		{"signal_heap_used_pct", "signals"},
+		{"signal_cold_frac", "signals"},
+		{"locality_reuse_p50_lines", "locality"},
+		{"locality_stream_coverage", "locality"},
+		{"locality_seg_purity", "locality"},
+		{"contention_worker_imbalance", "contention"},
+		{"latency_mmu_1k", "latency"},
+		{"latency_mmu_5k", "latency"},
+		{"latency_mmu_20k", "latency"},
+		{"latency_mmu_100k", "latency"},
+		{"locality_page_entropy_bits", "locality"},
+		{"contention_contended_acq", "contention"},
+		{"contention_cas_retries", "contention"},
+	}
+	var got [][2]string
+	for _, s := range signals {
+		if s.track == 0 {
+			continue
+		}
+		ev := telemetry.BuildTrace([]telemetry.Event{{Kind: telemetry.EvCounter, Arg: s.track}}).TraceEvents[0]
+		got = append(got, [2]string{ev.Name, ev.Cat})
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("signal tracks = %v, want %v", got, want)
 	}
 }

@@ -73,56 +73,19 @@ func (k EventKind) String() string {
 	}
 }
 
-// CounterID names an EvCounter series. Each is a value of the logged
-// cycle record, and the latency tracker emits every one, one sample per GC
-// cycle, from its signals table; the track names keep the plane that
-// measures the value.
-const (
-	// CounterStreamCoverage is the cache model's prefetch coverage; the
-	// track keeps its locality name.
-	CounterStreamCoverage uint32 = iota + 1
-	CounterSegPurity
-	CounterPageEntropy
-	CounterReuseP50
-	// The MMU ladder (default windows 1/5/20/100 kcycles;
-	// CounterMMU1k..CounterMMU100k must stay contiguous) and the per-cycle
-	// mutator-utilization timeline.
-	CounterMMU1k
-	CounterMMU5k
-	CounterMMU20k
-	CounterMMU100k
-	CounterUtilization
-	// Per-cycle scalar signals (hcsgc_signal_value).
-	CounterSignalAllocRate
-	CounterSignalStallP99
-	CounterSignalHeapUsed
-	CounterSignalColdFrac
-	// The contention plane's per-cycle counters.
-	CounterContentionContended
-	CounterContentionCASRetries
-	CounterWorkerImbalance
-)
+// counterTracks holds the Perfetto track name and trace category of every
+// EvCounter series, indexed by the id NewCounterTrack returned; index 0 is
+// what an id outside the table renders as.
+var counterTracks = []struct{ name, cat string }{{"counter", "locality"}}
 
-// counterTracks holds each CounterID's Perfetto track name and trace
-// category; index 0 is what an id outside the table renders as.
-var counterTracks = [...]struct{ name, cat string }{
-	0:                           {"counter", "locality"},
-	CounterStreamCoverage:       {"locality_stream_coverage", "locality"},
-	CounterSegPurity:            {"locality_seg_purity", "locality"},
-	CounterPageEntropy:          {"locality_page_entropy_bits", "locality"},
-	CounterReuseP50:             {"locality_reuse_p50_lines", "locality"},
-	CounterMMU1k:                {"latency_mmu_1k", "latency"},
-	CounterMMU5k:                {"latency_mmu_5k", "latency"},
-	CounterMMU20k:               {"latency_mmu_20k", "latency"},
-	CounterMMU100k:              {"latency_mmu_100k", "latency"},
-	CounterUtilization:          {"latency_mutator_utilization", "latency"},
-	CounterSignalAllocRate:      {"signal_alloc_kb_per_kcycle", "signals"},
-	CounterSignalStallP99:       {"signal_stall_p99_cycles", "signals"},
-	CounterSignalHeapUsed:       {"signal_heap_used_pct", "signals"},
-	CounterSignalColdFrac:       {"signal_cold_frac", "signals"},
-	CounterContentionContended:  {"contention_contended_acq", "contention"},
-	CounterContentionCASRetries: {"contention_cas_retries", "contention"},
-	CounterWorkerImbalance:      {"contention_worker_imbalance", "contention"},
+// NewCounterTrack registers an EvCounter series that renders as the
+// counter track name in trace category cat, and returns its id. A series
+// is declared once, beside the value it samples (the latency tracker's
+// signals table). Call it only during package initialization, so every
+// track is registered before a trace is built.
+func NewCounterTrack(name, cat string) uint32 {
+	counterTracks = append(counterTracks, struct{ name, cat string }{name, cat})
+	return uint32(len(counterTracks) - 1)
 }
 
 // counterTrack returns the track name and trace category of an EvCounter

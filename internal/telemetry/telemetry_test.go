@@ -94,36 +94,20 @@ func TestSpanNames(t *testing.T) {
 	}
 }
 
-// TestCounterTracks pins the Perfetto track name and trace category every
-// CounterID renders with, and what an id outside the block renders as.
+// TestCounterTracks: a series renders with the track name and category
+// NewCounterTrack registered it under; id 0 and an id past the table
+// render as counter/locality.
 func TestCounterTracks(t *testing.T) {
-	want := []struct {
+	for _, w := range []struct {
 		id        uint32
 		name, cat string
 	}{
-		{0, "counter", "locality"},
 		{CounterStreamCoverage, "locality_stream_coverage", "locality"},
-		{CounterSegPurity, "locality_seg_purity", "locality"},
-		{CounterPageEntropy, "locality_page_entropy_bits", "locality"},
-		{CounterReuseP50, "locality_reuse_p50_lines", "locality"},
 		{CounterMMU1k, "latency_mmu_1k", "latency"},
-		{CounterMMU5k, "latency_mmu_5k", "latency"},
-		{CounterMMU20k, "latency_mmu_20k", "latency"},
-		{CounterMMU100k, "latency_mmu_100k", "latency"},
 		{CounterUtilization, "latency_mutator_utilization", "latency"},
-		{CounterSignalAllocRate, "signal_alloc_kb_per_kcycle", "signals"},
-		{CounterSignalStallP99, "signal_stall_p99_cycles", "signals"},
-		{CounterSignalHeapUsed, "signal_heap_used_pct", "signals"},
-		{CounterSignalColdFrac, "signal_cold_frac", "signals"},
-		{CounterContentionContended, "contention_contended_acq", "contention"},
-		{CounterContentionCASRetries, "contention_cas_retries", "contention"},
-		{CounterWorkerImbalance, "contention_worker_imbalance", "contention"},
-		{CounterWorkerImbalance + 1, "counter", "locality"},
-	}
-	for i, w := range want {
-		if w.id != uint32(i) {
-			t.Fatalf("row %d holds id %d: the table must list every CounterID in order", i, w.id)
-		}
+		{0, "counter", "locality"},
+		{uint32(len(counterTracks)), "counter", "locality"},
+	} {
 		ev := BuildTrace([]Event{{Kind: EvCounter, Arg: w.id}}).TraceEvents[0]
 		if ev.Name != w.name || ev.Cat != w.cat {
 			t.Errorf("counter %d = (%q, %q), want (%q, %q)", w.id, ev.Name, ev.Cat, w.name, w.cat)

@@ -7,6 +7,14 @@ import (
 	"testing"
 )
 
+// Three of the latency tracker's counter tracks, registered at package
+// initialization as its signals table registers them.
+var (
+	CounterStreamCoverage = NewCounterTrack("locality_stream_coverage", "locality")
+	CounterMMU1k          = NewCounterTrack("latency_mmu_1k", "latency")
+	CounterUtilization    = NewCounterTrack("latency_mutator_utilization", "latency")
+)
+
 func TestWriteTraceSpans(t *testing.T) {
 	r := NewRecorder(1, 64)
 	r.BeginSpan(SpanCycle, 1)

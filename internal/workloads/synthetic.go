@@ -70,32 +70,38 @@ func synBuild(e *env, objType *hcsgc.Type, n int) {
 	}
 }
 
-// synAccess touches element idx and returns its payload.
-func synAccess(e *env, idx int) uint64 {
-	obj := e.m.LoadRef(e.m.LoadRoot(0), idx)
-	return e.m.LoadField(obj, 0)
+// synRunPhase executes outer*inner accesses with the given per-phase seed
+// on the main mutator, allocating garbage every 10 ops. Returns a
+// checksum.
+func synRunPhase(e *env, p synParams, seed int64) uint64 {
+	return synLoop(e, e.m, p, seed, 0, 1)
 }
 
-// synRunPhase executes outer*inner accesses with the given per-phase seed,
-// allocating garbage every 10 ops. Returns a checksum.
-func synRunPhase(e *env, p synParams, seed int64) uint64 {
+// synLoop runs outer iterations first, first+stride, ... of a phase on m:
+// each replays the seed's access sequence over the array in m's root 0,
+// allocating garbage every 10 ops and polling a safepoint every 4096. The
+// loop that starts at iteration 0 samples the heap, from m, after each
+// iteration it runs. Returns the checksum of its iterations.
+func synLoop(e *env, m *hcsgc.Mutator, p synParams, seed int64, first, stride int) uint64 {
 	var check uint64
 	ops := 0
 	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < p.outer; i++ {
+	for i := first; i < p.outer; i += stride {
 		rng.Seed(seed) // same sequence every outer loop
 		for j := 0; j < p.inner; j++ {
-			idx := rng.Intn(p.elems)
-			check += synAccess(e, idx)
+			obj := m.LoadRef(m.LoadRoot(0), rng.Intn(p.elems))
+			check += m.LoadField(obj, 0)
 			ops++
 			if ops%10 == 0 {
-				e.m.AllocWordArray(synGarbageWords)
+				m.AllocWordArray(synGarbageWords)
 			}
 			if ops%4096 == 0 {
-				e.m.Safepoint()
+				m.Safepoint()
 			}
 		}
-		e.sampleHeap()
+		if first == 0 {
+			e.sampleHeapAs(m)
+		}
 	}
 	return check
 }
@@ -119,28 +125,7 @@ func synRunPhaseParallel(e *env, p synParams, seed int64, mutators int) uint64 {
 			m := e.rt.NewMutator(1)
 			defer m.Close()
 			m.SetRoot(0, arr)
-			var check uint64
-			ops := 0
-			rng := rand.New(rand.NewSource(seed))
-			for i := tid; i < p.outer; i += mutators {
-				rng.Seed(seed) // same sequence every outer loop
-				for j := 0; j < p.inner; j++ {
-					idx := rng.Intn(p.elems)
-					obj := m.LoadRef(m.LoadRoot(0), idx)
-					check += m.LoadField(obj, 0)
-					ops++
-					if ops%10 == 0 {
-						m.AllocWordArray(synGarbageWords)
-					}
-					if ops%4096 == 0 {
-						m.Safepoint()
-					}
-				}
-				if tid == 0 {
-					e.sampleHeap()
-				}
-			}
-			checks[tid] = check
+			checks[tid] = synLoop(e, m, p, seed, tid, mutators)
 		}(t)
 	}
 	// The main mutator waits as blocked: an idle unblocked mutator would

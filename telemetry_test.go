@@ -289,58 +289,59 @@ func TestSignalGaugesFollowTheLog(t *testing.T) {
 		t.Errorf("hcsgc_locality_page_entropy_bits = %v, want %v from cycle %d's record", g.Value(), last.Locality.PageEntropyBits, last.Seq)
 	}
 
-	// Every counter track, by id: the record value its sample must carry.
+	// Every counter track, by name: the record value its sample must carry.
 	mmu := func(i int) func(*latency.CycleRecord) float64 {
 		return func(r *latency.CycleRecord) float64 { return r.MMU[i].MMU }
 	}
-	tracks := map[uint32]func(*latency.CycleRecord) float64{
-		telemetry.CounterStreamCoverage: func(r *latency.CycleRecord) float64 { return r.PrefetchCoverage },
-		telemetry.CounterSegPurity:      func(r *latency.CycleRecord) float64 { return r.Locality.SegPurity },
-		telemetry.CounterPageEntropy:    func(r *latency.CycleRecord) float64 { return r.Locality.PageEntropyBits },
-		telemetry.CounterReuseP50:       func(r *latency.CycleRecord) float64 { return r.Locality.ReuseP50 },
-		telemetry.CounterMMU1k:          mmu(0),
-		telemetry.CounterMMU5k:          mmu(1),
-		telemetry.CounterMMU20k:         mmu(2),
-		telemetry.CounterMMU100k:        mmu(3),
-		telemetry.CounterUtilization:    func(r *latency.CycleRecord) float64 { return r.Utilization },
-		telemetry.CounterSignalAllocRate: func(r *latency.CycleRecord) float64 {
+	tracks := map[string]func(*latency.CycleRecord) float64{
+		"locality_stream_coverage":    func(r *latency.CycleRecord) float64 { return r.PrefetchCoverage },
+		"locality_seg_purity":         func(r *latency.CycleRecord) float64 { return r.Locality.SegPurity },
+		"locality_page_entropy_bits":  func(r *latency.CycleRecord) float64 { return r.Locality.PageEntropyBits },
+		"locality_reuse_p50_lines":    func(r *latency.CycleRecord) float64 { return r.Locality.ReuseP50 },
+		"latency_mmu_1k":              mmu(0),
+		"latency_mmu_5k":              mmu(1),
+		"latency_mmu_20k":             mmu(2),
+		"latency_mmu_100k":            mmu(3),
+		"latency_mutator_utilization": func(r *latency.CycleRecord) float64 { return r.Utilization },
+		"signal_alloc_kb_per_kcycle": func(r *latency.CycleRecord) float64 {
 			return float64(r.AllocBytes) / float64(r.VEnd-r.VStart) * 1000 / 1024
 		},
-		telemetry.CounterSignalStallP99:       func(r *latency.CycleRecord) float64 { return r.StallDist.P99 },
-		telemetry.CounterSignalHeapUsed:       func(r *latency.CycleRecord) float64 { return r.HeapUsedAfter },
-		telemetry.CounterSignalColdFrac:       func(r *latency.CycleRecord) float64 { return r.ColdFrac },
-		telemetry.CounterContentionContended:  func(r *latency.CycleRecord) float64 { return float64(r.Contention.Contended) },
-		telemetry.CounterContentionCASRetries: func(r *latency.CycleRecord) float64 { return float64(r.Contention.CASRetries) },
-		telemetry.CounterWorkerImbalance:      func(r *latency.CycleRecord) float64 { return r.Workers.Imbalance },
+		"signal_stall_p99_cycles":     func(r *latency.CycleRecord) float64 { return r.StallDist.P99 },
+		"signal_heap_used_pct":        func(r *latency.CycleRecord) float64 { return r.HeapUsedAfter },
+		"signal_cold_frac":            func(r *latency.CycleRecord) float64 { return r.ColdFrac },
+		"contention_contended_acq":    func(r *latency.CycleRecord) float64 { return float64(r.Contention.Contended) },
+		"contention_cas_retries":      func(r *latency.CycleRecord) float64 { return float64(r.Contention.CASRetries) },
+		"contention_worker_imbalance": func(r *latency.CycleRecord) float64 { return r.Workers.Imbalance },
 	}
 	for _, r := range log {
 		if r.VEnd == r.VStart || r.ColdFrac < 0 || r.PrefetchCoverage < 0 || !r.Locality.Present || !r.Contention.Present || !r.Workers.Present {
 			t.Fatalf("cycle %d did not measure every track's value", r.Seq)
 		}
 	}
-	samples := map[uint32]map[uint64]int{}
+	samples := map[string]map[uint64]int{}
 	for _, ev := range sink.Recorder().Snapshot() {
 		if ev.Kind != telemetry.EvCounter {
 			continue
 		}
-		of, known := tracks[ev.Arg]
+		name := telemetry.BuildTrace([]telemetry.Event{ev}).TraceEvents[0].Name
+		of, known := tracks[name]
 		if !known || ev.B == 0 || ev.B > uint64(len(log)) {
-			t.Errorf("counter sample for track %d, cycle %d: no such track or logged cycle", ev.Arg, ev.B)
+			t.Errorf("counter sample for track %q, cycle %d: no such track or logged cycle", name, ev.B)
 			continue
 		}
-		if samples[ev.Arg] == nil {
-			samples[ev.Arg] = map[uint64]int{}
+		if samples[name] == nil {
+			samples[name] = map[uint64]int{}
 		}
-		samples[ev.Arg][ev.B]++
+		samples[name][ev.B]++
 		rec := log[ev.B-1]
 		if got, want := math.Float64frombits(ev.A), of(rec); got != want {
-			t.Errorf("counter track %d at cycle %d = %v, want %v from the logged record", ev.Arg, ev.B, got, want)
+			t.Errorf("counter track %q at cycle %d = %v, want %v from the logged record", name, ev.B, got, want)
 		}
 	}
-	for id := range tracks {
+	for name := range tracks {
 		for _, r := range log {
-			if n := samples[id][r.Seq]; n != 1 {
-				t.Errorf("counter track %d has %d samples at cycle %d, want one", id, n, r.Seq)
+			if n := samples[name][r.Seq]; n != 1 {
+				t.Errorf("counter track %q has %d samples at cycle %d, want one", name, n, r.Seq)
 			}
 		}
 	}
