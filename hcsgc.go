@@ -359,10 +359,6 @@ func NewRuntime(opts Options) (*Runtime, error) {
 			return lat.WriteFlight(w, "on-demand")
 		}, lat.Rearm)
 		sink.SetEndpoint("signals", func() any { return lat.Window() })
-		// The registry and recorder cannot adopt contention.Mutex (import
-		// cycle through telemetry/latency); they self-report as sources.
-		ctn.AddSource("telemetry.registryMu", func() (uint64, uint64) { return reg.MuStats() })
-		ctn.AddSource("telemetry.recorderShards", func() (uint64, uint64) { return rec.MuStats() })
 		ctn.BindTelemetry(reg)
 		sink.SetEndpoint("contention", func() any { return ctn.Snapshot() })
 	}

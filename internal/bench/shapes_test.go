@@ -180,3 +180,81 @@ func TestShapeMachineModelDrivesFig6(t *testing.T) {
 	t.Errorf("config 3 on 4 threads = %.4fs vs %.4fs even at margin %.2f; the Fig. 6 overhead should mostly hide on idle cores",
 		cfg3, base, margins[len(margins)-1])
 }
+
+// jgraphtDeltas runs a JGraphT figure once under config 0 and once under
+// each of cfgs, at the workload's default scale, through one runSides call,
+// and returns each config's execution time relative to config 0's
+// (−0.10 = 10 % faster). The JGraphT runs are one mutator through one or two
+// GC cycles, and a delta moves by two points at most against effects of
+// 7–26 %, so one run a side and one attempt suffice; a bound sits near half
+// the effect measured at the default scale.
+func jgraphtDeltas(t *testing.T, id string, cfgs ...int) map[int]float64 {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("shape sweep")
+	}
+	w, err := workloads.Get(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sides, err := runSides(id, w, configSides(append([]int{0}, cfgs...)...), 1, 0, 1, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := sides[0].Times[0]
+	deltas := make(map[int]float64, len(cfgs))
+	for i, c := range cfgs {
+		deltas[c] = sides[i+1].Times[0]/base - 1
+		t.Logf("%s config %d vs 0: %+.1f%%", id, c, deltas[c]*100)
+	}
+	return deltas
+}
+
+// TestShapeFig7CCLazyLargeECWins: on the uk graph, whose heap outgrows the
+// LLC at the default scale, all-pages + lazy (config 4) wins big, and the
+// staircase's middle tier (config 9) wins too.
+func TestShapeFig7CCLazyLargeECWins(t *testing.T) {
+	d := jgraphtDeltas(t, "fig7", 4, 9)
+	if d[4] > -0.15 {
+		t.Errorf("config 4 vs 0 = %+.1f%%, want at most -15%% (Fig. 7)", d[4]*100)
+	}
+	if d[9] > -0.03 {
+		t.Errorf("config 9 vs 0 = %+.1f%%, want at most -3%% (Fig. 7 staircase)", d[9]*100)
+	}
+}
+
+// TestShapeFig8LazyWins: on the enwiki CC run, lazy relocation (config 2)
+// wins, and all-pages without lazy (config 3) does nothing.
+func TestShapeFig8LazyWins(t *testing.T) {
+	d := jgraphtDeltas(t, "fig8", 2, 3)
+	if d[2] > -0.05 {
+		t.Errorf("config 2 vs 0 = %+.1f%%, want at most -5%% (Fig. 8)", d[2]*100)
+	}
+	if d[3] < -0.02 || d[3] > 0.02 {
+		t.Errorf("config 3 vs 0 = %+.1f%%, want within ±2%% (Fig. 8)", d[3]*100)
+	}
+}
+
+// TestShapeFig9LazyWins: on the uk MC run, lazy relocation (config 2) wins.
+// The paper's config 3-over-2 gap is reversed here (EXPERIMENTS.md Fig. 9):
+// config 3 is not below config 2, and the day it is, this test says so and
+// the summary row changes with it.
+func TestShapeFig9LazyWins(t *testing.T) {
+	d := jgraphtDeltas(t, "fig9", 2, 3)
+	if d[2] > -0.06 {
+		t.Errorf("config 2 vs 0 = %+.1f%%, want at most -6%% (Fig. 9)", d[2]*100)
+	}
+	if d[3] < d[2] {
+		t.Errorf("config 3 (%+.1f%%) below config 2 (%+.1f%%): the documented Fig. 9 reversal is gone",
+			d[3]*100, d[2]*100)
+	}
+}
+
+// TestShapeFig10LazyWins: on the enwiki MC run, lazy relocation (config 2)
+// wins.
+func TestShapeFig10LazyWins(t *testing.T) {
+	d := jgraphtDeltas(t, "fig10", 2)
+	if d[2] > -0.05 {
+		t.Errorf("config 2 vs 0 = %+.1f%%, want at most -5%% (Fig. 10)", d[2]*100)
+	}
+}

@@ -213,7 +213,6 @@ func TestPlaneNilSafe(t *testing.T) {
 	if o := p.NewOpSite("x"); o != nil {
 		t.Fatal("nil plane returned a live op site")
 	}
-	p.AddSource("x", func() (uint64, uint64) { return 0, 0 })
 	p.BindTelemetry(telemetry.NewRegistry())
 	if d := p.OnCycle(nil); d != (CycleDelta{}) {
 		t.Fatal("nil plane OnCycle not zero")
@@ -301,35 +300,6 @@ func TestOnCycleDeltas(t *testing.T) {
 	}
 	if got := p.Snapshot().Cycles; got != 2 {
 		t.Fatalf("cycles = %d, want 2", got)
-	}
-}
-
-// TestOnCycleSources: external self-reporting sources (the telemetry
-// registry and recorder, which cannot adopt contention.Mutex without an
-// import cycle) are differenced like first-class sites.
-func TestOnCycleSources(t *testing.T) {
-	p := New()
-	var ops, con uint64
-	p.AddSource("ext", func() (uint64, uint64) { return ops, con })
-	ops, con = 40, 4
-	d := p.OnCycle(nil).Locks
-	if d.Acquisitions != 40 || d.Contended != 4 {
-		t.Fatalf("source delta = %+v", d)
-	}
-	ops, con = 50, 4
-	d = p.OnCycle(nil).Locks
-	if d.Acquisitions != 10 || d.Contended != 0 {
-		t.Fatalf("source second delta = %+v", d)
-	}
-	snap := p.Snapshot()
-	found := false
-	for _, site := range snap.Sites {
-		if site.Name == "ext" && site.Acquisitions == 50 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("source missing from snapshot: %+v", snap.Sites)
 	}
 }
 
@@ -544,7 +514,6 @@ func TestResetPlaneIsLikeANewOne(t *testing.T) {
 	}
 	p := New()
 	s, o := use(p, &mu)
-	p.AddSource("telemetry.registryMu", func() (uint64, uint64) { return 3, 1 })
 	s.wait.Record(1000)
 	s.contended.Add(1)
 	p.Reset()

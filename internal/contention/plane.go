@@ -47,15 +47,6 @@ func advance(seen *telemetry.Counter, now uint64) uint64 {
 	return d
 }
 
-// source bridges a component whose locking cannot adopt contention.Mutex
-// (the telemetry registry/recorder would create an import cycle through
-// telemetry/latency) but that can report (attempts, contended) totals.
-type source struct {
-	name               string
-	probe              func() (ops, contended uint64)
-	seenOps, seenContd telemetry.Counter
-}
-
 // workerSeen is one GC worker's WorkerTotals as of the last cycle.
 type workerSeen struct{ scanned, relocated, steals, busy telemetry.Counter }
 
@@ -71,7 +62,6 @@ type Plane struct {
 	mu      sync.Mutex
 	sites   []*Site
 	ops     []*OpSite
-	sources []*source
 	workers []workerSeen
 	// work is OnCycle's per-worker scratch.
 	work []float64
@@ -93,7 +83,7 @@ func New() *Plane { return &Plane{} }
 // runtime that built its plane hands it to the next one (hcsgc.Runtime.Close),
 // and the sites, whose wait histograms are most of a plane's size, are
 // emptied and set aside for NewSite and NewOpSite to hand out again under
-// their names. Sources and worker totals are dropped.
+// their names. Worker totals are dropped.
 //
 // The plane must never have been bound to a registry (it serves the sites'
 // cells), and no mutex instrumented with one of its sites may be in use: a
@@ -112,9 +102,8 @@ func (p *Plane) Reset() {
 	p.idleOps = append(p.idleOps, p.ops...)
 	clear(p.sites)
 	clear(p.ops)
-	clear(p.sources)
 	clear(p.workers)
-	p.sites, p.ops, p.sources, p.workers = p.sites[:0], p.ops[:0], p.sources[:0], p.workers[:0]
+	p.sites, p.ops, p.workers = p.sites[:0], p.ops[:0], p.workers[:0]
 	p.cycles, p.lastImbalance = 0, 0
 }
 
@@ -151,7 +140,7 @@ func (p *Plane) NewSite(name string) *Site {
 		s = &Site{name: name}
 	}
 	p.sites = append(p.sites, s)
-	p.bindLock(name, &s.wait, &s.seenAcq, &s.seenContd)
+	p.bindLock(s)
 	return s
 }
 
@@ -177,27 +166,8 @@ func (p *Plane) NewOpSite(name string) *OpSite {
 	return o
 }
 
-// AddSource registers (or replaces, by name) an external probe reporting
-// cumulative (attempts, contended) for a lock the plane cannot wrap.
-func (p *Plane) AddSource(name string, probe func() (ops, contended uint64)) {
-	if p == nil || probe == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, s := range p.sources {
-		if s.name == name {
-			s.probe = probe
-			return
-		}
-	}
-	src := &source{name: name, probe: probe}
-	p.sources = append(p.sources, src)
-	p.bindLock(name, nil, &src.seenOps, &src.seenContd)
-}
-
-// BindTelemetry attaches the metrics registry and has it serve every site,
-// source and CAS loop known so far; those registered later join as they
+// BindTelemetry attaches the metrics registry and has it serve every lock
+// site and CAS loop known so far; those registered later join as they
 // arrive, so a series exists from the moment its site does, whether or not
 // it was ever contended. Per-worker totals are the snapshot's worker table.
 // The per-cycle deltas are the cycle record's sections, which the latency
@@ -211,26 +181,21 @@ func (p *Plane) BindTelemetry(reg *telemetry.Registry) {
 	defer p.mu.Unlock()
 	p.reg = reg
 	for _, s := range p.sites {
-		p.bindLock(s.name, &s.wait, &s.seenAcq, &s.seenContd)
-	}
-	for _, src := range p.sources {
-		p.bindLock(src.name, nil, &src.seenOps, &src.seenContd)
+		p.bindLock(s)
 	}
 	for _, o := range p.ops {
 		p.bindOp(o)
 	}
 }
 
-// bindLock has the registry serve one lock site or source: its totals as
-// of the last cycle and, for a wrapped mutex, the live wait histogram.
-// Like bindOp: caller holds p.mu, a nil registry is a no-op.
-func (p *Plane) bindLock(name string, wait *latency.Hist, acq, contended *telemetry.Counter) {
-	if wait != nil {
-		p.reg.Summary("hcsgc_contention_wait_ns",
-			"Wall-clock nanoseconds contended lock acquisitions waited.", wait, "site", name)
-	}
-	p.reg.Adopt("hcsgc_contention_acquisitions_total", helpAcq, acq, "site", name)
-	p.reg.Adopt("hcsgc_contention_contended_total", helpContended, contended, "site", name)
+// bindLock has the registry serve one lock site: its totals as of the last
+// cycle and its live wait histogram. Like bindOp: caller holds p.mu, a nil
+// registry is a no-op.
+func (p *Plane) bindLock(s *Site) {
+	p.reg.Summary("hcsgc_contention_wait_ns",
+		"Wall-clock nanoseconds contended lock acquisitions waited.", &s.wait, "site", s.name)
+	p.reg.Adopt("hcsgc_contention_acquisitions_total", helpAcq, &s.seenAcq, "site", s.name)
+	p.reg.Adopt("hcsgc_contention_contended_total", helpContended, &s.seenContd, "site", s.name)
 }
 
 func (p *Plane) bindOp(o *OpSite) {
@@ -262,11 +227,6 @@ func (p *Plane) OnCycle(workers []WorkerTotals) CycleDelta {
 	for _, s := range p.sites {
 		l.Acquisitions += advance(&s.seenAcq, s.Acquisitions())
 		l.Contended += advance(&s.seenContd, s.contended.Load())
-	}
-	for _, src := range p.sources {
-		ops, con := src.probe()
-		l.Acquisitions += advance(&src.seenOps, ops)
-		l.Contended += advance(&src.seenContd, con)
 	}
 	if l.Acquisitions > 0 {
 		l.ContendedFrac = float64(l.Contended) / float64(l.Acquisitions)
@@ -391,14 +351,6 @@ func (p *Plane) Snapshot() Snapshot {
 		}
 		if ss.Acquisitions > 0 {
 			ss.ContendedFrac = float64(ss.Contended) / float64(ss.Acquisitions)
-		}
-		snap.Sites = append(snap.Sites, ss)
-	}
-	for _, src := range p.sources {
-		ops, con := src.probe()
-		ss := SiteSnapshot{Name: src.name, Acquisitions: ops, Contended: con}
-		if ops > 0 {
-			ss.ContendedFrac = float64(con) / float64(ops)
 		}
 		snap.Sites = append(snap.Sites, ss)
 	}

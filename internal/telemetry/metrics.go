@@ -120,31 +120,6 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	// muAcq/muContended feed the contention plane: the registry cannot
-	// adopt contention.Mutex (import cycle through telemetry/latency),
-	// so it self-reports through Plane.AddSource instead.
-	muAcq       atomic.Uint64
-	muContended atomic.Uint64
-}
-
-// lock acquires r.mu, counting the acquisition and whether it had to
-// block, mirroring contention.Mutex's fast path.
-func (r *Registry) lock() {
-	r.muAcq.Add(1)
-	if r.mu.TryLock() {
-		return
-	}
-	r.muContended.Add(1)
-	r.lock()
-}
-
-// MuStats reports cumulative registry-mutex acquisitions and contended
-// acquisitions for the contention plane.
-func (r *Registry) MuStats() (acquisitions, contended uint64) {
-	if r == nil {
-		return 0, 0
-	}
-	return r.muAcq.Load(), r.muContended.Load()
 }
 
 // NewRegistry builds an empty registry.
@@ -206,7 +181,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.get(name, help, kindCounter, labels)
 	if s.c == nil {
@@ -224,7 +199,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 // a nil registry.
 func (r *Registry) Adopt(name, help string, cell *Counter, labels ...string) *Counter {
 	if r != nil {
-		r.lock()
+		r.mu.Lock()
 		r.get(name, help, kindCounter, labels).c = cell
 		r.mu.Unlock()
 	}
@@ -237,7 +212,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.get(name, help, kindGauge, labels)
 	if s.g == nil {
@@ -255,7 +230,7 @@ func (r *Registry) Summary(name, help string, src QuantileSource, labels ...stri
 	if r == nil {
 		return
 	}
-	r.lock()
+	r.mu.Lock()
 	r.get(name, help, kindSummary, labels).q = src
 	r.mu.Unlock()
 }
@@ -264,7 +239,7 @@ func (r *Registry) Summary(name, help string, src QuantileSource, labels ...stri
 // by label set. The copies are what a scrape renders: a series re-pointed,
 // or a family that gains a series, while the scrape runs does not race it.
 func (r *Registry) snapshot() []family {
-	r.lock()
+	r.mu.Lock()
 	defer r.mu.Unlock()
 	fams := make([]family, 0, len(r.families))
 	for _, f := range r.families {

@@ -98,17 +98,6 @@ func (r *Recorder) EndSpan(id SpanID, tid uint32) {
 	r.Record(EvSpanEnd, uint32(id), uint64(tid), 0)
 }
 
-// MuStats reports cumulative record attempts and the subset that lost
-// the shard TryLock (the recorder's contention shows up as drops, not
-// waits) for the contention plane.
-func (r *Recorder) MuStats() (attempts, contended uint64) {
-	if r == nil {
-		return 0, 0
-	}
-	d := r.drops.Load()
-	return r.seq.Load() + d, d
-}
-
 // Dropped returns the number of events lost to shard contention.
 func (r *Recorder) Dropped() uint64 {
 	if r == nil {

@@ -91,8 +91,10 @@ func KVServer() Workload {
 			keys, reqs := sched.Config.Keys, sched.Config.Requests
 
 			// The run's ledger; merged into the caller's (the bench A/B
-			// aggregates across repeats) at the end.
-			mx := kvstore.NewMetrics()
+			// aggregates across repeats) at the end. A ledger no telemetry
+			// sink serves has no reader after the run, so it goes back for
+			// the next run's.
+			mx := kvstore.TakeMetrics()
 			if cfg.Telemetry != nil {
 				mx.BindTelemetry(cfg.Telemetry.Metrics())
 				// The /kv and /overload endpoints serve this run's live
@@ -349,7 +351,12 @@ func KVServer() Workload {
 			for _, c := range checks {
 				check += c
 			}
-			cfg.KV.Merge(mx)
+			if cfg.Telemetry == nil {
+				mx.FoldInto(cfg.KV)
+				mx.Release()
+			} else {
+				cfg.KV.Merge(mx)
+			}
 			res := e.finish(check)
 			res.Ops = uint64(reqs)
 			steady := rep.Phases[loadgen.PhaseSteady].Dist

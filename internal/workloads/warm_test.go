@@ -67,9 +67,9 @@ func TestWarmJBBRepAllocatesUnder64KB(t *testing.T) {
 	checkWarmRep(t, "fig13", RunConfig{Knobs: knobsHCPLazy, Seed: 1, Scale: 0.1}, 64<<10)
 }
 
-// TestWarmKVRepAllocatesUnder200KB: a warm kv rep reuses the schedule and
-// its server threads' ledgers; what it still allocates is mostly the run's
-// own ledger (seven HDR histograms) and its requests' host-side values.
-func TestWarmKVRepAllocatesUnder200KB(t *testing.T) {
-	checkWarmRep(t, "kv", RunConfig{Knobs: knobsAllLazy, Seed: 1, Scale: 0.05, Mutators: 2, LoadFactor: 1}, 200<<10)
+// TestWarmKVRepAllocatesUnder64KB: a warm kv rep reuses the schedule, its
+// server threads' ledgers and the run's own ledger, and allocates at most
+// 64 KB.
+func TestWarmKVRepAllocatesUnder64KB(t *testing.T) {
+	checkWarmRep(t, "kv", RunConfig{Knobs: knobsAllLazy, Seed: 1, Scale: 0.05, Mutators: 2, LoadFactor: 1}, 64<<10)
 }

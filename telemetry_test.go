@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -186,6 +187,27 @@ func TestTelemetryEndToEnd(t *testing.T) {
 // panics, no events, no metrics.
 func TestTelemetryDisabledIsInert(t *testing.T) {
 	runTelemetryWorkload(t, nil)
+}
+
+// TestContentionSitesAreTheRuntimesLocks: with a telemetry sink attached,
+// the contention plane's lock sites are the locks the heap, the memory model
+// and the collector instrument, and nothing of the sink's own.
+func TestContentionSitesAreTheRuntimesLocks(t *testing.T) {
+	rt := hcsgc.MustNewRuntime(hcsgc.Options{HeapMaxBytes: 64 << 20, Telemetry: hcsgc.NewTelemetrySink()})
+	defer rt.Close()
+	m := rt.NewMutator(1)
+	m.RequestGC()
+	m.Close()
+
+	var names []string
+	for _, s := range rt.Contention.Snapshot().Sites {
+		names = append(names, s.Name)
+	}
+	slices.Sort(names)
+	want := []string{"core.cycleMu", "core.medMu", "core.mutMu", "heap.mu", "simmem.coresMu", "simmem.llcMu"}
+	if !slices.Equal(names, want) {
+		t.Fatalf("contention sites = %q, want %q", names, want)
+	}
 }
 
 // TestSignalGaugesFollowTheLog pins the per-cycle publication against a
