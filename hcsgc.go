@@ -99,9 +99,9 @@ type (
 	// the cycle log (LatencyTracker.Window).
 	LatencyWindow = latency.Window
 	// ContentionPlane is the contention & scalability attribution plane:
-	// per-site lock acquisition/contended counts and wait histograms,
-	// CAS retry profiling, and GC-worker balance (see
-	// internal/contention). Every runtime has one (Runtime.Contention).
+	// per-site lock acquisition/contended counts and wait histograms, and
+	// CAS retry profiling (see internal/contention). Every runtime has one
+	// (Runtime.Contention).
 	// Its ranked snapshot says where threads wait; read wait-for-GC
 	// convoys (core.cycleMu) apart from contended locks before acting on it.
 	ContentionPlane = contention.Plane

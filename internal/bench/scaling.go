@@ -8,6 +8,7 @@ import (
 
 	"hcsgc"
 	"hcsgc/internal/contention"
+	"hcsgc/internal/telemetry/latency"
 	"hcsgc/internal/workloads"
 )
 
@@ -176,7 +177,7 @@ type ScalePoint struct {
 	GCCycles    int     `json:"gc_cycles"`
 	Check       uint64  `json:"check"`
 	// Imbalance is the GC-worker load imbalance coefficient
-	// (stddev/mean) as of the run's last cycle.
+	// (stddev/mean) of the run's last cycle record.
 	Imbalance float64 `json:"worker_imbalance"`
 	// Sites is the run's ranked contention table, most-contended first
 	// (top scalingTopSites).
@@ -257,8 +258,10 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 			func(i int, rc *workloads.RunConfig) func(workloads.Result) {
 				ctn := hcsgc.NewContentionPlane()
 				rc.Contention = ctn
+				lat := hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{})
+				rc.Latency = lat
 				return func(out workloads.Result) {
-					series.Points[i] = newScalePoint(ladder[i], out, ctn.Snapshot())
+					series.Points[i] = newScalePoint(ladder[i], out, ctn.Snapshot(), lat.Log())
 				}
 			})
 		if err != nil {
@@ -287,8 +290,9 @@ func RunScaleSweep(muts []int, scale float64, seed int64, sink *hcsgc.TelemetryS
 }
 
 // newScalePoint is the point a run at n mutators measured, with the top
-// of its contention snapshot attached.
-func newScalePoint(n int, out workloads.Result, snap contention.Snapshot) ScalePoint {
+// of its contention snapshot and the imbalance of its cycle log's last
+// record attached.
+func newScalePoint(n int, out workloads.Result, snap contention.Snapshot, log []*latency.CycleRecord) ScalePoint {
 	pt := ScalePoint{
 		Mutators:    n,
 		Ops:         out.Ops,
@@ -296,9 +300,11 @@ func newScalePoint(n int, out workloads.Result, snap contention.Snapshot) ScaleP
 		ExecSeconds: out.ExecSeconds,
 		GCCycles:    out.GCCycleCount,
 		Check:       out.Check,
-		Imbalance:   snap.Imbalance,
 		Sites:       snap.Sites[:min(len(snap.Sites), scalingTopSites)],
 		CAS:         snap.CAS[:min(len(snap.CAS), scalingTopCAS)],
+	}
+	if len(log) > 0 {
+		pt.Imbalance = log[len(log)-1].Workers.Imbalance
 	}
 	if out.ExecSeconds > 0 {
 		pt.Throughput = float64(pt.Ops-pt.Failures) / out.ExecSeconds

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hcsgc/internal/contention"
+	"hcsgc/internal/telemetry/latency"
 	"hcsgc/internal/workloads"
 )
 
@@ -142,9 +143,25 @@ func TestRunScaleSweepSmall(t *testing.T) {
 	kv[0] = newScalePoint(1, workloads.Result{
 		Ops: live.Ops, ExecSeconds: live.ExecSeconds,
 		Scores: map[string]float64{"kv-failures": float64(live.Ops)},
-	}, contention.Snapshot{})
+	}, contention.Snapshot{}, nil)
 	if err := sweep.Validate(); err == nil || !strings.Contains(err.Error(), "kv x1: non-positive throughput") {
 		t.Errorf("Validate accepted a dead width-1 KV server: %v", err)
+	}
+}
+
+// TestScalePointImbalanceIsTheLastCycles: a point's imbalance is the worker
+// section of the last record of the run's cycle log; a run that logged no
+// cycle reads 0.
+func TestScalePointImbalanceIsTheLastCycles(t *testing.T) {
+	log := []*latency.CycleRecord{
+		{Seq: 1, Workers: latency.WorkerDelta{Present: true, Workers: 2, Imbalance: 0.25}},
+		{Seq: 2, Workers: latency.WorkerDelta{Present: true, Workers: 2, Imbalance: 0.125}},
+	}
+	if got := newScalePoint(2, workloads.Result{}, contention.Snapshot{}, log).Imbalance; got != 0.125 {
+		t.Errorf("imbalance = %g, want the last record's 0.125", got)
+	}
+	if got := newScalePoint(2, workloads.Result{}, contention.Snapshot{}, nil).Imbalance; got != 0 {
+		t.Errorf("imbalance without cycles = %g, want 0", got)
 	}
 }
 

@@ -3,7 +3,7 @@
 // hunch. A long wait is not yet a contended lock: core.cycleMu ranks first
 // because stalled mutators queue on it for a GC cycle to finish.
 //
-// Three kinds of serialization are attributed:
+// Two kinds of serialization are attributed:
 //
 //   - Lock contention. The named hot locks (core.cycleMu, core.mutMu,
 //     heap.mu, the simmem LLC/core registries, ...) are wrapped in
@@ -17,12 +17,6 @@
 //     structure loops (forwarding-table install, page bump-pointer
 //     allocation, markPool transfers) and separate attempts from retries
 //     per structure.
-//
-//   - GC-worker imbalance. The collector reports per-worker cumulative
-//     scanned/relocated/stolen counts and busy virtual cycles once per
-//     GC cycle; the plane turns them into per-cycle deltas and an
-//     imbalance coefficient (coefficient of variation of per-worker
-//     work).
 //
 // Every runtime has a contention plane. The heap, the memory model and a
 // collector built directly (tests, probes) work without one: every

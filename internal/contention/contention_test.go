@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"hcsgc/internal/telemetry"
+	"hcsgc/internal/telemetry/latency"
 )
 
 // addAcquisitions credits n acquisitions to s the way real ones arrive: on
@@ -40,12 +42,12 @@ func TestSiteSumsItsMutexes(t *testing.T) {
 	if got := s.Acquisitions(); got != 10 {
 		t.Fatalf("site acquisitions = %d, want 1+2+3+4", got)
 	}
-	if d := p.OnCycle(nil).Locks; d.Acquisitions != 10 {
+	if d := p.OnCycle(); d.Acquisitions != 10 {
 		t.Fatalf("cycle delta acquisitions = %d, want 10", d.Acquisitions)
 	}
 	mus[0].Lock()
 	mus[0].Unlock()
-	if d := p.OnCycle(nil).Locks; d.Acquisitions != 1 {
+	if d := p.OnCycle(); d.Acquisitions != 1 {
 		t.Fatalf("second cycle delta = %d, want 1", d.Acquisitions)
 	}
 	if snap := p.Snapshot(); len(snap.Sites) != 1 || snap.Sites[0].Acquisitions != 11 {
@@ -214,7 +216,7 @@ func TestPlaneNilSafe(t *testing.T) {
 		t.Fatal("nil plane returned a live op site")
 	}
 	p.BindTelemetry(telemetry.NewRegistry())
-	if d := p.OnCycle(nil); d != (CycleDelta{}) {
+	if d := p.OnCycle(); d != (latency.LockDelta{}) {
 		t.Fatal("nil plane OnCycle not zero")
 	}
 	if s := p.Snapshot(); len(s.Sites) != 0 || s.Cycles != 0 {
@@ -285,7 +287,7 @@ func TestOnCycleDeltas(t *testing.T) {
 	s.contended.Add(2)
 	o.ops.Add(100)
 	o.retries.Add(5)
-	d1 := p.OnCycle(nil).Locks
+	d1 := p.OnCycle()
 	if d1.Acquisitions != 10 || d1.Contended != 2 || d1.CASOps != 100 || d1.CASRetries != 5 {
 		t.Fatalf("first delta = %+v", d1)
 	}
@@ -294,7 +296,7 @@ func TestOnCycleDeltas(t *testing.T) {
 	}
 
 	addAcquisitions(s, 5)
-	d2 := p.OnCycle(nil).Locks
+	d2 := p.OnCycle()
 	if d2.Acquisitions != 5 || d2.Contended != 0 || d2.CASOps != 0 {
 		t.Fatalf("second delta not differenced: %+v", d2)
 	}
@@ -303,59 +305,8 @@ func TestOnCycleDeltas(t *testing.T) {
 	}
 }
 
-// TestOnCycleWorkerBalance pins the imbalance coefficient: per-worker
-// work is the busy-cycle delta, and the coefficient is stddev/mean of
-// the per-worker shares (0 = perfectly balanced).
-func TestOnCycleWorkerBalance(t *testing.T) {
-	p := New()
-	p.OnCycle([]WorkerTotals{{BusyCycles: 0}, {BusyCycles: 0}})
-	// Cycle 2: worker 0 did 300 cycles of work, worker 1 did 100.
-	d := p.OnCycle([]WorkerTotals{
-		{Scanned: 30, BusyCycles: 300},
-		{Scanned: 10, BusyCycles: 100},
-	}).Workers
-	if d.Workers != 2 || d.Scanned != 40 {
-		t.Fatalf("delta = %+v", d)
-	}
-	// work = {300, 100}: mean 200, stddev 100 -> coefficient 0.5.
-	if math.Abs(d.Imbalance-0.5) > 1e-12 {
-		t.Fatalf("imbalance = %g, want 0.5", d.Imbalance)
-	}
-
-	// Balanced cycle: both advance equally -> 0.
-	d = p.OnCycle([]WorkerTotals{
-		{Scanned: 40, BusyCycles: 500},
-		{Scanned: 20, BusyCycles: 300},
-	}).Workers
-	if d.Imbalance != 0 {
-		t.Fatalf("balanced imbalance = %g, want 0", d.Imbalance)
-	}
-
-	// No memory model (BusyCycles flat): falls back to scanned+relocated
-	// work units.
-	d = p.OnCycle([]WorkerTotals{
-		{Scanned: 70, BusyCycles: 500},
-		{Scanned: 30, BusyCycles: 300},
-	}).Workers
-	// scanned deltas {30, 10} -> same 0.5 shape.
-	if math.Abs(d.Imbalance-0.5) > 1e-12 {
-		t.Fatalf("fallback imbalance = %g, want 0.5", d.Imbalance)
-	}
-}
-
-// TestImbalanceEdgeCases: fewer than two workers or zero total work
-// reads as perfectly balanced, never NaN.
-func TestImbalanceEdgeCases(t *testing.T) {
-	for _, work := range [][]float64{nil, {5}, {0, 0, 0}} {
-		if got := imbalance(work); got != 0 {
-			t.Fatalf("imbalance(%v) = %g, want 0", work, got)
-		}
-	}
-}
-
 // TestBindTelemetry: the hcsgc_contention_* families land in the Prometheus
-// exposition with per-site labels, and the per-worker totals and their
-// imbalance in the snapshot.
+// exposition with per-site labels.
 func TestBindTelemetry(t *testing.T) {
 	p := New()
 	s := p.NewSite("core.cycleMu")
@@ -368,7 +319,7 @@ func TestBindTelemetry(t *testing.T) {
 	s.wait.Record(1000)
 	o.ops.Add(20)
 	o.retries.Add(2)
-	p.OnCycle([]WorkerTotals{{Scanned: 5, BusyCycles: 100}, {Scanned: 5, BusyCycles: 100}})
+	p.OnCycle()
 
 	var b strings.Builder
 	reg.WritePrometheus(&b)
@@ -383,11 +334,6 @@ func TestBindTelemetry(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
 		}
-	}
-	if snap := p.Snapshot(); len(snap.Workers) != 2 || snap.Workers[0].Scanned != 5 ||
-		snap.Workers[1].BusyCycles != 100 || snap.Imbalance != 0 {
-		t.Errorf("worker table = %+v, imbalance %v, want two workers, scanned 5 and busy 100, balanced",
-			snap.Workers, snap.Imbalance)
 	}
 }
 
@@ -468,14 +414,23 @@ func TestContentionEndpoint(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		fwd.Retry()
 	}
-	p.OnCycle([]WorkerTotals{
-		{Scanned: 5, Relocated: 1, BusyCycles: 100},
-		{Scanned: 3, BusyCycles: 100},
-	})
+	p.OnCycle()
 	sink.SetEndpoint("contention", func() any { return p.Snapshot() })
 
+	body := get()
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal([]byte(body), &keys); err != nil {
+		t.Fatalf("/contention does not parse: %v", err)
+	}
+	var got []string
+	for k := range keys {
+		got = append(got, k)
+	}
+	if slices.Sort(got); !slices.Equal(got, []string{"cas", "cycles", "sites"}) {
+		t.Errorf("/contention keys = %v, want exactly cycles, sites and cas", got)
+	}
 	var snap Snapshot
-	if err := json.Unmarshal([]byte(get()), &snap); err != nil {
+	if err := json.Unmarshal([]byte(body), &snap); err != nil {
 		t.Fatalf("/contention does not parse: %v", err)
 	}
 	if snap.Cycles != 1 {
@@ -489,9 +444,6 @@ func TestContentionEndpoint(t *testing.T) {
 	}
 	if len(snap.CAS) != 1 || snap.CAS[0].Name != "heap.forwarding" || snap.CAS[0].Retries != 4 {
 		t.Errorf("CAS table = %+v", snap.CAS)
-	}
-	if len(snap.Workers) != 2 || snap.Workers[0].Scanned != 5 {
-		t.Errorf("workers = %+v", snap.Workers)
 	}
 }
 
@@ -509,7 +461,7 @@ func TestResetPlaneIsLikeANewOne(t *testing.T) {
 		o := p.NewOpSite("heap.pageBump")
 		o.Op()
 		o.Retry()
-		p.OnCycle([]WorkerTotals{{Scanned: 5, BusyCycles: 10}, {Scanned: 7, BusyCycles: 30}})
+		p.OnCycle()
 		return s, o
 	}
 	p := New()

@@ -1,40 +1,12 @@
 package contention
 
 import (
-	"math"
-	"slices"
 	"sort"
 	"sync"
 
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
-
-// WorkerTotals is one GC worker's cumulative activity, reported by the
-// collector at cycle end. All fields are since-process-start totals; the
-// plane differentiates them into per-cycle deltas.
-type WorkerTotals struct {
-	// Scanned counts objects traced by the worker during marking.
-	Scanned uint64
-	// Relocated counts objects the worker copied during the drain.
-	Relocated uint64
-	// Steals counts work chunks the worker fetched from the shared
-	// mark pool (work acquired globally rather than from its own local
-	// stack).
-	Steals uint64
-	// BusyCycles is the worker's simulated-memory cycle consumption —
-	// virtual time spent doing work rather than parked waiting for it.
-	// Zero when the memory model is disabled.
-	BusyCycles uint64
-}
-
-// CycleDelta is what OnCycle hands back: per-cycle differences of every
-// cumulative counter the plane tracks, as the cycle record's "workers" and
-// "contention" sections.
-type CycleDelta struct {
-	Workers latency.WorkerDelta
-	Locks   latency.LockDelta
-}
 
 // advance moves seen, a cumulative total as of the last cycle boundary, to
 // now and returns the step. The plane differentiates every live total
@@ -47,9 +19,6 @@ func advance(seen *telemetry.Counter, now uint64) uint64 {
 	return d
 }
 
-// workerSeen is one GC worker's WorkerTotals as of the last cycle.
-type workerSeen struct{ scanned, relocated, steals, busy telemetry.Counter }
-
 // Plane owns the registered sites and turns their cumulative counters
 // into per-cycle deltas, metrics and the /contention snapshot. A nil
 // *Plane is the opted-out plane: NewSite and NewOpSite return nil, so
@@ -59,19 +28,15 @@ type Plane struct {
 	// locks: OnCycle runs with collector locks held.
 	//
 	//hcsgc:lock-order 70
-	mu      sync.Mutex
-	sites   []*Site
-	ops     []*OpSite
-	workers []workerSeen
-	// work is OnCycle's per-worker scratch.
-	work []float64
+	mu    sync.Mutex
+	sites []*Site
+	ops   []*OpSite
 	// idleSites and idleOps are the sites the plane had before Reset,
 	// emptied; NewSite and NewOpSite take theirs back by name.
 	idleSites []*Site
 	idleOps   []*OpSite
 
-	cycles        uint64
-	lastImbalance float64
+	cycles uint64
 
 	reg *telemetry.Registry
 }
@@ -83,7 +48,7 @@ func New() *Plane { return &Plane{} }
 // runtime that built its plane hands it to the next one (hcsgc.Runtime.Close),
 // and the sites, whose wait histograms are most of a plane's size, are
 // emptied and set aside for NewSite and NewOpSite to hand out again under
-// their names. Worker totals are dropped.
+// their names.
 //
 // The plane must never have been bound to a registry (it serves the sites'
 // cells), and no mutex instrumented with one of its sites may be in use: a
@@ -102,9 +67,8 @@ func (p *Plane) Reset() {
 	p.idleOps = append(p.idleOps, p.ops...)
 	clear(p.sites)
 	clear(p.ops)
-	clear(p.workers)
-	p.sites, p.ops, p.workers = p.sites[:0], p.ops[:0], p.workers[:0]
-	p.cycles, p.lastImbalance = 0, 0
+	p.sites, p.ops = p.sites[:0], p.ops[:0]
+	p.cycles = 0
 }
 
 // takeIdle removes and returns the element of idle that name picks, or nil.
@@ -169,10 +133,9 @@ func (p *Plane) NewOpSite(name string) *OpSite {
 // BindTelemetry attaches the metrics registry and has it serve every lock
 // site and CAS loop known so far; those registered later join as they
 // arrive, so a series exists from the moment its site does, whether or not
-// it was ever contended. Per-worker totals are the snapshot's worker table.
-// The per-cycle deltas are the cycle record's sections, which the latency
-// tracker publishes (hcsgc_signal_value{signal="worker_imbalance"} and the
-// contention_* counter tracks).
+// it was ever contended. The per-cycle delta is the cycle record's
+// contention section, which the latency tracker publishes (the contention_*
+// counter tracks).
 func (p *Plane) BindTelemetry(reg *telemetry.Registry) {
 	if p == nil {
 		return
@@ -211,13 +174,13 @@ const (
 	helpCASRetry  = "Failed atomic-loop attempts that looped, by structure."
 )
 
-// OnCycle ingests one GC cycle's worker totals, differentiates every
-// cumulative counter into this cycle's delta, and returns the delta: the
-// two sections the cycle record carries. Called once per cycle from the
-// collector; nil-plane safe (returns the zero delta, Present false).
-func (p *Plane) OnCycle(workers []WorkerTotals) CycleDelta {
+// OnCycle differentiates every site's cumulative counters into this
+// cycle's delta and returns it: the cycle record's contention section.
+// Called once per cycle from the collector; nil-plane safe (returns the zero
+// delta, Present false).
+func (p *Plane) OnCycle() latency.LockDelta {
 	if p == nil {
-		return CycleDelta{}
+		return latency.LockDelta{}
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -238,56 +201,7 @@ func (p *Plane) OnCycle(workers []WorkerTotals) CycleDelta {
 	if l.CASOps > 0 {
 		l.RetryFrac = float64(l.CASRetries) / float64(l.CASOps)
 	}
-
-	// Worker balance. Reset leaves the cells past len(p.workers) zero.
-	if n := len(workers); n > len(p.workers) {
-		p.workers = slices.Grow(p.workers, n-len(p.workers))[:n]
-	}
-	w := latency.WorkerDelta{Present: true, Workers: len(workers)}
-	if cap(p.work) < len(workers) {
-		p.work = make([]float64, len(workers))
-	}
-	work := p.work[:len(workers)]
-	for i, t := range workers {
-		ws := &p.workers[i]
-		dScan, dReloc := advance(&ws.scanned, t.Scanned), advance(&ws.relocated, t.Relocated)
-		dBusy := advance(&ws.busy, t.BusyCycles)
-		w.Scanned += dScan
-		w.Relocated += dReloc
-		w.Steals += advance(&ws.steals, t.Steals)
-		// Imbalance is computed over busy virtual cycles when the memory
-		// model runs; otherwise over scanned+relocated work units.
-		if dBusy > 0 {
-			work[i] = float64(dBusy)
-		} else {
-			work[i] = float64(dScan + dReloc)
-		}
-	}
-	w.Imbalance = imbalance(work)
-	p.lastImbalance = w.Imbalance
-	return CycleDelta{Workers: w, Locks: l}
-}
-
-// imbalance is the coefficient of variation (stddev/mean) of per-worker
-// work; 0 for perfectly balanced, empty, or idle cycles.
-func imbalance(work []float64) float64 {
-	if len(work) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, w := range work {
-		sum += w
-	}
-	mean := sum / float64(len(work))
-	if mean == 0 {
-		return 0
-	}
-	var ss float64
-	for _, w := range work {
-		dev := w - mean
-		ss += dev * dev
-	}
-	return math.Sqrt(ss/float64(len(work))) / mean
+	return l
 }
 
 // SiteSnapshot is one lock site's cumulative totals for /contention.
@@ -309,25 +223,13 @@ type OpSnapshot struct {
 	RetryFrac float64 `json:"retry_frac"`
 }
 
-// WorkerSnapshot is one GC worker's cumulative totals as of the last
-// completed cycle.
-type WorkerSnapshot struct {
-	ID         int    `json:"id"`
-	Scanned    uint64 `json:"scanned"`
-	Relocated  uint64 `json:"relocated"`
-	Steals     uint64 `json:"steals"`
-	BusyCycles uint64 `json:"busy_cycles"`
-}
-
 // Snapshot is the /contention endpoint payload: the ranked serialization
-// list (sites sorted by contended acquisitions, descending) plus CAS and
-// worker breakdowns and the last cycle's imbalance coefficient.
+// list (sites sorted by contended acquisitions, descending) plus the CAS
+// breakdown.
 type Snapshot struct {
-	Cycles    uint64           `json:"cycles"`
-	Sites     []SiteSnapshot   `json:"sites"`
-	CAS       []OpSnapshot     `json:"cas"`
-	Workers   []WorkerSnapshot `json:"workers"`
-	Imbalance float64          `json:"imbalance"`
+	Cycles uint64         `json:"cycles"`
+	Sites  []SiteSnapshot `json:"sites"`
+	CAS    []OpSnapshot   `json:"cas"`
 }
 
 // Snapshot captures cumulative totals. Nil-plane safe (returns the zero
@@ -339,7 +241,7 @@ func (p *Plane) Snapshot() Snapshot {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	snap := Snapshot{Cycles: p.cycles, Imbalance: p.lastImbalance}
+	snap := Snapshot{Cycles: p.cycles}
 	for _, s := range p.sites {
 		ss := SiteSnapshot{
 			Name:         s.name,
@@ -378,12 +280,5 @@ func (p *Plane) Snapshot() Snapshot {
 		}
 		return a.Name < b.Name
 	})
-	for i := range p.workers {
-		w := &p.workers[i]
-		snap.Workers = append(snap.Workers, WorkerSnapshot{
-			ID: i, Scanned: w.scanned.Value(), Relocated: w.relocated.Value(),
-			Steals: w.steals.Value(), BusyCycles: w.busy.Value(),
-		})
-	}
 	return snap
 }

@@ -108,6 +108,8 @@ type Collector struct {
 	lastStalls       uint64
 	lastVerifyTotal  uint64
 	lastMem          simmem.CoreStats // the prefetch counts of Mem().Stats()
+	// work is workerDelta's per-worker scratch.
+	work []float64
 	// watchdogFired counts STW watchdog reports (the pause kept waiting).
 	watchdogFired atomic.Uint64
 	// vclock is the virtual-timeline high-water mark in simulated cycles:
@@ -156,6 +158,7 @@ func New(h *heap.Heap, types *objmodel.Registry, cfg Config) (*Collector, error)
 	for i := 0; i < cfg.GCWorkers; i++ {
 		c.workers = append(c.workers, newGCWorker(c, i))
 	}
+	c.work = make([]float64, len(c.workers))
 	if h.Mem() != nil {
 		c.pauseCore = h.Mem().NewCore()
 	}

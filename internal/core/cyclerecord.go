@@ -1,15 +1,18 @@
 package core
 
 import (
-	"hcsgc/internal/contention"
+	"math"
+
 	"hcsgc/internal/simmem"
+	"hcsgc/internal/telemetry/latency"
 )
 
 // The collector's cycle-boundary wiring: closeCycleRecord fills the fields
 // of the cycle's record the collector owns, including the sections the
 // other planes hand back, before the tracker logs it. The locality profiler
 // and the contention plane may be nil (their OnCycle then returns a section
-// with Present false); the tracker never is.
+// with Present false); the tracker never is. The worker section is the
+// collector's own.
 
 // since returns how far now is past *mark and moves the watermark to now.
 func since(mark *uint64, now uint64) uint64 {
@@ -32,9 +35,10 @@ func (c *Collector) allocBytesTotal() uint64 {
 
 // closeCycleRecord fills what the collector knows only at the cycle's end:
 // the closing clock reading, the since-last-boundary deltas (the cache
-// model's prefetch ratios among them), and the locality profiler's and
-// contention plane's sections. It runs before the tracker logs the record,
-// so what the cycle log stores is complete. Under cycleMu.
+// model's prefetch ratios and the worker section among them), and the
+// locality profiler's and contention plane's sections. It runs before the
+// tracker logs the record, so what the cycle log stores is complete. Under
+// cycleMu.
 func (c *Collector) closeCycleRecord(cs *CycleStats) {
 	cs.HeapUsedAfter = c.heap.UsedPercent()
 	cs.VEnd = c.VirtualCycles()
@@ -57,24 +61,55 @@ func (c *Collector) closeCycleRecord(cs *CycleStats) {
 		}
 		cs.PrefetchAccuracy, cs.PrefetchCoverage = d.PrefetchAccuracy(), d.PrefetchCoverage()
 	}
+	cs.Workers = c.workerDelta()
 	cs.Locality = c.cfg.Locality.OnCycle(cs.SegregationPurity)
-	ctn := c.ctn.OnCycle(c.workerTotals())
-	cs.Workers, cs.Contention = ctn.Workers, ctn.Locks
+	cs.Contention = c.ctn.OnCycle()
 }
 
-// workerTotals snapshots every GC worker's cumulative balance counters
-// for the contention plane, as of the phases the workers have finished.
-func (c *Collector) workerTotals() []contention.WorkerTotals {
-	totals := make([]contention.WorkerTotals, len(c.workers))
+// workerDelta is the cycle's worker section: every GC worker's published
+// balance counters since the last boundary, and their imbalance. A worker's
+// work is its busy memory cycles when the memory model runs, otherwise its
+// scanned+relocated objects. Under cycleMu.
+func (c *Collector) workerDelta() latency.WorkerDelta {
+	d := latency.WorkerDelta{Present: true, Workers: len(c.workers)}
 	for i, w := range c.workers {
-		totals[i] = contention.WorkerTotals{
-			Scanned:   w.pub.scanned.Load(),
-			Relocated: w.pub.relocated.Load(),
-			Steals:    w.pub.steals.Load(),
-		}
+		dScan := since(&w.seen.scanned, w.pub.scanned.Load())
+		dReloc := since(&w.seen.relocated, w.pub.relocated.Load())
+		var dBusy uint64
 		if w.core != nil {
-			totals[i].BusyCycles = w.core.PublishedCycles()
+			dBusy = since(&w.seen.busy, w.core.PublishedCycles())
+		}
+		d.Scanned += dScan
+		d.Relocated += dReloc
+		d.Steals += since(&w.seen.steals, w.pub.steals.Load())
+		if dBusy > 0 {
+			c.work[i] = float64(dBusy)
+		} else {
+			c.work[i] = float64(dScan + dReloc)
 		}
 	}
-	return totals
+	d.Imbalance = imbalance(c.work)
+	return d
+}
+
+// imbalance is the coefficient of variation (stddev/mean) of per-worker
+// work; 0 for perfectly balanced, empty, or idle cycles.
+func imbalance(work []float64) float64 {
+	if len(work) == 0 {
+		return 0
+	}
+	var sum float64
+	for _, w := range work {
+		sum += w
+	}
+	mean := sum / float64(len(work))
+	if mean == 0 {
+		return 0
+	}
+	var ss float64
+	for _, w := range work {
+		dev := w - mean
+		ss += dev * dev
+	}
+	return math.Sqrt(ss/float64(len(work))) / mean
 }

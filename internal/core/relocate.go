@@ -39,8 +39,8 @@ type relocCtx struct {
 	//
 	// extra accumulates non-memory cycle costs charged to this context.
 	extra uint64
-	// relocated counts forwarding races this context won, for the
-	// contention plane's worker-balance accounting.
+	// relocated counts forwarding races this context won, for the cycle
+	// record's worker section.
 	relocated uint64
 	// Since the last fold: page bumps this context's owner completed
 	// (allocations and relocation copies), forwarding-table inserts it

@@ -23,19 +23,21 @@ type gcWorker struct {
 	// popped from, local holds the full ones beneath it.
 	top   []uint64
 	local [][]uint64
-	// scanned/steals are cumulative balance counters for the contention
-	// plane (relocations are counted on ctx). Plain, like the cycle ledgers
-	// (core, ctx.extra): only the goroutine running the worker's current
-	// phase touches them.
+	// scanned/steals are cumulative balance counters for the cycle
+	// record's worker section (relocations are counted on ctx). Plain, like
+	// the cycle ledgers (core, ctx.extra): only the goroutine running the
+	// worker's current phase touches them.
 	scanned uint64
 	steals  uint64
 	// pub is what the worker last published, at the end of a mark or drain
-	// phase — all the collector's statistics and the contention plane ever
-	// read, so a drain still running at a cycle boundary is not raced, just
-	// not yet counted.
+	// phase — all the collector's statistics ever read, so a drain still
+	// running at a cycle boundary is not raced, just not yet counted.
 	pub struct {
 		extra, scanned, steals, relocated atomic.Uint64
 	}
+	// seen is pub's balance counters and the core's published cycles as of
+	// the last cycle boundary (workerDelta; touched under cycleMu).
+	seen struct{ scanned, relocated, steals, busy uint64 }
 }
 
 // publish makes the worker's ledgers as of now visible to other goroutines.

@@ -98,7 +98,7 @@ var snapshotEndpoints = []string{
 	"mmu",        // minimum-mutator-utilization curve (latency.Tracker.MMUSnapshot)
 	"kv",         // KV serving report (kvstore.Metrics.Report)
 	"signals",    // flight window of the cycle log (latency.Tracker.Window)
-	"contention", // ranked lock sites, CAS loops, worker balance (contention.Plane.Snapshot)
+	"contention", // ranked lock sites and CAS loops (contention.Plane.Snapshot)
 	"tailattr",   // request-level tail attribution (kvstore.Metrics.Tail)
 	"overload",   // KV request outcomes and goodput accounting (kvstore.Metrics.Outcomes)
 }

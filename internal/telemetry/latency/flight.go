@@ -30,8 +30,8 @@ type BarrierProfile struct {
 // WorkerDelta is one GC cycle's worker-balance view: the cycle's share of
 // the workers' scanned/relocated/stolen counts and the imbalance
 // coefficient (stddev/mean of per-worker work; 0 = perfectly balanced).
-// The contention plane computes it; Present is false (fields zero) for a
-// collector built without that plane.
+// The collector computes it at every cycle's end, so a logged record's
+// section is always Present.
 type WorkerDelta struct {
 	Present   bool    `json:"present"`
 	Workers   int     `json:"workers"`
@@ -133,9 +133,10 @@ type CycleRecord struct {
 	PrefetchAccuracy float64 `json:"prefetch_accuracy"`
 	PrefetchCoverage float64 `json:"prefetch_coverage"`
 
-	// Locality is the locality profiler's interval view of the cycle;
-	// Workers and Contention are the contention plane's deltas. Each is
-	// zero-valued with Present false when its plane is not attached.
+	// Locality is the locality profiler's interval view of the cycle and
+	// Contention the contention plane's lock deltas, each zero-valued with
+	// Present false when its plane is not attached; Workers is the
+	// collector's GC-worker balance.
 	Locality   locality.Signals `json:"locality"`
 	Workers    WorkerDelta      `json:"workers"`
 	Contention LockDelta        `json:"contention"`

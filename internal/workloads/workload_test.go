@@ -249,11 +249,12 @@ func TestFig4ChecksumMutatorInvariant(t *testing.T) {
 
 // TestWorkerBalanceUnderInjectedDelay: with multiple GC workers, a
 // relocating configuration, and the injector delaying relocation
-// inserts, the contention plane must still attribute per-worker totals
-// and a finite imbalance coefficient. Structural assertions only — the
-// injected yields skew the split, they do not make it predictable.
+// inserts, every cycle record must still carry the collector's worker
+// section with a finite imbalance coefficient. Structural assertions only
+// — the injected yields skew the split, they do not make it predictable.
 func TestWorkerBalanceUnderInjectedDelay(t *testing.T) {
 	ctn := hcsgc.NewContentionPlane()
+	lat := hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{})
 	fcfg := hcsgc.FaultConfig{Seed: 3}
 	fcfg.Delay[faultinject.RelocInsert] = 0.8
 	res := mustRun(t, mustGet(t, "fig4"), RunConfig{
@@ -262,31 +263,56 @@ func TestWorkerBalanceUnderInjectedDelay(t *testing.T) {
 		Scale:         0.03,
 		Mutators:      4,
 		GCWorkers:     2,
+		Latency:       lat,
 		Contention:    ctn,
 		FaultInjector: hcsgc.NewFaultInjector(fcfg),
 	})
-	if res.GCCycleCount == 0 {
-		t.Fatal("no GC cycles: the balance plane never sampled")
-	}
-	snap := ctn.Snapshot()
-	if snap.Cycles == 0 {
-		t.Fatal("contention plane saw no cycles")
-	}
-	if len(snap.Workers) != 2 {
-		t.Fatalf("worker snapshots = %d, want 2", len(snap.Workers))
+	log := lat.Log()
+	if res.GCCycleCount == 0 || len(log) == 0 {
+		t.Fatal("no GC cycles: the worker section was never filled")
 	}
 	var scanned uint64
-	for _, w := range snap.Workers {
+	for _, r := range log {
+		w := r.Workers
+		if !w.Present || w.Workers != 2 || math.IsNaN(w.Imbalance) || w.Imbalance < 0 {
+			t.Errorf("cycle %d: worker section %+v, want present, two workers and a finite imbalance >= 0", r.Seq, w)
+		}
 		scanned += w.Scanned
 	}
 	if scanned == 0 {
 		t.Error("no objects attributed to any worker")
 	}
-	if math.IsNaN(snap.Imbalance) || snap.Imbalance < 0 {
-		t.Errorf("imbalance = %g, want finite >= 0", snap.Imbalance)
-	}
-	if len(snap.Sites) == 0 {
+	if len(ctn.Snapshot().Sites) == 0 {
 		t.Error("no lock sites instrumented")
+	}
+}
+
+// TestSharedPlaneWorkerSections: two runtimes, one after the other, share a
+// contention plane; each logs its own cycles. The worker section is the
+// collector's, so the second runtime's cycles count only its own workers'
+// work: a count differenced against the first runtime's totals wraps
+// around below zero to near 2^64.
+func TestSharedPlaneWorkerSections(t *testing.T) {
+	ctn := hcsgc.NewContentionPlane()
+	var lat *hcsgc.LatencyTracker
+	for run := 0; run < 2; run++ {
+		lat = hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{})
+		mustRun(t, mustGet(t, "fig4"), RunConfig{
+			Knobs:      hcsgc.Knobs{RelocateAllSmallPages: true}, // config 3
+			Seed:       1,
+			Scale:      0.03,
+			Latency:    lat,
+			Contention: ctn,
+		})
+	}
+	log := lat.Log()
+	if len(log) == 0 {
+		t.Fatal("the second run logged no GC cycles")
+	}
+	for _, r := range log {
+		if w := r.Workers; w.Scanned >= 1<<32 || w.Relocated >= 1<<32 || w.Steals >= 1<<32 {
+			t.Errorf("second run, cycle %d: worker section %+v counts another runtime's work", r.Seq, w)
+		}
 	}
 }
 
