@@ -406,10 +406,10 @@ func (rt *Runtime) NewMutator(rootSlots int) *Mutator {
 // started, and a relocation drain still running from the last cycle — so that
 // the statistics (Collector.Stats, Ledger, ExecSeconds, MemStats) read
 // afterwards are exact and final. If every mutator has been closed it then
-// releases the host memory of the heap and of the memory model's caches for
-// the next runtime in this process to reuse: the heap's words cannot be read
-// nor its caches accessed any more, while the statistics and planes stay
-// readable. A contention plane the runtime built itself (Options.Contention
+// releases the host memory of the heap, of the collector's mark buffers and
+// of the memory model's caches for the next runtime in this process to
+// reuse: the heap's words cannot be read nor its caches accessed any more,
+// while the statistics and planes stay readable. A contention plane the runtime built itself (Options.Contention
 // nil) and never served to a telemetry sink is released with them: it stays
 // readable until the next NewRuntime, which takes it over reset. A caller
 // that keeps reading a plane passes its own in Options.Contention. With a
@@ -423,6 +423,7 @@ func (rt *Runtime) NewMutator(rootSlots int) *Mutator {
 func (rt *Runtime) Close() {
 	rt.closeOnce.Do(func() {
 		if rt.Collector.Stop() {
+			rt.Collector.Release()
 			rt.Heap.Release()
 			if rt.Mem != nil {
 				rt.Mem.Release()

@@ -1,7 +1,7 @@
 // Package arena is the process-wide recycler of host memory that every
 // simulated runtime draws its bulk arrays from: page backings, bitmap
-// words, forwarding tables, mark buffers and page tables (internal/heap),
-// and the cache model's tag arrays (internal/simmem). A run's Close hands
+// words, forwarding tables and page tables (internal/heap), and the cache
+// model's tag arrays (internal/simmem). A run's Close hands
 // what it used back, and the next run in the process is built from it
 // instead of from the Go allocator.
 package arena
@@ -18,8 +18,8 @@ import "sync"
 // and nothing is ever trimmed, so its footprint is bounded by the largest
 // simultaneous demand the process has seen per slab length. The lengths
 // come from a small fixed set (page classes, their bitmaps, power-of-two
-// forwarding tables, mark buffers, the page table of the configured address
-// space, cache tag arrays); whatever has a free-form length, i.e. a large
+// forwarding tables, the page table of the configured address space, cache
+// tag arrays); whatever has a free-form length, i.e. a large
 // page, stays out.
 //
 // A sync.Pool cannot do this job: the Go collector empties it every second

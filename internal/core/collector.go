@@ -152,7 +152,6 @@ func New(h *heap.Heap, types *objmodel.Registry, cfg Config) (*Collector, error)
 	c.mutMu.Instrument(c.ctn.NewSite("core.mutMu"))
 	c.medMu.Instrument(c.ctn.NewSite("core.medMu"))
 	c.pool.ops = c.ctn.NewOpSite("core.markPool")
-	c.pool.heap = h
 	c.good.Store(uint64(heap.ColorRemapped))
 	c.phase.Store(uint32(PhaseRelocate))
 	for i := 0; i < cfg.GCWorkers; i++ {
@@ -262,13 +261,13 @@ func (c *Collector) runCycle(reason string) {
 		}
 	})
 	c.pool.setActive(len(c.workers))
-	var rootGrays []uint64
+	var rootGrays *markBuf
 	c.forEachMutator(func(m *Mutator) {
 		for i := range m.roots {
 			rootGrays = c.processRootMark(m, i, rootGrays)
 		}
 	})
-	c.pool.put(rootGrays)
+	c.pool.recycle(c.pool.put(rootGrays))
 	cs.Pause1 = c.endPauseAccounting(pause1)
 	c.recordPauseLatency(0, v1, cs.Pause1)
 	c.verifyHeap("stw1")

@@ -38,8 +38,9 @@ type Mutator struct {
 	tlab *heap.Page
 
 	// markBuf is the thread-local mark stack flushed to the GC (§2 fn 2):
-	// one of the pool's buffers while it holds something, nil otherwise.
-	markBuf []uint64
+	// one of the pool's buffers, nil before the first gray object and
+	// after a flush that handed the buffer itself over.
+	markBuf *markBuf
 
 	// probe is the locality profiler's per-mutator sampling front-end;
 	// nil when profiling is off, making each access site one predictable
@@ -109,6 +110,8 @@ func (m *Mutator) Close() {
 	}
 	m.closed = true
 	m.flushMarkBuf()
+	m.c.pool.recycle(m.markBuf)
+	m.markBuf = nil
 	m.Publish()
 	m.c.mutMu.Lock()
 	delete(m.c.muts, m)
@@ -136,7 +139,7 @@ func (m *Mutator) StallVirtualCycles() uint64 {
 // methods poll implicitly.
 func (m *Mutator) Safepoint() {
 	m.c.inj.At(faultinject.SafepointEntry, 0)
-	if len(m.markBuf) > 0 && m.c.CurrentPhase() == PhaseMark {
+	if b := m.markBuf; b != nil && b.n > 0 && m.c.CurrentPhase() == PhaseMark {
 		m.flushMarkBuf()
 	}
 	// Publish before parking, so that the ledger the collector reads under
@@ -183,12 +186,10 @@ func (m *Mutator) PublishedCycles() uint64 { return m.published.Load() }
 // flushMarkBuf hands the mark buffer to the pool. Every way a mutator
 // stops calls it first (Safepoint before parking during a mark, Blocked,
 // RequestGC, an allocation stall, Close), so STW2 decides that marking is
-// over from the pool alone.
+// over from the pool alone. The mutator keeps the buffer when the pool
+// packed its entries into one of its own.
 func (m *Mutator) flushMarkBuf() {
-	if len(m.markBuf) > 0 {
-		m.c.pool.put(m.markBuf)
-		m.markBuf = nil
-	}
+	m.markBuf = m.c.pool.put(m.markBuf)
 }
 
 // RequestGC runs a full GC cycle from mutator context: the caller counts

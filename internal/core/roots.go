@@ -9,7 +9,7 @@ import "hcsgc/internal/heap"
 //
 //hcsgc:gc-thread
 //hcsgc:stw-only
-func (c *Collector) processRootMark(m *Mutator, i int, grays []uint64) []uint64 {
+func (c *Collector) processRootMark(m *Mutator, i int, grays *markBuf) *markBuf {
 	raw := m.roots[i]
 	if raw.IsNull() {
 		return grays

@@ -165,10 +165,10 @@ func TestRegisterBlocksDuringSTW(t *testing.T) {
 func TestMarkPoolPutGet(t *testing.T) {
 	p := newMarkPool()
 	p.setActive(1)
-	p.put([]uint64{1, 2, 3})
+	p.put(bufOf(1, 2, 3))
 	chunk := p.get() // active stays 1 (dec then inc)
-	if len(chunk) != 3 {
-		t.Fatalf("chunk = %v", chunk)
+	if got := held(chunk); len(got) != 3 {
+		t.Fatalf("chunk = %v", got)
 	}
 	if p.quiescent() {
 		t.Fatal("worker holding work is not quiescent")
@@ -187,7 +187,7 @@ func TestMarkPoolEmptyPutIgnored(t *testing.T) {
 func TestMarkPoolTerminateReleasesWaiters(t *testing.T) {
 	p := newMarkPool()
 	p.setActive(2)
-	got := make(chan []uint64, 2)
+	got := make(chan *markBuf, 2)
 	for i := 0; i < 2; i++ {
 		go func() { got <- p.get() }()
 	}
@@ -197,7 +197,7 @@ func TestMarkPoolTerminateReleasesWaiters(t *testing.T) {
 		select {
 		case c := <-got:
 			if c != nil {
-				t.Fatalf("terminated get returned %v, want nil", c)
+				t.Fatalf("terminated get returned %v, want nil", held(c))
 			}
 		case <-time.After(5 * time.Second):
 			t.Fatal("terminate did not release waiters")
@@ -208,7 +208,7 @@ func TestMarkPoolTerminateReleasesWaiters(t *testing.T) {
 func TestMarkPoolQuiescenceSignal(t *testing.T) {
 	p := newMarkPool()
 	p.setActive(1)
-	p.put([]uint64{42})
+	p.put(bufOf(42))
 	workerDone := make(chan struct{})
 	go func() {
 		chunk := p.get()
@@ -234,13 +234,14 @@ func TestMarkPoolQuiescenceSignal(t *testing.T) {
 }
 
 func TestMarkPoolWorkStealingOrder(t *testing.T) {
-	// Chunks come back LIFO (stack discipline), freshest first.
+	// Entries come back LIFO (stack discipline): the freshest is last in
+	// the buffer get returns, where a worker pops first.
 	p := newMarkPool()
 	p.setActive(1)
-	p.put([]uint64{1})
-	p.put([]uint64{2})
-	if c := p.get(); c[0] != 2 {
-		t.Fatalf("got %v, want freshest chunk", c)
+	p.put(bufOf(1))
+	p.put(bufOf(2))
+	if c := held(p.get()); c[len(c)-1] != 2 {
+		t.Fatalf("got %v, want the freshest entry last", c)
 	}
 }
 
@@ -401,9 +402,9 @@ func TestEveryStopPathFlushesMarkBuf(t *testing.T) {
 				path.stop(m, release)
 			}()
 			c.sp.stopTheWorld(0, nil)
-			left := len(m.markBuf)
+			left := len(held(m.markBuf))
 			c.pool.mu.Lock()
-			pooled := slices.ContainsFunc(c.pool.chunks, func(ch []uint64) bool { return slices.Equal(ch, grays) })
+			pooled := slices.Equal(stacked(c.pool), grays)
 			c.pool.mu.Unlock()
 			c.sp.resumeTheWorld()
 

@@ -151,11 +151,11 @@ func TestRelocationTalliesFoldExactly(t *testing.T) {
 }
 
 // TestMarkBuffersAreRecycled: gray objects travel in fixed buffers that
-// the pool takes back. Between cycles every buffer ever made sits in the
-// pool's free list, so its length counts them: however many cycles mark the
-// same graph, there are never more than one cycle can have in flight at
-// once — not one per chunk handed over, as when every spill was a fresh
-// slice.
+// the pool takes back. Between cycles every buffer ever made but the one a
+// mutator keeps sits in the pool's free list, so its length counts them:
+// however many cycles mark the same graph, there are never more than one
+// cycle can have in flight at once — not one per chunk handed over, as
+// when every spill was a fresh slice.
 func TestMarkBuffersAreRecycled(t *testing.T) {
 	c, types := testEnv(t, Knobs{})
 	node := types.Register("node", 2, []int{0})
@@ -168,7 +168,7 @@ func TestMarkBuffersAreRecycled(t *testing.T) {
 		m.RequestGC()
 	}
 	c.pool.mu.Lock()
-	made := len(c.pool.free)
+	made := count(c.pool.free)
 	c.pool.mu.Unlock()
 	if made == 0 {
 		t.Fatal("no buffer came back to the pool")

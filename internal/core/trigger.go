@@ -64,3 +64,8 @@ func (c *Collector) Stop() (quiet bool) {
 	<-c.triggered
 	return quiet
 }
+
+// Release hands the collector's mark buffers to the process's free list for
+// the next collector to take. Call it only after Stop reported the
+// collector quiet; the collector must not run again.
+func (c *Collector) Release() { c.pool.release() }

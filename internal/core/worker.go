@@ -21,8 +21,8 @@ type gcWorker struct {
 	ctx  *relocCtx
 	// The thread-local gray stack, in mark buffers: top is pushed to and
 	// popped from, local holds the full ones beneath it.
-	top   []uint64
-	local [][]uint64
+	top   *markBuf
+	local []*markBuf
 	// scanned/steals are cumulative balance counters for the cycle
 	// record's worker section (relocations are counted on ctx). Plain, like
 	// the cycle ledgers (core, ctx.extra): only the goroutine running the
@@ -68,7 +68,7 @@ func (w *gcWorker) publishedCycles() uint64 {
 const spillChunks = 4
 
 func newGCWorker(c *Collector, id int) *gcWorker {
-	w := &gcWorker{c: c, id: id}
+	w := &gcWorker{c: c, id: id, local: make([]*markBuf, 0, spillChunks)}
 	if c.heap.Mem() != nil {
 		w.core = c.heap.Mem().NewCore()
 	}
@@ -85,12 +85,12 @@ const stepBudget = 64
 func (w *gcWorker) markLoop() {
 	defer w.publish()
 	for {
-		chunk := w.c.pool.get()
-		if chunk == nil {
+		b := w.c.pool.get()
+		if b == nil {
 			return
 		}
 		w.steals++
-		w.top = chunk
+		w.top = b
 		for w.markStep(stepBudget) {
 		}
 	}
@@ -100,7 +100,7 @@ func (w *gcWorker) markLoop() {
 // then the full buffers beneath it) and reports whether any remain.
 func (w *gcWorker) markStep(budget int) bool {
 	for {
-		if len(w.top) == 0 {
+		if w.top.n == 0 {
 			w.c.pool.recycle(w.top)
 			n := len(w.local)
 			if n == 0 {
@@ -113,25 +113,23 @@ func (w *gcWorker) markStep(budget int) bool {
 			return true
 		}
 		budget--
-		addr := w.top[len(w.top)-1]
-		w.top = w.top[:len(w.top)-1]
-		w.scanObject(addr)
+		w.scanObject(w.top.pop())
 	}
 }
 
 // pushGray pushes a newly marked object on the local gray stack.
 func (w *gcWorker) pushGray(addr uint64) {
-	if len(w.top) == cap(w.top) {
+	if w.top.n == markChunk {
 		w.local = append(w.local, w.top)
 		if len(w.local) == spillChunks {
-			for _, chunk := range w.local[:spillChunks/2] {
-				w.c.pool.put(chunk)
+			for _, b := range w.local[:spillChunks/2] {
+				w.c.pool.put(b)
 			}
 			w.local = w.local[:copy(w.local, w.local[spillChunks/2:])]
 		}
 		w.top = w.c.pool.buffer()
 	}
-	w.top = append(w.top, addr)
+	w.top.push(addr)
 }
 
 // scanObject traces one object's reference fields, remapping and healing

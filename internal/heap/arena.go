@@ -6,10 +6,10 @@ import (
 	"hcsgc/internal/arena"
 )
 
-// The heap's share of the process-wide arena: page backings, bitmap words
-// and mark buffers come from arena.Words, which the memory model's tag
-// arrays share; forwarding-table slot arrays and page tables, whose element
-// types are the heap's own, have a free list each here. Heap.DropPage and
+// The heap's share of the process-wide arena: page backings and bitmap
+// words come from arena.Words, which the memory model's tag arrays share;
+// forwarding-table slot arrays and page tables, whose element types are the
+// heap's own, have a free list each here. Heap.DropPage and
 // Heap.Release feed all three; both require that nothing can still reach
 // the memory they hand over.
 var (

@@ -10,9 +10,9 @@ import (
 	"hcsgc/internal/simmem"
 )
 
-// arenaModel follows every slab the arena has handed to a page, table or
-// scratch request that has not been dropped since: the memory a second
-// hand-out would corrupt.
+// arenaModel follows every slab the arena has handed to a page or table
+// that has not been dropped since: the memory a second hand-out would
+// corrupt.
 type arenaModel struct {
 	t     *testing.T
 	inUse map[any]string // first element's address -> owner
@@ -145,7 +145,6 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 			heaps[i], cores[i] = newHeap()
 		}
 		pages := [2][]*modelPage{}
-		scratch := [2][][]uint64{}
 
 		pick := func(hi int, want func(*modelPage) bool) *modelPage {
 			var cands []*modelPage
@@ -271,24 +270,14 @@ func TestArenaHandsOutZeroedUnsharedSlabs(t *testing.T) {
 				for _, mp := range pages[hi] {
 					m.gavePage(mp)
 				}
-				for _, s := range scratch[hi] {
-					gave(m, s)
-				}
 				gave(m, h.pageTable)
 				for _, tags := range cacheTags(h.Mem()) {
 					gave(m, tags)
 				}
 				h.Release()
 				h.Mem().Release()
-				pages[hi], scratch[hi] = nil, nil
+				pages[hi] = nil
 				heaps[hi], cores[hi] = newHeap()
-			default: // collector scratch
-				s := h.Scratch(256)
-				took(m, s, "scratch")
-				for i := range s {
-					s[i] = rng.Uint64() | 1
-				}
-				scratch[hi] = append(scratch[hi], s)
 			}
 		}
 		if taken[ClassSmall] == 0 || taken[ClassMedium] == 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"hcsgc/internal/arena"
 	"hcsgc/internal/contention"
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/simmem"
@@ -77,8 +76,6 @@ type Heap struct {
 	//hcsgc:lock-order 40
 	mu   contention.Mutex
 	live map[*Page]struct{} // active (non-freed) pages, for EC iteration
-	// scratch is the collector working memory handed out by Scratch.
-	scratch [][]uint64
 
 	// casAlloc/casFwd attribute the heap-wide CAS loops; copied into
 	// each page so the hot loops need no heap back-pointer.
@@ -225,10 +222,10 @@ func (h *Heap) FreePage(p *Page) {
 func (h *Heap) DropPage(p *Page) { p.drop() }
 
 // Release drops every page that still holds host memory — live, or freed
-// and waiting for its drop — and takes back the scratch memory, so that the
-// next heap built in this process starts from what this one used instead of
-// from the Go allocator. The heap is dead afterwards: its words cannot be
-// read, nothing can be allocated from it. The caller guarantees that no
+// and waiting for its drop — and the page table, so that the next heap
+// built in this process starts from what this one used instead of from the
+// Go allocator. The heap is dead afterwards: its words cannot be read,
+// nothing can be allocated from it. The caller guarantees that no
 // goroutine can still reach it (no mutator attached, no GC cycle or
 // relocation drain running); a heap that cannot be shown quiet is simply
 // never released and falls to the Go collector whole.
@@ -244,28 +241,10 @@ func (h *Heap) Release() {
 			p.drop()
 		}
 	}
-	h.mu.Lock()
-	scratch := h.scratch
-	h.scratch = nil
-	h.mu.Unlock()
-	for _, s := range scratch {
-		arena.Words.Put(s, len(s))
-	}
 	// Last, the page table itself (2 MB for the default address space):
 	// every address is unmapped from here on.
 	tableSlabs.Put(h.pageTable, int(end))
 	h.pageTable = nil
-}
-
-// Scratch returns n zeroed words of collector working memory (mark
-// buffers) owned by the heap: whoever asked keeps them for the heap's
-// lifetime, and Release takes them back along with the pages.
-func (h *Heap) Scratch(n int) []uint64 {
-	s := arena.Words.Get(n)
-	h.mu.Lock()
-	h.scratch = append(h.scratch, s)
-	h.mu.Unlock()
-	return s
 }
 
 // CountForwardOps credits n completed ForwardTable.Insert calls to the

@@ -76,7 +76,7 @@ var signals = [...]signal{
 	{signalGauge, "reuse_p50_lines", telemetry.NewCounterTrack("locality_reuse_p50_lines", "locality"), func(r *CycleRecord) (float64, bool) { return r.Locality.ReuseP50, r.Locality.Present }},
 	{signalGauge, "stream_coverage", telemetry.NewCounterTrack("locality_stream_coverage", "locality"), func(r *CycleRecord) (float64, bool) { return r.PrefetchCoverage, r.PrefetchCoverage >= 0 }},
 	{signalGauge, "seg_purity", telemetry.NewCounterTrack("locality_seg_purity", "locality"), func(r *CycleRecord) (float64, bool) { return r.Locality.SegPurity, r.Locality.Present }},
-	{signalGauge, "worker_imbalance", telemetry.NewCounterTrack("contention_worker_imbalance", "contention"), func(r *CycleRecord) (float64, bool) { return r.Workers.Imbalance, r.Workers.Present }},
+	{signalGauge, "worker_imbalance", telemetry.NewCounterTrack("signal_worker_imbalance", "signals"), func(r *CycleRecord) (float64, bool) { return r.Workers.Imbalance, r.Workers.Present }},
 	{signalGauge, "lock_contended_frac", 0, func(r *CycleRecord) (float64, bool) { return r.Contention.ContendedFrac, r.Contention.Present }},
 	{signalGauge, "cas_retry_frac", 0, func(r *CycleRecord) (float64, bool) { return r.Contention.RetryFrac, r.Contention.Present }},
 	mmuSignal(0), mmuSignal(1), mmuSignal(2), mmuSignal(3),

@@ -214,7 +214,7 @@ func TestSignalTracks(t *testing.T) {
 		{"locality_reuse_p50_lines", "locality"},
 		{"locality_stream_coverage", "locality"},
 		{"locality_seg_purity", "locality"},
-		{"contention_worker_imbalance", "contention"},
+		{"signal_worker_imbalance", "signals"},
 		{"latency_mmu_1k", "latency"},
 		{"latency_mmu_5k", "latency"},
 		{"latency_mmu_20k", "latency"},

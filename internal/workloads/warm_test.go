@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hcsgc"
+	"hcsgc/internal/core"
 )
 
 // Table 2's configs 16 (H+CP cc=1 lazy) and 4 (all+lazy), the ones the
@@ -20,11 +21,11 @@ var (
 // cache model on and a latency tracker of its own built before the
 // measured window (as a benchmark harness builds one), and returns the
 // least Go heap bytes one of the last three reps allocated: what a rep
-// whose inputs, heap memory, tag arrays and per-run scratch are all
-// already in the process allocates every time. The least, because the
-// collector's mark buffers still take fresh arena slabs on a rep whose
-// cycles need more of them at once than any rep before (ROADMAP item 19's
-// GC-side half), which adds up to about 50 KB to some reps.
+// whose inputs, heap memory, tag arrays, mark buffers and per-run scratch
+// are all already in the process allocates every time. The least, because
+// the arena's free lists hold only what earlier reps had at once: a rep
+// whose cycles commit more page backings or forwarding slabs at once than
+// any rep before takes fresh ones, which adds tens of KB to some reps.
 func warmRepAlloc(t *testing.T, id string, cfg RunConfig) uint64 {
 	t.Helper()
 	w := mustGet(t, id)
@@ -72,4 +73,28 @@ func TestWarmJBBRepAllocatesUnder64KB(t *testing.T) {
 // 64 KB.
 func TestWarmKVRepAllocatesUnder64KB(t *testing.T) {
 	checkWarmRep(t, "kv", RunConfig{Knobs: knobsAllLazy, Seed: 1, Scale: 0.05, Mutators: 2, LoadFactor: 1}, 64<<10)
+}
+
+// TestWarmSynRepAllocatesUnder64KB: a warm fig4 rep takes its mark buffers
+// from the ones earlier reps released, and its mutator's partial flushes
+// share buffers instead of taking one each, so it allocates at most 64 KB.
+func TestWarmSynRepAllocatesUnder64KB(t *testing.T) {
+	checkWarmRep(t, "fig4", RunConfig{Knobs: knobsHCPLazy, Seed: 1, Scale: 0.03}, 64<<10)
+}
+
+// TestWarmRepsHoldFewMarkBuffers: the process's spare mark buffers are the
+// most any run released so far held at once. After four fig4 reps that is
+// at most 1,024 buffers (2 MB): partial flushes are packed, so a mark
+// phase holds buffers for the gray objects in flight, not one per flush.
+func TestWarmRepsHoldFewMarkBuffers(t *testing.T) {
+	warmRepAlloc(t, "fig4", RunConfig{Knobs: knobsHCPLazy, Seed: 1, Scale: 0.05})
+	const limit = 1024
+	held := core.SpareMarkBuffers()
+	if held == 0 {
+		t.Fatal("no mark buffer came back to the process's free list")
+	}
+	if held > limit {
+		t.Fatalf("the process holds %d mark buffers after four fig4 reps, want at most %d", held, limit)
+	}
+	t.Logf("mark buffers held: %d", held)
 }

@@ -328,12 +328,12 @@ func TestSignalGaugesFollowTheLog(t *testing.T) {
 		"signal_alloc_kb_per_kcycle": func(r *latency.CycleRecord) float64 {
 			return float64(r.AllocBytes) / float64(r.VEnd-r.VStart) * 1000 / 1024
 		},
-		"signal_stall_p99_cycles":     func(r *latency.CycleRecord) float64 { return r.StallDist.P99 },
-		"signal_heap_used_pct":        func(r *latency.CycleRecord) float64 { return r.HeapUsedAfter },
-		"signal_cold_frac":            func(r *latency.CycleRecord) float64 { return r.ColdFrac },
-		"contention_contended_acq":    func(r *latency.CycleRecord) float64 { return float64(r.Contention.Contended) },
-		"contention_cas_retries":      func(r *latency.CycleRecord) float64 { return float64(r.Contention.CASRetries) },
-		"contention_worker_imbalance": func(r *latency.CycleRecord) float64 { return r.Workers.Imbalance },
+		"signal_stall_p99_cycles":  func(r *latency.CycleRecord) float64 { return r.StallDist.P99 },
+		"signal_heap_used_pct":     func(r *latency.CycleRecord) float64 { return r.HeapUsedAfter },
+		"signal_cold_frac":         func(r *latency.CycleRecord) float64 { return r.ColdFrac },
+		"contention_contended_acq": func(r *latency.CycleRecord) float64 { return float64(r.Contention.Contended) },
+		"contention_cas_retries":   func(r *latency.CycleRecord) float64 { return float64(r.Contention.CASRetries) },
+		"signal_worker_imbalance":  func(r *latency.CycleRecord) float64 { return r.Workers.Imbalance },
 	}
 	for _, r := range log {
 		if r.VEnd == r.VStart || r.ColdFrac < 0 || r.PrefetchCoverage < 0 || !r.Locality.Present || !r.Contention.Present || !r.Workers.Present {
