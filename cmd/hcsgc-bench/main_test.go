@@ -309,7 +309,7 @@ var flagToken = regexp.MustCompile(`^-[a-z][a-z0-9-]*$`)
 // one the real FlagSet defines.
 func TestDocumentedFlagsExist(t *testing.T) {
 	fs := new(options).flagSet()
-	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "DESIGN.md", ".github/workflows/ci.yml"} {
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md", "EXPERIMENTS-HOST.md", "DESIGN.md", ".github/workflows/ci.yml"} {
 		data, err := os.ReadFile(filepath.Join("..", "..", doc))
 		if err != nil {
 			t.Fatal(err)

@@ -169,6 +169,16 @@ func TestGuardAllocfree(t *testing.T) {
 		[]string{"./internal/core/"}, "allocfree")
 }
 
+// TestGuardAllocfreeAssembly adds a call to the cache model's set kernel:
+// Core.Load and the caches' lookups reach it on every simulated access, and
+// allocfree trusts its assembly only while it calls nothing.
+func TestGuardAllocfreeAssembly(t *testing.T) {
+	mutantGuard(t, "internal/simmem/kernel_amd64.s",
+		"\tJEQ sixteen\n",
+		"\tJEQ sixteen\n\tCALL ·xgetbv(SB)\n",
+		[]string{"./internal/simmem/"}, "allocfree")
+}
+
 // TestGuardVtimepure adds a wall-clock read to the deterministic load
 // generator; vtimepure must flag the unannotated time.Now.
 func TestGuardVtimepure(t *testing.T) {
@@ -222,9 +232,9 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-// copyModule copies go.mod and every non-test Go file (plus testdata-free
-// directory structure) into dst, enough for `go list -export` to load the
-// production packages.
+// copyModule copies go.mod and every Go and assembly file (plus
+// testdata-free directory structure) into dst, enough for `go list -export`
+// to load the production packages.
 func copyModule(t *testing.T, src, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
@@ -242,7 +252,7 @@ func copyModule(t *testing.T, src, dst string) {
 			}
 			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
 		}
-		if !strings.HasSuffix(rel, ".go") && rel != "go.mod" && rel != "go.sum" {
+		if !strings.HasSuffix(rel, ".go") && !strings.HasSuffix(rel, ".s") && rel != "go.mod" && rel != "go.sum" {
 			return nil
 		}
 		data, err := os.ReadFile(path)

@@ -17,6 +17,10 @@
 // Arguments of panic are exempt — the failure path is allowed to
 // allocate the error it dies with.
 //
+// A body-less declaration (an assembly function) may carry the annotation
+// too: it is trusted when its TEXT block in the package's assembly files
+// makes no call, and reported where it is declared otherwise.
+//
 // Calls are handled by contract:
 //
 //   - allowlisted callees (sync/atomic, math/bits, runtime.Gosched,
@@ -37,6 +41,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os"
+	"strings"
 
 	"hcsgc/internal/analysis/lintkit"
 )
@@ -97,10 +103,11 @@ func check(passes []*lintkit.Pass) error {
 	}
 	var roots []string // annotated keys in source order
 	for _, p := range passes {
+		var asm map[string]string // TEXT symbol -> first call out, "" for none
 		for _, file := range p.Files {
 			for _, d := range file.Decls {
 				decl, ok := d.(*ast.FuncDecl)
-				if !ok || decl.Body == nil {
+				if !ok {
 					continue
 				}
 				f, ok := p.TypesInfo.Defs[decl.Name].(*types.Func)
@@ -108,8 +115,31 @@ func check(passes []*lintkit.Pass) error {
 					continue
 				}
 				key := lintkit.FuncKey(f)
+				annotated := lintkit.HasDirective(decl, "alloc-free")
+				if decl.Body == nil {
+					if !annotated {
+						continue
+					}
+					// An assembly body: a boundary like any annotated
+					// function, proven here by making no call.
+					if asm == nil {
+						var err error
+						if asm, err = asmCalls(p.OtherFiles); err != nil {
+							return err
+						}
+					}
+					c.annotated[key] = true
+					call, ok := asm[decl.Name.Name]
+					switch {
+					case !ok:
+						p.Reportf(decl.Pos(), "//hcsgc:alloc-free function %s has no TEXT block in the package's assembly", decl.Name.Name)
+					case call != "":
+						p.Reportf(decl.Pos(), "//hcsgc:alloc-free function %s calls out of its assembly body (%s), which cannot be proven allocation-free", decl.Name.Name, call)
+					}
+					continue
+				}
 				c.decls[key] = declAt{decl, p}
-				if lintkit.HasDirective(decl, "alloc-free") {
+				if annotated {
 					c.annotated[key] = true
 					roots = append(roots, key)
 				}
@@ -127,6 +157,46 @@ func check(passes []*lintkit.Pass) error {
 		})
 	}
 	return nil
+}
+
+// asmCalls reads the TEXT blocks of the assembly files and maps each
+// function's name to the position of its first CALL, or of a JMP to a
+// symbol (a tail call), or to "" when it has none.
+func asmCalls(files []string) (map[string]string, error) {
+	calls := make(map[string]string)
+	for _, path := range files {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return nil, err
+		}
+		fn := ""
+		for i, line := range strings.Split(string(src), "\n") {
+			if j := strings.Index(line, "//"); j >= 0 {
+				line = line[:j]
+			}
+			fields := strings.Fields(line)
+			if len(fields) > 0 && strings.HasSuffix(fields[0], ":") {
+				fields = fields[1:] // a label
+			}
+			if len(fields) < 2 {
+				continue
+			}
+			op, arg := fields[0], fields[1]
+			if op == "TEXT" {
+				fn, _, _ = strings.Cut(arg, "(SB)")
+				if k := strings.LastIndex(fn, "·"); k >= 0 {
+					fn = fn[k+len("·"):]
+				}
+				calls[fn] = ""
+				continue
+			}
+			if fn != "" && calls[fn] == "" &&
+				(op == "CALL" || op == "JMP" && strings.HasSuffix(arg, "(SB)")) {
+				calls[fn] = fmt.Sprintf("%s:%d", path, i+1)
+			}
+		}
+	}
+	return calls, nil
 }
 
 // walk scans one function body for allocating constructs and checks its

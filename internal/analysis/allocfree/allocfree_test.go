@@ -21,3 +21,11 @@ func TestAllocFreeContentionFastPath(t *testing.T) {
 	// findings.
 	lintkit.RunFixture(t, "testdata", "ctn", allocfree.Analyzer)
 }
+
+func TestAllocFreeAssembly(t *testing.T) {
+	// asm mirrors simmem's kernels: an annotated assembly function is a
+	// boundary when its TEXT block makes no call (Kernel), a finding at
+	// its declaration when it calls or tail-jumps out (Calls, TailCalls)
+	// or has no TEXT block (Missing); an unannotated one is unprovable.
+	lintkit.RunFixture(t, "testdata", "asm", allocfree.Analyzer)
+}

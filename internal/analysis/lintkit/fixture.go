@@ -59,10 +59,14 @@ func (l *fixtureLoader) load(path string) (*Package, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fixture package %q: %w (stub it under %s/src)", path, err, l.root)
 	}
-	var goFiles []string
+	var goFiles, otherFiles []string
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			goFiles = append(goFiles, e.Name())
+		switch name := e.Name(); {
+		case e.IsDir():
+		case strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go"):
+			goFiles = append(goFiles, name)
+		case strings.HasSuffix(name, ".s"):
+			otherFiles = append(otherFiles, filepath.Join(dir, name))
 		}
 	}
 	sort.Strings(goFiles)
@@ -91,6 +95,7 @@ func (l *fixtureLoader) load(path string) (*Package, error) {
 		ImportPath: path,
 		Dir:        dir,
 		GoFiles:    paths,
+		OtherFiles: otherFiles,
 		Fset:       l.fset,
 		Files:      files,
 		Types:      tpkg,

@@ -60,6 +60,8 @@ type Pass struct {
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
+	// OtherFiles are the package's assembly files (absolute paths).
+	OtherFiles []string
 
 	report func(Diagnostic)
 }
@@ -247,12 +249,13 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 				report = drop
 			}
 			pass := &Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				report:    report,
+				Analyzer:   a,
+				Fset:       pkg.Fset,
+				Files:      pkg.Files,
+				Pkg:        pkg.Types,
+				TypesInfo:  pkg.Info,
+				OtherFiles: pkg.OtherFiles,
+				report:     report,
 			}
 			passesByAnalyzer[a] = append(passesByAnalyzer[a], pass)
 			if a.Run == nil || pkg.DepOnly {

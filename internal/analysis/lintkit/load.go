@@ -22,6 +22,9 @@ type Package struct {
 	ImportPath string
 	Dir        string
 	GoFiles    []string
+	// OtherFiles are the package's assembly files (absolute paths), which
+	// an analyzer may read for what a body-less Go declaration does.
+	OtherFiles []string
 	// DepOnly marks a same-module dependency loaded only so module-wide
 	// analyzers can see its declarations and annotations (alloc-free
 	// contracts, lock ranks, call-graph bodies). Per-package analyzers do
@@ -40,6 +43,7 @@ type listedPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
+	SFiles     []string
 	CgoFiles   []string
 	DepOnly    bool
 	Incomplete bool
@@ -66,7 +70,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	args := append([]string{
 		"list", "-export",
-		"-json=ImportPath,Dir,Export,GoFiles,CgoFiles,DepOnly,Incomplete,Error",
+		"-json=ImportPath,Dir,Export,GoFiles,SFiles,CgoFiles,DepOnly,Incomplete,Error",
 		"-deps",
 	}, patterns...)
 	cmd := exec.Command("go", args...)
@@ -124,6 +128,9 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, err
 		}
 		pkg.DepOnly = p.DepOnly
+		for _, name := range p.SFiles {
+			pkg.OtherFiles = append(pkg.OtherFiles, filepath.Join(p.Dir, name))
+		}
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil

@@ -28,6 +28,9 @@ type Cache struct {
 	sets    uint64 // number of sets, power of two
 	ways    int
 	setMask uint64
+	// kernel: the AVX-512 set kernel, not the Go loop, scans this cache's
+	// sets past way 0. It has an 8- and a 16-way form.
+	kernel bool
 	// tags holds sets*ways line tags, 0 = invalid. Each set is kept in
 	// recency order, most recently used first, with its valid tags packed
 	// at the front: position is the LRU state, the victim is always the
@@ -50,6 +53,11 @@ type Cache struct {
 // access has hit since. Line addresses stop at bit 58, so the top bit is
 // free; only the caches Prefetch fills ever hold it.
 const prefetched = 1 << 63
+
+// kernelsMissing names the CPU features the AVX-512 kernels need that this
+// host lacks, read once from CPUID; empty when they run. Nothing else
+// chooses between a kernel and its Go loop.
+var kernelsMissing = missingFeatures()
 
 // CacheConfig describes a cache level.
 type CacheConfig struct {
@@ -78,6 +86,7 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		sets:    sets,
 		ways:    cfg.Ways,
 		setMask: sets - 1,
+		kernel:  len(kernelsMissing) == 0 && (cfg.Ways == 8 || cfg.Ways == 16),
 		tags:    arena.Words.Get(int(sets) * cfg.Ways),
 	}, nil
 }
@@ -167,12 +176,20 @@ func (c *Cache) demand(ln uint64) bool {
 // (prefetchers re-prime lines). One pass does the lookup and the reordering:
 // every tag passed over moves one way towards the LRU end, so a hit at way w
 // rotates ways 0..w and a miss shifts the whole set, dropping the last tag.
+// Past way 0 an 8- or 16-way set is scanned by its kernel, which moves ways
+// 1 on; way 0 is always written here, so the race detector sees every
+// reorder of a shared set.
 func (c *Cache) touch(ln uint64) bool {
 	base := c.setOf(ln) * uint64(c.ways)
 	set := c.tags[base : base+uint64(c.ways)]
 	prev := set[0]
 	if prev == ln {
 		return true
+	}
+	if c.kernel {
+		found := scanSet(&set[0], ln, len(set))
+		set[0] = ln
+		return found != 0
 	}
 	set[0] = ln
 	for w := 1; w < len(set) && prev != 0; w++ {
@@ -198,6 +215,14 @@ func (c *Cache) lookup(ln, fill uint64) uint64 {
 	if prev&^prefetched == ln {
 		set[0] = prev & fill
 		return prev
+	}
+	if c.kernel {
+		found := scanSet(&set[0], ln, len(set))
+		if found != 0 {
+			fill &= found
+		}
+		set[0] = fill
+		return found
 	}
 	set[0] = fill
 	for w := 1; w < len(set) && prev != 0; w++ {

@@ -1,5 +1,7 @@
 package simmem
 
+import "math/bits"
+
 // Prefetcher models a hardware stream prefetcher of the kind found in the
 // paper's Intel and AMD test machines: it watches the demand-miss stream,
 // detects constant-stride streams (including the common +1-line stream),
@@ -11,17 +13,13 @@ package simmem
 // layout defeats it. A faithful stream detector is therefore load-bearing
 // for reproducing the evaluation's shape.
 type Prefetcher struct {
-	// The tracker table, one slot per stream. Every demand miss compares
-	// itself against all of lastLine and, to have an eviction victim ready,
-	// reads all of lastUse; those two are dense arrays of their own so the
-	// scan stays within four host cache lines. streams holds the rest and
-	// is read only for a slot the miss lands near.
-	lastLine [maxStreams]int64  // line of the stream's latest miss
-	lastUse  [maxStreams]uint64 // clock of that miss; 0 = slot free
-	streams  [maxStreams]stream
-	depth    int // lines prefetched ahead once a stream is confirmed
-	clock    uint64
-	issued   uint64 // prefetch requests issued; the owning Core publishes it
+	tab streamTable
+	// kernel scans tab with the AVX-512 stream-table kernel rather than the
+	// Go loop.
+	kernel bool
+	depth  int // lines prefetched ahead once a stream is confirmed
+	clock  uint64
+	issued uint64 // prefetch requests issued; the owning Core publishes it
 	// buf is the reused OnMiss return buffer: OnMiss runs on every L1
 	// demand miss, so allocating the target slice per miss would put a
 	// Go allocation on the simulator's hottest path. The returned slice
@@ -29,11 +27,17 @@ type Prefetcher struct {
 	buf []uint64
 }
 
-// stream is the stride state of one tracked miss stream. A stride is
-// only ever learnt inside the discovery window, so |stride| <= streamWindow.
-type stream struct {
-	stride int64
-	confid int
+// streamTable is the tracker table, one slot per stream, as one dense
+// array per field: every demand miss compares itself against every slot's
+// line, stride and confidence, and reads every lastUse to have an eviction
+// victim ready. A stride is only ever learnt inside the discovery window,
+// so |stride| <= streamWindow; confid stops counting at confirmThreshold,
+// the only value it is compared with.
+type streamTable struct {
+	lastLine [maxStreams]int64  // line of the stream's latest miss
+	lastUse  [maxStreams]uint64 // clock of that miss; 0 = slot free
+	stride   [maxStreams]int64
+	confid   [maxStreams]int32
 }
 
 // maxStreams bounds the tracker table like real hardware (Intel tracks
@@ -55,7 +59,7 @@ func NewPrefetcher(depth int) *Prefetcher {
 	if depth < 0 {
 		depth = 0
 	}
-	return &Prefetcher{depth: depth, buf: make([]uint64, depth)}
+	return &Prefetcher{kernel: len(kernelsMissing) == 0, depth: depth, buf: make([]uint64, depth)}
 }
 
 // Enabled reports whether the prefetcher issues any prefetches.
@@ -73,60 +77,40 @@ func (p *Prefetcher) OnMiss(addr uint64) []uint64 {
 	}
 	p.clock++
 	ln := int64(addr >> lineShift)
+	t := &p.tab
 
-	// Find a stream whose next expected line matches, or whose last line is
-	// within the discovery window (new stride discovery); the first slot in
-	// table order wins either way. The same pass picks the slot a new
-	// stream would claim: the first free one, else the least recently used
-	// (a free slot's lastUse of 0 is below every live one, and live ones
-	// are distinct).
-	best, victim, victimUse := -1, 0, ^uint64(0)
-	for i := range p.lastLine {
-		delta := ln - p.lastLine[i]
-		use := p.lastUse[i]
-		// |delta| > streamWindow as one unsigned compare.
-		if use == 0 || uint64(delta+streamWindow) > 2*streamWindow {
-			if use < victimUse {
-				victim, victimUse = i, use
-			}
-			continue
-		}
-		if delta == 0 {
-			// Same line missing again (conflict churn); just refresh.
-			p.lastUse[i] = p.clock
-			return nil
-		}
-		if s := &p.streams[i]; s.confid >= confirmThreshold && delta == s.stride {
-			best = i
-			break
-		}
-		if best == -1 {
-			best = i
-		}
-	}
-
-	if best == -1 {
-		p.lastLine[victim], p.lastUse[victim] = ln, p.clock
-		p.streams[victim] = stream{stride: 1}
-		return nil
-	}
-
-	s := &p.streams[best]
-	if delta := ln - p.lastLine[best]; delta == s.stride {
-		s.confid++
+	var i int
+	var act action
+	if p.kernel {
+		i, act = t.matchVec(ln)
 	} else {
-		s.stride = delta
-		s.confid = 1
+		i, act = t.match(ln)
 	}
-	p.lastLine[best], p.lastUse[best] = ln, p.clock
-
-	if s.confid < confirmThreshold {
+	switch act {
+	case refresh:
+		t.lastUse[i] = p.clock
+		return nil
+	case claim:
+		t.lastLine[i], t.lastUse[i], t.stride[i], t.confid[i] = ln, p.clock, 1, 0
 		return nil
 	}
+
+	if delta := ln - t.lastLine[i]; delta == t.stride[i] {
+		t.confid[i] = min(t.confid[i]+1, confirmThreshold)
+	} else {
+		t.stride[i] = delta
+		t.confid[i] = 1
+	}
+	t.lastLine[i], t.lastUse[i] = ln, p.clock
+
+	if t.confid[i] < confirmThreshold {
+		return nil
+	}
+	stride := t.stride[i]
 	n := 0
 	next := ln
-	for i := 0; i < p.depth; i++ {
-		next += s.stride
+	for range p.depth {
+		next += stride
 		if next <= 0 {
 			break
 		}
@@ -137,12 +121,74 @@ func (p *Prefetcher) OnMiss(addr uint64) []uint64 {
 	return p.buf[:n]
 }
 
+// action is what a demand miss does to the stream table.
+type action uint8
+
+const (
+	extend  action = iota // the miss continues the stream in its slot
+	refresh               // the slot's line missed again (conflict churn)
+	claim                 // a new stream takes the slot
+)
+
+// match finds the slot a miss at line ln acts on: a stream whose next
+// expected line it is, or whose last line is within the discovery window
+// (new stride discovery), the first slot in table order winning either
+// way. Without one, it picks the slot a new stream claims: the first free
+// one, else the least recently used (a free slot's lastUse of 0 is below
+// every live one, and live ones are distinct). It is the Go loop the
+// kernel (matchVec) replaces, and its reference.
+func (t *streamTable) match(ln int64) (int, action) {
+	best, victim, victimUse := -1, 0, ^uint64(0)
+	for i := range t.lastLine {
+		delta := ln - t.lastLine[i]
+		use := t.lastUse[i]
+		// |delta| > streamWindow as one unsigned compare.
+		if use == 0 || uint64(delta+streamWindow) > 2*streamWindow {
+			if use < victimUse {
+				victim, victimUse = i, use
+			}
+			continue
+		}
+		if delta == 0 {
+			return i, refresh
+		}
+		if t.confid[i] >= confirmThreshold && delta == t.stride[i] {
+			return i, extend
+		}
+		if best == -1 {
+			best = i
+		}
+	}
+	if best == -1 {
+		return victim, claim
+	}
+	return best, extend
+}
+
+// matchVec is match on the stream-table kernel: the kernel classifies
+// every slot at once, and the first slot in table order that is on ln or
+// continues a confirmed stream decides, as in the loop.
+func (t *streamTable) matchVec(ln int64) (int, action) {
+	near, same, conf, victim := scanStreams(t, ln)
+	if near == 0 {
+		return victim, claim
+	}
+	if hit := same | conf; hit != 0 {
+		i := bits.TrailingZeros32(hit)
+		if same&(1<<i) != 0 {
+			return i, refresh
+		}
+		return i, extend
+	}
+	return bits.TrailingZeros32(near), extend
+}
+
 // Issued returns the number of prefetch requests issued.
 func (p *Prefetcher) Issued() uint64 { return p.issued }
 
 // Reset clears tracker state and statistics.
 func (p *Prefetcher) Reset() {
-	p.lastLine, p.lastUse, p.streams = [maxStreams]int64{}, [maxStreams]uint64{}, [maxStreams]stream{}
+	p.tab = streamTable{}
 	p.clock = 0
 	p.issued = 0
 }
