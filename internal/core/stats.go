@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 
+	"hcsgc/internal/simmem"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
@@ -62,6 +63,19 @@ func (c *Collector) GCWorkerCycles() uint64 {
 		total += w.publishedCycles()
 	}
 	return total
+}
+
+// GCMemStats sums the cache counters the GC workers' cores and the pause
+// core have published: the GC-thread and pause rows of
+// Runtime.MemStatsByOwner. Zero without a memory model.
+func (c *Collector) GCMemStats() (workers, pauses simmem.CoreStats) {
+	if c.pauseCore == nil {
+		return workers, pauses
+	}
+	for _, w := range c.workers {
+		workers.Add(w.core.PublishedStats())
+	}
+	return workers, c.pauseCore.PublishedStats()
 }
 
 // MedianECSmall returns the median number of small pages selected for

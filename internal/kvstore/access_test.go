@@ -79,7 +79,7 @@ func TestStoreAccessCountsPinned(t *testing.T) {
 	if hits != 1320 || getSum != 16433363352207669 || scanSum != 1892752324133239 {
 		t.Errorf("Get hits/sum, Scan sum = %d, %d, %d; want 1320, 16433363352207669, 1892752324133239", hits, getSum, scanSum)
 	}
-	want := simmem.CoreStats{Loads: 81699, Stores: 58222, L1Misses: 18603, L2Misses: 42, Cycles: 714324,
+	want := simmem.CoreStats{Loads: 81699, Stores: 58222, L1Misses: 18603, L2Misses: 42, LLCMisses: 29, Cycles: 714324,
 		PrefIssued: 35144, L2Prefills: 6947, PrefUseful: 6920}
 	if got := m.Core().Stats(); got != want {
 		t.Errorf("core stats = %+v,\nwant %+v", got, want)

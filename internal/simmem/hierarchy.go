@@ -387,6 +387,7 @@ func (l ledger) stats(lat Latencies, pfIssued, l2Prefills, prefUseful uint64) Co
 		Stores:     l.stores,
 		L1Misses:   l.l1miss,
 		L2Misses:   l.l2miss,
+		LLCMisses:  l.llcmiss,
 		Cycles:     l.cycles(lat),
 		PrefIssued: pfIssued,
 		L2Prefills: l2Prefills,
@@ -433,6 +434,14 @@ func (c *Core) published() ledger {
 // any goroutine, and monotone between Resets.
 func (c *Core) PublishedCycles() uint64 { return c.published().cycles(c.lat) }
 
+// PublishedStats returns Stats as of the owner's last Publish; safe from any
+// goroutine.
+func (c *Core) PublishedStats() CoreStats {
+	l := c.published()
+	useful := c.pub.prefUseful.Load() // before prefills: see Publish
+	return l.stats(c.lat, c.pub.pfIssued.Load(), c.pub.l2Prefills.Load(), useful)
+}
+
 // Reset clears the private levels and counters (not the shared LLC), and
 // publishes the cleared ledger.
 func (c *Core) Reset() {
@@ -445,16 +454,19 @@ func (c *Core) Reset() {
 
 // CoreStats is a snapshot of one core's activity.
 type CoreStats struct {
-	Loads      uint64
-	Stores     uint64
-	L1Misses   uint64
-	L2Misses   uint64
-	Cycles     uint64
-	PrefIssued uint64
-	L2Prefills uint64
+	Loads    uint64 `json:"loads"`
+	Stores   uint64 `json:"stores"`
+	L1Misses uint64 `json:"l1_misses"`
+	L2Misses uint64 `json:"l2_misses"`
+	// LLCMisses is this core's share of the shared LLC's misses: its L2
+	// misses that went on to memory.
+	LLCMisses  uint64 `json:"llc_misses"`
+	Cycles     uint64 `json:"cycles"`
+	PrefIssued uint64 `json:"pref_issued"`
+	L2Prefills uint64 `json:"l2_prefills"`
 	// PrefUseful counts lines prefetched into L2 that a demand access then
 	// hit, each once, at its first hit.
-	PrefUseful uint64
+	PrefUseful uint64 `json:"pref_useful"`
 }
 
 // Add accumulates other into s.
@@ -463,6 +475,7 @@ func (s *CoreStats) Add(other CoreStats) {
 	s.Stores += other.Stores
 	s.L1Misses += other.L1Misses
 	s.L2Misses += other.L2Misses
+	s.LLCMisses += other.LLCMisses
 	s.Cycles += other.Cycles
 	s.PrefIssued += other.PrefIssued
 	s.L2Prefills += other.L2Prefills
@@ -495,8 +508,7 @@ func (s CoreStats) PrefetchCoverage() float64 {
 // paper (whole-process, mutators and GC threads indistinguishable).
 type SystemStats struct {
 	CoreStats
-	LLCMisses uint64
-	LLCHits   uint64
+	LLCHits uint64
 }
 
 // Stats sums what every core has published (see Core.Publish for when that
@@ -510,12 +522,9 @@ func (h *Hierarchy) Stats() SystemStats {
 	copy(cores, h.cores)
 	h.coresMu.Unlock()
 	for _, c := range cores {
-		l := c.published()
-		useful := c.pub.prefUseful.Load() // before prefills: see Publish
-		out.CoreStats.Add(l.stats(c.lat, c.pub.pfIssued.Load(), c.pub.l2Prefills.Load(), useful))
-		out.LLCMisses += l.llcmiss
-		out.LLCHits += l.l2miss - l.llcmiss
+		out.CoreStats.Add(c.PublishedStats())
 	}
+	out.LLCHits = out.L2Misses - out.LLCMisses
 	return out
 }
 

@@ -231,7 +231,7 @@ func (c *refCore) accessLine(addr uint64, store bool) uint64 {
 }
 
 func (h *refHierarchy) stats() SystemStats {
-	out := SystemStats{LLCHits: h.llc.hits, LLCMisses: h.llc.misses}
+	out := SystemStats{LLCHits: h.llc.hits}
 	for _, c := range h.cores {
 		out.CoreStats.Add(CoreStats{
 			Loads: c.loads, Stores: c.stores,
@@ -240,6 +240,7 @@ func (h *refHierarchy) stats() SystemStats {
 			L2Prefills: c.l2.prefills, PrefUseful: c.l2.useful,
 		})
 	}
+	out.LLCMisses = h.llc.misses
 	return out
 }
 
