@@ -75,15 +75,6 @@ var planeModes = []struct {
 }{
 	// A live recorder and registry against the production default, none.
 	{"telemetry", func(rc *workloads.RunConfig) { rc.Telemetry = hcsgc.NewTelemetrySink() }},
-	// shift4 samples every access (the burst is clamped to the period, so
-	// shifts <= 8 are exhaustive); shift12 samples one 256-access burst per
-	// 4096 accesses (1/16), the low-overhead setting.
-	{"locality-shift4", func(rc *workloads.RunConfig) {
-		rc.Locality = hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{SamplePeriodShift: 4})
-	}},
-	{"locality-shift12", func(rc *workloads.RunConfig) {
-		rc.Locality = hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{SamplePeriodShift: 12})
-	}},
 	// armed-zero threads a live injector whose schedule never fires,
 	// pricing the per-point decision path; verify adds the STW heap
 	// verifier, a full heap walk per pause.

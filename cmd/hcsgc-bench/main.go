@@ -43,7 +43,6 @@ type options struct {
 	report, json string
 
 	// Flags only some report modes read (see mode.flags).
-	localityShift  uint
 	overloadFactor float64
 	sweepMutators  []int // nil = bench.ScalingMutators
 	chaosOut       string
@@ -66,7 +65,6 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.StringVar(&o.report, "report", "", "run a report mode instead of the timing sweep: "+strings.Join(modeNames(), ", ")+" (see -list)")
 	fs.StringVar(&o.json, "json", "", "also write the -report result as JSON to this file")
 
-	fs.UintVar(&o.localityShift, "locality-shift", 4, "-report explain: sampling knob, one burst per 2^shift accesses (at most 62)")
 	fs.Float64Var(&o.overloadFactor, "overload-factor", 0, "-report overload: arrival-rate multiplier past sustainable (0 = default 2)")
 	intList(fs, &o.sweepMutators, "sweep-mutators", "-report scaling: comma-separated mutator counts (default 1,2,4,8,16,64)")
 	fs.StringVar(&o.chaosOut, "chaos-out", "", "-report chaos: also write the soak report (and failed runs' gclogs) to this file")
@@ -117,11 +115,11 @@ type mode struct {
 
 var modes = []mode{
 	{
-		name: "explain", desc: "explanation A/B from the same runs: reuse distance, prefetch accuracy and coverage, page entropy; pause/phase HDR percentiles, MMU ladder, barrier profile",
+		name: "explain", desc: "explanation A/B from the same runs: cache-model accesses and misses by owner (mutators, GC threads, pauses), prefetch accuracy and coverage, segregation purity; pause/phase HDR percentiles, MMU ladder, barrier profile",
 		exp: "fig4", configs: []int{0, 16}, // ZGC baseline vs H+CP+cc1+lazy (COLDPAGE+LAZYRELOCATE)
-		flags: []string{"json", "locality-shift"},
+		flags: []string{"json"},
 		run: reporting(func(j *job) (report, error) {
-			return bench.RunExplainAB(j.exp, j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.localityShift, j.sink, j.progress)
+			return bench.RunExplainAB(j.exp, j.runs, j.scale, j.seed, j.configs[0], j.configs[1], j.sink, j.progress)
 		}),
 	},
 	{
@@ -193,9 +191,6 @@ func selectMode(j *job, given []string) (*mode, error) {
 			return nil, fmt.Errorf("-%s needs -report %s", f, strings.Join(names, "|"))
 		}
 		return nil, fmt.Errorf("-%s is not read by -report %s (only by -report %s)", f, m.name, strings.Join(names, "|"))
-	}
-	if j.localityShift > 62 { // the sample period 1<<shift is an int
-		return nil, fmt.Errorf("-locality-shift %d overflows the sample period (at most 62)", j.localityShift)
 	}
 	if j.ablate != "" {
 		if m != nil {

@@ -105,7 +105,7 @@ func TestRunLatencyTiny(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	// Scale 0.03 is the smallest fig4 that actually triggers GC cycles
 	// (ExplainAB.Validate requires recorded pauses).
-	j := quietJob(sink, options{report: "explain", runs: 1, scale: 0.03, seed: 1, localityShift: 4})
+	j := quietJob(sink, options{report: "explain", runs: 1, scale: 0.03, seed: 1})
 	if err := runMode(t, j); err != nil {
 		t.Fatal(err)
 	}
@@ -247,9 +247,8 @@ func TestMisuseFailsLoudly(t *testing.T) {
 		// The ISSUE 14 motivation: a flag of another mode used to be
 		// accepted, exit 0, and write no file.
 		{"-report chaos -json x.json", []string{"-json", "chaos"}},
-		{"-report kv -locality-shift 3", []string{"-locality-shift", "kv"}},
-		// 1<<63 overflows the sample period.
-		{"-report explain -locality-shift 63", []string{"-locality-shift"}},
+		// The profiler's sampling knob went with the profiler.
+		{"-report explain -locality-shift 4", []string{"-locality-shift"}},
 		{"-report kv -overload-factor 3", []string{"-overload-factor", "kv"}},
 		{"-report kv -sweep-mutators 1,2", []string{"-sweep-mutators", "kv"}},
 		{"-report kv -chaos-out x.txt", []string{"-chaos-out", "kv"}},
@@ -297,8 +296,8 @@ func TestMisuseFailsLoudly(t *testing.T) {
 func TestFlagCount(t *testing.T) {
 	n := 0
 	new(options).flagSet().VisitAll(func(*flag.Flag) { n++ })
-	if n != 16 {
-		t.Errorf("hcsgc-bench defines %d flags, want 16", n)
+	if n != 15 {
+		t.Errorf("hcsgc-bench defines %d flags, want 15", n)
 	}
 }
 

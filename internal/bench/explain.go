@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"hcsgc"
-	"hcsgc/internal/locality"
 	"hcsgc/internal/simmem"
 	"hcsgc/internal/stats"
 	"hcsgc/internal/telemetry/latency"
@@ -13,23 +12,34 @@ import (
 )
 
 // ExplainSide is one configuration's aggregated measurement in an
-// explanation A/B: the locality profile, the cache model's prefetch ratios
-// and the latency report of the same runs.
+// explanation A/B: the cache model's counts by owner, its prefetch ratios,
+// the collector's segregation purity and the latency report of the same
+// runs.
 type ExplainSide struct {
-	Config int                 `json:"config"`
-	Knobs  string              `json:"knobs"`
-	Runs   int                 `json:"runs"`
-	Stats  hcsgc.LocalityStats `json:"stats"`
+	Config int    `json:"config"`
+	Knobs  string `json:"knobs"`
+	Runs   int    `json:"runs"`
+	// Owners is the cache model's counts by owner (mutators, GC threads,
+	// pauses), summed over the runs (workloads.Result.Owners).
+	Owners hcsgc.OwnerMemStats `json:"owners"`
+	// Loads, L1Misses and LLCMisses are the same runs' whole-process
+	// counts, summed: the figure table's perf columns, which the owner
+	// rows sum to.
+	Loads     uint64 `json:"loads"`
+	L1Misses  uint64 `json:"l1_misses"`
+	LLCMisses uint64 `json:"llc_misses"`
 	// PrefetchAccuracy and PrefetchCoverage are the cache model's prefetch
 	// ratios over the runs' whole-process counts, summed
 	// (simmem.CoreStats.PrefetchAccuracy, PrefetchCoverage); -1 when the
 	// runs prefetched nothing.
 	PrefetchAccuracy float64 `json:"prefetch_accuracy"`
 	PrefetchCoverage float64 `json:"prefetch_coverage"`
+	// SegPurity is the mean over runs of the segregation purity at each
+	// run's last mark end (CycleRecord.SegregationPurity); 0 when no run
+	// collected.
+	SegPurity float64 `json:"seg_purity"`
 	// MeanExecSeconds is the mean simulated execution time, for context.
 	MeanExecSeconds float64 `json:"mean_exec_seconds"`
-	// Reports holds each run's full profiler snapshot.
-	Reports []*hcsgc.LocalityReport `json:"reports,omitempty"`
 	// Report is the latency aggregate across runs (HDR slot addition,
 	// worst-case MMU per window); per-run flight records are not merged
 	// (each run's recorder stands alone).
@@ -38,34 +48,29 @@ type ExplainSide struct {
 
 // ExplainAB explains one configuration against another on one workload
 // from one set of runs: the evidence layer behind the paper's perf-counter
-// columns (reuse distance ~ cache pressure, the cache model's prefetch
-// accuracy and coverage ~ prefetch friendliness, segregation purity ~
-// hot/cold layout quality) beside
-// pause/phase/stall percentiles, the MMU window ladder and the per-path
-// barrier profile, where LAZYRELOCATE shows as relocation work leaving the
-// GC drain and reappearing as mutator barrier relocate hits.
+// columns (the cache model's accesses, misses per level and memory cycles
+// by owner, so a mutator saving is told apart from GC work; its prefetch
+// accuracy and coverage ~ prefetch friendliness; segregation purity ~
+// hot/cold layout quality) beside pause/phase/stall percentiles, the MMU
+// window ladder and the per-path barrier profile, where LAZYRELOCATE shows
+// as relocation work leaving the GC drain and reappearing as mutator
+// barrier relocate hits.
 type ExplainAB struct {
 	Experiment string  `json:"experiment"`
 	Workload   string  `json:"workload"`
 	Runs       int     `json:"runs"`
 	Scale      float64 `json:"scale"`
 	Seed       int64   `json:"seed"`
-	// SamplePeriod / BurstLen / Window echo the profiler configuration.
-	SamplePeriod int `json:"sample_period"`
-	BurstLen     int `json:"burst_len"`
-	Window       int `json:"window"`
 
 	Base ExplainSide `json:"base"`
 	Test ExplainSide `json:"test"`
 }
 
 // RunExplainAB runs the experiment's workload under two configurations
-// with a fresh locality profiler and a fresh latency tracker attached to
-// every run, and aggregates each side. baseCfg/testCfg are Table 2 config
-// ids (0 = original ZGC). shift is the power-of-two sampling knob
-// (accesses per burst period). A non-nil sink serves each in-flight run's
-// planes live.
-func RunExplainAB(expID string, runs int, scale float64, seed int64, baseCfg, testCfg int, shift uint, sink *hcsgc.TelemetrySink, progress Progress) (*ExplainAB, error) {
+// with a fresh latency tracker attached to every run, and aggregates each
+// side. baseCfg/testCfg are Table 2 config ids (0 = original ZGC). A
+// non-nil sink serves each in-flight run's planes live.
+func RunExplainAB(expID string, runs int, scale float64, seed int64, baseCfg, testCfg int, sink *hcsgc.TelemetrySink, progress Progress) (*ExplainAB, error) {
 	w, err := workloads.Get(expID)
 	if err != nil {
 		return nil, err
@@ -73,71 +78,67 @@ func RunExplainAB(expID string, runs int, scale float64, seed int64, baseCfg, te
 	if runs <= 0 {
 		runs = 3
 	}
-	profCfg := locality.Config{SamplePeriodShift: shift}
-	ab := &ExplainAB{
-		Experiment:   expID,
-		Workload:     w.Name,
-		Runs:         runs,
-		Scale:        scale,
-		Seed:         seed,
-		SamplePeriod: 1 << profCfg.SamplePeriodShift,
-		BurstLen:     profCfg.BurstLen(),
-		Window:       locality.Window,
-	}
+	ab := &ExplainAB{Experiment: expID, Workload: w.Name, Runs: runs, Scale: scale, Seed: seed}
 
-	var reports [2][]*hcsgc.LocalityReport
 	var trackers [2][]*hcsgc.LatencyTracker
-	var mem [2]simmem.CoreStats
+	abSides := [2]*ExplainSide{&ab.Base, &ab.Test}
 	cfgs := []int{baseCfg, testCfg}
 	sides, err := runSides("explain "+expID, w, configSides(cfgs...), runs, scale, seed, sink, progress,
 		func(side int, rc *workloads.RunConfig) func(workloads.Result) {
-			prof := locality.New(profCfg)
-			rc.Locality = prof
 			// Discard automatic dumps: a bench OOM already fails the run.
 			rc.Latency = hcsgc.NewLatencyTracker(hcsgc.LatencyConfig{DumpTo: io.Discard})
 			trackers[side] = append(trackers[side], rc.Latency)
 			return func(r workloads.Result) {
-				reports[side] = append(reports[side], prof.Report())
-				mem[side].Add(simmem.CoreStats{PrefUseful: r.PrefUseful, L2Prefills: r.L2Prefills, L2Misses: r.L2Misses})
+				s := abSides[side]
+				s.Owners.Mutators.Add(r.Owners.Mutators)
+				s.Owners.GC.Add(r.Owners.GC)
+				s.Owners.Pauses.Add(r.Owners.Pauses)
+				s.Loads += r.Loads
+				s.L1Misses += r.L1Misses
+				s.LLCMisses += r.LLCMisses
 			}
 		})
 	if err != nil {
 		return nil, err
 	}
-	for i, side := range []*ExplainSide{&ab.Base, &ab.Test} {
-		*side = ExplainSide{
-			Config: cfgs[i], Knobs: KnobsFor(cfgs[i]).String(), Runs: runs,
-			Stats:            locality.Aggregate(reports[i]),
-			PrefetchAccuracy: mem[i].PrefetchAccuracy(),
-			PrefetchCoverage: mem[i].PrefetchCoverage(),
-			MeanExecSeconds:  stats.Mean(sides[i].Times),
-			Reports:          reports[i],
-			Report:           latency.Aggregate(trackers[i]),
+	for i, s := range abSides {
+		var purity []float64
+		for _, t := range trackers[i] {
+			if log := t.Log(); len(log) > 0 {
+				purity = append(purity, log[len(log)-1].SegregationPurity)
+			}
 		}
+		total := ownerTotal(s.Owners)
+		s.Config, s.Knobs, s.Runs = cfgs[i], KnobsFor(cfgs[i]).String(), runs
+		s.PrefetchAccuracy, s.PrefetchCoverage = total.PrefetchAccuracy(), total.PrefetchCoverage()
+		s.SegPurity = stats.Mean(purity)
+		s.MeanExecSeconds = stats.Mean(sides[i].Times)
+		s.Report = latency.Aggregate(trackers[i])
 	}
 	return ab, nil
 }
 
-// Validate sanity-checks a report's well-formedness on both sides:
-// sampled accesses, a non-empty reuse histogram, purity and the cache
-// model's prefetch coverage within [0,1]; a latency report with pauses of every STW phase,
-// MMU values inside [0,1] at every window, and at least one recorded GC
-// cycle. Used by the CI smoke step.
+// ownerTotal sums the owner rows: the process total.
+func ownerTotal(o hcsgc.OwnerMemStats) simmem.CoreStats {
+	t := o.Mutators
+	t.Add(o.GC)
+	t.Add(o.Pauses)
+	return t
+}
+
+// Validate sanity-checks a report's well-formedness on both sides: owner
+// rows that sum to the whole-process loads, L1 misses and LLC misses,
+// purity and the cache model's prefetch coverage within [0,1]; a latency
+// report with pauses of every STW phase, MMU values inside [0,1] at every
+// window, and at least one recorded GC cycle. Used by the CI smoke step.
 func (ab *ExplainAB) Validate() error {
 	check := func(name string, side *ExplainSide) error {
-		s := &side.Stats
-		if s.SampledAccesses == 0 {
-			return fmt.Errorf("explain: %s side sampled no accesses", name)
+		if t := ownerTotal(side.Owners); t.Loads != side.Loads || t.L1Misses != side.L1Misses || t.LLCMisses != side.LLCMisses {
+			return fmt.Errorf("explain: %s side owner rows sum to %d loads, %d L1 and %d LLC misses; the process counted %d, %d and %d",
+				name, t.Loads, t.L1Misses, t.LLCMisses, side.Loads, side.L1Misses, side.LLCMisses)
 		}
-		var histTotal uint64
-		for _, c := range s.ReuseHist {
-			histTotal += c
-		}
-		if histTotal == 0 && s.ColdSamples == 0 {
-			return fmt.Errorf("explain: %s side reuse histogram is empty", name)
-		}
-		if s.SegPurity < 0 || s.SegPurity > 1 {
-			return fmt.Errorf("explain: %s side purity %v outside [0,1]", name, s.SegPurity)
+		if side.SegPurity < 0 || side.SegPurity > 1 {
+			return fmt.Errorf("explain: %s side purity %v outside [0,1]", name, side.SegPurity)
 		}
 		if c := side.PrefetchCoverage; c < 0 || c > 1 {
 			return fmt.Errorf("explain: %s side prefetch coverage %v outside [0,1]", name, c)
@@ -176,15 +177,14 @@ var (
 )
 
 // WriteText renders the A/B comparison as aligned text tables under one
-// header: the locality metrics and prefetch ratios, then per-phase percentiles, the MMU ladder,
-// and the barrier profile with the relocation-shift headline.
+// header: the summary metrics, the cache model's counts by owner, then
+// per-phase percentiles, the MMU ladder, and the barrier profile with the
+// relocation-shift headline.
 func (ab *ExplainAB) WriteText(w io.Writer) {
 	fmt.Fprintf(w, "=== explain A/B: %s (%s), %d runs, scale %g ===\n",
 		ab.Experiment, ab.Workload, ab.Runs, ab.Scale)
 	fmt.Fprintf(w, "base: cfg %d (%s)   test: cfg %d (%s)\n",
 		ab.Base.Config, ab.Base.Knobs, ab.Test.Config, ab.Test.Knobs)
-	fmt.Fprintf(w, "profiler: 1 burst of %d accesses per %d, reuse window %d\n",
-		ab.BurstLen, ab.SamplePeriod, ab.Window)
 	fmt.Fprintf(w, "all durations in simulated cycles\n\n")
 
 	pct := func(bv, tv float64) string {
@@ -193,7 +193,6 @@ func (ab *ExplainAB) WriteText(w io.Writer) {
 		}
 		return fmt.Sprintf("%+.1f%%", 100*(tv-bv)/bv)
 	}
-	bs, ts := &ab.Base.Stats, &ab.Test.Stats
 	fmt.Fprintf(w, "%-24s %16s %16s %10s\n", "metric",
 		fmt.Sprintf("cfg %d (%s)", ab.Base.Config, ab.Base.Knobs),
 		fmt.Sprintf("cfg %d (%s)", ab.Test.Config, ab.Test.Knobs), "delta")
@@ -202,17 +201,34 @@ func (ab *ExplainAB) WriteText(w io.Writer) {
 			fmt.Sprintf(format, bv), fmt.Sprintf(format, tv), pct(bv, tv))
 	}
 	row("exec seconds (mean)", ab.Base.MeanExecSeconds, ab.Test.MeanExecSeconds, "%.4f")
-	row("reuse p50 (lines)", bs.ReuseP50, ts.ReuseP50, "%.0f")
-	row("reuse p90 (lines)", bs.ReuseP90, ts.ReuseP90, "%.0f")
-	row("reuse p99 (lines)", bs.ReuseP99, ts.ReuseP99, "%.0f")
-	row("cold sample frac", bs.ColdFrac, ts.ColdFrac, "%.4f")
 	row("prefetch accuracy", ab.Base.PrefetchAccuracy, ab.Test.PrefetchAccuracy, "%.4f")
 	row("prefetch coverage", ab.Base.PrefetchCoverage, ab.Test.PrefetchCoverage, "%.4f")
-	row("page entropy (bits)", bs.PageEntropyBits, ts.PageEntropyBits, "%.3f")
-	row("same-page fraction", bs.SamePageFrac, ts.SamePageFrac, "%.4f")
-	row("segregation purity", bs.SegPurity, ts.SegPurity, "%.4f")
-	fmt.Fprintf(w, "\nsampled accesses: base %d, test %d\n\n",
-		bs.SampledAccesses, ts.SampledAccesses)
+	row("segregation purity", ab.Base.SegPurity, ab.Test.SegPurity, "%.4f")
+
+	fmt.Fprintf(w, "\n%-22s %12s %12s %12s %12s %14s\n", "cache model by owner",
+		"accesses", "L1 misses", "L2 misses", "LLC misses", "mem cycles")
+	owners := func(o hcsgc.OwnerMemStats) [4]simmem.CoreStats {
+		return [4]simmem.CoreStats{o.Mutators, o.GC, o.Pauses, ownerTotal(o)}
+	}
+	names := [4]string{"mutators", "GC threads", "pauses", "total"}
+	bo, to := owners(ab.Base.Owners), owners(ab.Test.Owners)
+	for _, side := range []struct {
+		name string
+		rows [4]simmem.CoreStats
+	}{{"base", bo}, {"test", to}} {
+		for i, s := range side.rows {
+			fmt.Fprintf(w, "%-22s %12d %12d %12d %12d %14d\n", side.name+" "+names[i],
+				s.Loads+s.Stores, s.L1Misses, s.L2Misses, s.LLCMisses, s.Cycles)
+		}
+	}
+	for i := range names {
+		b, t := bo[i], to[i]
+		fmt.Fprintf(w, "%-22s %12s %12s %12s %12s %14s\n", "delta "+names[i],
+			pct(float64(b.Loads+b.Stores), float64(t.Loads+t.Stores)),
+			pct(float64(b.L1Misses), float64(t.L1Misses)), pct(float64(b.L2Misses), float64(t.L2Misses)),
+			pct(float64(b.LLCMisses), float64(t.LLCMisses)), pct(float64(b.Cycles), float64(t.Cycles)))
+	}
+	fmt.Fprintln(w)
 
 	b, t := ab.Base.Report, ab.Test.Report
 	distRow := func(name string, bd, td hcsgc.LatencyDist) {
@@ -255,6 +271,5 @@ func (ab *ExplainAB) WriteText(w io.Writer) {
 		ab.Base.MeanExecSeconds, ab.Test.MeanExecSeconds, b.Cycles, t.Cycles, b.FlightDumps, t.FlightDumps)
 }
 
-// WriteJSON renders the full A/B result, including the per-run locality
-// reports.
+// WriteJSON renders the full A/B result.
 func (ab *ExplainAB) WriteJSON(w io.Writer) error { return writeJSON(w, ab) }

@@ -8,13 +8,16 @@ import (
 )
 
 // TestExplainPairPassesBothGates drives the explanation A/B on its default
-// pair, fig4 config 0 (ZGC) vs 16 (H+CP cc=1 lazy), at the smallest scale
-// that collects, then checks validation, the text report and the JSON
-// artifact end to end. The pair meets both the locality and the latency
-// clauses of the gate and carries both headlines: sampled accesses on each
-// side, and mutator relocate barrier hits on the lazy side.
+// pair, fig4 config 0 (ZGC) vs 16 (H+CP cc=1 lazy), then checks
+// validation, the text report and the JSON artifact end to end. The pair
+// meets both the cache-model and the latency clauses of the gate and
+// carries both headlines: mutator and GC-thread accesses on each side, and
+// mutator relocate barrier hits on the lazy side. Scale 0.05 gives a run
+// several cycles with evacuation sets while its mutator still runs; at
+// 0.03 a run's only evacuated page can come in its last cycle, and whether
+// the mutator touches it before the run ends is a race on the host.
 func TestExplainPairPassesBothGates(t *testing.T) {
-	ab, err := RunExplainAB("fig4", 1, 0.03, 1, 0, 16, 4, nil, nil)
+	ab, err := RunExplainAB("fig4", 1, 0.05, 1, 0, 16, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,8 +26,8 @@ func TestExplainPairPassesBothGates(t *testing.T) {
 	}
 
 	for side, s := range map[string]*ExplainSide{"base": &ab.Base, "test": &ab.Test} {
-		if s.Stats.SampledAccesses == 0 {
-			t.Errorf("%s: sampled no accesses", side)
+		if s.Owners.Mutators.Loads == 0 || s.Owners.GC.Loads == 0 {
+			t.Errorf("%s: mutator loads %d, GC-thread loads %d; want both above 0", side, s.Owners.Mutators.Loads, s.Owners.GC.Loads)
 		}
 		if s.PrefetchAccuracy <= 0 || s.PrefetchAccuracy > 1 || s.PrefetchCoverage <= 0 {
 			t.Errorf("%s: prefetch accuracy %v, coverage %v; want both measured and above 0", side, s.PrefetchAccuracy, s.PrefetchCoverage)
@@ -49,8 +52,8 @@ func TestExplainPairPassesBothGates(t *testing.T) {
 	var txt strings.Builder
 	ab.WriteText(&txt)
 	for _, want := range []string{
-		"explain A/B: fig4", "profiler: 1 burst", "reuse p50 (lines)", "prefetch accuracy", "prefetch coverage",
-		"segregation purity", "sampled accesses", "pause stw1", "phase mark", "MMU(1000)",
+		"explain A/B: fig4", "prefetch accuracy", "prefetch coverage", "segregation purity",
+		"cache model by owner", "base mutators", "test GC threads", "delta total", "pause stw1", "phase mark", "MMU(1000)",
 		"hotmap_record", "relocation shift",
 	} {
 		if !strings.Contains(txt.String(), want) {
@@ -62,7 +65,7 @@ func TestExplainPairPassesBothGates(t *testing.T) {
 	if err := ab.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"stats"`, `"reports"`, `"pauses"`, `"mmu"`, `"barrier"`, `"alloc_stall"`} {
+	for _, want := range []string{`"owners"`, `"seg_purity"`, `"pauses"`, `"mmu"`, `"barrier"`, `"alloc_stall"`} {
 		if !strings.Contains(js.String(), want) {
 			t.Errorf("JSON artifact missing %q", want)
 		}
@@ -74,7 +77,9 @@ func TestExplainPairPassesBothGates(t *testing.T) {
 func validExplainAB() *ExplainAB {
 	ab := fixtureExplainAB()
 	for _, s := range []*ExplainSide{&ab.Base, &ab.Test} {
-		s.Stats.SegPurity, s.PrefetchCoverage = 0.5, 0.25
+		s.SegPurity, s.PrefetchCoverage = 0.5, 0.25
+		t := ownerTotal(s.Owners)
+		s.Loads, s.L1Misses, s.LLCMisses = t.Loads, t.L1Misses, t.LLCMisses
 		for i := range s.Report.MMU.Windows {
 			s.Report.MMU.Windows[i].MMU = 0.75
 		}
@@ -82,10 +87,10 @@ func validExplainAB() *ExplainAB {
 	return ab
 }
 
-// TestValidateExplainABRejectsCorruption: each of the gate's eight clauses
-// (three locality, one prefetch, four latency) rejects the result it exists for. Each case
-// corrupts one field of a valid fixture and is named by a phrase of the
-// rejecting clause's message.
+// TestValidateExplainABRejectsCorruption: each of the gate's seven clauses
+// (owner rows, purity, prefetch, four latency) rejects the result it exists
+// for. Each case corrupts one field of a valid fixture and is named by a
+// phrase of the rejecting clause's message.
 func TestValidateExplainABRejectsCorruption(t *testing.T) {
 	if err := validExplainAB().Validate(); err != nil {
 		t.Fatal(err)
@@ -94,12 +99,8 @@ func TestValidateExplainABRejectsCorruption(t *testing.T) {
 		name    string
 		corrupt func(*ExplainAB)
 	}{
-		{"sampled no accesses", func(c *ExplainAB) { c.Base.Stats.SampledAccesses = 0 }},
-		{"reuse histogram is empty", func(c *ExplainAB) {
-			c.Test.Stats.ReuseHist = make([]uint64, len(c.Test.Stats.ReuseHist))
-			c.Test.Stats.ColdSamples = 0
-		}},
-		{"purity", func(c *ExplainAB) { c.Test.Stats.SegPurity = 1.5 }},
+		{"owner rows sum", func(c *ExplainAB) { c.Base.Owners.GC.LLCMisses++ }},
+		{"purity", func(c *ExplainAB) { c.Test.SegPurity = 1.5 }},
 		{"prefetch coverage", func(c *ExplainAB) { c.Base.PrefetchCoverage = -1 }},
 		{"no latency report", func(c *ExplainAB) { c.Test.Report = nil }},
 		{"no stw2 pauses", func(c *ExplainAB) { c.Base.Report.Pauses["stw2"] = hcsgc.LatencyDist{} }},
@@ -118,7 +119,7 @@ func TestValidateExplainABRejectsCorruption(t *testing.T) {
 // workload never collected) must fail validation, not silently produce an
 // all-zero report.
 func TestValidateExplainABRejectsEmpty(t *testing.T) {
-	ab, err := RunExplainAB("fig4", 1, 0.005, 1, 0, 16, 4, nil, nil)
+	ab, err := RunExplainAB("fig4", 1, 0.005, 1, 0, 16, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestValidateExplainABRejectsEmpty(t *testing.T) {
 
 // TestRunExplainABBadExperiment propagates workload lookup errors.
 func TestRunExplainABBadExperiment(t *testing.T) {
-	if _, err := RunExplainAB("nonesuch", 1, 0.03, 1, 0, 16, 4, nil, nil); err == nil {
+	if _, err := RunExplainAB("nonesuch", 1, 0.03, 1, 0, 16, nil, nil); err == nil {
 		t.Fatal("unknown experiment must error")
 	}
 }

@@ -47,9 +47,8 @@ var fixtureDerived = map[string]bool{"TailReport.Cycles": true, "Exemplar.CycleI
 
 // fixtureLens overrides the default slice length of 2 by field name.
 var fixtureLens = map[string]int{
-	"Phases":    len(loadgen.PhaseNames),
-	"TopK":      4, // one more than the kv report prints per side
-	"ReuseHist": 5,
+	"Phases": len(loadgen.PhaseNames),
+	"TopK":   4, // one more than the kv report prints per side
 }
 
 // filler hands out the distinct values; n is the running counter.

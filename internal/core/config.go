@@ -17,7 +17,6 @@ import (
 
 	"hcsgc/internal/contention"
 	"hcsgc/internal/faultinject"
-	"hcsgc/internal/locality"
 	"hcsgc/internal/telemetry"
 	"hcsgc/internal/telemetry/latency"
 )
@@ -122,11 +121,6 @@ type Config struct {
 	// Telemetry is the optional observability sink. Nil disables all
 	// instrumentation (each site reduces to one predictable branch).
 	Telemetry *telemetry.Sink
-	// Locality is the optional sampling locality profiler. Nil disables
-	// it (each mutator access site then costs one predictable branch);
-	// when set, every mutator gets a probe and the collector snapshots
-	// the profiler at each cycle boundary.
-	Locality *locality.Profiler
 	// Latency is the latency-attribution tracker (HDR pause and phase
 	// distributions, MMU, barrier slow-path profile, flight recorder).
 	// Nil means one with the default configuration: a collector always

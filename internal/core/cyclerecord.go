@@ -9,10 +9,9 @@ import (
 
 // The collector's cycle-boundary wiring: closeCycleRecord fills the fields
 // of the cycle's record the collector owns, including the sections the
-// other planes hand back, before the tracker logs it. The locality profiler
-// and the contention plane may be nil (their OnCycle then returns a section
-// with Present false); the tracker never is. The worker section is the
-// collector's own.
+// other planes hand back, before the tracker logs it. The contention plane
+// may be nil (its OnCycle then returns a section with Present false); the
+// tracker never is. The worker section is the collector's own.
 
 // since returns how far now is past *mark and moves the watermark to now.
 func since(mark *uint64, now uint64) uint64 {
@@ -36,9 +35,8 @@ func (c *Collector) allocBytesTotal() uint64 {
 // closeCycleRecord fills what the collector knows only at the cycle's end:
 // the closing clock reading, the since-last-boundary deltas (the cache
 // model's prefetch ratios and the worker section among them), and the
-// locality profiler's and contention plane's sections. It runs before the
-// tracker logs the record, so what the cycle log stores is complete. Under
-// cycleMu.
+// contention plane's section. It runs before the tracker logs the record,
+// so what the cycle log stores is complete. Under cycleMu.
 func (c *Collector) closeCycleRecord(cs *CycleStats) {
 	cs.HeapUsedAfter = c.heap.UsedPercent()
 	cs.VEnd = c.VirtualCycles()
@@ -62,7 +60,6 @@ func (c *Collector) closeCycleRecord(cs *CycleStats) {
 		cs.PrefetchAccuracy, cs.PrefetchCoverage = d.PrefetchAccuracy(), d.PrefetchCoverage()
 	}
 	cs.Workers = c.workerDelta()
-	cs.Locality = c.cfg.Locality.OnCycle(cs.SegregationPurity)
 	cs.Contention = c.ctn.OnCycle()
 }
 

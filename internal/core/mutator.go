@@ -7,7 +7,6 @@ import (
 
 	"hcsgc/internal/faultinject"
 	"hcsgc/internal/heap"
-	"hcsgc/internal/locality"
 	"hcsgc/internal/objmodel"
 	"hcsgc/internal/simmem"
 	"hcsgc/internal/telemetry"
@@ -41,11 +40,6 @@ type Mutator struct {
 	// one of the pool's buffers, nil before the first gray object and
 	// after a flush that handed the buffer itself over.
 	markBuf *markBuf
-
-	// probe is the locality profiler's per-mutator sampling front-end;
-	// nil when profiling is off, making each access site one predictable
-	// branch (the nil check inside Probe.Access).
-	probe *locality.Probe
 
 	// extra accumulates non-memory cycle costs (barrier checks, hotmap
 	// CASes, allocation bookkeeping); work accumulates application compute
@@ -94,7 +88,6 @@ func (c *Collector) NewMutator(rootSlots int) *Mutator {
 	if c.heap.Mem() != nil {
 		m.core = c.heap.Mem().NewCore()
 	}
-	m.probe = c.cfg.Locality.NewProbe()
 	m.ctx = &relocCtx{c: c, core: m.core, who: telemetry.RelocByMutator, mutator: m}
 	m.tok = c.sp.register("")
 	c.mutMu.Lock()
@@ -557,7 +550,6 @@ func (m *Mutator) LoadRoot(i int) heap.Ref {
 //hcsgc:barrier-impl
 func (m *Mutator) LoadRef(obj heap.Ref, i int) heap.Ref {
 	slot := objmodel.FieldAddr(obj.Addr(), i)
-	m.probe.Access(slot)
 	raw := heap.Ref(m.c.heap.LoadWord(m.core, slot))
 	m.extra += costBarrierFast
 	if raw.IsNull() || raw.Color() == m.c.Good() {
@@ -578,7 +570,6 @@ func (m *Mutator) StoreRef(obj heap.Ref, i int, val heap.Ref) {
 		panic(fmt.Sprintf("core: storing stale reference %v (good is %v); references must not be held across safepoints", val, m.c.Good()))
 	}
 	slot := objmodel.FieldAddr(obj.Addr(), i)
-	m.probe.Access(slot)
 	m.c.heap.StoreWord(m.core, slot, uint64(val))
 }
 
@@ -587,7 +578,6 @@ func (m *Mutator) StoreRef(obj heap.Ref, i int, val heap.Ref) {
 //hcsgc:barrier-impl
 func (m *Mutator) LoadField(obj heap.Ref, i int) uint64 {
 	slot := objmodel.FieldAddr(obj.Addr(), i)
-	m.probe.Access(slot)
 	return m.c.heap.LoadWord(m.core, slot)
 }
 
@@ -596,18 +586,15 @@ func (m *Mutator) LoadField(obj heap.Ref, i int) uint64 {
 //hcsgc:barrier-impl
 func (m *Mutator) StoreField(obj heap.Ref, i int, v uint64) {
 	slot := objmodel.FieldAddr(obj.Addr(), i)
-	m.probe.Access(slot)
 	m.c.heap.StoreWord(m.core, slot, v)
 }
 
 // LoadFields loads the len(dst) data words of obj from field i on into
-// dst: LoadField for each, as one heap word run (heap.LoadWords). The
-// profiler still sees one access per word.
+// dst: LoadField for each, as one heap word run (heap.LoadWords).
 //
 //hcsgc:barrier-impl
 func (m *Mutator) LoadFields(obj heap.Ref, i int, dst []uint64) {
 	slot := objmodel.FieldAddr(obj.Addr(), i)
-	m.probeRun(slot, len(dst))
 	m.c.heap.LoadWords(m.core, slot, dst)
 }
 
@@ -617,18 +604,7 @@ func (m *Mutator) LoadFields(obj heap.Ref, i int, dst []uint64) {
 //hcsgc:barrier-impl
 func (m *Mutator) StoreFields(obj heap.Ref, i int, src []uint64) {
 	slot := objmodel.FieldAddr(obj.Addr(), i)
-	m.probeRun(slot, len(src))
 	m.c.heap.StoreWords(m.core, slot, src)
-}
-
-// probeRun feeds the n words from addr on to the profiler, one access each.
-func (m *Mutator) probeRun(addr uint64, n int) {
-	if m.probe == nil {
-		return
-	}
-	for j := 0; j < n; j++ {
-		m.probe.Access(addr + uint64(j)*heap.WordSize)
-	}
 }
 
 // ArrayLen returns the element count of the array obj. The header word
@@ -637,7 +613,6 @@ func (m *Mutator) probeRun(addr uint64, n int) {
 //
 //hcsgc:barrier-impl
 func (m *Mutator) ArrayLen(obj heap.Ref) int {
-	m.probe.Access(obj.Addr())
 	return objmodel.ArrayLen(m.c.heap.LoadWord(m.core, obj.Addr()))
 }
 

@@ -94,7 +94,6 @@ func (s *Sink) WriteGCLog(w io.Writer) {
 // serves what SetEndpoint last installed under its name, rendered as
 // indented JSON ("null" until something is installed).
 var snapshotEndpoints = []string{
-	"locality",   // locality-profiler report (locality.Profiler.Report)
 	"mmu",        // minimum-mutator-utilization curve (latency.Tracker.MMUSnapshot)
 	"kv",         // KV serving report (kvstore.Metrics.Report)
 	"signals",    // flight window of the cycle log (latency.Tracker.Window)

@@ -85,7 +85,7 @@ func TestSinkEndpoints(t *testing.T) {
 	// The index is generated from the endpoint table: every path it
 	// advertises answers, and an unset snapshot endpoint answers null.
 	index, _ := get("/")
-	for _, path := range strings.Fields("/metrics /trace /gclog /locality /mmu /kv /flightrecorder /signals /contention /tailattr /overload") {
+	for _, path := range strings.Fields("/metrics /trace /gclog /mmu /kv /flightrecorder /signals /contention /tailattr /overload") {
 		if !strings.Contains(index, path) {
 			t.Errorf("index lost %s: %q", path, index)
 		}

@@ -3,8 +3,6 @@ package latency
 import (
 	"encoding/json"
 	"io"
-
-	"hcsgc/internal/locality"
 )
 
 // BarrierProfile counts load-barrier slow-path work by path for one cycle
@@ -133,13 +131,11 @@ type CycleRecord struct {
 	PrefetchAccuracy float64 `json:"prefetch_accuracy"`
 	PrefetchCoverage float64 `json:"prefetch_coverage"`
 
-	// Locality is the locality profiler's interval view of the cycle and
-	// Contention the contention plane's lock deltas, each zero-valued with
-	// Present false when its plane is not attached; Workers is the
-	// collector's GC-worker balance.
-	Locality   locality.Signals `json:"locality"`
-	Workers    WorkerDelta      `json:"workers"`
-	Contention LockDelta        `json:"contention"`
+	// Workers is the collector's GC-worker balance, and Contention the
+	// contention plane's lock deltas, zero-valued with Present false when
+	// no plane is attached.
+	Workers    WorkerDelta `json:"workers"`
+	Contention LockDelta   `json:"contention"`
 	// StallDist is the cumulative allocation-stall duration distribution
 	// as of this cycle's end.
 	StallDist Dist `json:"stall_dist"`

@@ -59,8 +59,8 @@ func (t *Tracker) Lookup(seq uint64) *CycleRecord {
 // record: its getter over the record, its gauge (family and label value),
 // and its Perfetto counter track (name and trace category, declared here
 // and nowhere else). A new per-cycle signal is one row here.
-// A value whose section the record did not measure (ok false: no locality
-// profiler, hotness off, nothing prefetched) is not published: its gauge
+// A value whose section the record did not measure (ok false: no contention
+// plane, hotness off, nothing prefetched) is not published: its gauge
 // keeps its last value and its track gets no sample, so an absent plane
 // never publishes zeros. stream_coverage is the cache model's
 // PrefetchCoverage, under the name scrapers already know.
@@ -73,14 +73,12 @@ var signals = [...]signal{
 	{signalGauge, "heap_used_pct", telemetry.NewCounterTrack("signal_heap_used_pct", "signals"), func(r *CycleRecord) (float64, bool) { return r.HeapUsedAfter, true }},
 	{signalGauge, "cold_frac", telemetry.NewCounterTrack("signal_cold_frac", "signals"), func(r *CycleRecord) (float64, bool) { return r.ColdFrac, r.ColdFrac >= 0 }},
 	{signalGauge, "barrier_slow_per_kcycle", 0, func(r *CycleRecord) (float64, bool) { return perKCycle(r, r.Barrier.Entries), true }},
-	{signalGauge, "reuse_p50_lines", telemetry.NewCounterTrack("locality_reuse_p50_lines", "locality"), func(r *CycleRecord) (float64, bool) { return r.Locality.ReuseP50, r.Locality.Present }},
 	{signalGauge, "stream_coverage", telemetry.NewCounterTrack("locality_stream_coverage", "locality"), func(r *CycleRecord) (float64, bool) { return r.PrefetchCoverage, r.PrefetchCoverage >= 0 }},
-	{signalGauge, "seg_purity", telemetry.NewCounterTrack("locality_seg_purity", "locality"), func(r *CycleRecord) (float64, bool) { return r.Locality.SegPurity, r.Locality.Present }},
+	{signalGauge, "seg_purity", telemetry.NewCounterTrack("locality_seg_purity", "locality"), func(r *CycleRecord) (float64, bool) { return r.SegregationPurity, true }},
 	{signalGauge, "worker_imbalance", telemetry.NewCounterTrack("signal_worker_imbalance", "signals"), func(r *CycleRecord) (float64, bool) { return r.Workers.Imbalance, r.Workers.Present }},
 	{signalGauge, "lock_contended_frac", 0, func(r *CycleRecord) (float64, bool) { return r.Contention.ContendedFrac, r.Contention.Present }},
 	{signalGauge, "cas_retry_frac", 0, func(r *CycleRecord) (float64, bool) { return r.Contention.RetryFrac, r.Contention.Present }},
 	mmuSignal(0), mmuSignal(1), mmuSignal(2), mmuSignal(3),
-	{entropyGauge, "", telemetry.NewCounterTrack("locality_page_entropy_bits", "locality"), func(r *CycleRecord) (float64, bool) { return r.Locality.PageEntropyBits, r.Locality.Present }},
 	{noGauge, "", telemetry.NewCounterTrack("contention_contended_acq", "contention"), func(r *CycleRecord) (float64, bool) { return float64(r.Contention.Contended), r.Contention.Present }},
 	{noGauge, "", telemetry.NewCounterTrack("contention_cas_retries", "contention"), func(r *CycleRecord) (float64, bool) { return float64(r.Contention.CASRetries), r.Contention.Present }},
 }
@@ -110,10 +108,9 @@ func mmuSignal(i int) signal {
 type gaugeFamily uint8
 
 const (
-	noGauge      gaugeFamily = iota
-	signalGauge              // hcsgc_signal_value{signal=label}
-	mmuGauge                 // hcsgc_mmu_ratio{window_cycles=label}
-	entropyGauge             // hcsgc_locality_page_entropy_bits
+	noGauge     gaugeFamily = iota
+	signalGauge             // hcsgc_signal_value{signal=label}
+	mmuGauge                // hcsgc_mmu_ratio{window_cycles=label}
 )
 
 // register registers the family's series for label on reg (nil for
@@ -126,9 +123,6 @@ func (g gaugeFamily) register(reg *telemetry.Registry, label string) *telemetry.
 	case mmuGauge:
 		return reg.Gauge("hcsgc_mmu_ratio",
 			"Minimum mutator utilization over the labelled window, in simulated cycles.", "window_cycles", label)
-	case entropyGauge:
-		return reg.Gauge("hcsgc_locality_page_entropy_bits",
-			"Shannon entropy of the sampled page-transition distribution, in bits.")
 	}
 	return nil
 }

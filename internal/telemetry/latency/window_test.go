@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"hcsgc/internal/locality"
 	"hcsgc/internal/telemetry"
 )
 
@@ -23,9 +22,6 @@ func synthRec(seq uint64, stalls uint64) *CycleRecord {
 		AllocBytes: 1 << 20, AllocPerKCycle: float64(1<<20) / 1000,
 		MarkedBytes: 4 << 20, ColdFrac: 0.25,
 		PrefetchAccuracy: 0.9, PrefetchCoverage: 0.4,
-		Locality: locality.Signals{
-			Present: true, ReuseP50: 12, ReuseP90: 80, SegPurity: 0.8,
-		},
 	}
 }
 
@@ -113,9 +109,8 @@ func TestWindowRingBound(t *testing.T) {
 	}
 }
 
-// TestSignalsSkipUnmeasured: cold_frac, stream_coverage (the prefetch
-// coverage) and the locality signals keep their last measured
-// hcsgc_signal_value when a cycle did not measure them (no zero
+// TestSignalsSkipUnmeasured: cold_frac and stream_coverage (the prefetch
+// coverage) keep their last measured hcsgc_signal_value when a cycle did not measure them (no zero
 // pollution).
 func TestSignalsSkipUnmeasured(t *testing.T) {
 	tr := New(Config{})
@@ -125,16 +120,13 @@ func TestSignalsSkipUnmeasured(t *testing.T) {
 	rec := synthRec(2, 0)
 	rec.ColdFrac = -1
 	rec.PrefetchAccuracy, rec.PrefetchCoverage = -1, -1
-	rec.Locality = locality.Signals{}
 	tr.OnCycle(rec)
 
 	out := exposition(reg)
 	for _, want := range []string{
 		fmt.Sprintf(`hcsgc_signal_value{signal="utilization"} %g`, rec.Utilization),
 		`hcsgc_signal_value{signal="cold_frac"} 0.25`,
-		`hcsgc_signal_value{signal="reuse_p50_lines"} 12`,
 		`hcsgc_signal_value{signal="stream_coverage"} 0.4`,
-		`hcsgc_signal_value{signal="seg_purity"} 0.8`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q:\n%s", want, out)
@@ -211,7 +203,6 @@ func TestSignalTracks(t *testing.T) {
 		{"signal_alloc_kb_per_kcycle", "signals"},
 		{"signal_heap_used_pct", "signals"},
 		{"signal_cold_frac", "signals"},
-		{"locality_reuse_p50_lines", "locality"},
 		{"locality_stream_coverage", "locality"},
 		{"locality_seg_purity", "locality"},
 		{"signal_worker_imbalance", "signals"},
@@ -219,7 +210,6 @@ func TestSignalTracks(t *testing.T) {
 		{"latency_mmu_5k", "latency"},
 		{"latency_mmu_20k", "latency"},
 		{"latency_mmu_100k", "latency"},
-		{"locality_page_entropy_bits", "locality"},
 		{"contention_contended_acq", "contention"},
 		{"contention_cas_retries", "contention"},
 	}

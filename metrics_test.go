@@ -42,7 +42,7 @@ func metricsSchema(exposition string) string {
 // metricFamilyCount pins the number of /metrics families as optionCount pins
 // the options: a family needs a reader — a report, a gate, a documented
 // diagnosis recipe or a test other than the schema golden — and this number.
-const metricFamilyCount = 34
+const metricFamilyCount = 31
 
 // TestMetricsSchema pins the families, kinds and label sets /metrics serves
 // once every plane is attached: adding, renaming or dropping a series is a
@@ -57,7 +57,6 @@ func TestMetricsSchema(t *testing.T) {
 		Knobs:           hcsgc.Knobs{Hotness: true, ColdPage: true, ColdConfidence: 1, LazyRelocate: true},
 		DisableMemModel: true,
 		Telemetry:       sink,
-		Locality:        hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{}),
 		Verifier:        hcsgc.NewHeapVerifier(),
 	})
 	kvstore.NewMetrics().BindTelemetry(reg)

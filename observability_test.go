@@ -93,13 +93,12 @@ func TestSignalsEndpointShape(t *testing.T) {
 // stored once, in the latency tracker's cycle log; the /signals window,
 // its latest record, the flight recorder and Lookup are that same record,
 // and the GC log reads it. The collector has set its end-of-cycle
-// fields (closing clock, allocation and relocation deltas, the locality,
-// worker and contention sections) before anyone reads it.
+// fields (closing clock, allocation and relocation deltas, the worker and
+// contention sections) before anyone reads it.
 func TestOneCycleLog(t *testing.T) {
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
 		HeapMaxBytes: 64 << 20,
 		Knobs:        hcsgc.Knobs{Hotness: true, RelocateAllSmallPages: true, LazyRelocate: true},
-		Locality:     hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{}),
 	})
 	defer rt.Close()
 	obj := rt.Types.Register("onerecord.obj", 3, nil)
@@ -134,13 +133,13 @@ func TestOneCycleLog(t *testing.T) {
 		if history[i] != rec {
 			t.Errorf("cycle %d: the signal window holds a record other than the logged one", rec.Seq)
 		}
-		if h := history[i]; !h.Locality.Present || !h.Workers.Present || !h.Contention.Present {
-			t.Errorf("cycle %d: /signals sections present: locality %v, workers %v, contention %v",
-				rec.Seq, h.Locality.Present, h.Workers.Present, h.Contention.Present)
+		if h := history[i]; !h.Workers.Present || !h.Contention.Present {
+			t.Errorf("cycle %d: /signals sections present: workers %v, contention %v",
+				rec.Seq, h.Workers.Present, h.Contention.Present)
 		}
-		if f := flight[i]; !f.Locality.Present || !f.Workers.Present || !f.Contention.Present {
-			t.Errorf("cycle %d: flight record sections present: locality %v, workers %v, contention %v",
-				rec.Seq, f.Locality.Present, f.Workers.Present, f.Contention.Present)
+		if f := flight[i]; !f.Workers.Present || !f.Contention.Present {
+			t.Errorf("cycle %d: flight record sections present: workers %v, contention %v",
+				rec.Seq, f.Workers.Present, f.Contention.Present)
 		}
 		if got := rt.Latency.Lookup(rec.Seq); got != rec {
 			t.Errorf("cycle %d: Lookup is not the logged record (found %v)", rec.Seq, got != nil)

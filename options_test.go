@@ -28,7 +28,7 @@ var auditedStructs = []string{
 
 // optionCount pins the number of settable values: a new knob is a
 // deliberate act (it needs a non-test caller, and this number).
-const optionCount = 82
+const optionCount = 79
 
 // testOnlyOptions are the options only tests set, each with the reason a
 // test could not reach the behaviour if the value were a constant.

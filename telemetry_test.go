@@ -211,16 +211,15 @@ func TestContentionSitesAreTheRuntimesLocks(t *testing.T) {
 }
 
 // TestSignalGaugesFollowTheLog pins the per-cycle publication against a
-// live runtime: after several cycles every hcsgc_signal_value series, the
-// hcsgc_mmu_ratio ladder and the page-entropy gauge hold the values of the
-// last logged cycle record, and every Perfetto counter track carries one
+// live runtime: after several cycles every hcsgc_signal_value series and
+// the hcsgc_mmu_ratio ladder hold the values of the last logged cycle
+// record, and every Perfetto counter track carries one
 // sample per cycle, equal to that cycle's logged record.
 func TestSignalGaugesFollowTheLog(t *testing.T) {
 	sink := hcsgc.NewTelemetrySink()
 	rt := hcsgc.MustNewRuntime(hcsgc.Options{
 		HeapMaxBytes: 64 << 20,
 		Knobs:        hcsgc.Knobs{Hotness: true, RelocateAllSmallPages: true, LazyRelocate: true},
-		Locality:     hcsgc.NewLocalityProfiler(hcsgc.LocalityConfig{}),
 		Telemetry:    sink,
 	})
 	defer rt.Close()
@@ -254,16 +253,15 @@ func TestSignalGaugesFollowTheLog(t *testing.T) {
 		"heap_used_pct":           last.HeapUsedAfter,
 		"cold_frac":               last.ColdFrac,
 		"barrier_slow_per_kcycle": perK(last.Barrier.Entries),
-		"reuse_p50_lines":         last.Locality.ReuseP50,
 		"stream_coverage":         last.PrefetchCoverage,
-		"seg_purity":              last.Locality.SegPurity,
+		"seg_purity":              last.SegregationPurity,
 		"worker_imbalance":        last.Workers.Imbalance,
 		"lock_contended_frac":     last.Contention.ContendedFrac,
 		"cas_retry_frac":          last.Contention.RetryFrac,
 	}
-	if span == 0 || last.ColdFrac < 0 || last.PrefetchCoverage < 0 || !last.Locality.Present || !last.Workers.Present || !last.Contention.Present {
-		t.Fatalf("cycle %d did not measure every signal: span %v, cold_frac %v, prefetch coverage %v, locality %v, workers %v, contention %v",
-			last.Seq, span, last.ColdFrac, last.PrefetchCoverage, last.Locality.Present, last.Workers.Present, last.Contention.Present)
+	if span == 0 || last.ColdFrac < 0 || last.PrefetchCoverage < 0 || !last.Workers.Present || !last.Contention.Present {
+		t.Fatalf("cycle %d did not measure every signal: span %v, cold_frac %v, prefetch coverage %v, workers %v, contention %v",
+			last.Seq, span, last.ColdFrac, last.PrefetchCoverage, last.Workers.Present, last.Contention.Present)
 	}
 
 	var b strings.Builder
@@ -307,9 +305,6 @@ func TestSignalGaugesFollowTheLog(t *testing.T) {
 	if len(last.MMU) != 4 {
 		t.Errorf("cycle %d logged %d MMU windows, want 4", last.Seq, len(last.MMU))
 	}
-	if g := sink.Metrics().Gauge("hcsgc_locality_page_entropy_bits", ""); g.Value() != last.Locality.PageEntropyBits {
-		t.Errorf("hcsgc_locality_page_entropy_bits = %v, want %v from cycle %d's record", g.Value(), last.Locality.PageEntropyBits, last.Seq)
-	}
 
 	// Every counter track, by name: the record value its sample must carry.
 	mmu := func(i int) func(*latency.CycleRecord) float64 {
@@ -317,9 +312,7 @@ func TestSignalGaugesFollowTheLog(t *testing.T) {
 	}
 	tracks := map[string]func(*latency.CycleRecord) float64{
 		"locality_stream_coverage":    func(r *latency.CycleRecord) float64 { return r.PrefetchCoverage },
-		"locality_seg_purity":         func(r *latency.CycleRecord) float64 { return r.Locality.SegPurity },
-		"locality_page_entropy_bits":  func(r *latency.CycleRecord) float64 { return r.Locality.PageEntropyBits },
-		"locality_reuse_p50_lines":    func(r *latency.CycleRecord) float64 { return r.Locality.ReuseP50 },
+		"locality_seg_purity":         func(r *latency.CycleRecord) float64 { return r.SegregationPurity },
 		"latency_mmu_1k":              mmu(0),
 		"latency_mmu_5k":              mmu(1),
 		"latency_mmu_20k":             mmu(2),
@@ -336,7 +329,7 @@ func TestSignalGaugesFollowTheLog(t *testing.T) {
 		"signal_worker_imbalance":  func(r *latency.CycleRecord) float64 { return r.Workers.Imbalance },
 	}
 	for _, r := range log {
-		if r.VEnd == r.VStart || r.ColdFrac < 0 || r.PrefetchCoverage < 0 || !r.Locality.Present || !r.Contention.Present || !r.Workers.Present {
+		if r.VEnd == r.VStart || r.ColdFrac < 0 || r.PrefetchCoverage < 0 || !r.Contention.Present || !r.Workers.Present {
 			t.Fatalf("cycle %d did not measure every track's value", r.Seq)
 		}
 	}
